@@ -1,12 +1,12 @@
 """Packed k-mer engine speedup on the Fig. 4 Ray-scaling workload.
 
 The packed-integer rewrite (2-bit codes in uint64 words, batched
-searchsorted lookups, frontier-based unitig walking) is a pure host-side
-optimisation: every virtual quantity — charged work, collective bytes,
-message counts, peak memory — is bit-identical to the dict/bytes engine
-(asserted here and in tests/assembly/test_parity.py).  What changes is
-the *real* wall-time of running a benchmark, which is what bounds how
-much of the paper's parameter space a session can sweep.
+searchsorted lookups, unitig walking over one batched adjacency pass) is
+a pure host-side optimisation: every virtual quantity — charged work,
+collective bytes, message counts, peak memory — is bit-identical to the
+dict/bytes engine (asserted here and in tests/assembly/test_parity.py).
+What changes is the *real* wall-time of running a benchmark, which is
+what bounds how much of the paper's parameter space a session can sweep.
 
 The measured workload is the Fig. 4 upper-panel cell: Ray on the full
 P. crispa bench data at k=51 on 8 ranks (instance r3.2xlarge in the

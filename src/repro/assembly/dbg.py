@@ -7,14 +7,16 @@ four possible single-base extensions — the classic hash-based DBG
 
 K-mers live in the 2-bit packed representation of
 :mod:`repro.assembly.packed`: the table stores sorted packed rows with an
-aligned count column, membership and coverage are batched
-``np.searchsorted`` probes, and :func:`extract_unitigs` advances *arrays*
-of concurrent walks per step instead of probing one Python-level k-mer at
-a time.  The packed layout is order-isomorphic to the historical bytes
-representation, and the frontier walker is step-for-step equivalent to
-the sequential one (``repro.assembly.reference_impl``), so contigs, walk
-step counts and emission order are bit-identical to the bytes-dict
-engine — only real wall-time changes.
+aligned count column, and membership and coverage are batched
+``np.searchsorted`` probes.  :func:`extract_unitigs` never probes k-mer by
+k-mer: :meth:`KmerTable.unitig_links` resolves the non-branching
+adjacency of the *whole* table in four batched passes (one per appended
+base, over both orientations of every row), and the walk then follows
+integer links seed by seed.  The invariant the tests hold it to is
+equality with the sequential bytes-dict walker frozen in
+``repro.assembly.reference_impl.legacy_extract_unitigs`` — same unitigs,
+orientation, coverage, emission order and walk step counts — so only
+real wall-time differs from the historical engine.
 
 Orientation handling: the table stores *canonical* k-mers, but walking
 operates on *oriented* k-mers; every membership test canonicalizes first.
@@ -24,7 +26,7 @@ one successor and one predecessor.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +42,12 @@ _BASES = (0, 1, 2, 3)
 KMER_RECORD_BYTES = 16
 
 
+def _pack_code_bytes(kmers: Iterable[bytes], k: int) -> np.ndarray:
+    """Pack code-bytes k-mers into ``(m, W)`` rows."""
+    raw = b"".join(bytes(km) for km in kmers)
+    return packedmod.pack(np.frombuffer(raw, dtype=np.uint8).reshape(-1, k))
+
+
 class KmerTable:
     """Canonical k-mer -> coverage count, as sorted packed rows.
 
@@ -53,12 +61,23 @@ class KmerTable:
         packedmod.check_k(k)
         self.k = k
         self.words = packedmod.words_for(k)
-        self._packed = np.zeros((0, self.words), dtype=np.uint64)
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._keys = packedmod.keys(self._packed, k)
-        self._dict: dict[bytes, int] | None = None
+        empty = np.zeros((0, self.words), dtype=np.uint64)
+        self._set_rows(
+            empty, np.zeros(0, dtype=np.int64), packedmod.keys(empty, k)
+        )
         if counts:
             self.add_counts(counts)
+
+    def _set_rows(
+        self, packed_rows: np.ndarray, counts: np.ndarray, key_arr: np.ndarray
+    ) -> None:
+        """Install sorted rows + aligned counts/keys; every view derived
+        from the previous rows (dict, unitig links) is dropped with them."""
+        self._packed = np.ascontiguousarray(packed_rows)
+        self._counts = counts
+        self._keys = key_arr
+        self._dict: dict[bytes, int] | None = None
+        self._links: tuple[list[int], np.ndarray] | None = None
 
     @classmethod
     def from_packed(
@@ -82,14 +101,14 @@ class KmerTable:
         if presorted:
             if packedmod.debug_assert_sorted_enabled():
                 packedmod.assert_sorted(key_arr)
-            t._packed = np.ascontiguousarray(rows)
-            t._counts = np.asarray(counts, dtype=np.int64)
-            t._keys = key_arr
+            t._set_rows(rows, np.asarray(counts, dtype=np.int64), key_arr)
             return t
         order = np.argsort(key_arr, kind="stable")
-        t._packed = np.ascontiguousarray(rows[order])
-        t._counts = np.asarray(counts, dtype=np.int64)[order]
-        t._keys = key_arr[order]
+        t._set_rows(
+            rows[order],
+            np.asarray(counts, dtype=np.int64)[order],
+            key_arr[order],
+        )
         return t
 
     # -- views -------------------------------------------------------------
@@ -123,21 +142,26 @@ class KmerTable:
 
     # -- batched lookups ----------------------------------------------------
 
-    def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-key membership + coverage for an array of packed keys."""
+    def find_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-key membership + table row index for an array of packed
+        keys (the index is meaningful only where found)."""
         n = self._keys.shape[0]
         m = query.shape[0]
         if n == 0 or m == 0:
             return np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
-        idx = np.searchsorted(self._keys, query)
-        idxc = np.minimum(idx, n - 1)
-        found = (idx < n) & (self._keys[idxc] == query)
-        cov = np.where(found, self._counts[idxc], 0)
-        return found, cov
+        idx = np.minimum(np.searchsorted(self._keys, query), n - 1)
+        return self._keys[idx] == query, idx
+
+    def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-key membership + coverage for an array of packed keys."""
+        found, idx = self.find_keys(query)
+        if not found.any():
+            return found, np.zeros(found.shape[0], dtype=np.int64)
+        return found, np.where(found, self._counts[idx], 0)
 
     def has_keys(self, query: np.ndarray) -> np.ndarray:
         """Exact-key membership only."""
-        return self.lookup_keys(query)[0]
+        return self.find_keys(query)[0]
 
     # -- single-k-mer compatibility API ------------------------------------
 
@@ -156,12 +180,8 @@ class KmerTable:
         """Merge a counts dict (keys must already be canonical)."""
         if not other:
             return
-        kms = list(other.keys())
-        mat = np.frombuffer(b"".join(kms), dtype=np.uint8).reshape(
-            len(kms), self.k
-        )
-        rows = packedmod.pack(mat)
-        cnt = np.fromiter(other.values(), dtype=np.int64, count=len(kms))
+        rows = _pack_code_bytes(other.keys(), self.k)
+        cnt = np.fromiter(other.values(), dtype=np.int64, count=len(other))
         all_rows = np.concatenate([self._packed, rows], axis=0)
         all_cnt = np.concatenate([self._counts, cnt])
         key_arr = packedmod.keys(all_rows, self.k)
@@ -170,20 +190,16 @@ class KmerTable:
         )
         summed = np.zeros(uniq.shape[0], dtype=np.int64)
         np.add.at(summed, inverse, all_cnt)
-        self._packed = np.ascontiguousarray(all_rows[first])
-        self._counts = summed
-        self._keys = uniq
-        self._dict = None
+        self._set_rows(all_rows[first], summed, uniq)
 
     def drop_below(self, min_count: int) -> int:
         """Remove k-mers with coverage below ``min_count``; returns #removed."""
         keep = self._counts >= min_count
         removed = int(keep.size - keep.sum())
         if removed:
-            self._packed = np.ascontiguousarray(self._packed[keep])
-            self._counts = self._counts[keep]
-            self._keys = self._keys[keep]
-            self._dict = None
+            self._set_rows(
+                self._packed[keep], self._counts[keep], self._keys[keep]
+            )
         return removed
 
     def memory_bytes(self) -> int:
@@ -215,6 +231,50 @@ class KmerTable:
         )
         prefix = oriented[:-1]
         return [bytes([b]) + prefix for b in _BASES if found[b]]
+
+    def unitig_links(self) -> tuple[list[int], np.ndarray]:
+        """Non-branching adjacency of the whole graph, built once per
+        row set and cached: ``(link, last_base)`` over ``2n`` oriented
+        ids, where id ``i`` is canonical row ``i`` read forward and
+        ``i + n`` its reverse complement (its *mate*).
+
+        ``link[o]`` is the oriented id a unitig walk steps to from ``o``
+        — ``o``'s only successor, which in turn has ``o`` as its only
+        predecessor — or ``-1`` where the walk must stop.  Four batched
+        passes, one per appended base, probe every oriented k-mer's
+        extension; predecessors need no probes because the predecessors
+        of ``v`` are the mates of the successors of ``mate(v)``, so
+        ``indeg[v] == outdeg[mate(v)]``.  ``last_base[o]`` is the base a
+        step into ``o`` appends.  A palindromic k-mer (even k) has two
+        identical rows and canonicalizes to the forward id.
+        """
+        if self._links is None:
+            self._links = self._build_links()
+        return self._links
+
+    def _build_links(self) -> tuple[list[int], np.ndarray]:
+        n, k = len(self), self.k
+        if n == 0:
+            return [], np.zeros(0, dtype=np.uint8)
+        rows = self._packed
+        oriented = np.concatenate([rows, packedmod.revcomp(rows, k)])
+        outdeg = np.zeros(2 * n, dtype=np.int8)
+        succ = np.zeros(2 * n, dtype=np.int64)
+        for b in _BASES:  # one base at a time: 2n x W transient words
+            ext = packedmod.extend_right(oriented, k, b)
+            canon = packedmod.canonicalize(ext, k)
+            found, idx = self.find_keys(packedmod.keys(canon, k))
+            idx[(canon != ext).any(axis=1)] += n
+            succ[found] = idx[found]
+            outdeg += found
+        unique = outdeg == 1
+        into_unique = unique[np.where(succ < n, succ + n, succ - n)]
+        link = np.where(unique & into_unique, succ, -1)
+        first = (rows[:, 0] >> np.uint64(62)).astype(np.uint8)
+        last = (
+            (rows[:, -1] >> np.uint64(64 * self.words - 2 * k)) & np.uint64(3)
+        ).astype(np.uint8)
+        return link.tolist(), np.concatenate([last, 3 - first])
 
 
 def build_kmer_table(k: int, counts: dict[bytes, int]) -> KmerTable:
@@ -264,144 +324,17 @@ class Unitig:
         return alphabet.decode(self.codes)
 
 
-class _WalkBatch:
-    """State of all concurrent walks launched from one seed batch."""
-
-    def __init__(self, table: KmerTable, starts: np.ndarray) -> None:
-        k = table.k
-        m = starts.shape[0]
-        self.table = table
-        self.starts = starts
-        self.start_keys = packedmod.key_list(starts, k)
-        _, cov0 = table.lookup_keys(packedmod.keys(starts, k))
-        self.cov_sum = cov0.astype(np.float64)
-        self.n_kmers = np.ones(m, dtype=np.int64)
-        self.right: list[list[int]] = [[] for _ in range(m)]
-        self.left: list[list[int]] = [[] for _ in range(m)]
-        #: Per-walk set of canonical keys this walk has entered — needed
-        #: for cycle termination and palindromic hairpin re-entry, which
-        #: can strike at any path position.
-        self.own: list[set] = [set() for _ in range(m)]
-        #: canonical key -> lowest walk index that entered the node.  Two
-        #: walks can only ever meet when they seed the same unitig (the
-        #: predecessor-uniqueness check blocks all cross-unitig entry),
-        #: so on contact the higher-index walk is redundant — exactly the
-        #: walk the sequential reference would have skipped — and is
-        #: killed, keeping total work linear in the table size.
-        self.claimed: dict = {}
-        self.alive = np.ones(m, dtype=bool)
-        self._start_codes: np.ndarray | None = None
-        for w, key in enumerate(self.start_keys):
-            if key in self.claimed:
-                self.alive[w] = False  # duplicate seed
-            else:
-                self.claimed[key] = w
-                self.own[w].add(key)
-
-    def run(self) -> None:
-        k = self.table.k
-        live = np.flatnonzero(self.alive)
-        self._extend(self.starts[live], live, self.right)
-        live = np.flatnonzero(self.alive)
-        self._extend(packedmod.revcomp(self.starts[live], k), live, self.left)
-
-    def _extend(
-        self,
-        cur: np.ndarray,
-        walk_ids: np.ndarray,
-        chains: list[list[int]],
-    ) -> None:
-        """Advance all walks rightward in lockstep until each breaks."""
-        table = self.table
-        k = table.k
-        while walk_ids.size:
-            mask = self.alive[walk_ids]
-            if not mask.all():
-                walk_ids = walk_ids[mask]
-                cur = cur[mask]
-                if walk_ids.size == 0:
-                    return
-            a = walk_ids.size
-            # Batched successor probe: 4 candidate extensions per walk.
-            ext = np.stack(
-                [packedmod.extend_right(cur, k, b) for b in _BASES], axis=1
-            )
-            canon_keys = packedmod.keys(
-                packedmod.canonicalize(ext.reshape(a * 4, -1), k), k
-            )
-            found, cov = table.lookup_keys(canon_keys)
-            found = found.reshape(a, 4)
-            ok = found.sum(axis=1) == 1
-            if not ok.any():
-                return
-            rows = np.arange(a)
-            b_next = np.argmax(found, axis=1)
-            nxt = ext[rows, b_next]
-            nxt_keys = canon_keys.reshape(a, 4)[rows, b_next].tolist()
-            nxt_cov = cov.reshape(a, 4)[rows, b_next]
-            # Own-visited break (loop / palindromic hairpin re-entry).
-            for j in np.flatnonzero(ok):
-                if nxt_keys[j] in self.own[walk_ids[j]]:
-                    ok[j] = False
-            # Batched predecessor-uniqueness probe on the survivors.
-            cand = np.flatnonzero(ok)
-            if cand.size == 0:
-                return
-            pext = np.stack(
-                [packedmod.extend_left(nxt[cand], k, b) for b in _BASES],
-                axis=1,
-            )
-            pfound = table.has_keys(
-                packedmod.keys(
-                    packedmod.canonicalize(pext.reshape(cand.size * 4, -1), k),
-                    k,
-                )
-            )
-            ok[cand[pfound.reshape(cand.size, 4).sum(axis=1) != 1]] = False
-            # Commit surviving steps in walk order, resolving claims.
-            surv: list[int] = []
-            for j in np.flatnonzero(ok):
-                wid = int(walk_ids[j])
-                if not self.alive[wid]:
-                    continue
-                key = nxt_keys[j]
-                holder = self.claimed.get(key)
-                if holder is not None and holder != wid:
-                    if holder < wid:
-                        self.alive[wid] = False
-                        continue
-                    self.alive[holder] = False
-                self.claimed[key] = wid
-                chains[wid].append(int(b_next[j]))
-                self.own[wid].add(key)
-                self.cov_sum[wid] += nxt_cov[j]
-                self.n_kmers[wid] += 1
-                surv.append(j)
-            if not surv:
-                return
-            keep = np.array(surv, dtype=np.int64)
-            cur = nxt[keep]
-            walk_ids = walk_ids[keep]
-
-    def codes_of(self, w: int) -> np.ndarray:
-        """Assembled base codes of walk ``w`` (left + seed + right)."""
-        if self._start_codes is None:
-            # One batched unpack for all seeds, on first emission.
-            self._start_codes = packedmod.unpack(self.starts, self.table.k)
-        start_codes = self._start_codes[w]
-        parts = []
-        if self.left[w]:
-            parts.append(
-                np.array(
-                    [3 - b for b in reversed(self.left[w])], dtype=np.uint8
-                )
-            )
-        parts.append(start_codes)
-        if self.right[w]:
-            parts.append(np.array(self.right[w], dtype=np.uint8))
-        if len(parts) == 1:
-            return start_codes.copy()
-        return np.concatenate(parts)
+def _seed_rows(table: KmerTable, seeds) -> Sequence[int]:
+    """Table row index of every seed present under its exact key, in
+    seed order (duplicates kept; the walk skips them as visited)."""
+    if seeds is None:
+        return range(len(table))
+    if isinstance(seeds, np.ndarray):
+        rows = np.asarray(seeds, dtype=np.uint64).reshape(-1, table.words)
+    else:
+        rows = _pack_code_bytes(seeds, table.k)
+    found, idx = table.find_keys(packedmod.keys(rows, table.k))
+    return idx[found].tolist()
 
 
 def extract_unitigs(
@@ -415,59 +348,60 @@ def extract_unitigs(
     distributed assemblers to attribute work to ranks): a packed ``(m, W)``
     row array (the fast path), an iterable of code-bytes k-mers (the
     historical API), or None for every table k-mer in sorted order.
-    ``visited`` may be shared across calls so that different rank shards
-    never emit the same unitig twice; it holds packed key scalars.
+    ``visited`` may be shared across calls *on the same, unmodified table*
+    so that different rank shards never emit the same unitig twice; it
+    holds table row indices (a node is visited whichever strand entered
+    it).
 
-    All walks advance in lockstep with batched probes, and the result is
-    provably identical — unitigs, orientation, emission order, step
-    count — to walking the seeds one at a time.
+    Seeds are walked one at a time, in order, over the table's cached
+    :meth:`KmerTable.unitig_links`: right from the seed, then right from
+    its mate (the left arm), each arm stopping at a ``-1`` link or a
+    visited node.  This is ``reference_impl.legacy_extract_unitigs`` on
+    integers, and equality with it — unitigs, orientation, emission
+    order, step count — is the invariant the tests hold it to.
     """
     if visited is None:
         visited = set()
-    k = table.k
-    if seeds is None:
-        seed_rows = table.packed
-    elif isinstance(seeds, np.ndarray):
-        seed_rows = np.asarray(seeds, dtype=np.uint64).reshape(-1, table.words)
-    else:
-        seed_list = [bytes(s) for s in seeds]
-        if seed_list:
-            mat = np.frombuffer(b"".join(seed_list), dtype=np.uint8).reshape(
-                len(seed_list), k
-            )
-            seed_rows = packedmod.pack(mat)
-        else:
-            seed_rows = np.zeros((0, table.words), dtype=np.uint64)
-
-    # A seed must be present in the table under its exact (canonical) key
-    # and not already consumed by an earlier walk.
-    seed_keys = packedmod.keys(seed_rows, k)
-    in_table = table.has_keys(seed_keys)
-    key_scalars = seed_keys.tolist()
-    keep = [
-        i
-        for i in range(seed_rows.shape[0])
-        if in_table[i] and key_scalars[i] not in visited
-    ]
-    if not keep:
+    n = len(table)
+    link, last_base = table.unitig_links()
+    walks: list[tuple[int, list[int], list[int]]] = []
+    for seed in _seed_rows(table, seeds):
+        if seed in visited:
+            continue
+        visited.add(seed)
+        arms: tuple[list[int], list[int]] = ([], [])
+        for o, arm in zip((seed, seed + n), arms):
+            while True:
+                o = link[o]
+                if o < 0:
+                    break
+                node = o if o < n else o - n
+                if node in visited:
+                    break  # loop, palindromic re-entry or an earlier walk
+                visited.add(node)
+                arm.append(o)
+        walks.append((seed, *arms))
+    if not walks:
         return [], 0
 
-    batch = _WalkBatch(table, np.ascontiguousarray(seed_rows[keep]))
-    batch.run()
-
+    seed_codes = packedmod.unpack(
+        table.packed[[seed for seed, _, _ in walks]], table.k
+    )
+    counts = table.count_array
     unitigs: list[Unitig] = []
     steps = 0
-    for w in range(len(keep)):
-        if not batch.alive[w] or batch.start_keys[w] in visited:
-            continue  # consumed by an earlier-seeded walk
-        visited |= batch.own[w]
-        n = int(batch.n_kmers[w])
-        steps += n
+    for codes, (seed, right, left) in zip(seed_codes, walks):
+        path = np.array([seed, *right, *left], dtype=np.int64)
+        if path.size > 1:
+            codes = np.concatenate(
+                [3 - last_base[left][::-1], codes, last_base[right]]
+            )
+        steps += path.size
         unitigs.append(
             Unitig(
-                codes=batch.codes_of(w),
-                coverage=float(batch.cov_sum[w]) / n,
-                n_kmers=n,
+                codes=codes,
+                coverage=int(counts[path % n].sum()) / path.size,
+                n_kmers=path.size,
             )
         )
     return unitigs, steps

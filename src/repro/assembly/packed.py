@@ -236,16 +236,6 @@ def key_list(packed: np.ndarray, k: int) -> list:
     return keys(packed, k).tolist()
 
 
-def visited_key_array(visited: set, k: int) -> np.ndarray:
-    """A sorted key array from a set of :func:`key_list` scalars."""
-    if words_for(k) == 1:
-        arr = np.fromiter(visited, dtype=_U, count=len(visited))
-    else:
-        arr = np.array(list(visited), dtype="S16")
-    arr.sort()
-    return arr
-
-
 def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
     """Rows as single Python ints (``w0 << 64 | w1``), preserving order —
     hashable keys for MapReduce shuffles."""
