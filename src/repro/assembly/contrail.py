@@ -27,6 +27,7 @@ paper notes Contrail *failed* outright on raw reads with N — modeled by
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ from repro.assembly.kmers import (
 from repro.parallel.mapreduce import MapReduceEngine, MRJob, MRJobStats
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
+
+
+logger = logging.getLogger(__name__)
 
 
 class ContrailInputError(ValueError):
@@ -67,6 +71,13 @@ class _Segment:
 
 #: Junction canonicalization — the shared single-k-mer helper.
 _canon = canonical
+
+
+def _segment_nbytes(seg: _Segment) -> int:
+    """Closed form of the generic ``nbytes(seg)`` walk: the four field
+    names (22) and three scalars (24) plus dict and object overhead
+    (16 + 16), plus the code bytes."""
+    return len(seg.codes) + 78
 
 
 def _coin(sid: int, round_no: int) -> bool:
@@ -142,17 +153,23 @@ class ContrailAssembler:
             i: _Segment(sid=i, codes=kmer, cov_sum=float(c), n_kmers=1)
             for i, (kmer, c) in enumerate(sorted(counts.items()))
         }
-        next_sid = len(segments)
 
         rounds = 0
+        converged = False
         for round_no in range(self.max_rounds):
             merges = self._job_pair(engine, segments, k, round_no)
             if not merges:
+                converged = True
                 break
-            segments, next_sid = self._job_merge(
-                engine, segments, merges, k, round_no, next_sid
-            )
+            segments = self._job_merge(engine, segments, merges, k, round_no)
             rounds += 1
+        if not converged:
+            logger.warning(
+                "contrail k=%d: path compression stopped at max_rounds=%d "
+                "with merges still firing (%d segments left); contigs may "
+                "be split where a further round would have joined them",
+                k, self.max_rounds, len(segments),
+            )
 
         unitigs = [
             Unitig(
@@ -175,6 +192,7 @@ class ContrailAssembler:
                 "n_ranks": n_ranks,
                 "mr_jobs": len(engine.job_stats),
                 "compression_rounds": rounds,
+                "compression_converged": converged,
                 "distinct_kmers": len(counts),
                 "tips_removed": cstats.tips_removed,
                 "bubbles_popped": cstats.bubbles_popped,
@@ -183,16 +201,6 @@ class ContrailAssembler:
         )
 
     # -- jobs ----------------------------------------------------------------
-
-    def _job_kmer_count(
-        self,
-        engine: MapReduceEngine,
-        reads: list[FastqRecord],
-        params: AssemblyParams,
-    ) -> dict[bytes, int]:
-        return self._job_kmer_count_encoded(
-            engine, ReadStore.from_reads(reads), params
-        )
 
     def _job_kmer_count_encoded(
         self,
@@ -327,7 +335,11 @@ class ContrailAssembler:
             head, tail = (a, b) if ca else (b, a)
             yield head, tail
 
-        job = MRJob(f"pair_{round_no}", mapper, reducer)
+        # Junction keys are (k-1)-byte strings and values are int sids.
+        job = MRJob(
+            f"pair_{round_no}", mapper, reducer,
+            key_nbytes=len, value_nbytes=lambda _sid: 8,
+        )
         out = engine.run(job, list(segments.items()))
         # A tail may pair with heads on both of its ends; keep one merge
         # per tail (deterministic: smallest head id).
@@ -344,8 +356,7 @@ class ContrailAssembler:
         merges: list[tuple[int, int]],
         k: int,
         round_no: int,
-        next_sid: int,
-    ) -> tuple[dict[int, _Segment], int]:
+    ) -> dict[int, _Segment]:
         """Apply absorptions: every record keyed by its (possibly new) owner."""
         absorbed_by = {t: h for h, t in merges}
 
@@ -375,6 +386,8 @@ class ContrailAssembler:
                 n += t.n_kmers
             yield sid, _Segment(sid=sid, codes=codes, cov_sum=cov, n_kmers=n)
 
-        job = MRJob(f"merge_{round_no}", mapper, reducer)
-        out = engine.run(job, list(segments.items()))
-        return {sid: seg for sid, seg in out}, next_sid
+        job = MRJob(
+            f"merge_{round_no}", mapper, reducer,
+            key_nbytes=lambda _sid: 8, value_nbytes=_segment_nbytes,
+        )
+        return dict(engine.run(job, list(segments.items())))

@@ -392,9 +392,12 @@ def kmer_to_codes(kmer: bytes) -> np.ndarray:
     return np.frombuffer(kmer, dtype=np.uint8)
 
 
+#: Complement of every byte value: ``3 - code`` with uint8 wrap-around.
+_COMPLEMENT = bytes((3 - i) & 0xFF for i in range(256))
+
+
 def revcomp_kmer(kmer: bytes) -> bytes:
-    codes = np.frombuffer(kmer, dtype=np.uint8)
-    return bytes((3 - codes)[::-1])
+    return kmer.translate(_COMPLEMENT)[::-1]
 
 
 def canonical(kmer: bytes) -> bytes:

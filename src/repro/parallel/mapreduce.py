@@ -34,11 +34,16 @@ class MRJob:
     before the shuffle (the standard Hadoop optimization) and must be
     semantically compatible with the reducer.
 
-    ``key_nbytes``, when given, overrides how intermediate keys are
-    priced in the shuffle and reducer-memory accounting.  Jobs whose keys
-    are a compressed stand-in for a logical record (e.g. packed-integer
-    k-mers standing in for k code bytes) pass the logical size here so
-    the charged bytes stay identical to shuffling the uncompressed keys.
+    ``key_nbytes`` and ``value_nbytes``, when given, price one
+    intermediate key / one intermediate value in the shuffle and
+    reducer-memory accounting in place of the generic
+    :func:`~repro.parallel.usage.nbytes` walk (the same idea as
+    ``alltoall(nbytes_of=)``).  Two uses: a key that is a compressed
+    stand-in for a logical record (packed-integer k-mers standing in for
+    k code bytes) passes the logical size, so the charged bytes stay
+    those of the uncompressed keys; and a job whose records have a known
+    shape passes the closed form of what ``nbytes`` would return, which
+    must equal it exactly (the tests gate this) and only saves the walk.
     """
 
     name: str
@@ -46,6 +51,7 @@ class MRJob:
     reducer: Reducer
     combiner: Reducer | None = None
     key_nbytes: Callable[[Hashable], int] | None = None
+    value_nbytes: Callable[[Any], int] | None = None
 
 
 @dataclass
@@ -76,6 +82,19 @@ class MapReduceEngine:
     intermediate keys across reduce tasks, exactly as a real cluster would.
     Statistics are accumulated into a :class:`ResourceUsage` with one
     phase per job so downstream pricing can count jobs and shuffles.
+
+    Virtual bytes are priced in a single pass: each shuffled
+    ``(key, value list)`` is measured once, as it leaves its map task,
+    and that one number is charged to ``shuffle_bytes`` and added to the
+    size of the reduce partition the key hashes to.
+
+    Every :class:`MRJobStats` field and the set of output records are
+    independent of ``PYTHONHASHSEED``.  Output *order* and
+    ``peak_rank_memory_bytes`` follow which keys share a partition, so
+    they are seed-independent only for keys whose ``hash()`` is (ints).
+    Contrail's ``pair_<r>`` jobs key on ``bytes`` junctions: their
+    output is re-sorted by the driver, and they are the one place
+    Contrail's peak can move with the seed.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -83,96 +102,85 @@ class MapReduceEngine:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.job_stats: list[MRJobStats] = []
-        self._usage = ResourceUsage(n_ranks=n_workers)
-        self._peak_memory = 0
-
-    @property
-    def usage(self) -> ResourceUsage:
-        self._usage.peak_rank_memory_bytes = self._peak_memory
-        return self._usage
+        self.usage = ResourceUsage(n_ranks=n_workers)
 
     def run(self, job: MRJob, records: Sequence[KV]) -> list[KV]:
         """Execute one job and return its sorted output records."""
         with get_tracer().span(
             f"mr:{job.name}", category="mapreduce", n_workers=self.n_workers
         ) as sp:
-            output = self._run_job(job, records, sp)
-        return output
+            return self._run_job(job, records, sp)
 
     def _run_job(self, job: MRJob, records: Sequence[KV], sp) -> list[KV]:
-        stats = MRJobStats(name=job.name)
         n = self.n_workers
+        mapper, combiner, reducer = job.mapper, job.combiner, job.reducer
+        key_size = job.key_nbytes or nbytes
+        value_size = job.value_nbytes or nbytes
+        map_out = combine_out = shuffle_bytes = 0
+
+        # Reducer-side memory mirrors nbytes(dict) per partition: 16 for
+        # the container plus key + nbytes(value list) per entry.
+        partitions: list[dict[Hashable, list[Any]]] = [{} for _ in range(n)]
+        part_bytes = [16] * n
 
         # Map: records split round-robin over map tasks; each task's output
-        # is optionally combined locally before shuffle.
-        partitions: list[dict[Hashable, list[Any]]] = [dict() for _ in range(n)]
-        map_outputs_per_task: list[dict[Hashable, list[Any]]] = []
+        # is optionally combined locally, then hash-partitioned over the
+        # reduce tasks.  Every shuffled (key, value list) is priced here,
+        # once; the same integers give the partition sizes.
         for task in range(n):
             local: dict[Hashable, list[Any]] = {}
-            for i in range(task, len(records), n):
-                k, v = records[i]
-                stats.map_input_records += 1
-                for ok, ov in job.mapper(k, v):
-                    stats.map_output_records += 1
-                    local.setdefault(ok, []).append(ov)
-            if job.combiner is not None:
+            for k, v in records[task::n]:
+                for ok, ov in mapper(k, v):
+                    vs = local.get(ok)
+                    if vs is None:
+                        local[ok] = [ov]
+                    else:
+                        vs.append(ov)
+            emitted = sum(map(len, local.values()))
+            map_out += emitted
+            if combiner is not None:
                 combined: dict[Hashable, list[Any]] = {}
                 for k, vs in local.items():
-                    for ck, cv in job.combiner(k, vs):
-                        stats.combine_output_records += 1
+                    for ck, cv in combiner(k, vs):
+                        combine_out += 1
                         combined.setdefault(ck, []).append(cv)
                 local = combined
             else:
-                stats.combine_output_records += sum(len(v) for v in local.values())
-            map_outputs_per_task.append(local)
+                combine_out += emitted
 
-        # Shuffle: hash-partition intermediate keys over reduce tasks.
-        key_size = job.key_nbytes if job.key_nbytes is not None else nbytes
-        for local in map_outputs_per_task:
             for k, vs in local.items():
+                kb = key_size(k)
+                vb = sum(map(value_size, vs)) + 16  # == nbytes(vs)
+                shuffle_bytes += kb + vb
                 dest = hash(k) % n
-                stats.shuffle_bytes += key_size(k) + nbytes(vs)
-                partitions[dest].setdefault(k, []).extend(vs)
-
-        # Track reducer-side memory: the largest partition must fit.
-        # Mirrors nbytes(dict) = sum over items + container overhead, with
-        # keys priced through the job's key measure.
-        if partitions:
-            part_bytes = max(
-                sum(key_size(k) + nbytes(vs) for k, vs in p.items()) + 16
-                for p in partitions
-            )
-            self._peak_memory = max(self._peak_memory, part_bytes)
+                part = partitions[dest]
+                merged = part.get(k)
+                if merged is None:
+                    part[k] = vs
+                    part_bytes[dest] += kb + vb
+                else:
+                    # A list is its elements + 16, so appending to a key
+                    # already present adds the elements only.
+                    merged.extend(vs)
+                    part_bytes[dest] += vb - 16
 
         # Sort + Reduce.
         output: list[KV] = []
         for part in partitions:
-            for k in sorted(part.keys(), key=repr):
-                stats.reduce_input_groups += 1
-                for rk, rv in job.reducer(k, part[k]):
-                    stats.reduce_output_records += 1
-                    output.append((rk, rv))
+            for k in sorted(part, key=repr):
+                output.extend(reducer(k, part[k]))
 
-        self.job_stats.append(stats)
-        sp.set(
-            map_input_records=stats.map_input_records,
-            map_output_records=stats.map_output_records,
-            shuffle_bytes=stats.shuffle_bytes,
-            reduce_input_groups=stats.reduce_input_groups,
-            reduce_output_records=stats.reduce_output_records,
+        stats = MRJobStats(
+            name=job.name,
+            map_input_records=len(records),
+            map_output_records=map_out,
+            combine_output_records=combine_out,
+            shuffle_bytes=shuffle_bytes,
+            reduce_input_groups=sum(map(len, partitions)),
+            reduce_output_records=len(output),
         )
-        get_tracer().count("mr_jobs")
-        self._usage.add_phase(
-            PhaseUsage(
-                name=job.name,
-                kind="mr_job",
-                critical_compute=(stats.map_work + stats.reduce_work) / n,
-                total_compute=stats.map_work + stats.reduce_work,
-                comm_bytes=stats.shuffle_bytes,
-                n_collectives=1,
-                n_jobs=1,
-            )
-        )
+        # The largest partition must fit on one reducer.
+        self._book(stats, max(part_bytes), sp)
         return output
 
     def record_job(
@@ -189,26 +197,32 @@ class MapReduceEngine:
         span and ``mr_jobs`` counter, the :class:`MRJobStats` entry, the
         reducer-memory peak, and the priced :class:`PhaseUsage`.
         """
-        n = self.n_workers
         with get_tracer().span(
-            f"mr:{stats.name}", category="mapreduce", n_workers=n
+            f"mr:{stats.name}", category="mapreduce", n_workers=self.n_workers
         ) as sp:
-            sp.set(
-                map_input_records=stats.map_input_records,
-                map_output_records=stats.map_output_records,
-                shuffle_bytes=stats.shuffle_bytes,
-                reduce_input_groups=stats.reduce_input_groups,
-                reduce_output_records=stats.reduce_output_records,
-            )
+            self._book(stats, peak_partition_bytes, sp)
+
+    def _book(self, stats: MRJobStats, peak_bytes: int, sp) -> None:
+        """The one place a job, executed or derived, enters the books."""
+        sp.set(
+            map_input_records=stats.map_input_records,
+            map_output_records=stats.map_output_records,
+            shuffle_bytes=stats.shuffle_bytes,
+            reduce_input_groups=stats.reduce_input_groups,
+            reduce_output_records=stats.reduce_output_records,
+        )
         get_tracer().count("mr_jobs")
         self.job_stats.append(stats)
-        self._peak_memory = max(self._peak_memory, peak_partition_bytes)
-        self._usage.add_phase(
+        self.usage.peak_rank_memory_bytes = max(
+            self.usage.peak_rank_memory_bytes, peak_bytes
+        )
+        work = stats.map_work + stats.reduce_work
+        self.usage.add_phase(
             PhaseUsage(
                 name=stats.name,
                 kind="mr_job",
-                critical_compute=(stats.map_work + stats.reduce_work) / n,
-                total_compute=stats.map_work + stats.reduce_work,
+                critical_compute=work / self.n_workers,
+                total_compute=work,
                 comm_bytes=stats.shuffle_bytes,
                 n_collectives=1,
                 n_jobs=1,

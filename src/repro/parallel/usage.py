@@ -34,8 +34,6 @@ def nbytes(obj) -> int:
         return len(obj.encode("utf-8"))
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return 8
-    if isinstance(obj, bool):
-        return 1
     if isinstance(obj, dict):
         return sum(nbytes(k) + nbytes(v) for k, v in obj.items()) + 16
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -103,6 +103,16 @@ class TestSingleKmerOps:
     def test_revcomp_kmer(self):
         assert revcomp_kmer(bytes(encode("ACG"))) == bytes(encode("CGT"))
 
+    @given(st.binary(max_size=80))
+    def test_revcomp_kmer_matches_numpy_formula(self, km):
+        # Any byte value, not just ACGT: N (4) wraps to 255 like uint8.
+        ref = bytes((3 - np.frombuffer(km, dtype=np.uint8))[::-1])
+        assert revcomp_kmer(km) == ref
+
+    def test_revcomp_kmer_edge_codes(self):
+        assert revcomp_kmer(b"") == b""
+        assert revcomp_kmer(bytes([0, 4, 255])) == bytes([4, 255, 3])
+
     def test_canonical_single(self):
         t = bytes(encode("TTT"))
         a = bytes(encode("AAA"))

@@ -27,6 +27,7 @@ from repro.assembly.reference_impl import (
 from repro.assembly.velvet import VelvetAssembler
 from repro.parallel.mapreduce import MapReduceEngine
 from repro.seq.alphabet import decode, random_dna
+from repro.seq.readstore import ReadStore
 
 
 def _rand_seq(rng, length: int) -> str:
@@ -81,7 +82,9 @@ class TestContrailCountJobParity:
         reads = reads_single[:400]
 
         engine_new = MapReduceEngine(1)
-        got = ContrailAssembler()._job_kmer_count(engine_new, reads, params)
+        got = ContrailAssembler()._job_kmer_count_encoded(
+            engine_new, ReadStore.from_reads(reads), params
+        )
         engine_ref = MapReduceEngine(1)
         ref = reference_kmer_count_job(engine_ref, reads, params)
 

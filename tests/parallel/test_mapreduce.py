@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.mapreduce import MapReduceEngine, MRJob
+from repro.parallel.usage import nbytes
 
 
 def wordcount_mapper(_key, line):
@@ -122,3 +123,84 @@ class TestEngine:
         out = eng.run(WORDCOUNT, records)
         assert sum(v for _, v in out) == 100
         assert len(out) == 11
+
+
+class TestAccounting:
+    """The charged bytes, recomputed from the inputs alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lines=st.lists(
+            st.lists(
+                st.text(alphabet="abé", min_size=1, max_size=3), max_size=6
+            ).map(" ".join),
+            max_size=30,
+        ),
+        workers=st.integers(min_value=1, max_value=8),
+        combine=st.booleans(),
+    )
+    def test_shuffle_bytes_and_peak_from_first_principles(
+        self, lines, workers, combine
+    ):
+        eng = MapReduceEngine(workers)
+        eng.run(
+            WORDCOUNT_COMBINED if combine else WORDCOUNT, list(enumerate(lines))
+        )
+
+        # What each map task (records i % n) ships per key.
+        shipped: list[dict[str, list[int]]] = [{} for _ in range(workers)]
+        for i, line in enumerate(lines):
+            for word in line.split():
+                shipped[i % workers].setdefault(word, []).append(1)
+        if combine:
+            shipped = [{w: [sum(vs)] for w, vs in t.items()} for t in shipped]
+        shuffle = sum(
+            nbytes(w) + nbytes(vs) for t in shipped for w, vs in t.items()
+        )
+        # What each reduce task (hash(k) % n) holds before reducing.
+        partitions: list[dict[str, list[int]]] = [{} for _ in range(workers)]
+        for t in shipped:
+            for w, vs in t.items():
+                partitions[hash(w) % workers].setdefault(w, []).extend(vs)
+
+        assert eng.job_stats[0].shuffle_bytes == shuffle
+        assert eng.usage.peak_rank_memory_bytes == max(
+            nbytes(p) for p in partitions
+        )
+
+    @pytest.mark.parametrize("workers", (1, 3, 8))
+    def test_closed_form_measures_equal_generic(self, workers):
+        records = [(i, f"w{i % 7} é{i % 3} w{i % 2}") for i in range(60)]
+        measured = MRJob(
+            "wordcount", wordcount_mapper, sum_reducer,
+            key_nbytes=lambda w: len(w.encode()), value_nbytes=lambda _v: 8,
+        )
+        generic, closed = MapReduceEngine(workers), MapReduceEngine(workers)
+        out_generic = generic.run(WORDCOUNT, records)
+        out_closed = closed.run(measured, records)
+        assert out_closed == out_generic
+        assert closed.job_stats == generic.job_stats
+        assert (
+            closed.usage.peak_rank_memory_bytes
+            == generic.usage.peak_rank_memory_bytes
+        )
+
+    def test_measures_are_used_when_given(self):
+        job = MRJob(
+            "wordcount", wordcount_mapper, sum_reducer,
+            key_nbytes=lambda _w: 100, value_nbytes=lambda _v: 1000,
+        )
+        eng = MapReduceEngine(1)
+        eng.run(job, [(0, "a b a"), (1, "a")])
+        # one map task ships a -> [1, 1, 1] and b -> [1]
+        assert eng.job_stats[0].shuffle_bytes == (100 + 3016) + (100 + 1016)
+        assert eng.usage.peak_rank_memory_bytes == 3116 + 1116 + 16
+
+    def test_record_job_books_like_run(self):
+        ran, derived = MapReduceEngine(3), MapReduceEngine(3)
+        ran.run(WORDCOUNT, [(i, "a b a") for i in range(4)])
+        derived.record_job(
+            ran.job_stats[0], ran.usage.peak_rank_memory_bytes
+        )
+        assert derived.job_stats == ran.job_stats
+        assert derived.usage == ran.usage

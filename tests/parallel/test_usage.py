@@ -36,6 +36,13 @@ class TestNbytes:
         assert nbytes(3.5) == 8
         assert nbytes(np.int64(3)) == 8
 
+    def test_bool_is_priced_as_an_int(self):
+        # bool subclasses int, so it takes the 8-byte scalar branch.  This
+        # pins what every collective and shuffle has always been charged:
+        # pricing bool at 1 would move charged bytes (and virtual TTC).
+        assert nbytes(True) == 8
+        assert nbytes([True, False]) == 2 * 8 + 16
+
     def test_containers(self):
         assert nbytes([1, 2, 3]) == 3 * 8 + 16
         assert nbytes((1.0, 2.0)) == 2 * 8 + 16
