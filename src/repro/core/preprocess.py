@@ -2,9 +2,10 @@
 
 Steps (matching Rnnotator's defaults): quality trimming from the 3' end,
 adapter clipping, rejection of reads containing uncalled bases, exact
-deduplication (single-end; pair-aware for paired data), and a minimum
-post-trim length filter.  The stage also computes the **k-mer list** for
-the assembly stage — the data-dependent quantity that makes the workflow
+deduplication (per record, for paired data too: a mate is dropped on its
+own sequence, whatever happens to its partner), and a minimum post-trim
+length filter.  The stage also computes the **k-mer list** for the
+assembly stage — the data-dependent quantity that makes the workflow
 dynamic ("the number of k-mer calculations required is not known until
 the end of the pre-processing step", §III.E).
 """
@@ -12,12 +13,12 @@ the end of the pre-processing step", §III.E).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.parallel.usage import PhaseUsage, ResourceUsage
-from repro.seq.fastq import FastqRecord
+from repro.seq.fastq import PHRED_OFFSET, FastqRecord
 from repro.seq.reads import ADAPTER
 
 
@@ -109,20 +110,23 @@ class PreprocessWorkload:
 
 
 def _trim_read(
-    rec: FastqRecord, params: PreprocessParams
+    rec: FastqRecord, clip_adapters: bool, low_quality: str
 ) -> tuple[str, bool, bool]:
-    """Returns (trimmed sequence, was_trimmed, adapter_clipped)."""
+    """Returns (trimmed sequence, was_trimmed, adapter_clipped).
+
+    ``low_quality`` holds every Phred+33 character below the quality
+    threshold; the 3' trim strips them off the quality string.
+    """
     seq = rec.seq
     clipped = False
-    if params.clip_adapters:
+    if clip_adapters:
         idx = seq.find(ADAPTER)
         if idx >= 0:
             seq = seq[:idx]
             clipped = True
-    phred = rec.phred()[: len(seq)]
-    end = len(seq)
-    while end > 0 and phred[end - 1] < params.quality_threshold:
-        end -= 1
+    if not rec.qual.isascii():
+        raise ValueError(f"non-ASCII quality string for read {rec.id}")
+    end = len(rec.qual[: len(seq)].rstrip(low_quality))
     return seq[:end], end < len(rec.seq), clipped
 
 
@@ -138,10 +142,15 @@ def preprocess(
     seen: set[str] = set()
     res = PreprocessResult(reads=out, usage=usage)
     res.input_reads = len(reads)
+    low_quality = "".join(
+        map(chr, range(PHRED_OFFSET + params.quality_threshold))
+    )
 
     for rec in reads:
         res.input_bases += len(rec)
-        seq, was_trimmed, clipped = _trim_read(rec, params)
+        seq, was_trimmed, clipped = _trim_read(
+            rec, params.clip_adapters, low_quality
+        )
         if clipped:
             res.adapters_clipped += 1
         if was_trimmed or clipped:

@@ -5,21 +5,33 @@ assembled transcripts and reports per-transcript read counts and
 normalized expression.  A k-mer pseudo-alignment (kallisto-style voting,
 which is also how modern RNA-seq quantifiers work) replaces the short-read
 aligner: each read votes for the transcript owning the plurality of its
-k-mers; ties and conflicted reads stay unassigned.
+k-mers; ties go to the lowest transcript index and reads without a
+single hit stay unassigned.
+
+The stage is one batched join in packed k-mer space
+(:mod:`repro.assembly.packed`): transcript k-mers form a key-sorted
+``(keys, tids)`` index, the stride-4 windows of both read strands are
+the query keys, and one sorted ``searchsorted`` probe plus a
+``(read, tid)`` pair count does the voting.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.assembly import packed
 from repro.assembly.contigs import Contig
 from repro.parallel.usage import PhaseUsage, ResourceUsage
+from repro.seq import alphabet
 from repro.seq.fastq import FastqRecord
+from repro.seq.readstore import ReadStore, expand_ranges
 
 PSEUDO_K = 25
+
+#: Reads are probed at every 4th window of each strand.
+READ_STRIDE = 4
 
 
 @dataclass
@@ -43,53 +55,95 @@ class QuantificationResult:
         ]
 
 
-def _index_transcripts(
-    transcripts: list[Contig], k: int
-) -> dict[str, list[int]]:
-    index: dict[str, list[int]] = {}
-    for tid, t in enumerate(transcripts):
-        seq = t.seq
-        for i in range(0, len(seq) - k + 1):
-            index.setdefault(seq[i : i + k], []).append(tid)
-    return index
+def _windows(
+    lengths: np.ndarray, k: int, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, offset)`` of every ``stride``-th k-window of sequences
+    with the given lengths (none for a sequence shorter than k)."""
+    n_win = np.where(lengths >= k, (lengths - k) // stride + 1, 0)
+    owner, j = expand_ranges(0, n_win)
+    return owner, j * stride
+
+
+def _pack_windows(
+    codes: np.ndarray, starts: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed rows of the N-free length-k windows of ``codes`` at
+    ``starts``, and the mask selecting them among ``starts``."""
+    if starts.shape[0] == 0:  # codes may be shorter than one window
+        return packed.pack(np.zeros((0, k), dtype=np.uint8)), starts < 0
+    win = np.lib.stride_tricks.sliding_window_view(codes, k)[starts]
+    ok = (win < alphabet.N).all(axis=1)
+    return packed.pack(win[ok]), ok
 
 
 def quantify(
-    reads: list[FastqRecord],
+    reads: list[FastqRecord] | ReadStore,
     transcripts: list[Contig],
     k: int = PSEUDO_K,
     n_threads: int = 8,
 ) -> QuantificationResult:
-    """Pseudo-align ``reads`` against ``transcripts`` and count."""
+    """Pseudo-align ``reads`` against ``transcripts`` and count.
+
+    ``reads`` is a :class:`~repro.seq.readstore.ReadStore` or a record
+    list (encoded once into one).  Either way both strands of reads and
+    transcripts are compared as ``ACGTN`` codes, so matching is
+    case-insensitive, and a window containing ``N`` (or any other
+    non-ACGT character) on either side never votes.  A k-mer occurring
+    several times in the index casts one vote per occurrence.
+    """
     if not transcripts:
         raise ValueError("no transcripts to quantify against")
+    packed.check_k(k)
     usage = ResourceUsage(n_ranks=1)
-    index = _index_transcripts(transcripts, k)
+    store = reads if isinstance(reads, ReadStore) else ReadStore.from_reads(reads)
+    n_t = len(transcripts)
+    lengths = np.array([len(t) for t in transcripts], dtype=np.int64)
 
-    from repro.seq.alphabet import reverse_complement
+    # Index: every transcript k-mer, key-sorted, duplicates kept.
+    t_codes = alphabet.encode("N".join(t.seq for t in transcripts))
+    t_starts = np.cumsum(lengths + 1) - (lengths + 1)
+    tid, pos = _windows(lengths, k, 1)
+    rows, ok = _pack_windows(t_codes, t_starts[tid] + pos, k)
+    keys = packed.keys(rows, k)
+    order = np.argsort(keys, kind="stable")
+    tids = tid[ok][order]
+    ukeys, first, n_dup = np.unique(
+        keys[order], return_index=True, return_counts=True
+    )
 
-    counts = np.zeros(len(transcripts), dtype=np.int64)
-    assigned = 0
-    unassigned = 0
-    work = 0
-    for rec in reads:
-        votes: Counter = Counter()
-        for seq in (rec.seq, reverse_complement(rec.seq)):
-            for i in range(0, len(seq) - k + 1, 4):
-                work += 1
-                for tid in index.get(seq[i : i + k], ()):
-                    votes[tid] += 1
-        if not votes:
-            unassigned += 1
-            continue
-        best, best_n = votes.most_common(1)[0]
-        runners = [t for t, n in votes.items() if n == best_n]
-        if len(runners) > 1:
-            best = min(runners)  # deterministic tie break
-        counts[best] += 1
-        assigned += 1
+    # Queries: each read's stride-4 windows, and the reverse complements
+    # of their mirror images (its reverse complement's stride-4 windows).
+    r_len = store.lengths
+    rid, pos = _windows(r_len, k, READ_STRIDE)
+    work = 2 * rid.shape[0]
+    base = store.offsets[:-1][rid]
+    fwd, f_ok = _pack_windows(store.codes, base + pos, k)
+    mir, m_ok = _pack_windows(store.codes, base + (r_len[rid] - k) - pos, k)
+    query = packed.keys(np.concatenate([fwd, packed.revcomp(mir, k)]), k)
+    qrid = np.concatenate([rid[f_ok], rid[m_ok]])
 
-    lengths = np.array([len(t) for t in transcripts], dtype=np.float64)
+    # Probe in key order: sorted probes walk the index monotonically.
+    order = np.argsort(query)
+    query, qrid = query[order], qrid[order]
+    slot = np.searchsorted(ukeys, query)
+    hit = slot < ukeys.shape[0]
+    hit[hit] = ukeys[slot[hit]] == query[hit]
+    slot, qrid = slot[hit], qrid[hit]
+    owner, entry = expand_ranges(first[slot], n_dup[slot])
+
+    # Vote: count (read, tid) pairs; per read the most-voted transcript
+    # wins and a tie goes to the lowest tid.
+    pair, votes = np.unique(
+        qrid[owner] * n_t + tids[entry], return_counts=True
+    )
+    prid, ptid = np.divmod(pair, n_t)
+    order = np.lexsort((ptid, -votes, prid))
+    _, lead = np.unique(prid[order], return_index=True)
+    counts = np.bincount(ptid[order[lead]], minlength=n_t).astype(np.int64)
+    assigned = lead.shape[0]
+    unassigned = store.n_reads - assigned
+
     rate = counts / np.maximum(lengths - k + 1, 1.0)
     tpm = rate / rate.sum() * 1e6 if rate.sum() > 0 else np.zeros_like(rate)
 
@@ -101,7 +155,7 @@ def quantify(
             total_compute=float(work),
         )
     )
-    usage.peak_rank_memory_bytes = sum(len(t) for t in transcripts) * 12
+    usage.peak_rank_memory_bytes = int(lengths.sum()) * 12
     return QuantificationResult(
         transcript_ids=[t.contig_id for t in transcripts],
         counts=counts,

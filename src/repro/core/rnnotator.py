@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 from repro.assembly.contigs import AssemblyResult, Contig
@@ -411,9 +412,13 @@ class RnnotatorPipeline:
             tracer.add_sink(engine)
         self._alert_engine = engine
         try:
-            return self._run_inner(
-                dataset, config, prepared_pre, on_assembly_inflight
-            )
+            # Owns the ReadStore: quantification reads it last, so it
+            # outlives the assembly stage, and however the run ends its
+            # shared segment is unlinked here.
+            with ExitStack() as cleanup:
+                return self._run_inner(
+                    dataset, config, cleanup, prepared_pre, on_assembly_inflight
+                )
         finally:
             self._alert_engine = None
             if engine is not None:
@@ -425,6 +430,7 @@ class RnnotatorPipeline:
         self,
         dataset: Dataset,
         config: PipelineConfig,
+        cleanup: ExitStack,
         prepared_pre=None,
         on_assembly_inflight=None,
     ) -> PipelineResult:
@@ -626,8 +632,10 @@ class RnnotatorPipeline:
         )
         # Encode the pre-processed reads exactly once; every fan-out unit
         # shares this store (and, under the process backend, attaches to
-        # its shared-memory segment instead of unpickling record tuples).
+        # its shared-memory segment instead of unpickling record tuples),
+        # and quantification joins against the same arrays.
         store = ReadStore.from_reads(pre.reads)
+        cleanup.callback(store.close)  # unlinks the segment iff one was created
         store_digest = store.digest
         spectra: tuple[KmerSpectrum, ...] = ()
         umb: UnitManager | None = None
@@ -847,7 +855,6 @@ class RnnotatorPipeline:
                     assembly_executor.shutdown()
             for sp in spectra:
                 sp.close()  # unlinks shared spectrum segments, if any
-            store.close()  # unlinks the shared segment iff one was created
         failed = [u for u in units if u.state is not UnitState.DONE]
         if failed:
             raise PipelineError(
@@ -960,7 +967,7 @@ class RnnotatorPipeline:
         maybe_abort("post-processing")
 
         def quant_work():
-            result = quantify(pre.reads, merged.transcripts)
+            result = quantify(store, merged.transcripts)
             return result, result.usage
 
         t0 = clock.now

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.seq import alphabet
 from repro.seq.alphabet import encode
+from repro.seq.readstore import expand_ranges
 
 SEED_K = 15
 
@@ -108,18 +109,9 @@ class AlignmentIndex:
             return votes
         lo = np.searchsorted(self._seeds, query, side="left")
         hi = np.searchsorted(self._seeds, query, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return votes
         # Expand [lo, hi) ranges into flat index-entry positions, ordered
         # by contig position then by index order within each seed group.
-        cum = np.cumsum(counts)
-        offsets = np.arange(total) - np.repeat(cum - counts, counts)
-        entries = np.repeat(lo, counts) + offsets
-        contig_pos = np.repeat(
-            np.arange(query.shape[0], dtype=np.int64), counts
-        )
+        contig_pos, entries = expand_ranges(lo, hi - lo)
         tids = self._tids[entries]
         diags = self._positions[entries] - contig_pos
         votes.update(zip(tids.tolist(), diags.tolist()))

@@ -1,4 +1,4 @@
-"""Encode-once read storage shared across the assembly fan-out.
+"""Encode-once read storage shared by the assembly fan-out and quantification.
 
 The multi-k, multi-assembler fan-out runs many compute units over the
 *same* pre-processed read set.  Historically every
@@ -147,6 +147,23 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         shm = shared_memory.SharedMemory(name=name)
         _unregister_tracker(shm.name)
         return shm
+
+
+def expand_ranges(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the ranges ``[starts[i], starts[i] + counts[i])``.
+
+    Returns ``(owner, flat)``: the ranges' elements laid end to end in
+    ``flat`` and, for each, the index ``i`` of the range it came from —
+    the ragged gather behind :meth:`ReadStore.subset_codes`, seed-hit
+    expansion and the quantification join.  ``starts`` may be a scalar.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    owner = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+    laid = np.cumsum(counts) - counts  # where each range begins in ``flat``
+    flat = np.arange(owner.shape[0], dtype=np.int64) + np.repeat(
+        starts - laid, counts
+    )
+    return owner, flat
 
 
 def _layout_views(
@@ -449,10 +466,7 @@ class ReadStore:
             return np.zeros(0, dtype=np.uint8)
         starts = offsets[indices]
         spans = offsets[indices + 1] - starts  # read length + separator
-        total = int(spans.sum())
-        ends = np.cumsum(spans)
-        rel = np.arange(total, dtype=np.int64) - np.repeat(ends - spans, spans)
-        return self.codes[np.repeat(starts, spans) + rel]
+        return self.codes[expand_ranges(starts, spans)[1]]
 
     # -- record reconstruction (legacy adapter path) -------------------------
 

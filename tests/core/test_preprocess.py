@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.preprocess import PreprocessParams, PreprocessResult, preprocess
 from repro.seq.fastq import FastqRecord, phred_to_ascii
@@ -38,6 +40,38 @@ class TestTrimming:
         out = preprocess([rec(seq)], PreprocessParams(clip_adapters=False))
         assert out.adapters_clipped == 0
         assert len(out.reads[0]) == len(seq)
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=60),
+        st.integers(-2, 62),
+        st.sampled_from([None, 10, 30]),
+    )
+    def test_trim_matches_a_phred_array_walk(self, scores, threshold, adapter_at):
+        """The trim works on the Phred+33 string; the reference walks
+        the decoded score array back from the (clipped) 3' end."""
+        seq = "ACGTTGCAAG" * 6
+        if adapter_at is not None:
+            seq = seq[:adapter_at] + ADAPTER + seq
+        seq = seq[: len(scores)]
+        record = rec(seq, phred_to_ascii(np.array(scores)))
+        end = seq.find(ADAPTER) if ADAPTER in seq else len(seq)
+        phred = record.phred()
+        while end > 0 and phred[end - 1] < threshold:
+            end -= 1
+        out = preprocess(
+            [record],
+            PreprocessParams(quality_threshold=threshold, min_length=0),
+        )
+        assert [r.seq for r in out.reads] == [seq[:end]]
+        assert out.reads[0].qual == record.qual[:end]
+        assert out.trimmed == (end < len(seq))
+        assert out.adapters_clipped == (ADAPTER in seq)
+
+    def test_non_ascii_quality_rejected(self):
+        # "\u0131" is not Phred+33 at all; it must not pass as a score
+        # above every threshold.
+        with pytest.raises(ValueError):
+            preprocess([rec("ACGT" * 10, "I" * 39 + "\u0131")])
 
 
 class TestFilters:

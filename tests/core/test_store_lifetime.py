@@ -1,0 +1,119 @@
+"""The pipeline's ReadStore lives until quantification has read it.
+
+Under the process backend the store sits in a shared-memory segment,
+and since quantification joins against it the segment outlives the
+assembly stage.  Whatever ends the run after that stage — a merge or
+quantification unit that raises, a simulated kill — the owner must still
+close the store and unlink the segment.
+"""
+
+import signal
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+from repro.core import rnnotator
+from repro.core.assembly_cache import use_assembly_cache
+from repro.core.rnnotator import (
+    PipelineConfig,
+    PipelineError,
+    PipelineKilled,
+    RnnotatorPipeline,
+)
+from repro.seq.readstore import ReadStore
+
+SHM = Path("/dev/shm")
+
+pytestmark = pytest.mark.skipif(
+    not SHM.is_dir(), reason="needs a listable /dev/shm"
+)
+
+
+@contextmanager
+def time_limit(seconds):
+    """A run that hangs on its pool or its segment fails, not blocks."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"pipeline still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def segments():
+    return {p.name for p in SHM.glob("psm_*")}
+
+
+def boom(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+@pytest.fixture
+def stores(monkeypatch):
+    """Every ReadStore the run encodes."""
+    seen = []
+    from_reads = ReadStore.from_reads.__func__
+
+    def spy(cls, reads):
+        seen.append(from_reads(cls, reads))
+        return seen[-1]
+
+    monkeypatch.setattr(ReadStore, "from_reads", classmethod(spy))
+    return seen
+
+
+def run(ds, **overrides):
+    config = PipelineConfig(
+        assemblers=("velvet",),
+        kmer_list=(31,),
+        executor="process",
+        executor_workers=2,
+        **overrides,
+    )
+    with time_limit(120), use_assembly_cache(None):
+        return RnnotatorPipeline().run(ds, config)
+
+
+def assert_released(stores, before):
+    (store,) = stores  # encoded once: quantification re-encodes nothing
+    # Only a store that was shared ever reads as closed, so this also
+    # says the fan-out really went through a segment.
+    assert store.closed
+    assert segments() <= before
+
+
+class TestStoreLifetime:
+    def test_healthy_run_quantifies_from_the_shared_store(
+        self, ds_single, stores
+    ):
+        before = segments()
+        result = run(ds_single)
+        assert result.quantification.assigned_reads > 0
+        assert_released(stores, before)
+
+    @pytest.mark.parametrize(
+        "unit, stage",
+        [("merge_contigs", "post-processing"), ("quantify", "quantification")],
+    )
+    def test_failing_unit_after_assembly_leaves_no_segment(
+        self, ds_single, stores, monkeypatch, unit, stage
+    ):
+        # rnnotator resolves both names at call time (the benchmark's
+        # layer timers rebind them the same way).
+        monkeypatch.setattr(rnnotator, unit, boom)
+        before = segments()
+        with pytest.raises(PipelineError, match=f"{stage} failed"):
+            run(ds_single)
+        assert_released(stores, before)
+
+    def test_kill_after_assembly_leaves_no_segment(self, ds_single, stores):
+        before = segments()
+        with pytest.raises(PipelineKilled):
+            run(ds_single, abort_after_stage="transcript-assembly")
+        assert_released(stores, before)
