@@ -13,8 +13,8 @@ the process backend:
 * **fused path** — :func:`repro.assembly.sweep.build_spectra` performs
   ONE pass over the codes for all k values (smaller k derived by
   masking the largest-k packing), and every workload is served from the
-  shared pre-sorted :class:`~repro.assembly.sweep.KmerSpectrum` through
-  the content-addressed :class:`~repro.assembly.sweep.KmerTableCache`.
+  shared pre-sorted :class:`~repro.assembly.sweep.KmerSpectrum` it is
+  handed.
 
 Both paths must produce bit-identical contigs, stats, usage (hence comm
 bytes) and virtual TTCs — the fusion is host-side only.  Results land
@@ -27,11 +27,7 @@ import time
 from pathlib import Path
 
 from repro.assembly.base import AssemblyParams
-from repro.assembly.sweep import (
-    KmerTableCache,
-    build_spectra,
-    use_kmer_table_cache,
-)
+from repro.assembly.sweep import build_spectra
 from repro.assembly.trinity import TRINITY_K
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
@@ -124,19 +120,17 @@ def test_multik_fusion_speedup(report_sink, smoke):
             base_units, base_vtime = _run_fanout(_descs(jobs, store, ()))
             base_wall = time.perf_counter() - t0
 
-            cache = KmerTableCache()
-            with use_kmer_table_cache(cache):
-                t0 = time.perf_counter()
-                # The one fused pass is part of the fused path's bill.
-                spectra = build_spectra(store, ks)
-                try:
-                    fused_units, fused_vtime = _run_fanout(
-                        _descs(jobs, store, spectra)
-                    )
-                finally:
-                    for sp in spectra:
-                        sp.close()
-                fused_wall = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            # The one fused pass is part of the fused path's bill.
+            spectra = build_spectra(store, ks)
+            try:
+                fused_units, fused_vtime = _run_fanout(
+                    _descs(jobs, store, spectra)
+                )
+            finally:
+                for sp in spectra:
+                    sp.close()
+            fused_wall = time.perf_counter() - t0
     finally:
         store.close()
     speedup = base_wall / fused_wall

@@ -289,6 +289,37 @@ def unique_counts(
     return packed[first], counts.astype(np.int64)
 
 
+def unique_inverse_counts(
+    packed: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows in ascending key order, the row -> distinct-row
+    index map, and the multiplicities: ``distinct[inverse]`` is ``packed``.
+
+    One-word rows are a plain integer ``np.unique``.  Two-word rows are
+    counted as integers too, not as ``S16`` strings (a memcmp comparison
+    sort): each word is dense-ranked with its own ``uint64`` unique, and
+    the composed rank ``r0 * n1 + r1`` orders exactly like the word
+    tuple, so one more integer unique yields the same three arrays the
+    key-string sort does.  The composed rank fits int64 for any row count
+    whose arrays fit in memory (``n0 * n1 <= n**2``).
+    """
+    W = words_for(k)
+    packed = np.asarray(packed, dtype=_U).reshape(-1, W)
+    if W == 1:
+        uniq, inverse, counts = np.unique(
+            packed[:, 0], return_inverse=True, return_counts=True
+        )
+        return uniq[:, None], inverse, counts
+    u0, r0 = np.unique(packed[:, 0], return_inverse=True)
+    u1, r1 = np.unique(packed[:, 1], return_inverse=True)
+    n1 = max(u1.shape[0], 1)
+    ranks, inverse, counts = np.unique(
+        r0 * n1 + r1, return_inverse=True, return_counts=True
+    )
+    distinct = np.stack([u0[ranks // n1], u1[ranks % n1]], axis=1)
+    return distinct, inverse, counts
+
+
 def unique_keys(packed: np.ndarray, k: int) -> np.ndarray:
     """Distinct sortable keys (see :func:`keys`) in ascending key order.
 

@@ -21,11 +21,13 @@ This module eliminates that redundancy with two layers:
   assembler's per-k extraction, counting or partitioning bit-for-bit
   without touching the codes again.
 
-* :class:`KmerTableCache` — a content-addressed registry keyed by
-  ``(store digest, k)`` so every workload that needs the k-mer table of
-  the same store resolves to the *same* spectrum (and its lazily derived
-  owner partitions), counting ``kmer_table.hit`` / ``kmer_table.miss`` /
-  ``kmer_table.bytes`` on the active tracer.
+* :class:`KmerTableCache` — a content-addressed cache keyed by
+  ``(store digest, k)`` that is asked *before* anything is built:
+  ``get(digest, k)`` serves a spectrum an earlier run over the same
+  reads left behind, ``put(spectrum)`` adds a freshly built one,
+  counting ``kmer_table.hit`` / ``kmer_table.miss`` /
+  ``kmer_table.bytes`` (ks served from / asked for in vain / bytes added
+  to the cache) on the active tracer.
 
 A third, optional layer shards the build itself.  The serial fused pass
 is a single-threaded prefix ahead of the assembly fan-out; with a
@@ -44,8 +46,16 @@ the pipeline), which is where the wall win comes from.
 
 Spectra follow the exact sharing discipline of :class:`ReadStore`: the
 arrays move into one shared-memory segment on first pickle, workers
-attach zero-copy, and the handle is O(1) in the data size.  The owner
-process must :meth:`KmerSpectrum.close` every spectrum it built.
+attach zero-copy, and the handle is O(1) in the data size.
+
+Ownership.  A spectrum's arrays are either *local* (plain numpy memory)
+or in a *shared-memory segment* (after :meth:`KmerSpectrum.share`).
+The **run** that shared a spectrum owns its segment and must
+:meth:`KmerSpectrum.close` it (the pipeline does so in the
+assembly-stage ``finally``); a closed spectrum is dead, and the cache
+drops it on the next ``get``.  The **cache** owns local arrays: nothing
+needs releasing, ``close`` on a never-shared spectrum leaves it open,
+and it outlives the run to serve a later ``get``.
 """
 
 from __future__ import annotations
@@ -174,16 +184,7 @@ class KmerSpectrum:
     ) -> "KmerSpectrum":
         """Build from one k's fused extraction output (canonical rows +
         global window start positions, both in extraction order)."""
-        key_arr = packedmod.keys(rows, k)
-        # return_index is deliberately absent: reconstructing the distinct
-        # rows from the sorted unique *keys* (keys_to_packed is an exact
-        # inverse) is both cheaper than the rows[first] gather and skips
-        # the extra argsort np.unique needs to produce first-occurrence
-        # indices.
-        uniq, inverse, counts = np.unique(
-            key_arr, return_inverse=True, return_counts=True
-        )
-        distinct = packedmod.keys_to_packed(uniq, k)
+        distinct, inverse, counts = packedmod.unique_inverse_counts(rows, k)
         return cls._from_occurrences(store, k, distinct, counts, inverse, positions)
 
     @classmethod
@@ -323,7 +324,12 @@ class KmerSpectrum:
         )
 
     def close(self, unlink: bool | None = None) -> None:
-        """Release the shared segment (idempotent; double-close safe)."""
+        """Release the shared segment (idempotent; double-close safe).
+
+        A never-shared spectrum has no segment: its local arrays belong
+        to whoever references them (the table cache), so this leaves it
+        open and usable — ``closed`` turns true only for a spectrum that
+        was shared or attached."""
         shm = self._shm
         if shm is None:
             return
@@ -508,10 +514,10 @@ class SpectrumShardWorkload:
             parts: dict[int, ShardSpectrumPart] = {}
             for k in self.ks:
                 rows, positions = fused[k]
-                key_arr = packedmod.keys(rows, k)
-                uniq, inverse, counts = np.unique(
-                    key_arr, return_inverse=True, return_counts=True
+                distinct, inverse, counts = packedmod.unique_inverse_counts(
+                    rows, k
                 )
+                uniq = packedmod.keys(distinct, k)
                 bids = packedmod.bucket_ids(uniq, k, self.n_buckets)
                 bucket_starts = np.searchsorted(bids, edges).astype(np.int64)
                 parts[k] = ShardSpectrumPart(
@@ -733,15 +739,19 @@ def submit_spectra_build(
 
 
 class KmerTableCache:
-    """Process-wide registry of spectra keyed by ``(store digest, k)``.
+    """Process-wide cache of spectra keyed by ``(store digest, k)``.
 
-    The cross-workload sharing point: the first unit that needs a
-    (store, k) table registers its spectrum (``kmer_table.miss`` +
-    ``kmer_table.bytes``), and every later unit — ``abyss_k25`` and
-    ``contrail_k25`` after ``ray_k25`` — resolves to the same object
-    (``kmer_table.hit``), reusing the sorted rows and any owner
-    partitions already derived instead of re-sorting per job.  Closed
-    spectra (owner freed the segment) drop out on lookup.
+    Looked up before building: the pipeline asks :meth:`get` for every k
+    its unsatisfied jobs need, builds only the ks that miss, and
+    :meth:`put`s those.  Re-runs over the same pre-processed reads whose
+    jobs are *not* assembly-cache hits (another rank count, another
+    ``min_count``) therefore reuse the counted spectra instead of
+    re-counting.
+
+    Only live spectra are served.  An entry whose run moved it into
+    shared memory dies with that run (see the module's ownership rule)
+    and is dropped by the next ``get``; local entries stay until evicted
+    (LRU, ``max_entries``).
     """
 
     def __init__(self, max_entries: int = 32) -> None:
@@ -753,10 +763,9 @@ class KmerTableCache:
         self.hits = 0
         self.misses = 0
 
-    def resolve(self, spectrum: KmerSpectrum) -> KmerSpectrum:
-        """The registered spectrum for ``spectrum``'s (digest, k), or
-        ``spectrum`` itself after registering it."""
-        key = (spectrum.store_digest, spectrum.k)
+    def get(self, store_digest: str, k: int) -> KmerSpectrum | None:
+        """The live spectrum cached for ``(store_digest, k)``, or None."""
+        key = (store_digest, k)
         with self._lock:
             got = self._entries.get(key)
             if got is not None and got.closed:
@@ -766,18 +775,23 @@ class KmerTableCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
             else:
-                self._entries[key] = spectrum
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
                 self.misses += 1
         tracer = get_tracer()
         if tracer.enabled:
-            if got is not None:
-                tracer.count("kmer_table.hit")
-            else:
-                tracer.count("kmer_table.miss")
-                tracer.count("kmer_table.bytes", spectrum.nbytes)
-        return got if got is not None else spectrum
+            tracer.count("kmer_table.hit" if got is not None else "kmer_table.miss")
+        return got
+
+    def put(self, spectrum: KmerSpectrum) -> None:
+        """Cache ``spectrum`` under its (digest, k), replacing any entry."""
+        key = (spectrum.store_digest, spectrum.k)
+        with self._lock:
+            self._entries[key] = spectrum
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.count("kmer_table.bytes", spectrum.nbytes)
 
     def clear(self) -> None:
         with self._lock:
@@ -789,9 +803,9 @@ class KmerTableCache:
         return len(self._entries)
 
 
-#: Process-wide default, mirroring the assembly-cache discipline:
-#: resolution is bit-neutral (same digest => same spectrum content), so
-#: sharing across runs in one process is always safe.
+#: Process-wide default, mirroring the assembly-cache discipline: a hit
+#: is bit-neutral (same digest => same spectrum content), so sharing
+#: across runs in one process is always safe.
 _DEFAULT_CACHE = KmerTableCache()
 _current: KmerTableCache | None = _DEFAULT_CACHE
 

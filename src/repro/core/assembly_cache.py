@@ -103,7 +103,9 @@ class AssemblyCache:
         return len(self._entries)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
+        """Side-effect-free probe: no hit/miss counted, no LRU move."""
+        with self._lock:
+            return key in self._entries
 
 
 #: Process-wide default: on by default — hits are bit-identical to

@@ -103,6 +103,12 @@ class CheckpointStore:
         self.stats.hits += 1
         return record
 
+    def has_unit(self, key: Any) -> bool:
+        """Whether a unit record exists for ``key`` — one ``stat``, no
+        read and no hit/miss counted.  A torn record still answers True;
+        :meth:`get_unit` is what discovers (and discards) it."""
+        return self._path("units", key).exists()
+
     def put_unit(self, key: Any, record: UnitCheckpoint) -> bool:
         """Durably record a unit outcome; first write wins."""
         written = self._dump("units", key, record)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.assembly.base import AssemblyParams, assemble_encoded
 from repro.assembly.contigs import AssemblyResult
 from repro.assembly.registry import get_assembler
-from repro.assembly.sweep import KmerSpectrum, get_kmer_table_cache
+from repro.assembly.sweep import KmerSpectrum
 from repro.assembly.trinity import TRINITY_K
 from repro.cloud.instances import get_instance_type
 from repro.core.assembly_cache import get_assembly_cache
@@ -37,6 +37,22 @@ from repro.seq.readstore import ReadStore
 
 #: Assemblers taking an ``n_ranks`` argument (distributed implementations).
 DISTRIBUTED_ASSEMBLERS = frozenset({"ray", "abyss", "contrail"})
+
+
+def spectrum_k(assembler: str, k: int) -> int:
+    """The k whose spectrum serves ``assembler`` at sweep value ``k``
+    (trinity always counts 25-mers)."""
+    return TRINITY_K if assembler == "trinity" else int(k)
+
+
+def content_key(
+    store: ReadStore, assembler: str, params: AssemblyParams, n_ranks: int
+) -> tuple:
+    """Content address of one assembly job: the reads, the assembler,
+    its parameters and the rank count determine the result.  The one
+    place the tuple is built — it is the assembly-cache key, the unit's
+    checkpoint key and what the pipeline's demand probe asks about."""
+    return (store.digest, assembler, params, n_ranks)
 
 
 @dataclass(frozen=True)
@@ -60,11 +76,13 @@ class AssemblyWorkload:
     ``spectra`` carries the count-once fused extraction of
     :mod:`repro.assembly.sweep`: shared :class:`KmerSpectrum` objects
     (O(1) to pickle, like the store) from which the assembler's matching
-    k is served instead of re-extracted.  Resolution goes through the
-    process-wide :class:`~repro.assembly.sweep.KmerTableCache`, so
-    same-(store, k) workloads in one process share a single spectrum and
-    its derived tables/partitions.  Spectra never change results — only
-    wall time — so they are not part of the cache key.
+    k is served instead of re-extracted.  A workload uses the spectrum
+    it was handed and looks nowhere else; the pipeline hands one only to
+    jobs it expects to compute (see ``RnnotatorPipeline``'s demand
+    rule).  Without a live matching spectrum — none handed, or its
+    segment already closed — the assembler extracts its own k-mers,
+    bit-identically and merely slower.  Spectra never change results, so
+    they are not part of the content key.
     """
 
     assembler_name: str
@@ -85,27 +103,22 @@ class AssemblyWorkload:
         """Content address of this workload, or None when uncacheable."""
         if self.store is None or not self.use_cache:
             return None
-        return (
-            self.store.digest,
-            self.assembler_name,
-            self.params,
-            self.n_ranks,
+        return content_key(
+            self.store, self.assembler_name, self.params, self.n_ranks
         )
 
     def _resolve_spectrum(self) -> "KmerSpectrum | None":
-        """This workload's spectrum (trinity always wants k=25), resolved
-        through the process-wide table cache for cross-unit sharing."""
-        if not self.spectra or self.store is None:
+        """The live handed-over spectrum matching this job, if any."""
+        if self.store is None:
             return None
-        want_k = TRINITY_K if self.assembler_name == "trinity" else self.params.k
+        want_k = spectrum_k(self.assembler_name, self.params.k)
         for spectrum in self.spectra:
             if (
                 spectrum.k == want_k
                 and spectrum.store_digest == self.store.digest
                 and not spectrum.closed
             ):
-                cache = get_kmer_table_cache()
-                return cache.resolve(spectrum) if cache is not None else spectrum
+                return spectrum
         return None
 
     def _assemble(self) -> AssemblyResult:
@@ -219,6 +232,52 @@ def make_assembly_workload(
     )
 
 
+@dataclass(frozen=True)
+class AssemblyJob:
+    """One planned (assembler, k) job with its parameters and content
+    key — everything known about a job before any spectrum exists."""
+
+    assembler: str
+    k: int
+    nodes: int
+    cores: int
+    params: AssemblyParams
+    key: tuple
+
+    @property
+    def spectrum_k(self) -> int:
+        return spectrum_k(self.assembler, self.k)
+
+
+def planned_jobs(
+    plan: AssemblyPlan,
+    store: ReadStore,
+    min_count: int = 2,
+    min_contig_length: int = 100,
+) -> list[AssemblyJob]:
+    """The plan's jobs in submission order, each with its content key."""
+    vcpus = get_instance_type(plan.instance_type).vcpus
+    jobs = []
+    for assembler, k, nodes in plan.jobs():
+        params = AssemblyParams(
+            k=k,
+            min_count=min_count,
+            min_contig_length=max(min_contig_length, k),
+        )
+        cores = nodes * vcpus
+        jobs.append(
+            AssemblyJob(
+                assembler=assembler,
+                k=k,
+                nodes=nodes,
+                cores=cores,
+                params=params,
+                key=content_key(store, assembler, params, cores),
+            )
+        )
+    return jobs
+
+
 def assembly_unit_descriptions(
     plan: AssemblyPlan,
     spec: DatasetSpec,
@@ -241,52 +300,48 @@ def assembly_unit_descriptions(
     workload receives only the spectrum matching its job's k, so
     spectra for other k values are never pickled to that unit's worker.
 
-    Every unit carries a ``checkpoint_key`` — the same content address
-    the assembly cache uses, ``(store digest, assembler, params,
-    ranks)`` — so runs with a durable checkpoint store resume the
-    fan-out bit-identically.  ``max_restarts`` lets callers survive
-    transient failures (spot preemption) by retrying.
+    Every unit carries a ``checkpoint_key`` — the job's
+    :func:`content_key`, the same address the assembly cache uses — so
+    runs with a durable checkpoint store resume the fan-out
+    bit-identically.  ``max_restarts`` lets callers survive transient
+    failures (spot preemption) by retrying.
     """
     store = (
         reads if isinstance(reads, ReadStore) else ReadStore.from_reads(reads)
     )
-    itype = get_instance_type(plan.instance_type)
     if input_bytes is None:
         input_bytes = spec.preprocessed_bytes
     descs = []
-    for assembler, k, nodes in plan.jobs():
-        params = AssemblyParams(
-            k=k,
-            min_count=min_count,
-            min_contig_length=max(min_contig_length, k),
-        )
-        cores = nodes * itype.vcpus
-        want_k = TRINITY_K if assembler == "trinity" else k
+    for job in planned_jobs(plan, store, min_count, min_contig_length):
         job_spectra = tuple(
             sp
             for sp in spectra
-            if sp.k == want_k and sp.store_digest == store.digest
+            if sp.k == job.spectrum_k and sp.store_digest == store.digest
         )
         descs.append(
             UnitDescription(
-                name=f"{assembler}_k{k}",
+                name=f"{job.assembler}_k{job.k}",
                 work=make_assembly_workload(
-                    assembler,
+                    job.assembler,
                     store,
-                    params,
-                    cores,
+                    job.params,
+                    job.cores,
                     dataset=dataset,
                     use_cache=use_cache,
                     spectra=job_spectra,
                 ),
-                cores=cores,
+                cores=job.cores,
                 memory_bytes=task_memory_bytes(spec, "assembly", n_nodes=1),
                 scale=1.0,
                 stage="transcript-assembly",
                 input_bytes=input_bytes,
                 max_restarts=max_restarts,
-                checkpoint_key=(store.digest, assembler, params, cores),
-                tags={"assembler": assembler, "k": k, "nodes": nodes},
+                checkpoint_key=job.key,
+                tags={
+                    "assembler": job.assembler,
+                    "k": job.k,
+                    "nodes": job.nodes,
+                },
             )
         )
     return descs

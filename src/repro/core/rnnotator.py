@@ -22,7 +22,6 @@ from repro.assembly.sweep import (
     get_kmer_table_cache,
     submit_spectra_build,
 )
-from repro.assembly.trinity import TRINITY_K
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.cluster import Cluster, build_cluster
 from repro.cloud.ec2 import EC2Region
@@ -30,6 +29,7 @@ from repro.cloud.instances import cheapest_with_memory, get_instance_type
 from repro.cloud.spot import SpotPreemptor
 from repro.cloud.storage import TransferModel
 from repro.core import multikmer
+from repro.core.assembly_cache import get_assembly_cache
 from repro.core.checkpoint import CheckpointStore
 from repro.core.memory import task_memory_bytes
 from repro.core.planner import (
@@ -624,9 +624,8 @@ class RnnotatorPipeline:
         # The assembly fan-out is where task-level parallelism lives: its
         # workloads are picklable AssemblyWorkload callables, so any
         # executor backend (thread/process pool) can spread them over
-        # the host's cores.  Created before planning so the sharded
-        # spectrum build below can ride the pool while the parent plans
-        # and provisions.
+        # the host's cores.  Created before the spectrum stage so a
+        # sharded build can ride the pool while the parent provisions.
         assembly_executor = make_executor(
             config.executor, config.executor_workers
         )
@@ -640,34 +639,6 @@ class RnnotatorPipeline:
         spectra: tuple[KmerSpectrum, ...] = ()
         umb: UnitManager | None = None
         try:
-            # Count-once fusion: one fused pass extracts and counts every
-            # k the fan-out needs (trinity always consumes k=25); each
-            # unit is served from the spectrum matching its job's k.
-            build_ks: tuple[int, ...] = ()
-            pending_build = None
-            if config.fused_extraction:
-                build_ks = tuple(
-                    sorted(
-                        {
-                            TRINITY_K if a == "trinity" else int(k)
-                            for a in config.assemblers
-                            for k in kmer_list
-                        }
-                    )
-                )
-            if build_ks and assembly_executor.supports_overlap:
-                # Sharded build, submitted *now*: the shard workers race
-                # the planning, pilot provisioning and cluster growth
-                # below on the real clock, and the merge at collect time
-                # is bit-identical to the serial build.
-                pending_build = submit_spectra_build(
-                    store,
-                    build_ks,
-                    assembly_executor,
-                    n_shards=config.spectrum_shards,
-                    n_buckets=config.spectrum_buckets,
-                )
-
             pb_itype = pa_itype if config.scheme.reuses_vms else (
                 config.instance_type or pa_itype
             )
@@ -680,6 +651,70 @@ class RnnotatorPipeline:
                 contrail_nodes_per_job=config.contrail_nodes_per_job,
                 max_nodes=config.max_nodes,
             )
+
+            # ---- spectrum stage: demand, then supply ----------------------
+            # Count-once fusion counts k-mers only for jobs that will
+            # read them.  A job is *satisfied* when its content key is
+            # already in the assembly cache or the checkpoint store: it
+            # will be served from there and never opens a spectrum.  Only
+            # the k of unsatisfied jobs is needed; a needed k is looked
+            # up in the table cache first, and what is still missing is
+            # counted in one fused pass (sharded on pool backends).  The
+            # probes are predictions, not promises: a job that misses
+            # after all extracts its own k-mers, bit-identically.
+            jobs = multikmer.planned_jobs(
+                plan, store, config.min_count, config.min_contig_length
+            )
+            table_cache = get_kmer_table_cache()
+            tracer = get_tracer()
+            missing_ks: tuple[int, ...] = ()
+            pending_build = None
+            if config.fused_extraction:
+                asm_cache = (
+                    get_assembly_cache() if config.assembly_cache else None
+                )
+                unsatisfied = [
+                    j
+                    for j in jobs
+                    if not (
+                        (asm_cache is not None and j.key in asm_cache)
+                        or (ckpt is not None and ckpt.has_unit(j.key))
+                    )
+                ]
+                needed_ks = sorted({j.spectrum_k for j in unsatisfied})
+                cached = (
+                    {k: table_cache.get(store_digest, k) for k in needed_ks}
+                    if table_cache is not None
+                    else {}
+                )
+                spectra = tuple(sp for sp in cached.values() if sp is not None)
+                missing_ks = tuple(
+                    k for k in needed_ks if cached.get(k) is None
+                )
+                if not missing_ks and tracer.enabled:
+                    tracer.event(
+                        "spectrum.skip",
+                        category="spectrum",
+                        ks=sorted({j.spectrum_k for j in jobs}),
+                        jobs=len(jobs),
+                        jobs_satisfied=len(jobs) - len(unsatisfied),
+                        reason="spectra cached"
+                        if needed_ks
+                        else "jobs satisfied",
+                    )
+            if missing_ks and assembly_executor.supports_overlap:
+                # Sharded build, submitted *now*: the shard workers race
+                # the pilot provisioning and cluster growth below on the
+                # real clock, and the merge at collect time is
+                # bit-identical to the serial build.
+                pending_build = submit_spectra_build(
+                    store,
+                    missing_ks,
+                    assembly_executor,
+                    n_shards=config.spectrum_shards,
+                    n_buckets=config.spectrum_buckets,
+                )
+
             # Price the rest of the run up front from spec + plan alone;
             # the prediction rides on the pipeline span so trace analytics
             # (repro.obs.attribution) can gate predicted-vs-actual
@@ -695,7 +730,6 @@ class RnnotatorPipeline:
                 lan_bandwidth=transfers.lan_bandwidth,
                 provision_seconds=region.provision_seconds,
             )
-            tracer = get_tracer()
             if tracer.enabled:
                 # Stream the prediction *now*, not only on the pipeline
                 # span at teardown: budget burn-rate rules and the live
@@ -765,10 +799,10 @@ class RnnotatorPipeline:
             )
             umb.add_pilot(pb)
 
-            if build_ks:
+            if missing_ks:
                 build_prediction = predict_spectrum_build(
                     spec,
-                    build_ks,
+                    missing_ks,
                     pre.modal_read_length,
                     n_shards=(
                         pending_build.n_shards
@@ -781,32 +815,30 @@ class RnnotatorPipeline:
                     "planner_sharded_s": build_prediction.sharded_s,
                 }
                 if pending_build is not None:
-                    # Everything since submit — planning, P_B provisioning,
-                    # cluster growth, manager setup — ran while the shard
-                    # workers extracted; collect merges their sorted runs.
-                    spectra = pending_build.collect(span_attrs=build_attrs)
+                    # Everything since submit — P_B provisioning, cluster
+                    # growth, manager setup — ran while the shard workers
+                    # extracted; collect merges their sorted runs.
+                    built = pending_build.collect(span_attrs=build_attrs)
                 else:
-                    spectra = build_spectra(
-                        store, build_ks, span_attrs=build_attrs
+                    built = build_spectra(
+                        store, missing_ks, span_attrs=build_attrs
                     )
-                # Register parent-side so every workload resolve — in this
-                # process or a forked pool worker — is a hit; counters stay
-                # deterministic regardless of unit-to-worker assignment.
-                table_cache = get_kmer_table_cache()
+                spectra += built
                 if table_cache is not None:
-                    spectra = tuple(table_cache.resolve(sp) for sp in spectra)
-                if isinstance(assembly_executor, ProcessExecutor):
-                    # Move every spectrum into shared memory BEFORE the
-                    # pool's first fan-out submit: with the sharded build
-                    # the pool already forked at shard submission, so
-                    # workers attach these later segments on demand
-                    # (_attach_untracked suppresses their tracker
-                    # registration either way); without it, forked workers
-                    # find the live segments in the inherited attach
-                    # registry.  Both keep the (process-wide) resource
-                    # tracker's bookkeeping balanced.
-                    for sp in spectra:
-                        sp.share()
+                    for sp in built:
+                        table_cache.put(sp)
+            if isinstance(assembly_executor, ProcessExecutor):
+                # Move every spectrum into shared memory BEFORE the
+                # pool's first fan-out submit: with the sharded build
+                # the pool already forked at shard submission, so
+                # workers attach these later segments on demand
+                # (_attach_untracked suppresses their tracker
+                # registration either way); without it, forked workers
+                # find the live segments in the inherited attach
+                # registry.  Both keep the (process-wide) resource
+                # tracker's bookkeeping balanced.
+                for sp in spectra:
+                    sp.share()
             descs = multikmer.assembly_unit_descriptions(
                 plan,
                 spec,
@@ -854,7 +886,9 @@ class RnnotatorPipeline:
                 else:
                     assembly_executor.shutdown()
             for sp in spectra:
-                sp.close()  # unlinks shared spectrum segments, if any
+                # Unlinks the segments this run shared; local arrays are
+                # the table cache's and stay open (see repro.assembly.sweep).
+                sp.close()
         failed = [u for u in units if u.state is not UnitState.DONE]
         if failed:
             raise PipelineError(

@@ -142,6 +142,9 @@ def build_record(
         for s in trace_records
         if s.get("type") == "span" and s.get("name") == "spectrum.build"
     ]
+    # None, not 0.0, for a run whose spectrum stage built nothing (a
+    # ``spectrum.skip`` event instead of a span): nothing was measured,
+    # so the run neither gates on nor feeds the build-time baseline.
     spectrum_build_s = (
         round(sum(s["r1"] - s["r0"] for s in spectrum_spans), 6)
         if spectrum_spans
@@ -229,7 +232,9 @@ def check_regressions(
     failure (a fresh ledger must not fail CI).  ``build_rel`` gates the
     host-side ``spectrum_build_s`` — real wall seconds on shared CI
     hosts, hence the deliberately loose default (a 2x blowup fails, run
-    jitter does not).
+    jitter does not).  Runs that skipped the build record ``None`` there:
+    a skipped latest is not gated, and skipped baseline records stay out
+    of the median.
     """
     if not records:
         raise ValueError("ledger is empty; nothing to check")

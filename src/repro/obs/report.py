@@ -161,7 +161,9 @@ def cache_scorecard(records: Iterable[dict]) -> str:
     (lookups plus parent-side ``put`` recording) from the metrics
     snapshot into a first-class report section; when the trace carries
     ``spectrum.build`` spans, a row reports the build's real host
-    seconds against its (zero, by construction) virtual cost and mode."""
+    seconds against its (zero, by construction) virtual cost and mode;
+    a run whose demand-driven spectrum stage built nothing carries a
+    ``spectrum.skip`` event instead, and the row says so."""
     records = list(records)
     metrics = next(
         (r["data"] for r in records if r.get("type") == "metrics"), None
@@ -195,6 +197,12 @@ def cache_scorecard(records: Iterable[dict]) -> str:
         if n_shards is not None:
             cells.append(f"shards {n_shards:g}")
         rows.append(f"  {'spectrum build':18s} {'  '.join(cells)}")
+    for skip in (e for e in _events(records) if e["name"] == "spectrum.skip"):
+        a = skip["attrs"]
+        detail = f"{a.get('jobs_satisfied', 0):g}/{a.get('jobs', 0):g} jobs cached"
+        if a.get("reason") == "spectra cached":
+            detail += ", spectra served from the table cache"
+        rows.append(f"  {'spectrum build':18s} skipped ({detail})")
     if not rows:
         return ""
     return "\n".join(["cache scorecard:"] + rows)

@@ -8,7 +8,8 @@ metric merging) and writes the merged trace.  CI runs this, uploads the
 trace as an artifact, and diffs it against the committed baseline with
 ``python -m repro.obs.diff``; regenerate the baseline with::
 
-    PYTHONPATH=src python -m repro.obs.smoke --out tests/data/ci_baseline_trace.jsonl
+    PYTHONPATH=src python -m repro.obs.smoke --resource-cadence 0 \
+        --out tests/data/ci_baseline_trace.jsonl
 
 The assembly cache is disabled so the trace is identical whether or not
 the process already ran a pipeline, and the seed is fixed so every

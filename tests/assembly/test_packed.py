@@ -9,7 +9,7 @@ boundaries k=32/33 and the k=63 ceiling.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.assembly import packed
@@ -158,6 +158,58 @@ class TestKeysAndOrder:
             assert np.array_equal(
                 packed.unpack(packed.extend_left(rows, k, b), k), left
             )
+
+
+def _s16_unique(rows, k):
+    """The key-string counting path ``unique_inverse_counts`` replaced."""
+    uniq, inverse, counts = np.unique(
+        packed.keys(rows, k), return_inverse=True, return_counts=True
+    )
+    return packed.keys_to_packed(uniq, k), inverse, counts
+
+
+#: Few word values, the extremes among them, so rows tie on word 0, on
+#: word 1, on both and on neither.
+_WORD = st.sampled_from(
+    [0, 1, 2, 5, (1 << 62) + 3, (1 << 63), (1 << 64) - 4, (1 << 64) - 1]
+)
+
+
+class TestUniqueInverseCounts:
+    @pytest.mark.parametrize("k", (33, 51, 63))
+    @given(words=st.lists(st.tuples(_WORD, _WORD), min_size=0, max_size=40))
+    @example(words=[])
+    @example(words=[(5, 1 << 63)])
+    def test_two_word_rows_match_key_string_sort(self, k, words):
+        rows = np.array(words, dtype=np.uint64).reshape(-1, 2)
+        rows[:, 1] &= np.uint64(((1 << 64) - 1) ^ ((1 << (128 - 2 * k)) - 1))
+        got = packed.unique_inverse_counts(rows, k)
+        want = _s16_unique(rows, k)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        distinct, inverse, counts = got
+        assert distinct.shape == (counts.shape[0], 2)
+        assert distinct.dtype == np.uint64
+        assert np.array_equal(distinct[inverse], rows)
+        assert counts.sum() == rows.shape[0]
+
+    @pytest.mark.parametrize("k", (3, 25, 32))
+    @given(words=st.lists(_WORD, min_size=0, max_size=40))
+    def test_one_word_rows_match_plain_unique(self, k, words):
+        rows = np.array(words, dtype=np.uint64).reshape(-1, 1)
+        got = packed.unique_inverse_counts(rows, k)
+        for g, w in zip(got, _s16_unique(rows, k)):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("k", (33, 63))
+    def test_real_kmers_with_duplicates(self, k):
+        rng = np.random.default_rng(k)
+        rows = packed.pack(_random_windows(rng, 300, k))
+        rows = rows[rng.integers(0, 300, size=2000)]
+        for g, w in zip(
+            packed.unique_inverse_counts(rows, k), _s16_unique(rows, k)
+        ):
+            assert np.array_equal(g, w)
 
 
 class TestPipelineParity:

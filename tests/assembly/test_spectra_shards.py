@@ -256,7 +256,7 @@ class TestPoolBuild:
 
 class TestCacheRegression:
     def test_hit_miss_counters_unchanged_by_parallel_build(self):
-        """The sharded build never consults the table cache: resolving
+        """The sharded build never consults the table cache: caching
         its spectra produces the identical hit/miss sequence as the
         serial build's."""
         store = ReadStore.from_reads(
@@ -268,15 +268,17 @@ class TestCacheRegression:
             serial = build_spectra(store, ks)
             assert (serial_cache.hits, serial_cache.misses) == (0, 0)
             for sp in serial:
-                assert serial_cache.resolve(sp) is sp
-                assert serial_cache.resolve(sp) is sp
+                assert serial_cache.get(sp.store_digest, sp.k) is None
+                serial_cache.put(sp)
+                assert serial_cache.get(sp.store_digest, sp.k) is sp
             sharded_cache = KmerTableCache()
             sharded = _sharded_inline(store, ks, 3, 4)
             # The build itself must not have touched any cache.
             assert (sharded_cache.hits, sharded_cache.misses) == (0, 0)
             for sp in sharded:
-                assert sharded_cache.resolve(sp) is sp
-                assert sharded_cache.resolve(sp) is sp
+                assert sharded_cache.get(sp.store_digest, sp.k) is None
+                sharded_cache.put(sp)
+                assert sharded_cache.get(sp.store_digest, sp.k) is sp
             assert serial_cache.hits == sharded_cache.hits == len(ks)
             assert serial_cache.misses == sharded_cache.misses == len(ks)
             for sp in serial:

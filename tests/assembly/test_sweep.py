@@ -269,17 +269,28 @@ class TestKmerTableCache:
         tracer = Tracer()
         cache = KmerTableCache()
         with use_tracer(tracer):
-            assert cache.resolve(sp1) is sp1  # miss registers
-            assert cache.resolve(sp2) is sp1  # hit: same (digest, k)
+            assert cache.get(store.digest, 25) is None  # miss: nothing yet
+            cache.put(sp1)
+            assert cache.get(store.digest, 25) is sp1  # hit: same (digest, k)
         assert (cache.hits, cache.misses) == (1, 1)
         snap = tracer.metrics.snapshot()["counters"]
         assert snap["kmer_table.hit"] == 1
         assert snap["kmer_table.miss"] == 1
         assert snap["kmer_table.bytes"] == sp1.nbytes
-        # A closed registrant drops out and the next resolve re-registers.
+        # Ownership: the cache owns local arrays — close() on a
+        # never-shared spectrum releases nothing and it keeps serving.
+        sp1.close()
+        assert not sp1.closed
+        assert cache.get(store.digest, 25) is sp1
+        # A shared entry belongs to the run that shared it: once that run
+        # closes the segment the entry is dead and the next get drops it.
         sp1.share()
         sp1.close()
-        assert cache.resolve(sp2) is sp2
+        assert sp1.closed
+        assert cache.get(store.digest, 25) is None
+        assert len(cache) == 0
+        cache.put(sp2)
+        assert cache.get(store.digest, 25) is sp2
         assert len(cache) == 1
         cache.clear()
         assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
@@ -302,9 +313,10 @@ class TestKmerTableCache:
         spectra = build_spectra(store, [21, 25, 31])
         cache = KmerTableCache(max_entries=2)
         for sp in spectra:
-            cache.resolve(sp)
+            cache.put(sp)
         assert len(cache) == 2  # k=21 evicted
-        assert cache.resolve(spectra[0]) is spectra[0]
+        assert cache.get(store.digest, 21) is None
+        assert cache.get(store.digest, 31) is spectra[2]
         store.close()
 
 

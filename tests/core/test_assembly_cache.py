@@ -87,6 +87,23 @@ class TestCacheSemantics:
         assert ("d", "a", 31, 1) not in cache  # oldest evicted
         assert ("d", "c", 31, 1) in cache
 
+    def test_contains_probe_is_invisible(self):
+        """The pipeline's demand probe: ``in`` moves no counter and no
+        LRU position, for present and absent keys alike."""
+        cache = AssemblyCache(max_entries=3)
+        for name in ("a", "b", "c"):
+            cache.put(("d", name, 31, 1), _dummy_result(name))
+        cache.get(("d", "b", 31, 1))  # hit: b becomes most recent
+        cache.get(("d", "zz", 31, 1))  # miss
+        before = (cache.hits, cache.misses, list(cache._entries))
+        assert ("d", "a", 31, 1) in cache  # least recent: stays there
+        assert ("d", "b", 31, 1) in cache
+        assert ("d", "nope", 31, 1) not in cache
+        assert (cache.hits, cache.misses, list(cache._entries)) == before
+        # 'a' is still the eviction victim, so the probe never touched it.
+        cache.put(("d", "e", 31, 1), _dummy_result("e"))
+        assert ("d", "a", 31, 1) not in cache
+
     def test_clear_resets_counters(self, fresh_cache, store):
         work = _work(store)
         work()

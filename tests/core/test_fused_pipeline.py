@@ -6,6 +6,7 @@ dollar costs are bit-identical to the unfused / sequential paths, on
 the serial and process backends alike.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -84,12 +85,16 @@ class TestFusedPipelineParity:
         tracer = Tracer()
         _run(dataset, fused=True, tracer=tracer)
         counters = tracer.metrics.snapshot()["counters"]
-        # 4 assemblers x 2 k + trinity's fixed 25 -> per-(digest, k)
-        # misses, everything else hits.
-        assert counters["kmer_table.miss"] >= 1
-        assert counters["kmer_table.hit"] >= 1
+        # 4 assemblers x 2 k + trinity's fixed 25 need the spectra of
+        # k = 25 and 31: a cold run asks the table cache for both in
+        # vain, builds them in one pass and adds them; no job goes near
+        # the cache.
+        assert counters["kmer_table.miss"] == 2
+        assert "kmer_table.hit" not in counters
         assert counters["kmer_table.bytes"] > 0
         assert counters["assembly_cache.put"] >= 1
+        (build,) = [s for s in tracer.spans if s.name == "spectrum.build"]
+        assert build.attrs["ks"] == [25, 31]
 
 
 class TestRunManyOverlap:
@@ -183,9 +188,12 @@ class TestWorkloadSpectrumWiring:
             store.close()
 
     def test_resolve_spectrum_routes_through_cache(self):
+        """A workload uses the spectrum it was handed and looks nowhere
+        else: the table cache is the pipeline's business, not a job's."""
         reads = tiny_dataset(seed=0).run.all_reads()[:200]
         store = ReadStore.from_reads(reads)
         spectra = build_spectra(store, [25])
+        (cached,) = build_spectra(store, [25])
         try:
             work = AssemblyWorkload(
                 assembler_name="velvet",
@@ -195,11 +203,12 @@ class TestWorkloadSpectrumWiring:
                 spectra=spectra,
             )
             cache = KmerTableCache()
+            cache.put(cached)
             with use_kmer_table_cache(cache):
-                first = work._resolve_spectrum()
-                second = work._resolve_spectrum()
-            assert first is spectra[0] and second is spectra[0]
-            assert (cache.hits, cache.misses) == (1, 1)
+                assert work._resolve_spectrum() is spectra[0]
+                # Nothing handed -> nothing used, whatever is cached.
+                assert replace(work, spectra=())._resolve_spectrum() is None
+            assert (cache.hits, cache.misses) == (0, 0)
             # A closed spectrum is never handed to an assembler.
             spectra[0].share()
             spectra[0].close()

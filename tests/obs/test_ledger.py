@@ -34,6 +34,13 @@ class TestBuildRecord:
         assert rec["planner"]["ttc_s"]["predicted"] == 95.0
         assert rec["planner"]["ttc_s"]["actual"] == 100.0
 
+    def test_skipped_spectrum_build_records_none(self):
+        trace = make_run_trace() + [
+            {"type": "event", "name": "spectrum.skip", "cat": "spectrum",
+             "attrs": {"jobs": 6, "jobs_satisfied": 6}}
+        ]
+        assert build_record(trace)["spectrum_build_s"] is None
+
     def test_no_pipeline_span_raises(self):
         with pytest.raises(ValueError):
             build_record([])
@@ -149,6 +156,24 @@ class TestCheckRegressions:
         regressions, note = check_regressions(records, v_rel=0.05)
         assert regressions == []
         assert "no comparable baseline" in note
+
+    def test_skipped_spectrum_build_is_neither_gated_nor_baseline(self):
+        def rec(build_s):
+            return {**ledger_rec(), "spectrum_build_s": build_s}
+
+        # skipped after built: the latest run measured no build.
+        built_then_skipped = [rec(0.2), rec(0.2), rec(None)]
+        assert check_regressions(built_then_skipped, build_rel=0.1)[0] == []
+        # built after skipped: the skipped runs stay out of the median
+        # (as 0.0 they would drag it to 0 and fail any real build) ...
+        skipped_then_built = [rec(0.2), rec(None), rec(None), rec(0.21)]
+        assert check_regressions(skipped_then_built, build_rel=0.1)[0] == []
+        # ... and the built baseline still gates a real slowdown.
+        slow = [rec(0.2), rec(None), rec(None), rec(0.5)]
+        regressions, _ = check_regressions(slow, build_rel=0.1)
+        assert [r.quantity for r in regressions] == ["spectrum_build_s"]
+        # An all-skipped baseline gates nothing.
+        assert check_regressions([rec(None), rec(0.5)], build_rel=0.1)[0] == []
 
     def test_window_limits_the_baseline(self):
         # Old slow history beyond the window must not mask a regression

@@ -144,6 +144,26 @@ class TestSections:
         assert "virtual 0 s" in text
         assert "mode sharded" in text and "shards 3" in text
 
+    def test_cache_scorecard_skipped_spectrum_build_row(self):
+        def skip(**attrs):
+            return {
+                "type": "event", "name": "spectrum.skip", "cat": "spectrum",
+                "process": "p", "thread": "t", "v": 10.0, "r": 2.0,
+                "attrs": {"ks": [25, 31], "jobs": 6, **attrs},
+            }
+
+        text = cache_scorecard(
+            [skip(jobs_satisfied=6, reason="jobs satisfied")]
+        )
+        assert "spectrum build     skipped (6/6 jobs cached)" in text
+        text = cache_scorecard(
+            [skip(jobs_satisfied=0, reason="spectra cached")]
+        )
+        assert (
+            "skipped (0/6 jobs cached, spectra served from the table cache)"
+            in text
+        )
+
 
 def golden_records() -> list[dict]:
     """A fully hand-constructed trace: every timestamp (virtual *and*
