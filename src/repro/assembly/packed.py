@@ -67,8 +67,14 @@ def check_k(k: int) -> int:
 
 
 def words_for(k: int) -> int:
-    """Number of uint64 words per packed k-mer (1 or 2)."""
-    check_k(k)
+    """Number of uint64 words per packed k-mer (1 or 2).
+
+    The field layout holds any ``1 <= k <= MAX_K``; :func:`check_k` is
+    the narrower range the k-mer entry points accept.  Graph cleanup
+    packs (k-1)-mer junctions, 2 bases wide at ``MIN_K``.
+    """
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"packed layout holds 1 <= k <= {MAX_K}, got {k}")
     return 1 if k <= 32 else 2
 
 

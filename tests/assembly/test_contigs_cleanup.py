@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.assembly.cleanup import (
-    build_unitig_graph,
-    clean_unitigs,
-    clip_tips,
-    pop_bubbles,
-)
+from repro.assembly.cleanup import clean_unitigs, clip_tips, pop_bubbles
 from repro.assembly.contigs import AssemblyResult, Contig, assembly_stats, n50
 from repro.assembly.dbg import Unitig
 from repro.parallel.usage import ResourceUsage
@@ -83,9 +78,11 @@ class TestContig:
 
 class TestUnitigGraph:
     def test_graph_edges_one_per_unitig(self):
+        # ``work`` counts the condensed graph: the bubble pass one
+        # operation per edge (= unitig), the tip pass edges + junctions.
         us = [unitig("ACGTACGTAC", 5.0), unitig("GGGGCCCCAA", 3.0)]
-        g = build_unitig_graph(us, 5)
-        assert g.number_of_edges() == 2
+        assert pop_bubbles(us, 5)[1].work == 2
+        assert clip_tips(us, 5)[1].work == 2 + 4
 
 
 class TestClipTips:

@@ -1,10 +1,16 @@
 """Tests for contig merging, quantification and differential expression."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats  # test oracle only; src/ never imports scipy
 
 from repro.assembly.contigs import Contig
-from repro.core.diffexpr import differential_expression
+from repro.core.diffexpr import binomial_two_sided, differential_expression
 from repro.core.merge import merge_contigs
 from repro.core.quantify import quantify
 from repro.seq.alphabet import decode, random_dna, reverse_complement
@@ -141,37 +147,47 @@ class TestQuantify:
         assert table[0][1] == 5
 
 
+def _poisson_pair(seed, mean, n, first=None):
+    rng = np.random.default_rng(seed)
+    a, b = rng.poisson(mean, n), rng.poisson(mean, n)
+    if first is not None:
+        a[0], b[0] = first
+    return a, b
+
+
+#: The count vectors TestDiffExpr runs on; TestBinomialOracle replays
+#: every one of them through SciPy.
+DE_CASES = {
+    "obvious_de": _poisson_pair(0, 100, 50, first=(1000, 50)),
+    "null": _poisson_pair(1, 50, 100),
+    "library_size": (np.full(60, 200), np.full(60, 100)),
+    "zero_counts": (np.array([0]), np.array([0])),
+    "one_up": (np.array([1000] + [100] * 20), np.array([10] + [100] * 20)),
+}
+
+
+def run_de(case, **kwargs):
+    a, b = DE_CASES[case]
+    return differential_expression([f"t{i}" for i in range(len(a))], a, b, **kwargs)
+
+
 class TestDiffExpr:
     def test_obvious_de_detected(self):
-        rng = np.random.default_rng(0)
-        n = 50
-        a = rng.poisson(100, n)
-        b = rng.poisson(100, n)
-        a[0], b[0] = 1000, 50  # strongly DE transcript
-        res = differential_expression([f"t{i}" for i in range(n)], a, b)
-        row = res.rows[0]
+        row = run_de("obvious_de").rows[0]  # the strongly DE transcript
         assert row.significant
         assert row.log2_fold_change > 2
 
     def test_null_mostly_insignificant(self):
-        rng = np.random.default_rng(1)
-        n = 100
-        a = rng.poisson(50, n)
-        b = rng.poisson(50, n)
-        res = differential_expression([f"t{i}" for i in range(n)], a, b)
-        assert res.n_significant <= 5  # BH at alpha=0.05 under the null
+        assert run_de("null").n_significant <= 5  # BH at alpha=0.05 under the null
 
     def test_library_size_correction(self):
         """2x library depth alone must not look like DE."""
-        n = 60
-        a = np.full(n, 200)
-        b = np.full(n, 100)
-        res = differential_expression([f"t{i}" for i in range(n)], a, b)
+        res = run_de("library_size")
         assert res.n_significant == 0
         assert all(abs(r.log2_fold_change) < 0.1 for r in res.rows)
 
     def test_zero_counts_handled(self):
-        res = differential_expression(["t0"], np.array([0]), np.array([0]))
+        res = run_de("zero_counts")
         assert res.rows[0].p_value == 1.0
         assert not res.rows[0].significant
 
@@ -186,9 +202,78 @@ class TestDiffExpr:
     def test_significant_rows_accessor(self):
         # Many flat transcripts keep library sizes comparable so the DE
         # transcript stands out after normalization.
-        ids = ["up"] + [f"flat{i}" for i in range(20)]
-        a = np.array([1000] + [100] * 20)
-        b = np.array([10] + [100] * 20)
-        res = differential_expression(ids, a, b)
-        sig = res.significant_rows()
-        assert "up" in [r.transcript_id for r in sig]
+        sig = run_de("one_up").significant_rows()
+        assert sig and sig[0].transcript_id == "t0"
+
+
+def scipy_de(a, b, alpha):
+    """The scipy-based p-values and BH flags diffexpr computed before it
+    carried its own binomial test."""
+    p0 = max(int(a.sum()), 1) / (max(int(a.sum()), 1) + max(int(b.sum()), 1))
+    pvals = np.array([
+        stats.binomtest(int(x), int(x + y), p0).pvalue if x + y else 1.0
+        for x, y in zip(a, b)
+    ])
+    order = np.argsort(pvals)
+    adjusted = np.minimum.accumulate((pvals[order] * len(a) / np.arange(1, len(a) + 1))[::-1])[::-1]
+    flags = np.empty(len(a), dtype=bool)
+    flags[order] = np.minimum(adjusted, 1.0) <= alpha
+    return pvals, flags
+
+
+class TestBinomialOracle:
+    """``binomial_two_sided`` is an in-house replacement for
+    ``scipy.stats.binomtest(...).pvalue``; scipy stays as the oracle."""
+
+    #: Below this scipy's own tail sum degrades (it reads 1.30e-286 where
+    #: exact rational arithmetic and this module read 2.21e-286 for
+    #: 1056/1056 at p0 = 0.5361...), so agreement is not required there.
+    ORACLE_FLOOR = 1e-250
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 5000),
+        where=st.sampled_from(["zero", "all", "any", "mean"]),
+        frac=st.floats(0, 1),
+        p0=st.one_of(st.just(0.5), st.floats(0.01, 0.99)),
+    )
+    def test_matches_scipy(self, n, where, frac, p0):
+        a = {"zero": 0, "all": n, "any": round(frac * n), "mean": round(p0 * n)}[where]
+        want = stats.binomtest(a, n, p0).pvalue if n else 1.0
+        got = binomial_two_sided([a], [n], p0)[0]
+        if want > self.ORACLE_FLOOR:
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+        else:
+            assert got < 10 * self.ORACLE_FLOOR
+
+    @pytest.mark.parametrize(
+        "a, n, p0", [(1056, 1056, 0.5361352976537075), (300, 400, 0.3),
+                     (0, 700, 0.5), (7, 20, 0.5), (13, 20, 0.5), (3, 9, 0.25)],
+    )
+    def test_matches_exact_rational_arithmetic(self, a, n, p0):
+        p = Fraction(p0)
+        pmf = [comb(n, x) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
+        exact = float(sum(v for v in pmf if v <= pmf[a] * (1 + Fraction(1, 10**7))))
+        assert binomial_two_sided([a], [n], p0)[0] == pytest.approx(exact, rel=1e-10)
+
+    def test_symmetric_ties_are_both_counted(self):
+        # 7/20 and 13/20 are equally likely at p0 = 0.5: same p-value.
+        p = binomial_two_sided([7, 13, 10], [20, 20, 20], 0.5)
+        assert p[0] == p[1] < 1.0 and p[2] == pytest.approx(1.0, rel=1e-12)
+
+    def test_rejects_impossible_input(self):
+        with pytest.raises(ValueError):
+            binomial_two_sided([1], [2], 0.0)
+        with pytest.raises(ValueError):
+            binomial_two_sided([3], [2], 0.5)
+        with pytest.raises(ValueError):
+            binomial_two_sided([-1], [2], 0.5)
+
+    @pytest.mark.parametrize("case", sorted(DE_CASES))
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_de_cases_keep_their_pvalues_and_flags(self, case, alpha):
+        a, b = DE_CASES[case]
+        pvals, flags = scipy_de(a, b, alpha)
+        rows = run_de(case, alpha=alpha).rows
+        assert [r.significant for r in rows] == flags.tolist()
+        assert [r.p_value for r in rows] == pytest.approx(pvals.tolist(), rel=1e-9, abs=0)

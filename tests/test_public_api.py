@@ -1,6 +1,10 @@
 """The public API surface: every documented export imports and resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +63,34 @@ def test_public_classes_have_docstrings():
     for cls in (PipelineConfig, PipelineResult, RnnotatorPipeline,
                 PilotManager, UnitManager, SGEScheduler, SimWorld):
         assert cls.__doc__ and len(cls.__doc__) > 10
+
+
+_HYGIENE_SCRIPT = """
+import importlib, sys
+for name in {subpackages!r}:
+    importlib.import_module(name)
+from repro.core import PipelineConfig, RnnotatorPipeline
+from repro.seq.datasets import tiny_dataset
+result = RnnotatorPipeline().run(
+    tiny_dataset(seed=1, coverage_boost=0.25),
+    PipelineConfig(assemblers=("velvet",), kmer_list=(25,), executor="serial"),
+)
+assert result.transcripts
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))
+assert not heavy, heavy
+"""
+
+
+def test_runtime_imports_neither_scipy_nor_networkx():
+    """numpy is the only runtime dependency: importing every subpackage
+    and running a pipeline (cleanup included) must not load the two
+    packages that survive as test oracles.  A fresh interpreter, because
+    this test process has them loaded already.  No wall-clock threshold:
+    pipebench's ``setup_s`` owns timing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HYGIENE_SCRIPT.format(subpackages=["repro"] + SUBPACKAGES)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
