@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import extract_unitigs
+from repro.assembly.dbg import extract_unitigs_by_owner
 from repro.assembly.ray import distribute_and_count, merge_shards
 from repro.parallel.comm import SimWorld
 from repro.seq.fastq import FastqRecord
@@ -63,20 +63,17 @@ class AbyssAssembler:
                 world.charge(r, float(len(shard) + removed))
                 world.record_memory(r, shard.memory_bytes())
 
-        table = merge_shards(k, shards)
+        table, owners = merge_shards(k, shards)
 
         # Bulk-synchronous unitig walking: ranks walk their own seeds in
         # rounds; unlike Ray there is no per-step probe message, the round
         # structure shows up as collectives instead.
         with world.phase("unitig_rounds", kind="walk"):
-            visited: set = set()
             all_unitigs = []
             per_rank_unitigs: list[list] = []
             total_probes = 0
-            for r in world.ranks():
-                unitigs, steps = extract_unitigs(
-                    table, seeds=shards[r].packed, visited=visited
-                )
+            walks = extract_unitigs_by_owner(table, owners, p)
+            for r, (unitigs, steps) in enumerate(walks):
                 all_unitigs.extend(unitigs)
                 per_rank_unitigs.append(unitigs)
                 world.charge(r, float(steps))

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.assembly.contigs import Contig
 from repro.assembly.dbg import Unitig
-from repro.seq.alphabet import reverse_complement
+from repro.seq.alphabet import decode, reverse_complement
 from repro.seq.fastq import FastqRecord
 
 
@@ -41,8 +43,9 @@ def unitigs_to_contigs(
     order the walk happened to use — serial and distributed assemblies of
     the same spectrum produce byte-identical contigs.
     """
+    # Unitig codes are N-free, so code bytes order exactly like letters.
     oriented = [
-        (min(u.seq, reverse_complement(u.seq)), u)
+        (min(u.codes.tobytes(), reverse_complement(u.codes).tobytes()), u)
         for u in unitigs
         if len(u) >= params.min_contig_length
     ]
@@ -50,12 +53,12 @@ def unitigs_to_contigs(
     return [
         Contig(
             contig_id=f"{assembler}_k{params.k}_c{i:06d}",
-            seq=seq,
+            seq=decode(np.frombuffer(codes, dtype=np.uint8)),
             coverage=u.coverage,
             k=params.k,
             assembler=assembler,
         )
-        for i, (seq, u) in enumerate(oriented)
+        for i, (codes, u) in enumerate(oriented)
     ]
 
 

@@ -8,30 +8,30 @@ four possible single-base extensions — the classic hash-based DBG
 K-mers live in the 2-bit packed representation of
 :mod:`repro.assembly.packed`: the table stores sorted packed rows with an
 aligned count column, and membership and coverage are batched
-``np.searchsorted`` probes.  :func:`extract_unitigs` never probes k-mer by
-k-mer: :meth:`KmerTable.unitig_links` resolves the non-branching
-adjacency of the *whole* table in four batched passes (one per appended
-base, over both orientations of every row), and the walk then follows
-integer links seed by seed.  The invariant the tests hold it to is
-equality with the sequential bytes-dict walker frozen in
-``repro.assembly.reference_impl.legacy_extract_unitigs`` — same unitigs,
-orientation, coverage, emission order and walk step counts — so only
-real wall-time differs from the historical engine.
+``np.searchsorted`` probes.  Unitig extraction is one array kernel with
+no step per k-mer (DESIGN.md §14): :meth:`KmerTable.unitig_links` joins
+every oriented k-mer to its successors through one sort and one
+``searchsorted``, :meth:`KmerTable.unitig_chains` ranks the links into
+chains by pointer doubling, and :func:`extract_unitigs` slices, per chain
+pair, the unitig of the first seed that touches it out of one buffer.
+The tests hold it to equality with the sequential bytes-dict walker
+``repro.assembly.reference_impl.legacy_extract_unitigs``: same unitigs,
+orientation, coverage, emission order and walk step counts.
 
-Orientation handling: the table stores *canonical* k-mers, but walking
-operates on *oriented* k-mers; every membership test canonicalizes first.
-A unitig is a maximal path along which every interior node has exactly
-one successor and one predecessor.
+The table stores *canonical* k-mers, but a unitig — a maximal path whose
+every interior node has exactly one successor and one predecessor — is a
+path of *oriented* k-mers: ``2n`` ids over ``n`` rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.assembly import packed as packedmod
 from repro.seq import alphabet
+from repro.seq.readstore import expand_ranges
 
 _BASES = (0, 1, 2, 3)
 
@@ -77,7 +77,7 @@ class KmerTable:
         self._counts = counts
         self._keys = key_arr
         self._dict: dict[bytes, int] | None = None
-        self._links: tuple[list[int], np.ndarray] | None = None
+        self._chains: UnitigChains | None = None
 
     @classmethod
     def from_packed(
@@ -208,73 +208,76 @@ class KmerTable:
 
     # -- adjacency ---------------------------------------------------------
 
-    def successors(self, oriented: bytes) -> list[bytes]:
-        """Oriented k-mers reachable by appending one base."""
+    def _present(self, oriented: bytes, extend) -> np.ndarray:
+        """Which of the four one-base ``extend`` neighbours are stored."""
         row = packedmod.pack_bytes_kmer(oriented)
-        ext = np.concatenate(
-            [packedmod.extend_right(row, self.k, b) for b in _BASES], axis=0
-        )
-        found = self.has_keys(
+        ext = np.concatenate([extend(row, self.k, b) for b in _BASES], axis=0)
+        return self.has_keys(
             packedmod.keys(packedmod.canonicalize(ext, self.k), self.k)
         )
-        suffix = oriented[1:]
-        return [suffix + bytes([b]) for b in _BASES if found[b]]
+
+    def successors(self, oriented: bytes) -> list[bytes]:
+        """Oriented k-mers reachable by appending one base."""
+        found = self._present(oriented, packedmod.extend_right)
+        return [oriented[1:] + bytes([b]) for b in _BASES if found[b]]
 
     def predecessors(self, oriented: bytes) -> list[bytes]:
         """Oriented k-mers reachable by prepending one base."""
-        row = packedmod.pack_bytes_kmer(oriented)
-        ext = np.concatenate(
-            [packedmod.extend_left(row, self.k, b) for b in _BASES], axis=0
-        )
-        found = self.has_keys(
-            packedmod.keys(packedmod.canonicalize(ext, self.k), self.k)
-        )
-        prefix = oriented[:-1]
-        return [bytes([b]) + prefix for b in _BASES if found[b]]
+        found = self._present(oriented, packedmod.extend_left)
+        return [bytes([b]) + oriented[:-1] for b in _BASES if found[b]]
 
-    def unitig_links(self) -> tuple[list[int], np.ndarray]:
-        """Non-branching adjacency of the whole graph, built once per
-        row set and cached: ``(link, last_base)`` over ``2n`` oriented
-        ids, where id ``i`` is canonical row ``i`` read forward and
-        ``i + n`` its reverse complement (its *mate*).
+    def unitig_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Non-branching adjacency of the whole graph as ``(link,
+        last_base)`` over ``2n`` oriented ids: id ``i`` is canonical row
+        ``i`` read forward and ``i + n`` its reverse complement (its
+        *mate*).  ``link[o]`` is the id a unitig walk steps to from ``o``
+        — ``o``'s only successor, which has ``o`` as its only predecessor
+        — or ``-1`` where the walk stops; ``last_base[o]`` is the base a
+        step into ``o`` appends.
 
-        ``link[o]`` is the oriented id a unitig walk steps to from ``o``
-        — ``o``'s only successor, which in turn has ``o`` as its only
-        predecessor — or ``-1`` where the walk must stop.  Four batched
-        passes, one per appended base, probe every oriented k-mer's
-        extension; predecessors need no probes because the predecessors
-        of ``v`` are the mates of the successors of ``mate(v)``, so
-        ``indeg[v] == outdeg[mate(v)]``.  ``last_base[o]`` is the base a
-        step into ``o`` appends.  A palindromic k-mer (even k) has two
-        identical rows and canonicalizes to the forward id.
+        The two steps no walk can take are cut (DESIGN.md §14): the
+        hairpin ``link[o] == mate(o)``, and the pass *through* a
+        palindromic row ``p``, entered only as ``p + n`` and left only
+        as ``p``.  That leaves disjoint paths and cycles, each disjoint
+        from its mate chain.
         """
-        if self._links is None:
-            self._links = self._build_links()
-        return self._links
-
-    def _build_links(self) -> tuple[list[int], np.ndarray]:
         n, k = len(self), self.k
-        if n == 0:
-            return [], np.zeros(0, dtype=np.uint8)
+        last_at = np.uint64(64 * self.words - 2 * k)  # bit offset of base k-1
         rows = self._packed
-        oriented = np.concatenate([rows, packedmod.revcomp(rows, k)])
-        outdeg = np.zeros(2 * n, dtype=np.int8)
-        succ = np.zeros(2 * n, dtype=np.int64)
-        for b in _BASES:  # one base at a time: 2n x W transient words
-            ext = packedmod.extend_right(oriented, k, b)
-            canon = packedmod.canonicalize(ext, k)
-            found, idx = self.find_keys(packedmod.keys(canon, k))
-            idx[(canon != ext).any(axis=1)] += n
-            succ[found] = idx[found]
-            outdeg += found
-        unique = outdeg == 1
-        into_unique = unique[np.where(succ < n, succ + n, succ - n)]
-        link = np.where(unique & into_unique, succ, -1)
-        first = (rows[:, 0] >> np.uint64(62)).astype(np.uint8)
-        last = (
-            (rows[:, -1] >> np.uint64(64 * self.words - 2 * k)) & np.uint64(3)
-        ).astype(np.uint8)
-        return link.tolist(), np.concatenate([last, 3 - first])
+        rc = packedmod.revcomp(rows, k)
+        pal = (rows == rc).all(axis=1)
+        mate = np.roll(np.arange(2 * n), n)
+        # Every distinct oriented k-mer once, in key order, with the id a
+        # step enters it by and the id a step leaves it by.
+        every = np.concatenate([rows[~pal], rc])
+        key = packedmod.keys(every, k)
+        by_key = np.argsort(key)
+        every, key = every[by_key], key[by_key]
+        into = np.concatenate([np.flatnonzero(~pal), mate[:n]])[by_key]
+        out_of = np.where(np.concatenate([pal, pal])[into], mate[into], into)
+        # The successors of x are the rows with the stem (all but the last
+        # base) of extend_right(x, 0), which sorts first among them.
+        stem = every.copy()
+        stem[:, -1] &= ~(np.uint64(3) << last_at)
+        stem = packedmod.keys(stem, k)
+        ext = packedmod.keys(packedmod.extend_right(every, k, 0), k)
+        at = np.minimum(np.searchsorted(key, ext), every.shape[0] - 1)
+        more = np.append(stem[1:] == stem[:-1], False)
+        single = (stem[at] == ext) & ~more[at]
+        succ = into[at]
+        outdeg1 = np.zeros(2 * n, dtype=bool)
+        outdeg1[into] = outdeg1[out_of] = single
+        step = single & outdeg1[mate[succ]] & (succ != mate[out_of])
+        link = np.full(2 * n, -1, dtype=np.int64)
+        link[out_of[step]] = succ[step]
+        last = np.concatenate([rows[:, -1], rc[:, -1]]) >> last_at
+        return link, (last & np.uint64(3)).astype(np.uint8)
+
+    def unitig_chains(self) -> "UnitigChains":
+        """:meth:`unitig_links` ranked into chains; cached per row set."""
+        if self._chains is None:
+            self._chains = _rank_chains(*self.unitig_links())
+        return self._chains
 
 
 def build_kmer_table(k: int, counts: dict[bytes, int]) -> KmerTable:
@@ -324,17 +327,109 @@ class Unitig:
         return alphabet.decode(self.codes)
 
 
-def _seed_rows(table: KmerTable, seeds) -> Sequence[int]:
-    """Table row index of every seed present under its exact key, in
-    seed order (duplicates kept; the walk skips them as visited)."""
-    if seeds is None:
-        return range(len(table))
-    if isinstance(seeds, np.ndarray):
-        rows = np.asarray(seeds, dtype=np.uint64).reshape(-1, table.words)
-    else:
-        rows = _pack_code_bytes(seeds, table.k)
-    found, idx = table.find_keys(packedmod.keys(rows, table.k))
-    return idx[found].tolist()
+class UnitigChains(NamedTuple):
+    """The paths and cycles of :meth:`KmerTable.unitig_links`, chain by
+    chain.  A chain and its mate chain (the same rows read the other way)
+    share one ``pair`` number; a cycle is cut at its smallest id."""
+
+    members: np.ndarray  #: the 2n oriented ids, each chain head to tail
+    chain: np.ndarray  #: chain number of each oriented id
+    rank: np.ndarray  #: its distance from the head of that chain
+    start: np.ndarray  #: chain c is ``members[start[c]:start[c + 1]]``
+    pair: np.ndarray  #: min(chain, mate chain)
+    cyclic: np.ndarray  #: whether each chain is a cut cycle
+    last_base: np.ndarray  #: as in :meth:`KmerTable.unitig_links`
+
+
+def _list_rank(pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(head, distance to it)`` of every node of the disjoint paths that
+    predecessor pointers ``pred`` (-1 at a head) describe, by pointer
+    doubling; a node on a cycle ends on a ``head`` that has a predecessor."""
+    ptr = np.where(pred < 0, np.arange(pred.shape[0]), pred)
+    dist = (pred >= 0).astype(np.int64)
+    for _ in range(int(pred.shape[0]).bit_length()):
+        hop = ptr[ptr]
+        if np.array_equal(hop, ptr):
+            break
+        dist += dist[ptr]
+        ptr = hop
+    return ptr, dist
+
+
+def _rank_chains(link: np.ndarray, last_base: np.ndarray) -> UnitigChains:
+    size = link.shape[0]
+    pred = np.full(size, -1, dtype=np.int64)
+    pred[link[link >= 0]] = np.flatnonzero(link >= 0)
+    head, rank = _list_rank(pred)
+    on_cycle = np.flatnonzero(pred[head] >= 0)
+    if on_cycle.size:
+        # Cut every cycle at its smallest id: a running minimum over the
+        # 2^t nodes behind each one, doubled until it spans any cycle.
+        back = np.searchsorted(on_cycle, pred[on_cycle])
+        low = on_cycle
+        for _ in range(int(on_cycle.size).bit_length()):
+            low = np.minimum(low, low[back])
+            back = back[back]
+        on_cycle = on_cycle[low == on_cycle]
+        pred[on_cycle] = -1
+        head, rank = _list_rank(pred)
+    chain = (np.cumsum(pred < 0) - 1)[head]  # chains numbered by head id
+    start = np.concatenate([[0], np.cumsum(np.bincount(chain))])
+    members = np.empty(size, dtype=np.int64)
+    members[start[chain] + rank] = np.arange(size)
+    heads = members[start[:-1]]
+    pair = np.minimum(chain[heads], chain[(heads + size // 2) % size])
+    cyclic = np.isin(heads, on_cycle)
+    return UnitigChains(members, chain, rank, start, pair, cyclic, last_base)
+
+
+def _emit(
+    table: KmerTable, seed_rows: np.ndarray, visited: set | None = None
+) -> tuple[np.ndarray, list[Unitig]]:
+    """The unitigs a sequential walk over ``seed_rows`` (table row
+    indices) emits, in order, and the position in ``seed_rows`` of the
+    seed that emits each: the first seed to touch a chain pair emits the
+    chain holding its forward id, whole (a cycle: opened at that seed),
+    and every later seed of the pair finds its row visited."""
+    ch = table.unitig_chains()
+    n, k, m = len(table), table.k, seed_rows.shape[0]
+    # Position of the first seed of every chain pair; none if visited.
+    first = np.full(ch.pair.shape[0], m)
+    np.minimum.at(first, ch.pair[ch.chain[seed_rows]], np.arange(m))
+    if visited:
+        rows = np.fromiter(visited, dtype=np.int64, count=len(visited))
+        seen = np.bincount(ch.pair[ch.chain[rows]], minlength=first.shape[0])
+        if (seen[seen > 0] != np.diff(ch.start)[seen > 0]).any():
+            raise ValueError("visited holds part of a unitig of this table")
+        first[seen > 0] = m
+    first = np.sort(first[first < m])
+    seeds = seed_rows[first]
+    c = ch.chain[seeds]
+    lo = ch.start[c]
+    size = ch.start[c + 1] - lo
+    turn = np.where(ch.cyclic[c], ch.rank[seeds], 0)
+    which, j = expand_ranges(0, size)
+    path = ch.members[lo[which] + (turn[which] + j) % size[which]]
+    path_rows = path % n
+    if visited is not None:
+        visited.update(path_rows.tolist())
+    begin = np.cumsum(size) - size
+    cov = np.add.reduceat(table.count_array[path_rows], begin) / size
+    # One buffer; per unitig the first k-1 bases of its head k-mer, then
+    # the last base of every k-mer on the path.
+    buf = np.empty(path.shape[0] + c.shape[0] * (k - 1), dtype=np.uint8)
+    buf[np.arange(path.shape[0]) + (which + 1) * (k - 1)] = ch.last_base[path]
+    head_rows = table.packed[path_rows[begin]]
+    flip = path[begin] >= n
+    head_rows[flip] = packedmod.revcomp(head_rows[flip], k)
+    begin += np.arange(c.shape[0]) * (k - 1)
+    head_codes = packedmod.unpack(head_rows, k)[:, : k - 1]
+    buf[begin[:, None] + np.arange(k - 1)] = head_codes
+    columns = (begin, begin + size + k - 1, cov, size)
+    return first, [
+        Unitig(codes=buf[a:b], coverage=v, n_kmers=s)
+        for a, b, v, s in zip(*(col.tolist() for col in columns))
+    ]
 
 
 def extract_unitigs(
@@ -344,64 +439,41 @@ def extract_unitigs(
 ) -> tuple[list[Unitig], int]:
     """Extract all unitigs; returns (unitigs, total_walk_steps).
 
-    ``seeds`` restricts the k-mers from which walks may start (used by the
-    distributed assemblers to attribute work to ranks): a packed ``(m, W)``
-    row array (the fast path), an iterable of code-bytes k-mers (the
-    historical API), or None for every table k-mer in sorted order.
-    ``visited`` may be shared across calls *on the same, unmodified table*
-    so that different rank shards never emit the same unitig twice; it
-    holds table row indices (a node is visited whichever strand entered
-    it).
+    ``seeds`` restricts the k-mers from which walks may start: a packed
+    ``(m, W)`` row array, an iterable of code-bytes k-mers (the
+    historical API), or None for every table k-mer in sorted order;
+    absent seeds are skipped, of duplicates only the first can emit.
+    ``visited`` may be shared across calls *on the same, unmodified
+    table* so that different seed shards never emit the same unitig
+    twice; it holds table row indices (a node is visited whichever
+    strand entered it), always a union of whole chain pairs (anything
+    else raises ``ValueError``).  No assembler passes ``seeds`` or
+    ``visited`` (Ray and ABySS use :func:`extract_unitigs_by_owner`):
+    they are the reference walker's interface, kept for the parity tests.
 
-    Seeds are walked one at a time, in order, over the table's cached
-    :meth:`KmerTable.unitig_links`: right from the seed, then right from
-    its mate (the left arm), each arm stopping at a ``-1`` link or a
-    visited node.  This is ``reference_impl.legacy_extract_unitigs`` on
-    integers, and equality with it — unitigs, orientation, emission
-    order, step count — is the invariant the tests hold it to.
+    The result equals ``reference_impl.legacy_extract_unitigs`` walking
+    the seeds one at a time (:func:`_emit` says why no walk is needed).
     """
-    if visited is None:
-        visited = set()
-    n = len(table)
-    link, last_base = table.unitig_links()
-    walks: list[tuple[int, list[int], list[int]]] = []
-    for seed in _seed_rows(table, seeds):
-        if seed in visited:
-            continue
-        visited.add(seed)
-        arms: tuple[list[int], list[int]] = ([], [])
-        for o, arm in zip((seed, seed + n), arms):
-            while True:
-                o = link[o]
-                if o < 0:
-                    break
-                node = o if o < n else o - n
-                if node in visited:
-                    break  # loop, palindromic re-entry or an earlier walk
-                visited.add(node)
-                arm.append(o)
-        walks.append((seed, *arms))
-    if not walks:
-        return [], 0
+    if seeds is None:
+        seed_rows = np.arange(len(table))
+    else:
+        if not isinstance(seeds, np.ndarray):
+            seeds = _pack_code_bytes(seeds, table.k)
+        rows = np.asarray(seeds, dtype=np.uint64).reshape(-1, table.words)
+        found, idx = table.find_keys(packedmod.keys(rows, table.k))
+        seed_rows = idx[found]
+    _, unitigs = _emit(table, seed_rows, visited)
+    return unitigs, sum(u.n_kmers for u in unitigs)
 
-    seed_codes = packedmod.unpack(
-        table.packed[[seed for seed, _, _ in walks]], table.k
-    )
-    counts = table.count_array
-    unitigs: list[Unitig] = []
-    steps = 0
-    for codes, (seed, right, left) in zip(seed_codes, walks):
-        path = np.array([seed, *right, *left], dtype=np.int64)
-        if path.size > 1:
-            codes = np.concatenate(
-                [3 - last_base[left][::-1], codes, last_base[right]]
-            )
-        steps += path.size
-        unitigs.append(
-            Unitig(
-                codes=codes,
-                coverage=int(counts[path % n].sum()) / path.size,
-                n_kmers=path.size,
-            )
-        )
-    return unitigs, steps
+
+def extract_unitigs_by_owner(
+    table: KmerTable, owners: np.ndarray, n_ranks: int
+) -> list[tuple[list[Unitig], int]]:
+    """``(unitigs, walk_steps)`` of every rank from one pass: what
+    ``n_ranks`` :func:`extract_unitigs` calls sharing one ``visited``
+    return when rank r's seeds are the rows with ``owners == r``."""
+    seed_rows = np.argsort(owners, kind="stable")
+    first, unitigs = _emit(table, seed_rows)
+    cuts = np.searchsorted(owners[seed_rows[first]], np.arange(n_ranks + 1))
+    by_rank = [unitigs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return [(mine, sum(u.n_kmers for u in mine)) for mine in by_rank]

@@ -333,10 +333,11 @@ def kmer_owner_packed(
 ) -> np.ndarray:
     """Owner ranks of packed k-mer rows — bit-exact with :func:`kmer_owner`.
 
-    Extracts each position's 2-bit code straight from the packed words
-    and folds it with the same position-dependent multipliers and final
-    mixing as the bytes-path hash, so partitioning (and therefore every
-    alltoall payload and message count) is unchanged.
+    The hash is linear mod 2**64 before its final mixing, so ``sum((code
+    + 1) * weight)`` folds to ``sum(weight)`` plus one entry per packed
+    byte (4 bases) of a 256-row table of ``sum(code * weight)``:
+    partitioning (and so every alltoall payload and message count) is
+    unchanged, at one gather per byte instead of four passes per base.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
@@ -344,16 +345,19 @@ def kmer_owner_packed(
     rows = np.asarray(packed_rows, dtype=np.uint64).reshape(-1, W)
     if rows.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
+    n_bytes = -(-k // 4)
     with np.errstate(over="ignore"):
-        weights = np.cumprod(np.full(k, _HASH_MULTIPLIER, dtype=np.uint64))
-        h = np.zeros(rows.shape[0], dtype=np.uint64)
-        one = np.uint64(1)
-        three = np.uint64(3)
-        for i in range(k):
-            word = rows[:, 0] if i < 32 else rows[:, 1]
-            shift = np.uint64(62 - 2 * (i % 32))
-            code = (word >> shift) & three
-            h += (code + one) * weights[i]
+        weights = np.zeros(4 * n_bytes, dtype=np.uint64)
+        weights[:k] = np.cumprod(np.full(k, _HASH_MULTIPLIER, dtype=np.uint64))
+        # folded[j, b]: what byte value b at byte j adds to the sum.
+        codes = (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+        folded = (
+            codes.astype(np.uint64)[None, :, :] * weights.reshape(-1, 1, 4)
+        ).sum(axis=2, dtype=np.uint64)
+        as_bytes = rows.astype(">u8").view(np.uint8).reshape(-1, 8 * W)
+        h = np.full(rows.shape[0], weights.sum(dtype=np.uint64))
+        for j in range(n_bytes):
+            h += folded[j][as_bytes[:, j]]
         h ^= h >> np.uint64(33)
         h *= _HASH_MULTIPLIER
         h ^= h >> np.uint64(29)

@@ -28,7 +28,7 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import KmerTable, build_kmer_table_packed
-from repro.assembly.dbg import extract_unitigs
+from repro.assembly.dbg import extract_unitigs_by_owner
 from repro.assembly.kmers import (
     canonical_kmers_store_packed,
     kmer_counts_packed,
@@ -153,12 +153,19 @@ def distribute_and_count(
     return shards
 
 
-def merge_shards(k: int, shards: list[KmerTable]) -> KmerTable:
-    """Union of disjoint per-rank shard tables (a local-execution
-    convenience; work and messages stay attributed per owner rank)."""
+def merge_shards(
+    k: int, shards: list[KmerTable]
+) -> tuple[KmerTable, np.ndarray]:
+    """Union of disjoint per-rank shard tables, and the owner rank of
+    each of its rows (a local-execution convenience; work and messages
+    stay attributed per owner rank)."""
     rows = np.concatenate([s.packed for s in shards], axis=0)
     counts = np.concatenate([s.count_array for s in shards])
-    return build_kmer_table_packed(k, rows, counts)
+    owners = np.repeat(np.arange(len(shards)), [len(s) for s in shards])
+    # The shards are sorted runs: a stable sort only has to merge them.
+    order = np.argsort(np.concatenate([s.key_array for s in shards]), kind="stable")
+    table = build_kmer_table_packed(k, rows[order], counts[order], presorted=True)
+    return table, owners[order]
 
 
 class RayAssembler:
@@ -198,16 +205,13 @@ class RayAssembler:
                 world.charge(r, float(len(shard) + removed))
                 world.record_memory(r, shard.memory_bytes())
 
-        table = merge_shards(k, shards)
+        table, owners = merge_shards(k, shards)
 
         with world.phase("extension_walk", kind="walk"):
-            visited: set = set()
             all_unitigs = []
             total_probes = 0
-            for r in world.ranks():
-                unitigs, steps = extract_unitigs(
-                    table, seeds=shards[r].packed, visited=visited
-                )
+            walks = extract_unitigs_by_owner(table, owners, p)
+            for r, (unitigs, steps) in enumerate(walks):
                 all_unitigs.extend(unitigs)
                 world.charge(r, float(steps))
                 # Each extension step probes ~4 candidate successors and

@@ -9,6 +9,13 @@ import pytest
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler, ContrailInputError
+from repro.assembly.dbg import build_kmer_table_packed
+from repro.assembly.kmers import (
+    canonical_kmers_packed,
+    canonical_kmers_store_packed,
+    kmer_counts_packed,
+)
+from repro.assembly.packed import keys
 from repro.assembly.ray import RayAssembler
 from repro.assembly.registry import (
     ASSEMBLERS,
@@ -17,7 +24,8 @@ from repro.assembly.registry import (
 )
 from repro.assembly.trinity import TrinityAssembler
 from repro.assembly.velvet import VelvetAssembler
-from repro.seq.alphabet import reverse_complement
+from repro.seq.alphabet import encode, reverse_complement
+from repro.seq.readstore import ReadStore
 
 PARAMS = AssemblyParams(k=31, min_contig_length=100)
 
@@ -87,6 +95,48 @@ class TestDistributedEquivalence:
         assert sorted(c.seq for c in res.contigs) == sorted(
             c.seq for c in velvet_result.contigs
         )
+
+
+class TestContigProperties:
+    """What a DBG contig must satisfy whichever assembler walked it, at a
+    one-word and a two-word k (ROADMAP item 6b)."""
+
+    @pytest.fixture(scope="class", params=(31, 51))
+    def case(self, request, reads_paired):
+        k = request.param
+        store = ReadStore.from_reads(reads_paired)
+        spectrum = build_kmer_table_packed(
+            k, *kmer_counts_packed(canonical_kmers_store_packed(store, k), k),
+            presorted=True,
+        )
+        return store, AssemblyParams(k=k, min_contig_length=100), spectrum
+
+    @pytest.mark.parametrize(
+        "assembler", (VelvetAssembler, RayAssembler, AbyssAssembler)
+    )
+    def test_every_contig_kmer_is_solid(self, case, assembler):
+        store, params, spectrum = case
+        contigs = assembler().assemble_encoded(store, params).contigs
+        assert len(contigs) > 5
+        for c in contigs:
+            rows = canonical_kmers_packed(encode(c.seq), params.k)
+            assert rows.shape[0] == len(c.seq) - params.k + 1
+            found, cov = spectrum.lookup_keys(keys(rows, params.k))
+            assert found.all() and cov.min() >= params.min_count, c.contig_id
+
+    @pytest.mark.parametrize("assembler", (RayAssembler, AbyssAssembler))
+    def test_contigs_byte_identical_across_rank_counts(self, case, assembler):
+        store, params, _ = case
+        runs = [
+            [
+                (c.contig_id, c.seq, c.coverage)
+                for c in assembler()
+                .assemble_encoded(store, params, n_ranks=n_ranks)
+                .contigs
+            ]
+            for n_ranks in (1, 3, 8)
+        ]
+        assert runs[0] == runs[1] == runs[2] and runs[0]
 
 
 class TestRayUsage:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs, clip_tips, pop_bubbles
 from repro.assembly.contigs import AssemblyResult, Contig, assembly_stats, n50
 from repro.assembly.dbg import Unitig
 from repro.parallel.usage import ResourceUsage
-from repro.seq.alphabet import encode
+from repro.seq.alphabet import encode, reverse_complement
 
 
 def unitig(seq: str, cov: float) -> Unitig:
@@ -74,6 +75,32 @@ class TestContig:
         )
         assert res.total_bp == 5
         assert len(res) == 1
+
+
+class TestUnitigsToContigs:
+    @given(
+        st.lists(st.text(alphabet="ACGT", min_size=3, max_size=12), max_size=12),
+        st.integers(3, 8),
+    )
+    def test_strand_and_order_chosen_on_codes_as_on_letters(self, seqs, min_len):
+        # Same-length ties, a palindrome and both strands of one sequence
+        # ride along with whatever is drawn.
+        seqs = seqs + ["ACGT", "AAAC", "GTTT", "TTTTT"]
+        unitigs = [unitig(s, float(i)) for i, s in enumerate(seqs)]
+        params = AssemblyParams(k=3, min_contig_length=min_len)
+        kept = [
+            (min(u.seq, reverse_complement(u.seq)), u)
+            for u in unitigs
+            if len(u) >= min_len
+        ]
+        kept.sort(key=lambda pair: (-len(pair[0]), pair[0]))
+        got = unitigs_to_contigs(unitigs, params, "x")
+        assert [(c.seq, c.coverage) for c in got] == [
+            (seq, u.coverage) for seq, u in kept
+        ]
+        assert [c.contig_id for c in got] == [
+            f"x_k3_c{i:06d}" for i in range(len(kept))
+        ]
 
 
 class TestUnitigGraph:

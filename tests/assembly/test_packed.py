@@ -244,13 +244,21 @@ class TestPipelineParity:
         )
         assert got == expect
 
-    @given(dna, st.sampled_from((31, 33, 63)), st.sampled_from((2, 8)))
-    def test_owner_parity(self, seq, k, n_ranks):
-        brows = canonical_kmers(encode(seq), k)
-        prows = canonical_kmers_packed(encode(seq), k)
-        assert np.array_equal(
-            kmer_owner_packed(prows, k, n_ranks), kmer_owner(brows, n_ranks)
-        )
+    @given(dna)
+    def test_owner_parity(self, seq):
+        # The packed hash (one table gather per byte) against the per-base
+        # bytes hash, on the read's canonical k-mers plus four rows of one
+        # code repeated: canonical rows alone never hold T at every position.
+        for k in (3, 25, 31, 32, 33, 51, 63):
+            uniform = np.repeat(np.arange(4, dtype=np.uint8)[:, None], k, axis=1)
+            brows = np.concatenate([canonical_kmers(encode(seq), k), uniform])
+            prows = np.concatenate(
+                [canonical_kmers_packed(encode(seq), k), packed.pack(uniform)]
+            )
+            for n_ranks in (1, 2, 3, 8):
+                owners = kmer_owner_packed(prows, k, n_ranks)
+                assert np.array_equal(owners, kmer_owner(brows, n_ranks))
+                assert owners.dtype == np.int64 and owners.max() < n_ranks
 
     def test_empty_reads(self):
         for k in BOUNDARY_KS:

@@ -1,6 +1,7 @@
-"""Unitig extraction over the cached link table: reference parity on
-rank-sharded seeds and hostile topologies, edge inputs, and cache
-invalidation when a table's rows change.
+"""Unitig extraction as an array kernel: the link table against k-mer by
+k-mer adjacency, reference parity on rank-sharded seeds and hostile
+topologies (both entry points), edge inputs, and cache invalidation when
+a table's rows change.
 
 The invariant is equality with the sequential bytes-dict walker frozen in
 :mod:`repro.assembly.reference_impl` — unitig list, order and step count,
@@ -18,13 +19,20 @@ from repro.assembly.dbg import (
     build_kmer_table,
     build_kmer_table_packed,
     extract_unitigs,
+    extract_unitigs_by_owner,
 )
-from repro.assembly.kmers import canonical_kmers_varlen, kmer_counts, kmer_owner
+from repro.assembly.kmers import (
+    canonical,
+    canonical_kmers_varlen,
+    kmer_counts,
+    kmer_owner,
+    revcomp_kmer,
+)
 from repro.assembly.reference_impl import (
     legacy_build_kmer_table,
     legacy_extract_unitigs,
 )
-from repro.seq.alphabet import decode, random_dna, reverse_complement
+from repro.seq.alphabet import decode, encode, random_dna, reverse_complement
 
 #: One-word and two-word packed keys.
 WORD_KS = (31, 33)
@@ -32,11 +40,14 @@ WORD_KS = (31, 33)
 
 def assert_sharded_parity(counts: dict[bytes, int], k: int, shards) -> None:
     """Walk each seed shard in turn on both engines, sharing ``visited``
-    across shards the way Ray/ABySS do across ranks."""
+    across shards the way Ray/ABySS did across ranks; when the shards
+    partition the table in table order, the one-call-all-ranks entry
+    point must return the same per-rank lists and step counts."""
     t_new = build_kmer_table(k, counts)
     t_ref = legacy_build_kmer_table(k, counts)
     vis_new: set = set()
     vis_ref: set = set()
+    per_rank = []
     for rank, shard in enumerate(shards):
         got_u, got_steps = extract_unitigs(t_new, seeds=iter(shard), visited=vis_new)
         ref_u, ref_steps = legacy_extract_unitigs(
@@ -44,7 +55,16 @@ def assert_sharded_parity(counts: dict[bytes, int], k: int, shards) -> None:
         )
         assert got_steps == ref_steps, f"rank {rank}"
         assert got_u == ref_u, f"rank {rank}"
+        per_rank.append((ref_u, ref_steps))
     assert len(vis_new) == len(vis_ref)
+    owner_of = {km: rank for rank, shard in enumerate(shards) for km in shard}
+    in_table_order = all(list(shard) == sorted(shard) for shard in shards)
+    if in_table_order and sorted(owner_of) == sorted(counts) == sorted(
+        km for shard in shards for km in shard
+    ):
+        owners = np.array([owner_of[km] for km in sorted(counts)], dtype=np.int64)
+        fresh = build_kmer_table(k, counts)
+        assert extract_unitigs_by_owner(fresh, owners, len(shards)) == per_rank
 
 
 def owner_shards(keys: list[bytes], k: int, n_ranks: int) -> list[list[bytes]]:
@@ -104,7 +124,7 @@ def hostile_reads(draw, k: int) -> list[str]:
 
 
 class TestHostileTopologies:
-    @pytest.mark.parametrize("k", (5, 8, 12))
+    @pytest.mark.parametrize("k", (5, 8, 12, 33, 34))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_hairpins_cycles_palindromes(self, k, data):
@@ -127,6 +147,120 @@ class TestHostileTopologies:
         counts = kmer_counts(canonical_kmers_varlen(["AT" * 10, "TA" * 9], k))
         assert all(km == bytes(3 - b for b in reversed(km)) for km in counts)
         assert_sharded_parity(counts, k, [sorted(counts)])
+
+    @pytest.mark.parametrize(
+        "k,unit_len", [(5, 1), (5, 7), (8, 11), (33, 40), (34, 37)]
+    )
+    def test_tandem_repeat_cycle_from_every_row(self, k, unit_len):
+        # A pure cycle (and its mate cycle; a homopolymer's self-loop at
+        # unit_len 1): the unitig is the cycle cut at whichever row the
+        # first seed is, read forward.
+        rng = np.random.default_rng(k)
+        for _ in range(50):  # redraw units that happen to fold back
+            unit = decode(random_dna(unit_len, rng))
+            counts = kmer_counts(
+                canonical_kmers_varlen([unit * (3 + k // unit_len)], k)
+            )
+            chains = build_kmer_table(k, counts).unitig_chains()
+            if len(counts) == unit_len and chains.cyclic.all():
+                break
+        else:
+            pytest.fail("no pure cycle drawn")
+        assert chains.pair.tolist() == [0, 0]
+        keys = sorted(counts)
+        for r in range(len(keys)):
+            assert_sharded_parity(counts, k, [[km] for km in keys[r:] + keys[:r]])
+        assert_sharded_parity(counts, k, [keys])
+
+    def test_real_reads_hold_no_cycle(self, reads_paired):
+        rows = canonical_kmers_varlen([r.seq for r in reads_paired[:1500]], 31)
+        counts = {km: c for km, c in kmer_counts(rows).items() if c >= 2}
+        assert not build_kmer_table(31, counts).unitig_chains().cyclic.any()
+
+    @pytest.mark.parametrize("k", (5, 33))
+    def test_odd_k_hairpin(self, k):
+        # x = a + S with S a (k-1)-mer palindrome: the successor S + rc(a)
+        # of x is its own reverse complement, link[o] == mate(o).
+        rng = np.random.default_rng(k)
+        half = decode(random_dna((k - 1) // 2, rng))
+        read = decode(random_dna(k + 5, rng)) + half + reverse_complement(half)
+        counts = kmer_counts(canonical_kmers_varlen([read], k))
+        x = bytes(encode(read[-k:]))
+        t = build_kmer_table(k, counts)
+        assert t.successors(x) == [revcomp_kmer(x)]
+        x_id = sorted(counts).index(canonical(x)) + (x != canonical(x)) * len(t)
+        assert t.unitig_links()[0][x_id] == -1  # cut, not a step to its mate
+        keys = sorted(counts)
+        for r in range(len(keys)):
+            assert_sharded_parity(counts, k, [keys[r:], keys[:r]])
+            assert_sharded_parity(counts, k, [[km] for km in keys[r:] + keys[:r]])
+
+    @pytest.mark.parametrize("k", WORD_KS)
+    def test_first_seed_on_the_reverse_strand(self, k):
+        # The chain comes out in the orientation that holds the first
+        # seed's *canonical* k-mer, wherever in the chain that seed is.
+        rng = np.random.default_rng(k + 1)
+        seq = decode(random_dna(k + 40, rng))
+        counts = kmer_counts(canonical_kmers_varlen([seq], k))
+        path = [bytes(encode(seq[i : i + k])) for i in range(len(seq) - k + 1)]
+        forward = [km for km in path if canonical(km) == km]
+        reverse = [canonical(km) for km in path if canonical(km) != km]
+        assert forward and reverse
+        for seed, expect in ((forward[-1], seq), (reverse[0], reverse_complement(seq))):
+            rest = sorted(set(counts) - {seed})
+            unitigs, steps = extract_unitigs(
+                build_kmer_table(k, counts), seeds=iter([seed] + rest)
+            )
+            assert [u.seq for u in unitigs] == [expect] and steps == len(counts)
+            assert_sharded_parity(counts, k, [[seed], rest])
+
+
+# -- the link table ------------------------------------------------------------
+
+
+def _reference_links(table: KmerTable) -> list[int]:
+    """``link`` from the definition, one oriented k-mer at a time."""
+    keys = sorted(table.counts)
+    row = {km: i for i, km in enumerate(keys)}
+    n = len(keys)
+    link = []
+    for o in range(2 * n):
+        x = keys[o] if o < n else revcomp_kmer(keys[o - n])
+        succ = table.successors(x)
+        step = -1
+        if len(succ) == 1 and len(table.predecessors(succ[0])) == 1:
+            y = succ[0]
+            palindrome = y == revcomp_kmer(y)
+            step = row[canonical(y)] + (n if y != canonical(y) or palindrome else 0)
+            # the two cuts: a hairpin step, and leaving a palindrome
+            # through the id that steps enter it by
+            if y == revcomp_kmer(x) or (o >= n and x == revcomp_kmer(x)):
+                step = -1
+        link.append(step)
+    return link
+
+
+@pytest.mark.parametrize("k", (5, 8, 31, 33, 63))
+def test_links_match_kmer_by_kmer_adjacency(k):
+    rng = np.random.default_rng(100 + k)
+    core = decode(random_dna(2 * k, rng))
+    half = decode(random_dna(k // 2, rng))
+    unit = decode(random_dna(k + 2, rng))
+    reads = [
+        decode(random_dna(k, rng)) + core + decode(random_dna(k, rng)),
+        decode(random_dna(k, rng)) + core[k // 2 :] + decode(random_dna(k, rng)),
+        decode(random_dna(k, rng)) + half + reverse_complement(half) + "ACG",
+        unit * 3,
+    ]
+    if k <= 8:
+        reads += [decode(random_dna(60, rng)) for _ in range(4)] + ["AT" * k]
+    table = build_kmer_table(k, kmer_counts(canonical_kmers_varlen(reads, k)))
+    link, last_base = table.unitig_links()
+    assert link.tolist() == _reference_links(table)
+    keys = sorted(table.counts)
+    assert last_base.tolist() == [km[-1] for km in keys] + [
+        revcomp_kmer(km)[-1] for km in keys
+    ]
 
 
 # -- edge inputs ---------------------------------------------------------------
@@ -192,6 +326,15 @@ class TestEdgeInputs:
         assert extract_unitigs(t, visited=visited) == ([], 0)
         assert extract_unitigs(t, seeds=t.packed, visited=visited) == ([], 0)
 
+    def test_partly_visited_unitig_is_refused(self, k):
+        # The kernel skips a visited unitig whole, where the sequential
+        # walk emitted its unvisited remainder: a set no earlier call on
+        # this table could have left must not be answered quietly.
+        t, counts = _path_table(k)
+        with pytest.raises(ValueError, match="part of a unitig"):
+            extract_unitigs(t, visited={0})
+        assert extract_unitigs(t, visited=set(range(len(counts)))) == ([], 0)
+
 
 # -- cache invalidation --------------------------------------------------------
 
@@ -221,9 +364,9 @@ class TestLinkCacheInvalidation:
 
     def test_drop_below_without_removals_keeps_links(self, k):
         t = build_kmer_table(k, _branching_counts(k))
-        links = t.unitig_links()
+        chains = t.unitig_chains()
         assert t.drop_below(1) == 0
-        assert t.unitig_links() is links
+        assert t.unitig_chains() is chains
 
     def test_add_counts_rebuilds_links(self, k):
         counts = _branching_counts(k)
