@@ -10,14 +10,12 @@ the priced TTC.
 
 import functools
 
-from repro.assembly.base import AssemblyParams
-from repro.assembly.registry import get_assembler
 from repro.bench.harness import (
     annotation_reference,
     bench_dataset,
-    bench_preprocessed,
     format_table,
     machine_for,
+    run_assembly,
 )
 from repro.core.scaling import paper_usage
 from repro.evaluation.detonate import evaluate
@@ -32,16 +30,11 @@ def ablation_rows():
     cm = calibrated_cost_model()
     ds = bench_dataset("B_glumae")
     ref = annotation_reference("B_glumae")
-    params = AssemblyParams(k=K, min_contig_length=100)
     machine = machine_for("c3.2xlarge", 2)
 
-    variants = {
-        "raw reads": ds.run.all_reads(),
-        "preprocessed": bench_preprocessed("B_glumae").reads,
-    }
     rows = {}
-    for name, reads in variants.items():
-        result = get_assembler("ray").assemble(reads, params, n_ranks=16)
+    for name, preprocessed in (("raw reads", False), ("preprocessed", True)):
+        result = run_assembly("B_glumae", "ray", K, 16, preprocessed=preprocessed)
         scores = evaluate(result.contigs, ref)
         ttc = cm.task_seconds(paper_usage(result.usage, ds), machine)
         rows[name] = {

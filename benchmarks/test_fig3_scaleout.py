@@ -77,6 +77,7 @@ def test_fig3_contrail_requires_preprocessed_input(benchmark):
     N-failure is modeled and raised."""
     from repro.assembly.base import AssemblyParams
     from repro.assembly.contrail import ContrailAssembler, ContrailInputError
+    from repro.seq.readstore import ReadStore
 
     ds = benchmark.pedantic(
         lambda: harness.bench_dataset("P_crispa"), rounds=1, iterations=1
@@ -85,6 +86,7 @@ def test_fig3_contrail_requires_preprocessed_input(benchmark):
     assert any("N" in r.seq for r in raw)
     with pytest.raises(ContrailInputError):
         ContrailAssembler().assemble(
-            raw[:500], AssemblyParams(k=K, min_contig_length=100),
+            ReadStore.from_reads(raw[:500]),
+            AssemblyParams(k=K, min_contig_length=100),
             n_ranks=4, fail_on_n=True,
         )

@@ -42,6 +42,7 @@ from repro.obs.live import (
 )
 from repro.parallel.executor import ProcessExecutor
 from repro.parallel.usage import ResourceUsage
+from repro.seq.readstore import ReadStore
 
 DATASET = "P_crispa"
 K = 51
@@ -98,23 +99,23 @@ def _best_ratio(mode_walls, base_walls) -> float:
     return min(m / b for m, b in zip(mode_walls, base_walls))
 
 
-def _update_result(key: str, record: dict) -> None:
-    """Merge one benchmark's record into the shared BENCH json."""
-    doc = {}
-    if RESULT_PATH.exists():
-        doc = json.loads(RESULT_PATH.read_text())
-        if "ambient" not in doc and "worker_tracing" not in doc:
-            doc = {}  # pre-split flat layout: start over
+def _update_result(key: str, record: dict, smoke: bool) -> None:
+    """Merge one benchmark's record into the shared BENCH json (the
+    smoke tier writes nothing)."""
+    if smoke:
+        return
+    doc = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
     doc[key] = record
     RESULT_PATH.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def test_tracing_overhead(report_sink):
+def test_tracing_overhead(report_sink, smoke):
     reads = harness.bench_dataset(DATASET).run.all_reads()
+    store = ReadStore.from_reads(reads)
     params = AssemblyParams(k=K, min_contig_length=max(100, K))
 
     def workload():
-        return RayAssembler().assemble(reads, params, n_ranks=N_RANKS)
+        return RayAssembler().assemble(store, params, n_ranks=N_RANKS)
 
     workload()  # warm caches outside the timed runs
 
@@ -165,7 +166,7 @@ def test_tracing_overhead(report_sink):
         "max_traced_overhead": MAX_TRACED_OVERHEAD,
         "max_null_overhead": MAX_NULL_OVERHEAD,
     }
-    _update_result("ambient", record)
+    _update_result("ambient", record, smoke)
 
     report_sink.append(
         f"tracing overhead ({DATASET}, ray k={K}, {N_RANKS} ranks): "
@@ -177,7 +178,7 @@ def test_tracing_overhead(report_sink):
     assert traced_overhead < MAX_TRACED_OVERHEAD
 
 
-def test_live_telemetry_overhead(report_sink, tmp_path):
+def test_live_telemetry_overhead(report_sink, tmp_path, smoke):
     """Price the full live stack: every span/event/metric streamed to a
     flushed-per-line JSONL sink while a heartbeat thread (with straggler
     detection armed) beats over a 4-unit in-flight table — versus the
@@ -185,10 +186,11 @@ def test_live_telemetry_overhead(report_sink, tmp_path):
     the gate says attaching a live monitor may not cost more than the
     tracing budget itself."""
     reads = harness.bench_dataset(DATASET).run.all_reads()
+    store = ReadStore.from_reads(reads)
     params = AssemblyParams(k=K, min_contig_length=max(100, K))
 
     def workload():
-        return RayAssembler().assemble(reads, params, n_ranks=N_RANKS)
+        return RayAssembler().assemble(store, params, n_ranks=N_RANKS)
 
     workload()  # warm caches outside the timed runs
 
@@ -251,7 +253,7 @@ def test_live_telemetry_overhead(report_sink, tmp_path):
         "events_recorded": len(tracer.events),
         "max_live_overhead": MAX_LIVE_OVERHEAD,
     }
-    _update_result("live_telemetry", record)
+    _update_result("live_telemetry", record, smoke)
 
     report_sink.append(
         f"live telemetry overhead ({DATASET}, ray k={K}, {N_RANKS} ranks, "
@@ -368,8 +370,7 @@ def test_worker_tracing_overhead(report_sink, smoke):
         ),
         "max_worker_overhead": MAX_WORKER_OVERHEAD,
     }
-    if not smoke:
-        _update_result("worker_tracing", record)
+    _update_result("worker_tracing", record, smoke)
 
     report_sink.append(
         f"worker tracing overhead (process pool x{POOL_WORKERS}, "

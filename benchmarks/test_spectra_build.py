@@ -51,8 +51,8 @@ from repro.seq import alphabet
 from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
 
-#: Same 7-job shape as BENCH_multik: three pipeline assemblers at two k
-#: values plus the Trinity baseline at its fixed k.
+#: The Fig. 4 MAMP shape: three pipeline assemblers at two k values
+#: plus the Trinity baseline at its fixed k.
 JOBS = [(a, k) for a in ("ray", "abyss", "velvet") for k in (25, 31)]
 JOBS += [("trinity", TRINITY_K)]
 N_RANKS = 4
@@ -167,9 +167,9 @@ def _pr7_build_spectra(store, ks):
 
 
 def _descs(jobs, store, spectra):
+    by_k = {sp.k: sp for sp in spectra}
     descs = []
     for name, k in jobs:
-        want_k = TRINITY_K if name == "trinity" else k
         descs.append(
             UnitDescription(
                 name=f"{name}_k{k}",
@@ -180,8 +180,7 @@ def _descs(jobs, store, spectra):
                     ),
                     n_ranks=N_RANKS,
                     store=store,
-                    use_cache=False,
-                    spectra=tuple(sp for sp in spectra if sp.k == want_k),
+                    spectrum=by_k[TRINITY_K if name == "trinity" else k],
                 ),
                 cores=8,
                 scale=1.0,

@@ -7,6 +7,7 @@ Contrail (DBG, Hadoop MapReduce, 0.8.2).
 from repro.assembly.base import AssemblyParams
 from repro.assembly.registry import ASSEMBLERS, TABLE1_ASSEMBLERS, get_assembler
 from repro.bench.harness import format_table
+from repro.seq.readstore import ReadStore
 
 
 def render_table1() -> str:
@@ -43,8 +44,9 @@ def test_table1_assembler_inventory(benchmark, report_sink, reads_single):
 
     # Time the cheapest integrated assembler on the shared fixture reads.
     params = AssemblyParams(k=31, min_contig_length=100)
+    store = ReadStore.from_reads(reads_single)
     result = benchmark.pedantic(
-        lambda: get_assembler("ray").assemble(reads_single, params, n_ranks=8),
+        lambda: get_assembler("ray").assemble(store, params, n_ranks=8),
         rounds=1,
         iterations=1,
     )

@@ -26,10 +26,9 @@ import functools
 
 import pytest
 
-from repro.assembly.registry import get_assembler
+from repro.assembly.trinity import TRINITY_K
 from repro.bench.harness import (
     annotation_reference,
-    bench_dataset,
     format_table,
     run_assembly,
 )
@@ -51,12 +50,10 @@ OPTIONS = {
 
 @functools.lru_cache(maxsize=None)
 def option_scores(option: str) -> DetonateScores:
-    ds = bench_dataset("B_glumae")
     if option == "trinity":
         # Trinity runs its own preparation on the raw reads (the paper
         # flags exactly this caveat for the comparison).
-        result = get_assembler("trinity").assemble(ds.run.all_reads())
-        contigs = result.contigs
+        contigs = run_assembly("B_glumae", "trinity", TRINITY_K, 1).contigs
     else:
         contig_sets = [
             run_assembly("B_glumae", asm, k, 16, preprocessed=True).contigs

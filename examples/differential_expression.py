@@ -21,6 +21,7 @@ from repro.core.preprocess import preprocess
 from repro.core.quantify import quantify
 from repro.seq.datasets import tiny_dataset
 from repro.seq.reads import ReadSimulator, ReadSimSpec
+from repro.seq.readstore import ReadStore
 from repro.seq.transcriptome import Transcript, Transcriptome
 
 
@@ -56,7 +57,8 @@ def main() -> None:
     # Assemble a reference from the pooled, pre-processed reads.
     pooled = preprocess(run_a.reads + run_b.reads)
     assembly = VelvetAssembler().assemble(
-        pooled.reads, AssemblyParams(k=31, min_contig_length=150)
+        ReadStore.from_reads(pooled.reads),
+        AssemblyParams(k=31, min_contig_length=150),
     )
     print(f"reference: {len(assembly.contigs)} contigs "
           f"({assembly.total_bp} bp) from pooled reads")

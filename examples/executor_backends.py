@@ -23,18 +23,20 @@ import time
 from repro.assembly.base import AssemblyParams
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
+from repro.core.assembly_cache import use_assembly_cache
 from repro.core.multikmer import make_assembly_workload
 from repro.core.preprocess import preprocess
 from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitManager
 from repro.seq.datasets import tiny_dataset
+from repro.seq.readstore import ReadStore
 
 ASSEMBLERS = ("ray", "abyss", "velvet")
 KS = (31, 37)
 
 
-def run_fanout(dataset, reads, executor: str):
+def run_fanout(dataset, store, executor: str):
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
@@ -45,12 +47,9 @@ def run_fanout(dataset, reads, executor: str):
     descs = [
         UnitDescription(
             name=f"{name}_k{k}",
-            # use_cache=False: this example compares backends on *real*
-            # work — the assembly cache would turn runs 2 and 3 into
-            # lookups and hide the backend's wall-time.
             work=make_assembly_workload(
-                name, reads, AssemblyParams(k=k, min_contig_length=100),
-                n_ranks=8, dataset=dataset, use_cache=False,
+                name, store, AssemblyParams(k=k, min_contig_length=100),
+                n_ranks=8, dataset=dataset,
             ),
             cores=8,
             scale=1.0,
@@ -72,7 +71,7 @@ def run_fanout(dataset, reads, executor: str):
 
 def main() -> None:
     dataset = tiny_dataset(paired=False, seed=7)
-    reads = preprocess(dataset.run.all_reads()).reads
+    store = ReadStore.from_reads(preprocess(dataset.run.all_reads()).reads)
     print(
         f"6-job fan-out ({'+'.join(ASSEMBLERS)} x k={list(KS)}) "
         f"on a {os.cpu_count()}-core host\n"
@@ -80,7 +79,11 @@ def main() -> None:
 
     baseline = None
     for backend in ("serial", "thread", "process"):
-        units, vtime, wall = run_fanout(dataset, reads, backend)
+        # This example compares backends on *real* work: without the
+        # scope the assembly cache would turn runs 2 and 3 into lookups
+        # and hide the backend's wall-time.
+        with use_assembly_cache(None):
+            units, vtime, wall = run_fanout(dataset, store, backend)
         contigs = sum(len(u.result.contigs) for u in units)
         if baseline is None:
             baseline = (vtime, [u.result.contigs for u in units])
@@ -92,6 +95,7 @@ def main() -> None:
             f"{contigs} contigs (identical: {same_contigs})"
         )
 
+    store.close()  # unlinks the segment the process backend shared
     print(
         "\nVirtual TTC and assembly output never change with the backend; "
         "only the real wall-time does."

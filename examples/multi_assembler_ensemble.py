@@ -16,6 +16,7 @@ from repro.core.merge import merge_contigs
 from repro.core.preprocess import preprocess
 from repro.evaluation.detonate import evaluate
 from repro.seq.datasets import tiny_dataset
+from repro.seq.readstore import ReadStore
 
 KS = (31, 37)
 OPTIONS = {
@@ -35,12 +36,13 @@ def main() -> None:
         f"(dedup {pre.dropped_duplicate}, N {pre.dropped_n})"
     )
 
-    # One real assembly per (assembler, k).
+    # One real assembly per (assembler, k), all over one encoded read set.
+    store = ReadStore.from_reads(pre.reads)
     assemblies = {}
     for name in ("ray", "abyss", "contrail"):
         for k in KS:
             params = AssemblyParams(k=k, min_contig_length=100)
-            result = get_assembler(name).assemble(pre.reads, params, n_ranks=8)
+            result = get_assembler(name).assemble(store, params, n_ranks=8)
             assemblies[(name, k)] = result.contigs
             print(f"  {name:9s} k={k}: {len(result.contigs)} contigs")
 

@@ -22,8 +22,8 @@ from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import extract_unitigs_by_owner
 from repro.assembly.ray import distribute_and_count, merge_shards
+from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.comm import SimWorld
-from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 
 
@@ -34,27 +34,17 @@ class AbyssAssembler:
 
     def assemble(
         self,
-        reads: list[FastqRecord],
-        params: AssemblyParams,
-        n_ranks: int = 8,
-    ) -> AssemblyResult:
-        """Legacy record-list entry point (thin encode-once adapter)."""
-        return self.assemble_encoded(
-            ReadStore.from_reads(reads), params, n_ranks=n_ranks
-        )
-
-    def assemble_encoded(
-        self,
         store: ReadStore,
         params: AssemblyParams,
         n_ranks: int = 8,
         spectrum=None,
     ) -> AssemblyResult:
+        spectrum = resolve_spectrum(store, params.k, spectrum)
         world = SimWorld(n_ranks)
         p = world.size
         k = params.k
 
-        shards = distribute_and_count(world, store, k, spectrum=spectrum)
+        shards = distribute_and_count(world, spectrum)
 
         with world.phase("graph_build", kind="graph"):
             for r in world.ranks():

@@ -9,7 +9,6 @@ import numpy as np
 from repro.assembly.contigs import Contig
 from repro.assembly.dbg import Unitig
 from repro.seq.alphabet import decode, reverse_complement
-from repro.seq.fastq import FastqRecord
 
 
 @dataclass(frozen=True)
@@ -60,22 +59,3 @@ def unitigs_to_contigs(
         )
         for i, (codes, u) in enumerate(oriented)
     ]
-
-
-def read_sequences(reads: list[FastqRecord]) -> list[str]:
-    return [r.seq for r in reads]
-
-
-def assemble_encoded(assembler, store, params: AssemblyParams, **kwargs):
-    """Run one assembly from a :class:`~repro.seq.readstore.ReadStore`.
-
-    Dispatches to the assembler's array-native ``assemble_encoded``
-    entry point when it has one; otherwise adapts through the legacy
-    record path by materializing ``FastqRecord`` objects once.  All
-    in-tree assemblers implement the native path — the fallback keeps
-    third-party/duck-typed assemblers working unchanged.
-    """
-    native = getattr(assembler, "assemble_encoded", None)
-    if native is not None:
-        return native(store, params, **kwargs)
-    return assembler.assemble(store.records(), params, **kwargs)

@@ -10,10 +10,12 @@ JVM-class compute handicap make it very slow on small clusters, while the
 embarrassingly parallel map/shuffle stages keep scaling until the
 job-overhead floor is reached.
 
-This implementation runs the real job chain on
+This implementation runs the job chain on
 :class:`~repro.parallel.mapreduce.MapReduceEngine`:
 
-1. ``kmer_count`` — reads to canonical k-mer counts (with combiner),
+1. ``kmer_count`` — reads to canonical k-mer counts (with combiner); its
+   output and statistics are read off the job's counted spectrum and
+   booked on the engine, not streamed through it,
 2. ``adjacency`` — junction grouping; a junction incident to exactly two
    segment ends is compressible,
 3. per round: ``pair_<r>`` (junction pairing + coin flip) and
@@ -37,13 +39,9 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import Unitig
-from repro.assembly.kmers import (
-    canonical,
-    canonical_kmers_packed,
-    revcomp_kmer,
-)
+from repro.assembly.kmers import canonical, revcomp_kmer
+from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.mapreduce import MapReduceEngine, MRJob, MRJobStats
-from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 
 
@@ -112,21 +110,6 @@ class ContrailAssembler:
 
     def assemble(
         self,
-        reads: list[FastqRecord],
-        params: AssemblyParams,
-        n_ranks: int = 8,
-        fail_on_n: bool = False,
-    ) -> AssemblyResult:
-        """Legacy record-list entry point (thin encode-once adapter)."""
-        return self.assemble_encoded(
-            ReadStore.from_reads(reads),
-            params,
-            n_ranks=n_ranks,
-            fail_on_n=fail_on_n,
-        )
-
-    def assemble_encoded(
-        self,
         store: ReadStore,
         params: AssemblyParams,
         n_ranks: int = 8,
@@ -138,17 +121,11 @@ class ContrailAssembler:
                 "input reads contain uncalled bases (N); Contrail requires "
                 "pre-processed reads (see paper, Fig. 3 discussion)"
             )
-        engine = MapReduceEngine(n_ranks)
         k = params.k
+        spectrum = resolve_spectrum(store, k, spectrum)
+        engine = MapReduceEngine(n_ranks)
 
-        if (
-            spectrum is not None
-            and spectrum.k == k
-            and spectrum.store_digest == store.digest
-        ):
-            counts = self._derive_kmer_count(engine, store, params, spectrum)
-        else:
-            counts = self._job_kmer_count_encoded(engine, store, params)
+        counts = self._derive_kmer_count(engine, store, params, spectrum)
         segments = {
             i: _Segment(sid=i, codes=kmer, cov_sum=float(c), n_kmers=1)
             for i, (kmer, c) in enumerate(sorted(counts.items()))
@@ -202,50 +179,6 @@ class ContrailAssembler:
 
     # -- jobs ----------------------------------------------------------------
 
-    def _job_kmer_count_encoded(
-        self,
-        engine: MapReduceEngine,
-        store: ReadStore,
-        params: AssemblyParams,
-    ) -> dict[bytes, int]:
-        k = params.k
-        min_count = params.min_count
-
-        # Keys travel as packed integers (order-isomorphic to the code
-        # bytes) but are priced at their logical k-byte record size, so
-        # shuffle bytes and reducer memory match the bytes-keyed job.
-        # Input records are zero-copy code views off the shared store —
-        # safe for accounting because the engine only *counts* map input
-        # records, it never prices their payloads.
-        def mapper(_rid, codes):
-            rows = canonical_kmers_packed(codes, k)
-            for key in packedmod.packed_to_ints(rows, k):
-                yield key, 1
-
-        def combiner(kmer, values):
-            yield kmer, sum(values)
-
-        def reducer(kmer, values):
-            total = sum(values)
-            if total >= min_count:
-                yield kmer, total
-
-        job = MRJob(
-            "kmer_count",
-            mapper,
-            reducer,
-            combiner=combiner,
-            key_nbytes=lambda _key: k,
-        )
-        out = engine.run(
-            job, [(i, store.read_codes(i)) for i in range(store.n_reads)]
-        )
-        int_keys = [key for key, _c in out]
-        byte_keys = packedmod.unpack_to_bytes(
-            packedmod.ints_to_packed(int_keys, k), k
-        )
-        return {bk: c for bk, (_key, c) in zip(byte_keys, out)}
-
     def _derive_kmer_count(
         self,
         engine: MapReduceEngine,
@@ -253,10 +186,11 @@ class ContrailAssembler:
         params: AssemblyParams,
         spectrum,
     ) -> dict[bytes, int]:
-        """Count-once twin of :meth:`_job_kmer_count_encoded`.
+        """The ``kmer_count`` job: reads to canonical k-mer counts, with
+        a combiner, keys priced at their logical k-byte record size.
 
-        The shared :class:`~repro.assembly.sweep.KmerSpectrum` already is
-        the job's result, so instead of streaming every read through the
+        The :class:`~repro.assembly.sweep.KmerSpectrum` already is the
+        job's result, so instead of streaming every read through the
         engine the job's *measured statistics* are derived from the
         occurrence stream and booked via
         :meth:`~repro.parallel.mapreduce.MapReduceEngine.record_job`:
@@ -270,7 +204,9 @@ class ContrailAssembler:
           with ``hash(key) % n`` placement over the same integer keys;
         * reduce groups = distinct k-mers, outputs = those >= min_count.
 
-        Every quantity equals the executed job's bit-for-bit.
+        Every quantity equals the executed job's bit-for-bit
+        (``tests/assembly/test_contrail.py`` runs that job through the
+        engine and compares).
         """
         k = params.k
         n = engine.n_workers

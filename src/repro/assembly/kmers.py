@@ -145,27 +145,6 @@ def canonical_kmers_varlen_packed(seqs: list[str], k: int) -> np.ndarray:
     return canonical_kmers_packed(np.concatenate(parts[:-1]), k)
 
 
-def canonical_kmers_encoded_packed(
-    parts: list[np.ndarray], k: int
-) -> np.ndarray:
-    """Canonical packed k-mers of pre-encoded variable-length code arrays.
-
-    Array-native twin of :func:`canonical_kmers_varlen_packed`: the same
-    join-with-single-N-separator extraction in one windowing pass, minus
-    the per-call string encoding; output rows and order are identical.
-    """
-    packedmod.check_k(k)
-    sep = np.array([alphabet.N], dtype=np.uint8)
-    joined: list[np.ndarray] = []
-    for codes in parts:
-        if codes.shape[0] >= k:
-            joined.append(codes)
-            joined.append(sep)
-    if not joined:
-        return np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
-    return canonical_kmers_packed(np.concatenate(joined[:-1]), k)
-
-
 def canonical_kmers_store_packed(
     store, k: int, indices: np.ndarray | None = None
 ) -> np.ndarray:
@@ -180,6 +159,11 @@ def canonical_kmers_store_packed(
     are bit-identical to :func:`canonical_kmers_varlen_packed` on the
     same records: windows touching a separator contain an N and are
     dropped, and reads shorter than k contribute no windows.
+
+    No assembler extracts per job any more (they read a counted
+    :class:`~repro.assembly.sweep.KmerSpectrum`); this stays as the
+    independent single-k extraction the tests hold the fused build and
+    the assembled contigs against.
     """
     packedmod.check_k(k)
     codes = store.codes if indices is None else store.subset_codes(indices)
@@ -390,10 +374,6 @@ def owner_of(kmer: bytes, n_ranks: int) -> int:
     """Owner rank of a single k-mer (matches :func:`kmer_owner`)."""
     row = np.frombuffer(kmer, dtype=np.uint8)[None, :]
     return int(kmer_owner(row, n_ranks)[0])
-
-
-def kmer_to_codes(kmer: bytes) -> np.ndarray:
-    return np.frombuffer(kmer, dtype=np.uint8)
 
 
 #: Complement of every byte value: ``3 - code`` with uint8 wrap-around.

@@ -254,19 +254,6 @@ def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
     return [(a << 64) | b for a, b in zip(w0, w1)]
 
 
-def ints_to_packed(values: list[int], k: int) -> np.ndarray:
-    """Inverse of :func:`packed_to_ints`."""
-    W = words_for(k)
-    out = np.empty((len(values), W), dtype=_U)
-    if W == 1:
-        out[:, 0] = np.array(values, dtype=_U) if values else 0
-        return out
-    for i, v in enumerate(values):
-        out[i, 0] = _U(v >> 64)
-        out[i, 1] = _U(v & 0xFFFFFFFFFFFFFFFF)
-    return out
-
-
 def unique_counts(
     packed: np.ndarray, k: int, presorted: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -9,70 +9,68 @@ owner.  Two properties matter for the paper's benchmarks:
 * extension is *latency-bound* — every remote candidate probe is a small
   message — so compute scale-out gains are marginal (Fig. 3/4).
 
-Here, ranks exchange packed k-mer rows through a real ``alltoall``, each
-rank counts its own shard with a sorted-array :class:`KmerTable`, and the
-walking phase charges work to the rank owning each seed while counting
-one remote probe message per off-shard candidate query, reproducing both
-properties from measured quantities.  Communication is charged at the
-*logical* k-byte record size the cost model was calibrated to, not the
-16-byte packed wire size, so virtual TTCs match the bytes-era pipeline
-bit-for-bit.
+Here, the k-mer exchange is an ``alltoall`` whose per-pair payload sizes
+come from the job's counted :class:`~repro.assembly.sweep.KmerSpectrum`,
+each rank's shard is the owner partition of that spectrum in a
+sorted-array :class:`KmerTable`, and the walking phase charges work to the
+rank owning each seed while counting one remote probe message per
+off-shard candidate query, reproducing both properties from measured
+quantities.  Communication is charged at the *logical* k-byte record size
+the cost model was calibrated to, not the 16-byte packed wire size, so
+virtual TTCs match the bytes-era pipeline bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.assembly import packed as packedmod
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import KmerTable, build_kmer_table_packed
 from repro.assembly.dbg import extract_unitigs_by_owner
-from repro.assembly.kmers import (
-    canonical_kmers_store_packed,
-    kmer_counts_packed,
-    kmer_owner_packed,
-)
+from repro.assembly.sweep import KmerSpectrum, resolve_spectrum
 from repro.parallel.comm import SimWorld
-from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 
 
-def _distribute_and_count_fused(
-    world: SimWorld, spectrum, k: int, kind_prefix: str = ""
+def distribute_and_count(
+    world: SimWorld, spectrum: KmerSpectrum
 ) -> list[KmerTable]:
-    """Count-once twin of :func:`distribute_and_count`.
+    """Shared first half of the MPI assemblers: the per-rank shard tables.
 
-    The shared :class:`~repro.assembly.sweep.KmerSpectrum` already holds
-    the full occurrence stream and the sorted distinct rows, so no rank
-    re-extracts or re-sorts anything.  Every virtual quantity is derived
-    instead of recomputed — per-rank extraction charges from the stripe
-    occupancy (read index mod p), the alltoall byte matrix from the
-    (stripe, owner) occurrence histogram, and each rank's shard from the
-    owner partition of the pre-sorted distinct rows — and is provably
-    equal to the recomputed path's: same stream lengths, same per-pair
-    payload sizes, same shard tables.
+    Models reads striped over ranks (read ``i`` on rank ``i % p``), local
+    k-mer extraction, an ``alltoall`` of every k-mer to its hash owner
+    and a per-shard count.  The :class:`~repro.assembly.sweep.KmerSpectrum`
+    already holds the full occurrence stream and the sorted distinct
+    rows, so no rank re-extracts or re-sorts anything: per-rank
+    extraction charges come from the stripe occupancy, the alltoall byte
+    matrix from the (stripe, owner) occurrence histogram, and each
+    rank's shard from the owner partition of the pre-sorted distinct
+    rows — the stream lengths, per-pair payload sizes and shard tables
+    an executed exchange produces (``reference_impl`` is that exchange;
+    ``tests/assembly/test_parity.py`` holds the two equal).
     """
     p = world.size
+    k = spectrum.k
     owners = spectrum.owners(p)
     occ_rank = spectrum.occ_read() % p
     occ_owner = owners[spectrum.inverse]
     # (src rank, owner rank) occurrence histogram == the alltoall row
-    # counts of the recomputed path.
+    # counts of the executed exchange.
     matrix = np.bincount(occ_rank * p + occ_owner, minlength=p * p).reshape(
         p, p
     )
 
-    with world.phase(f"{kind_prefix}kmer_extract", kind="kmer"):
+    with world.phase("kmer_extract", kind="kmer"):
         for r in world.ranks():
             world.charge(r, float(matrix[r].sum()))
         send = [[int(matrix[r, dst]) for dst in range(p)] for r in range(p)]
-        # Same logical k-byte record charge per (src, dst) pair as the
-        # payload-carrying exchange below.
+        # Rows would travel packed (16 B) but are charged at their
+        # logical k-byte record size — the quantity the cost model prices.
         world.alltoall(send, nbytes_of=lambda c: int(c) * k)
 
-    with world.phase(f"{kind_prefix}kmer_count", kind="kmer"):
+    with world.phase("kmer_count", kind="kmer"):
         shards: list[KmerTable] = []
         for r in world.ranks():
             world.charge(r, float(matrix[:, r].sum()))
@@ -82,71 +80,6 @@ def _distribute_and_count_fused(
                 spectrum.distinct[mine],
                 spectrum.counts[mine],
                 presorted=True,
-            )
-            shards.append(shard)
-            world.record_memory(r, shard.memory_bytes())
-    return shards
-
-
-def distribute_and_count(
-    world: SimWorld,
-    reads: "ReadStore | list[FastqRecord]",
-    k: int,
-    kind_prefix: str = "",
-    spectrum=None,
-) -> list[KmerTable]:
-    """Shared first half of the MPI assemblers.
-
-    Splits reads over ranks, extracts packed k-mers locally, exchanges
-    them to their hash owners via alltoall, and counts each shard into a
-    sorted-array :class:`KmerTable`.  Returns the per-rank shard tables.
-
-    Accepts the encode-once :class:`ReadStore` directly; a record list
-    is encoded once up front.  Each rank's stripe is gathered from the
-    shared code arrays — the extracted k-mer stream is bit-identical to
-    the historical per-read ``reads[r::p]`` path.
-
-    ``spectrum`` — a matching :class:`~repro.assembly.sweep.KmerSpectrum`
-    (same store digest, same k) — switches to the count-once fast path,
-    which replays the identical accounting from the shared precomputed
-    stream; a non-matching spectrum is ignored.
-    """
-    store = (
-        reads if isinstance(reads, ReadStore) else ReadStore.from_reads(reads)
-    )
-    if (
-        spectrum is not None
-        and spectrum.k == k
-        and spectrum.store_digest == store.digest
-    ):
-        return _distribute_and_count_fused(world, spectrum, k, kind_prefix)
-    p = world.size
-
-    with world.phase(f"{kind_prefix}kmer_extract", kind="kmer"):
-        send: list[list[np.ndarray]] = [[None] * p for _ in range(p)]
-        for r in world.ranks():
-            stripe = np.arange(r, store.n_reads, p, dtype=np.int64)
-            kmers = canonical_kmers_store_packed(store, k, indices=stripe)
-            world.charge(r, float(kmers.shape[0]))
-            owners = kmer_owner_packed(kmers, k, p)
-            for dst in range(p):
-                send[r][dst] = kmers[owners == dst]
-        # Rows travel packed (16 B) but are charged at their logical
-        # k-byte record size — the quantity the cost model prices.
-        recv = world.alltoall(send, nbytes_of=lambda a: a.shape[0] * k)
-
-    with world.phase(f"{kind_prefix}kmer_count", kind="kmer"):
-        shards: list[KmerTable] = []
-        for r in world.ranks():
-            mine = [m for m in recv[r] if m is not None and m.size]
-            stacked = (
-                np.concatenate(mine, axis=0)
-                if mine
-                else np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
-            )
-            world.charge(r, float(stacked.shape[0]))
-            shard = build_kmer_table_packed(
-                k, *kmer_counts_packed(stacked, k)
             )
             shards.append(shard)
             world.record_memory(r, shard.memory_bytes())
@@ -175,27 +108,17 @@ class RayAssembler:
 
     def assemble(
         self,
-        reads: list[FastqRecord],
-        params: AssemblyParams,
-        n_ranks: int = 8,
-    ) -> AssemblyResult:
-        """Legacy record-list entry point (thin encode-once adapter)."""
-        return self.assemble_encoded(
-            ReadStore.from_reads(reads), params, n_ranks=n_ranks
-        )
-
-    def assemble_encoded(
-        self,
         store: ReadStore,
         params: AssemblyParams,
         n_ranks: int = 8,
         spectrum=None,
     ) -> AssemblyResult:
+        spectrum = resolve_spectrum(store, params.k, spectrum)
         world = SimWorld(n_ranks)
         p = world.size
         k = params.k
 
-        shards = distribute_and_count(world, store, k, spectrum=spectrum)
+        shards = distribute_and_count(world, spectrum)
 
         # Coverage threshold is applied locally on each shard.
         with world.phase("graph_build", kind="graph"):

@@ -471,6 +471,30 @@ def build_spectra(
         return tuple(spectra)
 
 
+def resolve_spectrum(
+    store: ReadStore, k: int, spectrum: KmerSpectrum | None = None
+) -> KmerSpectrum:
+    """The spectrum one assembly job reads — the single rule every
+    assembler applies before it touches a k-mer.
+
+    The handed ``spectrum`` when it is live and counts ``store`` at
+    ``k``; otherwise that one spectrum is built here, serially and
+    locally: never shared, never put in or looked up from the table
+    cache (a job uses what it was handed and looks nowhere else).  The
+    rebuild is what an evicted cache entry, a torn checkpoint or a direct
+    call without a spectrum costs, and shows in a trace as a
+    ``spectrum.build`` span with ``ks == [k]`` inside the unit.
+    """
+    if (
+        spectrum is not None
+        and not spectrum.closed
+        and spectrum.k == k
+        and spectrum.store_digest == store.digest
+    ):
+        return spectrum
+    return build_spectra(store, (k,))[0]
+
+
 @dataclass(frozen=True)
 class ShardSpectrumPart:
     """One (shard, k) cell of the sharded build: the shard's locally

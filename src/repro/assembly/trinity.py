@@ -15,19 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.assembly import packed as packedmod
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import build_kmer_table_packed, extract_unitigs
-from repro.assembly.kmers import (
-    canonical_kmers_encoded_packed,
-    canonical_kmers_packed,
-    kmer_counts_packed,
-)
+from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.usage import PhaseUsage, ResourceUsage
-from repro.seq import alphabet
-from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 
 TRINITY_K = 25
@@ -44,68 +37,27 @@ class TrinityAssembler:
     #: In-silico normalization target depth (Trinity's --normalize_reads).
     normalize_depth = 30
 
-    def prepare_reads(self, reads: list[FastqRecord]) -> list[str]:
-        """Trinity-style preparation: trim trailing hard-low-quality bases,
-        then in-silico normalization — a read is dropped when the k-mers
-        it would add are already at the target depth.  No exact
+    def _prepare_fused(self, store: ReadStore, spectrum) -> np.ndarray:
+        """Trinity-style preparation: trim trailing hard-low-quality
+        bases, then in-silico normalization — a read is dropped when the
+        k-mers it would add are already at the target depth (the median
+        depth of its k-mers has reached ``normalize_depth``).  No exact
         deduplication and no N filtering (unlike the pipeline's QC).
 
-        Sequences come back normalized to the ``ACGTN`` alphabet (the
-        same normalization every k-mer consumer applies)."""
-        return [
-            alphabet.decode(codes)
-            for codes in self._prepare_encoded(ReadStore.from_reads(reads))
-        ]
-
-    def _prepare_encoded(self, store: ReadStore) -> list[np.ndarray]:
-        """Array-native preparation over the encode-once store; returns
-        the kept reads as trimmed code arrays (zero-copy views)."""
-        trimmed = []
-        for i in range(store.n_reads):
-            ph = store.phred(i)
-            end = int(ph.size)
-            while end > 0 and ph[end - 1] < self.hard_trim_quality:
-                end -= 1
-            if end >= TRINITY_K:
-                trimmed.append(store.read_codes(i)[:end])
-
-        depth: dict[int, int] = {}
-        out = []
-        for codes in trimmed:
-            rows = canonical_kmers_packed(codes, TRINITY_K)
-            if rows.shape[0] == 0:
-                continue
-            keys = packedmod.key_list(rows, TRINITY_K)
-            counts = sorted(depth.get(key, 0) for key in keys)
-            if counts[len(counts) // 2] >= self.normalize_depth:
-                continue  # locus already saturated
-            out.append(codes)
-            for key in keys:
-                depth[key] = depth.get(key, 0) + 1
-        return out
-
-    def _prepare_fused(
-        self, store: ReadStore, spectrum
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Count-once twin of :meth:`_prepare_encoded`.
-
-        The shared 25-mer :class:`~repro.assembly.sweep.KmerSpectrum`
-        already holds every read's canonical windows (``inverse`` ids at
-        ``rel_positions``), so normalization needs no per-read extraction:
-        a trimmed read's k-mers are exactly its spectrum occurrences with
-        ``rel_position <= end - k`` (trimming only removes windows past
-        the cut; the N-window set is unchanged), and the depth dict
-        becomes an array indexed by distinct id — a bijection of the
-        legacy ``dict[key, int]``, updated in the same read order.
-        Returns the kept trimmed code views plus the selected occurrence
-        indices (in stream order), whose rows equal the legacy path's
-        extracted k-mer stream bit-for-bit.
+        The 25-mer :class:`~repro.assembly.sweep.KmerSpectrum` already
+        holds every read's canonical windows (``inverse`` ids at
+        ``rel_positions``), so normalization needs no per-read
+        extraction: a trimmed read's k-mers are exactly its spectrum
+        occurrences with ``rel_position <= end - k`` (trimming only
+        removes windows past the cut; the N-window set is unchanged), and
+        the depth table is an array indexed by distinct id, updated in
+        read order.  Returns the selected occurrence indices in stream
+        order: the kept, trimmed reads' k-mer stream.
         """
         offs = spectrum.read_offsets
         rel = spectrum.rel_positions
         inv = spectrum.inverse
         depth = np.zeros(spectrum.n_distinct, dtype=np.int64)
-        out: list[np.ndarray] = []
         picked: list[np.ndarray] = []
         for i in range(store.n_reads):
             ph = store.phred(i)
@@ -124,26 +76,11 @@ class TrinityAssembler:
             counts = np.sort(depth[idx])
             if int(counts[counts.size // 2]) >= self.normalize_depth:
                 continue  # locus already saturated
-            out.append(store.read_codes(i)[:end])
             picked.append(sel)
             np.add.at(depth, idx, 1)
-        occ_sel = (
-            np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
-        )
-        return out, occ_sel
+        return np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
 
     def assemble(
-        self,
-        reads: list[FastqRecord],
-        params: AssemblyParams | None = None,
-        n_threads: int = 8,
-    ) -> AssemblyResult:
-        """Legacy record-list entry point (thin encode-once adapter)."""
-        return self.assemble_encoded(
-            ReadStore.from_reads(reads), params, n_threads=n_threads
-        )
-
-    def assemble_encoded(
         self,
         store: ReadStore,
         params: AssemblyParams | None = None,
@@ -155,36 +92,24 @@ class TrinityAssembler:
         ``params`` is accepted for interface compatibility but only its
         ``min_contig_length`` is honoured — Trinity fixes its own k and
         thresholds, exactly why Table V flags the comparison as indirect.
-        A ``spectrum`` at Trinity's fixed k=25 (same store digest) serves
-        preparation and counting from the shared count-once extraction.
+        The spectrum it reads is the one at its fixed k=25.
         """
+        spectrum = resolve_spectrum(store, TRINITY_K, spectrum)
         min_contig = params.min_contig_length if params else 100
         usage = ResourceUsage(n_ranks=1)
 
-        if (
-            spectrum is not None
-            and spectrum.k == TRINITY_K
-            and spectrum.store_digest == store.digest
-        ):
-            _prepared, occ_sel = self._prepare_fused(store, spectrum)
-            n_kmer_stream = int(occ_sel.size)
-            sel_counts = np.bincount(
-                spectrum.inverse[occ_sel], minlength=spectrum.n_distinct
-            )
-            present = sel_counts > 0
-            table = build_kmer_table_packed(
-                TRINITY_K,
-                spectrum.distinct[present],
-                sel_counts[present].astype(np.int64),
-                presorted=True,
-            )
-        else:
-            prepared = self._prepare_encoded(store)
-            kmers = canonical_kmers_encoded_packed(prepared, TRINITY_K)
-            n_kmer_stream = int(kmers.shape[0])
-            table = build_kmer_table_packed(
-                TRINITY_K, *kmer_counts_packed(kmers, TRINITY_K)
-            )
+        occ_sel = self._prepare_fused(store, spectrum)
+        n_kmer_stream = int(occ_sel.size)
+        sel_counts = np.bincount(
+            spectrum.inverse[occ_sel], minlength=spectrum.n_distinct
+        )
+        present = sel_counts > 0
+        table = build_kmer_table_packed(
+            TRINITY_K,
+            spectrum.distinct[present],
+            sel_counts[present].astype(np.int64),
+            presorted=True,
+        )
         usage.add_phase(
             PhaseUsage(
                 name="kmer_count",

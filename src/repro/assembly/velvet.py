@@ -12,13 +12,9 @@ from __future__ import annotations
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import build_kmer_table_packed, extract_unitigs
-from repro.assembly.kmers import (
-    canonical_kmers_store_packed,
-    kmer_counts_packed,
-)
+from repro.assembly.dbg import extract_unitigs
+from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.usage import PhaseUsage, ResourceUsage
-from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 
 
@@ -29,39 +25,18 @@ class VelvetAssembler:
 
     def assemble(
         self,
-        reads: list[FastqRecord],
-        params: AssemblyParams,
-        n_threads: int = 8,
-    ) -> AssemblyResult:
-        """Legacy record-list entry point (thin encode-once adapter)."""
-        return self.assemble_encoded(
-            ReadStore.from_reads(reads), params, n_threads=n_threads
-        )
-
-    def assemble_encoded(
-        self,
         store: ReadStore,
         params: AssemblyParams,
         n_threads: int = 8,
         spectrum=None,
     ) -> AssemblyResult:
-        usage = ResourceUsage(n_ranks=1)
+        # The spectrum already holds the stream length and the sorted
+        # distinct rows + counts.
+        spectrum = resolve_spectrum(store, params.k, spectrum)
+        n_kmer_stream = spectrum.n_occurrences
+        table = spectrum.table()
 
-        if (
-            spectrum is not None
-            and spectrum.k == params.k
-            and spectrum.store_digest == store.digest
-        ):
-            # Count-once fast path: the shared spectrum already holds the
-            # stream length and the sorted distinct rows + counts.
-            n_kmer_stream = spectrum.n_occurrences
-            table = spectrum.table()
-        else:
-            kmers = canonical_kmers_store_packed(store, params.k)
-            n_kmer_stream = int(kmers.shape[0])
-            table = build_kmer_table_packed(
-                params.k, *kmer_counts_packed(kmers, params.k)
-            )
+        usage = ResourceUsage(n_ranks=1)
         usage.add_phase(
             PhaseUsage(
                 name="kmer_count",

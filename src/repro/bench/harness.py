@@ -19,6 +19,7 @@ from repro.core.scaling import paper_usage
 from repro.parallel.costmodel import CostModel, MachineConfig
 from repro.parallel.usage import ResourceUsage
 from repro.seq.datasets import B_GLUMAE, P_CRISPA, Dataset, generate_dataset
+from repro.seq.readstore import ReadStore
 
 #: Simulation parameters (scale, coverage_boost) per data set — chosen so
 #: each bench assembly runs in seconds while transcriptome size and
@@ -60,15 +61,16 @@ def run_assembly(
     else:
         reads = bench_dataset(dataset_name, fraction).run.all_reads()
     params = AssemblyParams(k=k, min_contig_length=max(100, k))
-    asm = get_assembler(assembler)
+    kwargs = {}
     if assembler in ("ray", "abyss", "contrail"):
         kwargs = {"n_ranks": n_ranks}
         if assembler == "contrail" and not preprocessed:
             # The paper had to feed Contrail pre-processed data to avoid
             # the N-failure; mirror that but keep raw sizing semantics.
             reads = [r for r in reads if "N" not in r.seq]
-        return asm.assemble(reads, params, **kwargs)
-    return asm.assemble(reads, params)
+    return get_assembler(assembler).assemble(
+        ReadStore.from_reads(reads), params, **kwargs
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,11 +5,12 @@ submits "the total 6 jobs, corresponding to two k-mer assemblies for each
 assembler" to SGE — and provides the workload closures that run the real
 assemblers on the pre-processed reads.
 
-The fan-out follows an encode-once discipline: the reads are encoded one
-time into a shared :class:`~repro.seq.readstore.ReadStore` and every
-workload carries only a cheap store reference — O(1) to pickle under the
-process backend (a shared-memory handle), zero per-unit copying, and one
-shared code array feeding every per-k extraction.  A content-addressed
+The fan-out follows an encode-once, count-once discipline: the reads are
+encoded one time into a shared :class:`~repro.seq.readstore.ReadStore`,
+their k-mers counted one time per k into a shared
+:class:`~repro.assembly.sweep.KmerSpectrum`, and every workload carries
+only cheap references to both — O(1) to pickle under the process backend
+(shared-memory handles), zero per-unit copying.  A content-addressed
 :class:`~repro.core.assembly_cache.AssemblyCache` keyed by the store
 digest short-circuits byte-identical re-runs (VM reuse, restarts,
 repeated sweeps) with bit-identical results and virtual TTCs.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.assembly.base import AssemblyParams, assemble_encoded
+from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import AssemblyResult
 from repro.assembly.registry import get_assembler
 from repro.assembly.sweep import KmerSpectrum
@@ -32,7 +33,6 @@ from repro.core.planner import AssemblyPlan
 from repro.obs import get_tracer
 from repro.pilot.description import UnitDescription
 from repro.seq.datasets import DatasetSpec
-from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 
 #: Assemblers taking an ``n_ranks`` argument (distributed implementations).
@@ -66,74 +66,46 @@ class AssemblyWorkload:
     with the per-phase factors of :mod:`repro.core.scaling` (the unit is
     then submitted with ``scale=1``).
 
-    Exactly one of ``store``/``reads`` is set.  ``store`` is the
-    encode-once path: the workload pickles to a constant-size
-    shared-memory handle regardless of read count, and (unless
-    ``use_cache`` is off) consults the content-addressed assembly cache
-    before running.  ``reads`` is the legacy self-contained record tuple,
-    kept for old callers and as the old-path baseline in benchmarks.
+    ``store`` is the encode-once read set: the workload pickles to a
+    constant-size shared-memory handle regardless of read count, and
+    consults the active content-addressed assembly cache (if any) before
+    running.
 
-    ``spectra`` carries the count-once fused extraction of
-    :mod:`repro.assembly.sweep`: shared :class:`KmerSpectrum` objects
-    (O(1) to pickle, like the store) from which the assembler's matching
-    k is served instead of re-extracted.  A workload uses the spectrum
-    it was handed and looks nowhere else; the pipeline hands one only to
-    jobs it expects to compute (see ``RnnotatorPipeline``'s demand
-    rule).  Without a live matching spectrum — none handed, or its
-    segment already closed — the assembler extracts its own k-mers,
-    bit-identically and merely slower.  Spectra never change results, so
-    they are not part of the content key.
+    ``spectrum`` is the count-once k-mer content of ``store`` at the
+    job's k (:func:`spectrum_k`), O(1) to pickle like the store.  One
+    fallback rule, applied by the assembler through
+    :func:`~repro.assembly.sweep.resolve_spectrum`: a workload reads the
+    spectrum it was handed and looks nowhere else; without a live
+    matching one — none handed (the pipeline hands one only to jobs it
+    expects to compute, see ``RnnotatorPipeline``'s demand rule), or its
+    segment already closed — the job builds that one spectrum itself,
+    locally, and runs the same engine on it.  A spectrum never changes
+    results, so it is not part of the content key.
     """
 
     assembler_name: str
     params: AssemblyParams
     n_ranks: int
-    store: ReadStore | None = None
-    reads: tuple[FastqRecord, ...] | None = None
+    store: ReadStore
     read_scale: float | None = None
     graph_scale: float | None = None
-    use_cache: bool = True
-    spectra: tuple[KmerSpectrum, ...] = ()
+    spectrum: KmerSpectrum | None = None
 
-    def __post_init__(self) -> None:
-        if (self.store is None) == (self.reads is None):
-            raise ValueError("exactly one of store/reads must be set")
-
-    def cache_key(self):
-        """Content address of this workload, or None when uncacheable."""
-        if self.store is None or not self.use_cache:
-            return None
+    def cache_key(self) -> tuple:
+        """Content address of this workload."""
         return content_key(
             self.store, self.assembler_name, self.params, self.n_ranks
         )
 
-    def _resolve_spectrum(self) -> "KmerSpectrum | None":
-        """The live handed-over spectrum matching this job, if any."""
-        if self.store is None:
-            return None
-        want_k = spectrum_k(self.assembler_name, self.params.k)
-        for spectrum in self.spectra:
-            if (
-                spectrum.k == want_k
-                and spectrum.store_digest == self.store.digest
-                and not spectrum.closed
-            ):
-                return spectrum
-        return None
-
     def _assemble(self) -> AssemblyResult:
-        assembler = get_assembler(self.assembler_name)
         kwargs = (
             {"n_ranks": self.n_ranks}
             if self.assembler_name in DISTRIBUTED_ASSEMBLERS
             else {}
         )
-        if self.store is not None:
-            spectrum = self._resolve_spectrum()
-            if spectrum is not None:
-                kwargs["spectrum"] = spectrum
-            return assemble_encoded(assembler, self.store, self.params, **kwargs)
-        return assembler.assemble(list(self.reads), self.params, **kwargs)
+        return get_assembler(self.assembler_name).assemble(
+            self.store, self.params, spectrum=self.spectrum, **kwargs
+        )
 
     def record_result(self, result: AssemblyResult) -> None:
         """Insert a collected *raw* result into the active cache.
@@ -142,12 +114,9 @@ class AssemblyWorkload:
         results computed in pool workers (whose in-worker cache inserts
         never cross the process boundary) become hits for later sweeps.
         """
-        key = self.cache_key()
-        if key is None:
-            return
         cache = get_assembly_cache()
         if cache is not None:
-            inserted = cache.put(key, result)
+            inserted = cache.put(self.cache_key(), result)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.count("assembly_cache.put")
@@ -174,7 +143,7 @@ class AssemblyWorkload:
 
     def _execute(self, tracer):
         key = self.cache_key()
-        cache = get_assembly_cache() if key is not None else None
+        cache = get_assembly_cache()
         result = cache.get(key) if cache is not None else None
         if cache is not None and tracer.enabled:
             outcome = "hit" if result is not None else "miss"
@@ -201,25 +170,18 @@ class AssemblyWorkload:
 
 def make_assembly_workload(
     assembler_name: str,
-    reads: "ReadStore | list[FastqRecord]",
+    store: ReadStore,
     params: AssemblyParams,
     n_ranks: int,
     dataset=None,
-    use_cache: bool = True,
-    spectra: tuple[KmerSpectrum, ...] = (),
+    spectrum: KmerSpectrum | None = None,
 ) -> AssemblyWorkload:
     """Workload executing one real assembly; returns (result, usage).
 
-    ``reads`` is ideally an already-built (shared) :class:`ReadStore`;
-    a record list is encoded once here.  When ``dataset`` is given, only
-    its two extrapolation ratios are captured — the workload stays cheap
-    to pickle.  ``spectra`` optionally carries count-once
-    :class:`~repro.assembly.sweep.KmerSpectrum` objects; the one matching
-    the assembler's k (if any) serves extraction."""
-
-    store = (
-        reads if isinstance(reads, ReadStore) else ReadStore.from_reads(reads)
-    )
+    When ``dataset`` is given, only its two extrapolation ratios are
+    captured — the workload stays cheap to pickle.  ``spectrum`` is the
+    job's counted :class:`~repro.assembly.sweep.KmerSpectrum`, if the
+    caller has one (see :class:`AssemblyWorkload`)."""
     return AssemblyWorkload(
         assembler_name=assembler_name,
         params=params,
@@ -227,8 +189,7 @@ def make_assembly_workload(
         store=store,
         read_scale=None if dataset is None else dataset.read_scale,
         graph_scale=None if dataset is None else dataset.scale,
-        use_cache=use_cache,
-        spectra=tuple(spectra),
+        spectrum=spectrum,
     )
 
 
@@ -281,12 +242,11 @@ def planned_jobs(
 def assembly_unit_descriptions(
     plan: AssemblyPlan,
     spec: DatasetSpec,
-    reads: "ReadStore | list[FastqRecord]",
+    store: ReadStore,
     dataset,
     min_count: int = 2,
     min_contig_length: int = 100,
     input_bytes: int | None = None,
-    use_cache: bool = True,
     max_restarts: int = 0,
     spectra: tuple[KmerSpectrum, ...] = (),
 ) -> list[UnitDescription]:
@@ -294,11 +254,12 @@ def assembly_unit_descriptions(
 
     ``dataset`` provides the paper-scale extrapolation factors; workloads
     hand back already-extrapolated usage, so units carry ``scale=1``.
-    The reads are encoded exactly once — every unit's workload shares the
-    same :class:`ReadStore`.  ``spectra`` (see :func:`build_spectra`)
-    additionally extracts/counts k-mers exactly once per k: each unit's
-    workload receives only the spectrum matching its job's k, so
-    spectra for other k values are never pickled to that unit's worker.
+    Every unit's workload shares the one :class:`ReadStore`.  ``spectra``
+    (see :func:`~repro.assembly.sweep.build_spectra`) are the k-mers of
+    that store counted once per k: each unit's workload receives only
+    the spectrum at its job's k, so spectra for other k values are never
+    pickled to that unit's worker; a job whose k is not among them
+    builds its own (see :class:`AssemblyWorkload`).
 
     Every unit carries a ``checkpoint_key`` — the job's
     :func:`content_key`, the same address the assembly cache uses — so
@@ -306,18 +267,11 @@ def assembly_unit_descriptions(
     bit-identically.  ``max_restarts`` lets callers survive transient
     failures (spot preemption) by retrying.
     """
-    store = (
-        reads if isinstance(reads, ReadStore) else ReadStore.from_reads(reads)
-    )
+    by_k = {sp.k: sp for sp in spectra}
     if input_bytes is None:
         input_bytes = spec.preprocessed_bytes
     descs = []
     for job in planned_jobs(plan, store, min_count, min_contig_length):
-        job_spectra = tuple(
-            sp
-            for sp in spectra
-            if sp.k == job.spectrum_k and sp.store_digest == store.digest
-        )
         descs.append(
             UnitDescription(
                 name=f"{job.assembler}_k{job.k}",
@@ -327,8 +281,7 @@ def assembly_unit_descriptions(
                     job.params,
                     job.cores,
                     dataset=dataset,
-                    use_cache=use_cache,
-                    spectra=job_spectra,
+                    spectrum=by_k.get(job.spectrum_k),
                 ),
                 cores=job.cores,
                 memory_bytes=task_memory_bytes(spec, "assembly", n_nodes=1),

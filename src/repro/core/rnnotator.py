@@ -100,16 +100,6 @@ class PipelineConfig:
     #: serially: their workloads are closures over pipeline state.
     executor: str | WorkloadExecutor = "serial"
     executor_workers: int | None = None
-    #: Consult the content-addressed assembly cache for the fan-out
-    #: (bit-identical hits; see repro.core.assembly_cache).  Off only for
-    #: benchmarking the uncached path.
-    assembly_cache: bool = True
-    #: Count-once multi-k fusion (see repro.assembly.sweep): extract and
-    #: count k-mers exactly once per (store, k) across the whole fan-out
-    #: and serve every assembler from the shared spectra.  Results,
-    #: usage and virtual TTCs are bit-identical either way; off only for
-    #: benchmarking the per-job re-extraction path.
-    fused_extraction: bool = True
     #: Shard count for the parallel spectrum build (pool backends only;
     #: see repro.assembly.sweep.submit_spectra_build).  None derives it
     #: from the executor's worker count — a configuration value, so the
@@ -165,8 +155,11 @@ class PipelineConfig:
         Two runs with equal fingerprints on the same dataset are
         comparable (the run ledger's regression check refuses to compare
         across differing fingerprints).  Execution-mechanics knobs that
-        cannot change results — executor backend, caching, checkpoint
-        directory, failure injection — are deliberately excluded.
+        cannot change results — executor backend, spectrum sharding,
+        checkpoint directory, restart budgets, telemetry, failure
+        injection — are deliberately excluded.  Caching is not a knob at
+        all: it is a process-wide scope (``use_assembly_cache``,
+        ``use_kmer_table_cache``), and a hit is bit-identical.
         """
         key = repr(
             (
@@ -653,55 +646,47 @@ class RnnotatorPipeline:
             )
 
             # ---- spectrum stage: demand, then supply ----------------------
-            # Count-once fusion counts k-mers only for jobs that will
-            # read them.  A job is *satisfied* when its content key is
-            # already in the assembly cache or the checkpoint store: it
-            # will be served from there and never opens a spectrum.  Only
-            # the k of unsatisfied jobs is needed; a needed k is looked
-            # up in the table cache first, and what is still missing is
-            # counted in one fused pass (sharded on pool backends).  The
-            # probes are predictions, not promises: a job that misses
-            # after all extracts its own k-mers, bit-identically.
+            # K-mers are counted only for jobs that will read them.  A
+            # job is *satisfied* when its content key is already in the
+            # assembly cache or the checkpoint store: it will be served
+            # from there and never opens a spectrum.  Only the k of
+            # unsatisfied jobs is needed; a needed k is looked up in the
+            # table cache first, and what is still missing is counted in
+            # one fused pass (sharded on pool backends).  The probes are
+            # predictions, not promises: a job that misses after all
+            # builds its own spectrum, bit-identically.
             jobs = multikmer.planned_jobs(
                 plan, store, config.min_count, config.min_contig_length
             )
             table_cache = get_kmer_table_cache()
+            asm_cache = get_assembly_cache()
             tracer = get_tracer()
-            missing_ks: tuple[int, ...] = ()
             pending_build = None
-            if config.fused_extraction:
-                asm_cache = (
-                    get_assembly_cache() if config.assembly_cache else None
+            unsatisfied = [
+                j
+                for j in jobs
+                if not (
+                    (asm_cache is not None and j.key in asm_cache)
+                    or (ckpt is not None and ckpt.has_unit(j.key))
                 )
-                unsatisfied = [
-                    j
-                    for j in jobs
-                    if not (
-                        (asm_cache is not None and j.key in asm_cache)
-                        or (ckpt is not None and ckpt.has_unit(j.key))
-                    )
-                ]
-                needed_ks = sorted({j.spectrum_k for j in unsatisfied})
-                cached = (
-                    {k: table_cache.get(store_digest, k) for k in needed_ks}
-                    if table_cache is not None
-                    else {}
+            ]
+            needed_ks = sorted({j.spectrum_k for j in unsatisfied})
+            cached = (
+                {k: table_cache.get(store_digest, k) for k in needed_ks}
+                if table_cache is not None
+                else {}
+            )
+            spectra = tuple(sp for sp in cached.values() if sp is not None)
+            missing_ks = tuple(k for k in needed_ks if cached.get(k) is None)
+            if not missing_ks and tracer.enabled:
+                tracer.event(
+                    "spectrum.skip",
+                    category="spectrum",
+                    ks=sorted({j.spectrum_k for j in jobs}),
+                    jobs=len(jobs),
+                    jobs_satisfied=len(jobs) - len(unsatisfied),
+                    reason="spectra cached" if needed_ks else "jobs satisfied",
                 )
-                spectra = tuple(sp for sp in cached.values() if sp is not None)
-                missing_ks = tuple(
-                    k for k in needed_ks if cached.get(k) is None
-                )
-                if not missing_ks and tracer.enabled:
-                    tracer.event(
-                        "spectrum.skip",
-                        category="spectrum",
-                        ks=sorted({j.spectrum_k for j in jobs}),
-                        jobs=len(jobs),
-                        jobs_satisfied=len(jobs) - len(unsatisfied),
-                        reason="spectra cached"
-                        if needed_ks
-                        else "jobs satisfied",
-                    )
             if missing_ks and assembly_executor.supports_overlap:
                 # Sharded build, submitted *now*: the shard workers race
                 # the pilot provisioning and cluster growth below on the
@@ -846,7 +831,6 @@ class RnnotatorPipeline:
                 dataset,
                 min_count=config.min_count,
                 min_contig_length=config.min_contig_length,
-                use_cache=config.assembly_cache,
                 max_restarts=config.unit_max_restarts,
                 spectra=spectra,
             )

@@ -11,9 +11,9 @@ trace as an artifact, and diffs it against the committed baseline with
     PYTHONPATH=src python -m repro.obs.smoke --resource-cadence 0 \
         --out tests/data/ci_baseline_trace.jsonl
 
-The assembly cache is disabled so the trace is identical whether or not
-the process already ran a pipeline, and the seed is fixed so every
-virtual quantity is deterministic.
+The run sits in a ``use_assembly_cache(None)`` scope so the trace is
+identical whether or not the process already ran a pipeline, and the
+seed is fixed so every virtual quantity is deterministic.
 
 The chaos knobs turn the same smoke into a checkpoint/resume drill (the
 CI chaos job):
@@ -50,6 +50,7 @@ import argparse
 import json
 import sys
 
+from repro.core.assembly_cache import use_assembly_cache
 from repro.core.rnnotator import (
     PipelineConfig,
     PipelineKilled,
@@ -213,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         kmer_list=tuple(int(k) for k in args.kmer_list.split(",")),
         executor=args.executor,
         executor_workers=args.workers,
-        assembly_cache=False,
         resource_cadence=args.resource_cadence,
         scheme=MatchingScheme.parse(args.scheme),
         checkpoint_dir=args.checkpoint_dir,
@@ -227,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     pipeline = RnnotatorPipeline(tracer=tracer)
     try:
-        result = pipeline.run(tiny_dataset(seed=args.seed), config)
+        with use_assembly_cache(None):
+            result = pipeline.run(tiny_dataset(seed=args.seed), config)
     except PipelineKilled as exc:
         if live_sink is not None:
             live_sink.close()

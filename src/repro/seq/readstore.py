@@ -24,7 +24,7 @@ once into flat numpy arrays:
 * ``quals`` — raw Phred+33 bytes in the same layout (one zero pad byte
   per read), so a single offsets array serves both.
 * ``id_bytes`` / ``id_offsets`` — UTF-8 read ids, for full
-  ``FastqRecord`` reconstruction through the legacy adapter path.
+  ``FastqRecord`` reconstruction (:meth:`ReadStore.records`).
 
 Locally the arrays are plain process memory.  :meth:`ReadStore.share`
 moves them into a :mod:`multiprocessing.shared_memory` segment so
@@ -468,7 +468,7 @@ class ReadStore:
         spans = offsets[indices + 1] - starts  # read length + separator
         return self.codes[expand_ranges(starts, spans)[1]]
 
-    # -- record reconstruction (legacy adapter path) -------------------------
+    # -- record reconstruction ------------------------------------------------
 
     def phred(self, i: int) -> np.ndarray:
         """Quality scores of read ``i`` — matches ``FastqRecord.phred``."""
@@ -494,6 +494,7 @@ class ReadStore:
         )
 
     def records(self) -> list[FastqRecord]:
-        """Materialize all records (the thin adapter for legacy callers;
-        sequences are normalized to the ``ACGTN`` alphabet)."""
+        """Materialize all records (sequences are normalized to the
+        ``ACGTN`` alphabet) — the round trip that shows a store, shared
+        or attached, still holds what was encoded."""
         return [self.record(i) for i in range(self.n_reads)]

@@ -1,5 +1,6 @@
-"""Contrail's MapReduce accounting, convergence flag and hash-seed
-independence."""
+"""Contrail's MapReduce accounting (the derived count job against the
+executed one, the closed-form record sizes against the generic walk),
+convergence flag and hash-seed independence."""
 
 import json
 import logging
@@ -8,13 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.assembly import contrail
+from repro.assembly import packed as packedmod
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler, _Segment, _segment_nbytes
+from repro.assembly.kmers import canonical_kmers_packed
+from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.mapreduce import MapReduceEngine, MRJob
 from repro.parallel.usage import nbytes
 from repro.seq.readstore import ReadStore
@@ -23,8 +28,64 @@ PARAMS = AssemblyParams(k=21, min_contig_length=50)
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+def _derived_kmer_count(engine, store, params) -> dict[bytes, int]:
+    return ContrailAssembler()._derive_kmer_count(
+        engine, store, params, resolve_spectrum(store, params.k)
+    )
+
+
+def _executed_kmer_count(engine, store, params) -> dict[int, int]:
+    """The ``kmer_count`` job streamed through the engine as a generic
+    :class:`MRJob`, one read at a time — what ``_derive_kmer_count``
+    books without running.  Keys travel as packed integers and are
+    priced at their logical k-byte record size."""
+    k = params.k
+
+    def mapper(_rid, codes):
+        for key in packedmod.packed_to_ints(canonical_kmers_packed(codes, k), k):
+            yield key, 1
+
+    def combiner(kmer, values):
+        yield kmer, sum(values)
+
+    def reducer(kmer, values):
+        total = sum(values)
+        if total >= params.min_count:
+            yield kmer, total
+
+    job = MRJob(
+        "kmer_count", mapper, reducer, combiner=combiner,
+        key_nbytes=lambda _key: k,
+    )
+    return dict(
+        engine.run(job, [(i, store.read_codes(i)) for i in range(store.n_reads)])
+    )
+
+
+class TestDerivedCountJob:
+    @pytest.mark.parametrize("k", (21, 33))  # one packed word, two
+    @pytest.mark.parametrize("n_workers", (1, 4, 16))
+    def test_books_what_the_executed_job_measures(self, reads_single, n_workers, k):
+        store = ReadStore.from_reads(reads_single[:300])
+        params = AssemblyParams(k=k, min_contig_length=50)
+        derived, executed = MapReduceEngine(n_workers), MapReduceEngine(n_workers)
+        got = _derived_kmer_count(derived, store, params)
+        want = _executed_kmer_count(executed, store, params)
+
+        rows = packedmod.pack(
+            np.frombuffer(b"".join(got), dtype=np.uint8).reshape(-1, k)
+        )
+        assert want and want == dict(
+            zip(packedmod.packed_to_ints(rows, k), got.values())
+        )
+        # MRJobStats; then PhaseUsage and the reducer-partition peak.
+        assert derived.job_stats == executed.job_stats
+        assert derived.usage == executed.usage
+        assert derived.usage.peak_rank_memory_bytes > 0
+
+
 def _initial_segments(reads) -> dict[int, _Segment]:
-    counts = ContrailAssembler()._job_kmer_count_encoded(
+    counts = _derived_kmer_count(
         MapReduceEngine(1), ReadStore.from_reads(reads), PARAMS
     )
     return {
@@ -83,7 +144,7 @@ class TestConvergenceFlag:
     def test_converged_on_small_input(self, reads_single, caplog):
         with caplog.at_level(logging.WARNING, logger=contrail.__name__):
             res = ContrailAssembler().assemble(
-                reads_single[:300], PARAMS, n_ranks=4
+                ReadStore.from_reads(reads_single[:300]), PARAMS, n_ranks=4
             )
         assert res.stats["compression_converged"] is True
         assert res.stats["compression_rounds"] < ContrailAssembler.max_rounds
@@ -93,7 +154,7 @@ class TestConvergenceFlag:
         monkeypatch.setattr(ContrailAssembler, "max_rounds", 1)
         with caplog.at_level(logging.WARNING, logger=contrail.__name__):
             res = ContrailAssembler().assemble(
-                reads_single[:300], PARAMS, n_ranks=4
+                ReadStore.from_reads(reads_single[:300]), PARAMS, n_ranks=4
             )
         assert res.stats["compression_converged"] is False
         assert res.stats["compression_rounds"] == 1
@@ -106,6 +167,7 @@ from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler
 from repro.parallel.mapreduce import MapReduceEngine
 from repro.seq.datasets import tiny_dataset
+from repro.seq.readstore import ReadStore
 
 jobs, book = [], MapReduceEngine._book
 def spy(self, stats, peak, sp):
@@ -115,7 +177,8 @@ MapReduceEngine._book = spy
 
 reads = tiny_dataset(paired=False, seed=1).run.all_reads()[:400]
 res = ContrailAssembler().assemble(
-    reads, AssemblyParams(k=21, min_contig_length=50), n_ranks=8
+    ReadStore.from_reads(reads), AssemblyParams(k=21, min_contig_length=50),
+    n_ranks=8,
 )
 print(json.dumps({"contigs": [c.seq for c in res.contigs], "jobs": jobs}))
 """

@@ -1,78 +1,24 @@
-"""Parity of the array-native assemble_encoded() path against the
-record-list assemble() adapter, and of the numpy detonate k-mer path
-against the historical set-based computation."""
+"""Parity of the numpy detonate k-mer path against the historical
+set-based computation."""
 
 import numpy as np
-import pytest
 
 from repro.assembly import packed as packedmod
-from repro.assembly.base import AssemblyParams, assemble_encoded
+from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import Contig
 from repro.assembly.kmers import canonical_kmers_varlen_packed
 from repro.assembly.registry import get_assembler
-from repro.core.assembly_cache import use_assembly_cache
-from repro.core.multikmer import AssemblyWorkload
 from repro.evaluation.detonate import KMER_METRIC_K, evaluate
 from repro.seq.alphabet import decode, encode, random_dna
 from repro.seq.readstore import ReadStore
 from repro.seq.transcriptome import Transcript, Transcriptome
 
-ASSEMBLERS = ["velvet", "ray", "abyss", "contrail", "trinity"]
-PARAMS = AssemblyParams(k=21)
-
-
-def _result_tuple(result):
-    return (result.assembler, result.k, result.contigs, result.stats,
-            result.usage, result.usage.phases)
-
-
-@pytest.mark.parametrize("name", ASSEMBLERS)
-def test_assemble_matches_assemble_encoded(name, reads_single):
-    reads = reads_single[:800]
-    assembler = get_assembler(name)
-    store = ReadStore.from_reads(reads)
-    legacy = assembler.assemble(list(reads), PARAMS)
-    encoded = assembler.assemble_encoded(store, PARAMS)
-    assert _result_tuple(legacy) == _result_tuple(encoded)
-
 
 def test_some_assembler_produces_contigs(reads_single):
-    """Guard: the parity above must not be comparing empty to empty."""
+    """The smallest end-to-end assembly in the suite: 800 reads at k=21
+    still yield contigs."""
     store = ReadStore.from_reads(reads_single[:800])
-    result = get_assembler("velvet").assemble_encoded(store, PARAMS)
-    assert result.contigs
-
-
-def test_module_dispatch_falls_back_to_records(reads_single):
-    """assemble_encoded() must serve assemblers without an encoded path
-    by decoding the store back to records."""
-
-    class LegacyOnly:
-        def assemble(self, reads, params, **kwargs):
-            return ("legacy", len(reads), params.k, kwargs)
-
-    store = ReadStore.from_reads(reads_single[:30])
-    out = assemble_encoded(LegacyOnly(), store, PARAMS, n_ranks=3)
-    assert out == ("legacy", 30, 21, {"n_ranks": 3})
-
-
-@pytest.mark.parametrize("name,n_ranks", [("ray", 4), ("contrail", 2)])
-def test_workload_store_vs_legacy_reads_parity(name, n_ranks, reads_single):
-    """The encode-once workload and the legacy record-tuple workload
-    produce identical contigs, stats and usage (hence comm bytes and,
-    downstream, virtual TTCs)."""
-    reads = reads_single[:600]
-    common = dict(
-        assembler_name=name, params=PARAMS, n_ranks=n_ranks,
-        read_scale=4.0, graph_scale=2.0,
-    )
-    with use_assembly_cache(None):
-        store = ReadStore.from_reads(reads)
-        r_new, u_new = AssemblyWorkload(store=store, **common)()
-        r_old, u_old = AssemblyWorkload(reads=tuple(reads), **common)()
-    assert _result_tuple(r_new) == _result_tuple(r_old)
-    assert u_new == u_old
-    assert u_new.comm_bytes == u_old.comm_bytes
+    assert get_assembler("velvet").assemble(store, AssemblyParams(k=21)).contigs
 
 
 class TestDetonateKmerParity:

@@ -1,10 +1,12 @@
-"""Bit-parity of the packed engine against the frozen dict/bytes engine.
+"""Bit-parity of the spectrum engine against the frozen dict/bytes engine.
 
-The packed-integer rewrite is a pure representation change: assembled
-contigs, k-mer tables, unitig walks, and every virtual-accounting
-quantity (charged work, collective bytes, message counts, peak memory,
-MapReduce stats) must be identical to the original implementation, which
-is preserved verbatim in :mod:`repro.assembly.reference_impl`.
+The packed-integer, count-once engine is a pure representation change:
+assembled contigs, k-mer tables, unitig walks, and every
+virtual-accounting quantity (charged work, collective bytes, message
+counts, peak memory, MapReduce stats) must be identical to the original
+implementation — per-job extraction, a payload-carrying ``alltoall``, an
+executed count job — which is preserved verbatim in
+:mod:`repro.assembly.reference_impl`.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.assembly.reference_impl import (
     reference_ray_assemble,
     reference_velvet_assemble,
 )
+from repro.assembly.sweep import resolve_spectrum
 from repro.assembly.velvet import VelvetAssembler
 from repro.parallel.mapreduce import MapReduceEngine
 from repro.seq.alphabet import decode, random_dna
@@ -52,26 +55,26 @@ PARAMS = AssemblyParams(k=31, min_contig_length=100)
 
 
 class TestAssemblerParity:
-    def test_velvet(self, reads_single):
-        got = VelvetAssembler().assemble(reads_single, PARAMS)
+    def test_velvet(self, reads_single, store_single):
+        got = VelvetAssembler().assemble(store_single, PARAMS)
         ref = reference_velvet_assemble(reads_single, PARAMS)
         assert_results_identical(got, ref)
 
     @pytest.mark.parametrize("n_ranks", (2, 8))
-    def test_ray(self, reads_single, n_ranks):
-        got = RayAssembler().assemble(reads_single, PARAMS, n_ranks=n_ranks)
+    def test_ray(self, reads_single, store_single, n_ranks):
+        got = RayAssembler().assemble(store_single, PARAMS, n_ranks=n_ranks)
         ref = reference_ray_assemble(reads_single, PARAMS, n_ranks=n_ranks)
         assert_results_identical(got, ref)
 
     @pytest.mark.parametrize("n_ranks", (2, 8))
-    def test_abyss(self, reads_single, n_ranks):
-        got = AbyssAssembler().assemble(reads_single, PARAMS, n_ranks=n_ranks)
+    def test_abyss(self, reads_single, store_single, n_ranks):
+        got = AbyssAssembler().assemble(store_single, PARAMS, n_ranks=n_ranks)
         ref = reference_abyss_assemble(reads_single, PARAMS, n_ranks=n_ranks)
         assert_results_identical(got, ref)
 
-    def test_ray_k63(self, reads_single):
+    def test_ray_k63(self, reads_single, store_single):
         params = AssemblyParams(k=63, min_contig_length=100)
-        got = RayAssembler().assemble(reads_single, params, n_ranks=4)
+        got = RayAssembler().assemble(store_single, params, n_ranks=4)
         ref = reference_ray_assemble(reads_single, params, n_ranks=4)
         assert_results_identical(got, ref)
 
@@ -82,8 +85,9 @@ class TestContrailCountJobParity:
         reads = reads_single[:400]
 
         engine_new = MapReduceEngine(1)
-        got = ContrailAssembler()._job_kmer_count_encoded(
-            engine_new, ReadStore.from_reads(reads), params
+        store = ReadStore.from_reads(reads)
+        got = ContrailAssembler()._derive_kmer_count(
+            engine_new, store, params, resolve_spectrum(store, params.k)
         )
         engine_ref = MapReduceEngine(1)
         ref = reference_kmer_count_job(engine_ref, reads, params)

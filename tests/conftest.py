@@ -3,6 +3,7 @@
 import pytest
 
 from repro.seq.datasets import tiny_dataset
+from repro.seq.readstore import ReadStore
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +26,14 @@ def reads_single(ds_single):
 @pytest.fixture(scope="session")
 def reads_paired(ds_paired):
     return ds_paired.run.all_reads()
+
+
+@pytest.fixture(scope="session")
+def store_single(reads_single):
+    """``reads_single`` encoded once: what every assembler consumes."""
+    return ReadStore.from_reads(reads_single)
+
+
+@pytest.fixture(scope="session")
+def store_paired(reads_paired):
+    return ReadStore.from_reads(reads_paired)

@@ -135,30 +135,13 @@ class TestKeySensitivity:
         finally:
             clone.close()
 
-    def test_uncacheable_workloads(self, store, reads_single):
-        assert _work(store, use_cache=False).cache_key() is None
-        legacy = AssemblyWorkload(
-            assembler_name="velvet",
-            params=AssemblyParams(k=31),
-            n_ranks=1,
-            reads=tuple(reads_single[:20]),
-        )
-        assert legacy.cache_key() is None
-
-    def test_exactly_one_input_form(self, store, reads_single):
-        with pytest.raises(ValueError):
+    def test_exactly_one_input_form(self):
+        """The store is the only input form, and it is required."""
+        with pytest.raises(TypeError):
             AssemblyWorkload(
                 assembler_name="velvet",
                 params=AssemblyParams(k=31),
                 n_ranks=1,
-            )
-        with pytest.raises(ValueError):
-            AssemblyWorkload(
-                assembler_name="velvet",
-                params=AssemblyParams(k=31),
-                n_ranks=1,
-                store=store,
-                reads=tuple(reads_single[:5]),
             )
 
 
@@ -243,21 +226,6 @@ class TestWorkloadPickleSize:
             s.close()
         assert abs(sizes[1] - sizes[0]) <= 16
         assert max(sizes) < 2048
-
-    def test_legacy_reads_workload_scales_linearly(self, reads_single):
-        """The old path really did ship the reads — documents the contrast."""
-        sizes = []
-        for n in (50, 2000):
-            w = AssemblyWorkload(
-                assembler_name="velvet",
-                params=AssemblyParams(k=31),
-                n_ranks=1,
-                reads=tuple(reads_single[:n]),
-            )
-            sizes.append(
-                len(pickle.dumps(w, protocol=pickle.HIGHEST_PROTOCOL))
-            )
-        assert sizes[1] > sizes[0] * 10
 
 
 def _dummy_result(name):

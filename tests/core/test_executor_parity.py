@@ -23,21 +23,25 @@ from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitManager
 from repro.pilot.scheduler import RoundRobinScheduler
 from repro.pilot.states import UnitState
+from repro.seq.readstore import ReadStore
 
 JOBS = [("ray", 31), ("ray", 37), ("velvet", 31), ("velvet", 37)]
 
 
 @pytest.fixture(scope="module")
-def pre_reads(ds_single):
-    return preprocess(ds_single.run.all_reads()).reads
+def pre_store(ds_single):
+    """The pre-processed reads, encoded once for every workload here."""
+    store = ReadStore.from_reads(preprocess(ds_single.run.all_reads()).reads)
+    yield store
+    store.close()
 
 
-def fanout_descs(pre_reads, ds):
+def fanout_descs(pre_store, ds):
     descs = []
     for name, k in JOBS:
         work = make_assembly_workload(
             name,
-            pre_reads,
+            pre_store,
             AssemblyParams(k=k, min_contig_length=100),
             n_ranks=8,
             dataset=ds,
@@ -55,7 +59,7 @@ def fanout_descs(pre_reads, ds):
     return descs
 
 
-def run_fanout(pre_reads, ds, executor):
+def run_fanout(pre_store, ds, executor):
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
@@ -66,7 +70,7 @@ def run_fanout(pre_reads, ds, executor):
         db, events, scheduler=RoundRobinScheduler(), executor=executor
     )
     um.add_pilot(pilot)
-    units = um.submit_units(fanout_descs(pre_reads, ds))
+    units = um.submit_units(fanout_descs(pre_store, ds))
     um.run(units)
     um.close()
     assert all(u.state is UnitState.DONE for u in units)
@@ -74,18 +78,18 @@ def run_fanout(pre_reads, ds, executor):
 
 
 class TestWorkloadPicklability:
-    def test_assembly_workload_roundtrips(self, pre_reads, ds_single):
+    def test_assembly_workload_roundtrips(self, pre_store, ds_single):
         work = make_assembly_workload(
-            "velvet", pre_reads, AssemblyParams(k=31), n_ranks=1,
+            "velvet", pre_store, AssemblyParams(k=31), n_ranks=1,
             dataset=ds_single,
         )
         assert isinstance(work, AssemblyWorkload)
         clone = pickle.loads(pickle.dumps(work))
         assert clone == work
 
-    def test_pickled_workload_gives_identical_output(self, pre_reads, ds_single):
+    def test_pickled_workload_gives_identical_output(self, pre_store, ds_single):
         work = make_assembly_workload(
-            "velvet", pre_reads, AssemblyParams(k=31), n_ranks=1,
+            "velvet", pre_store, AssemblyParams(k=31), n_ranks=1,
             dataset=ds_single,
         )
         clone = pickle.loads(pickle.dumps(work))
@@ -97,13 +101,13 @@ class TestWorkloadPicklability:
 
 class TestBackendParity:
     @pytest.fixture(scope="class")
-    def serial_run(self, pre_reads, ds_single):
-        return run_fanout(pre_reads, ds_single, "serial")
+    def serial_run(self, pre_store, ds_single):
+        return run_fanout(pre_store, ds_single, "serial")
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_identical_to_serial(self, backend, serial_run, pre_reads, ds_single):
+    def test_identical_to_serial(self, backend, serial_run, pre_store, ds_single):
         base_units, base_now = serial_run
-        units, now = run_fanout(pre_reads, ds_single, backend)
+        units, now = run_fanout(pre_store, ds_single, backend)
         assert now == base_now  # same total virtual time
         for u, b in zip(units, base_units):
             assert u.description.name == b.description.name
@@ -118,9 +122,9 @@ class TestBackendParity:
             # real wall-time was recorded by every backend
             assert u.real_seconds is not None and u.real_seconds > 0
 
-    def test_serial_run_is_deterministic(self, serial_run, pre_reads, ds_single):
+    def test_serial_run_is_deterministic(self, serial_run, pre_store, ds_single):
         base_units, base_now = serial_run
-        units, now = run_fanout(pre_reads, ds_single, "serial")
+        units, now = run_fanout(pre_store, ds_single, "serial")
         assert now == base_now
         for u, b in zip(units, base_units):
             assert u.result.contigs == b.result.contigs

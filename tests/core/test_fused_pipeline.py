@@ -1,20 +1,22 @@
-"""Count-once fusion and cross-stage overlap at the pipeline level.
+"""Count-once spectra and cross-stage overlap at the pipeline level.
 
-The contract under test: ``fused_extraction`` and ``run_many`` overlap
+The contract under test: the executor backend and ``run_many`` overlap
 change *only* real wall time.  Contigs, stats, usage, virtual TTCs and
-dollar costs are bit-identical to the unfused / sequential paths, on
-the serial and process backends alike.
+dollar costs are bit-identical across backends and to the sequential
+path, and a job reads the spectrum it was handed or builds that one
+spectrum itself (:func:`repro.assembly.sweep.resolve_spectrum`).
 """
 
-from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.sweep import (
     KmerTableCache,
     build_spectra,
+    resolve_spectrum,
     use_kmer_table_cache,
 )
 from repro.assembly.trinity import TRINITY_K
@@ -50,12 +52,12 @@ def _fingerprint(res):
     )
 
 
-def _run(dataset, fused, executor="serial", tracer=None):
+def _run(dataset, executor="serial", tracer=None):
+    """One cold run: fresh cache scopes every time."""
     config = PipelineConfig(
         assemblers=("ray", "abyss", "velvet", "trinity"),
         kmer_list=(25, 31),
         executor=executor,
-        fused_extraction=fused,
     )
     with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
         KmerTableCache()
@@ -70,20 +72,17 @@ class TestFusedPipelineParity:
 
     @pytest.fixture(scope="class")
     def baseline(self, dataset):
-        return _fingerprint(_run(dataset, fused=False))
+        return _fingerprint(_run(dataset))
 
     def test_serial_backend_bit_identical(self, dataset, baseline):
-        assert _fingerprint(_run(dataset, fused=True)) == baseline
+        assert _fingerprint(_run(dataset)) == baseline
 
     def test_process_backend_bit_identical(self, dataset, baseline):
-        assert (
-            _fingerprint(_run(dataset, fused=True, executor="process"))
-            == baseline
-        )
+        assert _fingerprint(_run(dataset, executor="process")) == baseline
 
     def test_fusion_counters_surface(self, dataset):
         tracer = Tracer()
-        _run(dataset, fused=True, tracer=tracer)
+        _run(dataset, tracer=tracer)
         counters = tracer.metrics.snapshot()["counters"]
         # 4 assemblers x 2 k + trinity's fixed 25 need the spectra of
         # k = 25 and 31: a cold run asks the table cache for both in
@@ -179,44 +178,57 @@ class TestWorkloadSpectrumWiring:
                     if work.assembler_name == "trinity"
                     else work.params.k
                 )
-                assert [sp.k for sp in work.spectra] == [want_k]
-                resolved = work._resolve_spectrum()
-                assert resolved is not None and resolved.k == want_k
+                assert work.spectrum in spectra and work.spectrum.k == want_k
+            # A job whose k was not counted is handed nothing.
+            descs = assembly_unit_descriptions(
+                plan, spec, store, ds, spectra=spectra[:1]
+            )
+            assert [d.work.spectrum for d in descs if d.name == "ray_k31"] == [None]
         finally:
             for sp in spectra:
                 sp.close()
             store.close()
 
     def test_resolve_spectrum_routes_through_cache(self):
-        """A workload uses the spectrum it was handed and looks nowhere
-        else: the table cache is the pipeline's business, not a job's."""
-        reads = tiny_dataset(seed=0).run.all_reads()[:200]
-        store = ReadStore.from_reads(reads)
-        spectra = build_spectra(store, [25])
+        """A job uses the spectrum it was handed and looks nowhere else:
+        the table cache is the pipeline's business, not a job's.  Without
+        a live spectrum of its store at its k it builds exactly that one,
+        locally."""
+        reads = tiny_dataset(seed=0).run.all_reads()
+        store = ReadStore.from_reads(reads[:200])
+        other = ReadStore.from_reads(reads[200:400])
+        (handed,) = build_spectra(store, [25])
         (cached,) = build_spectra(store, [25])
+        (foreign,) = build_spectra(other, [25])
+        (wrong_k,) = build_spectra(store, [31])
         try:
-            work = AssemblyWorkload(
-                assembler_name="velvet",
-                params=AssemblyParams(k=25),
-                n_ranks=1,
-                store=store,
-                spectra=spectra,
-            )
             cache = KmerTableCache()
             cache.put(cached)
-            with use_kmer_table_cache(cache):
-                assert work._resolve_spectrum() is spectra[0]
-                # Nothing handed -> nothing used, whatever is cached.
-                assert replace(work, spectra=())._resolve_spectrum() is None
-            assert (cache.hits, cache.misses) == (0, 0)
-            # A closed spectrum is never handed to an assembler.
-            spectra[0].share()
-            spectra[0].close()
-            assert work._resolve_spectrum() is None
+            tracer = Tracer()
+            with use_kmer_table_cache(cache), use_tracer(tracer):
+                assert resolve_spectrum(store, 25, handed) is handed
+                assert not tracer.spans  # nothing built
+                # Nothing handed, a wrong k, another store's spectrum: the
+                # job counts its own k-mers, whatever is cached.
+                for miss in (None, foreign, wrong_k):
+                    built = resolve_spectrum(store, 25, miss)
+                    assert built is not cached and built is not miss
+                    assert (built.k, built.store_digest) == (25, store.digest)
+                    assert not built.shared
+                    np.testing.assert_array_equal(built.distinct, handed.distinct)
+                    np.testing.assert_array_equal(built.counts, handed.counts)
+                    np.testing.assert_array_equal(built.inverse, handed.inverse)
+                # A closed spectrum is never read.
+                handed.share()
+                handed.close()
+                assert resolve_spectrum(store, 25, handed) is not handed
+            assert (cache.hits, cache.misses, len(cache)) == (0, 0, 1)
+            builds = [s for s in tracer.spans if s.name == "spectrum.build"]
+            assert [s.attrs["ks"] for s in builds] == [[25]] * 4
         finally:
-            for sp in spectra:
-                sp.close()
+            handed.close()
             store.close()
+            other.close()
 
 
 class TestCollectDuplicateKeys:

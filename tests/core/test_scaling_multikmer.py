@@ -8,6 +8,7 @@ from repro.core.scaling import paper_usage, phase_is_graph_bound
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.pilot.states import UnitState
 from repro.seq.datasets import B_GLUMAE, tiny_dataset
+from repro.seq.readstore import ReadStore
 
 
 class TestPhaseClassification:
@@ -77,7 +78,7 @@ class TestMultikmer:
             contrail_nodes_per_job=2,
         )
         descs = multikmer.assembly_unit_descriptions(
-            plan, B_GLUMAE, ds.run.all_reads()[:500], ds
+            plan, B_GLUMAE, ReadStore.from_reads(ds.run.all_reads()[:500]), ds
         )
         assert len(descs) == 4
         names = {d.name for d in descs}
@@ -93,7 +94,11 @@ class TestMultikmer:
         from repro.assembly.base import AssemblyParams
 
         work = multikmer.make_assembly_workload(
-            "velvet", ds.run.all_reads(), AssemblyParams(k=31), 8, dataset=ds
+            "velvet",
+            ReadStore.from_reads(ds.run.all_reads()),
+            AssemblyParams(k=31),
+            8,
+            dataset=ds,
         )
         result, usage = work()
         assert result.assembler == "velvet"

@@ -4,8 +4,9 @@ K-mers are counted only for jobs that will read them.  A job whose
 content key is already in the assembly cache or the checkpoint store is
 *satisfied* and needs no spectrum; the k of every other job is looked up
 in the table cache before anything is built.  Both probes are
-predictions: a job that misses after all extracts its own k-mers, and
-every result stays bit-identical whichever way the spectra came.
+predictions: a job that misses after all builds the one spectrum it
+reads, inside its own unit, and every result stays bit-identical
+whichever way the spectra came.
 """
 
 from pathlib import Path
@@ -117,6 +118,23 @@ def built_ks(tracer):
     return build.attrs["ks"]
 
 
+def job_builds(tracer):
+    """(assembler, k, ks built) of every ``spectrum.build``, each of
+    which must sit inside a job: the pipeline's own stage built nothing."""
+    by_id = {s.span_id: s for s in tracer.spans}
+    found = []
+    for span in tracer.spans:
+        if span.name == "spectrum.build":
+            job = by_id[span.parent_id]
+            assert job.name == "assembly_workload"
+            found.append((job.attrs["assembler"], job.attrs["k"], span.attrs["ks"]))
+    return sorted(found)
+
+
+#: Every job missed and rebuilt exactly the spectrum it reads.
+EVERY_JOB_REBUILT = sorted((a, k, [k]) for a in ASSEMBLERS for k in KS)
+
+
 @pytest.mark.parametrize("executor", BACKENDS)
 class TestWarmRerun:
     def test_satisfied_jobs_build_nothing(self, dataset, caches, supply, executor):
@@ -159,7 +177,8 @@ class TestWarmRerun:
         self, dataset, caches, supply, executor, monkeypatch
     ):
         """The assembly cache loses its entries between the demand probe
-        and the fan-out: every job misses with no spectrum in hand."""
+        and the fan-out: every job misses with no spectrum in hand, and
+        builds its own."""
         cold, _ = run(dataset, executor)
         describe = multikmer.assembly_unit_descriptions
 
@@ -170,13 +189,15 @@ class TestWarmRerun:
         monkeypatch.setattr(
             multikmer, "assembly_unit_descriptions", evict_then_describe
         )
-        after_cold = dict(supply)
+        after_cold, before = dict(supply), segments()
         warm, trace = run(dataset, executor)
-        assert len(skips(trace)) == 1 and not build_spans(trace)
-        assert supply == after_cold
+        assert len(skips(trace)) == 1
+        assert supply == after_cold  # the parent built and shared nothing
+        assert job_builds(trace) == EVERY_JOB_REBUILT
         assert counters(trace)["assembly_cache.miss"] == N_JOBS
         assert "assembly_cache.hit" not in counters(trace)
         assert fingerprint(warm) == fingerprint(cold)
+        assert segments() == before
 
 
 class TestTableCacheReuse:
@@ -248,51 +269,21 @@ class TestCheckpointResume:
         assert fingerprint(resumed) == fingerprint(uninterrupted)
 
     def test_torn_records_fall_back_to_per_job_extraction(
-        self, dataset, tmp_path, executor
+        self, dataset, tmp_path, supply, executor
     ):
         """A torn record still answers the cheap probe; the agent's real
-        read discards it and the job computes, without a spectrum."""
+        read discards it and the job computes, building its own spectrum."""
         ckpt = tmp_path / "ckpt"
         with use_assembly_cache(None), use_kmer_table_cache(KmerTableCache()):
             first, _ = run(dataset, executor, checkpoint_dir=str(ckpt))
         for record in (ckpt / "units").glob("*.pkl"):
             record.write_bytes(b"torn")
+        after_first, before = dict(supply), segments()
         with use_assembly_cache(None), use_kmer_table_cache(KmerTableCache()):
             again, trace = run(dataset, executor, checkpoint_dir=str(ckpt))
         assert again.checkpoint_stats["unit_hits"] == 0
-        assert len(skips(trace)) == 1 and not build_spans(trace)
+        assert len(skips(trace)) == 1
+        assert supply == after_first  # the parent built and shared nothing
+        assert job_builds(trace) == EVERY_JOB_REBUILT
         assert fingerprint(again) == fingerprint(first)
-
-
-@pytest.mark.parametrize("executor", BACKENDS)
-class TestKnobsKeepTheirMeaning:
-    def test_without_assembly_cache_every_job_is_demand(
-        self, dataset, caches, executor
-    ):
-        cached, _ = run(dataset, executor)
-        with use_kmer_table_cache(KmerTableCache()):
-            first, first_trace = run(dataset, executor, assembly_cache=False)
-            again, again_trace = run(dataset, executor, assembly_cache=False)
-        for trace in (first_trace, again_trace):
-            assert not any(
-                k.startswith("assembly_cache.") for k in counters(trace)
-            )
-        assert built_ks(first_trace) == list(KS) and not skips(first_trace)
-        if executor == "serial":
-            # Local spectra outlive the run: the rerun is served by get.
-            assert counters(again_trace)["kmer_table.hit"] == len(KS)
-            assert not build_spans(again_trace)
-        else:
-            # The first run's segments died with it: count again.
-            assert built_ks(again_trace) == list(KS)
-        assert fingerprint(first) == fingerprint(again) == fingerprint(cached)
-
-    def test_unfused_runs_have_no_spectrum_stage(self, dataset, caches, executor):
-        fused, _ = run(dataset, executor)
-        with use_assembly_cache(AssemblyCache()):
-            unfused, trace = run(dataset, executor, fused_extraction=False)
-            _, warm_trace = run(dataset, executor, fused_extraction=False)
-        for t in (trace, warm_trace):
-            assert not build_spans(t) and not skips(t)
-            assert not any(k.startswith("kmer_table.") for k in counters(t))
-        assert fingerprint(unfused) == fingerprint(fused)
+        assert segments() == before

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.core.assembly_cache import use_assembly_cache
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.obs import Tracer, chrome_trace, worker_track, write_jsonl
 from repro.obs.diff import diff_traces
@@ -22,7 +23,6 @@ CONFIG = dict(
     kmer_list=(35, 41),
     executor="process",
     executor_workers=2,
-    assembly_cache=False,
     resource_cadence=0.01,
 )
 
@@ -31,9 +31,10 @@ CONFIG = dict(
 def traced(ds_single):
     tracer = Tracer()
     r_before = time.perf_counter()
-    result = RnnotatorPipeline(tracer=tracer).run(
-        ds_single, PipelineConfig(**CONFIG)
-    )
+    with use_assembly_cache(None):
+        result = RnnotatorPipeline(tracer=tracer).run(
+            ds_single, PipelineConfig(**CONFIG)
+        )
     r_after = time.perf_counter()
     return result, tracer, (r_before, r_after)
 
@@ -134,9 +135,10 @@ class TestDeterminism:
     ):
         _, tracer_a, _ = traced
         tracer_b = Tracer()
-        RnnotatorPipeline(tracer=tracer_b).run(
-            ds_single, PipelineConfig(**CONFIG)
-        )
+        with use_assembly_cache(None):
+            RnnotatorPipeline(tracer=tracer_b).run(
+                ds_single, PipelineConfig(**CONFIG)
+            )
         a = write_jsonl(tracer_a, tmp_path / "a.jsonl")
         b = write_jsonl(tracer_b, tmp_path / "b.jsonl")
         from repro.obs import load_jsonl
