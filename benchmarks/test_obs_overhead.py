@@ -9,9 +9,9 @@ sampling, shipping the trace back, merging it) stays under the same
 budget — and (d) cheap enough with the *live* telemetry attached (a
 streaming JSONL sink receiving every record plus a heartbeat thread
 beating over an in-flight table) that watching a run costs no more than
-tracing it.  The first two are priced on the same workload as
-``test_kmer_engine.py`` (Ray on the full P. crispa bench data at k=51 on
-8 ranks); the worker-side cost on a batch of instrumented workloads
+tracing it.  The first two are priced on the Fig. 4 upper-panel cell
+(Ray on the full P. crispa bench data at k=51 on 8 ranks); the
+worker-side cost on a batch of instrumented workloads
 through a warm :class:`ProcessExecutor` pool.  Results are merged into
 ``BENCH_obs_overhead.json`` at the repo root (``ambient``,
 ``worker_tracing`` and ``live_telemetry`` keys).

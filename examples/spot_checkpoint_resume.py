@@ -17,6 +17,7 @@ Run:  python examples/spot_checkpoint_resume.py
 import tempfile
 
 from repro.core.rnnotator import (
+    FaultPlan,
     PipelineConfig,
     PipelineKilled,
     RnnotatorPipeline,
@@ -32,14 +33,9 @@ def kill_and_resume(dataset, baseline) -> None:
     print("-- kill after assembly, resume from checkpoints --")
     with tempfile.TemporaryDirectory() as ckdir:
         try:
-            RnnotatorPipeline().run(
-                dataset,
-                PipelineConfig(
-                    checkpoint_dir=ckdir,
-                    abort_after_stage="transcript-assembly",
-                    **CONFIG,
-                ),
-            )
+            RnnotatorPipeline(
+                faults=FaultPlan(abort_after_stage="transcript-assembly")
+            ).run(dataset, PipelineConfig(checkpoint_dir=ckdir, **CONFIG))
         except PipelineKilled as exc:
             print(f"first run killed as requested: {exc}")
 
@@ -66,14 +62,11 @@ def kill_and_resume(dataset, baseline) -> None:
 def survive_preemption(dataset, baseline) -> None:
     print("\n-- spot reclaim under the S3 elastic scheme --")
     tracer = Tracer()
-    chaos = RnnotatorPipeline(tracer=tracer).run(
+    chaos = RnnotatorPipeline(
+        tracer=tracer, faults=FaultPlan(preempt_at=(1.0,))
+    ).run(
         dataset,
-        PipelineConfig(
-            scheme=MatchingScheme.S3,
-            preempt_at=(1.0,),
-            unit_max_restarts=2,
-            **CONFIG,
-        ),
+        PipelineConfig(scheme=MatchingScheme.S3, unit_max_restarts=2, **CONFIG),
     )
     counters = tracer.metrics.counters
     print(

@@ -145,20 +145,16 @@ def canonical_kmers_varlen_packed(seqs: list[str], k: int) -> np.ndarray:
     return canonical_kmers_packed(np.concatenate(parts[:-1]), k)
 
 
-def canonical_kmers_store_packed(
-    store, k: int, indices: np.ndarray | None = None
-) -> np.ndarray:
-    """Canonical packed k-mers of (a subset of) a
-    :class:`~repro.seq.readstore.ReadStore`.
+def canonical_kmers_store_packed(store, k: int) -> np.ndarray:
+    """Canonical packed k-mers of a :class:`~repro.seq.readstore.ReadStore`.
 
     The store's flat code layout — every read followed by a single N
     separator — already *is* the joined form the varlen extractor builds
-    per call, so the full-store path is one windowing pass with no
-    encoding or concatenation at all; ``indices`` selects a read subset
-    (e.g. one rank's stripe) via a vectorized ragged gather.  Both paths
-    are bit-identical to :func:`canonical_kmers_varlen_packed` on the
-    same records: windows touching a separator contain an N and are
-    dropped, and reads shorter than k contribute no windows.
+    per call, so this is one windowing pass with no encoding or
+    concatenation at all, bit-identical to
+    :func:`canonical_kmers_varlen_packed` on the same records: windows
+    touching a separator contain an N and are dropped, and reads shorter
+    than k contribute no windows.
 
     No assembler extracts per job any more (they read a counted
     :class:`~repro.assembly.sweep.KmerSpectrum`); this stays as the
@@ -166,10 +162,9 @@ def canonical_kmers_store_packed(
     the assembled contigs against.
     """
     packedmod.check_k(k)
-    codes = store.codes if indices is None else store.subset_codes(indices)
-    if codes.shape[0] == 0:
+    if store.codes.shape[0] == 0:
         return np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
-    return canonical_kmers_packed(codes, k)
+    return canonical_kmers_packed(store.codes, k)
 
 
 def fused_canonical_positions_packed(

@@ -3,14 +3,10 @@
 This module preserves the original ``dict[bytes, int]`` k-mer table, the
 one-probe-at-a-time unitig walker and the bytes-payload assembler drivers
 exactly as they were before the packed-integer engine replaced them on
-the hot paths.  It exists for two purposes:
-
-* **parity tests** (``tests/assembly/test_parity.py``) prove the packed
-  engine reproduces this implementation bit-for-bit — same contigs, same
-  per-phase work charges, same communication bytes and message counts;
-* the **engine benchmark** (``benchmarks/test_kmer_engine.py``) times the
-  packed engine against this reference on the Fig. 4 Ray-scaling
-  workload and records the speedup.
+the hot paths.  It exists as the oracle of the **parity tests**
+(``tests/assembly/test_parity.py``), which prove the packed engine
+reproduces this implementation bit-for-bit — same contigs, same
+per-phase work charges, same communication bytes and message counts.
 
 Nothing here should be changed together with the live engine — that
 would defeat the point of having a reference.

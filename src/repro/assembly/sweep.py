@@ -44,29 +44,21 @@ bit-for-bit equal to the serial one.  The handles overlap with whatever
 the parent does between submit and collect (cluster provisioning, in
 the pipeline), which is where the wall win comes from.
 
-Spectra follow the exact sharing discipline of :class:`ReadStore`: the
-arrays move into one shared-memory segment on first pickle, workers
-attach zero-copy, and the handle is O(1) in the data size.
-
-Ownership.  A spectrum's arrays are either *local* (plain numpy memory)
-or in a *shared-memory segment* (after :meth:`KmerSpectrum.share`).
-The **run** that shared a spectrum owns its segment and must
-:meth:`KmerSpectrum.close` it (the pipeline does so in the
-assembly-stage ``finally``); a closed spectrum is dead, and the cache
-drops it on the next ``get``.  The **cache** owns local arrays: nothing
-needs releasing, ``close`` on a never-shared spectrum leaves it open,
-and it outlives the run to serve a later ``get``.
+A spectrum holds its arrays in one
+:class:`~repro.seq.sharedarrays.SharedArrays`, as the :class:`ReadStore`
+does; segment lifecycle and ownership rule are that module's.  Here: the
+**run** that shared a spectrum closes it (assembly-stage ``finally``)
+and the cache drops it on the next ``get``; the **cache**'s own entries
+are local arrays, on which ``close`` is a no-op, so they outlive the run.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Iterable
 
 import numpy as np
@@ -75,19 +67,23 @@ from repro.assembly import kmers
 from repro.assembly import packed as packedmod
 from repro.assembly.dbg import KmerTable, build_kmer_table_packed
 from repro.obs import get_tracer
-from repro.seq.readstore import ReadStore, _attach_untracked, _cleanup_shm
+from repro.seq.readstore import ReadStore
+from repro.seq.sharedarrays import SharedArrays
 
 #: Default radix-bucket count for the sharded build.  Must be a power of
 #: two; 16 keeps per-bucket merges comfortably sized without fragmenting
 #: small spectra.
 DEFAULT_SPECTRUM_BUCKETS = 16
 
-#: Attached/shared spectra by segment name — same dedup role as
-#: ``readstore._ATTACHED``: unpickling a handle in a process that already
-#: holds the segment returns the live spectrum instead of re-attaching.
-_ATTACHED: "weakref.WeakValueDictionary[str, KmerSpectrum]" = (
-    weakref.WeakValueDictionary()
-)
+#: A spectrum's arrays and their dtypes, named once (the segment layout);
+#: ``distinct`` is ``(n_distinct, W)``, the rest are flat.
+FIELDS = {
+    "read_offsets": np.int64,
+    "counts": np.int64,
+    "inverse": np.int64,
+    "rel_positions": np.int64,
+    "distinct": np.uint64,
+}
 
 
 @dataclass(frozen=True)
@@ -107,25 +103,6 @@ def _attach(handle: KmerSpectrumHandle) -> "KmerSpectrum":
     return KmerSpectrum.attach(handle)
 
 
-def _layout_views(buf, n_reads: int, n_distinct: int, n_occ: int, W: int):
-    """The five arrays over one flat buffer (all 8-byte elements, so every
-    section is naturally aligned).  Returns
-    (read_offsets, counts, inverse, rel_positions, distinct)."""
-    off = 0
-    read_offsets = np.frombuffer(buf, dtype=np.int64, count=n_reads + 1, offset=off)
-    off += read_offsets.nbytes
-    counts = np.frombuffer(buf, dtype=np.int64, count=n_distinct, offset=off)
-    off += counts.nbytes
-    inverse = np.frombuffer(buf, dtype=np.int64, count=n_occ, offset=off)
-    off += inverse.nbytes
-    rel_positions = np.frombuffer(buf, dtype=np.int64, count=n_occ, offset=off)
-    off += rel_positions.nbytes
-    distinct = np.frombuffer(
-        buf, dtype=np.uint64, count=n_distinct * W, offset=off
-    ).reshape(n_distinct, W)
-    return read_offsets, counts, inverse, rel_positions, distinct
-
-
 class KmerSpectrum:
     """The complete k-mer content of one store at one k, counted once.
 
@@ -142,35 +119,14 @@ class KmerSpectrum:
       its read (trimming filters need it).
     """
 
-    def __init__(
-        self,
-        k: int,
-        store_digest: str,
-        distinct: np.ndarray,
-        counts: np.ndarray,
-        inverse: np.ndarray,
-        read_offsets: np.ndarray,
-        rel_positions: np.ndarray,
-        shm: shared_memory.SharedMemory | None = None,
-        owns_shm: bool = False,
-    ) -> None:
+    def __init__(self, k: int, store_digest: str, arrays: SharedArrays) -> None:
         packedmod.check_k(k)
         self.k = k
-        self.words = packedmod.words_for(k)
         self.store_digest = store_digest
-        self._distinct = distinct
-        self._counts = counts
-        self._inverse = inverse
-        self._read_offsets = read_offsets
-        self._rel_positions = rel_positions
-        self.n_reads = int(read_offsets.shape[0]) - 1
-        self.n_distinct = int(counts.shape[0])
-        self.n_occurrences = int(inverse.shape[0])
-        self._shm = shm
-        self._owns_shm = owns_shm
-        self._finalizer: weakref.finalize | None = None
-        if shm is not None:
-            self._finalizer = weakref.finalize(self, _cleanup_shm, shm, owns_shm)
+        self._arrays = arrays
+        self.n_reads = int(arrays["read_offsets"].shape[0]) - 1
+        self.n_distinct = int(arrays["counts"].shape[0])
+        self.n_occurrences = int(arrays["inverse"].shape[0])
         # Lazily derived, per-process (never shipped): hash-partition
         # owners per rank count, and the occurrence -> read map.
         self._owners: dict[int, np.ndarray] = {}
@@ -206,116 +162,60 @@ class KmerSpectrum:
         read_offsets = np.zeros(store.n_reads + 1, dtype=np.int64)
         np.cumsum(per_read, out=read_offsets[1:])
         rel_positions = positions - offsets[read_of]
-        if not distinct.flags["C_CONTIGUOUS"]:
-            distinct = np.ascontiguousarray(distinct)
-        spectrum = cls(
-            k=k,
-            store_digest=store.digest,
-            distinct=distinct,
-            counts=np.asarray(counts).astype(np.int64, copy=False),
-            inverse=np.asarray(inverse).astype(np.int64, copy=False).ravel(),
-            read_offsets=read_offsets,
-            rel_positions=rel_positions.astype(np.int64, copy=False),
+        return cls(
+            k,
+            store.digest,
+            SharedArrays(
+                "KmerSpectrum",
+                FIELDS,
+                dict(
+                    read_offsets=read_offsets,
+                    counts=counts,
+                    inverse=np.asarray(inverse).ravel(),
+                    rel_positions=rel_positions,
+                    distinct=distinct,
+                ),
+            ),
         )
-        for arr in (
-            spectrum._distinct,
-            spectrum._counts,
-            spectrum._inverse,
-            spectrum._read_offsets,
-            spectrum._rel_positions,
-        ):
-            arr.flags.writeable = False
-        return spectrum
 
     @classmethod
     def attach(cls, handle: KmerSpectrumHandle) -> "KmerSpectrum":
-        """Attach to an existing shared segment (zero-copy)."""
-        existing = _ATTACHED.get(handle.shm_name)
-        if existing is not None and not existing.closed:
-            return existing
-        shm = _attach_untracked(handle.shm_name)
-        views = _layout_views(
-            shm.buf,
-            handle.n_reads,
-            handle.n_distinct,
-            handle.n_occurrences,
-            packedmod.words_for(handle.k),
+        """Attach to an existing shared segment (zero-copy); the live
+        spectrum when this process already holds the segment."""
+        n, n_occ = handle.n_distinct, handle.n_occurrences
+        rows = (n, packedmod.words_for(handle.k))
+        return SharedArrays.attach(
+            "KmerSpectrum",
+            FIELDS,
+            handle.shm_name,
+            (handle.n_reads + 1, n, n_occ, n_occ, rows),
+            lambda arrays: cls(handle.k, handle.store_digest, arrays),
         )
-        read_offsets, counts, inverse, rel_positions, distinct = views
-        for arr in views:
-            arr.flags.writeable = False
-        spectrum = cls(
-            k=handle.k,
-            store_digest=handle.store_digest,
-            distinct=distinct,
-            counts=counts,
-            inverse=inverse,
-            read_offsets=read_offsets,
-            rel_positions=rel_positions,
-            shm=shm,
-            owns_shm=False,
-        )
-        _ATTACHED[handle.shm_name] = spectrum
-        return spectrum
 
-    # -- sharing / lifecycle -------------------------------------------------
+    # -- sharing / lifecycle (see repro.seq.sharedarrays) ---------------------
 
     @property
     def shared(self) -> bool:
-        return self._shm is not None
+        return self._arrays.shared
 
     @property
     def owns_shm(self) -> bool:
-        return self._owns_shm
+        return self._arrays.owns_shm
 
     @property
     def closed(self) -> bool:
-        return self._counts is None
+        return self._arrays.closed
 
     def share(self) -> KmerSpectrumHandle:
         """Move the arrays into a shared-memory segment (idempotent) and
         return the O(1) handle workers attach with."""
-        if self.closed:
-            raise ValueError("cannot share a closed KmerSpectrum")
-        if self._shm is None:
-            total = (
-                self._read_offsets.nbytes
-                + self._counts.nbytes
-                + self._inverse.nbytes
-                + self._rel_positions.nbytes
-                + self._distinct.nbytes
-            )
-            shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-            views = _layout_views(
-                shm.buf,
-                self.n_reads,
-                self.n_distinct,
-                self.n_occurrences,
-                self.words,
-            )
-            read_offsets, counts, inverse, rel_positions, distinct = views
-            read_offsets[:] = self._read_offsets
-            counts[:] = self._counts
-            inverse[:] = self._inverse
-            rel_positions[:] = self._rel_positions
-            distinct[:] = self._distinct
-            for arr in views:
-                arr.flags.writeable = False
-            self._read_offsets, self._counts = read_offsets, counts
-            self._inverse, self._rel_positions = inverse, rel_positions
-            self._distinct = distinct
-            self._shm = shm
-            self._owns_shm = True
-            self._finalizer = weakref.finalize(self, _cleanup_shm, shm, True)
-            _ATTACHED[shm.name] = self
+        self._arrays.share(self)
         return self.handle()
 
     def handle(self) -> KmerSpectrumHandle:
         """Handle of an already-shared spectrum (see :meth:`share`)."""
-        if self._shm is None:
-            raise ValueError("KmerSpectrum is not shared; call share() first")
         return KmerSpectrumHandle(
-            shm_name=self._shm.name,
+            shm_name=self._arrays.shm_name,
             k=self.k,
             store_digest=self.store_digest,
             n_reads=self.n_reads,
@@ -324,70 +224,45 @@ class KmerSpectrum:
         )
 
     def close(self, unlink: bool | None = None) -> None:
-        """Release the shared segment (idempotent; double-close safe).
-
-        A never-shared spectrum has no segment: its local arrays belong
-        to whoever references them (the table cache), so this leaves it
-        open and usable — ``closed`` turns true only for a spectrum that
-        was shared or attached."""
-        shm = self._shm
-        if shm is None:
-            return
-        if unlink is None:
-            unlink = self._owns_shm
-        self._shm = None
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        self._distinct = self._counts = self._inverse = None
-        self._read_offsets = self._rel_positions = None
-        self._owners.clear()
-        self._occ_read = None
-        _cleanup_shm(shm, unlink)
+        """Release the shared segment (idempotent; unlinks iff owner).
+        A never-shared spectrum — the table cache's — has none and stays
+        open and usable, derived caches included."""
+        if self._arrays.close(unlink):
+            self._owners.clear()
+            self._occ_read = None
 
     def __reduce__(self):
         return _attach, (self.share(),)
 
     # -- array access --------------------------------------------------------
 
-    def _require_open(self, arr):
-        if arr is None:
-            raise ValueError("KmerSpectrum is closed")
-        return arr
-
     @property
     def distinct(self) -> np.ndarray:
         """Distinct canonical rows, ``(n_distinct, W)``, ascending key order."""
-        return self._require_open(self._distinct)
+        return self._arrays["distinct"]
 
     @property
     def counts(self) -> np.ndarray:
         """Global multiplicity aligned with :attr:`distinct`."""
-        return self._require_open(self._counts)
+        return self._arrays["counts"]
 
     @property
     def inverse(self) -> np.ndarray:
         """Occurrence stream as indices into :attr:`distinct`."""
-        return self._require_open(self._inverse)
+        return self._arrays["inverse"]
 
     @property
     def read_offsets(self) -> np.ndarray:
-        return self._require_open(self._read_offsets)
+        return self._arrays["read_offsets"]
 
     @property
     def rel_positions(self) -> np.ndarray:
-        return self._require_open(self._rel_positions)
+        return self._arrays["rel_positions"]
 
     @property
     def nbytes(self) -> int:
         """Resident size of the spectrum arrays."""
-        return int(
-            self.distinct.nbytes
-            + self.counts.nbytes
-            + self.inverse.nbytes
-            + self.read_offsets.nbytes
-            + self.rel_positions.nbytes
-        )
+        return self._arrays.nbytes
 
     # -- derived views -------------------------------------------------------
 

@@ -17,7 +17,6 @@ from repro.cloud.instances import get_instance_type
 from repro.core.preprocess import PreprocessResult, preprocess
 from repro.core.scaling import paper_usage
 from repro.parallel.costmodel import CostModel, MachineConfig
-from repro.parallel.usage import ResourceUsage
 from repro.seq.datasets import B_GLUMAE, P_CRISPA, Dataset, generate_dataset
 from repro.seq.readstore import ReadStore
 
@@ -120,10 +119,6 @@ def price_assembly(
     """Paper-scale TTC of a measured assembly on the given fleet."""
     usage = paper_usage(result.usage, dataset)
     return cost_model.task_seconds(usage, machine_for(instance_type, n_nodes))
-
-
-def scaled_usage(result: AssemblyResult, dataset: Dataset) -> ResourceUsage:
-    return paper_usage(result.usage, dataset)
 
 
 # -- output formatting ---------------------------------------------------------

@@ -73,7 +73,7 @@ class PipelineError(RuntimeError):
 
 
 class PipelineKilled(PipelineError):
-    """The run was killed mid-pipeline (``abort_after_stage``): the
+    """The run was killed mid-pipeline by its :class:`FaultPlan`: the
     simulated analogue of the driver process dying.  Checkpoints written
     up to the kill point survive; a rerun with the same
     ``checkpoint_dir`` resumes bit-identically."""
@@ -121,17 +121,6 @@ class PipelineConfig:
     #: Restart budget for the assembly fan-out units; >0 lets the
     #: restart machinery survive transient (preemption) failures.
     unit_max_restarts: int = 0
-    #: Consecutive no-progress restart rounds before a unit manager
-    #: declares livelock (forwarded to every UnitManager).
-    max_restart_rounds: int = 10
-    #: Failure injection: virtual-seconds offsets from the start of the
-    #: assembly fan-out at which the cloud reclaims one worker VM of
-    #: P_B's cluster (spot preemption; the head node is protected).
-    preempt_at: tuple[float, ...] = ()
-    #: Failure injection: raise :class:`PipelineKilled` right after the
-    #: named stage completes — the simulated driver kill the CI chaos
-    #: job uses to exercise checkpoint/resume.
-    abort_after_stage: str | None = None
     #: Declarative SLO/alert rules (see :mod:`repro.obs.alerts`): compact
     #: specs (``"heartbeat_timeout:30:critical"``) or
     #: :class:`~repro.obs.alerts.AlertRule` instances.  Non-empty with
@@ -143,39 +132,37 @@ class PipelineConfig:
     #: workloads are in flight (0 = off).  Purely real-clock telemetry:
     #: results and virtual TTCs are bit-identical either way.
     heartbeat_cadence: float = 0.0
-    #: Chaos: real-sleep this many seconds inside every fan-out workload
-    #: whose unit name contains ``straggle_unit`` — the straggler drill
-    #: (heartbeats see the delay; no virtual quantity changes).
-    straggle_unit: str | None = None
-    straggle_seconds: float = 0.0
+
+    def result_key(self) -> tuple:
+        """The result-determining knobs, spelled once for both
+        :meth:`fingerprint` and the checkpoint stage markers.
+
+        Execution-mechanics knobs that cannot change results — executor
+        backend, spectrum sharding, checkpoint directory, restart budget,
+        telemetry — are deliberately excluded.  Caching and faults are
+        not knobs at all: a cache is a process-wide scope
+        (``use_assembly_cache``, ``use_kmer_table_cache``) whose hits are
+        bit-identical, and faults are the pipeline's :class:`FaultPlan`.
+        """
+        return (
+            self.assemblers,
+            self.scheme.value,
+            self.workflow.value,
+            self.instance_type,
+            self.mpi_nodes_per_job,
+            self.contrail_nodes_per_job,
+            self.max_nodes,
+            self.min_count,
+            self.min_contig_length,
+            self.kmer_list,
+            self.preprocess_params,
+        )
 
     def fingerprint(self) -> str:
-        """Stable digest of the result-determining knobs.
-
-        Two runs with equal fingerprints on the same dataset are
-        comparable (the run ledger's regression check refuses to compare
-        across differing fingerprints).  Execution-mechanics knobs that
-        cannot change results — executor backend, spectrum sharding,
-        checkpoint directory, restart budgets, telemetry, failure
-        injection — are deliberately excluded.  Caching is not a knob at
-        all: it is a process-wide scope (``use_assembly_cache``,
-        ``use_kmer_table_cache``), and a hit is bit-identical.
-        """
-        key = repr(
-            (
-                self.assemblers,
-                self.scheme.value,
-                self.workflow.value,
-                self.instance_type,
-                self.mpi_nodes_per_job,
-                self.contrail_nodes_per_job,
-                self.max_nodes,
-                self.min_count,
-                self.min_contig_length,
-                self.kmer_list,
-                self.preprocess_params,
-            )
-        )
+        """Stable digest of :meth:`result_key`: runs of one dataset are
+        comparable exactly when their fingerprints are equal (the run
+        ledger's regression check refuses to compare otherwise)."""
+        key = repr(self.result_key())
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def __post_init__(self) -> None:
@@ -200,16 +187,37 @@ class PipelineConfig:
                 f"spectrum_buckets must be a power of two, "
                 f"got {self.spectrum_buckets}"
             )
-        if self.max_restart_rounds < 1:
-            raise ValueError("max_restart_rounds must be >= 1")
-        if any(dt < 0 for dt in self.preempt_at):
-            raise ValueError("preempt_at offsets must be >= 0")
         if self.heartbeat_cadence < 0:
             raise ValueError("heartbeat_cadence must be >= 0")
-        if self.straggle_seconds < 0:
-            raise ValueError("straggle_seconds must be >= 0")
         for rule in self.alert_rules:
             parse_rule(rule)  # validate specs early
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """Faults injected into one run: the chaos drills of the smoke CLI,
+    the CI chaos job and the tests.  Not configuration — nothing here is
+    fingerprinted, ledgered or replaced by a benchmark."""
+
+    #: Virtual-seconds offsets from the start of the assembly fan-out at
+    #: which the cloud reclaims one worker VM of P_B's cluster (spot
+    #: preemption; the head node is protected).
+    preempt_at: tuple[float, ...] = ()
+    #: Raise :class:`PipelineKilled` right after the named stage
+    #: completes — the simulated driver kill that exercises
+    #: checkpoint/resume.
+    abort_after_stage: str | None = None
+    #: Real-sleep ``straggle_seconds`` inside every fan-out workload
+    #: whose unit name contains ``straggle_unit`` — the straggler drill
+    #: (heartbeats see the delay; no virtual quantity changes).
+    straggle_unit: str | None = None
+    straggle_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if any(dt < 0 for dt in self.preempt_at):
+            raise ValueError("preempt_at offsets must be >= 0")
+        if self.straggle_seconds < 0:
+            raise ValueError("straggle_seconds must be >= 0")
 
 
 @dataclass
@@ -302,9 +310,11 @@ class RnnotatorPipeline:
         self,
         cost_model: CostModel | None = None,
         tracer: Tracer | None = None,
+        faults: FaultPlan | None = None,
     ) -> None:
         self.cost_model = cost_model or CostModel()
         self.tracer = tracer
+        self.faults = faults or FaultPlan()
         #: Alerts fired by the most recent run's engine (empty without
         #: ``alert_rules``); the smoke CLI reads this for its assertions.
         self.last_alerts: list = []
@@ -428,6 +438,7 @@ class RnnotatorPipeline:
         on_assembly_inflight=None,
     ) -> PipelineResult:
         spec = dataset.spec
+        faults = self.faults
 
         r_run0 = time.perf_counter()
         clock = SimClock()
@@ -443,8 +454,8 @@ class RnnotatorPipeline:
 
         # ---- durable checkpointing ----------------------------------------
         # Unit outcomes are keyed by content (ReadStore digests and
-        # assembly params); stage markers additionally carry a config
-        # fingerprint so a changed knob invalidates them.
+        # assembly params); stage markers additionally carry the config's
+        # result_key so a changed knob invalidates them.
         ckpt: CheckpointStore | None = None
         run_key = None
         if config.checkpoint_dir is not None:
@@ -452,20 +463,7 @@ class RnnotatorPipeline:
             raw_store = ReadStore.from_reads(all_reads)
             raw_digest = raw_store.digest
             raw_store.close()
-            run_key = (
-                raw_digest,
-                config.assemblers,
-                config.scheme.value,
-                config.workflow.value,
-                config.instance_type,
-                config.mpi_nodes_per_job,
-                config.contrail_nodes_per_job,
-                config.max_nodes,
-                config.min_count,
-                config.min_contig_length,
-                config.kmer_list,
-                config.preprocess_params,
-            )
+            run_key = (raw_digest, *config.result_key())
 
         def checkpoint_stage(report: StageReport) -> None:
             if ckpt is not None:
@@ -476,7 +474,7 @@ class RnnotatorPipeline:
                 )
 
         def maybe_abort(stage_name: str) -> None:
-            if config.abort_after_stage == stage_name:
+            if faults.abort_after_stage == stage_name:
                 raise PipelineKilled(
                     f"simulated kill after stage {stage_name!r} "
                     f"(checkpoints: {config.checkpoint_dir})"
@@ -526,7 +524,6 @@ class RnnotatorPipeline:
             scheduler=MemoryAwareScheduler(),
             cost_model=self.cost_model,
             checkpoint=ckpt,
-            max_restart_rounds=config.max_restart_rounds,
             heartbeat_cadence=config.heartbeat_cadence,
         )
         um.add_pilot(pa)
@@ -749,14 +746,14 @@ class RnnotatorPipeline:
 
             # ---- failure injection + S3 elasticity for the fan-out ---------
             preemptor: SpotPreemptor | None = None
-            if config.preempt_at:
+            if faults.preempt_at:
                 preemptor = SpotPreemptor(
                     region,
                     events,
                     cluster=pb.cluster,
                     protect={pb.cluster.head.vm_id},
                 )
-                preemptor.arm_in(config.preempt_at)
+                preemptor.arm_in(faults.preempt_at)
             elastic: ElasticPool | None = None
             if config.scheme.elastic:
                 elastic = ElasticPool(
@@ -779,7 +776,6 @@ class RnnotatorPipeline:
                 resource_cadence=config.resource_cadence,
                 checkpoint=ckpt,
                 elastic=elastic,
-                max_restart_rounds=config.max_restart_rounds,
                 heartbeat_cadence=config.heartbeat_cadence,
             )
             umb.add_pilot(pb)
@@ -817,9 +813,9 @@ class RnnotatorPipeline:
                 # pool's first fan-out submit: with the sharded build
                 # the pool already forked at shard submission, so
                 # workers attach these later segments on demand
-                # (_attach_untracked suppresses their tracker
-                # registration either way); without it, forked workers
-                # find the live segments in the inherited attach
+                # (sharedarrays._attach_untracked suppresses their
+                # tracker registration either way); without it, forked
+                # workers find the live segments in the inherited attach
                 # registry.  Both keep the (process-wide) resource
                 # tracker's bookkeeping balanced.
                 for sp in spectra:
@@ -834,15 +830,15 @@ class RnnotatorPipeline:
                 max_restarts=config.unit_max_restarts,
                 spectra=spectra,
             )
-            if config.straggle_unit and config.straggle_seconds > 0:
+            if faults.straggle_unit and faults.straggle_seconds > 0:
                 # The straggler drill: delay matching workloads in real
                 # time only (virtual usage untouched).
                 descs = [
                     replace(
                         d,
-                        work=DelayedWorkload(d.work, config.straggle_seconds),
+                        work=DelayedWorkload(d.work, faults.straggle_seconds),
                     )
-                    if config.straggle_unit in d.name
+                    if faults.straggle_unit in d.name
                     else d
                     for d in descs
                 ]
@@ -921,7 +917,6 @@ class RnnotatorPipeline:
             scheduler=MemoryAwareScheduler(),
             cost_model=self.cost_model,
             checkpoint=ckpt,
-            max_restart_rounds=config.max_restart_rounds,
             heartbeat_cadence=config.heartbeat_cadence,
         )
         umc.add_pilot(pc)

@@ -52,6 +52,7 @@ import sys
 
 from repro.core.assembly_cache import use_assembly_cache
 from repro.core.rnnotator import (
+    FaultPlan,
     PipelineConfig,
     PipelineKilled,
     RnnotatorPipeline,
@@ -217,15 +218,17 @@ def main(argv: list[str] | None = None) -> int:
         resource_cadence=args.resource_cadence,
         scheme=MatchingScheme.parse(args.scheme),
         checkpoint_dir=args.checkpoint_dir,
-        abort_after_stage=args.kill_after_stage,
-        preempt_at=tuple(args.preempt_at),
         unit_max_restarts=args.max_unit_restarts,
         alert_rules=tuple(alert_rules),
         heartbeat_cadence=args.heartbeat_cadence,
+    )
+    faults = FaultPlan(
+        abort_after_stage=args.kill_after_stage,
+        preempt_at=tuple(args.preempt_at),
         straggle_unit=args.straggle_unit,
         straggle_seconds=args.straggle_seconds,
     )
-    pipeline = RnnotatorPipeline(tracer=tracer)
+    pipeline = RnnotatorPipeline(tracer=tracer, faults=faults)
     try:
         with use_assembly_cache(None):
             result = pipeline.run(tiny_dataset(seed=args.seed), config)

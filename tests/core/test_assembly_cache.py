@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.assembly.base import AssemblyParams
+from repro.assembly.sweep import build_spectra
 from repro.core.assembly_cache import (
     AssemblyCache,
     get_assembly_cache,
@@ -211,21 +212,25 @@ class TestWorkloadIntegration:
 
 
 class TestWorkloadPickleSize:
-    def test_pickled_workload_is_o1_in_read_count(self, reads_single):
-        """Satellite regression: the workload must not embed the reads."""
+    def test_pickled_workload_is_o1_in_read_count(self, ds_single, reads_single):
+        """Satellite regression: the workload must not embed the reads —
+        nor its spectrum: both ride as compact shared-memory handles."""
         sizes = []
-        stores = []
+        held = []
         for n in (50, 2000):
             s = ReadStore.from_reads(reads_single[:n])
-            stores.append(s)
-            w = make_assembly_workload("velvet", s, AssemblyParams(k=31), 1)
+            (sp,) = build_spectra(s, [31])
+            held += [sp, s]
+            w = make_assembly_workload(
+                "velvet", s, AssemblyParams(k=31), 1, dataset=ds_single, spectrum=sp
+            )
             sizes.append(
                 len(pickle.dumps(w, protocol=pickle.HIGHEST_PROTOCOL))
             )
-        for s in stores:
-            s.close()
+        for h in held:
+            h.close()
         assert abs(sizes[1] - sizes[0]) <= 16
-        assert max(sizes) < 2048
+        assert abs(sizes[1] - 654) <= 16  # what a pipeline job ships (PR 18)
 
 
 def _dummy_result(name):

@@ -18,6 +18,7 @@ from repro.core.checkpoint import (
     checkpoint_key_id,
 )
 from repro.core.rnnotator import (
+    FaultPlan,
     PipelineConfig,
     PipelineError,
     PipelineKilled,
@@ -27,6 +28,8 @@ from repro.core.schemes import MatchingScheme
 from repro.obs import Tracer, use_tracer
 
 CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
+#: One spot reclaim a virtual second into the assembly fan-out.
+PREEMPT = FaultPlan(preempt_at=(1.0,))
 
 
 class TestCheckpointStore:
@@ -127,13 +130,11 @@ class TestKillAndResume:
         baseline = RnnotatorPipeline().run(ds_single, PipelineConfig(**CONFIG))
 
         ckdir = str(tmp_path / "ck")
-        chaos_cfg = PipelineConfig(
-            checkpoint_dir=ckdir,
-            abort_after_stage="transcript-assembly",
-            **CONFIG,
+        killer = RnnotatorPipeline(
+            faults=FaultPlan(abort_after_stage="transcript-assembly")
         )
         with pytest.raises(PipelineKilled):
-            RnnotatorPipeline().run(ds_single, chaos_cfg)
+            killer.run(ds_single, PipelineConfig(checkpoint_dir=ckdir, **CONFIG))
 
         resumed = RnnotatorPipeline().run(
             ds_single, PipelineConfig(checkpoint_dir=ckdir, **CONFIG)
@@ -165,14 +166,9 @@ class TestKillAndResume:
     def test_kill_at_earlier_stage_resumes_too(self, ds_single, tmp_path):
         ckdir = str(tmp_path / "ck")
         with pytest.raises(PipelineKilled):
-            RnnotatorPipeline().run(
-                ds_single,
-                PipelineConfig(
-                    checkpoint_dir=ckdir,
-                    abort_after_stage="pre-processing",
-                    **CONFIG,
-                ),
-            )
+            RnnotatorPipeline(
+                faults=FaultPlan(abort_after_stage="pre-processing")
+            ).run(ds_single, PipelineConfig(checkpoint_dir=ckdir, **CONFIG))
         resumed = RnnotatorPipeline().run(
             ds_single, PipelineConfig(checkpoint_dir=ckdir, **CONFIG)
         )
@@ -180,13 +176,11 @@ class TestKillAndResume:
         assert len(resumed.transcripts) > 5
 
     def test_unknown_abort_stage_never_fires(self, ds_single, tmp_path):
-        res = RnnotatorPipeline().run(
+        res = RnnotatorPipeline(
+            faults=FaultPlan(abort_after_stage="no-such-stage")
+        ).run(
             ds_single,
-            PipelineConfig(
-                checkpoint_dir=str(tmp_path / "ck"),
-                abort_after_stage="no-such-stage",
-                **CONFIG,
-            ),
+            PipelineConfig(checkpoint_dir=str(tmp_path / "ck"), **CONFIG),
         )
         assert len(res.transcripts) > 5
 
@@ -197,13 +191,10 @@ class TestPreemptionEndToEnd:
     ):
         baseline = RnnotatorPipeline().run(ds_single, PipelineConfig(**CONFIG))
         tracer = Tracer()
-        chaos = RnnotatorPipeline(tracer=tracer).run(
+        chaos = RnnotatorPipeline(tracer=tracer, faults=PREEMPT).run(
             ds_single,
             PipelineConfig(
-                scheme=MatchingScheme.S3,
-                unit_max_restarts=2,
-                preempt_at=(1.0,),
-                **CONFIG,
+                scheme=MatchingScheme.S3, unit_max_restarts=2, **CONFIG
             ),
         )
         assert tracer.metrics.counters["vms_preempted"].value == 1
@@ -217,13 +208,8 @@ class TestPreemptionEndToEnd:
         """The original bug surfaced here as a silently truncated
         assembly set; now the run fails with an explicit error."""
         with pytest.raises(PipelineError, match="assembly jobs failed"):
-            RnnotatorPipeline().run(
-                ds_single,
-                PipelineConfig(
-                    unit_max_restarts=0,
-                    preempt_at=(1.0,),
-                    **CONFIG,
-                ),
+            RnnotatorPipeline(faults=PREEMPT).run(
+                ds_single, PipelineConfig(unit_max_restarts=0, **CONFIG)
             )
 
     def test_preempt_plus_checkpoint_compose(self, ds_single, tmp_path):
@@ -232,13 +218,12 @@ class TestPreemptionEndToEnd:
         checkpoint survives preemption chaos on a later resume."""
         ckdir = str(tmp_path / "ck")
         baseline = RnnotatorPipeline().run(ds_single, PipelineConfig(**CONFIG))
-        chaos = RnnotatorPipeline().run(
+        chaos = RnnotatorPipeline(faults=PREEMPT).run(
             ds_single,
             PipelineConfig(
                 checkpoint_dir=ckdir,
                 scheme=MatchingScheme.S3,
                 unit_max_restarts=2,
-                preempt_at=(1.0,),
                 **CONFIG,
             ),
         )
@@ -253,10 +238,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(unit_max_restarts=-1)
 
-    def test_zero_restart_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(max_restart_rounds=0)
-
     def test_negative_preempt_offset_rejected(self):
         with pytest.raises(ValueError):
-            PipelineConfig(preempt_at=(-1.0,))
+            FaultPlan(preempt_at=(-1.0,))

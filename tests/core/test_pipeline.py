@@ -1,7 +1,10 @@
 """End-to-end pipeline integration tests."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.preprocess import PreprocessParams
 from repro.core.rnnotator import (
     PipelineConfig,
     PipelineError,
@@ -147,3 +150,53 @@ class TestMultiAssembler:
         # 50 bp reads, post-trim modal length ~47 -> 35..47 step 2
         assert res.kmer_list[0] == 35
         assert len(res.kmer_list) >= 5
+
+
+class TestConfigFingerprint:
+    """Every PipelineConfig field is classified exactly once; a new
+    field has to be put on one side before this passes again."""
+
+    #: field -> a non-default value.  Changing one moves the fingerprint
+    #: (and the checkpoint stage markers, built from the same key).
+    RESULT_DETERMINING = {
+        "assemblers": ("velvet",),
+        "scheme": MatchingScheme.S1,
+        "workflow": WorkflowPattern.DISTRIBUTED_STATIC,
+        "instance_type": "r3.2xlarge",
+        "mpi_nodes_per_job": 2,
+        "contrail_nodes_per_job": 4,
+        "max_nodes": 8,
+        "min_count": 3,
+        "min_contig_length": 200,
+        "kmer_list": (35, 41),
+        "preprocess_params": PreprocessParams(min_length=40),
+    }
+    #: How the run executes, never what it computes.
+    EXECUTION_MECHANICS = {
+        "executor": "thread",
+        "executor_workers": 2,
+        "spectrum_shards": 3,
+        "spectrum_buckets": 4,
+        "resource_cadence": 0.5,
+        "checkpoint_dir": "/tmp/ck",
+        "unit_max_restarts": 2,
+        "alert_rules": ("straggler",),
+        "heartbeat_cadence": 0.5,
+    }
+
+    def test_every_field_is_classified_once(self):
+        names = [f.name for f in dataclasses.fields(PipelineConfig)]
+        classified = [*self.RESULT_DETERMINING, *self.EXECUTION_MECHANICS]
+        assert sorted(classified) == sorted(names)
+        assert len(names) == 20
+
+    def test_only_result_determining_fields_move_it(self):
+        base = PipelineConfig()
+        assert base.fingerprint() == "0f40bed062c9543c"  # ledger-stable
+        for name, value in self.RESULT_DETERMINING.items():
+            changed = dataclasses.replace(base, **{name: value})
+            assert changed.fingerprint() != base.fingerprint(), name
+        for name, value in self.EXECUTION_MECHANICS.items():
+            changed = dataclasses.replace(base, **{name: value})
+            assert getattr(changed, name) != getattr(base, name), name
+            assert changed.fingerprint() == base.fingerprint(), name

@@ -22,6 +22,7 @@ from repro.core.assembly_cache import (
     use_assembly_cache,
 )
 from repro.core.rnnotator import (
+    FaultPlan,
     PipelineConfig,
     PipelineKilled,
     RnnotatorPipeline,
@@ -87,7 +88,7 @@ def supply(monkeypatch):
     return seen
 
 
-def run(dataset, executor="serial", kmer_list=KS, **overrides):
+def run(dataset, executor="serial", kmer_list=KS, faults=None, **overrides):
     """(result, tracer) of one traced run."""
     config = PipelineConfig(
         assemblers=ASSEMBLERS,
@@ -98,7 +99,8 @@ def run(dataset, executor="serial", kmer_list=KS, **overrides):
     )
     tracer = Tracer()
     with time_limit(120):
-        return RnnotatorPipeline(tracer=tracer).run(dataset, config), tracer
+        pipeline = RnnotatorPipeline(tracer=tracer, faults=faults)
+        return pipeline.run(dataset, config), tracer
 
 
 def build_spans(tracer):
@@ -257,7 +259,7 @@ class TestCheckpointResume:
                     dataset,
                     executor,
                     checkpoint_dir=ckpt,
-                    abort_after_stage="transcript-assembly",
+                    faults=FaultPlan(abort_after_stage="transcript-assembly"),
                 )
         after_kill = dict(supply)
         with use_assembly_cache(None), use_kmer_table_cache(KmerTableCache()):

@@ -16,6 +16,7 @@ import pytest
 from repro.core import rnnotator
 from repro.core.assembly_cache import use_assembly_cache
 from repro.core.rnnotator import (
+    FaultPlan,
     PipelineConfig,
     PipelineError,
     PipelineKilled,
@@ -68,16 +69,15 @@ def stores(monkeypatch):
     return seen
 
 
-def run(ds, **overrides):
+def run(ds, faults=None):
     config = PipelineConfig(
         assemblers=("velvet",),
         kmer_list=(31,),
         executor="process",
         executor_workers=2,
-        **overrides,
     )
     with time_limit(120), use_assembly_cache(None):
-        return RnnotatorPipeline().run(ds, config)
+        return RnnotatorPipeline(faults=faults).run(ds, config)
 
 
 def assert_released(stores, before):
@@ -115,5 +115,5 @@ class TestStoreLifetime:
     def test_kill_after_assembly_leaves_no_segment(self, ds_single, stores):
         before = segments()
         with pytest.raises(PipelineKilled):
-            run(ds_single, abort_after_stage="transcript-assembly")
+            run(ds_single, FaultPlan(abort_after_stage="transcript-assembly"))
         assert_released(stores, before)

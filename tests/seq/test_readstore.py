@@ -1,6 +1,8 @@
-"""ReadStore: encode-once layout, extraction parity, shared-memory
-lifecycle (create/attach/close/unlink, double-close, leak-freedom)."""
+"""ReadStore: encode-once layout, extraction parity, and the one
+shared-memory lifecycle (create/attach/close/unlink, double-close,
+leak-freedom) that ReadStore and KmerSpectrum both hold."""
 
+import gc
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context, shared_memory
@@ -8,11 +10,16 @@ from multiprocessing import get_context, shared_memory
 import numpy as np
 import pytest
 
+from repro.assembly.base import AssemblyParams
 from repro.assembly.kmers import (
     canonical_kmers_store_packed,
     canonical_kmers_varlen_packed,
 )
-from repro.seq import alphabet
+from repro.assembly.sweep import FIELDS as SPECTRUM_FIELDS
+from repro.assembly.sweep import KmerSpectrum, KmerSpectrumHandle, build_spectra
+from repro.core.multikmer import make_assembly_workload
+from repro.parallel.executor import ProcessExecutor
+from repro.seq import alphabet, sharedarrays
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore, ReadStoreHandle
 
@@ -89,28 +96,11 @@ class TestExtractionParity:
             canonical_kmers_varlen_packed([r.seq for r in reads], k),
         )
 
-    @pytest.mark.parametrize("p", [1, 3, 8])
-    def test_striped_subset_matches_slicing(self, reads_single, p):
-        reads = reads_single[:200]
-        store = ReadStore.from_reads(reads)
-        for r in range(p):
-            stripe = np.arange(r, store.n_reads, p, dtype=np.int64)
-            np.testing.assert_array_equal(
-                canonical_kmers_store_packed(store, 21, indices=stripe),
-                canonical_kmers_varlen_packed(
-                    [x.seq for x in reads[r::p]], 21
-                ),
-            )
-
     def test_short_and_n_reads_contribute_nothing(self):
         store = ReadStore.from_reads(READS)
         got = canonical_kmers_store_packed(store, 11)
         want = canonical_kmers_varlen_packed([r.seq for r in READS], 11)
         np.testing.assert_array_equal(got, want)
-
-    def test_subset_codes_empty(self):
-        store = ReadStore.from_reads(READS)
-        assert store.subset_codes(np.array([], dtype=np.int64)).size == 0
 
 
 class TestDigest:
@@ -135,115 +125,216 @@ class TestDigest:
         assert ReadStore.from_reads(_mk(["GGCC", "ACGT"])).digest != base
 
 
-def _attach_fresh(handle):
+def _attach_fresh(cls, handle):
     """Attach through the real shared-memory path (module-level so the
-    fork pool can pickle it by reference; the inherited attach cache is
-    cleared first, otherwise the fork child would reuse the parent's
-    in-process store object and test nothing)."""
-    from repro.seq import readstore
-
-    readstore._ATTACHED.clear()
-    store = ReadStore.attach(handle)
-    return store.n_reads, store.digest, store.seq(0), store.read_id(0)
+    fork pool can pickle it by reference; the inherited attach registry
+    is cleared first, otherwise the fork child would reuse the parent's
+    in-process object and test nothing)."""
+    sharedarrays._ATTACHED.clear()
+    return _content(cls.attach(handle))
 
 
-class TestSharedMemoryLifecycle:
+def _content(obj):
+    """Everything the object's arrays say, in a comparable form."""
+    if isinstance(obj, ReadStore):
+        return obj.digest, obj.records()
+    return obj.k, obj.store_digest, [
+        getattr(obj, field).tolist() for field in SPECTRUM_FIELDS
+    ]
+
+
+def _segment_exists(name):
+    try:
+        shm = sharedarrays._attach_untracked(name)
+    except FileNotFoundError:
+        return False
+    shm.close()
+    return True
+
+
+class _LifecycleSuite:
+    """The shared-memory lifecycle, written once.  The two subclasses
+    below only say what a fresh object is; a class per input (not a
+    parameter) keeps the ReadStore ids the suite has always had."""
+
+    handle_type = None
+    pickled_size = None  # what PR 18 pickled to; the handle stays compact
+    fields = ()  # array properties that must raise once closed
+
+    def fresh(self, reads=READS):
+        raise NotImplementedError
+
+    def fanout(self, reads):
+        """(object, assembly workload that carries it)."""
+        raise NotImplementedError
+
     def test_share_is_idempotent_and_zero_copy_semantics_hold(self):
-        store = ReadStore.from_reads(READS)
-        handle = store.share()
-        assert isinstance(handle, ReadStoreHandle)
-        assert store.share() == handle  # same segment, same handle
-        assert store.shared and store.owns_shm
-        assert store.records() == READS  # views rebound onto the segment
-        store.close()
+        obj = self.fresh()
+        before = _content(obj)
+        handle = obj.share()
+        assert isinstance(handle, self.handle_type)
+        assert obj.share() == handle == obj.handle()  # same segment
+        assert obj.shared and obj.owns_shm and not obj.closed
+        assert _content(obj) == before  # views rebound onto the segment
+        assert not getattr(obj, self.fields[0]).flags.writeable
+        obj.close()
 
     def test_pickle_roundtrip_returns_live_store(self):
-        store = ReadStore.from_reads(READS)
-        clone = pickle.loads(pickle.dumps(store))
-        # in-process unpickle resolves through the attach cache
-        assert clone is store
-        store.close()
+        obj = self.fresh()
+        clone = pickle.loads(pickle.dumps(obj))
+        # in-process unpickle resolves through the attach registry
+        assert clone is obj
+        obj.close()
 
     def test_pickled_size_is_o1_in_read_count(self, reads_single):
-        stores = [
-            ReadStore.from_reads(reads_single[:n]) for n in (50, 2000)
-        ]
-        sizes = [len(pickle.dumps(s)) for s in stores]
+        objs = [self.fresh(reads_single[:n]) for n in (50, 2000)]
+        sizes = [len(pickle.dumps(o)) for o in objs]
         # O(1): a 40x read-count increase moves the pickle by at most a
-        # few varint bytes, and the whole thing stays handle-sized.
-        assert abs(sizes[1] - sizes[0]) <= 16 and max(sizes) < 512
-        for s in stores:
-            s.close()
+        # few varint bytes, and the handle stays the compact one.
+        assert abs(sizes[1] - sizes[0]) <= 16
+        assert abs(sizes[1] - self.pickled_size) <= 16
+        for o in objs:
+            o.close()
 
     def test_attach_across_processes(self):
-        store = ReadStore.from_reads(READS)
-        handle = store.share()
+        obj = self.fresh()
+        handle = obj.share()
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            n_reads, digest, seq0, id0 = pool.submit(
-                _attach_fresh, handle
-            ).result()
-        assert n_reads == store.n_reads
-        assert digest == store.digest
-        assert seq0 == READS[0].seq and id0 == READS[0].id
-        store.close()
+            seen = pool.submit(_attach_fresh, type(obj), handle).result()
+        assert seen == _content(obj)
+        obj.close()
 
     def test_close_unlinks_owner_segment(self):
-        store = ReadStore.from_reads(READS)
-        name = store.share().shm_name
-        store.close()
-        assert store.closed
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        obj = self.fresh()
+        name = obj.share().shm_name
+        obj.close()
+        assert obj.closed and not obj.shared
+        assert not _segment_exists(name)
 
     def test_double_close_is_safe(self):
-        store = ReadStore.from_reads(READS)
-        store.share()
-        store.close()
-        store.close()  # must not raise
-        ReadStore.from_reads(READS).close()  # never-shared: no-op
-        with pytest.raises(ValueError):
-            _ = store.codes
+        obj = self.fresh()
+        obj.share()
+        obj.close()
+        obj.close()  # must not raise
+        for field in self.fields:
+            with pytest.raises(ValueError, match="is closed"):
+                getattr(obj, field)
+        with pytest.raises(ValueError, match="is closed"):
+            _ = obj.nbytes
+        with pytest.raises(ValueError, match="closed"):
+            obj.share()
+        local = self.fresh()
+        local.close()  # never shared: a no-op, and it stays usable
+        assert not local.closed and _content(local) == _content(self.fresh())
+        with pytest.raises(ValueError, match="not shared"):
+            local.handle()
 
     def test_attacher_close_does_not_unlink(self):
-        owner = ReadStore.from_reads(READS)
+        owner = self.fresh()
         handle = owner.share()
-        from repro.seq import readstore
-
-        readstore._ATTACHED.clear()  # force a real second attachment
-        attacher = ReadStore.attach(handle)
+        sharedarrays._ATTACHED.clear()  # force a real second attachment
+        attacher = type(owner).attach(handle)
         assert attacher is not owner and not attacher.owns_shm
-        assert attacher.records() == READS
+        assert _content(attacher) == _content(owner)
+        with pytest.raises(ValueError):  # attached views are read-only
+            getattr(attacher, self.fields[0])[...] = 0
         attacher.close()
-        # the owner's segment must survive the attacher's close
-        assert owner.records() == READS
+        # The owner's segment must survive the attacher's close — by
+        # name too: the owner's own mapping would outlive an unlink.
+        assert _segment_exists(handle.shm_name)
+        assert _content(owner) == _content(self.fresh())
         owner.close()
 
     def test_gc_backstop_unlinks(self):
-        store = ReadStore.from_reads(READS)
-        name = store.share().shm_name
-        del store  # no explicit close: the finalizer must clean up
-        import gc
-
+        obj = self.fresh()
+        name = obj.share().shm_name
+        del obj  # no explicit close: the finalizer must clean up
         gc.collect()
+        assert not _segment_exists(name)
+
+    def test_close_detaches_the_backstop(self):
+        """close(unlink=False) hands the segment on; the finalizer of
+        the closed object must not destroy it later."""
+        obj = self.fresh()
+        name = obj.share().shm_name
+        obj.close(unlink=False)
+        del obj
+        gc.collect()
+        assert _segment_exists(name)
+        shm = shared_memory.SharedMemory(name=name)
+        shm.close()
+        shm.unlink()
+
+    def test_attach_after_unlink_fails_at_once(self):
+        obj = self.fresh()
+        handle = obj.share()
+        obj.close()
+        sharedarrays._ATTACHED.clear()
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+            type(obj).attach(handle)
+        assert handle.shm_name not in sharedarrays._ATTACHED
+
+    def test_repr_in_every_state(self):
+        obj = self.fresh()
+        assert ", local, " in repr(obj)
+        obj.share()
+        assert ", shared, " in repr(obj)
+        obj.close()
+        assert ", closed, " in repr(obj)  # must not touch the arrays
 
     def test_no_dangling_segments_after_executor_shutdown(self, reads_single):
         """A fan-out through the process backend leaves /dev/shm clean."""
-        from repro.assembly.base import AssemblyParams
-        from repro.core.multikmer import make_assembly_workload
-        from repro.parallel.executor import ProcessExecutor
-
-        store = ReadStore.from_reads(reads_single[:120])
-        work = make_assembly_workload(
-            "velvet", store, AssemblyParams(k=31), n_ranks=1
-        )
+        obj, work = self.fanout(reads_single[:120])
         ex = ProcessExecutor(max_workers=1)
         outcome = ex.submit(work).outcome()
         ex.shutdown()
         assert outcome.ok
-        name = store.handle().shm_name
-        store.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        name = obj.handle().shm_name  # the submit's pickle shared it
+        work.store.close()
+        obj.close()
+        assert not _segment_exists(name)
+
+
+class TestSharedMemoryLifecycle(_LifecycleSuite):
+    """... of a fresh ReadStore."""
+
+    handle_type = ReadStoreHandle
+    pickled_size = 231
+    fields = ("codes", "quals", "offsets")
+
+    def fresh(self, reads=READS):
+        return ReadStore.from_reads(reads)
+
+    def fanout(self, reads):
+        store = self.fresh(reads)
+        return store, make_assembly_workload(
+            "velvet", store, AssemblyParams(k=31), n_ranks=1
+        )
+
+
+class TestSpectrumSharedMemoryLifecycle(_LifecycleSuite):
+    """... of a fresh KmerSpectrum, over a store that stays local."""
+
+    handle_type = KmerSpectrumHandle
+    pickled_size = 248
+    fields = tuple(SPECTRUM_FIELDS)
+
+    def fresh(self, reads=READS):
+        (spectrum,) = build_spectra(ReadStore.from_reads(reads), [5])
+        return spectrum
+
+    def fanout(self, reads):
+        store = ReadStore.from_reads(reads)
+        (spectrum,) = build_spectra(store, [31])
+        return spectrum, make_assembly_workload(
+            "velvet", store, AssemblyParams(k=31), n_ranks=1, spectrum=spectrum
+        )
+
+    def test_close_of_a_local_spectrum_keeps_derived_caches(self):
+        """The table cache holds local spectra across runs and relies on
+        their memoised owner partition surviving the run's close()."""
+        spectrum = self.fresh()
+        owners = spectrum.owners(3)
+        spectrum.close()
+        assert spectrum.owners(3) is owners

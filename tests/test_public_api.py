@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +95,19 @@ def test_runtime_imports_neither_scipy_nor_networkx():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_module_owns_the_shared_memory_lifecycle():
+    """Segments, their finalizers and the resource-tracker workaround
+    live in ``repro.seq.sharedarrays`` and nowhere else under ``src/``
+    (docstrings count: other modules point there, they do not restate)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    lifecycle = re.compile(
+        r"import.*shared_memory|SharedMemory\(|weakref\.finalize|resource_tracker"
+    )
+    owners = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if lifecycle.search(path.read_text())
+    ]
+    assert owners == ["repro/seq/sharedarrays.py"]
