@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.obs import get_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage, nbytes
 
@@ -91,10 +93,9 @@ class MapReduceEngine:
     Every :class:`MRJobStats` field and the set of output records are
     independent of ``PYTHONHASHSEED``.  Output *order* and
     ``peak_rank_memory_bytes`` follow which keys share a partition, so
-    they are seed-independent only for keys whose ``hash()`` is (ints).
-    Contrail's ``pair_<r>`` jobs key on ``bytes`` junctions: their
-    output is re-sorted by the driver, and they are the one place
-    Contrail's peak can move with the seed.
+    :meth:`run` keeps them seed-independent only for keys whose
+    ``hash()`` is (ints).  A job whose shuffle is already laid out as
+    arrays is booked by :meth:`record_shuffle` instead, from its columns.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -187,20 +188,67 @@ class MapReduceEngine:
         self, stats: MRJobStats, peak_partition_bytes: int = 0
     ) -> None:
         """Account one job whose statistics were *derived* instead of
-        executed.
-
-        The count-once fast path (:mod:`repro.assembly.sweep`) can
-        reproduce a job's exact measured statistics from a shared
-        precomputed k-mer spectrum without streaming a single record
-        through the engine.  This entry point books such a job with the
-        identical observable footprint of :meth:`run`: the ``mr:<name>``
-        span and ``mr_jobs`` counter, the :class:`MRJobStats` entry, the
+        executed (:meth:`record_shuffle` derives them), with the identical
+        observable footprint of :meth:`run`: the ``mr:<name>`` span and
+        ``mr_jobs`` counter, the :class:`MRJobStats` entry, the
         reducer-memory peak, and the priced :class:`PhaseUsage`.
         """
         with get_tracer().span(
             f"mr:{stats.name}", category="mapreduce", n_workers=self.n_workers
         ) as sp:
             self._book(stats, peak_partition_bytes, sp)
+
+    def record_shuffle(
+        self,
+        name: str,
+        *,
+        map_input_records: int,
+        task: np.ndarray,
+        key: np.ndarray,
+        value_nbytes,
+        key_nbytes,
+        partition: np.ndarray,
+        reduce_output_records: int,
+        combined: bool = False,
+    ) -> None:
+        """Account one job from the columns of its shuffle (DESIGN §5).
+
+        Per emitted record: its map ``task``, its dense ``key`` id (every
+        id in ``range(len(partition))`` occurs) and its ``value_nbytes``;
+        per key: its ``key_nbytes`` and its reduce ``partition``.  Byte
+        columns may be scalars.  ``combined``: a combiner folds each
+        (task, key) group into one value of ``value_nbytes``.
+
+        What :meth:`run` measures record by record: every distinct (task,
+        key) group ships its key and a value list, ``shuffle_bytes =
+        sum_groups(key + 16) + sum(values)``; a reduce partition is one
+        dict of merged lists, ``16 + sum_keys(key + 16) + sum(values)``,
+        and the largest is the job's reducer-memory peak.
+        """
+        n_keys, n_emitted = int(partition.shape[0]), int(key.shape[0])
+        key_nbytes = np.broadcast_to(key_nbytes, n_keys)
+        # Distinct (task, key) groups: sort, keep each run's first.
+        groups = np.sort(task * n_keys + key)
+        group_key = groups[np.diff(groups, prepend=-1) != 0] % n_keys
+        if combined:  # what is shuffled is one value per group
+            key = group_key
+        # Sums of small integers stay exact in bincount's float64.
+        values = np.bincount(
+            key, np.broadcast_to(value_nbytes, key.shape), minlength=n_keys
+        )
+        parts = np.bincount(
+            partition, key_nbytes + 16 + values, minlength=self.n_workers
+        )
+        stats = MRJobStats(
+            name=name,
+            map_input_records=map_input_records,
+            map_output_records=n_emitted,
+            combine_output_records=int(key.shape[0]),
+            shuffle_bytes=int((key_nbytes[group_key] + 16).sum() + values.sum()),
+            reduce_input_groups=n_keys,
+            reduce_output_records=reduce_output_records,
+        )
+        self.record_job(stats, 16 + int(parts.max()))
 
     def _book(self, stats: MRJobStats, peak_bytes: int, sp) -> None:
         """The one place a job, executed or derived, enters the books."""

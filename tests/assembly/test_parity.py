@@ -12,6 +12,7 @@ executed count job — which is preserved verbatim in
 import numpy as np
 import pytest
 
+from repro.assembly import packed as packedmod
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler
@@ -86,8 +87,15 @@ class TestContrailCountJobParity:
 
         engine_new = MapReduceEngine(1)
         store = ReadStore.from_reads(reads)
-        got = ContrailAssembler()._derive_kmer_count(
-            engine_new, store, params, resolve_spectrum(store, params.k)
+        spectrum = resolve_spectrum(store, params.k)
+        solid = ContrailAssembler()._derive_kmer_count(
+            engine_new, store, params, spectrum
+        )
+        got = dict(
+            zip(
+                packedmod.unpack_to_bytes(spectrum.distinct[solid], params.k),
+                spectrum.counts[solid].tolist(),
+            )
         )
         engine_ref = MapReduceEngine(1)
         ref = reference_kmer_count_job(engine_ref, reads, params)
