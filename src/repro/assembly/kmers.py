@@ -180,12 +180,12 @@ def fused_canonical_positions_packed(
     order — to ``canonical_kmers_packed(codes, k)``.
 
     The fusion: the flat array is packed exactly once at ``kmax`` (every
-    window start 0..T-kmax), and each smaller k is *derived* by masking
-    the packed words down to its top ``2k`` bits — the packed layout is
-    left-aligned, so the first k bases of a kmax-window are literally the
-    k-window at the same position.  Only the ≤ ``kmax - k`` tail windows
-    past the last kmax start (and nothing else) are packed directly.
-    N-validity for every k comes from one prefix-sum over the N mask.
+    window start 0..T-kmax, :func:`repro.assembly.packed.pack_flat`), and
+    each smaller k is *derived* by masking the packed words down to its
+    top ``2k`` bits — the layout is left-aligned, so the first k bases of
+    a kmax-window are literally the k-window at the same position.  Only
+    the ≤ ``kmax - k`` tail windows past the last kmax start are packed
+    directly.  N-validity for every k comes from one N prefix-sum.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     ks = sorted({int(k) for k in ks})
@@ -193,73 +193,31 @@ def fused_canonical_positions_packed(
         return {}
     for k in ks:
         packedmod.check_k(k)
-    U = np.uint64
-    ones = U(0xFFFFFFFFFFFFFFFF)
     T = codes.shape[0]
     kmax = ks[-1]
 
     # One N prefix-sum serves every k: window [i, i+k) is N-free iff the
     # count of N bases does not grow across it.
     nbad = np.zeros(T + 1, dtype=np.int64)
-    if T:
-        nbad[1:] = np.cumsum(codes >= alphabet.N, dtype=np.int64)
-    # N bases are masked to code 0 so they pack cleanly; any window that
-    # contains one is dropped by the validity mask, so the value never
-    # surfaces.
-    san = codes & np.uint8(3)
-
-    # Single packing pass at kmax over every start position 0..T-kmax.
-    n_main = max(T - kmax + 1, 0)
-    W = packedmod.words_for(kmax)
-    main0 = np.zeros(n_main, dtype=U)
-    main1 = np.zeros(n_main, dtype=U) if W == 2 else None
-    if n_main:
-        # One uint64 upcast of the whole sanitized array, then strictly
-        # in-place shift/or rounds: no per-iteration temporaries, which
-        # roughly halves the wall time of the dominant packing loop.
-        san64 = san.astype(U)
-        two = U(2)
-        k0 = min(kmax, 32)
-        w = np.zeros(n_main, dtype=U)
-        for i in range(k0):
-            np.left_shift(w, two, out=w)
-            np.bitwise_or(w, san64[i : i + n_main], out=w)
-        np.left_shift(w, U(2 * (32 - k0)), out=w)
-        main0 = w
-        if W == 2:
-            w = np.zeros(n_main, dtype=U)
-            for i in range(32, kmax):
-                np.left_shift(w, two, out=w)
-                np.bitwise_or(w, san64[i : i + n_main], out=w)
-            np.left_shift(w, U(128 - 2 * kmax), out=w)
-            main1 = w
+    nbad[1:] = np.cumsum(codes >= alphabet.N, dtype=np.int64)
+    # pack_flat packs an N as code 0: a window that holds one is dropped
+    # by the validity mask, so the value never surfaces.
+    main = packedmod.pack_flat(codes, kmax)
+    n_main = main.shape[0]
 
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in ks:
         Wk = packedmod.words_for(k)
-        n_k = max(T - k + 1, 0)
-        if n_k == 0:
-            out[k] = (
-                np.zeros((0, Wk), dtype=U),
-                np.zeros(0, dtype=np.int64),
-            )
-            continue
-        valid = nbad[k : k + n_k] - nbad[:n_k] == 0
-        pos = np.flatnonzero(valid).astype(np.int64)
-        main_sel = pos[pos < n_main]
-        tail_sel = pos[pos >= n_main]
-        rows = np.empty((pos.shape[0], Wk), dtype=U)
-        nm = main_sel.shape[0]
-        if Wk == 1:
-            # Word 0 always holds the first min(k, 32) bases left-aligned,
-            # whether the kmax packing used one word or two.
-            rows[:nm, 0] = main0[main_sel] & (ones << U(64 - 2 * k))
-        else:
-            rows[:nm, 0] = main0[main_sel]
-            rows[:nm, 1] = main1[main_sel] & (ones << U(128 - 2 * k))
-        if tail_sel.shape[0]:
-            wins = np.lib.stride_tricks.sliding_window_view(san, k)[tail_sel]
-            rows[nm:] = packedmod.pack(wins)
+        pos = np.flatnonzero(nbad[k:] == nbad[: max(T + 1 - k, 0)])
+        tail = pos.searchsorted(n_main)
+        # Masking a directly packed tail row is harmless: its slack is 0.
+        rows = np.concatenate(
+            [
+                main[:, :Wk][pos[:tail]],
+                packedmod.pack_flat(codes[n_main:], k)[pos[tail:] - n_main],
+            ]
+        )
+        rows[:, -1] &= np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 * Wk - 2 * k)
         out[k] = (packedmod.canonicalize(rows, k), pos)
     return out
 

@@ -99,6 +99,53 @@ def pack(windows: np.ndarray) -> np.ndarray:
     return out
 
 
+def flat_windows(codes: np.ndarray, k: int) -> np.ndarray:
+    """Right-aligned packed k-mers (``k <= 32``) at every start of a flat
+    code array, in the narrowest unsigned dtype that holds ``2k`` bits.
+
+    Built by doubling: a window of ``w + d`` bases (``d <= w``) is the
+    w-window at its start shifted up ``d`` bases, or-ed with the w-window
+    that ends where it ends (their ``w - d`` shared bases agree) — so a
+    k-mer costs ``ceil(log2 k)`` array passes instead of ``k``, with two
+    levels live at a time.  Codes are masked to two bits, so an ``N``
+    packs as ``A``: callers drop such windows by their own validity mask.
+    """
+    if not 1 <= k <= 32:
+        raise ValueError(f"flat_windows packs 1 <= k <= 32, got {k}")
+    a = np.asarray(codes, dtype=np.uint8) & np.uint8(3)
+    if a.shape[0] < k:
+        return a[:0]
+    w = 1
+    while w < k:
+        d = min(w, k - w)
+        w += d
+        dtype = (np.uint8, np.uint16, np.uint32, _U)[(w > 4) + (w > 8) + (w > 16)]
+        hi = a[:-d].astype(dtype)
+        hi *= dtype(1 << 2 * d)  # a shift; numpy's 8-bit shifts are scalar
+        hi |= a[d:]
+        a = hi
+    return a
+
+
+def pack_flat(codes: np.ndarray, k: int) -> np.ndarray:
+    """Left-aligned packed k-mers at every start of a flat code array:
+    ``pack(sliding_window_view(codes & 3, k))`` as column-contiguous
+    ``(T - k + 1, W)`` rows, by :func:`flat_windows`.  Word 1 of a
+    two-word k-mer is the low ``k - 32`` bases of the 32-window that
+    ends where the k-mer ends."""
+    W = words_for(k)
+    n = max(np.shape(codes)[0] - k + 1, 0)
+    wins = flat_windows(codes, min(k, 32))
+    if W == 1:
+        word = wins.astype(_U, copy=False)  # wins is ours at any k
+        word <<= _U(64 - 2 * k)
+        return word[:, None]
+    out = np.empty((n, 2), dtype=_U, order="F")
+    out[:, 0] = wins[:n]
+    np.left_shift(wins[k - 32 :], _U(128 - 2 * k), out=out[:, 1])
+    return out
+
+
 def unpack(packed: np.ndarray, k: int) -> np.ndarray:
     """Unpack ``(n, W)`` uint64 rows back to ``(n, k)`` uint8 codes."""
     W = words_for(k)

@@ -389,8 +389,7 @@ class SpectrumShardWorkload:
 
     The store O(1)-pickles over shared memory, so shipping the workload
     costs a handle, not the reads.  Workers run under a thread-local
-    :class:`~repro.obs.NullTracer` (same isolation discipline as the
-    preprocessing prefetch worker) and return real-clock perf_counter
+    :class:`~repro.obs.NullTracer` and return real-clock perf_counter
     stamps so the parent can emit overlap-proving shard spans.
     """
 

@@ -56,20 +56,19 @@ def run_assembly(
 ) -> AssemblyResult:
     """Execute one real assembly at bench scale (memoized)."""
     if preprocessed:
-        reads = bench_preprocessed(dataset_name).reads
+        store = bench_preprocessed(dataset_name).store
     else:
         reads = bench_dataset(dataset_name, fraction).run.all_reads()
+        if assembler == "contrail":
+            # The paper had to feed Contrail pre-processed data to avoid
+            # the N-failure; mirror that but keep raw sizing semantics.
+            reads = [r for r in reads if "N" not in r.seq]
+        store = ReadStore.from_reads(reads)
     params = AssemblyParams(k=k, min_contig_length=max(100, k))
     kwargs = {}
     if assembler in ("ray", "abyss", "contrail"):
         kwargs = {"n_ranks": n_ranks}
-        if assembler == "contrail" and not preprocessed:
-            # The paper had to feed Contrail pre-processed data to avoid
-            # the N-failure; mirror that but keep raw sizing semantics.
-            reads = [r for r in reads if "N" not in r.seq]
-    return get_assembler(assembler).assemble(
-        ReadStore.from_reads(reads), params, **kwargs
-    )
+    return get_assembler(assembler).assemble(store, params, **kwargs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -55,26 +55,14 @@ class QuantificationResult:
         ]
 
 
-def _windows(
-    lengths: np.ndarray, k: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(owner, offset)`` of every ``stride``-th k-window of sequences
-    with the given lengths (none for a sequence shorter than k)."""
-    n_win = np.where(lengths >= k, (lengths - k) // stride + 1, 0)
-    owner, j = expand_ranges(0, n_win)
-    return owner, j * stride
-
-
-def _pack_windows(
-    codes: np.ndarray, starts: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed rows of the N-free length-k windows of ``codes`` at
-    ``starts``, and the mask selecting them among ``starts``."""
-    if starts.shape[0] == 0:  # codes may be shorter than one window
-        return packed.pack(np.zeros((0, k), dtype=np.uint8)), starts < 0
-    win = np.lib.stride_tricks.sliding_window_view(codes, k)[starts]
-    ok = (win < alphabet.N).all(axis=1)
-    return packed.pack(win[ok]), ok
+def _window_table(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed rows of the k-window at every start of a flat code array
+    (one doubling pass, :func:`repro.assembly.packed.pack_flat`) and the
+    mask of the N-free ones (one prefix sum over the N positions)."""
+    rows = packed.pack_flat(codes, k)
+    n_before = np.zeros(codes.shape[0] + 1, dtype=np.int32)
+    np.cumsum(codes >= alphabet.N, dtype=np.int32, out=n_before[1:])
+    return rows, n_before[k:] == n_before[: rows.shape[0]]
 
 
 def quantify(
@@ -102,12 +90,11 @@ def quantify(
 
     # Index: every transcript k-mer, key-sorted, duplicates kept.
     t_codes = alphabet.encode("N".join(t.seq for t in transcripts))
-    t_starts = np.cumsum(lengths + 1) - (lengths + 1)
-    tid, pos = _windows(lengths, k, 1)
-    rows, ok = _pack_windows(t_codes, t_starts[tid] + pos, k)
-    keys = packed.keys(rows, k)
+    rows, n_free = _window_table(t_codes, k)
+    at = np.flatnonzero(n_free)  # a window over a separator holds its N
+    keys = packed.keys(rows[at], k)
     order = np.argsort(keys, kind="stable")
-    tids = tid[ok][order]
+    tids = np.searchsorted(np.cumsum(lengths + 1), at, side="right")[order]
     ukeys, first, n_dup = np.unique(
         keys[order], return_index=True, return_counts=True
     )
@@ -115,12 +102,21 @@ def quantify(
     # Queries: each read's stride-4 windows, and the reverse complements
     # of their mirror images (its reverse complement's stride-4 windows).
     r_len = store.lengths
-    rid, pos = _windows(r_len, k, READ_STRIDE)
+    rid, pos = expand_ranges(
+        0, np.where(r_len >= k, (r_len - k) // READ_STRIDE + 1, 0)
+    )
+    pos *= READ_STRIDE
     work = 2 * rid.shape[0]
-    base = store.offsets[:-1][rid]
-    fwd, f_ok = _pack_windows(store.codes, base + pos, k)
-    mir, m_ok = _pack_windows(store.codes, base + (r_len[rid] - k) - pos, k)
-    query = packed.keys(np.concatenate([fwd, packed.revcomp(mir, k)]), k)
+    fwd = store.offsets[:-1][rid] + pos
+    mir = fwd + (r_len[rid] - k) - 2 * pos
+    rows, n_free = _window_table(store.codes, k)
+    f_ok, m_ok = n_free[fwd], n_free[mir]
+    query = packed.keys(
+        np.concatenate(
+            [rows[fwd[f_ok]], packed.revcomp(rows[mir[m_ok]], k)]
+        ),
+        k,
+    )
     qrid = np.concatenate([rid[f_ok], rid[m_ok]])
 
     # Probe in key order: sorted probes walk the index monotonically.

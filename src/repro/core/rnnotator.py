@@ -39,12 +39,7 @@ from repro.core.planner import (
     predict_spectrum_build,
     select_kmer_list,
 )
-from repro.core.preprocess import (
-    PreprocessParams,
-    PreprocessResult,
-    PreprocessWorkload,
-    preprocess,
-)
+from repro.core.preprocess import PreprocessParams, PreprocessResult, preprocess
 from repro.core.merge import MergeResult, merge_contigs
 from repro.core.quantify import QuantificationResult, quantify
 from repro.core.schemes import MatchingScheme
@@ -329,81 +324,22 @@ class RnnotatorPipeline:
         return self._run(dataset, config)
 
     def run_many(
-        self,
-        datasets: list[Dataset],
-        config: PipelineConfig | None = None,
-        overlap: bool = True,
+        self, datasets: list[Dataset], config: PipelineConfig | None = None
     ) -> list[PipelineResult]:
-        """Run several datasets back-to-back with cross-run stage overlap.
-
-        All runs share one executor backend.  With ``overlap`` on and a
-        backend whose ``supports_overlap`` holds (thread/process pools),
-        dataset ``i+1``'s pre-processing is submitted to the pool while
-        dataset ``i``'s assembly fan-out is still in flight
-        (:class:`~repro.core.preprocess.PreprocessWorkload`), and run
-        ``i+1`` consumes the prefetched outcome instead of recomputing.
-        Pre-processing is deterministic, so every run's results, usage
-        and virtual TTCs are bit-identical to sequential :meth:`run`
-        calls; only real wall time shrinks.  Each consuming run records
-        a ``preprocess.prefetch`` span whose *real* interval is the
-        worker-side execution window — trace evidence that stage i+1's
-        preprocessing overlapped stage i's assembly.
-        """
-        if self.tracer is not None:
-            with use_tracer(self.tracer):
-                return self._run_many(datasets, config, overlap)
-        return self._run_many(datasets, config, overlap)
-
-    def _run_many(
-        self,
-        datasets: list[Dataset],
-        config: PipelineConfig | None,
-        overlap: bool,
-    ) -> list[PipelineResult]:
+        """Run several datasets back-to-back on one executor backend;
+        every result is bit-identical to a separate :meth:`run` call."""
         config = config or PipelineConfig()
         executor = make_executor(config.executor, config.executor_workers)
-        # The runs share the executor instance; _run only closes
-        # backends it constructed itself (string specs), so the pool —
-        # and any prefetch in flight on it — survives across runs.
+        # _run only closes backends it constructed itself (string
+        # specs), so the pool survives across runs.
         shared = replace(config, executor=executor)
-        own_backend = isinstance(config.executor, str)
-        can_overlap = overlap and executor.supports_overlap
-        pending: list = [None]  # prefetch handle for the next dataset
-        results: list[PipelineResult] = []
         try:
-            for i, dataset in enumerate(datasets):
-                prepared, pending[0] = pending[0], None
-                hook = None
-                if can_overlap and i + 1 < len(datasets):
-                    nxt = datasets[i + 1]
-
-                    def hook(nxt=nxt):
-                        work = PreprocessWorkload(
-                            reads=tuple(nxt.run.all_reads()),
-                            params=shared.preprocess_params,
-                        )
-                        pending[0] = executor.submit(work)
-
-                results.append(
-                    self._run(
-                        dataset,
-                        shared,
-                        prepared_pre=prepared,
-                        on_assembly_inflight=hook,
-                    )
-                )
+            return [self.run(dataset, shared) for dataset in datasets]
         finally:
-            if own_backend:
+            if isinstance(config.executor, str):
                 executor.shutdown()
-        return results
 
-    def _run(
-        self,
-        dataset: Dataset,
-        config: PipelineConfig | None,
-        prepared_pre=None,
-        on_assembly_inflight=None,
-    ) -> PipelineResult:
+    def _run(self, dataset: Dataset, config: PipelineConfig | None) -> PipelineResult:
         """Attach the alert engine (when configured) around the real run
         body, detaching it whatever happens — run_many reuses one tracer
         across runs and must not accumulate stale sinks."""
@@ -419,9 +355,7 @@ class RnnotatorPipeline:
             # outlives the assembly stage, and however the run ends its
             # shared segment is unlinked here.
             with ExitStack() as cleanup:
-                return self._run_inner(
-                    dataset, config, cleanup, prepared_pre, on_assembly_inflight
-                )
+                return self._run_inner(dataset, config, cleanup)
         finally:
             self._alert_engine = None
             if engine is not None:
@@ -430,12 +364,7 @@ class RnnotatorPipeline:
                 self.last_alerts = list(engine.alerts)
 
     def _run_inner(
-        self,
-        dataset: Dataset,
-        config: PipelineConfig,
-        cleanup: ExitStack,
-        prepared_pre=None,
-        on_assembly_inflight=None,
+        self, dataset: Dataset, config: PipelineConfig, cleanup: ExitStack
     ) -> PipelineResult:
         spec = dataset.spec
         faults = self.faults
@@ -450,7 +379,9 @@ class RnnotatorPipeline:
         pm = PilotManager(region, events, db)
         stages: list[StageReport] = []
 
-        all_reads = dataset.run.all_reads()
+        # Encode the raw reads exactly once: QC is array work on this
+        # store, and its digest is the checkpoint's content address.
+        raw_store = ReadStore.from_reads(dataset.run.all_reads())
 
         # ---- durable checkpointing ----------------------------------------
         # Unit outcomes are keyed by content (ReadStore digests and
@@ -460,9 +391,7 @@ class RnnotatorPipeline:
         run_key = None
         if config.checkpoint_dir is not None:
             ckpt = CheckpointStore(config.checkpoint_dir)
-            raw_store = ReadStore.from_reads(all_reads)
             raw_digest = raw_store.digest
-            raw_store.close()
             run_key = (raw_digest, *config.result_key())
 
         def checkpoint_stage(report: StageReport) -> None:
@@ -529,31 +458,7 @@ class RnnotatorPipeline:
         um.add_pilot(pa)
 
         def pre_work():
-            if prepared_pre is not None:
-                outcome = prepared_pre.outcome()
-                if outcome.ok:
-                    result, pr0, pr1 = outcome.result
-                    tracer = get_tracer()
-                    if tracer.enabled:
-                        # The span's *real* interval is the worker-side
-                        # execution window — it overlaps the previous
-                        # run's assembly stage, which is the whole point.
-                        # Virtually it is instantaneous: the prefetch
-                        # changes no virtual quantity.
-                        vnow = clock.now
-                        tracer.add_span(
-                            "preprocess.prefetch",
-                            v_start=vnow,
-                            v_end=vnow,
-                            category="overlap",
-                            r_start=pr0,
-                            r_end=pr1,
-                            stage="pre-processing",
-                        )
-                    return result, outcome.usage
-                # A failed prefetch is only a lost optimization: fall
-                # through and compute inline, bit-identically.
-            result = preprocess(all_reads, config.preprocess_params)
+            result = preprocess(raw_store, config.preprocess_params)
             return result, result.usage
 
         t0 = clock.now
@@ -592,6 +497,7 @@ class RnnotatorPipeline:
                 "(a dynamic workflow would have chosen a larger instance)"
             )
         pre: PreprocessResult = pre_unit.result
+        raw_store = None  # QC returned: the raw arrays can go
         stages.append(
             StageReport(
                 name="pre-processing",
@@ -619,11 +525,12 @@ class RnnotatorPipeline:
         assembly_executor = make_executor(
             config.executor, config.executor_workers
         )
-        # Encode the pre-processed reads exactly once; every fan-out unit
-        # shares this store (and, under the process backend, attaches to
-        # its shared-memory segment instead of unpickling record tuples),
-        # and quantification joins against the same arrays.
-        store = ReadStore.from_reads(pre.reads)
+        # Every fan-out unit shares the filtered store QC returned (under
+        # the process backend it attaches to its shared-memory segment),
+        # and quantification joins against the same arrays.  The run holds
+        # an alias: what it shares and unlinks is its own, and the
+        # result's store stays process memory.
+        store = pre.store.alias()
         cleanup.callback(store.close)  # unlinks the segment iff one was created
         store_digest = store.digest
         spectra: tuple[KmerSpectrum, ...] = ()
@@ -845,10 +752,6 @@ class RnnotatorPipeline:
             t0 = clock.now
             w0 = time.perf_counter()
             units = umb.submit_units(descs)
-            if on_assembly_inflight is not None:
-                # Cross-run overlap hook: the next dataset's pre-processing
-                # goes onto the shared pool here, racing the fan-out below.
-                on_assembly_inflight()
             try:
                 umb.run(units)
             except UnitFailureError as exc:

@@ -58,12 +58,10 @@ _DEFAULT_RANK = 20
 
 #: Span categories that never carry the run on their own: the pipeline
 #: root covers everything by definition, and bookkeeping spans
-#: (state transitions, resource samples, the zero-virtual-width overlap
-#: marker, the host-side spectrum build whose spans advance no virtual
-#: time) describe the run rather than advance it.
-_EXCLUDED_CATEGORIES = {
-    "pipeline", "resource", "state", "events", "overlap", "spectrum",
-}
+#: (state transitions, resource samples, the host-side spectrum build
+#: whose spans advance no virtual time) describe the run rather than
+#: advance it.
+_EXCLUDED_CATEGORIES = {"pipeline", "resource", "state", "events", "spectrum"}
 
 
 @dataclass(frozen=True)

@@ -215,13 +215,12 @@ class WorkloadExecutor(ABC):
     name: str = "?"
 
     #: Whether ``submit`` returns before the workload runs, so separately
-    #: submitted workloads genuinely execute concurrently.  Cross-stage
-    #: pipeline overlap (prefetching the next dataset's pre-processing
-    #: while an assembly fan-out is in flight) and the sharded host-side
-    #: spectrum build (:func:`repro.assembly.sweep.submit_spectra_build`,
-    #: overlapped with cluster provisioning) are only attempted on
-    #: backends where this holds — the serial backend runs workloads
-    #: inline at submit time, so "overlap" there would just reorder work.
+    #: submitted workloads genuinely execute concurrently.  The sharded
+    #: host-side spectrum build
+    #: (:func:`repro.assembly.sweep.submit_spectra_build`, overlapped
+    #: with cluster provisioning) is only attempted on backends where
+    #: this holds — the serial backend runs workloads inline at submit
+    #: time, so "overlap" there would just reorder work.
     supports_overlap: bool = False
 
     @abstractmethod

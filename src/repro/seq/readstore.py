@@ -1,9 +1,9 @@
-"""Encode-once read storage shared by the assembly fan-out and quantification.
+"""Encode-once read storage shared by QC, the assembly fan-out and quantification.
 
-The multi-k, multi-assembler fan-out runs many compute units over the
-*same* pre-processed read set.  :class:`ReadStore` is that set, encoded
-exactly once into flat numpy arrays every unit shares — no per-job
-encoding, no records pickled per submit:
+A run encodes its *raw* reads exactly once into a :class:`ReadStore` —
+flat numpy arrays.  QC filters that store into the pre-processed one
+(:meth:`ReadStore.subset`), which the multi-k, multi-assembler fan-out
+shares — no per-job encoding, no records built or pickled per submit:
 
 * ``codes`` — every read's base codes followed by a single ``N``
   separator (code 4).  This is exactly the joined form
@@ -30,7 +30,7 @@ by the assembly cache and for cheap equality.
 
 The store holds one :class:`~repro.seq.sharedarrays.SharedArrays` and
 delegates the segment's lifecycle to it; the ownership rule is that
-module's.  The pipeline run that built a store closes it (one
+module's.  The pipeline run closes the store it shared (one
 ``ExitStack`` in ``RnnotatorPipeline._run``).
 """
 
@@ -73,6 +73,20 @@ def _attach(handle: ReadStoreHandle) -> "ReadStore":
     return ReadStore.attach(handle)
 
 
+def _join_ascii(parts: list[str], sep: str, reads: list, what: str) -> bytes:
+    """``parts`` each followed by ``sep``, as ASCII bytes."""
+    try:
+        return (sep.join(parts) + sep).encode("ascii") if parts else b""
+    except UnicodeEncodeError:
+        bad = next(r for r, part in zip(reads, parts) if not part.isascii())
+        raise ValueError(f"non-ASCII {what} string for read {bad.id}") from None
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Where consecutive sections of the given sizes begin, plus the end."""
+    return np.append(np.int64(0), np.cumsum(sizes, dtype=np.int64))
+
+
 def expand_ranges(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten the ranges ``[starts[i], starts[i] + counts[i])``.
 
@@ -98,55 +112,85 @@ class ReadStore:
         offsets = arrays["offsets"]
         self.n_reads = int(offsets.shape[0]) - 1
         self.n_bases = int(offsets[-1]) - self.n_reads
-        self._digest = digest if digest is not None else self._compute_digest()
+        self._digest = digest  # None: hashed on first use
 
     # -- construction -------------------------------------------------------
 
     @classmethod
+    def from_fields(cls, fields: dict, digest: str | None = None) -> "ReadStore":
+        """A local store over the :data:`FIELDS` arrays (not copied)."""
+        return cls(SharedArrays("ReadStore", FIELDS, fields), digest=digest)
+
+    @classmethod
     def from_reads(cls, reads: Iterable[FastqRecord]) -> "ReadStore":
-        """Encode records exactly once into the flat separator layout."""
+        """Encode records exactly once into the flat separator layout.
+
+        Sequences and qualities are each joined *with* their separator
+        byte and the two buffers converted in one pass each.  A sequence
+        byte outside ``ACGTacgt`` is an uncalled base (``N``).  Raises
+        ``ValueError`` naming the read for a non-ASCII sequence or
+        quality string and for a sequence/quality length mismatch.
+        """
         reads = list(reads)
         n = len(reads)
-        lengths = np.fromiter(
-            (len(r.seq) for r in reads), dtype=np.int64, count=n
+        lengths = np.fromiter((len(r.seq) for r in reads), dtype=np.int64, count=n)
+        offsets = _offsets(lengths + 1)
+        codes = alphabet.encode(
+            _join_ascii([r.seq for r in reads], "N", reads, "sequence")
         )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths + 1, out=offsets[1:])
-        total = int(offsets[-1])
-        codes = np.full(total, alphabet.N, dtype=np.uint8)
-        quals = np.zeros(total, dtype=np.uint8)
-        if n:
-            encoded = alphabet.encode("".join(r.seq for r in reads))
-            qual_raw = np.frombuffer(
-                "".join(r.qual for r in reads).encode("ascii"), dtype=np.uint8
-            )
-            dest = np.arange(encoded.size, dtype=np.int64) + np.repeat(
-                np.arange(n, dtype=np.int64), lengths
-            )
-            codes[dest] = encoded
-            quals[dest] = qual_raw
-
-        id_chunks = [r.id.encode("utf-8") for r in reads]
-        id_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(b) for b in id_chunks), dtype=np.int64, count=n),
-            out=id_offsets[1:],
+        quals = np.frombuffer(
+            _join_ascii([r.qual for r in reads], "\0", reads, "quality"),
+            dtype=np.uint8,
         )
-        id_bytes = np.frombuffer(b"".join(id_chunks), dtype=np.uint8)
-
-        return cls(
-            SharedArrays(
-                "ReadStore",
-                FIELDS,
-                dict(
-                    offsets=offsets,
-                    codes=codes,
-                    quals=quals,
-                    id_offsets=id_offsets,
-                    id_bytes=id_bytes,
+        # Equal-length strings put every quality pad byte on a separator.
+        if quals.shape[0] != codes.shape[0] or quals[offsets[1:] - 1].any():
+            bad = next(r for r in reads if len(r.seq) != len(r.qual))
+            raise ValueError(
+                f"sequence/quality length mismatch for read {bad.id}"
+            )
+        ids = [r.id.encode("utf-8") for r in reads]
+        return cls.from_fields(
+            dict(
+                offsets=offsets,
+                codes=codes,
+                quals=quals,
+                id_offsets=_offsets(
+                    np.fromiter(map(len, ids), dtype=np.int64, count=n)
                 ),
+                id_bytes=np.frombuffer(b"".join(ids), dtype=np.uint8),
             )
         )
+
+    def subset(self, keep: np.ndarray, lengths: np.ndarray) -> "ReadStore":
+        """The reads where ``keep`` holds, each cut to its first
+        ``lengths[i]`` bases, as a new local store: one boolean compress
+        per array and new offsets, no record touched."""
+        kept = np.where(keep, np.asarray(lengths, dtype=np.int64), 0)
+        # Three runs per read of the flat layout: the kept bases, the cut
+        # ones, and the separator (N / pad byte 0), which a kept read keeps.
+        runs = np.stack([kept, self.lengths - kept, np.ones_like(kept)], axis=1)
+        take = np.stack([keep, np.zeros_like(keep), keep], axis=1)
+        mask = np.repeat(take.ravel(), runs.ravel())
+        id_lengths = np.diff(self._arrays["id_offsets"])
+        return self.from_fields(
+            dict(
+                offsets=_offsets(kept[keep] + 1),
+                codes=self.codes[mask],
+                quals=self.quals[mask],
+                id_offsets=_offsets(id_lengths[keep]),
+                id_bytes=self._arrays["id_bytes"][np.repeat(keep, id_lengths)],
+            )
+        )
+
+    def fields(self) -> dict[str, np.ndarray]:
+        """The :data:`FIELDS` arrays by name (views, not copies)."""
+        return {field: self._arrays[field] for field in FIELDS}
+
+    def alias(self) -> "ReadStore":
+        """A second holder of the same arrays (no copy, same digest) with
+        its own share/close lifecycle: a shared alias releases *its*
+        segment on close, while this store stays process memory."""
+        return self.from_fields(self.fields(), digest=self.digest)
 
     @classmethod
     def attach(cls, handle: ReadStoreHandle) -> "ReadStore":
@@ -210,22 +254,25 @@ class ReadStore:
 
     @property
     def digest(self) -> str:
-        """SHA-256 content address over the encoded arrays."""
+        """SHA-256 content address over the encoded arrays (hashed on
+        first use; a store that is only filtered never pays for it)."""
+        if self._digest is None:
+            self._digest = self._compute_digest()
         return self._digest
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReadStore):
             return NotImplemented
-        return self._digest == other._digest
+        return self.digest == other.digest
 
     def __hash__(self) -> int:
-        return hash(self._digest)
+        return hash(self.digest)
 
     def __repr__(self) -> str:
         state = "shared" if self.shared else ("closed" if self.closed else "local")
         return (
             f"ReadStore(n_reads={self.n_reads}, n_bases={self.n_bases}, "
-            f"{state}, digest={self._digest[:12]}...)"
+            f"{state}, digest={self.digest[:12]}...)"
         )
 
     # -- array access --------------------------------------------------------

@@ -51,6 +51,53 @@ class TestCheckK:
         assert packed.words_for(63) == 2
 
 
+class TestPackFlat:
+    """The doubling packer against the column-loop ``pack`` over a
+    sliding window view, at every k the layout holds."""
+
+    @staticmethod
+    def reference(codes, k):
+        if codes.shape[0] < k:
+            return np.zeros((0, packed.words_for(k)), dtype=np.uint64)
+        view = np.lib.stride_tricks.sliding_window_view(codes & 3, k)
+        return packed.pack(view)
+
+    @pytest.mark.parametrize("k", range(1, packed.MAX_K + 1))
+    def test_equals_pack_of_the_window_view(self, k):
+        rng = np.random.default_rng(k)
+        codes = rng.integers(0, 5, size=300).astype(np.uint8)  # with Ns
+        for T in (0, 1, k - 1, k, k + 1, 31, 32, 33, 64, 65, 300):
+            got = packed.pack_flat(codes[:T], k)
+            want = self.reference(codes[:T], k)
+            assert got.dtype == np.uint64 and got.shape == want.shape
+            assert np.array_equal(got, want), (k, T)
+
+    @given(dna_with_n, st.integers(1, packed.MAX_K))
+    def test_equals_pack_on_any_sequence(self, seq, k):
+        codes = encode(seq)
+        assert np.array_equal(
+            packed.pack_flat(codes, k), self.reference(codes, k)
+        )
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 8, 9, 16, 17, 31, 32))
+    def test_flat_windows_are_the_right_aligned_words(self, k):
+        codes = np.random.default_rng(k).integers(0, 5, size=200).astype(np.uint8)
+        wins = packed.flat_windows(codes, k)
+        assert wins.dtype.itemsize * 8 >= 2 * k
+        want = self.reference(codes, k)[:, 0] >> np.uint64(64 - 2 * k)
+        assert np.array_equal(wins.astype(np.uint64), want)
+
+    def test_flat_windows_rejects_two_word_k(self):
+        with pytest.raises(ValueError):
+            packed.flat_windows(np.zeros(40, dtype=np.uint8), 33)
+
+    def test_input_is_not_modified(self):
+        codes = np.array([4, 1, 2, 3, 4, 0, 1] * 10, dtype=np.uint8)
+        before = codes.copy()
+        packed.pack_flat(codes, 33)
+        assert np.array_equal(codes, before)
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("k", BOUNDARY_KS)
     def test_pack_unpack_roundtrip(self, k):

@@ -1,7 +1,7 @@
-"""Count-once spectra and cross-stage overlap at the pipeline level.
+"""Count-once spectra at the pipeline level.
 
-The contract under test: the executor backend and ``run_many`` overlap
-change *only* real wall time.  Contigs, stats, usage, virtual TTCs and
+The contract under test: the executor backend and ``run_many`` change
+*only* real wall time.  Contigs, stats, usage, virtual TTCs and
 dollar costs are bit-identical across backends and to the sequential
 path, and a job reads the spectrum it was handed or builds that one
 spectrum itself (:func:`repro.assembly.sweep.resolve_spectrum`).
@@ -96,64 +96,21 @@ class TestFusedPipelineParity:
         assert build.attrs["ks"] == [25, 31]
 
 
-class TestRunManyOverlap:
-    def test_overlap_bit_identical_and_really_overlaps(self):
+class TestRunMany:
+    def test_run_many_matches_sequential_runs(self):
         datasets = [tiny_dataset(seed=0), tiny_dataset(seed=7)]
         config = PipelineConfig(
             assemblers=("ray", "velvet"), kmer_list=(25,), executor="thread"
         )
-        tracer = Tracer()
         with use_assembly_cache(None):
-            results = RnnotatorPipeline(tracer=tracer).run_many(
+            results = RnnotatorPipeline(tracer=Tracer()).run_many(
                 datasets, config
             )
-        with use_assembly_cache(None):
             sequential = [
                 RnnotatorPipeline().run(d, config) for d in datasets
             ]
         for got, want in zip(results, sequential):
             assert _fingerprint(got) == _fingerprint(want)
-
-        # The trace must prove the overlap: run 2's pre-processing
-        # executed (real clock) inside run 1's assembly stage.
-        prefetch = [s for s in tracer.spans if s.name == "preprocess.prefetch"]
-        assert len(prefetch) == 1
-        assembly_1 = next(
-            s for s in tracer.spans if s.name == "stage:transcript-assembly"
-        )
-        p = prefetch[0]
-        assert p.r_start < assembly_1.r_end
-        assert p.r_end > assembly_1.r_start
-        # Virtually the prefetch is a zero-width marker: it must never
-        # move a virtual quantity.
-        assert p.v_start == p.v_end
-
-    def test_serial_backend_skips_overlap(self):
-        datasets = [tiny_dataset(seed=0), tiny_dataset(seed=7)]
-        config = PipelineConfig(assemblers=("velvet",), kmer_list=(25,))
-        tracer = Tracer()
-        with use_assembly_cache(None):
-            results = RnnotatorPipeline(tracer=tracer).run_many(
-                datasets, config
-            )
-        assert len(results) == 2
-        assert not [
-            s for s in tracer.spans if s.name == "preprocess.prefetch"
-        ]
-
-    def test_overlap_flag_off(self):
-        datasets = [tiny_dataset(seed=0), tiny_dataset(seed=7)]
-        config = PipelineConfig(
-            assemblers=("velvet",), kmer_list=(25,), executor="thread"
-        )
-        tracer = Tracer()
-        with use_assembly_cache(None):
-            RnnotatorPipeline(tracer=tracer).run_many(
-                datasets, config, overlap=False
-            )
-        assert not [
-            s for s in tracer.spans if s.name == "preprocess.prefetch"
-        ]
 
 
 class TestWorkloadSpectrumWiring:

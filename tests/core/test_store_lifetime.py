@@ -57,16 +57,24 @@ def boom(*args, **kwargs):
 
 @pytest.fixture
 def stores(monkeypatch):
-    """Every ReadStore the run encodes."""
-    seen = []
+    """``(encoded, held)``: every ReadStore the run encodes from records,
+    and every alias it takes of the filtered store QC returns — the
+    holder it shares with the fan-out and must release."""
+    encoded, held = [], []
     from_reads = ReadStore.from_reads.__func__
+    alias = ReadStore.alias
 
-    def spy(cls, reads):
-        seen.append(from_reads(cls, reads))
-        return seen[-1]
+    def encode_spy(cls, reads):
+        encoded.append(from_reads(cls, reads))
+        return encoded[-1]
 
-    monkeypatch.setattr(ReadStore, "from_reads", classmethod(spy))
-    return seen
+    def alias_spy(store):
+        held.append(alias(store))
+        return held[-1]
+
+    monkeypatch.setattr(ReadStore, "from_reads", classmethod(encode_spy))
+    monkeypatch.setattr(ReadStore, "alias", alias_spy)
+    return encoded, held
 
 
 def run(ds, faults=None):
@@ -81,7 +89,10 @@ def run(ds, faults=None):
 
 
 def assert_released(stores, before):
-    (store,) = stores  # encoded once: quantification re-encodes nothing
+    encoded, (store,) = stores
+    # The raw reads, once: neither the fan-out nor quantification
+    # re-encodes anything, and the raw store never needs a segment.
+    assert len(encoded) == 1 and not encoded[0].shared
     # Only a store that was shared ever reads as closed, so this also
     # says the fan-out really went through a segment.
     assert store.closed
