@@ -21,7 +21,7 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import extract_unitigs_by_owner
-from repro.assembly.ray import distribute_and_count, merge_shards
+from repro.assembly.ray import partition_spectrum
 from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.comm import SimWorld
 from repro.seq.readstore import ReadStore
@@ -44,16 +44,7 @@ class AbyssAssembler:
         p = world.size
         k = params.k
 
-        shards = distribute_and_count(world, spectrum)
-
-        with world.phase("graph_build", kind="graph"):
-            for r in world.ranks():
-                shard = shards[r]
-                removed = shard.drop_below(params.min_count)
-                world.charge(r, float(len(shard) + removed))
-                world.record_memory(r, shard.memory_bytes())
-
-        table, owners = merge_shards(k, shards)
+        table, owners = partition_spectrum(world, spectrum, params.min_count)
 
         # Bulk-synchronous unitig walking: ranks walk their own seeds in
         # rounds; unlike Ray there is no per-step probe message, the round

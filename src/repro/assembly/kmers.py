@@ -167,6 +167,19 @@ def canonical_kmers_store_packed(store, k: int) -> np.ndarray:
     return canonical_kmers_packed(store.codes, k)
 
 
+def _nfree_starts(codes: np.ndarray, ks) -> dict[int, np.ndarray]:
+    """Ascending start offsets of the N-free k-windows of a flat code
+    array, for every k.  One N prefix-sum serves them all: window
+    ``[i, i + k)`` is N-free iff the count of N bases does not grow
+    across it."""
+    T = codes.shape[0]
+    nbad = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(codes >= alphabet.N, dtype=np.int64, out=nbad[1:])
+    return {
+        k: np.flatnonzero(nbad[k:] == nbad[: max(T + 1 - k, 0)]) for k in ks
+    }
+
+
 def fused_canonical_positions_packed(
     codes: np.ndarray, ks
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -179,13 +192,15 @@ def fused_canonical_positions_packed(
     ascending order and ``canonical_rows`` is bit-identical — rows *and*
     order — to ``canonical_kmers_packed(codes, k)``.
 
-    The fusion: the flat array is packed exactly once at ``kmax`` (every
-    window start 0..T-kmax, :func:`repro.assembly.packed.pack_flat`), and
-    each smaller k is *derived* by masking the packed words down to its
-    top ``2k`` bits — the layout is left-aligned, so the first k bases of
-    a kmax-window are literally the k-window at the same position.  Only
-    the ≤ ``kmax - k`` tail windows past the last kmax start are packed
-    directly.  N-validity for every k comes from one N prefix-sum.
+    The fusion: both strands are packed exactly once at ``kmax``
+    (:func:`repro.assembly.packed.pack_flat`), each over its code array
+    zero-padded by ``kmax - 1`` so that every one of the ``T`` starts has
+    a row.  The layout is left-aligned, so the k-window at ``pos`` is the
+    top ``2k`` bits of forward row ``pos`` and its reverse complement the
+    top ``2k`` bits of reverse row ``T - k - pos``: every k is two
+    gathers per word, a mask and a word-wise minimum, with no per-k
+    packing or field reversal.  The two packed strands live only until
+    this function returns.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     ks = sorted({int(k) for k in ks})
@@ -195,30 +210,40 @@ def fused_canonical_positions_packed(
         packedmod.check_k(k)
     T = codes.shape[0]
     kmax = ks[-1]
-
-    # One N prefix-sum serves every k: window [i, i+k) is N-free iff the
-    # count of N bases does not grow across it.
-    nbad = np.zeros(T + 1, dtype=np.int64)
-    nbad[1:] = np.cumsum(codes >= alphabet.N, dtype=np.int64)
-    # pack_flat packs an N as code 0: a window that holds one is dropped
-    # by the validity mask, so the value never surfaces.
-    main = packedmod.pack_flat(codes, kmax)
-    n_main = main.shape[0]
+    starts = _nfree_starts(codes, ks)
+    # pack_flat keeps two bits per code, so an N packs as some base: a
+    # window that holds one is not among the starts, and the value never
+    # surfaces.  ``code ^ 3`` is the complement of a base.
+    strand = np.zeros(T + kmax - 1, dtype=np.uint8)
+    strand[:T] = codes
+    fwd = packedmod.pack_flat(strand, kmax)
+    strand[:T] = codes[::-1] ^ np.uint8(3)
+    rev = packedmod.pack_flat(strand, kmax)
 
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in ks:
         Wk = packedmod.words_for(k)
-        pos = np.flatnonzero(nbad[k:] == nbad[: max(T + 1 - k, 0)])
-        tail = pos.searchsorted(n_main)
-        # Masking a directly packed tail row is harmless: its slack is 0.
-        rows = np.concatenate(
-            [
-                main[:, :Wk][pos[:tail]],
-                packedmod.pack_flat(codes[n_main:], k)[pos[tail:] - n_main],
-            ]
-        )
-        rows[:, -1] &= np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 * Wk - 2 * k)
-        out[k] = (packedmod.canonicalize(rows, k), pos)
+        pos = starts[k]
+        mirror = (T - k) - pos
+        mask = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 * Wk - 2 * k)
+        # Column-contiguous, as pack_flat's rows are: every consumer
+        # sorts and compares word by word.
+        rows = np.empty((pos.shape[0], Wk), dtype=np.uint64, order="F")
+        fw, rc = fwd[:, 0][pos], rev[:, 0][mirror]
+        np.minimum(fw, rc, out=rows[:, 0])
+        if Wk == 1:
+            rows &= mask
+        else:
+            less, same = fw < rc, fw == rc
+            # mode="clip" gathers straight into the word-0 buffers.
+            np.take(fwd[:, 1], pos, out=fw, mode="clip")
+            np.take(rev[:, 1], mirror, out=rc, mode="clip")
+            fw &= mask
+            rc &= mask
+            # Palindromes (equal strands) keep the forward one.
+            np.copyto(rows[:, 1], rc)
+            np.copyto(rows[:, 1], fw, where=less | (same & (fw <= rc)))
+        out[k] = (rows, pos)
     return out
 
 

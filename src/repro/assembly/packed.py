@@ -245,8 +245,7 @@ def keys(packed: np.ndarray, k: int) -> np.ndarray:
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
     if W == 1:
         return np.ascontiguousarray(packed[:, 0])
-    be = np.ascontiguousarray(packed).astype(">u8")
-    return np.frombuffer(be.tobytes(), dtype="S16")
+    return packed.astype(">u8", order="C").view("S16").ravel()
 
 
 def keys_to_packed(key_arr: np.ndarray, k: int) -> np.ndarray:
@@ -254,8 +253,8 @@ def keys_to_packed(key_arr: np.ndarray, k: int) -> np.ndarray:
     W = words_for(k)
     if W == 1:
         return np.asarray(key_arr, dtype=_U)[:, None]
-    raw = np.asarray(key_arr, dtype="S16").tobytes()
-    return np.frombuffer(raw, dtype=">u8").reshape(-1, 2).astype(_U)
+    be = np.ascontiguousarray(key_arr, dtype="S16").view(">u8")
+    return be.reshape(-1, 2).astype(_U)
 
 
 def bucket_ids(key_arr: np.ndarray, k: int, n_buckets: int) -> np.ndarray:
@@ -337,11 +336,10 @@ def unique_inverse_counts(
 
     One-word rows are a plain integer ``np.unique``.  Two-word rows are
     counted as integers too, not as ``S16`` strings (a memcmp comparison
-    sort): each word is dense-ranked with its own ``uint64`` unique, and
-    the composed rank ``r0 * n1 + r1`` orders exactly like the word
-    tuple, so one more integer unique yields the same three arrays the
-    key-string sort does.  The composed rank fits int64 for any row count
-    whose arrays fit in memory (``n0 * n1 <= n**2``).
+    sort), and with one full-length sort: an ``argsort`` of word 0, then
+    a word-1 repair confined to the word-0 runs that hold more than one
+    word-1 value, then run boundaries give the same three arrays, dtypes
+    included, that ``np.unique`` of the key strings does.
     """
     W = words_for(k)
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
@@ -350,14 +348,35 @@ def unique_inverse_counts(
             packed[:, 0], return_inverse=True, return_counts=True
         )
         return uniq[:, None], inverse, counts
-    u0, r0 = np.unique(packed[:, 0], return_inverse=True)
-    u1, r1 = np.unique(packed[:, 1], return_inverse=True)
-    n1 = max(u1.shape[0], 1)
-    ranks, inverse, counts = np.unique(
-        r0 * n1 + r1, return_inverse=True, return_counts=True
-    )
-    distinct = np.stack([u0[ranks // n1], u1[ranks % n1]], axis=1)
-    return distinct, inverse, counts
+    n = packed.shape[0]
+    order = np.argsort(packed[:, 0])
+    w0, w1 = packed[order, 0], packed[order, 1]
+    boundary = np.ones(n, dtype=bool)
+    np.not_equal(w0[1:], w0[:-1], out=boundary[1:])
+    step1 = w1[1:] != w1[:-1]
+    mixed = np.flatnonzero(step1 & ~boundary[1:])
+    if mixed.size:
+        # Equal rows may land in any order: all three results are
+        # functions of the groups, not of the order inside one.  The
+        # members of the mixed runs are put in (run, word 1) order by
+        # their rank under word 1, sorted as ``run << 32 | rank``: the
+        # low half of the sorted values is the permutation (n < 2**32,
+        # as any row count whose arrays fit in memory is).
+        run = np.cumsum(boundary) - 1
+        sel = np.flatnonzero(np.isin(run, run[mixed]))
+        members = sel[np.argsort(w1[sel])]
+        ranked = run[members].astype(_U) << _U(32)
+        ranked |= np.arange(sel.size, dtype=_U)
+        ranked.sort()
+        members = members[(ranked & _U(0xFFFFFFFF)).astype(np.intp)]
+        order[sel], w1[sel] = order[members], w1[members]
+        step1 = w1[1:] != w1[:-1]
+    boundary[1:] |= step1
+    first = np.flatnonzero(boundary)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(boundary) - 1
+    counts = np.diff(first, append=n)
+    return np.stack([w0[first], w1[first]], axis=1), inverse, counts
 
 
 def unique_keys(packed: np.ndarray, k: int) -> np.ndarray:

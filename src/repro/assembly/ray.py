@@ -9,15 +9,15 @@ owner.  Two properties matter for the paper's benchmarks:
 * extension is *latency-bound* — every remote candidate probe is a small
   message — so compute scale-out gains are marginal (Fig. 3/4).
 
-Here, the k-mer exchange is an ``alltoall`` whose per-pair payload sizes
-come from the job's counted :class:`~repro.assembly.sweep.KmerSpectrum`,
-each rank's shard is the owner partition of that spectrum in a
-sorted-array :class:`KmerTable`, and the walking phase charges work to the
-rank owning each seed while counting one remote probe message per
-off-shard candidate query, reproducing both properties from measured
-quantities.  Communication is charged at the *logical* k-byte record size
-the cost model was calibrated to, not the 16-byte packed wire size, so
-virtual TTCs match the bytes-era pipeline bit-for-bit.
+Here, the k-mer exchange is an ``alltoall`` whose per-pair payload sizes,
+and the rows every rank holds and keeps, are counted off the job's
+:class:`~repro.assembly.sweep.KmerSpectrum` and its owner column
+(:func:`partition_spectrum`): no rank's shard is built.  The walking
+phase charges work to the rank owning each seed while counting one remote
+probe message per off-shard candidate query, reproducing both properties
+from measured quantities.  Communication is charged at the *logical*
+k-byte record size the cost model was calibrated to, not the 16-byte
+packed wire size, so virtual TTCs match the bytes-era pipeline bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,29 +27,32 @@ import numpy as np
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import KmerTable, build_kmer_table_packed
-from repro.assembly.dbg import extract_unitigs_by_owner
+from repro.assembly.dbg import (
+    KMER_RECORD_BYTES,
+    KmerTable,
+    build_kmer_table_packed,
+    extract_unitigs_by_owner,
+)
 from repro.assembly.sweep import KmerSpectrum, resolve_spectrum
 from repro.parallel.comm import SimWorld
 from repro.seq.readstore import ReadStore
 
 
-def distribute_and_count(
-    world: SimWorld, spectrum: KmerSpectrum
-) -> list[KmerTable]:
-    """Shared first half of the MPI assemblers: the per-rank shard tables.
+def partition_spectrum(
+    world: SimWorld, spectrum: KmerSpectrum, min_count: int
+) -> tuple[KmerTable, np.ndarray]:
+    """Shared first half of the MPI assemblers: the coverage-filtered
+    k-mer table and the owner rank of each of its rows.
 
     Models reads striped over ranks (read ``i`` on rank ``i % p``), local
-    k-mer extraction, an ``alltoall`` of every k-mer to its hash owner
-    and a per-shard count.  The :class:`~repro.assembly.sweep.KmerSpectrum`
-    already holds the full occurrence stream and the sorted distinct
-    rows, so no rank re-extracts or re-sorts anything: per-rank
-    extraction charges come from the stripe occupancy, the alltoall byte
-    matrix from the (stripe, owner) occurrence histogram, and each
-    rank's shard from the owner partition of the pre-sorted distinct
-    rows — the stream lengths, per-pair payload sizes and shard tables
-    an executed exchange produces (``reference_impl`` is that exchange;
-    ``tests/assembly/test_parity.py`` holds the two equal).
+    k-mer extraction, an ``alltoall`` of every k-mer to its hash owner, a
+    per-shard count and a per-shard coverage threshold — booked, not
+    executed: extraction charges are the stripe occupancy, the alltoall
+    byte matrix the (stripe, owner) occurrence histogram, the rows a rank
+    holds and keeps ``bincount``s of the owner column, and the table the
+    spectrum's own sorted rows at ``counts >= min_count``.  ``reference_impl``
+    executes the exchange; ``tests/assembly/test_parity.py`` holds the
+    full usage record and every contig equal to it.
     """
     p = world.size
     k = spectrum.k
@@ -61,44 +64,33 @@ def distribute_and_count(
     matrix = np.bincount(occ_rank * p + occ_owner, minlength=p * p).reshape(
         p, p
     )
+    keep = spectrum.counts >= min_count
+    kept_owners = owners[keep]
+    held = np.bincount(owners, minlength=p)
+    kept = np.bincount(kept_owners, minlength=p)
 
     with world.phase("kmer_extract", kind="kmer"):
         for r in world.ranks():
             world.charge(r, float(matrix[r].sum()))
-        send = [[int(matrix[r, dst]) for dst in range(p)] for r in range(p)]
         # Rows would travel packed (16 B) but are charged at their
         # logical k-byte record size — the quantity the cost model prices.
-        world.alltoall(send, nbytes_of=lambda c: int(c) * k)
+        world.alltoall(matrix.tolist(), nbytes_of=lambda c: c * k)
 
     with world.phase("kmer_count", kind="kmer"):
-        shards: list[KmerTable] = []
         for r in world.ranks():
             world.charge(r, float(matrix[:, r].sum()))
-            mine = owners == r
-            shard = build_kmer_table_packed(
-                k,
-                spectrum.distinct[mine],
-                spectrum.counts[mine],
-                presorted=True,
-            )
-            shards.append(shard)
-            world.record_memory(r, shard.memory_bytes())
-    return shards
+            world.record_memory(r, int(held[r]) * KMER_RECORD_BYTES)
 
+    # Coverage threshold is applied locally on each shard.
+    with world.phase("graph_build", kind="graph"):
+        for r in world.ranks():
+            world.charge(r, float(held[r]))
+            world.record_memory(r, int(kept[r]) * KMER_RECORD_BYTES)
 
-def merge_shards(
-    k: int, shards: list[KmerTable]
-) -> tuple[KmerTable, np.ndarray]:
-    """Union of disjoint per-rank shard tables, and the owner rank of
-    each of its rows (a local-execution convenience; work and messages
-    stay attributed per owner rank)."""
-    rows = np.concatenate([s.packed for s in shards], axis=0)
-    counts = np.concatenate([s.count_array for s in shards])
-    owners = np.repeat(np.arange(len(shards)), [len(s) for s in shards])
-    # The shards are sorted runs: a stable sort only has to merge them.
-    order = np.argsort(np.concatenate([s.key_array for s in shards]), kind="stable")
-    table = build_kmer_table_packed(k, rows[order], counts[order], presorted=True)
-    return table, owners[order]
+    table = build_kmer_table_packed(
+        k, spectrum.distinct[keep], spectrum.counts[keep], presorted=True
+    )
+    return table, kept_owners
 
 
 class RayAssembler:
@@ -118,17 +110,7 @@ class RayAssembler:
         p = world.size
         k = params.k
 
-        shards = distribute_and_count(world, spectrum)
-
-        # Coverage threshold is applied locally on each shard.
-        with world.phase("graph_build", kind="graph"):
-            for r in world.ranks():
-                shard = shards[r]
-                removed = shard.drop_below(params.min_count)
-                world.charge(r, float(len(shard) + removed))
-                world.record_memory(r, shard.memory_bytes())
-
-        table, owners = merge_shards(k, shards)
+        table, owners = partition_spectrum(world, spectrum, params.min_count)
 
         with world.phase("extension_walk", kind="walk"):
             all_unitigs = []

@@ -1,25 +1,22 @@
 """Count-once fused k-mer extraction shared across the multi-k sweep.
 
 The fan-out of :mod:`repro.core.multikmer` runs one assembly per
-(assembler, k) pair over the *same* :class:`~repro.seq.readstore.ReadStore`.
-PR 4 made the jobs share the encoded reads, but every job still extracted,
-canonicalized and sorted its k-mer stream from scratch — ``ray_k25``,
-``abyss_k25`` and ``contrail_k25`` each re-counted the identical 25-mer
-multiset, and every distinct k re-walked the same code array.
-
-This module eliminates that redundancy with two layers:
+(assembler, k) pair over the *same* :class:`~repro.seq.readstore.ReadStore`;
+every job at one k reads the identical k-mer multiset, and every k walks
+the same code array.  Two layers count each once:
 
 * :func:`build_spectra` — **one pass** over the store's flat code array
   produces a :class:`KmerSpectrum` for every k in the sweep, via
-  :func:`repro.assembly.kmers.fused_canonical_positions_packed`: the
-  array is packed once at the largest k and every smaller k is derived
-  by masking the packed words (plus the handful of read-tail windows the
-  largest k cannot reach).  Each spectrum holds the *sorted* distinct
-  canonical rows, their global counts, and the occurrence stream
-  (``inverse``/``read_offsets``/``rel_positions``) that maps every
-  N-free window back to its read and offset — enough to reconstruct any
-  assembler's per-k extraction, counting or partitioning bit-for-bit
-  without touching the codes again.
+  :func:`repro.assembly.kmers.fused_canonical_positions_packed`: both
+  strands are packed once at the largest k, and every k-window at every
+  start is the masked prefix of one forward and one reverse row.  Each
+  k's rows are consumed as its spectrum is built, so the build holds one
+  k's sort at a time on top of the spectra it returns.  Each spectrum
+  holds the *sorted* distinct canonical rows, their global counts, and
+  the occurrence stream (``inverse``/``read_offsets``/``rel_positions``)
+  that maps every N-free window back to its read and offset — enough to
+  reconstruct any assembler's per-k extraction, counting or partitioning
+  bit-for-bit without touching the codes again.
 
 * :class:`KmerTableCache` — a content-addressed cache keyed by
   ``(store digest, k)`` that is asked *before* anything is built:
@@ -157,11 +154,12 @@ class KmerSpectrum:
         rows, their counts, the occurrence -> distinct map and the global
         window positions (both in extraction order)."""
         offsets = store.offsets
-        read_of = np.searchsorted(offsets, positions, side="right") - 1
-        per_read = np.bincount(read_of, minlength=store.n_reads)
-        read_offsets = np.zeros(store.n_reads + 1, dtype=np.int64)
-        np.cumsum(per_read, out=read_offsets[1:])
-        rel_positions = positions - offsets[read_of]
+        # Positions ascend, so read i's windows are the stream slice
+        # between where offsets[i] and offsets[i + 1] would insert.
+        read_offsets = np.searchsorted(positions, offsets)
+        rel_positions = positions - np.repeat(
+            offsets[:-1], np.diff(read_offsets)
+        )
         return cls(
             k,
             store.digest,
@@ -315,8 +313,8 @@ def build_spectra(
     With an ``executor`` whose ``supports_overlap`` is true the build is
     sharded across pool workers (submit + immediate collect; see
     :func:`submit_spectra_build` for the overlapped form) — still
-    bit-identical.  Serial otherwise.  When tracing is active the build
-    runs under a ``spectrum.build`` span with per-k child spans.
+    bit-identical.  Serial otherwise, under a ``spectrum.build`` span with
+    a ``spectrum.extract`` child and one ``spectrum.k`` child per k.
     """
     ks = tuple(sorted({int(k) for k in ks}))
     if not ks:
@@ -327,9 +325,6 @@ def build_spectra(
         )
         return pending.collect(span_attrs=span_attrs)
     tracer = get_tracer()
-    if not tracer.enabled:
-        fused = kmers.fused_canonical_positions_packed(store.codes, ks)
-        return tuple(KmerSpectrum.from_rows(store, k, *fused[k]) for k in ks)
     with tracer.span(
         "spectrum.build",
         category="spectrum",
@@ -341,8 +336,9 @@ def build_spectra(
             fused = kmers.fused_canonical_positions_packed(store.codes, ks)
         spectra = []
         for k in ks:
+            # pop: each k's rows die as its spectrum is born.
             with tracer.span("spectrum.k", category="spectrum", k=k):
-                spectra.append(KmerSpectrum.from_rows(store, k, *fused[k]))
+                spectra.append(KmerSpectrum.from_rows(store, k, *fused.pop(k)))
         return tuple(spectra)
 
 
@@ -420,10 +416,8 @@ class SpectrumShardWorkload:
                 bucket_starts = np.searchsorted(bids, edges).astype(np.int64)
                 parts[k] = ShardSpectrumPart(
                     keys=uniq,
-                    counts=counts.astype(np.int64, copy=False),
-                    inverse=np.asarray(inverse)
-                    .astype(np.int64, copy=False)
-                    .ravel(),
+                    counts=counts,
+                    inverse=inverse,
                     positions=positions,
                     bucket_starts=bucket_starts,
                 )
@@ -535,24 +529,13 @@ class PendingSpectraBuild:
         errors = [o.error for o in outcomes if o.error is not None]
         tracer = get_tracer()
         if errors:
-            if tracer.enabled:
-                tracer.event(
-                    "spectrum.build_fallback",
-                    category="spectrum",
-                    error=repr(errors[0]),
-                )
+            tracer.event(
+                "spectrum.build_fallback",
+                category="spectrum",
+                error=repr(errors[0]),
+            )
             return build_spectra(self.store, self.ks, span_attrs=span_attrs)
         shard_results = [o.result for o in outcomes]
-        if not tracer.enabled:
-            return tuple(
-                _merge_shard_spectra(
-                    self.store,
-                    k,
-                    [parts[k] for parts, _, _ in shard_results],
-                    self.n_buckets,
-                )
-                for k in self.ks
-            )
         with tracer.span(
             "spectrum.build",
             category="spectrum",

@@ -213,11 +213,26 @@ class TestKeysAndOrder:
 
 
 def _s16_unique(rows, k):
-    """The key-string counting path ``unique_inverse_counts`` replaced."""
-    uniq, inverse, counts = np.unique(
-        packed.keys(rows, k), return_inverse=True, return_counts=True
+    """The key-string oracle: ``np.unique`` of the ``S16`` memcmp keys
+    (``return_index`` picks the distinct rows, so the oracle never goes
+    through ``keys_to_packed``)."""
+    _, first, inverse, counts = np.unique(
+        packed.keys(rows, k),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
     )
-    return packed.keys_to_packed(uniq, k), inverse, counts
+    return np.ascontiguousarray(rows)[first], inverse, counts
+
+
+def _assert_unique_matches_oracle(rows, k):
+    got = packed.unique_inverse_counts(rows, k)
+    for g, w in zip(got, _s16_unique(rows, k)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    distinct, inverse, counts = got
+    assert np.array_equal(distinct[inverse], rows)
+    assert counts.sum() == rows.shape[0]
 
 
 #: Few word values, the extremes among them, so rows tie on word 0, on
@@ -227,23 +242,66 @@ _WORD = st.sampled_from(
 )
 
 
+def _two_word_rows(words, k):
+    """``(n, 2)`` rows with the slack bits of a k-mer cleared."""
+    rows = np.array(words, dtype=np.uint64).reshape(-1, 2)
+    rows[:, 1] &= np.uint64(((1 << 64) - 1) ^ ((1 << (128 - 2 * k)) - 1))
+    return rows
+
+
+_TOP = (1 << 64) - 1
+
+#: Orders the one sort of word 0 cannot finish on its own.
+ADVERSARIAL_TIES = {
+    "share_word0_differ_word1": [(7, w) for w in (9 << 40, 3 << 40, 5 << 40, 3 << 40, 1 << 40)]
+    + [(2, w << 40) for w in range(20, 0, -1)],
+    "share_word1_differ_word0": [(w, 1 << 63) for w in (9, 3, 5, 3, 1, _TOP, 0)],
+    "all_equal": [(5, 1 << 62)] * 17,
+    "strictly_descending": [(w0, w1 << 40) for w0 in (9, 4, 1) for w1 in (6, 5, 2)],
+    "two_mixed_runs_apart": [(1, 4 << 40), (3, 0), (1, 2 << 40), (8, 9 << 40), (8, 1 << 40), (3, 0)],
+    "empty": [],
+    "one_row": [(_TOP, 1 << 63)],
+}
+
+
 class TestUniqueInverseCounts:
     @pytest.mark.parametrize("k", (33, 51, 63))
     @given(words=st.lists(st.tuples(_WORD, _WORD), min_size=0, max_size=40))
     @example(words=[])
     @example(words=[(5, 1 << 63)])
     def test_two_word_rows_match_key_string_sort(self, k, words):
-        rows = np.array(words, dtype=np.uint64).reshape(-1, 2)
-        rows[:, 1] &= np.uint64(((1 << 64) - 1) ^ ((1 << (128 - 2 * k)) - 1))
-        got = packed.unique_inverse_counts(rows, k)
-        want = _s16_unique(rows, k)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        distinct, inverse, counts = got
+        rows = _two_word_rows(words, k)
+        _assert_unique_matches_oracle(rows, k)
+        distinct, _, counts = packed.unique_inverse_counts(rows, k)
         assert distinct.shape == (counts.shape[0], 2)
         assert distinct.dtype == np.uint64
-        assert np.array_equal(distinct[inverse], rows)
-        assert counts.sum() == rows.shape[0]
+
+    @given(
+        k=st.integers(33, 63),
+        words=st.lists(
+            st.tuples(_WORD | st.integers(0, _TOP), _WORD | st.integers(0, _TOP)),
+            max_size=60,
+        ),
+    )
+    @example(k=51, words=[(5, 1 << 63), (5, 1 << 62), (2, 0), (5, 1 << 63)])
+    def test_every_two_word_k(self, k, words):
+        _assert_unique_matches_oracle(_two_word_rows(words, k), k)
+
+    @pytest.mark.parametrize("k", (33, 48, 63))
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_TIES))
+    def test_adversarial_ties(self, name, k):
+        rows = _two_word_rows(ADVERSARIAL_TIES[name], k)
+        _assert_unique_matches_oracle(rows, k)
+        _assert_unique_matches_oracle(np.asfortranarray(rows), k)
+
+    @pytest.mark.parametrize("k", (33, 63))
+    @pytest.mark.parametrize("store_name", ("store_single", "store_paired"))
+    def test_real_rows_of_the_conftest_stores(self, request, store_name, k):
+        store = request.getfixturevalue(store_name)
+        rows = canonical_kmers_packed(store.codes, k)
+        # 50 bp single-end reads hold no 63-mer: the empty input, for real.
+        assert rows.shape[0] > 1000 or (store_name, k) == ("store_single", 63)
+        _assert_unique_matches_oracle(rows, k)
 
     @pytest.mark.parametrize("k", (3, 25, 32))
     @given(words=st.lists(_WORD, min_size=0, max_size=40))

@@ -9,6 +9,8 @@ only ever hands back content-identical spectra.
 import os
 import pickle
 import random
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.assembly.kmers import (
     canonical_kmers_packed,
     canonical_kmers_store_packed,
     fused_canonical_positions_packed,
+    fused_canonical_positions_store_packed,
 )
 from repro.assembly.sweep import (
     KmerSpectrum,
@@ -29,7 +32,10 @@ from repro.assembly.sweep import (
     use_kmer_table_cache,
 )
 from repro.obs import Tracer, use_tracer
+from repro.seq import alphabet
+from repro.seq.datasets import tiny_dataset
 from repro.seq.fastq import FastqRecord
+from repro.seq.reads import ReadSimulator
 from repro.seq.readstore import ReadStore
 
 
@@ -113,6 +119,93 @@ class TestFusedExtractionProperty:
                     fused[k][0], canonical_kmers_store_packed(store, k)
                 )
             store.close()
+
+
+def _codes(*reads, trailing_sep=True):
+    """Flat store-layout codes of ``reads`` (strings over ACGTN), built
+    without a ReadStore so a case can leave the last separator off."""
+    joined = "N".join(reads) + ("N" if trailing_sep and reads else "")
+    return alphabet.encode(joined)
+
+
+def _revcomp(seq):
+    return seq[::-1].translate(str.maketrans("ACGT", "TGCA"))
+
+
+_R = random.Random(22)
+_SEQ = "".join(_R.choice("ACGT") for _ in range(400))
+
+#: name -> (codes, ks).  The two-strand pack reads the reverse strand at
+#: ``T - k - pos``: every case moves T, k or an N against that mirror.
+FUSED_EDGE_CASES = {
+    "empty": (_codes(), (21, 33, 63)),
+    "shorter_than_kmin": (_codes(_SEQ[:20]), (21, 33, 63)),
+    "exactly_kmin": (_codes(_SEQ[:21], trailing_sep=False), (21, 33, 63)),
+    "exactly_kmax": (_codes(_SEQ[:63], trailing_sep=False), (21, 33, 63)),
+    "reads_shorter_and_exactly_k": (
+        _codes(_SEQ[:32], _SEQ[40:73], _SEQ[80:100], _SEQ[100:163], _SEQ[200:262]),
+        (21, 33, 63),
+    ),
+    "n_first_base": (_codes("N" + _SEQ[:150]), (21, 33, 63)),
+    "n_last_base": (_codes(_SEQ[:150] + "N", trailing_sep=False), (21, 33, 63)),
+    "n_every_kth_base": (
+        _codes("N".join(_SEQ[i : i + 32] for i in range(0, 330, 33))),
+        (21, 32, 33),
+    ),
+    "no_trailing_separator": (_codes(_SEQ[:200], trailing_sep=False), (21, 33, 63)),
+    "even_k_palindromes": (
+        _codes(
+            "ACGT" * 3,
+            _SEQ[:17] + _revcomp(_SEQ[:17]) + _SEQ[17:40],
+            _SEQ[50:53] + _revcomp(_SEQ[50:53]),
+        ),
+        (4, 6, 34),
+    ),
+    "one_and_two_word_ks": (_codes(_SEQ[:120], _SEQ[130:400]), (21, 33, 63)),
+}
+
+
+class TestFusedExtractionEdges:
+    """``fused[k] == (canonical_kmers_packed(codes, k), N-free starts)``
+    where the single-k path windows, packs and reverse-complements each
+    k on its own."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_EDGE_CASES))
+    def test_edge_case(self, name):
+        codes, ks = FUSED_EDGE_CASES[name]
+        before = codes.copy()
+        codes.flags.writeable = False  # as a shared store's codes are
+        fused = fused_canonical_positions_packed(codes, ks)
+        assert sorted(fused) == sorted(ks)
+        for k in ks:
+            rows, positions = fused[k]
+            starts = [
+                i
+                for i in range(codes.shape[0] - k + 1)
+                if (codes[i : i + k] < alphabet.N).all()
+            ]
+            assert positions.tolist() == starts
+            want = canonical_kmers_packed(codes, k)
+            assert rows.dtype == want.dtype and rows.shape == want.shape
+            np.testing.assert_array_equal(rows, want)
+        np.testing.assert_array_equal(codes, before)
+
+    @pytest.mark.parametrize("cuts", [(0,), (0, 1), (0, 7, 7, 23), (0, 59, 60)])
+    def test_read_range_shards_concatenate_to_full_store(self, cuts):
+        store = _store(random.Random(9), n_reads=60, max_len=150)
+        ks = (21, 33, 63)
+        full = fused_canonical_positions_packed(store.codes, ks)
+        bounds = list(cuts) + [store.n_reads]
+        shards = [
+            fused_canonical_positions_store_packed(store, ks, lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        for k in ks:
+            rows = np.concatenate([sh[k][0] for sh in shards])
+            positions = np.concatenate([sh[k][1] for sh in shards])
+            np.testing.assert_array_equal(rows, full[k][0])
+            np.testing.assert_array_equal(positions, full[k][1])
+        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +426,26 @@ def test_no_shm_leak_after_spectra_lifecycle():
     if before is not None:
         leaked = set(os.listdir("/dev/shm")) - before
         assert not {n for n in leaked if n.startswith("psm_")}
+
+
+def test_serial_build_peak_memory_is_bounded():
+    """The Table II list on 2 000 read pairs: the traced peak of the
+    build stays within 2.4x the spectra it returns (it reads 1.9x).
+    Both packed strands die with the extraction and each k's rows die as
+    its spectrum is born; ISSUE 22 sized a per-k generator that holds
+    the strands across the sorts at 2.8x."""
+    base = tiny_dataset(paired=True, seed=1, coverage_boost=0)
+    spec = replace(base.run.spec, n_reads=2_000, seed=22)
+    store = ReadStore.from_reads(
+        ReadSimulator(base.transcriptome, spec).run().all_reads()
+    )
+    assert store.n_reads == 4_000
+    tracemalloc.start()
+    try:
+        spectra = build_spectra(store, (51, 55, 59, 63))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(sp.nbytes for sp in spectra)
+    assert held > 10e6  # a build large enough to measure
+    assert peak <= 2.4 * held, (peak, held, peak / held)
