@@ -26,7 +26,9 @@ the same code array.  Two layers count each once:
   ``kmer_table.bytes`` (ks served from / asked for in vain / bytes added
   to the cache) on the active tracer.
 
-A third, optional layer shards the build itself.  The serial fused pass
+A third layer shards the build itself — opt-in
+(``PipelineConfig.spectrum_shards``), because it has lost to the fused
+pass in the parent on every measured input (DESIGN §11).  The fused pass
 is a single-threaded prefix ahead of the assembly fan-out; with a
 pool-backed executor (:func:`submit_spectra_build`) the store is split
 into contiguous read-range shards, each worker extracts its shard and
@@ -39,7 +41,8 @@ globally sorted distinct array, and the occurrence stream is rebuilt in
 shard (= extraction) order — every sharded :class:`KmerSpectrum` is
 bit-for-bit equal to the serial one.  The handles overlap with whatever
 the parent does between submit and collect (cluster provisioning, in
-the pipeline), which is where the wall win comes from.
+the pipeline) — milliseconds of simulated-cloud bookkeeping, far less
+than the part pickles and the merge cost.
 
 A spectrum holds its arrays in one
 :class:`~repro.seq.sharedarrays.SharedArrays`, as the :class:`ReadStore`
@@ -310,11 +313,14 @@ def build_spectra(
     """Fused count-once extraction: one pass over ``store.codes`` yields a
     :class:`KmerSpectrum` per k, each bit-identical to the per-k path.
 
-    With an ``executor`` whose ``supports_overlap`` is true the build is
-    sharded across pool workers (submit + immediate collect; see
+    Without an ``executor`` — how the pipeline calls it on every backend
+    — the build runs here, in the calling process, under a
+    ``spectrum.build`` span with a ``spectrum.extract`` child and one
+    ``spectrum.k`` child per k.  Passing an ``executor`` whose
+    ``supports_overlap`` is true asks for the sharded build across its
+    pool workers (submit + immediate collect; see
     :func:`submit_spectra_build` for the overlapped form) — still
-    bit-identical.  Serial otherwise, under a ``spectrum.build`` span with
-    a ``spectrum.extract`` child and one ``spectrum.k`` child per k.
+    bit-identical.
     """
     ks = tuple(sorted({int(k) for k in ks}))
     if not ks:

@@ -50,6 +50,7 @@ from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import (
     DelayedWorkload,
     ProcessExecutor,
+    SerialExecutor,
     WorkloadExecutor,
     make_executor,
 )
@@ -95,11 +96,12 @@ class PipelineConfig:
     #: serially: their workloads are closures over pipeline state.
     executor: str | WorkloadExecutor = "serial"
     executor_workers: int | None = None
-    #: Shard count for the parallel spectrum build (pool backends only;
-    #: see repro.assembly.sweep.submit_spectra_build).  None derives it
-    #: from the executor's worker count — a configuration value, so the
-    #: traced span structure stays deterministic across hosts.  Results
-    #: are bit-identical for any shard count.
+    #: None (the default): the spectra are counted in the parent by
+    #: repro.assembly.sweep.build_spectra, on every backend.  An integer
+    #: opts a pool backend into the sharded build of that many shards
+    #: (repro.assembly.sweep.submit_spectra_build), which is
+    #: bit-identical for any shard count and has lost to the parent
+    #: build on every measured input (DESIGN §11).
     spectrum_shards: int | None = None
     #: Radix-bucket count of the sharded build's merge (power of two).
     spectrum_buckets: int = 16
@@ -517,14 +519,6 @@ class RnnotatorPipeline:
         # ---- plan the assembly stage (the dynamic decision) ---------------
         kmer_list = config.kmer_list or select_kmer_list(pre.modal_read_length)
 
-        # The assembly fan-out is where task-level parallelism lives: its
-        # workloads are picklable AssemblyWorkload callables, so any
-        # executor backend (thread/process pool) can spread them over
-        # the host's cores.  Created before the spectrum stage so a
-        # sharded build can ride the pool while the parent provisions.
-        assembly_executor = make_executor(
-            config.executor, config.executor_workers
-        )
         # Every fan-out unit shares the filtered store QC returned (under
         # the process backend it attaches to its shared-memory segment),
         # and quantification joins against the same arrays.  The run holds
@@ -534,6 +528,7 @@ class RnnotatorPipeline:
         cleanup.callback(store.close)  # unlinks the segment iff one was created
         store_digest = store.digest
         spectra: tuple[KmerSpectrum, ...] = ()
+        assembly_executor: WorkloadExecutor | None = None
         umb: UnitManager | None = None
         try:
             pb_itype = pa_itype if config.scheme.reuses_vms else (
@@ -556,9 +551,9 @@ class RnnotatorPipeline:
             # from there and never opens a spectrum.  Only the k of
             # unsatisfied jobs is needed; a needed k is looked up in the
             # table cache first, and what is still missing is counted in
-            # one fused pass (sharded on pool backends).  The probes are
-            # predictions, not promises: a job that misses after all
-            # builds its own spectrum, bit-identically.
+            # one fused pass in the parent.  The probes are predictions,
+            # not promises: a job that misses after all builds its own
+            # spectrum, bit-identically.
             jobs = multikmer.planned_jobs(
                 plan, store, config.min_count, config.min_contig_length
             )
@@ -566,13 +561,13 @@ class RnnotatorPipeline:
             asm_cache = get_assembly_cache()
             tracer = get_tracer()
             pending_build = None
+            cache_hits = [
+                asm_cache is not None and j.key in asm_cache for j in jobs
+            ]
             unsatisfied = [
                 j
-                for j in jobs
-                if not (
-                    (asm_cache is not None and j.key in asm_cache)
-                    or (ckpt is not None and ckpt.has_unit(j.key))
-                )
+                for j, hit in zip(jobs, cache_hits)
+                if not (hit or (ckpt is not None and ckpt.has_unit(j.key)))
             ]
             needed_ks = sorted({j.spectrum_k for j in unsatisfied})
             cached = (
@@ -591,11 +586,33 @@ class RnnotatorPipeline:
                     jobs_satisfied=len(jobs) - len(unsatisfied),
                     reason="spectra cached" if needed_ks else "jobs satisfied",
                 )
-            if missing_ks and assembly_executor.supports_overlap:
-                # Sharded build, submitted *now*: the shard workers race
-                # the pilot provisioning and cluster growth below on the
-                # real clock, and the merge at collect time is
-                # bit-identical to the serial build.
+            # The assembly fan-out is where task-level parallelism lives:
+            # its workloads are picklable AssemblyWorkload callables, so
+            # any executor backend can spread them over the host's cores.
+            # A pool is for jobs that compute: when the assembly cache
+            # holds every job the fan-out is one lookup per job, run
+            # inline — no fork, no segment, nothing pickled, and the hits
+            # are counted in the process that reads the counters.  (A
+            # hit evicted since the probe is computed inline too.)  Only
+            # a backend the pipeline would have made itself is replaced:
+            # a caller's executor instance sees every dispatch.
+            # Checkpoint replays keep the configured backend: their
+            # dispatch path is trace-transparent (see ReplayWorkload).
+            if jobs and all(cache_hits) and isinstance(config.executor, str):
+                assembly_executor = SerialExecutor()
+            else:
+                assembly_executor = make_executor(
+                    config.executor, config.executor_workers
+                )
+            if (
+                missing_ks
+                and config.spectrum_shards is not None
+                and assembly_executor.supports_overlap
+            ):
+                # The opt-in sharded build, submitted *now*: the shard
+                # workers race the pilot provisioning and cluster growth
+                # below on the real clock, and the merge at collect time
+                # is bit-identical to the build in the parent.
                 pending_build = submit_spectra_build(
                     store,
                     missing_ks,
@@ -717,14 +734,12 @@ class RnnotatorPipeline:
                         table_cache.put(sp)
             if isinstance(assembly_executor, ProcessExecutor):
                 # Move every spectrum into shared memory BEFORE the
-                # pool's first fan-out submit: with the sharded build
-                # the pool already forked at shard submission, so
-                # workers attach these later segments on demand
-                # (sharedarrays._attach_untracked suppresses their
-                # tracker registration either way); without it, forked
-                # workers find the live segments in the inherited attach
-                # registry.  Both keep the (process-wide) resource
-                # tracker's bookkeeping balanced.
+                # pool's first fan-out submit: the pool forks at that
+                # submit, so its workers find the live segments in the
+                # inherited attach registry and map nothing.  (After an
+                # opt-in sharded build the pool is already up and they
+                # attach by name, sharedarrays._attach_untracked; either
+                # way the process-wide resource tracker stays balanced.)
                 for sp in spectra:
                     sp.share()
             descs = multikmer.assembly_unit_descriptions(
@@ -766,7 +781,7 @@ class RnnotatorPipeline:
                 # predates the unit manager.
                 if umb is not None:
                     umb.close()
-                else:
+                elif assembly_executor is not None:
                     assembly_executor.shutdown()
             for sp in spectra:
                 # Unlinks the segments this run shared; local arrays are

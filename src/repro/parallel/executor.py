@@ -43,7 +43,12 @@ import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -83,7 +88,20 @@ class WorkloadOutcome:
         return self.error is None
 
 
-def _init_worker() -> None:
+def _worker_masks(
+    allowed: tuple[int, ...], width: int, offset: int
+) -> tuple[tuple[int, ...], ...]:
+    """Split ``allowed`` CPUs into ``min(width, len(allowed))`` disjoint
+    masks that cover it, dealt round-robin starting ``offset`` CPUs in."""
+    start = offset % len(allowed)
+    rotated = allowed[start:] + allowed[:start]
+    slots = min(width, len(allowed))
+    return tuple(rotated[i::slots] for i in range(slots))
+
+
+def _init_worker(
+    next_index=None, masks: tuple[tuple[int, ...], ...] = ()
+) -> None:
     """Process-pool worker initializer.
 
     Forked workers inherit the parent's entire heap; moving it to the
@@ -92,10 +110,21 @@ def _init_worker() -> None:
     dirtying their copy-on-write pages) on every gen-2 pass.  Workers
     are workload runners, not long-lived accumulators — nothing they
     inherit ever becomes garbage they need to reclaim.
+
+    With ``masks`` (:class:`ProcessExecutor`'s placement rule) the worker
+    draws its index from the pool's counter and takes that mask.
     """
     import gc
 
     gc.freeze()
+    if masks:
+        with next_index.get_lock():
+            index = next_index.value
+            next_index.value += 1
+        try:
+            os.sched_setaffinity(0, masks[index % len(masks)])
+        except OSError:  # the cpuset shrank since the pool was made
+            pass
 
 
 @dataclass(frozen=True)
@@ -215,12 +244,12 @@ class WorkloadExecutor(ABC):
     name: str = "?"
 
     #: Whether ``submit`` returns before the workload runs, so separately
-    #: submitted workloads genuinely execute concurrently.  The sharded
-    #: host-side spectrum build
-    #: (:func:`repro.assembly.sweep.submit_spectra_build`, overlapped
-    #: with cluster provisioning) is only attempted on backends where
-    #: this holds — the serial backend runs workloads inline at submit
-    #: time, so "overlap" there would just reorder work.
+    #: submitted workloads genuinely execute concurrently.  The opt-in
+    #: sharded spectrum build
+    #: (:func:`repro.assembly.sweep.submit_spectra_build`, asked for
+    #: with ``PipelineConfig.spectrum_shards``) is only attempted on
+    #: backends where this holds — the serial backend runs workloads
+    #: inline at submit time, so "overlap" there would just reorder work.
     supports_overlap: bool = False
 
     @abstractmethod
@@ -318,8 +347,16 @@ class _PoolExecutor(WorkloadExecutor):
         if self._pool is None:
             self._pool = self._make_pool()
         try:
-            future = self._pool.submit(run_workload, work, context)
-        except Exception as exc:  # pool broken / shut down
+            try:
+                future = self._pool.submit(run_workload, work, context)
+            except BrokenExecutor:
+                # A worker died (SIGKILL, the OOM killer): the pool
+                # failed its in-flight futures and refuses every later
+                # submit, so a restarted unit could never run.  Renew it.
+                self.shutdown()
+                self._pool = self._make_pool()
+                future = self._pool.submit(run_workload, work, context)
+        except Exception as exc:  # pool shut down / cannot start
             return _ReadyHandle(WorkloadOutcome(error=exc))
         with self._inflight_lock:
             self._inflight += 1
@@ -356,6 +393,22 @@ class ProcessExecutor(_PoolExecutor):
     Prefers the ``fork`` start method where available so workers inherit
     the parent's hash seed and module state — keeping set/dict-free
     deterministic workloads bit-identical to the serial backend.
+
+    Placement: the CPUs the process is allowed (``os.sched_getaffinity``)
+    are dealt into one disjoint mask per worker, for every pool width —
+    a single CPU each when the pool is as wide as the allowed set, a
+    stripe of several for a narrower pool — so two workers of one pool
+    never share a CPU they could have had to themselves.  Workers forked
+    back to back wake on their parent's CPU and a fan-out job of tens of
+    milliseconds is over before the kernel's balancer moves one: left to
+    it, two workers were measured time-slicing one CPU of two while the
+    blocked parent left the other idle.  The deal starts at
+    ``os.getpid() % n_cpus`` so concurrent pools do not all begin at CPU
+    0, which makes overlap between them less likely, not impossible:
+    single-CPU masks are hard pins the kernel cannot move, so pipelines
+    sharing a host should narrow ``executor_workers`` (and so get
+    stripes to be balanced within).  A one-worker pool, the parent and
+    the thread backend are left alone.  Measured on a 2-CPU host only.
     """
 
     name = "process"
@@ -392,10 +445,16 @@ class ProcessExecutor(_PoolExecutor):
 
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else None)
+        masks: tuple[tuple[int, ...], ...] = ()
+        if hasattr(os, "sched_setaffinity"):  # Linux
+            allowed = tuple(sorted(os.sched_getaffinity(0)))
+            if min(self.max_workers, len(allowed)) > 1:
+                masks = _worker_masks(allowed, self.max_workers, os.getpid())
         return ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=ctx,
             initializer=_init_worker,
+            initargs=(ctx.Value("i", 0), masks) if masks else (),
         )
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -303,7 +304,13 @@ class PilotAgent:
                 unit.description.name,
                 outcome.error,
             )
-            unit.fail(f"workload error: {outcome.error}")
+            # A dead worker breaks the whole pool and fails every future
+            # in flight on it: like a preempted node that says nothing
+            # about the unit or its pilot, so a restart may come back here.
+            unit.fail(
+                f"workload error: {outcome.error}",
+                transient=isinstance(outcome.error, BrokenExecutor),
+            )
             return
         unit.real_seconds = outcome.wall_seconds
         key = unit.description.checkpoint_key

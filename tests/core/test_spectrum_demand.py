@@ -28,6 +28,7 @@ from repro.core.rnnotator import (
     RnnotatorPipeline,
 )
 from repro.obs import Tracer
+from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
 from tests.core.test_fused_pipeline import _fingerprint as fingerprint
@@ -85,6 +86,26 @@ def supply(monkeypatch):
     monkeypatch.setattr(rnnotator, "submit_spectra_build", counting_submit)
     monkeypatch.setattr(rnnotator, "build_spectra", counting_build)
     monkeypatch.setattr(sweep.KmerSpectrum, "share", counting_share)
+    return seen
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """What a run did to leave its process: the pools it made and the
+    read stores it moved into a segment."""
+    seen = {"pools": 0, "store_segments": 0}
+    make_pool, share = ProcessExecutor._make_pool, ReadStore.share
+
+    def counting_make_pool(executor):
+        seen["pools"] += 1
+        return make_pool(executor)
+
+    def counting_share(store):
+        seen["store_segments"] += not store.shared
+        return share(store)
+
+    monkeypatch.setattr(ProcessExecutor, "_make_pool", counting_make_pool)
+    monkeypatch.setattr(ReadStore, "share", counting_share)
     return seen
 
 
@@ -161,18 +182,39 @@ class TestWarmRerun:
         assert counters(warm_trace)["assembly_cache.hit"] == N_JOBS
         assert fingerprint(warm) == fingerprint(cold)
 
+    def test_satisfied_rerun_forks_nothing(
+        self, dataset, caches, supply, forks, executor
+    ):
+        assembly_cache, _ = caches
+        cold, _ = run(dataset, executor)
+        pooled = executor == "process"
+        assert forks == {"pools": pooled, "store_segments": pooled}
+        assert supply["segments"] == (len(KS) if pooled else 0)
+        after_cold, hits_cold = (dict(supply), dict(forks)), assembly_cache.hits
+
+        warm, _ = run(dataset, executor)
+        assert (supply, forks) == after_cold
+        # Looked up in the parent, so counted where a caller can read it.
+        assert assembly_cache.hits - hits_cold == N_JOBS
+        assert fingerprint(warm) == fingerprint(cold)
+
     def test_partial_demand_builds_only_the_new_k(
-        self, dataset, caches, supply, executor
+        self, dataset, caches, supply, forks, executor
     ):
         run(dataset, executor, kmer_list=(25,))
+        after_narrow = dict(forks)
         wider, trace = run(dataset, executor, kmer_list=KS)
+        # One unsatisfied job is enough to want the pool; the new k is
+        # still counted in the parent.
+        assert forks["pools"] - after_narrow["pools"] == (executor == "process")
+        assert supply["submits"] == 0 and supply["serial_builds"] == 2
         assert built_ks(trace) == [31]
         assert counters(trace)["assembly_cache.hit"] == len(ASSEMBLERS)
         assert counters(trace)["assembly_cache.miss"] == len(ASSEMBLERS)
         with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
             KmerTableCache()
         ):
-            fresh, _ = run(dataset, executor, kmer_list=KS)
+            fresh, _ = run(dataset, "serial", kmer_list=KS)
         assert fingerprint(wider) == fingerprint(fresh)
 
     def test_wrong_prediction_falls_back_to_per_job_extraction(
@@ -200,6 +242,39 @@ class TestWarmRerun:
         assert "assembly_cache.hit" not in counters(trace)
         assert fingerprint(warm) == fingerprint(cold)
         assert segments() == before
+
+
+def test_a_callers_executor_sees_the_satisfied_rerun(dataset, caches):
+    class Counting(ThreadExecutor):
+        submits = 0
+
+        def submit(self, work, context=None):
+            self.submits += 1
+            return super().submit(work, context)
+
+    with Counting(max_workers=2) as mine:
+        cold, _ = run(dataset, mine)
+        assert mine.submits == N_JOBS
+        # Inline lookups are for backends the pipeline owns.
+        warm, _ = run(dataset, mine)
+        assert mine.submits == 2 * N_JOBS
+    assert fingerprint(warm) == fingerprint(cold)
+
+
+class TestShardedOptIn:
+    def test_only_an_explicit_shard_count_submits_shards(
+        self, dataset, caches, supply
+    ):
+        sharded, trace = run(dataset, "process", spectrum_shards=2)
+        assert (supply["submits"], supply["serial_builds"]) == (1, 0)
+        (build,) = [s for s in trace.spans if s.name == "spectrum.build"]
+        assert build.attrs["mode"] == "sharded" and build.attrs["n_shards"] == 2
+        with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
+            KmerTableCache()
+        ):
+            serial, _ = run(dataset, "serial", spectrum_shards=2)
+        assert (supply["submits"], supply["serial_builds"]) == (1, 1)
+        assert fingerprint(sharded) == fingerprint(serial)
 
 
 class TestTableCacheReuse:

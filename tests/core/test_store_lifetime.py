@@ -7,13 +7,15 @@ quantification unit that raises, a simulated kill — the owner must still
 close the store and unlink the segment.
 """
 
+import os
 import signal
 from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
 
-from repro.core import rnnotator
+from repro.core import multikmer, rnnotator
 from repro.core.assembly_cache import use_assembly_cache
 from repro.core.rnnotator import (
     FaultPlan,
@@ -23,6 +25,7 @@ from repro.core.rnnotator import (
     RnnotatorPipeline,
 )
 from repro.seq.readstore import ReadStore
+from tests.core.test_fused_pipeline import _fingerprint as fingerprint
 
 SHM = Path("/dev/shm")
 
@@ -128,3 +131,68 @@ class TestStoreLifetime:
         with pytest.raises(PipelineKilled):
             run(ds_single, FaultPlan(abort_after_stage="transcript-assembly"))
         assert_released(stores, before)
+
+
+@dataclass(frozen=True)
+class KillOnce:
+    """A workload whose worker dies under it on the first attempt: the
+    process SIGKILLs itself (what the OOM killer does) unless ``marker``
+    says an earlier attempt already did."""
+
+    work: object
+    marker: str
+
+    def __call__(self):
+        if not os.path.exists(self.marker):
+            Path(self.marker).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.work()
+
+
+class TestWorkerKilled:
+    """A SIGKILLed pool worker ends in a typed error or a restart —
+    never a hang, never a leaked segment."""
+
+    @pytest.fixture
+    def first_job_kills_its_worker(self, monkeypatch, tmp_path):
+        describe = multikmer.assembly_unit_descriptions
+
+        def describe_with_a_killer(*args, **kwargs):
+            first, *rest = describe(*args, **kwargs)
+            killer = KillOnce(first.work, str(tmp_path / "killed"))
+            return [replace(first, work=killer), *rest]
+
+        monkeypatch.setattr(
+            multikmer, "assembly_unit_descriptions", describe_with_a_killer
+        )
+
+    @staticmethod
+    def run(ds, max_restarts=0):
+        config = PipelineConfig(
+            assemblers=("velvet",),
+            kmer_list=(25, 31),
+            executor="process",
+            executor_workers=2,
+            unit_max_restarts=max_restarts,
+        )
+        with time_limit(120), use_assembly_cache(None):
+            return RnnotatorPipeline().run(ds, config)
+
+    def test_no_restart_budget_names_the_broken_pool(
+        self, ds_single, first_job_kills_its_worker
+    ):
+        before = segments()
+        with pytest.raises(PipelineError, match="process pool"):
+            self.run(ds_single)
+        assert segments() <= before
+
+    def test_a_restart_runs_on_a_fresh_pool(
+        self, ds_single, first_job_kills_its_worker, tmp_path
+    ):
+        before = segments()
+        restarted = self.run(ds_single, max_restarts=1)
+        assert (tmp_path / "killed").exists()
+        # The marker is down, so this run's workers all live.
+        healthy = self.run(ds_single)
+        assert fingerprint(restarted) == fingerprint(healthy)
+        assert segments() <= before

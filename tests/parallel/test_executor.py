@@ -1,6 +1,9 @@
 """Unit tests for the workload-execution backends."""
 
+import os
+import signal
 import time
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.parallel.executor import (
     ThreadExecutor,
     WorkloadExecutor,
     WorkloadOutcome,
+    _worker_masks,
     make_executor,
     run_workload,
 )
@@ -37,6 +41,15 @@ def slow_work():
 
 def bad_work():
     raise RuntimeError("kaput")
+
+
+def killed_work():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def affinity_work():
+    time.sleep(0.05)  # long enough that every worker of the pool takes one
+    return (os.getpid(), sorted(os.sched_getaffinity(0))), tiny_usage()
 
 
 class TestFactory:
@@ -136,6 +149,54 @@ class TestProcessSpecifics:
         assert ex._pool is None
         ex.shutdown()  # shutdown before first submit is a no-op
         assert ex._pool is None
+
+    def test_dead_worker_does_not_poison_the_pool(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            dead = ex.submit(killed_work)
+            bystander = ex.submit(slow_work)
+            # The pool fails everything in flight on it, by name ...
+            assert isinstance(dead.outcome().error, BrokenExecutor)
+            bystander.outcome()  # may have finished first; must not hang
+            # ... and the next submit runs on a fresh one.
+            out = ex.submit(ok_work).outcome()
+            assert out.ok and out.result == 42
+            assert ex.inflight_count() == 0
+
+
+@pytest.mark.parametrize("offset", [0, 3, 13])
+@pytest.mark.parametrize("width", [2, 3, 8, 11])
+def test_masks_are_disjoint_and_cover_for_every_width(width, offset):
+    allowed = (0, 1, 2, 3, 8, 9, 10, 11)  # a wider host's cpuset
+    masks = _worker_masks(allowed, width, offset)
+    assert len(masks) == min(width, len(allowed))
+    assert sorted(c for mask in masks for c in mask) == list(allowed)
+    assert max(map(len, masks)) - min(map(len, masks)) <= 1
+    assert masks[0][0] == allowed[offset % len(allowed)]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two allowed CPUs",
+)
+class TestPlacement:
+    """Workers of one pool get disjoint CPU masks, whatever its width."""
+
+    @staticmethod
+    def worker_affinities(ex, n_workers):
+        handles = [ex.submit(affinity_work) for _ in range(2 * n_workers)]
+        return dict(h.outcome().result for h in handles)
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_workers_split_the_allowed_cpus(self, spare):
+        parent = sorted(os.sched_getaffinity(0))
+        width = len(parent) - spare
+        with ProcessExecutor(max_workers=width) as ex:
+            by_pid = self.worker_affinities(ex, width)
+        assert len(by_pid) == width
+        # Disjoint and covering; one CPU each when the pool takes them all.
+        assert sorted(c for cpus in by_pid.values() for c in cpus) == parent
+        assert spare or all(len(cpus) == 1 for cpus in by_pid.values())
+        assert sorted(os.sched_getaffinity(0)) == parent  # after shutdown()
 
 
 class TestOutcome:
