@@ -291,7 +291,7 @@ def test_worker_tracing_overhead(report_sink, smoke):
     n_workloads = SMOKE_WORKLOADS if smoke else N_WORKLOADS
     iters = SMOKE_CHUNK_ITERS if smoke else CHUNK_ITERS
     work = functools.partial(_pool_work, CHUNKS, iters)
-    parent = Tracer()
+    parent = Tracer(resource_cadence=RESOURCE_CADENCE)
 
     with ProcessExecutor(max_workers=POOL_WORKERS) as executor:
         # Warm the fork pool so neither mode pays its creation cost.
@@ -309,11 +309,7 @@ def test_worker_tracing_overhead(report_sink, smoke):
             # submit, buffer + resource-sample in the worker, ship the
             # trace back and merge it into the parent.
             contexts = [
-                SpanContext.capture(
-                    parent,
-                    thread=f"w{i}",
-                    resource_cadence=RESOURCE_CADENCE,
-                )
+                SpanContext.capture(parent, thread=f"w{i}")
                 for i in range(n_workloads)
             ]
             outcomes = _run_batch(executor, work, contexts)

@@ -15,8 +15,8 @@ every oriented k-mer to its successors through one sort and one
 chains by pointer doubling, and :func:`extract_unitigs` slices, per chain
 pair, the unitig of the first seed that touches it out of one buffer.
 The tests hold it to equality with the sequential bytes-dict walker
-``repro.assembly.reference_impl.legacy_extract_unitigs``: same unitigs,
-orientation, coverage, emission order and walk step counts.
+``tests/assembly/kmer_reference.py::legacy_extract_unitigs``: same
+unitigs, orientation, coverage, emission order and walk step counts.
 
 The table stores *canonical* k-mers, but a unitig — a maximal path whose
 every interior node has exactly one successor and one predecessor — is a
@@ -451,7 +451,7 @@ def extract_unitigs(
     ``visited`` (Ray and ABySS use :func:`extract_unitigs_by_owner`):
     they are the reference walker's interface, kept for the parity tests.
 
-    The result equals ``reference_impl.legacy_extract_unitigs`` walking
+    The result equals ``kmer_reference.legacy_extract_unitigs`` walking
     the seeds one at a time (:func:`_emit` says why no walk is needed).
     """
     if seeds is None:

@@ -50,9 +50,10 @@ def partition_spectrum(
     executed: extraction charges are the stripe occupancy, the alltoall
     byte matrix the (stripe, owner) occurrence histogram, the rows a rank
     holds and keeps ``bincount``s of the owner column, and the table the
-    spectrum's own sorted rows at ``counts >= min_count``.  ``reference_impl``
-    executes the exchange; ``tests/assembly/test_parity.py`` holds the
-    full usage record and every contig equal to it.
+    spectrum's own sorted rows at ``counts >= min_count``.  The oracle
+    ``tests/assembly/kmer_reference.py`` executes the exchange;
+    ``tests/assembly/test_parity.py`` holds the full usage record and
+    every contig equal to it.
     """
     p = world.size
     k = spectrum.k

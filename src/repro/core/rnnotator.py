@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from repro.assembly.contigs import AssemblyResult, Contig
 from repro.assembly.sweep import (
     KmerSpectrum,
+    PendingSpectraBuild,
     build_spectra,
     get_kmer_table_cache,
     submit_spectra_build,
@@ -25,7 +26,7 @@ from repro.assembly.sweep import (
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.cluster import Cluster, build_cluster
 from repro.cloud.ec2 import EC2Region
-from repro.cloud.instances import cheapest_with_memory, get_instance_type
+from repro.cloud.instances import cheapest_with_memory
 from repro.cloud.spot import SpotPreemptor
 from repro.cloud.storage import TransferModel
 from repro.core import multikmer
@@ -34,6 +35,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.memory import task_memory_bytes
 from repro.core.planner import (
     AssemblyPlan,
+    RunPrediction,
     plan_assembly,
     predict_run,
     predict_spectrum_build,
@@ -43,9 +45,8 @@ from repro.core.preprocess import PreprocessParams, PreprocessResult, preprocess
 from repro.core.merge import MergeResult, merge_contigs
 from repro.core.quantify import QuantificationResult, quantify
 from repro.core.schemes import MatchingScheme
-from repro.core.workflow import StageReport, WorkflowPattern
+from repro.core.workflow import STAGES, StageReport, WorkflowPattern
 from repro.obs import Tracer, get_tracer, use_tracer
-from repro.obs.alerts import AlertEngine, parse_rule
 from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import (
     DelayedWorkload,
@@ -58,10 +59,17 @@ from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.elastic import ElasticPool
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
+from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import MemoryAwareScheduler, SchedulingError
 from repro.pilot.states import UnitState
-from repro.seq.datasets import Dataset
+from repro.seq.datasets import Dataset, DatasetSpec
 from repro.seq.readstore import ReadStore
+
+
+#: The stages a run reports — one :class:`StageReport`, ``stage`` span and
+#: checkpoint marker each — in run order: data staging, then Fig. 1's
+#: four.  ``FaultPlan.abort_after_stage`` accepts exactly these.
+STAGE_NAMES = ("stage-in", *(name for name, _ in STAGES))
 
 
 class PipelineError(RuntimeError):
@@ -105,11 +113,6 @@ class PipelineConfig:
     spectrum_shards: int | None = None
     #: Radix-bucket count of the sharded build's merge (power of two).
     spectrum_buckets: int = 16
-    #: Seconds between RSS/CPU samples taken *inside* fan-out workloads
-    #: running on a pool backend (shipped back in the worker trace and
-    #: exported as Perfetto counter tracks).  0 keeps only the
-    #: span-endpoint snapshots; ignored when tracing is off.
-    resource_cadence: float = 0.0
     #: Directory of the durable checkpoint store (None = no
     #: checkpointing).  A rerun pointed at the same directory with the
     #: same dataset and config replays completed units bit-identically
@@ -118,28 +121,19 @@ class PipelineConfig:
     #: Restart budget for the assembly fan-out units; >0 lets the
     #: restart machinery survive transient (preemption) failures.
     unit_max_restarts: int = 0
-    #: Declarative SLO/alert rules (see :mod:`repro.obs.alerts`): compact
-    #: specs (``"heartbeat_timeout:30:critical"``) or
-    #: :class:`~repro.obs.alerts.AlertRule` instances.  Non-empty with
-    #: tracing on, an :class:`~repro.obs.alerts.AlertEngine` rides the
-    #: run as a live sink; firings become ``alert`` events in the trace
-    #: and a summary on the pipeline span.  () = no engine.
-    alert_rules: tuple = ()
-    #: Real seconds between per-unit ``unit.heartbeat`` events while
-    #: workloads are in flight (0 = off).  Purely real-clock telemetry:
-    #: results and virtual TTCs are bit-identical either way.
-    heartbeat_cadence: float = 0.0
 
     def result_key(self) -> tuple:
         """The result-determining knobs, spelled once for both
         :meth:`fingerprint` and the checkpoint stage markers.
 
         Execution-mechanics knobs that cannot change results — executor
-        backend, spectrum sharding, checkpoint directory, restart budget,
-        telemetry — are deliberately excluded.  Caching and faults are
+        backend, spectrum sharding, checkpoint directory, restart budget
+        — are deliberately excluded.  Caching, faults and telemetry are
         not knobs at all: a cache is a process-wide scope
         (``use_assembly_cache``, ``use_kmer_table_cache``) whose hits are
-        bit-identical, and faults are the pipeline's :class:`FaultPlan`.
+        bit-identical, faults are the pipeline's :class:`FaultPlan`, and
+        sampling / heartbeat cadences and alert rules are arguments of
+        the :class:`~repro.obs.Tracer`.
         """
         return (
             self.assemblers,
@@ -184,10 +178,6 @@ class PipelineConfig:
                 f"spectrum_buckets must be a power of two, "
                 f"got {self.spectrum_buckets}"
             )
-        if self.heartbeat_cadence < 0:
-            raise ValueError("heartbeat_cadence must be >= 0")
-        for rule in self.alert_rules:
-            parse_rule(rule)  # validate specs early
 
 
 @dataclass(frozen=True)
@@ -215,6 +205,11 @@ class FaultPlan:
             raise ValueError("preempt_at offsets must be >= 0")
         if self.straggle_seconds < 0:
             raise ValueError("straggle_seconds must be >= 0")
+        if self.abort_after_stage not in (None, *STAGE_NAMES):
+            raise ValueError(
+                f"abort_after_stage must be one of {STAGE_NAMES}, "
+                f"got {self.abort_after_stage!r}"
+            )
 
 
 @dataclass
@@ -269,27 +264,668 @@ class PipelineResult:
         return "\n".join(lines)
 
 
-def _trace_stage(report: StageReport) -> None:
-    """Mirror a finished :class:`StageReport` as a ``category="stage"``
-    span whose virtual interval equals the report's exactly (the report
-    CLI cross-checks ``v1 - v0`` against ``StageReport.ttc``)."""
+@dataclass
+class _Run:
+    """One run's context: what the caller passed, the fresh simulated
+    region it runs on, and then the products each stage fills in for the
+    ones after it (unset until that stage ran; DESIGN §7)."""
+
+    dataset: Dataset
+    config: PipelineConfig
+    faults: FaultPlan
+    cost_model: CostModel
+    #: Closed when the run ends, however it ends.
+    cleanup: ExitStack
+
+    r_start: float = field(default_factory=time.perf_counter)
+    clock: SimClock = field(default_factory=SimClock)
+    stages: list[StageReport] = field(default_factory=list)
+    #: The raw reads, encoded exactly once: QC is array work on this
+    #: store, and its digest is the checkpoint's content address.
+    raw_store: ReadStore | None = field(init=False)
+    #: Unit outcomes are keyed by content (ReadStore digests and
+    #: assembly params); stage markers additionally carry the config's
+    #: result_key so a changed knob invalidates them.
+    ckpt: CheckpointStore | None = None
+    run_key: tuple | None = None
+
+    #: The instance type of every pilot: the plan sizes P_B in nodes.
+    itype: str = field(init=False)
+    pa: Pilot = field(init=False)
+    shared_cluster: Cluster | None = field(init=False)
+    pre: PreprocessResult = field(init=False)
+    store: ReadStore = field(init=False)
+    plan: AssemblyPlan = field(init=False)
+    #: Closed when the assembly fan-out ends, or by ``cleanup`` when a
+    #: stage before that fails: the executor the pipeline made and the
+    #: spectra this run shared.
+    fanout: ExitStack = field(init=False)
+    spectra: tuple[KmerSpectrum, ...] = field(init=False)
+    missing_ks: tuple[int, ...] = field(init=False)
+    executor: WorkloadExecutor = field(init=False)
+    pending_build: PendingSpectraBuild | None = field(init=False)
+    prediction: RunPrediction = field(init=False)
+    pb: Pilot = field(init=False)
+    umb: UnitManager = field(init=False)
+    fanout_keys: tuple = field(init=False)
+    assemblies: dict[tuple[str, int], AssemblyResult] = field(init=False)
+    pc: Pilot = field(init=False)
+    umc: UnitManager = field(init=False)
+    merged: MergeResult = field(init=False)
+    quantification: QuantificationResult = field(init=False)
+
+    def __post_init__(self) -> None:
+        """The fresh region every stage runs on, at virtual time 0."""
+        get_tracer().bind_clock(self.clock)
+        self.events = EventQueue(self.clock)
+        self.region = EC2Region(self.clock)
+        self.db = StateStore(self.clock)
+        self.transfers = TransferModel(self.clock)
+        self.pm = PilotManager(self.region, self.events, self.db)
+        self.raw_store = ReadStore.from_reads(self.dataset.run.all_reads())
+        if self.config.checkpoint_dir is not None:
+            self.ckpt = CheckpointStore(self.config.checkpoint_dir)
+            self.run_key = (self.raw_store.digest, *self.config.result_key())
+
+    @property
+    def spec(self) -> DatasetSpec:
+        return self.dataset.spec
+
+
+def _close_stage(
+    run: _Run,
+    name: str,
+    pilot: Pilot | None,
+    started_at: float,
+    notes: str,
+    w0: float | None = None,
+) -> None:
+    """The one place a stage ends, at the clock's now: append its
+    :class:`StageReport` (sized as ``pilot`` was described; data staging
+    runs on none); mirror it as a ``category="stage"`` span whose virtual
+    interval equals the report's exactly (the report CLI cross-checks
+    ``v1 - v0`` against ``StageReport.ttc``); write its checkpoint
+    marker; then die here if the fault plan says so."""
+    report = StageReport(
+        name=name,
+        pilot="-" if pilot is None else pilot.pilot_id,
+        started_at=started_at,
+        finished_at=run.clock.now,
+        n_nodes=0 if pilot is None else pilot.description.n_nodes,
+        instance_type="-" if pilot is None else pilot.description.instance_type,
+        notes=notes,
+        real_seconds=0.0 if w0 is None else time.perf_counter() - w0,
+    )
+    run.stages.append(report)
     tracer = get_tracer()
-    if not tracer.enabled:
-        return
-    r1 = time.perf_counter()
-    tracer.add_span(
-        f"stage:{report.name}",
-        v_start=report.started_at,
-        v_end=report.finished_at,
-        category="stage",
-        process=report.pilot if report.pilot != "-" else None,
-        r_start=r1 - report.real_seconds,
-        r_end=r1,
-        stage=report.name,
-        pilot=report.pilot,
-        n_nodes=report.n_nodes,
-        instance_type=report.instance_type,
-        notes=report.notes,
+    if tracer.enabled:
+        r1 = time.perf_counter()
+        tracer.add_span(
+            f"stage:{name}",
+            v_start=report.started_at,
+            v_end=report.finished_at,
+            category="stage",
+            process=None if pilot is None else report.pilot,
+            r_start=r1 - report.real_seconds,
+            r_end=r1,
+            stage=name,
+            pilot=report.pilot,
+            n_nodes=report.n_nodes,
+            instance_type=report.instance_type,
+            notes=notes,
+        )
+    if run.ckpt is not None:
+        run.ckpt.put_stage(
+            (run.run_key, name),
+            {"name": name, "ttc": report.ttc, "notes": notes},
+        )
+    if run.faults.abort_after_stage == name:
+        raise PipelineKilled(
+            f"simulated kill after stage {name!r} "
+            f"(checkpoints: {run.config.checkpoint_dir})"
+        )
+
+
+def _unit_manager(run: _Run, pilot: Pilot, **fanout) -> UnitManager:
+    """A unit manager over ``pilot`` alone; ``fanout`` is what only the
+    assembly stage sets (its executor backend and elastic pool)."""
+    um = UnitManager(
+        run.db,
+        run.events,
+        scheduler=MemoryAwareScheduler(),
+        cost_model=run.cost_model,
+        checkpoint=run.ckpt,
+        **fanout,
+    )
+    um.add_pilot(pilot)
+    return um
+
+
+def _single_unit_stage(
+    run: _Run,
+    um: UnitManager,
+    stage: str,
+    compute,
+    notes,
+    *,
+    name: str,
+    memory_bytes: int,
+    checkpoint_key,
+    undersized: bool = False,
+    **io_bytes: int,
+):
+    """Run ``compute()`` as the one unit of ``stage`` on ``um``'s pilot
+    (its result carries its own ``usage``) and close the stage with
+    ``notes(result)``; returns the result.  The workload runs serially:
+    it is a closure over the run.  Its content address
+    ``checkpoint_key()`` is only taken when checkpointing.
+
+    ``undersized`` marks the stage whose pilot a static workflow may have
+    sized too small for its input (P_A): its failures name the instance
+    type and say so, scheduling errors included.
+    """
+    (pilot,) = um.pilots
+
+    def work():
+        result = compute()
+        return result, result.usage
+
+    t0 = run.clock.now
+    w0 = time.perf_counter()
+    desc = UnitDescription(
+        name=name,
+        work=work,
+        cores=8,
+        memory_bytes=memory_bytes,
+        scale=run.dataset.read_scale,
+        stage=stage,
+        checkpoint_key=None if run.ckpt is None else checkpoint_key(),
+        **io_bytes,
+    )
+    (unit,) = um.submit_units([desc])
+    failed, hint = f"{stage} failed", ""
+    if undersized:
+        failed += f" on {pilot.description.instance_type}"
+        hint = " (a dynamic workflow would have chosen a larger instance)"
+    try:
+        um.run([unit])
+    except UnitFailureError as exc:
+        detail = exc if undersized else unit.error
+        raise PipelineError(f"{failed}: {detail}{hint}") from exc
+    except SchedulingError as exc:
+        if not undersized:
+            raise
+        raise PipelineError(f"{failed}: {exc}{hint}") from exc
+    if unit.state is not UnitState.DONE:
+        raise PipelineError(f"{failed}: {unit.error}{hint}")
+    _close_stage(run, stage, pilot, t0, notes(unit.result), w0)
+    return unit.result
+
+
+# -- the stages ---------------------------------------------------------------
+# Each takes the run context, reads what earlier stages filled in and fills
+# in its own products; the five named in STAGE_NAMES end in _close_stage.
+
+
+def _stage_in(run: _Run) -> None:
+    """Stage 0: the FASTQ goes up over the WAN."""
+    spec = run.spec
+    t0 = run.clock.now
+    run.transfers.upload(spec.fastq_bytes, dst="head")
+    _close_stage(
+        run, "stage-in", None, t0, f"{spec.fastq_bytes / 1024**3:.1f} GB over WAN"
+    )
+
+
+def _preprocess_stage(run: _Run) -> None:
+    """Pilot P_A and the QC unit.  Fills ``itype``, ``pa``,
+    ``shared_cluster`` (S2/S3: the fleet every pilot reuses) and ``pre``;
+    drops ``raw_store``."""
+    config, spec = run.config, run.spec
+    pre_mem = task_memory_bytes(spec, "preprocess")
+    if config.instance_type is not None:
+        run.itype = config.instance_type
+    elif config.workflow.decides_at_runtime:
+        run.itype = cheapest_with_memory(pre_mem, min_vcpus=8).name
+    else:
+        run.itype = "c3.2xlarge"  # the static default of the paper
+
+    run.shared_cluster = None
+    run.pa = run.pm.submit(PilotDescription("P_A", run.itype, n_nodes=1))
+    if config.scheme.reuses_vms:
+        run.shared_cluster = build_cluster(
+            run.region, run.events, run.itype, 1, name="shared"
+        )
+        run.pm.launch_on(run.pa, run.shared_cluster)
+    else:
+        run.pm.launch(run.pa)
+
+    run.pre = _single_unit_stage(
+        run,
+        _unit_manager(run, run.pa),
+        "pre-processing",
+        lambda: preprocess(run.raw_store, config.preprocess_params),
+        lambda pre: f"{pre.output_reads}/{pre.input_reads} reads kept",
+        name="preprocess",
+        memory_bytes=pre_mem,
+        checkpoint_key=lambda: (
+            "stage:preprocess", run.raw_store.digest, config.preprocess_params
+        ),
+        undersized=True,
+        input_bytes=spec.fastq_bytes,
+        output_bytes=spec.preprocessed_bytes,
+    )
+    run.raw_store = None  # QC returned: the raw arrays can go
+
+
+def _plan_stage(run: _Run) -> None:
+    """The dynamic decision: the k list and P_B's size from what QC kept.
+    Fills ``store`` and ``plan``."""
+    config = run.config
+    kmer_list = config.kmer_list or select_kmer_list(run.pre.modal_read_length)
+    # Every fan-out unit shares the filtered store QC returned (under
+    # the process backend it attaches to its shared-memory segment),
+    # and quantification joins against the same arrays.  The run holds
+    # an alias: what it shares and unlinks is its own, and the
+    # result's store stays process memory.  Quantification reads it
+    # last, so it outlives the assembly stage, and however the run ends
+    # its shared segment is unlinked here.
+    run.store = run.pre.store.alias()
+    run.cleanup.callback(run.store.close)  # unlinks the segment iff one was created
+    run.plan = plan_assembly(
+        run.spec,
+        kmer_list,
+        config.assemblers,
+        run.itype,
+        mpi_nodes_per_job=config.mpi_nodes_per_job,
+        contrail_nodes_per_job=config.contrail_nodes_per_job,
+        max_nodes=config.max_nodes,
+    )
+
+
+def _close_spectra(run: _Run) -> None:
+    for sp in run.spectra:
+        # Unlinks the segments this run shared; local arrays are the
+        # table cache's and stay open (see repro.assembly.sweep).
+        sp.close()
+
+
+def _spectrum_demand_stage(run: _Run) -> None:
+    """Which k the fan-out will read, and the backend it runs on.  Fills
+    ``spectra`` (the table cache's hits so far), ``missing_ks``,
+    ``fanout``, ``executor`` and ``pending_build``.
+
+    K-mers are counted only for jobs that will read them.  A job is
+    *satisfied* when its content key is already in the assembly cache or
+    the checkpoint store: it will be served from there and never opens a
+    spectrum.  Only the k of unsatisfied jobs is needed; a needed k is
+    looked up in the table cache first, and what is still missing is
+    counted in one fused pass in the parent (the supply stage).  The
+    probes are predictions, not promises: a job that misses after all
+    builds its own spectrum, bit-identically.
+    """
+    config, store, ckpt = run.config, run.store, run.ckpt
+    jobs = multikmer.planned_jobs(
+        run.plan, store, config.min_count, config.min_contig_length
+    )
+    table_cache = get_kmer_table_cache()
+    asm_cache = get_assembly_cache()
+    tracer = get_tracer()
+    cache_hits = [asm_cache is not None and j.key in asm_cache for j in jobs]
+    unsatisfied = [
+        j
+        for j, hit in zip(jobs, cache_hits)
+        if not (hit or (ckpt is not None and ckpt.has_unit(j.key)))
+    ]
+    needed_ks = sorted({j.spectrum_k for j in unsatisfied})
+    cached = (
+        {k: table_cache.get(store.digest, k) for k in needed_ks}
+        if table_cache is not None
+        else {}
+    )
+    run.spectra = tuple(sp for sp in cached.values() if sp is not None)
+    run.fanout = run.cleanup.enter_context(ExitStack())
+    run.fanout.callback(_close_spectra, run)
+    run.missing_ks = tuple(k for k in needed_ks if cached.get(k) is None)
+    if not run.missing_ks and tracer.enabled:
+        tracer.event(
+            "spectrum.skip",
+            category="spectrum",
+            ks=sorted({j.spectrum_k for j in jobs}),
+            jobs=len(jobs),
+            jobs_satisfied=len(jobs) - len(unsatisfied),
+            reason="spectra cached" if needed_ks else "jobs satisfied",
+        )
+    # The assembly fan-out is where task-level parallelism lives:
+    # its workloads are picklable AssemblyWorkload callables, so
+    # any executor backend can spread them over the host's cores.
+    # A pool is for jobs that compute: when the assembly cache
+    # holds every job the fan-out is one lookup per job, run
+    # inline — no fork, no segment, nothing pickled, and the hits
+    # are counted in the process that reads the counters.  (A
+    # hit evicted since the probe is computed inline too.)  Only
+    # a backend the pipeline would have made itself is replaced:
+    # a caller's executor instance sees every dispatch.
+    # Checkpoint replays keep the configured backend: their
+    # dispatch path is trace-transparent (see ReplayWorkload).
+    if jobs and all(cache_hits) and isinstance(config.executor, str):
+        run.executor = SerialExecutor()
+    else:
+        run.executor = make_executor(config.executor, config.executor_workers)
+    if isinstance(config.executor, str):
+        # The pipeline owns backends it created.
+        run.fanout.callback(run.executor.shutdown)
+    run.pending_build = None
+    if (
+        run.missing_ks
+        and config.spectrum_shards is not None
+        and run.executor.supports_overlap
+    ):
+        # The opt-in sharded build, submitted *now*: the shard
+        # workers race the pilot provisioning and cluster growth
+        # below on the real clock, and the merge at collect time
+        # is bit-identical to the build in the parent.
+        run.pending_build = submit_spectra_build(
+            store,
+            run.missing_ks,
+            run.executor,
+            n_shards=config.spectrum_shards,
+            n_buckets=config.spectrum_buckets,
+        )
+
+
+def _prediction_stage(run: _Run) -> None:
+    """Price the rest of the run up front from spec + plan alone; the
+    prediction rides on the pipeline span so trace analytics
+    (repro.obs.attribution) can gate predicted-vs-actual TTC/cost.
+    Fills ``prediction``."""
+    plan = run.plan
+    run.prediction = predict_run(
+        run.spec,
+        plan,
+        run.pre.modal_read_length,
+        reuses_vms=run.config.scheme.reuses_vms,
+        pa_instance_type=run.itype,
+        cost_model=run.cost_model,
+        wan_bandwidth=run.transfers.wan_bandwidth,
+        lan_bandwidth=run.transfers.lan_bandwidth,
+        provision_seconds=run.region.provision_seconds,
+    )
+    tracer = get_tracer()
+    if tracer.enabled:
+        # Stream the prediction *now*, not only on the pipeline
+        # span at teardown: budget burn-rate rules and the live
+        # monitor's ETA need planned cost/TTC while the meter is
+        # still running.
+        tracer.event(
+            "planner.prediction",
+            category="planner",
+            ttc_s=run.prediction.ttc_s,
+            cost_usd=run.prediction.cost_usd,
+            assembly_jobs=plan.n_jobs,
+            n_nodes=plan.n_nodes,
+            instance_type=plan.instance_type,
+        )
+
+
+def _provision_stage(run: _Run) -> None:
+    """Pilot P_B on ``plan.n_nodes``, with the fault plan's preemptor and
+    S3's elastic pool.  Fills ``pb`` and ``umb``."""
+    config, faults, region, events = run.config, run.faults, run.region, run.events
+    n_nodes = run.plan.n_nodes
+    pb = run.pb = run.pm.submit(PilotDescription("P_B", run.itype, n_nodes=n_nodes))
+    if config.scheme.reuses_vms:
+        if run.shared_cluster.n_nodes < n_nodes:
+            run.shared_cluster.grow(region, n_nodes - run.shared_cluster.n_nodes)
+        run.pm.launch_on(pb, run.shared_cluster)
+    else:
+        run.pm.finish(run.pa)  # S1: P_A's VM dies once its data is handed over
+        run.pm.launch(pb)
+        run.transfers.copy(run.spec.preprocessed_bytes, src="P_A", dst="P_B")
+
+    # ---- failure injection + S3 elasticity for the fan-out ---------
+    preemptor: SpotPreemptor | None = None
+    if faults.preempt_at:
+        preemptor = SpotPreemptor(
+            region,
+            events,
+            cluster=pb.cluster,
+            protect={pb.cluster.head.vm_id},
+        )
+        preemptor.arm_in(faults.preempt_at)
+    elastic: ElasticPool | None = None
+    if config.scheme.elastic:
+        elastic = ElasticPool(
+            region,
+            events,
+            cluster=pb.cluster,
+            pilot=pb,
+            min_nodes=1,
+            max_nodes=config.max_nodes,
+        )
+        if preemptor is not None:
+            preemptor.on_preempt.append(elastic.on_preempt)
+
+    run.umb = _unit_manager(run, pb, executor=run.executor, elastic=elastic)
+    if isinstance(config.executor, str):
+        run.fanout.callback(run.umb.close)  # heartbeat threads, then the pool
+
+
+def _spectrum_supply_stage(run: _Run) -> None:
+    """Count (or collect) the missing spectra and put every spectrum
+    where the fan-out's workers can read it.  Extends ``spectra``."""
+    missing_ks, pending_build = run.missing_ks, run.pending_build
+    if missing_ks:
+        build_prediction = predict_spectrum_build(
+            run.spec,
+            missing_ks,
+            run.pre.modal_read_length,
+            n_shards=(
+                pending_build.n_shards if pending_build is not None else 1
+            ),
+        )
+        build_attrs = {
+            "planner_serial_s": build_prediction.serial_s,
+            "planner_sharded_s": build_prediction.sharded_s,
+        }
+        if pending_build is not None:
+            # Everything since submit — P_B provisioning, cluster
+            # growth, manager setup — ran while the shard workers
+            # extracted; collect merges their sorted runs.
+            built = pending_build.collect(span_attrs=build_attrs)
+        else:
+            built = build_spectra(run.store, missing_ks, span_attrs=build_attrs)
+        run.spectra += built
+        table_cache = get_kmer_table_cache()
+        if table_cache is not None:
+            for sp in built:
+                table_cache.put(sp)
+    if isinstance(run.executor, ProcessExecutor):
+        # Move every spectrum into shared memory BEFORE the
+        # pool's first fan-out submit: the pool forks at that
+        # submit, so its workers find the live segments in the
+        # inherited attach registry and map nothing.  (After an
+        # opt-in sharded build the pool is already up and they
+        # attach by name, sharedarrays._attach_untracked; either
+        # way the process-wide resource tracker stays balanced.)
+        for sp in run.spectra:
+            sp.share()
+
+
+def _assembly_stage(run: _Run) -> None:
+    """The multi-k multi-assembler fan-out on P_B.  Fills
+    ``fanout_keys`` and ``assemblies``; closes ``fanout``."""
+    config, faults, plan = run.config, run.faults, run.plan
+    with run.fanout:
+        descs = multikmer.assembly_unit_descriptions(
+            plan,
+            run.spec,
+            run.store,
+            run.dataset,
+            min_count=config.min_count,
+            min_contig_length=config.min_contig_length,
+            max_restarts=config.unit_max_restarts,
+            spectra=run.spectra,
+        )
+        if faults.straggle_unit and faults.straggle_seconds > 0:
+            # The straggler drill: delay matching workloads in real
+            # time only (virtual usage untouched).
+            descs = [
+                replace(
+                    d,
+                    work=DelayedWorkload(d.work, faults.straggle_seconds),
+                )
+                if faults.straggle_unit in d.name
+                else d
+                for d in descs
+            ]
+        t0 = run.clock.now
+        w0 = time.perf_counter()
+        units = run.umb.submit_units(descs)
+        try:
+            run.umb.run(units)
+        except UnitFailureError as exc:
+            raise PipelineError(
+                f"assembly jobs failed: "
+                f"{[(u.description.name, u.error) for u in exc.units]}"
+            ) from exc
+    failed = [u for u in units if u.state is not UnitState.DONE]
+    if failed:
+        raise PipelineError(
+            f"assembly jobs failed: "
+            f"{[(u.description.name, u.error) for u in failed]}"
+        )
+    # The merge output is a pure function of the fan-out results, so
+    # its content address is the ordered tuple of their keys.
+    run.fanout_keys = tuple(d.checkpoint_key for d in descs)
+    run.assemblies = multikmer.collect_assembly_results(units)
+    notes = (
+        f"{plan.n_jobs} jobs "
+        f"({'+'.join(config.assemblers)}, k={list(plan.kmer_list)})"
+    )
+    _close_stage(run, "transcript-assembly", run.pb, t0, notes, w0)
+
+
+def _postprocess_stage(run: _Run) -> None:
+    """Pilot P_C and the contig merge.  Fills ``pc``, ``umc`` and
+    ``merged``."""
+    config, spec, assemblies = run.config, run.spec, run.assemblies
+    pc = run.pc = run.pm.submit(PilotDescription("P_C", run.itype, n_nodes=1))
+    run.pm.finish(run.pb)
+    if config.scheme.reuses_vms:
+        if run.umb.elastic is not None:
+            run.umb.elastic.shrink_idle()
+        run.shared_cluster.shrink_to(run.region, 1)
+        run.pm.launch_on(pc, run.shared_cluster)
+    else:
+        run.pm.launch(pc)
+        contig_bytes = int(
+            sum(r.total_bp for r in assemblies.values())
+            / max(run.dataset.read_scale, 1e-9)
+        )
+        run.transfers.copy(contig_bytes, src="P_B", dst="P_C")
+    run.umc = _unit_manager(run, pc)
+    run.merged = _single_unit_stage(
+        run,
+        run.umc,
+        "post-processing",
+        lambda: merge_contigs([r.contigs for r in assemblies.values()]),
+        lambda m: f"{m.input_contigs} -> {m.output_contigs} contigs",
+        name="postprocess-merge",
+        memory_bytes=task_memory_bytes(spec, "postprocess"),
+        checkpoint_key=lambda: ("stage:merge", run.fanout_keys),
+    )
+
+
+def _quantification_stage(run: _Run) -> None:
+    """The read-to-transcript join, still on P_C.  Fills
+    ``quantification``."""
+    store = run.store
+    run.quantification = _single_unit_stage(
+        run,
+        run.umc,
+        "quantification",
+        lambda: quantify(store, run.merged.transcripts),
+        lambda q: f"{q.assignment_rate:.0%} reads assigned",
+        name="quantification",
+        memory_bytes=task_memory_bytes(run.spec, "postprocess"),
+        # Depends on the pre-processed reads as well as the fan-out.
+        checkpoint_key=lambda: ("stage:quantify", store.digest, run.fanout_keys),
+    )
+
+
+def _teardown_stage(run: _Run) -> None:
+    """Finish P_C, release the fleet, stamp the ``pipeline`` root span."""
+    config, plan, prediction = run.config, run.plan, run.prediction
+    run.pm.finish(run.pc)
+    run.region.terminate_all()
+    tracer = get_tracer()
+    if tracer.enabled:
+        alert_attrs = tracer.alert_summary()
+        tracer.add_span(
+            "pipeline",
+            v_start=0.0,
+            v_end=run.clock.now,
+            category="pipeline",
+            r_start=run.r_start,
+            r_end=time.perf_counter(),
+            dataset=run.spec.name,
+            assemblers="+".join(config.assemblers),
+            scheme=config.scheme.value,
+            workflow=config.workflow.value,
+            total_cost_usd=run.region.total_cost,
+            config_fingerprint=config.fingerprint(),
+            store_digest=run.store.digest,
+            kmer_list=list(plan.kmer_list),
+            n_nodes=plan.n_nodes,
+            instance_type=plan.instance_type,
+            planner_ttc_s=prediction.ttc_s,
+            planner_cost_usd=prediction.cost_usd,
+            planner_stages=prediction.as_dict()["stages"],
+            **alert_attrs,
+        )
+
+
+#: The run, in order.  :meth:`RnnotatorPipeline.run` is a loop over this.
+_STAGES = (
+    _stage_in,
+    _preprocess_stage,
+    _plan_stage,
+    _spectrum_demand_stage,
+    _prediction_stage,
+    _provision_stage,
+    _spectrum_supply_stage,
+    _assembly_stage,
+    _postprocess_stage,
+    _quantification_stage,
+    _teardown_stage,
+)
+
+
+def _result(run: _Run) -> PipelineResult:
+    ckpt = run.ckpt
+    return PipelineResult(
+        config=run.config,
+        stages=run.stages,
+        preprocess=run.pre,
+        kmer_list=run.plan.kmer_list,
+        plan=run.plan,
+        assemblies=run.assemblies,
+        merge=run.merged,
+        quantification=run.quantification,
+        total_ttc=run.clock.now,
+        total_cost=run.region.total_cost,
+        transfer_seconds=run.transfers.total_seconds,
+        checkpoint_stats=(
+            None
+            if ckpt is None
+            else {
+                "unit_hits": ckpt.stats.hits,
+                "unit_misses": ckpt.stats.misses,
+                "unit_puts": ckpt.stats.puts,
+                "stages_recorded": ckpt.stage_count(),
+            }
+        ),
     )
 
 
@@ -300,7 +936,8 @@ class RnnotatorPipeline:
     duration of :meth:`run` (via :func:`~repro.obs.use_tracer`) and binds
     it to the run's virtual clock, so every instrumented layer underneath
     — event queue, pilots, scheduler, EC2, SGE, assembler phases —
-    records into it.
+    records into it.  Telemetry beyond spans (resource sampling,
+    heartbeats, alert rules) is configured on that tracer.
     """
 
     def __init__(
@@ -312,10 +949,10 @@ class RnnotatorPipeline:
         self.cost_model = cost_model or CostModel()
         self.tracer = tracer
         self.faults = faults or FaultPlan()
-        #: Alerts fired by the most recent run's engine (empty without
-        #: ``alert_rules``); the smoke CLI reads this for its assertions.
+        #: Alerts fired during the most recent run (empty unless its
+        #: tracer had ``alert_rules``); the smoke CLI reads this for its
+        #: assertions.
         self.last_alerts: list = []
-        self._alert_engine: AlertEngine | None = None
 
     # -- public API --------------------------------------------------------
 
@@ -332,7 +969,7 @@ class RnnotatorPipeline:
         every result is bit-identical to a separate :meth:`run` call."""
         config = config or PipelineConfig()
         executor = make_executor(config.executor, config.executor_workers)
-        # _run only closes backends it constructed itself (string
+        # A run only closes backends it constructed itself (string
         # specs), so the pool survives across runs.
         shared = replace(config, executor=executor)
         try:
@@ -342,668 +979,12 @@ class RnnotatorPipeline:
                 executor.shutdown()
 
     def _run(self, dataset: Dataset, config: PipelineConfig | None) -> PipelineResult:
-        """Attach the alert engine (when configured) around the real run
-        body, detaching it whatever happens — run_many reuses one tracer
-        across runs and must not accumulate stale sinks."""
+        """Walk :data:`_STAGES` over a fresh run context, under the
+        ambient tracer's alert engine (when it has rules)."""
         config = config or PipelineConfig()
-        tracer = get_tracer()
-        engine: AlertEngine | None = None
-        if tracer.enabled and config.alert_rules:
-            engine = AlertEngine(config.alert_rules, tracer=tracer)
-            tracer.add_sink(engine)
-        self._alert_engine = engine
-        try:
-            # Owns the ReadStore: quantification reads it last, so it
-            # outlives the assembly stage, and however the run ends its
-            # shared segment is unlinked here.
-            with ExitStack() as cleanup:
-                return self._run_inner(dataset, config, cleanup)
-        finally:
-            self._alert_engine = None
-            if engine is not None:
-                engine.finalize()
-                tracer.remove_sink(engine)
-                self.last_alerts = list(engine.alerts)
-
-    def _run_inner(
-        self, dataset: Dataset, config: PipelineConfig, cleanup: ExitStack
-    ) -> PipelineResult:
-        spec = dataset.spec
-        faults = self.faults
-
-        r_run0 = time.perf_counter()
-        clock = SimClock()
-        get_tracer().bind_clock(clock)
-        events = EventQueue(clock)
-        region = EC2Region(clock)
-        db = StateStore(clock)
-        transfers = TransferModel(clock)
-        pm = PilotManager(region, events, db)
-        stages: list[StageReport] = []
-
-        # Encode the raw reads exactly once: QC is array work on this
-        # store, and its digest is the checkpoint's content address.
-        raw_store = ReadStore.from_reads(dataset.run.all_reads())
-
-        # ---- durable checkpointing ----------------------------------------
-        # Unit outcomes are keyed by content (ReadStore digests and
-        # assembly params); stage markers additionally carry the config's
-        # result_key so a changed knob invalidates them.
-        ckpt: CheckpointStore | None = None
-        run_key = None
-        if config.checkpoint_dir is not None:
-            ckpt = CheckpointStore(config.checkpoint_dir)
-            raw_digest = raw_store.digest
-            run_key = (raw_digest, *config.result_key())
-
-        def checkpoint_stage(report: StageReport) -> None:
-            if ckpt is not None:
-                ckpt.put_stage(
-                    (run_key, report.name),
-                    {"name": report.name, "ttc": report.ttc,
-                     "notes": report.notes},
-                )
-
-        def maybe_abort(stage_name: str) -> None:
-            if faults.abort_after_stage == stage_name:
-                raise PipelineKilled(
-                    f"simulated kill after stage {stage_name!r} "
-                    f"(checkpoints: {config.checkpoint_dir})"
-                )
-
-        # ---- choose the P_A instance type ---------------------------------
-        pre_mem = task_memory_bytes(spec, "preprocess")
-        if config.instance_type is not None:
-            pa_itype = config.instance_type
-        elif config.workflow.decides_at_runtime:
-            pa_itype = cheapest_with_memory(pre_mem, min_vcpus=8).name
-        else:
-            pa_itype = "c3.2xlarge"  # the static default of the paper
-
-        # ---- stage 0: stage data in --------------------------------------
-        t0 = clock.now
-        transfers.upload(spec.fastq_bytes, dst="head")
-        stages.append(
-            StageReport(
-                name="stage-in",
-                pilot="-",
-                started_at=t0,
-                finished_at=clock.now,
-                n_nodes=0,
-                instance_type="-",
-                notes=f"{spec.fastq_bytes / 1024**3:.1f} GB over WAN",
-            )
-        )
-        _trace_stage(stages[-1])
-        checkpoint_stage(stages[-1])
-        maybe_abort("stage-in")
-
-        # ---- pilot P_A: pre-processing ------------------------------------
-        shared_cluster: Cluster | None = None
-        pa = pm.submit(PilotDescription("P_A", pa_itype, n_nodes=1))
-        if config.scheme.reuses_vms:
-            shared_cluster = build_cluster(
-                region, events, pa_itype, 1, name="shared"
-            )
-            pm.launch_on(pa, shared_cluster)
-        else:
-            pm.launch(pa)
-
-        um = UnitManager(
-            db,
-            events,
-            scheduler=MemoryAwareScheduler(),
-            cost_model=self.cost_model,
-            checkpoint=ckpt,
-            heartbeat_cadence=config.heartbeat_cadence,
-        )
-        um.add_pilot(pa)
-
-        def pre_work():
-            result = preprocess(raw_store, config.preprocess_params)
-            return result, result.usage
-
-        t0 = clock.now
-        w0 = time.perf_counter()
-        (pre_unit,) = um.submit_units(
-            [
-                UnitDescription(
-                    name="preprocess",
-                    work=pre_work,
-                    cores=8,
-                    memory_bytes=pre_mem,
-                    scale=dataset.read_scale,
-                    stage="pre-processing",
-                    input_bytes=spec.fastq_bytes,
-                    output_bytes=spec.preprocessed_bytes,
-                    checkpoint_key=None
-                    if ckpt is None
-                    else (
-                        "stage:preprocess",
-                        raw_digest,
-                        config.preprocess_params,
-                    ),
-                )
-            ]
-        )
-        try:
-            um.run([pre_unit])
-        except (SchedulingError, UnitFailureError) as exc:
-            raise PipelineError(
-                f"pre-processing failed on {pa_itype}: {exc} "
-                "(a dynamic workflow would have chosen a larger instance)"
-            ) from exc
-        if pre_unit.state is not UnitState.DONE:
-            raise PipelineError(
-                f"pre-processing failed on {pa_itype}: {pre_unit.error} "
-                "(a dynamic workflow would have chosen a larger instance)"
-            )
-        pre: PreprocessResult = pre_unit.result
-        raw_store = None  # QC returned: the raw arrays can go
-        stages.append(
-            StageReport(
-                name="pre-processing",
-                pilot=pa.pilot_id,
-                started_at=t0,
-                finished_at=clock.now,
-                n_nodes=1,
-                instance_type=pa_itype,
-                notes=f"{pre.output_reads}/{pre.input_reads} reads kept",
-                real_seconds=time.perf_counter() - w0,
-            )
-        )
-        _trace_stage(stages[-1])
-        checkpoint_stage(stages[-1])
-        maybe_abort("pre-processing")
-
-        # ---- plan the assembly stage (the dynamic decision) ---------------
-        kmer_list = config.kmer_list or select_kmer_list(pre.modal_read_length)
-
-        # Every fan-out unit shares the filtered store QC returned (under
-        # the process backend it attaches to its shared-memory segment),
-        # and quantification joins against the same arrays.  The run holds
-        # an alias: what it shares and unlinks is its own, and the
-        # result's store stays process memory.
-        store = pre.store.alias()
-        cleanup.callback(store.close)  # unlinks the segment iff one was created
-        store_digest = store.digest
-        spectra: tuple[KmerSpectrum, ...] = ()
-        assembly_executor: WorkloadExecutor | None = None
-        umb: UnitManager | None = None
-        try:
-            pb_itype = pa_itype if config.scheme.reuses_vms else (
-                config.instance_type or pa_itype
-            )
-            plan = plan_assembly(
-                spec,
-                kmer_list,
-                config.assemblers,
-                pb_itype,
-                mpi_nodes_per_job=config.mpi_nodes_per_job,
-                contrail_nodes_per_job=config.contrail_nodes_per_job,
-                max_nodes=config.max_nodes,
-            )
-
-            # ---- spectrum stage: demand, then supply ----------------------
-            # K-mers are counted only for jobs that will read them.  A
-            # job is *satisfied* when its content key is already in the
-            # assembly cache or the checkpoint store: it will be served
-            # from there and never opens a spectrum.  Only the k of
-            # unsatisfied jobs is needed; a needed k is looked up in the
-            # table cache first, and what is still missing is counted in
-            # one fused pass in the parent.  The probes are predictions,
-            # not promises: a job that misses after all builds its own
-            # spectrum, bit-identically.
-            jobs = multikmer.planned_jobs(
-                plan, store, config.min_count, config.min_contig_length
-            )
-            table_cache = get_kmer_table_cache()
-            asm_cache = get_assembly_cache()
-            tracer = get_tracer()
-            pending_build = None
-            cache_hits = [
-                asm_cache is not None and j.key in asm_cache for j in jobs
-            ]
-            unsatisfied = [
-                j
-                for j, hit in zip(jobs, cache_hits)
-                if not (hit or (ckpt is not None and ckpt.has_unit(j.key)))
-            ]
-            needed_ks = sorted({j.spectrum_k for j in unsatisfied})
-            cached = (
-                {k: table_cache.get(store_digest, k) for k in needed_ks}
-                if table_cache is not None
-                else {}
-            )
-            spectra = tuple(sp for sp in cached.values() if sp is not None)
-            missing_ks = tuple(k for k in needed_ks if cached.get(k) is None)
-            if not missing_ks and tracer.enabled:
-                tracer.event(
-                    "spectrum.skip",
-                    category="spectrum",
-                    ks=sorted({j.spectrum_k for j in jobs}),
-                    jobs=len(jobs),
-                    jobs_satisfied=len(jobs) - len(unsatisfied),
-                    reason="spectra cached" if needed_ks else "jobs satisfied",
-                )
-            # The assembly fan-out is where task-level parallelism lives:
-            # its workloads are picklable AssemblyWorkload callables, so
-            # any executor backend can spread them over the host's cores.
-            # A pool is for jobs that compute: when the assembly cache
-            # holds every job the fan-out is one lookup per job, run
-            # inline — no fork, no segment, nothing pickled, and the hits
-            # are counted in the process that reads the counters.  (A
-            # hit evicted since the probe is computed inline too.)  Only
-            # a backend the pipeline would have made itself is replaced:
-            # a caller's executor instance sees every dispatch.
-            # Checkpoint replays keep the configured backend: their
-            # dispatch path is trace-transparent (see ReplayWorkload).
-            if jobs and all(cache_hits) and isinstance(config.executor, str):
-                assembly_executor = SerialExecutor()
-            else:
-                assembly_executor = make_executor(
-                    config.executor, config.executor_workers
-                )
-            if (
-                missing_ks
-                and config.spectrum_shards is not None
-                and assembly_executor.supports_overlap
-            ):
-                # The opt-in sharded build, submitted *now*: the shard
-                # workers race the pilot provisioning and cluster growth
-                # below on the real clock, and the merge at collect time
-                # is bit-identical to the build in the parent.
-                pending_build = submit_spectra_build(
-                    store,
-                    missing_ks,
-                    assembly_executor,
-                    n_shards=config.spectrum_shards,
-                    n_buckets=config.spectrum_buckets,
-                )
-
-            # Price the rest of the run up front from spec + plan alone;
-            # the prediction rides on the pipeline span so trace analytics
-            # (repro.obs.attribution) can gate predicted-vs-actual
-            # TTC/cost.
-            prediction = predict_run(
-                spec,
-                plan,
-                pre.modal_read_length,
-                reuses_vms=config.scheme.reuses_vms,
-                pa_instance_type=pa_itype,
-                cost_model=self.cost_model,
-                wan_bandwidth=transfers.wan_bandwidth,
-                lan_bandwidth=transfers.lan_bandwidth,
-                provision_seconds=region.provision_seconds,
-            )
-            if tracer.enabled:
-                # Stream the prediction *now*, not only on the pipeline
-                # span at teardown: budget burn-rate rules and the live
-                # monitor's ETA need planned cost/TTC while the meter is
-                # still running.
-                tracer.event(
-                    "planner.prediction",
-                    category="planner",
-                    ttc_s=prediction.ttc_s,
-                    cost_usd=prediction.cost_usd,
-                    assembly_jobs=plan.n_jobs,
-                    n_nodes=plan.n_nodes,
-                    instance_type=plan.instance_type,
-                )
-
-            # ---- pilot P_B: transcript assembly ----------------------------
-            pb = pm.submit(
-                PilotDescription("P_B", pb_itype, n_nodes=plan.n_nodes)
-            )
-            if config.scheme.reuses_vms:
-                if shared_cluster.n_nodes < plan.n_nodes:
-                    shared_cluster.grow(
-                        region, plan.n_nodes - shared_cluster.n_nodes
-                    )
-                pm.launch_on(pb, shared_cluster)
-            else:
-                pm.finish(pa)  # S1: P_A's VM dies once its data is handed over
-                pm.launch(pb)
-                transfers.copy(
-                    spec.preprocessed_bytes, src="P_A", dst="P_B"
-                )
-
-            # ---- failure injection + S3 elasticity for the fan-out ---------
-            preemptor: SpotPreemptor | None = None
-            if faults.preempt_at:
-                preemptor = SpotPreemptor(
-                    region,
-                    events,
-                    cluster=pb.cluster,
-                    protect={pb.cluster.head.vm_id},
-                )
-                preemptor.arm_in(faults.preempt_at)
-            elastic: ElasticPool | None = None
-            if config.scheme.elastic:
-                elastic = ElasticPool(
-                    region,
-                    events,
-                    cluster=pb.cluster,
-                    pilot=pb,
-                    min_nodes=1,
-                    max_nodes=config.max_nodes,
-                )
-                if preemptor is not None:
-                    preemptor.on_preempt.append(elastic.on_preempt)
-
-            umb = UnitManager(
-                db,
-                events,
-                scheduler=MemoryAwareScheduler(),
-                cost_model=self.cost_model,
-                executor=assembly_executor,
-                resource_cadence=config.resource_cadence,
-                checkpoint=ckpt,
-                elastic=elastic,
-                heartbeat_cadence=config.heartbeat_cadence,
-            )
-            umb.add_pilot(pb)
-
-            if missing_ks:
-                build_prediction = predict_spectrum_build(
-                    spec,
-                    missing_ks,
-                    pre.modal_read_length,
-                    n_shards=(
-                        pending_build.n_shards
-                        if pending_build is not None
-                        else 1
-                    ),
-                )
-                build_attrs = {
-                    "planner_serial_s": build_prediction.serial_s,
-                    "planner_sharded_s": build_prediction.sharded_s,
-                }
-                if pending_build is not None:
-                    # Everything since submit — P_B provisioning, cluster
-                    # growth, manager setup — ran while the shard workers
-                    # extracted; collect merges their sorted runs.
-                    built = pending_build.collect(span_attrs=build_attrs)
-                else:
-                    built = build_spectra(
-                        store, missing_ks, span_attrs=build_attrs
-                    )
-                spectra += built
-                if table_cache is not None:
-                    for sp in built:
-                        table_cache.put(sp)
-            if isinstance(assembly_executor, ProcessExecutor):
-                # Move every spectrum into shared memory BEFORE the
-                # pool's first fan-out submit: the pool forks at that
-                # submit, so its workers find the live segments in the
-                # inherited attach registry and map nothing.  (After an
-                # opt-in sharded build the pool is already up and they
-                # attach by name, sharedarrays._attach_untracked; either
-                # way the process-wide resource tracker stays balanced.)
-                for sp in spectra:
-                    sp.share()
-            descs = multikmer.assembly_unit_descriptions(
-                plan,
-                spec,
-                store,
-                dataset,
-                min_count=config.min_count,
-                min_contig_length=config.min_contig_length,
-                max_restarts=config.unit_max_restarts,
-                spectra=spectra,
-            )
-            if faults.straggle_unit and faults.straggle_seconds > 0:
-                # The straggler drill: delay matching workloads in real
-                # time only (virtual usage untouched).
-                descs = [
-                    replace(
-                        d,
-                        work=DelayedWorkload(d.work, faults.straggle_seconds),
-                    )
-                    if faults.straggle_unit in d.name
-                    else d
-                    for d in descs
-                ]
-            t0 = clock.now
-            w0 = time.perf_counter()
-            units = umb.submit_units(descs)
-            try:
-                umb.run(units)
-            except UnitFailureError as exc:
-                raise PipelineError(
-                    f"assembly jobs failed: "
-                    f"{[(u.description.name, u.error) for u in exc.units]}"
-                ) from exc
-        finally:
-            if isinstance(config.executor, str):
-                # The pipeline owns backends it created; umb.close() shuts
-                # the executor down, or do it directly when a failure
-                # predates the unit manager.
-                if umb is not None:
-                    umb.close()
-                elif assembly_executor is not None:
-                    assembly_executor.shutdown()
-            for sp in spectra:
-                # Unlinks the segments this run shared; local arrays are
-                # the table cache's and stay open (see repro.assembly.sweep).
-                sp.close()
-        failed = [u for u in units if u.state is not UnitState.DONE]
-        if failed:
-            raise PipelineError(
-                f"assembly jobs failed: "
-                f"{[(u.description.name, u.error) for u in failed]}"
-            )
-        assemblies = multikmer.collect_assembly_results(units)
-        stages.append(
-            StageReport(
-                name="transcript-assembly",
-                pilot=pb.pilot_id,
-                started_at=t0,
-                finished_at=clock.now,
-                n_nodes=plan.n_nodes,
-                instance_type=pb_itype,
-                notes=f"{plan.n_jobs} jobs "
-                f"({'+'.join(config.assemblers)}, k={list(kmer_list)})",
-                real_seconds=time.perf_counter() - w0,
-            )
-        )
-        _trace_stage(stages[-1])
-        checkpoint_stage(stages[-1])
-        maybe_abort("transcript-assembly")
-
-        # ---- pilot P_C: post-processing + quantification -------------------
-        pc_itype = pb_itype
-        pc = pm.submit(PilotDescription("P_C", pc_itype, n_nodes=1))
-        if config.scheme.reuses_vms:
-            pm.finish(pb)
-            if elastic is not None:
-                elastic.shrink_idle()
-            shared_cluster.shrink_to(region, 1)
-            pm.launch_on(pc, shared_cluster)
-        else:
-            pm.finish(pb)
-            pm.launch(pc)
-            contig_bytes = int(
-                sum(r.total_bp for r in assemblies.values())
-                / max(dataset.read_scale, 1e-9)
-            )
-            transfers.copy(contig_bytes, src="P_B", dst="P_C")
-
-        umc = UnitManager(
-            db,
-            events,
-            scheduler=MemoryAwareScheduler(),
-            cost_model=self.cost_model,
-            checkpoint=ckpt,
-            heartbeat_cadence=config.heartbeat_cadence,
-        )
-        umc.add_pilot(pc)
-        # The merge output is a pure function of the fan-out results, so
-        # its content address is the ordered tuple of their keys; the
-        # quantification additionally depends on the pre-processed reads.
-        fanout_keys = tuple(d.checkpoint_key for d in descs)
-        merge_key = (
-            None if ckpt is None else ("stage:merge", fanout_keys)
-        )
-        quant_key = (
-            None
-            if ckpt is None
-            else ("stage:quantify", store.digest, fanout_keys)
-        )
-
-        def merge_work():
-            result = merge_contigs(
-                [r.contigs for r in assemblies.values()]
-            )
-            return result, result.usage
-
-        t0 = clock.now
-        w0 = time.perf_counter()
-        (merge_unit,) = umc.submit_units(
-            [
-                UnitDescription(
-                    name="postprocess-merge",
-                    work=merge_work,
-                    cores=8,
-                    memory_bytes=task_memory_bytes(spec, "postprocess"),
-                    scale=dataset.read_scale,
-                    stage="post-processing",
-                    checkpoint_key=merge_key,
-                )
-            ]
-        )
-        try:
-            umc.run([merge_unit])
-        except UnitFailureError as exc:
-            raise PipelineError(
-                f"post-processing failed: {merge_unit.error}"
-            ) from exc
-        if merge_unit.state is not UnitState.DONE:
-            raise PipelineError(f"post-processing failed: {merge_unit.error}")
-        merged: MergeResult = merge_unit.result
-        stages.append(
-            StageReport(
-                name="post-processing",
-                pilot=pc.pilot_id,
-                started_at=t0,
-                finished_at=clock.now,
-                n_nodes=1,
-                instance_type=pc_itype,
-                notes=f"{merged.input_contigs} -> {merged.output_contigs} contigs",
-                real_seconds=time.perf_counter() - w0,
-            )
-        )
-        _trace_stage(stages[-1])
-        checkpoint_stage(stages[-1])
-        maybe_abort("post-processing")
-
-        def quant_work():
-            result = quantify(store, merged.transcripts)
-            return result, result.usage
-
-        t0 = clock.now
-        w0 = time.perf_counter()
-        (quant_unit,) = umc.submit_units(
-            [
-                UnitDescription(
-                    name="quantification",
-                    work=quant_work,
-                    cores=8,
-                    memory_bytes=task_memory_bytes(spec, "postprocess"),
-                    scale=dataset.read_scale,
-                    stage="quantification",
-                    checkpoint_key=quant_key,
-                )
-            ]
-        )
-        try:
-            umc.run([quant_unit])
-        except UnitFailureError as exc:
-            raise PipelineError(
-                f"quantification failed: {quant_unit.error}"
-            ) from exc
-        if quant_unit.state is not UnitState.DONE:
-            raise PipelineError(f"quantification failed: {quant_unit.error}")
-        quantification: QuantificationResult = quant_unit.result
-        stages.append(
-            StageReport(
-                name="quantification",
-                pilot=pc.pilot_id,
-                started_at=t0,
-                finished_at=clock.now,
-                n_nodes=1,
-                instance_type=pc_itype,
-                notes=f"{quantification.assignment_rate:.0%} reads assigned",
-                real_seconds=time.perf_counter() - w0,
-            )
-        )
-        _trace_stage(stages[-1])
-        checkpoint_stage(stages[-1])
-        maybe_abort("quantification")
-
-        # ---- teardown -------------------------------------------------------
-        pm.finish(pc)
-        region.terminate_all()
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            alert_attrs = {}
-            engine = self._alert_engine
-            if engine is not None:
-                # Rules that only resolve at teardown (cache hit-rate
-                # floors, final budget check) must fire before the root
-                # span stamps the summary; finalize is idempotent.
-                engine.finalize()
-                counts = engine.summary()
-                alert_attrs = {
-                    "alerts_total": sum(counts.values()),
-                    "alerts_critical": counts.get("critical", 0),
-                    "alerts_warning": counts.get("warning", 0),
-                    "alerts_info": counts.get("info", 0),
-                }
-            tracer.add_span(
-                "pipeline",
-                v_start=0.0,
-                v_end=clock.now,
-                category="pipeline",
-                r_start=r_run0,
-                r_end=time.perf_counter(),
-                dataset=spec.name,
-                assemblers="+".join(config.assemblers),
-                scheme=config.scheme.value,
-                workflow=config.workflow.value,
-                total_cost_usd=region.total_cost,
-                config_fingerprint=config.fingerprint(),
-                store_digest=store_digest,
-                kmer_list=list(kmer_list),
-                n_nodes=plan.n_nodes,
-                instance_type=plan.instance_type,
-                planner_ttc_s=prediction.ttc_s,
-                planner_cost_usd=prediction.cost_usd,
-                planner_stages=prediction.as_dict()["stages"],
-                **alert_attrs,
-            )
-
-        return PipelineResult(
-            config=config,
-            stages=stages,
-            preprocess=pre,
-            kmer_list=tuple(kmer_list),
-            plan=plan,
-            assemblies=assemblies,
-            merge=merged,
-            quantification=quantification,
-            total_ttc=clock.now,
-            total_cost=region.total_cost,
-            transfer_seconds=transfers.total_seconds,
-            checkpoint_stats=(
-                None
-                if ckpt is None
-                else {
-                    "unit_hits": ckpt.stats.hits,
-                    "unit_misses": ckpt.stats.misses,
-                    "unit_puts": ckpt.stats.puts,
-                    "stages_recorded": ckpt.stage_count(),
-                }
-            ),
-        )
+        with get_tracer().alerting() as alerts, ExitStack() as cleanup:
+            self.last_alerts = alerts
+            run = _Run(dataset, config, self.faults, self.cost_model, cleanup)
+            for stage in _STAGES:
+                stage(run)
+            return _result(run)

@@ -40,13 +40,6 @@ from repro.obs.context import (
     merge_worker_trace,
     worker_track,
 )
-from repro.obs.export import (
-    chrome_trace,
-    load_jsonl,
-    text_summary,
-    write_chrome,
-    write_jsonl,
-)
 from repro.obs.logsetup import VirtualClockFormatter, logging_setup
 from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
 from repro.obs.resources import (
@@ -70,7 +63,14 @@ from repro.obs.tracer import (
 # also importable from the package root, but lazily: eager imports here
 # would put them in sys.modules before ``python -m repro.obs.<cli>``
 # executes them, tripping runpy's double-import warning on every CLI run.
+# The exporters, the alert engine and the live sinks load the same way,
+# on first use: a run without a tracer imports none of them.
 _LAZY_EXPORTS = {
+    "chrome_trace": "repro.obs.export",
+    "load_jsonl": "repro.obs.export",
+    "text_summary": "repro.obs.export",
+    "write_chrome": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
     "CostAttribution": "repro.obs.attribution",
     "attribute_costs": "repro.obs.attribution",
     "CriticalPath": "repro.obs.critpath",

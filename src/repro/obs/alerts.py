@@ -21,7 +21,7 @@ finished trace replayed through the same code path (post-hoc, see
                       detection itself lives in :mod:`repro.obs.live`)
 ===================  =====================================================
 
-Rules are spelled compactly (CLI flags, PipelineConfig) as
+Rules are spelled compactly (CLI flags, ``Tracer(alert_rules=...)``) as
 ``kind[:target][:threshold][:severity]`` — e.g.
 ``stage_duration:transcript-assembly:5000:critical``,
 ``budget_burn:1.25``, ``heartbeat_timeout:30:critical``,

@@ -79,9 +79,9 @@ class SpanContext:
         parent_span_id: int | None = None,
         process: str | None = None,
         thread: str | None = None,
-        resource_cadence: float = 0.0,
     ) -> "SpanContext | None":
-        """A context for the current instant, or None when tracing is off
+        """A context for the current instant, carrying the tracer's
+        ``resource_cadence`` to the worker, or None when tracing is off
         (so disabled tracing ships zero extra bytes to workers)."""
         if not tracer.enabled:
             return None
@@ -91,7 +91,7 @@ class SpanContext:
             thread=thread if thread is not None else MAIN_TRACK,
             parent_wall=time.time(),
             parent_perf=time.perf_counter(),
-            resource_cadence=resource_cadence,
+            resource_cadence=tracer.resource_cadence,
         )
 
 

@@ -45,7 +45,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.obs.metrics import Metrics
 
@@ -180,7 +180,14 @@ class Tracer:
 
     enabled: bool = True
 
-    def __init__(self, clock: Any | None = None) -> None:
+    def __init__(
+        self,
+        clock: Any | None = None,
+        *,
+        resource_cadence: float = 0.0,
+        heartbeat_cadence: float = 0.0,
+        alert_rules: Iterable[Any] = (),
+    ) -> None:
         self.clock = clock
         self.spans: list[SpanRecord] = []
         self.events: list[EventRecord] = []
@@ -188,6 +195,31 @@ class Tracer:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._sinks: list[TraceSink] = []
+        #: Seconds between RSS/CPU samples taken *inside* workloads
+        #: running on a pool backend (shipped back in the worker trace
+        #: and exported as Perfetto counter tracks).  0 keeps only the
+        #: span-endpoint snapshots.
+        self.resource_cadence = resource_cadence
+        if heartbeat_cadence < 0:
+            raise ValueError("heartbeat_cadence must be >= 0")
+        #: Real seconds between per-unit ``unit.heartbeat`` events while
+        #: workloads are in flight (0 = off).  Purely real-clock
+        #: telemetry: results and virtual TTCs are bit-identical either
+        #: way.
+        self.heartbeat_cadence = heartbeat_cadence
+        #: Declarative SLO/alert rules (see :mod:`repro.obs.alerts`):
+        #: compact specs (``"heartbeat_timeout:30:critical"``) or
+        #: :class:`~repro.obs.alerts.AlertRule` instances, validated
+        #: here.  Non-empty, :meth:`alerting` rides an
+        #: :class:`~repro.obs.alerts.AlertEngine` on each run as a live
+        #: sink; firings become ``alert`` events in the trace and a
+        #: summary on the pipeline span.  () = no engine.
+        self.alert_rules: tuple = tuple(alert_rules)
+        if self.alert_rules:
+            from repro.obs.alerts import parse_rule
+
+            self.alert_rules = tuple(map(parse_rule, self.alert_rules))
+        self._alert_engine: Any | None = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -212,6 +244,46 @@ class Tracer:
         sinks, self._sinks = self._sinks, []
         for sink in sinks:
             sink.close()
+
+    @contextmanager
+    def alerting(self) -> Iterator[list]:
+        """Arm an :class:`~repro.obs.alerts.AlertEngine` over
+        :attr:`alert_rules` for the ``with`` body — one pipeline run —
+        and detach it whatever happens (``run_many`` reuses one tracer
+        across runs and must not accumulate stale sinks).  Yields the
+        list the run's firings land in; without rules it stays empty.
+        """
+        if not self.alert_rules:
+            yield []
+            return
+        from repro.obs.alerts import AlertEngine
+
+        engine = self._alert_engine = AlertEngine(self.alert_rules, tracer=self)
+        self.add_sink(engine)
+        try:
+            yield engine.alerts
+        finally:
+            self._alert_engine = None
+            engine.finalize()
+            self.remove_sink(engine)
+
+    def alert_summary(self) -> dict[str, int]:
+        """Firing counts of the armed engine as pipeline-span attributes
+        (``{}`` when :meth:`alerting` armed none).  Rules that only
+        resolve at teardown (cache hit-rate floors, final budget check)
+        must fire before the root span stamps the summary, so this
+        finalizes the engine; finalize is idempotent."""
+        engine = self._alert_engine
+        if engine is None:
+            return {}
+        engine.finalize()
+        counts = engine.summary()
+        return {
+            "alerts_total": sum(counts.values()),
+            "alerts_critical": counts.get("critical", 0),
+            "alerts_warning": counts.get("warning", 0),
+            "alerts_info": counts.get("info", 0),
+        }
 
     def _emit(self, record: dict) -> None:
         """Fan a record out to the attached sinks.  A sink that raises is

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 from repro.cloud.sge import SGEJob
 from repro.obs import get_tracer
 from repro.obs.context import SpanContext, merge_worker_trace
-from repro.obs.live import HeartbeatMonitor, InflightUnit, StragglerDetector
 from repro.parallel.costmodel import CostModel, MachineConfig, fits_in_memory
 from repro.parallel.executor import (
     ReplayWorkload,
@@ -49,6 +48,7 @@ from repro.pilot.unit import ComputeUnit
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ -> ... -> this module
     from repro.core.checkpoint import CheckpointStore
+    from repro.obs.live import HeartbeatMonitor, InflightUnit, StragglerDetector
 
 #: Fraction of the priced runtime a task burns before dying of OOM.
 OOM_FAILURE_FRACTION = 0.3
@@ -86,19 +86,12 @@ class PilotAgent:
     pilot: Pilot
     cost_model: CostModel = field(default_factory=CostModel)
     executor: WorkloadExecutor = field(default_factory=SerialExecutor)
-    #: Seconds between in-workload RSS/CPU samples shipped back in worker
-    #: traces (0 = endpoint snapshots only; only pool backends sample).
-    resource_cadence: float = 0.0
     #: Durable checkpoint store: DONE unit outcomes are recorded under
     #: their ``description.checkpoint_key`` and replayed on later runs.
     checkpoint: "CheckpointStore | None" = None
-    #: Real seconds between ``unit.heartbeat`` events per in-flight
-    #: workload (0 = heartbeats off).  Heartbeats live entirely on the
-    #: real clock; virtual TTCs are identical with them on or off.
-    heartbeat_cadence: float = 0.0
     #: Peer-comparison analyzer fed each completed workload's wall time;
     #: shared across agents when the manager injects one, else built
-    #: here when heartbeats are on.
+    #: with the first heartbeat monitor.
     straggler: StragglerDetector | None = None
     _pending: dict[
         str,
@@ -109,8 +102,6 @@ class PilotAgent:
     def __post_init__(self) -> None:
         if self.pilot.cluster is None:
             raise AgentError(f"{self.pilot.pilot_id} has no cluster")
-        if self.heartbeat_cadence > 0 and self.straggler is None:
-            self.straggler = StragglerDetector()
 
     # -- the pilot's slice of the cluster ----------------------------------
 
@@ -207,7 +198,6 @@ class PilotAgent:
                 parent_span_id=dispatch.span_id,
                 process=self.pilot.pilot_id,
                 thread=unit.unit_id,
-                resource_cadence=self.resource_cadence,
             )
             handle = self.executor.submit(work, context)
         self._pending[unit.unit_id] = (
@@ -220,6 +210,8 @@ class PilotAgent:
     def _inflight_snapshot(self) -> list[InflightUnit]:
         """The pending table as the heartbeat thread sees it (a copy —
         the beat never holds the agent up)."""
+        from repro.obs.live import InflightUnit
+
         executor_inflight = self.executor.inflight_count()
         return [
             InflightUnit(
@@ -238,12 +230,20 @@ class PilotAgent:
         ]
 
     def _ensure_heartbeat(self, tracer) -> None:
-        if self.heartbeat_cadence <= 0 or not tracer.enabled:
+        """Beat every ``tracer.heartbeat_cadence`` real seconds while
+        workloads are in flight (0, and always with tracing off: no
+        thread).  Heartbeats live entirely on the real clock; virtual
+        TTCs are identical with them on or off."""
+        if tracer.heartbeat_cadence <= 0:
             return
         if self._heartbeat is None:
+            from repro.obs.live import HeartbeatMonitor, StragglerDetector
+
+            if self.straggler is None:
+                self.straggler = StragglerDetector()
             self._heartbeat = HeartbeatMonitor(
                 tracer,
-                self.heartbeat_cadence,
+                tracer.heartbeat_cadence,
                 self._inflight_snapshot,
                 process=self.pilot.pilot_id,
                 detector=self.straggler,

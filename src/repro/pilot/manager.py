@@ -21,7 +21,6 @@ from repro.cloud.clock import EventQueue
 from repro.cloud.cluster import Cluster, build_cluster, cluster_from_vms
 from repro.cloud.ec2 import EC2Region
 from repro.obs import get_tracer
-from repro.obs.live import StragglerDetector
 from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import WorkloadExecutor, make_executor
 from repro.pilot.agent import PilotAgent
@@ -39,6 +38,7 @@ from repro.pilot.unit import ComputeUnit
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ -> ... -> this module
     from repro.core.checkpoint import CheckpointStore
+    from repro.obs.live import StragglerDetector
     from repro.pilot.elastic import ElasticPool
 
 
@@ -161,18 +161,10 @@ class UnitManager:
     scheduler: UnitScheduler = field(default_factory=RoundRobinScheduler)
     cost_model: CostModel = field(default_factory=CostModel)
     executor: WorkloadExecutor | str = "serial"
-    #: Cadence (seconds) of in-workload RSS/CPU sampling under the pool
-    #: backends; forwarded to every agent (0 = endpoint snapshots only).
-    resource_cadence: float = 0.0
     #: Durable checkpoint store forwarded to every agent (None = off):
     #: DONE outcomes are recorded under their checkpoint keys and
     #: replayed bit-identically on resume.
     checkpoint: "CheckpointStore | None" = None
-    #: Real seconds between per-unit ``unit.heartbeat`` events while
-    #: workloads are in flight, forwarded to every agent (0 = off).
-    #: Agents share one straggler detector, so peer wall times compare
-    #: across the whole manager, not per pilot.
-    heartbeat_cadence: float = 0.0
     #: Elastic pool controller (the S3 scheme): consulted each restart
     #: round to grow the pilot's cluster from SGE queue depth.
     elastic: "ElasticPool | None" = None
@@ -187,7 +179,11 @@ class UnitManager:
 
     def __post_init__(self) -> None:
         self.executor = make_executor(self.executor)
-        if self.heartbeat_cadence > 0:
+        if get_tracer().heartbeat_cadence > 0:
+            # Agents share one straggler detector, so peer wall times
+            # compare across the whole manager, not per pilot.
+            from repro.obs.live import StragglerDetector
+
             self._straggler = StragglerDetector()
 
     def add_pilot(self, pilot: Pilot) -> None:
@@ -198,9 +194,7 @@ class UnitManager:
             pilot=pilot,
             cost_model=self.cost_model,
             executor=self.executor,
-            resource_cadence=self.resource_cadence,
             checkpoint=self.checkpoint,
-            heartbeat_cadence=self.heartbeat_cadence,
             straggler=self._straggler,
         )
 

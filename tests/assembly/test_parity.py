@@ -6,7 +6,7 @@ virtual-accounting quantity (charged work, collective bytes, message
 counts, peak memory, MapReduce stats) must be identical to the original
 implementation — per-job extraction, a payload-carrying ``alltoall``, an
 executed count job — which is preserved verbatim in
-:mod:`repro.assembly.reference_impl`.
+:mod:`tests.assembly.kmer_reference`.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.assembly.contrail import ContrailAssembler
 from repro.assembly.dbg import build_kmer_table, extract_unitigs
 from repro.assembly.kmers import canonical_kmers_varlen, kmer_counts
 from repro.assembly.ray import RayAssembler
-from repro.assembly.reference_impl import (
+from tests.assembly.kmer_reference import (
     legacy_build_kmer_table,
     legacy_extract_unitigs,
     reference_abyss_assemble,

@@ -4,7 +4,7 @@ topologies (both entry points), edge inputs, and cache invalidation when
 a table's rows change.
 
 The invariant is equality with the sequential bytes-dict walker frozen in
-:mod:`repro.assembly.reference_impl` — unitig list, order and step count,
+:mod:`tests.assembly.kmer_reference` — unitig list, order and step count,
 call by call when several seed shards share one ``visited`` set.
 """
 
@@ -28,7 +28,7 @@ from repro.assembly.kmers import (
     kmer_owner,
     revcomp_kmer,
 )
-from repro.assembly.reference_impl import (
+from tests.assembly.kmer_reference import (
     legacy_build_kmer_table,
     legacy_extract_unitigs,
 )

@@ -18,6 +18,7 @@ from repro.core.checkpoint import (
     checkpoint_key_id,
 )
 from repro.core.rnnotator import (
+    STAGE_NAMES,
     FaultPlan,
     PipelineConfig,
     PipelineError,
@@ -30,6 +31,12 @@ from repro.obs import Tracer, use_tracer
 CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
 #: One spot reclaim a virtual second into the assembly fan-out.
 PREEMPT = FaultPlan(preempt_at=(1.0,))
+
+
+@pytest.fixture(scope="module")
+def baseline(ds_single):
+    """The uninterrupted, uncheckpointed run resumes must equal."""
+    return RnnotatorPipeline().run(ds_single, PipelineConfig(**CONFIG))
 
 
 class TestCheckpointStore:
@@ -175,14 +182,31 @@ class TestKillAndResume:
         assert resumed.checkpoint_stats["unit_hits"] == 1  # preprocess only
         assert len(resumed.transcripts) > 5
 
-    def test_unknown_abort_stage_never_fires(self, ds_single, tmp_path):
-        res = RnnotatorPipeline(
-            faults=FaultPlan(abort_after_stage="no-such-stage")
-        ).run(
-            ds_single,
-            PipelineConfig(checkpoint_dir=str(tmp_path / "ck"), **CONFIG),
-        )
-        assert len(res.transcripts) > 5
+    @pytest.mark.parametrize("stage", STAGE_NAMES)
+    def test_kill_after_any_stage_resumes_identically(
+        self, ds_single, tmp_path, baseline, stage
+    ):
+        config = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"), **CONFIG)
+        with pytest.raises(PipelineKilled, match=stage):
+            RnnotatorPipeline(faults=FaultPlan(abort_after_stage=stage)).run(
+                ds_single, config
+            )
+        resumed = RnnotatorPipeline().run(ds_single, config)
+        assert resumed.config.fingerprint() == baseline.config.fingerprint()
+        assert [t.seq for t in resumed.transcripts] == [
+            t.seq for t in baseline.transcripts
+        ]
+        assert [(s.name, s.ttc) for s in resumed.stages] == [
+            (s.name, s.ttc) for s in baseline.stages
+        ]
+        assert resumed.checkpoint_stats["stages_recorded"] == len(STAGE_NAMES)
+
+    def test_unknown_abort_stage_is_rejected(self):
+        """A misspelt drill must not "pass" by never firing."""
+        with pytest.raises(ValueError, match="no-such-stage"):
+            FaultPlan(abort_after_stage="no-such-stage")
+        for name in STAGE_NAMES:
+            assert FaultPlan(abort_after_stage=name).abort_after_stage == name
 
 
 class TestPreemptionEndToEnd:

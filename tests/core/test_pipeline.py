@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from repro.core.preprocess import PreprocessParams
+from repro.core.checkpoint import CheckpointStore
 from repro.core.rnnotator import (
+    STAGE_NAMES,
     PipelineConfig,
     PipelineError,
     PipelineResult,
@@ -14,6 +16,7 @@ from repro.core.rnnotator import (
 from repro.core.schemes import MatchingScheme
 from repro.core.workflow import WorkflowPattern
 from repro.evaluation.detonate import evaluate
+from repro.obs import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,34 @@ class TestEndToEnd:
         assert s2_result.stage_ttc("transcript-assembly") > 0
         with pytest.raises(KeyError):
             s2_result.stage_ttc("nonexistent")
+
+
+class TestStageTable:
+    """Every reporting stage is closed in one place: a report, a
+    ``stage`` span with the report's exact virtual interval, and (when
+    checkpointing) a marker — under every matching scheme."""
+
+    @pytest.mark.parametrize("scheme", list(MatchingScheme))
+    def test_reports_spans_and_markers_follow_the_table(
+        self, ds_single, tmp_path, scheme
+    ):
+        tracer = Tracer()
+        result = RnnotatorPipeline(tracer=tracer).run(
+            ds_single,
+            PipelineConfig(
+                assemblers=("velvet",),
+                kmer_list=(35,),
+                scheme=scheme,
+                checkpoint_dir=str(tmp_path),
+            ),
+        )
+        assert tuple(s.name for s in result.stages) == STAGE_NAMES
+        spans = [s for s in tracer.spans if s.category == "stage"]
+        assert [s.attrs["stage"] for s in spans] == list(STAGE_NAMES)
+        for span, report in zip(spans, result.stages):
+            assert span.v_end - span.v_start == report.ttc
+        assert result.checkpoint_stats["stages_recorded"] == len(STAGE_NAMES)
+        assert CheckpointStore(tmp_path).stage_count() == len(STAGE_NAMES)
 
 
 class TestSchemesComparison:
@@ -177,18 +208,15 @@ class TestConfigFingerprint:
         "executor_workers": 2,
         "spectrum_shards": 3,
         "spectrum_buckets": 4,
-        "resource_cadence": 0.5,
         "checkpoint_dir": "/tmp/ck",
         "unit_max_restarts": 2,
-        "alert_rules": ("straggler",),
-        "heartbeat_cadence": 0.5,
     }
 
     def test_every_field_is_classified_once(self):
         names = [f.name for f in dataclasses.fields(PipelineConfig)]
         classified = [*self.RESULT_DETERMINING, *self.EXECUTION_MECHANICS]
         assert sorted(classified) == sorted(names)
-        assert len(names) == 20
+        assert len(names) == 17
 
     def test_only_result_determining_fields_move_it(self):
         base = PipelineConfig()

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
-from repro.obs import Tracer, chrome_trace, load_jsonl, write_jsonl
+from repro.obs import Tracer, chrome_trace, load_jsonl, use_tracer, write_jsonl
 from repro.obs.report import build_report, stage_ttcs
 
 CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
@@ -134,19 +134,14 @@ def live_traced(ds_single, tmp_path_factory):
     a streaming JSONL sink, heartbeats and an armed rules engine."""
     from repro.obs.live import CollectorSink, JsonlStreamSink
 
-    tracer = Tracer()
+    tracer = Tracer(
+        heartbeat_cadence=0.02, alert_rules=("straggler", "budget_burn:10")
+    )
     collector = tracer.add_sink(CollectorSink())
     stream_path = tmp_path_factory.mktemp("live") / "live.jsonl"
     sink = tracer.add_sink(JsonlStreamSink(stream_path, tracer=tracer))
     pipeline = RnnotatorPipeline(tracer=tracer)
-    result = pipeline.run(
-        ds_single,
-        PipelineConfig(
-            **CONFIG,
-            heartbeat_cadence=0.02,
-            alert_rules=("straggler", "budget_burn:10"),
-        ),
-    )
+    result = pipeline.run(ds_single, PipelineConfig(**CONFIG))
     sink.close()
     return result, tracer, collector, stream_path, pipeline
 
@@ -231,6 +226,17 @@ class TestStreamingParity:
         *_, pipeline = live_traced
         # a healthy quickstart run trips neither straggler nor a 10x
         # budget blowout — but the engine ran and recorded that fact
+        assert pipeline.last_alerts == []
+
+    def test_last_alerts_reset_by_a_run_without_rules(self, ds_single):
+        """Rules then none on one pipeline: the second run's (empty)
+        alert list replaces the first's firings."""
+        pipeline = RnnotatorPipeline()
+        config = PipelineConfig(**CONFIG)
+        with use_tracer(Tracer(alert_rules=("stage_duration:*:1",))):
+            pipeline.run(ds_single, config)
+        assert {a.rule for a in pipeline.last_alerts} == {"stage_duration"}
+        pipeline.run(ds_single, config)
         assert pipeline.last_alerts == []
 
 

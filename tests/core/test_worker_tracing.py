@@ -23,13 +23,12 @@ CONFIG = dict(
     kmer_list=(35, 41),
     executor="process",
     executor_workers=2,
-    resource_cadence=0.01,
 )
 
 
 @pytest.fixture(scope="module")
 def traced(ds_single):
-    tracer = Tracer()
+    tracer = Tracer(resource_cadence=0.01)
     r_before = time.perf_counter()
     with use_assembly_cache(None):
         result = RnnotatorPipeline(tracer=tracer).run(
@@ -134,7 +133,7 @@ class TestDeterminism:
         self, traced, ds_single, tmp_path
     ):
         _, tracer_a, _ = traced
-        tracer_b = Tracer()
+        tracer_b = Tracer(resource_cadence=0.01)
         with use_assembly_cache(None):
             RnnotatorPipeline(tracer=tracer_b).run(
                 ds_single, PipelineConfig(**CONFIG)

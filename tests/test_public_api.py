@@ -97,6 +97,30 @@ def test_runtime_imports_neither_scipy_nor_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
+_LAZY_OBS_SCRIPT = """
+import sys
+import repro.core.rnnotator
+lazy = {"repro.obs.alerts", "repro.obs.live", "repro.obs.export"}
+assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
+from repro.obs import Tracer, write_jsonl  # noqa: F401 - first use loads
+Tracer(alert_rules=("straggler",))
+assert {"repro.obs.alerts", "repro.obs.export"} <= set(sys.modules)
+"""
+
+
+def test_pipeline_import_loads_no_live_telemetry():
+    """The alert engine, the live sinks and the exporters are for runs
+    that ask for them: importing the pipeline loads none, first use
+    does."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_OBS_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_one_module_owns_the_shared_memory_lifecycle():
     """Segments, their finalizers and the resource-tracker workaround
     live in ``repro.seq.sharedarrays`` and nowhere else under ``src/``

@@ -1,14 +1,14 @@
 """Traced smoke pipeline: one small end-to-end run, one JSONL trace.
 
-``python -m repro.obs.smoke --out trace.jsonl`` runs the tiny quickstart
-dataset through the full pilot pipeline on a chosen executor backend
+``PYTHONPATH=src python tools/smoke.py --out trace.jsonl`` runs the tiny
+quickstart dataset through the full pilot pipeline on a chosen executor backend
 (process by default — the backend whose workloads run out-of-process and
 therefore exercise span-context propagation, clock alignment and worker
 metric merging) and writes the merged trace.  CI runs this, uploads the
 trace as an artifact, and diffs it against the committed baseline with
 ``python -m repro.obs.diff``; regenerate the baseline with::
 
-    PYTHONPATH=src python -m repro.obs.smoke --resource-cadence 0 \
+    PYTHONPATH=src python tools/smoke.py --resource-cadence 0 \
         --out tests/data/ci_baseline_trace.jsonl
 
 The run sits in a ``use_assembly_cache(None)`` scope so the trace is
@@ -52,6 +52,7 @@ import sys
 
 from repro.core.assembly_cache import use_assembly_cache
 from repro.core.rnnotator import (
+    STAGE_NAMES,
     FaultPlan,
     PipelineConfig,
     PipelineKilled,
@@ -70,7 +71,7 @@ KILLED_EXIT_CODE = 75
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.smoke",
+        prog="python tools/smoke.py",
         description="Run a traced smoke pipeline and write its JSONL trace.",
     )
     parser.add_argument("--out", required=True, help="trace output path")
@@ -112,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kill-after-stage",
         default=None,
-        metavar="STAGE",
+        choices=STAGE_NAMES,
         help="kill the run after this stage completes (exits "
         f"{KILLED_EXIT_CODE}; rerun with the same --checkpoint-dir "
         "to resume)",
@@ -207,7 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.default_alerts:
         alert_rules = ["straggler", "heartbeat_timeout:30", "budget_burn:1.25"] + alert_rules
 
-    tracer = Tracer()
+    tracer = Tracer(
+        resource_cadence=args.resource_cadence,
+        heartbeat_cadence=args.heartbeat_cadence,
+        alert_rules=alert_rules,
+    )
     live_sink = None
     if args.live_out is not None:
         live_sink = tracer.add_sink(JsonlStreamSink(args.live_out, tracer=tracer))
@@ -215,12 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         kmer_list=tuple(int(k) for k in args.kmer_list.split(",")),
         executor=args.executor,
         executor_workers=args.workers,
-        resource_cadence=args.resource_cadence,
         scheme=MatchingScheme.parse(args.scheme),
         checkpoint_dir=args.checkpoint_dir,
         unit_max_restarts=args.max_unit_restarts,
-        alert_rules=tuple(alert_rules),
-        heartbeat_cadence=args.heartbeat_cadence,
     )
     faults = FaultPlan(
         abort_after_stage=args.kill_after_stage,
