@@ -4,7 +4,7 @@ Runs the quickstart pipeline with a :class:`repro.obs.Tracer` injected,
 with virtual-clock-stamped logging on, then writes the trace twice —
 archival JSONL and Chrome ``trace_event`` JSON (open the latter in
 Perfetto or ``chrome://tracing``) — and prints the same report the CLI
-(``python -m repro.obs.report run.jsonl``) produces.
+(``python -m repro.obs report run.jsonl``) produces.
 
 Run:  python examples/tracing_report.py
 """
@@ -38,7 +38,7 @@ def main() -> None:
     chrome = write_chrome(tracer, "run_trace.json")
     print(f"trace written: {jsonl} (report CLI) and {chrome} (Perfetto)\n")
 
-    # 4. The report — identical to `python -m repro.obs.report run.jsonl`.
+    # 4. The report — identical to `python -m repro.obs report run.jsonl`.
     print(build_report(tracer.records()))
 
     # 5. The trace and the pipeline agree exactly on the stage TTCs.

@@ -35,7 +35,7 @@ bench
 obs
     Observability: dual-clock (virtual + real) span/event tracing, a
     metrics registry, JSONL / Chrome-trace / text exporters and the
-    ``python -m repro.obs.report`` CLI.
+    ``python -m repro.obs <subcommand>`` trace-analytics CLI.
 """
 
 import logging as _logging

@@ -7,13 +7,16 @@ dollar figure is measured on) and **real host time** (``perf_counter``),
 a :class:`Metrics` registry counts what the event stream makes awkward
 to count, and exporters render it all as a JSONL log, a Chrome
 ``trace_event`` JSON (Perfetto / ``chrome://tracing``) or plain text.
-``python -m repro.obs.report`` turns a trace file into per-stage
-timelines, a virtual-vs-real breakdown and the hottest phases.
+``python -m repro.obs <subcommand>`` analyses a trace file — ``report``
+(per-stage timelines, a virtual-vs-real breakdown, the hottest phases),
+``diff``, ``critpath``, ``attribution``, ``ledger`` and ``monitor`` —
+each a view over one fold of its records
+(:class:`~repro.obs.spans.RunState`).
 
 The layer also streams: attach a :class:`~repro.obs.live.JsonlStreamSink`
 (or any :class:`TraceSink`) to a live tracer and every span open/close,
 event and metric delta is pushed as it happens — ``python -m
-repro.obs.monitor run.jsonl --follow`` tails the file into a live
+repro.obs monitor run.jsonl --follow`` tails the file into a live
 progress view, and :class:`~repro.obs.alerts.AlertEngine` evaluates
 SLO/alert rules (stage-duration SLOs, budget burn, heartbeat timeouts,
 stragglers, cache-hit floors) against the same stream.
@@ -30,7 +33,7 @@ Quickstart::
     with use_tracer(tracer):
         result = RnnotatorPipeline().run(dataset, config)
     write_jsonl(tracer, "run.trace.jsonl")
-    # then: python -m repro.obs.report run.trace.jsonl
+    # then: python -m repro.obs report run.trace.jsonl
 """
 
 from repro.obs.context import (
@@ -59,12 +62,9 @@ from repro.obs.tracer import (
     use_tracer,
 )
 
-# The trace-analytics CLIs (critpath, attribution, ledger, monitor) are
-# also importable from the package root, but lazily: eager imports here
-# would put them in sys.modules before ``python -m repro.obs.<cli>``
-# executes them, tripping runpy's double-import warning on every CLI run.
-# The exporters, the alert engine and the live sinks load the same way,
-# on first use: a run without a tracer imports none of them.
+# The trace analytics, the exporters, the alert engine and the live
+# sinks are importable from the package root but load on first use: a
+# run without a tracer imports none of them.
 _LAZY_EXPORTS = {
     "chrome_trace": "repro.obs.export",
     "load_jsonl": "repro.obs.export",
@@ -92,7 +92,7 @@ _LAZY_EXPORTS = {
     "InflightUnit": "repro.obs.live",
     "JsonlStreamSink": "repro.obs.live",
     "StragglerDetector": "repro.obs.live",
-    "RunState": "repro.obs.monitor",
+    "RunState": "repro.obs.spans",
 }
 
 

@@ -31,8 +31,11 @@ Every firing appends an :class:`Alert`, emits a severity-tagged
 ``alert`` event (category ``"alert"``) into the tracer — so alerts land
 in the archival trace, the report and the run ledger — and bumps the
 ``alerts.<severity>`` counter.  The engine is itself a sink on the same
-tracer it emits into; it ignores ``alert``-category records to stay off
-its own input.
+tracer it emits into: it folds every record into its own
+:class:`~repro.obs.spans.RunState` (billed dollars, the planner's
+prediction and the counters are read off that fold) and evaluates the
+rules a record's role triggers — its own ``alert`` events trigger none,
+which keeps it off its own output.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import Any, Iterable
 
+from repro.obs.spans import RunState, stage_name
 from repro.obs.tracer import Tracer, TraceSink
 
 SEVERITIES = ("info", "warning", "critical")
@@ -166,45 +170,27 @@ class AlertEngine(TraceSink):
         self.rules = tuple(parse_rule(r) for r in rules)
         self.tracer = tracer
         self.alerts: list[Alert] = []
+        #: Everything the engine has seen, folded.
+        self.state = RunState()
         self._lock = threading.Lock()
         self._fired: set[tuple] = set()
-        self._planned_cost: float | None = None
-        self._billed_usd = 0.0
-        self._counters: dict[str, float] = {}
         self._finalized = False
 
     # -- stream consumption --------------------------------------------------
 
     def emit(self, record: dict) -> None:
-        kind = record.get("type")
-        if kind == "span":
-            if record.get("cat") == "stage":
-                self._on_stage(record)
-            elif record.get("name") == "vm.lifetime":
-                self._on_billing(record)
-        elif kind == "event":
-            cat = record.get("cat")
-            if cat == "alert":
-                return  # our own output looping back through the bus
-            name = record.get("name")
-            if name == "planner.prediction":
-                self._planned_cost = record["attrs"].get("cost_usd")
-                self._check_budget(record.get("r"))
-            elif name == "unit.heartbeat":
-                self._on_heartbeat(record)
-            elif name == "unit.straggler":
-                self._on_straggler(record)
-        elif kind == "metric":
-            if record.get("kind") == "counter":
-                with self._lock:
-                    name = record["name"]
-                    self._counters[name] = (
-                        self._counters.get(name, 0.0) + record["value"]
-                    )
-        elif kind == "metrics":
-            # The archival snapshot supersedes whatever deltas we saw.
-            with self._lock:
-                self._counters = dict(record["data"].get("counters", {}))
+        with self._lock:
+            role = self.state.apply(record)
+        if role == "stage":
+            self._on_stage(record)
+        elif role == "billing":
+            self._check_budget(record.get("r1"))
+        elif role == "planner":
+            self._check_budget(record.get("r"))
+        elif role == "heartbeat":
+            self._on_heartbeat(record)
+        elif role == "straggler":
+            self._on_straggler(record)
 
     def close(self) -> None:
         self.finalize()
@@ -215,10 +201,9 @@ class AlertEngine(TraceSink):
         return (r for r in self.rules if r.kind == kind)
 
     def _on_stage(self, record: dict) -> None:
-        if record.get("v0") is None or record.get("v1") is None:
-            return
-        stage = record["attrs"].get("stage", record["name"])
-        ttc = record["v1"] - record["v0"]
+        stage = stage_name(record)
+        with self._lock:
+            ttc, _ = self.state.stage_seconds()[stage]
         for rule in self._rules_of("stage_duration"):
             if fnmatch(stage, rule.target) and ttc > rule.threshold:
                 self._fire(
@@ -234,31 +219,26 @@ class AlertEngine(TraceSink):
                     slo_s=rule.threshold,
                 )
 
-    def _on_billing(self, record: dict) -> None:
-        cost = record["attrs"].get("cost_usd")
-        if cost is None:
-            return
-        with self._lock:
-            self._billed_usd += cost
-        self._check_budget(record.get("r1"))
-
     def _check_budget(self, r_time: float | None) -> None:
-        if self._planned_cost is None or self._planned_cost <= 0:
+        with self._lock:
+            planned = self.state.planner.get("cost_usd")
+            billed = self.state.billed_usd
+        if planned is None or planned <= 0:
             return
-        burn = self._billed_usd / self._planned_cost
+        burn = billed / planned
         for rule in self._rules_of("budget_burn"):
             if burn > rule.threshold:
                 self._fire(
                     rule,
                     key=("budget_burn", rule.threshold),
                     message=(
-                        f"billed ${self._billed_usd:.2f} is "
-                        f"{burn:.0%} of the planned ${self._planned_cost:.2f} "
+                        f"billed ${billed:.2f} is "
+                        f"{burn:.0%} of the planned ${planned:.2f} "
                         f"(limit {rule.threshold:.0%})"
                     ),
                     r_time=r_time,
-                    billed_usd=self._billed_usd,
-                    planned_usd=self._planned_cost,
+                    billed_usd=billed,
+                    planned_usd=planned,
                     burn=burn,
                 )
 
@@ -306,7 +286,7 @@ class AlertEngine(TraceSink):
             if self._finalized:
                 return
             self._finalized = True
-            counters = dict(self._counters)
+            counters = dict(self.state.counters)
         self._check_budget(None)
         for rule in self._rules_of("cache_hit_rate"):
             hits = counters.get(f"{rule.target}.hit", 0.0)

@@ -21,23 +21,19 @@ tolerance.
 
 CLI::
 
-    python -m repro.obs.attribution trace.jsonl
-    python -m repro.obs.attribution trace.jsonl --json
-    python -m repro.obs.attribution trace.jsonl --planner-gate \\
+    python -m repro.obs attribution trace.jsonl
+    python -m repro.obs attribution trace.jsonl --json
+    python -m repro.obs attribution trace.jsonl --planner-gate \\
         --ttc-rel 0.10 --cost-rel 0.25
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 from .critpath import compute_critical_path
-from .export import load_jsonl
-from .spans import events_of, pipeline_span, spans_of, stage_name
+from .spans import RunState, fold, stage_name, v_duration
 
 #: Bucket labels for non-stage VM time.
 PROVISION = "provision"
@@ -104,6 +100,19 @@ class CostAttribution:
     node_seconds_by_bucket: dict[str, float]
     assembly_jobs: list[AssemblyJobCost]
     by_pilot: dict[str, float]
+
+    def rollup(self, ndigits: int | None = None) -> dict:
+        """Total and per-bucket dollars and the VM count — the report's
+        and the run ledger's ``cost`` block (the ledger rounds them)."""
+
+        def r(v: float) -> float:
+            return v if ndigits is None else round(v, ndigits)
+
+        return {
+            "total_usd": r(self.total_usd),
+            "by_bucket_usd": {k: r(v) for k, v in self.by_bucket.items()},
+            "n_vms": len(self.vms),
+        }
 
     def as_dict(self) -> dict:
         return {
@@ -192,31 +201,28 @@ def _partition_vm(
     return out
 
 
-def attribute_costs(records: Sequence[dict]) -> CostAttribution:
-    """Build the per-run cost table from a single-run trace."""
-    spans = spans_of(records)
-    lifetimes = [s for s in spans if s["name"] == "vm.lifetime"]
-    if not lifetimes:
+def attribute_costs(records: Iterable[dict] | RunState) -> CostAttribution:
+    """Build the per-run cost table from a trace (its last run)."""
+    state = fold(records)
+    if not state.billing:
         raise ValueError("trace has no vm.lifetime billing spans")
 
     provisions = {}  # vm_id -> list of (v0, v1)
-    for s in spans:
+    for s in state.spans:
         if s["name"] == "vm.provision":
             for vid in s["attrs"].get("vm_ids", []):
                 provisions.setdefault(vid, []).append((s["v0"], s["v1"]))
     setup_ivals = [
         (s["v0"], s["v1"])
-        for s in spans
+        for s in state.spans
         if s["name"].startswith("cluster.setup")
     ]
     stage_ivals = [
-        (s["v0"], s["v1"], stage_name(s))
-        for s in spans
-        if s["cat"] == "stage"
+        (s["v0"], s["v1"], stage_name(s)) for s in state.stages.values()
     ]
 
     vms: list[VMAttribution] = []
-    for s in lifetimes:
+    for s in state.billing:
         a = s["attrs"]
         vm = VMAttribution(
             vm_id=a.get("vm_id", s["thread"]),
@@ -245,15 +251,8 @@ def attribute_costs(records: Sequence[dict]) -> CostAttribution:
     by_bucket = dict(sorted(by_bucket.items(), key=lambda kv: -kv[1]))
 
     # -- subdivide the assembly stage per (assembler, k) job ----------------
-    execs = [
-        s
-        for s in spans
-        if s["cat"] == "unit"
-        and s["attrs"].get("stage") == "transcript-assembly"
-        and s["v0"] is not None
-    ]
     cache_outcomes: dict[tuple, str] = {}
-    for e in events_of(records):
+    for e in state.events:
         if e["name"] == "assembly_cache.lookup":
             a = e["attrs"]
             cache_outcomes[(a.get("assembler"), a.get("k"))] = a.get(
@@ -262,9 +261,9 @@ def attribute_costs(records: Sequence[dict]) -> CostAttribution:
     assembly_usd = by_bucket.get("transcript-assembly", 0.0)
     jobs: list[AssemblyJobCost] = []
     total_ns = 0.0
-    for s in execs:
+    for s in state.execs.get("transcript-assembly", []):
         a = s["attrs"]
-        ns = (s["v1"] - s["v0"]) * max(int(a.get("nodes", 1)), 1)
+        ns = v_duration(s) * max(int(a.get("nodes", 1)), 1)
         total_ns += ns
         jobs.append(
             AssemblyJobCost(
@@ -281,14 +280,14 @@ def attribute_costs(records: Sequence[dict]) -> CostAttribution:
             j.cost_usd = assembly_usd * j.node_seconds / total_ns
     jobs.sort(key=lambda j: -j.node_seconds)
 
-    root = pipeline_span(records)
+    root = state.pipeline
     billed = (
         float(root["attrs"].get("total_cost_usd", 0.0))
         if root is not None
         else 0.0
     )
     return CostAttribution(
-        total_usd=sum(vm.cost_usd for vm in vms),
+        total_usd=state.billed_usd,
         billed_usd=billed,
         vms=vms,
         by_bucket=by_bucket,
@@ -356,7 +355,7 @@ class GateResult:
 
 
 def planner_violations(
-    records: Sequence[dict],
+    records: Iterable[dict] | RunState,
     ttc_rel: float = 0.10,
     cost_rel: float = 0.25,
 ) -> tuple[list[str], list[GateResult]]:
@@ -368,27 +367,20 @@ def planner_violations(
     The actual TTC comes from the critical path (which tiles the run
     exactly), the actual cost from the billing spans.
     """
-    structural: list[str] = []
-    root = pipeline_span(records)
-    if root is None:
+    state = fold(records)
+    if state.pipeline is None:
         return ["trace has no pipeline span"], []
-    attrs = root["attrs"]
+    attrs = state.pipeline["attrs"]
     pred_ttc = attrs.get("planner_ttc_s")
     pred_cost = attrs.get("planner_cost_usd")
     if pred_ttc is None or pred_cost is None:
-        structural.append(
+        return [
             "pipeline span carries no planner prediction "
             "(planner_ttc_s/planner_cost_usd)"
-        )
-        return structural, []
+        ], []
 
-    path = compute_critical_path(records)
-    actual_ttc = path.total
-    actual_cost = sum(
-        float(s["attrs"].get("cost_usd", 0.0))
-        for s in spans_of(records)
-        if s["name"] == "vm.lifetime"
-    )
+    actual_ttc = compute_critical_path(state).total
+    actual_cost = state.billed_usd
 
     gates = [
         GateResult(
@@ -412,7 +404,7 @@ def planner_violations(
             tolerance=cost_rel,
         ),
     ]
-    return structural, gates
+    return [], gates
 
 
 def format_gate(structural: list[str], gates: list[GateResult]) -> str:
@@ -427,84 +419,3 @@ def format_gate(structural: list[str], gates: list[GateResult]) -> str:
             f" rel-err {g.rel_err:.2%} (tol {g.tolerance:.0%}) {verdict}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.attribution",
-        description="Per-run dollar/node-second attribution from a trace.",
-    )
-    parser.add_argument("trace", help="JSONL trace file")
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    parser.add_argument(
-        "--planner-gate",
-        action="store_true",
-        help=(
-            "check planner predicted-vs-actual TTC and cost; exit 1 on a "
-            "blown tolerance, 2 when the trace cannot be gated"
-        ),
-    )
-    parser.add_argument(
-        "--ttc-rel",
-        type=float,
-        default=0.10,
-        help="relative TTC tolerance for the planner gate",
-    )
-    parser.add_argument(
-        "--cost-rel",
-        type=float,
-        default=0.25,
-        help="relative cost tolerance for the planner gate",
-    )
-    args = parser.parse_args(argv)
-
-    records = load_jsonl(args.trace)
-    try:
-        attr = attribute_costs(records)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    structural: list[str] = []
-    gates: list[GateResult] = []
-    if args.planner_gate:
-        structural, gates = planner_violations(
-            records, ttc_rel=args.ttc_rel, cost_rel=args.cost_rel
-        )
-
-    if args.json:
-        payload = attr.as_dict()
-        if args.planner_gate:
-            payload["planner_gate"] = {
-                "structural": structural,
-                "gates": [
-                    {
-                        "name": g.name,
-                        "predicted": g.predicted,
-                        "actual": g.actual,
-                        "rel_err": g.rel_err,
-                        "tolerance": g.tolerance,
-                        "ok": g.ok,
-                    }
-                    for g in gates
-                ],
-            }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_attribution(attr))
-        if args.planner_gate:
-            print()
-            print(format_gate(structural, gates))
-
-    if args.planner_gate:
-        if structural:
-            return 2
-        if any(not g.ok for g in gates):
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,22 +16,18 @@ queries so speedup work can be targeted before it is built.
 
 CLI::
 
-    python -m repro.obs.critpath trace.jsonl --top 8
-    python -m repro.obs.critpath trace.jsonl --what-if 'exec:ray_*=0.5'
-    python -m repro.obs.critpath trace.jsonl --json
+    python -m repro.obs critpath trace.jsonl --top 8
+    python -m repro.obs critpath trace.jsonl --what-if 'exec:ray_*=0.5'
+    python -m repro.obs critpath trace.jsonl --json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Iterable, Sequence
 
-from .export import load_jsonl
-from .spans import pipeline_span, spans_of, v_duration
+from .spans import RunState, fold, v_duration
 
 #: Virtual-time comparison tolerance.  Virtual timestamps are sums of a
 #: few hundred float advances, so exact equality is too strict while
@@ -148,9 +144,9 @@ class CriticalPath:
         }
 
 
-def _eligible(records: Iterable[dict]) -> list[dict]:
+def _eligible(state: RunState) -> list[dict]:
     out = []
-    for s in spans_of(records):
+    for s in state.spans:
         if s["cat"] in _EXCLUDED_CATEGORIES:
             continue
         if s["v0"] is None or s["v1"] is None:
@@ -179,16 +175,16 @@ def _pick(candidates: list[dict], t: float) -> dict:
     )
 
 
-def compute_critical_path(records: Sequence[dict]) -> CriticalPath:
+def compute_critical_path(records: Iterable[dict] | RunState) -> CriticalPath:
     """Backward sweep from the run's end to its start.
 
     The run interval comes from the ``pipeline`` root span when present,
     else from the hull of all eligible spans.
     """
-    eligible = _eligible(records)
-    root = pipeline_span(records)
-    if root is not None and root["v0"] is not None and root["v1"] is not None:
-        start, end = root["v0"], root["v1"]
+    state = fold(records)
+    eligible = _eligible(state)
+    if state.ttc() is not None:
+        start, end = state.pipeline["v0"], state.pipeline["v1"]
     elif eligible:
         start = min(s["v0"] for s in eligible)
         end = max(s["v1"] for s in eligible)
@@ -300,10 +296,10 @@ def format_path(path: CriticalPath, top: int = 10) -> str:
 
 
 def format_slack(
-    records: Sequence[dict], path: CriticalPath, top: int = 10
+    records: Iterable[dict] | RunState, path: CriticalPath, top: int = 10
 ) -> str:
     rows = []
-    for span in _eligible(records):
+    for span in _eligible(fold(records)):
         s = path.slack(span)
         if s > EPS:
             rows.append((s, span))
@@ -318,105 +314,3 @@ def format_slack(
             f" dur={v_duration(span):.3f}s"
         )
     return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.critpath",
-        description="Critical-path analysis of a JSONL trace.",
-    )
-    parser.add_argument("trace", help="JSONL trace file")
-    parser.add_argument(
-        "--top", type=int, default=10, help="rows in rollup tables"
-    )
-    parser.add_argument(
-        "--what-if",
-        action="append",
-        default=[],
-        metavar="PATTERN=FACTOR",
-        help=(
-            "re-price path segments whose span name (or cat:CATEGORY) "
-            "matches PATTERN by FACTOR; repeatable"
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    args = parser.parse_args(argv)
-
-    records = load_jsonl(args.trace)
-    try:
-        path = compute_critical_path(records)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    queries = [parse_what_if(q) for q in args.what_if]
-    projection = what_if(path, queries) if queries else None
-
-    # Self-check: the path must account for the whole run.
-    ttc = None
-    root = pipeline_span(records)
-    if root is not None and root["v0"] is not None:
-        ttc = root["v1"] - root["v0"]
-    ok = ttc is None or abs(path.total - ttc) <= EPS
-
-    if args.json:
-        payload = {
-            "total_virtual_s": path.total,
-            "pipeline_ttc_s": ttc,
-            "matches_pipeline_ttc": ok,
-            "segments": [
-                {
-                    "v_start": seg.v_start,
-                    "v_end": seg.v_end,
-                    "duration_s": seg.duration,
-                    "name": seg.name,
-                    "category": seg.category,
-                }
-                for seg in path.segments
-            ],
-            "by_category": path.by_category(),
-            "by_name": path.by_name(),
-        }
-        if projection is not None:
-            payload["what_if"] = {
-                "queries": [
-                    {"pattern": p, "factor": f} for p, f in queries
-                ],
-                "baseline_s": projection.baseline_s,
-                "projected_s": projection.projected_s,
-                "delta_s": projection.delta_s,
-                "matched_segments": projection.matched_segments,
-                "matched_s": projection.matched_s,
-            }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_path(path, top=args.top))
-        print()
-        print(format_slack(records, path, top=args.top))
-        if ttc is not None:
-            verdict = "matches" if ok else "DOES NOT MATCH"
-            print()
-            print(
-                f"path total {path.total:.6f}s {verdict} "
-                f"pipeline TTC {ttc:.6f}s"
-            )
-        if projection is not None:
-            print()
-            print("== what-if ==")
-            for pat, f in queries:
-                print(f"  scale {pat!r} by {f:g}")
-            print(
-                f"  projected TTC {projection.projected_s:.3f}s"
-                f" (baseline {projection.baseline_s:.3f}s,"
-                f" delta {projection.delta_s:+.3f}s,"
-                f" {projection.matched_segments} segments"
-                f" / {projection.matched_s:.3f}s matched)"
-            )
-
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

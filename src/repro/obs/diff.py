@@ -1,7 +1,8 @@
 """Trace diffing: make a BENCH regression a diffable artifact.
 
-``python -m repro.obs.diff base.jsonl other.jsonl`` compares two JSONL
-traces written by :func:`repro.obs.write_jsonl`:
+``python -m repro.obs diff base.jsonl other.jsonl`` compares two JSONL
+traces written by :func:`repro.obs.write_jsonl`, each folded into a
+:class:`~repro.obs.spans.RunState` (so each side is its last run):
 
 * **per-stage deltas** — virtual TTC and real host seconds of every
   ``category="stage"`` span, side by side with absolute and relative
@@ -27,23 +28,13 @@ for machine-readable CI logs.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
-from repro.obs.export import load_jsonl
-from repro.obs.spans import metrics_of as _metrics_of
-from repro.obs.spans import stage_times as _stage_times
+from repro.obs.spans import RunState, fold
 
 #: Floor for relative-drift denominators.
 _EPS = 1e-12
-
-#: ``main`` exit codes: structure changed / a threshold blew.
-EXIT_OK = 0
-EXIT_THRESHOLD = 1
-EXIT_STRUCTURE = 2
 
 
 def _rel(a: float, b: float) -> float:
@@ -51,18 +42,6 @@ def _rel(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return abs(b - a) / max(abs(a), abs(b), _EPS)
-
-
-def _name_counts(records: Iterable[dict]) -> dict[tuple[str, str, str], int]:
-    """(type, category, name) -> occurrence count."""
-    out: dict[tuple[str, str, str], int] = {}
-    for r in records:
-        kind = r.get("type")
-        if kind not in ("span", "event"):
-            continue
-        key = (kind, r.get("cat", ""), r["name"])
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 @dataclass
@@ -187,15 +166,7 @@ class TraceDiff:
             "total_v_other": self.total_v_other,
             "total_v_rel": self.total_v_rel,
             "stages": [
-                {
-                    "stage": d.stage,
-                    "v_base": d.v_base,
-                    "v_other": d.v_other,
-                    "v_rel": d.v_rel,
-                    "r_base": d.r_base,
-                    "r_other": d.r_other,
-                    "r_rel": d.r_rel,
-                }
+                {**asdict(d), "v_rel": d.v_rel, "r_rel": d.r_rel}
                 for d in self.stages
             ],
             "new_names": [list(k) for k in self.new_names],
@@ -204,15 +175,7 @@ class TraceDiff:
                 {"key": list(key), "base": a, "other": b}
                 for key, a, b in self.count_changes
             ],
-            "metric_deltas": [
-                {
-                    "kind": m.kind,
-                    "name": m.name,
-                    "base": m.base,
-                    "other": m.other,
-                }
-                for m in self.metric_deltas
-            ],
+            "metric_deltas": [asdict(m) for m in self.metric_deltas],
             "histogram_notes": list(self.histogram_notes),
         }
 
@@ -278,15 +241,14 @@ class TraceDiff:
 
 
 def diff_traces(
-    base: Iterable[dict], other: Iterable[dict]
+    base: Iterable[dict] | RunState, other: Iterable[dict] | RunState
 ) -> TraceDiff:
-    """Compare two record streams (as loaded by :func:`load_jsonl`)."""
-    base = list(base)
-    other = list(other)
+    """Compare two traces (record streams or folds)."""
+    base, other = fold(base), fold(other)
     diff = TraceDiff()
 
-    stages_a = _stage_times(base)
-    stages_b = _stage_times(other)
+    stages_a = base.stage_seconds()
+    stages_b = other.stage_seconds()
     for stage in list(stages_a) + [s for s in stages_b if s not in stages_a]:
         va, ra = stages_a.get(stage, (0.0, 0.0))
         vb, rb = stages_b.get(stage, (0.0, 0.0))
@@ -294,8 +256,8 @@ def diff_traces(
     diff.total_v_base = sum(v for v, _ in stages_a.values())
     diff.total_v_other = sum(v for v, _ in stages_b.values())
 
-    counts_a = _name_counts(base)
-    counts_b = _name_counts(other)
+    counts_a = base.name_counts
+    counts_b = other.name_counts
     diff.new_names = sorted(set(counts_b) - set(counts_a))
     diff.missing_names = sorted(set(counts_a) - set(counts_b))
     diff.count_changes = sorted(
@@ -304,8 +266,8 @@ def diff_traces(
         if counts_a[key] != counts_b[key]
     )
 
-    metrics_a = _metrics_of(base)
-    metrics_b = _metrics_of(other)
+    metrics_a = base.metrics
+    metrics_b = other.metrics
     for kind in ("counters", "gauges"):
         names = sorted(set(metrics_a[kind]) | set(metrics_b[kind]))
         for name in names:
@@ -332,87 +294,3 @@ def diff_traces(
                 f"mean {ha['mean']:.4g} -> {hb['mean']:.4g}"
             )
     return diff
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.diff",
-        description="Diff two repro JSONL trace files "
-        "(exit 1 when gated drift exceeds its threshold).",
-    )
-    parser.add_argument("base", help="baseline trace (JSONL)")
-    parser.add_argument("other", help="trace to compare against the baseline")
-    parser.add_argument(
-        "--v-rel",
-        type=float,
-        default=0.0,
-        help="max relative virtual-time drift per stage and in total "
-        "(default 0: identical-seed traces must agree exactly)",
-    )
-    parser.add_argument(
-        "--r-rel",
-        type=float,
-        default=None,
-        help="gate real-time drift per stage at this relative threshold "
-        "(default: report only — real time is hardware noise)",
-    )
-    parser.add_argument(
-        "--metric-rel",
-        type=float,
-        default=None,
-        help="gate counter/gauge drift at this relative threshold "
-        "(default: report only)",
-    )
-    parser.add_argument(
-        "--ignore-structure",
-        action="store_true",
-        help="do not fail on span/event names present in only one trace",
-    )
-    parser.add_argument(
-        "--top", type=int, default=10, help="rows per report section"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as one JSON object (machine-readable)",
-    )
-    args = parser.parse_args(argv)
-
-    diff = diff_traces(load_jsonl(args.base), load_jsonl(args.other))
-    thresholds = diff.threshold_violations(
-        v_rel=args.v_rel,
-        r_rel=args.r_rel,
-        metric_rel=args.metric_rel,
-    )
-    structural = (
-        [] if args.ignore_structure else diff.structural_violations()
-    )
-    code = EXIT_OK
-    if thresholds:
-        code = EXIT_THRESHOLD
-    if structural:
-        code = EXIT_STRUCTURE
-
-    if args.json:
-        payload = diff.as_dict()
-        payload["threshold_violations"] = thresholds
-        payload["structural_violations"] = structural
-        payload["exit_code"] = code
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return code
-
-    print(diff.format(top=args.top))
-    if thresholds or structural:
-        print(
-            f"\nFAIL: {len(thresholds)} threshold and "
-            f"{len(structural)} structural violation(s):"
-        )
-        for v in thresholds + structural:
-            print(f"  {v}")
-        return code
-    print("\nOK: within thresholds")
-    return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

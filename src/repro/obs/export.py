@@ -1,7 +1,7 @@
 """Trace exporters: JSONL event log, Chrome ``trace_event`` JSON, text.
 
 The JSONL log is the archival format (one record per line, metrics
-snapshot appended last) and what ``python -m repro.obs.report`` reads.
+snapshot appended last) and what ``python -m repro.obs`` reads.
 The Chrome format loads directly in Perfetto / ``chrome://tracing``: one
 "process" row per track (pilot, VM pool, SGE, pipeline), one "thread"
 row per unit/rank/stage within it.  Both clocks are exported — pick the
@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.spans import RunState, fold, r_duration, replay, v_duration
 from repro.obs.tracer import Tracer
 
 #: Microseconds per (virtual or real) second — trace_event's ts unit.
@@ -79,13 +80,25 @@ def write_jsonl(source: "Tracer | Iterable[dict]", path: str | Path) -> Path:
 
 
 def load_jsonl(path: str | Path) -> list[dict]:
-    """Read a trace written by :func:`write_jsonl`."""
+    """Read a trace written by :func:`write_jsonl` (or streamed by a
+    :class:`~repro.obs.live.JsonlStreamSink`).
+
+    A torn last line — a stream read mid-write ends in one — is
+    skipped; an undecodable line anywhere else raises ``ValueError``
+    naming it."""
+    lines = Path(path).read_text().splitlines()
     records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if number == len(lines):
+                break
+            raise ValueError(
+                f"{path}:{number}: undecodable trace line ({exc.msg})"
+            ) from None
     return records
 
 
@@ -231,17 +244,18 @@ def write_chrome(
     return path
 
 
-def text_summary(source: "Tracer | Iterable[dict]", top: int = 10) -> str:
+def text_summary(
+    source: "Tracer | RunState | Iterable[dict]", top: int = 10
+) -> str:
     """Plain-text digest: span counts by category, hottest spans on both
     clocks, and the metrics snapshot when present."""
-    records = _records_of(source)
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    metrics = next(
-        (r["data"] for r in records if r.get("type") == "metrics"), None
-    )
     if isinstance(source, Tracer):
+        state = replay(source.records())
         metrics = source.metrics.snapshot()
+    else:
+        state = fold(source)
+        metrics = state.snapshot
+    spans, events = state.spans, state.events
 
     lines = [f"trace: {len(spans)} spans, {len(events)} events"]
     by_cat: dict[str, int] = {}
@@ -250,26 +264,22 @@ def text_summary(source: "Tracer | Iterable[dict]", top: int = 10) -> str:
     for cat, n in sorted(by_cat.items(), key=lambda kv: -kv[1]):
         lines.append(f"  {cat:16s} {n:5d} spans")
 
-    def v_dur(s: dict) -> float:
-        if s["v0"] is None or s["v1"] is None:
-            return 0.0
-        return s["v1"] - s["v0"]
-
-    hottest_v = sorted(spans, key=v_dur, reverse=True)[:top]
-    if any(v_dur(s) > 0 for s in hottest_v):
+    hottest_v = sorted(spans, key=v_duration, reverse=True)[:top]
+    if any(v_duration(s) > 0 for s in hottest_v):
         lines.append(f"hottest spans (virtual, top {top}):")
         for s in hottest_v:
-            if v_dur(s) <= 0:
+            if v_duration(s) <= 0:
                 continue
             lines.append(
-                f"  {v_dur(s):12.1f} s  {s['name']}  [{s['process']}/{s['thread']}]"
+                f"  {v_duration(s):12.1f} s  {s['name']}  "
+                f"[{s['process']}/{s['thread']}]"
             )
-    hottest_r = sorted(spans, key=lambda s: s["r1"] - s["r0"], reverse=True)[:top]
+    hottest_r = sorted(spans, key=r_duration, reverse=True)[:top]
     if hottest_r:
         lines.append(f"hottest spans (real, top {top}):")
         for s in hottest_r:
             lines.append(
-                f"  {s['r1'] - s['r0']:12.4f} s  {s['name']}  "
+                f"  {r_duration(s):12.4f} s  {s['name']}  "
                 f"[{s['process']}/{s['thread']}]"
             )
     if metrics:

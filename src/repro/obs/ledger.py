@@ -16,11 +16,11 @@ exists to document.
 
 CLI::
 
-    python -m repro.obs.ledger append trace.jsonl --ledger runs.jsonl
-    python -m repro.obs.ledger list --ledger runs.jsonl
-    python -m repro.obs.ledger show --ledger runs.jsonl --index -1
-    python -m repro.obs.ledger compare --ledger runs.jsonl -a -2 -b -1
-    python -m repro.obs.ledger check --ledger runs.jsonl --v-rel 0.05
+    python -m repro.obs ledger append trace.jsonl --ledger runs.jsonl
+    python -m repro.obs ledger list --ledger runs.jsonl
+    python -m repro.obs ledger show --ledger runs.jsonl --index -1
+    python -m repro.obs ledger compare --ledger runs.jsonl -a -2 -b -1
+    python -m repro.obs ledger check --ledger runs.jsonl --v-rel 0.05
 
 Exit codes for ``check``: 0 clean, 1 threshold regression, 2 the ledger
 cannot be gated (missing/empty/unreadable).
@@ -28,18 +28,15 @@ cannot be gated (missing/empty/unreadable).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
-import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .attribution import attribute_costs, planner_violations
 from .critpath import compute_critical_path
-from .export import load_jsonl
-from .spans import metrics_of, pipeline_span, stage_times
+from .spans import RunState, fold
 
 SCHEMA_VERSION = 1
 
@@ -96,38 +93,22 @@ class RunLedger:
 
 
 def build_record(
-    trace_records: Sequence[dict], run_id: str | None = None
+    trace_records: Iterable[dict] | RunState, run_id: str | None = None
 ) -> dict:
-    """Distill one run's trace into a ledger record.
+    """Distill one run's trace (its last run) into a ledger record.
 
     Contains no wall-clock timestamp on purpose: identical runs produce
     identical records, which keeps CI ledger artifacts diffable.
     """
-    root = pipeline_span(trace_records)
+    state = fold(trace_records)
+    root = state.pipeline
     if root is None:
         raise ValueError("trace has no pipeline span; cannot build a record")
     attrs = root["attrs"]
-    path = compute_critical_path(trace_records)
-
-    stages = {
-        name: {"virtual_s": round(v, 6), "real_s": round(r, 6)}
-        for name, (v, r) in stage_times(trace_records).items()
-    }
-    try:
-        cost = attribute_costs(trace_records)
-        cost_rollup = {
-            "total_usd": round(cost.total_usd, 6),
-            "by_bucket_usd": {
-                k: round(v, 6) for k, v in cost.by_bucket.items()
-            },
-            "n_vms": len(cost.vms),
-        }
-    except ValueError:
-        cost_rollup = {"total_usd": 0.0, "by_bucket_usd": {}, "n_vms": 0}
 
     planner = None
     if attrs.get("planner_ttc_s") is not None:
-        _, gates = planner_violations(trace_records)
+        _, gates = planner_violations(state)
         planner = {
             g.name: {
                 "predicted": g.predicted,
@@ -137,39 +118,20 @@ def build_record(
             for g in gates
         }
 
-    spectrum_spans = [
-        s
-        for s in trace_records
-        if s.get("type") == "span" and s.get("name") == "spectrum.build"
-    ]
     # None, not 0.0, for a run whose spectrum stage built nothing (a
     # ``spectrum.skip`` event instead of a span): nothing was measured,
     # so the run neither gates on nor feeds the build-time baseline.
-    spectrum_build_s = (
-        round(sum(s["r1"] - s["r0"] for s in spectrum_spans), 6)
-        if spectrum_spans
-        else None
-    )
+    spectrum_build_s = state.spectrum_build_s()
 
-    alert_events = [
-        r
-        for r in trace_records
-        if r.get("type") == "event" and r.get("cat") == "alert"
-    ]
-    alerts = {
-        "total": len(alert_events),
-        "by_severity": {},
-        "by_rule": {},
-    }
-    for alert_event in alert_events:
+    alerts = {"total": len(state.alerts), "by_severity": {}, "by_rule": {}}
+    for alert_event in state.alerts:
         alert_attrs = alert_event.get("attrs", {})
         sev = alert_attrs.get("severity", "warning")
         rule = alert_attrs.get("rule", "?")
         alerts["by_severity"][sev] = alerts["by_severity"].get(sev, 0) + 1
         alerts["by_rule"][rule] = alerts["by_rule"].get(rule, 0) + 1
 
-    counters = metrics_of(trace_records).get("counters", {})
-    record = {
+    return {
         "schema": SCHEMA_VERSION,
         "run_id": run_id,
         "dataset": attrs.get("dataset"),
@@ -178,17 +140,25 @@ def build_record(
         "scheme": attrs.get("scheme"),
         "workflow": attrs.get("workflow"),
         "assemblers": attrs.get("assemblers"),
-        "ttc_s": root["v1"] - root["v0"],
+        "ttc_s": state.ttc(),
         "real_s": round(root["r1"] - root["r0"], 6),
-        "spectrum_build_s": spectrum_build_s,
-        "stages": stages,
-        "counters": counters,
-        "cost": cost_rollup,
-        "critical_path": path.summary(),
+        "spectrum_build_s": (
+            None if spectrum_build_s is None else round(spectrum_build_s, 6)
+        ),
+        "stages": {
+            name: {"virtual_s": round(v, 6), "real_s": round(r, 6)}
+            for name, (v, r) in state.stage_seconds().items()
+        },
+        "counters": state.counters,
+        "cost": (
+            attribute_costs(state).rollup(6)
+            if state.billing
+            else {"total_usd": 0.0, "by_bucket_usd": {}, "n_vms": 0}
+        ),
+        "critical_path": compute_critical_path(state).summary(),
         "planner": planner,
         "alerts": alerts,
     }
-    return record
 
 
 def _comparable(a: dict, b: dict) -> bool:
@@ -324,14 +294,15 @@ def check_regressions(
     return regressions, note
 
 
-def _resolve_index(n: int, index: int) -> int:
-    i = index if index >= 0 else n + index
-    if not 0 <= i < n:
-        raise IndexError(f"record index {index} out of range (n={n})")
-    return i
+def record_at(records: Sequence[dict], index: int) -> dict:
+    """``records[index]`` (negative indices count from the end)."""
+    n = len(records)
+    if not -n <= index < n:
+        raise ValueError(f"record index {index} out of range (n={n})")
+    return records[index]
 
 
-def _summary_line(i: int, rec: dict) -> str:
+def summary_line(i: int, rec: dict) -> str:
     planner = rec.get("planner") or {}
     ttc_err = planner.get("ttc_s", {}).get("rel_err")
     return (
@@ -395,136 +366,3 @@ def compare_records(a: dict, b: dict) -> str:
             f"  counters.{k:<23} {ca.get(k, 0):>12} -> {cb.get(k, 0):>12}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.ledger",
-        description="Append-only pipeline-run ledger.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_append = sub.add_parser("append", help="distill a trace and append")
-    p_append.add_argument("trace", help="JSONL trace file")
-    p_append.add_argument("--ledger", required=True)
-    p_append.add_argument("--run-id", default=None)
-
-    p_list = sub.add_parser("list", help="one summary line per record")
-    p_list.add_argument("--ledger", required=True)
-    p_list.add_argument("--json", action="store_true")
-
-    p_show = sub.add_parser("show", help="dump one record")
-    p_show.add_argument("--ledger", required=True)
-    p_show.add_argument(
-        "--index", type=int, default=-1, help="record index (negatives ok)"
-    )
-
-    p_cmp = sub.add_parser("compare", help="delta two records")
-    p_cmp.add_argument("--ledger", required=True)
-    p_cmp.add_argument("-a", type=int, default=-2, help="baseline index")
-    p_cmp.add_argument("-b", type=int, default=-1, help="candidate index")
-
-    p_check = sub.add_parser(
-        "check", help="gate the latest record vs its baseline window"
-    )
-    p_check.add_argument("--ledger", required=True)
-    p_check.add_argument("--window", type=int, default=5)
-    p_check.add_argument("--v-rel", type=float, default=0.05)
-    p_check.add_argument("--cost-rel", type=float, default=0.25)
-    p_check.add_argument("--build-rel", type=float, default=1.0)
-    p_check.add_argument("--json", action="store_true")
-
-    args = parser.parse_args(argv)
-    ledger = RunLedger(args.ledger)
-
-    if args.cmd == "append":
-        trace = load_jsonl(args.trace)
-        try:
-            record = build_record(trace, run_id=args.run_id)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ledger.append(record)
-        result = ledger.read()
-        print(_summary_line(len(result.records) - 1, record))
-        return 0
-
-    result = ledger.read()
-    if result.skipped:
-        print(
-            f"note: skipped {result.skipped} unparseable ledger line(s)",
-            file=sys.stderr,
-        )
-
-    if args.cmd == "list":
-        if args.json:
-            print(json.dumps(result.records, indent=2, sort_keys=True))
-        else:
-            if not result.records:
-                print("(empty ledger)")
-            for i, rec in enumerate(result.records):
-                print(_summary_line(i, rec))
-        return 0
-
-    if args.cmd == "show":
-        try:
-            i = _resolve_index(len(result.records), args.index)
-        except IndexError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(result.records[i], indent=2, sort_keys=True))
-        return 0
-
-    if args.cmd == "compare":
-        try:
-            ia = _resolve_index(len(result.records), args.a)
-            ib = _resolve_index(len(result.records), args.b)
-        except IndexError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(compare_records(result.records[ia], result.records[ib]))
-        return 0
-
-    # check
-    try:
-        regressions, note = check_regressions(
-            result.records,
-            window=args.window,
-            v_rel=args.v_rel,
-            cost_rel=args.cost_rel,
-            build_rel=args.build_rel,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "note": note,
-                    "regressions": [
-                        {
-                            "quantity": r.quantity,
-                            "baseline": r.baseline,
-                            "latest": r.latest,
-                            "rel_err": r.rel_err,
-                            "tolerance": r.tolerance,
-                        }
-                        for r in regressions
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"ledger check: {note}")
-        for r in regressions:
-            print(f"  REGRESSION: {r.describe()}")
-        if not regressions:
-            print("  ok — no regressions")
-    return 1 if regressions else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

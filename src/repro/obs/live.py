@@ -6,7 +6,7 @@ in-flight half the ROADMAP's multi-tenant service needs:
 
 * :class:`JsonlStreamSink` — a :class:`~repro.obs.tracer.TraceSink`
   appending one JSON line per record as it happens, flushed per line, so
-  ``python -m repro.obs.monitor run.jsonl --follow`` (or plain
+  ``python -m repro.obs monitor run.jsonl --follow`` (or plain
   ``tail -f``) can watch a run in progress.  Worker-trace merges stream
   too: :func:`~repro.obs.context.merge_worker_trace` routes re-written
   records through the tracer's emitting chokepoints.
@@ -41,8 +41,9 @@ class JsonlStreamSink(TraceSink):
 
     The resulting file is a superset of the archival ``write_jsonl``
     format: alongside the span-close/event records it carries
-    ``span_open`` and ``metric`` lines (which every post-hoc reader
-    ignores — they all filter on ``type``).  ``close`` appends the final
+    ``span_open`` and ``metric`` lines (the fold,
+    :class:`~repro.obs.spans.RunState`, reads only the counter deltas,
+    until a snapshot supersedes them).  ``close`` appends the final
     ``{"type": "metrics"}`` snapshot when the sink was built with a
     tracer to snapshot, making the stream self-contained for post-hoc
     use as well.

@@ -1,11 +1,12 @@
 """Live run monitor: tail a streaming trace, render progress + alerts.
 
-``python -m repro.obs.monitor run.jsonl --follow`` tails a trace as the
+``python -m repro.obs monitor run.jsonl --follow`` tails a trace as the
 :class:`~repro.obs.live.JsonlStreamSink` appends it, printing a progress
 line whenever the picture changes and a final state block when the
-pipeline-root span closes.  The same CLI on a *finished* trace (no
-``--follow``) renders the identical final state — the monitor derives
-everything from records both formats share (span closes, events), so
+pipeline-root span closes.  The same subcommand on a *finished* trace
+(no ``--follow``) renders the identical final state: both are views over
+the :class:`~repro.obs.spans.RunState` fold, which reads only records
+both formats share (span closes, events) for what the block shows, so
 live and post-hoc views agree byte-for-byte.
 
 Progress comes from the ``unit.state`` transition events the pilot layer
@@ -17,138 +18,12 @@ from the merged ``worker``-category spans; ETA from the
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Unit states that are final.
-_DONE, _FAILED, _CANCELED = "DONE", "FAILED", "CANCELED"
-_FINAL_STATES = {_DONE, _FAILED, _CANCELED}
-
-
-@dataclass
-class _UnitView:
-    name: str = "?"
-    stage: str = ""
-    state: str = "NEW"
-
-
-@dataclass
-class RunState:
-    """Everything the monitor knows about one run, updated per record."""
-
-    units: dict[str, _UnitView] = field(default_factory=dict)
-    stages: dict[str, dict] = field(default_factory=dict)  # closed stage spans
-    workers: dict[str, dict] = field(default_factory=dict)
-    alerts: list[dict] = field(default_factory=list)
-    heartbeats: dict[str, dict] = field(default_factory=dict)
-    planner: dict = field(default_factory=dict)
-    pipeline: dict | None = None  # the root span close record
-    pipeline_open: dict | None = None
-    billed_usd: float = 0.0
-    first_r: float | None = None
-    last_r: float | None = None
-
-    # -- ingestion ---------------------------------------------------------
-
-    def apply(self, record: dict) -> None:
-        kind = record.get("type")
-        r = record.get("r1") if kind == "span" else record.get("r")
-        if isinstance(r, (int, float)):
-            self.first_r = r if self.first_r is None else min(self.first_r, r)
-            self.last_r = r if self.last_r is None else max(self.last_r, r)
-        if kind == "span":
-            self._apply_span(record)
-        elif kind == "span_open":
-            if record.get("cat") == "pipeline":
-                self.pipeline_open = record
-        elif kind == "event":
-            self._apply_event(record)
-
-    def _apply_span(self, record: dict) -> None:
-        cat = record.get("cat")
-        if cat == "pipeline":
-            self.pipeline = record
-        elif cat == "stage":
-            stage = record["attrs"].get("stage", record["name"])
-            self.stages[stage] = record
-        elif cat == "worker":
-            w = self.workers.setdefault(
-                record["process"], {"workloads": 0, "busy_r": 0.0}
-            )
-            if record.get("parent") is None or record["name"] == "workload":
-                w["workloads"] += 1
-                w["busy_r"] += record["r1"] - record["r0"]
-        elif record.get("name") == "vm.lifetime":
-            self.billed_usd += record["attrs"].get("cost_usd", 0.0) or 0.0
-
-    def _apply_event(self, record: dict) -> None:
-        name, cat = record.get("name"), record.get("cat")
-        attrs = record.get("attrs", {})
-        if name == "unit.state":
-            view = self.units.setdefault(record["thread"], _UnitView())
-            view.name = attrs.get("unit", view.name)
-            view.stage = attrs.get("stage", view.stage)
-            view.state = attrs.get("new", view.state)
-        elif name == "unit.heartbeat":
-            self.heartbeats[attrs.get("unit", record["thread"])] = attrs
-        elif name == "planner.prediction":
-            self.planner = attrs
-        elif cat == "alert":
-            self.alerts.append(record)
-
-    # -- derived views ------------------------------------------------------
-
-    @property
-    def complete(self) -> bool:
-        return self.pipeline is not None
-
-    def stage_progress(self) -> dict[str, dict[str, int]]:
-        """stage -> {done, failed, running, total} from unit final states."""
-        out: dict[str, dict[str, int]] = {}
-        for view in self.units.values():
-            row = out.setdefault(
-                view.stage or "?",
-                {"done": 0, "failed": 0, "running": 0, "total": 0},
-            )
-            row["total"] += 1
-            if view.state == _DONE:
-                row["done"] += 1
-            elif view.state in (_FAILED, _CANCELED):
-                row["failed"] += 1
-            else:
-                row["running"] += 1
-        return out
-
-    def unit_counts(self) -> tuple[int, int, int]:
-        done = sum(1 for v in self.units.values() if v.state == _DONE)
-        failed = sum(
-            1
-            for v in self.units.values()
-            if v.state in (_FAILED, _CANCELED)
-        )
-        running = len(self.units) - done - failed
-        return done, failed, running
-
-    def eta_seconds(self) -> float | None:
-        """Real-seconds ETA from live unit throughput against the
-        planner's predicted fan-out; None when not estimable."""
-        done, _, running = self.unit_counts()
-        if done <= 0 or running <= 0:
-            return None
-        if self.first_r is None or self.last_r is None:
-            return None
-        elapsed = self.last_r - self.first_r
-        if elapsed <= 0:
-            return None
-        planned = self.planner.get("assembly_jobs")
-        remaining = max(
-            running, (planned - done) if isinstance(planned, int) else 0
-        )
-        return remaining * elapsed / done
+from repro.obs.spans import FINAL_STATES, RunState
 
 
 def progress_line(state: RunState) -> str:
@@ -158,7 +33,7 @@ def progress_line(state: RunState) -> str:
         f"{unit}:{hb.get('elapsed_r', 0.0):.1f}s"
         for unit, hb in sorted(state.heartbeats.items())
         if any(
-            v.state not in _FINAL_STATES
+            v.state not in FINAL_STATES
             for v in state.units.values()
             if v.name == unit
         )
@@ -179,14 +54,9 @@ def final_summary(state: RunState) -> str:
     both carry)."""
     lines = ["== final state =="]
     if state.pipeline is not None:
-        p = state.pipeline
-        ttc = (
-            p["v1"] - p["v0"]
-            if p.get("v0") is not None and p.get("v1") is not None
-            else 0.0
-        )
         lines.append(
-            f"run: {p['name']} — COMPLETE  (TTC {ttc:.1f} virtual s)"
+            f"run: {state.pipeline['name']} — COMPLETE  "
+            f"(TTC {state.ttc() or 0.0:.1f} virtual s)"
         )
     else:
         lines.append("run: IN PROGRESS (no pipeline-close record)")
@@ -196,22 +66,18 @@ def final_summary(state: RunState) -> str:
         counts += f", {running} running"
     lines.append(counts)
     progress = state.stage_progress()
-    if state.stages or progress:
+    seconds = state.stage_seconds()
+    if seconds or progress:
         lines.append(
             f"  {'stage':24s} {'done':>5s} {'fail':>5s} "
             f"{'virtual s':>10s} {'real s':>9s}"
         )
-        for stage in sorted(set(state.stages) | set(progress)):
+        for stage in sorted(set(seconds) | set(progress)):
             row = progress.get(stage, {})
-            span = state.stages.get(stage)
-            virt = (
-                f"{span['v1'] - span['v0']:10.1f}"
-                if span and span.get("v0") is not None
-                else f"{'-':>10s}"
-            )
-            real = (
-                f"{span['r1'] - span['r0']:9.3f}" if span else f"{'-':>9s}"
-            )
+            virt, real = f"{'-':>10s}", f"{'-':>9s}"
+            if stage in seconds:
+                virt = f"{seconds[stage][0]:10.1f}"
+                real = f"{seconds[stage][1]:9.3f}"
             lines.append(
                 f"  {stage:24s} {row.get('done', 0):5d} "
                 f"{row.get('failed', 0):5d} {virt} {real}"
@@ -245,28 +111,6 @@ def final_summary(state: RunState) -> str:
     return "\n".join(lines)
 
 
-def replay(records) -> RunState:
-    state = RunState()
-    for record in records:
-        state.apply(record)
-    return state
-
-
-def _parse_lines(chunk: str, state: RunState) -> int:
-    applied = 0
-    for line in chunk.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail line; the next poll completes it
-        state.apply(record)
-        applied += 1
-    return applied
-
-
 def follow(
     path: Path,
     poll: float = 0.2,
@@ -275,7 +119,9 @@ def follow(
 ) -> int:
     """Tail ``path`` until the pipeline-root span closes; returns 0 on
     completion, 1 on timeout.  Prints a progress line per change and the
-    final-state block at the end."""
+    final-state block at the end.  Only newline-terminated lines are
+    parsed (the unterminated tail waits for the next poll); an
+    undecodable complete line is corruption and raises ``ValueError``."""
     out = out or sys.stdout
     state = RunState()
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -291,7 +137,12 @@ def follow(
             if chunk:
                 buffer += chunk
                 complete, _, buffer = buffer.rpartition("\n")
-                if complete and _parse_lines(complete, state):
+                records = [
+                    json.loads(t) for t in complete.splitlines() if t.strip()
+                ]
+                for record in records:
+                    state.apply(record)
+                if records:
                     line = progress_line(state)
                     if line != last_line:
                         print(line, file=out, flush=True)
@@ -308,50 +159,3 @@ def follow(
             print(final_summary(state), file=out, flush=True)
             return 1
         time.sleep(poll)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.monitor",
-        description=(
-            "Watch a repro run live (tail a streaming JSONL trace) or "
-            "render the final state of a finished one."
-        ),
-    )
-    parser.add_argument(
-        "trace",
-        help="trace file (a JsonlStreamSink stream or an archival trace)",
-    )
-    parser.add_argument(
-        "--follow",
-        action="store_true",
-        help="tail the file until the pipeline-root span closes",
-    )
-    parser.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        help="seconds between tail polls (with --follow)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up (exit 1) after this many seconds (with --follow)",
-    )
-    args = parser.parse_args(argv)
-    path = Path(args.trace)
-    if args.follow:
-        return follow(path, poll=args.poll, timeout=args.timeout)
-    if not path.exists():
-        print(f"no such trace: {path}", file=sys.stderr)
-        return 2
-    state = RunState()
-    with path.open() as fh:
-        _parse_lines(fh.read(), state)
-    print(final_summary(state))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,6 @@
-"""Run-report CLI over a JSONL trace file.
+"""Run report over a JSONL trace.
 
-``python -m repro.obs.report trace.jsonl`` renders:
+``python -m repro.obs report trace.jsonl`` renders:
 
 * the per-stage table (virtual TTC and real host seconds per pipeline
   stage, from the ``stage``-category spans, with p50/p95 of the stage's
@@ -17,81 +17,65 @@
 
 ``--chrome out.json`` additionally converts the trace to Chrome
 ``trace_event`` JSON (open in Perfetto / ``chrome://tracing``).
-``--json`` emits the same facts machine-readably (exact floats, no
-formatting loss) instead of the text report.
+``--json`` emits :func:`report_data` — the same facts machine-readably
+(exact floats, no formatting loss) — instead of the text report.  Both
+are views over one :class:`~repro.obs.spans.RunState`, and every fact
+they share is computed by one helper here.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Iterable
 
-from repro.obs.export import load_jsonl, text_summary, write_chrome
+from repro.obs.attribution import attribute_costs, format_attribution
+from repro.obs.export import text_summary
 from repro.obs.metrics import Histogram
-from repro.obs.spans import events_of as _events
-from repro.obs.spans import pipeline_span
-from repro.obs.spans import spans_of as _spans
-from repro.obs.spans import v_duration as _v_dur
+from repro.obs.spans import RunState, fold, r_duration, stage_name, v_duration
 
 
-def stage_ttcs(records: Iterable[dict]) -> dict[str, float]:
+def stage_ttcs(records: Iterable[dict] | RunState) -> dict[str, float]:
     """Virtual TTC per pipeline stage, keyed by stage name.
 
     Exact floats straight from the trace — these equal the pipeline's
     ``StageReport.ttc`` values bit-for-bit (asserted by the trace-parity
     test)."""
-    out: dict[str, float] = {}
-    for span in _spans(records):
-        if span["cat"] == "stage":
-            out[span["attrs"].get("stage", span["name"])] = _v_dur(span)
-    return out
+    return {name: v for name, (v, _) in fold(records).stage_seconds().items()}
 
 
-def _unit_histograms(records: Iterable[dict]) -> dict[str, Histogram]:
-    """stage name -> histogram of its unit exec spans' virtual seconds."""
-    out: dict[str, Histogram] = {}
-    for span in _spans(records):
-        if span["cat"] != "unit" or span["v0"] is None:
-            continue
-        stage = span["attrs"].get("stage")
-        if stage is None:
-            continue
-        if stage not in out:
-            out[stage] = Histogram(stage)
-        out[stage].observe(_v_dur(span))
-    return out
-
-
-def stage_table(records: Iterable[dict]) -> str:
-    records = list(records)
-    units = _unit_histograms(records)
+def stage_table(records: Iterable[dict] | RunState) -> str:
+    state = fold(records)
+    seconds = state.stage_seconds()
     rows = ["per-stage timings (virtual TTC vs real host seconds):"]
     rows.append(
         f"  {'stage':24s} {'virtual s':>12s} {'real s':>10s} "
         f"{'unit p50':>9s} {'p95':>9s}  placement"
     )
-    for span in _spans(records):
-        if span["cat"] != "stage":
-            continue
-        attrs = span["attrs"]
+    for span in state.stage_spans():
+        attrs, name = span["attrs"], stage_name(span)
         placement = attrs.get("pilot", "-")
         if attrs.get("n_nodes"):
             placement += f" ({attrs['n_nodes']} x {attrs.get('instance_type', '?')})"
-        hist = units.get(attrs.get("stage", span["name"]))
-        p50 = f"{hist.percentile(50):9.1f}" if hist else f"{'-':>9s}"
-        p95 = f"{hist.percentile(95):9.1f}" if hist else f"{'-':>9s}"
+        p50 = p95 = f"{'-':>9s}"
+        if name in state.execs:
+            hist = Histogram(name, [v_duration(s) for s in state.execs[name]])
+            p50 = f"{hist.percentile(50):9.1f}"
+            p95 = f"{hist.percentile(95):9.1f}"
+        virtual, real = seconds[name]
         rows.append(
-            f"  {attrs.get('stage', span['name']):24s} {_v_dur(span):12.1f} "
-            f"{span['r1'] - span['r0']:10.3f} {p50} {p95}  {placement}"
+            f"  {name:24s} {virtual:12.1f} {real:10.3f} {p50} {p95}  {placement}"
         )
     return "\n".join(rows) if len(rows) > 2 else ""
 
 
-def process_timelines(records: Iterable[dict], width: int = 48) -> str:
+def process_timelines(
+    records: Iterable[dict] | RunState, width: int = 48
+) -> str:
     """ASCII virtual-time swimlane per process track."""
-    spans = [s for s in _spans(records) if _v_dur(s) >= 0 and s["v0"] is not None]
+    spans = [
+        s
+        for s in fold(records).spans
+        if v_duration(s) >= 0 and s["v0"] is not None
+    ]
     if not spans:
         return ""
     t_min = min(s["v0"] for s in spans)
@@ -108,36 +92,53 @@ def process_timelines(records: Iterable[dict], width: int = 48) -> str:
             hi = max(lo + 1, int((s["v1"] - t_min) / extent * width))
             bar = " " * lo + "#" * (hi - lo) + " " * (width - hi)
             rows.append(
-                f"    |{bar}| {s['name']}  {_v_dur(s):.1f} s [{s['thread']}]"
+                f"    |{bar}| {s['name']}  {v_duration(s):.1f} s [{s['thread']}]"
             )
     return "\n".join(rows)
 
 
-def virtual_vs_real(records: Iterable[dict]) -> str:
-    """Per-category totals on both clocks (top-level spans only, so
-    nested spans are not double counted)."""
-    spans = _spans(records)
-    roots = [s for s in spans if s.get("parent") is None]
-    if not roots:
+def _categories(state: RunState) -> dict[str, dict]:
+    """category -> virtual and real seconds of its top-level spans
+    (nested spans would double count)."""
+    out: dict[str, dict] = {}
+    for s in state.spans:
+        if s.get("parent") is None:
+            row = out.setdefault(
+                s["cat"] or "default", {"virtual_s": 0.0, "real_s": 0.0}
+            )
+            row["virtual_s"] += v_duration(s)
+            row["real_s"] += r_duration(s)
+    return out
+
+
+def _phases(state: RunState) -> list[dict]:
+    """``phase`` events by critical-path compute, largest first."""
+    phases = [e for e in state.events if e["cat"] == "phase"]
+    phases.sort(
+        key=lambda e: e["attrs"].get("critical_compute", 0.0), reverse=True
+    )
+    return phases
+
+
+def virtual_vs_real(records: Iterable[dict] | RunState) -> str:
+    """Per-category totals on both clocks (top-level spans only)."""
+    totals = _categories(fold(records))
+    if not totals:
         return ""
-    totals: dict[str, tuple[float, float]] = {}
-    for s in roots:
-        cat = s["cat"] or "default"
-        v, r = totals.get(cat, (0.0, 0.0))
-        totals[cat] = (v + _v_dur(s), r + (s["r1"] - s["r0"]))
     rows = ["virtual vs real seconds by category (top-level spans):"]
     rows.append(f"  {'category':16s} {'virtual s':>12s} {'real s':>10s}")
-    for cat, (v, r) in sorted(totals.items(), key=lambda kv: -kv[1][0]):
-        rows.append(f"  {cat:16s} {v:12.1f} {r:10.3f}")
+    for cat, row in sorted(totals.items(), key=lambda kv: -kv[1]["virtual_s"]):
+        rows.append(
+            f"  {cat:16s} {row['virtual_s']:12.1f} {row['real_s']:10.3f}"
+        )
     return "\n".join(rows)
 
 
-def hottest_phases(records: Iterable[dict], top: int = 10) -> str:
+def hottest_phases(records: Iterable[dict] | RunState, top: int = 10) -> str:
     """Top-k phases by critical-path compute charged to the cost model."""
-    phases = [e for e in _events(records) if e["cat"] == "phase"]
+    phases = _phases(fold(records))
     if not phases:
         return ""
-    phases.sort(key=lambda e: e["attrs"].get("critical_compute", 0.0), reverse=True)
     rows = [f"hottest phases (critical-path compute, top {top}):"]
     rows.append(
         f"  {'phase':28s} {'kind':10s} {'critical':>12s} {'comm MB':>9s}"
@@ -152,23 +153,20 @@ def hottest_phases(records: Iterable[dict], top: int = 10) -> str:
     return "\n".join(rows)
 
 
-def cache_scorecard(records: Iterable[dict]) -> str:
+def cache_scorecard(records: Iterable[dict] | RunState) -> str:
     """Hit/miss scorecard of the two content-addressed caches, plus the
     count-once spectrum build's wall/virtual cost.
 
     Mirrors the ``kmer_table.*`` counters of the count-once fusion layer
     (:mod:`repro.assembly.sweep`) and the ``assembly_cache.*`` counters
-    (lookups plus parent-side ``put`` recording) from the metrics
-    snapshot into a first-class report section; when the trace carries
-    ``spectrum.build`` spans, a row reports the build's real host
-    seconds against its (zero, by construction) virtual cost and mode;
-    a run whose demand-driven spectrum stage built nothing carries a
-    ``spectrum.skip`` event instead, and the row says so."""
-    records = list(records)
-    metrics = next(
-        (r["data"] for r in records if r.get("type") == "metrics"), None
-    )
-    counters = (metrics or {}).get("counters", {})
+    (lookups plus parent-side ``put`` recording) into a first-class
+    report section; when the trace carries ``spectrum.build`` spans, a
+    row reports the build's real host seconds against its (zero, by
+    construction) virtual cost and mode; a run whose demand-driven
+    spectrum stage built nothing carries a ``spectrum.skip`` event
+    instead, and the row says so."""
+    state = fold(records)
+    counters = state.counters
     rows = []
     for label, prefix, extra in (
         ("kmer table cache", "kmer_table", [("bytes cached", "bytes")]),
@@ -187,17 +185,20 @@ def cache_scorecard(records: Iterable[dict]) -> str:
             counters.get(f"{prefix}.{suffix}") for _, suffix in extra
         ):
             rows.append(f"  {label:18s} {'  '.join(cells)}")
-    builds = [s for s in _spans(records) if s["name"] == "spectrum.build"]
+    builds = state.spectrum_builds()
     if builds:
-        wall = sum(s["r1"] - s["r0"] for s in builds)
-        virt = sum(_v_dur(s) for s in builds)
+        virt = sum(v_duration(s) for s in builds)
         mode = builds[-1]["attrs"].get("mode", "?")
-        cells = [f"wall {wall:.3f} s", f"virtual {virt:g} s", f"mode {mode}"]
+        cells = [
+            f"wall {state.spectrum_build_s():.3f} s",
+            f"virtual {virt:g} s",
+            f"mode {mode}",
+        ]
         n_shards = builds[-1]["attrs"].get("n_shards")
         if n_shards is not None:
             cells.append(f"shards {n_shards:g}")
         rows.append(f"  {'spectrum build':18s} {'  '.join(cells)}")
-    for skip in (e for e in _events(records) if e["name"] == "spectrum.skip"):
+    for skip in (e for e in state.events if e["name"] == "spectrum.skip"):
         a = skip["attrs"]
         detail = f"{a.get('jobs_satisfied', 0):g}/{a.get('jobs', 0):g} jobs cached"
         if a.get("reason") == "spectra cached":
@@ -208,9 +209,9 @@ def cache_scorecard(records: Iterable[dict]) -> str:
     return "\n".join(["cache scorecard:"] + rows)
 
 
-def alerts_section(records: Iterable[dict]) -> str:
+def alerts_section(records: Iterable[dict] | RunState) -> str:
     """The alert log: one line per rules-engine firing in the trace."""
-    alerts = [e for e in _events(records) if e["cat"] == "alert"]
+    alerts = fold(records).alerts
     if not alerts:
         return ""
     rows = [f"alerts ({len(alerts)}):"]
@@ -223,124 +224,43 @@ def alerts_section(records: Iterable[dict]) -> str:
     return "\n".join(rows)
 
 
-def cost_section(records: list[dict]) -> str:
-    """The cost-attribution table, or "" for traces without billing
-    spans (unit tests and the fake-clock fixtures trace no VMs)."""
-    from repro.obs.attribution import attribute_costs, format_attribution
-
-    try:
-        attribution = attribute_costs(records)
-    except ValueError:
-        return ""
-    return format_attribution(attribution)
-
-
-def build_report(records: list[dict], top: int = 10) -> str:
+def build_report(records: Iterable[dict] | RunState, top: int = 10) -> str:
     """The full plain-text run report."""
+    state = fold(records)
     sections = [
-        stage_table(records),
-        process_timelines(records),
-        virtual_vs_real(records),
-        hottest_phases(records, top=top),
-        cache_scorecard(records),
-        alerts_section(records),
-        cost_section(records),
-        text_summary(records, top=top),
+        stage_table(state),
+        process_timelines(state),
+        virtual_vs_real(state),
+        hottest_phases(state, top=top),
+        cache_scorecard(state),
+        alerts_section(state),
+        # "" for traces without billing spans (unit tests and the
+        # fake-clock fixtures trace no VMs)
+        format_attribution(attribute_costs(state)) if state.billing else "",
+        text_summary(state, top=top),
     ]
     return "\n\n".join(s for s in sections if s)
 
 
-def report_data(records: list[dict], top: int = 10) -> dict:
+def report_data(records: Iterable[dict] | RunState, top: int = 10) -> dict:
     """The machine-readable report (the ``--json`` output).
 
     Same facts as :func:`build_report` but exact — no float formatting,
     no column truncation — and JSON-serializable, so
     ``json.loads(json.dumps(data))`` round-trips it unchanged.
     """
-    records = list(records)
-    root = pipeline_span(records)
-    stages: dict[str, dict] = {}
-    for span in _spans(records):
-        if span["cat"] == "stage":
-            stages[span["attrs"].get("stage", span["name"])] = {
-                "virtual_s": _v_dur(span),
-                "real_s": span["r1"] - span["r0"],
-            }
-    categories: dict[str, dict] = {}
-    for span in _spans(records):
-        if span.get("parent") is not None:
-            continue
-        cat = span["cat"] or "default"
-        row = categories.setdefault(cat, {"virtual_s": 0.0, "real_s": 0.0})
-        row["virtual_s"] += _v_dur(span)
-        row["real_s"] += span["r1"] - span["r0"]
-    phases = [e for e in _events(records) if e["cat"] == "phase"]
-    phases.sort(
-        key=lambda e: e["attrs"].get("critical_compute", 0.0), reverse=True
-    )
-    try:
-        from repro.obs.attribution import attribute_costs
-
-        attribution = attribute_costs(records)
-        cost = {
-            "total_usd": attribution.total_usd,
-            "by_bucket_usd": dict(attribution.by_bucket),
-            "n_vms": len(attribution.vms),
-        }
-    except ValueError:
-        cost = None
-    metrics = next(
-        (r["data"] for r in records if r.get("type") == "metrics"), {}
-    )
+    state = fold(records)
+    root = state.pipeline
     return {
-        "ttc_s": root["v1"] - root["v0"] if root else None,
+        "ttc_s": state.ttc(),
         "pipeline": dict(root["attrs"]) if root else {},
-        "stages": stages,
-        "categories": categories,
-        "hottest_phases": [dict(e["attrs"]) for e in phases[:top]],
-        "alerts": [
-            dict(e["attrs"]) for e in _events(records) if e["cat"] == "alert"
-        ],
-        "counters": dict(metrics.get("counters", {})),
-        "cost": cost,
+        "stages": {
+            name: {"virtual_s": v, "real_s": r}
+            for name, (v, r) in state.stage_seconds().items()
+        },
+        "categories": _categories(state),
+        "hottest_phases": [dict(e["attrs"]) for e in _phases(state)[:top]],
+        "alerts": [dict(e["attrs"]) for e in state.alerts],
+        "counters": dict(state.counters),
+        "cost": attribute_costs(state).rollup() if state.billing else None,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Render a run report from a repro JSONL trace file.",
-    )
-    parser.add_argument("trace", help="trace file written by obs.export.write_jsonl")
-    parser.add_argument("--top", type=int, default=10, help="top-k hottest phases")
-    parser.add_argument(
-        "--chrome",
-        metavar="OUT",
-        help="also write a Chrome trace_event JSON to OUT (open in Perfetto)",
-    )
-    parser.add_argument(
-        "--clock",
-        choices=("virtual", "real"),
-        default="virtual",
-        help="timeline for the --chrome export",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of the text one",
-    )
-    args = parser.parse_args(argv)
-    records = load_jsonl(args.trace)
-    if args.json:
-        print(json.dumps(report_data(records, top=args.top), indent=2, sort_keys=True))
-    else:
-        print(build_report(records, top=args.top))
-    if args.chrome:
-        path = write_chrome(records, args.chrome, clock=args.clock)
-        if not args.json:  # keep --json stdout parseable
-            print(f"\nchrome trace written to {path} (load in Perfetto)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

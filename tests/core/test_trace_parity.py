@@ -200,7 +200,8 @@ class TestStreamingParity:
         assert all(r["attrs"]["elapsed_r"] >= 0 for r in beats)
 
     def test_monitor_live_equals_posthoc(self, live_traced, tmp_path):
-        from repro.obs.monitor import final_summary, replay
+        from repro.obs.monitor import final_summary
+        from repro.obs.spans import replay
 
         _, tracer, _, stream_path, _ = live_traced
         stream_records = load_jsonl(stream_path)
@@ -212,10 +213,10 @@ class TestStreamingParity:
         assert live_view == posthoc_view  # byte-for-byte
 
     def test_pipeline_span_carries_alert_summary(self, live_traced):
-        from repro.obs.spans import pipeline_span
+        from repro.obs.spans import replay
 
         _, tracer, _, _, _ = live_traced
-        attrs = pipeline_span(tracer.records())["attrs"]
+        attrs = replay(tracer.records()).pipeline["attrs"]
         assert attrs["alerts_total"] == (
             attrs["alerts_critical"]
             + attrs["alerts_warning"]
@@ -283,12 +284,84 @@ class TestTraceAnalytics:
         assert rec["planner"]["ttc_s"]["rel_err"] <= 0.10
 
     def test_pipeline_span_carries_prediction_and_fingerprint(self, traced):
-        from repro.obs.spans import pipeline_span
+        from repro.obs.spans import replay
 
         _, tracer = traced
-        root = pipeline_span(tracer.records())
+        root = replay(tracer.records()).pipeline
         attrs = root["attrs"]
         assert attrs["planner_ttc_s"] > 0
         assert attrs["planner_cost_usd"] > 0
         assert len(attrs["config_fingerprint"]) == 16
         assert attrs["planner_stages"]
+
+
+@pytest.fixture(scope="module")
+def two_runs(ds_single):
+    """One tracer over two runs of different configs — what ``run_many``
+    writes: ray+abyss over four ks, then :data:`CONFIG`.  A collector
+    sink keeps the live stream next to the tracer's archive."""
+    from repro.obs.live import CollectorSink
+
+    tracer = Tracer()
+    collector = tracer.add_sink(CollectorSink())
+    pipeline = RnnotatorPipeline(tracer=tracer)
+    pipeline.run(
+        ds_single,
+        PipelineConfig(assemblers=("ray", "abyss"), kmer_list=(25, 31, 35, 41)),
+    )
+    last = pipeline.run(ds_single, PipelineConfig(**CONFIG))
+    return last, tracer, collector
+
+
+class TestMultiRunScoping:
+    """Every analysis of a multi-run trace reads its last run only."""
+
+    def test_cost_attribution_is_the_last_runs(self, two_runs):
+        from repro.obs import attribute_costs
+
+        last, tracer, _ = two_runs
+        attr = attribute_costs(tracer.records())
+        assert attr.total_usd == pytest.approx(last.total_cost)
+        assert sum(attr.by_bucket.values()) == pytest.approx(last.total_cost)
+        assert attr.billed_usd == pytest.approx(last.total_cost)
+
+    def test_ledger_and_planner_gate_cost_is_the_last_runs(self, two_runs):
+        from repro.obs import build_record
+        from repro.obs.attribution import planner_violations
+
+        last, tracer, _ = two_runs
+        record = build_record(tracer.records())
+        assert record["cost"]["total_usd"] == pytest.approx(last.total_cost)
+        _, gates = planner_violations(tracer.records())
+        cost = next(g for g in gates if g.name == "cost_usd")
+        assert cost.actual == pytest.approx(last.total_cost)
+        assert record["planner"]["cost_usd"]["actual"] == cost.actual
+
+    def test_report_stages_are_the_last_runs(self, two_runs):
+        from repro.obs.report import report_data
+
+        last, tracer, _ = two_runs
+        stages = report_data(tracer.records())["stages"]
+        assert {name: s["virtual_s"] for name, s in stages.items()} == {
+            s.name: s.ttc for s in last.stages
+        }
+
+    def test_monitor_counts_only_the_last_runs_units(self, two_runs, traced):
+        from repro.obs.spans import replay
+
+        _, tracer, _ = two_runs
+        _, single_run_tracer = traced  # the same config, on its own
+        assert (
+            replay(tracer.records()).unit_counts()
+            == replay(single_run_tracer.records()).unit_counts()
+        )
+
+    def test_live_stream_and_archive_render_the_same(self, two_runs):
+        from repro.obs.monitor import final_summary
+        from repro.obs.spans import replay
+
+        _, tracer, collector = two_runs
+        live = final_summary(replay(collector.records))
+        archive = final_summary(replay(tracer.records()))
+        assert "COMPLETE" in live
+        assert live == archive

@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DATA = Path(__file__).parent.parent / "data"
+from repro.obs.__main__ import main
+
+ROOT = Path(__file__).parent.parent.parent
+DATA = ROOT / "tests" / "data"
 BASELINE = DATA / "ci_baseline_trace.jsonl"
 GOLDEN = DATA / "obs_cli"
-SRC = Path(__file__).parent.parent.parent / "src"
+SRC = ROOT / "src"
 
 #: The stage the "stretched" copy of the baseline runs 10 % longer.
 STRETCHED_STAGE = "stage:post-processing"
@@ -37,7 +41,8 @@ CASES = (
     ("diff_stretched", ["diff", "{trace}", "{stretched}"]),
     ("diff_json", ["diff", "{trace}", "{stretched}", "--json"]),
     ("critpath", ["critpath", "{trace}"]),
-    ("critpath_what_if", ["critpath", "{trace}", "--what-if", "exec:ray_*=0.5"]),
+    ("critpath_what_if",
+     ["critpath", "{trace}", "--what-if", "exec:ray_*=0.5"]),
     ("critpath_json", ["critpath", "{trace}", "--json"]),
     ("attribution", ["attribution", "{trace}"]),
     ("attribution_gate", ["attribution", "{trace}", "--planner-gate"]),
@@ -51,7 +56,8 @@ CASES = (
     ("ledger_show", ["ledger", "show", "--ledger", "{ledger}"]),
     ("ledger_compare", ["ledger", "compare", "--ledger", "{ledger}"]),
     ("ledger_check", ["ledger", "check", "--ledger", "{ledger}"]),
-    ("ledger_check_json", ["ledger", "check", "--ledger", "{ledger}", "--json"]),
+    ("ledger_check_json",
+     ["ledger", "check", "--ledger", "{ledger}", "--json"]),
     ("monitor", ["monitor", "{trace}"]),
 )
 
@@ -71,7 +77,7 @@ def stretch(src: Path, dst: Path) -> Path:
 
 def command(argv: list[str]) -> list[str]:
     """How one case is invoked."""
-    return [sys.executable, "-m", f"repro.obs.{argv[0]}", *argv[1:]]
+    return [sys.executable, "-m", "repro.obs", *argv]
 
 
 def run_cases(workdir: Path) -> dict[str, tuple[str, int]]:
@@ -105,6 +111,83 @@ def test_output_matches_golden(results, case):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == codes[case]
     assert stdout == (GOLDEN / f"{case}.out").read_text()
+
+
+#: subcommand -> (an invocation reading ``{trace}``, the golden case an
+#: intact ``{trace}`` reproduces).
+READERS = {
+    "report": (["report", "{trace}"], "report"),
+    "diff": (["diff", str(BASELINE), "{trace}"], "diff_self"),
+    "critpath": (["critpath", "{trace}"], "critpath"),
+    "attribution": (["attribution", "{trace}"], "attribution"),
+    "ledger": (
+        ["ledger", "append", "{trace}", "--ledger", "{ledger}",
+         "--run-id", "a"],
+        "ledger_append_a",
+    ),
+    "monitor": (["monitor", "{trace}"], "monitor"),
+}
+
+
+def damaged(how: str, path: Path) -> Path:
+    """The baseline at ``path``: missing, with a corrupt middle line,
+    or ending in a torn line (a stream read mid-write)."""
+    lines = BASELINE.read_text().splitlines()
+    if how == "corrupt":
+        lines[len(lines) // 2] = lines[len(lines) // 2][:40]
+    elif how == "torn":
+        lines.append(lines[0][:40])
+    if how != "missing":
+        path.write_text("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("how", ["missing", "corrupt", "torn"])
+@pytest.mark.parametrize("subcommand", sorted(READERS))
+def test_unreadable_input(subcommand, how, tmp_path, capsys):
+    """A missing file or a corrupt middle line cannot be gated (one
+    stderr line, exit 2, never the "gate failed" 1); a torn last line
+    is skipped, so the trace reads as the intact baseline."""
+    argv, golden = READERS[subcommand]
+    paths = {
+        "trace": str(damaged(how, tmp_path / "trace.jsonl")),
+        "ledger": str(tmp_path / "ledger.jsonl"),
+    }
+    code = main([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    if how == "torn":
+        codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+        assert (out, code) == (
+            (GOLDEN / f"{golden}.out").read_text(),
+            codes[golden],
+        )
+    else:
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_bad_what_if_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["critpath", str(BASELINE), "--what-if", "exec:ray_*"])
+    assert exc.value.code == 2
+    assert "--what-if" in capsys.readouterr().err
+
+
+def test_nothing_invokes_a_module_of_the_package():
+    """``python -m repro.obs.critpath trace.jsonl`` runs the module body
+    and exits 0 having checked nothing, so no CI step, tool, example or
+    document may spell that form: the CLI is ``python -m repro.obs``."""
+    retired = re.compile(r"-m\s+repro\.obs\.")
+    hits = []
+    for top in (".github", ".claude", "tools", "examples", "src",
+                "README.md", "DESIGN.md"):
+        path = ROOT / top
+        for f in [path] if path.is_file() else sorted(path.rglob("*")):
+            if f.is_file() and f.suffix != ".pyc":
+                if retired.search(f.read_text(errors="ignore")):
+                    hits.append(str(f.relative_to(ROOT)))
+    assert hits == []
 
 
 def regenerate() -> None:

@@ -4,14 +4,9 @@ import json
 import threading
 import time
 
-from repro.obs.monitor import (
-    RunState,
-    final_summary,
-    follow,
-    main,
-    progress_line,
-    replay,
-)
+from repro.obs.__main__ import main
+from repro.obs.monitor import final_summary, follow, progress_line
+from repro.obs.spans import RunState, replay
 
 
 def span(name, cat, v0=0.0, v1=0.0, r0=0.0, r1=0.0, parent=None,
@@ -217,9 +212,9 @@ class TestCli:
         path.write_text(
             "\n".join(json.dumps(r) for r in sample_run()) + "\n"
         )
-        assert main([str(path)]) == 0
+        assert main(["monitor", str(path)]) == 0
         assert "COMPLETE" in capsys.readouterr().out
 
     def test_missing_trace_is_exit_2(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["monitor", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace" in capsys.readouterr().err

@@ -6,7 +6,7 @@ quickstart dataset through the full pilot pipeline on a chosen executor backend
 therefore exercise span-context propagation, clock alignment and worker
 metric merging) and writes the merged trace.  CI runs this, uploads the
 trace as an artifact, and diffs it against the committed baseline with
-``python -m repro.obs.diff``; regenerate the baseline with::
+``python -m repro.obs diff``; regenerate the baseline with::
 
     PYTHONPATH=src python tools/smoke.py --resource-cadence 0 \
         --out tests/data/ci_baseline_trace.jsonl
@@ -32,7 +32,7 @@ The live-telemetry knobs turn it into the monitor/alert drill:
 
 * ``--live-out PATH`` attaches a streaming
   :class:`~repro.obs.live.JsonlStreamSink`, so ``python -m
-  repro.obs.monitor PATH --follow`` can watch the run live;
+  repro.obs monitor PATH --follow`` can watch the run live;
 * ``--heartbeat-cadence S`` emits per-inflight-unit heartbeats (and
   enables straggler detection) every S real seconds;
 * ``--alert SPEC`` (repeatable) / ``--default-alerts`` arm the SLO
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="also stream the trace live to this JSONL file "
-        "(tail it with python -m repro.obs.monitor PATH --follow)",
+        "(tail it with python -m repro.obs monitor PATH --follow)",
     )
     parser.add_argument(
         "--heartbeat-cadence",
