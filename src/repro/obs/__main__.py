@@ -136,14 +136,11 @@ def _critpath(args) -> int:
         }
         if projection is not None:
             payload["what_if"] = {
+                **asdict(projection),
+                "delta_s": projection.delta_s,
                 "queries": [
                     {"pattern": p, "factor": f} for p, f in args.what_if
                 ],
-                "baseline_s": projection.baseline_s,
-                "projected_s": projection.projected_s,
-                "delta_s": projection.delta_s,
-                "matched_segments": projection.matched_segments,
-                "matched_s": projection.matched_s,
             }
         _print_json(payload)
         return 0 if ok else 1
