@@ -1,10 +1,9 @@
 """Observability: trace a pipeline run and render its report.
 
 Runs the quickstart pipeline with a :class:`repro.obs.Tracer` injected,
-with virtual-clock-stamped logging on, then writes the trace twice —
-archival JSONL and Chrome ``trace_event`` JSON (open the latter in
-Perfetto or ``chrome://tracing``) — and prints the same report the CLI
-(``python -m repro.obs report run.jsonl``) produces.
+with virtual-clock-stamped logging on, then writes the trace as
+archival JSONL and prints the same report the CLI
+(``python -m repro.obs report run.jsonl``) produces from it.
 
 Run:  python examples/tracing_report.py
 """
@@ -12,7 +11,7 @@ Run:  python examples/tracing_report.py
 import logging
 
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
-from repro.obs import Tracer, logging_setup, write_chrome, write_jsonl
+from repro.obs import Tracer, load_jsonl, logging_setup, write_jsonl
 from repro.obs.report import build_report, stage_ttcs
 from repro.seq.datasets import tiny_dataset
 
@@ -31,20 +30,19 @@ def main() -> None:
         dataset, PipelineConfig(assemblers=("ray",), kmer_list=(35, 41))
     )
 
-    # 3. Export.  The JSONL file is what the report CLI reads; the Chrome
-    #    file loads in Perfetto with one process row per pilot/VM pool
-    #    and one thread row per unit/VM/job, on the virtual timeline.
+    # 3. Export.  The JSONL file is what every `python -m repro.obs`
+    #    subcommand reads; each record carries both clocks.
     jsonl = write_jsonl(tracer, "run.jsonl")
-    chrome = write_chrome(tracer, "run_trace.json")
-    print(f"trace written: {jsonl} (report CLI) and {chrome} (Perfetto)\n")
+    print(f"trace written: {jsonl}\n")
 
     # 4. The report — identical to `python -m repro.obs report run.jsonl`.
-    print(build_report(tracer.records()))
+    records = load_jsonl(jsonl)
+    print(build_report(records))
 
-    # 5. The trace and the pipeline agree exactly on the stage TTCs.
-    assert stage_ttcs(tracer.records()) == {
-        s.name: s.ttc for s in result.stages
-    }
+    # 5. The trace file and the pipeline agree exactly on the stage TTCs.
+    ttcs = stage_ttcs(records)
+    if ttcs != {s.name: s.ttc for s in result.stages}:
+        raise SystemExit(f"stage TTCs from the trace differ: {ttcs}")
     print("\nper-stage TTCs from the trace match StageReport exactly.")
 
 

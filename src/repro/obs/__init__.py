@@ -5,8 +5,7 @@ explicitly-injectable :class:`Tracer` records spans and point events
 carrying both **virtual time** (the simulation clock every TTC and
 dollar figure is measured on) and **real host time** (``perf_counter``),
 a :class:`Metrics` registry counts what the event stream makes awkward
-to count, and exporters render it all as a JSONL log, a Chrome
-``trace_event`` JSON (Perfetto / ``chrome://tracing``) or plain text.
+to count, and exporters render it all as a JSONL log or plain text.
 ``python -m repro.obs <subcommand>`` analyses a trace file — ``report``
 (per-stage timelines, a virtual-vs-real breakdown, the hottest phases),
 ``diff``, ``critpath``, ``attribution``, ``ledger`` and ``monitor`` —
@@ -66,25 +65,19 @@ from repro.obs.tracer import (
 # sinks are importable from the package root but load on first use: a
 # run without a tracer imports none of them.
 _LAZY_EXPORTS = {
-    "chrome_trace": "repro.obs.export",
     "load_jsonl": "repro.obs.export",
     "text_summary": "repro.obs.export",
-    "write_chrome": "repro.obs.export",
     "write_jsonl": "repro.obs.export",
     "CostAttribution": "repro.obs.attribution",
     "attribute_costs": "repro.obs.attribution",
     "CriticalPath": "repro.obs.critpath",
     "compute_critical_path": "repro.obs.critpath",
-    "what_if": "repro.obs.critpath",
     "RunLedger": "repro.obs.ledger",
     "build_record": "repro.obs.ledger",
     "check_regressions": "repro.obs.ledger",
-    "pipeline_ttc": "repro.obs.spans",
-    "stage_times": "repro.obs.spans",
     "Alert": "repro.obs.alerts",
     "AlertEngine": "repro.obs.alerts",
     "AlertRule": "repro.obs.alerts",
-    "default_rules": "repro.obs.alerts",
     "evaluate_alerts": "repro.obs.alerts",
     "parse_rule": "repro.obs.alerts",
     "CollectorSink": "repro.obs.live",
@@ -137,23 +130,17 @@ __all__ = [
     "attribute_costs",
     "build_record",
     "check_regressions",
-    "chrome_trace",
     "compute_critical_path",
-    "default_rules",
     "evaluate_alerts",
     "get_tracer",
     "load_jsonl",
     "logging_setup",
     "merge_worker_trace",
     "parse_rule",
-    "pipeline_ttc",
     "set_thread_tracer",
     "set_tracer",
-    "stage_times",
     "text_summary",
     "use_tracer",
-    "what_if",
     "worker_track",
-    "write_chrome",
     "write_jsonl",
 ]

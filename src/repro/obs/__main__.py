@@ -31,17 +31,13 @@ from repro.obs.critpath import (
     compute_critical_path,
     format_path,
     format_slack,
-    parse_what_if,
-    what_if,
 )
 from repro.obs.diff import diff_traces
-from repro.obs.export import load_jsonl, write_chrome
+from repro.obs.export import load_jsonl
 from repro.obs.ledger import (
     RunLedger,
     build_record,
     check_regressions,
-    compare_records,
-    record_at,
     summary_line,
 )
 from repro.obs.monitor import final_summary, follow
@@ -49,15 +45,11 @@ from repro.obs.report import build_report, report_data
 from repro.obs.spans import RunState, replay
 
 
-def _records(path: str) -> list[dict]:
+def _fold(path: str) -> RunState:
     """The one trace loader."""
     if not Path(path).is_file():
         raise ValueError(f"no such trace: {path}")
-    return load_jsonl(path)
-
-
-def _fold(path: str) -> RunState:
-    return replay(_records(path))
+    return replay(load_jsonl(path))
 
 
 def _print_json(payload) -> None:
@@ -65,23 +57,18 @@ def _print_json(payload) -> None:
 
 
 def _report(args) -> int:
-    records = _records(args.trace)
-    state = replay(records)
+    state = _fold(args.trace)
     if args.json:
         _print_json(report_data(state, top=args.top))
     else:
         print(build_report(state, top=args.top))
-    if args.chrome:
-        path = write_chrome(records, args.chrome, clock=args.clock)
-        if not args.json:  # keep --json stdout parseable
-            print(f"\nchrome trace written to {path} (load in Perfetto)")
     return 0
 
 
 def _diff(args) -> int:
     diff = diff_traces(_fold(args.base), _fold(args.other))
     thresholds = diff.threshold_violations(
-        v_rel=args.v_rel, r_rel=args.r_rel, metric_rel=args.metric_rel
+        v_rel=args.v_rel, metric_rel=args.metric_rel
     )
     structural = [] if args.ignore_structure else diff.structural_violations()
     # Structure (an instrumentation change, not drift) outranks drift.
@@ -112,7 +99,6 @@ def _diff(args) -> int:
 def _critpath(args) -> int:
     state = _fold(args.trace)
     path = compute_critical_path(state)
-    projection = what_if(path, args.what_if) if args.what_if else None
     # Self-check: the path must account for the whole run.
     ttc = state.ttc()
     ok = ttc is None or abs(path.total - ttc) <= EPS
@@ -134,14 +120,6 @@ def _critpath(args) -> int:
             "by_category": path.by_category(),
             "by_name": path.by_name(),
         }
-        if projection is not None:
-            payload["what_if"] = {
-                **asdict(projection),
-                "delta_s": projection.delta_s,
-                "queries": [
-                    {"pattern": p, "factor": f} for p, f in args.what_if
-                ],
-            }
         _print_json(payload)
         return 0 if ok else 1
     print(format_path(path, top=args.top))
@@ -153,18 +131,6 @@ def _critpath(args) -> int:
         print(
             f"path total {path.total:.6f}s {verdict} "
             f"pipeline TTC {ttc:.6f}s"
-        )
-    if projection is not None:
-        print()
-        print("== what-if ==")
-        for pat, f in args.what_if:
-            print(f"  scale {pat!r} by {f:g}")
-        print(
-            f"  projected TTC {projection.projected_s:.3f}s"
-            f" (baseline {projection.baseline_s:.3f}s,"
-            f" delta {projection.delta_s:+.3f}s,"
-            f" {projection.matched_segments} segments"
-            f" / {projection.matched_s:.3f}s matched)"
         )
     return 0 if ok else 1
 
@@ -218,13 +184,6 @@ def _ledger(args) -> int:
         for i, rec in enumerate(records):
             print(summary_line(i, rec))
         return 0
-    if args.cmd == "show":
-        _print_json(record_at(records, args.index))
-        return 0
-    if args.cmd == "compare":
-        a, b = record_at(records, args.a), record_at(records, args.b)
-        print(compare_records(a, b))
-        return 0
     regressions, note = check_regressions(
         records,
         window=args.window,
@@ -267,17 +226,6 @@ def _parser():
     p.add_argument("trace", help="trace file written by obs.export.write_jsonl")
     p.add_argument("--top", type=int, default=10, help="top-k hottest phases")
     p.add_argument(
-        "--chrome",
-        metavar="OUT",
-        help="also write a Chrome trace_event JSON to OUT (open in Perfetto)",
-    )
-    p.add_argument(
-        "--clock",
-        choices=("virtual", "real"),
-        default="virtual",
-        help="timeline for the --chrome export",
-    )
-    p.add_argument(
         "--json",
         action="store_true",
         help="emit the machine-readable report instead of the text one",
@@ -297,13 +245,6 @@ def _parser():
         default=0.0,
         help="max relative virtual-time drift per stage and in total "
         "(default 0: identical-seed traces must agree exactly)",
-    )
-    p.add_argument(
-        "--r-rel",
-        type=float,
-        default=None,
-        help="gate real-time drift per stage at this relative threshold "
-        "(default: report only — real time is hardware noise)",
     )
     p.add_argument(
         "--metric-rel",
@@ -331,17 +272,6 @@ def _parser():
     p.set_defaults(run=_critpath)
     p.add_argument("trace", help="JSONL trace file")
     p.add_argument("--top", type=int, default=10, help="rows in rollup tables")
-    p.add_argument(
-        "--what-if",
-        type=parse_what_if,
-        action="append",
-        default=[],
-        metavar="PATTERN=FACTOR",
-        help=(
-            "re-price path segments whose span name (or cat:CATEGORY) "
-            "matches PATTERN by FACTOR; repeatable"
-        ),
-    )
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser(
@@ -385,15 +315,6 @@ def _parser():
     c = cmd.add_parser("list", help="one summary line per record")
     c.add_argument("--ledger", required=True)
     c.add_argument("--json", action="store_true")
-    c = cmd.add_parser("show", help="dump one record")
-    c.add_argument("--ledger", required=True)
-    c.add_argument(
-        "--index", type=int, default=-1, help="record index (negatives ok)"
-    )
-    c = cmd.add_parser("compare", help="delta two records")
-    c.add_argument("--ledger", required=True)
-    c.add_argument("-a", type=int, default=-2, help="baseline index")
-    c.add_argument("-b", type=int, default=-1, help="candidate index")
     c = cmd.add_parser(
         "check", help="gate the latest record vs its baseline window"
     )

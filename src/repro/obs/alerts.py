@@ -121,17 +121,6 @@ def parse_rule(spec: "str | AlertRule") -> AlertRule:
     )
 
 
-def default_rules() -> tuple[AlertRule, ...]:
-    """The stock rule set the smoke CLI's ``--default-alerts`` enables:
-    any straggler verdict, a unit silent/hung past 30 real seconds, and
-    billing running 25 % past the planner's predicted cost."""
-    return (
-        AlertRule(kind="straggler", severity="warning"),
-        AlertRule(kind="heartbeat_timeout", threshold=30.0, severity="critical"),
-        AlertRule(kind="budget_burn", threshold=1.25, severity="critical"),
-    )
-
-
 @dataclass(frozen=True)
 class Alert:
     """One rule firing."""

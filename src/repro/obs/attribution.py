@@ -156,10 +156,6 @@ class CostAttribution:
         }
 
 
-def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
-    return max(0.0, min(a1, b1) - max(a0, b0))
-
-
 def _partition_vm(
     vm: VMAttribution,
     provision_ivals: list[tuple[float, float]],

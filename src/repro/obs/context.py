@@ -112,10 +112,6 @@ class WorkerTrace:
     events: list[EventRecord] = field(default_factory=list)
     metrics: Metrics = field(default_factory=Metrics)
 
-    @property
-    def n_records(self) -> int:
-        return len(self.spans) + len(self.events)
-
     def r_offset(self, context: SpanContext) -> float:
         """Seconds to add to worker real timestamps to land them in the
         dispatching process's ``perf_counter`` domain."""
@@ -139,9 +135,8 @@ class BufferingTracer(Tracer):
     tight inner loop of instrumented spans must not pay two resource
     snapshots each; the cadence thread covers the interior instead.
     With ``cadence > 0`` a daemon thread emits ``category="resource"``
-    events every ``cadence`` seconds; the Chrome exporter renders those
-    as Perfetto counter tracks.  One sample is always taken at open and
-    at :meth:`close`, so even instant workloads chart two points.
+    events every ``cadence`` seconds.  One sample is always taken at open
+    and at :meth:`close`, so even instant workloads record two points.
     """
 
     def __init__(

@@ -10,22 +10,18 @@ end-to-end virtual TTC by construction.
 
 Every other span gets a *slack*: how much longer it could have run
 before it would have delayed the run (the distance from its end to the
-end of the critical segment covering that instant).  ``what_if``
-re-prices the path under "span family X becomes f times as long/short"
-queries so speedup work can be targeted before it is built.
+end of the critical segment covering that instant).
 
 CLI::
 
     python -m repro.obs critpath trace.jsonl --top 8
-    python -m repro.obs critpath trace.jsonl --what-if 'exec:ray_*=0.5'
     python -m repro.obs critpath trace.jsonl --json
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .spans import RunState, fold, v_duration
 
@@ -209,60 +205,6 @@ def compute_critical_path(records: Iterable[dict] | RunState) -> CriticalPath:
         t = t_next
     segments.reverse()
     return CriticalPath(start, end, segments)
-
-
-@dataclass(frozen=True)
-class WhatIf:
-    """Result of re-pricing the path under scale queries."""
-
-    baseline_s: float
-    projected_s: float
-    matched_segments: int
-    matched_s: float
-
-    @property
-    def delta_s(self) -> float:
-        return self.projected_s - self.baseline_s
-
-
-def parse_what_if(spec: str) -> tuple[str, float]:
-    """Parse a ``PATTERN=FACTOR`` query, e.g. ``exec:ray_*=0.5``."""
-    pattern, sep, factor = spec.rpartition("=")
-    if not sep or not pattern:
-        raise ValueError(f"what-if query must be PATTERN=FACTOR, got {spec!r}")
-    return pattern, float(factor)
-
-
-def _matches(seg: Segment, pattern: str) -> bool:
-    if pattern.startswith("cat:"):
-        return fnmatchcase(seg.category, pattern[4:])
-    return fnmatchcase(seg.name, pattern)
-
-
-def what_if(
-    path: CriticalPath, queries: Sequence[tuple[str, float]]
-) -> WhatIf:
-    """Scale every path segment matching a query by its factor (first
-    matching query wins) and re-total.
-
-    This is first-order: it re-prices the *recorded* path rather than
-    re-scheduling the run, so a large shrink that would promote some
-    other span onto the path reports a lower bound on the new TTC.
-    """
-    projected = 0.0
-    matched = 0
-    matched_s = 0.0
-    for seg in path.segments:
-        factor = next(
-            (f for pat, f in queries if _matches(seg, pat)), None
-        )
-        if factor is None:
-            projected += seg.duration
-        else:
-            matched += 1
-            matched_s += seg.duration
-            projected += seg.duration * factor
-    return WhatIf(path.total, projected, matched, matched_s)
 
 
 def format_path(path: CriticalPath, top: int = 10) -> str:

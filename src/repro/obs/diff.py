@@ -8,7 +8,7 @@ traces written by :func:`repro.obs.write_jsonl`, each folded into a
   ``category="stage"`` span, side by side with absolute and relative
   drift (virtual times are deterministic for an identical-seed run, so
   any virtual drift is a real behaviour change; real times are hardware
-  noise unless you ask to gate them);
+  noise, shown but never gated);
 * **span structure** — span/event names that appear in only one trace
   (an instrumentation point added or lost), plus count changes;
 * **metric drift** — counters and gauges by relative drift, histograms
@@ -20,10 +20,10 @@ the trace *structure* changed (span/event names appeared or vanished —
 an instrumentation change, not mere drift; takes precedence when both
 kinds are present).  Gates: virtual drift is gated by ``--v-rel``
 (default 0: identical-seed traces must agree exactly), structural
-changes are always gated (disable with ``--ignore-structure``), real
-time by ``--r-rel`` and counter/gauge drift by ``--metric-rel`` only
-when passed.  ``--json`` emits the whole comparison as one JSON object
-for machine-readable CI logs.
+changes are always gated (disable with ``--ignore-structure``), and
+counter/gauge drift by ``--metric-rel`` only when passed; real time is
+reported, never gated.  ``--json`` emits the whole comparison as one
+JSON object for machine-readable CI logs.
 """
 
 from __future__ import annotations
@@ -94,17 +94,10 @@ class TraceDiff:
     def total_v_rel(self) -> float:
         return _rel(self.total_v_base, self.total_v_other)
 
-    @property
-    def max_stage_v_rel(self) -> float:
-        return max((d.v_rel for d in self.stages), default=0.0)
-
     # -- gating --------------------------------------------------------------
 
     def threshold_violations(
-        self,
-        v_rel: float = 0.0,
-        r_rel: float | None = None,
-        metric_rel: float | None = None,
+        self, v_rel: float = 0.0, metric_rel: float | None = None
     ) -> list[str]:
         """Drift beyond its thresholds (exit code 1 material)."""
         out = []
@@ -113,11 +106,6 @@ class TraceDiff:
                 out.append(
                     f"stage {d.stage!r}: virtual drift {d.v_rel:.2%} "
                     f"({d.v_base:g} s -> {d.v_other:g} s) > {v_rel:.2%}"
-                )
-            if r_rel is not None and d.r_rel > r_rel:
-                out.append(
-                    f"stage {d.stage!r}: real drift {d.r_rel:.2%} "
-                    f"({d.r_base:.3f} s -> {d.r_other:.3f} s) > {r_rel:.2%}"
                 )
         if self.total_v_rel > v_rel:
             out.append(
@@ -142,21 +130,6 @@ class TraceDiff:
             out.append(f"new {key[0]} {key[2]!r} (cat {key[1]!r})")
         for key in self.missing_names:
             out.append(f"missing {key[0]} {key[2]!r} (cat {key[1]!r})")
-        return out
-
-    def violations(
-        self,
-        v_rel: float = 0.0,
-        r_rel: float | None = None,
-        metric_rel: float | None = None,
-        structure: bool = True,
-    ) -> list[str]:
-        """All reasons this diff fails: thresholds, then structure."""
-        out = self.threshold_violations(
-            v_rel=v_rel, r_rel=r_rel, metric_rel=metric_rel
-        )
-        if structure:
-            out.extend(self.structural_violations())
         return out
 
     def as_dict(self) -> dict:

@@ -7,19 +7,17 @@ make the pipeline slower, more expensive, or noisier?" without
 re-running history.  CI
 appends its smoke run on every build and gates the latest record
 against the median of the preceding comparable window, thresholded like
-:meth:`repro.obs.diff.TraceDiff.violations`.
+:meth:`repro.obs.diff.TraceDiff.threshold_violations`.
 
 The file is deliberately boring: newline-delimited JSON, append-only,
 no index.  A torn final line (the writer died mid-append) is skipped on
-read, never a crash — the ledger must survive exactly the failures it
-exists to document.
+read, never a crash, and the next append starts a fresh line after it —
+the ledger must survive exactly the failures it exists to document.
 
 CLI::
 
     python -m repro.obs ledger append trace.jsonl --ledger runs.jsonl
-    python -m repro.obs ledger list --ledger runs.jsonl
-    python -m repro.obs ledger show --ledger runs.jsonl --index -1
-    python -m repro.obs ledger compare --ledger runs.jsonl -a -2 -b -1
+    python -m repro.obs ledger list --ledger runs.jsonl [--json]
     python -m repro.obs ledger check --ledger runs.jsonl --v-rel 0.05
 
 Exit codes for ``check``: 0 clean, 1 threshold regression, 2 the ledger
@@ -56,11 +54,18 @@ class RunLedger:
         self.path = path
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with open(self.path, "ab+") as fh:
+            # A writer that died mid-append left a line without its
+            # newline: end it, so it stays one skipped line and this
+            # record starts a line of its own.
+            if fh.tell():
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -294,14 +299,6 @@ def check_regressions(
     return regressions, note
 
 
-def record_at(records: Sequence[dict], index: int) -> dict:
-    """``records[index]`` (negative indices count from the end)."""
-    n = len(records)
-    if not -n <= index < n:
-        raise ValueError(f"record index {index} out of range (n={n})")
-    return records[index]
-
-
 def summary_line(i: int, rec: dict) -> str:
     planner = rec.get("planner") or {}
     ttc_err = planner.get("ttc_s", {}).get("rel_err")
@@ -322,47 +319,3 @@ def summary_line(i: int, rec: dict) -> str:
         )
         + (f" run_id={rec['run_id']}" if rec.get("run_id") else "")
     )
-
-
-def compare_records(a: dict, b: dict) -> str:
-    lines = ["== ledger compare =="]
-    if not _comparable(a, b):
-        lines.append(
-            "note: records differ in dataset/config fingerprint — "
-            "deltas below cross configurations"
-        )
-
-    def delta(name: str, va, vb) -> None:
-        if va is None or vb is None:
-            return
-        rel = f" ({(vb - va) / va:+.2%})" if va else ""
-        lines.append(f"  {name:<32} {va:>12.3f} -> {vb:>12.3f}{rel}")
-
-    delta("ttc_s", a.get("ttc_s"), b.get("ttc_s"))
-    delta(
-        "spectrum_build_s",
-        a.get("spectrum_build_s"),
-        b.get("spectrum_build_s"),
-    )
-    delta(
-        "cost.total_usd",
-        a.get("cost", {}).get("total_usd"),
-        b.get("cost", {}).get("total_usd"),
-    )
-    for stage in sorted(
-        set(a.get("stages", {})) | set(b.get("stages", {}))
-    ):
-        delta(
-            f"stages.{stage}.virtual_s",
-            a.get("stages", {}).get(stage, {}).get("virtual_s"),
-            b.get("stages", {}).get(stage, {}).get("virtual_s"),
-        )
-    ca, cb = a.get("counters", {}), b.get("counters", {})
-    changed = {
-        k for k in set(ca) | set(cb) if ca.get(k, 0) != cb.get(k, 0)
-    }
-    for k in sorted(changed):
-        lines.append(
-            f"  counters.{k:<23} {ca.get(k, 0):>12} -> {cb.get(k, 0):>12}"
-        )
-    return "\n".join(lines)

@@ -15,8 +15,6 @@
 * the per-run cost attribution (when the trace carries billing spans);
 * the metrics snapshot.
 
-``--chrome out.json`` additionally converts the trace to Chrome
-``trace_event`` JSON (open in Perfetto / ``chrome://tracing``).
 ``--json`` emits :func:`report_data` — the same facts machine-readably
 (exact floats, no formatting loss) — instead of the text report.  Both
 are views over one :class:`~repro.obs.spans.RunState`, and every fact

@@ -305,13 +305,3 @@ def replay(records: Iterable[dict]) -> RunState:
 def fold(source: "RunState | Iterable[dict]") -> RunState:
     """``source`` folded; an already-folded :class:`RunState` passes."""
     return source if isinstance(source, RunState) else replay(source)
-
-
-def stage_times(records: Iterable[dict]) -> dict[str, tuple[float, float]]:
-    """stage name -> (virtual TTC, real seconds)."""
-    return fold(records).stage_seconds()
-
-
-def pipeline_ttc(records: Iterable[dict]) -> float | None:
-    """The run's end-to-end virtual TTC, from the pipeline root span."""
-    return fold(records).ttc()

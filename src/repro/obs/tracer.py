@@ -197,7 +197,7 @@ class Tracer:
         self._sinks: list[TraceSink] = []
         #: Seconds between RSS/CPU samples taken *inside* workloads
         #: running on a pool backend (shipped back in the worker trace
-        #: and exported as Perfetto counter tracks).  0 keeps only the
+        #: as ``resource.sample`` events).  0 keeps only the
         #: span-endpoint snapshots.
         self.resource_cadence = resource_cadence
         if heartbeat_cadence < 0:

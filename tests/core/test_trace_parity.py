@@ -4,15 +4,13 @@ Runs the quickstart-scale pipeline twice — default (NullTracer) and with
 a real tracer injected — and asserts every virtual quantity is
 bit-identical; then cross-checks the trace itself: per-stage virtual
 TTCs recovered by the report module equal the pipeline's ``StageReport``
-values exactly, and the Chrome export is structurally loadable.
+values exactly, and the archived JSONL is well-formed on both clocks.
 """
-
-import json
 
 import pytest
 
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
-from repro.obs import Tracer, chrome_trace, load_jsonl, use_tracer, write_jsonl
+from repro.obs import Tracer, load_jsonl, use_tracer, write_jsonl
 from repro.obs.report import build_report, stage_ttcs
 
 CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
@@ -107,15 +105,14 @@ class TestTraceContent:
 
     def test_chrome_trace_loadable(self, traced, tmp_path):
         _, tracer = traced
-        doc = json.loads(json.dumps(chrome_trace(tracer)))
-        events = doc["traceEvents"]
-        assert events
-        phs = {e["ph"] for e in events}
-        assert {"M", "X"} <= phs
-        for e in events:
-            assert {"name", "ph", "pid", "tid"} <= set(e)
-            if e["ph"] == "X":
-                assert e["dur"] >= 0
+        records = load_jsonl(write_jsonl(tracer, tmp_path / "run.jsonl"))
+        assert any(r["type"] == "span" for r in records)
+        for r in records[:-1]:
+            # every span/event names its track; no span runs backwards
+            assert {"name", "process", "thread"} <= set(r)
+            if r["type"] == "span":
+                assert r["r1"] >= r["r0"]
+                assert r["v0"] is None or r["v1"] >= r["v0"]
 
     def test_jsonl_roundtrip_and_report_renders(self, traced, tmp_path):
         result, tracer = traced

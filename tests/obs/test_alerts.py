@@ -7,7 +7,6 @@ from repro.obs.alerts import (
     Alert,
     AlertEngine,
     AlertRule,
-    default_rules,
     evaluate,
     parse_rule,
 )
@@ -68,10 +67,6 @@ class TestRuleParsing:
         ):
             with pytest.raises(ValueError):
                 parse_rule(bad)
-
-    def test_default_rules_parse(self):
-        kinds = [r.kind for r in default_rules()]
-        assert kinds == ["straggler", "heartbeat_timeout", "budget_burn"]
 
 
 class TestStageDuration:

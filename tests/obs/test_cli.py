@@ -41,8 +41,6 @@ CASES = (
     ("diff_stretched", ["diff", "{trace}", "{stretched}"]),
     ("diff_json", ["diff", "{trace}", "{stretched}", "--json"]),
     ("critpath", ["critpath", "{trace}"]),
-    ("critpath_what_if",
-     ["critpath", "{trace}", "--what-if", "exec:ray_*=0.5"]),
     ("critpath_json", ["critpath", "{trace}", "--json"]),
     ("attribution", ["attribution", "{trace}"]),
     ("attribution_gate", ["attribution", "{trace}", "--planner-gate"]),
@@ -53,8 +51,6 @@ CASES = (
                          "--run-id", "b"]),
     ("ledger_list", ["ledger", "list", "--ledger", "{ledger}"]),
     ("ledger_list_json", ["ledger", "list", "--ledger", "{ledger}", "--json"]),
-    ("ledger_show", ["ledger", "show", "--ledger", "{ledger}"]),
-    ("ledger_compare", ["ledger", "compare", "--ledger", "{ledger}"]),
     ("ledger_check", ["ledger", "check", "--ledger", "{ledger}"]),
     ("ledger_check_json",
      ["ledger", "check", "--ledger", "{ledger}", "--json"]),
@@ -167,11 +163,30 @@ def test_unreadable_input(subcommand, how, tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_bad_what_if_is_a_usage_error(capsys):
+#: Flags and subcommands the CLI no longer has, each spelled as a caller
+#: of an older version would.
+REMOVED = {
+    "report-chrome": ["report", "{trace}", "--chrome", "{out}"],
+    "critpath-what-if": ["critpath", "{trace}", "--what-if", "P=1"],
+    "ledger-show": ["ledger", "show", "--ledger", "{ledger}"],
+    "ledger-compare": ["ledger", "compare", "--ledger", "{ledger}"],
+    "diff-r-rel": ["diff", "{trace}", "{trace}", "--r-rel", "0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED.values(), ids=list(REMOVED))
+def test_removed_option_is_a_usage_error(argv, tmp_path, capsys):
+    """A removed option is an argparse error (exit 2), never a silent
+    no-op that exits 0 having done nothing."""
+    paths = {
+        "trace": str(BASELINE),
+        "out": str(tmp_path / "out.json"),
+        "ledger": str(tmp_path / "ledger.jsonl"),
+    }
     with pytest.raises(SystemExit) as exc:
-        main(["critpath", str(BASELINE), "--what-if", "exec:ray_*"])
+        main([a.format(**paths) for a in argv])
     assert exc.value.code == 2
-    assert "--what-if" in capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
 
 
 def test_nothing_invokes_a_module_of_the_package():

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.obs.__main__ import main
-from repro.obs.critpath import (
-    EPS,
-    compute_critical_path,
-    parse_what_if,
-    what_if,
-)
+from repro.obs.critpath import EPS, compute_critical_path
 
 
 def span(name, cat, v0, v1, sid, parent=None, process="p0", **attrs):
@@ -132,29 +127,6 @@ class TestOverlapAndGaps:
             compute_critical_path([])
 
 
-class TestWhatIf:
-    def test_parse(self):
-        assert parse_what_if("exec:ray_*=0.5") == ("exec:ray_*", 0.5)
-        assert parse_what_if("cat:unit=2") == ("cat:unit", 2.0)
-        with pytest.raises(ValueError):
-            parse_what_if("no-factor")
-
-    def test_scales_matching_segments(self):
-        path = compute_critical_path(diamond_trace())
-        proj = what_if(path, [("u_slow", 0.5)])
-        assert proj.baseline_s == 100.0
-        assert proj.projected_s == pytest.approx(75.0)
-        assert proj.delta_s == pytest.approx(-25.0)
-        assert proj.matched_segments == 1
-
-    def test_category_pattern_and_first_match_wins(self):
-        path = compute_critical_path(diamond_trace())
-        proj = what_if(path, [("u_slow", 0.0), ("cat:unit", 2.0)])
-        # u_slow hits the first query (0x), the rest double.
-        assert proj.projected_s == pytest.approx(100.0)
-        assert proj.matched_segments == 3
-
-
 def write_trace(tmp_path, records):
     path = tmp_path / "trace.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -174,12 +146,7 @@ class TestCli:
 
     def test_json_payload(self, tmp_path, capsys):
         code = main(
-            [
-                "critpath",
-                write_trace(tmp_path, diamond_trace()),
-                "--json",
-                "--what-if", "u_slow=0.5",
-            ]
+            ["critpath", write_trace(tmp_path, diamond_trace()), "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -189,7 +156,6 @@ class TestCli:
         assert [s["name"] for s in payload["segments"]] == [
             "prep", "u_slow", "merge",
         ]
-        assert payload["what_if"]["projected_s"] == pytest.approx(75.0)
 
     def test_module_is_runnable(self):
         # ``python -m repro.obs critpath`` is the one way in: the module

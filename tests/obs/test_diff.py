@@ -42,10 +42,11 @@ class TestDiffTraces:
         a = records_of(make_trace())
         diff = diff_traces(a, list(a))
         assert diff.total_v_rel == 0.0
-        assert diff.max_stage_v_rel == 0.0
+        assert all(d.v_rel == 0.0 for d in diff.stages)
         assert diff.new_names == [] and diff.missing_names == []
         assert diff.metric_deltas == []
-        assert diff.violations() == []
+        assert diff.threshold_violations() == []
+        assert diff.structural_violations() == []
 
     def test_virtual_drift_detected_and_gated(self):
         a = records_of(make_trace(assembly_ttc=4000.0))
@@ -55,16 +56,16 @@ class TestDiffTraces:
             d for d in diff.stages if d.stage == "transcript-assembly"
         )
         assert stage.v_rel > 0.09
-        assert diff.violations(v_rel=0.0)
-        assert not diff.violations(v_rel=0.2)
+        assert diff.threshold_violations(v_rel=0.0)
+        assert not diff.threshold_violations(v_rel=0.2)
 
     def test_new_and_missing_spans(self):
         a = records_of(make_trace())
         b = records_of(make_trace(extra_span=True))
         diff = diff_traces(a, b)
         assert ("span", "stage", "stage:mystery") in diff.new_names
-        assert diff.violations(v_rel=1.0)  # structural change gates
-        assert not diff_traces(a, b).violations(v_rel=1.0, structure=False)
+        assert diff.structural_violations()  # structural change gates
+        assert not diff.threshold_violations(v_rel=1.0)
         back = diff_traces(b, a)
         assert ("span", "stage", "stage:mystery") in back.missing_names
 
@@ -73,8 +74,8 @@ class TestDiffTraces:
         b = records_of(make_trace(units_done=6))
         diff = diff_traces(a, b)
         assert any(m.name == "units_done" for m in diff.metric_deltas)
-        assert not diff.violations(v_rel=0.0)  # report-only by default
-        assert diff.violations(v_rel=0.0, metric_rel=0.1)
+        assert not diff.threshold_violations(v_rel=0.0)  # report-only
+        assert diff.threshold_violations(v_rel=0.0, metric_rel=0.1)
 
     def test_vanished_metric_is_infinite_drift(self):
         a = records_of(make_trace())
@@ -84,7 +85,7 @@ class TestDiffTraces:
         ]
         diff = diff_traces(a, b)
         assert all(m.rel == float("inf") for m in diff.metric_deltas)
-        assert diff.violations(metric_rel=1000.0)
+        assert diff.threshold_violations(metric_rel=1000.0)
 
     def test_histograms_report_only(self):
         a = records_of(make_trace())
@@ -92,7 +93,7 @@ class TestDiffTraces:
         clock_b.observe("workload_wall_seconds", 99.0)
         diff = diff_traces(a, records_of(clock_b))
         assert diff.histogram_notes
-        assert not diff.violations(metric_rel=0.0)
+        assert not diff.threshold_violations(metric_rel=0.0)
 
 
 class TestCli:

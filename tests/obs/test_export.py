@@ -1,17 +1,10 @@
-"""Tests for the JSONL / Chrome-trace / text exporters."""
+"""Tests for the JSONL and text exporters."""
 
 import json
 
 import pytest
 
-from repro.obs import (
-    Tracer,
-    chrome_trace,
-    load_jsonl,
-    text_summary,
-    write_chrome,
-    write_jsonl,
-)
+from repro.obs import Tracer, load_jsonl, text_summary, write_jsonl
 
 
 class FakeClock:
@@ -53,58 +46,6 @@ class TestJsonl:
         tr = make_tracer()
         path = write_jsonl(tr.records(), tmp_path / "t.jsonl")
         assert all(r["type"] != "metrics" for r in load_jsonl(path))
-
-
-class TestChromeTrace:
-    def test_structure(self):
-        doc = chrome_trace(make_tracer())
-        assert set(doc) == {"traceEvents", "displayTimeUnit"}
-        events = doc["traceEvents"]
-        meta = [e for e in events if e["ph"] == "M"]
-        spans = [e for e in events if e["ph"] == "X"]
-        instants = [e for e in events if e["ph"] == "i"]
-        # one process_name per track + one thread_name per (proc, thread)
-        assert {m["args"]["name"] for m in meta if m["name"] == "process_name"} \
-            == {"pilot.0", "ec2"}
-        assert len(spans) == 2
-        assert len(instants) == 1
-
-    def test_virtual_timestamps_in_microseconds(self):
-        doc = chrome_trace(make_tracer())
-        span = next(
-            e for e in doc["traceEvents"] if e.get("name") == "stage:pre"
-        )
-        assert span["ts"] == 0.0
-        assert span["dur"] == pytest.approx(100.0 * 1e6)
-        assert span["args"]["v_seconds"] == pytest.approx(100.0)
-
-    def test_tracks_map_to_stable_numeric_ids(self):
-        doc = chrome_trace(make_tracer())
-        span = next(
-            e for e in doc["traceEvents"] if e.get("name") == "stage:pre"
-        )
-        vm = next(
-            e for e in doc["traceEvents"] if e.get("name") == "vm.lifetime"
-        )
-        assert span["pid"] != vm["pid"]
-        assert isinstance(span["pid"], int) and isinstance(span["tid"], int)
-
-    def test_unclocked_spans_skipped_on_virtual_timeline(self):
-        tr = Tracer()  # no clock bound -> v0/v1 are None
-        with tr.span("x"):
-            pass
-        assert chrome_trace(tr, clock="virtual")["traceEvents"] == []
-        real = chrome_trace(tr, clock="real")["traceEvents"]
-        assert any(e["ph"] == "X" for e in real)
-
-    def test_invalid_clock_rejected(self):
-        with pytest.raises(ValueError):
-            chrome_trace(make_tracer(), clock="lunar")
-
-    def test_write_chrome_is_valid_json(self, tmp_path):
-        path = write_chrome(make_tracer(), tmp_path / "chrome.json")
-        doc = json.loads(path.read_text())
-        assert doc["traceEvents"]
 
 
 class TestTextSummary:

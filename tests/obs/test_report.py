@@ -3,8 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.obs import Tracer, write_jsonl
-from repro.obs.export import chrome_trace
 from repro.obs.__main__ import main
 from repro.obs.report import (
     alerts_section,
@@ -17,6 +18,7 @@ from repro.obs.report import (
     stage_ttcs,
     virtual_vs_real,
 )
+from repro.obs.spans import replay
 
 
 class FakeClock:
@@ -303,42 +305,34 @@ class TestJsonReport:
 
 
 class TestChromeWorkerTracks:
-    def test_real_clock_roundtrip_keeps_worker_tracks(self, tmp_path):
-        doc = chrome_trace(golden_records(), clock="real")
-        clone = json.loads(json.dumps(doc))  # must survive JSON round-trip
-        events = clone["traceEvents"]
-        names = {
-            e["args"]["name"] for e in events if e["name"] == "process_name"
+    """The worker-track facts a trace viewer relies on, checked on the
+    fold of the golden records."""
+
+    def test_real_clock_roundtrip_keeps_worker_tracks(self):
+        clone = json.loads(json.dumps(golden_records()))  # JSON round-trip
+        state = replay(clone)
+        assert {s["process"] for s in state.spans} >= {"worker-4242", "pilot.0"}
+        assert state.workers == {
+            "worker-4242": {"workloads": 1, "busy_r": pytest.approx(1.0)}
         }
-        assert "worker-4242" in names and "pilot.0" in names
-        worker_pid = next(
-            e["pid"] for e in events
-            if e["name"] == "process_name"
-            and e["args"]["name"] == "worker-4242"
-        )
-        workload = next(e for e in events if e["name"] == "workload")
-        assert workload["pid"] == worker_pid
-        assert workload["ph"] == "X"
-        assert workload["ts"] == 1.6e6 and workload["dur"] == 1.0e6
+        [workload] = [s for s in state.spans if s["process"] == "worker-4242"]
+        assert workload["name"] == "workload"
+        assert (workload["r0"], workload["r1"]) == (1.6, 2.6)
 
     def test_resource_samples_become_counter_tracks(self):
-        events = chrome_trace(golden_records(), clock="real")["traceEvents"]
-        counters = [e for e in events if e["ph"] == "C"]
-        by_name = {e["name"]: e for e in counters}
-        # endpoint attrs on the span do not create counters; the sample does
-        assert by_name["rss_mb"]["args"]["value"] == 64.0
-        assert by_name["cpu_s"]["args"]["value"] == 0.75
-        assert all(e["cat"] == "resource" for e in counters)
+        state = replay(golden_records())
+        # endpoint attrs on the span are not samples; the event is
+        [sample] = [e for e in state.events if e["cat"] == "resource"]
+        assert sample["process"] == "worker-4242"
+        assert sample["attrs"] == {"rss_bytes": 64000000, "cpu_seconds": 0.75}
 
     def test_virtual_clock_drops_worker_records(self):
-        events = chrome_trace(golden_records(), clock="virtual")["traceEvents"]
-        assert not any(e["name"] == "workload" for e in events)
-        assert not any(e["ph"] == "C" for e in events)
-        # ...and the worker track is never even registered
-        names = {
-            e["args"]["name"] for e in events if e["name"] == "process_name"
-        }
-        assert "worker-4242" not in names
+        state = replay(golden_records())
+        [workload] = [s for s in state.spans if s["process"] == "worker-4242"]
+        assert workload["v0"] is None and workload["v1"] is None
+        timelines = process_timelines(state)
+        assert "workload" not in timelines
+        assert "worker-4242" not in timelines
 
 
 class TestCli:
@@ -351,18 +345,6 @@ class TestCli:
         assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "per-stage timings" in out
-
-    def test_main_chrome_export(self, tmp_path, capsys):
-        clock = FakeClock()
-        tr = Tracer(clock)
-        with tr.span("stage:pre", category="stage", stage="pre"):
-            clock.advance(10.0)
-        trace = write_jsonl(tr, tmp_path / "trace.jsonl")
-        out_path = tmp_path / "chrome.json"
-        assert main(["report", str(trace), "--chrome", str(out_path)]) == 0
-        doc = json.loads(out_path.read_text())
-        assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        assert "Perfetto" in capsys.readouterr().out
 
     def test_module_is_runnable(self):
         # ``python -m repro.obs report`` is the one way in: the module

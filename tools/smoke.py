@@ -167,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--default-alerts",
         action="store_true",
-        help="arm the default rule set (straggler, heartbeat_timeout, "
-        "budget_burn)",
+        help="arm the default rule set, every rule at warning severity: "
+        "straggler, heartbeat_timeout:30, budget_burn:1.25",
     )
     parser.add_argument(
         "--alert-log",
