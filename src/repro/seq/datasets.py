@@ -137,7 +137,8 @@ class Dataset:
         extrapolated to paper scale by dividing by this — it accounts for
         ``coverage_boost`` as well as ``scale``.
         """
-        return len(self.run.all_reads()) / self.spec.total_read_records
+        records = len(self.run.reads) + len(self.run.mates)
+        return records / self.spec.total_read_records
 
     def paper_scale_bytes(self, sim_bytes: int) -> int:
         """Extrapolate a simulation-scale byte count back to paper scale."""

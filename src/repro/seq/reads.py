@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.seq import alphabet
 from repro.seq.alphabet import decode, encode
-from repro.seq.fastq import FastqRecord, phred_to_ascii
+from repro.seq.fastq import PHRED_OFFSET, FastqRecord
 from repro.seq.transcriptome import Transcriptome
 
 #: Canonical Illumina TruSeq-style adapter prefix used for read-through.
@@ -124,34 +125,62 @@ class ReadSimulator:
         )
 
     def run(self) -> SequencingRun:
-        """Simulate the full run described by the spec."""
+        """Simulate the full run described by the spec.
+
+        Two phases.  The draw loop makes every Generator call, fragment by
+        fragment and read by read, in the order and with the sizes DESIGN
+        §7 fixes as the stream contract, and keeps only scalars and masks;
+        :meth:`_sequence` then builds every read from them as array work.
+        """
         spec = self.spec
         rng = self._rng
+        L = spec.read_length
+        per_frag = 2 if spec.paired else 1
         n_unique = max(0, spec.n_reads - int(spec.n_reads * spec.duplicate_fraction))
+        tlens = [len(t) for t in self.transcriptome.transcripts]
+        n_adapter = self._adapter_codes.shape[0]
 
-        reads: list[FastqRecord] = []
-        mates: list[FastqRecord] = []
         origins: list[ReadOrigin] = []
+        err = np.empty((n_unique * per_frag, L), dtype=bool)
+        n_mask = np.empty_like(err)
+        buf = np.empty(L)
+        shifts: list[np.ndarray] = []
+        junk: list[np.ndarray] = []
+        row = 0
+        t_idx = rng.choice(len(tlens), size=n_unique, p=self._weights)
+        for t in t_idx.tolist():
+            tlen = tlens[t]
+            # == min(int(np.clip(x, 30, max(30, tlen))), tlen)
+            x = rng.normal(spec.fragment_mean, spec.fragment_sd)
+            frag_len = min(tlen, int(max(x, 30)))
+            offset = int(rng.integers(0, tlen - frag_len + 1))
+            strand = 1 if rng.random() < 0.5 else -1
+            origins.append(ReadOrigin(t, offset, frag_len, strand))
+            need = L - frag_len - n_adapter
+            for _ in range(per_frag):
+                if need > 0:  # read-through junk after the adapter
+                    junk.append(alphabet.random_dna(need, rng))
+                rng.random(out=buf)
+                k = np.count_nonzero(np.less(buf, self._cycle_error, out=err[row]))
+                if k:
+                    shifts.append(rng.integers(1, 4, size=k))
+                rng.random(out=buf)
+                np.less(buf, spec.n_rate, out=n_mask[row])
+                row += 1
 
-        t_idx = rng.choice(len(self.transcriptome.transcripts), size=n_unique, p=self._weights)
-        for i in range(n_unique):
-            origin, r1, r2 = self._sequence_fragment(int(t_idx[i]), i)
-            reads.append(r1)
-            origins.append(origin)
-            if spec.paired:
-                assert r2 is not None
-                mates.append(r2)
+        records = self._sequence(origins, err, n_mask, shifts, junk)
+        reads = records[::per_frag]
+        mates = records[1::2] if spec.paired else []
 
         # PCR duplicates: re-emit existing records with new ids.
         n_dup = spec.n_reads - n_unique
         if n_unique > 0:
             dup_of = rng.integers(0, n_unique, size=n_dup)
-            for j, src in enumerate(dup_of):
-                src = int(src)
-                reads.append(self._redup(reads[src], n_unique + j, "/1" if spec.paired else ""))
+            for j, src in enumerate(dup_of.tolist(), n_unique):
+                reads.append(self._redup(reads[src], j, "/1" if spec.paired else ""))
                 origins.append(origins[src])
                 if spec.paired:
-                    mates.append(self._redup(mates[src], n_unique + j, "/2"))
+                    mates.append(self._redup(mates[src], j, "/2"))
 
         return SequencingRun(spec=spec, reads=reads, mates=mates, origins=origins)
 
@@ -160,65 +189,69 @@ class ReadSimulator:
     def _redup(self, rec: FastqRecord, index: int, suffix: str) -> FastqRecord:
         return FastqRecord(id=f"read{index:08d}{suffix}", seq=rec.seq, qual=rec.qual)
 
-    def _sequence_fragment(
-        self, t_index: int, index: int
-    ) -> tuple[ReadOrigin, FastqRecord, FastqRecord | None]:
-        spec = self.spec
-        rng = self._rng
-        tx = self.transcriptome.transcripts[t_index]
-        tlen = len(tx)
+    def _sequence(
+        self,
+        origins: list[ReadOrigin],
+        err: np.ndarray,
+        n_mask: np.ndarray,
+        shifts: list[np.ndarray],
+        junk: list[np.ndarray],
+    ) -> list[FastqRecord]:
+        """The first ``read_length`` cycles of every read, all rows at once.
 
-        frag_len = int(
-            np.clip(rng.normal(spec.fragment_mean, spec.fragment_sd), 30, max(30, tlen))
-        )
-        frag_len = min(frag_len, tlen)
-        offset = int(rng.integers(0, tlen - frag_len + 1))
-        strand = 1 if rng.random() < 0.5 else -1
+        Row ``2i`` is fragment ``i``'s read 1 and row ``2i + 1`` its mate
+        (row ``i`` single-end).  Read 1 runs along the fragment's strand and
+        the mate against it; a reverse row is the complemented window that
+        ends at the fragment's last base, read backwards.
+        """
+        L = self.spec.read_length
+        per_frag = 2 if self.spec.paired else 1
+        txs = self.transcriptome.transcripts
+        # Padded so that every start, short fragments' included, has a window.
+        concat = np.concatenate([t.codes for t in txs] + [np.zeros(L, np.uint8)])
+        t_start = np.cumsum([0] + [len(t) for t in txs])
+        o = np.array(
+            [(x.transcript_index, x.offset, x.length, x.strand) for x in origins],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        start = np.repeat(t_start[o[:, 0]] + o[:, 1], per_frag)
+        length = np.repeat(o[:, 2], per_frag)
+        forward = o[:, 3] == 1
+        if self.spec.paired:
+            forward = np.stack([forward, ~forward], axis=1).ravel()
+        win = np.where(forward, start, np.maximum(start + length - L, 0))
+        codes = sliding_window_view(concat, L)[win]
+        codes[~forward] = alphabet.complement(codes[~forward, ::-1])
 
-        fragment = tx.codes[offset : offset + frag_len]
-        if strand == -1:
-            fragment = alphabet.reverse_complement(fragment)
+        # Fragments shorter than the read: fragment, adapter, random junk.
+        junk_rows = iter(junk)
+        for r in np.flatnonzero(length < L).tolist():
+            frag = concat[start[r] : start[r] + length[r]]
+            if not forward[r]:
+                frag = alphabet.reverse_complement(frag)
+            pieces = [frag, self._adapter_codes]
+            if L - length[r] - self._adapter_codes.shape[0] > 0:
+                pieces.append(next(junk_rows))
+            codes[r] = np.concatenate(pieces)[:L]
 
-        origin = ReadOrigin(
-            transcript_index=t_index, offset=offset, length=frag_len, strand=strand
-        )
-        r1 = self._read_from(fragment, f"read{index:08d}" + ("/1" if spec.paired else ""))
-        r2 = None
-        if spec.paired:
-            mate_frag = alphabet.reverse_complement(fragment)
-            r2 = self._read_from(mate_frag, f"read{index:08d}/2")
-        return origin, r1, r2
-
-    def _read_from(self, fragment: np.ndarray, read_id: str) -> FastqRecord:
-        """Sequence the first ``read_length`` cycles of a fragment."""
-        spec = self.spec
-        rng = self._rng
-        L = spec.read_length
-
-        if fragment.shape[0] >= L:
-            codes = fragment[:L].copy()
-        else:
-            # Read-through: fragment then adapter then random junk.
-            pieces = [fragment, self._adapter_codes]
-            need = L - fragment.shape[0] - self._adapter_codes.shape[0]
-            if need > 0:
-                pieces.append(alphabet.random_dna(need, rng))
-            codes = np.concatenate(pieces)[:L].copy()
-
-        # Substitution errors following the per-cycle ramp.
-        err_mask = rng.random(L) < self._cycle_error
-        if err_mask.any():
-            shift = rng.integers(1, 4, size=int(err_mask.sum())).astype(np.uint8)
-            originals = codes[err_mask]
-            substituted = np.where(originals < 4, (originals + shift) % 4, originals)
-            codes[err_mask] = substituted
-
-        # Uncalled bases.
-        n_mask = rng.random(L) < spec.n_rate
+        # Substitutions take the shifts in draw order, which is the mask's
+        # row-major order.
+        if shifts:
+            called = codes[err]
+            shift = np.concatenate(shifts).astype(np.uint8)
+            codes[err] = np.where(called < 4, (called + shift) % 4, called)
         codes[n_mask] = alphabet.N
+        qual = np.broadcast_to(
+            (self._cycle_phred + PHRED_OFFSET).astype(np.uint8), codes.shape
+        ).copy()
+        np.minimum(qual, 15 + PHRED_OFFSET, out=qual, where=err)
+        qual[n_mask] = 2 + PHRED_OFFSET
 
-        phred = self._cycle_phred.copy()
-        phred[n_mask] = 2
-        phred[err_mask] = np.minimum(phred[err_mask], 15)
-
-        return FastqRecord(id=read_id, seq=decode(codes), qual=phred_to_ascii(phred))
+        seqs = decode(codes)
+        quals = qual.tobytes().decode("ascii")
+        suffixes = ("/1", "/2") if self.spec.paired else ("",)
+        ids = [f"read{i:08d}{s}" for i in range(len(origins)) for s in suffixes]
+        return [
+            FastqRecord(id=rid, seq=seqs[a : a + L], qual=quals[a : a + L])
+            for rid, a in zip(ids, range(0, len(seqs), L))
+        ]

@@ -11,6 +11,8 @@ import pickle
 
 import pytest
 
+from repro.assembly.sweep import use_kmer_table_cache
+from repro.core.assembly_cache import use_assembly_cache
 from repro.core.checkpoint import (
     FORMAT_VERSION,
     CheckpointStore,
@@ -27,6 +29,8 @@ from repro.core.rnnotator import (
 )
 from repro.core.schemes import MatchingScheme
 from repro.obs import Tracer, use_tracer
+from tests.core.test_fused_pipeline import _fingerprint as fingerprint
+from tests.core.test_store_lifetime import time_limit
 
 CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
 #: One spot reclaim a virtual second into the assembly fan-out.
@@ -207,6 +211,41 @@ class TestKillAndResume:
             FaultPlan(abort_after_stage="no-such-stage")
         for name in STAGE_NAMES:
             assert FaultPlan(abort_after_stage=name).abort_after_stage == name
+
+
+class TestTornCheckpointDrill:
+    def test_torn_assembly_record_recomputes_only_its_unit(
+        self, ds_single, tmp_path, baseline
+    ):
+        """A record cut off mid-file (a copy or disk that failed under it,
+        not the store's own atomic write) is a miss: the resume recomputes
+        that one unit, rewrites its record and matches the uninterrupted
+        run — no hang, no error, no replay of half a pickle.  No in-memory
+        cache may stand in for the recompute."""
+        config = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"), **CONFIG)
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            RnnotatorPipeline().run(ds_single, config)
+        units = sorted((tmp_path / "ck" / "units").glob("*.pkl"))
+        keys = {path: pickle.loads(path.read_bytes())["key"] for path in units}
+        (torn,) = [  # assembly keys are (digest, assembler, params, ranks)
+            path
+            for path, key in keys.items()
+            if not key.startswith("('stage:") and "AssemblyParams(k=41," in key
+        ]
+        whole = torn.read_bytes()
+        torn.write_bytes(whole[: len(whole) // 2])
+
+        with time_limit(120), use_assembly_cache(None), use_kmer_table_cache(None):
+            resumed = RnnotatorPipeline().run(ds_single, config)
+
+        assert fingerprint(resumed) == fingerprint(baseline)
+        assert resumed.checkpoint_stats == {
+            "unit_hits": len(units) - 1,
+            "unit_misses": 1,
+            "unit_puts": 1,
+            "stages_recorded": len(STAGE_NAMES),
+        }
+        assert pickle.loads(torn.read_bytes())["key"] == keys[torn]
 
 
 class TestPreemptionEndToEnd:

@@ -78,6 +78,17 @@ class TestGeneration:
         assert ds.paper_scale_bytes(1000) == 1_000_000
         assert ds.sim_fastq_bytes > 0
 
+    def test_read_scale_counts_reads_and_mates_without_interleaving(
+        self, ds_paired, monkeypatch
+    ):
+        def interleave():
+            raise AssertionError("read_scale must not build the record list")
+
+        monkeypatch.setattr(ds_paired.run, "all_reads", interleave)
+        records = 2 * ds_paired.run.n_fragments
+        assert ds_paired.read_scale == records / ds_paired.spec.total_read_records
+        assert ds_paired.spec.total_read_records == 2 * ds_paired.spec.n_reads
+
     def test_deterministic(self):
         a = generate_dataset(B_GLUMAE, scale=0.001, seed=3)
         b = generate_dataset(B_GLUMAE, scale=0.001, seed=3)
