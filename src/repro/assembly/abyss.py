@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import extract_unitigs_by_owner
 from repro.assembly.ray import partition_spectrum
 from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.comm import SimWorld
@@ -44,17 +43,16 @@ class AbyssAssembler:
         p = world.size
         k = params.k
 
-        table, owners = partition_spectrum(world, spectrum, params.min_count)
+        part = partition_spectrum(world, spectrum, params.min_count)
 
         # Bulk-synchronous unitig walking: ranks walk their own seeds in
         # rounds; unlike Ray there is no per-step probe message, the round
         # structure shows up as collectives instead.
         with world.phase("unitig_rounds", kind="walk"):
             all_unitigs = []
-            per_rank_unitigs: list[list] = []
+            per_rank_unitigs = []
             total_probes = 0
-            walks = extract_unitigs_by_owner(table, owners, p)
-            for r, (unitigs, steps) in enumerate(walks):
+            for r, (unitigs, steps) in enumerate(part.walks):
                 all_unitigs.extend(unitigs)
                 per_rank_unitigs.append(unitigs)
                 world.charge(r, float(steps))
@@ -88,7 +86,7 @@ class AbyssAssembler:
             usage=world.usage,
             stats={
                 "n_ranks": p,
-                "distinct_kmers": len(table),
+                "distinct_kmers": len(part.table),
                 "tips_removed": cstats.tips_removed,
                 "bubbles_popped": cstats.bubbles_popped,
                 **assembly_stats(contigs),

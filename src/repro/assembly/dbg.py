@@ -61,6 +61,7 @@ class KmerTable:
         packedmod.check_k(k)
         self.k = k
         self.words = packedmod.words_for(k)
+        self.frozen = False
         empty = np.zeros((0, self.words), dtype=np.uint64)
         self._set_rows(
             empty, np.zeros(0, dtype=np.int64), packedmod.keys(empty, k)
@@ -73,6 +74,8 @@ class KmerTable:
     ) -> None:
         """Install sorted rows + aligned counts/keys; every view derived
         from the previous rows (dict, unitig links) is dropped with them."""
+        if self.frozen:
+            raise ValueError("this KmerTable is frozen (shared read-only)")
         self._packed = np.ascontiguousarray(packed_rows)
         self._counts = counts
         self._keys = key_arr
@@ -196,7 +199,7 @@ class KmerTable:
         """Remove k-mers with coverage below ``min_count``; returns #removed."""
         keep = self._counts >= min_count
         removed = int(keep.size - keep.sum())
-        if removed:
+        if removed or self.frozen:
             self._set_rows(
                 self._packed[keep], self._counts[keep], self._keys[keep]
             )
@@ -278,6 +281,14 @@ class KmerTable:
         if self._chains is None:
             self._chains = _rank_chains(*self.unitig_links())
         return self._chains
+
+    def freeze(self) -> "KmerTable":
+        """Make this table shareable: chains ranked now, every array
+        read-only, and :meth:`drop_below` / :meth:`add_counts` raising."""
+        for arr in (self._packed, self._counts, self._keys, *self.unitig_chains()):
+            arr.flags.writeable = False
+        self.frozen = True
+        return self
 
 
 def build_kmer_table(k: int, counts: dict[bytes, int]) -> KmerTable:
@@ -425,6 +436,7 @@ def _emit(
     begin += np.arange(c.shape[0]) * (k - 1)
     head_codes = packedmod.unpack(head_rows, k)[:, : k - 1]
     buf[begin[:, None] + np.arange(k - 1)] = head_codes
+    buf.flags.writeable = False  # a spectrum's partition shares unitigs
     columns = (begin, begin + size + k - 1, cov, size)
     return first, [
         Unitig(codes=buf[a:b], coverage=v, n_kmers=s)

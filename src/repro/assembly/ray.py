@@ -22,27 +22,21 @@ packed wire size, so virtual TTCs match the bytes-era pipeline bit-for-bit.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import (
-    KMER_RECORD_BYTES,
-    KmerTable,
-    build_kmer_table_packed,
-    extract_unitigs_by_owner,
-)
-from repro.assembly.sweep import KmerSpectrum, resolve_spectrum
+from repro.assembly.dbg import KMER_RECORD_BYTES
+from repro.assembly.sweep import KmerSpectrum, SpectrumPartition, resolve_spectrum
 from repro.parallel.comm import SimWorld
 from repro.seq.readstore import ReadStore
 
 
 def partition_spectrum(
     world: SimWorld, spectrum: KmerSpectrum, min_count: int
-) -> tuple[KmerTable, np.ndarray]:
-    """Shared first half of the MPI assemblers: the coverage-filtered
-    k-mer table and the owner rank of each of its rows.
+) -> SpectrumPartition:
+    """Shared first half of the MPI assemblers: the spectrum's
+    read-only, maybe shared, :meth:`~repro.assembly.sweep.KmerSpectrum.partition`
+    (filtered table, its owner column, each rank's unitigs), booked on ``world``.
 
     Models reads striped over ranks (read ``i`` on rank ``i % p``), local
     k-mer extraction, an ``alltoall`` of every k-mer to its hash owner, a
@@ -55,20 +49,9 @@ def partition_spectrum(
     ``tests/assembly/test_parity.py`` holds the full usage record and
     every contig equal to it.
     """
-    p = world.size
+    part = spectrum.partition(world.size, min_count)
     k = spectrum.k
-    owners = spectrum.owners(p)
-    occ_rank = spectrum.occ_read() % p
-    occ_owner = owners[spectrum.inverse]
-    # (src rank, owner rank) occurrence histogram == the alltoall row
-    # counts of the executed exchange.
-    matrix = np.bincount(occ_rank * p + occ_owner, minlength=p * p).reshape(
-        p, p
-    )
-    keep = spectrum.counts >= min_count
-    kept_owners = owners[keep]
-    held = np.bincount(owners, minlength=p)
-    kept = np.bincount(kept_owners, minlength=p)
+    matrix, held, kept = part.matrix, part.held, part.kept
 
     with world.phase("kmer_extract", kind="kmer"):
         for r in world.ranks():
@@ -87,11 +70,7 @@ def partition_spectrum(
         for r in world.ranks():
             world.charge(r, float(held[r]))
             world.record_memory(r, int(kept[r]) * KMER_RECORD_BYTES)
-
-    table = build_kmer_table_packed(
-        k, spectrum.distinct[keep], spectrum.counts[keep], presorted=True
-    )
-    return table, kept_owners
+    return part
 
 
 class RayAssembler:
@@ -111,13 +90,12 @@ class RayAssembler:
         p = world.size
         k = params.k
 
-        table, owners = partition_spectrum(world, spectrum, params.min_count)
+        part = partition_spectrum(world, spectrum, params.min_count)
 
         with world.phase("extension_walk", kind="walk"):
             all_unitigs = []
             total_probes = 0
-            walks = extract_unitigs_by_owner(table, owners, p)
-            for r, (unitigs, steps) in enumerate(walks):
+            for r, (unitigs, steps) in enumerate(part.walks):
                 all_unitigs.extend(unitigs)
                 world.charge(r, float(steps))
                 # Each extension step probes ~4 candidate successors and
@@ -141,7 +119,7 @@ class RayAssembler:
             usage=world.usage,
             stats={
                 "n_ranks": p,
-                "distinct_kmers": len(table),
+                "distinct_kmers": len(part.table),
                 "tips_removed": cstats.tips_removed,
                 "bubbles_popped": cstats.bubbles_popped,
                 **assembly_stats(contigs),

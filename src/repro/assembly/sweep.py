@@ -54,18 +54,19 @@ are local arrays, on which ``close`` is a no-op, so they outlive the run.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.assembly import kmers
 from repro.assembly import packed as packedmod
-from repro.assembly.dbg import KmerTable, build_kmer_table_packed
+from repro.assembly.dbg import KmerTable, build_kmer_table_packed, extract_unitigs_by_owner
 from repro.obs import get_tracer
 from repro.seq.readstore import ReadStore
 from repro.seq.sharedarrays import SharedArrays
@@ -103,6 +104,17 @@ def _attach(handle: KmerSpectrumHandle) -> "KmerSpectrum":
     return KmerSpectrum.attach(handle)
 
 
+class SpectrumPartition(NamedTuple):
+    """:meth:`KmerSpectrum.partition`'s read-only result."""
+
+    matrix: np.ndarray  #: (stripe rank, owner rank) occurrence counts
+    held: np.ndarray  #: distinct rows each rank owns
+    kept: np.ndarray  #: of those, the rows at ``counts >= min_count``
+    owners: np.ndarray  #: owner rank of every row of ``table``
+    table: KmerTable  #: :meth:`KmerSpectrum.table` at ``min_count``
+    walks: tuple  #: per rank ``(unitigs, walk steps)``, seeded by owner
+
+
 class KmerSpectrum:
     """The complete k-mer content of one store at one k, counted once.
 
@@ -131,6 +143,10 @@ class KmerSpectrum:
         # owners per rank count, and the occurrence -> read map.
         self._owners: dict[int, np.ndarray] = {}
         self._occ_read: np.ndarray | None = None
+        # (planning pid, reader count) and what plan_readers keeps.
+        self._lock = threading.RLock()
+        self._readers = (0, 1)
+        self._graphs: dict[tuple, object] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -225,9 +241,10 @@ class KmerSpectrum:
         )
 
     def close(self, unlink: bool | None = None) -> None:
-        """Release the shared segment (idempotent; unlinks iff owner).
-        A never-shared spectrum — the table cache's — has none and stays
-        open and usable, derived caches included."""
+        """Drop the kept graph products and release the shared segment
+        (idempotent; unlinks iff owner).  A never-shared spectrum — the
+        table cache's — has no segment and stays open and usable."""
+        self.plan_readers(1)
         if self._arrays.close(unlink):
             self._owners.clear()
             self._occ_read = None
@@ -286,12 +303,68 @@ class KmerSpectrum:
             self._owners[n_ranks] = got
         return got
 
-    def table(self) -> KmerTable:
-        """A fresh :class:`KmerTable` over the full spectrum (pre-sorted
-        fast path; the caller owns it and may ``drop_below`` freely)."""
-        return build_kmer_table_packed(
-            self.k, self.distinct, self.counts, presorted=True
-        )
+    def plan_readers(self, n: int) -> None:
+        """Say how many fan-out jobs read this spectrum.  With more than
+        one, each graph product (:meth:`table`, :meth:`partition`) is
+        derived by its first reader under this spectrum's lock and kept
+        for the others until :meth:`close`; otherwise, and in any other
+        process (a pool worker), every call derives its own."""
+        with self._lock:
+            self._graphs.clear()
+            self._readers = (os.getpid(), int(n))
+
+    def _derive(self, key: tuple, make):
+        pid, n = self._readers
+        if n < 2 or pid != os.getpid():
+            return make()
+        with self._lock:
+            got = self._graphs.get(key)
+            if got is None:
+                got = self._graphs[key] = make()
+            return got
+
+    def table(self, min_count: int) -> KmerTable:
+        """The frozen :class:`KmerTable` (read-only, unitig chains
+        ranked) of the rows at ``counts >= min_count``; maybe shared
+        (:meth:`plan_readers`), so nobody may ``drop_below`` it."""
+
+        def make() -> KmerTable:
+            keep = self.counts >= min_count
+            return build_kmer_table_packed(
+                self.k, self.distinct[keep], self.counts[keep], presorted=True
+            ).freeze()
+
+        return self._derive(("table", min_count), make)
+
+    def partition(self, n_ranks: int, min_count: int) -> SpectrumPartition:
+        """Reads striped over ``n_ranks`` ranks, rows hashed to their
+        :meth:`owners`, and the :meth:`table` at ``min_count`` walked
+        with each rank seeding from the rows it owns; read-only and
+        maybe shared, like :meth:`table`."""
+
+        def make() -> SpectrumPartition:
+            p = n_ranks
+            owners = self.owners(p)
+            matrix = np.bincount(
+                (self.occ_read() % p) * p + owners[self.inverse],
+                minlength=p * p,
+            ).reshape(p, p)
+            kept_owners = owners[self.counts >= min_count]
+            table = self.table(min_count)
+            walks = extract_unitigs_by_owner(table, kept_owners, p)
+            part = SpectrumPartition(
+                matrix,
+                np.bincount(owners, minlength=p),
+                np.bincount(kept_owners, minlength=p),
+                kept_owners,
+                table,
+                tuple((tuple(mine), steps) for mine, steps in walks),
+            )
+            for arr in part[:4]:
+                arr.flags.writeable = False
+            return part
+
+        return self._derive(("partition", n_ranks, min_count), make)
 
     def __repr__(self) -> str:
         state = "shared" if self.shared else ("closed" if self.closed else "local")

@@ -30,11 +30,11 @@ class VelvetAssembler:
         n_threads: int = 8,
         spectrum=None,
     ) -> AssemblyResult:
-        # The spectrum already holds the stream length and the sorted
-        # distinct rows + counts.
+        # The spectrum already holds the stream length and the solid
+        # k-mer table (shared with the fan-out's other jobs at this k).
         spectrum = resolve_spectrum(store, params.k, spectrum)
         n_kmer_stream = spectrum.n_occurrences
-        table = spectrum.table()
+        table = spectrum.table(params.min_count)
 
         usage = ResourceUsage(n_ranks=1)
         usage.add_phase(
@@ -47,7 +47,6 @@ class VelvetAssembler:
             )
         )
 
-        table.drop_below(params.min_count)
         usage.peak_rank_memory_bytes = table.memory_bytes()
         usage.add_phase(
             PhaseUsage(

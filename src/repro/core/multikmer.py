@@ -18,6 +18,7 @@ repeated sweeps) with bit-identical results and virtual TTCs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.assembly.base import AssemblyParams
@@ -259,7 +260,9 @@ def assembly_unit_descriptions(
     that store counted once per k: each unit's workload receives only
     the spectrum at its job's k, so spectra for other k values are never
     pickled to that unit's worker; a job whose k is not among them
-    builds its own (see :class:`AssemblyWorkload`).
+    builds its own (see :class:`AssemblyWorkload`).  Each spectrum is
+    told how many workloads it was handed to (``plan_readers``), so the
+    jobs at one k derive their graph once.
 
     Every unit carries a ``checkpoint_key`` — the job's
     :func:`content_key`, the same address the assembly cache uses — so
@@ -268,10 +271,14 @@ def assembly_unit_descriptions(
     failures (spot preemption) by retrying.
     """
     by_k = {sp.k: sp for sp in spectra}
+    jobs = planned_jobs(plan, store, min_count, min_contig_length)
+    readers = Counter(job.spectrum_k for job in jobs)
+    for k, sp in by_k.items():
+        sp.plan_readers(readers[k])
     if input_bytes is None:
         input_bytes = spec.preprocessed_bytes
     descs = []
-    for job in planned_jobs(plan, store, min_count, min_contig_length):
+    for job in jobs:
         descs.append(
             UnitDescription(
                 name=f"{job.assembler}_k{job.k}",

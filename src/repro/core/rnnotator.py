@@ -545,8 +545,9 @@ def _plan_stage(run: _Run) -> None:
 
 def _close_spectra(run: _Run) -> None:
     for sp in run.spectra:
-        # Unlinks the segments this run shared; local arrays are the
-        # table cache's and stay open (see repro.assembly.sweep).
+        # Drops the graph products the fan-out's jobs shared and unlinks
+        # the segments this run shared; local arrays are the table
+        # cache's and stay open (see repro.assembly.sweep).
         sp.close()
 
 

@@ -51,10 +51,19 @@ def complement(codes: np.ndarray) -> np.ndarray:
     return _COMPLEMENT_LUT[np.asarray(codes, dtype=np.uint8)]
 
 
+#: Every ASCII character to what ``decode(complement(encode(c)))`` is.
+_COMPLEMENT_TRANSLATION = str.maketrans(
+    {chr(c): decode(complement(encode(chr(c)))) for c in range(128)}
+)
+
+
 def reverse_complement(seq: str | np.ndarray) -> str | np.ndarray:
-    """Reverse complement; returns the same representation it was given."""
+    """Reverse complement; returns the same representation it was given.
+    A ``str`` must be ASCII (``UnicodeEncodeError`` otherwise)."""
     if isinstance(seq, str):
-        return decode(complement(encode(seq))[::-1])
+        if not seq.isascii():
+            seq.encode("ascii")  # raises, naming the first offending character
+        return seq.translate(_COMPLEMENT_TRANSLATION)[::-1]
     return complement(seq)[::-1]
 
 

@@ -1,21 +1,24 @@
 """``ray.partition_spectrum`` against the per-rank shard path it replaced.
 
 The one function books ``kmer_extract`` / ``kmer_count`` /
-``graph_build`` from ``bincount``s over the spectrum's owner column and
-masks the spectrum's rows; the oracle
+``graph_build`` from the ``bincount``s of the spectrum's partition
+(``KmerSpectrum.partition``) and returns it; the oracle
 (:mod:`tests.assembly.partition_reference`) cuts, thresholds and re-merges
-a ``KmerTable`` per rank.  Rows, counts, owners and the whole usage record
-must be equal — and so must every Ray / ABySS result built on top.
+a ``KmerTable`` per rank.  Rows, counts, owners, the per-rank walks and
+the whole usage record must be equal — and so must every Ray / ABySS
+result built on top.
 """
 
 import random
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
+from repro.assembly.dbg import extract_unitigs_by_owner
 from repro.assembly.ray import RayAssembler, partition_spectrum
 from repro.assembly.sweep import build_spectra
 from repro.parallel.comm import SimWorld
@@ -43,23 +46,31 @@ def generated_store():
     return _store(seqs)
 
 
+def _reference_partition(world, spectrum, min_count):
+    """The oracle's table and owner column, walked by owner: what the
+    assemblers read off ``partition_spectrum``'s result."""
+    table, owners = reference_partition_spectrum(world, spectrum, min_count)
+    walks = extract_unitigs_by_owner(table, owners, world.size)
+    return SimpleNamespace(table=table, owners=owners, walks=walks)
+
+
 def _partition_like_reference(spectrum, p, min_count):
     """``partition_spectrum``'s ``(table, owners, usage)``, once every
-    array (dtype included) and the whole usage record have been held
-    equal to the per-rank path's."""
+    array (dtype included), the per-rank walks and the whole usage
+    record have been held equal to the per-rank path's."""
     world, ref_world = SimWorld(p), SimWorld(p)
-    table, owners = partition_spectrum(world, spectrum, min_count)
-    ref_table, ref_owners = reference_partition_spectrum(
-        ref_world, spectrum, min_count
-    )
+    part = partition_spectrum(world, spectrum, min_count)
+    ref = _reference_partition(ref_world, spectrum, min_count)
+    table, owners = part.table, part.owners
     for a, b in (
-        (table.packed, ref_table.packed),
-        (table.count_array, ref_table.count_array),
-        (table.key_array, ref_table.key_array),
-        (owners, ref_owners),
+        (table.packed, ref.table.packed),
+        (table.count_array, ref.table.count_array),
+        (table.key_array, ref.table.key_array),
+        (owners, ref.owners),
     ):
         assert a.dtype == b.dtype and a.shape == b.shape
         np.testing.assert_array_equal(a, b)
+    assert [(list(u), s) for u, s in part.walks] == ref.walks
     usage, ref_usage = world.usage, ref_world.usage
     assert usage.phases == ref_usage.phases
     assert usage.peak_rank_memory_bytes == ref_usage.peak_rank_memory_bytes
@@ -122,7 +133,7 @@ class TestAssemblersUnchanged:
         monkeypatch.setattr(
             sys.modules[assembler.__module__],
             "partition_spectrum",
-            reference_partition_spectrum,
+            _reference_partition,
         )
         ref = assembler().assemble(store, params, n_ranks=n_ranks, spectrum=spectrum)
         assert_results_identical(got, ref)

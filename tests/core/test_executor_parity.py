@@ -4,28 +4,51 @@ bit-identical assembly results and virtual TTCs for the same fan-out.
 The executor backend only changes *where and when* the real Python
 workloads run on the host; everything priced on the virtual clock is
 derived from the deterministic measured usage, so all three backends
-must agree exactly.  Also covers picklability of
+must agree exactly — with the jobs at one k sharing one spectrum and its
+graph products (threads race for them, pool workers derive their own)
+and under any ``PYTHONHASHSEED``.  Also covers picklability of
 :class:`repro.core.multikmer.AssemblyWorkload` (the process backend
 round-trips it and its results through pickle).
 """
 
+import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from repro.assembly.base import AssemblyParams
+from repro.assembly.sweep import KmerTableCache, build_spectra, use_kmer_table_cache
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
+from repro.core.assembly_cache import AssemblyCache, use_assembly_cache
 from repro.core.multikmer import AssemblyWorkload, make_assembly_workload
 from repro.core.preprocess import preprocess
+from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitManager
 from repro.pilot.scheduler import RoundRobinScheduler
 from repro.pilot.states import UnitState
+from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
 
-JOBS = [("ray", 31), ("ray", 37), ("velvet", 31), ("velvet", 37)]
+ROOT = Path(__file__).resolve().parents[2]
+
+JOBS = [
+    ("ray", 31),
+    ("ray", 37),
+    ("abyss", 31),
+    ("abyss", 37),
+    ("velvet", 31),
+    ("velvet", 37),
+]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +59,12 @@ def pre_store(ds_single):
     store.close()
 
 
-def fanout_descs(pre_store, ds):
+def fanout_descs(pre_store, ds, spectra):
+    """One unit per job; as in the pipeline, each k's one spectrum is
+    handed to every job at that k and told how many they are."""
+    by_k = {sp.k: sp for sp in spectra}
+    for k, n in Counter(k for _, k in JOBS).items():
+        by_k[k].plan_readers(n)
     descs = []
     for name, k in JOBS:
         work = make_assembly_workload(
@@ -45,6 +73,7 @@ def fanout_descs(pre_store, ds):
             AssemblyParams(k=k, min_contig_length=100),
             n_ranks=8,
             dataset=ds,
+            spectrum=by_k[k],
         )
         descs.append(
             UnitDescription(
@@ -60,6 +89,8 @@ def fanout_descs(pre_store, ds):
 
 
 def run_fanout(pre_store, ds, executor):
+    """Every job computed (no assembly cache); the spectra are closed,
+    and their shared products dropped, when the fan-out ends."""
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
@@ -70,9 +101,15 @@ def run_fanout(pre_store, ds, executor):
         db, events, scheduler=RoundRobinScheduler(), executor=executor
     )
     um.add_pilot(pilot)
-    units = um.submit_units(fanout_descs(pre_store, ds))
-    um.run(units)
-    um.close()
+    spectra = build_spectra(pre_store, {k for _, k in JOBS})
+    try:
+        with use_assembly_cache(None):
+            units = um.submit_units(fanout_descs(pre_store, ds, spectra))
+            um.run(units)
+            um.close()
+    finally:
+        for sp in spectra:
+            sp.close()
     assert all(u.state is UnitState.DONE for u in units)
     return units, clock.now
 
@@ -129,3 +166,64 @@ class TestBackendParity:
         for u, b in zip(units, base_units):
             assert u.result.contigs == b.result.contigs
             assert u.ttc == b.ttc
+
+
+def mamp_digest() -> str:
+    """sha256 over one cold MAMP run (Ray, ABySS and Velvet at two ks,
+    serial backend): every assembly's contigs, stats and usage, every
+    stage's TTC, the run's TTC and cost, and the merged transcripts."""
+    config = PipelineConfig(
+        assemblers=("ray", "abyss", "velvet"), kmer_list=(25, 31)
+    )
+    with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
+        KmerTableCache()
+    ):
+        res = RnnotatorPipeline().run(tiny_dataset(seed=0), config)
+    payload = {
+        "assemblies": [
+            [
+                name,
+                k,
+                [[c.seq, repr(c.coverage)] for c in r.contigs],
+                r.stats,
+                [asdict(phase) for phase in r.usage.phases],
+                r.usage.peak_rank_memory_bytes,
+            ]
+            for (name, k), r in sorted(res.assemblies.items())
+        ],
+        "stages": [[s.name, repr(s.ttc)] for s in res.stages],
+        "ttc_cost": [repr(res.total_ttc), repr(res.total_cost)],
+        "transcripts": [c.seq for c in res.transcripts],
+    }
+    blob = json.dumps(payload, sort_keys=True, default=repr).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestHashSeed:
+    def test_mamp_fingerprint_independent_of_hash_seed(self):
+        """ROADMAP aim 3: the MAMP pipeline's fingerprint is the same
+        under PYTHONHASHSEED 0 and 1 (fresh interpreters) and in this
+        process, whatever its seed."""
+        digests = []
+        for seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))),
+            )
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "from tests.core.test_executor_parity import mamp_digest;"
+                    "print(mamp_digest())",
+                ],
+                cwd=ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split()[-1])
+        assert digests[0] == digests[1] == mamp_digest()

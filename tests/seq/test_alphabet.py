@@ -89,6 +89,43 @@ class TestComplement:
         ) + reverse_complement(a)
 
 
+def _array_path(s: str) -> str:
+    """The str path's oracle: what it computed through code arrays."""
+    return decode(complement(encode(s))[::-1])
+
+
+class TestStrTranslation:
+    """``reverse_complement`` on a ``str`` is a translation table; it must
+    equal ``encode`` -> ``complement`` -> reverse -> ``decode``."""
+
+    def test_every_ascii_code(self):
+        every = "".join(map(chr, range(128)))
+        assert reverse_complement(every) == _array_path(every)
+        for c in every:
+            assert reverse_complement(c) == _array_path(c)
+
+    def test_mixed_case(self):
+        # encode is case-insensitive, so lower case complements too and
+        # comes out upper case; anything outside ACGTN becomes N.
+        s = "acgtnACGTNaCgTnXx-"
+        assert reverse_complement(s) == _array_path(s) == "NNNNACGTNACGTNACGT"
+
+    def test_empty(self):
+        assert reverse_complement("") == _array_path("") == ""
+
+    @pytest.mark.parametrize("s", ["é", "ACGTé", "AC—GT", "\U0001f9ec"])
+    def test_non_ascii_raises_like_the_array_path(self, s):
+        with pytest.raises(UnicodeEncodeError) as want:
+            _array_path(s)
+        with pytest.raises(UnicodeEncodeError) as got:
+            reverse_complement(s)
+        assert str(got.value) == str(want.value)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=200))
+    def test_any_ascii_text(self, s):
+        assert reverse_complement(s) == _array_path(s)
+
+
 class TestGC:
     def test_gc_half(self):
         assert gc_content("ACGT") == pytest.approx(0.5)
