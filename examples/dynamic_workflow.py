@@ -7,23 +7,28 @@ to c3.2xlarge (16 GB) fails, while the dynamic workflow reads the
 footprint estimate from the pre-stage plan and provisions r3.2xlarge.
 
 The second half shows the pilot layer's restart machinery directly: a
-unit that OOMs on a small pilot is restarted by the memory-aware
-scheduler on a bigger one.
+unit that declares no footprint is placed on the cheaper c3.2xlarge
+pilot, hits a measured OOM there, and is restarted by the memory-aware
+scheduler on the r3.2xlarge pilot.  Its state history is read back from
+the trace.
 
-Run:  python examples/dynamic_workflow.py
+Run:  python examples/dynamic_workflow.py   (exit 1 if the restart
+did not happen exactly once, onto the r3 pilot)
 """
+
+import sys
 
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
 from repro.cloud.instances import GiB
 from repro.core.rnnotator import PipelineConfig, PipelineError, RnnotatorPipeline
 from repro.core.workflow import WorkflowPattern
+from repro.obs import Tracer, use_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.pilot import (
     MemoryAwareScheduler,
     PilotDescription,
     PilotManager,
-    StateStore,
     UnitDescription,
     UnitManager,
 )
@@ -60,15 +65,12 @@ def pipeline_level() -> None:
           f"(TTC {result.total_ttc:.0f} s, cost ${result.total_cost:.2f})")
 
 
-def unit_restart_level() -> None:
+def unit_restart_level() -> bool:
+    """Restart-on-OOM; True when the unit restarted once, onto r3."""
     print("\n-- pilot-level restart-on-OOM --")
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
-    db = StateStore(clock)
-    pm = PilotManager(region, events, db)
-    small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
-    big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
 
     def heavy_work():
         usage = ResourceUsage(n_ranks=1)
@@ -76,22 +78,34 @@ def unit_restart_level() -> None:
         usage.peak_rank_memory_bytes = 40 * GiB  # too big for c3.2xlarge
         return "done", usage
 
-    um = UnitManager(db, events, scheduler=MemoryAwareScheduler())
-    um.add_pilot(small)
-    um.add_pilot(big)
-    (unit,) = um.submit_units(
-        [UnitDescription(name="big-task", work=heavy_work, cores=8,
-                         memory_bytes=40 * GiB, max_restarts=1)]
-    )
-    um.run([unit])
+    with use_tracer(Tracer(clock)) as tracer:
+        pm = PilotManager(region, events)
+        small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
+        big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
+        um = UnitManager(events, scheduler=MemoryAwareScheduler())
+        um.add_pilot(small)
+        um.add_pilot(big)
+        # No declared memory_bytes: the scheduler cannot know the
+        # footprint up front, so only the measured OOM reveals it.
+        (unit,) = um.submit_units(
+            [UnitDescription(name="big-task", work=heavy_work, cores=8,
+                             max_restarts=1)]
+        )
+        um.run([unit])
+    on_r3 = unit.pilot_id == big.pilot_id
     print(f"unit {unit.description.name!r}: state={unit.state.value}, "
-          f"ran on pilot {unit.pilot_id} "
-          f"({'r3' if unit.pilot_id == big.pilot_id else 'c3'}) "
+          f"ran on pilot {unit.pilot_id} ({'r3' if on_r3 else 'c3'}) "
           f"after {unit.restarts} restarts")
-    history = [r.value for r in db.history_of(unit.unit_id, "state")]
+    moves = [
+        e.attrs
+        for e in tracer.events
+        if e.name == "unit.state" and e.thread == unit.unit_id
+    ]
+    history = [moves[0]["old"]] + [m["new"] for m in moves]
     print("state history:", " -> ".join(history))
+    return unit.restarts == 1 and on_r3
 
 
 if __name__ == "__main__":
     pipeline_level()
-    unit_restart_level()
+    sys.exit(0 if unit_restart_level() else 1)

@@ -26,7 +26,6 @@ from repro.cloud.ec2 import EC2Region
 from repro.core.assembly_cache import use_assembly_cache
 from repro.core.multikmer import make_assembly_workload
 from repro.core.preprocess import preprocess
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitManager
 from repro.seq.datasets import tiny_dataset
@@ -40,8 +39,7 @@ def run_fanout(dataset, store, executor: str):
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
-    db = StateStore(clock)
-    pm = PilotManager(region, events, db)
+    pm = PilotManager(region, events)
     pilot = pm.launch(pm.submit(PilotDescription("P_B", "c3.2xlarge", 6)))
 
     descs = [
@@ -59,7 +57,7 @@ def run_fanout(dataset, store, executor: str):
         for k in KS
     ]
 
-    um = UnitManager(db, events, executor=executor)
+    um = UnitManager(events, executor=executor)
     um.add_pilot(pilot)
     units = um.submit_units(descs)
     t0 = time.perf_counter()

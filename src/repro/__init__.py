@@ -17,8 +17,8 @@ cloud
     Discrete-event IaaS simulator: EC2-style instances, VM lifecycle and
     billing, StarCluster-style clusters, an SGE-like scheduler.
 pilot
-    RADICAL-Pilot analog: pilots, compute units, state machines, managers,
-    schedulers and the backend state store.
+    RADICAL-Pilot analog: pilots, compute units, state machines (each
+    transition a trace event), managers, schedulers and pilot agents.
 assembly
     De novo de Bruijn graph assemblers: serial (Velvet-like), MPI-style
     (Ray/ABySS-like), MapReduce (Contrail-like) and the Trinity-like

@@ -16,7 +16,6 @@ from repro.cloud.instances import InstanceType
 from repro.cloud.sge import SGEScheduler
 from repro.cloud.vm import VM, VMState
 from repro.obs import get_tracer
-from repro.parallel.costmodel import MachineConfig
 
 #: StarCluster configuration time (NFS export, SGE install, host keys).
 DEFAULT_SETUP_SECONDS = 120.0
@@ -59,18 +58,6 @@ class Cluster:
     @property
     def total_slots(self) -> int:
         return self.scheduler.total_slots
-
-    def machine_config(self, n_nodes: int | None = None) -> MachineConfig:
-        """Cost-model view of (a subset of) this cluster."""
-        n = n_nodes if n_nodes is not None else self.n_nodes
-        if not 1 <= n <= self.n_nodes:
-            raise ClusterError(f"invalid node count {n}")
-        return MachineConfig(
-            n_nodes=n,
-            cores_per_node=self.itype.vcpus,
-            compute_factor=self.itype.compute_factor,
-            network_bandwidth=self.itype.network_bandwidth,
-        )
 
     def grow(self, region: EC2Region, count: int) -> list[VM]:
         """Add worker nodes (used by the S2 scheme when a later pilot
@@ -163,17 +150,5 @@ def build_cluster(
             n_nodes=n_nodes,
             instance_type=vms[0].itype.name,
         )
-    scheduler = SGEScheduler(events, {vm.vm_id: vm.itype.vcpus for vm in vms})
-    return Cluster(name=name, vms=vms, scheduler=scheduler, events=events)
-
-
-def cluster_from_vms(
-    vms: list[VM], events: EventQueue, name: str = "cluster"
-) -> Cluster:
-    """Wrap already-running VMs as a cluster (the S2 reuse path)."""
-    for vm in vms:
-        if vm.state is not VMState.RUNNING:
-            raise ClusterError(f"{vm.vm_id} is not running")
-        vm.label = name
     scheduler = SGEScheduler(events, {vm.vm_id: vm.itype.vcpus for vm in vms})
     return Cluster(name=name, vms=vms, scheduler=scheduler, events=events)

@@ -1,9 +1,9 @@
-"""Virtual machine lifecycle and memory accounting."""
+"""Virtual machine lifecycle."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.instances import InstanceType
 
@@ -16,11 +16,6 @@ class VMState(enum.Enum):
 
 class VMError(RuntimeError):
     """Illegal VM operation (double terminate, using a dead VM, ...)."""
-
-
-class OutOfMemoryError(RuntimeError):
-    """A task's footprint exceeded the VM's memory — the single-node
-    failure mode the paper's Table IV documents."""
 
 
 @dataclass
@@ -39,7 +34,6 @@ class VM:
     #: Which cluster/pilot this VM serves (set by the cluster layer so
     #: billing spans can be attributed to a pilot); ``None`` until bound.
     label: str | None = None
-    _reserved_bytes: int = field(default=0, repr=False)
 
     def mark_running(self, now: float) -> None:
         if self.state is not VMState.PENDING:
@@ -68,33 +62,6 @@ class VM:
         self.terminated_at = now
         self.preempted = preempted
         return True
-
-    # -- memory ---------------------------------------------------------------
-
-    @property
-    def memory_free(self) -> int:
-        return self.itype.memory_bytes - self._reserved_bytes
-
-    def reserve_memory(self, n_bytes: int) -> None:
-        """Claim ``n_bytes``; raises :class:`OutOfMemoryError` on overflow."""
-        if self.state is not VMState.RUNNING:
-            raise VMError(f"{self.vm_id}: not running")
-        if n_bytes < 0:
-            raise ValueError("cannot reserve negative memory")
-        if n_bytes > self.memory_free:
-            raise OutOfMemoryError(
-                f"{self.vm_id} ({self.itype.name}): task needs "
-                f"{n_bytes / 1024**3:.1f} GiB but only "
-                f"{self.memory_free / 1024**3:.1f} GiB free"
-            )
-        self._reserved_bytes += n_bytes
-
-    def release_memory(self, n_bytes: int) -> None:
-        if n_bytes < 0 or n_bytes > self._reserved_bytes:
-            raise ValueError("releasing memory that was not reserved")
-        self._reserved_bytes -= n_bytes
-
-    # -- billing helpers --------------------------------------------------------
 
     def billable_seconds(self, now: float) -> float:
         """Seconds from launch until termination (or ``now`` if running).

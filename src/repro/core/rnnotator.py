@@ -55,7 +55,6 @@ from repro.parallel.executor import (
     WorkloadExecutor,
     make_executor,
 )
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.elastic import ElasticPool
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
@@ -319,9 +318,8 @@ class _Run:
         get_tracer().bind_clock(self.clock)
         self.events = EventQueue(self.clock)
         self.region = EC2Region(self.clock)
-        self.db = StateStore(self.clock)
         self.transfers = TransferModel(self.clock)
-        self.pm = PilotManager(self.region, self.events, self.db)
+        self.pm = PilotManager(self.region, self.events)
         self.raw_store = ReadStore.from_reads(self.dataset.run.all_reads())
         if self.config.checkpoint_dir is not None:
             self.ckpt = CheckpointStore(self.config.checkpoint_dir)
@@ -390,7 +388,6 @@ def _unit_manager(run: _Run, pilot: Pilot, **fanout) -> UnitManager:
     """A unit manager over ``pilot`` alone; ``fanout`` is what only the
     assembly stage sets (its executor backend and elastic pool)."""
     um = UnitManager(
-        run.db,
         run.events,
         scheduler=MemoryAwareScheduler(),
         cost_model=run.cost_model,

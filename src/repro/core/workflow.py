@@ -8,9 +8,9 @@ when that mapping is decided:
 * **distributed static** — multiple pilots over distributed resources,
   but pilot sizing and task binding are fixed before the run starts;
 * **distributed dynamic** — pilot configuration for each stage is decided
-  just before that stage starts, using runtime information published in
-  the backend state store (the number of k-mer jobs, memory estimates,
-  current VM pool).
+  just before that stage starts, using runtime information the earlier
+  stages produced (the number of k-mer jobs, memory estimates, current
+  VM pool).
 """
 
 from __future__ import annotations

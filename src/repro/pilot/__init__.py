@@ -6,11 +6,12 @@ pilots and executed by the pilot's agent).  This subpackage reproduces the
 RP architecture the paper builds on (§III.C):
 
 * pilot and unit **state machines** with legal-transition enforcement
-  (:mod:`states`),
+  (:mod:`states`); every transition is one ``pilot.state`` /
+  ``unit.state`` trace event with a virtual timestamp, so the tracer (and
+  its sinks) is the "database system that updates run-time information
+  on the fly",
 * **descriptions** separating what is wanted from what runs
   (:mod:`description`),
-* a backend **state store** with watchers — the "database system that
-  updates run-time information on the fly" (:mod:`db`),
 * **schedulers** mapping units onto pilots (:mod:`scheduler`),
 * **PilotManager / UnitManager** front-ends (:mod:`manager`), and
 * the per-pilot **agent** that runs units on the pilot's cluster through
@@ -19,7 +20,6 @@ RP architecture the paper builds on (§III.C):
 
 from repro.pilot.agent import PilotAgent
 from repro.pilot.description import PilotDescription, UnitDescription
-from repro.pilot.db import StateStore
 from repro.pilot.elastic import ElasticPool
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
@@ -39,7 +39,6 @@ __all__ = [
     "UnitDescription",
     "Pilot",
     "ComputeUnit",
-    "StateStore",
     "UnitScheduler",
     "RoundRobinScheduler",
     "MemoryAwareScheduler",

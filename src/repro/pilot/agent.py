@@ -336,10 +336,6 @@ class PilotAgent:
         for unit, _, _, _, _ in list(self._pending.values()):
             self.collect(unit)
 
-    @property
-    def pending_units(self) -> list[ComputeUnit]:
-        return [unit for unit, _, _, _, _ in self._pending.values()]
-
     # -- pricing and the virtual-clock SGE job -----------------------------
 
     def _enqueue(self, unit: ComputeUnit, result, usage: ResourceUsage) -> None:

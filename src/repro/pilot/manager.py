@@ -18,20 +18,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cloud.clock import EventQueue
-from repro.cloud.cluster import Cluster, build_cluster, cluster_from_vms
+from repro.cloud.cluster import Cluster, build_cluster
 from repro.cloud.ec2 import EC2Region
 from repro.obs import get_tracer
 from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import WorkloadExecutor, make_executor
 from repro.pilot.agent import PilotAgent
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import (
     RoundRobinScheduler,
     SchedulingError,
     UnitScheduler,
-    unit_fits_pilot,
 )
 from repro.pilot.states import PilotState, UnitState
 from repro.pilot.unit import ComputeUnit
@@ -73,11 +71,10 @@ class PilotManager:
 
     region: EC2Region
     events: EventQueue
-    db: StateStore
     pilots: list[Pilot] = field(default_factory=list)
 
     def submit(self, description: PilotDescription) -> Pilot:
-        pilot = Pilot(description=description, db=self.db)
+        pilot = Pilot(description=description)
         self.pilots.append(pilot)
         return pilot
 
@@ -156,7 +153,6 @@ class UnitManager:
     identical across backends.
     """
 
-    db: StateStore
     events: EventQueue
     scheduler: UnitScheduler = field(default_factory=RoundRobinScheduler)
     cost_model: CostModel = field(default_factory=CostModel)
@@ -203,7 +199,7 @@ class UnitManager:
     ) -> list[ComputeUnit]:
         units = []
         for d in descriptions:
-            unit = ComputeUnit(description=d, db=self.db)
+            unit = ComputeUnit(description=d)
             unit.advance(UnitState.UNSCHEDULED)
             units.append(unit)
             self.units.append(unit)
@@ -334,9 +330,6 @@ class UnitManager:
                     f"consecutive round(s) without progress"
                 )
         return run_units
-
-    def wait_done(self) -> None:
-        self.events.run()
 
     def close(self) -> None:
         """Release the executor backend's pool resources and stop any

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.cloud.cluster import Cluster
 from repro.obs import get_tracer
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription
 from repro.pilot.states import (
     PILOT_FINAL,
@@ -18,45 +16,26 @@ from repro.pilot.states import (
 
 _ids = itertools.count()
 
-#: Transition hook signature: (pilot, old_state, new_state).
-TransitionHook = Callable[["Pilot", PilotState, PilotState], None]
-
 
 @dataclass
 class Pilot:
     """A pilot: description + state + (once ACTIVE) a bound cluster."""
 
     description: PilotDescription
-    db: StateStore
     pilot_id: str = field(default_factory=lambda: f"pilot.{next(_ids):04d}")
     state: PilotState = PilotState.NEW
     cluster: Cluster | None = None
     owns_vms: bool = True  # S1 pilots own their VMs; S2 pilots borrow
-    #: Called exactly once per legal transition, after the state store is
-    #: updated — the seam the tracer (and tests) observe lifecycles on.
-    transition_hooks: list[TransitionHook] = field(
-        default_factory=list, repr=False
-    )
     #: Live slice size override set by the elastic (S3) pool; ``None``
     #: means the declared description.n_nodes.
     _elastic_nodes: int | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        self.db.register(
-            self.pilot_id,
-            state=self.state.value,
-            name=self.description.name,
-            instance_type=self.description.instance_type,
-            n_nodes=self.description.n_nodes,
-        )
-
     def advance(self, new: PilotState) -> None:
-        """Move to ``new``, enforcing the transition table, publishing the
-        change to the state store and firing the transition hooks."""
+        """Move to ``new``, enforcing the transition table; the
+        ``pilot.state`` trace event is the lifecycle's only record."""
         check_pilot_transition(self.state, new)
         old = self.state
         self.state = new
-        self.db.update(self.pilot_id, "state", new.value)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -66,8 +45,6 @@ class Pilot:
                 old=old.value,
                 new=new.value,
             )
-        for hook in self.transition_hooks:
-            hook(self, old, new)
 
     @property
     def is_final(self) -> bool:
@@ -86,7 +63,6 @@ class Pilot:
         if n_nodes < 1:
             raise ValueError("pilot needs at least one node")
         self._elastic_nodes = n_nodes
-        self.db.update(self.pilot_id, "n_nodes", n_nodes)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -100,4 +76,3 @@ class Pilot:
         if self.cluster is not None:
             raise RuntimeError(f"{self.pilot_id} already has a cluster")
         self.cluster = cluster
-        self.db.update(self.pilot_id, "cluster", cluster.name)

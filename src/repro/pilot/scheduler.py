@@ -1,13 +1,12 @@
 """Unit -> pilot schedulers.
 
 RADICAL-Pilot's UnitManager supports pluggable scheduling policies; the
-pipeline uses three:
+pipeline uses two:
 
-* round-robin — the distributed-static workflow pattern,
+* round-robin — the distributed-static workflow pattern, and
 * memory-aware — refuse to bind a unit whose (paper-scale) footprint
   cannot fit the pilot's nodes, preferring pilots with headroom; this is
-  what saves large inputs from landing on c3.2xlarge (Table IV), and
-* a load-balancing variant weighting pilots by free cores.
+  what saves large inputs from landing on c3.2xlarge (Table IV).
 
 Every policy takes an optional ``exclude`` map (``{unit_id: {pilot_id}}``)
 naming pilots a unit must not be placed on again — the §III.C restart
@@ -188,27 +187,4 @@ class MemoryAwareScheduler(UnitScheduler):
                 ),
             )
             out[unit.unit_id] = best.pilot_id
-        return out
-
-
-class LoadBalancingScheduler(UnitScheduler):
-    """Spread units proportionally to pilot core counts."""
-
-    def _schedule(self, units, pilots, exclude=None):
-        usable = _usable(pilots)
-        if not usable:
-            raise SchedulingError("no usable pilots")
-        assigned_cores = {p.pilot_id: 0 for p in usable}
-        out: dict[str, str] = {}
-        for unit in units:
-            candidates = _candidates(unit, usable, exclude)
-            if not candidates:
-                raise _no_fit_error(unit, exclude)
-            best = min(
-                candidates,
-                key=lambda p: assigned_cores[p.pilot_id]
-                / (get_instance_type(p.description.instance_type).vcpus * p.n_nodes),
-            )
-            out[unit.unit_id] = best.pilot_id
-            assigned_cores[best.pilot_id] += unit.description.cores
         return out

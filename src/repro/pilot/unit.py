@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs import get_tracer
 from repro.parallel.usage import ResourceUsage
-from repro.pilot.db import StateStore
 from repro.pilot.description import UnitDescription
 from repro.pilot.states import UNIT_FINAL, UnitState, check_unit_transition
 
 _ids = itertools.count()
-
-#: Transition hook signature: (unit, old_state, new_state).
-TransitionHook = Callable[["ComputeUnit", UnitState, UnitState], None]
 
 
 @dataclass
@@ -23,7 +19,6 @@ class ComputeUnit:
     """A compute unit: description + state + execution record."""
 
     description: UnitDescription
-    db: StateStore
     unit_id: str = field(default_factory=lambda: f"unit.{next(_ids):06d}")
     state: UnitState = UnitState.NEW
     pilot_id: str | None = None
@@ -39,26 +34,13 @@ class ComputeUnit:
     #: was preempted): the restart loop may then retry the same pilot
     #: instead of excluding it.
     failure_transient: bool = False
-    #: Called exactly once per legal transition, after the state store is
-    #: updated — the seam the tracer (and tests) observe lifecycles on.
-    transition_hooks: list[TransitionHook] = field(
-        default_factory=list, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        self.db.register(
-            self.unit_id,
-            state=self.state.value,
-            name=self.description.name,
-            stage=self.description.stage,
-            cores=self.description.cores,
-        )
 
     def advance(self, new: UnitState) -> None:
+        """Move to ``new``, enforcing the transition table; the
+        ``unit.state`` trace event is the lifecycle's only record."""
         check_unit_transition(self.state, new)
         old = self.state
         self.state = new
-        self.db.update(self.unit_id, "state", new.value)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -71,8 +53,6 @@ class ComputeUnit:
                 unit=self.description.name,
                 stage=self.description.stage,
             )
-        for hook in self.transition_hooks:
-            hook(self, old, new)
 
     @property
     def is_final(self) -> bool:
@@ -87,13 +67,11 @@ class ComputeUnit:
 
     def assign(self, pilot_id: str) -> None:
         self.pilot_id = pilot_id
-        self.db.update(self.unit_id, "pilot", pilot_id)
 
     def fail(self, error: str, transient: bool = False) -> None:
         self.error = error
         self.failure_transient = transient
         self.advance(UnitState.FAILED)
-        self.db.update(self.unit_id, "error", error)
 
     def reset_for_restart(self) -> None:
         """FAILED -> UNSCHEDULED (the restart path of §III.C).
@@ -114,4 +92,3 @@ class ComputeUnit:
         self.started_at = None
         self.finished_at = None
         self.real_seconds = None
-        self.db.update(self.unit_id, "restarts", self.restarts)

@@ -11,7 +11,9 @@ from repro.cloud.instances import (
     cheapest_with_memory,
     get_instance_type,
 )
-from repro.cloud.vm import VM, OutOfMemoryError, VMError, VMState
+from repro.cloud.vm import VM, VMError, VMState
+from repro.parallel.costmodel import fits_in_memory
+from repro.parallel.usage import ResourceUsage
 
 
 class TestCatalog:
@@ -47,6 +49,12 @@ class TestCatalog:
             assert t.vcpus >= 1 and t.memory_bytes > 0
 
 
+def one_rank(peak_bytes):
+    usage = ResourceUsage(n_ranks=1)
+    usage.peak_rank_memory_bytes = peak_bytes
+    return usage
+
+
 def running_vm(itype="c3.2xlarge", launched=0.0):
     vm = VM("i-1", get_instance_type(itype), launched)
     vm.mark_running(launched + 90)
@@ -73,31 +81,15 @@ class TestVM:
         with pytest.raises(VMError):
             vm.mark_terminated(200.0)
 
-    def test_memory_reserve_release(self):
-        vm = running_vm()
-        vm.reserve_memory(10 * GiB)
-        assert vm.memory_free == 6 * GiB
-        vm.release_memory(10 * GiB)
-        assert vm.memory_free == 16 * GiB
-
     def test_oom(self):
+        # A VM's memory is enforced by fits_in_memory against its type:
+        # the P. crispa preprocessing footprint does not fit c3.2xlarge.
         vm = running_vm("c3.2xlarge")
-        with pytest.raises(OutOfMemoryError):
-            vm.reserve_memory(40 * GiB)  # P. crispa preprocessing footprint
+        assert not fits_in_memory(one_rank(40 * GiB), vm.itype.memory_bytes, 1)
 
     def test_oom_fits_r3(self):
         vm = running_vm("r3.2xlarge")
-        vm.reserve_memory(40 * GiB)  # fits the 61 GB type
-
-    def test_reserve_on_pending_rejected(self):
-        vm = VM("i-1", get_instance_type("c3.2xlarge"), 0.0)
-        with pytest.raises(VMError):
-            vm.reserve_memory(1)
-
-    def test_release_unreserved_rejected(self):
-        vm = running_vm()
-        with pytest.raises(ValueError):
-            vm.release_memory(1)
+        assert fits_in_memory(one_rank(40 * GiB), vm.itype.memory_bytes, 1)
 
     def test_billable_seconds(self):
         vm = running_vm(launched=100.0)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.cloud.clock import EventQueue, SimClock
-from repro.cloud.cluster import (
-    Cluster,
-    ClusterError,
-    build_cluster,
-    cluster_from_vms,
-)
+from repro.cloud.cluster import Cluster, ClusterError, build_cluster
 from repro.cloud.ec2 import EC2Region
 from repro.cloud.sge import JobState, SGEError, SGEJob, SGEScheduler
 from repro.cloud.storage import TransferModel
@@ -145,15 +140,6 @@ class TestCluster:
         with pytest.raises(ClusterError):
             Cluster("x", a + b, SGEScheduler(events, {"a": 8, "b": 8}), events)
 
-    def test_machine_config(self):
-        _, _, cluster = self.make_cluster(4)
-        mc = cluster.machine_config()
-        assert mc.n_nodes == 4 and mc.cores_per_node == 8
-        mc2 = cluster.machine_config(2)
-        assert mc2.n_nodes == 2
-        with pytest.raises(ClusterError):
-            cluster.machine_config(9)
-
     def test_grow(self):
         region, events, cluster = self.make_cluster(2)
         cluster.grow(region, 3)
@@ -172,14 +158,6 @@ class TestCluster:
         cluster.scheduler.qsub(SGEJob("hog", slots=16, duration=1000.0))
         with pytest.raises(ClusterError):
             cluster.shrink_to(region, 1)
-
-    def test_cluster_from_vms(self):
-        clock = SimClock()
-        region = EC2Region(clock)
-        events = EventQueue(clock)
-        vms = region.run_instances("r3.2xlarge", 2)
-        cluster = cluster_from_vms(vms, events)
-        assert cluster.total_slots == 16
 
 
 class TestTransferModel:

@@ -31,7 +31,6 @@ from repro.core.assembly_cache import AssemblyCache, use_assembly_cache
 from repro.core.multikmer import AssemblyWorkload, make_assembly_workload
 from repro.core.preprocess import preprocess
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitManager
 from repro.pilot.scheduler import RoundRobinScheduler
@@ -94,12 +93,9 @@ def run_fanout(pre_store, ds, executor):
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
-    db = StateStore(clock)
-    pm = PilotManager(region, events, db)
+    pm = PilotManager(region, events)
     pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 4)))
-    um = UnitManager(
-        db, events, scheduler=RoundRobinScheduler(), executor=executor
-    )
+    um = UnitManager(events, scheduler=RoundRobinScheduler(), executor=executor)
     um.add_pilot(pilot)
     spectra = build_spectra(pre_store, {k for _, k in JOBS})
     try:

@@ -16,7 +16,6 @@ from repro.cloud.ec2 import EC2Region
 from repro.cloud.spot import SpotPreemptor
 from repro.obs import Tracer, use_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.elastic import ElasticPool
 from repro.pilot.manager import (
@@ -27,14 +26,14 @@ from repro.pilot.manager import (
 )
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
+from tests.pilot.lifecycle import placements
 
 
 def sim():
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
-    db = StateStore(clock)
-    return clock, events, region, db
+    return clock, events, region
 
 
 def make_work(compute=1e6, mem=10**7, ranks=8):
@@ -59,9 +58,9 @@ def oom_desc(name="oom", max_restarts=0, **kw):
 
 class TestExhaustionRaises:
     def test_zero_budget_raises_immediately(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
-        um = UnitManager(db, events)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
+        um = UnitManager(events)
         um.add_pilot(pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1))))
         units = um.submit_units([oom_desc(max_restarts=0)])
         with pytest.raises(UnitFailureError) as exc_info:
@@ -76,27 +75,27 @@ class TestExhaustionRaises:
     def test_budget_of_one_tries_both_pilots_then_raises(self):
         """failed_on exclusions steer the single restart to the untried
         pilot; exhausting the budget there raises."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         p1 = pm.launch(pm.submit(PilotDescription("P1", "c3.2xlarge", 1)))
         p2 = pm.launch(pm.submit(PilotDescription("P2", "c3.2xlarge", 1)))
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(p1)
         um.add_pilot(p2)
         units = um.submit_units([oom_desc(max_restarts=1)])
-        with pytest.raises(UnitFailureError):
-            um.run(units)
+        with use_tracer(Tracer(clock)) as tracer:
+            with pytest.raises(UnitFailureError):
+                um.run(units)
         (u,) = units
         assert u.restarts == 1
-        tried = {r.value for r in db.history_of(u.unit_id, "pilot")}
-        assert tried == {p1.pilot_id, p2.pilot_id}
+        assert sorted(placements(tracer, u)) == sorted([p1.pilot_id, p2.pilot_id])
 
     def test_exhaustion_emits_telemetry(self):
-        clock, events, region, db = sim()
+        clock, events, region = sim()
         tracer = Tracer(clock)
         with use_tracer(tracer):
-            pm = PilotManager(region, events, db)
-            um = UnitManager(db, events)
+            pm = PilotManager(region, events)
+            um = UnitManager(events)
             um.add_pilot(
                 pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
             )
@@ -110,9 +109,9 @@ class TestExhaustionRaises:
     def test_survivors_complete_before_the_raise(self):
         """A mixed round still finishes the healthy units: the raise
         reports the failures without discarding completed work."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
-        um = UnitManager(db, events)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
+        um = UnitManager(events)
         um.add_pilot(
             pm.launch(pm.submit(PilotDescription("P", "r3.2xlarge", 2)))
         )
@@ -134,14 +133,14 @@ class TestExhaustionRaises:
 
 class TestTransientRestart:
     def run_with_preemption(self, max_restarts):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 2)))
         preemptor = SpotPreemptor(
             region, events, cluster=pilot.cluster,
             protect={pilot.cluster.head.vm_id},
         )
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(pilot)
         # Spans both nodes, so losing the worker kills it mid-run.
         desc = UnitDescription(
@@ -150,24 +149,25 @@ class TestTransientRestart:
         )
         units = um.submit_units([desc])
         preemptor.arm_in([1.0])
-        return um, units, db, preemptor
+        return um, units, preemptor
 
     def test_preempted_unit_retries_on_same_pilot(self):
         """Transient failures earn no failed_on exclusion: the retry may
         legally land on the pilot whose node was reclaimed, and completes
         on the surviving capacity."""
-        um, units, db, preemptor = self.run_with_preemption(max_restarts=1)
-        um.run(units)
+        um, units, preemptor = self.run_with_preemption(max_restarts=1)
+        with use_tracer(Tracer()) as tracer:
+            um.run(units)
         (u,) = units
         assert len(preemptor.preempted) == 1
         assert u.state is UnitState.DONE
         assert u.restarts == 1
-        pilots = [r.value for r in db.history_of(u.unit_id, "pilot")]
+        pilots = placements(tracer, u)
         assert len(pilots) == 2
         assert len(set(pilots)) == 1  # same pilot both attempts
 
     def test_preempted_unit_without_budget_raises(self):
-        um, units, db, preemptor = self.run_with_preemption(max_restarts=0)
+        um, units, preemptor = self.run_with_preemption(max_restarts=0)
         with pytest.raises(UnitFailureError):
             um.run(units)
         (u,) = units
@@ -178,7 +178,7 @@ class TestTransientRestart:
         clock = SimClock()
         tracer = Tracer(clock)
         with use_tracer(tracer):
-            um, units, db, preemptor = self.run_with_preemption(max_restarts=1)
+            um, units, preemptor = self.run_with_preemption(max_restarts=1)
             um.run(units)
         assert tracer.metrics.counters["units_preempted"].value == 1
         assert tracer.metrics.counters["units_restarted"].value == 1
@@ -189,9 +189,9 @@ class TestNoProgressRounds:
     def livelocked_manager(self, max_restart_rounds, monkeypatch):
         """Force every failure to be transient so no exclusion is ever
         learned and no round makes progress."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
-        um = UnitManager(db, events, max_restart_rounds=max_restart_rounds)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
+        um = UnitManager(events, max_restart_rounds=max_restart_rounds)
         um.add_pilot(
             pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
         )
@@ -228,8 +228,8 @@ class TestNoProgressRounds:
 
 class TestElasticPool:
     def pool(self, n_nodes=2, max_nodes=4):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(
             pm.submit(PilotDescription("P", "c3.2xlarge", n_nodes))
         )

@@ -5,8 +5,8 @@ import pytest
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
 from repro.cloud.instances import GiB
+from repro.obs import Tracer, use_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import (
     ManagerError,
@@ -16,7 +16,6 @@ from repro.pilot.manager import (
 )
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import (
-    LoadBalancingScheduler,
     MemoryAwareScheduler,
     RoundRobinScheduler,
     SchedulingError,
@@ -24,14 +23,14 @@ from repro.pilot.scheduler import (
 )
 from repro.pilot.states import PilotState, StateError, UnitState
 from repro.pilot.unit import ComputeUnit
+from tests.pilot.lifecycle import pilot_states, unit_states
 
 
 def sim():
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
-    db = StateStore(clock)
-    return clock, events, region, db
+    return clock, events, region
 
 
 def make_work(compute=1e6, mem=10**7, ranks=8):
@@ -56,8 +55,8 @@ def unit_desc(name="u", cores=8, scale=0.01, mem_paper=0, **kw):
 
 class TestPilotLifecycle:
     def test_launch_builds_cluster(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.submit(PilotDescription("PA", "c3.2xlarge", n_nodes=3))
         assert pilot.state is PilotState.NEW
         pm.launch(pilot)
@@ -66,8 +65,8 @@ class TestPilotLifecycle:
         assert len(region.running()) == 3
 
     def test_finish_terminates_owned_vms(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(pm.submit(PilotDescription("PA", "c3.2xlarge", 2)))
         pm.finish(pilot)
         assert pilot.state is PilotState.DONE
@@ -75,8 +74,8 @@ class TestPilotLifecycle:
         assert region.total_cost > 0
 
     def test_s2_launch_on_existing_cluster(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         p1 = pm.launch(pm.submit(PilotDescription("PA", "c3.2xlarge", 2)))
         cluster = p1.cluster
         pm.finish_keep_vms = None  # not part of API; S2 finishes pilots only
@@ -90,119 +89,105 @@ class TestPilotLifecycle:
         assert len(region.running()) == 2
 
     def test_launch_on_mismatched_type_rejected(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         p1 = pm.launch(pm.submit(PilotDescription("PA", "c3.2xlarge", 2)))
         p2 = pm.submit(PilotDescription("PB", "r3.2xlarge", 2))
         with pytest.raises(ManagerError):
             pm.launch_on(p2, p1.cluster)
 
     def test_launch_on_too_small_cluster_rejected(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         p1 = pm.launch(pm.submit(PilotDescription("PA", "c3.2xlarge", 1)))
         p2 = pm.submit(PilotDescription("PB", "c3.2xlarge", 5))
         with pytest.raises(ManagerError):
             pm.launch_on(p2, p1.cluster)
 
     def test_state_history_in_db(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
-        pilot = pm.launch(pm.submit(PilotDescription("PA", "c3.2xlarge", 1)))
-        states = [r.value for r in db.history_of(pilot.pilot_id, "state")]
-        assert states == [
+        """The trace is the pilot's state record (its database)."""
+        clock, events, region = sim()
+        with use_tracer(Tracer(clock)) as tracer:
+            pm = PilotManager(region, events)
+            pilot = pm.launch(pm.submit(PilotDescription("PA", "c3.2xlarge", 1)))
+        assert pilot_states(tracer, pilot) == [
             "NEW", "PENDING_LAUNCH", "LAUNCHING", "ACTIVE",
         ]
 
     def test_illegal_advance_rejected(self):
-        clock, events, region, db = sim()
-        pilot = Pilot(PilotDescription("P", "c3.2xlarge", 1), db)
+        clock, events, region = sim()
+        pilot = Pilot(PilotDescription("P", "c3.2xlarge", 1))
         with pytest.raises(StateError):
             pilot.advance(PilotState.ACTIVE)
 
 
 class TestSchedulers:
-    def make_pilots(self, db):
-        small = Pilot(PilotDescription("small", "c3.2xlarge", 1), db)
-        big = Pilot(PilotDescription("big", "r3.2xlarge", 4), db)
+    def make_pilots(self):
+        small = Pilot(PilotDescription("small", "c3.2xlarge", 1))
+        big = Pilot(PilotDescription("big", "r3.2xlarge", 4))
         return small, big
 
     def test_fits_cores(self, ):
-        clock, events, region, db = sim()
-        small, big = self.make_pilots(db)
-        u = ComputeUnit(unit_desc(cores=16), db)
+        clock, events, region = sim()
+        small, big = self.make_pilots()
+        u = ComputeUnit(unit_desc(cores=16))
         assert not unit_fits_pilot(u, small)
         assert unit_fits_pilot(u, big)
 
     def test_fits_memory(self):
-        clock, events, region, db = sim()
-        small, big = self.make_pilots(db)
-        u = ComputeUnit(unit_desc(cores=8, mem_paper=40 * GiB), db)
+        clock, events, region = sim()
+        small, big = self.make_pilots()
+        u = ComputeUnit(unit_desc(cores=8, mem_paper=40 * GiB))
         assert not unit_fits_pilot(u, small)  # 40 GiB > c3's 16 GiB
         assert unit_fits_pilot(u, big)
 
     def test_round_robin_cycles(self):
-        clock, events, region, db = sim()
-        a = Pilot(PilotDescription("a", "c3.2xlarge", 2), db)
-        b = Pilot(PilotDescription("b", "c3.2xlarge", 2), db)
-        units = [ComputeUnit(unit_desc(name=f"u{i}"), db) for i in range(4)]
+        clock, events, region = sim()
+        a = Pilot(PilotDescription("a", "c3.2xlarge", 2))
+        b = Pilot(PilotDescription("b", "c3.2xlarge", 2))
+        units = [ComputeUnit(unit_desc(name=f"u{i}")) for i in range(4)]
         out = RoundRobinScheduler().schedule(units, [a, b])
         assert sorted(out.values()) == sorted(
             [a.pilot_id, b.pilot_id, a.pilot_id, b.pilot_id]
         )
 
     def test_memory_aware_prefers_cheap_when_fits(self):
-        clock, events, region, db = sim()
-        small, big = self.make_pilots(db)
-        u = ComputeUnit(unit_desc(cores=8, mem_paper=8 * GiB), db)
+        clock, events, region = sim()
+        small, big = self.make_pilots()
+        u = ComputeUnit(unit_desc(cores=8, mem_paper=8 * GiB))
         out = MemoryAwareScheduler().schedule([u], [small, big])
         assert out[u.unit_id] == small.pilot_id  # c3 is cheaper
 
     def test_memory_aware_escalates(self):
-        clock, events, region, db = sim()
-        small, big = self.make_pilots(db)
-        u = ComputeUnit(unit_desc(cores=8, mem_paper=40 * GiB), db)
+        clock, events, region = sim()
+        small, big = self.make_pilots()
+        u = ComputeUnit(unit_desc(cores=8, mem_paper=40 * GiB))
         out = MemoryAwareScheduler().schedule([u], [small, big])
         assert out[u.unit_id] == big.pilot_id
 
     def test_no_fit_raises(self):
-        clock, events, region, db = sim()
-        small, _ = self.make_pilots(db)
-        u = ComputeUnit(unit_desc(cores=8, mem_paper=400 * GiB), db)
-        for sched in (RoundRobinScheduler(), MemoryAwareScheduler(),
-                      LoadBalancingScheduler()):
+        clock, events, region = sim()
+        small, _ = self.make_pilots()
+        u = ComputeUnit(unit_desc(cores=8, mem_paper=400 * GiB))
+        for sched in (RoundRobinScheduler(), MemoryAwareScheduler()):
             with pytest.raises(SchedulingError):
                 sched.schedule([u], [small])
 
     def test_no_pilots_raises(self):
-        clock, events, region, db = sim()
-        u = ComputeUnit(unit_desc(), db)
+        clock, events, region = sim()
+        u = ComputeUnit(unit_desc())
         with pytest.raises(SchedulingError):
             RoundRobinScheduler().schedule([u], [])
-
-    def test_load_balancing_spreads_by_capacity(self):
-        clock, events, region, db = sim()
-        small = Pilot(PilotDescription("small", "c3.2xlarge", 1), db)
-        big = Pilot(PilotDescription("big", "c3.2xlarge", 3), db)
-        units = [
-            ComputeUnit(unit_desc(name=f"u{i}", cores=8), db) for i in range(4)
-        ]
-        out = LoadBalancingScheduler().schedule(units, [small, big])
-        counts = {}
-        for pid in out.values():
-            counts[pid] = counts.get(pid, 0) + 1
-        assert counts[big.pilot_id] == 3
-        assert counts[small.pilot_id] == 1
 
 
 class TestUnitExecution:
     def run_units(self, descs, pilot_desc=None, scheduler=None):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(
             pm.submit(pilot_desc or PilotDescription("P", "c3.2xlarge", 2))
         )
-        um = UnitManager(db, events, scheduler=scheduler or RoundRobinScheduler())
+        um = UnitManager(events, scheduler=scheduler or RoundRobinScheduler())
         um.add_pilot(pilot)
         units = um.submit_units(descs)
         um.run(units)
@@ -242,11 +227,11 @@ class TestUnitExecution:
         check) trips the agent's own static capacity guard."""
         from repro.pilot.agent import PilotAgent
 
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 2)))
         agent = PilotAgent(pilot)
-        unit = ComputeUnit(unit_desc(name="huge", mem_paper=400 * GiB), db)
+        unit = ComputeUnit(unit_desc(name="huge", mem_paper=400 * GiB))
         unit.advance(UnitState.UNSCHEDULED)
         unit.advance(UnitState.SCHEDULING)
         agent.submit(unit)
@@ -266,11 +251,11 @@ class TestUnitExecution:
 
     def test_restart_succeeds_on_bigger_pilot(self):
         """OOM on c3 -> restart -> memory-aware scheduler picks r3."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
         big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
-        um = UnitManager(db, events, scheduler=MemoryAwareScheduler())
+        um = UnitManager(events, scheduler=MemoryAwareScheduler())
         um.add_pilot(small)
         um.add_pilot(big)
         # declared 40 GiB (paper scale): memory-aware goes straight to r3
@@ -289,11 +274,11 @@ class TestUnitExecution:
         once every pilot has been tried the run fails with a
         SchedulingError instead of looping on a pilot it already
         failed on."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         p1 = pm.launch(pm.submit(PilotDescription("P1", "c3.2xlarge", 1)))
         p2 = pm.launch(pm.submit(PilotDescription("P2", "c3.2xlarge", 1)))
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(p1)
         um.add_pilot(p2)
         desc = UnitDescription(
@@ -310,17 +295,18 @@ class TestUnitExecution:
         assert "untried" in u.error
 
     def test_no_pilots_rejected(self):
-        clock, events, region, db = sim()
-        um = UnitManager(db, events)
+        clock, events, region = sim()
+        um = UnitManager(events)
         units = um.submit_units([unit_desc()])
         with pytest.raises(ManagerError):
             um.run(units)
 
     def test_unit_timeline_in_db(self):
-        clock, units, um, _ = self.run_units([unit_desc(name="tl")])
+        """The trace is the unit's state record (its database)."""
+        with use_tracer(Tracer()) as tracer:
+            clock, units, um, _ = self.run_units([unit_desc(name="tl")])
         (u,) = units
-        states = [r.value for r in u.db.history_of(u.unit_id, "state")]
-        assert states == [
+        assert unit_states(tracer, u) == [
             "NEW", "UNSCHEDULED", "SCHEDULING", "PENDING_EXECUTION",
             "EXECUTING", "DONE",
         ]

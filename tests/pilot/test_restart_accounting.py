@@ -17,22 +17,22 @@ from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.cluster import build_cluster
 from repro.cloud.ec2 import EC2Region
 from repro.cloud.instances import GiB
+from repro.obs import Tracer, use_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.pilot.agent import PilotAgent, merged_usage
-from repro.pilot.db import StateStore
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.scheduler import SchedulingError
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
+from tests.pilot.lifecycle import placements
 
 
 def sim():
     clock = SimClock()
     events = EventQueue(clock)
     region = EC2Region(clock)
-    db = StateStore(clock)
-    return clock, events, region, db
+    return clock, events, region
 
 
 def make_work(compute=1e6, mem=10**7, ranks=8):
@@ -59,10 +59,10 @@ def oom_desc(name="oom", max_restarts=0, **kw):
 
 class TestResetClearsExecutionRecord:
     def failed_unit(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(pilot)
         units = um.submit_units([oom_desc()])
         with pytest.raises(UnitFailureError):
@@ -94,8 +94,8 @@ class TestResetClearsExecutionRecord:
         """The ISSUE scenario: a restarted unit that fails the *static*
         check (which returns before re-executing) must not report the
         dead attempt's usage through merged_usage or a bogus ttc."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         # Fits r3.2xlarge (61 GiB) statically but OOMs measured.
         big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
         small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
@@ -103,7 +103,7 @@ class TestResetClearsExecutionRecord:
             name="u", work=make_work(mem=10**9), cores=8, scale=0.01,
             memory_bytes=40 * GiB,
         )
-        unit = ComputeUnit(desc, db)
+        unit = ComputeUnit(desc)
         unit.advance(UnitState.UNSCHEDULED)
         unit.advance(UnitState.SCHEDULING)
         unit.assign(big.pilot_id)
@@ -130,8 +130,8 @@ class TestResetClearsExecutionRecord:
 
 class TestSliceCapping:
     def borrowed_pilot(self, pilot_nodes, cluster_nodes):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         cluster = build_cluster(
             region, events, "c3.2xlarge", cluster_nodes, name="borrowed"
         )
@@ -139,10 +139,10 @@ class TestSliceCapping:
             PilotDescription("P", "c3.2xlarge", n_nodes=pilot_nodes)
         )
         pm.launch_on(pilot, cluster)
-        return clock, events, db, cluster, pilot
+        return clock, events, cluster, pilot
 
-    def run_direct(self, agent, events, db, desc):
-        unit = ComputeUnit(desc, db)
+    def run_direct(self, agent, events, desc):
+        unit = ComputeUnit(desc)
         unit.advance(UnitState.UNSCHEDULED)
         unit.advance(UnitState.SCHEDULING)
         unit.assign(agent.pilot.pilot_id)
@@ -154,12 +154,12 @@ class TestSliceCapping:
     def test_slots_capped_at_pilot_slice(self):
         """A 1-node pilot on a 4-node borrowed cluster grants at most
         its own 8 slots, not the cluster's 32."""
-        clock, events, db, cluster, pilot = self.borrowed_pilot(1, 4)
+        clock, events, cluster, pilot = self.borrowed_pilot(1, 4)
         agent = PilotAgent(pilot=pilot)
         desc = UnitDescription(
             name="wide", work=make_work(), cores=32, scale=0.01
         )
-        unit = self.run_direct(agent, events, db, desc)
+        unit = self.run_direct(agent, events, desc)
         assert unit.state is UnitState.DONE
         (job,) = cluster.scheduler.jobs.values()
         assert job.slots == 8
@@ -169,7 +169,7 @@ class TestSliceCapping:
         """The same unit takes longer on a 1-node slice than on a pilot
         that really owns all 4 nodes."""
         def ttc_with(pilot_nodes):
-            clock, events, db, cluster, pilot = self.borrowed_pilot(
+            clock, events, cluster, pilot = self.borrowed_pilot(
                 pilot_nodes, 4
             )
             agent = PilotAgent(pilot=pilot)
@@ -179,7 +179,7 @@ class TestSliceCapping:
                 name="wide", work=make_work(ranks=32, mem=10**6), cores=32,
                 scale=0.01,
             )
-            unit = self.run_direct(agent, events, db, desc)
+            unit = self.run_direct(agent, events, desc)
             assert unit.state is UnitState.DONE
             return unit.ttc
 
@@ -188,13 +188,13 @@ class TestSliceCapping:
     def test_static_check_uses_slice_nodes(self):
         """Declared 20 GiB over cores=16 spans 2 nodes on the cluster
         but only 1 on the pilot's slice -> static OOM on c3 (16 GiB)."""
-        clock, events, db, cluster, pilot = self.borrowed_pilot(1, 4)
+        clock, events, cluster, pilot = self.borrowed_pilot(1, 4)
         agent = PilotAgent(pilot=pilot)
         desc = UnitDescription(
             name="tall", work=make_work(), cores=16, scale=0.01,
             memory_bytes=20 * GiB,
         )
-        unit = self.run_direct(agent, events, db, desc)
+        unit = self.run_direct(agent, events, desc)
         assert unit.state is UnitState.FAILED
         assert "static" in unit.error
 
@@ -204,10 +204,10 @@ class TestRestartElsewhere:
         """A deterministic OOM on the only pilot fails after ONE restart
         attempt with a SchedulingError — not after max_restarts loops on
         the pilot it already failed on."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(pilot)
         units = um.submit_units([oom_desc(max_restarts=8)])
         with pytest.raises(SchedulingError):
@@ -218,34 +218,32 @@ class TestRestartElsewhere:
         assert "untried" in u.error
 
     def test_each_pilot_tried_once(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilots = [
             pm.launch(pm.submit(PilotDescription(f"P{i}", "c3.2xlarge", 1)))
             for i in range(3)
         ]
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         for p in pilots:
             um.add_pilot(p)
         units = um.submit_units([oom_desc(max_restarts=10)])
-        with pytest.raises(SchedulingError):
-            um.run(units)
+        with use_tracer(Tracer(clock)) as tracer:
+            with pytest.raises(SchedulingError):
+                um.run(units)
         (u,) = units
         assert u.restarts == 3
-        tried = {
-            r.value
-            for r in db.history_of(u.unit_id, "pilot")
-        }
-        assert tried == {p.pilot_id for p in pilots}
+        tried = placements(tracer, u)
+        assert sorted(tried) == sorted(p.pilot_id for p in pilots)
 
     def test_restart_still_succeeds_elsewhere(self):
         """The healthy path: OOM on the small pilot, restart lands on
         the (untried) big pilot and finishes."""
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
         big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(small)
         um.add_pilot(big)
         # 40 GiB/rank at paper scale: OOMs c3 (16 GiB), fits r3 (61 GiB).
@@ -263,10 +261,10 @@ class TestRestartElsewhere:
 
 class TestMergedUsage:
     def mixed_units(self):
-        clock, events, region, db = sim()
-        pm = PilotManager(region, events, db)
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
         pilot = pm.launch(pm.submit(PilotDescription("P", "r3.2xlarge", 2)))
-        um = UnitManager(db, events)
+        um = UnitManager(events)
         um.add_pilot(pilot)
         units = um.submit_units(
             [

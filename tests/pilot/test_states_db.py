@@ -1,11 +1,12 @@
-"""Tests for the state machines and the backend state store."""
+"""Tests for the state machines and their record, the trace."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cloud.clock import SimClock
-from repro.pilot.db import StateStore
+from repro.obs import CollectorSink, Tracer, use_tracer
+from repro.pilot.description import UnitDescription
 from repro.pilot.states import (
     PILOT_FINAL,
     PILOT_TRANSITIONS,
@@ -17,6 +18,7 @@ from repro.pilot.states import (
     check_pilot_transition,
     check_unit_transition,
 )
+from repro.pilot.unit import ComputeUnit
 
 
 class TestPilotStates:
@@ -93,61 +95,56 @@ class TestUnitStates:
 
 
 class TestStateStore:
-    def make(self):
-        return StateStore(SimClock())
+    """The trace is the pilot layer's state store: one ``unit.state`` /
+    ``pilot.state`` event per transition, stamped with virtual time, and
+    the tracer's sinks are its watchers."""
 
-    def test_register_and_get(self):
-        db = self.make()
-        db.register("e1", state="NEW", name="thing")
-        assert db.get("e1", "state") == "NEW"
-        assert db.get("e1", "name") == "thing"
-        assert db.get("e1", "missing", 42) == 42
+    def make(self, clock=None):
+        return Tracer(clock or SimClock())
 
-    def test_double_register_rejected(self):
-        db = self.make()
-        db.register("e1")
-        with pytest.raises(KeyError):
-            db.register("e1")
-
-    def test_update_unknown_rejected(self):
-        db = self.make()
-        with pytest.raises(KeyError):
-            db.update("nope", "state", 1)
+    def unit(self):
+        return ComputeUnit(UnitDescription(name="u", work=lambda: (None, None)))
 
     def test_history_with_timestamps(self):
         clock = SimClock()
-        db = StateStore(clock)
-        db.register("e1", state="NEW")
-        clock.advance(10)
-        db.update("e1", "state", "ACTIVE")
-        hist = db.history_of("e1", "state")
-        assert [(r.value, r.timestamp) for r in hist] == [
-            ("NEW", 0.0),
-            ("ACTIVE", 10.0),
+        with use_tracer(self.make(clock)) as tracer:
+            unit = self.unit()
+            unit.advance(UnitState.UNSCHEDULED)
+            clock.advance(10)
+            unit.advance(UnitState.SCHEDULING)
+        assert [(e.attrs["new"], e.v_time) for e in tracer.events] == [
+            ("UNSCHEDULED", 0.0),
+            ("SCHEDULING", 10.0),
         ]
 
     def test_watchers_fire(self):
-        db = self.make()
-        seen = []
-        db.watch(lambda e, f, v: seen.append((e, f, v)))
-        db.register("e1", state="NEW")
-        db.update("e1", "state", "GO")
-        assert ("e1", "state", "NEW") in seen
-        assert ("e1", "state", "GO") in seen
+        with use_tracer(self.make()) as tracer:
+            watcher = tracer.add_sink(CollectorSink())
+            unit = self.unit()
+            unit.advance(UnitState.UNSCHEDULED)
+            unit.advance(UnitState.SCHEDULING)
+        assert [(r["thread"], r["attrs"]["new"]) for r in watcher.records] == [
+            (unit.unit_id, "UNSCHEDULED"),
+            (unit.unit_id, "SCHEDULING"),
+        ]
 
     def test_unsubscribe(self):
-        db = self.make()
-        seen = []
-        unsub = db.watch(lambda e, f, v: seen.append(v))
-        db.register("e1", x=1)
-        unsub()
-        db.update("e1", "x", 2)
-        assert seen == [1]
+        with use_tracer(self.make()) as tracer:
+            watcher = tracer.add_sink(CollectorSink())
+            unit = self.unit()
+            unit.advance(UnitState.UNSCHEDULED)
+            tracer.remove_sink(watcher)
+            unit.advance(UnitState.SCHEDULING)
+        assert [r["attrs"]["new"] for r in watcher.records] == ["UNSCHEDULED"]
 
     def test_timeline(self):
-        db = self.make()
-        db.register("a", state="NEW")
-        db.register("b", state="NEW")
-        db.update("a", "state", "DONE")
-        tl = db.timeline("state")
-        assert [v for _, _, v in tl] == ["NEW", "NEW", "DONE"]
+        with use_tracer(self.make()) as tracer:
+            a, b = self.unit(), self.unit()
+            a.advance(UnitState.UNSCHEDULED)
+            b.advance(UnitState.UNSCHEDULED)
+            a.advance(UnitState.SCHEDULING)
+        assert [(e.thread, e.attrs["new"]) for e in tracer.events] == [
+            (a.unit_id, "UNSCHEDULED"),
+            (b.unit_id, "UNSCHEDULED"),
+            (a.unit_id, "SCHEDULING"),
+        ]
