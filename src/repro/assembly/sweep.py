@@ -54,7 +54,6 @@ are local arrays, on which ``close`` is a no-op, so they outlive the run.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -143,10 +142,9 @@ class KmerSpectrum:
         # owners per rank count, and the occurrence -> read map.
         self._owners: dict[int, np.ndarray] = {}
         self._occ_read: np.ndarray | None = None
-        # (planning pid, reader count) and what plan_readers keeps.
-        self._lock = threading.RLock()
-        self._readers = (0, 1)
+        # The graph products derived inside keeping(), until close().
         self._graphs: dict[tuple, object] = {}
+        self._keeping = False
 
     # -- construction -------------------------------------------------------
 
@@ -244,7 +242,7 @@ class KmerSpectrum:
         """Drop the kept graph products and release the shared segment
         (idempotent; unlinks iff owner).  A never-shared spectrum — the
         table cache's — has no segment and stays open and usable."""
-        self.plan_readers(1)
+        self._graphs.clear()
         if self._arrays.close(unlink):
             self._owners.clear()
             self._occ_read = None
@@ -303,30 +301,29 @@ class KmerSpectrum:
             self._owners[n_ranks] = got
         return got
 
-    def plan_readers(self, n: int) -> None:
-        """Say how many fan-out jobs read this spectrum.  With more than
-        one, each graph product (:meth:`table`, :meth:`partition`) is
-        derived by its first reader under this spectrum's lock and kept
-        for the others until :meth:`close`; otherwise, and in any other
-        process (a pool worker), every call derives its own."""
-        with self._lock:
-            self._graphs.clear()
-            self._readers = (os.getpid(), int(n))
+    @contextmanager
+    def keeping(self):
+        """Keep each graph product (:meth:`table`, :meth:`partition`)
+        derived in the block until :meth:`close`, for later readers here
+        and in workers forked after; any other call derives its own."""
+        self._keeping = True
+        try:
+            yield self
+        finally:
+            self._keeping = False
 
     def _derive(self, key: tuple, make):
-        pid, n = self._readers
-        if n < 2 or pid != os.getpid():
-            return make()
-        with self._lock:
-            got = self._graphs.get(key)
-            if got is None:
-                got = self._graphs[key] = make()
-            return got
+        got = self._graphs.get(key)
+        if got is None:
+            got = make()
+            if self._keeping:
+                self._graphs[key] = got
+        return got
 
     def table(self, min_count: int) -> KmerTable:
         """The frozen :class:`KmerTable` (read-only, unitig chains
-        ranked) of the rows at ``counts >= min_count``; maybe shared
-        (:meth:`plan_readers`), so nobody may ``drop_below`` it."""
+        ranked) of the rows at ``counts >= min_count``; maybe kept
+        (:meth:`keeping`) and shared, so nobody may ``drop_below`` it."""
 
         def make() -> KmerTable:
             keep = self.counts >= min_count
@@ -340,7 +337,7 @@ class KmerSpectrum:
         """Reads striped over ``n_ranks`` ranks, rows hashed to their
         :meth:`owners`, and the :meth:`table` at ``min_count`` walked
         with each rank seeding from the rows it owns; read-only and
-        maybe shared, like :meth:`table`."""
+        maybe kept, like :meth:`table`."""
 
         def make() -> SpectrumPartition:
             p = n_ranks

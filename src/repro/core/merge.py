@@ -2,13 +2,13 @@
 
 Rnnotator merges its multi-k assemblies with VMATCH (containment /
 near-duplicate detection) and Minimus2 (suffix-prefix overlap joining).
-This stage does both:
+This stage does an exact version of both:
 
-1. **containment removal** — a contig contained in a longer one (either
-   strand) is dropped; near-duplicates (same length class, shared seed
-   support over most of the contig) collapse to the higher-coverage copy;
-2. **overlap joining** — contigs overlapping suffix-to-prefix by at least
-   ``min_overlap`` exactly are greedily concatenated.
+1. **containment removal** — in ``(-length, sequence)`` order, a contig
+   that is an exact substring of a kept one on either strand is dropped:
+   the first of two equal copies survives, and a one-base variant stays;
+2. **overlap joining** — a contig whose last ``min_overlap`` bases equal
+   another's first ``min_overlap`` is greedily concatenated with it.
 
 The paper notes (§IV.B.iii) that this default Rnnotator merge is tuned
 for multi-k merging with a *single* assembler and is probably suboptimal
@@ -51,7 +51,7 @@ def _seed_positions(seq: str, stride: int = SEED_STRIDE) -> list[str]:
 def _remove_contained(
     contigs: list[Contig], result: MergeResult
 ) -> list[Contig]:
-    """Drop contigs contained in (or near-duplicating) longer ones."""
+    """Drop contigs contained, on either strand, in one kept before them."""
     ordered = sorted(contigs, key=lambda c: (-len(c), c.seq))
     kept: list[Contig] = []
     seed_index: dict[str, list[int]] = {}

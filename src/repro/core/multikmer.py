@@ -18,7 +18,6 @@ repeated sweeps) with bit-identical results and virtual TTCs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.assembly.base import AssemblyParams
@@ -250,6 +249,7 @@ def assembly_unit_descriptions(
     input_bytes: int | None = None,
     max_restarts: int = 0,
     spectra: tuple[KmerSpectrum, ...] = (),
+    computing: frozenset[tuple] = frozenset(),
 ) -> list[UnitDescription]:
     """One UnitDescription per (assembler, k) job in the plan.
 
@@ -260,9 +260,9 @@ def assembly_unit_descriptions(
     that store counted once per k: each unit's workload receives only
     the spectrum at its job's k, so spectra for other k values are never
     pickled to that unit's worker; a job whose k is not among them
-    builds its own (see :class:`AssemblyWorkload`).  Each spectrum is
-    told how many workloads it was handed to (``plan_readers``), so the
-    jobs at one k derive their graph once.
+    builds its own (see :class:`AssemblyWorkload`).  A spectrum that two
+    or more jobs in ``computing`` (content keys) read gets their graph
+    products derived here, in ``KmerSpectrum.keeping``, so they only read.
 
     Every unit carries a ``checkpoint_key`` — the job's
     :func:`content_key`, the same address the assembly cache uses — so
@@ -272,9 +272,15 @@ def assembly_unit_descriptions(
     """
     by_k = {sp.k: sp for sp in spectra}
     jobs = planned_jobs(plan, store, min_count, min_contig_length)
-    readers = Counter(job.spectrum_k for job in jobs)
-    for k, sp in by_k.items():
-        sp.plan_readers(readers[k])
+    for sp in spectra:
+        readers = [j for j in jobs if j.spectrum_k == sp.k and j.key in computing]
+        if len(readers) > 1:
+            with sp.keeping():
+                for job in readers:
+                    if job.assembler in ("ray", "abyss"):
+                        sp.partition(job.cores, job.params.min_count)
+                    elif job.assembler == "velvet":
+                        sp.table(job.params.min_count)
     if input_bytes is None:
         input_bytes = spec.preprocessed_bytes
     descs = []

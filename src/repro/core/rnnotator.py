@@ -300,6 +300,7 @@ class _Run:
     #: spectra this run shared.
     fanout: ExitStack = field(init=False)
     spectra: tuple[KmerSpectrum, ...] = field(init=False)
+    computing: frozenset[tuple] = field(init=False)
     missing_ks: tuple[int, ...] = field(init=False)
     executor: WorkloadExecutor = field(init=False)
     pending_build: PendingSpectraBuild | None = field(init=False)
@@ -549,9 +550,9 @@ def _close_spectra(run: _Run) -> None:
 
 
 def _spectrum_demand_stage(run: _Run) -> None:
-    """Which k the fan-out will read, and the backend it runs on.  Fills
-    ``spectra`` (the table cache's hits so far), ``missing_ks``,
-    ``fanout``, ``executor`` and ``pending_build``.
+    """Which jobs compute, which k they read, and the backend they run
+    on.  Fills ``computing``, ``spectra`` (the table cache's hits so
+    far), ``missing_ks``, ``fanout``, ``executor`` and ``pending_build``.
 
     K-mers are counted only for jobs that will read them.  A job is
     *satisfied* when its content key is already in the assembly cache or
@@ -575,6 +576,7 @@ def _spectrum_demand_stage(run: _Run) -> None:
         for j, hit in zip(jobs, cache_hits)
         if not (hit or (ckpt is not None and ckpt.has_unit(j.key)))
     ]
+    run.computing = frozenset(j.key for j in unsatisfied)
     needed_ks = sorted({j.spectrum_k for j in unsatisfied})
     cached = (
         {k: table_cache.get(store.digest, k) for k in needed_ks}
@@ -755,6 +757,8 @@ def _assembly_stage(run: _Run) -> None:
     ``fanout_keys`` and ``assemblies``; closes ``fanout``."""
     config, faults, plan = run.config, run.faults, run.plan
     with run.fanout:
+        t0 = run.clock.now
+        w0 = time.perf_counter()  # the stage's host time includes graph derivation
         descs = multikmer.assembly_unit_descriptions(
             plan,
             run.spec,
@@ -764,6 +768,7 @@ def _assembly_stage(run: _Run) -> None:
             min_contig_length=config.min_contig_length,
             max_restarts=config.unit_max_restarts,
             spectra=run.spectra,
+            computing=run.computing,
         )
         if faults.straggle_unit and faults.straggle_seconds > 0:
             # The straggler drill: delay matching workloads in real
@@ -777,8 +782,6 @@ def _assembly_stage(run: _Run) -> None:
                 else d
                 for d in descs
             ]
-        t0 = run.clock.now
-        w0 = time.perf_counter()
         units = run.umb.submit_units(descs)
         try:
             run.umb.run(units)

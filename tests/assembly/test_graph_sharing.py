@@ -2,22 +2,26 @@
 
 ``KmerSpectrum.table(min_count)`` and ``KmerSpectrum.partition(p,
 min_count)`` are what Velvet, Ray and ABySS derive from a spectrum.  A
-spectrum told it has several planned readers (``plan_readers``) keeps each
-product its first reader derives, read-only, until ``close``; one with a
-single reader (the default), or read in a process other than the one that
-planned (a pool worker), keeps nothing.  Whatever the readers' order and
-concurrency, every result must equal the one the assembler gets reading
-the spectrum alone — each still books its own phases on its own world.
+product derived inside ``KmerSpectrum.keeping()`` is kept, read-only,
+until ``close``; any other call derives its own and keeps nothing.
+``assembly_unit_descriptions`` derives, before the fan-out, every product
+the *computing* jobs read from a spectrum two or more of them read, so
+those jobs only read it: in this process, or in a pool worker forked
+afterwards, which reads the copy it inherited.  Whatever the readers'
+order, concurrency and process, every result must equal the one the
+assembler gets reading the spectrum alone — each still books its own
+phases on its own world.
 """
 
 import gc
 import itertools
 import os
 import sys
-import time
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,8 +32,10 @@ from repro.assembly.dbg import KmerTable
 from repro.assembly.ray import RayAssembler
 from repro.assembly.sweep import KmerTableCache, build_spectra, use_kmer_table_cache
 from repro.assembly.velvet import VelvetAssembler
-from repro.core.assembly_cache import use_assembly_cache
+from repro.core import multikmer
+from repro.core.assembly_cache import AssemblyCache, use_assembly_cache
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
+from repro.obs import Tracer
 from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.seq.datasets import tiny_dataset
 from tests.assembly.test_parity import assert_results_identical
@@ -39,6 +45,7 @@ N_RANKS = 8
 PARAMS = AssemblyParams(k=K, min_contig_length=100)
 ASSEMBLERS = {"ray": RayAssembler, "abyss": AbyssAssembler, "velvet": VelvetAssembler}
 ORDERS = list(itertools.permutations(ASSEMBLERS))
+MAMP = ("ray", "abyss", "velvet")
 
 
 def _assemble(name, store, spectrum):
@@ -50,8 +57,11 @@ def _workload(name, store, spectrum):
     return _assemble(name, store, spectrum), None
 
 
-def _same_table_twice(spectrum):
-    return (spectrum.table(2) is spectrum.table(2), os.getpid()), None
+def _read_products(spectrum):
+    """The identities of the products a reader gets, and where it ran."""
+    part = spectrum.partition(N_RANKS, PARAMS.min_count)
+    table = spectrum.table(PARAMS.min_count)
+    return (id(part), id(table), os.getpid()), None
 
 
 @pytest.fixture(scope="module")
@@ -65,34 +75,75 @@ def alone(store_single):
 
 
 @pytest.fixture
-def shared(store_single):
-    """A spectrum the three assemblers plan to read."""
+def derivations(monkeypatch, tmp_path):
+    """Every table frozen and every by-owner walk made, as they happen.
+    ``tables`` holds weak references to the tables made in this process;
+    ``made(pid)``
+    counts what was derived in ``pid``, or anywhere — pool workers
+    forked after this fixture log theirs to the same file."""
+    log = tmp_path / "derivations.log"
+    log.touch()
+    tables = []
+    freeze, walk = KmerTable.freeze, sweep.extract_unitigs_by_owner
+
+    def note(what):
+        with log.open("a") as f:
+            f.write(f"{what} {os.getpid()}\n")
+
+    def noted_freeze(table):
+        note("table")
+        tables.append(weakref.ref(table))
+        return freeze(table)
+
+    def noted_walk(*args):
+        note("walk")
+        return walk(*args)
+
+    def made(pid=None):
+        rows = [line.split() for line in log.read_text().splitlines()]
+        return Counter(what for what, p in rows if pid is None or int(p) == pid)
+
+    monkeypatch.setattr(KmerTable, "freeze", noted_freeze)
+    monkeypatch.setattr(sweep, "extract_unitigs_by_owner", noted_walk)
+    return SimpleNamespace(tables=tables, made=made)
+
+
+@pytest.fixture
+def shared(store_single, derivations):
+    """A spectrum whose products the three assemblers read were derived
+    ahead, as the pipeline does for several computing readers."""
     (sp,) = build_spectra(store_single, (K,))
-    sp.plan_readers(3)
+    with sp.keeping():
+        sp.table(PARAMS.min_count)
+        sp.partition(N_RANKS, PARAMS.min_count)
     yield sp
     sp.close()
 
 
-@pytest.fixture
-def derivations(monkeypatch):
-    """Every table frozen and every by-owner walk made, as they happen;
-    a freeze sleeps so that a reader racing the first one would overlap
-    it."""
-    made = {"tables": [], "walks": 0}
-    freeze, walk = KmerTable.freeze, sweep.extract_unitigs_by_owner
+#: One table for all three readers, one partition (and walk) for Ray and ABySS.
+ONCE = Counter(table=1, walk=1)
 
-    def slow_freeze(table):
-        made["tables"].append(table)
-        time.sleep(0.05)
-        return freeze(table)
 
-    def counted_walk(*args):
-        made["walks"] += 1
-        return walk(*args)
+def kept_ahead(monkeypatch):
+    """Per k, the kinds of product the fan-out's spectra held when
+    ``assembly_unit_descriptions`` returned."""
+    seen = {}
+    describe = multikmer.assembly_unit_descriptions
 
-    monkeypatch.setattr(KmerTable, "freeze", slow_freeze)
-    monkeypatch.setattr(sweep, "extract_unitigs_by_owner", counted_walk)
-    return made
+    def recording(*args, spectra=(), **kwargs):
+        descs = describe(*args, spectra=spectra, **kwargs)
+        seen.update({sp.k: sorted(key[0] for key in sp._graphs) for sp in spectra})
+        return descs
+
+    monkeypatch.setattr(multikmer, "assembly_unit_descriptions", recording)
+    return seen
+
+
+def run_mamp(assemblers=MAMP, kmer_list=(25, 31), **config):
+    """(result, tracer) of one traced run."""
+    tracer = Tracer()
+    config = PipelineConfig(assemblers=assemblers, kmer_list=kmer_list, **config)
+    return RnnotatorPipeline(tracer=tracer).run(tiny_dataset(seed=0), config), tracer
 
 
 class TestSharedReaders:
@@ -102,8 +153,7 @@ class TestSharedReaders:
     ):
         for name in order:
             assert_results_identical(_assemble(name, store_single, shared), alone[name])
-        # One table for all three, one partition (and walk) for Ray and ABySS.
-        assert len(derivations["tables"]) == 1 and derivations["walks"] == 1
+        assert derivations.made() == ONCE  # all of it ahead, none by a reader
         part = shared.partition(N_RANKS, PARAMS.min_count)
         assert part.table is shared.table(PARAMS.min_count)
 
@@ -123,30 +173,25 @@ class TestSharedReaders:
         for name, outcome in outcomes:
             assert outcome.error is None, outcome.error
             assert_results_identical(outcome.result, alone[name])
-        # The per-spectrum lock: a second reader waited for the first
-        # reader's derivation instead of making its own.
-        assert len(derivations["tables"]) == 1 and derivations["walks"] == 1
+        assert derivations.made() == ONCE
 
-    def test_many_threads_get_one_object(self, store_single, derivations):
+    def test_many_threads_get_one_object(self, shared, derivations):
         """More readers than cores, switching threads every microsecond:
-        one derivation of each product, and every reader holds it."""
+        every reader holds the one kept product and none derives."""
         n = 4 * (os.cpu_count() or 1)
-        (sp,) = build_spectra(store_single, (K,))
-        sp.plan_readers(n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=n) as pool:
                 futures = [
-                    pool.submit(sp.partition, N_RANKS, PARAMS.min_count)
+                    pool.submit(shared.partition, N_RANKS, PARAMS.min_count)
                     for _ in range(n)
                 ]
                 got = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-            sp.close()
         assert all(part is got[0] for part in got)
-        assert len(derivations["tables"]) == 1 and derivations["walks"] == 1
+        assert derivations.made() == ONCE
 
 
 class TestReaderRule:
@@ -155,24 +200,26 @@ class TestReaderRule:
         for name in ASSEMBLERS:
             assert_results_identical(_assemble(name, store_single, sp), alone[name])
         # Velvet's table, and Ray's and ABySS's partition each with its own.
-        assert len(derivations["tables"]) == 3 and derivations["walks"] == 2
+        assert derivations.made() == Counter(table=3, walk=2)
         assert sp.table(2) is not sp.table(2)
         assert sp.partition(N_RANKS, 2) is not sp.partition(N_RANKS, 2)
         assert not sp._graphs
 
-    def test_a_pool_worker_keeps_nothing(self, store_single, shared):
-        """A forked worker inherits the planning process's spectrum
-        object, reader count included; reading it there keeps nothing."""
+    def test_a_forked_worker_reads_the_parents_products(self, shared, derivations):
+        """A pool worker forked after the products were kept gets the
+        parent's objects through the inherited attach registry: the same
+        identities, and nothing derived there."""
         shared.share()  # before the fork, as the pipeline does
         executor = ProcessExecutor(max_workers=1)
         try:
-            outcome = executor.submit(partial(_same_table_twice, shared)).outcome()
+            outcome = executor.submit(partial(_read_products, shared)).outcome()
         finally:
             executor.shutdown()
         assert outcome.error is None, outcome.error
-        same, pid = outcome.result
-        assert pid != os.getpid() and not same
-        assert shared.table(2) is shared.table(2)
+        (part_id, table_id, _), _ = _read_products(shared)
+        assert outcome.result[2] != os.getpid()
+        assert outcome.result[:2] == (part_id, table_id)
+        assert derivations.made(os.getpid()) == derivations.made() == ONCE
 
     def test_close_releases_the_products(self, store_single, shared):
         for name in ASSEMBLERS:
@@ -183,7 +230,7 @@ class TestReaderRule:
         shared.close()
         gc.collect()
         assert table() is None and owners() is None
-        # A never-shared spectrum stays usable, with one reader again.
+        # A never-shared spectrum stays usable and keeps nothing again.
         assert not shared.closed
         assert shared.table(2) is not shared.table(2)
 
@@ -191,16 +238,53 @@ class TestReaderRule:
         """Through the pipeline: one table per k for Ray, ABySS and
         Velvet, and none alive once the run has returned, although its
         spectra stay in the table cache."""
-        config = PipelineConfig(assemblers=("ray", "abyss", "velvet"), kmer_list=(25, 31))
         cache = KmerTableCache()
         with use_assembly_cache(None), use_kmer_table_cache(cache):
-            RnnotatorPipeline().run(tiny_dataset(seed=0), config)
+            run_mamp()
         assert len(cache) == 2
-        assert len(derivations["tables"]) == 2 and derivations["walks"] == 2
-        alive = [weakref.ref(t) for t in derivations["tables"]]
-        derivations["tables"].clear()
+        assert derivations.made() == Counter(table=2, walk=2)
         gc.collect()
-        assert [ref() for ref in alive] == [None, None]
+        assert [ref() for ref in derivations.tables] == [None, None]
+
+    def test_a_process_pipeline_derives_once_per_k(self, derivations):
+        """The same six jobs on two forked workers: the parent derives
+        each k's table and walk before the fan-out, the workers none."""
+        with use_assembly_cache(None), use_kmer_table_cache(KmerTableCache()):
+            run_mamp(executor="process", executor_workers=2)
+        assert derivations.made(os.getpid()) == derivations.made() == Counter(
+            table=2, walk=2
+        )
+
+
+class TestComputingReaders:
+    """Only jobs that will compute count as readers: one served from the
+    assembly cache (or a checkpoint) reads no graph."""
+
+    def test_a_cached_job_is_not_a_reader(self, monkeypatch, derivations):
+        with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
+            KmerTableCache()
+        ):
+            run_mamp(assemblers=("ray",), kmer_list=(K,))
+            before = derivations.made()
+            ahead = kept_ahead(monkeypatch)
+            _, tracer = run_mamp(kmer_list=(K,))
+        assert tracer.metrics.snapshot()["counters"]["assembly_cache.hit"] == 1
+        # ABySS's partition and Velvet's table (the one in the partition).
+        assert ahead == {K: ["partition", "table"]}
+        assert derivations.made() - before == ONCE
+
+    def test_one_computing_job_derives_nothing_ahead(self, monkeypatch, derivations):
+        with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
+            KmerTableCache()
+        ):
+            run_mamp(assemblers=("ray", "abyss"), kmer_list=(K,))
+            before = derivations.made()
+            ahead = kept_ahead(monkeypatch)
+            _, tracer = run_mamp(kmer_list=(K,))
+        assert tracer.metrics.snapshot()["counters"]["assembly_cache.hit"] == 2
+        assert ahead == {K: []}
+        # Velvet alone, deriving its own table; no partition anywhere.
+        assert derivations.made() - before == Counter(table=1)
 
 
 class TestReadOnly:

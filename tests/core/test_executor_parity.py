@@ -4,9 +4,10 @@ bit-identical assembly results and virtual TTCs for the same fan-out.
 The executor backend only changes *where and when* the real Python
 workloads run on the host; everything priced on the virtual clock is
 derived from the deterministic measured usage, so all three backends
-must agree exactly — with the jobs at one k sharing one spectrum and its
-graph products (threads race for them, pool workers derive their own)
-and under any ``PYTHONHASHSEED``.  Also covers picklability of
+must agree exactly — with the jobs at one k sharing one spectrum and the
+graph products derived from it before the fan-out (threads read the
+parent's objects, forked pool workers the copies they inherited), at any
+worker count and under any ``PYTHONHASHSEED``.  Also covers picklability of
 :class:`repro.core.multikmer.AssemblyWorkload` (the process backend
 round-trips it and its results through pickle).
 """
@@ -17,7 +18,6 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,10 +60,14 @@ def pre_store(ds_single):
 
 def fanout_descs(pre_store, ds, spectra):
     """One unit per job; as in the pipeline, each k's one spectrum is
-    handed to every job at that k and told how many they are."""
+    handed to every job at that k, with the partition Ray and ABySS read
+    and the table Velvet reads derived ahead and kept."""
     by_k = {sp.k: sp for sp in spectra}
-    for k, n in Counter(k for _, k in JOBS).items():
-        by_k[k].plan_readers(n)
+    for sp in spectra:
+        min_count = AssemblyParams(k=sp.k).min_count
+        with sp.keeping():
+            sp.partition(8, min_count)
+            sp.table(min_count)
     descs = []
     for name, k in JOBS:
         work = make_assembly_workload(
@@ -164,12 +168,16 @@ class TestBackendParity:
             assert u.ttc == b.ttc
 
 
-def mamp_digest() -> str:
-    """sha256 over one cold MAMP run (Ray, ABySS and Velvet at two ks,
-    serial backend): every assembly's contigs, stats and usage, every
-    stage's TTC, the run's TTC and cost, and the merged transcripts."""
+def mamp_digest(executor: str = "serial", workers: int | None = None) -> str:
+    """sha256 over one cold MAMP run (Ray, ABySS and Velvet at two ks)
+    on ``executor`` with ``workers``: every assembly's contigs, stats and
+    usage, every stage's TTC, the run's TTC and cost, and the merged
+    transcripts."""
     config = PipelineConfig(
-        assemblers=("ray", "abyss", "velvet"), kmer_list=(25, 31)
+        assemblers=("ray", "abyss", "velvet"),
+        kmer_list=(25, 31),
+        executor=executor,
+        executor_workers=workers,
     )
     with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
         KmerTableCache()
@@ -195,8 +203,22 @@ def mamp_digest() -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def serial_digest():
+    return mamp_digest()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_mamp_fingerprint_equals_serial(self, serial_digest, executor, workers):
+        """ROADMAP aim 3: the MAMP pipeline's fingerprint on a pool
+        backend at 1, 2 and 3 workers equals the serial one."""
+        assert mamp_digest(executor, workers) == serial_digest
+
+
 class TestHashSeed:
-    def test_mamp_fingerprint_independent_of_hash_seed(self):
+    def test_mamp_fingerprint_independent_of_hash_seed(self, serial_digest):
         """ROADMAP aim 3: the MAMP pipeline's fingerprint is the same
         under PYTHONHASHSEED 0 and 1 (fresh interpreters) and in this
         process, whatever its seed."""
@@ -222,4 +244,4 @@ class TestHashSeed:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.split()[-1])
-        assert digests[0] == digests[1] == mamp_digest()
+        assert digests[0] == digests[1] == serial_digest

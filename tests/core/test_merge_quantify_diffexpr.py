@@ -40,6 +40,33 @@ class TestMerge:
         res = merge_contigs([[contig(long, "a"), contig(short, "b")]])
         assert res.output_contigs == 1
 
+    def test_one_substitution_variant_kept(self):
+        """Containment is exact: a same-length near-duplicate survives."""
+        seq = random_seq(300, 11)
+        base = "A" if seq[150] != "A" else "C"
+        variant = seq[:150] + base + seq[151:]
+        res = merge_contigs([[contig(seq, "a"), contig(variant, "b")]])
+        assert res.contained_removed == 0
+        assert sorted(t.seq for t in res.transcripts) == sorted([seq, variant])
+
+    def test_exact_revcomp_copy_dropped(self):
+        """Of a contig and its reverse complement, the one first in
+        (-length, sequence) order survives, whatever the input order."""
+        seq = random_seq(300, 12)
+        rc = reverse_complement(seq)
+        first, second = sorted([seq, rc])
+        res = merge_contigs([[contig(second, "a"), contig(first, "b")]])
+        assert res.contained_removed == 1
+        assert [t.seq for t in res.transcripts] == [first]
+
+    def test_first_of_two_equal_copies_survives(self):
+        """Equal copies tie in (-length, sequence) order, so the first
+        given survives; coverage plays no part."""
+        seq = random_seq(300, 13)
+        res = merge_contigs([[contig(seq, "a", cov=1.0), contig(seq, "b", cov=50.0)]])
+        assert res.contained_removed == 1
+        assert [(t.seq, t.coverage) for t in res.transcripts] == [(seq, 1.0)]
+
     def test_overlap_joined(self):
         full = random_seq(500, 3)
         a, b = full[:300], full[260:]  # 40 bp exact overlap
