@@ -20,19 +20,12 @@ lists plus a measured :class:`~repro.parallel.usage.ResourceUsage`.
 from repro.assembly.contigs import AssemblyResult, Contig, assembly_stats, n50
 from repro.assembly.dbg import (
     KmerTable,
-    build_kmer_table,
-    build_kmer_table_packed,
     extract_unitigs,
 )
 from repro.assembly.kmers import (
-    canonical_kmers,
     canonical_kmers_packed,
     canonical_kmers_varlen_packed,
-    kmer_counts,
-    kmer_counts_packed,
-    kmer_owner,
     kmer_owner_packed,
-    reads_to_code_matrix,
 )
 from repro.assembly.registry import ASSEMBLERS, AssemblerInfo, get_assembler
 
@@ -42,17 +35,10 @@ __all__ = [
     "assembly_stats",
     "n50",
     "KmerTable",
-    "build_kmer_table",
-    "build_kmer_table_packed",
     "extract_unitigs",
-    "canonical_kmers",
     "canonical_kmers_packed",
     "canonical_kmers_varlen_packed",
-    "kmer_counts",
-    "kmer_counts_packed",
-    "kmer_owner",
     "kmer_owner_packed",
-    "reads_to_code_matrix",
     "ASSEMBLERS",
     "AssemblerInfo",
     "get_assembler",

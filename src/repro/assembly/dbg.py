@@ -1,20 +1,22 @@
-"""De Bruijn graph construction and unitig extraction (packed engine).
+"""De Bruijn graph construction and unitig extraction.
 
 The graph is implicit: a :class:`KmerTable` maps canonical k-mers to
-coverage counts, and adjacency is discovered by membership queries on the
-four possible single-base extensions — the classic hash-based DBG
-(Velvet/ABySS/Ray all work this way).
+coverage counts, and an edge joins two k-mers that overlap by k-1 bases
+— the classic hash-based DBG (Velvet/ABySS/Ray all work this way).
 
 K-mers live in the 2-bit packed representation of
 :mod:`repro.assembly.packed`: the table stores sorted packed rows with an
-aligned count column, and membership and coverage are batched
+aligned count column, and coverage lookups are batched
 ``np.searchsorted`` probes.  Unitig extraction is one array kernel with
 no step per k-mer (DESIGN.md §14): :meth:`KmerTable.unitig_links` joins
 every oriented k-mer to its successors through one sort and one
 ``searchsorted``, :meth:`KmerTable.unitig_chains` ranks the links into
-chains by pointer doubling, and :func:`extract_unitigs` slices, per chain
-pair, the unitig of the first seed that touches it out of one buffer.
-The tests hold it to equality with the sequential bytes-dict walker
+chains by pointer doubling, and :func:`_emit` slices, per chain pair, the
+unitig of the first seed that touches it out of one buffer.  The two
+entry points are :func:`extract_unitigs` (every row a seed, in table
+order: Velvet, Trinity) and :func:`extract_unitigs_by_owner` (the seeds
+of each rank in turn: Ray, ABySS).  The tests hold both to equality with
+the sequential bytes-dict walker
 ``tests/assembly/kmer_reference.py::legacy_extract_unitigs``: same
 unitigs, orientation, coverage, emission order and walk step counts.
 
@@ -25,15 +27,13 @@ path of *oriented* k-mers: ``2n`` ids over ``n`` rows.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.assembly import packed as packedmod
 from repro.seq import alphabet
 from repro.seq.readstore import expand_ranges
-
-_BASES = (0, 1, 2, 3)
 
 #: Resident bytes per stored k-mer.  The real assemblers pack k-mers into
 #: 2-bit words with open-addressing tables (Ray ~14 B, ABySS ~16 B per
@@ -42,22 +42,15 @@ _BASES = (0, 1, 2, 3)
 KMER_RECORD_BYTES = 16
 
 
-def _pack_code_bytes(kmers: Iterable[bytes], k: int) -> np.ndarray:
-    """Pack code-bytes k-mers into ``(m, W)`` rows."""
-    raw = b"".join(bytes(km) for km in kmers)
-    return packedmod.pack(np.frombuffer(raw, dtype=np.uint8).reshape(-1, k))
-
-
 class KmerTable:
     """Canonical k-mer -> coverage count, as sorted packed rows.
 
-    Rows are kept sorted by packed key (== bytes-lexicographic k-mer
-    order), with counts in an aligned ``int64`` column.  All lookups are
-    batched binary searches; the ``counts`` property materializes the
-    historical ``dict[bytes, int]`` view on demand for compatibility.
+    Rows are kept sorted by packed key (== lexicographic k-mer order),
+    with counts in an aligned ``int64`` column.  All lookups are batched
+    binary searches.  A new table is empty; :meth:`from_packed` fills one.
     """
 
-    def __init__(self, k: int, counts: dict[bytes, int] | None = None) -> None:
+    def __init__(self, k: int) -> None:
         packedmod.check_k(k)
         self.k = k
         self.words = packedmod.words_for(k)
@@ -66,20 +59,17 @@ class KmerTable:
         self._set_rows(
             empty, np.zeros(0, dtype=np.int64), packedmod.keys(empty, k)
         )
-        if counts:
-            self.add_counts(counts)
 
     def _set_rows(
         self, packed_rows: np.ndarray, counts: np.ndarray, key_arr: np.ndarray
     ) -> None:
-        """Install sorted rows + aligned counts/keys; every view derived
-        from the previous rows (dict, unitig links) is dropped with them."""
+        """Install sorted rows + aligned counts/keys; the unitig chains
+        derived from the previous rows are dropped with them."""
         if self.frozen:
             raise ValueError("this KmerTable is frozen (shared read-only)")
         self._packed = np.ascontiguousarray(packed_rows)
         self._counts = counts
         self._keys = key_arr
-        self._dict: dict[bytes, int] | None = None
         self._chains: UnitigChains | None = None
 
     @classmethod
@@ -131,69 +121,19 @@ class KmerTable:
         """Coverage counts aligned with :attr:`packed`."""
         return self._counts
 
-    @property
-    def counts(self) -> dict[bytes, int]:
-        """Read-only dict view (canonical code-bytes -> count), in sorted
-        k-mer order — the historical representation, built lazily."""
-        if self._dict is None:
-            kms = packedmod.unpack_to_bytes(self._packed, self.k)
-            self._dict = dict(zip(kms, self._counts.tolist()))
-        return self._dict
-
     def __len__(self) -> int:
         return int(self._counts.shape[0])
 
     # -- batched lookups ----------------------------------------------------
 
-    def find_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-key membership + table row index for an array of packed
-        keys (the index is meaningful only where found)."""
-        n = self._keys.shape[0]
-        m = query.shape[0]
+    def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-key membership + coverage for an array of packed keys."""
+        n, m = self._keys.shape[0], query.shape[0]
         if n == 0 or m == 0:
             return np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
         idx = np.minimum(np.searchsorted(self._keys, query), n - 1)
-        return self._keys[idx] == query, idx
-
-    def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-key membership + coverage for an array of packed keys."""
-        found, idx = self.find_keys(query)
-        if not found.any():
-            return found, np.zeros(found.shape[0], dtype=np.int64)
+        found = self._keys[idx] == query
         return found, np.where(found, self._counts[idx], 0)
-
-    def has_keys(self, query: np.ndarray) -> np.ndarray:
-        """Exact-key membership only."""
-        return self.find_keys(query)[0]
-
-    # -- single-k-mer compatibility API ------------------------------------
-
-    def _lookup_oriented(self, oriented: bytes) -> tuple[bool, int]:
-        row = packedmod.canonicalize(packedmod.pack_bytes_kmer(oriented), self.k)
-        found, cov = self.lookup_keys(packedmod.keys(row, self.k))
-        return bool(found[0]), int(cov[0])
-
-    def __contains__(self, oriented: bytes) -> bool:
-        return self._lookup_oriented(oriented)[0]
-
-    def coverage(self, oriented: bytes) -> int:
-        return self._lookup_oriented(oriented)[1]
-
-    def add_counts(self, other: dict[bytes, int]) -> None:
-        """Merge a counts dict (keys must already be canonical)."""
-        if not other:
-            return
-        rows = _pack_code_bytes(other.keys(), self.k)
-        cnt = np.fromiter(other.values(), dtype=np.int64, count=len(other))
-        all_rows = np.concatenate([self._packed, rows], axis=0)
-        all_cnt = np.concatenate([self._counts, cnt])
-        key_arr = packedmod.keys(all_rows, self.k)
-        uniq, first, inverse = np.unique(
-            key_arr, return_index=True, return_inverse=True
-        )
-        summed = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(summed, inverse, all_cnt)
-        self._set_rows(all_rows[first], summed, uniq)
 
     def drop_below(self, min_count: int) -> int:
         """Remove k-mers with coverage below ``min_count``; returns #removed."""
@@ -210,24 +150,6 @@ class KmerTable:
         return len(self) * KMER_RECORD_BYTES
 
     # -- adjacency ---------------------------------------------------------
-
-    def _present(self, oriented: bytes, extend) -> np.ndarray:
-        """Which of the four one-base ``extend`` neighbours are stored."""
-        row = packedmod.pack_bytes_kmer(oriented)
-        ext = np.concatenate([extend(row, self.k, b) for b in _BASES], axis=0)
-        return self.has_keys(
-            packedmod.keys(packedmod.canonicalize(ext, self.k), self.k)
-        )
-
-    def successors(self, oriented: bytes) -> list[bytes]:
-        """Oriented k-mers reachable by appending one base."""
-        found = self._present(oriented, packedmod.extend_right)
-        return [oriented[1:] + bytes([b]) for b in _BASES if found[b]]
-
-    def predecessors(self, oriented: bytes) -> list[bytes]:
-        """Oriented k-mers reachable by prepending one base."""
-        found = self._present(oriented, packedmod.extend_left)
-        return [bytes([b]) + oriented[:-1] for b in _BASES if found[b]]
 
     def unitig_links(self) -> tuple[np.ndarray, np.ndarray]:
         """Non-branching adjacency of the whole graph as ``(link,
@@ -284,26 +206,11 @@ class KmerTable:
 
     def freeze(self) -> "KmerTable":
         """Make this table shareable: chains ranked now, every array
-        read-only, and :meth:`drop_below` / :meth:`add_counts` raising."""
+        read-only, and :meth:`drop_below` raising."""
         for arr in (self._packed, self._counts, self._keys, *self.unitig_chains()):
             arr.flags.writeable = False
         self.frozen = True
         return self
-
-
-def build_kmer_table(k: int, counts: dict[bytes, int]) -> KmerTable:
-    """Wrap a counts dict (keys must already be canonical)."""
-    return KmerTable(k=k, counts=counts)
-
-
-def build_kmer_table_packed(
-    k: int,
-    packed_rows: np.ndarray,
-    counts: np.ndarray,
-    presorted: bool = False,
-) -> KmerTable:
-    """Wrap distinct packed canonical rows + counts without conversions."""
-    return KmerTable.from_packed(k, packed_rows, counts, presorted=presorted)
 
 
 class Unitig:
@@ -395,7 +302,7 @@ def _rank_chains(link: np.ndarray, last_base: np.ndarray) -> UnitigChains:
 
 
 def _emit(
-    table: KmerTable, seed_rows: np.ndarray, visited: set | None = None
+    table: KmerTable, seed_rows: np.ndarray
 ) -> tuple[np.ndarray, list[Unitig]]:
     """The unitigs a sequential walk over ``seed_rows`` (table row
     indices) emits, in order, and the position in ``seed_rows`` of the
@@ -404,15 +311,9 @@ def _emit(
     and every later seed of the pair finds its row visited."""
     ch = table.unitig_chains()
     n, k, m = len(table), table.k, seed_rows.shape[0]
-    # Position of the first seed of every chain pair; none if visited.
+    # Position of the first seed of every chain pair.
     first = np.full(ch.pair.shape[0], m)
     np.minimum.at(first, ch.pair[ch.chain[seed_rows]], np.arange(m))
-    if visited:
-        rows = np.fromiter(visited, dtype=np.int64, count=len(visited))
-        seen = np.bincount(ch.pair[ch.chain[rows]], minlength=first.shape[0])
-        if (seen[seen > 0] != np.diff(ch.start)[seen > 0]).any():
-            raise ValueError("visited holds part of a unitig of this table")
-        first[seen > 0] = m
     first = np.sort(first[first < m])
     seeds = seed_rows[first]
     c = ch.chain[seeds]
@@ -422,8 +323,6 @@ def _emit(
     which, j = expand_ranges(0, size)
     path = ch.members[lo[which] + (turn[which] + j) % size[which]]
     path_rows = path % n
-    if visited is not None:
-        visited.update(path_rows.tolist())
     begin = np.cumsum(size) - size
     cov = np.add.reduceat(table.count_array[path_rows], begin) / size
     # One buffer; per unitig the first k-1 bases of its head k-mer, then
@@ -444,46 +343,26 @@ def _emit(
     ]
 
 
-def extract_unitigs(
-    table: KmerTable,
-    seeds: Iterable[bytes] | np.ndarray | None = None,
-    visited: set | None = None,
-) -> tuple[list[Unitig], int]:
+def extract_unitigs(table: KmerTable) -> tuple[list[Unitig], int]:
     """Extract all unitigs; returns (unitigs, total_walk_steps).
 
-    ``seeds`` restricts the k-mers from which walks may start: a packed
-    ``(m, W)`` row array, an iterable of code-bytes k-mers (the
-    historical API), or None for every table k-mer in sorted order;
-    absent seeds are skipped, of duplicates only the first can emit.
-    ``visited`` may be shared across calls *on the same, unmodified
-    table* so that different seed shards never emit the same unitig
-    twice; it holds table row indices (a node is visited whichever
-    strand entered it), always a union of whole chain pairs (anything
-    else raises ``ValueError``).  No assembler passes ``seeds`` or
-    ``visited`` (Ray and ABySS use :func:`extract_unitigs_by_owner`):
-    they are the reference walker's interface, kept for the parity tests.
-
     The result equals ``kmer_reference.legacy_extract_unitigs`` walking
-    the seeds one at a time (:func:`_emit` says why no walk is needed).
+    every table k-mer in sorted order, one at a time (:func:`_emit` says
+    why no walk is needed).
     """
-    if seeds is None:
-        seed_rows = np.arange(len(table))
-    else:
-        if not isinstance(seeds, np.ndarray):
-            seeds = _pack_code_bytes(seeds, table.k)
-        rows = np.asarray(seeds, dtype=np.uint64).reshape(-1, table.words)
-        found, idx = table.find_keys(packedmod.keys(rows, table.k))
-        seed_rows = idx[found]
-    _, unitigs = _emit(table, seed_rows, visited)
+    _, unitigs = _emit(table, np.arange(len(table)))
     return unitigs, sum(u.n_kmers for u in unitigs)
 
 
 def extract_unitigs_by_owner(
     table: KmerTable, owners: np.ndarray, n_ranks: int
 ) -> list[tuple[list[Unitig], int]]:
-    """``(unitigs, walk_steps)`` of every rank from one pass: what
-    ``n_ranks`` :func:`extract_unitigs` calls sharing one ``visited``
-    return when rank r's seeds are the rows with ``owners == r``."""
+    """``(unitigs, walk_steps)`` of every rank from one pass: what the
+    sequential walker returns when the ranks take turns, rank r walking
+    from the rows with ``owners == r`` in table order, and every rank
+    skips the rows an earlier walk visited (Ray and ABySS's shared
+    ``visited``).  ``kmer_reference.legacy_extract_unitigs`` is that
+    walker; the parity tests hold this to it rank by rank."""
     seed_rows = np.argsort(owners, kind="stable")
     first, unitigs = _emit(table, seed_rows)
     cuts = np.searchsorted(owners[seed_rows[first]], np.arange(n_ranks + 1))

@@ -1,18 +1,10 @@
-"""Vectorized k-mer extraction, canonicalization and counting.
+"""Vectorized k-mer extraction, canonicalization and partitioning.
 
-Two representations coexist:
-
-* the historical ``bytes``-of-codes form (one byte per base, values 0..3)
-  kept for the public single-k-mer helpers and the frozen reference
-  implementation, and
-* the packed-integer form of :mod:`repro.assembly.packed` — 2 bits per
-  base in one or two ``uint64`` words (k up to 63, covering the paper's
-  deepest P. crispa runs) — used by the hot assembly paths.
-
-The packed layout is order-isomorphic to the bytes layout, so canonical
-forms, sort orders and ``np.unique`` groupings agree bit-for-bit between
-the two pipelines.  The canonical form of a k-mer is the lexicographic
-minimum of the k-mer and its reverse complement.
+K-mers are packed integers (:mod:`repro.assembly.packed`): 2 bits per
+base in one or two ``uint64`` words, k up to 63 (the paper's deepest
+P. crispa runs).  The canonical form of a k-mer is the lexicographic
+minimum of the k-mer and its reverse complement; the packed key order is
+that lexicographic order.
 """
 
 from __future__ import annotations
@@ -21,27 +13,10 @@ import numpy as np
 
 from repro.assembly import packed as packedmod
 from repro.seq import alphabet
-from repro.seq.fastq import FastqRecord
 
 #: Multipliers for the vectorized partition hash (fixed odd constants so
 #: ownership is deterministic across processes and runs).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def reads_to_code_matrix(reads: list[FastqRecord]) -> np.ndarray:
-    """Stack fixed-length reads into an ``(n_reads, L)`` uint8 code matrix.
-
-    Raises ValueError when read lengths differ (the pipeline's
-    pre-processing step produces variable-length reads; those go through
-    :func:`canonical_kmers_varlen` instead).
-    """
-    if not reads:
-        return np.zeros((0, 0), dtype=np.uint8)
-    L = len(reads[0])
-    joined = "".join(r.seq for r in reads)
-    if len(joined) != L * len(reads):
-        raise ValueError("reads are not fixed-length; use canonical_kmers_varlen")
-    return alphabet.encode(joined).reshape(len(reads), L)
 
 
 def _windows(codes: np.ndarray, k: int) -> np.ndarray:
@@ -62,59 +37,13 @@ def _drop_n(windows: np.ndarray) -> np.ndarray:
     return windows[(windows < alphabet.N).all(axis=1)]
 
 
-def _canonicalize(windows: np.ndarray) -> np.ndarray:
-    """Row-wise min(window, revcomp(window)), vectorized."""
-    if windows.size == 0:
-        return windows
-    rc = (3 - windows)[:, ::-1]
-    neq = windows != rc
-    # Index of first differing column (0 when rows are equal — palindromes).
-    first = neq.argmax(axis=1)
-    rows = np.arange(windows.shape[0])
-    take_fwd = windows[rows, first] <= rc[rows, first]
-    return np.where(take_fwd[:, None], windows, rc)
-
-
-def canonical_kmers(codes: np.ndarray, k: int) -> np.ndarray:
-    """Canonical k-mers of one or many sequences as ``(n, k)`` uint8 rows.
-
-    ``codes`` is a 1-D sequence or a 2-D matrix of fixed-length reads.
-    Windows containing N are dropped.
-    """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    return _canonicalize(_drop_n(_windows(np.asarray(codes, dtype=np.uint8), k)))
-
-
-def canonical_kmers_varlen(seqs: list[str], k: int) -> np.ndarray:
-    """Canonical k-mers of variable-length sequences."""
-    parts = [
-        canonical_kmers(alphabet.encode(s), k) for s in seqs if len(s) >= k
-    ]
-    if not parts:
-        return np.zeros((0, k), dtype=np.uint8)
-    return np.concatenate(parts, axis=0)
-
-
-def kmer_counts(kmer_rows: np.ndarray) -> dict[bytes, int]:
-    """Count k-mer rows into a ``bytes -> count`` dict."""
-    if kmer_rows.size == 0:
-        return {}
-    uniq, counts = np.unique(kmer_rows, axis=0, return_counts=True)
-    raw = np.ascontiguousarray(uniq).tobytes()
-    k = uniq.shape[1]
-    return {
-        raw[i * k : (i + 1) * k]: int(c) for i, c in enumerate(counts)
-    }
-
-
 def canonical_kmers_packed(codes: np.ndarray, k: int) -> np.ndarray:
     """Canonical k-mers of one or many sequences as packed ``(n, W)``
     uint64 rows (see :mod:`repro.assembly.packed`).
 
-    Same extraction semantics as :func:`canonical_kmers` — N windows are
-    dropped, palindromes keep the forward strand — but the result stays
-    in packed space.
+    ``codes`` is a 1-D sequence or a 2-D matrix of fixed-length reads;
+    windows containing N are dropped and palindromes keep the forward
+    strand.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -143,28 +72,6 @@ def canonical_kmers_varlen_packed(seqs: list[str], k: int) -> np.ndarray:
     if not parts:
         return np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
     return canonical_kmers_packed(np.concatenate(parts[:-1]), k)
-
-
-def canonical_kmers_store_packed(store, k: int) -> np.ndarray:
-    """Canonical packed k-mers of a :class:`~repro.seq.readstore.ReadStore`.
-
-    The store's flat code layout — every read followed by a single N
-    separator — already *is* the joined form the varlen extractor builds
-    per call, so this is one windowing pass with no encoding or
-    concatenation at all, bit-identical to
-    :func:`canonical_kmers_varlen_packed` on the same records: windows
-    touching a separator contain an N and are dropped, and reads shorter
-    than k contribute no windows.
-
-    No assembler extracts per job any more (they read a counted
-    :class:`~repro.assembly.sweep.KmerSpectrum`); this stays as the
-    independent single-k extraction the tests hold the fused build and
-    the assembled contigs against.
-    """
-    packedmod.check_k(k)
-    if store.codes.shape[0] == 0:
-        return np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
-    return canonical_kmers_packed(store.codes, k)
 
 
 def _nfree_starts(codes: np.ndarray, ks) -> dict[int, np.ndarray]:
@@ -278,28 +185,16 @@ def fused_canonical_positions_store_packed(
     return fused
 
 
-def kmer_counts_packed(
-    packed_rows: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Count packed k-mer rows: distinct rows in key order + counts.
-
-    Groups and orders exactly like :func:`kmer_counts` does on the
-    equivalent bytes rows (the packed key order is the bytes
-    lexicographic order).
-    """
-    return packedmod.unique_counts(packed_rows, k)
-
-
 def kmer_owner_packed(
     packed_rows: np.ndarray, k: int, n_ranks: int
 ) -> np.ndarray:
-    """Owner ranks of packed k-mer rows — bit-exact with :func:`kmer_owner`.
+    """Owner rank of each packed k-mer row (the hash partition).
 
-    The hash is linear mod 2**64 before its final mixing, so ``sum((code
-    + 1) * weight)`` folds to ``sum(weight)`` plus one entry per packed
-    byte (4 bases) of a 256-row table of ``sum(code * weight)``:
-    partitioning (and so every alltoall payload and message count) is
-    unchanged, at one gather per byte instead of four passes per base.
+    The hash is ``sum((code + 1) * weight)`` over the k bases, with
+    position-dependent odd multipliers, then mixed.  It is linear mod
+    2**64 before the mixing, so the sum folds to ``sum(weight)`` plus one
+    entry per packed byte (4 bases) of a 256-row table of ``sum(code *
+    weight)``: one gather per byte instead of four passes per base.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
@@ -324,45 +219,3 @@ def kmer_owner_packed(
         h *= _HASH_MULTIPLIER
         h ^= h >> np.uint64(29)
     return (h % np.uint64(n_ranks)).astype(np.int64)
-
-
-def kmer_owner(kmer_rows: np.ndarray, n_ranks: int) -> np.ndarray:
-    """Deterministic owner rank of each k-mer row (hash partition).
-
-    The hash folds the k-mer bytes column-wise with position-dependent
-    odd multipliers; uniform enough for load balance, stable across runs.
-    """
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    if kmer_rows.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    k = kmer_rows.shape[1]
-    with np.errstate(over="ignore"):
-        weights = np.cumprod(np.full(k, _HASH_MULTIPLIER, dtype=np.uint64))
-        h = ((kmer_rows.astype(np.uint64) + np.uint64(1)) * weights[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-        h ^= h >> np.uint64(33)
-        h *= _HASH_MULTIPLIER
-        h ^= h >> np.uint64(29)
-    return (h % np.uint64(n_ranks)).astype(np.int64)
-
-
-def owner_of(kmer: bytes, n_ranks: int) -> int:
-    """Owner rank of a single k-mer (matches :func:`kmer_owner`)."""
-    row = np.frombuffer(kmer, dtype=np.uint8)[None, :]
-    return int(kmer_owner(row, n_ranks)[0])
-
-
-#: Complement of every byte value: ``3 - code`` with uint8 wrap-around.
-_COMPLEMENT = bytes((3 - i) & 0xFF for i in range(256))
-
-
-def revcomp_kmer(kmer: bytes) -> bytes:
-    return kmer.translate(_COMPLEMENT)[::-1]
-
-
-def canonical(kmer: bytes) -> bytes:
-    """Canonical form of a single code-bytes k-mer."""
-    rc = revcomp_kmer(kmer)
-    return kmer if kmer <= rc else rc

@@ -6,15 +6,14 @@ big-endian-ordered 64-bit words: base ``i`` occupies bits
 ``[2*i, 2*i + 2)`` counted from the top of the ``64*W``-bit window, and
 the unused low-order "slack" bits are zero.  The layout is chosen so that
 numeric comparison of the word tuple equals lexicographic comparison of
-the code string — packed canonicalization, sorted-array membership tables
-and ``np.unique`` counting all order k-mers exactly like the historical
-``bytes``-of-codes representation did.
+the code string: canonicalization, sorted-array membership tables and
+``np.unique`` counting all order k-mers lexicographically.
 
 Everything here is vectorized over *rows* of shape ``(n, W)``; the only
 Python-level loops run over the k positions of a window (k <= 63), never
 over the n k-mers.  Windows must be N-free (codes 0..3) before packing —
 the extraction pipeline in :mod:`repro.assembly.kmers` drops N windows
-first, exactly as the bytes path always has.
+first.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ _M2 = _U(0x3333333333333333)
 _M4 = _U(0x0F0F0F0F0F0F0F0F)
 
 
-#: Environment variable enabling sortedness re-checks in the presorted
-#: fast paths (``unique_counts(..., presorted=True)`` and the cache-served
-#: ``KmerTable`` constructors).  Off by default: the whole point of the
-#: fast paths is skipping the O(n log n) work, but under the flag a bad
+#: Environment variable enabling the sortedness re-check in the presorted
+#: fast path (``KmerTable.from_packed(..., presorted=True)``, which every
+#: spectrum table is built through).  Off by default: the whole point of
+#: the fast path is skipping the O(n log n) work, but under the flag a bad
 #: caller fails loudly instead of silently corrupting binary searches.
 DEBUG_SORTED_ENV = "REPRO_DEBUG_SORTED"
 
@@ -189,8 +188,7 @@ def revcomp(packed: np.ndarray, k: int) -> np.ndarray:
 
 def canonicalize(packed: np.ndarray, k: int) -> np.ndarray:
     """Row-wise min(kmer, revcomp(kmer)) under the code-lexicographic
-    order — identical tie-breaking (palindromes keep the forward strand)
-    to the historical bytes comparison."""
+    order; palindromes keep the forward strand."""
     W = words_for(k)
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
     rc = revcomp(packed, k)
@@ -283,11 +281,6 @@ def bucket_ids(key_arr: np.ndarray, k: int, n_buckets: int) -> np.ndarray:
     return (word0 >> _U(64 - bbits)).astype(np.int64)
 
 
-def key_list(packed: np.ndarray, k: int) -> list:
-    """Keys as hashable Python scalars (``int`` or ``bytes``) for sets."""
-    return keys(packed, k).tolist()
-
-
 def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
     """Rows as single Python ints (``w0 << 64 | w1``), preserving order —
     hashable keys for MapReduce shuffles."""
@@ -298,34 +291,6 @@ def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
     w0 = packed[:, 0].tolist()
     w1 = packed[:, 1].tolist()
     return [(a << 64) | b for a, b in zip(w0, w1)]
-
-
-def unique_counts(
-    packed: np.ndarray, k: int, presorted: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows (sorted in key order) and their multiplicities.
-
-    ``presorted=True`` is the fast path for rows already in ascending key
-    order (e.g. streamed out of a shared :class:`~repro.assembly.sweep.
-    KmerSpectrum`): run-length boundaries replace the ``np.unique`` sort.
-    Sortedness is re-checked only under :data:`DEBUG_SORTED_ENV`.
-    """
-    W = words_for(k)
-    packed = np.asarray(packed, dtype=_U).reshape(-1, W)
-    if packed.shape[0] == 0:
-        return packed, np.zeros(0, dtype=np.int64)
-    ks = keys(packed, k)
-    if presorted:
-        if debug_assert_sorted_enabled():
-            assert_sorted(ks)
-        boundary = np.empty(ks.shape[0], dtype=bool)
-        boundary[0] = True
-        boundary[1:] = ks[1:] != ks[:-1]
-        first = np.flatnonzero(boundary)
-        counts = np.diff(np.append(first, ks.shape[0])).astype(np.int64)
-        return packed[first], counts
-    _, first, counts = np.unique(ks, return_index=True, return_counts=True)
-    return packed[first], counts.astype(np.int64)
 
 
 def unique_inverse_counts(
@@ -382,9 +347,9 @@ def unique_inverse_counts(
 def unique_keys(packed: np.ndarray, k: int) -> np.ndarray:
     """Distinct sortable keys (see :func:`keys`) in ascending key order.
 
-    The array-native replacement for ``set(key_list(...))``: ascending
-    uint64/S16 key order equals the code-lexicographic k-mer order, so
-    the result pairs with :func:`keys_in` for vectorized membership.
+    Ascending uint64/S16 key order equals the code-lexicographic k-mer
+    order, so the result pairs with :func:`keys_in` for vectorized
+    membership.
     """
     return np.unique(keys(packed, k))
 
@@ -402,18 +367,3 @@ def keys_in(query: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
         np.searchsorted(sorted_keys, query), sorted_keys.size - 1
     )
     return sorted_keys[pos] == query
-
-
-# -- single-k-mer conveniences (legacy bytes interop) -------------------------
-
-
-def pack_bytes_kmer(kmer: bytes) -> np.ndarray:
-    """Pack one code-bytes k-mer into a ``(1, W)`` row."""
-    return pack(np.frombuffer(kmer, dtype=np.uint8)[None, :])
-
-
-def unpack_to_bytes(packed: np.ndarray, k: int) -> list[bytes]:
-    """Rows back to code-bytes k-mers."""
-    rows = unpack(packed, k)
-    raw = rows.tobytes()
-    return [raw[i * k : (i + 1) * k] for i in range(rows.shape[0])]

@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.assembly import kmers
 from repro.assembly import packed as packedmod
-from repro.assembly.dbg import KmerTable, build_kmer_table_packed, extract_unitigs_by_owner
+from repro.assembly.dbg import KmerTable, extract_unitigs_by_owner
 from repro.obs import get_tracer
 from repro.seq.readstore import ReadStore
 from repro.seq.sharedarrays import SharedArrays
@@ -123,7 +123,7 @@ class KmerSpectrum:
     * ``counts`` — global multiplicity per distinct row.
     * ``inverse`` — per *occurrence* (N-free window, in store extraction
       order) the index of its distinct row: ``distinct[inverse]`` is
-      bit-identical to ``canonical_kmers_store_packed(store, k)``.
+      bit-identical to ``canonical_kmers_packed(store.codes, k)``.
     * ``read_offsets`` — occurrences of read ``i`` are the stream slice
       ``[read_offsets[i], read_offsets[i+1])``.
     * ``rel_positions`` — per occurrence, the window start offset within
@@ -327,7 +327,7 @@ class KmerSpectrum:
 
         def make() -> KmerTable:
             keep = self.counts >= min_count
-            return build_kmer_table_packed(
+            return KmerTable.from_packed(
                 self.k, self.distinct[keep], self.counts[keep], presorted=True
             ).freeze()
 

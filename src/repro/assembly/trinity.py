@@ -18,7 +18,7 @@ import numpy as np
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import build_kmer_table_packed, extract_unitigs
+from repro.assembly.dbg import KmerTable, extract_unitigs
 from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.seq.readstore import ReadStore
@@ -104,7 +104,7 @@ class TrinityAssembler:
             spectrum.inverse[occ_sel], minlength=spectrum.n_distinct
         )
         present = sel_counts > 0
-        table = build_kmer_table_packed(
+        table = KmerTable.from_packed(
             TRINITY_K,
             spectrum.distinct[present],
             sel_counts[present].astype(np.int64),

@@ -166,6 +166,11 @@ class PipelineConfig:
             )
         if isinstance(self.executor, str):
             make_executor(self.executor)  # validate the name early
+        if self.executor_workers is not None and self.executor_workers < 1:
+            raise ValueError(
+                f"executor_workers must be None or >= 1, "
+                f"got {self.executor_workers}"
+            )
         if self.unit_max_restarts < 0:
             raise ValueError("unit_max_restarts must be >= 0")
         if self.spectrum_shards is not None and self.spectrum_shards < 1:

@@ -51,8 +51,7 @@ class DetonateScores:
 def _kmer_keys(seqs: list[str], k: int) -> np.ndarray:
     """Distinct canonical k-mers as a sorted packed-key array.
 
-    Array-native successor of the historical ``set(key_list(...))``:
-    no per-k-mer Python objects; membership goes through the vectorized
+    No per-k-mer Python objects: membership goes through the vectorized
     ``searchsorted`` probe of :func:`repro.assembly.packed.keys_in`.
     """
     rows = canonical_kmers_varlen_packed(seqs, k)

@@ -321,6 +321,10 @@ class _PoolExecutor(WorkloadExecutor):
     supports_overlap = True
 
     def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(
+                f"max_workers must be None or >= 1, got {max_workers}"
+            )
         self.max_workers = max_workers or self._default_workers()
         self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
         self._inflight = 0

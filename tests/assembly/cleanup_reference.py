@@ -14,7 +14,7 @@ import networkx as nx
 
 from repro.assembly.cleanup import CleanupStats
 from repro.assembly.dbg import Unitig
-from repro.assembly.kmers import canonical
+from tests.assembly.kmer_reference import canonical
 
 
 def _endpoints(u: Unitig, k: int) -> tuple[bytes, bytes]:

@@ -33,9 +33,9 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import Unitig
-from repro.assembly.kmers import canonical, canonical_kmers_packed, revcomp_kmer
 from repro.parallel.mapreduce import MapReduceEngine, MRJob
 from repro.seq.readstore import ReadStore
+from tests.assembly.kmer_reference import canonical, canonical_kmers, revcomp_kmer
 
 MAX_ROUNDS = 24
 
@@ -107,8 +107,8 @@ def executed_kmer_count(
     k = params.k
 
     def mapper(_rid, codes):
-        for key in packedmod.packed_to_ints(canonical_kmers_packed(codes, k), k):
-            yield key, 1
+        for row in canonical_kmers(codes, k):
+            yield _codes_to_int(row.tolist(), k), 1
 
     def combiner(kmer, values):
         yield kmer, sum(values)
@@ -125,6 +125,14 @@ def executed_kmer_count(
     return dict(
         engine.run(job, [(i, store.read_codes(i)) for i in range(store.n_reads)])
     )
+
+
+def _codes_to_int(codes, k: int) -> int:
+    """A k-mer's base codes as one left-aligned packed integer key."""
+    key = 0
+    for c in codes:
+        key = key << 2 | c
+    return key << (64 * packedmod.words_for(k) - 2 * k)
 
 
 def _int_to_codes(key: int, k: int) -> bytes:

@@ -9,7 +9,9 @@ reproduces this implementation bit-for-bit — same contigs, same
 per-phase work charges, same communication bytes and message counts.
 
 Nothing here should be changed together with the live engine — that
-would defeat the point of having a reference.
+would defeat the point of having a reference.  So the bytes-of-codes
+primitives it runs on (extraction, canonicalisation, counting, the hash
+partition) live here too: none of them is imported from ``src/``.
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import KMER_RECORD_BYTES, Unitig
-from repro.assembly.kmers import (
-    canonical,
-    canonical_kmers,
-    canonical_kmers_varlen,
-    kmer_counts,
-    kmer_owner,
-    revcomp_kmer,
-)
 from repro.parallel.comm import SimWorld
 from repro.parallel.mapreduce import MapReduceEngine, MRJob
 from repro.parallel.usage import PhaseUsage, ResourceUsage
@@ -38,6 +32,121 @@ from repro.seq import alphabet
 from repro.seq.fastq import FastqRecord
 
 _BASES = (0, 1, 2, 3)
+
+
+# -- bytes-of-codes k-mer primitives -------------------------------------------
+#
+# One byte per base (codes 0..3; see ``repro.seq.alphabet``).  These are the
+# extraction, canonicalisation, counting and partition functions the dict
+# engine ran on, as they were when ``repro.assembly.kmers`` still shipped
+# them; ``cleanup_reference`` and ``contrail_reference`` use them too.
+
+#: Multipliers for the vectorized partition hash (fixed odd constants so
+#: ownership is deterministic across processes and runs).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _windows(codes: np.ndarray, k: int) -> np.ndarray:
+    """All length-k windows of each row: ``(n_windows, k)`` uint8."""
+    if codes.ndim == 1:
+        codes = codes[None, :]
+    n, L = codes.shape
+    if L < k:
+        return np.zeros((0, k), dtype=np.uint8)
+    win = np.lib.stride_tricks.sliding_window_view(codes, k, axis=1)
+    return win.reshape(-1, k)
+
+
+def _drop_n(windows: np.ndarray) -> np.ndarray:
+    """Remove windows containing uncalled bases."""
+    if windows.size == 0:
+        return windows
+    return windows[(windows < alphabet.N).all(axis=1)]
+
+
+def _canonicalize(windows: np.ndarray) -> np.ndarray:
+    """Row-wise min(window, revcomp(window)), vectorized."""
+    if windows.size == 0:
+        return windows
+    rc = (3 - windows)[:, ::-1]
+    neq = windows != rc
+    # Index of first differing column (0 when rows are equal — palindromes).
+    first = neq.argmax(axis=1)
+    rows = np.arange(windows.shape[0])
+    take_fwd = windows[rows, first] <= rc[rows, first]
+    return np.where(take_fwd[:, None], windows, rc)
+
+
+def canonical_kmers(codes: np.ndarray, k: int) -> np.ndarray:
+    """Canonical k-mers of one or many sequences as ``(n, k)`` uint8 rows.
+
+    ``codes`` is a 1-D sequence or a 2-D matrix of fixed-length reads.
+    Windows containing N are dropped.
+    """
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    return _canonicalize(_drop_n(_windows(np.asarray(codes, dtype=np.uint8), k)))
+
+
+def canonical_kmers_varlen(seqs: list[str], k: int) -> np.ndarray:
+    """Canonical k-mers of variable-length sequences."""
+    parts = [
+        canonical_kmers(alphabet.encode(s), k) for s in seqs if len(s) >= k
+    ]
+    if not parts:
+        return np.zeros((0, k), dtype=np.uint8)
+    return np.concatenate(parts, axis=0)
+
+
+def kmer_counts(kmer_rows: np.ndarray) -> dict[bytes, int]:
+    """Count k-mer rows into a ``bytes -> count`` dict."""
+    if kmer_rows.size == 0:
+        return {}
+    uniq, counts = np.unique(kmer_rows, axis=0, return_counts=True)
+    raw = np.ascontiguousarray(uniq).tobytes()
+    k = uniq.shape[1]
+    return {
+        raw[i * k : (i + 1) * k]: int(c) for i, c in enumerate(counts)
+    }
+
+
+def kmer_owner(kmer_rows: np.ndarray, n_ranks: int) -> np.ndarray:
+    """Deterministic owner rank of each k-mer row (hash partition).
+
+    The hash folds the k-mer bytes column-wise with position-dependent
+    odd multipliers; uniform enough for load balance, stable across runs.
+    """
+    if n_ranks < 1:
+        raise ValueError("n_ranks must be >= 1")
+    if kmer_rows.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    k = kmer_rows.shape[1]
+    with np.errstate(over="ignore"):
+        weights = np.cumprod(np.full(k, _HASH_MULTIPLIER, dtype=np.uint64))
+        h = ((kmer_rows.astype(np.uint64) + np.uint64(1)) * weights[None, :]).sum(
+            axis=1, dtype=np.uint64
+        )
+        h ^= h >> np.uint64(33)
+        h *= _HASH_MULTIPLIER
+        h ^= h >> np.uint64(29)
+    return (h % np.uint64(n_ranks)).astype(np.int64)
+
+
+#: Complement of every byte value: ``3 - code`` with uint8 wrap-around.
+_COMPLEMENT = bytes((3 - i) & 0xFF for i in range(256))
+
+
+def revcomp_kmer(kmer: bytes) -> bytes:
+    return kmer.translate(_COMPLEMENT)[::-1]
+
+
+def canonical(kmer: bytes) -> bytes:
+    """Canonical form of a single code-bytes k-mer."""
+    rc = revcomp_kmer(kmer)
+    return kmer if kmer <= rc else rc
+
+
+# -- the dict table and the sequential walker ----------------------------------
 
 
 @dataclass

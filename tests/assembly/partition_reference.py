@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.assembly.dbg import KmerTable, build_kmer_table_packed
+from repro.assembly.dbg import KmerTable
 from repro.assembly.sweep import KmerSpectrum
 from repro.parallel.comm import SimWorld
 
@@ -42,7 +42,7 @@ def distribute_and_count(
         for r in world.ranks():
             world.charge(r, float(matrix[:, r].sum()))
             mine = owners == r
-            shard = build_kmer_table_packed(
+            shard = KmerTable.from_packed(
                 k,
                 spectrum.distinct[mine],
                 spectrum.counts[mine],
@@ -62,7 +62,7 @@ def merge_shards(
     counts = np.concatenate([s.count_array for s in shards])
     owners = np.repeat(np.arange(len(shards)), [len(s) for s in shards])
     order = np.argsort(np.concatenate([s.key_array for s in shards]), kind="stable")
-    table = build_kmer_table_packed(k, rows[order], counts[order], presorted=True)
+    table = KmerTable.from_packed(k, rows[order], counts[order], presorted=True)
     return table, owners[order]
 
 

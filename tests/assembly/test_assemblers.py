@@ -12,13 +12,9 @@ from hypothesis import strategies as st
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler, ContrailInputError
-from repro.assembly.dbg import build_kmer_table_packed
-from repro.assembly.kmers import (
-    canonical_kmers_packed,
-    canonical_kmers_store_packed,
-    kmer_counts_packed,
-)
-from repro.assembly.packed import keys
+from repro.assembly.dbg import KmerTable
+from repro.assembly.kmers import canonical_kmers_packed
+from repro.assembly.packed import keys, unique_inverse_counts
 from repro.assembly.ray import RayAssembler
 from repro.assembly.sweep import resolve_spectrum
 from repro.assembly.registry import (
@@ -159,11 +155,10 @@ class TestContigProperties:
     @pytest.fixture(scope="class", params=(31, 51))
     def case(self, request, store_paired):
         k = request.param
-        spectrum = build_kmer_table_packed(
-            k,
-            *kmer_counts_packed(canonical_kmers_store_packed(store_paired, k), k),
-            presorted=True,
+        rows, _, counts = unique_inverse_counts(
+            canonical_kmers_packed(store_paired.codes, k), k
         )
+        spectrum = KmerTable.from_packed(k, rows, counts, presorted=True)
         return store_paired, AssemblyParams(k=k, min_contig_length=100), spectrum
 
     @pytest.mark.parametrize(

@@ -31,13 +31,13 @@ class TestDetonateKmerParity:
         k = KMER_METRIC_K
         rows_a = canonical_kmers_varlen_packed(refs[:2], k)
         rows_b = canonical_kmers_varlen_packed(refs[1:], k)
-        set_a = set(packedmod.key_list(rows_a, k))
+        set_a = set(packedmod.keys(rows_a, k).tolist())
         uniq_a = packedmod.unique_keys(rows_a, k)
         assert sorted(set_a) == packedmod.keys(uniq_a, k).tolist()
         probe = packedmod.unique_keys(rows_b, k)
         got = packedmod.keys_in(probe, uniq_a)
         want = np.array(
-            [key in set_a for key in packedmod.key_list(probe, k)]
+            [key in set_a for key in packedmod.keys(probe, k).tolist()]
         )
         np.testing.assert_array_equal(got, want)
         assert got.any() and not got.all()  # overlap is partial
@@ -70,16 +70,16 @@ class TestDetonateKmerParity:
 
         k = KMER_METRIC_K
         asm = set(
-            packedmod.key_list(
+            packedmod.keys(
                 canonical_kmers_varlen_packed([c.seq for c in contigs], k), k
-            )
+            ).tolist()
         )
         num = den = 0.0
         for t, w in zip(reference.transcripts, weights):
             tk = set(
-                packedmod.key_list(
+                packedmod.keys(
                     canonical_kmers_varlen_packed([t.seq], k), k
-                )
+                ).tolist()
             )
             if not tk:
                 continue

@@ -294,8 +294,6 @@ class TestReadOnly:
         for min_count in (PARAMS.min_count + 1, 1):  # with removals, without
             with pytest.raises(ValueError, match="frozen"):
                 table.drop_below(min_count)
-        with pytest.raises(ValueError, match="frozen"):
-            table.add_counts({bytes(K): 5})
         arrays = (
             table.packed,
             table.count_array,

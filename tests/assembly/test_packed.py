@@ -1,8 +1,8 @@
 """Unit and property tests for the 2-bit packed k-mer codec.
 
-The packed engine must be a drop-in, bit-exact replacement for the bytes
-representation, so every operation is checked against the straightforward
-byte-level definition: pack/unpack roundtrips, reverse complement,
+Every operation is checked against the straightforward byte-level
+definition, and the read -> k-mer pipeline against the bytes-of-codes
+primitives of the frozen oracle :mod:`tests.assembly.kmer_reference`: pack/unpack roundtrips, reverse complement,
 canonicalization (including palindromes), key ordering, and the word
 boundaries k=32/33 and the k=63 ceiling.
 """
@@ -14,22 +14,28 @@ from hypothesis import strategies as st
 
 from repro.assembly import packed
 from repro.assembly.kmers import (
-    _canonicalize,
-    canonical_kmers,
     canonical_kmers_packed,
-    canonical_kmers_varlen,
     canonical_kmers_varlen_packed,
-    kmer_counts,
-    kmer_counts_packed,
-    kmer_owner,
     kmer_owner_packed,
 )
 from repro.seq.alphabet import encode
+from tests.assembly.kmer_reference import (
+    _canonicalize,
+    canonical_kmers,
+    canonical_kmers_varlen,
+    kmer_counts,
+    kmer_owner,
+)
 
 BOUNDARY_KS = (3, 31, 32, 33, 63)
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=200)
 dna_with_n = st.text(alphabet="ACGTN", min_size=0, max_size=200)
+
+
+def _as_bytes(rows, k):
+    """Packed rows as code-bytes k-mers, the oracle's representation."""
+    return [r.tobytes() for r in packed.unpack(rows, k)]
 
 
 def _random_windows(rng, n, k):
@@ -121,11 +127,6 @@ class TestRoundtrip:
         rows = packed.pack(empty)
         assert rows.shape == (0, 2)
         assert packed.unpack(rows, 33).shape == (0, 33)
-
-    def test_bytes_kmer_roundtrip(self):
-        km = bytes(encode("ACGTACGTACGTACGTACGTACGTACGTACGTA").tolist())
-        rows = packed.pack_bytes_kmer(km)
-        assert packed.unpack_to_bytes(rows, len(km)) == [km]
 
 
 class TestRevcompCanonical:
@@ -323,14 +324,15 @@ class TestUniqueInverseCounts:
 
 
 class TestPipelineParity:
-    """The packed read->k-mer pipeline must agree with the bytes pipeline."""
+    """The packed read->k-mer pipeline must agree with the oracle's bytes
+    pipeline."""
 
     @given(dna_with_n, st.sampled_from(BOUNDARY_KS))
     def test_canonical_extraction_parity(self, seq, k):
         rows = canonical_kmers_packed(encode(seq), k)
         expect = canonical_kmers(encode(seq), k)
         assert rows.shape == (expect.shape[0], packed.words_for(k))
-        assert packed.unpack_to_bytes(rows, k) == [
+        assert _as_bytes(rows, k) == [
             bytes(r.tolist()) for r in expect
         ]
 
@@ -338,20 +340,18 @@ class TestPipelineParity:
     def test_varlen_parity(self, seqs, k):
         rows = canonical_kmers_varlen_packed(seqs, k)
         expect = canonical_kmers_varlen(seqs, k)
-        assert packed.unpack_to_bytes(rows, k) == [
+        assert _as_bytes(rows, k) == [
             bytes(r.tolist()) for r in expect
         ]
 
     @given(st.lists(dna, min_size=1, max_size=6), st.sampled_from((31, 63)))
     def test_counts_parity(self, seqs, k):
         brows = canonical_kmers_varlen(seqs, k)
-        prows, pcounts = kmer_counts_packed(
+        prows, _, pcounts = packed.unique_inverse_counts(
             canonical_kmers_varlen_packed(seqs, k), k
         )
         expect = kmer_counts(brows)
-        got = dict(
-            zip(packed.unpack_to_bytes(prows, k), pcounts.tolist())
-        )
+        got = dict(zip(_as_bytes(prows, k), pcounts.tolist()))
         assert got == expect
 
     @given(dna)
@@ -377,7 +377,7 @@ class TestPipelineParity:
                 packed.words_for(k),
             )
             assert canonical_kmers_varlen_packed(["", "AC"], k).shape[0] == 0
-            rows, counts = kmer_counts_packed(
+            rows, _, counts = packed.unique_inverse_counts(
                 canonical_kmers_varlen_packed([], k), k
             )
             assert rows.shape[0] == 0 and counts.shape[0] == 0

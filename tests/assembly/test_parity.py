@@ -16,10 +16,16 @@ from repro.assembly import packed as packedmod
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler
-from repro.assembly.dbg import build_kmer_table, extract_unitigs
-from repro.assembly.kmers import canonical_kmers_varlen, kmer_counts
+from repro.assembly.dbg import extract_unitigs
 from repro.assembly.ray import RayAssembler
+from repro.assembly.sweep import resolve_spectrum
+from repro.assembly.velvet import VelvetAssembler
+from repro.parallel.mapreduce import MapReduceEngine
+from repro.seq.alphabet import decode, random_dna
+from repro.seq.readstore import ReadStore
 from tests.assembly.kmer_reference import (
+    canonical_kmers_varlen,
+    kmer_counts,
     legacy_build_kmer_table,
     legacy_extract_unitigs,
     reference_abyss_assemble,
@@ -27,11 +33,7 @@ from tests.assembly.kmer_reference import (
     reference_ray_assemble,
     reference_velvet_assemble,
 )
-from repro.assembly.sweep import resolve_spectrum
-from repro.assembly.velvet import VelvetAssembler
-from repro.parallel.mapreduce import MapReduceEngine
-from repro.seq.alphabet import decode, random_dna
-from repro.seq.readstore import ReadStore
+from tests.assembly.test_unitig_walk import assert_sharded_parity, packed_table
 
 
 def _rand_seq(rng, length: int) -> str:
@@ -93,7 +95,7 @@ class TestContrailCountJobParity:
         )
         got = dict(
             zip(
-                packedmod.unpack_to_bytes(spectrum.distinct[solid], params.k),
+                map(bytes, packedmod.unpack(spectrum.distinct[solid], params.k)),
                 spectrum.counts[solid].tolist(),
             )
         )
@@ -137,7 +139,7 @@ class TestWalkParity:
             counts = kmer_counts(canonical_kmers_varlen(reads, k))
             if not counts:
                 continue
-            t_new = build_kmer_table(k, counts)
+            t_new = packed_table(k, counts)
             t_ref = legacy_build_kmer_table(k, counts)
             got_u, got_steps = extract_unitigs(t_new)
             ref_u, ref_steps = legacy_extract_unitigs(t_ref)
@@ -154,7 +156,7 @@ class TestWalkParity:
 
         seq = stem + reverse_complement(stem)
         counts = kmer_counts(canonical_kmers_varlen([seq] * 3, k))
-        got = extract_unitigs(build_kmer_table(k, counts))
+        got = extract_unitigs(packed_table(k, counts))
         ref = legacy_extract_unitigs(legacy_build_kmer_table(k, counts))
         assert got[1] == ref[1]
         assert got[0] == ref[0]
@@ -167,7 +169,7 @@ class TestWalkParity:
         core = _rand_seq(rng, 120)
         seq = core + core[: k + 5]
         counts = kmer_counts(canonical_kmers_varlen([seq] * 2, k))
-        got = extract_unitigs(build_kmer_table(k, counts))
+        got = extract_unitigs(packed_table(k, counts))
         ref = legacy_extract_unitigs(legacy_build_kmer_table(k, counts))
         assert got[1] == ref[1]
         assert got[0] == ref[0]
@@ -183,14 +185,5 @@ class TestWalkParity:
             for a in rng.integers(0, 730, size=120).tolist()
         ]
         counts = kmer_counts(canonical_kmers_varlen(reads, k))
-        t_new = build_kmer_table(k, counts)
-        t_ref = legacy_build_kmer_table(k, counts)
         keys = sorted(counts)
-        shards = [keys[i::3] for i in range(3)]
-        vis_new: set = set()
-        vis_ref: set = set()
-        for shard in shards:
-            got = extract_unitigs(t_new, seeds=iter(shard), visited=vis_new)
-            ref = legacy_extract_unitigs(t_ref, seeds=iter(shard), visited=vis_ref)
-            assert got[1] == ref[1]
-            assert got[0] == ref[0]
+        assert_sharded_parity(counts, k, [keys[i::3] for i in range(3)])

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from repro.assembly import packed as packedmod
-from repro.assembly.dbg import KmerTable, build_kmer_table_packed
+from repro.assembly.dbg import KmerTable
 from repro.assembly.kmers import (
     canonical_kmers_packed,
-    canonical_kmers_store_packed,
     fused_canonical_positions_packed,
     fused_canonical_positions_store_packed,
 )
@@ -83,7 +82,7 @@ class TestFusedExtractionProperty:
         fused = fused_canonical_positions_packed(store.codes, list(ks))
         for k in ks:
             rows, positions = fused[k]
-            want = canonical_kmers_store_packed(store, k)
+            want = canonical_kmers_packed(store.codes, k)
             np.testing.assert_array_equal(rows, want)
             # Positions must point at exactly the N-free windows, in order.
             assert positions.shape[0] == rows.shape[0]
@@ -103,7 +102,7 @@ class TestFusedExtractionProperty:
         fused = fused_canonical_positions_packed(store.codes, [k])
         rows, _ = fused[k]
         np.testing.assert_array_equal(
-            rows, canonical_kmers_store_packed(store, k)
+            rows, canonical_kmers_packed(store.codes, k)
         )
         store.close()
 
@@ -116,7 +115,7 @@ class TestFusedExtractionProperty:
             fused = fused_canonical_positions_packed(store.codes, [5, 33])
             for k in (5, 33):
                 np.testing.assert_array_equal(
-                    fused[k][0], canonical_kmers_store_packed(store, k)
+                    fused[k][0], canonical_kmers_packed(store.codes, k)
                 )
             store.close()
 
@@ -225,8 +224,8 @@ class TestKmerSpectrum:
             stream = canonical_kmers_packed(store.codes, sp.k)
             # Occurrence stream == the flat extraction, bit-for-bit.
             np.testing.assert_array_equal(sp.distinct[sp.inverse], stream)
-            # Distinct/counts == unique_counts of the stream.
-            rows, counts = packedmod.unique_counts(stream, sp.k)
+            # Distinct/counts == unique_inverse_counts of the stream.
+            rows, _, counts = packedmod.unique_inverse_counts(stream, sp.k)
             np.testing.assert_array_equal(sp.distinct, rows)
             np.testing.assert_array_equal(sp.counts, counts)
             # Per-read slices == per-read extraction.
@@ -245,9 +244,8 @@ class TestKmerSpectrum:
     def test_table_and_owners_match_per_k_path(self, store):
         (sp,) = build_spectra(store, [25])
         stream = canonical_kmers_packed(store.codes, 25)
-        want = build_kmer_table_packed(
-            25, *packedmod.unique_counts(stream, 25)
-        )
+        rows, _, counts = packedmod.unique_inverse_counts(stream, 25)
+        want = KmerTable.from_packed(25, rows, counts)
         got = sp.table(1)
         np.testing.assert_array_equal(got.packed, want.packed)
         np.testing.assert_array_equal(got.count_array, want.count_array)
@@ -298,7 +296,7 @@ class TestKmerSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: presorted fast paths + debug sortedness assertion.
+# Satellite: the presorted fast path + debug sortedness assertion.
 # ---------------------------------------------------------------------------
 
 
@@ -309,23 +307,9 @@ class TestPresortedFastPath:
         store.close()
         return stream
 
-    def test_unique_counts_presorted_matches(self):
-        stream = self._stream()
-        rows, counts = packedmod.unique_counts(stream, 25)
-        rows2, counts2 = packedmod.unique_counts(rows, 25, presorted=True)
-        np.testing.assert_array_equal(rows, rows2)
-        np.testing.assert_array_equal(counts2, np.ones_like(counts2))
-        # A presorted stream with duplicates still counts correctly.
-        order = np.argsort(packedmod.keys(stream, 25), kind="stable")
-        srows, scounts = packedmod.unique_counts(
-            stream[order], 25, presorted=True
-        )
-        np.testing.assert_array_equal(srows, rows)
-        np.testing.assert_array_equal(scounts, counts)
-
     def test_from_packed_presorted_matches(self):
         stream = self._stream()
-        rows, counts = packedmod.unique_counts(stream, 25)
+        rows, _, counts = packedmod.unique_inverse_counts(stream, 25)
         base = KmerTable.from_packed(25, rows, counts)
         fast = KmerTable.from_packed(25, rows, counts, presorted=True)
         np.testing.assert_array_equal(base.packed, fast.packed)
@@ -333,7 +317,7 @@ class TestPresortedFastPath:
 
     def test_debug_flag_catches_unsorted_input(self, monkeypatch):
         stream = self._stream()
-        rows, counts = packedmod.unique_counts(stream, 25)
+        rows, _, counts = packedmod.unique_inverse_counts(stream, 25)
         bad_rows, bad_counts = rows[::-1].copy(), counts[::-1].copy()
         monkeypatch.delenv(packedmod.DEBUG_SORTED_ENV, raising=False)
         assert not packedmod.debug_assert_sorted_enabled()
@@ -343,8 +327,6 @@ class TestPresortedFastPath:
         assert packedmod.debug_assert_sorted_enabled()
         with pytest.raises(AssertionError):
             KmerTable.from_packed(25, bad_rows, bad_counts, presorted=True)
-        with pytest.raises(AssertionError):
-            packedmod.unique_counts(bad_rows, 25, presorted=True)
         # Sorted input passes under the flag.
         KmerTable.from_packed(25, rows, counts, presorted=True)
 

@@ -1,11 +1,13 @@
-"""Unitig extraction as an array kernel: the link table against k-mer by
-k-mer adjacency, reference parity on rank-sharded seeds and hostile
-topologies (both entry points), edge inputs, and cache invalidation when
-a table's rows change.
+"""Unitig extraction as an array kernel: the link table against the
+reference table's k-mer by k-mer adjacency, reference parity on
+rank-sharded seeds and hostile topologies, edge inputs, and cache
+invalidation when a table's rows change.
 
 The invariant is equality with the sequential bytes-dict walker frozen in
-:mod:`tests.assembly.kmer_reference` — unitig list, order and step count,
-call by call when several seed shards share one ``visited`` set.
+:mod:`tests.assembly.kmer_reference` — unitig list, order and step count.
+Sharded cases go through :func:`extract_unitigs_by_owner`, the entry
+point Ray and ABySS call, rank by rank against the walker stepping
+through the same shards with one shared ``visited`` set.
 """
 
 import numpy as np
@@ -16,55 +18,55 @@ from hypothesis import strategies as st
 from repro.assembly import packed
 from repro.assembly.dbg import (
     KmerTable,
-    build_kmer_table,
-    build_kmer_table_packed,
     extract_unitigs,
     extract_unitigs_by_owner,
 )
-from repro.assembly.kmers import (
+from repro.seq.alphabet import decode, encode, random_dna, reverse_complement
+from tests.assembly.kmer_reference import (
+    LegacyKmerTable,
     canonical,
     canonical_kmers_varlen,
     kmer_counts,
     kmer_owner,
-    revcomp_kmer,
-)
-from tests.assembly.kmer_reference import (
     legacy_build_kmer_table,
     legacy_extract_unitigs,
+    revcomp_kmer,
 )
-from repro.seq.alphabet import decode, encode, random_dna, reverse_complement
 
 #: One-word and two-word packed keys.
 WORD_KS = (31, 33)
 
 
+def packed_table(k: int, counts: dict[bytes, int]) -> KmerTable:
+    """The live table holding the reference counts' k-mers, packed."""
+    raw = np.frombuffer(b"".join(counts), dtype=np.uint8).reshape(-1, k)
+    cov = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    return KmerTable.from_packed(k, packed.pack(raw), cov)
+
+
 def assert_sharded_parity(counts: dict[bytes, int], k: int, shards) -> None:
-    """Walk each seed shard in turn on both engines, sharing ``visited``
-    across shards the way Ray/ABySS did across ranks; when the shards
-    partition the table in table order, the one-call-all-ranks entry
-    point must return the same per-rank lists and step counts."""
-    t_new = build_kmer_table(k, counts)
+    """Rank r owns shard r: :func:`extract_unitigs_by_owner` must return,
+    rank by rank, what the reference walker returns stepping through the
+    shards in turn with one shared ``visited`` set, the way Ray/ABySS
+    ranks did.  The shards partition the table and list their k-mers in
+    table order, which is the order the owner pass walks a rank's rows."""
+    keys = sorted(counts)
+    assert sorted(km for shard in shards for km in shard) == keys
+    assert all(list(shard) == sorted(shard) for shard in shards)
     t_ref = legacy_build_kmer_table(k, counts)
-    vis_new: set = set()
-    vis_ref: set = set()
-    per_rank = []
-    for rank, shard in enumerate(shards):
-        got_u, got_steps = extract_unitigs(t_new, seeds=iter(shard), visited=vis_new)
-        ref_u, ref_steps = legacy_extract_unitigs(
-            t_ref, seeds=iter(shard), visited=vis_ref
-        )
+    visited: set = set()
+    want = [
+        legacy_extract_unitigs(t_ref, seeds=iter(shard), visited=visited)
+        for shard in shards
+    ]
+    assert len(visited) == len(counts)
+    rank_of = {km: rank for rank, shard in enumerate(shards) for km in shard}
+    owners = np.array([rank_of[km] for km in keys], dtype=np.int64)
+    got = extract_unitigs_by_owner(packed_table(k, counts), owners, len(shards))
+    assert len(got) == len(want)
+    for rank, ((got_u, got_steps), (ref_u, ref_steps)) in enumerate(zip(got, want)):
         assert got_steps == ref_steps, f"rank {rank}"
         assert got_u == ref_u, f"rank {rank}"
-        per_rank.append((ref_u, ref_steps))
-    assert len(vis_new) == len(vis_ref)
-    owner_of = {km: rank for rank, shard in enumerate(shards) for km in shard}
-    in_table_order = all(list(shard) == sorted(shard) for shard in shards)
-    if in_table_order and sorted(owner_of) == sorted(counts) == sorted(
-        km for shard in shards for km in shard
-    ):
-        owners = np.array([owner_of[km] for km in sorted(counts)], dtype=np.int64)
-        fresh = build_kmer_table(k, counts)
-        assert extract_unitigs_by_owner(fresh, owners, len(shards)) == per_rank
 
 
 def owner_shards(keys: list[bytes], k: int, n_ranks: int) -> list[list[bytes]]:
@@ -161,7 +163,7 @@ class TestHostileTopologies:
             counts = kmer_counts(
                 canonical_kmers_varlen([unit * (3 + k // unit_len)], k)
             )
-            chains = build_kmer_table(k, counts).unitig_chains()
+            chains = packed_table(k, counts).unitig_chains()
             if len(counts) == unit_len and chains.cyclic.all():
                 break
         else:
@@ -175,7 +177,7 @@ class TestHostileTopologies:
     def test_real_reads_hold_no_cycle(self, reads_paired):
         rows = canonical_kmers_varlen([r.seq for r in reads_paired[:1500]], 31)
         counts = {km: c for km, c in kmer_counts(rows).items() if c >= 2}
-        assert not build_kmer_table(31, counts).unitig_chains().cyclic.any()
+        assert not packed_table(31, counts).unitig_chains().cyclic.any()
 
     @pytest.mark.parametrize("k", (5, 33))
     def test_odd_k_hairpin(self, k):
@@ -186,9 +188,9 @@ class TestHostileTopologies:
         read = decode(random_dna(k + 5, rng)) + half + reverse_complement(half)
         counts = kmer_counts(canonical_kmers_varlen([read], k))
         x = bytes(encode(read[-k:]))
-        t = build_kmer_table(k, counts)
-        assert t.successors(x) == [revcomp_kmer(x)]
-        x_id = sorted(counts).index(canonical(x)) + (x != canonical(x)) * len(t)
+        assert legacy_build_kmer_table(k, counts).successors(x) == [revcomp_kmer(x)]
+        x_id = sorted(counts).index(canonical(x)) + (x != canonical(x)) * len(counts)
+        t = packed_table(k, counts)
         assert t.unitig_links()[0][x_id] == -1  # cut, not a step to its mate
         keys = sorted(counts)
         for r in range(len(keys)):
@@ -206,20 +208,22 @@ class TestHostileTopologies:
         forward = [km for km in path if canonical(km) == km]
         reverse = [canonical(km) for km in path if canonical(km) != km]
         assert forward and reverse
+        table = packed_table(k, counts)
         for seed, expect in ((forward[-1], seq), (reverse[0], reverse_complement(seq))):
             rest = sorted(set(counts) - {seed})
-            unitigs, steps = extract_unitigs(
-                build_kmer_table(k, counts), seeds=iter([seed] + rest)
-            )
+            owners = np.array([km != seed for km in sorted(counts)], dtype=np.int64)
+            (unitigs, steps), later = extract_unitigs_by_owner(table, owners, 2)
             assert [u.seq for u in unitigs] == [expect] and steps == len(counts)
+            assert later == ([], 0)
             assert_sharded_parity(counts, k, [[seed], rest])
 
 
 # -- the link table ------------------------------------------------------------
 
 
-def _reference_links(table: KmerTable) -> list[int]:
-    """``link`` from the definition, one oriented k-mer at a time."""
+def _reference_links(table: LegacyKmerTable) -> list[int]:
+    """``link`` from the definition, one oriented k-mer at a time, on the
+    reference table's adjacency."""
     keys = sorted(table.counts)
     row = {km: i for i, km in enumerate(keys)}
     n = len(keys)
@@ -254,10 +258,10 @@ def test_links_match_kmer_by_kmer_adjacency(k):
     ]
     if k <= 8:
         reads += [decode(random_dna(60, rng)) for _ in range(4)] + ["AT" * k]
-    table = build_kmer_table(k, kmer_counts(canonical_kmers_varlen(reads, k)))
-    link, last_base = table.unitig_links()
-    assert link.tolist() == _reference_links(table)
-    keys = sorted(table.counts)
+    counts = kmer_counts(canonical_kmers_varlen(reads, k))
+    link, last_base = packed_table(k, counts).unitig_links()
+    assert link.tolist() == _reference_links(legacy_build_kmer_table(k, counts))
+    keys = sorted(counts)
     assert last_base.tolist() == [km[-1] for km in keys] + [
         revcomp_kmer(km)[-1] for km in keys
     ]
@@ -270,7 +274,7 @@ def _path_table(k: int, seed: int = 5) -> tuple[KmerTable, dict[bytes, int]]:
     rng = np.random.default_rng(seed)
     seq = decode(random_dna(k + 40, rng))
     counts = kmer_counts(canonical_kmers_varlen([seq], k))
-    return build_kmer_table(k, counts), counts
+    return packed_table(k, counts), counts
 
 
 @pytest.mark.parametrize("k", WORD_KS)
@@ -278,62 +282,39 @@ class TestEdgeInputs:
     def test_empty_table(self, k):
         t = KmerTable(k)
         assert extract_unitigs(t) == ([], 0)
-        assert extract_unitigs(t, seeds=iter([bytes(k)])) == ([], 0)
-        empty = np.zeros((0, t.words), dtype=np.uint64)
-        assert extract_unitigs(t, seeds=empty, visited=set()) == ([], 0)
+        no_rows = np.zeros(0, dtype=np.int64)
+        assert extract_unitigs_by_owner(t, no_rows, 3) == [([], 0)] * 3
 
     def test_empty_seed_iterable(self, k):
+        # Ranks that own no row walk nothing, before and after the one
+        # that owns them all.
         t, _ = _path_table(k)
-        visited: set = set()
-        assert extract_unitigs(t, seeds=iter([]), visited=visited) == ([], 0)
-        assert not visited
-
-    def test_seeds_absent_from_table(self, k):
-        t, counts = _path_table(k)
-        absent = [km for km in _path_table(k, seed=6)[1] if km not in counts]
-        assert absent
-        visited: set = set()
-        assert extract_unitigs(t, seeds=iter(absent), visited=visited) == ([], 0)
-        absent_rows = packed.pack(
-            np.frombuffer(b"".join(absent), dtype=np.uint8).reshape(-1, k)
-        )
-        assert extract_unitigs(t, seeds=absent_rows, visited=visited) == ([], 0)
-        assert not visited
-        # Absent seeds mixed in are skipped, present ones still walk.
-        mixed = [absent[0], sorted(counts)[0], absent[-1]]
-        got = extract_unitigs(t, seeds=iter(mixed))
-        ref = legacy_extract_unitigs(
-            legacy_build_kmer_table(k, counts), seeds=iter(mixed)
-        )
-        assert got == ref and got[1] > 0
+        owners = np.ones(len(t), dtype=np.int64)
+        none_first, every, none_last = extract_unitigs_by_owner(t, owners, 3)
+        assert none_first == none_last == ([], 0)
+        assert every == extract_unitigs(t)
 
     def test_duplicate_seed_rows(self, k):
+        # One rank holding every row of a one-unitig path seeds that
+        # unitig once per row: the first seed emits it, whole and once.
         t, counts = _path_table(k)
-        seed = sorted(counts)[len(counts) // 2]
-        rows = np.repeat(packed.pack_bytes_kmer(seed), 3, axis=0)
-        unitigs, steps = extract_unitigs(t, seeds=rows)
-        ref = legacy_extract_unitigs(
-            legacy_build_kmer_table(k, counts), seeds=iter([seed] * 3)
+        ((unitigs, steps),) = extract_unitigs_by_owner(
+            t, np.zeros(len(t), dtype=np.int64), 1
         )
-        assert (unitigs, steps) == ref
-        assert len(unitigs) == 1 and steps == unitigs[0].n_kmers
+        assert len(unitigs) == 1 and steps == unitigs[0].n_kmers == len(counts)
 
     def test_second_call_with_same_visited(self, k):
+        # A later rank whose rows an earlier rank's walk visited emits
+        # nothing: the path's one unitig goes to the rank of its middle
+        # row, whole.
         t, counts = _path_table(k)
-        visited: set = set()
-        unitigs, steps = extract_unitigs(t, visited=visited)
-        assert steps == len(counts) == len(visited)
-        assert extract_unitigs(t, visited=visited) == ([], 0)
-        assert extract_unitigs(t, seeds=t.packed, visited=visited) == ([], 0)
-
-    def test_partly_visited_unitig_is_refused(self, k):
-        # The kernel skips a visited unitig whole, where the sequential
-        # walk emitted its unvisited remainder: a set no earlier call on
-        # this table could have left must not be answered quietly.
-        t, counts = _path_table(k)
-        with pytest.raises(ValueError, match="part of a unitig"):
-            extract_unitigs(t, visited={0})
-        assert extract_unitigs(t, visited=set(range(len(counts)))) == ([], 0)
+        keys = sorted(counts)
+        mid = keys[len(keys) // 2]
+        owners = np.array([km != mid for km in keys], dtype=np.int64)
+        (unitigs, steps), later = extract_unitigs_by_owner(t, owners, 2)
+        assert len(unitigs) == 1 and steps == len(counts)
+        assert later == ([], 0)
+        assert_sharded_parity(counts, k, [[mid], [km for km in keys if km != mid]])
 
 
 # -- cache invalidation --------------------------------------------------------
@@ -353,35 +334,29 @@ def _branching_counts(k: int) -> dict[bytes, int]:
 class TestLinkCacheInvalidation:
     def test_drop_below_rebuilds_links(self, k):
         counts = _branching_counts(k)
-        t = build_kmer_table(k, counts)
+        t = packed_table(k, counts)
         before = extract_unitigs(t)
         assert t.drop_below(2) > 0
         survivors = {km: c for km, c in counts.items() if c >= 2}
-        fresh = extract_unitigs(build_kmer_table(k, survivors))
+        fresh = extract_unitigs(packed_table(k, survivors))
         assert extract_unitigs(t) == fresh
         assert fresh == legacy_extract_unitigs(legacy_build_kmer_table(k, survivors))
         assert len(fresh[0]) < len(before[0])
 
     def test_drop_below_without_removals_keeps_links(self, k):
-        t = build_kmer_table(k, _branching_counts(k))
+        t = packed_table(k, _branching_counts(k))
         chains = t.unitig_chains()
         assert t.drop_below(1) == 0
         assert t.unitig_chains() is chains
 
-    def test_add_counts_rebuilds_links(self, k):
-        counts = _branching_counts(k)
-        deep = {km: c for km, c in counts.items() if c >= 2}
-        extra = {km: c for km, c in counts.items() if c < 2}
-        t = build_kmer_table(k, deep)
-        assert len(extract_unitigs(t)[0]) == 1
-        t.add_counts(extra)
-        assert extract_unitigs(t) == extract_unitigs(build_kmer_table(k, counts))
-
     def test_packed_table_matches_dict_table(self, k):
         counts = _branching_counts(k)
-        t = build_kmer_table(k, counts)
+        t = packed_table(k, counts)
         shuffled = np.random.default_rng(0).permutation(len(t))
-        t2 = build_kmer_table_packed(
+        t2 = KmerTable.from_packed(
             k, t.packed[shuffled], t.count_array[shuffled]
         )
         assert extract_unitigs(t2) == extract_unitigs(t)
+        assert extract_unitigs(t2) == legacy_extract_unitigs(
+            legacy_build_kmer_table(k, counts)
+        )

@@ -168,13 +168,25 @@ class TestBackendParity:
             assert u.ttc == b.ttc
 
 
-def mamp_digest(executor: str = "serial", workers: int | None = None) -> str:
-    """sha256 over one cold MAMP run (Ray, ABySS and Velvet at two ks)
-    on ``executor`` with ``workers``: every assembly's contigs, stats and
-    usage, every stage's TTC, the run's TTC and cost, and the merged
-    transcripts."""
+#: The MAMP fan-out: Ray and ABySS read a spectrum's partition, Velvet its
+#: table.
+MAMP = ("ray", "abyss", "velvet")
+#: Trinity alone: the one assembler that builds its own table and calls
+#: ``KmerTable.drop_below`` on it.
+TRINITY = ("trinity",)
+
+
+def mamp_digest(
+    executor: str = "serial",
+    workers: int | None = None,
+    assemblers: tuple[str, ...] = MAMP,
+) -> str:
+    """sha256 over one cold run of ``assemblers`` at two ks (MAMP by
+    default) on ``executor`` with ``workers``: every assembly's contigs,
+    stats and usage, every stage's TTC, the run's TTC and cost, and the
+    merged transcripts."""
     config = PipelineConfig(
-        assemblers=("ray", "abyss", "velvet"),
+        assemblers=assemblers,
         kmer_list=(25, 31),
         executor=executor,
         executor_workers=workers,
@@ -208,13 +220,58 @@ def serial_digest():
     return mamp_digest()
 
 
+@pytest.fixture(scope="module")
+def trinity_serial_digest():
+    return mamp_digest(assemblers=TRINITY)
+
+
+POOLS = pytest.mark.parametrize(
+    "executor, workers",
+    [(e, w) for e in ("thread", "process") for w in (1, 2, 3)],
+)
+
+
 class TestWorkerCount:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @POOLS
     def test_mamp_fingerprint_equals_serial(self, serial_digest, executor, workers):
         """ROADMAP aim 3: the MAMP pipeline's fingerprint on a pool
         backend at 1, 2 and 3 workers equals the serial one."""
         assert mamp_digest(executor, workers) == serial_digest
+
+    @POOLS
+    def test_trinity_fingerprint_equals_serial(
+        self, trinity_serial_digest, executor, workers
+    ):
+        """The same for Trinity alone."""
+        assert mamp_digest(executor, workers, TRINITY) == trinity_serial_digest
+
+
+def hash_seed_digests(assemblers: tuple[str, ...]) -> list[str]:
+    """:func:`mamp_digest` of ``assemblers`` in fresh interpreters under
+    PYTHONHASHSEED 0 and 1."""
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))),
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from tests.core.test_executor_parity import mamp_digest;"
+                f"print(mamp_digest(assemblers={assemblers!r}))",
+            ],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split()[-1])
+    return digests
 
 
 class TestHashSeed:
@@ -222,26 +279,10 @@ class TestHashSeed:
         """ROADMAP aim 3: the MAMP pipeline's fingerprint is the same
         under PYTHONHASHSEED 0 and 1 (fresh interpreters) and in this
         process, whatever its seed."""
-        digests = []
-        for seed in ("0", "1"):
-            env = dict(
-                os.environ,
-                PYTHONHASHSEED=seed,
-                PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))),
-            )
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-c",
-                    "from tests.core.test_executor_parity import mamp_digest;"
-                    "print(mamp_digest())",
-                ],
-                cwd=ROOT,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.split()[-1])
-        assert digests[0] == digests[1] == serial_digest
+        assert hash_seed_digests(MAMP) == [serial_digest] * 2
+
+    def test_trinity_fingerprint_independent_of_hash_seed(
+        self, trinity_serial_digest
+    ):
+        """The same for Trinity alone."""
+        assert hash_seed_digests(TRINITY) == [trinity_serial_digest] * 2

@@ -118,6 +118,13 @@ class TestSchemesComparison:
                 scheme=MatchingScheme.S1,
             )
 
+    @pytest.mark.parametrize("workers", (0, -1))
+    def test_executor_workers_below_one_rejected(self, workers):
+        # 0 used to mean "every CPU" and -1 failed every fan-out unit.
+        with pytest.raises(ValueError, match=f"executor_workers .* got {workers}"):
+            PipelineConfig(executor="thread", executor_workers=workers)
+        assert PipelineConfig(executor="thread").executor_workers is None
+
 
 class TestDynamicVsStatic:
     def test_dynamic_picks_instance_by_memory(self, ds_paired):

@@ -75,6 +75,12 @@ class TestFactory:
         assert ex.max_workers == 3
         ex.shutdown()
 
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("workers", (0, -1))
+    def test_max_workers_below_one_rejected(self, backend, workers):
+        with pytest.raises(ValueError, match=f"max_workers .* got {workers}"):
+            make_executor(backend, max_workers=workers)
+
 
 class TestRunWorkload:
     def test_times_the_call(self):

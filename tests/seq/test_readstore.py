@@ -12,7 +12,7 @@ import pytest
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.kmers import (
-    canonical_kmers_store_packed,
+    canonical_kmers_packed,
     canonical_kmers_varlen_packed,
 )
 from repro.assembly.sweep import FIELDS as SPECTRUM_FIELDS
@@ -78,7 +78,7 @@ class TestLayout:
         store = ReadStore.from_reads([])
         assert store.n_reads == 0 and store.n_bases == 0
         assert store.records() == []
-        assert canonical_kmers_store_packed(store, 5).shape[0] == 0
+        assert canonical_kmers_packed(store.codes, 5).shape[0] == 0
 
     def test_arrays_read_only(self):
         store = ReadStore.from_reads(READS)
@@ -92,13 +92,13 @@ class TestExtractionParity:
         reads = reads_single[:300]
         store = ReadStore.from_reads(reads)
         np.testing.assert_array_equal(
-            canonical_kmers_store_packed(store, k),
+            canonical_kmers_packed(store.codes, k),
             canonical_kmers_varlen_packed([r.seq for r in reads], k),
         )
 
     def test_short_and_n_reads_contribute_nothing(self):
         store = ReadStore.from_reads(READS)
-        got = canonical_kmers_store_packed(store, 11)
+        got = canonical_kmers_packed(store.codes, 11)
         want = canonical_kmers_varlen_packed([r.seq for r in READS], 11)
         np.testing.assert_array_equal(got, want)
 
