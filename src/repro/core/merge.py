@@ -48,32 +48,44 @@ def _seed_positions(seq: str, stride: int = SEED_STRIDE) -> list[str]:
     ]
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _remove_contained(
     contigs: list[Contig], result: MergeResult
 ) -> list[Contig]:
     """Drop contigs contained, on either strand, in one kept before them."""
     ordered = sorted(contigs, key=lambda c: (-len(c), c.seq))
     kept: list[Contig] = []
-    seed_index: dict[str, list[int]] = {}
+    # seed -> bitmask of the kept contigs holding it (bit i is kept[i])
+    seed_index: dict[str, int] = {}
     work = 0
     for c in ordered:
         rc = reverse_complement(c.seq)
-        candidates: set[int] = set()
-        for seed in _seed_positions(c.seq) + _seed_positions(rc):
-            candidates.update(seed_index.get(seed, ()))
-        work += len(candidates) + len(c)
+        if len(c) < SEED_K:  # its one seed is itself: every kept contig
+            candidates = (1 << len(kept)) - 1
+        else:
+            candidates = 0
+            for seed in _seed_positions(c.seq) + _seed_positions(rc):
+                candidates |= seed_index.get(seed, 0)
+        work += candidates.bit_count() + len(c)
         contained = any(
-            c.seq in kept[i].seq or rc in kept[i].seq for i in candidates
+            c.seq in kept[i].seq or rc in kept[i].seq for i in _bits(candidates)
         )
         if contained:
             result.contained_removed += 1
             continue
-        idx = len(kept)
+        bit = 1 << len(kept)
         kept.append(c)
         # Index every position of kept contigs so strided query seeds of a
         # contained contig always hit regardless of offset alignment.
         for seed in _seed_positions(c.seq, stride=1):
-            seed_index.setdefault(seed, []).append(idx)
+            seed_index[seed] = seed_index.get(seed, 0) | bit
     result.usage.add_phase(
         PhaseUsage(
             name="containment",

@@ -11,8 +11,9 @@ single hit stay unassigned.
 The stage is one batched join in packed k-mer space
 (:mod:`repro.assembly.packed`): transcript k-mers form a key-sorted
 ``(keys, tids)`` index, the stride-4 windows of both read strands are
-the query keys, and one sorted ``searchsorted`` probe plus a
-``(read, tid)`` pair count does the voting.
+the query keys, sorted once, each index key finds its run of equal
+queries with two ``searchsorted`` calls, and a ``(read, tid)`` pair
+count does the voting.
 """
 
 from __future__ import annotations
@@ -55,14 +56,16 @@ class QuantificationResult:
         ]
 
 
-def _window_table(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed rows of the k-window at every start of a flat code array
-    (one doubling pass, :func:`repro.assembly.packed.pack_flat`) and the
-    mask of the N-free ones (one prefix sum over the N positions)."""
-    rows = packed.pack_flat(codes, k)
-    n_before = np.zeros(codes.shape[0] + 1, dtype=np.int32)
-    np.cumsum(codes >= alphabet.N, dtype=np.int32, out=n_before[1:])
-    return rows, n_before[k:] == n_before[: rows.shape[0]]
+def _n_free(codes: np.ndarray, offsets: np.ndarray, starts: np.ndarray, k: int):
+    """Whether each in-record k-window at ``starts`` holds no ``N``, for
+    records laid out as a store lays out reads (``offsets``, one
+    separator after each).  Such a window covers no separator, so the
+    first of the other, sparse N positions at or after its start (one
+    search; the array's end if none) must lie past its last base."""
+    is_n = codes >= alphabet.N
+    is_n[offsets[1:] - 1] = False
+    n_at = np.append(np.flatnonzero(is_n), codes.shape[0])
+    return n_at[np.searchsorted(n_at, starts)] >= starts + k
 
 
 def quantify(
@@ -88,16 +91,15 @@ def quantify(
     n_t = len(transcripts)
     lengths = np.array([len(t) for t in transcripts], dtype=np.int64)
 
-    # Index: every transcript k-mer, key-sorted, duplicates kept.
-    t_codes = alphabet.encode("N".join(t.seq for t in transcripts))
-    rows, n_free = _window_table(t_codes, k)
-    at = np.flatnonzero(n_free)  # a window over a separator holds its N
-    keys = packed.keys(rows[at], k)
-    order = np.argsort(keys, kind="stable")
-    tids = np.searchsorted(np.cumsum(lengths + 1), at, side="right")[order]
-    ukeys, first, n_dup = np.unique(
-        keys[order], return_index=True, return_counts=True
-    )
+    # Index: every transcript k-mer and its transcript, key-sorted,
+    # duplicates kept; the transcripts are laid out as reads in a store.
+    t_codes = alphabet.encode("".join(t.seq + "N" for t in transcripts))
+    t_off = np.concatenate([[0], np.cumsum(lengths + 1)])
+    tids, at = expand_ranges(t_off[:-1], np.maximum(lengths - k + 1, 0))
+    ok = _n_free(t_codes, t_off, at, k)
+    keys = packed.keys(packed.pack_flat(t_codes, k)[at[ok]], k)
+    order = np.argsort(keys)
+    keys, tids = keys[order], tids[ok][order]
 
     # Queries: each read's stride-4 windows, and the reverse complements
     # of their mirror images (its reverse complement's stride-4 windows).
@@ -109,8 +111,8 @@ def quantify(
     work = 2 * rid.shape[0]
     fwd = store.offsets[:-1][rid] + pos
     mir = fwd + (r_len[rid] - k) - 2 * pos
-    rows, n_free = _window_table(store.codes, k)
-    f_ok, m_ok = n_free[fwd], n_free[mir]
+    rows = packed.pack_flat(store.codes, k)
+    f_ok, m_ok = _n_free(store.codes, store.offsets, np.stack([fwd, mir]), k)
     query = packed.keys(
         np.concatenate(
             [rows[fwd[f_ok]], packed.revcomp(rows[mir[m_ok]], k)]
@@ -119,19 +121,20 @@ def quantify(
     )
     qrid = np.concatenate([rid[f_ok], rid[m_ok]])
 
-    # Probe in key order: sorted probes walk the index monotonically.
-    order = np.argsort(query)
-    query, qrid = query[order], qrid[order]
-    slot = np.searchsorted(ukeys, query)
-    hit = slot < ukeys.shape[0]
-    hit[hit] = ukeys[slot[hit]] == query[hit]
-    slot, qrid = slot[hit], qrid[hit]
-    owner, entry = expand_ranges(first[slot], n_dup[slot])
+    # Join: sort the queries once; each index k-mer meets the run of
+    # equal query windows, found by one search for each of its ends
+    # (in key order, so the searches walk the queries monotonically).
+    q_order = np.argsort(query)
+    query = query[q_order]
+    lo = np.searchsorted(query, keys, side="left")
+    entry, hit = expand_ranges(
+        lo, np.searchsorted(query, keys, side="right") - lo
+    )
 
     # Vote: count (read, tid) pairs; per read the most-voted transcript
     # wins and a tie goes to the lowest tid.
     pair, votes = np.unique(
-        qrid[owner] * n_t + tids[entry], return_counts=True
+        qrid[q_order[hit]] * n_t + tids[entry], return_counts=True
     )
     prid, ptid = np.divmod(pair, n_t)
     order = np.lexsort((ptid, -votes, prid))

@@ -67,6 +67,15 @@ class TestMerge:
         assert res.contained_removed == 1
         assert [(t.seq, t.coverage) for t in res.transcripts] == [(seq, 1.0)]
 
+    def test_contig_shorter_than_seed_k_dropped_inside_container(self):
+        s = random_seq(38, 14)
+        res = merge_contigs(
+            [[Contig("a", s, 1.0, 31, "x"), Contig("b", s[5:20], 1.0, 31, "x")]],
+            min_overlap=21,
+        )
+        assert res.contained_removed == 1
+        assert [t.seq for t in res.transcripts] == [s]
+
     def test_overlap_joined(self):
         full = random_seq(500, 3)
         a, b = full[:300], full[260:]  # 40 bp exact overlap

@@ -1,0 +1,216 @@
+"""Mutation gate: every committed mutant of ``src/`` must fail its tests.
+
+A row is a deliberate bug: a file under ``src/``, an exact text that
+occurs in it once, the text that replaces it, and the tests that must
+catch it.  For each row the tool copies ``src/`` to a temporary
+directory, applies the row to the copy (never to the working tree) and
+runs only the row's tests, with ``-x``, against the copy.  A row whose
+tests still pass is a *survivor*.
+
+    python tools/mutants.py             # every row
+    python tools/mutants.py -k merge    # rows whose name contains "merge"
+
+First the union of the selected rows' tests runs once on an unmodified
+copy: a row counts as killed only by tests that pass without it.
+Hypothesis runs with a fixed seed, so a kill is reproducible.  Exit
+status 1 names every survivor, every row whose old text is missing or
+not unique, and every row whose tests did not run; 0 means every
+selected row was killed.
+
+The rule (ROADMAP item 11): a change that claims a mutation check adds
+its row here; a change that deletes a test a row names re-points the row
+or deletes it, saying why the behaviour is gone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Row:
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids relative to the repository root
+
+
+_MERGE = "repro/core/merge.py"
+_QUANT = "repro/core/quantify.py"
+_DBG = "repro/assembly/dbg.py"
+_CONTAINMENT = "tests/core/test_merge_containment.py"
+_QUANT_ORACLE = "tests/core/test_quantify_parity.py::TestOracleParity"
+_PINS = "tests/core/test_quantify_parity.py::test_stage_outputs_pinned_on_ds_single"
+_WALK = "tests/assembly/test_unitig_walk.py"
+
+ROWS: tuple[Row, ...] = (
+    # merge: the bitmask seed index (DESIGN §7)
+    Row(
+        "merge: a seed's mask overwritten instead of OR-ed",
+        _MERGE,
+        "seed_index[seed] = seed_index.get(seed, 0) | bit",
+        "seed_index[seed] = bit",
+        (f"{_CONTAINMENT}::test_seed_held_by_two_kept_contigs",),
+    ),
+    Row(
+        "merge: candidate count taken as the number of kept contigs",
+        _MERGE,
+        "work += candidates.bit_count() + len(c)",
+        "work += len(kept) + len(c)",
+        (f"{_CONTAINMENT}::test_container_beyond_the_first_machine_word", _PINS),
+    ),
+    Row(
+        "merge: a contig shorter than SEED_K takes no candidates",
+        _MERGE,
+        "candidates = (1 << len(kept)) - 1",
+        "candidates = 0",
+        (f"{_CONTAINMENT}::TestShortContigs",),
+    ),
+    # quantify: the index searched into the sorted read windows (DESIGN §7)
+    Row(
+        "quantify: right-hand search done with side='left'",
+        _QUANT,
+        'np.searchsorted(query, keys, side="right") - lo',
+        'np.searchsorted(query, keys, side="left") - lo',
+        (_PINS, _QUANT_ORACLE),
+    ),
+    Row(
+        "quantify: N-window mask off by one base",
+        _QUANT,
+        ">= starts + k",
+        ">= starts + k - 1",
+        (_QUANT_ORACLE,),
+    ),
+    Row(
+        "quantify: hit indices not mapped back through the query sort",
+        _QUANT,
+        "qrid[q_order[hit]]",
+        "qrid[hit]",
+        (_PINS, _QUANT_ORACLE),
+    ),
+    # unitig extraction as one array kernel (DESIGN §14)
+    Row(
+        "unitigs: hairpin cut dropped",
+        _DBG,
+        "step = single & outdeg1[mate[succ]] & (succ != mate[out_of])",
+        "step = single & outdeg1[mate[succ]]",
+        (f"{_WALK}::TestHostileTopologies::test_odd_k_hairpin",),
+    ),
+    Row(
+        "unitigs: palindrome pass-through cut dropped",
+        _DBG,
+        "out_of = np.where(np.concatenate([pal, pal])[into], mate[into], into)",
+        "out_of = into",
+        (f"{_WALK}::TestHostileTopologies::test_every_kmer_palindromic",),
+    ),
+    Row(
+        "unitigs: cycle rotation dropped",
+        _DBG,
+        "turn = np.where(ch.cyclic[c], ch.rank[seeds], 0)",
+        "turn = np.zeros_like(c)",
+        (f"{_WALK}::TestHostileTopologies::test_tandem_repeat_cycle_from_every_row",),
+    ),
+    Row(
+        "unitigs: cached chains survive a row change",
+        _DBG,
+        "self._chains: UnitigChains | None = None",
+        'self._chains = getattr(self, "_chains", None)',
+        (f"{_WALK}::TestLinkCacheInvalidation::test_drop_below_rebuilds_links",),
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    shutil.copytree(
+        ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return dest / "src"
+
+
+def _env(src: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    """The tests, stopping at the first failure, against ``src``.  The
+    working directory is the copy's, so Hypothesis keeps its example
+    database there and the tree's stays as it was."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    cmd += ["--hypothesis-seed=0", *(str(ROOT / t) for t in tests)]
+    return subprocess.run(
+        cmd, cwd=src.parent, env=_env(src), capture_output=True, text=True
+    )
+
+
+def _tail(proc: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((proc.stdout + proc.stderr).splitlines()[-lines:])
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("-k", default="", help="only rows whose name contains this")
+    args = ap.parse_args(argv)
+    rows = [r for r in ROWS if args.k in r.name]
+    if not rows:
+        print(f"no row matches {args.k!r}", file=sys.stderr)
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        src = _copy_src(Path(tmp) / "clean")
+        where = subprocess.run(
+            [sys.executable, "-c", "import repro; print(repro.__file__)"],
+            cwd=src.parent, env=_env(src), capture_output=True, text=True,
+        ).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"tests would import repro from {where!r}, not the copy", file=sys.stderr)
+            return 1
+        union = list(dict.fromkeys(t for r in rows for t in r.tests))
+        clean = _pytest(src, union)
+        if clean.returncode != 0:
+            print("the rows' tests fail without any mutation:", file=sys.stderr)
+            print(_tail(clean), file=sys.stderr)
+            return 1
+
+        failures: list[str] = []
+        for i, row in enumerate(rows):
+            src = _copy_src(Path(tmp) / f"row{i}")
+            path = src / row.file
+            text = path.read_text()
+            if text.count(row.old) != 1:
+                failures.append(
+                    f"old text found {text.count(row.old)} times, not once: {row.name}"
+                )
+                print(f"MISSING   {row.name}")
+                continue
+            path.write_text(text.replace(row.old, row.new))
+            t0 = time.perf_counter()
+            proc = _pytest(src, row.tests)
+            took = time.perf_counter() - t0
+            if proc.returncode == 1:  # tests ran and one failed
+                print(f"killed    {row.name}  ({took:.1f} s)")
+            elif proc.returncode == 0:
+                failures.append(f"survived: {row.name}")
+                print(f"SURVIVED  {row.name}  ({took:.1f} s)")
+            else:
+                failures.append(f"tests did not run (pytest exit {proc.returncode}): {row.name}")
+                print(f"ERROR     {row.name}\n{_tail(proc)}")
+    if failures:
+        print("\n" + "\n".join(failures), file=sys.stderr)
+        return 1
+    print(f"all {len(rows)} rows killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
