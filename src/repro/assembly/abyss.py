@@ -11,8 +11,9 @@ overlap/merge and output stage.  Consequences the paper measures:
   "no significant gain" (Fig. 3).
 
 The implementation mirrors that: distributed count + local-shard walking
-charged per rank, then a ``gather`` of all unitigs and a serial
-master-side cleanup/merge charged via ``charge_serial``.
+charged per rank, then a ``gather`` of all unitigs to rank 0 (booked from
+their code bytes) and a serial master-side cleanup/merge charged via
+``charge_serial``.
 """
 
 from __future__ import annotations
@@ -63,15 +64,19 @@ class AbyssAssembler:
             world.count_messages(total_probes)
             # A handful of synchronization rounds, independent of data size.
             for _ in range(8):
-                world.barrier()
+                world.collective()
 
         # Master gathers all unitigs, then cleans and merges serially —
         # the Amdahl term that flattens ABySS's scale-out curve.
         with world.phase("master_merge", kind="walk"):
-            payloads = [
-                [u.codes for u in unitigs] for unitigs in per_rank_unitigs
-            ]
-            world.gather(payloads, root=0)
+            # Every non-root rank ships its unitigs' codes as one list:
+            # the code bytes plus a 16-byte list header.
+            world.collective(
+                sum(
+                    sum(u.codes.nbytes for u in unitigs) + 16
+                    for unitigs in per_rank_unitigs[1:]
+                )
+            )
             all_unitigs, cstats = clean_unitigs(
                 all_unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
             )

@@ -56,8 +56,9 @@ from repro.seq.readstore import ReadStore
 
 logger = logging.getLogger(__name__)
 
-#: What generic ``nbytes`` charges a segment record beyond its code bytes:
-#: four field names (22), three scalars (24), dict + object overhead (32).
+#: What the oracle's generic ``nbytes`` walk charges a segment record beyond
+#: its code bytes: four field names (22), three scalars (24), dict + object
+#: overhead (32).
 SEGMENT_RECORD_OVERHEAD = 78
 
 
@@ -200,7 +201,8 @@ class ContrailAssembler:
         per occurrence, its map task that of its read (``i % n``, as the
         engine splits records), its key the occurrence's distinct row,
         each (task, k-mer) group combined into one 8-byte count.  The
-        tests run the job through the engine and require equal books.
+        tests run the job through the oracle's executing engine and
+        require equal books.
         """
         n = engine.n_workers
         solid = spectrum.counts >= params.min_count

@@ -9,8 +9,8 @@ owner.  Two properties matter for the paper's benchmarks:
 * extension is *latency-bound* — every remote candidate probe is a small
   message — so compute scale-out gains are marginal (Fig. 3/4).
 
-Here, the k-mer exchange is an ``alltoall`` whose per-pair payload sizes,
-and the rows every rank holds and keeps, are counted off the job's
+Here, the k-mer exchange is an ``alltoall`` whose off-node bytes, and the
+rows every rank holds and keeps, are counted off the job's
 :class:`~repro.assembly.sweep.KmerSpectrum` and its owner column
 (:func:`partition_spectrum`): no rank's shard is built.  The walking
 phase charges work to the rank owning each seed while counting one remote
@@ -42,12 +42,12 @@ def partition_spectrum(
     k-mer extraction, an ``alltoall`` of every k-mer to its hash owner, a
     per-shard count and a per-shard coverage threshold — booked, not
     executed: extraction charges are the stripe occupancy, the alltoall
-    byte matrix the (stripe, owner) occurrence histogram, the rows a rank
-    holds and keeps ``bincount``s of the owner column, and the table the
-    spectrum's own sorted rows at ``counts >= min_count``.  The oracle
-    ``tests/assembly/kmer_reference.py`` executes the exchange;
-    ``tests/assembly/test_parity.py`` holds the full usage record and
-    every contig equal to it.
+    ``k`` bytes per occurrence off the diagonal of the (stripe, owner)
+    occurrence histogram, the rows a rank holds and keeps ``bincount``s of
+    the owner column, and the table the spectrum's own sorted rows at
+    ``counts >= min_count``.  The oracle ``tests/assembly/kmer_reference.py``
+    executes the exchange; ``tests/assembly/test_parity.py`` holds the full
+    usage record and every contig equal to it.
     """
     part = spectrum.partition(world.size, min_count)
     k = spectrum.k
@@ -56,9 +56,10 @@ def partition_spectrum(
     with world.phase("kmer_extract", kind="kmer"):
         for r in world.ranks():
             world.charge(r, float(matrix[r].sum()))
-        # Rows would travel packed (16 B) but are charged at their
-        # logical k-byte record size — the quantity the cost model prices.
-        world.alltoall(matrix.tolist(), nbytes_of=lambda c: c * k)
+        # The alltoall: every off-diagonal occurrence, charged at its
+        # logical k-byte record size (the quantity the cost model prices),
+        # not the 16-byte packed row it would travel as.
+        world.collective(int(matrix.sum() - matrix.trace()) * k)
 
     with world.phase("kmer_count", kind="kmer"):
         for r in world.ranks():

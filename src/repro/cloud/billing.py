@@ -47,12 +47,6 @@ class BillingLedger:
     def total_cost(self) -> float:
         return sum(l.cost for l in self.lines)
 
-    def cost_by_type(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for l in self.lines:
-            out[l.instance_type] = out.get(l.instance_type, 0.0) + l.cost
-        return out
-
     def report(self) -> str:
         """Human-readable cost breakdown."""
         rows = [f"{'vm':14s} {'type':12s} {'hours':>5s} {'cost':>8s}"]

@@ -118,6 +118,3 @@ class EventQueue:
             if tag is not None:
                 fired.append(tag)
         return fired
-
-    def peek_time(self) -> float | None:
-        return self._heap[0].time if self._heap else None

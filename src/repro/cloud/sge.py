@@ -60,12 +60,6 @@ class SGEJob:
             return 0.0
         return self.started_at - self.submitted_at
 
-    @property
-    def run_seconds(self) -> float:
-        if self.started_at is None or self.finished_at is None:
-            return 0.0
-        return self.finished_at - self.started_at
-
 
 class SGEScheduler:
     """FIFO scheduler with fill-up parallel-environment allocation."""

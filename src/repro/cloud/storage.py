@@ -41,10 +41,6 @@ class TransferModel:
         """Local server -> cloud; advances the clock; returns seconds."""
         return self._move("local", dst, n_bytes, self.wan_bandwidth)
 
-    def download(self, n_bytes: int, src: str = "vm") -> float:
-        """Cloud -> local server."""
-        return self._move(src, "local", n_bytes, self.wan_bandwidth)
-
     def copy(self, n_bytes: int, src: str, dst: str) -> float:
         """VM -> VM inside the region (the S1 scheme's handoff cost)."""
         if src == dst:
@@ -66,10 +62,6 @@ class TransferModel:
         )
         self.clock.advance(seconds)
         return seconds
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.n_bytes for r in self.log)
 
     @property
     def total_seconds(self) -> float:

@@ -72,6 +72,13 @@ class AssemblyPlan:
         return out
 
 
+def require_at_least_one(**fields: int) -> None:
+    """Raise a ``ValueError`` naming the first of ``fields`` below 1."""
+    for name, value in fields.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def plan_assembly(
     spec: DatasetSpec,
     kmer_list: tuple[int, ...],
@@ -89,6 +96,11 @@ def plan_assembly(
     """
     if not kmer_list or not assemblers:
         raise ValueError("need at least one k and one assembler")
+    require_at_least_one(
+        mpi_nodes_per_job=mpi_nodes_per_job,
+        contrail_nodes_per_job=contrail_nodes_per_job,
+        max_nodes=max_nodes,
+    )
     itype = get_instance_type(instance_type)
 
     # Widen MPI jobs until the assembly footprint fits per node.

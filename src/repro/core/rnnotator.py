@@ -39,6 +39,7 @@ from repro.core.planner import (
     plan_assembly,
     predict_run,
     predict_spectrum_build,
+    require_at_least_one,
     select_kmer_list,
 )
 from repro.core.preprocess import PreprocessParams, PreprocessResult, preprocess
@@ -164,6 +165,12 @@ class PipelineConfig:
             raise ValueError(
                 "the conventional pattern implies VM reuse (S2/S3)"
             )
+        require_at_least_one(
+            mpi_nodes_per_job=self.mpi_nodes_per_job,
+            contrail_nodes_per_job=self.contrail_nodes_per_job,
+            max_nodes=self.max_nodes,
+            min_count=self.min_count,
+        )
         if isinstance(self.executor, str):
             make_executor(self.executor)  # validate the name early
         if self.executor_workers is not None and self.executor_workers < 1:

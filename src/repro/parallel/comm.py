@@ -1,11 +1,12 @@
-"""An MPI-like SPMD world, executed deterministically in-process.
+"""An MPI-like SPMD world that books what a distributed run would do.
 
-Distributed algorithms are written in the loosely-synchronous style the
-paper's assemblers actually use: every rank holds local state (a slot in a
-per-rank list), local compute loops iterate over ranks, and data moves only
-through explicit collectives (``alltoall``, ``allreduce``, ``gather``,
-``bcast``...).  The world records everything — per-rank work charges,
-bytes through every collective, latency-bound message counts — into
+The MPI assemblers (Ray, ABySS) are written in the loosely-synchronous
+style they actually use: phases over ranks, each charging its ranks'
+work.  Nothing moves between ranks here: a collective is booked with one
+:meth:`SimWorld.collective` call carrying its off-node bytes, which the
+assembler counts in closed form from its own arrays.  The world records
+per-rank work, serial work, collectives and their bytes, latency-bound
+message counts and peak rank memory into
 :class:`~repro.parallel.usage.ResourceUsage` phases, which the cost model
 later turns into virtual seconds.
 
@@ -13,26 +14,26 @@ Example::
 
     world = SimWorld(4)
     with world.phase("count", kind="kmer"):
-        send = [[[] for _ in range(4)] for _ in range(4)]
         for r in world.ranks():
-            for item in local_items[r]:
-                send[r][owner(item)].append(item)
-            world.charge(r, len(local_items[r]))
-        recv = world.alltoall(send)
+            world.charge(r, float(matrix[r].sum()))
+        world.collective(int(matrix.sum() - matrix.trace()) * k)
     usage = world.usage
+
+The executing collectives the closed forms are held equal to are the
+test oracle ``tests/parallel/exec_reference.py``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Iterator
 
-from repro.parallel.usage import PhaseUsage, ResourceUsage, nbytes
+from repro.parallel.usage import PhaseUsage, ResourceUsage
 
 
 class CommError(RuntimeError):
-    """Misuse of the communicator (bad shapes, no active phase, ...)."""
+    """Misuse of the communicator (no active phase, bad rank, ...)."""
 
 
 @dataclass
@@ -44,7 +45,6 @@ class _PhaseAccumulator:
     comm_bytes: int = 0
     n_collectives: int = 0
     n_messages: int = 0
-    n_jobs: int = 0
 
     def to_usage(self) -> PhaseUsage:
         return PhaseUsage(
@@ -56,7 +56,6 @@ class _PhaseAccumulator:
             comm_bytes=self.comm_bytes,
             n_collectives=self.n_collectives,
             n_messages=self.n_messages,
-            n_jobs=self.n_jobs,
         )
 
 
@@ -125,94 +124,9 @@ class SimWorld:
         if not 0 <= rank < self.size:
             raise CommError(f"rank {rank} out of range [0, {self.size})")
 
-    def _collective(self, off_node_bytes: int) -> None:
+    def collective(self, off_node_bytes: int = 0) -> None:
+        """Book one collective moving ``off_node_bytes`` between ranks
+        (0: a synchronization-only barrier)."""
         acc = self._acc()
         acc.n_collectives += 1
         acc.comm_bytes += off_node_bytes
-
-    # -- collectives -----------------------------------------------------------
-
-    def alltoall(
-        self,
-        send: Sequence[Sequence[Any]],
-        nbytes_of: Callable[[Any], int] | None = None,
-    ) -> list[list[Any]]:
-        """All-to-all personalized exchange.
-
-        ``send[src][dst]`` is the payload from ``src`` to ``dst``; the
-        return value ``recv`` satisfies ``recv[dst][src] == send[src][dst]``.
-        Only off-diagonal payloads count as communication.
-
-        ``nbytes_of`` overrides the payload-size measure for accounting.
-        The cost model is calibrated to the *logical* record size of a
-        payload (e.g. k bytes per k-mer); callers shipping a compressed
-        physical representation pass the logical measure here so charged
-        communication stays identical to the uncompressed exchange.
-        """
-        self._check_matrix(send)
-        measure = nbytes if nbytes_of is None else nbytes_of
-        off_node = sum(
-            measure(send[s][d])
-            for s in range(self.size)
-            for d in range(self.size)
-            if s != d
-        )
-        self._collective(off_node)
-        return [[send[s][d] for s in range(self.size)] for d in range(self.size)]
-
-    def _check_matrix(self, send) -> None:
-        if len(send) != self.size or any(len(row) != self.size for row in send):
-            raise CommError(
-                f"alltoall needs a {self.size}x{self.size} payload matrix"
-            )
-
-    def allreduce(
-        self, values: Sequence[Any], op: Callable[[Any, Any], Any] = None
-    ) -> Any:
-        """Reduce per-rank values with ``op`` (default +) and broadcast."""
-        self._check_vector(values)
-        if op is None:
-            op = lambda a, b: a + b
-        result = values[0]
-        for v in values[1:]:
-            result = op(result, v)
-        per_value = max(nbytes(v) for v in values)
-        self._collective(2 * per_value * max(self.size - 1, 0))
-        return result
-
-    def gather(self, values: Sequence[Any], root: int = 0) -> list[Any]:
-        """Gather per-rank values to ``root``; returns the full list."""
-        self._check_vector(values)
-        self._check_rank(root)
-        off_node = sum(nbytes(v) for r, v in enumerate(values) if r != root)
-        self._collective(off_node)
-        return list(values)
-
-    def allgather(self, values: Sequence[Any]) -> list[Any]:
-        """Gather per-rank values everywhere."""
-        self._check_vector(values)
-        total = sum(nbytes(v) for v in values)
-        self._collective(total * max(self.size - 1, 0))
-        return list(values)
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        """Broadcast ``value`` from ``root`` to all ranks."""
-        self._check_rank(root)
-        self._collective(nbytes(value) * max(self.size - 1, 0))
-        return value
-
-    def scatter(self, values: Sequence[Any], root: int = 0) -> list[Any]:
-        """Scatter one value per rank from ``root``; returns the list."""
-        self._check_vector(values)
-        self._check_rank(root)
-        off_node = sum(nbytes(v) for r, v in enumerate(values) if r != root)
-        self._collective(off_node)
-        return list(values)
-
-    def barrier(self) -> None:
-        """Synchronization-only collective."""
-        self._collective(0)
-
-    def _check_vector(self, values) -> None:
-        if len(values) != self.size:
-            raise CommError(f"expected one value per rank ({self.size})")

@@ -120,12 +120,6 @@ class CostModel:
         """Streaming time for reading/writing ``n_bytes``."""
         return n_bytes / (machine.io_bandwidth * machine.n_nodes)
 
-    def transfer_seconds(self, n_bytes: int, bandwidth: float) -> float:
-        """Bulk data transfer over a link of ``bandwidth`` bytes/s."""
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        return n_bytes / bandwidth
-
 
 def fits_in_memory(
     usage: ResourceUsage,

@@ -1,10 +1,10 @@
 """Resource-usage records.
 
 Every distributed task in this code base executes *real* computation on
-simulation-scale data while recording what it did: work units on the
-critical path, bytes moved through collectives, latency-bound message
-counts, serial (single-rank) work, and MapReduce job/round structure.
-The cost model (:mod:`repro.parallel.costmodel`) later converts a usage
+simulation-scale data while booking what a cluster run of it would do:
+work units on the critical path, bytes moved through collectives,
+latency-bound message counts, serial (single-rank) work, and MapReduce
+job/round structure.  The cost model (:mod:`repro.parallel.costmodel`) later converts a usage
 record into virtual seconds for a given machine configuration; scaling a
 record by ``1/scale`` extrapolates simulation-scale measurements to the
 paper-scale data volumes.
@@ -13,35 +13,8 @@ paper-scale data volumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
-
-import numpy as np
 
 from repro.obs import get_tracer
-
-
-def nbytes(obj) -> int:
-    """Approximate serialized size of a message payload in bytes."""
-    if obj is None:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj)
-    if isinstance(obj, str):
-        # Serialized size is the UTF-8 encoding, not the code-point count
-        # (len(str) under-charges any non-ASCII payload).
-        return len(obj.encode("utf-8"))
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        return 8
-    if isinstance(obj, dict):
-        return sum(nbytes(k) + nbytes(v) for k, v in obj.items()) + 16
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(nbytes(x) for x in obj) + 16
-    # dataclasses / misc objects: shallow dict walk
-    if hasattr(obj, "__dict__"):
-        return nbytes(vars(obj)) + 16
-    return 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +68,7 @@ class ResourceUsage:
 
     def add_phase(self, phase: PhaseUsage) -> None:
         """Append one measured phase (the seam every assembler, MR engine
-        and collective reports through — the tracer taps it here)."""
+        and world reports through — the tracer taps it here)."""
         self.phases.append(phase)
         tracer = get_tracer()
         if tracer.enabled:
@@ -189,11 +162,3 @@ class ResourceUsage:
         for p in self.phases:
             out[p.kind] = out.get(p.kind, 0.0) + p.critical_compute
         return out
-
-
-def merge_all(usages: Iterable[ResourceUsage]) -> ResourceUsage:
-    """Sequentially compose many usage records."""
-    result = ResourceUsage()
-    for u in usages:
-        result = result.merge(u)
-    return result

@@ -3,13 +3,14 @@
 This is the implementation ``repro.assembly.contrail`` shipped before its
 compression rounds became array kernels, kept verbatim: ``_Segment``
 objects in a ``dict`` (insertion order = record order), ``pair_<r>`` /
-``merge_<r>`` as mapper/reducer closures run by
-:meth:`MapReduceEngine.run`, ``_join`` on code ``bytes``, the same driver
-loop.  Three things differ from what shipped, on purpose:
+``merge_<r>`` as mapper/reducer closures run by the executing
+``ExecEngine.run`` (``tests/parallel/exec_reference.py``), ``_join`` on
+code ``bytes``, the same control loop over rounds.  Three things differ
+from what shipped, on purpose:
 
 * no ``key_nbytes`` / ``value_nbytes``: every shuffled key and value is
-  sized by the generic :func:`~repro.parallel.usage.nbytes` walk, so the
-  kernels' closed forms are checked against first principles;
+  sized by the generic ``exec_reference.nbytes`` walk, so the kernels'
+  closed forms are checked against first principles;
 * the ``kmer_count`` job is *executed* (one read at a time, packed-int
   keys priced at their logical k bytes) instead of derived;
 * a junction key hashes to its dense rank among the round's distinct
@@ -33,9 +34,9 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import Unitig
-from repro.parallel.mapreduce import MapReduceEngine, MRJob
 from repro.seq.readstore import ReadStore
 from tests.assembly.kmer_reference import canonical, canonical_kmers, revcomp_kmer
+from tests.parallel.exec_reference import ExecEngine, MRJob
 
 MAX_ROUNDS = 24
 
@@ -98,7 +99,7 @@ def _join(a: bytes, b: bytes, k: int) -> bytes | None:
 
 
 def executed_kmer_count(
-    engine: MapReduceEngine, store: ReadStore, params: AssemblyParams
+    engine: ExecEngine, store: ReadStore, params: AssemblyParams
 ) -> dict[int, int]:
     """The ``kmer_count`` job streamed through the engine as a generic
     :class:`MRJob`, one read at a time — what ``_derive_kmer_count``
@@ -151,7 +152,7 @@ def initial_segments(counts: dict[int, int], k: int) -> dict[int, _Segment]:
 
 
 def job_pair(
-    engine: MapReduceEngine,
+    engine: ExecEngine,
     segments: dict[int, _Segment],
     k: int,
     round_no: int,
@@ -199,7 +200,7 @@ def job_pair(
 
 
 def job_merge(
-    engine: MapReduceEngine,
+    engine: ExecEngine,
     segments: dict[int, _Segment],
     merges: list[tuple[int, int]],
     k: int,
@@ -251,7 +252,7 @@ def reference_contrail_assemble(
     """The driver loop; appends ``(merges, segments)`` per round to
     ``trace`` (the last entry's merge list is empty when converged)."""
     k = params.k
-    engine = MapReduceEngine(n_ranks)
+    engine = ExecEngine(n_ranks)
     counts = executed_kmer_count(engine, store, params)
     segments = initial_segments(counts, k)
 

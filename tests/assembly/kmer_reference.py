@@ -11,7 +11,9 @@ per-phase work charges, same communication bytes and message counts.
 Nothing here should be changed together with the live engine — that
 would defeat the point of having a reference.  So the bytes-of-codes
 primitives it runs on (extraction, canonicalisation, counting, the hash
-partition) live here too: none of them is imported from ``src/``.
+partition) live here too: none of them is imported from ``src/``.  The
+collectives and the MapReduce engine execute, with payloads: they come
+from ``tests/parallel/exec_reference.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import KMER_RECORD_BYTES, Unitig
-from repro.parallel.comm import SimWorld
-from repro.parallel.mapreduce import MapReduceEngine, MRJob
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.seq import alphabet
 from repro.seq.fastq import FastqRecord
+from tests.parallel.exec_reference import ExecEngine, ExecWorld, MRJob
 
 _BASES = (0, 1, 2, 3)
 
@@ -277,7 +278,7 @@ def legacy_extract_unitigs(
 
 
 def reference_distribute_and_count(
-    world: SimWorld,
+    world: ExecWorld,
     reads: list[FastqRecord],
     k: int,
     kind_prefix: str = "",
@@ -376,7 +377,7 @@ def reference_ray_assemble(
     n_ranks: int = 8,
 ) -> AssemblyResult:
     """The original Ray-analog assembly on the dict engine."""
-    world = SimWorld(n_ranks)
+    world = ExecWorld(n_ranks)
     p = world.size
     k = params.k
 
@@ -437,7 +438,7 @@ def reference_abyss_assemble(
     n_ranks: int = 8,
 ) -> AssemblyResult:
     """The original ABySS-analog assembly on the dict engine."""
-    world = SimWorld(n_ranks)
+    world = ExecWorld(n_ranks)
     p = world.size
     k = params.k
 
@@ -471,7 +472,7 @@ def reference_abyss_assemble(
             total_probes += int(steps * 2 * (p - 1) / p)
         world.count_messages(total_probes)
         for _ in range(8):
-            world.barrier()
+            world.collective()
 
     with world.phase("master_merge", kind="walk"):
         payloads = [
@@ -501,7 +502,7 @@ def reference_abyss_assemble(
 
 
 def reference_kmer_count_job(
-    engine: MapReduceEngine,
+    engine: ExecEngine,
     reads: list[FastqRecord],
     params: AssemblyParams,
 ) -> dict[bytes, int]:

@@ -13,11 +13,11 @@ import numpy as np
 
 from repro.assembly.dbg import KmerTable
 from repro.assembly.sweep import KmerSpectrum
-from repro.parallel.comm import SimWorld
+from tests.parallel.exec_reference import ExecWorld
 
 
 def distribute_and_count(
-    world: SimWorld, spectrum: KmerSpectrum
+    world: ExecWorld, spectrum: KmerSpectrum
 ) -> list[KmerTable]:
     """The per-rank shard tables, booking ``kmer_extract`` and
     ``kmer_count`` (reads striped over ranks, an ``alltoall`` of every
@@ -67,7 +67,7 @@ def merge_shards(
 
 
 def reference_partition_spectrum(
-    world: SimWorld, spectrum: KmerSpectrum, min_count: int
+    world: ExecWorld, spectrum: KmerSpectrum, min_count: int
 ) -> tuple[KmerTable, np.ndarray]:
     """What ``RayAssembler.assemble`` and ``AbyssAssembler.assemble``
     each did between ``resolve_spectrum`` and the unitig walk."""

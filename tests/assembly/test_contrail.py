@@ -25,11 +25,11 @@ from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler
 from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.mapreduce import MapReduceEngine
-from repro.parallel.usage import nbytes
 from repro.seq.alphabet import reverse_complement
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 from tests.assembly import contrail_reference as reference
+from tests.parallel.exec_reference import ExecEngine, nbytes
 
 PARAMS = AssemblyParams(k=21, min_contig_length=50)
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -40,13 +40,13 @@ def booked(monkeypatch):
     """Every job any engine books from here on, in order:
     ``(MRJobStats, reducer peak, PhaseUsage)``."""
     jobs = []
-    book = MapReduceEngine._book
+    book = MapReduceEngine.record_job
 
-    def spy(self, stats, peak, sp):
-        book(self, stats, peak, sp)
+    def spy(self, stats, peak=0):
+        book(self, stats, peak)
         jobs.append((stats, peak, self.usage.phases[-1]))
 
-    monkeypatch.setattr(MapReduceEngine, "_book", spy)
+    monkeypatch.setattr(MapReduceEngine, "record_job", spy)
     return jobs
 
 
@@ -262,7 +262,7 @@ class TestDerivedCountJob:
     def test_books_what_the_executed_job_measures(self, reads_single, n_workers, k):
         store = ReadStore.from_reads(reads_single[:300])
         params = AssemblyParams(k=k, min_contig_length=50)
-        derived, executed = MapReduceEngine(n_workers), MapReduceEngine(n_workers)
+        derived, executed = MapReduceEngine(n_workers), ExecEngine(n_workers)
         spectrum = resolve_spectrum(store, k)
         solid = ContrailAssembler()._derive_kmer_count(
             derived, store, params, spectrum
@@ -361,11 +361,11 @@ from repro.parallel.mapreduce import MapReduceEngine
 from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
 
-jobs, book = [], MapReduceEngine._book
-def spy(self, stats, peak, sp):
+jobs, book = [], MapReduceEngine.record_job
+def spy(self, stats, peak=0):
     jobs.append((dataclasses.asdict(stats), peak))
-    book(self, stats, peak, sp)
-MapReduceEngine._book = spy
+    book(self, stats, peak)
+MapReduceEngine.record_job = spy
 
 orders, merge = [], ContrailAssembler._job_merge
 def spy_merge(self, *args):

@@ -34,6 +34,7 @@ from tests.assembly.kmer_reference import (
     reference_velvet_assemble,
 )
 from tests.assembly.test_unitig_walk import assert_sharded_parity, packed_table
+from tests.parallel.exec_reference import ExecEngine
 
 
 def _rand_seq(rng, length: int) -> str:
@@ -99,7 +100,7 @@ class TestContrailCountJobParity:
                 spectrum.counts[solid].tolist(),
             )
         )
-        engine_ref = MapReduceEngine(1)
+        engine_ref = ExecEngine(1)
         ref = reference_kmer_count_job(engine_ref, reads, params)
 
         assert got == ref

@@ -26,6 +26,7 @@ from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 from tests.assembly.partition_reference import reference_partition_spectrum
 from tests.assembly.test_parity import assert_results_identical
+from tests.parallel.exec_reference import ExecWorld
 
 
 def _store(seqs):
@@ -58,7 +59,7 @@ def _partition_like_reference(spectrum, p, min_count):
     """``partition_spectrum``'s ``(table, owners, usage)``, once every
     array (dtype included), the per-rank walks and the whole usage
     record have been held equal to the per-rank path's."""
-    world, ref_world = SimWorld(p), SimWorld(p)
+    world, ref_world = SimWorld(p), ExecWorld(p)
     part = partition_spectrum(world, spectrum, min_count)
     ref = _reference_partition(ref_world, spectrum, min_count)
     table, owners = part.table, part.owners
@@ -130,11 +131,10 @@ class TestAssemblersUnchanged:
         params = AssemblyParams(k=k, min_contig_length=100)
         (spectrum,) = build_spectra(store, (k,))
         got = assembler().assemble(store, params, n_ranks=n_ranks, spectrum=spectrum)
-        monkeypatch.setattr(
-            sys.modules[assembler.__module__],
-            "partition_spectrum",
-            _reference_partition,
-        )
+        module = sys.modules[assembler.__module__]
+        monkeypatch.setattr(module, "partition_spectrum", _reference_partition)
+        # The oracle partition executes its alltoall: give it a world that can.
+        monkeypatch.setattr(module, "SimWorld", ExecWorld)
         ref = assembler().assemble(store, params, n_ranks=n_ranks, spectrum=spectrum)
         assert_results_identical(got, ref)
         # 50 bp reads hold no 63-mer: the empty table through both assemblers.

@@ -106,12 +106,6 @@ class TestEventQueue:
     def test_step_empty(self):
         assert EventQueue().step() is None
 
-    def test_peek(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.schedule_at(3.0, lambda: None)
-        assert q.peek_time() == 3.0
-
 
 class TestEventTags:
     def test_step_returns_explicit_tag(self):

@@ -135,10 +135,10 @@ class TestBilling:
         ledger.charge_vm(a, 1800)
         ledger.charge_vm(b, 1800)
         assert ledger.total_cost == pytest.approx(0.42 + 0.70)
-        assert ledger.cost_by_type() == {
-            "c3.2xlarge": pytest.approx(0.42),
-            "r3.2xlarge": pytest.approx(0.70),
-        }
+        assert [(l.instance_type, l.cost) for l in ledger.lines] == [
+            ("c3.2xlarge", pytest.approx(0.42)),
+            ("r3.2xlarge", pytest.approx(0.70)),
+        ]
 
     def test_report_contains_total(self):
         ledger = BillingLedger()

@@ -185,9 +185,8 @@ class TestTransferModel:
     def test_log_and_totals(self):
         tm = TransferModel(SimClock())
         tm.upload(100)
-        tm.download(200)
-        assert tm.total_bytes == 300
-        assert len(tm.log) == 2
+        tm.copy(200, "vm-a", "vm-b")
+        assert [r.n_bytes for r in tm.log] == [100, 200]
         assert tm.total_seconds > 0
 
     def test_negative_rejected(self):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.planner import plan_assembly
 from repro.core.preprocess import PreprocessParams
 from repro.core.checkpoint import CheckpointStore
 from repro.core.rnnotator import (
@@ -16,6 +17,7 @@ from repro.core.rnnotator import (
 from repro.core.schemes import MatchingScheme
 from repro.core.workflow import WorkflowPattern
 from repro.evaluation.detonate import evaluate
+from repro.seq.datasets import B_GLUMAE
 from repro.obs import Tracer
 
 
@@ -124,6 +126,25 @@ class TestSchemesComparison:
         with pytest.raises(ValueError, match=f"executor_workers .* got {workers}"):
             PipelineConfig(executor="thread", executor_workers=workers)
         assert PipelineConfig(executor="thread").executor_workers is None
+
+    @pytest.mark.parametrize("value", (0, -1))
+    @pytest.mark.parametrize(
+        "field",
+        ("mpi_nodes_per_job", "contrail_nodes_per_job", "max_nodes", "min_count"),
+    )
+    def test_counts_below_one_rejected_when_built(self, field, value):
+        # Each used to fail late, elsewhere or not at all: a
+        # ZeroDivisionError in the planner (contrail), an error naming
+        # n_nodes (mpi), a silent one-node plan (max_nodes), and only
+        # AssemblyParams (min_count).
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            PipelineConfig(assemblers=("contrail",), **{field: value})
+        if field != "min_count":
+            with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+                plan_assembly(
+                    B_GLUMAE, (31,), ("ray", "contrail"), "c3.2xlarge",
+                    **{field: value},
+                )
 
 
 class TestDynamicVsStatic:

@@ -124,12 +124,6 @@ class TestHelpers:
         m = MachineConfig(n_nodes=2, io_bandwidth=1e6)
         assert cm.io_seconds(4 * 10**6, m) == pytest.approx(2.0)
 
-    def test_transfer_seconds(self):
-        cm = CostModel()
-        assert cm.transfer_seconds(10**6, 10**5) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            cm.transfer_seconds(1, 0)
-
     def test_fits_in_memory(self):
         u = ResourceUsage(n_ranks=8)
         u.peak_rank_memory_bytes = 2 * 1024**3  # 2 GB per rank

@@ -1,12 +1,13 @@
-"""``MapReduceEngine.record_shuffle`` against ``run``: a job booked from
-the columns of its shuffle enters the books exactly as the same job
-streamed through the engine record by record."""
+"""``MapReduceEngine.record_shuffle`` against the oracle's ``run``: a job
+booked from the columns of its shuffle enters the books exactly as the
+same job streamed through ``exec_reference.ExecEngine`` record by record."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.mapreduce import MapReduceEngine, MRJob
+from repro.parallel.mapreduce import MapReduceEngine
+from tests.parallel.exec_reference import ExecEngine, MRJob
 
 #: (integer key, payload): integer keys hash to themselves, so the
 #: engine's ``hash(key) % n`` placement is ``key % n`` under any seed.
@@ -30,7 +31,7 @@ def _size_combiner(key, payloads):
 @settings(max_examples=60, deadline=None)
 @given(records=RECORDS, workers=st.sampled_from((1, 2, 3, 8)), combine=st.booleans())
 def test_books_what_run_measures(records, workers, combine):
-    ran, booked = MapReduceEngine(workers), MapReduceEngine(workers)
+    ran, booked = ExecEngine(workers), MapReduceEngine(workers)
     job = MRJob(
         "job", _passthrough, _count_reducer,
         combiner=_size_combiner if combine else None,

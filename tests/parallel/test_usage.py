@@ -1,4 +1,4 @@
-"""Tests for resource-usage records and payload sizing."""
+"""Tests for resource-usage records, and the oracle's payload sizing."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import Tracer, use_tracer
-from repro.parallel.usage import PhaseUsage, ResourceUsage, merge_all, nbytes
+from repro.parallel.usage import PhaseUsage, ResourceUsage
+from tests.parallel.exec_reference import nbytes
 
 
 class TestNbytes:
@@ -114,17 +115,6 @@ class TestResourceUsage:
         assert len(m.phases) == 4
         assert m.peak_rank_memory_bytes == 5000
         assert m.critical_compute == 30
-
-    def test_merge_all(self):
-        parts = [self.make() for _ in range(3)]
-        m = merge_all(parts)
-        assert len(m.phases) == 6
-        assert m.n_ranks == 4
-
-    def test_merge_all_empty(self):
-        m = merge_all([])
-        assert m.phases == []
-        assert m.critical_compute == 0
 
     def test_scaled(self):
         u = self.make()

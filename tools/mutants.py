@@ -53,6 +53,26 @@ _CONTAINMENT = "tests/core/test_merge_containment.py"
 _QUANT_ORACLE = "tests/core/test_quantify_parity.py::TestOracleParity"
 _PINS = "tests/core/test_quantify_parity.py::test_stage_outputs_pinned_on_ds_single"
 _WALK = "tests/assembly/test_unitig_walk.py"
+_PARITY = "tests/assembly/test_parity.py::TestAssemblerParity"
+_READS = "repro/seq/reads.py"
+_READS_ORACLE = "tests/seq/test_reads_kernel.py"
+_SHARING = "tests/assembly/test_graph_sharing.py"
+_UNIT_ADVANCE = """        check_unit_transition(self.state, new)
+        old = self.state
+        self.state = new
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                "unit.state",
+                category="state",
+                process=self.pilot_id or "unassigned",
+                thread=self.unit_id,
+                old=old.value,
+                new=new.value,
+                unit=self.description.name,
+                stage=self.description.stage,
+            )
+"""
 
 ROWS: tuple[Row, ...] = (
     # merge: the bitmask seed index (DESIGN §7)
@@ -127,6 +147,94 @@ ROWS: tuple[Row, ...] = (
         "self._chains: UnitigChains | None = None",
         'self._chains = getattr(self, "_chains", None)',
         (f"{_WALK}::TestLinkCacheInvalidation::test_drop_below_rebuilds_links",),
+    ),
+    # Ray and ABySS book their exchanges in closed form (DESIGN §5)
+    Row(
+        "ray: the alltoall charges the diagonal (on-rank) occurrences",
+        "repro/assembly/ray.py",
+        "int(matrix.sum() - matrix.trace()) * k",
+        "int(matrix.sum()) * k",
+        (f"{_PARITY}::test_ray",),
+    ),
+    Row(
+        "abyss: the gather charges the root's own unitigs",
+        "repro/assembly/abyss.py",
+        "for unitigs in per_rank_unitigs[1:]",
+        "for unitigs in per_rank_unitigs",
+        (f"{_PARITY}::test_abyss",),
+    ),
+    Row(
+        "abyss: the gather drops each rank's list header",
+        "repro/assembly/abyss.py",
+        "sum(u.codes.nbytes for u in unitigs) + 16",
+        "sum(u.codes.nbytes for u in unitigs)",
+        (f"{_PARITY}::test_abyss",),
+    ),
+    # the stream-exact read simulator (DESIGN §7, draw-order contract)
+    Row(
+        "reads: reverse rows not read backwards",
+        _READS,
+        "codes[~forward] = alphabet.complement(codes[~forward, ::-1])",
+        "codes[~forward] = alphabet.complement(codes[~forward])",
+        (_READS_ORACLE,),
+    ),
+    Row(
+        "reads: a short reverse fragment not reverse-complemented",
+        _READS,
+        "            if not forward[r]:\n",
+        "            if False:\n",
+        (f"{_READS_ORACLE}::test_read_through_into_adapter_and_junk",),
+    ),
+    Row(
+        "reads: substitution shift off by one",
+        _READS,
+        "(called + shift) % 4",
+        "(called + shift + 1) % 4",
+        (_READS_ORACLE,),
+    ),
+    Row(
+        "reads: N calls take the wrong quality",
+        _READS,
+        "qual[n_mask] = 2 + PHRED_OFFSET",
+        "qual[n_mask] = 3 + PHRED_OFFSET",
+        (_READS_ORACLE,),
+    ),
+    # the trace as the one lifecycle record
+    Row(
+        "pilot: unit.state emitted before the transition check",
+        "repro/pilot/unit.py",
+        _UNIT_ADVANCE,
+        _UNIT_ADVANCE.replace("        check_unit_transition(self.state, new)\n", "")
+        + "        check_unit_transition(old, new)\n",
+        ("tests/pilot/test_transition_hooks.py::TestExhaustiveUnitPairs",),
+    ),
+    # graph once per k (DESIGN §9)
+    Row(
+        "graphs: a kept product is never read back",
+        "repro/assembly/sweep.py",
+        "got = self._graphs.get(key)",
+        "got = None",
+        (
+            f"{_SHARING}::TestReaderRule::test_a_forked_worker_reads_the_parents_products",
+            f"{_SHARING}::TestReaderRule::test_a_process_pipeline_derives_once_per_k",
+        ),
+    ),
+    Row(
+        "graphs: the pre-fan-out derivation skipped",
+        "repro/core/multikmer.py",
+        "if len(readers) > 1:",
+        "if False:",
+        (
+            f"{_SHARING}::TestReaderRule::test_products_are_gone_after_the_pipeline_fan_out",
+            f"{_SHARING}::TestReaderRule::test_a_process_pipeline_derives_once_per_k",
+        ),
+    ),
+    Row(
+        "graphs: every planned job counted as a reader",
+        "repro/core/multikmer.py",
+        " and j.key in computing]",
+        "]",
+        (f"{_SHARING}::TestComputingReaders::test_one_computing_job_derives_nothing_ahead",),
     ),
 )
 
