@@ -55,21 +55,18 @@ class KmerTable:
         self.k = k
         self.words = packedmod.words_for(k)
         self.frozen = False
-        empty = np.zeros((0, self.words), dtype=np.uint64)
         self._set_rows(
-            empty, np.zeros(0, dtype=np.int64), packedmod.keys(empty, k)
+            np.zeros((0, self.words), dtype=np.uint64), np.zeros(0, dtype=np.int64)
         )
 
-    def _set_rows(
-        self, packed_rows: np.ndarray, counts: np.ndarray, key_arr: np.ndarray
-    ) -> None:
-        """Install sorted rows + aligned counts/keys; the unitig chains
-        derived from the previous rows are dropped with them."""
+    def _set_rows(self, packed_rows: np.ndarray, counts: np.ndarray) -> None:
+        """Install sorted rows + aligned counts; the keys and unitig
+        chains derived from the previous rows are dropped with them."""
         if self.frozen:
             raise ValueError("this KmerTable is frozen (shared read-only)")
         self._packed = np.ascontiguousarray(packed_rows)
         self._counts = counts
-        self._keys = key_arr
+        self._keys: np.ndarray | None = None
         self._chains: UnitigChains | None = None
 
     @classmethod
@@ -85,23 +82,19 @@ class KmerTable:
         ``presorted=True`` skips the sort for rows already in ascending
         key order — the cache-served path of the fused extraction layer
         (:mod:`repro.assembly.sweep`), where the shared spectrum stores
-        its distinct rows sorted once.  Sortedness is re-checked only
-        under :data:`repro.assembly.packed.DEBUG_SORTED_ENV`.
+        its distinct rows sorted once.  The order is checked in one pass
+        (:func:`repro.assembly.packed.require_ascending`): rows out of
+        order or repeated raise ``ValueError``.
         """
         t = cls(k)
         rows = np.asarray(packed_rows, dtype=np.uint64).reshape(-1, t.words)
-        key_arr = packedmod.keys(rows, k)
+        counts = np.asarray(counts, dtype=np.int64)
         if presorted:
-            if packedmod.debug_assert_sorted_enabled():
-                packedmod.assert_sorted(key_arr)
-            t._set_rows(rows, np.asarray(counts, dtype=np.int64), key_arr)
+            packedmod.require_ascending(rows)
+            t._set_rows(rows, counts)
             return t
-        order = np.argsort(key_arr, kind="stable")
-        t._set_rows(
-            rows[order],
-            np.asarray(counts, dtype=np.int64)[order],
-            key_arr[order],
-        )
+        order = np.argsort(packedmod.keys(rows, k), kind="stable")
+        t._set_rows(rows[order], counts[order])
         return t
 
     # -- views -------------------------------------------------------------
@@ -113,7 +106,11 @@ class KmerTable:
 
     @property
     def key_array(self) -> np.ndarray:
-        """Sorted 1-D key array aligned with :attr:`packed`."""
+        """Sorted 1-D key array aligned with :attr:`packed` (read-only),
+        built on first use: no kernel of a run reads it."""
+        if self._keys is None:
+            self._keys = packedmod.keys(self._packed, self.k)
+            self._keys.flags.writeable = False
         return self._keys
 
     @property
@@ -128,11 +125,12 @@ class KmerTable:
 
     def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact-key membership + coverage for an array of packed keys."""
-        n, m = self._keys.shape[0], query.shape[0]
+        key_arr = self.key_array
+        n, m = key_arr.shape[0], query.shape[0]
         if n == 0 or m == 0:
             return np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(self._keys, query), n - 1)
-        found = self._keys[idx] == query
+        idx = np.minimum(np.searchsorted(key_arr, query), n - 1)
+        found = key_arr[idx] == query
         return found, np.where(found, self._counts[idx], 0)
 
     def drop_below(self, min_count: int) -> int:
@@ -140,9 +138,7 @@ class KmerTable:
         keep = self._counts >= min_count
         removed = int(keep.size - keep.sum())
         if removed or self.frozen:
-            self._set_rows(
-                self._packed[keep], self._counts[keep], self._keys[keep]
-            )
+            self._set_rows(self._packed[keep], self._counts[keep])
         return removed
 
     def memory_bytes(self) -> int:
@@ -170,25 +166,26 @@ class KmerTable:
         last_at = np.uint64(64 * self.words - 2 * k)  # bit offset of base k-1
         rows = self._packed
         rc = packedmod.revcomp(rows, k)
-        pal = (rows == rc).all(axis=1)
+        pal = packedmod.rows_equal(rows, rc)
         mate = np.roll(np.arange(2 * n), n)
         # Every distinct oriented k-mer once, in key order, with the id a
-        # step enters it by and the id a step leaves it by.
+        # step enters it by and the id a step leaves it by.  The rows are
+        # distinct, so each one's index among the distinct rows is its rank.
         every = np.concatenate([rows[~pal], rc])
-        key = packedmod.keys(every, k)
-        by_key = np.argsort(key)
-        every, key = every[by_key], key[by_key]
+        _, rank, _ = packedmod.unique_inverse_counts(every, k)
+        by_key = np.empty_like(rank)
+        by_key[rank] = np.arange(rank.shape[0])
+        every = every[by_key]
         into = np.concatenate([np.flatnonzero(~pal), mate[:n]])[by_key]
         out_of = np.where(np.concatenate([pal, pal])[into], mate[into], into)
         # The successors of x are the rows with the stem (all but the last
         # base) of extend_right(x, 0), which sorts first among them.
         stem = every.copy()
         stem[:, -1] &= ~(np.uint64(3) << last_at)
-        stem = packedmod.keys(stem, k)
-        ext = packedmod.keys(packedmod.extend_right(every, k, 0), k)
-        at = np.minimum(np.searchsorted(key, ext), every.shape[0] - 1)
-        more = np.append(stem[1:] == stem[:-1], False)
-        single = (stem[at] == ext) & ~more[at]
+        ext = packedmod.extend_right(every, k, 0)
+        at = packedmod.searchsorted_rows(every, ext).clip(max=every.shape[0] - 1)
+        more = np.append(packedmod.rows_equal(stem[1:], stem[:-1]), False)
+        single = packedmod.rows_equal(stem[at], ext) & ~more[at]
         succ = into[at]
         outdeg1 = np.zeros(2 * n, dtype=bool)
         outdeg1[into] = outdeg1[out_of] = single
@@ -207,7 +204,7 @@ class KmerTable:
     def freeze(self) -> "KmerTable":
         """Make this table shareable: chains ranked now, every array
         read-only, and :meth:`drop_below` raising."""
-        for arr in (self._packed, self._counts, self._keys, *self.unitig_chains()):
+        for arr in (self._packed, self._counts, *self.unitig_chains()):
             arr.flags.writeable = False
         self.frozen = True
         return self

@@ -193,8 +193,9 @@ def kmer_owner_packed(
     The hash is ``sum((code + 1) * weight)`` over the k bases, with
     position-dependent odd multipliers, then mixed.  It is linear mod
     2**64 before the mixing, so the sum folds to ``sum(weight)`` plus one
-    entry per packed byte (4 bases) of a 256-row table of ``sum(code *
-    weight)``: one gather per byte instead of four passes per base.
+    entry per two packed bytes (8 bases) of a 65 536-row table of
+    ``sum(code * weight)``: one gather per ``uint16`` digit instead of
+    one pass per base.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
@@ -202,19 +203,21 @@ def kmer_owner_packed(
     rows = np.asarray(packed_rows, dtype=np.uint64).reshape(-1, W)
     if rows.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    n_bytes = -(-k // 4)
+    n_digits = -(-k // 8)
     with np.errstate(over="ignore"):
-        weights = np.zeros(4 * n_bytes, dtype=np.uint64)
+        weights = np.zeros(8 * n_digits, dtype=np.uint64)
         weights[:k] = np.cumprod(np.full(k, _HASH_MULTIPLIER, dtype=np.uint64))
         # folded[j, b]: what byte value b at byte j adds to the sum.
         codes = (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
         folded = (
             codes.astype(np.uint64)[None, :, :] * weights.reshape(-1, 1, 4)
         ).sum(axis=2, dtype=np.uint64)
-        as_bytes = rows.astype(">u8").view(np.uint8).reshape(-1, 8 * W)
+        digits = rows.astype(">u8", order="C").view(">u2").astype(np.uint16, order="F")
         h = np.full(rows.shape[0], weights.sum(dtype=np.uint64))
-        for j in range(n_bytes):
-            h += folded[j][as_bytes[:, j]]
+        for j in range(n_digits):
+            # digit value hi * 256 + lo adds folded[2j][hi] + folded[2j+1][lo].
+            pair = (folded[2 * j][:, None] + folded[2 * j + 1][None, :]).ravel()
+            h += pair[digits[:, j]]
         h ^= h >> np.uint64(33)
         h *= _HASH_MULTIPLIER
         h ^= h >> np.uint64(29)

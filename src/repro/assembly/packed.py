@@ -6,8 +6,11 @@ big-endian-ordered 64-bit words: base ``i`` occupies bits
 ``[2*i, 2*i + 2)`` counted from the top of the ``64*W``-bit window, and
 the unused low-order "slack" bits are zero.  The layout is chosen so that
 numeric comparison of the word tuple equals lexicographic comparison of
-the code string: canonicalization, sorted-array membership tables and
-``np.unique`` counting all order k-mers lexicographically.
+the code string: canonicalization, counting (:func:`unique_inverse_counts`)
+and the graph join (:func:`searchsorted_rows`) all order k-mers
+lexicographically on the integer words.  The 16-byte :func:`keys` of
+two-word rows remain only for ``KmerTable.key_array``, the opt-in
+sharded spectrum merge, detonate and tests.
 
 Everything here is vectorized over *rows* of shape ``(n, W)``; the only
 Python-level loops run over the k positions of a window (k <= 63), never
@@ -17,8 +20,6 @@ first.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -36,27 +37,6 @@ _SIXTYFOUR = _U(64)
 _ONES = _U(0xFFFFFFFFFFFFFFFF)
 _M2 = _U(0x3333333333333333)
 _M4 = _U(0x0F0F0F0F0F0F0F0F)
-
-
-#: Environment variable enabling the sortedness re-check in the presorted
-#: fast path (``KmerTable.from_packed(..., presorted=True)``, which every
-#: spectrum table is built through).  Off by default: the whole point of
-#: the fast path is skipping the O(n log n) work, but under the flag a bad
-#: caller fails loudly instead of silently corrupting binary searches.
-DEBUG_SORTED_ENV = "REPRO_DEBUG_SORTED"
-
-
-def debug_assert_sorted_enabled() -> bool:
-    return bool(os.environ.get(DEBUG_SORTED_ENV))
-
-
-def assert_sorted(key_arr: np.ndarray) -> None:
-    """Raise if a 1-D key array is not in ascending order."""
-    if key_arr.shape[0] > 1 and bool(np.any(key_arr[1:] < key_arr[:-1])):
-        raise AssertionError(
-            "presorted fast path received unsorted keys "
-            f"(set via {DEBUG_SORTED_ENV})"
-        )
 
 
 def check_k(k: int) -> int:
@@ -238,7 +218,8 @@ def extend_left(packed: np.ndarray, k: int, base) -> np.ndarray:
 def keys(packed: np.ndarray, k: int) -> np.ndarray:
     """1-D sortable key per row: plain uint64 for one-word k-mers, a
     16-byte big-endian string (``S16`` — memcmp order) for two words.
-    Key order == packed tuple order == code-lexicographic order."""
+    Key order == packed tuple order == code-lexicographic order.  No
+    per-k graph kernel uses them (the module docstring says who does)."""
     W = words_for(k)
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
     if W == 1:
@@ -328,7 +309,9 @@ def unique_inverse_counts(
         # low half of the sorted values is the permutation (n < 2**32,
         # as any row count whose arrays fit in memory is).
         run = np.cumsum(boundary) - 1
-        sel = np.flatnonzero(np.isin(run, run[mixed]))
+        is_mixed = np.zeros(run[-1] + 1, dtype=bool)
+        is_mixed[run[mixed]] = True
+        sel = np.flatnonzero(is_mixed[run])
         members = sel[np.argsort(w1[sel])]
         ranked = run[members].astype(_U) << _U(32)
         ranked |= np.arange(sel.size, dtype=_U)
@@ -342,6 +325,51 @@ def unique_inverse_counts(
     inverse[order] = np.cumsum(boundary) - 1
     counts = np.diff(first, append=n)
     return np.stack([w0[first], w1[first]], axis=1), inverse, counts
+
+
+def rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise equality of two ``(n, W)`` row arrays, word by word."""
+    eq = a[:, 0] == b[:, 0]
+    for j in range(1, a.shape[1]):
+        eq &= a[:, j] == b[:, j]
+    return eq
+
+
+def searchsorted_rows(sorted_rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Left insertion point of each ``query`` row in ascending
+    ``sorted_rows``: ``np.searchsorted`` of their :func:`keys`, on the
+    integer words.  Word 0 places a query in its run of equal word-0
+    rows; a run of one is settled by word 1, and longer runs are
+    bisected on word 1 together."""
+    s0, q0 = sorted_rows[:, 0], query[:, 0]
+    lo = np.searchsorted(s0, q0)
+    if sorted_rows.shape[1] == 1:
+        return lo
+    run = np.searchsorted(s0, q0, side="right") - lo
+    s1, q1 = sorted_rows[:, 1], query[:, 1]
+    one = np.flatnonzero(run == 1)
+    lo[one] += s1[lo[one]] < q1[one]
+    many = np.flatnonzero(run > 1)
+    a, b, q = lo[many], lo[many] + run[many], q1[many]
+    while (live := np.flatnonzero(a < b)).size:
+        mid = (a[live] + b[live]) >> 1
+        right = s1[mid] < q[live]
+        a[live[right]] = mid[right] + 1
+        b[live[~right]] = mid[~right]
+    lo[many] = a
+    return lo
+
+
+def require_ascending(rows: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``(n, W)`` rows strictly ascend in key
+    order — sorted and distinct — naming the first row out of order."""
+    a, b = rows[:-1], rows[1:]
+    ahead = a[:, -1] < b[:, -1]
+    if rows.shape[1] == 2:
+        ahead = (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & ahead)
+    if not ahead.all():
+        first = int(np.argmin(ahead)) + 1
+        raise ValueError(f"rows must strictly ascend, row {first} does not")
 
 
 def unique_keys(packed: np.ndarray, k: int) -> np.ndarray:

@@ -342,10 +342,11 @@ class KmerSpectrum:
         def make() -> SpectrumPartition:
             p = n_ranks
             owners = self.owners(p)
-            matrix = np.bincount(
-                (self.occ_read() % p) * p + owners[self.inverse],
-                minlength=p * p,
-            ).reshape(p, p)
+            # An occurrence in read i lands in cell (i % p, its owner).
+            per_read = np.diff(self.read_offsets)
+            cell = np.repeat(np.arange(self.n_reads) % p * p, per_read)
+            cell += owners[self.inverse]
+            matrix = np.bincount(cell, minlength=p * p).reshape(p, p)
             kept_owners = owners[self.counts >= min_count]
             table = self.table(min_count)
             walks = extract_unitigs_by_owner(table, kept_owners, p)

@@ -23,6 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.assembly import packed as packedmod
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
@@ -145,6 +146,49 @@ def canonical(kmer: bytes) -> bytes:
     """Canonical form of a single code-bytes k-mer."""
     rc = revcomp_kmer(kmer)
     return kmer if kmer <= rc else rc
+
+
+# -- the S16 adjacency join ------------------------------------------------------
+#
+# ``KmerTable.unitig_links`` as it was when two-word k-mers were sorted and
+# searched as 16-byte ``S16`` strings (``packed.keys``).  It runs on the live
+# packed codec (revcomp, extend_right, keys): what it pins is the string sort
+# and search that the integer-word join replaced, on the same rows.
+
+
+def s16_unitig_links(table) -> tuple[np.ndarray, np.ndarray]:
+    """``(link, last_base)`` of a ``KmerTable`` by the ``S16`` key join."""
+    n, k = len(table), table.k
+    last_at = np.uint64(64 * table.words - 2 * k)  # bit offset of base k-1
+    rows = table.packed
+    rc = packedmod.revcomp(rows, k)
+    pal = (rows == rc).all(axis=1)
+    mate = np.roll(np.arange(2 * n), n)
+    # Every distinct oriented k-mer once, in key order, with the id a
+    # step enters it by and the id a step leaves it by.
+    every = np.concatenate([rows[~pal], rc])
+    key = packedmod.keys(every, k)
+    by_key = np.argsort(key)
+    every, key = every[by_key], key[by_key]
+    into = np.concatenate([np.flatnonzero(~pal), mate[:n]])[by_key]
+    out_of = np.where(np.concatenate([pal, pal])[into], mate[into], into)
+    # The successors of x are the rows with the stem (all but the last
+    # base) of extend_right(x, 0), which sorts first among them.
+    stem = every.copy()
+    stem[:, -1] &= ~(np.uint64(3) << last_at)
+    stem = packedmod.keys(stem, k)
+    ext = packedmod.keys(packedmod.extend_right(every, k, 0), k)
+    at = np.minimum(np.searchsorted(key, ext), every.shape[0] - 1)
+    more = np.append(stem[1:] == stem[:-1], False)
+    single = (stem[at] == ext) & ~more[at]
+    succ = into[at]
+    outdeg1 = np.zeros(2 * n, dtype=bool)
+    outdeg1[into] = outdeg1[out_of] = single
+    step = single & outdeg1[mate[succ]] & (succ != mate[out_of])
+    link = np.full(2 * n, -1, dtype=np.int64)
+    link[out_of[step]] = succ[step]
+    last = np.concatenate([rows[:, -1], rc[:, -1]]) >> last_at
+    return link, (last & np.uint64(3)).astype(np.uint8)
 
 
 # -- the dict table and the sequential walker ----------------------------------

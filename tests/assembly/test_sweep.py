@@ -296,7 +296,7 @@ class TestKmerSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: the presorted fast path + debug sortedness assertion.
+# The presorted fast path and its always-on order check.
 # ---------------------------------------------------------------------------
 
 
@@ -315,20 +315,17 @@ class TestPresortedFastPath:
         np.testing.assert_array_equal(base.packed, fast.packed)
         np.testing.assert_array_equal(base.count_array, fast.count_array)
 
-    def test_debug_flag_catches_unsorted_input(self, monkeypatch):
-        stream = self._stream()
-        rows, _, counts = packedmod.unique_inverse_counts(stream, 25)
-        bad_rows, bad_counts = rows[::-1].copy(), counts[::-1].copy()
-        monkeypatch.delenv(packedmod.DEBUG_SORTED_ENV, raising=False)
-        assert not packedmod.debug_assert_sorted_enabled()
-        # Without the flag the lie goes through (fast path trusts caller).
-        KmerTable.from_packed(25, bad_rows, bad_counts, presorted=True)
-        monkeypatch.setenv(packedmod.DEBUG_SORTED_ENV, "1")
-        assert packedmod.debug_assert_sorted_enabled()
-        with pytest.raises(AssertionError):
-            KmerTable.from_packed(25, bad_rows, bad_counts, presorted=True)
-        # Sorted input passes under the flag.
-        KmerTable.from_packed(25, rows, counts, presorted=True)
+    def test_unsorted_or_repeated_rows_raise(self):
+        for k in (25, 40):  # one word and two
+            rows, _, counts = packedmod.unique_inverse_counts(self._stream(k), k)
+            with pytest.raises(ValueError, match=r"row 1 does not"):
+                KmerTable.from_packed(k, rows[::-1], counts[::-1], presorted=True)
+            dup = np.insert(rows, 7, rows[6], axis=0)
+            with pytest.raises(ValueError, match=r"row 7 does not"):
+                KmerTable.from_packed(
+                    k, dup, np.insert(counts, 7, 1), presorted=True
+                )
+            KmerTable.from_packed(k, rows, counts, presorted=True)
 
 
 # ---------------------------------------------------------------------------

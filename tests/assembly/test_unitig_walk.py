@@ -10,6 +10,8 @@ point Ray and ABySS call, rank by rank against the walker stepping
 through the same shards with one shared ``visited`` set.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from tests.assembly.kmer_reference import (
     legacy_build_kmer_table,
     legacy_extract_unitigs,
     revcomp_kmer,
+    s16_unitig_links,
 )
 
 #: One-word and two-word packed keys.
@@ -265,6 +268,43 @@ def test_links_match_kmer_by_kmer_adjacency(k):
     assert last_base.tolist() == [km[-1] for km in keys] + [
         revcomp_kmer(km)[-1] for km in keys
     ]
+
+
+def _tied_reads(k: int, rng) -> list[str]:
+    """Branches off one core that part after its first 32 bases, some read
+    backwards, plus an odd-k hairpin arm: many oriented k-mers (and
+    successor probes) share word 0 and differ only in word 1."""
+    core = decode(random_dna(k + 24, rng))
+    reads = [core]
+    for cut in rng.integers(32, k + 24, size=2).tolist():
+        for _ in range(int(rng.integers(2, 7))):
+            read = core[:cut] + decode(random_dna(int(rng.integers(1, 12)), rng))
+            reads.append(reverse_complement(read) if rng.random() < 0.3 else read)
+    half = decode(random_dna((k - 1) // 2, rng))
+    return reads + [core[:40] + half + reverse_complement(half)]
+
+
+class TestIntegerWordJoin:
+    """The integer-word join equals the ``S16`` string join it replaced."""
+
+    @pytest.mark.parametrize("k", (33, 40, 63))
+    def test_links_equal_the_s16_join(self, k):
+        rng = np.random.default_rng(k)
+        longest = []
+        for _ in range(40):
+            counts = kmer_counts(canonical_kmers_varlen(_tied_reads(k, rng), k))
+            t = packed_table(k, counts)
+            oriented = np.concatenate([t.packed, packed.revcomp(t.packed, k)])
+            longest.append(np.unique(oriented[:, 0], return_counts=True)[1].max())
+            link, last_base = t.unitig_links()
+            want_link, want_last = s16_unitig_links(t)
+            assert np.array_equal(link, want_link)
+            assert np.array_equal(last_base, want_last)
+        # Word-0 ties in every table, runs long enough to bisect in most.
+        assert min(longest) >= 2 and np.mean(np.array(longest) >= 3) > 0.5
+
+    def test_unitig_links_builds_no_key_strings(self):
+        assert "packedmod.keys(" not in inspect.getsource(KmerTable.unitig_links)
 
 
 # -- edge inputs ---------------------------------------------------------------

@@ -49,6 +49,8 @@ class Row:
 _MERGE = "repro/core/merge.py"
 _QUANT = "repro/core/quantify.py"
 _DBG = "repro/assembly/dbg.py"
+_PACKED = "repro/assembly/packed.py"
+_SEARCH = "tests/assembly/test_packed.py::TestSearchsortedRows"
 _CONTAINMENT = "tests/core/test_merge_containment.py"
 _QUANT_ORACLE = "tests/core/test_quantify_parity.py::TestOracleParity"
 _PINS = "tests/core/test_quantify_parity.py::test_stage_outputs_pinned_on_ds_single"
@@ -147,6 +149,35 @@ ROWS: tuple[Row, ...] = (
         "self._chains: UnitigChains | None = None",
         'self._chains = getattr(self, "_chains", None)',
         (f"{_WALK}::TestLinkCacheInvalidation::test_drop_below_rebuilds_links",),
+    ),
+    # per-k graph kernels on integer words (DESIGN §9, §14)
+    Row(
+        "packed: a single word-0 match settled with <= on word 1",
+        _PACKED,
+        "lo[one] += s1[lo[one]] < q1[one]",
+        "lo[one] += s1[lo[one]] <= q1[one]",
+        (_SEARCH,),
+    ),
+    Row(
+        "packed: the word-1 bisection steps right on <=",
+        _PACKED,
+        "right = s1[mid] < q[live]",
+        "right = s1[mid] <= q[live]",
+        (_SEARCH,),
+    ),
+    Row(
+        "kmers: the two byte tables swapped in the owner hash's pair table",
+        "repro/assembly/kmers.py",
+        "folded[2 * j][:, None] + folded[2 * j + 1][None, :]",
+        "folded[2 * j + 1][:, None] + folded[2 * j][None, :]",
+        ("tests/assembly/test_packed.py::TestPipelineParity::test_owner_parity_at_every_k",),
+    ),
+    Row(
+        "packed: the presorted order check lets equal rows through",
+        _PACKED,
+        "ahead = a[:, -1] < b[:, -1]",
+        "ahead = a[:, -1] <= b[:, -1]",
+        ("tests/assembly/test_sweep.py::TestPresortedFastPath",),
     ),
     # Ray and ABySS book their exchanges in closed form (DESIGN §5)
     Row(
