@@ -25,7 +25,9 @@ No job streams records through the engine: each is an array kernel that
 computes the job's output and hands the columns of its shuffle to
 :meth:`MapReduceEngine.record_shuffle`, which books what the
 record-at-a-time run (``tests/assembly/contrail_reference.py``) measures;
-DESIGN.md §5, §15.  **Record order is part of the contract**: round
+DESIGN.md §5, §15.  The rounds work on junction ids and seed lists, set
+up once per k by :func:`_seed_table`; bases are laid out once, after the
+last round, by :func:`_materialize`.  **Record order is part of the contract**: round
 ``r + 1`` splits its input over map tasks by ``position % n`` and
 ``shuffle_bytes`` counts distinct (task, key) groups, so ``merge_<r>``
 emits the table in the engine's reduce output order — partition
@@ -68,36 +70,69 @@ class ContrailInputError(ValueError):
 
 class _Table(NamedTuple):
     """The segment table between jobs, as columns in record order.  A
-    segment is a growing chain of merged k-mers (Contrail's node record);
-    its two *oriented* (k-1)-mer ends are carried through every merge as
-    packed rows, so no job re-reads the code buffer to find a junction."""
+    segment is a growing chain of merged k-mers (Contrail's node record),
+    held as its seed k-mers in order, each forward or flipped (reverse
+    complemented); only :func:`_materialize` spells the bases.  Its two
+    oriented (k-1)-mer ends are carried as a junction id (ids ascend in
+    canonical order) and an rc bit, so no round job reads a base."""
 
     sid: np.ndarray  #: segment id (int64); a head keeps its id
     repr_rank: np.ndarray  #: rank of ``repr(sid)`` among the run's ids
-    offsets: np.ndarray  #: CSR: record i is ``codes[offsets[i]:offsets[i+1]]``
-    codes: np.ndarray  #: every record's oriented base codes, one uint8 buffer
+    seeds: np.ndarray  #: every record's seed ids, records end to end
+    flips: np.ndarray  #: per entry of ``seeds``: the seed is read flipped
     cov_sum: np.ndarray  #: summed k-mer counts (float64)
-    n_kmers: np.ndarray  #: merged k-mers (int64)
-    left: np.ndarray  #: packed first k-1 bases, ``(n, W)``
-    right: np.ndarray  #: packed last k-1 bases
+    n_kmers: np.ndarray  #: merged k-mers (int64), the record's seed count
+    jl: np.ndarray  #: junction id of the first k-1 bases
+    jr: np.ndarray  #: junction id of the last k-1 bases
+    rcl: np.ndarray  #: the first k-1 bases are ``jl``'s reverse complement
+    rcr: np.ndarray  #: the last k-1 bases are ``jr``'s reverse complement
+    pal: np.ndarray  #: per junction id: the (k-1)-mer is its own rc
+    kmers: np.ndarray  #: per seed id: its k base codes, ``(n_seeds, k)``
 
 
 def _seed_table(spectrum, solid: np.ndarray, k: int) -> _Table:
     """One segment per solid k-mer; ids follow the spectrum's key order
-    (the ``sorted(bytes)`` order of the k-mers)."""
-    windows = packedmod.unpack(spectrum.distinct[solid], k)
-    n = windows.shape[0]
+    (the ``sorted(bytes)`` order of the k-mers).  The run's only pass
+    over (k-1)-mers: every junction any round can meet is a seed's end."""
+    kmers = packedmod.unpack(spectrum.distinct[solid], k)
+    n = kmers.shape[0]
     sid = np.arange(n, dtype=np.int64)
+    ends = packedmod.pack(np.concatenate([kmers[:, :-1], kmers[:, 1:]]))
+    canon = packedmod.canonicalize(ends, k - 1)
+    distinct, junction, _ = packedmod.unique_inverse_counts(canon, k - 1)
+    is_rc = ~packedmod.rows_equal(ends, canon)
     return _Table(
         sid=sid,
-        repr_rank=np.argsort(np.argsort(sid.astype("S"))),
-        offsets=np.arange(n + 1, dtype=np.int64) * k,
-        codes=windows.reshape(-1),
+        repr_rank=_repr_rank(n),
+        seeds=sid,
+        flips=np.zeros(n, dtype=bool),
         cov_sum=spectrum.counts[solid].astype(np.float64),
         n_kmers=np.ones(n, dtype=np.int64),
-        left=packedmod.pack(windows[:, :-1]),
-        right=packedmod.pack(windows[:, 1:]),
+        jl=junction[:n], jr=junction[n:], rcl=is_rc[:n], rcr=is_rc[n:],
+        pal=packedmod.rows_equal(distinct, packedmod.revcomp(distinct, k - 1)),
+        kmers=kmers,
     )
+
+
+def _repr_rank(n: int) -> np.ndarray:
+    """Rank of ``repr(i)`` among ``repr(0..n-1)``, without strings: the
+    digits left-aligned, a string before the longer ones it prefixes."""
+    sid = np.arange(n, dtype=np.int64)
+    width = np.searchsorted(10 ** np.arange(1, 19), sid, side="right") + 1
+    aligned = sid * 10 ** (width.max(initial=1) - width)
+    return np.argsort(np.argsort(aligned * 32 + width))
+
+
+def _materialize(table: _Table, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's oriented base codes, one uint8 buffer, and its CSR
+    offsets: a record's first seed spells k bases, each later seed its
+    last one.  A flipped seed reads backwards, complemented."""
+    oriented = table.kmers[table.seeds]
+    oriented[table.flips] = 3 - oriented[table.flips, ::-1]
+    spelled = np.zeros(oriented.shape, dtype=bool)
+    spelled[:, -1] = True
+    spelled[np.cumsum(table.n_kmers) - table.n_kmers] = True
+    return oriented[spelled], np.r_[0, np.cumsum(table.n_kmers + k - 1)]
 
 
 def _coin(sid: np.ndarray, round_no: int) -> np.ndarray:
@@ -153,10 +188,11 @@ class ContrailAssembler:
                 k, self.max_rounds, table.sid.shape[0],
             )
 
+        codes, offsets = _materialize(table, k)
         unitigs = [
             Unitig(codes=codes, coverage=coverage, n_kmers=n_kmers)
             for codes, coverage, n_kmers in zip(
-                np.split(table.codes, table.offsets[1:-1]),
+                np.split(codes, offsets[1:-1]),
                 (table.cov_sum / table.n_kmers).tolist(),
                 table.n_kmers.tolist(),
             )
@@ -233,18 +269,16 @@ class ContrailAssembler:
         n, sid = engine.n_workers, table.sid
         n_seg = sid.shape[0]
         # Emitted records: every segment's left end, then every right end.
-        ends = packedmod.canonicalize(
-            np.concatenate([table.left, table.right]), k - 1
-        )
-        distinct, junction, incidences = packedmod.unique_inverse_counts(
-            ends, k - 1
-        )
+        ends = np.concatenate([table.jl, table.jr])
+        incidences = np.bincount(ends, minlength=table.pal.shape[0])
+        present = incidences > 0
 
         # Reduce: a junction with exactly two incidences, on two distinct
         # segments (not a palindromic self-adjacency) whose coins differ,
-        # merges the tail into the head.
-        two = np.flatnonzero((incidences == 2)[junction])
-        two = two[np.argsort(junction[two], kind="stable")] % n_seg
+        # merges the tail into the head.  (Each pair's two incidences may
+        # come in either order: the merges are sorted below.)
+        two = np.flatnonzero(incidences[ends] == 2)
+        two = two[np.argsort(ends[two])] % n_seg
         a, b = two[0::2], two[1::2]
         is_head = _coin(sid + round_no, round_no)
         fires = (a != b) & (is_head[a] != is_head[b])
@@ -255,19 +289,23 @@ class ContrailAssembler:
             f"pair_{round_no}",
             map_input_records=n_seg,
             task=np.tile(np.arange(n_seg) % n, 2),
-            key=junction,
+            # Dense rank among the round's junctions: ids ascend in
+            # canonical order, so this is the rank of the canonical end.
+            key=(np.cumsum(present) - 1)[ends],
             value_nbytes=8,
             key_nbytes=k - 1,
-            # Dense rank among the round's distinct junctions: hash-free.
-            partition=np.arange(distinct.shape[0]) % n,
+            partition=np.arange(np.count_nonzero(present)) % n,
             reduce_output_records=int(head.shape[0]),
         )
         # A tail may pair with heads on both of its ends; keep one merge
-        # per tail (deterministic: smallest head id, its first in this order).
-        order = np.lexsort((sid[tail], sid[head]))
+        # per tail (deterministic: smallest head id).  A sid is a seed id,
+        # below ``n_ids``, so one integer key sorts on two sids.
+        n_ids = table.kmers.shape[0]
+        order = np.argsort(sid[tail] * n_ids + sid[head])
         head, tail = head[order], tail[order]
-        keep = np.sort(np.unique(tail, return_index=True)[1])
-        return head[keep], tail[keep]
+        keep = np.diff(tail, prepend=-1) != 0
+        order = np.argsort(sid[head[keep]] * n_ids + sid[tail[keep]])
+        return head[keep][order], tail[keep][order]
 
     def _job_merge(
         self,
@@ -281,10 +319,9 @@ class ContrailAssembler:
         """Apply absorptions: every record keyed by its (possibly new)
         owner; a head joins its tails in sid order, one per end."""
         n = engine.n_workers
-        sid, offsets = table.sid, table.offsets
+        sid, n_kmers0 = table.sid, table.n_kmers
         n_seg = sid.shape[0]
         pos = np.arange(n_seg)
-        length = np.diff(offsets)
         target = pos.copy()
         target[tail] = head
         is_key = target == pos
@@ -294,91 +331,84 @@ class ContrailAssembler:
         # second tails, join every head to everything it absorbs.
         second = np.diff(head, prepend=-1) == 0
         assert not (second[1:] & second[:-1]).any(), "a head absorbs <= 2 tails"
-        left, right = table.left.copy(), table.right.copy()
-        cov_sum, n_kmers = table.cov_sum.copy(), table.n_kmers.copy()
-        owner = pos.copy()  # the record each segment's codes end up in
+        jl, jr = table.jl.copy(), table.jr.copy()
+        rcl, rcr = table.rcl.copy(), table.rcr.copy()
+        cov_sum, n_kmers = table.cov_sum.copy(), n_kmers0.copy()
+        owner = pos.copy()  # the record each segment's seeds end up in
         slot = np.zeros(n_seg, dtype=np.int64)  # piece order: < 0 left of the head
         flipped = np.zeros(n_seg, dtype=bool)
+        pal = table.pal
         for depth, in_pass in ((1, ~second), (2, second)):
             h, t = head[in_pass], tail[in_pass]
-            tail_left, tail_right = table.left[t], table.right[t]
-            rc_left = packedmod.revcomp(tail_left, k - 1)
-            rc_right = packedmod.revcomp(tail_right, k - 1)
-            # The four overlap tests as equalities on the carried ends;
-            # the first that holds, in this order, decides.  A tail none
+            tl, tr, trcl, trcr = table.jl[t], table.jr[t], table.rcl[t], table.rcr[t]
+            # The four overlap tests on the carried ends: two ends are
+            # equal on one junction id with equal rc bits, or either bit
+            # on a palindrome; a reverse complement inverts the bit.  The
+            # first that holds, in this order, decides.  A tail none
             # accepts (a canonical-junction collision) stays its own record.
             tests = np.stack(
                 [
-                    (tail_left == right[h]).all(axis=1),  # a + b
-                    (rc_right == right[h]).all(axis=1),  # a + rc(b)
-                    (tail_right == left[h]).all(axis=1),  # b + a
-                    (rc_left == left[h]).all(axis=1),  # rc(b) + a
+                    (tl == jr[h]) & ((trcl == rcr[h]) | pal[tl]),  # a + b
+                    (tr == jr[h]) & ((trcr != rcr[h]) | pal[tr]),  # a + rc(b)
+                    (tr == jl[h]) & ((trcr == rcl[h]) | pal[tr]),  # b + a
+                    (tl == jl[h]) & ((trcl != rcl[h]) | pal[tl]),  # rc(b) + a
                 ]
             )
             joined = np.flatnonzero(tests.any(axis=0))
             h, t, case = h[joined], t[joined], tests.argmax(axis=0)[joined]
             # The record's new end, by case: the tail's far end as joined.
-            far = np.stack([tail_right, rc_left, tail_left, rc_right])[case, joined]
+            far = np.stack([tr, tl, tl, tr])[case, joined]
+            far_rc = np.stack([trcr, ~trcl, trcl, ~trcr])[case, joined]
             after = case < 2
-            right[h[after]] = far[after]
-            left[h[~after]] = far[~after]
+            jr[h[after]], rcr[h[after]] = far[after], far_rc[after]
+            jl[h[~after]], rcl[h[~after]] = far[~after], far_rc[~after]
             owner[t] = h
             slot[t] = np.where(after, depth, -depth)
             flipped[t] = case % 2 == 1
             cov_sum[h] += table.cov_sum[t]
-            n_kmers[h] += table.n_kmers[t]
+            n_kmers[h] += n_kmers0[t]
 
         # Output records (heads, untouched segments, kept-apart tails) in
         # the engine's reduce output order: see the module docstring.
+        # Sorted by sid, then stably by (partition, repr rank) of the group
+        # and is_key, so a group's kept-apart tails come in sid order.
         out = np.flatnonzero(owner == pos)
+        out = out[np.argsort(sid[out])]
         group = target[out]
-        out = out[
-            np.lexsort(
-                (sid[out], is_key[out], table.repr_rank[group], sid[group] % n)
-            )
-        ]
+        rank = (sid[group] % n * table.kmers.shape[0] + table.repr_rank[group]) * 2
+        out = out[np.argsort(rank + is_key[out], kind="stable")]
 
         engine.record_shuffle(
             f"merge_{round_no}",
             map_input_records=n_seg,
             task=pos % n,
             key=(np.cumsum(is_key) - 1)[target],
-            value_nbytes=length + SEGMENT_RECORD_OVERHEAD,
+            value_nbytes=n_kmers0 + (k - 1 + SEGMENT_RECORD_OVERHEAD),
             key_nbytes=8,
             partition=sid[is_key] % n,
             reduce_output_records=int(out.shape[0]),
         )
 
-        # Codes: every segment is one piece of its owner's record, pieces
-        # ordered by slot; all but a record's first piece drop the k-1
-        # overlap.  One gather; a flipped piece reads backwards,
-        # complemented (3 - code == code ^ 3).
+        # Seeds: every segment is one piece of its owner's record, pieces
+        # ordered by slot.  One gather of seed ids; a flipped piece reads
+        # backwards, every seed in it flipped once more.
         record = np.empty(n_seg, dtype=np.int64)
         record[out] = np.arange(out.shape[0])
-        record = record[owner]
-        pieces = np.lexsort((slot, record))
-        starts_record = np.diff(record[pieces], prepend=-1) != 0
-        skip = np.where(starts_record, 0, k - 1)
-        piece_len = length[pieces] - skip
+        pieces = np.argsort(record[owner] * 5 + slot)
+        piece_len = n_kmers0[pieces]
         flip = flipped[pieces]
         step = np.where(flip, -1, 1)
-        first = np.where(
-            flip, offsets[pieces + 1] - 1 - skip, offsets[pieces] + skip
-        )
+        start = (np.cumsum(n_kmers0) - n_kmers0)[pieces]
         laid = np.cumsum(piece_len) - piece_len
-        source = np.repeat(first - step * laid, piece_len) + np.repeat(
-            step, piece_len
-        ) * np.arange(int(piece_len.sum()))
-        codes = table.codes[source] ^ np.repeat(
-            (3 * flip).astype(np.uint8), piece_len
-        )
-        return _Table(
+        source = np.repeat(
+            np.where(flip, start + piece_len - 1, start) - step * laid, piece_len
+        ) + np.repeat(step, piece_len) * np.arange(table.seeds.shape[0])
+        return table._replace(
             sid=sid[out],
             repr_rank=table.repr_rank[out],
-            offsets=np.r_[laid[starts_record], codes.shape[0]],
-            codes=codes,
+            seeds=table.seeds[source],
+            flips=table.flips[source] ^ np.repeat(flip, piece_len),
             cov_sum=cov_sum[out],
             n_kmers=n_kmers[out],
-            left=left[out],
-            right=right[out],
+            jl=jl[out], jr=jr[out], rcl=rcl[out], rcr=rcr[out],
         )

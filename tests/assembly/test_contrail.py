@@ -52,7 +52,8 @@ def booked(monkeypatch):
 
 def _kernel_rounds(store, params, n_ranks, max_rounds=ContrailAssembler.max_rounds):
     """``ContrailAssembler.assemble``'s driver loop, keeping
-    ``(merges as (head sid, tail sid), table)`` after every round."""
+    ``(merges as (head sid, tail sid), table)`` after every round; also
+    the solid spectrum k-mers' codes."""
     asm, engine, k = ContrailAssembler(), MapReduceEngine(n_ranks), params.k
     spectrum = resolve_spectrum(store, k)
     solid = asm._derive_kmer_count(engine, store, params, spectrum)
@@ -66,12 +67,13 @@ def _kernel_rounds(store, params, n_ranks, max_rounds=ContrailAssembler.max_roun
         trace.append((merges, table))
         if not merges:
             break
-    return trace
+    return trace, packedmod.unpack(spectrum.distinct[solid], k)
 
 
-def _rows(table) -> list[tuple]:
-    """A kernel table as the oracle's records, in record order."""
-    codes, bounds = table.codes.tobytes(), table.offsets.tolist()
+def _rows(table, codes, offsets) -> list[tuple]:
+    """A kernel table, its bases laid out, as the oracle's records, in
+    record order."""
+    codes, bounds = codes.tobytes(), offsets.tolist()
     return [
         (sid, codes[a:b], cov, n)
         for sid, a, b, cov, n in zip(
@@ -81,22 +83,67 @@ def _rows(table) -> list[tuple]:
     ]
 
 
-def _assert_same_rounds(kernel_trace, reference_trace, k):
-    assert len(kernel_trace) == len(reference_trace)
+def _strands(rows):
+    """``(m, w)`` base codes -> every row and its reverse complement as
+    byte strings in code-lexicographic order (codes + 1, so no trailing
+    NUL is stripped)."""
+    w = rows.shape[1]
+    fwd = np.ascontiguousarray(rows + 1, dtype=np.uint8)
+    rev = np.ascontiguousarray(4 - rows[:, ::-1], dtype=np.uint8)
+    return fwd.view(f"S{w}").ravel(), rev.view(f"S{w}").ravel()
+
+
+def _canonical(rows):
+    fwd, rev = _strands(rows)
+    return np.where(fwd <= rev, fwd, rev)
+
+
+def _assert_carried_state_is_the_codes(
+    table, codes, offsets, solid_kmers, k, names
+):
+    """What a table carries instead of bases, against the bases
+    ``_materialize`` lays out: junction ids and rc bits of both ends
+    (``names``, id -> canonical end, accumulates over the rounds), every
+    solid seed once, every record k-mer a solid k-mer."""
+    assert np.array_equal(np.diff(offsets), table.n_kmers + k - 1)
+    first = np.concatenate([offsets[:-1], offsets[1:] - (k - 1)])
+    ends = codes[first[:, None] + np.arange(k - 1)]
+    fwd, rev = _strands(ends)
+    canon = np.where(fwd <= rev, fwd, rev)
+    ids = np.concatenate([table.jl, table.jr])
+    rc = np.concatenate([table.rcl, table.rcr])
+    pal = table.pal[ids]
+    assert np.array_equal(pal, fwd == rev)
+    # A palindrome's end is its own reverse complement: either bit holds.
+    assert np.array_equal(rc & ~pal, fwd != canon)
+    for i, name in zip(ids.tolist(), canon.tolist()):
+        assert names.setdefault(i, name) == name
+    by_name = sorted(names.items(), key=lambda item: item[1])
+    assert [i for i, _name in by_name] == sorted(names)  # one-to-one, ascending
+
+    assert table.seeds.shape[0] == table.n_kmers.sum()
+    assert np.array_equal(np.sort(table.seeds), np.arange(solid_kmers.shape[0]))
+    record_end = np.repeat(offsets[1:], np.diff(offsets))
+    starts = np.flatnonzero(np.arange(codes.shape[0]) + k <= record_end)
+    windows = codes[starts[:, None] + np.arange(k)]
+    assert np.array_equal(
+        np.sort(_canonical(windows)), np.sort(_canonical(solid_kmers))
+    )
+
+
+def _assert_same_rounds(kernel_trace, solid_kmers, reference_trace, k):
+    names = {}
     for (merges, table), (ref_merges, segments) in zip(kernel_trace, reference_trace):
         assert merges == ref_merges
         assert list(segments) == [s.sid for s in segments.values()]
-        rows = _rows(table)
-        assert rows == [
+        codes, offsets = contrail._materialize(table, k)
+        assert _rows(table, codes, offsets) == [
             (s.sid, s.codes, s.cov_sum, s.n_kmers) for s in segments.values()
         ]
-        # The carried ends are the ends of the codes they were never read from.
-        ends = np.frombuffer(
-            b"".join(c[: k - 1] + c[-(k - 1):] for _sid, c, _cov, _n in rows),
-            dtype=np.uint8,
-        ).reshape(-1, 2, k - 1)
-        assert np.array_equal(table.left, packedmod.pack(ends[:, 0]))
-        assert np.array_equal(table.right, packedmod.pack(ends[:, 1]))
+        _assert_carried_state_is_the_codes(
+            table, codes, offsets, solid_kmers, k, names
+        )
+    assert len(kernel_trace) == len(reference_trace)
 
 
 def _assert_matches_reference(store, params, n_ranks, booked):
@@ -107,7 +154,8 @@ def _assert_matches_reference(store, params, n_ranks, booked):
     )
     ref_jobs = booked[:]
     del booked[:]
-    _assert_same_rounds(_kernel_rounds(store, params, n_ranks), ref_trace, params.k)
+    trace, solid_kmers = _kernel_rounds(store, params, n_ranks)
+    _assert_same_rounds(trace, solid_kmers, ref_trace, params.k)
     assert booked == ref_jobs  # every job, pair_<r> peaks included
     del booked[:]
 
@@ -196,14 +244,15 @@ def _planted_reads(seed: int, k: int) -> list[FastqRecord]:
     def rand(n):
         return _random_seq(rng, n)
 
-    j = k - 1
-    half = rand(j // 2)
-    palindrome = half + reverse_complement(half)  # a (k-1)-mer equal to its rc
-    repeat, stem, dead_end, unit = rand(k + 3), rand(k + 2), rand(j), rand(k + 4)
+    def palindrome():  # a (k-1)-mer equal to its rc
+        half = rand((k - 1) // 2)
+        return half + reverse_complement(half)
+
+    repeat, stem, dead_end, unit = rand(k + 3), rand(k + 2), rand(k - 1), rand(k + 4)
     transcripts = [
         rand(3 * k) + repeat + rand(2 * k) + repeat + rand(2 * k),
         rand(2 * k) + stem + rand(4) + reverse_complement(stem) + rand(k),  # hairpin
-        rand(2 * k) + palindrome + rand(2 * k),
+        *(rand(2 * k) + palindrome() + rand(2 * k) for _ in range(3)),
         unit * 3,  # a cycle: compresses to a segment adjacent to itself
         rand(2 * k) + dead_end,  # two tips that end on the same (k-1)-mer,
         rand(2 * k) + dead_end,  # which nothing follows
@@ -295,11 +344,11 @@ class TestClosedFormMeasures:
         )
         generic = booked[:]
         del booked[:]
-        trace = _kernel_rounds(store, PARAMS, n_workers, max_rounds=4)
+        trace, solid_kmers = _kernel_rounds(store, PARAMS, n_workers, max_rounds=4)
 
         # merged segments, so value sizes vary
-        assert np.diff(trace[-1][1].offsets).max() > PARAMS.k
-        _assert_same_rounds(trace, ref_trace, PARAMS.k)
+        assert trace[-1][1].n_kmers.max() > 1
+        _assert_same_rounds(trace, solid_kmers, ref_trace, PARAMS.k)
         assert len(booked) == 9
         assert booked == generic  # MRJobStats, PhaseUsage and peak per job
 
@@ -312,6 +361,13 @@ class TestClosedFormMeasures:
     def test_segment_closed_form(self, sid, codes, cov, n_kmers):
         seg = reference._Segment(sid=sid, codes=codes, cov_sum=cov, n_kmers=n_kmers)
         assert len(codes) + contrail.SEGMENT_RECORD_OVERHEAD == nbytes(seg)
+
+
+@pytest.mark.parametrize("n", (0, 1, 9, 10, 11, 101, 12345))
+def test_repr_rank_is_the_string_order(n):
+    """The output order's ``repr(sid)`` key, computed without strings."""
+    want = np.argsort(np.arange(n).astype("S"), kind="stable")
+    assert np.array_equal(np.argsort(contrail._repr_rank(n)), want)
 
 
 class TestConvergenceFlag:

@@ -5,7 +5,8 @@ occurs in it once, the text that replaces it, and the tests that must
 catch it.  For each row the tool copies ``src/`` to a temporary
 directory, applies the row to the copy (never to the working tree) and
 runs only the row's tests, with ``-x``, against the copy.  A row whose
-tests still pass is a *survivor*.
+tests still pass is a *survivor*.  Rows run concurrently, one per CPU,
+each in its own copy; what they print and the survivors stay in row order.
 
     python tools/mutants.py             # every row
     python tools/mutants.py -k merge    # rows whose name contains "merge"
@@ -25,6 +26,7 @@ or deletes it, saying why the behaviour is gone.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import os
 import shutil
 import subprocess
@@ -59,6 +61,15 @@ _PARITY = "tests/assembly/test_parity.py::TestAssemblerParity"
 _READS = "repro/seq/reads.py"
 _READS_ORACLE = "tests/seq/test_reads_kernel.py"
 _SHARING = "tests/assembly/test_graph_sharing.py"
+_CONTRAIL = "repro/assembly/contrail.py"
+_ROUNDS = (
+    "tests/assembly/test_contrail.py::TestAgainstReference"
+    "::test_every_job_every_round_and_the_assembly[21-4]"
+)
+_PLANTED = (
+    "tests/assembly/test_contrail.py::TestAgainstReference"
+    "::test_generated_genomes_reach_every_branch"
+)
 _UNIT_ADVANCE = """        check_unit_transition(self.state, new)
         old = self.state
         self.state = new
@@ -201,6 +212,35 @@ ROWS: tuple[Row, ...] = (
         "sum(u.codes.nbytes for u in unitigs)",
         (f"{_PARITY}::test_abyss",),
     ),
+    # Contrail's rounds on junction ids and seed lists (DESIGN §15)
+    Row(
+        "contrail: the palindrome term dropped from the a + b join test",
+        _CONTRAIL,
+        "(tl == jr[h]) & ((trcl == rcr[h]) | pal[tl])",
+        "(tl == jr[h]) & (trcl == rcr[h])",
+        (_PLANTED,),
+    ),
+    Row(
+        "contrail: the far end's rc bit not inverted for joins 2 and 4",
+        _CONTRAIL,
+        "[trcr, ~trcl, trcl, ~trcr]",
+        "[trcr, trcl, trcl, trcr]",
+        (_ROUNDS,),
+    ),
+    Row(
+        "contrail: a flipped piece's seed flips not toggled",
+        _CONTRAIL,
+        "table.flips[source] ^ np.repeat(flip, piece_len)",
+        "table.flips[source]",
+        (_ROUNDS,),
+    ),
+    Row(
+        "contrail: pair's dense rank replaced by the raw junction id",
+        _CONTRAIL,
+        "key=(np.cumsum(present) - 1)[ends],",
+        "key=ends,",
+        (_ROUNDS,),
+    ),
     # the stream-exact read simulator (DESIGN §7, draw-order contract)
     Row(
         "reads: reverse rows not read backwards",
@@ -296,6 +336,31 @@ def _tail(proc: subprocess.CompletedProcess, lines: int = 15) -> str:
     return "\n".join((proc.stdout + proc.stderr).splitlines()[-lines:])
 
 
+def _run_row(row: Row, dest: Path) -> tuple[str, str | None]:
+    """Apply ``row`` to a fresh copy of ``src/`` under ``dest`` and run
+    its tests: the line to print and the failure to report, if any."""
+    src = _copy_src(dest)
+    path = src / row.file
+    text = path.read_text()
+    if text.count(row.old) != 1:
+        return (
+            f"MISSING   {row.name}",
+            f"old text found {text.count(row.old)} times, not once: {row.name}",
+        )
+    path.write_text(text.replace(row.old, row.new))
+    t0 = time.perf_counter()
+    proc = _pytest(src, row.tests)
+    took = time.perf_counter() - t0
+    if proc.returncode == 1:  # tests ran and one failed
+        return f"killed    {row.name}  ({took:.1f} s)", None
+    if proc.returncode == 0:
+        return f"SURVIVED  {row.name}  ({took:.1f} s)", f"survived: {row.name}"
+    return (
+        f"ERROR     {row.name}\n{_tail(proc)}",
+        f"tests did not run (pytest exit {proc.returncode}): {row.name}",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-k", default="", help="only rows whose name contains this")
@@ -322,28 +387,13 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
         failures: list[str] = []
-        for i, row in enumerate(rows):
-            src = _copy_src(Path(tmp) / f"row{i}")
-            path = src / row.file
-            text = path.read_text()
-            if text.count(row.old) != 1:
-                failures.append(
-                    f"old text found {text.count(row.old)} times, not once: {row.name}"
-                )
-                print(f"MISSING   {row.name}")
-                continue
-            path.write_text(text.replace(row.old, row.new))
-            t0 = time.perf_counter()
-            proc = _pytest(src, row.tests)
-            took = time.perf_counter() - t0
-            if proc.returncode == 1:  # tests ran and one failed
-                print(f"killed    {row.name}  ({took:.1f} s)")
-            elif proc.returncode == 0:
-                failures.append(f"survived: {row.name}")
-                print(f"SURVIVED  {row.name}  ({took:.1f} s)")
-            else:
-                failures.append(f"tests did not run (pytest exit {proc.returncode}): {row.name}")
-                print(f"ERROR     {row.name}\n{_tail(proc)}")
+        workers = min(os.cpu_count() or 1, len(rows))
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            dests = [Path(tmp) / f"row{i}" for i in range(len(rows))]
+            for line, failure in pool.map(_run_row, rows, dests):
+                print(line, flush=True)
+                if failure:
+                    failures.append(failure)
     if failures:
         print("\n" + "\n".join(failures), file=sys.stderr)
         return 1
