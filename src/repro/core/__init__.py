@@ -19,7 +19,6 @@ paper-scale memory model behind Table IV (:mod:`memory`), and the
 end-to-end driver (:mod:`rnnotator`).
 """
 
-from repro.core.diffexpr import DiffExprResult, differential_expression
 from repro.core.memory import task_memory_bytes
 from repro.core.merge import MergeResult, merge_contigs
 from repro.core.planner import AssemblyPlan, plan_assembly, select_kmer_list
@@ -37,8 +36,6 @@ __all__ = [
     "MergeResult",
     "quantify",
     "QuantificationResult",
-    "differential_expression",
-    "DiffExprResult",
     "select_kmer_list",
     "plan_assembly",
     "AssemblyPlan",

@@ -24,7 +24,6 @@ from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import AssemblyResult
 from repro.assembly.registry import get_assembler
 from repro.assembly.sweep import KmerSpectrum
-from repro.assembly.trinity import TRINITY_K
 from repro.cloud.instances import get_instance_type
 from repro.core.assembly_cache import get_assembly_cache
 from repro.core.scaling import paper_usage_from_scales
@@ -42,7 +41,11 @@ DISTRIBUTED_ASSEMBLERS = frozenset({"ray", "abyss", "contrail"})
 def spectrum_k(assembler: str, k: int) -> int:
     """The k whose spectrum serves ``assembler`` at sweep value ``k``
     (trinity always counts 25-mers)."""
-    return TRINITY_K if assembler == "trinity" else int(k)
+    if assembler == "trinity":
+        from repro.assembly.trinity import TRINITY_K
+
+        return TRINITY_K
+    return int(k)
 
 
 def content_key(
@@ -263,6 +266,8 @@ def assembly_unit_descriptions(
     builds its own (see :class:`AssemblyWorkload`).  A spectrum that two
     or more jobs in ``computing`` (content keys) read gets their graph
     products derived here, in ``KmerSpectrum.keeping``, so they only read.
+    Each computing job's assembler module loads here too, so pool workers
+    forked afterwards inherit it instead of compiling it on every run.
 
     Every unit carries a ``checkpoint_key`` — the job's
     :func:`content_key`, the same address the assembly cache uses — so
@@ -272,6 +277,9 @@ def assembly_unit_descriptions(
     """
     by_k = {sp.k: sp for sp in spectra}
     jobs = planned_jobs(plan, store, min_count, min_contig_length)
+    for job in jobs:
+        if job.key in computing:
+            get_assembler(job.assembler)
     for sp in spectra:
         readers = [j for j in jobs if j.spectrum_k == sp.k and j.key in computing]
         if len(readers) > 1:

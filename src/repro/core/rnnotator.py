@@ -14,6 +14,7 @@ import hashlib
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.assembly.contigs import AssemblyResult, Contig
 from repro.assembly.sweep import (
@@ -27,11 +28,9 @@ from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.cluster import Cluster, build_cluster
 from repro.cloud.ec2 import EC2Region
 from repro.cloud.instances import cheapest_with_memory
-from repro.cloud.spot import SpotPreemptor
 from repro.cloud.storage import TransferModel
 from repro.core import multikmer
 from repro.core.assembly_cache import get_assembly_cache
-from repro.core.checkpoint import CheckpointStore
 from repro.core.memory import task_memory_bytes
 from repro.core.planner import (
     AssemblyPlan,
@@ -57,13 +56,17 @@ from repro.parallel.executor import (
     make_executor,
 )
 from repro.pilot.description import PilotDescription, UnitDescription
-from repro.pilot.elastic import ElasticPool
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import MemoryAwareScheduler, SchedulingError
 from repro.pilot.states import UnitState
 from repro.seq.datasets import Dataset, DatasetSpec
 from repro.seq.readstore import ReadStore
+
+if TYPE_CHECKING:
+    from repro.cloud.spot import SpotPreemptor
+    from repro.core.checkpoint import CheckpointStore
+    from repro.pilot.elastic import ElasticPool
 
 
 #: The stages a run reports — one :class:`StageReport`, ``stage`` span and
@@ -335,6 +338,8 @@ class _Run:
         self.pm = PilotManager(self.region, self.events)
         self.raw_store = ReadStore.from_reads(self.dataset.run.all_reads())
         if self.config.checkpoint_dir is not None:
+            from repro.core.checkpoint import CheckpointStore
+
             self.ckpt = CheckpointStore(self.config.checkpoint_dir)
             self.run_key = (self.raw_store.digest, *self.config.result_key())
 
@@ -698,6 +703,8 @@ def _provision_stage(run: _Run) -> None:
     # ---- failure injection + S3 elasticity for the fan-out ---------
     preemptor: SpotPreemptor | None = None
     if faults.preempt_at:
+        from repro.cloud.spot import SpotPreemptor
+
         preemptor = SpotPreemptor(
             region,
             events,
@@ -707,6 +714,8 @@ def _provision_stage(run: _Run) -> None:
         preemptor.arm_in(faults.preempt_at)
     elastic: ElasticPool | None = None
     if config.scheme.elastic:
+        from repro.pilot.elastic import ElasticPool
+
         elastic = ElasticPool(
             region,
             events,

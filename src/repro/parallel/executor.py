@@ -39,22 +39,19 @@ RSS/CPU resource samples — come back in
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs import get_tracer, set_thread_tracer
 from repro.obs.context import BufferingTracer, SpanContext, WorkerTrace
 from repro.parallel.usage import ResourceUsage
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: A unit workload: a callable returning (result, measured usage).
 #: (Mirrors repro.pilot.description.Workload; redeclared here to keep the
@@ -422,6 +419,8 @@ class ProcessExecutor(_PoolExecutor):
     ) -> WorkloadHandle:
         tracer = get_tracer()
         if tracer.enabled:
+            import pickle
+
             # What crosses the process boundary is the pickled workload;
             # encode-once workloads must stay O(1) here regardless of
             # read count (the ReadStore pickles to a shm handle).
@@ -446,6 +445,7 @@ class ProcessExecutor(_PoolExecutor):
 
     def _make_pool(self) -> ProcessPoolExecutor:
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
 
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else None)

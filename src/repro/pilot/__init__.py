@@ -20,7 +20,6 @@ RP architecture the paper builds on (§III.C):
 
 from repro.pilot.agent import PilotAgent
 from repro.pilot.description import PilotDescription, UnitDescription
-from repro.pilot.elastic import ElasticPool
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import (
@@ -46,5 +45,4 @@ __all__ = [
     "UnitManager",
     "UnitFailureError",
     "PilotAgent",
-    "ElasticPool",
 ]

@@ -14,7 +14,6 @@ from repro.seq.alphabet import (
     random_dna,
     reverse_complement,
 )
-from repro.seq.fasta import FastaRecord, read_fasta, write_fasta
 from repro.seq.fastq import FastqRecord, read_fastq, write_fastq
 from repro.seq.readstore import ReadStore, ReadStoreHandle
 from repro.seq.genome import Gene, Genome, GenomeSpec, synthesize_genome
@@ -28,9 +27,6 @@ __all__ = [
     "reverse_complement",
     "gc_content",
     "random_dna",
-    "FastaRecord",
-    "read_fasta",
-    "write_fasta",
     "FastqRecord",
     "read_fastq",
     "write_fastq",

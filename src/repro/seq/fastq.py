@@ -18,7 +18,7 @@ PHRED_OFFSET = 33
 MAX_PHRED = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FastqRecord:
     """One FASTQ record.  ``qual`` is the Phred+33 ASCII string."""
 
@@ -59,25 +59,26 @@ def _open_maybe(path_or_handle, mode: str) -> tuple[TextIO, bool]:
 def parse_fastq(handle: TextIO) -> Iterator[FastqRecord]:
     """Yield records from an open FASTQ handle.
 
-    Raises ValueError on structural corruption (bad separators, truncation).
+    Lines may end in LF or CRLF.  Raises ValueError on structural
+    corruption (an id-less header, bad separators, truncation).
     """
-    while True:
-        header = handle.readline()
-        if not header:
-            return
-        header = header.rstrip("\n")
+    for header in handle:
+        header = header.rstrip("\r\n")
         if not header:
             continue
         if not header.startswith("@"):
             raise ValueError(f"expected '@' header, got {header[:30]!r}")
-        seq = handle.readline().rstrip("\n")
-        sep = handle.readline().rstrip("\n")
-        qual = handle.readline().rstrip("\n")
+        name = header[1:].split()
+        if not name:
+            raise ValueError(f"FASTQ header without an id: {header[:30]!r}")
+        seq = handle.readline().rstrip("\r\n")
+        sep = handle.readline().rstrip("\r\n")
+        qual = handle.readline().rstrip("\r\n")
         if not sep.startswith("+"):
             raise ValueError(f"expected '+' separator for {header[:30]!r}")
         if len(qual) != len(seq):
             raise ValueError(f"truncated record {header[:30]!r}")
-        yield FastqRecord(id=header[1:].split()[0], seq=seq.upper(), qual=qual)
+        yield FastqRecord(id=name[0], seq=seq.upper(), qual=qual)
 
 
 def read_fastq(path_or_handle) -> list[FastqRecord]:

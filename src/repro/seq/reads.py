@@ -57,7 +57,7 @@ class ReadSimSpec:
             raise ValueError("paired runs need fragment_mean >= read_length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadOrigin:
     """Ground-truth provenance of one fragment.
 

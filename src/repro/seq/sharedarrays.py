@@ -31,16 +31,18 @@ Ownership (the rule is stated here and in DESIGN §7 only):
 from __future__ import annotations
 
 import weakref
-from multiprocessing import shared_memory
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
 
 #: The object holding each shared or attached segment, by segment name.
 _ATTACHED: "weakref.WeakValueDictionary[str, object]" = weakref.WeakValueDictionary()
 
 
-def _cleanup_shm(shm: shared_memory.SharedMemory, unlink: bool) -> None:
+def _cleanup_shm(shm: SharedMemory, unlink: bool) -> None:
     try:
         shm.close()
     except BufferError:
@@ -67,28 +69,21 @@ def _cleanup_shm(shm: shared_memory.SharedMemory, unlink: bool) -> None:
             pass
 
 
-def _unregister_tracker(name: str) -> None:
-    """Keep the resource tracker from destroying a segment we only attach.
+def _segment(**kwargs) -> SharedMemory:
+    """``SharedMemory(**kwargs)``, its module loaded on first use."""
+    from multiprocessing.shared_memory import SharedMemory
+
+    return SharedMemory(**kwargs)
+
+
+def _attach_untracked(name: str) -> SharedMemory:
+    """Attach to a segment without resource-tracker registration.
 
     Python < 3.13 has no ``SharedMemory(track=False)``: every attach also
     registers the segment with the process's resource tracker, which
     would unlink it when *this* process exits even though the owner is
-    still using it.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}" if not name.startswith("/") else name,
-                                    "shared_memory")
-    except Exception:
-        pass
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment without resource-tracker registration.
-
-    Register-then-unregister (the pre-3.13 workaround above) is racy
-    when fork-pool workers share the parent's tracker: the tracker's
+    still using it.  Unregistering after the attach is racy when
+    fork-pool workers share the parent's tracker: the tracker's
     per-type cache is a *set*, so interleaved attach pairs from two
     workers collapse into one entry and the surplus unregister — or the
     owner's eventual unlink — dies with a ``KeyError`` inside the
@@ -96,19 +91,14 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     owner's create/unlink pair the only bookkeeping the tracker ever
     sees, however many processes attach and whenever they forked.
     """
-    try:
-        from multiprocessing import resource_tracker
+    from multiprocessing import resource_tracker
 
-        original = resource_tracker.register
-        resource_tracker.register = lambda *a, **kw: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    except Exception:
-        shm = shared_memory.SharedMemory(name=name)
-        _unregister_tracker(shm.name)
-        return shm
+    original = resource_tracker.register
+    resource_tracker.register = lambda *a, **kw: None
+    try:
+        return _segment(name=name)
+    finally:
+        resource_tracker.register = original
 
 
 def _padded(nbytes: int) -> int:
@@ -140,7 +130,7 @@ class SharedArrays:
         what: str,
         dtypes: Mapping[str, type],
         arrays: Mapping[str, np.ndarray],
-        shm: shared_memory.SharedMemory | None = None,
+        shm: SharedMemory | None = None,
     ) -> None:
         self.what = what
         self._fields = tuple(dtypes)
@@ -211,7 +201,7 @@ class SharedArrays:
             return
         local = self._arrays
         total = sum(_padded(arr.nbytes) for arr in local.values())
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
+        shm = _segment(create=True, size=max(total, 1))
         views = _views(
             shm.buf, ((f, arr.dtype, arr.shape) for f, arr in local.items())
         )

@@ -130,6 +130,18 @@ class TestFastq:
         back = read_fastq(io.StringIO("@r1 extra stuff\nAC\n+\nII\n"))
         assert back[0].id == "r1"
 
+    def test_crlf_parses_as_lf(self):
+        lf = "@r1 extra\nACGT\n+\nIIII\n\n@r2\nacgn\n+r2\n!!#I\n"
+        back = read_fastq(io.StringIO(lf.replace("\n", "\r\n")))
+        assert back == read_fastq(io.StringIO(lf))
+        assert back[0] == FastqRecord("r1", "ACGT", "IIII")
+
+    @pytest.mark.parametrize("header", ["@", "@  ", "@\t"])
+    def test_header_without_id_rejected(self, header):
+        with pytest.raises(ValueError, match="without an id") as err:
+            read_fastq(io.StringIO(f"@r1\nAC\n+\nII\n{header}\nAC\n+\nII\n"))
+        assert repr(header) in str(err.value)
+
     def test_bytes_estimate_scales(self):
         single = fastq_bytes_estimate(1000, 50, paired=False)
         paired = fastq_bytes_estimate(1000, 50, paired=True)

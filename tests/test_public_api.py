@@ -11,6 +11,10 @@ import pytest
 
 import repro
 
+#: The ``src/`` this process imported ``repro`` from: a fresh interpreter
+#: below runs the same tree, a mutated copy included.
+_SRC = Path(repro.__file__).resolve().parents[1]
+
 SUBPACKAGES = [
     "repro.seq",
     "repro.parallel",
@@ -88,8 +92,7 @@ def test_runtime_imports_neither_scipy_nor_networkx():
     packages that survive as test oracles.  A fresh interpreter, because
     this test process has them loaded already.  No wall-clock threshold:
     pipebench's ``setup_s`` owns timing."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _HYGIENE_SCRIPT.format(subpackages=["repro"] + SUBPACKAGES)],
         env=env, capture_output=True, text=True, timeout=300,
@@ -112,13 +115,90 @@ def test_pipeline_import_loads_no_live_telemetry():
     """The alert engine, the live sinks and the exporters are for runs
     that ask for them: importing the pipeline loads none, first use
     does."""
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _LAZY_OBS_SCRIPT],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: Loaded only by the runs that use them: pool machinery, checkpoints,
+#: spot preemption, elasticity, Trinity, differential expression, FASTA.
+_ON_DEMAND = (
+    "multiprocessing",
+    "multiprocessing.shared_memory",
+    "concurrent.futures.process",
+    "repro.core.checkpoint",
+    "repro.cloud.spot",
+    "repro.pilot.elastic",
+    "repro.assembly.trinity",
+    "repro.core.diffexpr",
+    "repro.seq.fasta",
+)
+
+_IMPORT_BUDGET_SCRIPT = """
+import sys
+import repro.core.rnnotator
+from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
+from repro.seq.datasets import tiny_dataset
+config = PipelineConfig(
+    assemblers=("ray", "abyss", "velvet", "contrail"), kmer_list=(25,),
+    executor={executor!r},
+)
+result = RnnotatorPipeline().run(tiny_dataset(seed=1, coverage_boost=0.25), config)
+assert result.transcripts
+print(sorted(set({modules!r}) & set(sys.modules)))
+"""
+
+_ASSEMBLERS = tuple(
+    f"repro.assembly.{name}" for name in ("abyss", "contrail", "ray", "velvet")
+)
+
+
+def _loaded_after_a_run(executor, modules):
+    """Which of ``modules`` a fresh interpreter holds after one run."""
+    script = _IMPORT_BUDGET_SCRIPT.format(executor=executor, modules=modules)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_a_serial_run_imports_only_what_it_executes():
+    """Every process start pays for what it imports: a serial run of the
+    four pipeline assemblers loads none of the modules only other runs
+    use."""
+    assert _loaded_after_a_run("serial", _ON_DEMAND) == "[]"
+
+
+def test_a_process_run_loads_the_pool_and_the_assemblers_in_the_parent():
+    """The budget is about placement: the pool backend loads what it runs
+    on, and the parent loads every computing job's assembler before the
+    fork, so no worker compiles one per run."""
+    modules = tuple(sorted(_ON_DEMAND[:3] + _ASSEMBLERS))
+    assert _loaded_after_a_run("process", modules) == str(list(modules))
+
+
+def test_read_records_hold_no_instance_dict():
+    """The simulator's records are slots dataclasses: no ``__dict__``,
+    and equality, hashing, immutability and ``replace`` as before."""
+    import dataclasses
+
+    from repro.seq.datasets import tiny_dataset
+
+    run = tiny_dataset(seed=1).run
+    for record in (run.reads[0], run.origins[0]):
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
+        copy = dataclasses.replace(record)
+        assert copy == record and hash(copy) == hash(record)
+    read = dataclasses.replace(run.reads[0], id="x")
+    assert (read.id, read.seq) == ("x", run.reads[0].seq)
 
 
 def test_one_module_owns_the_shared_memory_lifecycle():

@@ -61,6 +61,7 @@ _PARITY = "tests/assembly/test_parity.py::TestAssemblerParity"
 _READS = "repro/seq/reads.py"
 _READS_ORACLE = "tests/seq/test_reads_kernel.py"
 _SHARING = "tests/assembly/test_graph_sharing.py"
+_SWEEP = "repro/assembly/sweep.py"
 _CONTRAIL = "repro/assembly/contrail.py"
 _ROUNDS = (
     "tests/assembly/test_contrail.py::TestAgainstReference"
@@ -282,7 +283,7 @@ ROWS: tuple[Row, ...] = (
     # graph once per k (DESIGN §9)
     Row(
         "graphs: a kept product is never read back",
-        "repro/assembly/sweep.py",
+        _SWEEP,
         "got = self._graphs.get(key)",
         "got = None",
         (
@@ -306,6 +307,52 @@ ROWS: tuple[Row, ...] = (
         " and j.key in computing]",
         "]",
         (f"{_SHARING}::TestComputingReaders::test_one_computing_job_derives_nothing_ahead",),
+    ),
+    Row(
+        "graphs: a product derived outside keeping() is kept",
+        _SWEEP,
+        "            if self._keeping:\n",
+        "            if True:\n",
+        (f"{_SHARING}::TestReaderRule::test_one_reader_keeps_nothing",),
+    ),
+    Row(
+        "graphs: the partition's arrays left writeable",
+        _SWEEP,
+        "                arr.flags.writeable = False\n",
+        "                pass\n",
+        (f"{_SHARING}::TestReadOnly::test_mutating_a_shared_product_raises",),
+    ),
+    Row(
+        "graphs: a frozen table does not say it is frozen",
+        _DBG,
+        "        self.frozen = True\n",
+        "",
+        (f"{_SHARING}::TestReadOnly::test_mutating_a_shared_product_raises",),
+    ),
+    Row(
+        "graphs: close() keeps the products",
+        _SWEEP,
+        "        self._graphs.clear()\n",
+        "",
+        (f"{_SHARING}::TestReaderRule::test_close_releases_the_products",),
+    ),
+    # a run imports only what it executes (DESIGN §13)
+    Row(
+        "import: shared memory loaded with the module, not with a pool",
+        "repro/seq/sharedarrays.py",
+        "import weakref\n",
+        "import weakref\nfrom multiprocessing import shared_memory\n",
+        ("tests/test_public_api.py::test_a_serial_run_imports_only_what_it_executes",),
+    ),
+    Row(
+        "import: workers forked before the parent loads the assemblers",
+        "repro/core/multikmer.py",
+        "            get_assembler(job.assembler)\n",
+        "            pass\n",
+        (
+            "tests/test_public_api.py"
+            "::test_a_process_run_loads_the_pool_and_the_assemblers_in_the_parent",
+        ),
     ),
 )
 
