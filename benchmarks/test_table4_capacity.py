@@ -8,45 +8,8 @@ r3.2xlarge; B. glumae fits both.
 """
 
 from repro.bench.harness import format_table
-from repro.cloud.instances import get_instance_type
-from repro.core.memory import fits_instance
-from repro.seq.datasets import B_GLUMAE, P_CRISPA
-
-#: The paper's Table IV ground truth: (task, dataset) -> (c3 cell, r3 cell).
-PAPER_TABLE4 = {
-    ("Pre-Processing", "B_glumae"): ("O", "O"),
-    ("Pre-Processing", "P_crispa"): ("X", "O"),
-    ("Assembly (Ray)", "B_glumae"): ("O", "O"),
-    ("Assembly (Ray)", "P_crispa"): ("X", "O"),
-    ("Assembly (ABySS)", "B_glumae"): ("O", "O"),
-    ("Assembly (ABySS)", "P_crispa"): ("X", "O"),
-    ("Assembly (Contrail)", "B_glumae"): ("O", "O"),
-    ("Assembly (Contrail)", "P_crispa"): ("X", "O"),
-    ("Post-Processing", "B_glumae"): ("O", "O"),
-    ("Post-Processing", "P_crispa"): ("O", "O"),
-}
-
-_TASK_KEY = {
-    "Pre-Processing": "preprocess",
-    "Assembly (Ray)": "assembly",
-    "Assembly (ABySS)": "assembly",
-    "Assembly (Contrail)": "assembly",
-    "Post-Processing": "postprocess",
-}
-
-
-def reproduce_table4() -> dict[tuple[str, str], tuple[str, str]]:
-    c3 = get_instance_type("c3.2xlarge").memory_bytes
-    r3 = get_instance_type("r3.2xlarge").memory_bytes
-    out = {}
-    for (task, ds_name) in PAPER_TABLE4:
-        spec = {"B_glumae": B_GLUMAE, "P_crispa": P_CRISPA}[ds_name]
-        key = _TASK_KEY[task]
-        out[(task, ds_name)] = (
-            "O" if fits_instance(spec, key, c3) else "X",
-            "O" if fits_instance(spec, key, r3) else "X",
-        )
-    return out
+from repro.seq.datasets import P_CRISPA
+from tests.paper_tables import PAPER_TABLE4, reproduce_table4
 
 
 def test_table4_capacity_matrix(benchmark, report_sink):

@@ -154,37 +154,6 @@ def fused_canonical_positions_packed(
     return out
 
 
-def fused_canonical_positions_store_packed(
-    store, ks, r0: int = 0, r1: int | None = None
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """:func:`fused_canonical_positions_packed` over a read-range shard
-    ``[r0, r1)`` of a :class:`~repro.seq.readstore.ReadStore`.
-
-    Positions are reported in *global* store coordinates, so the shard
-    results of a partition of ``[0, n_reads)`` concatenate (in shard
-    order) to exactly the full-store extraction.  Safe at any read
-    boundary: the store layout places a single-N separator after every
-    read — including the last — so the slice ``codes[offsets[r0] :
-    offsets[r1]]`` ends on a separator, and any window crossing the
-    shard's final read would contain that N and be dropped, exactly as
-    it is in the full-store pass.
-    """
-    offsets = store.offsets
-    n_reads = int(offsets.shape[0]) - 1
-    if r1 is None:
-        r1 = n_reads
-    if not 0 <= r0 <= r1 <= n_reads:
-        raise ValueError(
-            f"read range [{r0}, {r1}) out of bounds for {n_reads} reads"
-        )
-    lo = int(offsets[r0])
-    hi = int(offsets[r1])
-    fused = fused_canonical_positions_packed(store.codes[lo:hi], ks)
-    if lo:
-        fused = {k: (rows, pos + lo) for k, (rows, pos) in fused.items()}
-    return fused
-
-
 def kmer_owner_packed(
     packed_rows: np.ndarray, k: int, n_ranks: int
 ) -> np.ndarray:

@@ -9,8 +9,8 @@ numeric comparison of the word tuple equals lexicographic comparison of
 the code string: canonicalization, counting (:func:`unique_inverse_counts`)
 and the graph join (:func:`searchsorted_rows`) all order k-mers
 lexicographically on the integer words.  The 16-byte :func:`keys` of
-two-word rows remain only for ``KmerTable.key_array``, the opt-in
-sharded spectrum merge, detonate and tests.
+two-word rows remain only for ``KmerTable.key_array``, detonate and
+tests.
 
 Everything here is vectorized over *rows* of shape ``(n, W)``; the only
 Python-level loops run over the k positions of a window (k <= 63), never
@@ -225,41 +225,6 @@ def keys(packed: np.ndarray, k: int) -> np.ndarray:
     if W == 1:
         return np.ascontiguousarray(packed[:, 0])
     return packed.astype(">u8", order="C").view("S16").ravel()
-
-
-def keys_to_packed(key_arr: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`keys`."""
-    W = words_for(k)
-    if W == 1:
-        return np.asarray(key_arr, dtype=_U)[:, None]
-    be = np.ascontiguousarray(key_arr, dtype="S16").view(">u8")
-    return be.reshape(-1, 2).astype(_U)
-
-
-def bucket_ids(key_arr: np.ndarray, k: int, n_buckets: int) -> np.ndarray:
-    """Radix bucket of each sortable key: the top ``log2(n_buckets)``
-    bits of packed word 0.
-
-    The bucket id is a *prefix* of the sort key for both key dtypes —
-    plain uint64 keys start with word 0, and the ``S16`` memcmp key's
-    first 8 bytes are word 0 big-endian — so bucket ids are monotone
-    non-decreasing over any key-sorted array.  That is the merge
-    invariant the sharded spectrum build rests on: concatenating
-    per-bucket sorted runs in ascending bucket order yields the globally
-    key-sorted sequence.  ``n_buckets`` must be a power of two.
-    """
-    if n_buckets < 1 or (n_buckets & (n_buckets - 1)):
-        raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
-    key_arr = np.asarray(key_arr)
-    if n_buckets == 1:
-        return np.zeros(key_arr.shape[0], dtype=np.int64)
-    W = words_for(k)
-    if W == 1:
-        word0 = np.asarray(key_arr, dtype=_U)
-    else:
-        word0 = keys_to_packed(key_arr, k)[:, 0]
-    bbits = n_buckets.bit_length() - 1
-    return (word0 >> _U(64 - bbits)).astype(np.int64)
 
 
 def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:

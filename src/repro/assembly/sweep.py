@@ -26,24 +26,6 @@ the same code array.  Two layers count each once:
   ``kmer_table.bytes`` (ks served from / asked for in vain / bytes added
   to the cache) on the active tracer.
 
-A third layer shards the build itself — opt-in
-(``PipelineConfig.spectrum_shards``), because it has lost to the fused
-pass in the parent on every measured input (DESIGN §11).  The fused pass
-is a single-threaded prefix ahead of the assembly fan-out; with a
-pool-backed executor (:func:`submit_spectra_build`) the store is split
-into contiguous read-range shards, each worker extracts its shard and
-locally sorts/counts it into ``n_buckets`` radix buckets (bucket id =
-top bits of packed word 0 — a *prefix* of the sort key, see
-:func:`repro.assembly.packed.bucket_ids`), and the parent merges the
-per-bucket sorted runs.  Because bucket ids are monotone over sorted
-keys, ascending bucket concatenation of per-bucket merges is the
-globally sorted distinct array, and the occurrence stream is rebuilt in
-shard (= extraction) order — every sharded :class:`KmerSpectrum` is
-bit-for-bit equal to the serial one.  The handles overlap with whatever
-the parent does between submit and collect (cluster provisioning, in
-the pipeline) — milliseconds of simulated-cloud bookkeeping, far less
-than the part pickles and the merge cost.
-
 A spectrum holds its arrays in one
 :class:`~repro.seq.sharedarrays.SharedArrays`, as the :class:`ReadStore`
 does; segment lifecycle and ownership rule are that module's.  Here: the
@@ -55,7 +37,6 @@ are local arrays, on which ``close`` is a no-op, so they outlive the run.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -69,11 +50,6 @@ from repro.assembly.dbg import KmerTable, extract_unitigs_by_owner
 from repro.obs import get_tracer
 from repro.seq.readstore import ReadStore
 from repro.seq.sharedarrays import SharedArrays
-
-#: Default radix-bucket count for the sharded build.  Must be a power of
-#: two; 16 keeps per-bucket merges comfortably sized without fragmenting
-#: small spectra.
-DEFAULT_SPECTRUM_BUCKETS = 16
 
 #: A spectrum's arrays and their dtypes, named once (the segment layout);
 #: ``distinct`` is ``(n_distinct, W)``, the rest are flat.
@@ -155,21 +131,6 @@ class KmerSpectrum:
         """Build from one k's fused extraction output (canonical rows +
         global window start positions, both in extraction order)."""
         distinct, inverse, counts = packedmod.unique_inverse_counts(rows, k)
-        return cls._from_occurrences(store, k, distinct, counts, inverse, positions)
-
-    @classmethod
-    def _from_occurrences(
-        cls,
-        store: ReadStore,
-        k: int,
-        distinct: np.ndarray,
-        counts: np.ndarray,
-        inverse: np.ndarray,
-        positions: np.ndarray,
-    ) -> "KmerSpectrum":
-        """Assemble a spectrum from already-counted parts: sorted distinct
-        rows, their counts, the occurrence -> distinct map and the global
-        window positions (both in extraction order)."""
         offsets = store.offsets
         # Positions ascend, so read i's windows are the stream slice
         # between where offsets[i] and offsets[i + 1] would insert.
@@ -186,7 +147,7 @@ class KmerSpectrum:
                 dict(
                     read_offsets=read_offsets,
                     counts=counts,
-                    inverse=np.asarray(inverse).ravel(),
+                    inverse=inverse,
                     rel_positions=rel_positions,
                     distinct=distinct,
                 ),
@@ -374,33 +335,19 @@ class KmerSpectrum:
 
 
 def build_spectra(
-    store: ReadStore,
-    ks: Iterable[int],
-    executor=None,
-    n_shards: int | None = None,
-    n_buckets: int = DEFAULT_SPECTRUM_BUCKETS,
-    span_attrs: dict | None = None,
+    store: ReadStore, ks: Iterable[int], span_attrs: dict | None = None
 ) -> tuple[KmerSpectrum, ...]:
     """Fused count-once extraction: one pass over ``store.codes`` yields a
     :class:`KmerSpectrum` per k, each bit-identical to the per-k path.
 
-    Without an ``executor`` — how the pipeline calls it on every backend
-    — the build runs here, in the calling process, under a
+    The build runs here, in the calling process, under a
     ``spectrum.build`` span with a ``spectrum.extract`` child and one
-    ``spectrum.k`` child per k.  Passing an ``executor`` whose
-    ``supports_overlap`` is true asks for the sharded build across its
-    pool workers (submit + immediate collect; see
-    :func:`submit_spectra_build` for the overlapped form) — still
-    bit-identical.
+    ``spectrum.k`` child per k; the pipeline calls it in the parent on
+    every backend.
     """
     ks = tuple(sorted({int(k) for k in ks}))
     if not ks:
         return ()
-    if executor is not None and getattr(executor, "supports_overlap", False):
-        pending = submit_spectra_build(
-            store, ks, executor, n_shards=n_shards, n_buckets=n_buckets
-        )
-        return pending.collect(span_attrs=span_attrs)
     tracer = get_tracer()
     with tracer.span(
         "spectrum.build",
@@ -443,257 +390,11 @@ def resolve_spectrum(
     return build_spectra(store, (k,))[0]
 
 
-@dataclass(frozen=True)
-class ShardSpectrumPart:
-    """One (shard, k) cell of the sharded build: the shard's locally
-    sorted distinct keys/counts, its occurrence stream against those
-    local keys, and the bucket boundaries within the sorted keys."""
-
-    keys: np.ndarray  # local distinct sortable keys, ascending
-    counts: np.ndarray  # local multiplicity per key
-    inverse: np.ndarray  # shard occurrences -> local key index
-    positions: np.ndarray  # global window positions, extraction order
-    bucket_starts: np.ndarray  # (n_buckets + 1,) slice bounds into keys
+_merge_shard_spectra = None  # pipebench patch point; ROADMAP 1(a) removes it
 
 
-@dataclass(frozen=True)
-class SpectrumShardWorkload:
-    """Pool workload: extract + locally sort/count one read-range shard.
-
-    The store O(1)-pickles over shared memory, so shipping the workload
-    costs a handle, not the reads.  Workers run under a thread-local
-    :class:`~repro.obs.NullTracer` and return real-clock perf_counter
-    stamps so the parent can emit overlap-proving shard spans.
-    """
-
-    store: ReadStore
-    ks: tuple[int, ...]
-    reads_lo: int
-    reads_hi: int
-    n_buckets: int
-
-    def __call__(self):
-        from repro.obs import NullTracer, set_thread_tracer
-
-        previous = set_thread_tracer(NullTracer())
-        try:
-            r0 = time.perf_counter()
-            fused = kmers.fused_canonical_positions_store_packed(
-                self.store, self.ks, self.reads_lo, self.reads_hi
-            )
-            edges = np.arange(self.n_buckets + 1, dtype=np.int64)
-            parts: dict[int, ShardSpectrumPart] = {}
-            for k in self.ks:
-                rows, positions = fused[k]
-                distinct, inverse, counts = packedmod.unique_inverse_counts(
-                    rows, k
-                )
-                uniq = packedmod.keys(distinct, k)
-                bids = packedmod.bucket_ids(uniq, k, self.n_buckets)
-                bucket_starts = np.searchsorted(bids, edges).astype(np.int64)
-                parts[k] = ShardSpectrumPart(
-                    keys=uniq,
-                    counts=counts,
-                    inverse=inverse,
-                    positions=positions,
-                    bucket_starts=bucket_starts,
-                )
-            r1 = time.perf_counter()
-        finally:
-            set_thread_tracer(previous)
-        return (parts, r0, r1), None
-
-
-def _shard_ranges(n_reads: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous read ranges covering ``[0, n_reads)``; same sizing rule
-    as ``np.array_split`` (first ``n_reads % n_shards`` shards one longer)."""
-    n_shards = max(1, min(int(n_shards), n_reads or 1))
-    base, extra = divmod(n_reads, n_shards)
-    ranges = []
-    lo = 0
-    for i in range(n_shards):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _merge_shard_spectra(
-    store: ReadStore,
-    k: int,
-    parts: list[ShardSpectrumPart],
-    n_buckets: int,
-) -> KmerSpectrum:
-    """Merge one k's shard parts into the global spectrum.
-
-    Per bucket: concatenate the shards' key runs for that bucket and
-    ``np.unique`` them — the merged bucket is sorted, and because bucket
-    ids are a prefix of the sort key (monotone over sorted keys),
-    appending the buckets in ascending order yields the globally sorted
-    distinct array.  Counts are summed exactly (int64 scatter-add), and
-    each shard's local inverse is translated through its bucket's merge
-    ranks so the concatenated occurrence stream (shard order ==
-    extraction order) indexes the global distinct array — bit-identical
-    to the serial build.
-    """
-    trans = [np.empty(p.keys.shape[0], dtype=np.int64) for p in parts]
-    key_chunks: list[np.ndarray] = []
-    count_chunks: list[np.ndarray] = []
-    base = 0
-    for b in range(n_buckets):
-        seg_keys = []
-        seg_counts = []
-        bounds = []
-        for p in parts:
-            lo = int(p.bucket_starts[b])
-            hi = int(p.bucket_starts[b + 1])
-            bounds.append((lo, hi))
-            seg_keys.append(p.keys[lo:hi])
-            seg_counts.append(p.counts[lo:hi])
-        cat_keys = np.concatenate(seg_keys)
-        merged, inv = np.unique(cat_keys, return_inverse=True)
-        inv = np.asarray(inv).ravel()
-        merged_counts = np.zeros(merged.shape[0], dtype=np.int64)
-        np.add.at(merged_counts, inv, np.concatenate(seg_counts))
-        off = 0
-        for t, (lo, hi) in zip(trans, bounds):
-            n_s = hi - lo
-            t[lo:hi] = inv[off : off + n_s] + base
-            off += n_s
-        key_chunks.append(merged)
-        count_chunks.append(merged_counts)
-        base += merged.shape[0]
-    distinct = packedmod.keys_to_packed(np.concatenate(key_chunks), k)
-    counts = np.concatenate(count_chunks)
-    inverse = np.concatenate([t[p.inverse] for t, p in zip(trans, parts)])
-    positions = np.concatenate([p.positions for p in parts])
-    return KmerSpectrum._from_occurrences(
-        store, k, distinct, counts, inverse, positions
-    )
-
-
-class PendingSpectraBuild:
-    """In-flight sharded build: handles out, merge on :meth:`collect`.
-
-    Created by :func:`submit_spectra_build`; the caller does its own work
-    (cluster provisioning, planning) between submit and collect — that
-    interval is the overlap the shard workers fill.  Any worker failure
-    degrades to the serial build (bit-identical result, lost
-    optimization), traced as a ``spectrum.build_fallback`` event.
-    """
-
-    def __init__(
-        self,
-        store: ReadStore,
-        ks: tuple[int, ...],
-        handles: list,
-        ranges: list[tuple[int, int]],
-        n_buckets: int,
-        r_submit: float,
-    ) -> None:
-        self.store = store
-        self.ks = ks
-        self._handles = handles
-        self._ranges = ranges
-        self.n_buckets = n_buckets
-        self.n_shards = len(ranges)
-        self._r_submit = r_submit
-
-    def collect(self, span_attrs: dict | None = None) -> tuple[KmerSpectrum, ...]:
-        """Wait for every shard and merge; bit-identical to the serial
-        build (falls back to it outright if any shard failed)."""
-        outcomes = [h.outcome() for h in self._handles]
-        errors = [o.error for o in outcomes if o.error is not None]
-        tracer = get_tracer()
-        if errors:
-            tracer.event(
-                "spectrum.build_fallback",
-                category="spectrum",
-                error=repr(errors[0]),
-            )
-            return build_spectra(self.store, self.ks, span_attrs=span_attrs)
-        shard_results = [o.result for o in outcomes]
-        with tracer.span(
-            "spectrum.build",
-            category="spectrum",
-            mode="sharded",
-            ks=list(self.ks),
-            n_shards=self.n_shards,
-            n_buckets=self.n_buckets,
-            r_submit=self._r_submit,
-            **(span_attrs or {}),
-        ):
-            vnow = tracer.clock.now if tracer.clock is not None else None
-            for i, ((lo, hi), (_, w0, w1)) in enumerate(
-                zip(self._ranges, shard_results)
-            ):
-                # Zero virtual width; the real interval is the worker's
-                # own perf_counter window, which predates this collect —
-                # the span-level proof that extraction overlapped the
-                # parent's provisioning work.
-                tracer.add_span(
-                    "spectrum.shard",
-                    v_start=vnow,
-                    v_end=vnow,
-                    category="spectrum",
-                    r_start=w0,
-                    r_end=w1,
-                    shard=i,
-                    reads_lo=lo,
-                    reads_hi=hi,
-                )
-            spectra = []
-            for k in self.ks:
-                with tracer.span("spectrum.merge", category="spectrum", k=k):
-                    spectra.append(
-                        _merge_shard_spectra(
-                            self.store,
-                            k,
-                            [parts[k] for parts, _, _ in shard_results],
-                            self.n_buckets,
-                        )
-                    )
-            return tuple(spectra)
-
-
-def submit_spectra_build(
-    store: ReadStore,
-    ks: Iterable[int],
-    executor,
-    n_shards: int | None = None,
-    n_buckets: int = DEFAULT_SPECTRUM_BUCKETS,
-) -> PendingSpectraBuild:
-    """Launch the sharded build and return immediately.
-
-    ``n_shards`` defaults to the executor's ``max_workers`` — a
-    configuration-derived value, so the span structure of a traced run is
-    deterministic (never the host's core count).  The store is shared on
-    first pickle; each worker attaches zero-copy and processes one
-    contiguous read range into ``n_buckets`` radix buckets.
-    """
-    ks = tuple(sorted({int(k) for k in ks}))
-    if not ks:
-        raise ValueError("submit_spectra_build needs at least one k")
-    if n_buckets < 1 or (n_buckets & (n_buckets - 1)):
-        raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
-    if n_shards is None:
-        n_shards = int(getattr(executor, "max_workers", 1) or 1)
-    ranges = _shard_ranges(store.n_reads, n_shards)
-    r_submit = time.perf_counter()
-    handles = [
-        executor.submit(
-            SpectrumShardWorkload(
-                store=store,
-                ks=ks,
-                reads_lo=lo,
-                reads_hi=hi,
-                n_buckets=n_buckets,
-            ),
-            None,
-        )
-        for lo, hi in ranges
-    ]
-    return PendingSpectraBuild(store, ks, handles, ranges, n_buckets, r_submit)
+class PendingSpectraBuild:  # pipebench patch point; ROADMAP 1(a) removes it
+    collect = None
 
 
 class KmerTableCache:

@@ -15,7 +15,7 @@ Two decisions the paper highlights (§III.E, §IV.C):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.cluster import DEFAULT_SETUP_SECONDS
 from repro.cloud.ec2 import DEFAULT_PROVISION_SECONDS
@@ -196,50 +196,17 @@ _QUANT_OPS_PER_READ = 1.27
 #: (calibrated on the Fig. 4 analog workload; real seconds, not virtual
 #: — the spectrum build never touches the virtual clock).
 _SPECTRUM_WINDOWS_PER_SECOND = 6.0e6
-#: Fraction of the serial build that stays on the parent under the
-#: sharded scheme (per-bucket merge + occurrence-stream reassembly).
-_SPECTRUM_MERGE_FRACTION = 0.35
-
-
-@dataclass(frozen=True)
-class SpectrumBuildPrediction:
-    """Predicted real host seconds of the count-once spectrum build."""
-
-    serial_s: float
-    sharded_s: float
-    n_shards: int
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_s / self.sharded_s if self.sharded_s else 1.0
 
 
 def predict_spectrum_build(
-    spec: DatasetSpec,
-    kmer_list,
-    modal_read_length: int,
-    n_shards: int = 1,
-) -> SpectrumBuildPrediction:
-    """Price the host-side spectrum build for planning/attribution.
-
-    Serial cost is total windows over the calibrated throughput; the
-    sharded cost keeps the merge fraction on the parent and divides the
-    rest across shards (Amdahl form).  Both are *real* seconds — the
-    build runs on the parent host while the cluster provisions, so the
-    planner can decide whether the sharded build hides entirely inside
-    the provisioning window.
-    """
+    spec: DatasetSpec, kmer_list, modal_read_length: int
+) -> float:
+    """Predicted real host seconds of the count-once spectrum build in the
+    parent: total windows over the calibrated throughput."""
     windows = sum(
         spec.n_reads * max(1, modal_read_length - k + 1) for k in kmer_list
     )
-    serial = windows / _SPECTRUM_WINDOWS_PER_SECOND
-    shards = max(1, int(n_shards))
-    sharded = serial * (
-        _SPECTRUM_MERGE_FRACTION + (1.0 - _SPECTRUM_MERGE_FRACTION) / shards
-    )
-    return SpectrumBuildPrediction(
-        serial_s=serial, sharded_s=sharded, n_shards=shards
-    )
+    return windows / _SPECTRUM_WINDOWS_PER_SECOND
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,16 @@ per-stage TTC and the run's dollar cost exactly like §IV.C's sample run.
 from __future__ import annotations
 
 import hashlib
+import operator
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.assembly.contigs import AssemblyResult, Contig
-from repro.assembly.sweep import (
-    KmerSpectrum,
-    PendingSpectraBuild,
-    build_spectra,
-    get_kmer_table_cache,
-    submit_spectra_build,
-)
+from repro.assembly.packed import check_k
+from repro.assembly.registry import ASSEMBLERS
+from repro.assembly.sweep import KmerSpectrum, build_spectra, get_kmer_table_cache
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.cluster import Cluster, build_cluster
 from repro.cloud.ec2 import EC2Region
@@ -68,6 +65,7 @@ if TYPE_CHECKING:
     from repro.core.checkpoint import CheckpointStore
     from repro.pilot.elastic import ElasticPool
 
+submit_spectra_build = None  # pipebench patch point; ROADMAP 1(a) removes it
 
 #: The stages a run reports — one :class:`StageReport`, ``stage`` span and
 #: checkpoint marker each — in run order: data staging, then Fig. 1's
@@ -107,15 +105,6 @@ class PipelineConfig:
     #: serially: their workloads are closures over pipeline state.
     executor: str | WorkloadExecutor = "serial"
     executor_workers: int | None = None
-    #: None (the default): the spectra are counted in the parent by
-    #: repro.assembly.sweep.build_spectra, on every backend.  An integer
-    #: opts a pool backend into the sharded build of that many shards
-    #: (repro.assembly.sweep.submit_spectra_build), which is
-    #: bit-identical for any shard count and has lost to the parent
-    #: build on every measured input (DESIGN §11).
-    spectrum_shards: int | None = None
-    #: Radix-bucket count of the sharded build's merge (power of two).
-    spectrum_buckets: int = 16
     #: Directory of the durable checkpoint store (None = no
     #: checkpointing).  A rerun pointed at the same directory with the
     #: same dataset and config replays completed units bit-identically
@@ -130,8 +119,8 @@ class PipelineConfig:
         :meth:`fingerprint` and the checkpoint stage markers.
 
         Execution-mechanics knobs that cannot change results — executor
-        backend, spectrum sharding, checkpoint directory, restart budget
-        — are deliberately excluded.  Caching, faults and telemetry are
+        backend and worker count, checkpoint directory, restart budget —
+        are deliberately excluded.  Caching, faults and telemetry are
         not knobs at all: a cache is a process-wide scope
         (``use_assembly_cache``, ``use_kmer_table_cache``) whose hits are
         bit-identical, faults are the pipeline's :class:`FaultPlan`, and
@@ -160,8 +149,27 @@ class PipelineConfig:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def __post_init__(self) -> None:
+        # Kept as tuples of Python values: one run, one fingerprint,
+        # whether the caller spelled it with a list or numpy ints.
+        object.__setattr__(self, "assemblers", tuple(self.assemblers))
         if not self.assemblers:
             raise ValueError("need at least one assembler")
+        unknown = [a for a in self.assemblers if a not in ASSEMBLERS]
+        if unknown:
+            raise ValueError(
+                f"unknown assemblers {unknown}, known: {sorted(ASSEMBLERS)}"
+            )
+        if len(set(self.assemblers)) < len(self.assemblers):
+            raise ValueError(f"duplicate assemblers in {self.assemblers}")
+        if self.kmer_list is not None:
+            ks = tuple(check_k(operator.index(k)) for k in self.kmer_list)
+            object.__setattr__(self, "kmer_list", ks)
+            if not ks:
+                raise ValueError(
+                    "kmer_list must be None (data-dependent) or non-empty"
+                )
+            if len(set(ks)) < len(ks):
+                raise ValueError(f"duplicate ks in kmer_list {ks}")
         if self.workflow is WorkflowPattern.CONVENTIONAL and (
             not self.scheme.reuses_vms
         ):
@@ -183,15 +191,6 @@ class PipelineConfig:
             )
         if self.unit_max_restarts < 0:
             raise ValueError("unit_max_restarts must be >= 0")
-        if self.spectrum_shards is not None and self.spectrum_shards < 1:
-            raise ValueError("spectrum_shards must be None or >= 1")
-        if self.spectrum_buckets < 1 or (
-            self.spectrum_buckets & (self.spectrum_buckets - 1)
-        ):
-            raise ValueError(
-                f"spectrum_buckets must be a power of two, "
-                f"got {self.spectrum_buckets}"
-            )
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,6 @@ class _Run:
     computing: frozenset[tuple] = field(init=False)
     missing_ks: tuple[int, ...] = field(init=False)
     executor: WorkloadExecutor = field(init=False)
-    pending_build: PendingSpectraBuild | None = field(init=False)
     prediction: RunPrediction = field(init=False)
     pb: Pilot = field(init=False)
     umb: UnitManager = field(init=False)
@@ -569,7 +567,7 @@ def _close_spectra(run: _Run) -> None:
 def _spectrum_demand_stage(run: _Run) -> None:
     """Which jobs compute, which k they read, and the backend they run
     on.  Fills ``computing``, ``spectra`` (the table cache's hits so
-    far), ``missing_ks``, ``fanout``, ``executor`` and ``pending_build``.
+    far), ``missing_ks``, ``fanout`` and ``executor``.
 
     K-mers are counted only for jobs that will read them.  A job is
     *satisfied* when its content key is already in the assembly cache or
@@ -632,23 +630,6 @@ def _spectrum_demand_stage(run: _Run) -> None:
     if isinstance(config.executor, str):
         # The pipeline owns backends it created.
         run.fanout.callback(run.executor.shutdown)
-    run.pending_build = None
-    if (
-        run.missing_ks
-        and config.spectrum_shards is not None
-        and run.executor.supports_overlap
-    ):
-        # The opt-in sharded build, submitted *now*: the shard
-        # workers race the pilot provisioning and cluster growth
-        # below on the real clock, and the merge at collect time
-        # is bit-identical to the build in the parent.
-        run.pending_build = submit_spectra_build(
-            store,
-            run.missing_ks,
-            run.executor,
-            n_shards=config.spectrum_shards,
-            n_buckets=config.spectrum_buckets,
-        )
 
 
 def _prediction_stage(run: _Run) -> None:
@@ -733,29 +714,15 @@ def _provision_stage(run: _Run) -> None:
 
 
 def _spectrum_supply_stage(run: _Run) -> None:
-    """Count (or collect) the missing spectra and put every spectrum
-    where the fan-out's workers can read it.  Extends ``spectra``."""
-    missing_ks, pending_build = run.missing_ks, run.pending_build
-    if missing_ks:
-        build_prediction = predict_spectrum_build(
-            run.spec,
-            missing_ks,
-            run.pre.modal_read_length,
-            n_shards=(
-                pending_build.n_shards if pending_build is not None else 1
-            ),
+    """Count the missing spectra and put every spectrum where the
+    fan-out's workers can read it.  Extends ``spectra``."""
+    if run.missing_ks:
+        planner_serial_s = predict_spectrum_build(
+            run.spec, run.missing_ks, run.pre.modal_read_length
         )
-        build_attrs = {
-            "planner_serial_s": build_prediction.serial_s,
-            "planner_sharded_s": build_prediction.sharded_s,
-        }
-        if pending_build is not None:
-            # Everything since submit — P_B provisioning, cluster
-            # growth, manager setup — ran while the shard workers
-            # extracted; collect merges their sorted runs.
-            built = pending_build.collect(span_attrs=build_attrs)
-        else:
-            built = build_spectra(run.store, missing_ks, span_attrs=build_attrs)
+        built = build_spectra(
+            run.store, run.missing_ks, span_attrs={"planner_serial_s": planner_serial_s}
+        )
         run.spectra += built
         table_cache = get_kmer_table_cache()
         if table_cache is not None:
@@ -765,10 +732,11 @@ def _spectrum_supply_stage(run: _Run) -> None:
         # Move every spectrum into shared memory BEFORE the
         # pool's first fan-out submit: the pool forks at that
         # submit, so its workers find the live segments in the
-        # inherited attach registry and map nothing.  (After an
-        # opt-in sharded build the pool is already up and they
-        # attach by name, sharedarrays._attach_untracked; either
-        # way the process-wide resource tracker stays balanced.)
+        # inherited attach registry and map nothing.  (A caller's
+        # executor reused across runs may already have its pool up;
+        # its workers then attach by name,
+        # sharedarrays._attach_untracked, and the process-wide
+        # resource tracker stays balanced.)
         for sp in run.spectra:
             sp.share()
 

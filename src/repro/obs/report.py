@@ -192,9 +192,6 @@ def cache_scorecard(records: Iterable[dict] | RunState) -> str:
             f"virtual {virt:g} s",
             f"mode {mode}",
         ]
-        n_shards = builds[-1]["attrs"].get("n_shards")
-        if n_shards is not None:
-            cells.append(f"shards {n_shards:g}")
         rows.append(f"  {'spectrum build':18s} {'  '.join(cells)}")
     for skip in (e for e in state.events if e["name"] == "spectrum.skip"):
         a = skip["attrs"]

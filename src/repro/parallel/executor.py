@@ -240,15 +240,6 @@ class WorkloadExecutor(ABC):
     #: Backend name, as accepted by :func:`make_executor`.
     name: str = "?"
 
-    #: Whether ``submit`` returns before the workload runs, so separately
-    #: submitted workloads genuinely execute concurrently.  The opt-in
-    #: sharded spectrum build
-    #: (:func:`repro.assembly.sweep.submit_spectra_build`, asked for
-    #: with ``PipelineConfig.spectrum_shards``) is only attempted on
-    #: backends where this holds — the serial backend runs workloads
-    #: inline at submit time, so "overlap" there would just reorder work.
-    supports_overlap: bool = False
-
     @abstractmethod
     def submit(
         self, work: Workload, context: SpanContext | None = None
@@ -314,8 +305,6 @@ class _PoolExecutor(WorkloadExecutor):
     The pool is created lazily on first submit so that merely
     constructing a manager with a parallel backend costs nothing.
     """
-
-    supports_overlap = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:

@@ -175,13 +175,6 @@ class TestKeysAndOrder:
         assert [as_bytes[i] for i in order] == sorted(as_bytes)
 
     @pytest.mark.parametrize("k", BOUNDARY_KS)
-    def test_keys_to_packed_roundtrip(self, k):
-        rng = np.random.default_rng(k + 37)
-        rows = packed.pack(_random_windows(rng, 50, k))
-        back = packed.keys_to_packed(packed.keys(rows, k), k)
-        assert np.array_equal(back, rows)
-
-    @pytest.mark.parametrize("k", BOUNDARY_KS)
     def test_int_roundtrip(self, k):
         rng = np.random.default_rng(k + 41)
         win = _random_windows(rng, 50, k)
@@ -215,8 +208,7 @@ class TestKeysAndOrder:
 
 def _s16_unique(rows, k):
     """The key-string oracle: ``np.unique`` of the ``S16`` memcmp keys
-    (``return_index`` picks the distinct rows, so the oracle never goes
-    through ``keys_to_packed``)."""
+    (``return_index`` picks the distinct rows)."""
     _, first, inverse, counts = np.unique(
         packed.keys(rows, k),
         return_index=True,

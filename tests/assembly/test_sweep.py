@@ -20,7 +20,6 @@ from repro.assembly.dbg import KmerTable
 from repro.assembly.kmers import (
     canonical_kmers_packed,
     fused_canonical_positions_packed,
-    fused_canonical_positions_store_packed,
 )
 from repro.assembly.sweep import (
     KmerSpectrum,
@@ -188,23 +187,6 @@ class TestFusedExtractionEdges:
             assert rows.dtype == want.dtype and rows.shape == want.shape
             np.testing.assert_array_equal(rows, want)
         np.testing.assert_array_equal(codes, before)
-
-    @pytest.mark.parametrize("cuts", [(0,), (0, 1), (0, 7, 7, 23), (0, 59, 60)])
-    def test_read_range_shards_concatenate_to_full_store(self, cuts):
-        store = _store(random.Random(9), n_reads=60, max_len=150)
-        ks = (21, 33, 63)
-        full = fused_canonical_positions_packed(store.codes, ks)
-        bounds = list(cuts) + [store.n_reads]
-        shards = [
-            fused_canonical_positions_store_packed(store, ks, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for k in ks:
-            rows = np.concatenate([sh[k][0] for sh in shards])
-            positions = np.concatenate([sh[k][1] for sh in shards])
-            np.testing.assert_array_equal(rows, full[k][0])
-            np.testing.assert_array_equal(positions, full[k][1])
-        store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.planner import plan_assembly
@@ -234,8 +235,6 @@ class TestConfigFingerprint:
     EXECUTION_MECHANICS = {
         "executor": "thread",
         "executor_workers": 2,
-        "spectrum_shards": 3,
-        "spectrum_buckets": 4,
         "checkpoint_dir": "/tmp/ck",
         "unit_max_restarts": 2,
     }
@@ -244,7 +243,7 @@ class TestConfigFingerprint:
         names = [f.name for f in dataclasses.fields(PipelineConfig)]
         classified = [*self.RESULT_DETERMINING, *self.EXECUTION_MECHANICS]
         assert sorted(classified) == sorted(names)
-        assert len(names) == 17
+        assert len(names) == 15
 
     def test_only_result_determining_fields_move_it(self):
         base = PipelineConfig()
@@ -256,3 +255,36 @@ class TestConfigFingerprint:
             changed = dataclasses.replace(base, **{name: value})
             assert getattr(changed, name) != getattr(base, name), name
             assert changed.fingerprint() == base.fingerprint(), name
+
+    @pytest.mark.parametrize(
+        "spelling",
+        (
+            dict(kmer_list=[25, 31]),
+            dict(kmer_list=(np.int64(25), np.int32(31))),
+            dict(kmer_list=(25, 31), assemblers=["ray"]),
+        ),
+    )
+    def test_one_run_has_one_fingerprint_however_it_is_spelled(self, spelling):
+        config = PipelineConfig(**{"kmer_list": (25, 31), **spelling})
+        assert config.fingerprint() == "e7a2f67f894b380e"  # the tuple's
+        assert config.assemblers == ("ray",) and config.kmer_list == (25, 31)
+        assert [type(k) for k in config.kmer_list] == [int, int]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        (
+            (dict(kmer_list=()), "non-empty"),
+            (dict(kmer_list=(25, 25)), "duplicate ks"),
+            (dict(kmer_list=(64,)), "3 <= k <= 63, got 64"),
+            (dict(kmer_list=(0,)), "3 <= k <= 63, got 0"),
+            (dict(assemblers=("nope",)), r"unknown assemblers \['nope'\]"),
+            (dict(assemblers=("ray", "ray")), "duplicate assemblers"),
+        ),
+    )
+    def test_a_run_that_would_fail_after_qc_is_refused_when_built(
+        self, bad, message
+    ):
+        # Each used to pass here and fail after pre-processing: a
+        # duplicate assembly result, the packed k range, a KeyError.
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**bad)

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cloud.instances import GiB, get_instance_type
-from repro.core.memory import fits_instance, task_memory_bytes
+from repro.cloud.instances import GiB
+from repro.core.memory import task_memory_bytes
 from repro.core.planner import plan_assembly, select_kmer_list
 from repro.core.schemes import MatchingScheme
 from repro.core.workflow import STAGES, WorkflowPattern, describe_pattern
 from repro.seq.datasets import B_GLUMAE, P_CRISPA
+from tests.paper_tables import PAPER_TABLE4, reproduce_table4
 
 
 class TestKmerSelection:
@@ -48,19 +49,8 @@ class TestMemoryModel:
         assert four == pytest.approx(one / 4, rel=0.01)
 
     def test_table4_cells(self):
-        c3 = get_instance_type("c3.2xlarge").memory_bytes
-        r3 = get_instance_type("r3.2xlarge").memory_bytes
-        # B. glumae: everything fits both types.
-        for task in ("preprocess", "assembly", "postprocess"):
-            assert fits_instance(B_GLUMAE, task, c3)
-            assert fits_instance(B_GLUMAE, task, r3)
-        # P. crispa: pre-processing and single-node assembly need r3.
-        assert not fits_instance(P_CRISPA, "preprocess", c3)
-        assert fits_instance(P_CRISPA, "preprocess", r3)
-        assert not fits_instance(P_CRISPA, "assembly", c3)
-        assert fits_instance(P_CRISPA, "assembly", r3)
-        # post-processing fits everywhere.
-        assert fits_instance(P_CRISPA, "postprocess", c3)
+        """Table IV's ten O/X cells, every one as the paper prints it."""
+        assert reproduce_table4() == PAPER_TABLE4
 
     def test_unknown_task(self):
         with pytest.raises(ValueError):

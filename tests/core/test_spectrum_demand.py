@@ -44,8 +44,6 @@ BUILD_SPANS = {
     "spectrum.build",
     "spectrum.extract",
     "spectrum.k",
-    "spectrum.shard",
-    "spectrum.merge",
 }
 
 
@@ -65,25 +63,19 @@ def caches():
 
 @pytest.fixture
 def supply(monkeypatch):
-    """Counts what the supply side did: sharded builds submitted, serial
-    builds run, spectrum segments created."""
-    seen = {"submits": 0, "serial_builds": 0, "segments": 0}
-    submit, build = rnnotator.submit_spectra_build, rnnotator.build_spectra
-    share = sweep.KmerSpectrum.share
-
-    def counting_submit(*args, **kwargs):
-        seen["submits"] += 1
-        return submit(*args, **kwargs)
+    """Counts what the supply side did: spectrum builds run, spectrum
+    segments created."""
+    seen = {"builds": 0, "segments": 0}
+    build, share = rnnotator.build_spectra, sweep.KmerSpectrum.share
 
     def counting_build(*args, **kwargs):
-        seen["serial_builds"] += 1
+        seen["builds"] += 1
         return build(*args, **kwargs)
 
     def counting_share(spectrum):
         seen["segments"] += not spectrum.shared
         return share(spectrum)
 
-    monkeypatch.setattr(rnnotator, "submit_spectra_build", counting_submit)
     monkeypatch.setattr(rnnotator, "build_spectra", counting_build)
     monkeypatch.setattr(sweep.KmerSpectrum, "share", counting_share)
     return seen
@@ -165,7 +157,7 @@ class TestWarmRerun:
         assert built_ks(cold_trace) == list(KS)
         assert not skips(cold_trace)
         after_cold = dict(supply)
-        assert after_cold["submits"] + after_cold["serial_builds"] == 1
+        assert after_cold["builds"] == 1
 
         warm, warm_trace = run(dataset, executor)
         assert not build_spans(warm_trace)
@@ -177,7 +169,7 @@ class TestWarmRerun:
                 "reason": "jobs satisfied",
             }
         ]
-        assert supply == after_cold  # nothing submitted, built or shared
+        assert supply == after_cold  # nothing built or shared
         assert not any(k.startswith("kmer_table.") for k in counters(warm_trace))
         assert counters(warm_trace)["assembly_cache.hit"] == N_JOBS
         assert fingerprint(warm) == fingerprint(cold)
@@ -207,7 +199,7 @@ class TestWarmRerun:
         # One unsatisfied job is enough to want the pool; the new k is
         # still counted in the parent.
         assert forks["pools"] - after_narrow["pools"] == (executor == "process")
-        assert supply["submits"] == 0 and supply["serial_builds"] == 2
+        assert supply["builds"] == 2
         assert built_ks(trace) == [31]
         assert counters(trace)["assembly_cache.hit"] == len(ASSEMBLERS)
         assert counters(trace)["assembly_cache.miss"] == len(ASSEMBLERS)
@@ -259,22 +251,6 @@ def test_a_callers_executor_sees_the_satisfied_rerun(dataset, caches):
         warm, _ = run(dataset, mine)
         assert mine.submits == 2 * N_JOBS
     assert fingerprint(warm) == fingerprint(cold)
-
-
-class TestShardedOptIn:
-    def test_only_an_explicit_shard_count_submits_shards(
-        self, dataset, caches, supply
-    ):
-        sharded, trace = run(dataset, "process", spectrum_shards=2)
-        assert (supply["submits"], supply["serial_builds"]) == (1, 0)
-        (build,) = [s for s in trace.spans if s.name == "spectrum.build"]
-        assert build.attrs["mode"] == "sharded" and build.attrs["n_shards"] == 2
-        with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
-            KmerTableCache()
-        ):
-            serial, _ = run(dataset, "serial", spectrum_shards=2)
-        assert (supply["submits"], supply["serial_builds"]) == (1, 1)
-        assert fingerprint(sharded) == fingerprint(serial)
 
 
 class TestTableCacheReuse:

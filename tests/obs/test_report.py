@@ -137,14 +137,14 @@ class TestSections:
                 "type": "span", "name": "spectrum.build", "cat": "spectrum",
                 "process": "p", "thread": "t", "v0": 10.0, "v1": 10.0,
                 "r0": 2.0, "r1": 2.5, "id": 1, "parent": None,
-                "attrs": {"mode": "sharded", "n_shards": 3},
+                "attrs": {"mode": "serial"},
             }
         ]
         text = cache_scorecard(records)
         assert "spectrum build" in text
         assert "wall 0.500 s" in text
         assert "virtual 0 s" in text
-        assert "mode sharded" in text and "shards 3" in text
+        assert "mode serial" in text and "shards" not in text
 
     def test_cache_scorecard_skipped_spectrum_build_row(self):
         def skip(**attrs):
@@ -199,8 +199,7 @@ def golden_records() -> list[dict]:
             "type": "span", "name": "spectrum.build", "cat": "spectrum",
             "process": "pilot.0", "thread": "main", "v0": 123.25,
             "v1": 123.25, "r0": 1.5, "r1": 1.75, "id": 4, "parent": None,
-            "attrs": {"mode": "sharded", "ks": [25, 31], "n_shards": 2,
-                      "n_buckets": 16},
+            "attrs": {"mode": "serial", "ks": [25, 31]},
         },
         {
             "type": "event", "name": "resource.sample", "cat": "resource",

@@ -71,6 +71,8 @@ _PLANTED = (
     "tests/assembly/test_contrail.py::TestAgainstReference"
     "::test_generated_genomes_reach_every_branch"
 )
+_CONFIG = "repro/core/rnnotator.py"
+_FINGERPRINT = "tests/core/test_pipeline.py::TestConfigFingerprint"
 _UNIT_ADVANCE = """        check_unit_transition(self.state, new)
         old = self.state
         self.state = new
@@ -353,6 +355,21 @@ ROWS: tuple[Row, ...] = (
             "tests/test_public_api.py"
             "::test_a_process_run_loads_the_pool_and_the_assemblers_in_the_parent",
         ),
+    ),
+    # PipelineConfig refuses a run that would fail after QC, when built
+    Row(
+        "config: the k list kept as the caller spelled it",
+        _CONFIG,
+        '            object.__setattr__(self, "kmer_list", ks)\n',
+        "",
+        (f"{_FINGERPRINT}::test_one_run_has_one_fingerprint_however_it_is_spelled",),
+    ),
+    Row(
+        "config: duplicate ks accepted",
+        _CONFIG,
+        "if len(set(ks)) < len(ks):",
+        "if False:",
+        (f"{_FINGERPRINT}::test_a_run_that_would_fail_after_qc_is_refused_when_built",),
     ),
 )
 
