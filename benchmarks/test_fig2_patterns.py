@@ -14,9 +14,7 @@ import functools
 import pytest
 
 from repro.bench.harness import bench_dataset, format_table
-from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
-from repro.core.schemes import MatchingScheme
-from repro.core.workflow import WorkflowPattern
+from tests.paper_tables import PAPER_FIG2, reproduce_fig2, run_fig2
 
 KS = (35, 41, 47)
 
@@ -25,40 +23,12 @@ KS = (35, 41, 47)
 def pattern_results():
     from repro.bench.calibration import calibrated_cost_model
 
-    ds = bench_dataset("B_glumae")
-    cm = calibrated_cost_model()
-    runs = {}
-    # Conventional: everything on a single fixed node (jobs serialize).
-    runs["conventional"] = RnnotatorPipeline(cm).run(
-        ds,
-        PipelineConfig(
-            assemblers=("ray",), kmer_list=KS,
-            workflow=WorkflowPattern.CONVENTIONAL,
-            scheme=MatchingScheme.S2,
-            instance_type="c3.2xlarge",
-            max_nodes=1,
-        ),
+    return run_fig2(
+        bench_dataset("B_glumae"),
+        calibrated_cost_model(),
+        assemblers=("ray",),
+        kmer_list=KS,
     )
-    # Distributed static: fixed instance type, pre-defined fleet sizing.
-    runs["static"] = RnnotatorPipeline(cm).run(
-        ds,
-        PipelineConfig(
-            assemblers=("ray",), kmer_list=KS,
-            workflow=WorkflowPattern.DISTRIBUTED_STATIC,
-            scheme=MatchingScheme.S2,
-            instance_type="c3.2xlarge",
-        ),
-    )
-    # Distributed dynamic: instance + fleet decided from runtime info.
-    runs["dynamic"] = RnnotatorPipeline(cm).run(
-        ds,
-        PipelineConfig(
-            assemblers=("ray",), kmer_list=KS,
-            workflow=WorkflowPattern.DISTRIBUTED_DYNAMIC,
-            scheme=MatchingScheme.S2,
-        ),
-    )
-    return runs
 
 
 def test_fig2_workflow_patterns(benchmark, report_sink):
@@ -83,6 +53,7 @@ def test_fig2_workflow_patterns(benchmark, report_sink):
     print("\n" + table)
 
     conv, stat, dyn = runs["conventional"], runs["static"], runs["dynamic"]
+    assert reproduce_fig2(runs) == PAPER_FIG2
     # Distributed patterns beat the conventional single-system pattern by
     # running the k-mer jobs concurrently.
     assert stat.stage_ttc("transcript-assembly") < conv.stage_ttc(

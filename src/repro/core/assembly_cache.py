@@ -1,31 +1,37 @@
-"""Content-addressed cache of assembly results.
+"""The run cache: content-addressed results of every pipeline unit.
 
 S2 VM reuse, pilot restart loops and repeated benchmark/MAMP sweeps all
-re-run assemblies over byte-identical inputs.  Every in-tree assembler
-is deterministic — the same encoded reads, parameters and rank count
-always produce the same contigs *and* the same measured
+re-run units over byte-identical inputs.  Every unit is deterministic —
+the same inputs always produce the same result *and* the same measured
 :class:`~repro.parallel.usage.ResourceUsage` — so re-running one is pure
-redundancy.  This cache keys raw results by
+redundancy.  Each result is kept under the content key its checkpoint
+record uses, and any change to the reads, a parameter or the rank count
+changes the key and misses:
 
-``(ReadStore.digest, assembler name, AssemblyParams, n_ranks)``
+* an assembly job's raw :class:`~repro.assembly.contigs.AssemblyResult`
+  under ``(ReadStore.digest, assembler name, AssemblyParams, n_ranks)``;
+  :class:`~repro.core.multikmer.AssemblyWorkload` extrapolates it to
+  paper scale per call;
+* a single-unit stage's result (QC, merge, quantification) under
+  ``("stage:preprocess", raw digest, PreprocessParams)``,
+  ``("stage:merge", fan-out keys)`` or ``("stage:quantify", filtered
+  digest, fan-out keys)``; its usage is raw too, scaled by the agent.
 
-— any change to the reads' bases/qualities/ids, to any parameter, or to
-the rank count changes the key and misses.  Cached values are the *raw*
-(unextrapolated) :class:`~repro.assembly.contigs.AssemblyResult`;
-:class:`~repro.core.multikmer.AssemblyWorkload` re-applies paper-scale
-extrapolation per call, so a hit is observably identical to a re-run:
-the cost model prices the same usage record and the virtual TTC stays
-bit-identical.  Hits surface as ``assembly_cache.hit`` counters/events
-on the active :mod:`repro.obs` tracer.
-
-Both ``get`` and ``put`` copy the mutable result shells (contig list,
-usage phases, stats dict), so callers can never poison a cached entry.
+So a hit is priced like a re-run and the virtual TTC stays bit-identical.
+Both ``get`` and ``put`` copy an entry's lists, dicts, arrays and usage
+record, so callers can never poison a cached entry; a QC entry's
+filtered :class:`~repro.seq.readstore.ReadStore` is shared read-only, as
+``ReadStore.alias()`` shares it.  ``hits`` / ``misses`` and the tracer's
+``assembly_cache.*`` counters count assembly lookups (``get``) only; the
+pipeline counts stage lookups (``lookup``) as ``stage_cache.hit`` /
+``stage_cache.miss``.  Both kinds share one LRU bound.
 
 Process-pool note: workers forked from the parent inherit the current
 cache contents copy-on-write, but their inserts stay in the worker.
 :func:`repro.core.multikmer.collect_assembly_results` therefore records
 collected results into the parent's cache, and because pools are created
 lazily per executor, later fan-outs fork workers that already see them.
+Single-unit stages always run in the parent.
 """
 
 from __future__ import annotations
@@ -33,54 +39,69 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Hashable, Iterator
+from dataclasses import fields, replace
+from typing import TYPE_CHECKING, Hashable, Iterator
 
-from repro.assembly.contigs import AssemblyResult
+import numpy as np
+
 from repro.parallel.usage import ResourceUsage
 
-CacheKey = tuple[str, str, Hashable, int]
+if TYPE_CHECKING:
+    from repro.assembly.contigs import AssemblyResult
+    from repro.core.merge import MergeResult
+    from repro.core.preprocess import PreprocessResult
+    from repro.core.quantify import QuantificationResult
+
+    Entry = AssemblyResult | PreprocessResult | MergeResult | QuantificationResult
+
+CacheKey = tuple[Hashable, ...]
 
 
-def _copy_result(result: AssemblyResult) -> AssemblyResult:
-    """Defensive copy: AssemblyResult and ResourceUsage are mutable
-    shells around immutable contents (Contig and PhaseUsage are frozen)."""
-    usage = result.usage
-    return AssemblyResult(
-        assembler=result.assembler,
-        k=result.k,
-        contigs=list(result.contigs),
-        usage=ResourceUsage(
-            phases=list(usage.phases),
-            peak_rank_memory_bytes=usage.peak_rank_memory_bytes,
-            n_ranks=usage.n_ranks,
-        ),
-        stats=dict(result.stats),
-    )
+def _copy(entry):
+    """Defensive copy of a dataclass shell: its lists, dicts and arrays
+    are copied and its usage record is copied the same way; what they
+    hold (frozen Contig and PhaseUsage, strings, numbers) is immutable."""
+    shells = {}
+    for f in fields(entry):
+        value = getattr(entry, f.name)
+        if isinstance(value, (list, dict, np.ndarray)):
+            shells[f.name] = value.copy()
+        elif isinstance(value, ResourceUsage):
+            shells[f.name] = _copy(value)
+    return replace(entry, **shells)
 
 
 class AssemblyCache:
-    """Thread-safe LRU cache of raw assembly results."""
+    """Thread-safe LRU cache of raw unit results."""
 
     def __init__(self, max_entries: int = 64) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, AssemblyResult]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key: CacheKey) -> AssemblyResult | None:
+        """An assembly job's result, counted in ``hits`` / ``misses``."""
+        entry = self.lookup(key)
+        with self._lock:
+            self.hits += entry is not None
+            self.misses += entry is None
+        return entry
+
+    def lookup(self, key: CacheKey) -> Entry | None:
+        """A copy of the entry under ``key`` (None if absent), made the
+        most recently used; counts nothing."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
-            return _copy_result(entry)
+        return _copy(entry)
 
-    def put(self, key: CacheKey, result: AssemblyResult) -> bool:
+    def put(self, key: CacheKey, result: Entry) -> bool:
         """Insert a raw result; an existing entry is kept (first write
         wins — results for one key are identical by determinism).
         Returns True when the result was inserted, False when kept."""
@@ -88,7 +109,7 @@ class AssemblyCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return False
-            self._entries[key] = _copy_result(result)
+            self._entries[key] = _copy(result)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
             return True

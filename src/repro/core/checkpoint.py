@@ -7,7 +7,7 @@ same contigs, same usage records, same virtual TTCs.  The store here
 makes that possible by durably recording two kinds of outcomes:
 
 * **unit records** — the full workload outcome of a DONE compute unit
-  (raw result, *pre-scaling* measured usage, real wall seconds, and the
+  (result, the usage the workload returned, real wall seconds, and the
   buffered worker trace), keyed by the unit's content address.  For
   assembly units that key is ``(ReadStore digest, assembler, params,
   sweep k·ranks)`` — the same address the in-memory
@@ -59,9 +59,13 @@ def checkpoint_key_id(key: Any) -> str:
 class UnitCheckpoint:
     """The durable outcome of one DONE compute unit.
 
-    ``usage`` is the *raw measured* usage (before the agent's 1/scale
-    extrapolation): replay re-runs the identical pricing path, so the
-    virtual TTC of a replayed unit equals the original's exactly.
+    ``usage`` is what the workload returned, before the agent's 1/scale
+    extrapolation: a single-unit stage's raw measured usage, or an
+    assembly job's usage already extrapolated to paper scale.  Replay
+    re-runs the identical pricing path, and an assembly job's replay
+    prices the raw usage its ``result`` carries with the *current*
+    workload's ratios (its key holds no scale), so the virtual TTC of a
+    replayed unit equals a live run's exactly.
     """
 
     result: Any

@@ -163,12 +163,17 @@ class AssemblyWorkload:
             result = self._assemble()
             if cache is not None:
                 cache.put(key, result)
-        usage = result.usage
-        if self.read_scale is not None and self.graph_scale is not None:
-            usage = paper_usage_from_scales(
-                usage, self.read_scale, self.graph_scale
-            )
-        return result, usage
+        return result, self.priced(result)
+
+    def priced(self, result: AssemblyResult):
+        """The usage this workload charges for ``result``: its raw usage,
+        extrapolated with this workload's ratios when they are set.  A
+        cache hit and a checkpoint replay are priced here like a run."""
+        if self.read_scale is None or self.graph_scale is None:
+            return result.usage
+        return paper_usage_from_scales(
+            result.usage, self.read_scale, self.graph_scale
+        )
 
 
 def make_assembly_workload(

@@ -294,7 +294,7 @@ class _Run:
     clock: SimClock = field(default_factory=SimClock)
     stages: list[StageReport] = field(default_factory=list)
     #: The raw reads, encoded exactly once: QC is array work on this
-    #: store, and its digest is the checkpoint's content address.
+    #: store, and its digest is QC's content address.
     raw_store: ReadStore | None = field(init=False)
     #: Unit outcomes are keyed by content (ReadStore digests and
     #: assembly params); stage markers additionally carry the config's
@@ -423,24 +423,35 @@ def _single_unit_stage(
     *,
     name: str,
     memory_bytes: int,
-    checkpoint_key,
+    key,
     undersized: bool = False,
     **io_bytes: int,
 ):
     """Run ``compute()`` as the one unit of ``stage`` on ``um``'s pilot
-    (its result carries its own ``usage``) and close the stage with
+    (its result carries its own raw ``usage``) and close the stage with
     ``notes(result)``; returns the result.  The workload runs serially:
-    it is a closure over the run.  Its content address
-    ``checkpoint_key()`` is only taken when checkpointing.
+    it is a closure over the run.  Its content address ``key()``, taken
+    only when the run cache or checkpointing is on, keys both: a cached
+    result stands in for ``compute()`` alone, so a hit is dispatched,
+    priced and traced like a live run.
 
     ``undersized`` marks the stage whose pilot a static workflow may have
     sized too small for its input (P_A): its failures name the instance
     type and say so, scheduling errors included.
     """
     (pilot,) = um.pilots
+    cache = get_assembly_cache()
+    content = None if cache is None and run.ckpt is None else key()
 
     def work():
-        result = compute()
+        result = None
+        if cache is not None:
+            result = cache.lookup(content)
+            get_tracer().count(f"stage_cache.{'miss' if result is None else 'hit'}")
+        if result is None:
+            result = compute()
+            if cache is not None:
+                cache.put(content, result)
         return result, result.usage
 
     t0 = run.clock.now
@@ -452,7 +463,7 @@ def _single_unit_stage(
         memory_bytes=memory_bytes,
         scale=run.dataset.read_scale,
         stage=stage,
-        checkpoint_key=None if run.ckpt is None else checkpoint_key(),
+        checkpoint_key=None if run.ckpt is None else content,
         **io_bytes,
     )
     (unit,) = um.submit_units([desc])
@@ -521,7 +532,7 @@ def _preprocess_stage(run: _Run) -> None:
         lambda pre: f"{pre.output_reads}/{pre.input_reads} reads kept",
         name="preprocess",
         memory_bytes=pre_mem,
-        checkpoint_key=lambda: (
+        key=lambda: (
             "stage:preprocess", run.raw_store.digest, config.preprocess_params
         ),
         undersized=True,
@@ -823,7 +834,7 @@ def _postprocess_stage(run: _Run) -> None:
         lambda m: f"{m.input_contigs} -> {m.output_contigs} contigs",
         name="postprocess-merge",
         memory_bytes=task_memory_bytes(spec, "postprocess"),
-        checkpoint_key=lambda: ("stage:merge", run.fanout_keys),
+        key=lambda: ("stage:merge", run.fanout_keys),
     )
 
 
@@ -840,7 +851,7 @@ def _quantification_stage(run: _Run) -> None:
         name="quantification",
         memory_bytes=task_memory_bytes(run.spec, "postprocess"),
         # Depends on the pre-processed reads as well as the fan-out.
-        checkpoint_key=lambda: ("stage:quantify", store.digest, run.fanout_keys),
+        key=lambda: ("stage:quantify", store.digest, run.fanout_keys),
     )
 
 

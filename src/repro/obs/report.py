@@ -10,7 +10,7 @@
 * the top-k hottest phases by charged critical-path compute (from the
   ``phase`` events the usage layer emits);
 * the caching scorecard (count-once k-mer table reuse and the
-  content-addressed assembly cache, from their tracer counters);
+  content-addressed run cache, from their tracer counters);
 * the alert log (when the trace carries rules-engine firings);
 * the per-run cost attribution (when the trace carries billing spans);
 * the metrics snapshot.
@@ -156,9 +156,10 @@ def cache_scorecard(records: Iterable[dict] | RunState) -> str:
     count-once spectrum build's wall/virtual cost.
 
     Mirrors the ``kmer_table.*`` counters of the count-once fusion layer
-    (:mod:`repro.assembly.sweep`) and the ``assembly_cache.*`` counters
-    (lookups plus parent-side ``put`` recording) into a first-class
-    report section; when the trace carries ``spectrum.build`` spans, a
+    (:mod:`repro.assembly.sweep`), the ``assembly_cache.*`` counters
+    (lookups plus parent-side ``put`` recording) and the ``stage_cache.*``
+    counters into a first-class report section, a row per cache whose
+    counters exist; when the trace carries ``spectrum.build`` spans, a
     row reports the build's real host seconds against its (zero, by
     construction) virtual cost and mode; a run whose demand-driven
     spectrum stage built nothing carries a ``spectrum.skip`` event
@@ -169,6 +170,7 @@ def cache_scorecard(records: Iterable[dict] | RunState) -> str:
     for label, prefix, extra in (
         ("kmer table cache", "kmer_table", [("bytes cached", "bytes")]),
         ("assembly cache", "assembly_cache", [("puts", "put")]),
+        ("stage cache", "stage_cache", []),
     ):
         hits = counters.get(f"{prefix}.hit", 0.0)
         misses = counters.get(f"{prefix}.miss", 0.0)

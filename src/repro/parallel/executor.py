@@ -164,6 +164,11 @@ class DelayedWorkload:
         time.sleep(self.delay_seconds)
         return self.work()
 
+    @property
+    def priced(self):
+        """The wrapped workload's pricing of a replayed result, if any."""
+        return getattr(self.work, "priced", None)
+
 
 def run_workload(
     work: Workload, context: SpanContext | None = None

@@ -161,16 +161,19 @@ class PilotAgent:
         # A checkpointed outcome substitutes for the real computation but
         # still travels the full dispatch/collect/SGE path below, so the
         # replay is bit-identical in results, virtual TTC and trace
-        # structure (see repro.core.checkpoint).
+        # structure (see repro.core.checkpoint).  A workload that prices
+        # its own result (an assembly job extrapolates it to paper scale)
+        # prices the stored result again: the key holds no scale.
         work = unit.description.work
         replayed = False
         key = unit.description.checkpoint_key
         if self.checkpoint is not None and key is not None:
             record = self.checkpoint.get_unit(key)
             if record is not None:
+                priced = getattr(work, "priced", None)
                 work = ReplayWorkload(
                     result=record.result,
-                    usage=record.usage,
+                    usage=record.usage if priced is None else priced(record.result),
                     wall_seconds=record.wall_seconds,
                     worker_trace=record.worker_trace,
                 )
@@ -315,7 +318,7 @@ class PilotAgent:
         unit.real_seconds = outcome.wall_seconds
         key = unit.description.checkpoint_key
         if self.checkpoint is not None and key is not None and not replayed:
-            # Record the *raw* outcome (pre-scaling usage): replay runs
+            # Record the outcome as returned (before 1/scale): replay runs
             # the identical pricing path, so TTCs match bit-for-bit.
             from repro.core.checkpoint import UnitCheckpoint
 

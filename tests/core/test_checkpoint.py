@@ -8,6 +8,7 @@ path with only the computation substituted.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -204,6 +205,30 @@ class TestKillAndResume:
             (s.name, s.ttc) for s in baseline.stages
         ]
         assert resumed.checkpoint_stats["stages_recorded"] == len(STAGE_NAMES)
+
+    @pytest.mark.parametrize(
+        "faults", [FaultPlan(), FaultPlan(straggle_unit="ray", straggle_seconds=1e-3)]
+    )
+    def test_a_resume_at_another_scale_prices_like_a_fresh_run(
+        self, ds_single, tmp_path, faults
+    ):
+        """An assembly record holds its raw result, not the old run's
+        extrapolation: resumed over the same reads at twice the data set
+        scale, every replayed unit is priced at the new scale, also when
+        the straggler drill wraps its workload."""
+        config = PipelineConfig(assemblers=("ray",), kmer_list=(25,))
+        scaled = replace(ds_single, scale=2 * ds_single.scale)
+        resuming = replace(config, checkpoint_dir=str(tmp_path / "ck"))
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            RnnotatorPipeline().run(ds_single, resuming)
+            resumed = RnnotatorPipeline(faults=faults).run(scaled, resuming)
+            fresh = RnnotatorPipeline().run(scaled, config)
+        assert resumed.checkpoint_stats["unit_hits"] == 4
+        assert [(s.name, s.ttc) for s in resumed.stages] == [
+            (s.name, s.ttc) for s in fresh.stages
+        ]
+        assert resumed.total_ttc == fresh.total_ttc == pytest.approx(444.878, abs=1e-3)
+        assert resumed.total_cost == fresh.total_cost
 
     def test_unknown_abort_stage_is_rejected(self):
         """A misspelt drill must not "pass" by never firing."""

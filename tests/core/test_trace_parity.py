@@ -9,6 +9,7 @@ values exactly, and the archived JSONL is well-formed on both clocks.
 
 import pytest
 
+from repro.core.assembly_cache import AssemblyCache, use_assembly_cache
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.obs import Tracer, load_jsonl, use_tracer, write_jsonl
 from repro.obs.report import build_report, stage_ttcs
@@ -18,10 +19,13 @@ CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
 
 @pytest.fixture(scope="module")
 def traced(ds_single):
+    """A cold traced run: a fresh run cache, so every layer computes
+    (and records) whatever earlier tests left in the process-wide one."""
     tracer = Tracer()
-    result = RnnotatorPipeline(tracer=tracer).run(
-        ds_single, PipelineConfig(**CONFIG)
-    )
+    with use_assembly_cache(AssemblyCache()):
+        result = RnnotatorPipeline(tracer=tracer).run(
+            ds_single, PipelineConfig(**CONFIG)
+        )
     return result, tracer
 
 

@@ -131,6 +131,17 @@ class TestSections:
             == ""
         )
 
+    def test_cache_scorecard_stage_cache_row_only_with_its_counters(self):
+        def trace(**counters):
+            return [{"type": "metrics", "data": {"counters": counters}}]
+
+        text = cache_scorecard(
+            trace(**{"stage_cache.hit": 3, "stage_cache.miss": 1})
+        )
+        assert "  stage cache        hits 3  misses 1  hit rate 75%" in text
+        text = cache_scorecard(trace(**{"assembly_cache.hit": 2}))
+        assert "assembly cache" in text and "stage cache" not in text
+
     def test_cache_scorecard_spectrum_build_row(self):
         records = [
             {

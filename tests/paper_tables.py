@@ -3,6 +3,8 @@ them and the benchmarks under ``benchmarks/`` render them."""
 
 from repro.cloud.instances import get_instance_type
 from repro.core.memory import fits_instance
+from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
+from repro.core.workflow import WorkflowPattern
 from repro.seq.datasets import B_GLUMAE, P_CRISPA
 
 #: Table IV's ground truth: (task, dataset) -> (c3.2xlarge, r3.2xlarge),
@@ -43,3 +45,53 @@ def reproduce_table4() -> dict[tuple[str, str], tuple[str, str]]:
             "O" if fits_instance(spec, key, r3) else "X",
         )
     return out
+
+
+#: Fig. 2's three workflow patterns, as the knobs that tell them apart:
+#: the conventional pattern holds every pilot on one fixed node, the
+#: distributed static one fixes the instance type, and the distributed
+#: dynamic one decides both at run time.
+FIG2_PATTERNS = {
+    "conventional": dict(
+        workflow=WorkflowPattern.CONVENTIONAL,
+        instance_type="c3.2xlarge",
+        max_nodes=1,
+    ),
+    "static": dict(
+        workflow=WorkflowPattern.DISTRIBUTED_STATIC, instance_type="c3.2xlarge"
+    ),
+    "dynamic": dict(workflow=WorkflowPattern.DISTRIBUTED_DYNAMIC),
+}
+
+#: Fig. 2's ground truth: each distributed pattern's total TTC and cost
+#: against the conventional pattern's.  Spreading the k-mer jobs over
+#: more nodes finishes sooner and bills more instance-hours; the
+#: transcripts are the same under every pattern.
+PAPER_FIG2 = {
+    "static": ("TTC <=", "cost >="),
+    "dynamic": ("TTC <=", "cost >="),
+}
+
+
+def run_fig2(dataset, cost_model=None, **knobs) -> dict:
+    """One pipeline run per pattern, in ``FIG2_PATTERNS`` order; ``knobs``
+    are the config every pattern shares."""
+    return {
+        name: RnnotatorPipeline(cost_model).run(
+            dataset, PipelineConfig(**knobs, **pattern)
+        )
+        for name, pattern in FIG2_PATTERNS.items()
+    }
+
+
+def reproduce_fig2(runs: dict) -> dict[str, tuple[str, str]]:
+    """``PAPER_FIG2``'s cells as the runs decide them."""
+    conv = runs["conventional"]
+    return {
+        name: (
+            "TTC <=" if r.total_ttc <= conv.total_ttc else "TTC >",
+            "cost >=" if r.total_cost >= conv.total_cost else "cost <",
+        )
+        for name, r in runs.items()
+        if name != "conventional"
+    }

@@ -25,3 +25,11 @@ def test_row_applies(row):
     assert row.old != row.new
     for test in row.tests:
         assert (ROOT / test.split("::")[0]).is_file(), test
+
+
+def test_ci_runs_every_group_in_its_own_budget():
+    """The gate is split into one CI step per group; the groups partition
+    the rows, so a step per group runs every row."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    for group in {mutants._group(row) for row in mutants.ROWS}:
+        assert f"run: timeout 90 python tools/mutants.py --group {group}\n" in ci

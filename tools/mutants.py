@@ -8,8 +8,12 @@ runs only the row's tests, with ``-x``, against the copy.  A row whose
 tests still pass is a *survivor*.  Rows run concurrently, one per CPU,
 each in its own copy; what they print and the survivors stay in row order.
 
-    python tools/mutants.py             # every row
-    python tools/mutants.py -k merge    # rows whose name contains "merge"
+    python tools/mutants.py                   # every row
+    python tools/mutants.py -k merge          # rows whose name contains "merge"
+    python tools/mutants.py --group assembly  # rows on src/repro/assembly/
+    python tools/mutants.py --group other     # every other row
+
+CI runs the two groups as two steps, each inside its own time budget.
 
 First the union of the selected rows' tests runs once on an unmodified
 copy: a row counts as killed only by tests that pass without it.
@@ -73,6 +77,7 @@ _PLANTED = (
 )
 _CONFIG = "repro/core/rnnotator.py"
 _FINGERPRINT = "tests/core/test_pipeline.py::TestConfigFingerprint"
+_STAGE_CACHE = "tests/core/test_stage_cache.py"
 _UNIT_ADVANCE = """        check_unit_transition(self.state, new)
         old = self.state
         self.state = new
@@ -371,7 +376,43 @@ ROWS: tuple[Row, ...] = (
         "if False:",
         (f"{_FINGERPRINT}::test_a_run_that_would_fail_after_qc_is_refused_when_built",),
     ),
+    # the run cache answers the single-unit stages by their content keys
+    Row(
+        "stage cache: the QC key without the QC parameters",
+        _CONFIG,
+        '"stage:preprocess", run.raw_store.digest, config.preprocess_params',
+        '"stage:preprocess", run.raw_store.digest',
+        (f"{_STAGE_CACHE}::TestKeySensitivity::test_other_qc_parameters_miss_every_stage",),
+    ),
+    Row(
+        "stage cache: the quantify key without the reads it joins",
+        _CONFIG,
+        '("stage:quantify", store.digest, run.fanout_keys)',
+        '("stage:quantify", run.fanout_keys)',
+        (f"{_STAGE_CACHE}::test_the_keys_are_the_checkpoint_keys",),
+    ),
+    Row(
+        "cache: a lookup returns the cached entry, not a copy",
+        "repro/core/assembly_cache.py",
+        "        return _copy(entry)\n",
+        "        return entry\n",
+        (f"{_STAGE_CACHE}::test_mutating_a_result_leaves_the_next_rerun_unchanged",),
+    ),
+    Row(
+        "checkpoint: a replayed assembly charged at the old run's scale",
+        "repro/pilot/agent.py",
+        "usage=record.usage if priced is None else priced(record.result),",
+        "usage=record.usage,",
+        (
+            "tests/core/test_checkpoint.py::TestKillAndResume"
+            "::test_a_resume_at_another_scale_prices_like_a_fresh_run",
+        ),
+    ),
 )
+
+
+def _group(row: Row) -> str:
+    return "assembly" if row.file.startswith("repro/assembly/") else "other"
 
 
 def _copy_src(dest: Path) -> Path:
@@ -428,8 +469,13 @@ def _run_row(row: Row, dest: Path) -> tuple[str, str | None]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-k", default="", help="only rows whose name contains this")
+    ap.add_argument(
+        "--group",
+        choices=("assembly", "other"),
+        help="only the rows on src/repro/assembly/, or only the others",
+    )
     args = ap.parse_args(argv)
-    rows = [r for r in ROWS if args.k in r.name]
+    rows = [r for r in ROWS if args.k in r.name and args.group in (None, _group(r))]
     if not rows:
         print(f"no row matches {args.k!r}", file=sys.stderr)
         return 1
