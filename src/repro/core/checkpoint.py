@@ -18,10 +18,11 @@ makes that possible by durably recording two kinds of outcomes:
   ``(input digest, config fingerprint, stage name)``, used for resume
   reporting ("3 of 5 stages were already complete").
 
-On resume the pilot agent replays a hit *through the regular execution
-path* (executor dispatch, SGE pricing on the virtual clock, trace
-emission), substituting only the real computation — which is what makes
-the replay bit-identical AND structurally indistinguishable in traces.
+The pilot agent asks this store about a unit's key first, before the run
+cache.  It replays a hit *through the regular execution path* (the
+configured executor, SGE pricing on the virtual clock, trace emission),
+substituting only the real computation — which is what makes the replay
+bit-identical AND structurally indistinguishable in traces.
 
 Durability model: records are single pickle files written atomically
 (tmp + fsync + ``os.replace``), so a kill at any instant leaves either
@@ -65,7 +66,8 @@ class UnitCheckpoint:
     re-runs the identical pricing path, and an assembly job's replay
     prices the raw usage its ``result`` carries with the *current*
     workload's ratios (its key holds no scale), so the virtual TTC of a
-    replayed unit equals a live run's exactly.
+    replayed unit equals a live run's exactly.  The fields are those of
+    :class:`~repro.parallel.executor.ReplayWorkload`, built from them.
     """
 
     result: Any

@@ -10,10 +10,11 @@ encoded one time into a shared :class:`~repro.seq.readstore.ReadStore`,
 their k-mers counted one time per k into a shared
 :class:`~repro.assembly.sweep.KmerSpectrum`, and every workload carries
 only cheap references to both — O(1) to pickle under the process backend
-(shared-memory handles), zero per-unit copying.  A content-addressed
-:class:`~repro.core.assembly_cache.AssemblyCache` keyed by the store
-digest short-circuits byte-identical re-runs (VM reuse, restarts,
-repeated sweeps) with bit-identical results and virtual TTCs.
+(shared-memory handles), zero per-unit copying.  Each unit carries its
+job's :func:`content_key`, by which the pilot agent serves byte-identical
+re-runs (VM reuse, restarts, repeated sweeps) from the checkpoint store
+or the :class:`~repro.core.assembly_cache.AssemblyCache` with
+bit-identical results and virtual TTCs; a workload only computes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.assembly.contigs import AssemblyResult
 from repro.assembly.registry import get_assembler
 from repro.assembly.sweep import KmerSpectrum
 from repro.cloud.instances import get_instance_type
-from repro.core.assembly_cache import get_assembly_cache
 from repro.core.scaling import paper_usage_from_scales
 from repro.core.memory import task_memory_bytes
 from repro.core.planner import AssemblyPlan
@@ -70,9 +70,7 @@ class AssemblyWorkload:
     then submitted with ``scale=1``).
 
     ``store`` is the encode-once read set: the workload pickles to a
-    constant-size shared-memory handle regardless of read count, and
-    consults the active content-addressed assembly cache (if any) before
-    running.
+    constant-size shared-memory handle regardless of read count.
 
     ``spectrum`` is the count-once k-mer content of ``store`` at the
     job's k (:func:`spectrum_k`), O(1) to pickle like the store.  One
@@ -94,12 +92,6 @@ class AssemblyWorkload:
     graph_scale: float | None = None
     spectrum: KmerSpectrum | None = None
 
-    def cache_key(self) -> tuple:
-        """Content address of this workload."""
-        return content_key(
-            self.store, self.assembler_name, self.params, self.n_ranks
-        )
-
     def _assemble(self) -> AssemblyResult:
         kwargs = (
             {"n_ranks": self.n_ranks}
@@ -110,65 +102,20 @@ class AssemblyWorkload:
             self.store, self.params, spectrum=self.spectrum, **kwargs
         )
 
-    def record_result(self, result: AssemblyResult) -> None:
-        """Insert a collected *raw* result into the active cache.
-
-        Called by :func:`collect_assembly_results` on the parent side so
-        results computed in pool workers (whose in-worker cache inserts
-        never cross the process boundary) become hits for later sweeps.
-        """
-        cache = get_assembly_cache()
-        if cache is not None:
-            inserted = cache.put(self.cache_key(), result)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count("assembly_cache.put")
-                tracer.event(
-                    "assembly_cache.put",
-                    category="cache",
-                    assembler=self.assembler_name,
-                    k=self.params.k,
-                    n_ranks=self.n_ranks,
-                    outcome="inserted" if inserted else "kept",
-                )
-
     def __call__(self):
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "assembly_workload",
-                category="workload",
-                assembler=self.assembler_name,
-                k=self.params.k,
-            ):
-                return self._execute(tracer)
-        return self._execute(tracer)
-
-    def _execute(self, tracer):
-        key = self.cache_key()
-        cache = get_assembly_cache()
-        result = cache.get(key) if cache is not None else None
-        if cache is not None and tracer.enabled:
-            outcome = "hit" if result is not None else "miss"
-            tracer.count(f"assembly_cache.{outcome}")
-            tracer.event(
-                "assembly_cache.lookup",
-                category="cache",
-                assembler=self.assembler_name,
-                k=self.params.k,
-                n_ranks=self.n_ranks,
-                outcome=outcome,
-            )
-        if result is None:
+        with get_tracer().span(
+            "assembly_workload",
+            category="workload",
+            assembler=self.assembler_name,
+            k=self.params.k,
+        ):
             result = self._assemble()
-            if cache is not None:
-                cache.put(key, result)
         return result, self.priced(result)
 
     def priced(self, result: AssemblyResult):
         """The usage this workload charges for ``result``: its raw usage,
-        extrapolated with this workload's ratios when they are set.  A
-        cache hit and a checkpoint replay are priced here like a run."""
+        extrapolated with this workload's ratios when they are set.  The
+        agent prices a run-cache hit and a checkpoint replay here too."""
         if self.read_scale is None or self.graph_scale is None:
             return result.usage
         return paper_usage_from_scales(
@@ -275,9 +222,9 @@ def assembly_unit_descriptions(
     forked afterwards inherit it instead of compiling it on every run.
 
     Every unit carries a ``checkpoint_key`` — the job's
-    :func:`content_key`, the same address the assembly cache uses — so
-    runs with a durable checkpoint store resume the fan-out
-    bit-identically.  ``max_restarts`` lets callers survive transient
+    :func:`content_key` — by which the pilot agent replays a checkpoint
+    record or serves a run-cache hit, so a resumed fan-out or a warm
+    rerun is bit-identical.  ``max_restarts`` lets callers survive transient
     failures (spot preemption) by retrying.
     """
     by_k = {sp.k: sp for sp in spectra}
@@ -329,10 +276,6 @@ def assembly_unit_descriptions(
 def collect_assembly_results(units) -> dict[tuple[str, int], AssemblyResult]:
     """Map finished assembly units back to (assembler, k) keys.
 
-    Also records each collected raw result into the assembly cache (see
-    :meth:`AssemblyWorkload.record_result`) so results computed inside
-    pool workers are available as parent-side hits for later sweeps.
-
     Raises :class:`ValueError` when two finished units map to the same
     ``(assembler, k)`` key — a silent overwrite here would drop one
     unit's contigs and usage from the merge without any signal.
@@ -340,9 +283,6 @@ def collect_assembly_results(units) -> dict[tuple[str, int], AssemblyResult]:
     out: dict[tuple[str, int], AssemblyResult] = {}
     for u in units:
         if u.result is not None:
-            work = u.description.work
-            if isinstance(work, AssemblyWorkload):
-                work.record_result(u.result)
             key = (u.description.tags["assembler"], u.description.tags["k"])
             if key in out:
                 raise ValueError(

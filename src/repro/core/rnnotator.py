@@ -48,7 +48,6 @@ from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import (
     DelayedWorkload,
     ProcessExecutor,
-    SerialExecutor,
     WorkloadExecutor,
     make_executor,
 )
@@ -316,7 +315,6 @@ class _Run:
     spectra: tuple[KmerSpectrum, ...] = field(init=False)
     computing: frozenset[tuple] = field(init=False)
     missing_ks: tuple[int, ...] = field(init=False)
-    executor: WorkloadExecutor = field(init=False)
     prediction: RunPrediction = field(init=False)
     pb: Pilot = field(init=False)
     umb: UnitManager = field(init=False)
@@ -401,13 +399,16 @@ def _close_stage(
 
 
 def _unit_manager(run: _Run, pilot: Pilot, **fanout) -> UnitManager:
-    """A unit manager over ``pilot`` alone; ``fanout`` is what only the
-    assembly stage sets (its executor backend and elastic pool)."""
+    """A unit manager over ``pilot`` alone, asking the run's checkpoint
+    store and the active run cache about every keyed unit; ``fanout`` is
+    what only the assembly stage sets (its executor backend and elastic
+    pool)."""
     um = UnitManager(
         run.events,
         scheduler=MemoryAwareScheduler(),
         cost_model=run.cost_model,
         checkpoint=run.ckpt,
+        cache=get_assembly_cache(),
         **fanout,
     )
     um.add_pilot(pilot)
@@ -430,28 +431,18 @@ def _single_unit_stage(
     """Run ``compute()`` as the one unit of ``stage`` on ``um``'s pilot
     (its result carries its own raw ``usage``) and close the stage with
     ``notes(result)``; returns the result.  The workload runs serially:
-    it is a closure over the run.  Its content address ``key()``, taken
-    only when the run cache or checkpointing is on, keys both: a cached
-    result stands in for ``compute()`` alone, so a hit is dispatched,
-    priced and traced like a live run.
+    it is a closure over the run.  ``key`` is its content address, by
+    which the agent answers it from the checkpoint store or the run
+    cache instead of calling ``compute()``.
 
     ``undersized`` marks the stage whose pilot a static workflow may have
     sized too small for its input (P_A): its failures name the instance
     type and say so, scheduling errors included.
     """
     (pilot,) = um.pilots
-    cache = get_assembly_cache()
-    content = None if cache is None and run.ckpt is None else key()
 
     def work():
-        result = None
-        if cache is not None:
-            result = cache.lookup(content)
-            get_tracer().count(f"stage_cache.{'miss' if result is None else 'hit'}")
-        if result is None:
-            result = compute()
-            if cache is not None:
-                cache.put(content, result)
+        result = compute()
         return result, result.usage
 
     t0 = run.clock.now
@@ -463,7 +454,7 @@ def _single_unit_stage(
         memory_bytes=memory_bytes,
         scale=run.dataset.read_scale,
         stage=stage,
-        checkpoint_key=None if run.ckpt is None else content,
+        checkpoint_key=key,
         **io_bytes,
     )
     (unit,) = um.submit_units([desc])
@@ -532,9 +523,7 @@ def _preprocess_stage(run: _Run) -> None:
         lambda pre: f"{pre.output_reads}/{pre.input_reads} reads kept",
         name="preprocess",
         memory_bytes=pre_mem,
-        key=lambda: (
-            "stage:preprocess", run.raw_store.digest, config.preprocess_params
-        ),
+        key=("stage:preprocess", run.raw_store.digest, config.preprocess_params),
         undersized=True,
         input_bytes=spec.fastq_bytes,
         output_bytes=spec.preprocessed_bytes,
@@ -576,9 +565,9 @@ def _close_spectra(run: _Run) -> None:
 
 
 def _spectrum_demand_stage(run: _Run) -> None:
-    """Which jobs compute, which k they read, and the backend they run
-    on.  Fills ``computing``, ``spectra`` (the table cache's hits so
-    far), ``missing_ks``, ``fanout`` and ``executor``.
+    """Which jobs compute and which k they read.  Fills ``computing``,
+    ``spectra`` (the table cache's hits so far), ``missing_ks`` and
+    ``fanout``.
 
     K-mers are counted only for jobs that will read them.  A job is
     *satisfied* when its content key is already in the assembly cache or
@@ -596,11 +585,11 @@ def _spectrum_demand_stage(run: _Run) -> None:
     table_cache = get_kmer_table_cache()
     asm_cache = get_assembly_cache()
     tracer = get_tracer()
-    cache_hits = [asm_cache is not None and j.key in asm_cache for j in jobs]
     unsatisfied = [
         j
-        for j, hit in zip(jobs, cache_hits)
-        if not (hit or (ckpt is not None and ckpt.has_unit(j.key)))
+        for j in jobs
+        if not (asm_cache is not None and j.key in asm_cache)
+        and not (ckpt is not None and ckpt.has_unit(j.key))
     ]
     run.computing = frozenset(j.key for j in unsatisfied)
     needed_ks = sorted({j.spectrum_k for j in unsatisfied})
@@ -622,25 +611,6 @@ def _spectrum_demand_stage(run: _Run) -> None:
             jobs_satisfied=len(jobs) - len(unsatisfied),
             reason="spectra cached" if needed_ks else "jobs satisfied",
         )
-    # The assembly fan-out is where task-level parallelism lives:
-    # its workloads are picklable AssemblyWorkload callables, so
-    # any executor backend can spread them over the host's cores.
-    # A pool is for jobs that compute: when the assembly cache
-    # holds every job the fan-out is one lookup per job, run
-    # inline — no fork, no segment, nothing pickled, and the hits
-    # are counted in the process that reads the counters.  (A
-    # hit evicted since the probe is computed inline too.)  Only
-    # a backend the pipeline would have made itself is replaced:
-    # a caller's executor instance sees every dispatch.
-    # Checkpoint replays keep the configured backend: their
-    # dispatch path is trace-transparent (see ReplayWorkload).
-    if jobs and all(cache_hits) and isinstance(config.executor, str):
-        run.executor = SerialExecutor()
-    else:
-        run.executor = make_executor(config.executor, config.executor_workers)
-    if isinstance(config.executor, str):
-        # The pipeline owns backends it created.
-        run.fanout.callback(run.executor.shutdown)
 
 
 def _prediction_stage(run: _Run) -> None:
@@ -678,8 +648,9 @@ def _prediction_stage(run: _Run) -> None:
 
 
 def _provision_stage(run: _Run) -> None:
-    """Pilot P_B on ``plan.n_nodes``, with the fault plan's preemptor and
-    S3's elastic pool.  Fills ``pb`` and ``umb``."""
+    """Pilot P_B on ``plan.n_nodes``, with the fault plan's preemptor,
+    S3's elastic pool and the configured backend.  Fills ``pb`` and
+    ``umb``."""
     config, faults, region, events = run.config, run.faults, run.region, run.events
     n_nodes = run.plan.n_nodes
     pb = run.pb = run.pm.submit(PilotDescription("P_B", run.itype, n_nodes=n_nodes))
@@ -719,7 +690,14 @@ def _provision_stage(run: _Run) -> None:
         if preemptor is not None:
             preemptor.on_preempt.append(elastic.on_preempt)
 
-    run.umb = _unit_manager(run, pb, executor=run.executor, elastic=elastic)
+    # Any backend can spread the fan-out's picklable workloads over the
+    # host's cores; a pool forks at its first submit, which no hit reaches.
+    run.umb = _unit_manager(
+        run,
+        pb,
+        executor=make_executor(config.executor, config.executor_workers),
+        elastic=elastic,
+    )
     if isinstance(config.executor, str):
         run.fanout.callback(run.umb.close)  # heartbeat threads, then the pool
 
@@ -739,7 +717,7 @@ def _spectrum_supply_stage(run: _Run) -> None:
         if table_cache is not None:
             for sp in built:
                 table_cache.put(sp)
-    if isinstance(run.executor, ProcessExecutor):
+    if isinstance(run.umb.executor, ProcessExecutor):
         # Move every spectrum into shared memory BEFORE the
         # pool's first fan-out submit: the pool forks at that
         # submit, so its workers find the live segments in the
@@ -834,7 +812,7 @@ def _postprocess_stage(run: _Run) -> None:
         lambda m: f"{m.input_contigs} -> {m.output_contigs} contigs",
         name="postprocess-merge",
         memory_bytes=task_memory_bytes(spec, "postprocess"),
-        key=lambda: ("stage:merge", run.fanout_keys),
+        key=("stage:merge", run.fanout_keys),
     )
 
 
@@ -851,7 +829,7 @@ def _quantification_stage(run: _Run) -> None:
         name="quantification",
         memory_bytes=task_memory_bytes(run.spec, "postprocess"),
         # Depends on the pre-processed reads as well as the fan-out.
-        key=lambda: ("stage:quantify", store.digest, run.fanout_keys),
+        key=("stage:quantify", store.digest, run.fanout_keys),
     )
 
 

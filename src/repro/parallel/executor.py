@@ -126,15 +126,15 @@ def _init_worker(
 
 @dataclass(frozen=True)
 class ReplayWorkload:
-    """A checkpointed outcome standing in for the real computation.
+    """A stored outcome standing in for the real computation.
 
-    Resume-from-checkpoint must be *trace-transparent*: a replayed unit
-    travels the identical dispatch path (executor submit, pickle
-    measurement, pool round-trip) so the resumed run's trace has the
-    same structure as an uninterrupted one.  Only the workload body is
-    substituted: :func:`run_workload` short-circuits to the stored
-    outcome — including the original worker trace, whose spans and
-    events are re-merged parent-side exactly like a live run's.
+    A checkpoint replay must be *trace-transparent*: it travels the
+    identical dispatch path (executor submit, pickle measurement, pool
+    round-trip) so the resumed run's trace has the same structure as an
+    uninterrupted one; a run-cache hit runs on an inline executor.  Only
+    the workload body is substituted: :func:`run_workload` short-circuits
+    to the stored outcome — including a checkpoint's worker trace, whose
+    spans and events are re-merged parent-side like a live run's.
     """
 
     result: Any

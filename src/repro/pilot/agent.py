@@ -10,8 +10,9 @@ distributed assemblers.
 
 Execution is split into two phases so workloads can run concurrently:
 
-* :meth:`PilotAgent.submit` performs the static capacity check and
-  dispatches the workload to the executor backend;
+* :meth:`PilotAgent.submit` performs the static capacity check, answers
+  the unit's content key from the checkpoint store or the run cache,
+  and dispatches the workload to the executor backend;
 * :meth:`PilotAgent.collect` (or :meth:`PilotAgent.drain`) blocks on the
   workload's outcome, prices it, and enqueues the SGE job whose
   completion callback binds the result back into the unit on the
@@ -47,6 +48,7 @@ from repro.pilot.states import PilotState, UnitState
 from repro.pilot.unit import ComputeUnit
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ -> ... -> this module
+    from repro.core.assembly_cache import AssemblyCache
     from repro.core.checkpoint import CheckpointStore
     from repro.obs.live import HeartbeatMonitor, InflightUnit, StragglerDetector
 
@@ -79,6 +81,17 @@ def _extra_tags(unit: ComputeUnit) -> dict:
     }
 
 
+def _replay(work, result, usage, **stored) -> ReplayWorkload:
+    """A stored outcome standing in for ``work``, priced like a run: a
+    workload that prices its own result (an assembly job extrapolates it
+    to paper scale) prices the stored result again, since no key holds
+    the scale; otherwise ``usage`` is the raw usage the agent scales."""
+    priced = getattr(work, "priced", None)
+    return ReplayWorkload(
+        result=result, usage=usage if priced is None else priced(result), **stored
+    )
+
+
 @dataclass
 class PilotAgent:
     """Executes units bound to one ACTIVE pilot."""
@@ -89,6 +102,9 @@ class PilotAgent:
     #: Durable checkpoint store: DONE unit outcomes are recorded under
     #: their ``description.checkpoint_key`` and replayed on later runs.
     checkpoint: "CheckpointStore | None" = None
+    #: The run cache, asked about the same key after the checkpoint
+    #: store: hits run inline, collected outcomes are put.
+    cache: "AssemblyCache | None" = None
     #: Peer-comparison analyzer fed each completed workload's wall time;
     #: shared across agents when the manager injects one, else built
     #: with the first heartbeat monitor.
@@ -158,29 +174,26 @@ class PilotAgent:
                 self.slice_slots,
             )
 
-        # A checkpointed outcome substitutes for the real computation but
-        # still travels the full dispatch/collect/SGE path below, so the
-        # replay is bit-identical in results, virtual TTC and trace
-        # structure (see repro.core.checkpoint).  A workload that prices
-        # its own result (an assembly job extrapolates it to paper scale)
-        # prices the stored result again: the key holds no scale.
-        work = unit.description.work
+        # The one place a unit's content key is answered: the checkpoint
+        # store first, then the run cache; either stands in for the
+        # computation only.  A replay travels the full dispatch path below
+        # on the configured executor, so it is bit-identical in results,
+        # virtual TTC and trace structure (see repro.core.checkpoint); a
+        # cache hit runs inline, so a warm rerun never reaches a pool.
+        work, executor = unit.description.work, self.executor
         replayed = False
         key = unit.description.checkpoint_key
         if self.checkpoint is not None and key is not None:
             record = self.checkpoint.get_unit(key)
-            if record is not None:
-                priced = getattr(work, "priced", None)
-                work = ReplayWorkload(
-                    result=record.result,
-                    usage=record.usage if priced is None else priced(record.result),
-                    wall_seconds=record.wall_seconds,
-                    worker_trace=record.worker_trace,
-                )
-                replayed = True
-                tracer.count("checkpoint_hits")
-            else:
-                tracer.count("checkpoint_misses")
+            replayed = record is not None
+            tracer.count("checkpoint_hits" if replayed else "checkpoint_misses")
+            if replayed:
+                work = _replay(work, **vars(record))
+        if self.cache is not None and key is not None and not replayed:
+            cached = self.cache.get(key, **_extra_tags(unit))
+            if cached is not None:
+                work = _replay(work, cached, cached.usage)
+                executor = SerialExecutor()
 
         # Dispatch the real workload; it may run concurrently with other
         # units' workloads.  Virtual time is charged when the SGE job
@@ -191,7 +204,7 @@ class PilotAgent:
             category="agent",
             process=self.pilot.pilot_id,
             thread=unit.unit_id,
-            backend=self.executor.name,
+            backend=executor.name,
         ) as dispatch:
             # The context rides with the workload across the executor
             # boundary; worker records are re-parented under this
@@ -202,7 +215,7 @@ class PilotAgent:
                 process=self.pilot.pilot_id,
                 thread=unit.unit_id,
             )
-            handle = self.executor.submit(work, context)
+            handle = executor.submit(work, context)
         self._pending[unit.unit_id] = (
             unit, handle, context, replayed, time.perf_counter(),
         )
@@ -332,6 +345,9 @@ class PilotAgent:
                 ),
             )
             tracer.count("checkpoint_puts")
+        if self.cache is not None and key is not None:
+            # Put in this process, whichever backend computed it.
+            self.cache.put(key, outcome.result, **_extra_tags(unit))
         self._enqueue(unit, outcome.result, outcome.usage)
 
     def drain(self) -> None:

@@ -42,11 +42,12 @@ class UnitDescription:
     and the capacity check reason about footprints without running first;
     when 0, the post-hoc measured usage is the only check.
 
-    ``checkpoint_key`` is the unit's content address in the durable
-    checkpoint store (``None`` = never checkpointed): identical keys
-    across two runs mean the stored outcome replays bit-identically, so
-    the key must cover everything the outcome depends on — for assembly
-    units that is ``(ReadStore digest, assembler, params, sweep k)``.
+    ``checkpoint_key`` is the unit's content address (``None`` = never
+    stored): the pilot agent answers it from the durable checkpoint
+    store, else from the run cache, and identical keys mean the stored
+    outcome replays bit-identically, so the key must cover everything
+    the outcome depends on — for assembly units that is ``(ReadStore
+    digest, assembler, params, n_ranks)``.
     """
 
     name: str

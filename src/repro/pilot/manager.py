@@ -35,6 +35,7 @@ from repro.pilot.states import PilotState, UnitState
 from repro.pilot.unit import ComputeUnit
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ -> ... -> this module
+    from repro.core.assembly_cache import AssemblyCache
     from repro.core.checkpoint import CheckpointStore
     from repro.obs.live import StragglerDetector
     from repro.pilot.elastic import ElasticPool
@@ -161,6 +162,8 @@ class UnitManager:
     #: DONE outcomes are recorded under their checkpoint keys and
     #: replayed bit-identically on resume.
     checkpoint: "CheckpointStore | None" = None
+    #: Run cache forwarded to every agent (None = off).
+    cache: "AssemblyCache | None" = None
     #: Elastic pool controller (the S3 scheme): consulted each restart
     #: round to grow the pilot's cluster from SGE queue depth.
     elastic: "ElasticPool | None" = None
@@ -191,6 +194,7 @@ class UnitManager:
             cost_model=self.cost_model,
             executor=self.executor,
             checkpoint=self.checkpoint,
+            cache=self.cache,
             straggler=self._straggler,
         )
 

@@ -1,5 +1,6 @@
-"""Content-addressed AssemblyCache: semantics, key sensitivity, workload
-integration, trace visibility, and the O(1)-pickle workload regression."""
+"""Content-addressed AssemblyCache: semantics, key sensitivity, the pilot
+agent's lookups and puts, trace visibility, and the O(1)-pickle workload
+regression."""
 
 import pickle
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.sweep import build_spectra
+from repro.cloud.clock import EventQueue, SimClock
+from repro.cloud.ec2 import EC2Region
 from repro.core.assembly_cache import (
     AssemblyCache,
     get_assembly_cache,
@@ -15,10 +18,11 @@ from repro.core.assembly_cache import (
 )
 from repro.core.multikmer import (
     AssemblyWorkload,
-    collect_assembly_results,
+    content_key,
     make_assembly_workload,
 )
 from repro.obs import Tracer, use_tracer
+from repro.pilot import PilotDescription, PilotManager, UnitDescription, UnitManager
 from repro.seq.readstore import ReadStore
 
 
@@ -47,13 +51,40 @@ def _work(store, assembler="velvet", k=21, n_ranks=1, **kw):
     )
 
 
+def _key(work):
+    return content_key(work.store, work.assembler_name, work.params, work.n_ranks)
+
+
+def run_unit(work, cache, executor="serial"):
+    """``work`` as one keyed unit through a unit manager holding
+    ``cache``, on a fresh one-node pilot; returns the finished unit."""
+    clock = SimClock()
+    events = EventQueue(clock)
+    pm = PilotManager(EC2Region(clock), events)
+    pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
+    um = UnitManager(events, executor=executor, cache=cache)
+    um.add_pilot(pilot)
+    desc = UnitDescription(
+        name=f"{work.assembler_name}_k{work.params.k}",
+        work=work,
+        checkpoint_key=_key(work),
+        tags={"assembler": work.assembler_name, "k": work.params.k},
+    )
+    try:
+        (unit,) = um.run(um.submit_units([desc]))
+    finally:
+        um.close()
+    return unit
+
+
 class TestCacheSemantics:
     def test_hit_miss_counters_and_len(self, store, fresh_cache):
         work = _work(store)
-        key = work.cache_key()
+        key = _key(work)
         assert fresh_cache.get(key) is None
         assert (fresh_cache.hits, fresh_cache.misses) == (0, 1)
         result, _ = work()
+        fresh_cache.put(key, result)
         assert key in fresh_cache and len(fresh_cache) == 1
         assert fresh_cache.get(key) is not None
         assert fresh_cache.hits == 1
@@ -61,22 +92,24 @@ class TestCacheSemantics:
     def test_defensive_copies_both_ways(self, store, fresh_cache):
         work = _work(store)
         result, _ = work()
-        # mutating what the caller got must not poison the cache ...
+        fresh_cache.put(_key(work), result)
+        # mutating what was put must not poison the cache ...
         result.contigs.clear()
         result.stats["poisoned"] = True
-        cached = fresh_cache.get(work.cache_key())
+        cached = fresh_cache.get(_key(work))
         assert cached.contigs and "poisoned" not in cached.stats
-        # ... and mutating what was put must not either (put copies too)
+        # ... and mutating what a caller got must not either (get copies too)
         cached.usage.phases.clear()
-        again = fresh_cache.get(work.cache_key())
+        again = fresh_cache.get(_key(work))
         assert again.usage.phases
 
     def test_first_write_wins(self, fresh_cache, store):
         work = _work(store)
         result, _ = work()
+        assert fresh_cache.put(_key(work), result)
         other = _copy_with_marker(result)
-        fresh_cache.put(work.cache_key(), other)
-        assert "marker" not in fresh_cache.get(work.cache_key()).stats
+        assert not fresh_cache.put(_key(work), other)
+        assert "marker" not in fresh_cache.get(_key(work)).stats
 
     def test_lru_eviction(self):
         cache = AssemblyCache(max_entries=2)
@@ -107,8 +140,8 @@ class TestCacheSemantics:
 
     def test_clear_resets_counters(self, fresh_cache, store):
         work = _work(store)
-        work()
-        fresh_cache.get(work.cache_key())
+        fresh_cache.put(_key(work), work()[0])
+        fresh_cache.get(_key(work))
         fresh_cache.clear()
         assert len(fresh_cache) == 0
         assert (fresh_cache.hits, fresh_cache.misses) == (0, 0)
@@ -120,19 +153,19 @@ class TestCacheSemantics:
 
 class TestKeySensitivity:
     def test_key_components(self, store, reads_single):
-        base = _work(store).cache_key()
-        assert _work(store, k=25).cache_key() != base
-        assert _work(store, n_ranks=4).cache_key() != base
-        assert _work(store, assembler="ray").cache_key() != base
+        base = _key(_work(store))
+        assert _key(_work(store, k=25)) != base
+        assert _key(_work(store, n_ranks=4)) != base
+        assert _key(_work(store, assembler="ray")) != base
         other = ReadStore.from_reads(reads_single[:801])
         try:
-            assert _work(other).cache_key() != base
+            assert _key(_work(other)) != base
         finally:
             other.close()
         # same content, fresh store object → same key
         clone = ReadStore.from_reads(reads_single[:800])
         try:
-            assert _work(clone).cache_key() == base
+            assert _key(_work(clone)) == base
         finally:
             clone.close()
 
@@ -147,68 +180,75 @@ class TestKeySensitivity:
 
 
 class TestWorkloadIntegration:
+    """The pilot agent asks the cache it was given about a unit's key and
+    puts what it collects; the workload itself only computes."""
+
     def test_second_call_hits_and_is_bit_identical(self, store, fresh_cache):
         work = _work(store, read_scale=8.0, graph_scale=3.0)
-        r1, u1 = work()
+        first = run_unit(work, fresh_cache)
         assert fresh_cache.hits == 0
-        r2, u2 = work()
+        second = run_unit(work, fresh_cache)
         assert fresh_cache.hits == 1
-        assert r2.contigs == r1.contigs
-        assert r2.stats == r1.stats
+        assert second.result.contigs == first.result.contigs
+        assert second.result.stats == first.result.stats
         # extrapolation re-applied on the hit → same virtual quantities
-        assert u2 == u1
-        assert u2.phases == u1.phases
+        assert second.usage == first.usage
+        assert second.usage.phases == first.usage.phases
+        assert second.ttc == first.ttc
 
     def test_disable_via_none(self, store, fresh_cache):
-        with use_assembly_cache(None):
+        tracer = Tracer()
+        with use_assembly_cache(None), use_tracer(tracer):
             assert get_assembly_cache() is None
             work = _work(store)
-            work()
-            work()
+            run_unit(work, get_assembly_cache())
+            run_unit(work, get_assembly_cache())
         assert get_assembly_cache() is fresh_cache
         assert len(fresh_cache) == 0 and fresh_cache.hits == 0
+        spans = [s for s in tracer.spans if s.name == "assembly_workload"]
+        assert len(spans) == 2
+        assert not any("assembly_cache" in e.name for e in tracer.events)
 
     def test_tracer_sees_miss_then_hit(self, store, fresh_cache):
         tracer = Tracer()
         work = _work(store)
         with use_tracer(tracer):
-            work()
-            work()
+            run_unit(work, fresh_cache)
+            run_unit(work, fresh_cache)
         lookups = [e for e in tracer.events if e.name == "assembly_cache.lookup"]
         assert [e.attrs["outcome"] for e in lookups] == ["miss", "hit"]
         assert lookups[0].attrs["assembler"] == "velvet"
+        assert lookups[0].attrs["k"] == 21
         assert tracer.metrics.counter("assembly_cache.miss").value == 1
         assert tracer.metrics.counter("assembly_cache.hit").value == 1
+        # A hit runs no workload body.
         spans = [s for s in tracer.spans if s.name == "assembly_workload"]
-        assert len(spans) == 2
+        assert len(spans) == 1
 
-    def test_collect_populates_parent_cache(self, store, fresh_cache):
-        """collect_assembly_results records raw results so worker-computed
-        outcomes become parent-side hits."""
+    def test_collect_populates_parent_cache(self, store):
+        """An outcome computed in a pool worker is put by the agent, in
+        this process, into the cache it was given."""
 
-        class _Unit:
-            def __init__(self, work, result):
-                self.result = result
+        class Recording:
+            def __init__(self):
+                self.gets, self.puts = [], []
 
-                class _Desc:
-                    pass
+            def get(self, key, **attrs):
+                self.gets.append(key)
+                return None
 
-                self.description = _Desc()
-                self.description.work = work
-                self.description.tags = {
-                    "assembler": work.assembler_name,
-                    "k": work.params.k,
-                }
+            def put(self, key, result, **attrs):
+                self.puts.append((key, result, attrs))
+                return True
 
+        fake = Recording()
         work = _work(store)
-        with use_assembly_cache(None):
-            result, _ = work()  # computed with no cache in play
-        assert len(fresh_cache) == 0
-        out = collect_assembly_results([_Unit(work, result)])
-        assert out[("velvet", 21)] is result
-        assert work.cache_key() in fresh_cache
-        _, u = work()
-        assert fresh_cache.hits == 1
+        unit = run_unit(work, fake, executor="process")
+        assert fake.gets == [_key(work)]
+        ((key, result, attrs),) = fake.puts
+        assert key == _key(work)
+        assert result.contigs == unit.result.contigs
+        assert attrs == {"assembler": "velvet", "k": 21}
 
 
 class TestWorkloadPickleSize:

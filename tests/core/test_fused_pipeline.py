@@ -31,6 +31,7 @@ from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.obs import Tracer, use_tracer
 from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
+from tests.core.test_assembly_cache import run_unit
 
 
 def _fingerprint(res):
@@ -223,6 +224,8 @@ class TestCollectDuplicateKeys:
 
 class TestCachePutCounting:
     def test_collect_counts_parent_side_puts(self):
+        """The agent puts every collected assembly outcome, a hit's too:
+        first write wins, and both puts are counted."""
         reads = tiny_dataset(seed=0).run.all_reads()[:200]
         store = ReadStore.from_reads(reads)
         try:
@@ -232,12 +235,11 @@ class TestCachePutCounting:
                 n_ranks=1,
                 store=store,
             )
-            with use_assembly_cache(None):
-                result, _usage = work._execute(Tracer())
             tracer = Tracer()
-            with use_assembly_cache(AssemblyCache()), use_tracer(tracer):
-                work.record_result(result)  # inserted
-                work.record_result(result)  # kept (first write wins)
+            with use_tracer(tracer):
+                cache = AssemblyCache()
+                run_unit(work, cache)  # inserted
+                run_unit(work, cache)  # kept (first write wins)
             counters = tracer.metrics.snapshot()["counters"]
             assert counters["assembly_cache.put"] == 2
             outcomes = [

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,3 +243,45 @@ def test_the_benchmark_patch_points_are_inert():
     assert vars(sweep.PendingSpectraBuild)["collect"] is None
     assert sweep._merge_shard_spectra is None
     assert rnnotator.submit_spectra_build is None
+
+
+def test_one_site_answers_a_content_key(tmp_path, monkeypatch):
+    """A unit's content key is answered by the pilot agent alone: nothing
+    else under ``src/`` reads a checkpoint record or asks the run cache
+    for a result (the table cache is another store), and in a run the
+    agent is the only caller of either."""
+    from repro.core.assembly_cache import AssemblyCache, use_assembly_cache
+    from repro.core.checkpoint import CheckpointStore
+    from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
+    from repro.seq.datasets import tiny_dataset
+
+    asks = re.compile(r"\.get_unit\(|\b(?!table_cache\b)\w*cache\b(\(\))?\.get\(")
+    sites = [
+        str(path.relative_to(_SRC))
+        for path in sorted(_SRC.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if asks.search(line)
+    ]
+    assert sites == ["repro/pilot/agent.py", "repro/pilot/agent.py"]
+
+    callers = set()
+
+    def recording(method):
+        def wrapper(*args, **kwargs):
+            callers.add(Path(sys._getframe(1).f_code.co_filename).resolve())
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(AssemblyCache, "get", recording(AssemblyCache.get))
+    monkeypatch.setattr(
+        CheckpointStore, "get_unit", recording(CheckpointStore.get_unit)
+    )
+    dataset = tiny_dataset(seed=0)
+    config = PipelineConfig(assemblers=("velvet",), kmer_list=(25,))
+    with use_assembly_cache(AssemblyCache()) as cache:
+        cold = replace(config, checkpoint_dir=str(tmp_path / "ckpt"))
+        RnnotatorPipeline().run(dataset, cold)  # both asked, both miss
+        RnnotatorPipeline().run(dataset, config)  # every unit a cache hit
+    assert cache.hits == 1
+    assert callers == {_SRC / "repro" / "pilot" / "agent.py"}

@@ -78,6 +78,26 @@ _PLANTED = (
 _CONFIG = "repro/core/rnnotator.py"
 _FINGERPRINT = "tests/core/test_pipeline.py::TestConfigFingerprint"
 _STAGE_CACHE = "tests/core/test_stage_cache.py"
+_AGENT = "repro/pilot/agent.py"
+_CALLERS = (
+    "tests/core/test_spectrum_demand.py"
+    "::test_a_callers_executor_sees_the_satisfied_rerun"
+)
+_AGENT_CACHE = "tests/core/test_assembly_cache.py::TestWorkloadIntegration"
+#: The agent asks the checkpoint store about a unit's key, then the run cache.
+_CHECKPOINT_ASK = """        if self.checkpoint is not None and key is not None:
+            record = self.checkpoint.get_unit(key)
+            replayed = record is not None
+            tracer.count("checkpoint_hits" if replayed else "checkpoint_misses")
+            if replayed:
+                work = _replay(work, **vars(record))
+"""
+_CACHE_ASK = """        if self.cache is not None and key is not None and not replayed:
+            cached = self.cache.get(key, **_extra_tags(unit))
+            if cached is not None:
+                work = _replay(work, cached, cached.usage)
+                executor = SerialExecutor()
+"""
 _UNIT_ADVANCE = """        check_unit_transition(self.state, new)
         old = self.state
         self.state = new
@@ -394,19 +414,51 @@ ROWS: tuple[Row, ...] = (
     Row(
         "cache: a lookup returns the cached entry, not a copy",
         "repro/core/assembly_cache.py",
-        "        return _copy(entry)\n",
+        "        return None if entry is None else _copy(entry)\n",
         "        return entry\n",
         (f"{_STAGE_CACHE}::test_mutating_a_result_leaves_the_next_rerun_unchanged",),
     ),
     Row(
         "checkpoint: a replayed assembly charged at the old run's scale",
-        "repro/pilot/agent.py",
-        "usage=record.usage if priced is None else priced(record.result),",
-        "usage=record.usage,",
+        _AGENT,
+        "usage=usage if priced is None else priced(result),",
+        "usage=usage,",
         (
             "tests/core/test_checkpoint.py::TestKillAndResume"
             "::test_a_resume_at_another_scale_prices_like_a_fresh_run",
         ),
+    ),
+    # one site answers a unit's content key: the pilot agent
+    Row(
+        "agent: the run cache asked before the checkpoint store",
+        _AGENT,
+        _CHECKPOINT_ASK + _CACHE_ASK,
+        _CACHE_ASK.replace(" and not replayed", "")
+        + _CHECKPOINT_ASK.replace(
+            "key is not None:", "key is not None and executor is self.executor:"
+        ),
+        (_CALLERS,),
+    ),
+    Row(
+        "agent: a run-cache hit priced with result.usage",
+        _AGENT,
+        "work = _replay(work, cached, cached.usage)",
+        "work = ReplayWorkload(cached, cached.usage)",
+        (f"{_AGENT_CACHE}::test_second_call_hits_and_is_bit_identical",),
+    ),
+    Row(
+        "agent: collect puts nothing into the run cache",
+        _AGENT,
+        "            self.cache.put(key, outcome.result, **_extra_tags(unit))\n",
+        "            pass\n",
+        (f"{_AGENT_CACHE}::test_collect_populates_parent_cache",),
+    ),
+    Row(
+        "agent: a run-cache hit sent to the configured executor",
+        _AGENT,
+        "                executor = SerialExecutor()\n",
+        "                pass\n",
+        (_CALLERS,),
     ),
 )
 

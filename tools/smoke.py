@@ -11,8 +11,9 @@ trace as an artifact, and diffs it against the committed baseline with
     PYTHONPATH=src python tools/smoke.py --resource-cadence 0 \
         --out tests/data/ci_baseline_trace.jsonl
 
-The run sits in a ``use_assembly_cache(None)`` scope so the trace is
-identical whether or not the process already ran a pipeline, and the
+The run sits in a ``use_assembly_cache(None)`` scope, so its trace
+records no run-cache lookup or put (the committed baseline has none)
+and the checkpoint store alone answers the chaos drill's units; the
 seed is fixed so every virtual quantity is deterministic.
 
 The chaos knobs turn the same smoke into a checkpoint/resume drill (the
