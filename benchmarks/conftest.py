@@ -1,14 +1,11 @@
-"""Shared fixtures for the paper-reproduction benchmarks.
+"""Shared fixtures for the benchmarks.
 
-Every benchmark prints the table/figure it regenerates (run pytest with
-``-s`` to see them inline; they are also asserted structurally) and uses
-pytest-benchmark to time the representative computation.
+``test_experiments.py`` checks every paper table in EXPERIMENTS.md;
+``test_obs_overhead.py`` measures the tracing stack's own cost (run
+pytest with ``-s`` to see its report).
 """
 
 import pytest
-
-from repro.bench.calibration import calibrated_cost_model
-from repro.seq.datasets import tiny_dataset
 
 
 def pytest_addoption(parser):
@@ -27,24 +24,8 @@ def smoke(request):
 
 
 @pytest.fixture(scope="session")
-def ds_single():
-    return tiny_dataset(paired=False, seed=1)
-
-
-@pytest.fixture(scope="session")
-def reads_single(ds_single):
-    return ds_single.run.all_reads()
-
-
-@pytest.fixture(scope="session")
-def cost_model():
-    """The Table III-calibrated cost model (built once per session)."""
-    return calibrated_cost_model()
-
-
-@pytest.fixture(scope="session")
 def report_sink():
-    """Collects rendered tables so the session summary can re-print them."""
+    """Collects rendered reports so the session summary can re-print them."""
     chunks: list[str] = []
     yield chunks
     if chunks:

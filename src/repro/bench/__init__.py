@@ -1,11 +1,9 @@
-"""Experiment harness: calibrated cost model, shared bench data sets and
-table/figure formatting for the paper-reproduction benchmarks."""
+"""Experiment harness: calibrated cost model and shared bench data sets
+for the paper-reproduction benchmarks."""
 
 from repro.bench.calibration import TABLE3_TARGETS, calibrated_cost_model
 from repro.bench.harness import (
     bench_dataset,
-    format_figure,
-    format_table,
     machine_for,
     price_assembly,
 )
@@ -16,6 +14,4 @@ __all__ = [
     "bench_dataset",
     "machine_for",
     "price_assembly",
-    "format_table",
-    "format_figure",
 ]

@@ -119,42 +119,3 @@ def price_assembly(
     usage = paper_usage(result.usage, dataset)
     return cost_model.task_seconds(usage, machine_for(instance_type, n_nodes))
 
-
-# -- output formatting ---------------------------------------------------------
-
-
-def format_table(title: str, headers: list[str], rows: list[list]) -> str:
-    """Fixed-width table matching the style of the paper's tables."""
-    str_rows = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in str_rows)) if str_rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines = [f"== {title} =="]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for r in str_rows:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
-
-
-def format_figure(
-    title: str,
-    x_label: str,
-    series: dict[str, list[tuple[float, float]]],
-) -> str:
-    """Numeric rendering of a figure: one row per x, one column per series."""
-    xs = sorted({x for pts in series.values() for x, _ in pts})
-    headers = [x_label] + list(series.keys())
-    rows = []
-    lookup = {
-        name: {x: y for x, y in pts} for name, pts in series.items()
-    }
-    for x in xs:
-        row = [x]
-        for name in series:
-            y = lookup[name].get(x)
-            row.append("-" if y is None else f"{y:.0f}")
-        rows.append(row)
-    return format_table(title, headers, rows)

@@ -4,19 +4,14 @@ A pipeline killed mid-run (spot reclaim of the submit host, an operator
 ``kill -9``, a crashed driver) must be resumable without redoing work —
 and the resumed run must be *bit-identical* to an uninterrupted one:
 same contigs, same usage records, same virtual TTCs.  The store here
-makes that possible by durably recording two kinds of outcomes:
-
-* **unit records** — the full workload outcome of a DONE compute unit
-  (result, the usage the workload returned, real wall seconds, and the
-  buffered worker trace), keyed by the unit's content address.  For
-  assembly units that key is ``(ReadStore digest, assembler, params,
-  sweep k·ranks)`` — the same address the in-memory
-  :class:`~repro.core.assembly_cache.AssemblyCache` uses — so a digest
-  change (different reads, different preprocessing) invalidates the
-  record automatically by never matching it.
-* **stage records** — small per-stage completion markers keyed by
-  ``(input digest, config fingerprint, stage name)``, used for resume
-  reporting ("3 of 5 stages were already complete").
+makes that possible by durably recording **unit records**: the full
+workload outcome of a DONE compute unit (result, the usage the workload
+returned, real wall seconds, and the buffered worker trace), keyed by
+the unit's content address.  For assembly units that key is
+``(ReadStore digest, assembler, params, sweep k·ranks)`` — the same
+address the in-memory :class:`~repro.core.assembly_cache.AssemblyCache`
+uses — so a digest change (different reads, different preprocessing)
+invalidates the record automatically by never matching it.
 
 The pilot agent asks this store about a unit's key first, before the run
 cache.  It replays a hit *through the regular execution path* (the
@@ -84,25 +79,19 @@ class CheckpointStats:
 
 
 class CheckpointStore:
-    """One directory of durable unit/stage records."""
+    """One directory of durable unit records."""
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self._dirs = {
-            "units": self.root / "units",
-            "stages": self.root / "stages",
-        }
-        for d in self._dirs.values():
-            d.mkdir(parents=True, exist_ok=True)
+        self._units = self.root / "units"
+        self._units.mkdir(parents=True, exist_ok=True)
         self.stats = CheckpointStats()
 
     def __repr__(self) -> str:
         return f"CheckpointStore({str(self.root)!r})"
 
-    # -- unit records ------------------------------------------------------
-
     def get_unit(self, key: Any) -> UnitCheckpoint | None:
-        record = self._load("units", key)
+        record = self._load(key)
         if record is None:
             self.stats.misses += 1
             return None
@@ -113,36 +102,25 @@ class CheckpointStore:
         """Whether a unit record exists for ``key`` — one ``stat``, no
         read and no hit/miss counted.  A torn record still answers True;
         :meth:`get_unit` is what discovers (and discards) it."""
-        return self._path("units", key).exists()
+        return self._path(key).exists()
 
     def put_unit(self, key: Any, record: UnitCheckpoint) -> bool:
         """Durably record a unit outcome; first write wins."""
-        written = self._dump("units", key, record)
+        written = self._dump(key, record)
         if written:
             self.stats.puts += 1
         return written
 
-    # -- stage records -----------------------------------------------------
-
-    def get_stage(self, key: Any) -> Any | None:
-        return self._load("stages", key)
-
-    def put_stage(self, key: Any, payload: Any) -> bool:
-        return self._dump("stages", key, payload)
-
-    def stage_count(self) -> int:
-        return sum(1 for _ in self._dirs["stages"].glob("*.pkl"))
-
     def unit_count(self) -> int:
-        return sum(1 for _ in self._dirs["units"].glob("*.pkl"))
+        return sum(1 for _ in self._units.glob("*.pkl"))
 
     # -- internals ---------------------------------------------------------
 
-    def _path(self, kind: str, key: Any) -> Path:
-        return self._dirs[kind] / f"{checkpoint_key_id(key)}.pkl"
+    def _path(self, key: Any) -> Path:
+        return self._units / f"{checkpoint_key_id(key)}.pkl"
 
-    def _load(self, kind: str, key: Any):
-        path = self._path(kind, key)
+    def _load(self, key: Any):
+        path = self._path(key)
         try:
             with open(path, "rb") as f:
                 envelope = pickle.load(f)
@@ -163,8 +141,8 @@ class CheckpointStore:
             return None
         return envelope["record"]
 
-    def _dump(self, kind: str, key: Any, record: Any) -> bool:
-        path = self._path(kind, key)
+    def _dump(self, key: Any, record: Any) -> bool:
+        path = self._path(key)
         if path.exists():
             return False
         envelope = {

@@ -55,7 +55,6 @@ from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import MemoryAwareScheduler, SchedulingError
-from repro.pilot.states import UnitState
 from repro.seq.datasets import Dataset, DatasetSpec
 from repro.seq.readstore import ReadStore
 
@@ -66,9 +65,9 @@ if TYPE_CHECKING:
 
 submit_spectra_build = None  # pipebench patch point; ROADMAP 1(a) removes it
 
-#: The stages a run reports — one :class:`StageReport`, ``stage`` span and
-#: checkpoint marker each — in run order: data staging, then Fig. 1's
-#: four.  ``FaultPlan.abort_after_stage`` accepts exactly these.
+#: The stages a run reports — one :class:`StageReport` and ``stage`` span
+#: each — in run order: data staging, then Fig. 1's four.
+#: ``FaultPlan.abort_after_stage`` accepts exactly these.
 STAGE_NAMES = ("stage-in", *(name for name, _ in STAGES))
 
 
@@ -113,9 +112,10 @@ class PipelineConfig:
     #: restart machinery survive transient (preemption) failures.
     unit_max_restarts: int = 0
 
-    def result_key(self) -> tuple:
-        """The result-determining knobs, spelled once for both
-        :meth:`fingerprint` and the checkpoint stage markers.
+    def fingerprint(self) -> str:
+        """Stable digest of the result-determining knobs: runs of one
+        dataset are comparable exactly when their fingerprints are equal
+        (the run ledger's regression check refuses to compare otherwise).
 
         Execution-mechanics knobs that cannot change results — executor
         backend and worker count, checkpoint directory, restart budget —
@@ -126,25 +126,21 @@ class PipelineConfig:
         sampling / heartbeat cadences and alert rules are arguments of
         the :class:`~repro.obs.Tracer`.
         """
-        return (
-            self.assemblers,
-            self.scheme.value,
-            self.workflow.value,
-            self.instance_type,
-            self.mpi_nodes_per_job,
-            self.contrail_nodes_per_job,
-            self.max_nodes,
-            self.min_count,
-            self.min_contig_length,
-            self.kmer_list,
-            self.preprocess_params,
+        key = repr(
+            (
+                self.assemblers,
+                self.scheme.value,
+                self.workflow.value,
+                self.instance_type,
+                self.mpi_nodes_per_job,
+                self.contrail_nodes_per_job,
+                self.max_nodes,
+                self.min_count,
+                self.min_contig_length,
+                self.kmer_list,
+                self.preprocess_params,
+            )
         )
-
-    def fingerprint(self) -> str:
-        """Stable digest of :meth:`result_key`: runs of one dataset are
-        comparable exactly when their fingerprints are equal (the run
-        ledger's regression check refuses to compare otherwise)."""
-        key = repr(self.result_key())
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def __post_init__(self) -> None:
@@ -240,8 +236,8 @@ class PipelineResult:
     total_cost: float
     transfer_seconds: float
     #: Checkpoint store traffic when ``config.checkpoint_dir`` was set
-    #: (keys: unit_hits/unit_misses/unit_puts/stages_recorded); ``None``
-    #: otherwise.  ``unit_hits > 0`` means this run resumed prior work.
+    #: (keys: unit_hits/unit_misses/unit_puts); ``None`` otherwise.
+    #: ``unit_hits > 0`` means this run resumed prior work.
     checkpoint_stats: dict | None = None
 
     @property
@@ -296,10 +292,8 @@ class _Run:
     #: store, and its digest is QC's content address.
     raw_store: ReadStore | None = field(init=False)
     #: Unit outcomes are keyed by content (ReadStore digests and
-    #: assembly params); stage markers additionally carry the config's
-    #: result_key so a changed knob invalidates them.
+    #: assembly params).
     ckpt: CheckpointStore | None = None
-    run_key: tuple | None = None
 
     #: The instance type of every pilot: the plan sizes P_B in nodes.
     itype: str = field(init=False)
@@ -337,7 +331,6 @@ class _Run:
             from repro.core.checkpoint import CheckpointStore
 
             self.ckpt = CheckpointStore(self.config.checkpoint_dir)
-            self.run_key = (self.raw_store.digest, *self.config.result_key())
 
     @property
     def spec(self) -> DatasetSpec:
@@ -356,8 +349,8 @@ def _close_stage(
     :class:`StageReport` (sized as ``pilot`` was described; data staging
     runs on none); mirror it as a ``category="stage"`` span whose virtual
     interval equals the report's exactly (the report CLI cross-checks
-    ``v1 - v0`` against ``StageReport.ttc``); write its checkpoint
-    marker; then die here if the fault plan says so."""
+    ``v1 - v0`` against ``StageReport.ttc``); then die here if the fault
+    plan says so."""
     report = StageReport(
         name=name,
         pilot="-" if pilot is None else pilot.pilot_id,
@@ -385,11 +378,6 @@ def _close_stage(
             n_nodes=report.n_nodes,
             instance_type=report.instance_type,
             notes=notes,
-        )
-    if run.ckpt is not None:
-        run.ckpt.put_stage(
-            (run.run_key, name),
-            {"name": name, "ttc": report.ttc, "notes": notes},
         )
     if run.faults.abort_after_stage == name:
         raise PipelineKilled(
@@ -471,8 +459,6 @@ def _single_unit_stage(
         if not undersized:
             raise
         raise PipelineError(f"{failed}: {exc}{hint}") from exc
-    if unit.state is not UnitState.DONE:
-        raise PipelineError(f"{failed}: {unit.error}{hint}")
     _close_stage(run, stage, pilot, t0, notes(unit.result), w0)
     return unit.result
 
@@ -768,12 +754,6 @@ def _assembly_stage(run: _Run) -> None:
                 f"assembly jobs failed: "
                 f"{[(u.description.name, u.error) for u in exc.units]}"
             ) from exc
-    failed = [u for u in units if u.state is not UnitState.DONE]
-    if failed:
-        raise PipelineError(
-            f"assembly jobs failed: "
-            f"{[(u.description.name, u.error) for u in failed]}"
-        )
     # The merge output is a pure function of the fan-out results, so
     # its content address is the ordered tuple of their keys.
     run.fanout_keys = tuple(d.checkpoint_key for d in descs)
@@ -902,7 +882,6 @@ def _result(run: _Run) -> PipelineResult:
                 "unit_hits": ckpt.stats.hits,
                 "unit_misses": ckpt.stats.misses,
                 "unit_puts": ckpt.stats.puts,
-                "stages_recorded": ckpt.stage_count(),
             }
         ),
     )

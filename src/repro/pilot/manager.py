@@ -211,7 +211,8 @@ class UnitManager:
 
     def run(self, units: list[ComputeUnit] | None = None) -> list[ComputeUnit]:
         """Schedule, execute and (where allowed) restart units; returns
-        them once all are DONE.  Advances the virtual clock.
+        them only when all are DONE, and raises otherwise.  Advances the
+        virtual clock.
 
         Restarts honour the paper's §III.C "restarting [elsewhere]"
         semantics: a ``(unit, pilot)`` pair that already failed is never
@@ -262,15 +263,21 @@ class UnitManager:
                 self.elastic.rebalance()
             self.events.run()
 
-            stuck = [u for u in pending if not u.is_final]
+            stuck = [
+                u
+                for u in pending
+                if u.state not in (UnitState.DONE, UnitState.FAILED)
+            ]
             if stuck:
-                # The event queue drained with units still not final —
-                # their SGE jobs can never start (capacity lost and
-                # never replaced).  Surface it; silence here would be
-                # the original swallowing bug in a new guise.
+                # The event queue drained with units neither DONE nor
+                # FAILED — their SGE jobs can never start (capacity lost
+                # and never replaced), or they were cancelled.  Surface
+                # it: a unit leaves ``pending`` only DONE or through the
+                # FAILED branch below, so a return means every unit is
+                # DONE.
                 raise ManagerError(
-                    f"units never completed (insufficient capacity): "
-                    f"{[u.description.name for u in stuck]}"
+                    f"units never completed: "
+                    f"{[(u.description.name, u.state.value) for u in stuck]}"
                 )
 
             failed = [u for u in pending if u.state is UnitState.FAILED]

@@ -9,7 +9,7 @@ from typing import Any
 from repro.obs import get_tracer
 from repro.parallel.usage import ResourceUsage
 from repro.pilot.description import UnitDescription
-from repro.pilot.states import UNIT_FINAL, UnitState, check_unit_transition
+from repro.pilot.states import UnitState, check_unit_transition
 
 _ids = itertools.count()
 
@@ -53,10 +53,6 @@ class ComputeUnit:
                 unit=self.description.name,
                 stage=self.description.stage,
             )
-
-    @property
-    def is_final(self) -> bool:
-        return self.state in UNIT_FINAL
 
     @property
     def ttc(self) -> float:

@@ -1,44 +1,105 @@
-"""Tests for the benchmark harness (formatting and light helpers).
+"""Tests for the benchmark harness and the EXPERIMENTS.md renderer.
 
-The heavy pieces (bench data sets, calibration) are exercised by the
-benchmarks themselves; these tests cover the pure functions.
+The heavy pieces (bench data sets, calibration, the paper artifacts) run
+under ``benchmarks/``; these tests cover the pure functions: the
+markdown renderer, the block splicer and light helpers.
 """
 
 import pytest
 
-from repro.bench.harness import (
-    BENCH_PARAMS,
-    format_figure,
-    format_table,
-    machine_for,
+from benchmarks.experiments import (
+    doc_blocks,
+    markdown_table,
+    series_rows,
+    splice,
 )
+from repro.bench.harness import BENCH_PARAMS, machine_for
 from repro.parallel.costmodel import CostModel
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 
 
 class TestFormatting:
     def test_table_alignment(self):
-        out = format_table("T", ["a", "bb"], [["x", 1], ["yy", 22]])
-        lines = out.split("\n")
-        assert lines[0] == "== T =="
-        assert "a" in lines[1] and "bb" in lines[1]
-        assert len({len(l) for l in lines[1:]}) <= 2  # consistent width
+        """Alignment-free pipes: no padding, one separator cell per
+        column, numbers with thousands separators."""
+        out = markdown_table(["a", "bb"], [["x", 1], ["yy", 1234567.4]])
+        assert out.split("\n") == [
+            "| a | bb |",
+            "|---|---|",
+            "| x | 1 |",
+            "| yy | 1,234,567 |",
+        ]
 
     def test_table_empty_rows(self):
-        out = format_table("T", ["col"], [])
-        assert "col" in out
+        assert markdown_table(["col"], []) == "| col |\n|---|"
 
     def test_figure_grid(self):
-        out = format_figure(
-            "F", "x", {"s1": [(1, 10.0), (2, 20.0)], "s2": [(2, 5.0)]}
-        )
-        lines = out.split("\n")
-        assert "s1" in lines[1] and "s2" in lines[1]
-        # x=1 row has a dash for the missing s2 point
-        row1 = [l for l in lines if l.startswith("1")][0]
-        assert "-" in row1
-        row2 = [l for l in lines if l.startswith("2")][0]
-        assert "20" in row2 and "5" in row2
+        """One row per x, one column per series, ``-`` for a missing
+        point."""
+        series = {"s1": {1: 10.0, 2: 2000.0}, "s2": {2: 5.0}}
+        out = markdown_table(["x", *series], series_rows(series))
+        assert out.split("\n")[2:] == ["| 1 | 10 | - |", "| 2 | 2,000 | 5 |"]
+
+
+DOC = """# Doc
+Prose may name `<!-- paper-table: a -->` inline.
+
+<!-- paper-table: a -->
+| old |
+<!-- /paper-table -->
+
+text
+
+<!-- paper-table: b -->
+<!-- /paper-table -->
+"""
+
+
+class TestSplice:
+    def test_blocks_are_the_text_between_markers(self):
+        assert doc_blocks(DOC) == {"a": "\n| old |\n", "b": "\n"}
+
+    def test_splice_replaces_every_body(self):
+        out = splice(DOC, {"a": "| new |", "b": "| B |"})
+        assert doc_blocks(out) == {"a": "\n| new |\n", "b": "\n| B |\n"}
+        assert out.replace("| new |", "| old |").replace("\n| B |", "") == DOC
+
+    def test_writing_twice_gives_identical_bytes(self):
+        tables = {"a": "| x |\n|---|\n| 1 |", "b": "| y |"}
+        once = splice(DOC, tables)
+        assert splice(once, tables) == once
+
+    def test_a_changed_number_names_its_block(self):
+        tables = {"a": "| n |\n|---|\n| 1,721 |", "b": "| m |\n|---|\n| 5 |"}
+        current = splice(DOC, tables)
+        edited = doc_blocks(current.replace("1,721", "1,722"))
+        stale = [n for n, t in tables.items() if edited[n] != f"\n{t}\n"]
+        assert stale == ["a"]
+
+    @pytest.mark.parametrize(
+        "text, marker",
+        [
+            ("<!-- paper-table: a -->\n", "paper-table: a is not closed"),
+            (
+                "<!-- paper-table: a -->\n<!-- paper-table: b -->\n",
+                "paper-table: a is not closed",
+            ),
+            (
+                "<!-- paper-table: a -->\n<!-- /paper-table -->\n" * 2,
+                "paper-table: a appears twice",
+            ),
+            ("<!-- /paper-table -->\n", "closes no block"),
+        ],
+    )
+    def test_malformed_markers_raise_and_name_the_marker(self, text, marker):
+        with pytest.raises(ValueError, match=marker):
+            doc_blocks(text)
+
+    def test_a_missing_or_unknown_block_raises_and_names_it(self):
+        with pytest.raises(ValueError, match="paper-table: c has no block"):
+            splice(DOC, {"a": "", "b": "", "c": ""})
+        with pytest.raises(ValueError, match="paper-table: b is no artifact"):
+            splice(DOC, {"a": ""})
 
 
 class TestMachineFor:
@@ -65,7 +126,6 @@ class TestCalibrationMath:
     def test_priced_parts_decomposition(self):
         """fixed + rate-scaled parts must add to the total."""
         from repro.bench.calibration import _priced_parts
-        from repro.bench.harness import machine_for
 
         cm = CostModel()
         u = ResourceUsage(n_ranks=16)

@@ -79,7 +79,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         key = ("k",)
         store.put_unit(key, UnitCheckpoint(result=1, usage=None))
-        path = store._path("units", key)
+        path = store._path(key)
         path.write_bytes(b"\x00garbage")
         assert store.get_unit(key) is None
         assert not path.exists()
@@ -93,14 +93,14 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         key = ("k",)
         store.put_unit(key, UnitCheckpoint(result=1, usage=None))
-        path = store._path("units", key)
+        path = store._path(key)
         path.write_bytes(path.read_bytes()[:10])
         assert store.get_unit(key) is None
 
     def test_version_skew_is_a_miss(self, tmp_path):
         store = CheckpointStore(tmp_path)
         key = ("k",)
-        path = store._path("units", key)
+        path = store._path(key)
         path.write_bytes(
             pickle.dumps(
                 {"format": FORMAT_VERSION + 1, "key": repr(key), "record": 1}
@@ -114,7 +114,7 @@ class TestCheckpointStore:
         wrong unit's outcome."""
         store = CheckpointStore(tmp_path)
         key = ("k",)
-        path = store._path("units", key)
+        path = store._path(key)
         path.write_bytes(
             pickle.dumps(
                 {"format": FORMAT_VERSION, "key": repr(("other",)),
@@ -122,13 +122,6 @@ class TestCheckpointStore:
             )
         )
         assert store.get_unit(key) is None
-
-    def test_stage_records(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.get_stage(("run", "stage-in")) is None
-        store.put_stage(("run", "stage-in"), {"ttc": 1.0})
-        assert store.get_stage(("run", "stage-in")) == {"ttc": 1.0}
-        assert store.stage_count() == 1
 
     def test_key_id_stable_and_distinct(self):
         a = checkpoint_key_id(("digest", "ray", 35))
@@ -204,7 +197,6 @@ class TestKillAndResume:
         assert [(s.name, s.ttc) for s in resumed.stages] == [
             (s.name, s.ttc) for s in baseline.stages
         ]
-        assert resumed.checkpoint_stats["stages_recorded"] == len(STAGE_NAMES)
 
     @pytest.mark.parametrize(
         "faults", [FaultPlan(), FaultPlan(straggle_unit="ray", straggle_seconds=1e-3)]
@@ -268,7 +260,6 @@ class TestTornCheckpointDrill:
             "unit_hits": len(units) - 1,
             "unit_misses": 1,
             "unit_puts": 1,
-            "stages_recorded": len(STAGE_NAMES),
         }
         assert pickle.loads(torn.read_bytes())["key"] == keys[torn]
 

@@ -130,6 +130,26 @@ class TestExhaustionRaises:
         assert ok.result == "result"
         assert exc_info.value.units == [dead]
 
+    def test_a_unit_ending_its_round_cancelled_raises(self, monkeypatch):
+        """``run`` returns only when every unit is DONE: a unit that ends
+        a round CANCELED (final, but not FAILED) raises instead of being
+        returned beside the DONE ones."""
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
+        um = UnitManager(events)
+        pilot = pm.launch(pm.submit(PilotDescription("P", "r3.2xlarge", 1)))
+        um.add_pilot(pilot)
+        units = um.submit_units(
+            [UnitDescription(name="gone", work=make_work(), cores=8, scale=0.01)]
+        )
+        monkeypatch.setattr(
+            um._agents[pilot.pilot_id],
+            "collect",
+            lambda unit: unit.advance(UnitState.CANCELED),
+        )
+        with pytest.raises(ManagerError, match="never completed.*CANCELED"):
+            um.run(units)
+
 
 class TestTransientRestart:
     def run_with_preemption(self, max_restarts):
