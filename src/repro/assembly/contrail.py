@@ -135,6 +135,22 @@ def _materialize(table: _Table, k: int) -> tuple[np.ndarray, np.ndarray]:
     return oriented[spelled], np.r_[0, np.cumsum(table.n_kmers + k - 1)]
 
 
+def _compressible(table: _Table):
+    """``(a, b, ends, incidences)``: the record positions of the two
+    segments at every compressible junction — exactly two incidences, on
+    two distinct segments (not a palindromic self-adjacency) — in
+    junction order; every segment's left end then every right end; and
+    each junction's incidence count."""
+    n_seg = table.sid.shape[0]
+    ends = np.concatenate([table.jl, table.jr])
+    incidences = np.bincount(ends, minlength=table.pal.shape[0])
+    two = np.flatnonzero(incidences[ends] == 2)
+    two = two[np.argsort(ends[two])] % n_seg
+    a, b = two[0::2], two[1::2]
+    distinct = a != b
+    return a[distinct], b[distinct], ends, incidences
+
+
 def _coin(sid: np.ndarray, round_no: int) -> np.ndarray:
     """Deterministic per-round coin, in wrapping uint64: True = Head
     (absorber).  Not a fair coin — see ROADMAP 3(a)(i)."""
@@ -172,20 +188,21 @@ class ContrailAssembler:
         table = _seed_table(spectrum, solid, k)
 
         rounds = 0
-        converged = False
         for round_no in range(self.max_rounds):
             head, tail = self._job_pair(engine, table, k, round_no)
             if not head.size:
-                converged = True
                 break
             table = self._job_merge(engine, table, head, tail, k, round_no)
             rounds += 1
-        if not converged:
+        # Converged means no compressible junction is left, not that the
+        # last round fired no merge (ROADMAP 3(a)(ii)).
+        left = _compressible(table)[0].shape[0]
+        if left:
             logger.warning(
-                "contrail k=%d: path compression stopped at max_rounds=%d "
-                "with merges still firing (%d segments left); contigs may "
-                "be split where a further round would have joined them",
-                k, self.max_rounds, table.sid.shape[0],
+                "contrail k=%d: path compression stopped after %d rounds "
+                "(max_rounds=%d) with %d compressible junctions left (%d "
+                "segments); contigs may be split where a join was possible",
+                k, rounds, self.max_rounds, left, table.sid.shape[0],
             )
 
         codes, offsets = _materialize(table, k)
@@ -210,7 +227,7 @@ class ContrailAssembler:
                 "n_ranks": n_ranks,
                 "mr_jobs": len(engine.job_stats),
                 "compression_rounds": rounds,
-                "compression_converged": converged,
+                "compression_converged": not left,
                 "distinct_kmers": int(np.count_nonzero(solid)),
                 "tips_removed": cstats.tips_removed,
                 "bubbles_popped": cstats.bubbles_popped,
@@ -268,20 +285,13 @@ class ContrailAssembler:
         record positions, one per tail, in (head sid, tail sid) order."""
         n, sid = engine.n_workers, table.sid
         n_seg = sid.shape[0]
-        # Emitted records: every segment's left end, then every right end.
-        ends = np.concatenate([table.jl, table.jr])
-        incidences = np.bincount(ends, minlength=table.pal.shape[0])
+        # Reduce: a compressible junction whose two segments' coins
+        # differ merges the tail into the head.  (Each pair's two
+        # incidences may come in either order: the merges are sorted below.)
+        a, b, ends, incidences = _compressible(table)
         present = incidences > 0
-
-        # Reduce: a junction with exactly two incidences, on two distinct
-        # segments (not a palindromic self-adjacency) whose coins differ,
-        # merges the tail into the head.  (Each pair's two incidences may
-        # come in either order: the merges are sorted below.)
-        two = np.flatnonzero(incidences[ends] == 2)
-        two = two[np.argsort(ends[two])] % n_seg
-        a, b = two[0::2], two[1::2]
         is_head = _coin(sid + round_no, round_no)
-        fires = (a != b) & (is_head[a] != is_head[b])
+        fires = is_head[a] != is_head[b]
         a, b = a[fires], b[fires]
         head, tail = np.where(is_head[a], a, b), np.where(is_head[a], b, a)
 

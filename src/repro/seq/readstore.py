@@ -21,6 +21,9 @@ shares — no per-job encoding, no records built or pickled per submit:
 * ``id_bytes`` / ``id_offsets`` — UTF-8 read ids, for full
   ``FastqRecord`` reconstruction (:meth:`ReadStore.records`).
 
+:meth:`ReadStore.from_reads` is every run's fixed cost, warm reruns
+included: one pass per record field, three joins, bases translated in C.
+
 Locally the arrays are plain process memory.  :meth:`ReadStore.share`
 moves them into one shared-memory segment so process-pool workers attach
 zero-copy; pickling a shared store ships only a tiny
@@ -76,7 +79,7 @@ def _attach(handle: ReadStoreHandle) -> "ReadStore":
 def _join_ascii(parts: list[str], sep: str, reads: list, what: str) -> bytes:
     """``parts`` each followed by ``sep``, as ASCII bytes."""
     try:
-        return (sep.join(parts) + sep).encode("ascii") if parts else b""
+        return sep.join([*parts, ""]).encode("ascii")
     except UnicodeEncodeError:
         bad = next(r for r, part in zip(reads, parts) if not part.isascii())
         raise ValueError(f"non-ASCII {what} string for read {bad.id}") from None
@@ -125,19 +128,18 @@ class ReadStore:
     def from_reads(cls, reads: Iterable[FastqRecord]) -> "ReadStore":
         """Encode records exactly once into the flat separator layout.
 
-        Sequences and qualities are each joined *with* their separator
-        byte and the two buffers converted in one pass each.  A sequence
-        byte outside ``ACGTacgt`` is an uncalled base (``N``).  Raises
-        ``ValueError`` naming the read for a non-ASCII sequence or
-        quality string and for a sequence/quality length mismatch.
+        One pass per record field and one ``map(len)``; sequences and
+        qualities are each joined *with* their separator byte, the bases
+        translated in C.  A sequence byte outside ``ACGTacgt`` is an
+        uncalled base (``N``).  Raises ``ValueError`` naming the read for a
+        non-ASCII sequence or quality string and for a sequence/quality
+        length mismatch.
         """
         reads = list(reads)
         n = len(reads)
-        lengths = np.fromiter((len(r.seq) for r in reads), dtype=np.int64, count=n)
-        offsets = _offsets(lengths + 1)
-        codes = alphabet.encode(
-            _join_ascii([r.seq for r in reads], "N", reads, "sequence")
-        )
+        seqs = [r.seq for r in reads]
+        offsets = _offsets(np.fromiter(map(len, seqs), dtype=np.int64, count=n) + 1)
+        codes = alphabet.encode(_join_ascii(seqs, "N", reads, "sequence"))
         quals = np.frombuffer(
             _join_ascii([r.qual for r in reads], "\0", reads, "quality"),
             dtype=np.uint8,
@@ -148,7 +150,10 @@ class ReadStore:
             raise ValueError(
                 f"sequence/quality length mismatch for read {bad.id}"
             )
-        ids = [r.id.encode("utf-8") for r in reads]
+        ids = [r.id for r in reads]
+        id_text = "".join(ids)
+        if not id_text.isascii():  # a UTF-8 id's length is not its size
+            ids = [i.encode("utf-8") for i in ids]
         return cls.from_fields(
             dict(
                 offsets=offsets,
@@ -157,7 +162,7 @@ class ReadStore:
                 id_offsets=_offsets(
                     np.fromiter(map(len, ids), dtype=np.int64, count=n)
                 ),
-                id_bytes=np.frombuffer(b"".join(ids), dtype=np.uint8),
+                id_bytes=np.frombuffer(id_text.encode("utf-8"), dtype=np.uint8),
             )
         )
 

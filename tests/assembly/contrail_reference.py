@@ -242,6 +242,16 @@ def job_merge(
     return dict(engine.run(job, list(segments.items())))
 
 
+def compressible_junctions(segments: dict[int, _Segment], k: int) -> int:
+    """Junctions a further round could still join: exactly two
+    incidences, on two distinct segments."""
+    incident: dict[bytes, list[int]] = {}
+    for sid, seg in segments.items():
+        for junction in seg.junctions(k):
+            incident.setdefault(junction, []).append(sid)
+    return sum(len(s) == 2 and s[0] != s[1] for s in incident.values())
+
+
 def reference_contrail_assemble(
     store: ReadStore,
     params: AssemblyParams,
@@ -250,18 +260,18 @@ def reference_contrail_assemble(
     max_rounds: int = MAX_ROUNDS,
 ) -> AssemblyResult:
     """The driver loop; appends ``(merges, segments)`` per round to
-    ``trace`` (the last entry's merge list is empty when converged)."""
+    ``trace`` (the last entry's merge list is empty when no merge fired).
+    ``compression_converged`` holds when no compressible junction is
+    left (:func:`compressible_junctions`), whatever stopped the loop."""
     k = params.k
     engine = ExecEngine(n_ranks)
     counts = executed_kmer_count(engine, store, params)
     segments = initial_segments(counts, k)
 
     rounds = 0
-    converged = False
     for round_no in range(max_rounds):
         merges = job_pair(engine, segments, k, round_no)
         if not merges:
-            converged = True
             if trace is not None:
                 trace.append((merges, segments))
             break
@@ -291,7 +301,7 @@ def reference_contrail_assemble(
             "n_ranks": n_ranks,
             "mr_jobs": len(engine.job_stats),
             "compression_rounds": rounds,
-            "compression_converged": converged,
+            "compression_converged": compressible_junctions(segments, k) == 0,
             "distinct_kmers": len(counts),
             "tips_removed": cstats.tips_removed,
             "bubbles_popped": cstats.bubbles_popped,

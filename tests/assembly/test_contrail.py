@@ -371,13 +371,32 @@ def test_repr_rank_is_the_string_order(n):
 
 
 class TestConvergenceFlag:
-    def test_converged_on_small_input(self, reads_single, caplog):
+    def test_junctions_left_on_small_input_are_reported(self, reads_single, caplog):
+        """The loop stops on "no merge fired" (ROADMAP 3(a)(ii)), here
+        after 15 rounds with 20 junctions still compressible: each has
+        two incidences on distinct segments.  The flag and the warning
+        say so, and the oracle counts the same junctions."""
+        store = ReadStore.from_reads(reads_single[:300])
+        with caplog.at_level(logging.WARNING, logger=contrail.__name__):
+            res = ContrailAssembler().assemble(store, PARAMS, n_ranks=4)
+        assert res.stats["compression_converged"] is False
+        assert res.stats["compression_rounds"] == 15 < ContrailAssembler.max_rounds
+        assert "with 20 compressible junctions left" in caplog.text
+        trace = []
+        reference.reference_contrail_assemble(store, PARAMS, n_ranks=4, trace=trace)
+        assert reference.compressible_junctions(trace[-1][1], PARAMS.k) == 20
+
+    def test_converged_when_no_junction_is_left(self, caplog):
+        """Two overlapping k-mers join in one round into one contig."""
+        seq = _random_seq(np.random.default_rng(0), PARAMS.k + 1)
+        reads = [FastqRecord(id=f"r{i}", seq=seq, qual="I" * len(seq)) for i in range(3)]
+        params = dataclasses.replace(PARAMS, min_contig_length=PARAMS.k)
         with caplog.at_level(logging.WARNING, logger=contrail.__name__):
             res = ContrailAssembler().assemble(
-                ReadStore.from_reads(reads_single[:300]), PARAMS, n_ranks=4
+                ReadStore.from_reads(reads), params, n_ranks=4
             )
         assert res.stats["compression_converged"] is True
-        assert res.stats["compression_rounds"] < ContrailAssembler.max_rounds
+        assert [c.seq for c in res.contigs] in ([seq], [reverse_complement(seq)])
         assert not caplog.records
 
     def test_round_cap_is_reported(self, reads_single, caplog, monkeypatch):

@@ -56,6 +56,15 @@ class TestEncodeDecode:
     def test_roundtrip(self, s):
         assert decode(encode(s)) == s
 
+    def test_every_byte_maps_as_the_lut(self):
+        every = bytes(range(256))
+        assert encode(every).tolist() == alphabet._ENCODE_LUT.tolist()
+        assert encode(every).dtype == np.uint8
+
+    def test_non_ascii_str_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            encode("AC\u00e9T")
+
 
 class TestComplement:
     def test_complement_pairs(self):

@@ -1,14 +1,18 @@
-"""ReadStore: encode-once layout, extraction parity, and the one
-shared-memory lifecycle (create/attach/close/unlink, double-close,
-leak-freedom) that ReadStore and KmerSpectrum both hold."""
+"""ReadStore: encode-once layout, ``from_reads``' contract and its
+record-loop oracle (``readstore_reference``), a digest pin, extraction
+parity, and the one shared-memory lifecycle (create/attach/close/unlink,
+double-close, leak-freedom) that ReadStore and KmerSpectrum both hold."""
 
 import gc
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context, shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.kmers import (
@@ -21,7 +25,8 @@ from repro.core.multikmer import make_assembly_workload
 from repro.parallel.executor import ProcessExecutor
 from repro.seq import alphabet, sharedarrays
 from repro.seq.fastq import FastqRecord
-from repro.seq.readstore import ReadStore, ReadStoreHandle
+from repro.seq.readstore import FIELDS, ReadStore, ReadStoreHandle
+from tests.seq.readstore_reference import reference_from_reads
 
 
 def _mk(seqs, ids=None, quals=None):
@@ -84,6 +89,115 @@ class TestLayout:
         store = ReadStore.from_reads(READS)
         with pytest.raises(ValueError):
             store.codes[0] = 1
+
+
+#: A fixed record set over every case the encoder distinguishes:
+#: lowercase and non-ACGT bases, a zero-length read, a UTF-8 id.
+PINNED = [
+    FastqRecord(id=i, seq=s, qual=q)
+    for i, s, q in [
+        ("r0", "ACGTacgt", "IIII####"),
+        ("r1", "", ""),
+        ("r\u00e9ad/2", "NRYKM-.x", "!!5?@I~~"),
+        ("r3", "GATTACA", "ABCDEFG"),
+    ]
+]
+
+
+class TestFromReadsContract:
+    """What ``from_reads`` accepts, refuses and produces, case by case."""
+
+    def test_non_ascii_sequence_names_the_read(self):
+        reads = _mk(["ACGT", "AC\u00e9T", "GG\u00e9C"], ids=["ok", "bad", "later"])
+        with pytest.raises(ValueError, match="non-ASCII sequence string for read bad$"):
+            ReadStore.from_reads(reads)
+
+    def test_non_ascii_quality_names_the_read(self):
+        reads = _mk(["ACGT", "ACGT"], ids=["ok", "bad"], quals=["IIII", "II\u00e9I"])
+        with pytest.raises(ValueError, match="non-ASCII quality string for read bad$"):
+            ReadStore.from_reads(reads)
+
+    @pytest.mark.parametrize("qual", ["II", "IIIIII"])
+    def test_length_mismatch_names_the_read(self, qual):
+        """A duck-typed record; ``FastqRecord`` itself refuses one."""
+        reads = [
+            *_mk(["ACGT"], ids=["ok"]),
+            SimpleNamespace(id="bad", seq="ACGT", qual=qual),
+            *_mk(["ACGT"], ids=["later"]),
+        ]
+        with pytest.raises(
+            ValueError, match="sequence/quality length mismatch for read bad$"
+        ):
+            ReadStore.from_reads(reads)
+
+    def test_lowercase_is_a_base_and_other_ascii_is_n(self):
+        store = ReadStore.from_reads(_mk(["acgtn", "ACGTN", "RYX-.*0", "\x00\x7f"]))
+        assert store.seq(0) == store.seq(1) == "ACGTN"
+        assert store.seq(2) == "N" * 7 and store.seq(3) == "NN"
+        assert store.codes[:5].tolist() == [alphabet.A, alphabet.C, alphabet.G,
+                                            alphabet.T, alphabet.N]
+
+    def test_zero_length_reads(self):
+        reads = _mk(["", "ACG", "", ""])
+        store = ReadStore.from_reads(reads)
+        assert store.lengths.tolist() == [0, 3, 0, 0]
+        assert store.records() == reads
+        assert store.codes.size == 3 + 4
+
+    def test_zero_reads_from_any_iterable(self):
+        store = ReadStore.from_reads(iter(()))
+        assert store.n_reads == 0 and store.n_bases == 0
+        assert {f: a.size for f, a in store.fields().items()} == dict(
+            offsets=1, codes=0, quals=0, id_offsets=1, id_bytes=0
+        )
+
+    def test_utf8_ids_round_trip(self):
+        ids = ["plain", "r\u00e9ad", "\u6e2c\u5b9a/1", "\U0001f9ec", ""]
+        reads = _mk(["AC", "GT", "", "A", "C"], ids=ids)
+        store = ReadStore.from_reads(reads)
+        assert [store.read_id(i) for i in range(len(ids))] == ids
+        assert store.records() == reads
+        id_sizes = np.diff(store.fields()["id_offsets"]).tolist()
+        assert id_sizes == [len(i.encode("utf-8")) for i in ids]
+
+    def test_digest_pinned(self):
+        """Any change to the layout or the digest fails here, loudly."""
+        assert ReadStore.from_reads(PINNED).digest == (
+            "03ae1611c106bfeee2203b43cdbdc33ed9b874371c2ed3a2e81a194a811b664d"
+        )
+
+
+_bases = st.text(st.characters(max_codepoint=127), max_size=12) | st.text(
+    "ACGTacgtN", max_size=12
+)
+_ids = st.text(max_size=6) | st.text(st.characters(max_codepoint=127), max_size=6)
+
+
+@st.composite
+def _records(draw):
+    seq = draw(_bases)
+    qual = draw(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                        min_size=len(seq), max_size=len(seq)))
+    return FastqRecord(id=draw(_ids), seq=seq, qual=qual)
+
+
+class TestAgainstReference:
+    """``from_reads`` equals the record-loop oracle field by field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_records(), max_size=8))
+    def test_every_field_and_the_digest(self, reads):
+        got, want = ReadStore.from_reads(reads), reference_from_reads(reads)
+        for field in FIELDS:
+            a, b = got.fields()[field], want.fields()[field]
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+        assert got.digest == want.digest
+
+    def test_on_simulated_reads(self, reads_single):
+        assert ReadStore.from_reads(reads_single).digest == (
+            reference_from_reads(reads_single).digest
+        )
 
 
 class TestExtractionParity:

@@ -75,6 +75,9 @@ _PLANTED = (
     "tests/assembly/test_contrail.py::TestAgainstReference"
     "::test_generated_genomes_reach_every_branch"
 )
+_FLAG = "tests/assembly/test_contrail.py::TestConvergenceFlag"
+_READSTORE = "repro/seq/readstore.py"
+_CONTRACT = "tests/seq/test_readstore.py::TestFromReadsContract"
 _CONFIG = "repro/core/rnnotator.py"
 _FINGERPRINT = "tests/core/test_pipeline.py::TestConfigFingerprint"
 _STAGE_CACHE = "tests/core/test_stage_cache.py"
@@ -268,6 +271,38 @@ ROWS: tuple[Row, ...] = (
         "key=(np.cumsum(present) - 1)[ends],",
         "key=ends,",
         (_ROUNDS,),
+    ),
+    Row(
+        "contrail: converged again means only that no merge fired",
+        _CONTRAIL,
+        "left = _compressible(table)[0].shape[0]",
+        "left = 0 if not head.size else _compressible(table)[0].shape[0]",
+        (f"{_FLAG}::test_junctions_left_on_small_input_are_reported",),
+    ),
+    # reads encoded once, bases translated in C (DESIGN §7)
+    Row(
+        "encode: the translate table stops mapping lowercase bases",
+        "repro/seq/alphabet.py",
+        "_ENCODE_TABLE = _ENCODE_LUT.tobytes()",
+        '_ENCODE_TABLE = _ENCODE_LUT.tobytes()[:97].ljust(256, b"\\x04")',
+        (
+            f"{_CONTRACT}::test_lowercase_is_a_base_and_other_ascii_is_n",
+            "tests/seq/test_alphabet.py::TestEncodeDecode::test_every_byte_maps_as_the_lut",
+        ),
+    ),
+    Row(
+        "readstore: the length-mismatch check dropped",
+        _READSTORE,
+        "if quals.shape[0] != codes.shape[0] or quals[offsets[1:] - 1].any():",
+        "if False:",
+        (f"{_CONTRACT}::test_length_mismatch_names_the_read",),
+    ),
+    Row(
+        "readstore: a non-ASCII id sized by its characters",
+        _READSTORE,
+        "if not id_text.isascii():",
+        "if False:",
+        (f"{_CONTRACT}::test_utf8_ids_round_trip",),
     ),
     # the stream-exact read simulator (DESIGN §7, draw-order contract)
     Row(
