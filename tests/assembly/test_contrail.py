@@ -389,7 +389,7 @@ class TestConvergenceFlag:
     def test_converged_when_no_junction_is_left(self, caplog):
         """Two overlapping k-mers join in one round into one contig."""
         seq = _random_seq(np.random.default_rng(0), PARAMS.k + 1)
-        reads = [FastqRecord(id=f"r{i}", seq=seq, qual="I" * len(seq)) for i in range(3)]
+        reads = [FastqRecord(f"r{i}", seq, "I" * len(seq)) for i in range(3)]
         params = dataclasses.replace(PARAMS, min_contig_length=PARAMS.k)
         with caplog.at_level(logging.WARNING, logger=contrail.__name__):
             res = ContrailAssembler().assemble(

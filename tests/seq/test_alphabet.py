@@ -57,9 +57,9 @@ class TestEncodeDecode:
         assert decode(encode(s)) == s
 
     def test_every_byte_maps_as_the_lut(self):
-        every = bytes(range(256))
-        assert encode(every).tolist() == alphabet._ENCODE_LUT.tolist()
-        assert encode(every).dtype == np.uint8
+        codes = encode(bytes(range(256)))
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == alphabet._ENCODE_LUT.tolist()
 
     def test_non_ascii_str_raises(self):
         with pytest.raises(UnicodeEncodeError):

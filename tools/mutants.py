@@ -75,7 +75,6 @@ _PLANTED = (
     "tests/assembly/test_contrail.py::TestAgainstReference"
     "::test_generated_genomes_reach_every_branch"
 )
-_FLAG = "tests/assembly/test_contrail.py::TestConvergenceFlag"
 _READSTORE = "repro/seq/readstore.py"
 _CONTRACT = "tests/seq/test_readstore.py::TestFromReadsContract"
 _CONFIG = "repro/core/rnnotator.py"
@@ -277,7 +276,10 @@ ROWS: tuple[Row, ...] = (
         _CONTRAIL,
         "left = _compressible(table)[0].shape[0]",
         "left = 0 if not head.size else _compressible(table)[0].shape[0]",
-        (f"{_FLAG}::test_junctions_left_on_small_input_are_reported",),
+        (
+            "tests/assembly/test_contrail.py::TestConvergenceFlag"
+            "::test_junctions_left_on_small_input_are_reported",
+        ),
     ),
     # reads encoded once, bases translated in C (DESIGN §7)
     Row(
@@ -287,7 +289,8 @@ ROWS: tuple[Row, ...] = (
         '_ENCODE_TABLE = _ENCODE_LUT.tobytes()[:97].ljust(256, b"\\x04")',
         (
             f"{_CONTRACT}::test_lowercase_is_a_base_and_other_ascii_is_n",
-            "tests/seq/test_alphabet.py::TestEncodeDecode::test_every_byte_maps_as_the_lut",
+            "tests/seq/test_alphabet.py::TestEncodeDecode"
+            "::test_every_byte_maps_as_the_lut",
         ),
     ),
     Row(
