@@ -15,6 +15,7 @@ and check every claim and every block, byte for byte, with::
 
 from __future__ import annotations
 
+import collections
 import functools
 import numbers
 import re
@@ -30,6 +31,7 @@ from repro.bench.calibration import (
     calibrated_cost_model,
 )
 from repro.cloud.clock import EventQueue, SimClock
+from repro.cloud.instances import get_instance_type
 from repro.cloud.sge import SGEJob, SGEScheduler
 from repro.core.merge import merge_contigs
 from repro.core.planner import select_kmer_list
@@ -318,6 +320,9 @@ def fig5():
         transfer=result.transfer_seconds,
         upload=stages["stage-in"].ttc,
         last_unit=(last.attrs["assembler"], last.v_end),
+        hours_billed=sorted(
+            s.attrs["hours_billed"] for s in tracer.spans if s.name == "vm.lifetime"
+        ),
     )
 
 
@@ -457,6 +462,15 @@ def _fig5(r):
     rows.append(
         ["**cost**", f"**${PAPER_FIG5_COST:.2f}**", f"**${r['cost']:.2f}**"]
     )
+    price = get_instance_type("c3.2xlarge").price_per_hour
+    billed = collections.Counter(r["hours_billed"])
+    rows.append([
+        "c3.2xlarge instance-hours",
+        f"{PAPER_FIG5_COST / price:.1f} (cost / ${price:.2f})",
+        f"{sum(r['hours_billed'])} billed ("
+        + " + ".join(f"{n} × {h} h" for h, n in sorted(billed.items()))
+        + ")",
+    ])
     return ["Stage", "Paper", "Reproduced"], rows
 
 

@@ -1,16 +1,17 @@
-"""repro.obs — end-to-end tracing, metrics and run reports.
+"""repro.obs — end-to-end tracing, metrics and trace analytics.
 
-The observability layer the timing arguments rest on: a process-wide but
-explicitly-injectable :class:`Tracer` records spans and point events
-carrying both **virtual time** (the simulation clock every TTC and
-dollar figure is measured on) and **real host time** (``perf_counter``),
-a :class:`Metrics` registry counts what the event stream makes awkward
-to count, and exporters render it all as a JSONL log or plain text.
-``python -m repro.obs <subcommand>`` analyses a trace file — ``report``
-(per-stage timelines, a virtual-vs-real breakdown, the hottest phases),
-``diff``, ``critpath``, ``attribution``, ``ledger`` and ``monitor`` —
-each a view over one fold of its records
-(:class:`~repro.obs.spans.RunState`).
+A process-wide but explicitly injectable :class:`Tracer` records spans
+and point events on two clocks: **virtual time** (the simulation clock
+every TTC and dollar figure is measured on) and **real host time**
+(``perf_counter``).  A :class:`Metrics` registry counts what the event
+stream makes awkward to count, and :func:`write_jsonl` archives both as
+one JSONL trace.
+
+``python -m repro.obs {report,diff,critpath,attribution,ledger,monitor}``
+analyses a trace.  Each analysis is a view over one fold of its records
+(:class:`~repro.obs.spans.RunState`) that returns its facts as data —
+rows, or a dict of them.  ``--json`` prints that data; the text output
+is the same data through one printer, :func:`~repro.obs.export.table`.
 
 The layer also streams: attach a :class:`~repro.obs.live.JsonlStreamSink`
 (or any :class:`TraceSink`) to a live tracer and every span open/close,
@@ -98,49 +99,11 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(module), name)
 
 
-__all__ = [
-    "Alert",
-    "AlertEngine",
-    "AlertRule",
-    "BufferingTracer",
-    "CadenceSampler",
-    "CollectorSink",
-    "CostAttribution",
-    "Counter",
-    "CriticalPath",
-    "EventRecord",
-    "Gauge",
-    "HeartbeatMonitor",
-    "Histogram",
-    "InflightUnit",
-    "JsonlStreamSink",
-    "Metrics",
-    "NullTracer",
-    "ResourceSample",
-    "ResourceSampler",
-    "RunLedger",
-    "RunState",
-    "SpanContext",
-    "SpanRecord",
-    "StragglerDetector",
-    "TraceSink",
-    "Tracer",
-    "VirtualClockFormatter",
-    "WorkerTrace",
-    "attribute_costs",
-    "build_record",
-    "check_regressions",
-    "compute_critical_path",
-    "evaluate_alerts",
-    "get_tracer",
-    "load_jsonl",
-    "logging_setup",
-    "merge_worker_trace",
-    "parse_rule",
-    "set_thread_tracer",
-    "set_tracer",
-    "text_summary",
-    "use_tracer",
-    "worker_track",
-    "write_jsonl",
-]
+__all__ = sorted([
+    "BufferingTracer", "CadenceSampler", "Counter", "EventRecord", "Gauge",
+    "Histogram", "Metrics", "NullTracer", "ResourceSample", "ResourceSampler",
+    "SpanContext", "SpanRecord", "TraceSink", "Tracer", "VirtualClockFormatter",
+    "WorkerTrace", "get_tracer", "logging_setup", "merge_worker_trace",
+    "set_thread_tracer", "set_tracer", "use_tracer", "worker_track",
+    *_LAZY_EXPORTS,
+])

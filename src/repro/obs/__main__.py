@@ -2,13 +2,13 @@
 
 ``report``, ``diff``, ``critpath``, ``attribution``, ``ledger`` and
 ``monitor`` (DESIGN §10 tabulates their flags) read a trace through one
-loader — :func:`~repro.obs.export.load_jsonl`, which skips a torn last
-line — and render one view of its :class:`~repro.obs.spans.RunState`
-fold.  Exit codes mean the same in every subcommand: **0** ok; **1** a
-gate or threshold failed; **2** the input cannot be gated or read (a
-missing file, an undecodable line that is not the last, a trace
-without what the subcommand needs, a ``diff`` whose span structure
-changed, a usage error).
+loader — :func:`~repro.obs.export.load_jsonl` — and print one view of
+its :class:`~repro.obs.spans.RunState` fold, as JSON under ``--json``
+and otherwise as text.  Exit codes mean the same in every subcommand:
+**0** ok; **1** a gate or threshold failed; **2** the input cannot be
+gated or read (a missing file, a line that is not a trace record and
+not a torn last line, a trace without what the subcommand needs, a
+``diff`` whose span structure changed, a usage error).
 """
 
 from __future__ import annotations
@@ -23,17 +23,12 @@ from typing import Sequence
 from repro.obs.attribution import (
     attribute_costs,
     format_attribution,
-    format_gate,
+    gate_payload,
     planner_violations,
 )
-from repro.obs.critpath import (
-    EPS,
-    compute_critical_path,
-    format_path,
-    format_slack,
-)
+from repro.obs.critpath import compute_critical_path, format_path, slack_rows
 from repro.obs.diff import diff_traces
-from repro.obs.export import load_jsonl
+from repro.obs.export import load_jsonl, table
 from repro.obs.ledger import (
     RunLedger,
     build_record,
@@ -52,16 +47,18 @@ def _fold(path: str) -> RunState:
     return replay(load_jsonl(path))
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _show(args, payload, text: str) -> None:
+    """Print one view: its ``payload`` as JSON under ``--json``, else its
+    ``text``."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
 
 
 def _report(args) -> int:
     state = _fold(args.trace)
-    if args.json:
-        _print_json(report_data(state, top=args.top))
-    else:
-        print(build_report(state, top=args.top))
+    # The text report has sections the JSON leaves out (placement, the
+    # swimlanes, the trace digest), so it is built from the fold.
+    _show(args, report_data(state, top=args.top),
+          build_report(state, top=args.top))
     return 0
 
 
@@ -73,92 +70,46 @@ def _diff(args) -> int:
     structural = [] if args.ignore_structure else diff.structural_violations()
     # Structure (an instrumentation change, not drift) outranks drift.
     code = 2 if structural else 1 if thresholds else 0
-    if args.json:
-        _print_json(
-            {
-                **diff.as_dict(),
-                "threshold_violations": thresholds,
-                "structural_violations": structural,
-                "exit_code": code,
-            }
-        )
-        return code
-    print(diff.format(top=args.top))
-    if code:
-        print(
-            f"\nFAIL: {len(thresholds)} threshold and "
-            f"{len(structural)} structural violation(s):"
-        )
-        for v in thresholds + structural:
-            print(f"  {v}")
-    else:
-        print("\nOK: within thresholds")
+    payload = {
+        **diff.as_dict(),
+        "threshold_violations": thresholds,
+        "structural_violations": structural,
+        "exit_code": code,
+    }
+    verdict = (
+        f"FAIL: {len(thresholds)} threshold and "
+        f"{len(structural)} structural violation(s):"
+        if code else "OK: within thresholds"
+    )
+    _show(args, payload, "\n".join([
+        diff.format(top=args.top), "", verdict,
+        *(f"  {v}" for v in thresholds + structural),
+    ]))
     return code
 
 
 def _critpath(args) -> int:
     state = _fold(args.trace)
     path = compute_critical_path(state)
+    payload = path.as_dict(state.ttc())
+    _show(args, payload,
+          format_path(payload, slack_rows(state, path), top=args.top))
     # Self-check: the path must account for the whole run.
-    ttc = state.ttc()
-    ok = ttc is None or abs(path.total - ttc) <= EPS
-    if args.json:
-        payload = {
-            "total_virtual_s": path.total,
-            "pipeline_ttc_s": ttc,
-            "matches_pipeline_ttc": ok,
-            "segments": [
-                {
-                    "v_start": seg.v_start,
-                    "v_end": seg.v_end,
-                    "duration_s": seg.duration,
-                    "name": seg.name,
-                    "category": seg.category,
-                }
-                for seg in path.segments
-            ],
-            "by_category": path.by_category(),
-            "by_name": path.by_name(),
-        }
-        _print_json(payload)
-        return 0 if ok else 1
-    print(format_path(path, top=args.top))
-    print()
-    print(format_slack(state, path, top=args.top))
-    if ttc is not None:
-        verdict = "matches" if ok else "DOES NOT MATCH"
-        print()
-        print(
-            f"path total {path.total:.6f}s {verdict} "
-            f"pipeline TTC {ttc:.6f}s"
-        )
-    return 0 if ok else 1
+    return 0 if payload["matches_pipeline_ttc"] else 1
 
 
 def _attribution(args) -> int:
     state = _fold(args.trace)
-    attr = attribute_costs(state)
-    structural, gates = (
-        planner_violations(state, ttc_rel=args.ttc_rel, cost_rel=args.cost_rel)
-        if args.planner_gate
-        else ([], [])
-    )
-    if args.json:
-        payload = attr.as_dict()
-        if args.planner_gate:
-            payload["planner_gate"] = {
-                "structural": structural,
-                "gates": [{**asdict(g), "ok": g.ok} for g in gates],
-            }
-        _print_json(payload)
-    else:
-        print(format_attribution(attr))
-        if args.planner_gate:
-            print()
-            print(format_gate(structural, gates))
-    if structural:
+    payload = attribute_costs(state).as_dict()
+    gate = {"structural": [], "gates": []}
+    if args.planner_gate:
+        gate = payload["planner_gate"] = gate_payload(*planner_violations(
+            state, ttc_rel=args.ttc_rel, cost_rel=args.cost_rel
+        ))
+    _show(args, payload, format_attribution(payload))
+    if gate["structural"]:
         return 2
-    return 1 if any(not g.ok for g in gates) else 0
+    return 1 if any(not g["ok"] for g in gate["gates"]) else 0
 
 
 def _ledger(args) -> int:
@@ -176,13 +127,8 @@ def _ledger(args) -> int:
         )
     records = result.records
     if args.cmd == "list":
-        if args.json:
-            _print_json(records)
-            return 0
-        if not records:
-            print("(empty ledger)")
-        for i, rec in enumerate(records):
-            print(summary_line(i, rec))
+        lines = [summary_line(i, rec) for i, rec in enumerate(records)]
+        _show(args, records, "\n".join(lines) or "(empty ledger)")
         return 0
     regressions, note = check_regressions(
         records,
@@ -191,16 +137,11 @@ def _ledger(args) -> int:
         cost_rel=args.cost_rel,
         build_rel=args.build_rel,
     )
-    if args.json:
-        _print_json(
-            {"note": note, "regressions": [asdict(r) for r in regressions]}
-        )
-    else:
-        print(f"ledger check: {note}")
-        for r in regressions:
-            print(f"  REGRESSION: {r.describe()}")
-        if not regressions:
-            print("  ok — no regressions")
+    payload = {"note": note, "regressions": [asdict(r) for r in regressions]}
+    _show(args, payload, table(f"ledger check: {note}\nREGRESSIONS:", {
+        "quantity": "", "baseline": ".3f", "latest": ".3f",
+        "rel_err": "+.2%", "tolerance": ".0%"}, payload["regressions"])
+        or f"ledger check: {note}\n  ok — no regressions")
     return 1 if regressions else 0
 
 
@@ -217,143 +158,77 @@ def _parser():
         description="Trace analytics over repro JSONL traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("trace", help="JSONL trace file")
+    view = argparse.ArgumentParser(add_help=False)
+    view.add_argument("--json", action="store_true",
+                      help="print the view as JSON")
+    top = argparse.ArgumentParser(add_help=False)
+    top.add_argument("--top", type=int, default=10, help="rows per table")
 
-    p = sub.add_parser(
-        "report", help="render a run report from a trace",
-        description="Render a run report from a repro JSONL trace file.",
-    )
-    p.set_defaults(run=_report)
-    p.add_argument("trace", help="trace file written by obs.export.write_jsonl")
-    p.add_argument("--top", type=int, default=10, help="top-k hottest phases")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of the text one",
-    )
+    def add(name: str, run, help: str, parents):
+        p = sub.add_parser(name, help=help, description=help, parents=parents)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser(
-        "diff", help="diff two traces",
-        description="Diff two repro JSONL trace files "
-        "(exit 1 when gated drift exceeds its threshold).",
-    )
-    p.set_defaults(run=_diff)
+    add("report", _report, "render a run report from a trace",
+        (trace, view, top))
+
+    p = add("diff", _diff, "diff two traces (exit 1 when gated drift "
+            "exceeds its threshold, 2 when the span structure changed)",
+            (view, top))
     p.add_argument("base", help="baseline trace (JSONL)")
     p.add_argument("other", help="trace to compare against the baseline")
-    p.add_argument(
-        "--v-rel",
-        type=float,
-        default=0.0,
-        help="max relative virtual-time drift per stage and in total "
-        "(default 0: identical-seed traces must agree exactly)",
-    )
-    p.add_argument(
-        "--metric-rel",
-        type=float,
-        default=None,
-        help="gate counter/gauge drift at this relative threshold "
-        "(default: report only)",
-    )
-    p.add_argument(
-        "--ignore-structure",
-        action="store_true",
-        help="do not fail on span/event names present in only one trace",
-    )
-    p.add_argument("--top", type=int, default=10, help="rows per report section")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as one JSON object (machine-readable)",
-    )
+    p.add_argument("--v-rel", type=float, default=0.0,
+                   help="max relative virtual-time drift per stage and in "
+                   "total (default 0: identical-seed traces agree exactly)")
+    p.add_argument("--metric-rel", type=float, default=None,
+                   help="gate counter/gauge drift at this relative threshold "
+                   "(default: report only)")
+    p.add_argument("--ignore-structure", action="store_true",
+                   help="do not fail on span/event names in only one trace")
 
-    p = sub.add_parser(
-        "critpath", help="critical-path analysis of a trace",
-        description="Critical-path analysis of a JSONL trace.",
-    )
-    p.set_defaults(run=_critpath)
-    p.add_argument("trace", help="JSONL trace file")
-    p.add_argument("--top", type=int, default=10, help="rows in rollup tables")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    add("critpath", _critpath, "critical-path analysis of a trace",
+        (trace, view, top))
 
-    p = sub.add_parser(
-        "attribution", help="per-run cost attribution and planner gate",
-        description="Per-run dollar/node-second attribution from a trace.",
-    )
-    p.set_defaults(run=_attribution)
-    p.add_argument("trace", help="JSONL trace file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--planner-gate",
-        action="store_true",
-        help=(
-            "check planner predicted-vs-actual TTC and cost; exit 1 on a "
-            "blown tolerance, 2 when the trace cannot be gated"
-        ),
-    )
-    p.add_argument(
-        "--ttc-rel",
-        type=float,
-        default=0.10,
-        help="relative TTC tolerance for the planner gate",
-    )
-    p.add_argument(
-        "--cost-rel",
-        type=float,
-        default=0.25,
-        help="relative cost tolerance for the planner gate",
-    )
+    p = add("attribution", _attribution,
+            "per-run cost attribution and planner gate", (trace, view))
+    p.add_argument("--planner-gate", action="store_true",
+                   help="check planner predicted-vs-actual TTC and cost; exit "
+                   "1 on a blown tolerance, 2 when the trace cannot be gated")
+    p.add_argument("--ttc-rel", type=float, default=0.10,
+                   help="relative TTC tolerance for the planner gate")
+    p.add_argument("--cost-rel", type=float, default=0.25,
+                   help="relative cost tolerance for the planner gate")
 
-    p = sub.add_parser(
-        "ledger", help="append-only pipeline-run ledger",
-        description="Append-only pipeline-run ledger.",
-    )
-    p.set_defaults(run=_ledger)
+    p = add("ledger", _ledger, "append-only pipeline-run ledger", ())
     cmd = p.add_subparsers(dest="cmd", required=True)
-    c = cmd.add_parser("append", help="distill a trace and append")
-    c.add_argument("trace", help="JSONL trace file")
+    c = cmd.add_parser("append", help="distill a trace and append",
+                       parents=[trace])
     c.add_argument("--ledger", required=True)
     c.add_argument("--run-id", default=None)
-    c = cmd.add_parser("list", help="one summary line per record")
+    c = cmd.add_parser("list", help="one summary line per record",
+                       parents=[view])
     c.add_argument("--ledger", required=True)
-    c.add_argument("--json", action="store_true")
-    c = cmd.add_parser(
-        "check", help="gate the latest record vs its baseline window"
-    )
+    c = cmd.add_parser("check", parents=[view],
+                       help="gate the latest record vs its baseline window")
     c.add_argument("--ledger", required=True)
     c.add_argument("--window", type=int, default=5)
     c.add_argument("--v-rel", type=float, default=0.05)
     c.add_argument("--cost-rel", type=float, default=0.25)
     c.add_argument("--build-rel", type=float, default=1.0)
-    c.add_argument("--json", action="store_true")
 
-    p = sub.add_parser(
-        "monitor", help="watch a run live or render its final state",
-        description=(
-            "Watch a repro run live (tail a streaming JSONL trace) or "
-            "render the final state of a finished one."
-        ),
-    )
-    p.set_defaults(run=_monitor)
-    p.add_argument(
-        "trace",
-        help="trace file (a JsonlStreamSink stream or an archival trace)",
-    )
-    p.add_argument(
-        "--follow",
-        action="store_true",
-        help="tail the file until the pipeline-root span closes",
-    )
-    p.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        help="seconds between tail polls (with --follow)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up (exit 1) after this many seconds (with --follow)",
-    )
+    p = add("monitor", _monitor, "watch a repro run live (tail a streaming "
+            "JSONL trace) or render the final state of a finished one", ())
+    p.add_argument("trace", help="trace file (a JsonlStreamSink stream or an "
+                   "archival trace)")
+    p.add_argument("--follow", action="store_true",
+                   help="tail the file until the pipeline-root span closes")
+    p.add_argument("--poll", type=float, default=0.2,
+                   help="seconds between tail polls (with --follow)")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="give up (exit 1) after this many seconds "
+                   "(with --follow)")
     return parser
 
 

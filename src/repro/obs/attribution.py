@@ -18,21 +18,15 @@ fan-out ran (``planner_ttc_s`` / ``planner_cost_usd``), and
 relative tolerances, in the style of :mod:`repro.obs.diff` — exit 2 for
 structural problems (no prediction on the trace), exit 1 for a blown
 tolerance.
-
-CLI::
-
-    python -m repro.obs attribution trace.jsonl
-    python -m repro.obs attribution trace.jsonl --json
-    python -m repro.obs attribution trace.jsonl --planner-gate \\
-        --ttc-rel 0.10 --cost-rel 0.25
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from .critpath import compute_critical_path
+from .export import table
 from .spans import RunState, fold, stage_name, v_duration
 
 #: Bucket labels for non-stage VM time.
@@ -143,14 +137,8 @@ class CostAttribution:
                 for vm in self.vms
             ],
             "assembly_jobs": [
-                {
-                    "assembler": j.assembler,
-                    "k": j.k,
-                    "nodes": j.nodes,
-                    "node_seconds": round(j.node_seconds, 3),
-                    "cost_usd": round(j.cost_usd, 6),
-                    "cache": j.cache,
-                }
+                {**asdict(j), "node_seconds": round(j.node_seconds, 3),
+                 "cost_usd": round(j.cost_usd, 6)}
                 for j in self.assembly_jobs
             ],
         }
@@ -293,41 +281,44 @@ def attribute_costs(records: Iterable[dict] | RunState) -> CostAttribution:
     )
 
 
-def format_attribution(attr: CostAttribution) -> str:
-    lines = ["== cost attribution =="]
-    lines.append(
-        f"billed total ${attr.total_usd:.2f}"
-        f" across {len(attr.vms)} VM(s)"
-    )
-    lines.append("")
-    lines.append(f"{'bucket':<22} {'node-s':>10} {'USD':>8} {'share':>7}")
-    for label, usd in attr.by_bucket.items():
-        secs = attr.node_seconds_by_bucket.get(label, 0.0)
-        share = usd / attr.total_usd if attr.total_usd else 0.0
-        lines.append(
-            f"{label:<22} {secs:>10.1f} {usd:>8.3f} {share:>6.1%}"
-        )
-    lines.append("")
-    lines.append("== per VM ==")
-    for vm in attr.vms:
-        flag = " (preempted)" if vm.preempted else ""
-        lines.append(
-            f"  {vm.vm_id} [{vm.pilot or '-'}] {vm.instance_type}"
-            f" up {vm.uptime_s:.1f}s -> ${vm.cost_usd:.2f}{flag}"
-        )
-    if attr.assembly_jobs:
-        lines.append("")
-        lines.append("== assembly fan-out ==")
-        lines.append(
-            f"{'job':<16} {'nodes':>5} {'node-s':>10} {'USD':>8}  cache"
-        )
-        for j in attr.assembly_jobs:
-            job = f"{j.assembler}_k{j.k}" if j.k is not None else j.assembler
-            lines.append(
-                f"{job:<16} {j.nodes:>5} {j.node_seconds:>10.1f}"
-                f" {j.cost_usd:>8.4f}  {j.cache or '-'}"
-            )
-    return "\n".join(lines)
+def format_attribution(data: dict) -> str:
+    """The text of :meth:`CostAttribution.as_dict`, and of the planner
+    gate when ``data`` carries one (``planner_gate``, a
+    :func:`gate_payload`)."""
+    total, seconds = data["total_usd"], data["node_seconds_by_bucket"]
+    buckets = [
+        {"bucket": label, "node-s": seconds.get(label, 0.0), "USD": usd,
+         "share": usd / total if total else 0.0}
+        for label, usd in data["by_bucket_usd"].items()
+    ]
+    jobs = [
+        {**j, "job": j["assembler"] + ("" if j["k"] is None else f"_k{j['k']}")}
+        for j in data["assembly_jobs"]
+    ]
+    sections = [
+        "== cost attribution ==\n"
+        f"billed total ${total:.2f} across {len(data['vms'])} VM(s)",
+        table("", {"bucket": "", "node-s": ".1f", "USD": ".3f",
+                   "share": ".1%"}, buckets),
+        table("== per VM ==", {"vm_id": "", "pilot": "", "instance_type": "",
+                               "uptime_s": ".1f", "cost_usd": ".2f",
+                               "preempted": ""}, data["vms"]),
+        table("== assembly fan-out ==", {"job": "", "nodes": "d",
+                                         "node_seconds": ".1f",
+                                         "cost_usd": ".4f", "cache": ""}, jobs),
+    ]
+    gate = data.get("planner_gate")
+    if gate is not None:
+        gates = [{**g, "verdict": "ok" if g["ok"] else "VIOLATION"}
+                 for g in gate["gates"]]
+        sections.append("\n".join(filter(None, [
+            "== planner prediction gate ==",
+            *(f"  STRUCTURAL: {s}" for s in gate["structural"]),
+            table("", {"name": "", "predicted": ".3f", "actual": ".3f",
+                       "rel_err": ".2%", "tolerance": ".0%", "verdict": ""},
+                  gates),
+        ])))
+    return "\n\n".join(s for s in sections if s)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +394,10 @@ def planner_violations(
     return [], gates
 
 
-def format_gate(structural: list[str], gates: list[GateResult]) -> str:
-    lines = ["== planner prediction gate =="]
-    for s in structural:
-        lines.append(f"  STRUCTURAL: {s}")
-    for g in gates:
-        verdict = "ok" if g.ok else "VIOLATION"
-        lines.append(
-            f"  {g.name:<9} predicted {g.predicted:>12.3f}"
-            f" actual {g.actual:>12.3f}"
-            f" rel-err {g.rel_err:.2%} (tol {g.tolerance:.0%}) {verdict}"
-        )
-    return "\n".join(lines)
+def gate_payload(structural: list[str], gates: list[GateResult]) -> dict:
+    """The planner gate as data: ``attribution --planner-gate``'s JSON
+    block, which its text also prints."""
+    return {
+        "structural": structural,
+        "gates": [{**asdict(g), "ok": g.ok} for g in gates],
+    }

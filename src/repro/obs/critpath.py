@@ -11,11 +11,6 @@ end-to-end virtual TTC by construction.
 Every other span gets a *slack*: how much longer it could have run
 before it would have delayed the run (the distance from its end to the
 end of the critical segment covering that instant).
-
-CLI::
-
-    python -m repro.obs critpath trace.jsonl --top 8
-    python -m repro.obs critpath trace.jsonl --json
 """
 
 from __future__ import annotations
@@ -23,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .export import table
 from .spans import RunState, fold, v_duration
 
 #: Virtual-time comparison tolerance.  Virtual timestamps are sums of a
@@ -139,6 +135,27 @@ class CriticalPath:
             ],
         }
 
+    def as_dict(self, ttc: float | None) -> dict:
+        """The ``critpath --json`` payload, which the text also prints:
+        every segment, both rollups and the self-check against the
+        pipeline TTC ``ttc`` (``None`` when the trace has no pipeline
+        span, which the path then cannot contradict)."""
+        return {
+            "total_virtual_s": self.total,
+            "pipeline_ttc_s": ttc,
+            "matches_pipeline_ttc": (
+                ttc is None or abs(self.total - ttc) <= EPS
+            ),
+            "segments": [
+                {"v_start": seg.v_start, "v_end": seg.v_end,
+                 "duration_s": seg.duration, "name": seg.name,
+                 "category": seg.category}
+                for seg in self.segments
+            ],
+            "by_category": self.by_category(),
+            "by_name": self.by_name(),
+        }
+
 
 def _eligible(state: RunState) -> list[dict]:
     out = []
@@ -207,52 +224,50 @@ def compute_critical_path(records: Iterable[dict] | RunState) -> CriticalPath:
     return CriticalPath(start, end, segments)
 
 
-def format_path(path: CriticalPath, top: int = 10) -> str:
-    lines = []
-    lines.append("== critical path (virtual time) ==")
-    lines.append(
-        f"total {path.total:.3f}s over {len(path.segments)} segments"
-    )
-    lines.append("")
-    lines.append(
-        f"{'from':>12} {'to':>12} {'secs':>10} {'share':>7}  span"
-    )
-    for seg in path.segments:
-        share = seg.duration / path.total if path.total else 0.0
-        lines.append(
-            f"{seg.v_start:>12.3f} {seg.v_end:>12.3f}"
-            f" {seg.duration:>10.3f} {share:>6.1%}"
-            f"  {seg.name} [{seg.category}]"
-        )
-    lines.append("")
-    lines.append("== by span, largest first ==")
-    for name, secs in list(path.by_name().items())[:top]:
-        share = secs / path.total if path.total else 0.0
-        lines.append(f"  {secs:>10.3f}s {share:>6.1%}  {name}")
-    lines.append("")
-    lines.append("== by category ==")
-    for cat, secs in path.by_category().items():
-        share = secs / path.total if path.total else 0.0
-        lines.append(f"  {secs:>10.3f}s {share:>6.1%}  {cat}")
-    return "\n".join(lines)
+def slack_rows(
+    records: Iterable[dict] | RunState, path: CriticalPath
+) -> list[dict]:
+    """Every off-path span with its slack, largest first."""
+    rows = [
+        {"slack s": path.slack(span), "span": span["name"],
+         "category": span["cat"], "duration s": v_duration(span)}
+        for span in _eligible(fold(records))
+    ]
+    return sorted((r for r in rows if r["slack s"] > EPS),
+                  key=lambda r: -r["slack s"])
 
 
-def format_slack(
-    records: Iterable[dict] | RunState, path: CriticalPath, top: int = 10
-) -> str:
-    rows = []
-    for span in _eligible(fold(records)):
-        s = path.slack(span)
-        if s > EPS:
-            rows.append((s, span))
-    rows.sort(key=lambda r: -r[0])
-    lines = ["== largest slack (off-path spans) =="]
-    if not rows:
-        lines.append("  (none — every span is on the critical path)")
-    for s, span in rows[:top]:
-        lines.append(
-            f"  {s:>10.3f}s slack"
-            f"  {span['name']} [{span['cat']}]"
-            f" dur={v_duration(span):.3f}s"
+def format_path(payload: dict, slack: list[dict], top: int = 10) -> str:
+    """The text of :meth:`CriticalPath.as_dict` and :func:`slack_rows`."""
+    total, segments = payload["total_virtual_s"], payload["segments"]
+
+    def share(secs: float) -> float:
+        return secs / total if total else 0.0
+
+    def rollup(title: str, pairs) -> str:
+        rows = [{"secs": v, "share": share(v), "name": k} for k, v in pairs]
+        return table(title, {"secs": ".3f", "share": ".1%", "name": ""}, rows)
+
+    sections = [
+        "== critical path (virtual time) ==\n"
+        f"total {total:.3f}s over {len(segments)} segments",
+        table("", {"v_start": ".3f", "v_end": ".3f", "duration_s": ".3f",
+                   "share": ".1%", "name": "", "category": ""},
+              [{**seg, "share": share(seg["duration_s"])} for seg in segments]),
+        rollup("== by span, largest first ==",
+               list(payload["by_name"].items())[:top]),
+        rollup("== by category ==", payload["by_category"].items()),
+        table("== largest slack (off-path spans) ==",
+              {"slack s": ".3f", "span": "", "category": "",
+               "duration s": ".3f"}, slack[:top])
+        or "== largest slack (off-path spans) ==\n"
+        "  (none — every span is on the critical path)",
+    ]
+    ttc = payload["pipeline_ttc_s"]
+    if ttc is not None:
+        verdict = ("matches" if payload["matches_pipeline_ttc"]
+                   else "DOES NOT MATCH")
+        sections.append(
+            f"path total {total:.6f}s {verdict} pipeline TTC {ttc:.6f}s"
         )
-    return "\n".join(lines)
+    return "\n\n".join(sections)

@@ -14,16 +14,10 @@ traces written by :func:`repro.obs.write_jsonl`, each folded into a
 * **metric drift** — counters and gauges by relative drift, histograms
   by count and mean (report-only: their values are real-time shaped).
 
-Exit status (CI-distinguishable): 0 when every gated quantity is within
-its threshold, **1** on threshold violations only (drift), **2** when
-the trace *structure* changed (span/event names appeared or vanished —
-an instrumentation change, not mere drift; takes precedence when both
-kinds are present).  Gates: virtual drift is gated by ``--v-rel``
-(default 0: identical-seed traces must agree exactly), structural
-changes are always gated (disable with ``--ignore-structure``), and
-counter/gauge drift by ``--metric-rel`` only when passed; real time is
-reported, never gated.  ``--json`` emits the whole comparison as one
-JSON object for machine-readable CI logs.
+Virtual drift is gated by ``--v-rel`` (exit 1), a structural change
+always (exit 2, which outranks 1; ``--ignore-structure`` turns it off),
+counter/gauge drift only under ``--metric-rel``; real time is reported,
+never gated.
 """
 
 from __future__ import annotations
@@ -31,6 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
+from repro.obs.export import table
 from repro.obs.spans import RunState, fold
 
 #: Floor for relative-drift denominators.
@@ -155,62 +150,44 @@ class TraceDiff:
     # -- rendering -----------------------------------------------------------
 
     def format(self, top: int = 10) -> str:
-        lines = ["trace diff (base -> other):"]
-        lines.append(
-            f"  total virtual {self.total_v_base:g} s -> "
-            f"{self.total_v_other:g} s ({self.total_v_rel:+.2%} drift)"
-        )
-        if self.stages:
-            lines.append("  per-stage deltas:")
-            lines.append(
-                f"    {'stage':24s} {'virtual base':>12s} {'other':>10s} "
-                f"{'drift':>8s} {'real base':>10s} {'other':>8s}"
-            )
-            for d in self.stages:
-                lines.append(
-                    f"    {d.stage:24s} {d.v_base:12.1f} {d.v_other:10.1f} "
-                    f"{d.v_rel:8.2%} {d.r_base:10.3f} {d.r_other:8.3f}"
-                )
-        if self.new_names:
-            lines.append("  new records (in other only):")
-            for kind, cat, name in self.new_names:
-                lines.append(f"    + {kind} {name} [{cat or 'default'}]")
-        if self.missing_names:
-            lines.append("  missing records (in base only):")
-            for kind, cat, name in self.missing_names:
-                lines.append(f"    - {kind} {name} [{cat or 'default'}]")
-        if self.count_changes:
-            lines.append("  record-count changes:")
-            for (kind, cat, name), a, b in self.count_changes[:top]:
-                lines.append(
-                    f"    {kind} {name} [{cat or 'default'}]: {a} -> {b}"
-                )
-            hidden = len(self.count_changes) - top
-            if hidden > 0:
-                lines.append(f"    ... and {hidden} more")
+        """The text of :meth:`as_dict`, at most ``top`` rows per list."""
+        data = self.as_dict()
+
+        def record(kind: str, cat: str, name: str) -> dict:
+            return {"kind": kind, "name": name, "category": cat or "default"}
+
+        counts = [
+            {**record(*c["key"]), "base": c["base"], "other": c["other"]}
+            for c in data["count_changes"]
+        ]
         drifted = sorted(
-            (m for m in self.metric_deltas if m.rel > 0),
-            key=lambda m: m.rel,
-            reverse=True,
-        )
-        if drifted:
-            lines.append(f"  metric drift (top {top}):")
-            for m in drifted[:top]:
-                lines.append(
-                    f"    {m.kind:7s} {m.name:32s} {m.base} -> {m.other}"
-                )
-        if self.histogram_notes:
-            lines.append("  histograms (report-only):")
-            lines.extend(f"    {note}" for note in self.histogram_notes[:top])
-        if not (
-            self.stages
-            or self.new_names
-            or self.missing_names
-            or self.count_changes
-            or drifted
-        ):
-            lines.append("  (no differences found)")
-        return "\n".join(lines)
+            (m for m in self.metric_deltas if m.rel > 0), key=lambda m: -m.rel
+        )[:top]
+        name = {"kind": "", "name": "", "category": ""}
+        sections = [
+            "trace diff (base -> other):\n"
+            f"  total virtual {self.total_v_base:g} s -> "
+            f"{self.total_v_other:g} s ({self.total_v_rel:+.2%} drift)",
+            table("per-stage deltas:", {
+                "stage": "", "v_base": ".1f", "v_other": ".1f", "v_rel": ".2%",
+                "r_base": ".3f", "r_other": ".3f"}, data["stages"]),
+            table("new records (in other only):", name,
+                  [record(*key) for key in data["new_names"]]),
+            table("missing records (in base only):", name,
+                  [record(*key) for key in data["missing_names"]]),
+            table(f"record-count changes (top {top} of {len(counts)}):",
+                  {**name, "base": "d", "other": "d"}, counts[:top]),
+            table(f"metric drift (top {top}):",
+                  {**name, "base": "", "other": ""},
+                  [{**asdict(m), "base": str(m.base), "other": str(m.other)}
+                   for m in drifted]),
+            table("histograms (report-only):", {"note": ""},
+                  [{"note": n} for n in data["histogram_notes"][:top]]),
+        ]
+        if not (self.stages or self.new_names or self.missing_names
+                or self.count_changes or drifted):
+            sections.append("  (no differences found)")
+        return "\n".join(s for s in sections if s)
 
 
 def diff_traces(

@@ -1,4 +1,5 @@
-"""Trace exporters: the JSONL event log and a plain-text digest.
+"""Trace exporters: the JSONL event log, its line decoder, and the one
+text printer (:func:`table`) every text view goes through.
 
 The JSONL log is the archival format (one record per line, metrics
 snapshot appended last) and what ``python -m repro.obs`` reads.  Every
@@ -7,6 +8,7 @@ record keeps both clocks, so each analysis picks the one it needs.
 
 from __future__ import annotations
 
+import collections
 import json
 from pathlib import Path
 from typing import Iterable
@@ -67,27 +69,66 @@ def write_jsonl(source: "Tracer | Iterable[dict]", path: str | Path) -> Path:
     return path
 
 
+def decode_line(line: str, where: str, last: bool = False) -> dict | None:
+    """One trace line as its record: a JSON object with a ``type``.
+
+    Anything else raises ``ValueError`` naming ``where`` (``path:line``),
+    except an undecodable ``last`` line: a stream read mid-write ends in
+    one, so it is torn, not corrupt, and decodes to ``None``."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        if last:
+            return None
+        raise ValueError(
+            f"{where}: undecodable trace line ({exc.msg})"
+        ) from None
+    if not isinstance(record, dict) or "type" not in record:
+        raise ValueError(f"{where}: not a trace record (an object with a type)")
+    return record
+
+
 def load_jsonl(path: str | Path) -> list[dict]:
     """Read a trace written by :func:`write_jsonl` (or streamed by a
-    :class:`~repro.obs.live.JsonlStreamSink`).
-
-    A torn last line — a stream read mid-write ends in one — is
-    skipped; an undecodable line anywhere else raises ``ValueError``
-    naming it."""
+    :class:`~repro.obs.live.JsonlStreamSink`), skipping blank lines and
+    a torn last line (:func:`decode_line`)."""
     lines = Path(path).read_text().splitlines()
     records = []
     for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if number == len(lines):
-                break
-            raise ValueError(
-                f"{path}:{number}: undecodable trace line ({exc.msg})"
-            ) from None
+        if line.strip():
+            last = number == len(lines)
+            record = decode_line(line, f"{path}:{number}", last)
+            if record is not None:
+                records.append(record)
     return records
+
+
+def table(title: str, columns: dict[str, str], rows: list[dict]) -> str:
+    """The one text printer of the trace analytics.
+
+    ``title`` (when not empty), a header line and one line per row, each
+    indented two spaces; ``""`` when there are no rows.  ``columns`` maps
+    each header, in order, to the format spec of its cells, and a row is a
+    dict keyed by header: a header that no row has is left out, and a
+    missing or ``None`` cell prints as ``-``.  A column with a spec holds
+    numbers and aligns right, the others align left; each column is as
+    wide as its widest cell."""
+    if not rows:
+        return ""
+    cols = {h: f for h, f in columns.items() if any(h in r for r in rows)}
+    grid = [list(cols)] + [
+        ["-" if r.get(h) is None else format(r[h], f) for h, f in cols.items()]
+        for r in rows
+    ]
+    widths = [max(map(len, cells)) for cells in zip(*grid)]
+    lines = [title] if title else []
+    for cells in grid:
+        padded = (
+            cell.rjust(width) if spec else cell.ljust(width)
+            for cell, width, spec in zip(cells, widths, cols.values())
+        )
+        lines.append(("  " + "  ".join(padded)).rstrip())
+    return "\n".join(lines)
 
 
 def text_summary(
@@ -100,44 +141,41 @@ def text_summary(
         metrics = source.metrics.snapshot()
     else:
         state = fold(source)
-        metrics = state.snapshot
-    spans, events = state.spans, state.events
+        metrics = state.snapshot or {}
+    spans = state.spans
 
-    lines = [f"trace: {len(spans)} spans, {len(events)} events"]
-    by_cat: dict[str, int] = {}
-    for s in spans:
-        by_cat[s["cat"] or "default"] = by_cat.get(s["cat"] or "default", 0) + 1
-    for cat, n in sorted(by_cat.items(), key=lambda kv: -kv[1]):
-        lines.append(f"  {cat:16s} {n:5d} spans")
+    def hottest(clock: str, spec: str, duration, ranked: list[dict]) -> str:
+        return table(
+            f"hottest spans ({clock}, top {top}):",
+            {f"{clock} s": spec, "span": "", "track": ""},
+            [{f"{clock} s": duration(s), "span": s["name"],
+              "track": f"{s['process']}/{s['thread']}"} for s in ranked],
+        )
 
-    hottest_v = sorted(spans, key=v_duration, reverse=True)[:top]
-    if any(v_duration(s) > 0 for s in hottest_v):
-        lines.append(f"hottest spans (virtual, top {top}):")
-        for s in hottest_v:
-            if v_duration(s) <= 0:
-                continue
-            lines.append(
-                f"  {v_duration(s):12.1f} s  {s['name']}  "
-                f"[{s['process']}/{s['thread']}]"
-            )
-    hottest_r = sorted(spans, key=r_duration, reverse=True)[:top]
-    if hottest_r:
-        lines.append(f"hottest spans (real, top {top}):")
-        for s in hottest_r:
-            lines.append(
-                f"  {r_duration(s):12.4f} s  {s['name']}  "
-                f"[{s['process']}/{s['thread']}]"
-            )
-    if metrics:
-        lines.append("metrics:")
-        for name, value in metrics.get("counters", {}).items():
-            lines.append(f"  counter   {name:32s} {value:g}")
-        for name, value in metrics.get("gauges", {}).items():
-            if value is not None:
-                lines.append(f"  gauge     {name:32s} {value:g}")
-        for name, h in metrics.get("histograms", {}).items():
-            lines.append(
-                f"  histogram {name:32s} n={h['count']} mean={h['mean']:.4g} "
-                f"p95={h['p95']:.4g} max={h['max']:.4g}"
-            )
-    return "\n".join(lines)
+    by_cat = collections.Counter(s["cat"] or "default" for s in spans)
+    metric_rows = [
+        {"kind": kind[:-1], "name": name, "value": value}
+        for kind in ("counters", "gauges")
+        for name, value in metrics.get(kind, {}).items()
+        if value is not None
+    ]
+    histograms = [
+        {"name": name, "n": h["count"], "mean": h["mean"], "p95": h["p95"],
+         "max": h["max"]}
+        for name, h in metrics.get("histograms", {}).items()
+    ]
+    sections = [
+        f"trace: {len(spans)} spans, {len(state.events)} events",
+        table("", {"category": "", "spans": "d"},
+              [{"category": c, "spans": n} for c, n in by_cat.most_common()]),
+        hottest("virtual", ".1f", v_duration, [
+            s for s in sorted(spans, key=v_duration, reverse=True)[:top]
+            if v_duration(s) > 0
+        ]),
+        hottest("real", ".4f", r_duration,
+                sorted(spans, key=r_duration, reverse=True)[:top]),
+        table("metrics:", {"kind": "", "name": "", "value": "g"}, metric_rows),
+        table("histograms:", {"name": "", "n": "d", "mean": ".4g",
+                              "p95": ".4g", "max": ".4g"}, histograms),
+    ]
+    return "\n".join(s for s in sections if s)

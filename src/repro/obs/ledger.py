@@ -13,15 +13,6 @@ The file is deliberately boring: newline-delimited JSON, append-only,
 no index.  A torn final line (the writer died mid-append) is skipped on
 read, never a crash, and the next append starts a fresh line after it —
 the ledger must survive exactly the failures it exists to document.
-
-CLI::
-
-    python -m repro.obs ledger append trace.jsonl --ledger runs.jsonl
-    python -m repro.obs ledger list --ledger runs.jsonl [--json]
-    python -m repro.obs ledger check --ledger runs.jsonl --v-rel 0.05
-
-Exit codes for ``check``: 0 clean, 1 threshold regression, 2 the ledger
-cannot be gated (missing/empty/unreadable).
 """
 
 from __future__ import annotations
@@ -182,13 +173,6 @@ class Regression:
     latest: float
     rel_err: float
     tolerance: float
-
-    def describe(self) -> str:
-        return (
-            f"{self.quantity}: baseline {self.baseline:.3f} -> "
-            f"latest {self.latest:.3f} "
-            f"({self.rel_err:+.2%}, tol {self.tolerance:.0%})"
-        )
 
 
 def check_regressions(

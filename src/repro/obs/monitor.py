@@ -18,11 +18,12 @@ from the merged ``worker``-category spans; ETA from the
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
+from repro.obs.export import decode_line, table
+from repro.obs.report import ALERT_COLUMNS, alerts_section
 from repro.obs.spans import FINAL_STATES, RunState
 
 
@@ -52,63 +53,39 @@ def final_summary(state: RunState) -> str:
     """The deterministic end-state block: identical for a live-tailed
     stream and the same run's archival trace (it reads only records
     both carry)."""
-    lines = ["== final state =="]
+    run = "run: IN PROGRESS (no pipeline-close record)"
     if state.pipeline is not None:
-        lines.append(
-            f"run: {state.pipeline['name']} — COMPLETE  "
-            f"(TTC {state.ttc() or 0.0:.1f} virtual s)"
-        )
-    else:
-        lines.append("run: IN PROGRESS (no pipeline-close record)")
+        run = (f"run: {state.pipeline['name']} — COMPLETE  "
+               f"(TTC {state.ttc() or 0.0:.1f} virtual s)")
     done, failed, running = state.unit_counts()
-    counts = f"units: {done} done, {failed} failed"
-    if running:
-        counts += f", {running} running"
-    lines.append(counts)
-    progress = state.stage_progress()
-    seconds = state.stage_seconds()
-    if seconds or progress:
-        lines.append(
-            f"  {'stage':24s} {'done':>5s} {'fail':>5s} "
-            f"{'virtual s':>10s} {'real s':>9s}"
-        )
-        for stage in sorted(set(seconds) | set(progress)):
-            row = progress.get(stage, {})
-            virt, real = f"{'-':>10s}", f"{'-':>9s}"
-            if stage in seconds:
-                virt = f"{seconds[stage][0]:10.1f}"
-                real = f"{seconds[stage][1]:9.3f}"
-            lines.append(
-                f"  {stage:24s} {row.get('done', 0):5d} "
-                f"{row.get('failed', 0):5d} {virt} {real}"
-            )
-    if state.workers:
-        lines.append("workers:")
-        for name in sorted(state.workers):
-            w = state.workers[name]
-            lines.append(
-                f"  {name:16s} {w['workloads']:3d} workloads  "
-                f"busy {w['busy_r']:.3f} s"
-            )
-    if state.alerts:
-        lines.append(f"alerts: {len(state.alerts)}")
-        for a in state.alerts:
-            attrs = a.get("attrs", {})
-            lines.append(
-                f"  [{attrs.get('severity', '?'):8s}] "
-                f"{attrs.get('rule', '?')}: {attrs.get('message', '')}"
-            )
-    else:
-        lines.append("alerts: none")
+    progress, seconds = state.stage_progress(), state.stage_seconds()
+    stages = []
+    for stage in sorted(set(seconds) | set(progress)):
+        counts = progress.get(stage, {})
+        virtual, real = seconds.get(stage, (None, None))
+        stages.append({"stage": stage, "done": counts.get("done", 0),
+                       "fail": counts.get("failed", 0),
+                       "virtual s": virtual, "real s": real})
+    lines = [
+        "== final state ==",
+        run,
+        f"units: {done} done, {failed} failed"
+        + (f", {running} running" if running else ""),
+        table("", {"stage": "", "done": "d", "fail": "d", "virtual s": ".1f",
+                   "real s": ".3f"}, stages),
+        table("workers:", {"worker": "", "workloads": "d", "busy_r": ".3f"},
+              [{"worker": w, **state.workers[w]}
+               for w in sorted(state.workers)]),
+        table(f"alerts: {len(state.alerts)}", ALERT_COLUMNS,
+              alerts_section(state)) or "alerts: none",
+    ]
     if state.planner:
-        line = (
+        lines.append(
             f"planner: predicted TTC {state.planner.get('ttc_s', 0.0):.1f} s, "
             f"cost ${state.planner.get('cost_usd', 0.0):.2f}"
+            + (f"; billed ${state.billed_usd:.2f}" if state.billed_usd else "")
         )
-        if state.billed_usd:
-            line += f"; billed ${state.billed_usd:.2f}"
-        lines.append(line)
-    return "\n".join(lines)
+    return "\n".join(line for line in lines if line)
 
 
 def follow(
@@ -120,12 +97,13 @@ def follow(
     """Tail ``path`` until the pipeline-root span closes; returns 0 on
     completion, 1 on timeout.  Prints a progress line per change and the
     final-state block at the end.  Only newline-terminated lines are
-    parsed (the unterminated tail waits for the next poll); an
-    undecodable complete line is corruption and raises ``ValueError``."""
+    parsed (the unterminated tail waits for the next poll); a complete
+    line that is not a record is corruption and raises ``ValueError``
+    (:func:`~repro.obs.export.decode_line`)."""
     out = out or sys.stdout
     state = RunState()
     deadline = None if timeout is None else time.monotonic() + timeout
-    position = 0
+    position = seen = 0
     buffer = ""
     last_line = ""
     while True:
@@ -136,10 +114,14 @@ def follow(
                 position = fh.tell()
             if chunk:
                 buffer += chunk
-                complete, _, buffer = buffer.rpartition("\n")
+                complete, newline, buffer = buffer.rpartition("\n")
+                batch = complete.split("\n") if newline else []
                 records = [
-                    json.loads(t) for t in complete.splitlines() if t.strip()
+                    decode_line(text, f"{path}:{number}")
+                    for number, text in enumerate(batch, seen + 1)
+                    if text.strip()
                 ]
+                seen += len(batch)
                 for record in records:
                     state.apply(record)
                 if records:

@@ -1,24 +1,13 @@
 """Run report over a JSONL trace.
 
-``python -m repro.obs report trace.jsonl`` renders:
-
-* the per-stage table (virtual TTC and real host seconds per pipeline
-  stage, from the ``stage``-category spans, with p50/p95 of the stage's
-  unit execution spans);
-* per-process (pilot / VM pool / SGE) timelines of the virtual clock;
-* a virtual-vs-real breakdown by span category;
-* the top-k hottest phases by charged critical-path compute (from the
-  ``phase`` events the usage layer emits);
-* the caching scorecard (count-once k-mer table reuse and the
-  content-addressed run cache, from their tracer counters);
-* the alert log (when the trace carries rules-engine firings);
-* the per-run cost attribution (when the trace carries billing spans);
-* the metrics snapshot.
-
-``--json`` emits :func:`report_data` — the same facts machine-readably
-(exact floats, no formatting loss) — instead of the text report.  Both
-are views over one :class:`~repro.obs.spans.RunState`, and every fact
-they share is computed by one helper here.
+``python -m repro.obs report trace.jsonl`` prints one
+:func:`~repro.obs.export.table` per view below — per-stage timings,
+virtual vs real seconds by span category, the hottest phases, the cache
+scorecard, the alert log — plus the virtual-time swimlane chart, the
+cost attribution (when the trace carries billing spans) and the trace
+digest.  ``--json`` prints :func:`report_data`, the same facts exact and
+machine-readable.  Every view reads one
+:class:`~repro.obs.spans.RunState`.
 """
 
 from __future__ import annotations
@@ -26,10 +15,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.obs.attribution import attribute_costs, format_attribution
-from repro.obs.export import text_summary
+from repro.obs.export import table, text_summary
 from repro.obs.metrics import Histogram
 from repro.obs.spans import RunState, fold, r_duration, stage_name, v_duration
-
 
 def stage_ttcs(records: Iterable[dict] | RunState) -> dict[str, float]:
     """Virtual TTC per pipeline stage, keyed by stage name.
@@ -40,29 +28,28 @@ def stage_ttcs(records: Iterable[dict] | RunState) -> dict[str, float]:
     return {name: v for name, (v, _) in fold(records).stage_seconds().items()}
 
 
-def stage_table(records: Iterable[dict] | RunState) -> str:
+def stage_table(records: Iterable[dict] | RunState) -> list[dict]:
+    """One row per stage span: both clocks, the p50/p95 of its units'
+    virtual execution time, and the pilot and fleet it ran on."""
     state = fold(records)
     seconds = state.stage_seconds()
-    rows = ["per-stage timings (virtual TTC vs real host seconds):"]
-    rows.append(
-        f"  {'stage':24s} {'virtual s':>12s} {'real s':>10s} "
-        f"{'unit p50':>9s} {'p95':>9s}  placement"
-    )
+    rows = []
     for span in state.stage_spans():
         attrs, name = span["attrs"], stage_name(span)
         placement = attrs.get("pilot", "-")
         if attrs.get("n_nodes"):
-            placement += f" ({attrs['n_nodes']} x {attrs.get('instance_type', '?')})"
-        p50 = p95 = f"{'-':>9s}"
-        if name in state.execs:
-            hist = Histogram(name, [v_duration(s) for s in state.execs[name]])
-            p50 = f"{hist.percentile(50):9.1f}"
-            p95 = f"{hist.percentile(95):9.1f}"
-        virtual, real = seconds[name]
-        rows.append(
-            f"  {name:24s} {virtual:12.1f} {real:10.3f} {p50} {p95}  {placement}"
-        )
-    return "\n".join(rows) if len(rows) > 2 else ""
+            fleet = f"{attrs['n_nodes']} x {attrs.get('instance_type', '?')}"
+            placement += f" ({fleet})"
+        units = [v_duration(s) for s in state.execs.get(name, [])]
+        hist = Histogram(name, units)
+        rows.append({
+            "stage": name, "virtual s": seconds[name][0],
+            "real s": seconds[name][1],
+            "unit p50": hist.percentile(50) if units else None,
+            "p95": hist.percentile(95) if units else None,
+            "placement": placement,
+        })
+    return rows
 
 
 def process_timelines(
@@ -118,134 +105,122 @@ def _phases(state: RunState) -> list[dict]:
     return phases
 
 
-def virtual_vs_real(records: Iterable[dict] | RunState) -> str:
-    """Per-category totals on both clocks (top-level spans only)."""
-    totals = _categories(fold(records))
-    if not totals:
-        return ""
-    rows = ["virtual vs real seconds by category (top-level spans):"]
-    rows.append(f"  {'category':16s} {'virtual s':>12s} {'real s':>10s}")
-    for cat, row in sorted(totals.items(), key=lambda kv: -kv[1]["virtual_s"]):
-        rows.append(
-            f"  {cat:16s} {row['virtual_s']:12.1f} {row['real_s']:10.3f}"
-        )
-    return "\n".join(rows)
-
-
-def hottest_phases(records: Iterable[dict] | RunState, top: int = 10) -> str:
-    """Top-k phases by critical-path compute charged to the cost model."""
-    phases = _phases(fold(records))
-    if not phases:
-        return ""
-    rows = [f"hottest phases (critical-path compute, top {top}):"]
-    rows.append(
-        f"  {'phase':28s} {'kind':10s} {'critical':>12s} {'comm MB':>9s}"
+def _phases(state: RunState) -> list[dict]:
+    """``phase`` events by critical-path compute, largest first."""
+    phases = [e for e in state.events if e["cat"] == "phase"]
+    phases.sort(
+        key=lambda e: e["attrs"].get("critical_compute", 0.0), reverse=True
     )
-    for e in phases[:top]:
-        a = e["attrs"]
-        rows.append(
-            f"  {a.get('phase', e['name']):28s} {a.get('kind', '?'):10s} "
-            f"{a.get('critical_compute', 0.0):12.3g} "
-            f"{a.get('comm_bytes', 0) / 1e6:9.2f}"
-        )
-    return "\n".join(rows)
+    return phases
 
 
-def cache_scorecard(records: Iterable[dict] | RunState) -> str:
-    """Hit/miss scorecard of the two content-addressed caches, plus the
-    count-once spectrum build's wall/virtual cost.
+def virtual_vs_real(records: Iterable[dict] | RunState) -> list[dict]:
+    """Per-category totals on both clocks (top-level spans only), largest
+    virtual first: ``report_data``'s ``categories`` as rows."""
+    totals = _categories(fold(records))
+    return [{"category": cat, **row} for cat, row in
+            sorted(totals.items(), key=lambda kv: -kv[1]["virtual_s"])]
 
-    Mirrors the ``kmer_table.*`` counters of the count-once fusion layer
-    (:mod:`repro.assembly.sweep`), the ``assembly_cache.*`` counters
-    (lookups plus parent-side ``put`` recording) and the ``stage_cache.*``
-    counters into a first-class report section, a row per cache whose
-    counters exist; when the trace carries ``spectrum.build`` spans, a
-    row reports the build's real host seconds against its (zero, by
-    construction) virtual cost and mode; a run whose demand-driven
-    spectrum stage built nothing carries a ``spectrum.skip`` event
-    instead, and the row says so."""
+
+def hottest_phases(
+    records: Iterable[dict] | RunState, top: int = 10
+) -> list[dict]:
+    """Top-k phases by critical-path compute charged to the cost model."""
+    return [
+        {
+            "phase": e["attrs"].get("phase", e["name"]),
+            "kind": e["attrs"].get("kind", "?"),
+            "critical": e["attrs"].get("critical_compute", 0.0),
+            "comm MB": e["attrs"].get("comm_bytes", 0) / 1e6,
+        }
+        for e in _phases(fold(records))[:top]
+    ]
+
+
+def cache_scorecard(records: Iterable[dict] | RunState) -> list[dict]:
+    """A row per cache whose counters exist (the count-once k-mer table,
+    the run cache's lookups and puts, the stage cache), and one per
+    spectrum build: its real seconds against its zero virtual cost, or
+    why a demand-driven run skipped it."""
     state = fold(records)
     counters = state.counters
     rows = []
     for label, prefix, extra in (
-        ("kmer table cache", "kmer_table", [("bytes cached", "bytes")]),
-        ("assembly cache", "assembly_cache", [("puts", "put")]),
-        ("stage cache", "stage_cache", []),
+        ("kmer table cache", "kmer_table", {"bytes cached": "bytes"}),
+        ("assembly cache", "assembly_cache", {"puts": "put"}),
+        ("stage cache", "stage_cache", {}),
     ):
         hits = counters.get(f"{prefix}.hit", 0.0)
         misses = counters.get(f"{prefix}.miss", 0.0)
-        cells = [f"hits {hits:g}", f"misses {misses:g}"]
-        if hits + misses:
-            cells.append(f"hit rate {hits / (hits + misses):.0%}")
-        for name, suffix in extra:
-            value = counters.get(f"{prefix}.{suffix}")
-            if value is not None:
-                cells.append(f"{name} {value:g}")
-        if hits or misses or any(
-            counters.get(f"{prefix}.{suffix}") for _, suffix in extra
-        ):
-            rows.append(f"  {label:18s} {'  '.join(cells)}")
+        row = {"cache": label, "hits": hits, "misses": misses,
+               "hit rate": hits / (hits + misses) if hits + misses else None}
+        for header, suffix in extra.items():
+            if f"{prefix}.{suffix}" in counters:
+                row[header] = counters[f"{prefix}.{suffix}"]
+        if hits or misses or any(row.get(header) for header in extra):
+            rows.append(row)
     builds = state.spectrum_builds()
     if builds:
-        virt = sum(v_duration(s) for s in builds)
-        mode = builds[-1]["attrs"].get("mode", "?")
-        cells = [
-            f"wall {state.spectrum_build_s():.3f} s",
-            f"virtual {virt:g} s",
-            f"mode {mode}",
-        ]
-        rows.append(f"  {'spectrum build':18s} {'  '.join(cells)}")
+        rows.append({
+            "cache": "spectrum build",
+            "wall s": state.spectrum_build_s(),
+            "virtual s": sum(v_duration(s) for s in builds),
+            "mode": builds[-1]["attrs"].get("mode", "?"),
+        })
     for skip in (e for e in state.events if e["name"] == "spectrum.skip"):
         a = skip["attrs"]
-        detail = f"{a.get('jobs_satisfied', 0):g}/{a.get('jobs', 0):g} jobs cached"
+        done, jobs = a.get("jobs_satisfied", 0), a.get("jobs", 0)
+        detail = f"{done:g}/{jobs:g} jobs cached"
         if a.get("reason") == "spectra cached":
             detail += ", spectra served from the table cache"
-        rows.append(f"  {'spectrum build':18s} skipped ({detail})")
-    if not rows:
-        return ""
-    return "\n".join(["cache scorecard:"] + rows)
+        rows.append({"cache": "spectrum build", "mode": f"skipped ({detail})"})
+    return rows
 
 
-def alerts_section(records: Iterable[dict] | RunState) -> str:
-    """The alert log: one line per rules-engine firing in the trace."""
-    alerts = fold(records).alerts
-    if not alerts:
-        return ""
-    rows = [f"alerts ({len(alerts)}):"]
-    for e in alerts:
-        a = e["attrs"]
-        rows.append(
-            f"  [{a.get('severity', '?'):8s}] "
-            f"{a.get('rule', '?')}: {a.get('message', '')}"
-        )
-    return "\n".join(rows)
+ALERT_COLUMNS = {"severity": "", "rule": "", "message": ""}
+
+
+def alerts_section(records: Iterable[dict] | RunState) -> list[dict]:
+    """The alert log: one row per rules-engine firing in the trace."""
+    return [
+        {key: e["attrs"].get(key, "?") for key in ALERT_COLUMNS}
+        for e in fold(records).alerts
+    ]
 
 
 def build_report(records: Iterable[dict] | RunState, top: int = 10) -> str:
     """The full plain-text run report."""
     state = fold(records)
     sections = [
-        stage_table(state),
+        table("per-stage timings (virtual TTC vs real host seconds):", {
+            "stage": "", "virtual s": ".1f", "real s": ".3f", "unit p50": ".1f",
+            "p95": ".1f", "placement": ""}, stage_table(state)),
         process_timelines(state),
-        virtual_vs_real(state),
-        hottest_phases(state, top=top),
-        cache_scorecard(state),
-        alerts_section(state),
-        # "" for traces without billing spans (unit tests and the
+        table("virtual vs real seconds by category (top-level spans):",
+              {"category": "", "virtual_s": ".1f", "real_s": ".3f"},
+              virtual_vs_real(state)),
+        table(f"hottest phases (critical-path compute, top {top}):", {
+            "phase": "", "kind": "", "critical": ".3g", "comm MB": ".2f"},
+            hottest_phases(state, top=top)),
+        table("cache scorecard:", {
+            "cache": "", "hits": "g", "misses": "g", "hit rate": ".0%",
+            "bytes cached": "g", "puts": "g", "wall s": ".3f",
+            "virtual s": "g", "mode": ""}, cache_scorecard(state)),
+        table(f"alerts ({len(state.alerts)}):", ALERT_COLUMNS,
+              alerts_section(state)),
+        # skipped for traces without billing spans (unit tests and the
         # fake-clock fixtures trace no VMs)
-        format_attribution(attribute_costs(state)) if state.billing else "",
+        state.billing and format_attribution(
+            attribute_costs(state).as_dict()
+        ),
         text_summary(state, top=top),
     ]
     return "\n\n".join(s for s in sections if s)
 
 
 def report_data(records: Iterable[dict] | RunState, top: int = 10) -> dict:
-    """The machine-readable report (the ``--json`` output).
-
-    Same facts as :func:`build_report` but exact — no float formatting,
-    no column truncation — and JSON-serializable, so
-    ``json.loads(json.dumps(data))`` round-trips it unchanged.
-    """
+    """The ``report --json`` payload: the run's stage, category, phase,
+    alert, counter and cost facts, exact and JSON round-trippable."""
     state = fold(records)
     root = state.pipeline
     return {

@@ -1,0 +1,84 @@
+"""The de Bruijn oracle: a truth about assembly that does not come from
+the code.
+
+When no (k-1)-mer repeats across a set of transcripts on either strand,
+each transcript is one unbranched path of the de Bruijn graph of its
+k-mers, so error-free reads that tile it at every offset, on both
+strands, must assemble back into exactly the transcripts (up to
+strand).  Velvet, Ray and ABySS hold to it; Contrail does not yet: its
+compression loop stops on "no merge fired", not on "no compressible
+junction left" (ROADMAP 3(a)), so its row is a strict xfail that the
+fix flips.
+"""
+
+import pytest
+from hypothesis import HealthCheck, Phase, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.assembly.abyss import AbyssAssembler
+from repro.assembly.base import AssemblyParams
+from repro.assembly.contrail import ContrailAssembler
+from repro.assembly.ray import RayAssembler
+from repro.assembly.velvet import VelvetAssembler
+from repro.seq.alphabet import reverse_complement
+from repro.seq.fastq import FastqRecord
+from repro.seq.readstore import ReadStore
+
+K = 25
+READ_LENGTH = 60
+PARAMS = AssemblyParams(k=K, min_contig_length=100)
+
+transcript_sets = st.lists(
+    st.text(alphabet="ACGT", min_size=100, max_size=240), min_size=1, max_size=3
+)
+
+
+def strandless(seqs) -> list[str]:
+    return sorted(min(s, reverse_complement(s)) for s in seqs)
+
+
+def tiling_reads(transcripts: list[str]) -> ReadStore:
+    """One error-free read at every offset of every transcript, once per
+    strand."""
+    reads = []
+    for t in transcripts:
+        for start in range(len(t) - READ_LENGTH + 1):
+            seq = t[start : start + READ_LENGTH]
+            for strand in (seq, reverse_complement(seq)):
+                qual = "I" * READ_LENGTH
+                reads.append(FastqRecord(f"r{len(reads)}", strand, qual))
+    return ReadStore.from_reads(reads)
+
+
+def assemble(assembler, transcripts: list[str]) -> list[str]:
+    """The contigs ``assembler`` makes of ``transcripts``' tiling reads,
+    when no (k-1)-mer repeats across them on either strand."""
+    overlaps = [
+        s[i : i + K - 1]
+        for t in transcripts
+        for s in (t, reverse_complement(t))
+        for i in range(len(s) - K + 2)
+    ]
+    assume(len(set(overlaps)) == len(overlaps))
+    result = assembler.assemble(tiling_reads(transcripts), PARAMS)
+    return [c.seq for c in result.contigs]
+
+
+@pytest.mark.parametrize(
+    "assembler", [VelvetAssembler(), RayAssembler(), AbyssAssembler()],
+    ids=["velvet", "ray", "abyss"],
+)
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(transcripts=transcript_sets)
+def test_contigs_are_the_transcripts(assembler, transcripts):
+    assert strandless(assemble(assembler, transcripts)) == strandless(transcripts)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 3(a): Contrail's stop rule")
+@settings(max_examples=30, deadline=None, derandomize=True,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow])
+@given(transcripts=transcript_sets)
+def test_contrail_contigs_are_the_transcripts(transcripts):
+    contigs = assemble(ContrailAssembler(), transcripts)
+    assert strandless(contigs) == strandless(transcripts)

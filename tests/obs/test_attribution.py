@@ -170,11 +170,11 @@ class TestAssemblySubdivision:
         assert jobs == {("ray", 25): "miss", ("ray", 31): "hit"}
 
     def test_format_renders_all_sections(self):
-        text = format_attribution(attribute_costs(make_run_trace()))
+        text = format_attribution(attribute_costs(make_run_trace()).as_dict())
         assert "cost attribution" in text
         assert "transcript-assembly" in text
         assert "ray_k25" in text and "miss" in text
-        assert "vm-2 [workers]" in text
+        assert "vm-2   workers" in text
 
 
 class TestPlannerGate:

@@ -5,7 +5,7 @@ Every case runs one subcommand on ``tests/data/ci_baseline_trace.jsonl``
 in a fresh interpreter and compares its stdout and exit code with the
 files under ``tests/data/obs_cli/``: ``<case>.out`` holds the stdout,
 ``exit_codes.json`` the codes.  The files are generated, never edited;
-regenerate them with::
+regenerate them, and ``tests/data/golden_report.txt``, with::
 
     PYTHONPATH=src python tests/obs/test_cli.py --regen
 """
@@ -21,13 +21,15 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.__main__ import main
 
 ROOT = Path(__file__).parent.parent.parent
 DATA = ROOT / "tests" / "data"
 BASELINE = DATA / "ci_baseline_trace.jsonl"
 GOLDEN = DATA / "obs_cli"
-SRC = ROOT / "src"
+#: The cases run the ``repro`` this test imported, wherever it lives.
+SRC = Path(repro.__file__).resolve().parents[1]
 
 #: The stage the "stretched" copy of the baseline runs 10 % longer.
 STRETCHED_STAGE = "stage:post-processing"
@@ -127,10 +129,13 @@ READERS = {
 
 def damaged(how: str, path: Path) -> Path:
     """The baseline at ``path``: missing, with a corrupt middle line,
-    or ending in a torn line (a stream read mid-write)."""
+    led by a line that decodes but is not a record, or ending in a torn
+    line (a stream read mid-write)."""
     lines = BASELINE.read_text().splitlines()
     if how == "corrupt":
         lines[len(lines) // 2] = lines[len(lines) // 2][:40]
+    elif how == "not-a-record":
+        lines.insert(0, "[1, 2]")
     elif how == "torn":
         lines.append(lines[0][:40])
     if how != "missing":
@@ -138,7 +143,7 @@ def damaged(how: str, path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("how", ["missing", "corrupt", "torn"])
+@pytest.mark.parametrize("how", ["missing", "corrupt", "not-a-record", "torn"])
 @pytest.mark.parametrize("subcommand", sorted(READERS))
 def test_unreadable_input(subcommand, how, tmp_path, capsys):
     """A missing file or a corrupt middle line cannot be gated (one
@@ -208,6 +213,10 @@ def test_nothing_invokes_a_module_of_the_package():
 def regenerate() -> None:
     import tempfile
 
+    sys.path.insert(0, str(ROOT))
+    from tests.obs.test_report import GOLDEN_PATH, build_report, golden_records
+
+    GOLDEN_PATH.write_text(build_report(golden_records()) + "\n")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         results = run_cases(Path(tmp))

@@ -1,20 +1,13 @@
 """Tests for the trace-diff CLI and its building blocks."""
 
+from repro.cloud.clock import SimClock
 from repro.obs import Tracer, write_jsonl
 from repro.obs.__main__ import main
 from repro.obs.diff import diff_traces
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def advance(self, dt):
-        self.now += dt
-
-
 def make_trace(assembly_ttc=4000.0, extra_span=False, units_done=5):
-    clock = FakeClock()
+    clock = SimClock()
     tr = Tracer(clock)
     with tr.span("stage:pre-processing", category="stage",
                  stage="pre-processing"):

@@ -4,19 +4,12 @@ import json
 
 import pytest
 
+from repro.cloud.clock import SimClock
 from repro.obs import Tracer, load_jsonl, text_summary, write_jsonl
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def advance(self, dt):
-        self.now += dt
-
-
 def make_tracer() -> Tracer:
-    clock = FakeClock()
+    clock = SimClock()
     tr = Tracer(clock)
     with tr.span("stage:pre", category="stage", process="pilot.0", stage="pre"):
         clock.advance(100.0)
@@ -46,6 +39,13 @@ class TestJsonl:
         tr = make_tracer()
         path = write_jsonl(tr.records(), tmp_path / "t.jsonl")
         assert all(r["type"] != "metrics" for r in load_jsonl(path))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', '{"name": "x"}'])
+    def test_a_line_that_is_not_a_record_names_itself(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(f'{{"type": "event"}}\n{line}\n{{"type": "event"}}\n')
+        with pytest.raises(ValueError, match=f"^{path}:2: not a trace record"):
+            load_jsonl(path)
 
 
 class TestTextSummary:
@@ -110,7 +110,7 @@ class TestJsonDefault:
 
     def test_traced_numpy_tags_survive_write_jsonl(self, tmp_path):
         np = pytest.importorskip("numpy")
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with tr.span("assemble", category="unit", k=np.int64(41),
                      n50=np.float64(1234.5)):
             pass

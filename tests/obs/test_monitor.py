@@ -4,6 +4,8 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.obs.__main__ import main
 from repro.obs.monitor import final_summary, follow, progress_line
 from repro.obs.spans import RunState, replay
@@ -110,7 +112,7 @@ class TestRendering:
         assert "TTC 535.9 virtual s" in text
         assert "2 done, 1 failed" in text
         assert "transcript-assembly" in text
-        assert "[warning ] straggler" in text
+        assert "  warning   straggler  unit ray_k41 is straggling" in text
         assert "predicted TTC 500.0 s" in text
         assert "billed $0.42" in text
 
@@ -193,6 +195,12 @@ class TestFollow:
         thread.join()
         assert rc == 0
         assert "COMPLETE" in capsys.readouterr().out
+
+    def test_follow_rejects_a_line_that_is_not_a_record(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        path.write_text(json.dumps(sample_run()[0]) + "\n[1, 2]\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: not a trace record"):
+            follow(path, poll=0.01, timeout=5.0)
 
     def test_follow_times_out_without_completion(self, tmp_path, capsys):
         path = tmp_path / "live.jsonl"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cloud.clock import SimClock
 from repro.obs import Tracer, write_jsonl
 from repro.obs.__main__ import main
 from repro.obs.report import (
@@ -21,16 +22,8 @@ from repro.obs.report import (
 from repro.obs.spans import replay
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def advance(self, dt):
-        self.now += dt
-
-
 def make_records() -> list[dict]:
-    clock = FakeClock()
+    clock = SimClock()
     tr = Tracer(clock)
     with tr.span(
         "stage:pre-processing", category="stage", process="pilot.0",
@@ -65,9 +58,10 @@ class TestSections:
         }
 
     def test_stage_table(self):
-        table = stage_table(make_records())
-        assert "pre-processing" in table
-        assert "4 x r3.2xlarge" in table
+        pre, asm = stage_table(make_records())
+        assert (pre["stage"], pre["virtual s"]) == ("pre-processing", 123.25)
+        assert asm["placement"] == "pilot.1 (4 x r3.2xlarge)"
+        assert asm["unit p50"] is None  # no unit execution spans
 
     def test_process_timelines(self):
         text = process_timelines(make_records())
@@ -75,16 +69,18 @@ class TestSections:
         assert "#" in text
 
     def test_virtual_vs_real(self):
-        text = virtual_vs_real(make_records())
-        assert "stage" in text
+        [row] = virtual_vs_real(make_records())
+        assert row["category"] == "stage" and row["virtual_s"] == 4123.25
 
     def test_hottest_phases_ordered_by_critical_compute(self):
-        text = hottest_phases(make_records(), top=10)
-        assert text.index("kmer-count") < text.index("walk")
+        rows = hottest_phases(make_records(), top=10)
+        assert [r["phase"] for r in rows] == ["kmer-count", "walk"]
+        assert rows[0]["comm MB"] == 0.123456
 
     def test_hottest_phases_respects_top(self):
-        text = hottest_phases(make_records(), top=1)
-        assert "kmer-count" in text and "walk" not in text
+        assert [r["phase"] for r in hottest_phases(make_records(), top=1)] == [
+            "kmer-count"
+        ]
 
     def test_build_report_composes_sections(self):
         report = build_report(make_records())
@@ -96,51 +92,43 @@ class TestSections:
 
     def test_empty_records(self):
         assert stage_ttcs([]) == {}
-        assert stage_table([]) == ""
+        assert stage_table([]) == []
         assert process_timelines([]) == ""
-        assert "0 spans" in build_report([])
+        assert build_report([]) == "trace: 0 spans, 0 events"
 
     def test_cache_scorecard_mirrors_counters(self):
-        records = [
-            {
-                "type": "metrics",
-                "data": {
-                    "counters": {
-                        "kmer_table.hit": 6,
-                        "kmer_table.miss": 2,
-                        "kmer_table.bytes": 1_234_567,
-                        "assembly_cache.hit": 3,
-                        "assembly_cache.miss": 5,
-                        "assembly_cache.put": 5,
-                    }
-                },
-            }
-        ]
-        text = cache_scorecard(records)
-        assert "kmer table cache" in text
-        assert "hits 6" in text and "misses 2" in text
-        assert "hit rate 75%" in text
-        assert "bytes cached 1.23457e+06" in text
-        assert "assembly cache" in text and "puts 5" in text
-        assert "cache scorecard" in build_report(records)
+        counters = {
+            "kmer_table.hit": 6, "kmer_table.miss": 2,
+            "kmer_table.bytes": 1_234_567, "assembly_cache.hit": 3,
+            "assembly_cache.miss": 5, "assembly_cache.put": 5,
+        }
+        records = [{"type": "metrics", "data": {"counters": counters}}]
+        kmer, assembly = cache_scorecard(records)
+        assert kmer == {"cache": "kmer table cache", "hits": 6, "misses": 2,
+                        "hit rate": 0.75, "bytes cached": 1_234_567}
+        assert assembly["puts"] == 5 and "bytes cached" not in assembly
+        assert "  kmer table cache     6       2       75%" in build_report(
+            records
+        )
 
     def test_cache_scorecard_empty_without_counters(self):
-        assert cache_scorecard([]) == ""
+        assert cache_scorecard([]) == []
         assert (
             cache_scorecard([{"type": "metrics", "data": {"counters": {}}}])
-            == ""
+            == []
         )
 
     def test_cache_scorecard_stage_cache_row_only_with_its_counters(self):
         def trace(**counters):
             return [{"type": "metrics", "data": {"counters": counters}}]
 
-        text = cache_scorecard(
+        [row] = cache_scorecard(
             trace(**{"stage_cache.hit": 3, "stage_cache.miss": 1})
         )
-        assert "  stage cache        hits 3  misses 1  hit rate 75%" in text
-        text = cache_scorecard(trace(**{"assembly_cache.hit": 2}))
-        assert "assembly cache" in text and "stage cache" not in text
+        assert row == {"cache": "stage cache", "hits": 3, "misses": 1,
+                       "hit rate": 0.75}
+        rows = cache_scorecard(trace(**{"assembly_cache.hit": 2}))
+        assert [r["cache"] for r in rows] == ["assembly cache"]
 
     def test_cache_scorecard_spectrum_build_row(self):
         records = [
@@ -151,11 +139,10 @@ class TestSections:
                 "attrs": {"mode": "serial"},
             }
         ]
-        text = cache_scorecard(records)
-        assert "spectrum build" in text
-        assert "wall 0.500 s" in text
-        assert "virtual 0 s" in text
-        assert "mode serial" in text and "shards" not in text
+        assert cache_scorecard(records) == [{
+            "cache": "spectrum build", "wall s": 0.5, "virtual s": 0.0,
+            "mode": "serial",
+        }]
 
     def test_cache_scorecard_skipped_spectrum_build_row(self):
         def skip(**attrs):
@@ -165,16 +152,11 @@ class TestSections:
                 "attrs": {"ks": [25, 31], "jobs": 6, **attrs},
             }
 
-        text = cache_scorecard(
-            [skip(jobs_satisfied=6, reason="jobs satisfied")]
-        )
-        assert "spectrum build     skipped (6/6 jobs cached)" in text
-        text = cache_scorecard(
-            [skip(jobs_satisfied=0, reason="spectra cached")]
-        )
-        assert (
+        [row] = cache_scorecard([skip(jobs_satisfied=6, reason="jobs satisfied")])
+        assert row["mode"] == "skipped (6/6 jobs cached)"
+        [row] = cache_scorecard([skip(jobs_satisfied=0, reason="spectra cached")])
+        assert row["mode"] == (
             "skipped (0/6 jobs cached, spectra served from the table cache)"
-            in text
         )
 
 
@@ -262,9 +244,7 @@ GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_report.txt"
 
 class TestGoldenReport:
     def test_report_matches_golden(self):
-        # Regenerate with:
-        #   PYTHONPATH=src:tests python -c "from obs.test_report import *; \
-        #       GOLDEN_PATH.write_text(build_report(golden_records()) + '\n')"
+        # Regenerated with the obs_cli pins: tests/obs/test_cli.py --regen
         assert build_report(golden_records()) + "\n" == GOLDEN_PATH.read_text()
 
     def test_golden_mentions_worker_artifacts(self):
@@ -275,17 +255,17 @@ class TestGoldenReport:
     def test_golden_mentions_alerts(self):
         text = GOLDEN_PATH.read_text()
         assert "alerts (1):" in text
-        assert "[critical] stage_duration" in text
+        assert "  critical  stage_duration  stage transcript-assembly" in text
 
 
 class TestAlertsSection:
     def test_renders_one_line_per_firing(self):
-        text = alerts_section(golden_records())
-        assert text.startswith("alerts (1):")
-        assert "stage transcript-assembly took 4000.0" in text
+        [row] = alerts_section(golden_records())
+        assert (row["severity"], row["rule"]) == ("critical", "stage_duration")
+        assert row["message"].startswith("stage transcript-assembly took 4000.0")
 
     def test_empty_without_alert_events(self):
-        assert alerts_section(make_records()) == ""
+        assert alerts_section(make_records()) == []
 
 
 class TestJsonReport:
@@ -347,7 +327,7 @@ class TestChromeWorkerTracks:
 
 class TestCli:
     def test_main_renders_report(self, tmp_path, capsys):
-        clock = FakeClock()
+        clock = SimClock()
         tr = Tracer(clock)
         with tr.span("stage:pre", category="stage", stage="pre"):
             clock.advance(10.0)

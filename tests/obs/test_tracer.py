@@ -2,20 +2,13 @@
 
 import pytest
 
+from repro.cloud.clock import SimClock
 from repro.obs import NullTracer, Tracer, get_tracer, set_tracer, use_tracer
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def advance(self, dt):
-        self.now += dt
 
 
 class TestSpans:
     def test_span_records_both_clocks(self):
-        clock = FakeClock(100.0)
+        clock = SimClock(100.0)
         tr = Tracer(clock)
         with tr.span("work"):
             clock.advance(50.0)
@@ -37,13 +30,13 @@ class TestSpans:
 
     def test_bind_clock_late(self):
         tr = Tracer()
-        tr.bind_clock(FakeClock(7.0))
+        tr.bind_clock(SimClock(7.0))
         with tr.span("x"):
             pass
         assert tr.spans[0].v_start == 7.0
 
     def test_nesting_parent_ids(self):
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with tr.span("outer") as outer:
             with tr.span("inner") as inner:
                 pass
@@ -54,7 +47,7 @@ class TestSpans:
         assert inner.span_id != outer.span_id
 
     def test_track_inheritance(self):
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with tr.span("outer", process="pilot.0", thread="unit.1"):
             with tr.span("inner"):
                 pass
@@ -66,20 +59,20 @@ class TestSpans:
         assert (outer.process, outer.thread) == ("pilot.0", "unit.1")
 
     def test_handle_set_merges_attrs(self):
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with tr.span("x", a=1) as sp:
             sp.set(b=2)
         assert tr.spans[0].attrs == {"a": 1, "b": 2}
 
     def test_span_survives_exception(self):
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with pytest.raises(RuntimeError):
             with tr.span("x"):
                 raise RuntimeError("boom")
         assert len(tr.spans) == 1
 
     def test_add_span_retroactive(self):
-        tr = Tracer(FakeClock(999.0))
+        tr = Tracer(SimClock(999.0))
         tr.add_span("vm", v_start=10.0, v_end=30.0, category="cloud", vm="i-1")
         (s,) = tr.spans
         assert s.v_start == 10.0 and s.v_end == 30.0
@@ -94,7 +87,7 @@ class TestSpans:
 
 class TestEvents:
     def test_event_stamped_from_clock(self):
-        clock = FakeClock(42.0)
+        clock = SimClock(42.0)
         tr = Tracer(clock)
         tr.event("fire", category="events", tag="t")
         (e,) = tr.events
@@ -102,12 +95,12 @@ class TestEvents:
         assert e.attrs == {"tag": "t"}
 
     def test_event_v_override(self):
-        tr = Tracer(FakeClock(42.0))
+        tr = Tracer(SimClock(42.0))
         tr.event("fire", v=7.0)
         assert tr.events[0].v_time == 7.0
 
     def test_event_inherits_enclosing_span_track(self):
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with tr.span("outer", process="p", thread="t"):
             tr.event("inside")
         assert (tr.events[0].process, tr.events[0].thread) == ("p", "t")
@@ -115,7 +108,7 @@ class TestEvents:
 
 class TestRecords:
     def test_records_are_dicts_sorted_by_real_time(self):
-        tr = Tracer(FakeClock())
+        tr = Tracer(SimClock())
         with tr.span("a"):
             pass
         tr.event("b")
@@ -175,7 +168,7 @@ class TestNullTracer:
         nt.count("c")
         nt.gauge("g", 1)
         nt.observe("h", 1)
-        nt.bind_clock(FakeClock())
+        nt.bind_clock(SimClock())
         assert nt.spans == []
         assert nt.events == []
         assert nt.metrics.snapshot() == {

@@ -86,6 +86,8 @@ _CALLERS = (
     "::test_a_callers_executor_sees_the_satisfied_rerun"
 )
 _AGENT_CACHE = "tests/core/test_assembly_cache.py::TestWorkloadIntegration"
+_EXPORT = "repro/obs/export.py"
+_OBS_PINS = "tests/obs/test_cli.py::test_output_matches_golden"
 #: The agent asks the checkpoint store about a unit's key, then the run cache.
 _CHECKPOINT_ASK = """        if self.checkpoint is not None and key is not None:
             record = self.checkpoint.get_unit(key)
@@ -497,6 +499,28 @@ ROWS: tuple[Row, ...] = (
         "                executor = SerialExecutor()\n",
         "                pass\n",
         (_CALLERS,),
+    ),
+    # obs: one text printer and one trace-line decoder
+    Row(
+        "obs table: a numeric column left-aligned",
+        _EXPORT,
+        "cell.rjust(width) if spec else cell.ljust(width)",
+        "cell.ljust(width)",
+        (_OBS_PINS,),
+    ),
+    Row(
+        "obs table: the last row dropped",
+        _EXPORT,
+        "        for r in rows\n",
+        "        for r in rows[:-1]\n",
+        (_OBS_PINS,),
+    ),
+    Row(
+        "obs decoder: a line that is not a record accepted",
+        _EXPORT,
+        '    if not isinstance(record, dict) or "type" not in record:\n',
+        "    if False:\n",
+        ("tests/obs/test_export.py::TestJsonl",),
     ),
 )
 
