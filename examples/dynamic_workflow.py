@@ -26,7 +26,6 @@ from repro.core.workflow import WorkflowPattern
 from repro.obs import Tracer, use_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.pilot import (
-    MemoryAwareScheduler,
     PilotDescription,
     PilotManager,
     UnitDescription,
@@ -82,7 +81,7 @@ def unit_restart_level() -> bool:
         pm = PilotManager(region, events)
         small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
         big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
-        um = UnitManager(events, scheduler=MemoryAwareScheduler())
+        um = UnitManager(events)  # places units by the memory-aware rule
         um.add_pilot(small)
         um.add_pilot(big)
         # No declared memory_bytes: the scheduler cannot know the

@@ -46,14 +46,3 @@ class BillingLedger:
     @property
     def total_cost(self) -> float:
         return sum(l.cost for l in self.lines)
-
-    def report(self) -> str:
-        """Human-readable cost breakdown."""
-        rows = [f"{'vm':14s} {'type':12s} {'hours':>5s} {'cost':>8s}"]
-        for l in self.lines:
-            rows.append(
-                f"{l.vm_id:14s} {l.instance_type:12s} {l.hours_billed:5d} "
-                f"{l.cost:8.2f}"
-            )
-        rows.append(f"{'TOTAL':33s}{self.total_cost:8.2f} USD")
-        return "\n".join(rows)

@@ -78,9 +78,7 @@ class Cluster:
             )
         vm.label = self.name
         self.vms.append(vm)
-        self.scheduler.slots_total[vm.vm_id] = vm.itype.vcpus
-        self.scheduler.slots_free[vm.vm_id] = vm.itype.vcpus
-        self.scheduler._try_schedule()
+        self.scheduler.add_node(vm.vm_id, vm.itype.vcpus)
 
     def lose_vm(self, vm: VM) -> list:
         """A worker was reclaimed under us (spot preemption): drop it
@@ -106,17 +104,11 @@ class Cluster:
         if keep < 1:
             raise ClusterError("must keep at least the head node")
         doomed = self.vms[keep:]
-        busy = [
-            vm.vm_id
-            for vm in doomed
-            if self.scheduler.slots_free.get(vm.vm_id)
-            != self.scheduler.slots_total.get(vm.vm_id)
-        ]
+        busy = [vm.vm_id for vm in doomed if not self.scheduler.is_idle(vm.vm_id)]
         if busy:
             raise ClusterError(f"cannot shrink: nodes busy {busy}")
         for vm in doomed:
-            self.scheduler.slots_total.pop(vm.vm_id, None)
-            self.scheduler.slots_free.pop(vm.vm_id, None)
+            self.scheduler.release_node(vm.vm_id)
             region.terminate(vm)
         self.vms = self.vms[:keep]
         return doomed

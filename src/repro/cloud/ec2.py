@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.cloud.billing import BillingLedger
+from repro.cloud.billing import BillingLedger, BillingLine
 from repro.cloud.clock import SimClock
 from repro.cloud.instances import InstanceType, get_instance_type
 from repro.cloud.vm import VM, VMError, VMState
@@ -40,38 +40,7 @@ class EC2Region:
         readiness before submitting work; fleets provision in parallel so
         one delay covers the whole batch).
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if isinstance(itype, str):
-            itype = get_instance_type(itype)
-        launched_at = self.clock.now
-        batch = []
-        for _ in range(count):
-            vm = VM(
-                vm_id=f"i-{next(self._ids):06d}",
-                itype=itype,
-                launched_at=launched_at,
-            )
-            self.vms[vm.vm_id] = vm
-            batch.append(vm)
-        self.clock.advance(self.provision_seconds)
-        for vm in batch:
-            vm.mark_running(self.clock.now)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.add_span(
-                "vm.provision",
-                v_start=launched_at,
-                v_end=self.clock.now,
-                category="cloud",
-                process="ec2",
-                count=count,
-                instance_type=itype.name,
-                vm_ids=[vm.vm_id for vm in batch],
-            )
-            tracer.count("vms_launched", count)
-            tracer.gauge("vms_running", len(self.running()))
-        return batch
+        return self._launch(itype, count)
 
     def launch_async(
         self,
@@ -89,71 +58,55 @@ class EC2Region:
         would otherwise move the clock past them).  The VMs are returned
         PENDING; ``on_ready(batch)`` fires once they are RUNNING.
         """
+        return self._launch(itype, count, events, on_ready)
+
+    def _launch(self, itype, count, events=None, on_ready=None) -> list[VM]:
+        """Create ``count`` VMs now and provision them: past a clock
+        advance, or on ``events`` one provisioning delay later."""
         if count < 1:
             raise ValueError("count must be >= 1")
         if isinstance(itype, str):
             itype = get_instance_type(itype)
-        launched_at = self.clock.now
-        batch = []
-        for _ in range(count):
-            vm = VM(
-                vm_id=f"i-{next(self._ids):06d}",
-                itype=itype,
-                launched_at=launched_at,
-            )
-            self.vms[vm.vm_id] = vm
-            batch.append(vm)
+        now = self.clock.now
+        batch = [
+            VM(vm_id=f"i-{next(self._ids):06d}", itype=itype, launched_at=now)
+            for _ in range(count)
+        ]
+        self.vms.update((vm.vm_id, vm) for vm in batch)
 
-        def _ready() -> None:
+        def ready() -> None:
             for vm in batch:
                 vm.mark_running(self.clock.now)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.add_span(
                     "vm.provision",
-                    v_start=launched_at,
+                    v_start=now,
                     v_end=self.clock.now,
                     category="cloud",
                     process="ec2",
-                    count=len(batch),
-                    instance_type=batch[0].itype.name,
+                    count=count,
+                    instance_type=itype.name,
                     vm_ids=[vm.vm_id for vm in batch],
-                    asynchronous=True,
+                    **({} if events is None else {"asynchronous": True}),
                 )
-                tracer.count("vms_launched", len(batch))
+                tracer.count("vms_launched", count)
                 tracer.gauge("vms_running", len(self.running()))
             if on_ready is not None:
                 on_ready(batch)
 
-        events.schedule_in(self.provision_seconds, _ready, tag="ec2.provision")
+        if events is None:
+            self.clock.advance(self.provision_seconds)
+            ready()
+        else:
+            events.schedule_in(self.provision_seconds, ready, tag="ec2.provision")
         return batch
 
     def terminate(self, vm: VM) -> None:
         """Terminate and bill one VM."""
-        if vm.vm_id not in self.vms:
-            raise VMError(f"unknown VM {vm.vm_id}")
-        vm.mark_terminated(self.clock.now)
-        line = self.ledger.charge_vm(vm, self.clock.now)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.add_span(
-                "vm.lifetime",
-                v_start=vm.launched_at,
-                v_end=self.clock.now,
-                category="cloud",
-                process="ec2",
-                thread=vm.vm_id,
-                vm_id=vm.vm_id,
-                pilot=vm.label,
-                instance_type=vm.itype.name,
-                hours_billed=line.hours_billed,
-                cost_usd=line.cost,
-            )
-            tracer.count("vms_terminated")
-            tracer.count("billed_usd", line.cost)
-            tracer.gauge("vms_running", len(self.running()))
+        self._end(vm, preempted=False)
 
-    def preempt(self, vm: VM):
+    def preempt(self, vm: VM) -> BillingLine | None:
         """The cloud reclaims a spot/preemptible VM.
 
         Idempotent: racing normal teardown is legal and bills nothing
@@ -161,9 +114,16 @@ class EC2Region:
         not to some later teardown.  Returns the billing line, or
         ``None`` when the VM was already terminated.
         """
+        return self._end(vm, preempted=True)
+
+    def _end(self, vm: VM, preempted: bool) -> BillingLine | None:
+        """End ``vm``, bill it and record its ``vm.lifetime`` span; a
+        reclaim of an already dead VM ends and bills nothing."""
         if vm.vm_id not in self.vms:
             raise VMError(f"unknown VM {vm.vm_id}")
-        if not vm.kill(self.clock.now, preempted=True):
+        if not preempted:
+            vm.mark_terminated(self.clock.now)
+        elif not vm.kill(self.clock.now, preempted=True):
             return None
         line = self.ledger.charge_vm(vm, self.clock.now)
         tracer = get_tracer()
@@ -180,16 +140,17 @@ class EC2Region:
                 instance_type=vm.itype.name,
                 hours_billed=line.hours_billed,
                 cost_usd=line.cost,
-                preempted=True,
+                **({"preempted": True} if preempted else {}),
             )
-            tracer.event(
-                "vm.preempt",
-                category="cloud",
-                process="ec2",
-                thread=vm.vm_id,
-                instance_type=vm.itype.name,
-            )
-            tracer.count("vms_preempted")
+            if preempted:
+                tracer.event(
+                    "vm.preempt",
+                    category="cloud",
+                    process="ec2",
+                    thread=vm.vm_id,
+                    instance_type=vm.itype.name,
+                )
+            tracer.count("vms_preempted" if preempted else "vms_terminated")
             tracer.count("billed_usd", line.cost)
             tracer.gauge("vms_running", len(self.running()))
         return line

@@ -79,6 +79,27 @@ class SGEScheduler:
     def total_slots(self) -> int:
         return sum(self.slots_total.values())
 
+    @property
+    def free_slots(self) -> int:
+        return sum(self.slots_free.values())
+
+    def add_node(self, node: str, slots: int) -> None:
+        """A node joined (cluster growth): its slots take queued jobs."""
+        self.slots_total[node] = slots
+        self.slots_free[node] = slots
+        self._try_schedule()
+
+    def is_idle(self, node: str) -> bool:
+        """No job holds a slot on ``node``."""
+        return self.slots_free.get(node) == self.slots_total.get(node)
+
+    def release_node(self, node: str) -> None:
+        """Drop an idle node (cluster shrink); a busy one raises."""
+        if not self.is_idle(node):
+            raise SGEError(f"node {node} is busy")
+        self.slots_total.pop(node, None)
+        self.slots_free.pop(node, None)
+
     def qsub(self, job: SGEJob) -> int:
         """Submit a job; returns its id."""
         if job.slots < 1:

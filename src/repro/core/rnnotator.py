@@ -54,7 +54,7 @@ from repro.parallel.executor import (
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
-from repro.pilot.scheduler import MemoryAwareScheduler, SchedulingError
+from repro.pilot.scheduler import SchedulingError
 from repro.seq.datasets import Dataset, DatasetSpec
 from repro.seq.readstore import ReadStore
 
@@ -393,7 +393,6 @@ def _unit_manager(run: _Run, pilot: Pilot, **fanout) -> UnitManager:
     pool)."""
     um = UnitManager(
         run.events,
-        scheduler=MemoryAwareScheduler(),
         cost_model=run.cost_model,
         checkpoint=run.ckpt,
         cache=get_assembly_cache(),

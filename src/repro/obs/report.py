@@ -19,6 +19,7 @@ from repro.obs.export import table, text_summary
 from repro.obs.metrics import Histogram
 from repro.obs.spans import RunState, fold, r_duration, stage_name, v_duration
 
+
 def stage_ttcs(records: Iterable[dict] | RunState) -> dict[str, float]:
     """Virtual TTC per pipeline stage, keyed by stage name.
 
@@ -94,15 +95,6 @@ def _categories(state: RunState) -> dict[str, dict]:
             row["virtual_s"] += v_duration(s)
             row["real_s"] += r_duration(s)
     return out
-
-
-def _phases(state: RunState) -> list[dict]:
-    """``phase`` events by critical-path compute, largest first."""
-    phases = [e for e in state.events if e["cat"] == "phase"]
-    phases.sort(
-        key=lambda e: e["attrs"].get("critical_compute", 0.0), reverse=True
-    )
-    return phases
 
 
 def _phases(state: RunState) -> list[dict]:

@@ -12,7 +12,7 @@ RP architecture the paper builds on (§III.C):
   on the fly",
 * **descriptions** separating what is wanted from what runs
   (:mod:`description`),
-* **schedulers** mapping units onto pilots (:mod:`scheduler`),
+* memory-aware **placement** of units onto pilots (:mod:`scheduler`),
 * **PilotManager / UnitManager** front-ends (:mod:`manager`), and
 * the per-pilot **agent** that runs units on the pilot's cluster through
   SGE, enforcing memory capacity (:mod:`agent`).
@@ -22,11 +22,7 @@ from repro.pilot.agent import PilotAgent
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
-from repro.pilot.scheduler import (
-    MemoryAwareScheduler,
-    RoundRobinScheduler,
-    UnitScheduler,
-)
+from repro.pilot.scheduler import MemoryAwareScheduler
 from repro.pilot.states import PilotState, StateError, UnitState
 from repro.pilot.unit import ComputeUnit
 
@@ -38,8 +34,6 @@ __all__ = [
     "UnitDescription",
     "Pilot",
     "ComputeUnit",
-    "UnitScheduler",
-    "RoundRobinScheduler",
     "MemoryAwareScheduler",
     "PilotManager",
     "UnitManager",

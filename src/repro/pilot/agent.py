@@ -44,6 +44,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.usage import ResourceUsage
 from repro.pilot.pilot import Pilot
+from repro.pilot.scheduler import memory_per_node
 from repro.pilot.states import PilotState, UnitState
 from repro.pilot.unit import ComputeUnit
 
@@ -143,14 +144,12 @@ class PilotAgent:
         unit.advance(UnitState.PENDING_EXECUTION)
         tracer = get_tracer()
 
-        # Static capacity check against the declared footprint, sized on
-        # the pilot's slice (not the possibly larger borrowed cluster).
+        # Static capacity check against the declared footprint: the
+        # placement rule's, sized on the pilot's slice (not the possibly
+        # larger borrowed cluster).
         itype = cluster.itype
-        nodes_spanned = max(
-            1, min(self.slice_nodes, -(-unit.description.cores // itype.vcpus))
-        )
-        declared = unit.description.memory_bytes
-        if declared and declared / nodes_spanned > itype.memory_bytes:
+        need = memory_per_node(unit, itype, self.slice_nodes)
+        if need > itype.memory_bytes:
             tracer.count("units_oom_static")
             _log.warning(
                 "%s: unit %s fails static memory check on %s",
@@ -159,8 +158,8 @@ class PilotAgent:
                 itype.name,
             )
             unit.fail(
-                f"OOM (static): needs {declared / nodes_spanned / 1024**3:.1f} "
-                f"GiB/node on {itype.name} ({itype.memory_gb:.0f} GiB)"
+                f"OOM (static): needs {need / 1024**3:.1f} GiB/node on "
+                f"{itype.name} ({itype.memory_gb:.0f} GiB)"
             )
             return
 
@@ -392,21 +391,7 @@ class PilotAgent:
         def on_complete(job: SGEJob) -> None:
             unit.finished_at = cluster.events.clock.now
             tracer = get_tracer()
-            if tracer.enabled:
-                tracer.add_span(
-                    f"exec:{unit.description.name}",
-                    v_start=unit.started_at,
-                    v_end=unit.finished_at,
-                    category="unit",
-                    process=self.pilot.pilot_id,
-                    thread=unit.unit_id,
-                    unit=unit.description.name,
-                    stage=unit.description.stage,
-                    slots=job.slots,
-                    nodes=len(job.allocation),
-                    oom=oom["hit"],
-                    **_extra_tags(unit),
-                )
+            self._exec_span(unit, job, oom=oom["hit"])
             if oom["hit"]:
                 peak = scaled.peak_rank_memory_bytes
                 tracer.count("units_oom_measured")
@@ -442,21 +427,7 @@ class PilotAgent:
             if job.started_at is not None:
                 unit.finished_at = cluster.events.clock.now
                 unit.usage = scaled  # burnt work, kept for accounting
-                if tracer.enabled:
-                    tracer.add_span(
-                        f"exec:{unit.description.name}",
-                        v_start=unit.started_at,
-                        v_end=unit.finished_at,
-                        category="unit",
-                        process=self.pilot.pilot_id,
-                        thread=unit.unit_id,
-                        unit=unit.description.name,
-                        stage=unit.description.stage,
-                        slots=job.slots,
-                        nodes=len(job.allocation),
-                        preempted=True,
-                        **_extra_tags(unit),
-                    )
+                self._exec_span(unit, job, preempted=True)
             _log.warning(
                 "%s: unit %s lost its node: %s",
                 self.pilot.pilot_id,
@@ -473,6 +444,26 @@ class PilotAgent:
             on_fail=on_fail,
         )
         cluster.scheduler.qsub(job)
+
+    def _exec_span(self, unit: ComputeUnit, job: SGEJob, **outcome) -> None:
+        """The unit's ``exec:`` span over its SGE job, flagged ``oom`` on
+        completion or ``preempted`` when the node died under it."""
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.add_span(
+                f"exec:{unit.description.name}",
+                v_start=unit.started_at,
+                v_end=unit.finished_at,
+                category="unit",
+                process=self.pilot.pilot_id,
+                thread=unit.unit_id,
+                unit=unit.description.name,
+                stage=unit.description.stage,
+                slots=job.slots,
+                nodes=len(job.allocation),
+                **outcome,
+                **_extra_tags(unit),
+            )
 
 
 def merged_usage(

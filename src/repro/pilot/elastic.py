@@ -17,7 +17,7 @@ follow the live cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.clock import EventQueue
 from repro.cloud.cluster import Cluster
@@ -42,7 +42,6 @@ class ElasticPool:
     inflight: int = 0
     grown_total: int = 0
     shrunk_total: int = 0
-    _preempt_hooks_installed: bool = field(default=False, repr=False)
 
     # -- demand signals ----------------------------------------------------
 
@@ -50,7 +49,7 @@ class ElasticPool:
         return sum(j.slots for j in self.cluster.scheduler.queue)
 
     def free_slots(self) -> int:
-        return sum(self.cluster.scheduler.slots_free.values())
+        return self.cluster.scheduler.free_slots
 
     # -- growth ------------------------------------------------------------
 
@@ -117,14 +116,9 @@ class ElasticPool:
         for vm in list(reversed(self.cluster.vms)):
             if self.cluster.n_nodes <= self.min_nodes:
                 break
-            if vm is self.cluster.head:
+            if vm is self.cluster.head or not sched.is_idle(vm.vm_id):
                 continue
-            if sched.slots_free.get(vm.vm_id) != sched.slots_total.get(
-                vm.vm_id
-            ):
-                continue
-            sched.slots_total.pop(vm.vm_id, None)
-            sched.slots_free.pop(vm.vm_id, None)
+            sched.release_node(vm.vm_id)
             self.cluster.vms.remove(vm)
             self.region.terminate(vm)
             released += 1

@@ -1,14 +1,16 @@
 """PilotManager and UnitManager front-ends.
 
 ``PilotManager`` owns pilot lifecycles against the simulated EC2 region:
-launching a pilot provisions a StarCluster-style SGE cluster (or binds an
-existing one — the S2 reuse path), cancelling it tears the VMs down when
-the pilot owns them.
+``launch`` (S1) and ``launch_on`` (S2, an existing cluster) share one
+body, so both emit the same ``launch:`` span and state walk; finishing
+or cancelling a pilot tears its VMs down when it owns them
+(``tests/pilot/test_managers.py::TestPilotLifecycle``).
 
-``UnitManager`` binds compute units to pilots through a pluggable
-scheduler, drives their execution through the pilot agents, and restarts
-failed units elsewhere when allowed — the pilot system's "starting,
-monitoring, and restarting" role (§III.C).
+``UnitManager`` places compute units on pilots by the memory-aware rule
+(:class:`MemoryAwareScheduler`, the only one), drives their execution
+through the pilot agents, and restarts failed units elsewhere when
+allowed — the pilot system's "starting, monitoring, and restarting"
+role (§III.C; ``tests/pilot/test_failure_exhaustion.py``).
 """
 
 from __future__ import annotations
@@ -26,11 +28,7 @@ from repro.parallel.executor import WorkloadExecutor, make_executor
 from repro.pilot.agent import PilotAgent
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.pilot import Pilot
-from repro.pilot.scheduler import (
-    RoundRobinScheduler,
-    SchedulingError,
-    UnitScheduler,
-)
+from repro.pilot.scheduler import MemoryAwareScheduler, SchedulingError
 from repro.pilot.states import PilotState, UnitState
 from repro.pilot.unit import ComputeUnit
 
@@ -81,27 +79,7 @@ class PilotManager:
 
     def launch(self, pilot: Pilot) -> Pilot:
         """S1-style launch: provision a fresh fleet for this pilot."""
-        with get_tracer().span(
-            f"launch:{pilot.pilot_id}",
-            category="pilot",
-            process=pilot.pilot_id,
-            instance_type=pilot.description.instance_type,
-            n_nodes=pilot.description.n_nodes,
-            reused_vms=False,
-        ):
-            pilot.advance(PilotState.PENDING_LAUNCH)
-            pilot.advance(PilotState.LAUNCHING)
-            cluster = build_cluster(
-                self.region,
-                self.events,
-                pilot.description.instance_type,
-                pilot.description.n_nodes,
-                name=f"{pilot.pilot_id}.cluster",
-            )
-            pilot.bind_cluster(cluster)
-            pilot.owns_vms = True
-            pilot.advance(PilotState.ACTIVE)
-        return pilot
+        return self._launch(pilot, None)
 
     def launch_on(self, pilot: Pilot, cluster: Cluster) -> Pilot:
         """S2-style launch: bind to an existing cluster (VM reuse)."""
@@ -115,19 +93,34 @@ class PilotManager:
                 f"pilot wants {pilot.description.n_nodes} nodes, cluster has "
                 f"{cluster.n_nodes}"
             )
+        return self._launch(pilot, cluster)
+
+    def _launch(self, pilot: Pilot, cluster: Cluster | None) -> Pilot:
+        """Walk the pilot to ACTIVE on ``cluster``, or on a fleet of its
+        own when there is none (the pilot then owns its VMs)."""
+        desc = pilot.description
+        reused = {} if cluster is None else {"cluster": cluster.name}
         with get_tracer().span(
             f"launch:{pilot.pilot_id}",
             category="pilot",
             process=pilot.pilot_id,
-            instance_type=pilot.description.instance_type,
-            n_nodes=pilot.description.n_nodes,
-            reused_vms=True,
-            cluster=cluster.name,
+            instance_type=desc.instance_type,
+            n_nodes=desc.n_nodes,
+            reused_vms=cluster is not None,
+            **reused,
         ):
             pilot.advance(PilotState.PENDING_LAUNCH)
             pilot.advance(PilotState.LAUNCHING)
+            pilot.owns_vms = cluster is None
+            if cluster is None:
+                cluster = build_cluster(
+                    self.region,
+                    self.events,
+                    desc.instance_type,
+                    desc.n_nodes,
+                    name=f"{pilot.pilot_id}.cluster",
+                )
             pilot.bind_cluster(cluster)
-            pilot.owns_vms = False
             pilot.advance(PilotState.ACTIVE)
         return pilot
 
@@ -155,7 +148,6 @@ class UnitManager:
     """
 
     events: EventQueue
-    scheduler: UnitScheduler = field(default_factory=RoundRobinScheduler)
     cost_model: CostModel = field(default_factory=CostModel)
     executor: WorkloadExecutor | str = "serial"
     #: Durable checkpoint store forwarded to every agent (None = off):
@@ -234,7 +226,7 @@ class UnitManager:
         no_progress_rounds = 0
         while pending:
             try:
-                assignment = self.scheduler.schedule(
+                assignment = MemoryAwareScheduler().schedule(
                     pending, self.pilots, exclude=failed_on
                 )
             except SchedulingError as exc:

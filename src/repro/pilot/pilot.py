@@ -8,11 +8,7 @@ from dataclasses import dataclass, field
 from repro.cloud.cluster import Cluster
 from repro.obs import get_tracer
 from repro.pilot.description import PilotDescription
-from repro.pilot.states import (
-    PILOT_FINAL,
-    PilotState,
-    check_pilot_transition,
-)
+from repro.pilot.states import PilotState, check_pilot_transition
 
 _ids = itertools.count()
 
@@ -45,10 +41,6 @@ class Pilot:
                 old=old.value,
                 new=new.value,
             )
-
-    @property
-    def is_final(self) -> bool:
-        return self.state in PILOT_FINAL
 
     @property
     def n_nodes(self) -> int:

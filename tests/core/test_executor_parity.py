@@ -33,7 +33,6 @@ from repro.core.preprocess import preprocess
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitManager
-from repro.pilot.scheduler import RoundRobinScheduler
 from repro.pilot.states import UnitState
 from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
@@ -99,7 +98,7 @@ def run_fanout(pre_store, ds, executor):
     region = EC2Region(clock)
     pm = PilotManager(region, events)
     pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 4)))
-    um = UnitManager(events, scheduler=RoundRobinScheduler(), executor=executor)
+    um = UnitManager(events, executor=executor)
     um.add_pilot(pilot)
     spectra = build_spectra(pre_store, {k for _, k in JOBS})
     try:

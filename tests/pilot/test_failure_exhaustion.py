@@ -204,6 +204,19 @@ class TestTransientRestart:
         assert tracer.metrics.counters["units_restarted"].value == 1
         assert tracer.metrics.counters["vms_preempted"].value == 1
 
+    def test_each_attempt_leaves_one_exec_span(self):
+        """The attempt the reclaim cut short is flagged ``preempted``; the
+        retry that completed carries ``oom`` instead."""
+        with use_tracer(Tracer()) as tracer:
+            um, units, _ = self.run_with_preemption(max_restarts=1)
+            um.run(units)
+        flags = [
+            {k: v for k, v in s.attrs.items() if k in ("oom", "preempted")}
+            for s in tracer.spans
+            if s.name == "exec:wide"
+        ]
+        assert flags == [{"preempted": True}, {"oom": False}]
+
 
 class TestNoProgressRounds:
     def livelocked_manager(self, max_restart_rounds, monkeypatch):
@@ -310,6 +323,17 @@ class TestElasticPool:
         assert pool.grown_total >= 1
         assert sched.jobs and sched.qstat()["qw"] == 0
         assert sched.qstat()["done"] == 2  # a and c; b died with its node
+
+    def test_shrink_idle_keeps_busy_workers(self):
+        from repro.cloud.sge import SGEJob
+
+        clock, events, region, pilot, pool = self.pool(n_nodes=3)
+        head, busy, idle = pilot.cluster.vms
+        job = SGEJob(name="a", slots=16, duration=500.0)
+        pilot.cluster.scheduler.qsub(job)
+        assert set(job.allocation) == {head.vm_id, busy.vm_id}
+        assert pool.shrink_idle() == 1
+        assert pilot.cluster.vms == [head, busy]
 
     def test_shrink_idle_releases_workers(self):
         clock, events, region, pilot, pool = self.pool(n_nodes=3)

@@ -17,7 +17,6 @@ from repro.pilot.manager import (
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import (
     MemoryAwareScheduler,
-    RoundRobinScheduler,
     SchedulingError,
     unit_fits_pilot,
 )
@@ -141,16 +140,6 @@ class TestSchedulers:
         assert not unit_fits_pilot(u, small)  # 40 GiB > c3's 16 GiB
         assert unit_fits_pilot(u, big)
 
-    def test_round_robin_cycles(self):
-        clock, events, region = sim()
-        a = Pilot(PilotDescription("a", "c3.2xlarge", 2))
-        b = Pilot(PilotDescription("b", "c3.2xlarge", 2))
-        units = [ComputeUnit(unit_desc(name=f"u{i}")) for i in range(4)]
-        out = RoundRobinScheduler().schedule(units, [a, b])
-        assert sorted(out.values()) == sorted(
-            [a.pilot_id, b.pilot_id, a.pilot_id, b.pilot_id]
-        )
-
     def test_memory_aware_prefers_cheap_when_fits(self):
         clock, events, region = sim()
         small, big = self.make_pilots()
@@ -169,25 +158,24 @@ class TestSchedulers:
         clock, events, region = sim()
         small, _ = self.make_pilots()
         u = ComputeUnit(unit_desc(cores=8, mem_paper=400 * GiB))
-        for sched in (RoundRobinScheduler(), MemoryAwareScheduler()):
-            with pytest.raises(SchedulingError):
-                sched.schedule([u], [small])
+        with pytest.raises(SchedulingError):
+            MemoryAwareScheduler().schedule([u], [small])
 
     def test_no_pilots_raises(self):
         clock, events, region = sim()
         u = ComputeUnit(unit_desc())
         with pytest.raises(SchedulingError):
-            RoundRobinScheduler().schedule([u], [])
+            MemoryAwareScheduler().schedule([u], [])
 
 
 class TestUnitExecution:
-    def run_units(self, descs, pilot_desc=None, scheduler=None):
+    def run_units(self, descs, pilot_desc=None):
         clock, events, region = sim()
         pm = PilotManager(region, events)
         pilot = pm.launch(
             pm.submit(pilot_desc or PilotDescription("P", "c3.2xlarge", 2))
         )
-        um = UnitManager(events, scheduler=scheduler or RoundRobinScheduler())
+        um = UnitManager(events)
         um.add_pilot(pilot)
         units = um.submit_units(descs)
         um.run(units)
@@ -255,7 +243,7 @@ class TestUnitExecution:
         pm = PilotManager(region, events)
         small = pm.launch(pm.submit(PilotDescription("small", "c3.2xlarge", 1)))
         big = pm.launch(pm.submit(PilotDescription("big", "r3.2xlarge", 1)))
-        um = UnitManager(events, scheduler=MemoryAwareScheduler())
+        um = UnitManager(events)
         um.add_pilot(small)
         um.add_pilot(big)
         # declared 40 GiB (paper scale): memory-aware goes straight to r3

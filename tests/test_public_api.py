@@ -285,3 +285,62 @@ def test_one_site_answers_a_content_key(tmp_path, monkeypatch):
         RnnotatorPipeline().run(dataset, config)  # every unit a cache hit
     assert cache.hits == 1
     assert callers == {_SRC / "repro" / "pilot" / "agent.py"}
+
+
+def _sites(pattern: str) -> list[str]:
+    """``src/`` modules naming ``pattern``, one entry per matching line."""
+    found = re.compile(pattern)
+    return [
+        str(path.relative_to(_SRC))
+        for path in sorted(_SRC.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if found.search(line)
+    ]
+
+
+def test_one_owner_per_cloud_decision():
+    """SGE alone edits its node table (others add, test and release nodes
+    through its methods), ``EC2Region`` creates VMs at one site and bills
+    them at one site, and one placement policy is left."""
+    assert set(_sites(r"\b(slots_free|slots_total|_try_schedule)\b")) == {
+        "repro/cloud/sge.py"
+    }
+    ec2 = (_SRC / "repro" / "cloud" / "ec2.py").read_text()
+    assert ec2.count("VM(") == 1
+    assert ec2.count("charge_vm(") == 1
+    assert _sites(r"\b(RoundRobinScheduler|UnitScheduler)\b") == []
+
+
+def test_no_module_defines_a_name_twice():
+    """No module or class body under ``src/`` binds one name in two
+    statements (a def, class or assignment): the later copy silently
+    replaces the earlier, so an edit to the first does nothing."""
+    import ast
+
+    twice = []
+    for path in sorted(_SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bodies = [("<module>", tree.body)] + [
+            (node.name, node.body)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        ]
+        for owner, body in bodies:
+            names = []
+            for stmt in body:
+                if isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    names.append(stmt.name)
+                elif isinstance(stmt, ast.Assign):
+                    names += [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name
+                ):
+                    names.append(stmt.target.id)
+            twice += [
+                (str(path.relative_to(_SRC)), owner, name)
+                for name in sorted(set(names))
+                if names.count(name) > 1
+            ]
+    assert twice == []

@@ -500,6 +500,40 @@ ROWS: tuple[Row, ...] = (
         "                pass\n",
         (_CALLERS,),
     ),
+    # one owner per decision in the simulated cloud and pilot layer
+    Row(
+        "sge: a busy node reads as idle",
+        "repro/cloud/sge.py",
+        "        return self.slots_free.get(node) == self.slots_total.get(node)\n",
+        "        return True\n",
+        (
+            "tests/cloud/test_sge_cluster.py::TestCluster::test_shrink_busy_rejected",
+            "tests/pilot/test_failure_exhaustion.py::TestElasticPool"
+            "::test_shrink_idle_keeps_busy_workers",
+        ),
+    ),
+    Row(
+        "agent: the shared exec span drops preempted=True",
+        _AGENT,
+        "self._exec_span(unit, job, preempted=True)",
+        "self._exec_span(unit, job)",
+        (
+            "tests/pilot/test_failure_exhaustion.py::TestTransientRestart"
+            "::test_each_attempt_leaves_one_exec_span",
+        ),
+    ),
+    Row(
+        "ec2: the shared VM-end path skips the charge on a preemption",
+        "repro/cloud/ec2.py",
+        "        line = self.ledger.charge_vm(vm, self.clock.now)\n",
+        "        line = self.ledger.charge_vm(vm, self.clock.now)\n"
+        "        if preempted:\n"
+        "            self.ledger.lines.pop()\n",
+        (
+            "tests/cloud/test_spot.py::TestRegionPreempt"
+            "::test_preempt_bills_exactly_once",
+        ),
+    ),
     # obs: one text printer and one trace-line decoder
     Row(
         "obs table: a numeric column left-aligned",
