@@ -151,6 +151,23 @@ def _compressible(table: _Table):
     return a[distinct], b[distinct], ends, incidences
 
 
+def _mod_p61(x: np.ndarray) -> np.ndarray:
+    """``x % (2**61 - 1)`` for any uint64 ``x``: ``2**61`` is 1 there."""
+    m = np.uint64(2**61 - 1)
+    x = (x >> np.uint64(61)) + (x & m)
+    return np.where(x >= m, x - m, x)
+
+
+def _int_hash(rows: np.ndarray) -> np.ndarray:
+    """``hash(w0 << 64 | w1)`` of every packed row (int64), exactly: a
+    non-negative int hashes to itself mod ``2**61 - 1``, where ``2**64``
+    is 8, so the words fold in Horner order."""
+    h = np.zeros(rows.shape[0], dtype=np.uint64)
+    for word in rows.T:
+        h = _mod_p61(_mod_p61(h << np.uint64(3)) + _mod_p61(word))
+    return h.astype(np.int64)
+
+
 def _coin(sid: np.ndarray, round_no: int) -> np.ndarray:
     """Deterministic per-round coin, in wrapping uint64: True = Head
     (absorber).  Not a fair coin — see ROADMAP 3(a)(i)."""
@@ -261,10 +278,7 @@ class ContrailAssembler:
         solid = spectrum.counts >= params.min_count
         # Left-aligned packed ints placed by hash(int) % n, as the
         # executed job places them; badly skewed — ROADMAP 3(a)(iii).
-        int_keys = packedmod.packed_to_ints(spectrum.distinct, params.k)
-        partition = np.fromiter(
-            map(hash, int_keys), dtype=np.int64, count=spectrum.n_distinct
-        ) % n
+        partition = _int_hash(spectrum.distinct) % n
         engine.record_shuffle(
             "kmer_count",
             map_input_records=store.n_reads,
@@ -291,14 +305,16 @@ class ContrailAssembler:
         a, b, ends, incidences = _compressible(table)
         present = incidences > 0
         is_head = _coin(sid + round_no, round_no)
-        fires = is_head[a] != is_head[b]
-        a, b = a[fires], b[fires]
-        head, tail = np.where(is_head[a], a, b), np.where(is_head[a], b, a)
+        a_heads = is_head[a]
+        fires = a_heads != is_head[b]
+        a, b, a_heads = a[fires], b[fires], a_heads[fires]
+        head, tail = np.where(a_heads, a, b), np.where(a_heads, b, a)
 
+        task = np.arange(n_seg) % n
         engine.record_shuffle(
             f"pair_{round_no}",
             map_input_records=n_seg,
-            task=np.tile(np.arange(n_seg) % n, 2),
+            task=np.concatenate((task, task)),
             # Dense rank among the round's junctions: ids ascend in
             # canonical order, so this is the rank of the canonical end.
             key=(np.cumsum(present) - 1)[ends],
@@ -313,9 +329,12 @@ class ContrailAssembler:
         n_ids = table.kmers.shape[0]
         order = np.argsort(sid[tail] * n_ids + sid[head])
         head, tail = head[order], tail[order]
-        keep = np.diff(tail, prepend=-1) != 0
-        order = np.argsort(sid[head[keep]] * n_ids + sid[tail[keep]])
-        return head[keep][order], tail[keep][order]
+        keep = np.empty(tail.shape, dtype=bool)
+        keep[:1] = True
+        np.not_equal(tail[1:], tail[:-1], out=keep[1:])
+        head, tail = head[keep], tail[keep]
+        order = np.argsort(sid[head] * n_ids + sid[tail])
+        return head[order], tail[order]
 
     def _job_merge(
         self,
@@ -339,7 +358,7 @@ class ContrailAssembler:
         # A compressible junction has two incidences, so each end of a
         # head pairs with at most one tail: two passes, first tails then
         # second tails, join every head to everything it absorbs.
-        second = np.diff(head, prepend=-1) == 0
+        second = np.concatenate(([False], head[1:] == head[:-1]))
         assert not (second[1:] & second[:-1]).any(), "a head absorbs <= 2 tails"
         jl, jr = table.jl.copy(), table.jr.copy()
         rcl, rcr = table.rcl.copy(), table.rcr.copy()
@@ -351,30 +370,30 @@ class ContrailAssembler:
         for depth, in_pass in ((1, ~second), (2, second)):
             h, t = head[in_pass], tail[in_pass]
             tl, tr, trcl, trcr = table.jl[t], table.jr[t], table.rcl[t], table.rcr[t]
+            hl, hr, hrcl, hrcr = jl[h], jr[h], rcl[h], rcr[h]
             # The four overlap tests on the carried ends: two ends are
             # equal on one junction id with equal rc bits, or either bit
             # on a palindrome; a reverse complement inverts the bit.  The
             # first that holds, in this order, decides.  A tail none
             # accepts (a canonical-junction collision) stays its own record.
-            tests = np.stack(
-                [
-                    (tl == jr[h]) & ((trcl == rcr[h]) | pal[tl]),  # a + b
-                    (tr == jr[h]) & ((trcr != rcr[h]) | pal[tr]),  # a + rc(b)
-                    (tr == jl[h]) & ((trcr == rcl[h]) | pal[tr]),  # b + a
-                    (tl == jl[h]) & ((trcl != rcl[h]) | pal[tl]),  # rc(b) + a
-                ]
-            )
-            joined = np.flatnonzero(tests.any(axis=0))
-            h, t, case = h[joined], t[joined], tests.argmax(axis=0)[joined]
-            # The record's new end, by case: the tail's far end as joined.
-            far = np.stack([tr, tl, tl, tr])[case, joined]
-            far_rc = np.stack([trcr, ~trcl, trcl, ~trcr])[case, joined]
-            after = case < 2
-            jr[h[after]], rcr[h[after]] = far[after], far_rc[after]
-            jl[h[~after]], rcl[h[~after]] = far[~after], far_rc[~after]
+            ab = (tl == hr) & ((trcl == hrcr) | pal[tl])  # 1: a + b
+            a_rcb = (tr == hr) & ((trcr != hrcr) | pal[tr])  # 2: a + rc(b)
+            ba = (tr == hl) & ((trcr == hrcl) | pal[tr])  # 3: b + a
+            rcb_a = (tl == hl) & ((trcl != hrcl) | pal[tl])  # 4: rc(b) + a
+            after = ab | a_rcb
+            flip = np.where(after, ~ab, ~ba)
+            joined = np.flatnonzero(after | ba | rcb_a)
+            # The new end: the tail's far end as joined (DESIGN §15), bit ^ flip.
+            far_right = after != flip
+            far = np.where(far_right, tr, tl)[joined]
+            far_rc = (np.where(far_right, trcr, trcl) ^ flip)[joined]
+            h, t, after, flip = h[joined], t[joined], after[joined], flip[joined]
+            h_after, h_before = h[after], h[~after]
+            jr[h_after], rcr[h_after] = far[after], far_rc[after]
+            jl[h_before], rcl[h_before] = far[~after], far_rc[~after]
             owner[t] = h
             slot[t] = np.where(after, depth, -depth)
-            flipped[t] = case % 2 == 1
+            flipped[t] = flip
             cov_sum[h] += table.cov_sum[t]
             n_kmers[h] += n_kmers0[t]
 

@@ -227,18 +227,6 @@ def keys(packed: np.ndarray, k: int) -> np.ndarray:
     return packed.astype(">u8", order="C").view("S16").ravel()
 
 
-def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
-    """Rows as single Python ints (``w0 << 64 | w1``), preserving order —
-    hashable keys for MapReduce shuffles."""
-    W = words_for(k)
-    packed = np.asarray(packed, dtype=_U).reshape(-1, W)
-    if W == 1:
-        return packed[:, 0].tolist()
-    w0 = packed[:, 0].tolist()
-    w1 = packed[:, 1].tolist()
-    return [(a << 64) | b for a, b in zip(w0, w1)]
-
-
 def unique_inverse_counts(
     packed: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

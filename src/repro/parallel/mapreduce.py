@@ -125,15 +125,24 @@ class MapReduceEngine:
         + sum(values)``, and the largest is the job's reducer-memory peak.
         """
         n_keys, n_emitted = int(partition.shape[0]), int(key.shape[0])
-        key_nbytes = np.broadcast_to(key_nbytes, n_keys)
         # Distinct (task, key) groups: sort, keep each run's first.
-        groups = np.sort(task * n_keys + key)
-        group_key = groups[np.diff(groups, prepend=-1) != 0] % n_keys
+        groups = task * n_keys + key
+        groups.sort()
+        first = np.empty(groups.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(groups[1:], groups[:-1], out=first[1:])
+        group_key = groups[first] % n_keys
         if combined:  # what is shuffled is one value per group
             key = group_key
-        # Sums of small integers stay exact in bincount's float64.
-        values = np.bincount(
-            key, np.broadcast_to(value_nbytes, key.shape), minlength=n_keys
+        # A scalar byte column scales a count; sums of small integers
+        # stay exact in bincount's float64.
+        if np.ndim(value_nbytes):
+            values = np.bincount(key, value_nbytes, minlength=n_keys)
+        else:
+            values = np.bincount(key, minlength=n_keys) * value_nbytes
+        n_groups = group_key.shape[0]
+        key_bytes = (
+            key_nbytes[group_key].sum() if np.ndim(key_nbytes) else key_nbytes * n_groups
         )
         parts = np.bincount(
             partition, key_nbytes + 16 + values, minlength=self.n_workers
@@ -143,7 +152,7 @@ class MapReduceEngine:
             map_input_records=map_input_records,
             map_output_records=n_emitted,
             combine_output_records=int(key.shape[0]),
-            shuffle_bytes=int((key_nbytes[group_key] + 16).sum() + values.sum()),
+            shuffle_bytes=int(key_bytes + 16 * n_groups + values.sum()),
             reduce_input_groups=n_keys,
             reduce_output_records=reduce_output_records,
         )

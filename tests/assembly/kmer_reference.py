@@ -134,6 +134,17 @@ def kmer_owner(kmer_rows: np.ndarray, n_ranks: int) -> np.ndarray:
     return (h % np.uint64(n_ranks)).astype(np.int64)
 
 
+def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
+    """Packed rows as single Python ints (``w0 << 64 | w1``), in order:
+    the keys the executed ``kmer_count`` job places by ``hash(key) % n``,
+    and the oracle of ``contrail._int_hash``."""
+    W = packedmod.words_for(k)
+    packed = np.asarray(packed, dtype=np.uint64).reshape(-1, W)
+    if W == 1:
+        return packed[:, 0].tolist()
+    return [(a << 64) | b for a, b in zip(*packed.T.tolist())]
+
+
 #: Complement of every byte value: ``3 - code`` with uint8 wrap-around.
 _COMPLEMENT = bytes((3 - i) & 0xFF for i in range(256))
 

@@ -2,11 +2,12 @@
 (``contrail_reference``: every job's statistics, ``PhaseUsage`` and
 reducer peak, the merge list and the segment table after every round,
 then the whole assembly), a digest pin of what the parent commit booked,
-the derived count job against the executed one, the convergence flag and
-hash-seed independence."""
+the derived count job against the executed one and its placement against
+``hash(int)``, the convergence flag and hash-seed independence."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -29,6 +30,7 @@ from repro.seq.alphabet import reverse_complement
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 from tests.assembly import contrail_reference as reference
+from tests.assembly.kmer_reference import packed_to_ints
 from tests.parallel.exec_reference import ExecEngine, nbytes
 
 PARAMS = AssemblyParams(k=21, min_contig_length=50)
@@ -320,7 +322,7 @@ class TestDerivedCountJob:
 
         assert want and want == dict(
             zip(
-                packedmod.packed_to_ints(spectrum.distinct[solid], k),
+                packed_to_ints(spectrum.distinct[solid], k),
                 spectrum.counts[solid].tolist(),
             )
         )
@@ -328,6 +330,35 @@ class TestDerivedCountJob:
         assert derived.job_stats == executed.job_stats
         assert derived.usage == executed.usage
         assert derived.usage.peak_rank_memory_bytes > 0
+
+
+#: A word at the edges of ``x mod (2**61 - 1)``: zero, the largest
+#: residue, the modulus, one past it, and the top of the word.
+EDGE_WORDS = (0, 2**61 - 2, 2**61 - 1, 2**61, 2**64 - 1)
+WORDS = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1))
+
+
+class TestPlacementHash:
+    """``kmer_count`` places a key by ``_int_hash``: it must be
+    ``hash(int)`` of the packed-int keys the executed job hashes."""
+
+    @staticmethod
+    def _want(rows, k):
+        return [hash(key) for key in packed_to_ints(rows, k)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(WORDS, max_size=40), k=st.sampled_from((21, 33)))
+    def test_is_hash_of_the_executed_keys(self, words, k):
+        width = packedmod.words_for(k)  # one word, two
+        rows = np.array(words[: len(words) // width * width], dtype=np.uint64)
+        rows = rows.reshape(-1, width)
+        assert contrail._int_hash(rows).tolist() == self._want(rows, k)
+
+    def test_every_word_at_every_edge(self):
+        one = np.array(EDGE_WORDS, dtype=np.uint64)[:, None]
+        two = np.array(list(itertools.product(EDGE_WORDS, repeat=2)), dtype=np.uint64)
+        assert contrail._int_hash(one).tolist() == self._want(one, 21)
+        assert contrail._int_hash(two).tolist() == self._want(two, 33)
 
 
 class TestClosedFormMeasures:

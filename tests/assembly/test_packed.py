@@ -25,6 +25,7 @@ from tests.assembly.kmer_reference import (
     canonical_kmers_varlen,
     kmer_counts,
     kmer_owner,
+    packed_to_ints,
 )
 
 BOUNDARY_KS = (3, 31, 32, 33, 63)
@@ -178,7 +179,7 @@ class TestKeysAndOrder:
     def test_int_roundtrip(self, k):
         rng = np.random.default_rng(k + 41)
         win = _random_windows(rng, 50, k)
-        ints = packed.packed_to_ints(packed.pack(win), k)
+        ints = packed_to_ints(packed.pack(win), k)
         # Base i sits 2*(i+1) bits below the top of the 64*W-bit value.
         bits = 64 * packed.words_for(k)
         assert ints == [

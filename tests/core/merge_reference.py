@@ -8,6 +8,10 @@ query seed — with one fix applied: a contig shorter than ``SEED_K``
 key) takes every kept contig as its candidate set and is charged for
 them.  It owns its seed extraction and reverse complement, so a change
 to either in ``src/`` cannot hide from the parity tests.
+
+``join_longest_overlaps`` is the join the merge does not do yet
+(ROADMAP 9(a)): the longest exact suffix-prefix overlap first, on
+either strand, by brute force over every pair.
 """
 
 SEED_K = 21
@@ -50,3 +54,43 @@ def remove_contained(contigs):
         for seed in _seeds(c.seq, stride=1):
             seed_index.setdefault(seed, []).append(idx)
     return kept, removed, work
+
+
+def _longest_overlap(a, b, min_overlap):
+    """The longest ``o >= min_overlap`` with ``a[-o:] == b[:o]`` and
+    ``o < min(len(a), len(b))``, or 0."""
+    start = max(len(a) - len(b) + 1, 1)
+    while (p := a.find(b[:min_overlap], start)) != -1:
+        if b.startswith(a[p:]):
+            return len(a) - p
+        start = p + 1
+    return 0
+
+
+def join_longest_overlaps(seqs, min_overlap):
+    """Greedy longest exact suffix-prefix joining, O(n^2) pairs a join.
+
+    Sequences are ranked by ``(-length, sequence)``.  Strand rule: of a
+    pair, the lower-ranked ``a`` keeps its strand and ``b`` joins on
+    either, on either side: ``a + b``, ``a + rc(b)``, ``b + a``,
+    ``rc(b) + a``.  Every join takes the longest overlap ``>=
+    min_overlap`` of any pair; equal overlaps go to the lower-ranked
+    ``a``, then ``b``, then the order above.  It repeats until no
+    overlap is left.  Returns the sequences, ranked."""
+    seqs = sorted(seqs, key=lambda s: (-len(s), s))
+    while True:
+        best = None
+        for i, a in enumerate(seqs):
+            for j in range(i + 1, len(seqs)):
+                b, rc = seqs[j], _revcomp(seqs[j])
+                joins = ((a, b), (a, rc), (b, a), (rc, a))
+                for case, (left, right) in enumerate(joins):
+                    o = _longest_overlap(left, right, min_overlap)
+                    key = (-o, i, j, case)
+                    if o and (best is None or key < best[0]):
+                        best = key, left + right[o:]
+        if best is None:
+            return seqs
+        (_o, i, j, _case), joined = best
+        seqs = [s for n, s in enumerate(seqs) if n not in (i, j)] + [joined]
+        seqs.sort(key=lambda s: (-len(s), s))

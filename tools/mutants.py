@@ -11,9 +11,10 @@ each in its own copy; what they print and the survivors stay in row order.
     python tools/mutants.py                   # every row
     python tools/mutants.py -k merge          # rows whose name contains "merge"
     python tools/mutants.py --group assembly  # rows on src/repro/assembly/
+    python tools/mutants.py --group core      # rows on src/repro/core/
     python tools/mutants.py --group other     # every other row
 
-CI runs the two groups as two steps, each inside its own time budget.
+CI runs the three groups as three steps, each inside its own time budget.
 
 First the union of the selected rows' tests runs once on an unmodified
 copy: a row counts as killed only by tests that pass without it.
@@ -248,16 +249,25 @@ ROWS: tuple[Row, ...] = (
     Row(
         "contrail: the palindrome term dropped from the a + b join test",
         _CONTRAIL,
-        "(tl == jr[h]) & ((trcl == rcr[h]) | pal[tl])",
-        "(tl == jr[h]) & (trcl == rcr[h])",
+        "(tl == hr) & ((trcl == hrcr) | pal[tl])",
+        "(tl == hr) & (trcl == hrcr)",
         (_PLANTED,),
     ),
     Row(
         "contrail: the far end's rc bit not inverted for joins 2 and 4",
         _CONTRAIL,
-        "[trcr, ~trcl, trcl, ~trcr]",
-        "[trcr, trcl, trcl, trcr]",
+        "far_rc = (np.where(far_right, trcr, trcl) ^ flip)[joined]",
+        "far_rc = np.where(far_right, trcr, trcl)[joined]",
         (_ROUNDS,),
+    ),
+    Row(
+        "contrail: the merge job's case priority swapped (join 1 <-> join 3)",
+        _CONTRAIL,
+        "            after = ab | a_rcb\n"
+        "            flip = np.where(after, ~ab, ~ba)\n",
+        "            after = ~ba & (ab | a_rcb)\n"
+        "            flip = np.where(after, a_rcb, ~ba)\n",
+        (_PLANTED,),
     ),
     Row(
         "contrail: a flipped piece's seed flips not toggled",
@@ -282,6 +292,20 @@ ROWS: tuple[Row, ...] = (
             "tests/assembly/test_contrail.py::TestConvergenceFlag"
             "::test_junctions_left_on_small_input_are_reported",
         ),
+    ),
+    Row(
+        "contrail: the placement hash without its 2**64 = 8 fold",
+        _CONTRAIL,
+        "_mod_p61(h << np.uint64(3))",
+        "h",
+        ("tests/assembly/test_contrail.py::TestPlacementHash",),
+    ),
+    Row(
+        "mapreduce: record_shuffle's first-group mask left false",
+        "repro/parallel/mapreduce.py",
+        "        first[:1] = True\n",
+        "        first[:1] = False\n",
+        ("tests/parallel/test_record_shuffle.py",),
     ),
     # reads encoded once, bases translated in C (DESIGN §7)
     Row(
@@ -559,8 +583,12 @@ ROWS: tuple[Row, ...] = (
 )
 
 
+GROUPS = ("assembly", "core", "other")
+
+
 def _group(row: Row) -> str:
-    return "assembly" if row.file.startswith("repro/assembly/") else "other"
+    package = row.file.split("/")[1]
+    return package if package in GROUPS else "other"
 
 
 def _copy_src(dest: Path) -> Path:
@@ -619,8 +647,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("-k", default="", help="only rows whose name contains this")
     ap.add_argument(
         "--group",
-        choices=("assembly", "other"),
-        help="only the rows on src/repro/assembly/, or only the others",
+        choices=GROUPS,
+        help="only the rows on src/repro/assembly/, on src/repro/core/, "
+        "or only the others",
     )
     args = ap.parse_args(argv)
     rows = [r for r in ROWS if args.k in r.name and args.group in (None, _group(r))]
