@@ -11,7 +11,7 @@ Run:  python examples/multi_assembler_ensemble.py
 """
 
 from repro.assembly.base import AssemblyParams
-from repro.assembly.registry import get_assembler
+from repro.assembly.registry import run_assembler
 from repro.core.merge import merge_contigs
 from repro.core.preprocess import preprocess
 from repro.evaluation.detonate import evaluate
@@ -42,7 +42,7 @@ def main() -> None:
     for name in ("ray", "abyss", "contrail"):
         for k in KS:
             params = AssemblyParams(k=k, min_contig_length=100)
-            result = get_assembler(name).assemble(store, params, n_ranks=8)
+            result = run_assembler(name, store, params, n_ranks=8)
             assemblies[(name, k)] = result.contigs
             print(f"  {name:9s} k={k}: {len(result.contigs)} contigs")
 

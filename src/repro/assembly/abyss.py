@@ -18,10 +18,10 @@ their code bytes) and a serial master-side cleanup/merge charged via
 
 from __future__ import annotations
 
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
+from repro.assembly.base import AssemblyParams, finish_assembly
 from repro.assembly.cleanup import clean_unitigs
-from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.ray import partition_spectrum
+from repro.assembly.contigs import AssemblyResult
+from repro.assembly.ray import book_walks, partition_spectrum
 from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.comm import SimWorld
 from repro.seq.readstore import ReadStore
@@ -41,8 +41,6 @@ class AbyssAssembler:
     ) -> AssemblyResult:
         spectrum = resolve_spectrum(store, params.k, spectrum)
         world = SimWorld(n_ranks)
-        p = world.size
-        k = params.k
 
         part = partition_spectrum(world, spectrum, params.min_count)
 
@@ -50,18 +48,10 @@ class AbyssAssembler:
         # rounds; unlike Ray there is no per-step probe message, the round
         # structure shows up as collectives instead.
         with world.phase("unitig_rounds", kind="walk"):
-            all_unitigs = []
-            per_rank_unitigs = []
-            total_probes = 0
-            for r, (unitigs, steps) in enumerate(part.walks):
-                all_unitigs.extend(unitigs)
-                per_rank_unitigs.append(unitigs)
-                world.charge(r, float(steps))
-                # ABySS also probes remote k-mers while extending, but
-                # aggregates them per round (~2 effective messages per
-                # step vs Ray's 8 fine-grained probes).
-                total_probes += int(steps * 2 * (p - 1) / p)
-            world.count_messages(total_probes)
+            # ABySS also probes remote k-mers while extending, but
+            # aggregates them per round (~2 effective messages per step
+            # vs Ray's 8 fine-grained probes).
+            unitigs = book_walks(world, part, probes_per_step=2)
             # A handful of synchronization rounds, independent of data size.
             for _ in range(8):
                 world.collective()
@@ -73,27 +63,15 @@ class AbyssAssembler:
             # the code bytes plus a 16-byte list header.
             world.collective(
                 sum(
-                    sum(u.codes.nbytes for u in unitigs) + 16
-                    for unitigs in per_rank_unitigs[1:]
+                    sum(u.codes.nbytes for u in shipped) + 16
+                    for shipped, _ in part.walks[1:]
                 )
             )
-            all_unitigs, cstats = clean_unitigs(
-                all_unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
-            )
-            serial_work = cstats.work + sum(len(u) for u in all_unitigs)
+            unitigs, cstats = clean_unitigs(unitigs, params.k)
+            serial_work = cstats.work + sum(len(u) for u in unitigs)
             world.charge_serial(float(serial_work))
 
-        contigs = unitigs_to_contigs(all_unitigs, params, self.name)
-        return AssemblyResult(
-            assembler=self.name,
-            k=k,
-            contigs=contigs,
-            usage=world.usage,
-            stats={
-                "n_ranks": p,
-                "distinct_kmers": len(part.table),
-                "tips_removed": cstats.tips_removed,
-                "bubbles_popped": cstats.bubbles_popped,
-                **assembly_stats(contigs),
-            },
+        return finish_assembly(
+            self.name, params, unitigs, cstats, world.usage,
+            n_ranks=world.size, distinct_kmers=len(part.table),
         )

@@ -1,4 +1,5 @@
-"""Shared assembler plumbing."""
+"""Shared assembler plumbing: parameters, the single-node bookings and
+the one finishing path every assembler ends on."""
 
 from __future__ import annotations
 
@@ -6,9 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.assembly.contigs import Contig
-from repro.assembly.dbg import Unitig
+from repro.assembly.cleanup import CleanupStats, clean_unitigs
+from repro.assembly.contigs import AssemblyResult, Contig, assembly_stats
+from repro.assembly.dbg import KmerTable, Unitig, extract_unitigs
+from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.seq.alphabet import decode, reverse_complement
+
+#: Threads a single-node assembler (Velvet, Trinity) counts k-mers on.
+N_THREADS = 8
 
 
 @dataclass(frozen=True)
@@ -18,8 +24,6 @@ class AssemblyParams:
     k: int
     min_count: int = 2          # coverage threshold for solid k-mers
     min_contig_length: int = 100
-    clip_tips: bool = True
-    pop_bubbles: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -59,3 +63,68 @@ def unitigs_to_contigs(
         )
         for i, (codes, u) in enumerate(oriented)
     ]
+
+
+def finish_assembly(
+    assembler: str,
+    params: AssemblyParams,
+    unitigs: list[Unitig],
+    cleanup: CleanupStats,
+    usage: ResourceUsage,
+    distinct_kmers: int,
+    **extra,
+) -> AssemblyResult:
+    """The cleaned ``unitigs`` as ``assembler``'s result: the contigs and
+    the stats every assembler reports, after its own ``extra`` ones."""
+    contigs = unitigs_to_contigs(unitigs, params, assembler)
+    return AssemblyResult(
+        assembler=assembler,
+        k=params.k,
+        contigs=contigs,
+        usage=usage,
+        stats={
+            **extra,
+            "distinct_kmers": distinct_kmers,
+            "tips_removed": cleanup.tips_removed,
+            "bubbles_popped": cleanup.bubbles_popped,
+            **assembly_stats(contigs),
+        },
+    )
+
+
+def assemble_on_one_node(
+    table: KmerTable, n_kmer_stream: int, walk_phase: str
+) -> tuple[list[Unitig], CleanupStats, ResourceUsage]:
+    """A single-node assembler's graph half, booked on one rank: the
+    k-mer stream counted on ``N_THREADS`` threads, the graph built from
+    ``table`` (the node's peak memory), then its unitigs walked and
+    cleaned in the phase named ``walk_phase``."""
+    usage = ResourceUsage(n_ranks=1)
+    usage.add_phase(
+        PhaseUsage(
+            name="kmer_count",
+            kind="kmer",
+            critical_compute=n_kmer_stream / N_THREADS,
+            total_compute=float(n_kmer_stream),
+        )
+    )
+    usage.peak_rank_memory_bytes = table.memory_bytes()
+    usage.add_phase(
+        PhaseUsage(
+            name="graph_build",
+            kind="graph",
+            critical_compute=float(len(table)),
+            total_compute=float(len(table)),
+        )
+    )
+    unitigs, steps = extract_unitigs(table)
+    unitigs, cstats = clean_unitigs(unitigs, table.k)
+    usage.add_phase(
+        PhaseUsage(
+            name=walk_phase,
+            kind="walk",
+            critical_compute=float(steps + cstats.work),
+            total_compute=float(steps + cstats.work),
+        )
+    )
+    return unitigs, cstats, usage

@@ -113,13 +113,13 @@ def _clean(
     tip_rule: tuple[int, float] | None,
     bubble_rule: float | None,
 ) -> tuple[list[Unitig], CleanupStats]:
-    """Tips (if a rule is given), then bubbles among the survivors, on
-    one junction table; ``work`` is charged as the graph version did:
-    edges + distinct junctions for the tip pass, edges for the bubble
-    pass."""
+    """Tips (if a rule is given), then bubbles (if one is given) among
+    the survivors, on one junction table; ``work`` is charged as the
+    graph version did: edges + distinct junctions for the tip pass, edges
+    for the bubble pass."""
     stats = CleanupStats()
     n = len(unitigs)
-    if n == 0 or (tip_rule is None and bubble_rule is None):
+    if n == 0:
         return list(unitigs), stats
     lengths = np.fromiter((len(u) for u in unitigs), np.int64, n)
     ends, per_junction = _junction_ends(unitigs, lengths, k)
@@ -174,10 +174,7 @@ def pop_bubbles(
 
 
 def clean_unitigs(
-    unitigs: list[Unitig],
-    k: int,
-    clip: bool = True,
-    pop: bool = True,
+    unitigs: list[Unitig], k: int
 ) -> tuple[list[Unitig], CleanupStats]:
-    """Standard cleanup: tips first, then bubbles."""
-    return _clean(unitigs, k, (2 * k, 0.5) if clip else None, 0.1 if pop else None)
+    """Standard cleanup, every assembler's: tips first, then bubbles."""
+    return _clean(unitigs, k, (2 * k, 0.5), 0.1)

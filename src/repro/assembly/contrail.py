@@ -47,9 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.assembly import packed as packedmod
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
+from repro.assembly.base import AssemblyParams, finish_assembly
 from repro.assembly.cleanup import clean_unitigs
-from repro.assembly.contigs import AssemblyResult, assembly_stats
+from repro.assembly.contigs import AssemblyResult
 from repro.assembly.dbg import Unitig
 from repro.assembly.sweep import resolve_spectrum
 from repro.parallel.mapreduce import MapReduceEngine
@@ -231,25 +231,14 @@ class ContrailAssembler:
                 table.n_kmers.tolist(),
             )
         ]
-        unitigs, cstats = clean_unitigs(
-            unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
-        )
-        contigs = unitigs_to_contigs(unitigs, params, self.name)
-        return AssemblyResult(
-            assembler=self.name,
-            k=k,
-            contigs=contigs,
-            usage=engine.usage,
-            stats={
-                "n_ranks": n_ranks,
-                "mr_jobs": len(engine.job_stats),
-                "compression_rounds": rounds,
-                "compression_converged": not left,
-                "distinct_kmers": int(np.count_nonzero(solid)),
-                "tips_removed": cstats.tips_removed,
-                "bubbles_popped": cstats.bubbles_popped,
-                **assembly_stats(contigs),
-            },
+        unitigs, cstats = clean_unitigs(unitigs, k)
+        return finish_assembly(
+            self.name, params, unitigs, cstats, engine.usage,
+            n_ranks=n_ranks,
+            mr_jobs=len(engine.job_stats),
+            compression_rounds=rounds,
+            compression_converged=not left,
+            distinct_kmers=int(np.count_nonzero(solid)),
         )
 
     # -- jobs ----------------------------------------------------------------

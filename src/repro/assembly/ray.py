@@ -22,10 +22,10 @@ packed wire size, so virtual TTCs match the bytes-era pipeline bit-for-bit.
 
 from __future__ import annotations
 
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
+from repro.assembly.base import AssemblyParams, finish_assembly
 from repro.assembly.cleanup import clean_unitigs
-from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import KMER_RECORD_BYTES
+from repro.assembly.contigs import AssemblyResult
+from repro.assembly.dbg import KMER_RECORD_BYTES, Unitig
 from repro.assembly.sweep import KmerSpectrum, SpectrumPartition, resolve_spectrum
 from repro.parallel.comm import SimWorld
 from repro.seq.readstore import ReadStore
@@ -74,6 +74,22 @@ def partition_spectrum(
     return part
 
 
+def book_walks(
+    world: SimWorld, part: SpectrumPartition, probes_per_step: int
+) -> list[Unitig]:
+    """Every rank's unitigs, in rank order, with each rank charged for
+    walking its own seeds and ``probes_per_step`` probe messages counted
+    per step, a candidate being remote w.p. (p-1)/p.  Runs inside the
+    caller's walk phase."""
+    p = world.size
+    total_probes = 0
+    for r, (_, steps) in enumerate(part.walks):
+        world.charge(r, float(steps))
+        total_probes += int(steps * probes_per_step * (p - 1) / p)
+    world.count_messages(total_probes)
+    return [u for unitigs, _ in part.walks for u in unitigs]
+
+
 class RayAssembler:
     """MPI-style distributed DBG assembler with message-driven extension."""
 
@@ -89,40 +105,21 @@ class RayAssembler:
         spectrum = resolve_spectrum(store, params.k, spectrum)
         world = SimWorld(n_ranks)
         p = world.size
-        k = params.k
 
         part = partition_spectrum(world, spectrum, params.min_count)
 
         with world.phase("extension_walk", kind="walk"):
-            all_unitigs = []
-            total_probes = 0
-            for r, (unitigs, steps) in enumerate(part.walks):
-                all_unitigs.extend(unitigs)
-                world.charge(r, float(steps))
-                # Each extension step probes ~4 candidate successors and
-                # ~4 predecessors; a candidate is remote w.p. (p-1)/p.
-                total_probes += int(steps * 8 * (p - 1) / p)
-            world.count_messages(total_probes)
+            # Each extension step probes ~4 candidate successors and ~4
+            # predecessors.
+            unitigs = book_walks(world, part, probes_per_step=8)
 
         with world.phase("cleanup", kind="walk"):
-            all_unitigs, cstats = clean_unitigs(
-                all_unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
-            )
+            unitigs, cstats = clean_unitigs(unitigs, params.k)
             # Cleanup runs on the condensed graph, replicated cheaply.
             for r in world.ranks():
                 world.charge(r, float(cstats.work) / p)
 
-        contigs = unitigs_to_contigs(all_unitigs, params, self.name)
-        return AssemblyResult(
-            assembler=self.name,
-            k=k,
-            contigs=contigs,
-            usage=world.usage,
-            stats={
-                "n_ranks": p,
-                "distinct_kmers": len(part.table),
-                "tips_removed": cstats.tips_removed,
-                "bubbles_popped": cstats.bubbles_popped,
-                **assembly_stats(contigs),
-            },
+        return finish_assembly(
+            self.name, params, unitigs, cstats, world.usage,
+            n_ranks=p, distinct_kmers=len(part.table),
         )

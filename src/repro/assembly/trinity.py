@@ -6,21 +6,22 @@ paper's Table V.  It is *not* part of the pipeline: it applies its own
 contigs greedily from high-coverage seeds.  The paper stresses that the
 comparison "needs to be scrutinized" precisely because the pre-processing
 differs; the analog mirrors that by trimming only hard-quality tails,
-keeping duplicate reads, and assembling permissively (lower coverage
-threshold, no bubble popping) — which yields the Table V shape: noticeably
-lower nucleotide-level precision, comparable weighted k-mer scores.
+keeping duplicate reads and normalizing in silico, then pruning k-mers
+against the run's own depth (``min_count = max(3, p90 // 4)`` of the
+recurrent counts, never below the pipeline's 2) before the same walk and
+cleanup as Velvet (tips clipped, bubbles popped) — which yields the
+Table V shape: noticeably lower nucleotide-level precision, comparable
+weighted k-mer scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
-from repro.assembly.cleanup import clean_unitigs
-from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import KmerTable, extract_unitigs
+from repro.assembly.base import AssemblyParams, assemble_on_one_node, finish_assembly
+from repro.assembly.contigs import AssemblyResult
+from repro.assembly.dbg import KmerTable
 from repro.assembly.sweep import resolve_spectrum
-from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.seq.readstore import ReadStore
 
 TRINITY_K = 25
@@ -31,8 +32,8 @@ class TrinityAssembler:
 
     name = "trinity"
 
-    def __init__(self, hard_trim_quality: int = 5) -> None:
-        self.hard_trim_quality = hard_trim_quality
+    #: Trailing bases below this Phred quality are trimmed.
+    hard_trim_quality = 5
 
     #: In-silico normalization target depth (Trinity's --normalize_reads).
     normalize_depth = 30
@@ -84,7 +85,6 @@ class TrinityAssembler:
         self,
         store: ReadStore,
         params: AssemblyParams | None = None,
-        n_threads: int = 8,
         spectrum=None,
     ) -> AssemblyResult:
         """Assemble with Trinity defaults.
@@ -96,10 +96,8 @@ class TrinityAssembler:
         """
         spectrum = resolve_spectrum(store, TRINITY_K, spectrum)
         min_contig = params.min_contig_length if params else 100
-        usage = ResourceUsage(n_ranks=1)
 
         occ_sel = self._prepare_fused(store, spectrum)
-        n_kmer_stream = int(occ_sel.size)
         sel_counts = np.bincount(
             spectrum.inverse[occ_sel], minlength=spectrum.n_distinct
         )
@@ -110,65 +108,29 @@ class TrinityAssembler:
             sel_counts[present].astype(np.int64),
             presorted=True,
         )
-        usage.add_phase(
-            PhaseUsage(
-                name="kmer_count",
-                kind="kmer",
-                critical_compute=n_kmer_stream / max(n_threads, 1),
-                total_compute=float(n_kmer_stream),
-            )
-        )
         # Trinity's Inchworm prunes k-mers relative to the run's depth
         # (coverage-aware error pruning, unlike the pipeline's fixed
         # min_count=2 + dedup).  The depth-proportional threshold keeps
         # well-covered loci pristine at the cost of shallow transcripts —
         # the paper's Table V signature for Trinity: weighted k-mer scores
-        # stay high while nucleotide-level recall drops.
+        # stay high while nucleotide-level recall drops.  The walk then
+        # clips tips (Inchworm prunes weak dead-ends) and pops bubbles
+        # (Butterfly resolves alternative paths).
         recurrent = sorted(
             c for c in table.count_array.tolist() if c >= 2
         )
         p90 = recurrent[int(len(recurrent) * 0.9)] if recurrent else 1
-        min_count = max(3, int(p90 // 4))
         eff = AssemblyParams(
             k=TRINITY_K,
-            min_count=min_count,
+            min_count=max(3, int(p90 // 4)),
             min_contig_length=max(min_contig, TRINITY_K),
-            clip_tips=True,       # Inchworm prunes weak dead-ends
-            pop_bubbles=True,     # Butterfly resolves alternative paths
         )
         table.drop_below(eff.min_count)
-        usage.peak_rank_memory_bytes = table.memory_bytes()
-        usage.add_phase(
-            PhaseUsage(
-                name="graph_build",
-                kind="graph",
-                critical_compute=float(len(table)),
-                total_compute=float(len(table)),
-            )
+        unitigs, cstats, usage = assemble_on_one_node(
+            table, int(occ_sel.size), "greedy_extension"
         )
-
-        unitigs, steps = extract_unitigs(table)
-        unitigs, cstats = clean_unitigs(
-            unitigs, eff.k, clip=eff.clip_tips, pop=eff.pop_bubbles
+        result = finish_assembly(
+            self.name, eff, unitigs, cstats, usage, distinct_kmers=len(table)
         )
-        usage.add_phase(
-            PhaseUsage(
-                name="greedy_extension",
-                kind="walk",
-                critical_compute=float(steps + cstats.work),
-                total_compute=float(steps + cstats.work),
-            )
-        )
-
-        contigs = unitigs_to_contigs(unitigs, eff, self.name)
-        return AssemblyResult(
-            assembler=self.name,
-            k=eff.k,
-            contigs=contigs,
-            usage=usage,
-            stats={
-                "distinct_kmers": len(table),
-                "tips_removed": cstats.tips_removed,
-                **assembly_stats(contigs),
-            },
-        )
+        del result.stats["bubbles_popped"]  # Trinity's stats carry no bubble count
+        return result

@@ -12,7 +12,7 @@ import functools
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import AssemblyResult
-from repro.assembly.registry import get_assembler
+from repro.assembly.registry import run_assembler
 from repro.cloud.instances import get_instance_type
 from repro.core.preprocess import PreprocessResult, preprocess
 from repro.core.scaling import paper_usage
@@ -65,10 +65,7 @@ def run_assembly(
             reads = [r for r in reads if "N" not in r.seq]
         store = ReadStore.from_reads(reads)
     params = AssemblyParams(k=k, min_contig_length=max(100, k))
-    kwargs = {}
-    if assembler in ("ray", "abyss", "contrail"):
-        kwargs = {"n_ranks": n_ranks}
-    return get_assembler(assembler).assemble(store, params, **kwargs)
+    return run_assembler(assembler, store, params, n_ranks)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import AssemblyResult
-from repro.assembly.registry import get_assembler
+from repro.assembly.registry import get_assembler, run_assembler
 from repro.assembly.sweep import KmerSpectrum
 from repro.cloud.instances import get_instance_type
 from repro.core.scaling import paper_usage_from_scales
@@ -33,9 +33,6 @@ from repro.obs import get_tracer
 from repro.pilot.description import UnitDescription
 from repro.seq.datasets import DatasetSpec
 from repro.seq.readstore import ReadStore
-
-#: Assemblers taking an ``n_ranks`` argument (distributed implementations).
-DISTRIBUTED_ASSEMBLERS = frozenset({"ray", "abyss", "contrail"})
 
 
 def spectrum_k(assembler: str, k: int) -> int:
@@ -92,16 +89,6 @@ class AssemblyWorkload:
     graph_scale: float | None = None
     spectrum: KmerSpectrum | None = None
 
-    def _assemble(self) -> AssemblyResult:
-        kwargs = (
-            {"n_ranks": self.n_ranks}
-            if self.assembler_name in DISTRIBUTED_ASSEMBLERS
-            else {}
-        )
-        return get_assembler(self.assembler_name).assemble(
-            self.store, self.params, spectrum=self.spectrum, **kwargs
-        )
-
     def __call__(self):
         with get_tracer().span(
             "assembly_workload",
@@ -109,7 +96,10 @@ class AssemblyWorkload:
             assembler=self.assembler_name,
             k=self.params.k,
         ):
-            result = self._assemble()
+            result = run_assembler(
+                self.assembler_name, self.store, self.params, self.n_ranks,
+                spectrum=self.spectrum,
+            )
         return result, self.priced(result)
 
     def priced(self, result: AssemblyResult):

@@ -288,9 +288,7 @@ def reference_contrail_assemble(
         )
         for s in segments.values()
     ]
-    unitigs, cstats = clean_unitigs(
-        unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
-    )
+    unitigs, cstats = clean_unitigs(unitigs, k)
     contigs = unitigs_to_contigs(unitigs, params, "contrail")
     return AssemblyResult(
         assembler="contrail",

@@ -399,9 +399,7 @@ def reference_velvet_assemble(
     )
 
     unitigs, steps = legacy_extract_unitigs(table)
-    unitigs, cstats = clean_unitigs(
-        unitigs, params.k, clip=params.clip_tips, pop=params.pop_bubbles
-    )
+    unitigs, cstats = clean_unitigs(unitigs, params.k)
     usage.add_phase(
         PhaseUsage(
             name="unitig_walk",
@@ -465,9 +463,7 @@ def reference_ray_assemble(
         world.count_messages(total_probes)
 
     with world.phase("cleanup", kind="walk"):
-        all_unitigs, cstats = clean_unitigs(
-            all_unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
-        )
+        all_unitigs, cstats = clean_unitigs(all_unitigs, k)
         for r in world.ranks():
             world.charge(r, float(cstats.work) / p)
 
@@ -534,9 +530,7 @@ def reference_abyss_assemble(
             [u.codes for u in unitigs] for unitigs in per_rank_unitigs
         ]
         world.gather(payloads, root=0)
-        all_unitigs, cstats = clean_unitigs(
-            all_unitigs, k, clip=params.clip_tips, pop=params.pop_bubbles
-        )
+        all_unitigs, cstats = clean_unitigs(all_unitigs, k)
         serial_work = cstats.work + sum(len(u) for u in all_unitigs)
         world.charge_serial(float(serial_work))
 

@@ -171,7 +171,13 @@ def test_smallest_k_junctions_pack(k):
 
 
 def test_flags_and_empty_input():
-    assert cleanup.clean_unitigs([], 5) == ([], cleanup.CleanupStats())
+    """Empty input is returned as it came by every entry point, and each
+    single pass runs its own rule only (``clean_unitigs`` has no flags:
+    every assembler clips and pops)."""
+    for clean in (cleanup.clean_unitigs, cleanup.clip_tips, cleanup.pop_bubbles):
+        assert clean([], 5) == ([], cleanup.CleanupStats())
     us = hub_with_tips(5, [1.0], np.random.default_rng(0))
-    kept, stats = cleanup.clean_unitigs(us, 5, clip=False, pop=False)
-    assert kept == us and stats == cleanup.CleanupStats()
+    kept, stats = cleanup.pop_bubbles(us, 5)
+    assert kept == us and (stats.tips_removed, stats.bubbles_popped) == (0, 0)
+    kept, stats = cleanup.clip_tips(us, 5)
+    assert kept == us[:1] and (stats.tips_removed, stats.bubbles_popped) == (1, 0)

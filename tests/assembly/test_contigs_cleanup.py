@@ -186,6 +186,8 @@ class TestCleanCombined:
         assert len(kept) < len(us)
 
     def test_flags_disable(self):
+        """A single pass leaves the other rule's target alone: popping
+        bubbles keeps the tip."""
         us = TestClipTips().make_tip_scenario()
-        kept, stats = clean_unitigs(us, k=5, clip=False, pop=False)
-        assert len(kept) == len(us)
+        kept, stats = pop_bubbles(us, k=5)
+        assert len(kept) == len(us) and stats.tips_removed == 0

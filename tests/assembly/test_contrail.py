@@ -451,9 +451,7 @@ class TestConvergenceFlag:
         reads = [FastqRecord(id=f"r{i}", seq=seq, qual="I" * 81) for i in range(5)]
         res = ContrailAssembler().assemble(
             ReadStore.from_reads(reads),
-            AssemblyParams(
-                k=21, min_contig_length=30, clip_tips=False, pop_bubbles=False
-            ),
+            AssemblyParams(k=21, min_contig_length=30),
             n_ranks=4,
         )
         assert [len(c.seq) for c in res.contigs] == [81]

@@ -75,10 +75,16 @@ def test_contigs_are_the_transcripts(assembler, transcripts):
     assert strandless(assemble(assembler, transcripts)) == strandless(transcripts)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 3(a): Contrail's stop rule")
 @settings(max_examples=30, deadline=None, derandomize=True,
           phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow])
 @given(transcripts=transcript_sets)
-def test_contrail_contigs_are_the_transcripts(transcripts):
+def contrail_contigs_are_the_transcripts(transcripts):
     contigs = assemble(ContrailAssembler(), transcripts)
     assert strandless(contigs) == strandless(transcripts)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 3(a): Contrail's stop rule")
+def test_contrail_contigs_are_the_transcripts():
+    # Called, not collected: a known failure of a collected @given test
+    # makes Hypothesis's pytest plugin write an @example patch every run.
+    contrail_contigs_are_the_transcripts()

@@ -270,7 +270,7 @@ class TestWorkloadPickleSize:
         for h in held:
             h.close()
         assert abs(sizes[1] - sizes[0]) <= 16
-        assert abs(sizes[1] - 654) <= 16  # what a pipeline job ships (PR 18)
+        assert abs(sizes[1] - 627) <= 16  # what a pipeline job ships
 
 
 def _dummy_result(name):

@@ -65,11 +65,17 @@ def test_the_reference_merges_every_transcript_back(case):
     )
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 9(a): only exact 40-bp overlaps join")
 @CASES
 @given(case=cut_transcripts())
-def test_the_merge_joins_every_transcript_back(case):
+def merge_joins_every_transcript_back(case):
     transcripts, pieces = case
     contigs = [Contig(f"p{i}", s, 1.0, 31, "x") for i, s in enumerate(pieces)]
     merged = merge_contigs([contigs]).transcripts
     assert _strandless(c.seq for c in merged) == _strandless(transcripts)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 9(a): only exact 40-bp overlaps join")
+def test_the_merge_joins_every_transcript_back():
+    # Called, not collected: a known failure of a collected @given test
+    # makes Hypothesis's pytest plugin write an @example patch every run.
+    merge_joins_every_transcript_back()

@@ -344,3 +344,44 @@ def test_no_module_defines_a_name_twice():
                 if names.count(name) > 1
             ]
     assert twice == []
+
+
+def _call_sites(name: str, keyword: str | None = None) -> list[str]:
+    """``src/`` modules calling ``name`` (a function or a method), one
+    entry per call, counting only calls that pass ``keyword`` if given."""
+    import ast
+
+    return [
+        str(path.relative_to(_SRC))
+        for path in sorted(_SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+        and (keyword is None or any(kw.arg == keyword for kw in node.keywords))
+    ]
+
+
+def test_each_assembler_fact_has_one_owner():
+    """The registry alone decides which assemblers take ``n_ranks``, one
+    helper builds every assembler's result, and the knobs no caller set
+    are gone from the parameters."""
+    import dataclasses
+    import inspect
+
+    from repro.assembly.base import AssemblyParams
+    from repro.assembly.cleanup import clean_unitigs
+    from repro.assembly.trinity import TrinityAssembler
+    from repro.assembly.velvet import VelvetAssembler
+
+    assert _sites(r"\bDISTRIBUTED_ASSEMBLERS\b") == []
+    ranked = _call_sites("assemble", keyword="n_ranks")
+    assert ranked and set(ranked) == {"repro/assembly/registry.py"}
+    for name in ("AssemblyResult", "unitigs_to_contigs"):
+        assert _call_sites(name) == ["repro/assembly/base.py"], name
+    assert [f.name for f in dataclasses.fields(AssemblyParams)] == [
+        "k", "min_count", "min_contig_length"
+    ]
+    assert list(inspect.signature(clean_unitigs).parameters) == ["unitigs", "k"]
+    for cls in (VelvetAssembler, TrinityAssembler):
+        assert "n_threads" not in inspect.signature(cls.assemble).parameters
+    assert list(inspect.signature(TrinityAssembler).parameters) == []

@@ -68,6 +68,10 @@ _READS_ORACLE = "tests/seq/test_reads_kernel.py"
 _SHARING = "tests/assembly/test_graph_sharing.py"
 _SWEEP = "repro/assembly/sweep.py"
 _CONTRAIL = "repro/assembly/contrail.py"
+_REGISTRY = "repro/assembly/registry.py"
+_BASE = "repro/assembly/base.py"
+_BRANCHES = "tests/assembly/test_branch_contracts.py"
+_FIG4_UPPER = "tests/bench/test_fig4_upper.py::test_each_core_is_one_rank"
 _ROUNDS = (
     "tests/assembly/test_contrail.py::TestAgainstReference"
     "::test_every_job_every_round_and_the_assembly[21-4]"
@@ -234,16 +238,53 @@ ROWS: tuple[Row, ...] = (
     Row(
         "abyss: the gather charges the root's own unitigs",
         "repro/assembly/abyss.py",
-        "for unitigs in per_rank_unitigs[1:]",
-        "for unitigs in per_rank_unitigs",
+        "for shipped, _ in part.walks[1:]",
+        "for shipped, _ in part.walks",
         (f"{_PARITY}::test_abyss",),
     ),
     Row(
         "abyss: the gather drops each rank's list header",
         "repro/assembly/abyss.py",
-        "sum(u.codes.nbytes for u in unitigs) + 16",
-        "sum(u.codes.nbytes for u in unitigs)",
+        "sum(u.codes.nbytes for u in shipped) + 16",
+        "sum(u.codes.nbytes for u in shipped)",
         (f"{_PARITY}::test_abyss",),
+    ),
+    Row(
+        "ray: the shared walk booking counts every probe as remote",
+        "repro/assembly/ray.py",
+        "int(steps * probes_per_step * (p - 1) / p)",
+        "int(steps * probes_per_step)",
+        (f"{_PARITY}::test_ray",),
+    ),
+    # one owner per assembler fact: the registry's call convention and
+    # the shared finishing path (DESIGN §3)
+    Row(
+        "registry: n_ranks handed to every assembler",
+        _REGISTRY,
+        "    if ASSEMBLERS[name].scalable:\n",
+        "    if True:\n",
+        (_BRANCHES,),
+    ),
+    Row(
+        "registry: n_ranks handed to no assembler",
+        _REGISTRY,
+        "    if ASSEMBLERS[name].scalable:\n",
+        "    if False:\n",
+        (_FIG4_UPPER,),
+    ),
+    Row(
+        "finish: tips_removed dropped from the stats",
+        _BASE,
+        '            "tips_removed": cleanup.tips_removed,\n',
+        "",
+        (_BRANCHES,),
+    ),
+    Row(
+        "one node: k-mer counting charged to one thread",
+        _BASE,
+        "critical_compute=n_kmer_stream / N_THREADS,",
+        "critical_compute=float(n_kmer_stream),",
+        (f"{_PARITY}::test_velvet",),
     ),
     # Contrail's rounds on junction ids and seed lists (DESIGN §15)
     Row(
