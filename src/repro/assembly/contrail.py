@@ -36,7 +36,7 @@ could not be joined immediately before its head.
 
 Input reads containing N produce no valid k-mers at those positions; the
 paper notes Contrail *failed* outright on raw reads with N — modeled by
-``fail_on_n`` (enabled by the pipeline when staging unpreprocessed data).
+the registry's ``rejects_n``: ``run_assembler`` raises on N.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ logger = logging.getLogger(__name__)
 #: its code bytes: four field names (22), three scalars (24), dict + object
 #: overhead (32).
 SEGMENT_RECORD_OVERHEAD = 78
-
-
-class ContrailInputError(ValueError):
-    """Raised when raw (unpreprocessed) reads break the Hadoop pipeline."""
 
 
 class _Table(NamedTuple):
@@ -189,14 +185,8 @@ class ContrailAssembler:
         store: ReadStore,
         params: AssemblyParams,
         n_ranks: int = 8,
-        fail_on_n: bool = False,
         spectrum=None,
     ) -> AssemblyResult:
-        if fail_on_n and store.contains_n():
-            raise ContrailInputError(
-                "input reads contain uncalled bases (N); Contrail requires "
-                "pre-processed reads (see paper, Fig. 3 discussion)"
-            )
         k = params.k
         spectrum = resolve_spectrum(store, k, spectrum)
         engine = MapReduceEngine(n_ranks)

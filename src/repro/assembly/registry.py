@@ -2,8 +2,9 @@
 
 Maps assembler names to their classes and carries the metadata the paper
 tabulates (graph type, distributed implementation, the version of the real
-tool each one stands in for).  It is the one owner of how an assembler is
-called: :func:`run_assembler` hands ``n_ranks`` to a scalable one only.
+tool each one stands in for).  It is the one owner of every per-assembler
+fact, so no caller decides by an assembler's name; :func:`run_assembler`,
+the one call convention, hands ``n_ranks`` to a scalable one only.
 """
 
 from __future__ import annotations
@@ -14,56 +15,63 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AssemblerInfo:
-    """Metadata for one integrated assembler (Table I row)."""
+    """Metadata for one integrated assembler (Table I row), keyed by its
+    name in :data:`ASSEMBLERS`."""
 
-    name: str
     graph_type: str  # "DBG"
     distributed_impl: str  # "MPI" | "Hadoop MapReduce" | "none"
     analog_of_version: str
     scalable: bool  # runs on multi-node shared-nothing systems; takes n_ranks
     class_path: str  # imported by get_assembler on first use
+    fixed_k: int | None = None  # counts this k whatever the sweep's k
+    shared_product: str | None = None  # "partition" | "table" off a shared spectrum
+    rejects_n: bool = False  # fails on reads with N (paper, Fig. 3)
+
+
+class ContrailInputError(ValueError):
+    """Raw reads with N reached an assembler that ``rejects_n``."""
 
 
 ASSEMBLERS: dict[str, AssemblerInfo] = {
     "ray": AssemblerInfo(
-        name="ray",
         graph_type="DBG",
         distributed_impl="MPI",
         analog_of_version="Ray 2.3.1",
         scalable=True,
         class_path="repro.assembly.ray.RayAssembler",
+        shared_product="partition",
     ),
     "abyss": AssemblerInfo(
-        name="abyss",
         graph_type="DBG",
         distributed_impl="MPI",
         analog_of_version="ABySS 1.9.0",
         scalable=True,
         class_path="repro.assembly.abyss.AbyssAssembler",
+        shared_product="partition",
     ),
     "contrail": AssemblerInfo(
-        name="contrail",
         graph_type="DBG",
         distributed_impl="Hadoop MapReduce",
         analog_of_version="Contrail 0.8.2",
         scalable=True,
         class_path="repro.assembly.contrail.ContrailAssembler",
+        rejects_n=True,
     ),
     "velvet": AssemblerInfo(
-        name="velvet",
         graph_type="DBG",
         distributed_impl="none",
         analog_of_version="Velvet 1.2",
         scalable=False,
         class_path="repro.assembly.velvet.VelvetAssembler",
+        shared_product="table",
     ),
     "trinity": AssemblerInfo(
-        name="trinity",
         graph_type="DBG",
         distributed_impl="none",
         analog_of_version="Trinity 2.1.1",
         scalable=False,
         class_path="repro.assembly.trinity.TrinityAssembler",
+        fixed_k=25,
     ),
 }
 
@@ -85,9 +93,14 @@ def get_assembler(name: str):
 
 def run_assembler(name: str, store, params, n_ranks: int, spectrum=None):
     """Assemble ``store`` with the named assembler: the one call
-    convention.  ``n_ranks`` reaches a scalable assembler only; a
-    single-node one runs on its own node whatever the caller asked."""
+    convention.  ``n_ranks`` reaches a scalable assembler only, and reads
+    with N reach none that ``rejects_n`` (:class:`ContrailInputError`)."""
     assembler = get_assembler(name)
-    if ASSEMBLERS[name].scalable:
+    info = ASSEMBLERS[name]
+    if info.rejects_n and store.contains_n():
+        raise ContrailInputError(
+            f"reads contain N; {info.analog_of_version} needs pre-processed reads"
+        )
+    if info.scalable:
         return assembler.assemble(store, params, n_ranks=n_ranks, spectrum=spectrum)
     return assembler.assemble(store, params, spectrum=spectrum)

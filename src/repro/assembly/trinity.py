@@ -21,10 +21,11 @@ import numpy as np
 from repro.assembly.base import AssemblyParams, assemble_on_one_node, finish_assembly
 from repro.assembly.contigs import AssemblyResult
 from repro.assembly.dbg import KmerTable
+from repro.assembly.registry import ASSEMBLERS
 from repro.assembly.sweep import resolve_spectrum
 from repro.seq.readstore import ReadStore
 
-TRINITY_K = 25
+TRINITY_K = ASSEMBLERS["trinity"].fixed_k
 
 
 class TrinityAssembler:

@@ -12,7 +12,7 @@ import functools
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import AssemblyResult
-from repro.assembly.registry import run_assembler
+from repro.assembly.registry import ASSEMBLERS, run_assembler
 from repro.cloud.instances import get_instance_type
 from repro.core.preprocess import PreprocessResult, preprocess
 from repro.core.scaling import paper_usage
@@ -28,10 +28,15 @@ from repro.seq.readstore import ReadStore
 BENCH_PARAMS = {"B_glumae": (0.004, 1.0), "P_crispa": (0.0015, 0.1)}
 
 
-@functools.lru_cache(maxsize=None)
 def bench_dataset(name: str, fraction: float = 1.0) -> Dataset:
     """The benchmark-scale analog data set, optionally with only a
-    fraction of the reads (Fig. 4's 'partial data set')."""
+    fraction of the reads (Fig. 4's 'partial data set'): generated once
+    per (name, fraction), however a caller spells the fraction."""
+    return _bench_dataset(name, float(fraction))
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_dataset(name: str, fraction: float) -> Dataset:
     spec = {"B_glumae": B_GLUMAE, "P_crispa": P_CRISPA}[name]
     scale, boost = BENCH_PARAMS[name]
     return generate_dataset(
@@ -59,7 +64,7 @@ def run_assembly(
         store = bench_preprocessed(dataset_name).store
     else:
         reads = bench_dataset(dataset_name, fraction).run.all_reads()
-        if assembler == "contrail":
+        if ASSEMBLERS[assembler].rejects_n:
             # The paper had to feed Contrail pre-processed data to avoid
             # the N-failure; mirror that but keep raw sizing semantics.
             reads = [r for r in reads if "N" not in r.seq]

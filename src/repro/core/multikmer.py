@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contigs import AssemblyResult
-from repro.assembly.registry import get_assembler, run_assembler
+from repro.assembly.registry import ASSEMBLERS, get_assembler, run_assembler
 from repro.assembly.sweep import KmerSpectrum
 from repro.cloud.instances import get_instance_type
 from repro.core.scaling import paper_usage_from_scales
@@ -33,16 +33,6 @@ from repro.obs import get_tracer
 from repro.pilot.description import UnitDescription
 from repro.seq.datasets import DatasetSpec
 from repro.seq.readstore import ReadStore
-
-
-def spectrum_k(assembler: str, k: int) -> int:
-    """The k whose spectrum serves ``assembler`` at sweep value ``k``
-    (trinity always counts 25-mers)."""
-    if assembler == "trinity":
-        from repro.assembly.trinity import TRINITY_K
-
-        return TRINITY_K
-    return int(k)
 
 
 def content_key(
@@ -70,7 +60,7 @@ class AssemblyWorkload:
     constant-size shared-memory handle regardless of read count.
 
     ``spectrum`` is the count-once k-mer content of ``store`` at the
-    job's k (:func:`spectrum_k`), O(1) to pickle like the store.  One
+    job's k (:attr:`AssemblyJob.spectrum_k`), O(1) to pickle like the store.  One
     fallback rule, applied by the assembler through
     :func:`~repro.assembly.sweep.resolve_spectrum`: a workload reads the
     spectrum it was handed and looks nowhere else; without a live
@@ -152,7 +142,10 @@ class AssemblyJob:
 
     @property
     def spectrum_k(self) -> int:
-        return spectrum_k(self.assembler, self.k)
+        """The k whose spectrum serves this job: its assembler's registry
+        ``fixed_k`` if it has one (Trinity counts 25-mers), else its k."""
+        fixed = ASSEMBLERS[self.assembler].fixed_k
+        return int(self.k) if fixed is None else fixed
 
 
 def planned_jobs(
@@ -227,9 +220,10 @@ def assembly_unit_descriptions(
         if len(readers) > 1:
             with sp.keeping():
                 for job in readers:
-                    if job.assembler in ("ray", "abyss"):
+                    product = ASSEMBLERS[job.assembler].shared_product
+                    if product == "partition":
                         sp.partition(job.cores, job.params.min_count)
-                    elif job.assembler == "velvet":
+                    elif product == "table":
                         sp.table(job.params.min_count)
     if input_bytes is None:
         input_bytes = spec.preprocessed_bytes

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.assembly.registry import ASSEMBLERS
 from repro.cloud.cluster import DEFAULT_SETUP_SECONDS
 from repro.cloud.ec2 import DEFAULT_PROVISION_SECONDS
 from repro.cloud.instances import InstanceType, get_instance_type
@@ -60,16 +61,18 @@ class AssemblyPlan:
 
     def jobs(self) -> list[tuple[str, int, int]]:
         """(assembler, k, nodes) for every assembly job."""
-        out = []
-        for a in self.assemblers:
-            nodes = (
-                self.contrail_nodes_per_job
-                if a == "contrail"
-                else self.mpi_nodes_per_job
-            )
-            for k in self.kmer_list:
-                out.append((a, k, min(nodes, self.n_nodes)))
-        return out
+        mpi, mapreduce = self.mpi_nodes_per_job, self.contrail_nodes_per_job
+        return [
+            (a, k, min(_nodes_per_job(a, mpi, mapreduce), self.n_nodes))
+            for a in self.assemblers
+            for k in self.kmer_list
+        ]
+
+
+def _nodes_per_job(assembler: str, mpi_nodes: int, mapreduce_nodes: int) -> int:
+    """The node rule: MapReduce jobs take ``mapreduce_nodes``, others ``mpi_nodes``."""
+    mapreduce = ASSEMBLERS[assembler].distributed_impl == "Hadoop MapReduce"
+    return mapreduce_nodes if mapreduce else mpi_nodes
 
 
 def require_at_least_one(**fields: int) -> None:
@@ -112,9 +115,9 @@ def plan_assembly(
         need += 1
     mpi_nodes = need
 
-    n_mpi_jobs = len(kmer_list) * sum(1 for a in assemblers if a != "contrail")
-    n_contrail_jobs = len(kmer_list) * sum(1 for a in assemblers if a == "contrail")
-    wanted = n_mpi_jobs * mpi_nodes + n_contrail_jobs * contrail_nodes_per_job
+    wanted = len(kmer_list) * sum(
+        _nodes_per_job(a, mpi_nodes, contrail_nodes_per_job) for a in assemblers
+    )
     n_nodes = max(mpi_nodes, min(wanted, max_nodes))
 
     return AssemblyPlan(
@@ -155,31 +158,22 @@ class AssemblerCoefficients:
     kmer_work_per_window: float = 1.72
     graph_work_per_window: float = 0.52
     walk_work_per_window: float = 0.88
-    messages_per_window: float = 0.97
-    comm_bytes_per_window: float = 26.0
-    collective_phases: int = 5
+    messages_per_window: float = 0.0
+    comm_bytes_per_window: float = 0.0
+    collective_phases: int = 0
     mr_jobs: int = 0
 
 
 #: Calibrated against the measured phase usage of each workload
-#: generator on the B. glumae analog.  Single-node assemblers do the
-#: same aggregate work without MPI messaging; Contrail pays Hadoop job
-#: startup instead.
-ASSEMBLER_COEFFICIENTS: dict[str, AssemblerCoefficients] = {
-    "ray": AssemblerCoefficients(),
-    "abyss": AssemblerCoefficients(),
-    "velvet": AssemblerCoefficients(
-        messages_per_window=0.0, comm_bytes_per_window=0.0,
-        collective_phases=0,
+#: generator on the B. glumae analog, keyed by the registry's
+#: ``distributed_impl``.  Every assembler does the same aggregate work;
+#: MPI adds its messaging, MapReduce pays Hadoop job startup instead.
+_COEFFICIENTS: dict[str, AssemblerCoefficients] = {
+    "MPI": AssemblerCoefficients(
+        messages_per_window=0.97, comm_bytes_per_window=26.0, collective_phases=5
     ),
-    "trinity": AssemblerCoefficients(
-        messages_per_window=0.0, comm_bytes_per_window=0.0,
-        collective_phases=0,
-    ),
-    "contrail": AssemblerCoefficients(
-        messages_per_window=0.0, comm_bytes_per_window=0.0,
-        collective_phases=0, mr_jobs=4,
-    ),
+    "none": AssemblerCoefficients(),
+    "Hadoop MapReduce": AssemblerCoefficients(mr_jobs=4),
 }
 
 #: Pre-processing threads (UnitDescription cores for the QC unit).
@@ -251,7 +245,7 @@ def _predict_job_seconds(
     cm: CostModel,
 ) -> float:
     """Predicted virtual seconds of one assembly job."""
-    co = ASSEMBLER_COEFFICIENTS.get(assembler, AssemblerCoefficients())
+    co = _COEFFICIENTS[ASSEMBLERS[assembler].distributed_impl]
     windows = spec.n_reads * max(1, modal_read_length - k + 1)
     ranks = nodes * itype.vcpus
     f = itype.compute_factor

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
-from repro.assembly.contrail import ContrailAssembler, ContrailInputError
+from repro.assembly.contrail import ContrailAssembler
 from repro.assembly.dbg import KmerTable
 from repro.assembly.kmers import canonical_kmers_packed
 from repro.assembly.packed import keys, unique_inverse_counts
@@ -20,7 +20,9 @@ from repro.assembly.sweep import resolve_spectrum
 from repro.assembly.registry import (
     ASSEMBLERS,
     TABLE1_ASSEMBLERS,
+    ContrailInputError,
     get_assembler,
+    run_assembler,
 )
 from repro.assembly.trinity import TRINITY_K, TrinityAssembler
 from repro.assembly.velvet import VelvetAssembler
@@ -264,12 +266,12 @@ class TestContrail:
         bulk of the assembly must agree with the serial reference."""
         assert contrail_result.total_bp > 0.6 * velvet_result.total_bp
 
-    def test_fails_on_n_when_strict(self, store_single):
+    def test_run_assembler_fails_on_n(self, store_single):
+        """Paper, Fig. 3: Contrail fails outright on raw reads with N.  The
+        registry's ``rejects_n`` makes every run by name raise."""
         assert store_single.contains_n()
         with pytest.raises(ContrailInputError):
-            ContrailAssembler().assemble(
-                store_single, PARAMS, n_ranks=2, fail_on_n=True
-            )
+            run_assembler("contrail", store_single, PARAMS, n_ranks=2)
 
     def test_worker_count_invariant_output(self, store_single, contrail_result):
         res2 = ContrailAssembler().assemble(store_single, PARAMS, n_ranks=8)

@@ -200,6 +200,18 @@ class TestMultiAssembler:
         assert res.plan.n_jobs == 6
         assert len(res.transcripts) > 5
 
+    def test_contrail_fails_on_reads_with_n(self, ds_single):
+        """Paper, Fig. 3: Contrail fails outright on raw reads with N, so a
+        run whose QC keeps them fails at its Contrail job."""
+        config = PipelineConfig(
+            assemblers=("contrail",),
+            kmer_list=(35,),
+            contrail_nodes_per_job=4,
+            preprocess_params=PreprocessParams(drop_n=False),
+        )
+        with pytest.raises(PipelineError, match=r"contrail_k35.*reads contain N"):
+            RnnotatorPipeline().run(ds_single, config)
+
     def test_data_dependent_kmer_list(self, ds_single):
         res = RnnotatorPipeline().run(
             ds_single, PipelineConfig(assemblers=("ray",))

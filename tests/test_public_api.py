@@ -362,16 +362,19 @@ def _call_sites(name: str, keyword: str | None = None) -> list[str]:
 
 
 def test_each_assembler_fact_has_one_owner():
-    """The registry alone decides which assemblers take ``n_ranks``, one
-    helper builds every assembler's result, and the knobs no caller set
-    are gone from the parameters."""
+    """The registry alone decides which assemblers take ``n_ranks`` and
+    which refuse reads with N, one helper builds every assembler's result,
+    the knobs no caller set are gone from the parameters, and the planner
+    keeps no per-name coefficient table."""
     import dataclasses
     import inspect
 
     from repro.assembly.base import AssemblyParams
     from repro.assembly.cleanup import clean_unitigs
+    from repro.assembly.contrail import ContrailAssembler
     from repro.assembly.trinity import TrinityAssembler
     from repro.assembly.velvet import VelvetAssembler
+    from repro.core import planner
 
     assert _sites(r"\bDISTRIBUTED_ASSEMBLERS\b") == []
     ranked = _call_sites("assemble", keyword="n_ranks")
@@ -385,3 +388,34 @@ def test_each_assembler_fact_has_one_owner():
     for cls in (VelvetAssembler, TrinityAssembler):
         assert "n_threads" not in inspect.signature(cls.assemble).parameters
     assert list(inspect.signature(TrinityAssembler).parameters) == []
+    assert "fail_on_n" not in inspect.signature(ContrailAssembler.assemble).parameters
+    assert not hasattr(planner, "ASSEMBLER_COEFFICIENTS")
+
+
+def test_no_assembler_name_decides_outside_the_registry():
+    """No assembler name is spelled as a string under ``core/`` or
+    ``bench/``: a per-assembler decision reads its ``AssemblerInfo``.  The
+    exceptions name assemblers without deciding anything for them:
+    ``PipelineConfig``'s default and the paper's Table III anchors, which
+    ``bench/calibration.py`` fits by name."""
+    import ast
+
+    from repro.assembly.registry import ASSEMBLERS
+
+    default = 'assemblers: tuple[str, ...] = ("ray",)'
+    named = []
+    for package in ("core", "bench"):
+        for path in sorted((_SRC / "repro" / package).rglob("*.py")):
+            rel = str(path.relative_to(_SRC))
+            text = path.read_text()
+            lines = text.splitlines()
+            for node in ast.walk(ast.parse(text)):
+                if not (isinstance(node, ast.Constant) and node.value in ASSEMBLERS):
+                    continue
+                line = lines[node.lineno - 1].strip()
+                if rel == "repro/bench/calibration.py" or (
+                    rel == "repro/core/rnnotator.py" and line == default
+                ):
+                    continue
+                named.append(f"{rel}:{node.lineno}")
+    assert named == []

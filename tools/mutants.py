@@ -261,16 +261,26 @@ ROWS: tuple[Row, ...] = (
     Row(
         "registry: n_ranks handed to every assembler",
         _REGISTRY,
-        "    if ASSEMBLERS[name].scalable:\n",
+        "    if info.scalable:\n",
         "    if True:\n",
         (_BRANCHES,),
     ),
     Row(
         "registry: n_ranks handed to no assembler",
         _REGISTRY,
-        "    if ASSEMBLERS[name].scalable:\n",
+        "    if info.scalable:\n",
         "    if False:\n",
         (_FIG4_UPPER,),
+    ),
+    Row(
+        "registry: reads with N reach an assembler that rejects_n",
+        _REGISTRY,
+        "    if info.rejects_n and store.contains_n():\n",
+        "    if False:\n",
+        (
+            "tests/assembly/test_assemblers.py::TestContrail"
+            "::test_run_assembler_fails_on_n",
+        ),
     ),
     Row(
         "finish: tips_removed dropped from the stats",
@@ -432,6 +442,30 @@ ROWS: tuple[Row, ...] = (
             f"{_SHARING}::TestReaderRule::test_products_are_gone_after_the_pipeline_fan_out",
             f"{_SHARING}::TestReaderRule::test_a_process_pipeline_derives_once_per_k",
         ),
+    ),
+    Row(
+        "graphs: every reader derives the table, whatever its shared_product",
+        "repro/core/multikmer.py",
+        "product = ASSEMBLERS[job.assembler].shared_product",
+        'product = "table"',
+        (f"{_SHARING}::TestComputingReaders::test_a_cached_job_is_not_a_reader",),
+    ),
+    Row(
+        "graphs: a fixed-k assembler handed the sweep k's spectrum",
+        "repro/core/multikmer.py",
+        "        return int(self.k) if fixed is None else fixed\n",
+        "        return int(self.k)\n",
+        (
+            "tests/core/test_fused_pipeline.py::TestWorkloadSpectrumWiring"
+            "::test_unit_descriptions_select_matching_spectrum",
+        ),
+    ),
+    Row(
+        "planner: a MapReduce job sized like an MPI job",
+        "repro/core/planner.py",
+        "    return mapreduce_nodes if mapreduce else mpi_nodes\n",
+        "    return mpi_nodes\n",
+        ("tests/core/test_planner_schemes.py::TestPlanner::test_sample_run_shape",),
     ),
     Row(
         "graphs: every planned job counted as a reader",
