@@ -34,7 +34,6 @@ _FOUR = _U(4)
 _THREE = _U(3)
 _SIXTYTWO = _U(62)
 _SIXTYFOUR = _U(64)
-_ONES = _U(0xFFFFFFFFFFFFFFFF)
 _M2 = _U(0x3333333333333333)
 _M4 = _U(0x0F0F0F0F0F0F0F0F)
 
@@ -193,22 +192,6 @@ def extend_right(packed: np.ndarray, k: int, base) -> np.ndarray:
         return out
     out[:, 0] = (packed[:, 0] << _TWO) | (packed[:, 1] >> _SIXTYTWO)
     out[:, 1] = (packed[:, 1] << _TWO) | (b << _U(128 - 2 * k))
-    return out
-
-
-def extend_left(packed: np.ndarray, k: int, base) -> np.ndarray:
-    """Drop the last base and prepend ``base``: oriented predecessors."""
-    W = words_for(k)
-    packed = np.asarray(packed, dtype=_U).reshape(-1, W)
-    b = np.asarray(base, dtype=_U)
-    out = np.empty_like(packed)
-    if W == 1:
-        mask = _ONES << _U(64 - 2 * k)
-        out[:, 0] = ((packed[:, 0] >> _TWO) & mask) | (b << _SIXTYTWO)
-        return out
-    mask1 = _ONES << _U(128 - 2 * k)
-    out[:, 1] = ((packed[:, 1] >> _TWO) | (packed[:, 0] << _SIXTYTWO)) & mask1
-    out[:, 0] = (packed[:, 0] >> _TWO) | (b << _SIXTYTWO)
     return out
 
 

@@ -4,8 +4,9 @@ A pipeline killed mid-run (spot reclaim of the submit host, an operator
 ``kill -9``, a crashed driver) must be resumable without redoing work —
 and the resumed run must be *bit-identical* to an uninterrupted one:
 same contigs, same usage records, same virtual TTCs.  The store here
-makes that possible by durably recording **unit records**: the full
-workload outcome of a DONE compute unit (result, the usage the workload
+makes that possible by durably recording **unit records**: the
+:class:`~repro.parallel.executor.WorkloadOutcome` the pilot agent
+collected for a DONE compute unit (result, the usage the workload
 returned, real wall seconds, and the buffered worker trace), keyed by
 the unit's content address.  For assembly units that key is
 ``(ReadStore digest, assembler, params, sweep k·ranks)`` — the same
@@ -17,7 +18,11 @@ The pilot agent asks this store about a unit's key first, before the run
 cache.  It replays a hit *through the regular execution path* (the
 configured executor, SGE pricing on the virtual clock, trace emission),
 substituting only the real computation — which is what makes the replay
-bit-identical AND structurally indistinguishable in traces.
+bit-identical AND structurally indistinguishable in traces.  The stored
+usage is what the workload returned, before the agent's 1/scale
+extrapolation; an assembly job's replay prices the raw usage its result
+carries with the *current* workload's ratios (its key holds no scale),
+so a replayed unit's virtual TTC equals a live run's exactly.
 
 Durability model: records are single pickle files written atomically
 (tmp + fsync + ``os.replace``), so a kill at any instant leaves either
@@ -30,12 +35,16 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.parallel.executor import WorkloadOutcome
 
 #: Bump when the record layout changes; older files become misses.
-FORMAT_VERSION = 1
+#: Format 2 stores the agent's ``WorkloadOutcome`` itself.
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -49,26 +58,6 @@ def checkpoint_key_id(key: Any) -> str:
     deterministic ``repr``; the id is a SHA-256 of that repr.
     """
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:40]
-
-
-@dataclass
-class UnitCheckpoint:
-    """The durable outcome of one DONE compute unit.
-
-    ``usage`` is what the workload returned, before the agent's 1/scale
-    extrapolation: a single-unit stage's raw measured usage, or an
-    assembly job's usage already extrapolated to paper scale.  Replay
-    re-runs the identical pricing path, and an assembly job's replay
-    prices the raw usage its ``result`` carries with the *current*
-    workload's ratios (its key holds no scale), so the virtual TTC of a
-    replayed unit equals a live run's exactly.  The fields are those of
-    :class:`~repro.parallel.executor.ReplayWorkload`, built from them.
-    """
-
-    result: Any
-    usage: Any
-    wall_seconds: float = 0.0
-    worker_trace: Any = None
 
 
 @dataclass
@@ -90,7 +79,7 @@ class CheckpointStore:
     def __repr__(self) -> str:
         return f"CheckpointStore({str(self.root)!r})"
 
-    def get_unit(self, key: Any) -> UnitCheckpoint | None:
+    def get_unit(self, key: Any) -> WorkloadOutcome | None:
         record = self._load(key)
         if record is None:
             self.stats.misses += 1
@@ -104,15 +93,12 @@ class CheckpointStore:
         :meth:`get_unit` is what discovers (and discards) it."""
         return self._path(key).exists()
 
-    def put_unit(self, key: Any, record: UnitCheckpoint) -> bool:
+    def put_unit(self, key: Any, record: WorkloadOutcome) -> bool:
         """Durably record a unit outcome; first write wins."""
         written = self._dump(key, record)
         if written:
             self.stats.puts += 1
         return written
-
-    def unit_count(self) -> int:
-        return sum(1 for _ in self._units.glob("*.pkl"))
 
     # -- internals ---------------------------------------------------------
 

@@ -46,9 +46,9 @@ from repro.core.workflow import STAGES, StageReport, WorkflowPattern
 from repro.obs import Tracer, get_tracer, use_tracer
 from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import (
+    EXECUTOR_BACKENDS,
     DelayedWorkload,
     ProcessExecutor,
-    WorkloadExecutor,
     make_executor,
 )
 from repro.pilot.description import PilotDescription, UnitDescription
@@ -97,11 +97,12 @@ class PipelineConfig:
     min_contig_length: int = 100
     kmer_list: tuple[int, ...] | None = None  # None -> data-dependent
     preprocess_params: PreprocessParams = field(default_factory=PreprocessParams)
-    #: Workload-execution backend for the assembly fan-out: "serial",
-    #: "thread", "process", or a WorkloadExecutor instance.  The single-
-    #: unit stages (pre/post-processing, quantification) always run
-    #: serially: their workloads are closures over pipeline state.
-    executor: str | WorkloadExecutor = "serial"
+    #: Workload-execution backend for the assembly fan-out, by name:
+    #: "serial", "thread" or "process".  Each run makes its own and
+    #: closes it.  The single-unit stages (pre/post-processing,
+    #: quantification) always run serially: their workloads are closures
+    #: over pipeline state.
+    executor: str = "serial"
     executor_workers: int | None = None
     #: Directory of the durable checkpoint store (None = no
     #: checkpointing).  A rerun pointed at the same directory with the
@@ -177,8 +178,11 @@ class PipelineConfig:
             max_nodes=self.max_nodes,
             min_count=self.min_count,
         )
-        if isinstance(self.executor, str):
-            make_executor(self.executor)  # validate the name early
+        if self.executor not in EXECUTOR_BACKENDS:
+            raise ValueError(
+                f"executor must be one of {sorted(EXECUTOR_BACKENDS)}, "
+                f"got {self.executor!r}"
+            )
         if self.executor_workers is not None and self.executor_workers < 1:
             raise ValueError(
                 f"executor_workers must be None or >= 1, "
@@ -683,8 +687,7 @@ def _provision_stage(run: _Run) -> None:
         executor=make_executor(config.executor, config.executor_workers),
         elastic=elastic,
     )
-    if isinstance(config.executor, str):
-        run.fanout.callback(run.umb.close)  # heartbeat threads, then the pool
+    run.fanout.callback(run.umb.close)  # heartbeat threads, then the pool
 
 
 def _spectrum_supply_stage(run: _Run) -> None:
@@ -706,11 +709,7 @@ def _spectrum_supply_stage(run: _Run) -> None:
         # Move every spectrum into shared memory BEFORE the
         # pool's first fan-out submit: the pool forks at that
         # submit, so its workers find the live segments in the
-        # inherited attach registry and map nothing.  (A caller's
-        # executor reused across runs may already have its pool up;
-        # its workers then attach by name,
-        # sharedarrays._attach_untracked, and the process-wide
-        # resource tracker stays balanced.)
+        # inherited attach registry and map nothing.
         for sp in run.spectra:
             sp.share()
 
@@ -918,22 +917,6 @@ class RnnotatorPipeline:
             with use_tracer(self.tracer):
                 return self._run(dataset, config)
         return self._run(dataset, config)
-
-    def run_many(
-        self, datasets: list[Dataset], config: PipelineConfig | None = None
-    ) -> list[PipelineResult]:
-        """Run several datasets back-to-back on one executor backend;
-        every result is bit-identical to a separate :meth:`run` call."""
-        config = config or PipelineConfig()
-        executor = make_executor(config.executor, config.executor_workers)
-        # A run only closes backends it constructed itself (string
-        # specs), so the pool survives across runs.
-        shared = replace(config, executor=executor)
-        try:
-            return [self.run(dataset, shared) for dataset in datasets]
-        finally:
-            if isinstance(config.executor, str):
-                executor.shutdown()
 
     def _run(self, dataset: Dataset, config: PipelineConfig | None) -> PipelineResult:
         """Walk :data:`_STAGES` over a fresh run context, under the

@@ -16,7 +16,7 @@ when that mapping is decided:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class WorkflowPattern(enum.Enum):
@@ -74,17 +74,3 @@ STAGES = (
     ("quantification", "P_C"),
 )
 
-
-def describe_pattern(pattern: WorkflowPattern) -> str:
-    """One-line description used by reports and the quickstart example."""
-    return {
-        WorkflowPattern.CONVENTIONAL: (
-            "all pilots on a single fixed resource, stages back-to-back"
-        ),
-        WorkflowPattern.DISTRIBUTED_STATIC: (
-            "pilots over distributed resources with a pre-defined mapping"
-        ),
-        WorkflowPattern.DISTRIBUTED_DYNAMIC: (
-            "pilot sizing decided per stage from runtime information"
-        ),
-    }[pattern]

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.obs.export import dump_record
+from repro.obs.resources import PeriodicThread
 from repro.obs.tracer import Tracer, TraceSink
 
 
@@ -163,7 +164,7 @@ class InflightUnit:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
-class HeartbeatMonitor:
+class HeartbeatMonitor(PeriodicThread):
     """Daemon thread emitting periodic per-unit heartbeat events.
 
     ``inflight`` is polled each beat and must return the current
@@ -173,9 +174,9 @@ class HeartbeatMonitor:
     ``"heartbeat"``) per unit carrying its real elapsed seconds, and
     runs the optional :class:`StragglerDetector` over the same numbers,
     emitting ``unit.straggler`` (category ``"heartbeat"``, severity
-    tagged) for fresh verdicts.  Same thread discipline as
-    :class:`~repro.obs.resources.CadenceSampler`: daemon, idempotent
-    ``stop``, never joins itself.
+    tagged) for fresh verdicts.  :meth:`start` beats once synchronously
+    too; the thread itself is a
+    :class:`~repro.obs.resources.PeriodicThread`.
     """
 
     def __init__(
@@ -186,43 +187,23 @@ class HeartbeatMonitor:
         process: str = "main",
         detector: StragglerDetector | None = None,
     ) -> None:
-        if cadence <= 0:
-            raise ValueError("heartbeat cadence must be > 0 seconds")
+        super().__init__(cadence, "repro-heartbeat")
         self.tracer = tracer
-        self.cadence = cadence
         self.inflight = inflight
         self.process = process
         self.detector = detector
         self.beats = 0
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
 
-    def start(self) -> None:
-        with self._lock:
-            if self._thread is not None:
-                return
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-heartbeat", daemon=True
-            )
-            self._thread.start()
+    def start(self) -> bool:
         # One synchronous beat per cycle: workloads faster than the
         # cadence would otherwise never be observed in flight.
-        self.beat()
-
-    def stop(self) -> None:
-        with self._lock:
-            thread, self._thread = self._thread, None
-        if thread is None:
-            return
-        self._stop.set()
-        if thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.cadence):
+        started = super().start()
+        if started:
             self.beat()
+        return started
+
+    def tick(self) -> None:
+        self.beat()
 
     def beat(self) -> None:
         """One heartbeat pass (callable directly from tests)."""

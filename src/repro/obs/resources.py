@@ -11,9 +11,9 @@ the standard library / procfs:
   seconds and the RSS high-water mark.
 
 A :class:`ResourceSampler` snapshots both on demand (the worker-side
-tracer samples at span open/close), and a :class:`CadenceSampler` runs a
-daemon thread that invokes a callback every ``interval`` seconds inside
-long workloads.  Samples are plain picklable dataclasses so they cross
+tracer samples at span open/close), and a :class:`CadenceSampler`
+invokes a callback every ``interval`` seconds inside long workloads on
+a :class:`PeriodicThread`, the one periodic loop of the obs package.  Samples are plain picklable dataclasses so they cross
 the process boundary inside a worker trace.
 """
 
@@ -79,13 +79,60 @@ class ResourceSampler:
         )
 
 
-class CadenceSampler:
+class PeriodicThread:
+    """Calls :meth:`tick` every ``interval`` real seconds on a daemon
+    thread, from :meth:`start` until :meth:`stop`.
+
+    A daemon, so a crashing workload can never be kept alive by its own
+    telemetry.  :meth:`start` on a running thread is a no-op, and
+    start -> stop -> start runs again.  :meth:`stop` is idempotent, safe
+    before start and under concurrent stops (the lock makes take-and-join
+    atomic, so only one caller joins); called from the thread itself (a
+    tick deciding to stop) it signals shutdown without the illegal
+    self-join.
+    """
+
+    def __init__(self, interval: float, name: str) -> None:
+        if interval <= 0:
+            raise ValueError(f"{name}: interval must be > 0, got {interval}")
+        self.interval = interval
+        self._name = name
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+
+    def tick(self) -> None:
+        raise NotImplementedError
+
+    def start(self) -> bool:
+        """Start the thread; False when it was already running."""
+        with self._lock:
+            if self._thread is not None:
+                return False
+            self._stop.clear()
+            self._thread = threading.Thread(
+                target=self._run, name=self._name, daemon=True
+            )
+            self._thread.start()
+        return True
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.interval):
+            self.tick()
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stop.set()
+            thread, self._thread = self._thread, None
+        if thread is not None and thread is not threading.current_thread():
+            thread.join()
+
+
+class CadenceSampler(PeriodicThread):
     """Calls ``callback(sample)`` every ``interval`` seconds until stopped.
 
-    Runs on a daemon thread so a crashing workload can never be kept
-    alive by its own telemetry; :meth:`stop` is idempotent and joins the
-    thread.  The thread only reads clocks and procfs — it never touches
-    the workload's state, so sampling cannot perturb results.
+    The thread only reads clocks and procfs — it never touches the
+    workload's state, so sampling cannot perturb results.
     """
 
     def __init__(
@@ -94,40 +141,9 @@ class CadenceSampler:
         callback: Callable[[ResourceSample], None],
         sampler: ResourceSampler | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("cadence interval must be > 0")
-        self.interval = interval
+        super().__init__(interval, "repro-resource-sampler")
         self.callback = callback
         self.sampler = sampler or ResourceSampler()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
 
-    def start(self) -> None:
-        with self._lock:
-            if self._thread is not None:
-                return
-            self._stop.clear()  # allow start -> stop -> start reuse
-            self._thread = threading.Thread(
-                target=self._run, name="repro-resource-sampler", daemon=True
-            )
-            self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.callback(self.sampler.sample())
-
-    def stop(self) -> None:
-        """Stop and join the sampling thread.
-
-        Safe under double-stop, stop-before-start, and concurrent stops
-        from several threads (the lock makes take-and-join atomic, so
-        only one caller joins).  Calling from the sampler thread itself
-        (a callback deciding to stop) signals shutdown without the
-        illegal self-join.
-        """
-        self._stop.set()
-        with self._lock:
-            thread, self._thread = self._thread, None
-        if thread is not None and thread is not threading.current_thread():
-            thread.join()
+    def tick(self) -> None:
+        self.callback(self.sampler.sample())

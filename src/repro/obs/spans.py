@@ -10,8 +10,8 @@ the analyses are views over the indexes, so this module is the single
 place outside the format's writer and reader that knows a record's
 ``type``.
 
-**Run scoping.**  One tracer over several runs (``run_many``) writes
-them all into one trace; the fold keeps the *last* run.  When a
+**Run scoping.**  One tracer over several runs writes them all into
+one trace; the fold keeps the *last* run.  When a
 ``pipeline`` root span arrives, every record whose real timestamp
 (``r0`` for a span, ``r`` otherwise) precedes the root's ``r0``
 belongs to an earlier run and is dropped.  The rule gives the same

@@ -249,8 +249,8 @@ class Tracer:
     def alerting(self) -> Iterator[list]:
         """Arm an :class:`~repro.obs.alerts.AlertEngine` over
         :attr:`alert_rules` for the ``with`` body — one pipeline run —
-        and detach it whatever happens (``run_many`` reuses one tracer
-        across runs and must not accumulate stale sinks).  Yields the
+        and detach it whatever happens (one tracer may serve several
+        runs and must not accumulate stale sinks).  Yields the
         list the run's firings land in; without rules it stays empty.
         """
         if not self.alert_rules:

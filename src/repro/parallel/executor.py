@@ -65,7 +65,9 @@ class ExecutorError(RuntimeError):
 
 @dataclass
 class WorkloadOutcome:
-    """What one workload execution produced.
+    """What one workload execution produced: the one record of it, which
+    every handle returns, the checkpoint store persists, and which, once
+    stored, stands in for the workload (:func:`run_workload`).
 
     ``wall_seconds`` is real host time spent inside the workload — not
     virtual time; the cost model still prices virtual duration from the
@@ -125,28 +127,6 @@ def _init_worker(
 
 
 @dataclass(frozen=True)
-class ReplayWorkload:
-    """A stored outcome standing in for the real computation.
-
-    A checkpoint replay must be *trace-transparent*: it travels the
-    identical dispatch path (executor submit, pickle measurement, pool
-    round-trip) so the resumed run's trace has the same structure as an
-    uninterrupted one; a run-cache hit runs on an inline executor.  Only
-    the workload body is substituted: :func:`run_workload` short-circuits
-    to the stored outcome — including a checkpoint's worker trace, whose
-    spans and events are re-merged parent-side like a live run's.
-    """
-
-    result: Any
-    usage: ResourceUsage | None
-    wall_seconds: float = 0.0
-    worker_trace: WorkerTrace | None = None
-
-    def __call__(self) -> tuple[Any, ResourceUsage | None]:
-        return self.result, self.usage
-
-
-@dataclass(frozen=True)
 class DelayedWorkload:
     """Chaos wrapper: sleep ``delay_seconds`` of *real* time, then run.
 
@@ -171,22 +151,27 @@ class DelayedWorkload:
 
 
 def run_workload(
-    work: Workload, context: SpanContext | None = None
-) -> tuple[Any, ResourceUsage, float, WorkerTrace | None]:
+    work: Workload | WorkloadOutcome, context: SpanContext | None = None
+) -> WorkloadOutcome:
     """Execute ``work`` and time it.
 
-    Module-level so the process backend can ship it to a worker.  With a
+    Module-level so the process backend can ship it to a worker.  A
+    stored :class:`WorkloadOutcome` (a checkpoint replay or a run-cache
+    hit) is handed back as it is: it travels the dispatch path of a live
+    workload (executor submit, pickle measurement, pool round-trip), so
+    a resumed run's trace has the structure of an uninterrupted one, and
+    its worker trace is re-merged parent-side like a live run's.  With a
     ``context``, the workload runs under a thread-locally installed
     :class:`BufferingTracer` — in-workload instrumentation lands in its
     buffers instead of vanishing with the worker — and the buffered
-    trace is the fourth element of the returned tuple.
+    trace is the outcome's ``worker_trace``.
     """
-    if isinstance(work, ReplayWorkload):
-        return work.result, work.usage, work.wall_seconds, work.worker_trace
+    if isinstance(work, WorkloadOutcome):
+        return work
     if context is None:
         t0 = time.perf_counter()
         result, usage = work()
-        return result, usage, time.perf_counter() - t0, None
+        return WorkloadOutcome(result, usage, time.perf_counter() - t0)
     buffer = BufferingTracer(cadence=context.resource_cadence)
     previous = set_thread_tracer(buffer)
     try:
@@ -198,45 +183,27 @@ def run_workload(
     finally:
         set_thread_tracer(previous)
         buffer.close()
-    return result, usage, wall, buffer.to_worker_trace()
+    return WorkloadOutcome(result, usage, wall, worker_trace=buffer.to_worker_trace())
 
 
-class WorkloadHandle(ABC):
-    """A dispatched workload; :meth:`outcome` blocks until it finishes."""
+class WorkloadHandle:
+    """A dispatched workload: every backend returns one over a
+    :class:`~concurrent.futures.Future` (the serial backend's is already
+    resolved); :meth:`outcome` blocks until it finishes."""
 
-    @abstractmethod
-    def outcome(self) -> WorkloadOutcome:
-        """Wait for the workload and return its outcome (never raises
-        for workload errors — they come back in ``outcome.error``)."""
-
-
-class _ReadyHandle(WorkloadHandle):
-    """An already-finished workload (serial backend, dispatch errors)."""
-
-    def __init__(self, outcome: WorkloadOutcome) -> None:
-        self._outcome = outcome
-
-    def outcome(self) -> WorkloadOutcome:
-        return self._outcome
-
-
-class _FutureHandle(WorkloadHandle):
-    """A workload pending on a concurrent.futures pool."""
+    __slots__ = ("_future",)
 
     def __init__(self, future: Future) -> None:
         self._future = future
 
     def outcome(self) -> WorkloadOutcome:
+        """Wait for the workload and return its outcome.  Never raises:
+        what the workload raised, a dead worker's ``BrokenExecutor`` or a
+        failed dispatch comes back in ``outcome.error``."""
         try:
-            result, usage, wall, worker_trace = self._future.result()
+            return self._future.result()
         except Exception as exc:
             return WorkloadOutcome(error=exc)
-        return WorkloadOutcome(
-            result=result,
-            usage=usage,
-            wall_seconds=wall,
-            worker_trace=worker_trace,
-        )
 
 
 class WorkloadExecutor(ABC):
@@ -287,21 +254,12 @@ class SerialExecutor(WorkloadExecutor):
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("executor.dispatch", category="executor", backend=self.name)
+        future = Future()
         try:
-            # The worker trace is always None for live inline runs (no
-            # context, no buffering) but carries the original's buffered
-            # records when replaying a checkpointed pool-backend outcome.
-            result, usage, wall, worker_trace = run_workload(work)
+            future.set_result(run_workload(work))
         except Exception as exc:
-            return _ReadyHandle(WorkloadOutcome(error=exc))
-        return _ReadyHandle(
-            WorkloadOutcome(
-                result=result,
-                usage=usage,
-                wall_seconds=wall,
-                worker_trace=worker_trace,
-            )
-        )
+            future.set_exception(exc)
+        return WorkloadHandle(future)
 
 
 class _PoolExecutor(WorkloadExecutor):
@@ -352,11 +310,13 @@ class _PoolExecutor(WorkloadExecutor):
                 self._pool = self._make_pool()
                 future = self._pool.submit(run_workload, work, context)
         except Exception as exc:  # pool shut down / cannot start
-            return _ReadyHandle(WorkloadOutcome(error=exc))
+            future = Future()
+            future.set_exception(exc)
+            return WorkloadHandle(future)
         with self._inflight_lock:
             self._inflight += 1
         future.add_done_callback(self._workload_done)
-        return _FutureHandle(future)
+        return WorkloadHandle(future)
 
     def shutdown(self) -> None:
         if self._pool is not None:

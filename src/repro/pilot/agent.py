@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.cloud.sge import SGEJob
@@ -37,10 +37,10 @@ from repro.obs import get_tracer
 from repro.obs.context import SpanContext, merge_worker_trace
 from repro.parallel.costmodel import CostModel, MachineConfig, fits_in_memory
 from repro.parallel.executor import (
-    ReplayWorkload,
     SerialExecutor,
     WorkloadExecutor,
     WorkloadHandle,
+    WorkloadOutcome,
 )
 from repro.parallel.usage import ResourceUsage
 from repro.pilot.pilot import Pilot
@@ -82,15 +82,16 @@ def _extra_tags(unit: ComputeUnit) -> dict:
     }
 
 
-def _replay(work, result, usage, **stored) -> ReplayWorkload:
+def _stored(work, outcome: WorkloadOutcome) -> WorkloadOutcome:
     """A stored outcome standing in for ``work``, priced like a run: a
     workload that prices its own result (an assembly job extrapolates it
     to paper scale) prices the stored result again, since no key holds
-    the scale; otherwise ``usage`` is the raw usage the agent scales."""
+    the scale; otherwise the stored usage is the raw usage the agent
+    scales."""
     priced = getattr(work, "priced", None)
-    return ReplayWorkload(
-        result=result, usage=usage if priced is None else priced(result), **stored
-    )
+    if priced is None:
+        return outcome
+    return replace(outcome, usage=priced(outcome.result))
 
 
 @dataclass
@@ -183,15 +184,15 @@ class PilotAgent:
         replayed = False
         key = unit.description.checkpoint_key
         if self.checkpoint is not None and key is not None:
-            record = self.checkpoint.get_unit(key)
-            replayed = record is not None
+            stored = self.checkpoint.get_unit(key)
+            replayed = stored is not None
             tracer.count("checkpoint_hits" if replayed else "checkpoint_misses")
             if replayed:
-                work = _replay(work, **vars(record))
+                work = _stored(work, stored)
         if self.cache is not None and key is not None and not replayed:
             cached = self.cache.get(key, **_extra_tags(unit))
             if cached is not None:
-                work = _replay(work, cached, cached.usage)
+                work = _stored(work, WorkloadOutcome(cached, cached.usage))
                 executor = SerialExecutor()
 
         # Dispatch the real workload; it may run concurrently with other
@@ -332,17 +333,7 @@ class PilotAgent:
         if self.checkpoint is not None and key is not None and not replayed:
             # Record the outcome as returned (before 1/scale): replay runs
             # the identical pricing path, so TTCs match bit-for-bit.
-            from repro.core.checkpoint import UnitCheckpoint
-
-            self.checkpoint.put_unit(
-                key,
-                UnitCheckpoint(
-                    result=outcome.result,
-                    usage=outcome.usage,
-                    wall_seconds=outcome.wall_seconds,
-                    worker_trace=outcome.worker_trace,
-                ),
-            )
+            self.checkpoint.put_unit(key, outcome)
             tracer.count("checkpoint_puts")
         if self.cache is not None and key is not None:
             # Put in this process, whichever backend computed it.

@@ -339,5 +339,4 @@ class UnitManager:
         heartbeat threads (idempotent)."""
         for agent in self._agents.values():
             agent.stop_heartbeat()
-        if isinstance(self.executor, WorkloadExecutor):
-            self.executor.shutdown()
+        self.executor.shutdown()

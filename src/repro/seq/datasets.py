@@ -16,12 +16,11 @@ The real data (B. glumae SRX129586 and the P. crispa set of Gordon et al.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.seq import transcriptome as txome_mod
-from repro.seq.fastq import fastq_bytes_estimate
 from repro.seq.genome import Genome, GenomeSpec, synthesize_genome
 from repro.seq.reads import ReadSimSpec, ReadSimulator, SequencingRun
 from repro.seq.transcriptome import Transcriptome
@@ -124,12 +123,6 @@ class Dataset:
     run: SequencingRun
 
     @property
-    def sim_fastq_bytes(self) -> int:
-        return fastq_bytes_estimate(
-            self.run.n_fragments, self.spec.read_length, self.spec.paired
-        )
-
-    @property
     def read_scale(self) -> float:
         """Exact simulated/paper read-record ratio.
 
@@ -139,10 +132,6 @@ class Dataset:
         """
         records = len(self.run.reads) + len(self.run.mates)
         return records / self.spec.total_read_records
-
-    def paper_scale_bytes(self, sim_bytes: int) -> int:
-        """Extrapolate a simulation-scale byte count back to paper scale."""
-        return int(sim_bytes / self.scale)
 
 
 def generate_dataset(

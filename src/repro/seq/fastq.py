@@ -111,14 +111,3 @@ def fastq_string(records: Iterable[FastqRecord]) -> str:
     write_fastq(records, buf)
     return buf.getvalue()
 
-
-def fastq_bytes_estimate(n_reads: int, read_length: int, paired: bool = False) -> int:
-    """Approximate on-disk FASTQ size in bytes.
-
-    Per record: header (~30 B), sequence, '+' line, quality, newlines.
-    Used by the staging/transfer cost model to reason about *unscaled*
-    data volumes without materializing them.
-    """
-    per_record = 30 + read_length + 2 + read_length + 4
-    total_reads = n_reads * (2 if paired else 1)
-    return per_record * total_reads

@@ -188,7 +188,7 @@ class TestKeysAndOrder:
         ]
 
     @pytest.mark.parametrize("k", (31, 33))
-    def test_extend_right_left_match_byte_shifts(self, k):
+    def test_extend_right_matches_byte_shifts(self, k):
         rng = np.random.default_rng(k)
         win = _random_windows(rng, 40, k)
         rows = packed.pack(win)
@@ -196,14 +196,8 @@ class TestKeysAndOrder:
             right = np.concatenate(
                 [win[:, 1:], np.full((win.shape[0], 1), b, dtype=np.uint8)], axis=1
             )
-            left = np.concatenate(
-                [np.full((win.shape[0], 1), b, dtype=np.uint8), win[:, :-1]], axis=1
-            )
             assert np.array_equal(
                 packed.unpack(packed.extend_right(rows, k, b), k), right
-            )
-            assert np.array_equal(
-                packed.unpack(packed.extend_left(rows, k, b), k), left
             )
 
 

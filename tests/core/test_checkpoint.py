@@ -8,18 +8,16 @@ path with only the computation substituted.
 """
 
 import pickle
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Any
 
 import pytest
 
 from repro.assembly.sweep import use_kmer_table_cache
 from repro.core.assembly_cache import use_assembly_cache
-from repro.core.checkpoint import (
-    FORMAT_VERSION,
-    CheckpointStore,
-    UnitCheckpoint,
-    checkpoint_key_id,
-)
+from repro.core import checkpoint
+from repro.core.checkpoint import FORMAT_VERSION, CheckpointStore, checkpoint_key_id
 from repro.core.rnnotator import (
     STAGE_NAMES,
     FaultPlan,
@@ -30,12 +28,35 @@ from repro.core.rnnotator import (
 )
 from repro.core.schemes import MatchingScheme
 from repro.obs import Tracer, use_tracer
+from repro.parallel.executor import WorkloadOutcome
 from tests.core.test_fused_pipeline import _fingerprint as fingerprint
 from tests.core.test_store_lifetime import time_limit
 
 CONFIG = dict(assemblers=("ray",), kmer_list=(35, 41))
 #: One spot reclaim a virtual second into the assembly fan-out.
 PREEMPT = FaultPlan(preempt_at=(1.0,))
+
+
+def format_1_bytes(key: str, outcome: WorkloadOutcome) -> bytes:
+    """The record of the key whose repr is ``key`` as format 1 wrote it: a ``UnitCheckpoint`` of the
+    outcome's result, usage, wall seconds and worker trace, a class the
+    store no longer has."""
+
+    @dataclass
+    class UnitCheckpoint:
+        result: Any
+        usage: Any
+        wall_seconds: float = 0.0
+        worker_trace: Any = None
+
+    UnitCheckpoint.__module__ = checkpoint.__name__
+    UnitCheckpoint.__qualname__ = "UnitCheckpoint"
+    record = UnitCheckpoint(
+        outcome.result, outcome.usage, outcome.wall_seconds, outcome.worker_trace
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checkpoint, "UnitCheckpoint", UnitCheckpoint, raising=False)
+        return pickle.dumps({"format": 1, "key": key, "record": record})
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +70,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         key = ("digest", "ray", 35)
         assert store.get_unit(key) is None
-        record = UnitCheckpoint(result={"x": 1}, usage="usage", wall_seconds=2.5)
+        record = WorkloadOutcome(result={"x": 1}, usage="usage", wall_seconds=2.5)
         assert store.put_unit(key, record) is True
         got = store.get_unit(key)
         assert got.result == {"x": 1}
@@ -58,33 +79,32 @@ class TestCheckpointStore:
         assert (store.stats.hits, store.stats.misses, store.stats.puts) == (
             1, 1, 1,
         )
-        assert store.unit_count() == 1
 
     def test_first_write_wins(self, tmp_path):
         store = CheckpointStore(tmp_path)
         key = ("k",)
-        assert store.put_unit(key, UnitCheckpoint(result="first", usage=None))
+        assert store.put_unit(key, WorkloadOutcome(result="first", usage=None))
         assert not store.put_unit(
-            key, UnitCheckpoint(result="second", usage=None)
+            key, WorkloadOutcome(result="second", usage=None)
         )
         assert store.get_unit(key).result == "first"
 
     def test_reopen_persists(self, tmp_path):
         CheckpointStore(tmp_path).put_unit(
-            ("k",), UnitCheckpoint(result=42, usage=None)
+            ("k",), WorkloadOutcome(result=42, usage=None)
         )
         assert CheckpointStore(tmp_path).get_unit(("k",)).result == 42
 
     def test_corrupt_file_is_a_miss_and_removed(self, tmp_path):
         store = CheckpointStore(tmp_path)
         key = ("k",)
-        store.put_unit(key, UnitCheckpoint(result=1, usage=None))
+        store.put_unit(key, WorkloadOutcome(result=1, usage=None))
         path = store._path(key)
         path.write_bytes(b"\x00garbage")
         assert store.get_unit(key) is None
         assert not path.exists()
         # ... and the slot is free for a fresh record.
-        assert store.put_unit(key, UnitCheckpoint(result=2, usage=None))
+        assert store.put_unit(key, WorkloadOutcome(result=2, usage=None))
         assert store.get_unit(key).result == 2
 
     def test_truncated_file_is_a_miss(self, tmp_path):
@@ -92,22 +112,25 @@ class TestCheckpointStore:
         must read as a miss, not crash the resume."""
         store = CheckpointStore(tmp_path)
         key = ("k",)
-        store.put_unit(key, UnitCheckpoint(result=1, usage=None))
+        store.put_unit(key, WorkloadOutcome(result=1, usage=None))
         path = store._path(key)
         path.write_bytes(path.read_bytes()[:10])
         assert store.get_unit(key) is None
 
     def test_version_skew_is_a_miss(self, tmp_path):
+        """A newer format and format 1, whose ``UnitCheckpoint`` no longer
+        unpickles, are both misses, and removed."""
         store = CheckpointStore(tmp_path)
         key = ("k",)
         path = store._path(key)
-        path.write_bytes(
-            pickle.dumps(
-                {"format": FORMAT_VERSION + 1, "key": repr(key), "record": 1}
-            )
-        )
-        assert store.get_unit(key) is None
-        assert not path.exists()
+        for skewed in (
+            pickle.dumps({"format": FORMAT_VERSION + 1, "key": repr(key), "record": 1}),
+            format_1_bytes(repr(key), WorkloadOutcome(result=1, usage=None)),
+        ):
+            path.write_bytes(skewed)
+            assert store.get_unit(key) is None
+            assert not path.exists()
+        assert store.stats.misses == 2
 
     def test_key_repr_mismatch_is_a_miss(self, tmp_path):
         """A (vanishingly unlikely) digest collision must not replay the
@@ -118,7 +141,7 @@ class TestCheckpointStore:
         path.write_bytes(
             pickle.dumps(
                 {"format": FORMAT_VERSION, "key": repr(("other",)),
-                 "record": UnitCheckpoint(result=1, usage=None)}
+                 "record": WorkloadOutcome(result=1, usage=None)}
             )
         )
         assert store.get_unit(key) is None
@@ -167,6 +190,33 @@ class TestKillAndResume:
                 resumed.assemblies[key].usage.phases
                 == baseline.assemblies[key].usage.phases
             )
+
+    def test_a_resume_merges_the_stored_worker_traces(self, ds_single, tmp_path):
+        """A replay is trace-transparent: under a pool backend every
+        replayed fan-out unit's stored worker trace is merged again, so the
+        resumed run carries the worker spans of an uninterrupted one."""
+        config = PipelineConfig(executor="thread", **CONFIG)
+        resuming = replace(config, checkpoint_dir=str(tmp_path / "ck"))
+
+        def worker_spans(tracer):
+            return Counter(
+                (s.name, s.attrs.get("assembler"), s.attrs.get("k"))
+                for s in tracer.spans
+                if s.process.startswith("worker-")
+            )
+
+        whole, resumed = Tracer(), Tracer()
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            RnnotatorPipeline(tracer=whole).run(ds_single, config)
+            with pytest.raises(PipelineKilled):
+                RnnotatorPipeline(
+                    tracer=Tracer(),
+                    faults=FaultPlan(abort_after_stage="transcript-assembly"),
+                ).run(ds_single, resuming)
+            result = RnnotatorPipeline(tracer=resumed).run(ds_single, resuming)
+        assert result.checkpoint_stats["unit_hits"] == 3
+        assert worker_spans(resumed) == worker_spans(whole)
+        assert sum(worker_spans(whole).values()) == 2 * len(CONFIG["kmer_list"])
 
     def test_kill_at_earlier_stage_resumes_too(self, ds_single, tmp_path):
         ckdir = str(tmp_path / "ck")
@@ -262,6 +312,38 @@ class TestTornCheckpointDrill:
             "unit_puts": 1,
         }
         assert pickle.loads(torn.read_bytes())["key"] == keys[torn]
+
+    def test_a_format_1_record_recomputes_only_its_unit(
+        self, ds_single, tmp_path, baseline
+    ):
+        """A record in the old ``UnitCheckpoint`` layout is a miss: the
+        resume recomputes that one unit bit-identically and rewrites its
+        record at the current format."""
+        config = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"), **CONFIG)
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            RnnotatorPipeline().run(ds_single, config)
+        units = sorted((tmp_path / "ck" / "units").glob("*.pkl"))
+        envelopes = {path: pickle.loads(path.read_bytes()) for path in units}
+        (old,) = [
+            path
+            for path, envelope in envelopes.items()
+            if not envelope["key"].startswith("('stage:")
+            and "AssemblyParams(k=41," in envelope["key"]
+        ]
+        old.write_bytes(format_1_bytes(envelopes[old]["key"], envelopes[old]["record"]))
+
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            resumed = RnnotatorPipeline().run(ds_single, config)
+
+        assert fingerprint(resumed) == fingerprint(baseline)
+        assert resumed.checkpoint_stats == {
+            "unit_hits": len(units) - 1,
+            "unit_misses": 1,
+            "unit_puts": 1,
+        }
+        rewritten = pickle.loads(old.read_bytes())
+        assert rewritten["format"] == FORMAT_VERSION
+        assert isinstance(rewritten["record"], WorkloadOutcome)
 
 
 class TestPreemptionEndToEnd:

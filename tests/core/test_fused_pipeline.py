@@ -1,9 +1,8 @@
 """Count-once spectra at the pipeline level.
 
-The contract under test: the executor backend and ``run_many`` change
-*only* real wall time.  Contigs, stats, usage, virtual TTCs and
-dollar costs are bit-identical across backends and to the sequential
-path, and a job reads the spectrum it was handed or builds that one
+The contract under test: the executor backend changes *only* real
+wall time.  Contigs, stats, usage, virtual TTCs and dollar costs are
+bit-identical across backends, and a job reads the spectrum it was handed or builds that one
 spectrum itself (:func:`repro.assembly.sweep.resolve_spectrum`).
 """
 
@@ -95,23 +94,6 @@ class TestFusedPipelineParity:
         assert counters["assembly_cache.put"] >= 1
         (build,) = [s for s in tracer.spans if s.name == "spectrum.build"]
         assert build.attrs["ks"] == [25, 31]
-
-
-class TestRunMany:
-    def test_run_many_matches_sequential_runs(self):
-        datasets = [tiny_dataset(seed=0), tiny_dataset(seed=7)]
-        config = PipelineConfig(
-            assemblers=("ray", "velvet"), kmer_list=(25,), executor="thread"
-        )
-        with use_assembly_cache(None):
-            results = RnnotatorPipeline(tracer=Tracer()).run_many(
-                datasets, config
-            )
-            sequential = [
-                RnnotatorPipeline().run(d, config) for d in datasets
-            ]
-        for got, want in zip(results, sequential):
-            assert _fingerprint(got) == _fingerprint(want)
 
 
 class TestWorkloadSpectrumWiring:

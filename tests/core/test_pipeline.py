@@ -19,6 +19,8 @@ from repro.core.workflow import WorkflowPattern
 from repro.evaluation.detonate import evaluate
 from repro.seq.datasets import B_GLUMAE
 from repro.obs import Tracer
+from repro.parallel.executor import SerialExecutor
+from tests.paper_tables import SCHEMES_CLAIMS, run_schemes
 
 
 @pytest.fixture(scope="module")
@@ -97,19 +99,14 @@ class TestStageTable:
 
 class TestSchemesComparison:
     def test_s1_pays_transfer_and_reprovisioning(self, ds_single):
-        cfg = dict(assemblers=("ray",), kmer_list=(35,))
-        s2 = RnnotatorPipeline().run(
-            ds_single, PipelineConfig(scheme=MatchingScheme.S2, **cfg)
+        runs = run_schemes(ds_single, assemblers=("ray",), kmer_list=(35,))
+        assert [c for c, holds in SCHEMES_CLAIMS.items() if not holds(runs)] == []
+
+    def test_s1_pays_more_on_paired_reads_and_three_assemblers(self, ds_paired):
+        runs = run_schemes(
+            ds_paired, assemblers=("ray", "abyss", "velvet"), kmer_list=(25, 31)
         )
-        s1 = RnnotatorPipeline().run(
-            ds_single, PipelineConfig(scheme=MatchingScheme.S1, **cfg)
-        )
-        assert s1.transfer_seconds > s2.transfer_seconds
-        assert s1.total_ttc > s2.total_ttc
-        # identical functional output
-        assert [t.seq for t in s1.transcripts] == [
-            t.seq for t in s2.transcripts
-        ]
+        assert [c for c, holds in SCHEMES_CLAIMS.items() if not holds(runs)] == []
 
     def test_conventional_requires_s2(self):
         with pytest.raises(ValueError):
@@ -124,6 +121,14 @@ class TestSchemesComparison:
         with pytest.raises(ValueError, match=f"executor_workers .* got {workers}"):
             PipelineConfig(executor="thread", executor_workers=workers)
         assert PipelineConfig(executor="thread").executor_workers is None
+
+    def test_executor_is_a_backend_name(self):
+        # Each run makes its executor and closes it: an instance would
+        # be a pool the run does not own.
+        with pytest.raises(ValueError, match="executor must be one of"):
+            PipelineConfig(executor=SerialExecutor())
+        with pytest.raises(ValueError, match="'gpu'"):
+            PipelineConfig(executor="gpu")
 
     @pytest.mark.parametrize("value", (0, -1))
     @pytest.mark.parametrize(

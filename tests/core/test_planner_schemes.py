@@ -6,7 +6,7 @@ from repro.cloud.instances import GiB
 from repro.core.memory import task_memory_bytes
 from repro.core.planner import plan_assembly, select_kmer_list
 from repro.core.schemes import MatchingScheme
-from repro.core.workflow import STAGES, WorkflowPattern, describe_pattern
+from repro.core.workflow import STAGES, WorkflowPattern
 from repro.seq.datasets import B_GLUMAE, P_CRISPA
 from tests.paper_tables import PAPER_TABLE4, reproduce_table4
 
@@ -136,7 +136,3 @@ class TestSchemesWorkflow:
             "pre-processing", "transcript-assembly", "post-processing",
             "quantification",
         ]
-
-    def test_descriptions_exist(self):
-        for p in WorkflowPattern:
-            assert len(describe_pattern(p)) > 10

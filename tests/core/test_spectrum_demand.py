@@ -236,67 +236,33 @@ class TestWarmRerun:
         assert segments() == before
 
 
-def test_a_callers_executor_sees_the_satisfied_rerun(dataset, caches, tmp_path):
-    """A caller's executor sees every job that computes and every
+def test_the_configured_executor_sees_no_run_cache_hit(
+    dataset, caches, tmp_path, monkeypatch
+):
+    """The run's executor sees every job that computes and every
     checkpoint replay, but no run-cache hit: the agent asks the
     checkpoint store first and runs a cache hit inline."""
+    submits = []
+    submit = ThreadExecutor.submit
 
-    class Counting(ThreadExecutor):
-        submits = 0
+    def counting_submit(executor, work, context=None):
+        submits.append(work)
+        return submit(executor, work, context)
 
-        def submit(self, work, context=None):
-            self.submits += 1
-            return super().submit(work, context)
-
+    monkeypatch.setattr(ThreadExecutor, "submit", counting_submit)
     ckpt = str(tmp_path / "ckpt")
-    with Counting(max_workers=2) as mine:
-        cold, _ = run(dataset, mine, checkpoint_dir=ckpt)
-        assert mine.submits == N_JOBS
-        warm, trace = run(dataset, mine, checkpoint_dir=str(tmp_path / "warm"))
-        assert mine.submits == N_JOBS
-        assert counters(trace)["assembly_cache.hit"] == N_JOBS
-        assert warm.checkpoint_stats["unit_puts"] == N_JOBS + 3  # hits are recorded
-        resumed, trace = run(dataset, mine, checkpoint_dir=ckpt)
-        assert mine.submits == 2 * N_JOBS
-        assert resumed.checkpoint_stats["unit_hits"] == N_JOBS + 3
-        assert "assembly_cache.hit" not in counters(trace)
+    cold, _ = run(dataset, "thread", checkpoint_dir=ckpt)
+    assert len(submits) == N_JOBS
+    warm, trace = run(dataset, "thread", checkpoint_dir=str(tmp_path / "warm"))
+    assert len(submits) == N_JOBS
+    assert counters(trace)["assembly_cache.hit"] == N_JOBS
+    assert warm.checkpoint_stats["unit_puts"] == N_JOBS + 3  # hits are recorded
+    resumed, trace = run(dataset, "thread", checkpoint_dir=ckpt)
+    assert len(submits) == 2 * N_JOBS
+    assert resumed.checkpoint_stats["unit_hits"] == N_JOBS + 3
+    assert "assembly_cache.hit" not in counters(trace)
     assert fingerprint(warm) == fingerprint(cold)
     assert fingerprint(resumed) == fingerprint(cold)
-
-
-def test_a_reused_pool_recomputes_no_cached_job(dataset, caches):
-    """``run_many`` keeps one process pool across its runs.  Its workers
-    were forked before the parent put the cold run's results, so the
-    reruns' hits must be answered in the parent: every job of runs 2 and
-    3 is a hit there, and no job builds its own spectrum."""
-    assembly_cache, _ = caches
-    hits = []
-
-    class Pipeline(RnnotatorPipeline):
-        def run(self, dataset, config=None):
-            result = super().run(dataset, config)
-            hits.append(assembly_cache.hits)
-            return result
-
-    assemblers = ("ray", "velvet", "abyss")
-    ks = (25, 31, 35)
-    n_jobs = len(assemblers) * len(ks)
-    config = PipelineConfig(
-        assemblers=assemblers,
-        kmer_list=ks,
-        executor="process",
-        executor_workers=2,
-    )
-    tracer = Tracer()
-    with time_limit(120):
-        results = Pipeline(tracer=tracer).run_many([dataset] * 3, config)
-    assert hits == [0, n_jobs, 2 * n_jobs]
-    assert assembly_cache.misses == n_jobs
-    (build,) = [s for s in tracer.spans if s.name == "spectrum.build"]
-    assert build.attrs["ks"] == list(ks)  # the cold run's, in the parent
-    assert len(skips(tracer)) == 2
-    cold = fingerprint(results[0])
-    assert [fingerprint(r) for r in results[1:]] == [cold, cold]
 
 
 class TestTableCacheReuse:

@@ -298,8 +298,8 @@ class TestTraceAnalytics:
 
 @pytest.fixture(scope="module")
 def two_runs(ds_single):
-    """One tracer over two runs of different configs — what ``run_many``
-    writes: ray+abyss over four ks, then :data:`CONFIG`.  A collector
+    """One tracer over two ``run()`` calls of different configs: ray+abyss
+    over four ks, then :data:`CONFIG`.  A collector
     sink keeps the live stream next to the tracer's archive."""
     from repro.obs.live import CollectorSink
 

@@ -120,8 +120,9 @@ class TestRunWorkloadWithContext:
     def test_buffers_and_ships_worker_trace(self):
         parent = Tracer()
         ctx = SpanContext.capture(parent, parent_span_id=1, thread="u1")
-        result, usage, wall, trace = run_workload(simple_work, ctx)
-        assert result == "ok"
+        outcome = run_workload(simple_work, ctx)
+        trace = outcome.worker_trace
+        assert outcome.result == "ok"
         assert trace is not None
         names = [s.name for s in trace.spans]
         assert "workload" in names and "inner" in names
@@ -131,8 +132,7 @@ class TestRunWorkloadWithContext:
         assert get_tracer().enabled is False  # override removed
 
     def test_no_context_means_no_buffering(self):
-        *_, trace = run_workload(simple_work)
-        assert trace is None
+        assert run_workload(simple_work).worker_trace is None
 
 
 class TestMerge:
@@ -147,7 +147,7 @@ class TestMerge:
                 thread="u1",
                 **capture_kwargs,
             )
-        *_, trace = run_workload(simple_work, ctx)
+        trace = run_workload(simple_work, ctx).worker_trace
         merged = merge_worker_trace(parent, trace, ctx)
         return parent, trace, merged
 

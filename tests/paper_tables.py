@@ -14,6 +14,7 @@ from repro.bench.calibration import TABLE3_TARGETS
 from repro.cloud.instances import get_instance_type
 from repro.core.memory import fits_instance
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
+from repro.core.schemes import MatchingScheme
 from repro.core.workflow import WorkflowPattern
 from repro.seq.datasets import B_GLUMAE, P_CRISPA
 
@@ -298,6 +299,36 @@ FIG2_CLAIMS = {
         lambda runs: 1.3
         < _assembly_ttc(runs["conventional"]) / _assembly_ttc(runs["static"])
         < runs["static"].plan.n_jobs
+    ),
+}
+
+
+# -- Fig. 5: the pilot-VM matching schemes S1 and S2 --------------------------
+
+
+def run_schemes(dataset, **knobs) -> dict:
+    """One pipeline run per scheme, S1 then S2, sharing ``knobs``."""
+    return {
+        scheme.value: RnnotatorPipeline().run(
+            dataset, PipelineConfig(scheme=scheme, **knobs)
+        )
+        for scheme in (MatchingScheme.S1, MatchingScheme.S2)
+    }
+
+
+#: Over ``run_schemes``'s runs.  S1 provisions a fleet per pilot and
+#: copies the data between them; S2 reuses one fleet.  Asserted in tier-1
+#: (``tests/core/test_pipeline.py::TestSchemesComparison``); no
+#: EXPERIMENTS.md block renders them.
+SCHEMES_CLAIMS = {
+    "both schemes run the same plan": lambda r: r["S1"].plan == r["S2"].plan,
+    "S1 pays more transfer than S2": lambda r: (
+        r["S1"].transfer_seconds > r["S2"].transfer_seconds
+    ),
+    "S1 takes a longer TTC than S2": lambda r: r["S1"].total_ttc > r["S2"].total_ttc,
+    "S1 costs more than S2": lambda r: r["S1"].total_cost > r["S2"].total_cost,
+    "both schemes assemble the same transcripts": lambda r: (
+        [t.seq for t in r["S1"].transcripts] == [t.seq for t in r["S2"].transcripts]
     ),
 }
 

@@ -4,9 +4,14 @@ import os
 import signal
 import time
 from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from repro.cloud.clock import EventQueue, SimClock
+from repro.cloud.ec2 import EC2Region
+from repro.obs import Tracer, use_tracer
 from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
     ExecutorError,
@@ -20,6 +25,9 @@ from repro.parallel.executor import (
     run_workload,
 )
 from repro.parallel.usage import PhaseUsage, ResourceUsage
+from repro.pilot.description import PilotDescription, UnitDescription
+from repro.pilot.manager import PilotManager, UnitManager
+from repro.pilot.states import UnitState
 
 
 def tiny_usage(compute=1e5):
@@ -45,6 +53,20 @@ def bad_work():
 
 def killed_work():
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+@dataclass(frozen=True)
+class KillOnce:
+    """``ok_work`` whose worker dies under it (SIGKILL, what the OOM
+    killer sends) unless ``marker`` says an earlier attempt already did."""
+
+    marker: str
+
+    def __call__(self):
+        if not os.path.exists(self.marker):
+            Path(self.marker).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return ok_work()
 
 
 def affinity_work():
@@ -84,11 +106,15 @@ class TestFactory:
 
 class TestRunWorkload:
     def test_times_the_call(self):
-        result, usage, wall, worker_trace = run_workload(slow_work)
-        assert result == "slow"
-        assert usage.phases
-        assert wall >= 0.02
-        assert worker_trace is None  # no context, no buffering
+        out = run_workload(slow_work)
+        assert out.result == "slow"
+        assert out.usage.phases
+        assert out.wall_seconds >= 0.02
+        assert out.worker_trace is None  # no context, no buffering
+
+    def test_a_stored_outcome_is_handed_back_without_running(self):
+        stored = WorkloadOutcome(result="stored", wall_seconds=1.5)
+        assert run_workload(stored) is stored
 
 
 class TestSerial:
@@ -167,6 +193,32 @@ class TestProcessSpecifics:
             out = ex.submit(ok_work).outcome()
             assert out.ok and out.result == 42
             assert ex.inflight_count() == 0
+
+    def test_a_dead_worker_fails_its_unit_transiently_and_the_restart_runs(
+        self, tmp_path
+    ):
+        """The agent reads the dead worker's ``BrokenExecutor`` from
+        ``outcome.error`` as a transient failure: with a single pilot, only
+        a transient failure may be retried there, and the retry runs on a
+        fresh pool."""
+        clock = SimClock()
+        events = EventQueue(clock)
+        pm = PilotManager(EC2Region(clock), events)
+        pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
+        tracer = Tracer(clock)
+        with ProcessExecutor(max_workers=1) as ex, use_tracer(tracer):
+            um = UnitManager(events, executor=ex)
+            um.add_pilot(pilot)
+            (unit,) = um.submit_units([
+                UnitDescription(
+                    name="u", work=KillOnce(str(tmp_path / "killed")), max_restarts=1
+                )
+            ])
+            um.run([unit])
+        assert unit.state is UnitState.DONE and unit.result == 42
+        outcomes = [e.attrs["ok"] for e in tracer.events if e.name == "workload.outcome"]
+        assert outcomes == [False, True]
+        assert tracer.metrics.counters["units_restarted"].value == 1
 
 
 @pytest.mark.parametrize("offset", [0, 3, 13])

@@ -73,11 +73,6 @@ class TestGeneration:
         d2 = generate_dataset(B_GLUMAE, scale=0.001, seed=1, coverage_boost=2.0)
         assert d2.run.n_fragments == pytest.approx(2 * d1.run.n_fragments, rel=0.01)
 
-    def test_paper_scale_extrapolation(self):
-        ds = generate_dataset(B_GLUMAE, scale=0.001, seed=0)
-        assert ds.paper_scale_bytes(1000) == 1_000_000
-        assert ds.sim_fastq_bytes > 0
-
     def test_read_scale_counts_reads_and_mates_without_interleaving(
         self, ds_paired, monkeypatch
     ):

@@ -15,7 +15,6 @@ from repro.seq.fasta import (
 )
 from repro.seq.fastq import (
     FastqRecord,
-    fastq_bytes_estimate,
     fastq_string,
     phred_to_ascii,
     read_fastq,
@@ -141,17 +140,6 @@ class TestFastq:
         with pytest.raises(ValueError, match="without an id") as err:
             read_fastq(io.StringIO(f"@r1\nAC\n+\nII\n{header}\nAC\n+\nII\n"))
         assert repr(header) in str(err.value)
-
-    def test_bytes_estimate_scales(self):
-        single = fastq_bytes_estimate(1000, 50, paired=False)
-        paired = fastq_bytes_estimate(1000, 50, paired=True)
-        assert paired == 2 * single
-        assert fastq_bytes_estimate(2000, 50) == 2 * single
-
-    def test_bytes_estimate_magnitude(self):
-        # B. glumae: 16.26M 50bp single-end reads ~= 3.8 GB FASTQ (Table II).
-        est = fastq_bytes_estimate(16_263_310, 50)
-        assert 1.5e9 < est < 5e9
 
     @given(st.lists(st.text(alphabet="ACGTN", min_size=1, max_size=80), max_size=20))
     def test_roundtrip_property(self, seqs):

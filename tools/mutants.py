@@ -88,23 +88,23 @@ _STAGE_CACHE = "tests/core/test_stage_cache.py"
 _AGENT = "repro/pilot/agent.py"
 _CALLERS = (
     "tests/core/test_spectrum_demand.py"
-    "::test_a_callers_executor_sees_the_satisfied_rerun"
+    "::test_the_configured_executor_sees_no_run_cache_hit"
 )
 _AGENT_CACHE = "tests/core/test_assembly_cache.py::TestWorkloadIntegration"
 _EXPORT = "repro/obs/export.py"
 _OBS_PINS = "tests/obs/test_cli.py::test_output_matches_golden"
 #: The agent asks the checkpoint store about a unit's key, then the run cache.
 _CHECKPOINT_ASK = """        if self.checkpoint is not None and key is not None:
-            record = self.checkpoint.get_unit(key)
-            replayed = record is not None
+            stored = self.checkpoint.get_unit(key)
+            replayed = stored is not None
             tracer.count("checkpoint_hits" if replayed else "checkpoint_misses")
             if replayed:
-                work = _replay(work, **vars(record))
+                work = _stored(work, stored)
 """
 _CACHE_ASK = """        if self.cache is not None and key is not None and not replayed:
             cached = self.cache.get(key, **_extra_tags(unit))
             if cached is not None:
-                work = _replay(work, cached, cached.usage)
+                work = _stored(work, WorkloadOutcome(cached, cached.usage))
                 executor = SerialExecutor()
 """
 _UNIT_ADVANCE = """        check_unit_transition(self.state, new)
@@ -560,8 +560,8 @@ ROWS: tuple[Row, ...] = (
     Row(
         "checkpoint: a replayed assembly charged at the old run's scale",
         _AGENT,
-        "usage=usage if priced is None else priced(result),",
-        "usage=usage,",
+        "return replace(outcome, usage=priced(outcome.result))",
+        "return outcome",
         (
             "tests/core/test_checkpoint.py::TestKillAndResume"
             "::test_a_resume_at_another_scale_prices_like_a_fresh_run",
@@ -581,9 +581,29 @@ ROWS: tuple[Row, ...] = (
     Row(
         "agent: a run-cache hit priced with result.usage",
         _AGENT,
-        "work = _replay(work, cached, cached.usage)",
-        "work = ReplayWorkload(cached, cached.usage)",
+        "work = _stored(work, WorkloadOutcome(cached, cached.usage))",
+        "work = WorkloadOutcome(cached, cached.usage)",
         (f"{_AGENT_CACHE}::test_second_call_hits_and_is_bit_identical",),
+    ),
+    Row(
+        "agent: a stored outcome loses its worker trace",
+        _AGENT,
+        "self.checkpoint.put_unit(key, outcome)",
+        "self.checkpoint.put_unit(key, replace(outcome, worker_trace=None))",
+        (
+            "tests/core/test_checkpoint.py::TestKillAndResume"
+            "::test_a_resume_merges_the_stored_worker_traces",
+        ),
+    ),
+    Row(
+        "agent: a dead worker's failure read as the unit's own",
+        _AGENT,
+        "transient=isinstance(outcome.error, BrokenExecutor),",
+        "transient=False,",
+        (
+            "tests/parallel/test_executor.py::TestProcessSpecifics"
+            "::test_a_dead_worker_fails_its_unit_transiently_and_the_restart_runs",
+        ),
     ),
     Row(
         "agent: collect puts nothing into the run cache",
