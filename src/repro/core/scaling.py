@@ -48,13 +48,10 @@ def paper_usage_from_scales(
     """
     read_factor = 1.0 / read_scale
     graph_factor = 1.0 / graph_scale
-
-    def factor(phase: PhaseUsage) -> float:
-        return graph_factor if phase_is_graph_bound(phase) else read_factor
-
-    has_graph = any(phase_is_graph_bound(p) for p in usage.phases)
+    graph_bound = [phase_is_graph_bound(p) for p in usage.phases]
     return usage.scaled_by(
-        factor, memory_factor=graph_factor if has_graph else read_factor
+        [graph_factor if g else read_factor for g in graph_bound],
+        memory_factor=graph_factor if any(graph_bound) else read_factor,
     )
 
 

@@ -119,6 +119,15 @@ class WorkerTrace:
             self.worker_perf - self.worker_wall
         )
 
+    def replayed(self, context: SpanContext) -> "WorkerTrace":
+        """This stored trace as its replay under ``context`` merges it: the
+        worker starts at the replay's dispatch, so each record keeps its
+        duration but lands in the resumed run, each span marked replayed."""
+        spans = [
+            replace(s, attrs={**s.attrs, "replayed": True}) for s in self.spans
+        ]
+        return replace(self, worker_wall=context.parent_wall, spans=spans)
+
 
 class BufferingTracer(Tracer):
     """Worker-side tracer: buffers everything, samples resources.

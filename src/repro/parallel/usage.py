@@ -12,7 +12,8 @@ paper-scale data volumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from repro.obs import get_tracer
 
@@ -41,15 +42,22 @@ class PhaseUsage:
         """Scale data-proportional quantities by ``factor``.
 
         Collective/job *counts* are structural (round counts do not grow
-        with data volume for these algorithms) and are left unscaled.
+        with data volume for these algorithms) and are left unscaled.  At
+        ``factor == 1.0`` the record itself is returned: it is frozen, and
+        ``int(n * 1.0) == n`` for every count below 2**53.
         """
-        return replace(
-            self,
-            critical_compute=self.critical_compute * factor,
-            total_compute=self.total_compute * factor,
-            serial_compute=self.serial_compute * factor,
-            comm_bytes=int(self.comm_bytes * factor),
-            n_messages=int(self.n_messages * factor),
+        if factor == 1.0:
+            return self
+        return PhaseUsage(
+            self.name,
+            self.kind,
+            self.critical_compute * factor,
+            self.total_compute * factor,
+            self.serial_compute * factor,
+            int(self.comm_bytes * factor),
+            self.n_collectives,
+            int(self.n_messages * factor),
+            self.n_jobs,
         )
 
 
@@ -96,30 +104,21 @@ class ResourceUsage:
         )
 
     def scaled(self, factor: float) -> "ResourceUsage":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ResourceUsage(
-            phases=[p.scaled(factor) for p in self.phases],
-            peak_rank_memory_bytes=int(self.peak_rank_memory_bytes * factor),
-            n_ranks=self.n_ranks,
-        )
+        """Every phase and the peak memory scaled by ``factor``."""
+        return self.scaled_by([factor] * len(self.phases), factor)
 
     def scaled_by(
-        self,
-        phase_factor,
-        memory_factor: float | None = None,
+        self, factors: Sequence[float], memory_factor: float
     ) -> "ResourceUsage":
-        """Scale each phase by ``phase_factor(phase)`` — used when
-        different phases extrapolate differently (read-bound vs
-        graph-bound work).  ``memory_factor`` defaults to the maximum
-        phase factor (memory holds the largest structure)."""
-        factors = [(p, float(phase_factor(p))) for p in self.phases]
-        if any(f <= 0 for _, f in factors):
+        """Scale phase ``i`` by ``factors[i]`` — used when different
+        phases extrapolate differently (read-bound vs graph-bound work)
+        — and peak memory by ``memory_factor``: always a new record."""
+        if memory_factor <= 0 or min(factors, default=1.0) <= 0:
             raise ValueError("scale factors must be positive")
-        if memory_factor is None:
-            memory_factor = max((f for _, f in factors), default=1.0)
         return ResourceUsage(
-            phases=[p.scaled(f) for p, f in factors],
+            phases=[
+                p.scaled(f) for p, f in zip(self.phases, factors, strict=True)
+            ],
             peak_rank_memory_bytes=int(
                 self.peak_rank_memory_bytes * memory_factor
             ),

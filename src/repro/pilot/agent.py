@@ -301,7 +301,10 @@ class PilotAgent:
                 backend=self.executor.name,
             )
             tracer.observe("workload_wall_seconds", outcome.wall_seconds)
-            merged = merge_worker_trace(tracer, outcome.worker_trace, context)
+            trace = outcome.worker_trace
+            if replayed and trace is not None:
+                trace = trace.replayed(context)
+            merged = merge_worker_trace(tracer, trace, context)
             if merged:
                 tracer.count("worker_records_merged", float(merged))
                 tracer.event(

@@ -92,10 +92,13 @@ class SequencingRun:
         """Reads and mates interleaved (mates after their read)."""
         if not self.mates:
             return list(self.reads)
-        out: list[FastqRecord] = []
-        for r1, r2 in zip(self.reads, self.mates):
-            out.append(r1)
-            out.append(r2)
+        if len(self.mates) != len(self.reads):
+            raise ValueError(
+                f"{len(self.reads)} reads but {len(self.mates)} mates"
+            )
+        out: list[FastqRecord] = [None] * (2 * len(self.reads))
+        out[::2] = self.reads
+        out[1::2] = self.mates
         return out
 
 

@@ -7,7 +7,9 @@ cost — because replayed units travel the identical dispatch/SGE/pricing
 path with only the computation substituted.
 """
 
+import json
 import pickle
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any
@@ -28,6 +30,8 @@ from repro.core.rnnotator import (
 )
 from repro.core.schemes import MatchingScheme
 from repro.obs import Tracer, use_tracer
+from repro.obs.__main__ import main as obs_main
+from repro.obs.export import write_jsonl
 from repro.parallel.executor import WorkloadOutcome
 from tests.core.test_fused_pipeline import _fingerprint as fingerprint
 from tests.core.test_store_lifetime import time_limit
@@ -217,6 +221,52 @@ class TestKillAndResume:
         assert result.checkpoint_stats["unit_hits"] == 3
         assert worker_spans(resumed) == worker_spans(whole)
         assert sum(worker_spans(whole).values()) == 2 * len(CONFIG["kmer_list"])
+
+    def test_a_replayed_worker_trace_lands_inside_the_resumed_run(
+        self, ds_single, tmp_path, capsys
+    ):
+        """A stored worker trace was stamped by the killed run's clock; a
+        replay re-bases it onto its replay dispatch, keeping each span's
+        duration and marking it ``replayed``, so the resumed run's fold
+        keeps it: ``obs diff`` against an uninterrupted trace misses no
+        worker span, and ``obs report`` counts them."""
+        config = PipelineConfig(executor="thread", **CONFIG)
+        resuming = replace(config, checkpoint_dir=str(tmp_path / "ck"))
+        whole, killed, resumed = Tracer(), Tracer(), Tracer()
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            RnnotatorPipeline(tracer=whole).run(ds_single, config)
+            with pytest.raises(PipelineKilled):
+                RnnotatorPipeline(
+                    tracer=killed,
+                    faults=FaultPlan(abort_after_stage="transcript-assembly"),
+                ).run(ds_single, resuming)
+            RnnotatorPipeline(tracer=resumed).run(ds_single, resuming)
+
+        def worker_spans(tracer):
+            return sorted(
+                (s for s in tracer.spans if s.process.startswith("worker-")),
+                key=lambda s: (s.thread, s.name),
+            )
+
+        (root,) = [s for s in resumed.spans if s.category == "pipeline"]
+        replayed, stored = worker_spans(resumed), worker_spans(killed)
+        assert [s.name for s in replayed] == [s.name for s in stored]
+        for new, old in zip(replayed, stored):
+            assert new.attrs == {**old.attrs, "replayed": True}
+            assert new.r_start >= root.r_start
+            assert new.r_duration == pytest.approx(old.r_duration, abs=1e-9)
+
+        whole_path = write_jsonl(whole, tmp_path / "whole.jsonl")
+        resumed_path = write_jsonl(resumed, tmp_path / "resumed.jsonl")
+        capsys.readouterr()
+        obs_main(["diff", str(whole_path), str(resumed_path), "--json"])
+        missing = json.loads(capsys.readouterr().out)["missing_names"]
+        assert not [key for key in missing if key[1] in ("worker", "workload")]
+        obs_main(["report", str(resumed_path)])
+        report = capsys.readouterr().out
+        n_jobs = len(CONFIG["kmer_list"])
+        assert re.search(rf"^  worker +{n_jobs}$", report, re.M)
+        assert re.search(rf"^  workload +{n_jobs}$", report, re.M)
 
     def test_kill_at_earlier_stage_resumes_too(self, ds_single, tmp_path):
         ckdir = str(tmp_path / "ck")

@@ -67,7 +67,7 @@ class TestPaperUsage:
         u = ResourceUsage()
         u.add_phase(PhaseUsage("x", "kmer", critical_compute=1.0))
         with pytest.raises(ValueError):
-            u.scaled_by(lambda p: 0.0)
+            u.scaled_by([0.0], memory_factor=1.0)
 
 
 class TestMultikmer:

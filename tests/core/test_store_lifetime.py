@@ -9,6 +9,7 @@ close the store and unlink the segment.
 
 import os
 import signal
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -137,15 +138,37 @@ class TestStoreLifetime:
 class KillOnce:
     """A workload whose worker dies under it on the first attempt: the
     process SIGKILLs itself (what the OOM killer does) unless ``marker``
-    says an earlier attempt already did."""
+    says an earlier attempt already did.  An attempt that lives touches
+    ``released`` before it runs."""
 
     work: object
     marker: str
+    released: str
 
     def __call__(self):
         if not os.path.exists(self.marker):
             Path(self.marker).touch()
             os.kill(os.getpid(), signal.SIGKILL)
+        Path(self.released).touch()
+        return self.work()
+
+
+@dataclass(frozen=True)
+class AfterTheKill:
+    """A bystander that runs only once a :class:`KillOnce` attempt lived:
+    on the attempt that kills, it is still running when the worker dies,
+    so the broken pool fails it too and both units restart together."""
+
+    work: object
+    released: str
+    timeout: float = 60.0
+
+    def __call__(self):
+        deadline = time.monotonic() + self.timeout
+        while not os.path.exists(self.released):
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"{self.released} never appeared")
+            time.sleep(0.005)
         return self.work()
 
 
@@ -156,11 +179,14 @@ class TestWorkerKilled:
     @pytest.fixture
     def first_job_kills_its_worker(self, monkeypatch, tmp_path):
         describe = multikmer.assembly_unit_descriptions
+        marker, released = str(tmp_path / "killed"), str(tmp_path / "released")
 
         def describe_with_a_killer(*args, **kwargs):
             first, *rest = describe(*args, **kwargs)
-            killer = KillOnce(first.work, str(tmp_path / "killed"))
-            return [replace(first, work=killer), *rest]
+            return [
+                replace(first, work=KillOnce(first.work, marker, released)),
+                *(replace(d, work=AfterTheKill(d.work, released)) for d in rest),
+            ]
 
         monkeypatch.setattr(
             multikmer, "assembly_unit_descriptions", describe_with_a_killer

@@ -1,8 +1,10 @@
 """Tests for resource-usage records, and the oracle's payload sizing."""
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.obs import Tracer, use_tracer
@@ -59,6 +61,65 @@ class TestNbytes:
                 self.x = 1
 
         assert nbytes(Thing()) > 0
+
+
+def replace_scaled(p: PhaseUsage, factor: float) -> PhaseUsage:
+    """The reference ``PhaseUsage.scaled``: every field through
+    ``dataclasses.replace``, factor 1.0 included."""
+    return replace(
+        p,
+        critical_compute=p.critical_compute * factor,
+        total_compute=p.total_compute * factor,
+        serial_compute=p.serial_compute * factor,
+        comm_bytes=int(p.comm_bytes * factor),
+        n_messages=int(p.n_messages * factor),
+    )
+
+
+#: Counts below 2**53, where every integer is exact as a float; the second
+#: branch draws next to that bound.
+COUNTS = st.integers(0, 2**53 - 1) | st.integers(2**53 - 64, 2**53 - 1)
+WORK = st.floats(0, 1e15, allow_nan=False) | st.integers(0, 2**53 - 1)
+PHASES = st.builds(
+    PhaseUsage,
+    name=st.sampled_from(["kmer_count", "pair_3", "walk"]),
+    kind=st.sampled_from(["kmer", "mr_job", "walk"]),
+    critical_compute=WORK,
+    total_compute=WORK,
+    serial_compute=WORK,
+    comm_bytes=COUNTS,
+    n_collectives=COUNTS,
+    n_messages=COUNTS,
+    n_jobs=COUNTS,
+)
+
+
+class TestScaledAgainstReplace:
+    @given(PHASES, st.sampled_from([1.0, 0.5, 2.0, 1e-6]) | st.floats(1e-9, 1e9))
+    @example(PhaseUsage("x", "kmer", 1.5, 6.0, 0.5, 3, 1, 3, 1), 2.0)
+    def test_fields_equal_the_replace_reference(self, p, factor):
+        assert astuple(p.scaled(factor)) == astuple(replace_scaled(p, factor))
+
+    def test_counts_near_two_to_the_53_at_factor_one(self):
+        for n in (2**53 - 1, 2**53 - 2, 2**52 + 1):
+            p = PhaseUsage("x", comm_bytes=n, n_messages=n)
+            assert astuple(p.scaled(1.0)) == astuple(replace_scaled(p, 1.0))
+        # The bound is tight: past it the float product rounds.
+        assert int((2**53 + 1) * 1.0) != 2**53 + 1
+
+    def test_factor_one_is_the_record_itself(self):
+        p = PhaseUsage("x", "kmer", critical_compute=3.5, comm_bytes=7)
+        assert p.scaled(1.0) is p
+        assert p.scaled(1.0 + 2**-52) is not p
+
+    def test_resource_usage_at_factor_one_is_a_new_list(self):
+        u = ResourceUsage(n_ranks=2, peak_rank_memory_bytes=10)
+        u.add_phase(PhaseUsage("a", "kmer", critical_compute=1.0))
+        s = u.scaled(1.0)
+        assert s is not u and s.phases is not u.phases
+        assert all(a is b for a, b in zip(s.phases, u.phases))
+        s.phases.append(PhaseUsage("b"))
+        assert len(u.phases) == 1
 
 
 class TestPhaseUsage:

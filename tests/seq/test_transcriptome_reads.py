@@ -1,5 +1,7 @@
 """Tests for transcriptome construction and RNA-seq read simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,16 @@ class TestReadSimulator:
         assert len(run.reads) == len(run.mates) == 300
         assert all(r.id.endswith("/1") for r in run.reads)
         assert all(r.id.endswith("/2") for r in run.mates)
-        assert len(run.all_reads()) == 600
+        assert run.all_reads() == [
+            r for pair in zip(run.reads, run.mates) for r in pair
+        ]
+
+    def test_all_reads_rejects_a_lost_mate(self, txome):
+        spec = ReadSimSpec(read_length=60, n_reads=50, paired=True, seed=3)
+        run = ReadSimulator(txome, spec).run()
+        lopsided = replace(run, mates=run.mates[:-1])
+        with pytest.raises(ValueError, match="50 reads but 49 mates"):
+            lopsided.all_reads()
 
     def test_reads_trace_to_origin(self, txome):
         spec = ReadSimSpec(

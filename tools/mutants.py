@@ -92,6 +92,11 @@ _CALLERS = (
 )
 _AGENT_CACHE = "tests/core/test_assembly_cache.py::TestWorkloadIntegration"
 _EXPORT = "repro/obs/export.py"
+_USAGE = "repro/parallel/usage.py"
+_SCALED_REFERENCE = (
+    "tests/parallel/test_usage.py::TestScaledAgainstReplace"
+    "::test_fields_equal_the_replace_reference"
+)
 _OBS_PINS = "tests/obs/test_cli.py::test_output_matches_golden"
 #: The agent asks the checkpoint store about a unit's key, then the run cache.
 _CHECKPOINT_ASK = """        if self.checkpoint is not None and key is not None:
@@ -566,6 +571,21 @@ ROWS: tuple[Row, ...] = (
             "tests/core/test_checkpoint.py::TestKillAndResume"
             "::test_a_resume_at_another_scale_prices_like_a_fresh_run",
         ),
+    ),
+    # pricing a usage record: the constructor build and the 1.0 identity
+    Row(
+        "usage: the 1.0 identity taken at any factor",
+        _USAGE,
+        "        if factor == 1.0:\n",
+        "        if factor > 0:\n",
+        (_SCALED_REFERENCE,),
+    ),
+    Row(
+        "usage: n_messages left unscaled",
+        _USAGE,
+        "            int(self.n_messages * factor),\n",
+        "            self.n_messages,\n",
+        (_SCALED_REFERENCE,),
     ),
     # one site answers a unit's content key: the pilot agent
     Row(
