@@ -89,11 +89,15 @@ class _Table(NamedTuple):
 def _seed_table(spectrum, solid: np.ndarray, k: int) -> _Table:
     """One segment per solid k-mer; ids follow the spectrum's key order
     (the ``sorted(bytes)`` order of the k-mers).  The run's only pass
-    over (k-1)-mers: every junction any round can meet is a seed's end."""
-    kmers = packedmod.unpack(spectrum.distinct[solid], k)
-    n = kmers.shape[0]
+    over (k-1)-mers: every junction any round can meet is a seed's end,
+    read off the packed words (last base cleared, or first shifted out)."""
+    rows = spectrum.distinct[solid]
+    n, w = rows.shape[0], packedmod.words_for(k - 1)
     sid = np.arange(n, dtype=np.int64)
-    ends = packedmod.pack(np.concatenate([kmers[:, :-1], kmers[:, 1:]]))
+    left = rows[:, :w].copy()
+    if w == rows.shape[1]:  # else the last base is word 1, dropped
+        left[:, -1] &= ~np.uint64(3 << 62 - 2 * ((k - 1) % 32))
+    ends = np.concatenate([left, packedmod.extend_right(rows, k, 0)[:, :w]])
     canon = packedmod.canonicalize(ends, k - 1)
     distinct, junction, _ = packedmod.unique_inverse_counts(canon, k - 1)
     is_rc = ~packedmod.rows_equal(ends, canon)
@@ -106,7 +110,7 @@ def _seed_table(spectrum, solid: np.ndarray, k: int) -> _Table:
         n_kmers=np.ones(n, dtype=np.int64),
         jl=junction[:n], jr=junction[n:], rcl=is_rc[:n], rcr=is_rc[n:],
         pal=packedmod.rows_equal(distinct, packedmod.revcomp(distinct, k - 1)),
-        kmers=kmers,
+        kmers=packedmod.unpack(rows, k),
     )
 
 
@@ -116,7 +120,9 @@ def _repr_rank(n: int) -> np.ndarray:
     sid = np.arange(n, dtype=np.int64)
     width = np.searchsorted(10 ** np.arange(1, 19), sid, side="right") + 1
     aligned = sid * 10 ** (width.max(initial=1) - width)
-    return np.argsort(np.argsort(aligned * 32 + width))
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(aligned * 32 + width)] = sid
+    return rank
 
 
 def _materialize(table: _Table, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +140,17 @@ def _materialize(table: _Table, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _compressible(table: _Table):
     """``(a, b, ends, incidences)``: the record positions of the two
     segments at every compressible junction — exactly two incidences, on
-    two distinct segments (not a palindromic self-adjacency) — in
-    junction order; every segment's left end then every right end; and
-    each junction's incidence count."""
+    two distinct segments (not a palindromic self-adjacency) — in no
+    set order; every segment's left end then every right end; and each
+    junction's incidence count."""
     n_seg = table.sid.shape[0]
     ends = np.concatenate([table.jl, table.jr])
     incidences = np.bincount(ends, minlength=table.pal.shape[0])
     two = np.flatnonzero(incidences[ends] == 2)
-    two = two[np.argsort(ends[two])] % n_seg
-    a, b = two[0::2], two[1::2]
+    # One scatter pairs them; the incidence it kept finds itself (a == b).
+    kept = np.empty(table.pal.shape[0], dtype=np.intp)
+    kept[ends[two]] = two
+    a, b = two % n_seg, kept[ends[two]] % n_seg
     distinct = a != b
     return a[distinct], b[distinct], ends, incidences
 
@@ -304,16 +312,16 @@ class ContrailAssembler:
         )
         # A tail may pair with heads on both of its ends; keep one merge
         # per tail (deterministic: smallest head id).  A sid is a seed id,
-        # below ``n_ids``, so one integer key sorts on two sids.
+        # below ``n_ids``, so one integer key, value-sorted, holds two sids.
         n_ids = table.kmers.shape[0]
-        order = np.argsort(sid[tail] * n_ids + sid[head])
-        head, tail = head[order], tail[order]
-        keep = np.empty(tail.shape, dtype=bool)
+        t, h = np.divmod(np.sort(sid[tail] * n_ids + sid[head]), n_ids)
+        keep = np.empty(t.shape, dtype=bool)
         keep[:1] = True
-        np.not_equal(tail[1:], tail[:-1], out=keep[1:])
-        head, tail = head[keep], tail[keep]
-        order = np.argsort(sid[head] * n_ids + sid[tail])
-        return head[order], tail[order]
+        np.not_equal(t[1:], t[:-1], out=keep[1:])
+        h, t = np.divmod(np.sort(h[keep] * n_ids + t[keep]), n_ids)
+        at = np.empty(n_ids, dtype=np.intp)  # sid -> record position
+        at[sid] = np.arange(n_seg)
+        return at[h], at[t]
 
     def _job_merge(
         self,
@@ -346,7 +354,8 @@ class ContrailAssembler:
         slot = np.zeros(n_seg, dtype=np.int64)  # piece order: < 0 left of the head
         flipped = np.zeros(n_seg, dtype=bool)
         pal = table.pal
-        for depth, in_pass in ((1, ~second), (2, second)):
+        # A round where no head takes a second tail runs one pass.
+        for depth, in_pass in ((1, ~second), (2, second))[: 1 + second.any()]:
             h, t = head[in_pass], tail[in_pass]
             tl, tr, trcl, trcr = table.jl[t], table.jr[t], table.rcl[t], table.rcr[t]
             hl, hr, hrcl, hrcr = jl[h], jr[h], rcl[h], rcr[h]
@@ -378,13 +387,13 @@ class ContrailAssembler:
 
         # Output records (heads, untouched segments, kept-apart tails) in
         # the engine's reduce output order: see the module docstring.
-        # Sorted by sid, then stably by (partition, repr rank) of the group
-        # and is_key, so a group's kept-apart tails come in sid order.
+        # One sort on a unique key, (partition, repr rank) of the group,
+        # is_key, then sid: a group's kept-apart tails come in sid order.
+        n_ids = table.kmers.shape[0]
         out = np.flatnonzero(owner == pos)
-        out = out[np.argsort(sid[out])]
         group = target[out]
-        rank = (sid[group] % n * table.kmers.shape[0] + table.repr_rank[group]) * 2
-        out = out[np.argsort(rank + is_key[out], kind="stable")]
+        rank = (sid[group] % n * n_ids + table.repr_rank[group]) * 2 + is_key[out]
+        out = out[np.argsort(rank * n_ids + sid[out])]
 
         engine.record_shuffle(
             f"merge_{round_no}",
@@ -397,12 +406,14 @@ class ContrailAssembler:
             reduce_output_records=int(out.shape[0]),
         )
 
-        # Seeds: every segment is one piece of its owner's record, pieces
-        # ordered by slot.  One gather of seed ids; a flipped piece reads
-        # backwards, every seed in it flipped once more.
+        # Seeds: every segment is one piece of its owner's record, placed
+        # by slot (-2..2) into five buckets a record.  One gather of seed
+        # ids; a flipped piece reads backwards, its seeds flipped again.
         record = np.empty(n_seg, dtype=np.int64)
         record[out] = np.arange(out.shape[0])
-        pieces = np.argsort(record[owner] * 5 + slot)
+        bucket = np.full(out.shape[0] * 5, -1, dtype=np.int64)
+        bucket[record[owner] * 5 + slot + 2] = pos
+        pieces = bucket[bucket >= 0]
         piece_len = n_kmers0[pieces]
         flip = flipped[pieces]
         step = np.where(flip, -1, 1)

@@ -76,15 +76,19 @@ def canonical_kmers_varlen_packed(seqs: list[str], k: int) -> np.ndarray:
 
 def _nfree_starts(codes: np.ndarray, ks) -> dict[int, np.ndarray]:
     """Ascending start offsets of the N-free k-windows of a flat code
-    array, for every k.  One N prefix-sum serves them all: window
-    ``[i, i + k)`` is N-free iff the count of N bases does not grow
-    across it."""
-    T = codes.shape[0]
-    nbad = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(codes >= alphabet.N, dtype=np.int64, out=nbad[1:])
-    return {
-        k: np.flatnonzero(nbad[k:] == nbad[: max(T + 1 - k, 0)]) for k in ks
-    }
+    array, for every k: a run ``[s, e)`` of bases between Ns holds the
+    starts ``s .. e - k``, laid end to end by a cumulative sum of steps
+    (1, or at a run's first start the jump from the last run's last)."""
+    bounds = np.flatnonzero(codes >= alphabet.N)
+    run_start, run_end = np.r_[0, bounds + 1], np.r_[bounds, codes.shape[0]]
+    out = {}
+    for k in ks:
+        n = run_end - run_start - (k - 1)
+        first, n = run_start[n > 0], n[n > 0]
+        out[k] = starts = np.ones(n.sum(), dtype=np.intp)
+        starts[np.cumsum(n) - n] = first - np.r_[0, (first + n - 1)[:-1]]
+        np.cumsum(starts, out=starts)
+    return out
 
 
 def fused_canonical_positions_packed(
@@ -99,15 +103,14 @@ def fused_canonical_positions_packed(
     ascending order and ``canonical_rows`` is bit-identical — rows *and*
     order — to ``canonical_kmers_packed(codes, k)``.
 
-    The fusion: both strands are packed exactly once at ``kmax``
-    (:func:`repro.assembly.packed.pack_flat`), each over its code array
-    zero-padded by ``kmax - 1`` so that every one of the ``T`` starts has
-    a row.  The layout is left-aligned, so the k-window at ``pos`` is the
-    top ``2k`` bits of forward row ``pos`` and its reverse complement the
-    top ``2k`` bits of reverse row ``T - k - pos``: every k is two
-    gathers per word, a mask and a word-wise minimum, with no per-k
-    packing or field reversal.  The two packed strands live only until
-    this function returns.
+    The fusion: the forward strand is packed exactly once at ``kmax``
+    (:func:`repro.assembly.packed.pack_flat`), zero-padded so that every
+    one of the ``T`` starts has a row.  The layout is left-aligned, so
+    the k-window at ``pos`` is the top ``2k`` bits of forward row
+    ``pos``.  A one-word k reverse-complements the masked row; two-word
+    ks gather from the reverse strand, also packed once when the largest
+    k is two words, at row ``T - k - pos``.  Every k is then a word-wise
+    minimum; the packed strands die when this returns.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     ks = sorted({int(k) for k in ks})
@@ -124,25 +127,28 @@ def fused_canonical_positions_packed(
     strand = np.zeros(T + kmax - 1, dtype=np.uint8)
     strand[:T] = codes
     fwd = packedmod.pack_flat(strand, kmax)
-    strand[:T] = codes[::-1] ^ np.uint8(3)
-    rev = packedmod.pack_flat(strand, kmax)
+    if packedmod.words_for(kmax) == 2:
+        strand[:T] = codes[::-1] ^ np.uint8(3)
+        rev = packedmod.pack_flat(strand, kmax)
 
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in ks:
         Wk = packedmod.words_for(k)
         pos = starts[k]
-        mirror = (T - k) - pos
         mask = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 * Wk - 2 * k)
         # Column-contiguous, as pack_flat's rows are: every consumer
         # sorts and compares word by word.
         rows = np.empty((pos.shape[0], Wk), dtype=np.uint64, order="F")
-        fw, rc = fwd[:, 0][pos], rev[:, 0][mirror]
-        np.minimum(fw, rc, out=rows[:, 0])
+        # A gather with mode="clip" writes straight into its out buffer.
         if Wk == 1:
-            rows &= mask
+            fw = np.take(fwd[:, 0], pos, out=rows[:, 0], mode="clip")
+            fw &= mask
+            np.minimum(fw, packedmod.revcomp(fw, k)[:, 0], out=fw)
         else:
+            fw, mirror = fwd[:, 0][pos], (T - k) - pos
+            rc = rev[:, 0][mirror]
+            np.minimum(fw, rc, out=rows[:, 0])
             less, same = fw < rc, fw == rc
-            # mode="clip" gathers straight into the word-0 buffers.
             np.take(fwd[:, 1], pos, out=fw, mode="clip")
             np.take(rev[:, 1], mirror, out=rc, mode="clip")
             fw &= mask

@@ -140,10 +140,15 @@ def unpack(packed: np.ndarray, k: int) -> np.ndarray:
 
 
 def _reverse_fields(w: np.ndarray) -> np.ndarray:
-    """Reverse the order of the 32 2-bit fields inside each uint64."""
-    w = ((w >> _TWO) & _M2) | ((w & _M2) << _TWO)
-    w = ((w >> _FOUR) & _M4) | ((w & _M4) << _FOUR)
-    return w.byteswap()
+    """Reverse the order of the 32 2-bit fields inside each uint64, in
+    place (``w`` is scratch: a fresh array costs its page faults)."""
+    for shift, mask in ((_TWO, _M2), (_FOUR, _M4)):
+        low = w & mask
+        w >>= shift
+        w &= mask
+        low <<= shift
+        w |= low
+    return w.byteswap(inplace=True)
 
 
 def revcomp(packed: np.ndarray, k: int) -> np.ndarray:
@@ -152,7 +157,8 @@ def revcomp(packed: np.ndarray, k: int) -> np.ndarray:
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
     if W == 1:
         w = _reverse_fields(~packed[:, 0])
-        return (w << _U(64 - 2 * k))[:, None]
+        w <<= _U(64 - 2 * k)
+        return w[:, None]
     # Reverse all 64 fields of the 128-bit value, then shift the k bases
     # (now right-aligned) back up to the top; the shifted-out high bits
     # are exactly the complemented slack garbage.
@@ -216,51 +222,49 @@ def unique_inverse_counts(
     """Distinct rows in ascending key order, the row -> distinct-row
     index map, and the multiplicities: ``distinct[inverse]`` is ``packed``.
 
-    One-word rows are a plain integer ``np.unique``.  Two-word rows are
-    counted as integers too, not as ``S16`` strings (a memcmp comparison
-    sort), and with one full-length sort: an ``argsort`` of word 0, then
-    a word-1 repair confined to the word-0 runs that hold more than one
-    word-1 value, then run boundaries give the same three arrays, dtypes
-    included, that ``np.unique`` of the key strings does.
+    Rows are counted as integers, not as ``S16`` strings (a memcmp
+    comparison sort), with one full-length sort: an ``argsort`` of word
+    0, then for two-word rows a word-1 repair confined to the word-0 runs
+    that hold more than one word-1 value, then run boundaries give the
+    same three arrays, dtypes included, that ``np.unique`` of the keys
+    does, without its flattening copy.
     """
     W = words_for(k)
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
-    if W == 1:
-        uniq, inverse, counts = np.unique(
-            packed[:, 0], return_inverse=True, return_counts=True
-        )
-        return uniq[:, None], inverse, counts
     n = packed.shape[0]
     order = np.argsort(packed[:, 0])
-    w0, w1 = packed[order, 0], packed[order, 1]
+    words = [packed[order, 0]]
     boundary = np.ones(n, dtype=bool)
-    np.not_equal(w0[1:], w0[:-1], out=boundary[1:])
-    step1 = w1[1:] != w1[:-1]
-    mixed = np.flatnonzero(step1 & ~boundary[1:])
-    if mixed.size:
-        # Equal rows may land in any order: all three results are
-        # functions of the groups, not of the order inside one.  The
-        # members of the mixed runs are put in (run, word 1) order by
-        # their rank under word 1, sorted as ``run << 32 | rank``: the
-        # low half of the sorted values is the permutation (n < 2**32,
-        # as any row count whose arrays fit in memory is).
-        run = np.cumsum(boundary) - 1
-        is_mixed = np.zeros(run[-1] + 1, dtype=bool)
-        is_mixed[run[mixed]] = True
-        sel = np.flatnonzero(is_mixed[run])
-        members = sel[np.argsort(w1[sel])]
-        ranked = run[members].astype(_U) << _U(32)
-        ranked |= np.arange(sel.size, dtype=_U)
-        ranked.sort()
-        members = members[(ranked & _U(0xFFFFFFFF)).astype(np.intp)]
-        order[sel], w1[sel] = order[members], w1[members]
+    np.not_equal(words[0][1:], words[0][:-1], out=boundary[1:])
+    if W == 2:
+        w1 = packed[order, 1]
+        words.append(w1)
         step1 = w1[1:] != w1[:-1]
-    boundary[1:] |= step1
+        mixed = np.flatnonzero(step1 & ~boundary[1:])
+        if mixed.size:
+            # Equal rows may land in any order: all three results are
+            # functions of the groups, not of the order inside one.  The
+            # members of the mixed runs are put in (run, word 1) order by
+            # their rank under word 1, sorted as ``run << 32 | rank``: the
+            # low half of the sorted values is the permutation (n < 2**32,
+            # as any row count whose arrays fit in memory is).
+            run = np.cumsum(boundary) - 1
+            is_mixed = np.zeros(run[-1] + 1, dtype=bool)
+            is_mixed[run[mixed]] = True
+            sel = np.flatnonzero(is_mixed[run])
+            members = sel[np.argsort(w1[sel])]
+            ranked = run[members].astype(_U) << _U(32)
+            ranked |= np.arange(sel.size, dtype=_U)
+            ranked.sort()
+            members = members[(ranked & _U(0xFFFFFFFF)).astype(np.intp)]
+            order[sel], w1[sel] = order[members], w1[members]
+            step1 = w1[1:] != w1[:-1]
+        boundary[1:] |= step1
     first = np.flatnonzero(boundary)
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(boundary) - 1
     counts = np.diff(first, append=n)
-    return np.stack([w0[first], w1[first]], axis=1), inverse, counts
+    return np.stack([w[first] for w in words], axis=1), inverse, counts
 
 
 def rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -102,10 +102,12 @@ class WorkerTrace:
     All real timestamps are in the *worker's* ``perf_counter`` domain;
     the ``(worker_wall, worker_perf)`` handshake pair lets the parent
     shift them (see module docstring).  The metrics registry is a fresh
-    one per workload, so every value in it is a delta.
+    one per workload, so every value in it is a delta.  ``pid`` is None
+    for the records of a workload run inline (:meth:`inline`): they
+    merge onto the dispatch's own track, not a worker's.
     """
 
-    pid: int
+    pid: int | None
     worker_wall: float
     worker_perf: float
     spans: list[SpanRecord] = field(default_factory=list)
@@ -118,6 +120,19 @@ class WorkerTrace:
         return (context.parent_perf - context.parent_wall) - (
             self.worker_perf - self.worker_wall
         )
+
+    @classmethod
+    def inline(cls, tracer: Tracer, since, context: SpanContext) -> "WorkerTrace":
+        """What a workload run inline under ``context`` recorded on the
+        dispatch's track of ``tracer`` after ``since`` (its span and
+        event counts at the start).  It is in ``tracer`` already: only a
+        replay merges it, onto the replay's own track."""
+        track = (context.process, context.thread)
+        spans, events = (
+            [r for r in records[start:] if (r.process, r.thread) == track]
+            for records, start in zip((tracer.spans, tracer.events), since)
+        )
+        return cls(None, context.parent_wall, context.parent_perf, spans, events)
 
     def replayed(self, context: SpanContext) -> "WorkerTrace":
         """This stored trace as its replay under ``context`` merges it: the
@@ -237,7 +252,8 @@ def merge_worker_trace(
     if trace is None or context is None or not tracer.enabled:
         return 0
     offset = trace.r_offset(context)
-    process = worker_track(trace.pid)
+    inline = trace.pid is None  # records of the dispatch's own track
+    process = context.process if inline else worker_track(trace.pid)
     id_map = {s.span_id: next(tracer._ids) for s in trace.spans}
     merged = 0
     for s in trace.spans:
@@ -252,7 +268,7 @@ def merge_worker_trace(
                 span_id=id_map[s.span_id],
                 parent_id=parent_id,
                 process=process,
-                thread=context.thread if s.thread == MAIN_TRACK else s.thread,
+                thread=context.thread if inline or s.thread == MAIN_TRACK else s.thread,
                 r_start=s.r_start + offset,
                 r_end=s.r_end + offset,
             )
@@ -263,7 +279,7 @@ def merge_worker_trace(
             replace(
                 e,
                 process=process,
-                thread=context.thread if e.thread == MAIN_TRACK else e.thread,
+                thread=context.thread if inline or e.thread == MAIN_TRACK else e.thread,
                 r_time=e.r_time + offset,
             )
         )

@@ -27,13 +27,14 @@ construction backend-independent — virtual TTCs.
 
 Tracing crosses the executor boundary via span-context propagation:
 ``submit`` accepts an optional picklable
-:class:`~repro.obs.context.SpanContext`.  The serial backend ignores it
-(inline execution records straight into the ambient tracer); the pool
-backends ship it with the workload, ``run_workload`` installs a
-thread-local :class:`~repro.obs.context.BufferingTracer` around the
-workload body, and the buffered spans/events/metric deltas — plus
-RSS/CPU resource samples — come back in
-:attr:`WorkloadOutcome.worker_trace` for the collect path to merge.
+:class:`~repro.obs.context.SpanContext`.  The serial backend records
+into the ambient tracer and keeps the records for a replay
+(:meth:`~repro.obs.context.WorkerTrace.inline`); the pool backends ship
+it with the workload, ``run_workload`` installs a thread-local
+:class:`~repro.obs.context.BufferingTracer` around the workload body,
+and the buffered spans/events/metric deltas — plus RSS/CPU resource
+samples — come back in :attr:`WorkloadOutcome.worker_trace` for the
+collect path to merge.
 """
 
 from __future__ import annotations
@@ -249,14 +250,18 @@ class SerialExecutor(WorkloadExecutor):
     def submit(
         self, work: Workload, context: SpanContext | None = None
     ) -> WorkloadHandle:
-        # context is ignored deliberately: inline execution records
-        # straight into the ambient tracer, already on the right stack.
+        # Inline execution records into the ambient tracer, already on the
+        # right stack; with a context the outcome keeps them for a replay.
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("executor.dispatch", category="executor", backend=self.name)
+        since = context and (len(tracer.spans), len(tracer.events))
         future = Future()
         try:
-            future.set_result(run_workload(work))
+            outcome = run_workload(work)
+            if since and outcome is not work:
+                outcome.worker_trace = WorkerTrace.inline(tracer, since, context)
+            future.set_result(outcome)
         except Exception as exc:
             future.set_exception(exc)
         return WorkloadHandle(future)

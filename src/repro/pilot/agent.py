@@ -304,6 +304,8 @@ class PilotAgent:
             trace = outcome.worker_trace
             if replayed and trace is not None:
                 trace = trace.replayed(context)
+            elif trace is not None and trace.pid is None:
+                trace = None  # recorded inline: already in this tracer
             merged = merge_worker_trace(tracer, trace, context)
             if merged:
                 tracer.count("worker_records_merged", float(merged))

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from repro.seq.alphabet import reverse_complement
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
 from tests.assembly import contrail_reference as reference
+from tests.assembly.contrail_argsort_reference import (
+    ArgsortContrail,
+    _compressible_by_argsort,
+)
 from tests.assembly.kmer_reference import packed_to_ints
 from tests.parallel.exec_reference import ExecEngine, nbytes
 
@@ -399,6 +404,145 @@ def test_repr_rank_is_the_string_order(n):
     """The output order's ``repr(sid)`` key, computed without strings."""
     want = np.argsort(np.arange(n).astype("S"), kind="stable")
     assert np.array_equal(np.argsort(contrail._repr_rank(n)), want)
+
+
+K = 21
+
+
+def _table(jl, jr, rcl, rcr, pal, n_kmers=None, order=None, flips=None):
+    """A segment table over junction ids only: record ``i`` holds
+    ``n_kmers[i]`` seeds of the permutation ``order``, its sid its first
+    seed.  The round jobs read no base, so ``kmers`` only sizes the ids."""
+    n_kmers = np.ones(len(jl), np.int64) if n_kmers is None else np.array(n_kmers)
+    n_ids = int(n_kmers.sum())
+    seeds = np.arange(n_ids) if order is None else np.array(order, np.int64)
+    sid = seeds[np.cumsum(n_kmers) - n_kmers]
+    return contrail._Table(
+        sid=sid,
+        repr_rank=contrail._repr_rank(n_ids)[sid],
+        seeds=seeds,
+        flips=np.zeros(n_ids, bool) if flips is None else np.array(flips, bool),
+        cov_sum=np.arange(1.0, len(jl) + 1),
+        n_kmers=n_kmers.astype(np.int64),
+        jl=np.array(jl, np.intp), jr=np.array(jr, np.intp),
+        rcl=np.array(rcl, bool), rcr=np.array(rcr, bool),
+        pal=np.array(pal, bool),
+        kmers=np.zeros((n_ids, K), np.uint8),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """Random tables on a small junction pool, so ends collide."""
+    n_j, n_seg = draw(st.integers(1, 10)), draw(st.integers(1, 14))
+
+    def column(elements, n):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    n_kmers = column(st.integers(1, 4), n_seg)
+    n_ids = sum(n_kmers)
+    ends = st.integers(0, n_j - 1)
+    return _table(
+        column(ends, n_seg), column(ends, n_seg),
+        column(st.booleans(), n_seg), column(st.booleans(), n_seg),
+        column(st.booleans(), n_j), n_kmers,
+        draw(st.permutations(range(n_ids))), column(st.booleans(), n_ids),
+    )
+
+
+def _rounds_agree(table, n_workers=3, rounds=8):
+    """The kernels and the argsort jobs, round by round from ``table``:
+    equal pairs (as a multiset), merges, tables and books.  Returns each
+    round's pairs before the one-merge-per-tail rule and its merges, and
+    the last table."""
+    new, old = ContrailAssembler(), ArgsortContrail()
+    e_new, e_old = MapReduceEngine(n_workers), MapReduceEngine(n_workers)
+    seen = []
+    for round_no in range(rounds):
+        pairs = [
+            sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            for a, b, _, _ in (
+                contrail._compressible(table), _compressible_by_argsort(table)
+            )
+        ]
+        assert pairs[0] == pairs[1]
+        head, tail = new._job_pair(e_new, table, K, round_no)
+        want = old._job_pair(e_old, table, K, round_no)
+        assert [head.tolist(), tail.tolist()] == [w.tolist() for w in want]
+        seen.append((pairs[0], head, tail))
+        if not head.size:
+            break
+        got = new._job_merge(e_new, table, head, tail, K, round_no)
+        table = old._job_merge(e_old, table, *want, K, round_no)
+        for name, column, expect in zip(table._fields, got, table):
+            assert column.dtype == expect.dtype, name
+            np.testing.assert_array_equal(column, expect, err_msg=name)
+    assert e_new.job_stats == e_old.job_stats
+    assert e_new.usage == e_old.usage
+    return seen, table
+
+
+class TestAgainstArgsortJobs:
+    """The pair and merge kernels against the ``argsort`` jobs they
+    replaced (``contrail_argsort_reference``), on generated tables."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables())
+    def test_generated_tables(self, table):
+        _rounds_agree(table)
+
+    def test_a_two_segment_cycle(self):
+        """A tail meets one head on both of its ends: two pairs, one merge."""
+        seen, _ = _rounds_agree(_table([0, 1], [1, 0], [0, 0], [0, 0], [0, 0]))
+        assert seen[0][0] == [(0, 1), (0, 1)]
+        assert [len(head) for _, head, _ in seen] == [1, 0]
+
+    def test_rounds_with_and_without_a_second_tail(self):
+        """A chain of two runs one merge pass; a chain of three whose
+        middle segment (sid 1) is round 0's head between two tails (sids
+        0 and 181) takes both, so the round runs two."""
+        two, _ = _rounds_agree(_table([0, 1], [1, 2], [0, 0], [0, 0], [0, 0, 0]))
+        order = [0, 1, 181, *range(2, 181)]
+        three, _ = _rounds_agree(
+            _table([0, 1, 2], [1, 2, 3], [0] * 3, [0] * 3, [0] * 4,
+                   n_kmers=[1, 1, 180], order=order)
+        )
+        assert [h.tolist() for _, h, _ in two] == [[1], []]
+        assert three[0][1].tolist() == [1, 1]
+
+    def test_palindromic_junctions(self):
+        """A palindromic junction joins ends whose rc bits differ; any
+        other junction keeps them apart, the tail (sid 181, round 0's
+        tail) right before its head (sid 1)."""
+
+        def tail_then_head(pal):
+            return _table([0, 1], [1, 2], [0, 1], [0, 0], pal,
+                          n_kmers=[1, 181], order=[181, 1, 0, *range(2, 181)])
+
+        _, joined = _rounds_agree(tail_then_head([0, 1, 0]), rounds=1)
+        _, apart = _rounds_agree(tail_then_head([0, 0, 0]), rounds=1)
+        assert joined.n_kmers.tolist() == [182]
+        assert apart.sid.tolist() == [181, 1]
+
+
+@pytest.mark.parametrize("k", (3, 32, 33, 63))
+def test_seed_ends_are_the_packed_words(k):
+    """The junction ends ``_seed_table`` reads off the packed k-mers
+    are the packed first and last ``k - 1`` bases."""
+    rng = np.random.default_rng(k)
+    codes = rng.integers(0, 4, size=(200, k), dtype=np.uint8)
+    codes[0], codes[1] = 0, 3  # the all-A and all-T rows
+    rows = packedmod.pack(codes)
+    spectrum = SimpleNamespace(distinct=rows, counts=np.ones(200, np.int64))
+    table = contrail._seed_table(spectrum, np.ones(200, bool), k)
+    ends = packedmod.pack(np.concatenate([codes[:, :-1], codes[:, 1:]]))
+    canon = packedmod.canonicalize(ends, k - 1)
+    distinct, junction, _ = packedmod.unique_inverse_counts(canon, k - 1)
+    is_rc = ~packedmod.rows_equal(ends, canon)
+    np.testing.assert_array_equal(np.r_[table.jl, table.jr], junction)
+    np.testing.assert_array_equal(np.r_[table.rcl, table.rcr], is_rc)
+    assert table.pal.shape[0] == distinct.shape[0]
+    np.testing.assert_array_equal(table.kmers, codes)
 
 
 class TestConvergenceFlag:

@@ -14,10 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.assembly import packed as packedmod
 from repro.assembly.dbg import KmerTable
 from repro.assembly.kmers import (
+    _nfree_starts,
     canonical_kmers_packed,
     fused_canonical_positions_packed,
 )
@@ -160,7 +163,83 @@ FUSED_EDGE_CASES = {
         (4, 6, 34),
     ),
     "one_and_two_word_ks": (_codes(_SEQ[:120], _SEQ[130:400]), (21, 33, 63)),
+    # One-word ks take their reverse complement from the forward row.
+    "every_one_word_k": (_codes(_SEQ[:90], _SEQ[100:140]), tuple(range(3, 33))),
+    "one_word_even_k_palindromes": (
+        _codes(
+            "ACGT" * 4,
+            _SEQ[:16] + _revcomp(_SEQ[:16]) + _SEQ[16:30],
+            _SEQ[60:65] + _revcomp(_SEQ[60:65]),
+        ),
+        (4, 6, 10, 32),
+    ),
 }
+
+
+def _nfree_starts_by_prefix_sum(codes, ks):
+    """The definition: window ``[i, i + k)`` is N-free iff the count of
+    N bases does not grow across it."""
+    T = codes.shape[0]
+    nbad = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(codes >= alphabet.N, dtype=np.int64, out=nbad[1:])
+    return {
+        k: np.flatnonzero(nbad[k:] == nbad[: max(T + 1 - k, 0)]) for k in ks
+    }
+
+
+def _two_strand_extraction(codes, ks):
+    """One-word ks as the two-strand pack extracts them: both strands
+    packed at ``kmax``, the reverse complement gathered from the reverse
+    strand's row ``T - k - pos``."""
+    T, kmax = codes.shape[0], max(ks)
+    strand = np.zeros(T + kmax - 1, dtype=np.uint8)
+    strand[:T] = codes
+    fwd = packedmod.pack_flat(strand, kmax)[:, 0]
+    strand[:T] = codes[::-1] ^ np.uint8(3)
+    rev = packedmod.pack_flat(strand, kmax)[:, 0]
+    starts = _nfree_starts_by_prefix_sum(codes, ks)
+    out = {}
+    for k in ks:
+        pos = starts[k]
+        mask = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 - 2 * k)
+        out[k] = (np.minimum(fwd[pos], rev[T - k - pos]) & mask)[:, None]
+    return out
+
+
+_CODES = st.lists(
+    st.sampled_from([0, 1, 2, 3, alphabet.N]), max_size=120
+).map(lambda codes: np.array(codes, dtype=np.uint8))
+
+
+class TestOneWordExtraction:
+    """The N-run starts and the one-strand extraction against the two
+    definitions they replace."""
+
+    @given(codes=_CODES, ks=st.sets(st.integers(1, 130), min_size=1, max_size=4))
+    @example(codes=np.zeros(0, dtype=np.uint8), ks={3, 40})
+    @example(codes=np.full(30, alphabet.N, dtype=np.uint8), ks={1, 3})
+    @example(codes=np.array([4, 0, 1, 4, 4, 2, 3, 0, 4], dtype=np.uint8), ks={1, 2, 3, 4})
+    @example(codes=np.array([0, 1, 2, 3, 0], dtype=np.uint8), ks={5, 6})
+    def test_nfree_starts_equal_the_prefix_sum_definition(self, codes, ks):
+        got = _nfree_starts(codes, sorted(ks))
+        for k, want in _nfree_starts_by_prefix_sum(codes, sorted(ks)).items():
+            assert got[k].dtype == want.dtype
+            np.testing.assert_array_equal(got[k], want)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_EDGE_CASES))
+    def test_one_strand_equals_two_strands_at_every_one_word_k(self, name):
+        codes = FUSED_EDGE_CASES[name][0]
+        ks = list(range(3, 33))
+        fused = fused_canonical_positions_packed(codes, ks)
+        for k, want in _two_strand_extraction(codes, ks).items():
+            np.testing.assert_array_equal(fused[k][0], want)
+
+    @given(codes=_CODES)
+    def test_one_strand_equals_two_strands_on_generated_codes(self, codes):
+        ks = [3, 4, 8, 17, 31, 32]
+        fused = fused_canonical_positions_packed(codes, ks)
+        for k, want in _two_strand_extraction(codes, ks).items():
+            np.testing.assert_array_equal(fused[k][0], want)
 
 
 class TestFusedExtractionEdges:

@@ -268,6 +268,50 @@ class TestKillAndResume:
         assert re.search(rf"^  worker +{n_jobs}$", report, re.M)
         assert re.search(rf"^  workload +{n_jobs}$", report, re.M)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_a_resume_replays_the_records_of_inline_workloads(
+        self, ds_single, tmp_path, capsys, executor
+    ):
+        """An inline workload (every unit under the serial backend, the
+        single-unit stages under every backend) records straight into the
+        run's tracer, and its stored outcome keeps those records, so a
+        replay re-emits them: ``obs diff`` against an uninterrupted trace
+        misses only the spans a resume does not redo (the spectrum build,
+        which replayed jobs skip; pilot launches, named by a process-wide
+        counter), and every ``phase`` event is there."""
+        config = PipelineConfig(executor=executor, **CONFIG)
+        resuming = replace(config, checkpoint_dir=str(tmp_path / "ck"))
+        whole, resumed = Tracer(), Tracer()
+        with use_assembly_cache(None), use_kmer_table_cache(None):
+            RnnotatorPipeline(tracer=whole).run(ds_single, config)
+            with pytest.raises(PipelineKilled):
+                RnnotatorPipeline(
+                    tracer=Tracer(),
+                    faults=FaultPlan(abort_after_stage="transcript-assembly"),
+                ).run(ds_single, resuming)
+            result = RnnotatorPipeline(tracer=resumed).run(ds_single, resuming)
+        assert result.checkpoint_stats["unit_hits"] == 3
+
+        whole_path = write_jsonl(whole, tmp_path / "whole.jsonl")
+        resumed_path = write_jsonl(resumed, tmp_path / "resumed.jsonl")
+        capsys.readouterr()
+        obs_main(["diff", str(whole_path), str(resumed_path), "--json"])
+        missing = json.loads(capsys.readouterr().out)["missing_names"]
+        assert [
+            key for key in missing
+            if not key[2].startswith(("launch:pilot.", "spectrum."))
+        ] == []
+
+        def phases(tracer):
+            return Counter(e.attrs["phase"] for e in tracer.events if e.name == "phase")
+
+        assert sum(phases(whole).values()) == 14
+        assert phases(resumed) == phases(whole)
+        (root,) = [s for s in resumed.spans if s.category == "pipeline"]
+        replayed = [s for s in resumed.spans if s.attrs.get("replayed")]
+        assert replayed
+        assert all(s.r_start >= root.r_start for s in replayed)
+
     def test_kill_at_earlier_stage_resumes_too(self, ds_single, tmp_path):
         ckdir = str(tmp_path / "ck")
         with pytest.raises(PipelineKilled):

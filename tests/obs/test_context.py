@@ -12,6 +12,7 @@ from repro.obs import (
     get_tracer,
     merge_worker_trace,
     set_thread_tracer,
+    use_tracer,
     worker_track,
 )
 from repro.parallel.executor import run_workload
@@ -210,6 +211,45 @@ class TestMerge:
         for s in parent.spans:
             if s.process == worker_track(trace.pid):
                 assert s.v_start is None and s.v_end is None
+
+
+
+class TestInlineTrace:
+    """What a workload run inline records straight into the tracer, kept
+    as a trace that only a replay merges (``pid`` None)."""
+
+    def record_inline(self):
+        tracer = Tracer()
+        with tracer.span("dispatch", category="agent", process="P_B",
+                         thread="u1") as dispatch:
+            ctx = SpanContext.capture(tracer, dispatch.span_id, "P_B", "u1")
+            since = (len(tracer.spans), len(tracer.events))
+            with use_tracer(tracer):
+                simple_work()
+                tracer.event("beat", category="heartbeat", thread="monitor")
+            trace = WorkerTrace.inline(tracer, since, ctx)
+        return tracer, trace
+
+    def test_keeps_the_records_on_the_dispatch_track(self):
+        _, trace = self.record_inline()
+        assert trace.pid is None
+        assert [s.name for s in trace.spans] == ["inner"]
+        assert [e.name for e in trace.events] == ["tick"]  # not the beat
+
+    def test_a_replay_merges_it_onto_the_replays_track(self):
+        _, trace = self.record_inline()
+        parent = Tracer()
+        with parent.span("dispatch", category="agent", process="P_C",
+                         thread="u7") as dispatch:
+            ctx = SpanContext.capture(parent, dispatch.span_id, "P_C", "u7")
+        assert merge_worker_trace(parent, trace.replayed(ctx), ctx) == 2
+        (inner,) = [s for s in parent.spans if s.name == "inner"]
+        (tick,) = [e for e in parent.events if e.name == "tick"]
+        assert (inner.process, inner.thread) == ("P_C", "u7")
+        assert (tick.process, tick.thread) == ("P_C", "u7")
+        assert inner.parent_id == dispatch.span_id
+        assert inner.attrs["replayed"] is True
+        assert inner.r_start >= ctx.parent_perf
 
 
 class TestOffsetMath:

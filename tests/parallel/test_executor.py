@@ -11,7 +11,7 @@ import pytest
 
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.ec2 import EC2Region
-from repro.obs import Tracer, use_tracer
+from repro.obs import SpanContext, Tracer, get_tracer, use_tracer
 from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
     ExecutorError,
@@ -45,6 +45,13 @@ def ok_work():
 def slow_work():
     time.sleep(0.02)
     return "slow", tiny_usage()
+
+
+def traced_work():
+    tracer = get_tracer()
+    with tracer.span("inside", category="workload"):
+        tracer.event("tick", category="workload")
+    return 42, tiny_usage()  # tiny_usage's add_phase records a phase event
 
 
 def bad_work():
@@ -124,6 +131,23 @@ class TestSerial:
         assert out.result == 42
         assert out.usage is not None
         assert out.wall_seconds >= 0
+
+    def test_keeps_its_inline_records_for_a_replay(self):
+        """Records go straight into the tracer, once, and the outcome
+        keeps them (``pid`` None); with no context, nothing is kept."""
+        tracer = Tracer()
+        with use_tracer(tracer), tracer.span(
+            "dispatch", process="P_B", thread="u1"
+        ) as dispatch:
+            context = SpanContext.capture(tracer, dispatch.span_id, "P_B", "u1")
+            kept = SerialExecutor().submit(traced_work, context).outcome()
+            bare = SerialExecutor().submit(traced_work).outcome()
+        trace = kept.worker_trace
+        assert trace.pid is None
+        assert [s.name for s in trace.spans] == ["inside"]
+        assert [e.name for e in trace.events] == ["tick", "phase"]  # no dispatch
+        assert bare.worker_trace is None
+        assert [s.name for s in tracer.spans].count("inside") == 2
 
     def test_error_captured_not_raised(self):
         out = SerialExecutor().submit(bad_work).outcome()

@@ -68,6 +68,9 @@ _READS_ORACLE = "tests/seq/test_reads_kernel.py"
 _SHARING = "tests/assembly/test_graph_sharing.py"
 _SWEEP = "repro/assembly/sweep.py"
 _CONTRAIL = "repro/assembly/contrail.py"
+_ARGSORT_JOBS = "tests/assembly/test_contrail.py::TestAgainstArgsortJobs"
+_KMERS = "repro/assembly/kmers.py"
+_ONE_WORD = "tests/assembly/test_sweep.py::TestOneWordExtraction"
 _REGISTRY = "repro/assembly/registry.py"
 _BASE = "repro/assembly/base.py"
 _BRANCHES = "tests/assembly/test_branch_contracts.py"
@@ -355,6 +358,59 @@ ROWS: tuple[Row, ...] = (
         "_mod_p61(h << np.uint64(3))",
         "h",
         ("tests/assembly/test_contrail.py::TestPlacementHash",),
+    ),
+    # Sort-less round kernels and the packed seed ends (DESIGN §15)
+    Row(
+        "contrail: an incidence paired with itself",
+        _CONTRAIL,
+        "a, b = two % n_seg, kept[ends[two]] % n_seg",
+        "a, b = two % n_seg, two % n_seg",
+        (_ARGSORT_JOBS,),
+    ),
+    Row(
+        "contrail: one merge per tail keeps the largest head",
+        _CONTRAIL,
+        "        keep[:1] = True\n"
+        "        np.not_equal(t[1:], t[:-1], out=keep[1:])\n",
+        "        keep[-1:] = True\n"
+        "        np.not_equal(t[:-1], t[1:], out=keep[:-1])\n",
+        (_ARGSORT_JOBS,),
+    ),
+    Row(
+        "contrail: the output order's key without is_key",
+        _CONTRAIL,
+        "* 2 + is_key[out]",
+        "* 2",
+        (_ARGSORT_JOBS,),
+    ),
+    Row(
+        "contrail: a left piece's slot off by one, onto its head's bucket",
+        _CONTRAIL,
+        "slot[t] = np.where(after, depth, -depth)",
+        "slot[t] = np.where(after, depth, 1 - depth)",
+        (_ARGSORT_JOBS,),
+    ),
+    Row(
+        "contrail: a seed's left-end mask one base off",
+        _CONTRAIL,
+        "62 - 2 * ((k - 1) % 32)",
+        "62 - 2 * ((k - 2) % 32)",
+        ("tests/assembly/test_contrail.py::test_seed_ends_are_the_packed_words",),
+    ),
+    Row(
+        "kmers: a one-word forward row left unmasked",
+        _KMERS,
+        "            fw &= mask\n"
+        "            np.minimum(fw, packedmod.revcomp(fw, k)[:, 0], out=fw)\n",
+        "            np.minimum(fw, packedmod.revcomp(fw, k)[:, 0], out=fw)\n",
+        (_ONE_WORD,),
+    ),
+    Row(
+        "kmers: an N run's last window start dropped",
+        _KMERS,
+        "n = run_end - run_start - (k - 1)",
+        "n = run_end - run_start - k",
+        (_ONE_WORD,),
     ),
     Row(
         "mapreduce: record_shuffle's first-group mask left false",
