@@ -90,17 +90,11 @@ def _seed_table(spectrum, solid: np.ndarray, k: int) -> _Table:
     """One segment per solid k-mer; ids follow the spectrum's key order
     (the ``sorted(bytes)`` order of the k-mers).  The run's only pass
     over (k-1)-mers: every junction any round can meet is a seed's end,
-    read off the packed words (last base cleared, or first shifted out)."""
+    the seeds' junction table (:func:`repro.assembly.packed.junctions`)."""
     rows = spectrum.distinct[solid]
-    n, w = rows.shape[0], packedmod.words_for(k - 1)
+    n = rows.shape[0]
     sid = np.arange(n, dtype=np.int64)
-    left = rows[:, :w].copy()
-    if w == rows.shape[1]:  # else the last base is word 1, dropped
-        left[:, -1] &= ~np.uint64(3 << 62 - 2 * ((k - 1) % 32))
-    ends = np.concatenate([left, packedmod.extend_right(rows, k, 0)[:, :w]])
-    canon = packedmod.canonicalize(ends, k - 1)
-    distinct, junction, _ = packedmod.unique_inverse_counts(canon, k - 1)
-    is_rc = ~packedmod.rows_equal(ends, canon)
+    junction, is_rc, pal = packedmod.junctions(rows, k)
     return _Table(
         sid=sid,
         repr_rank=_repr_rank(n),
@@ -109,7 +103,7 @@ def _seed_table(spectrum, solid: np.ndarray, k: int) -> _Table:
         cov_sum=spectrum.counts[solid].astype(np.float64),
         n_kmers=np.ones(n, dtype=np.int64),
         jl=junction[:n], jr=junction[n:], rcl=is_rc[:n], rcr=is_rc[n:],
-        pal=packedmod.rows_equal(distinct, packedmod.revcomp(distinct, k - 1)),
+        pal=pal,
         kmers=packedmod.unpack(rows, k),
     )
 

@@ -8,14 +8,15 @@ K-mers live in the 2-bit packed representation of
 :mod:`repro.assembly.packed`: the table stores sorted packed rows with an
 aligned count column, and coverage lookups are batched
 ``np.searchsorted`` probes.  Unitig extraction is one array kernel with
-no step per k-mer (DESIGN.md §14): :meth:`KmerTable.unitig_links` joins
-every oriented k-mer to its successors through one sort and one
-``searchsorted``, :meth:`KmerTable.unitig_chains` ranks the links into
-chains by pointer doubling, and :func:`_emit` slices, per chain pair, the
-unitig of the first seed that touches it out of one buffer.  The two
-entry points are :func:`extract_unitigs` (every row a seed, in table
-order: Velvet, Trinity) and :func:`extract_unitigs_by_owner` (the seeds
-of each rank in turn: Ray, ABySS).  The tests hold both to equality with
+no step per k-mer (DESIGN.md §14): :meth:`KmerTable.unitig_links` links
+every oriented k-mer to its successor through one sort of the (k-1)-mer
+junctions and one ``bincount``, :meth:`KmerTable.unitig_chains` ranks
+the links into chains by pointer doubling, and :func:`_emit` slices, per
+chain pair, the unitig of the first seed that touches it out of one
+buffer.  The two entry points are :func:`extract_unitigs` (every row a
+seed, in table order: Velvet, Trinity) and
+:func:`extract_unitigs_by_owner` (the seeds of each rank in turn: Ray,
+ABySS).  The tests hold both to equality with
 the sequential bytes-dict walker
 ``tests/assembly/kmer_reference.py::legacy_extract_unitigs``: same
 unitigs, orientation, coverage, emission order and walk step counts.
@@ -156,43 +157,41 @@ class KmerTable:
         — or ``-1`` where the walk stops; ``last_base[o]`` is the base a
         step into ``o`` appends.
 
-        The two steps no walk can take are cut (DESIGN.md §14): the
-        hairpin ``link[o] == mate(o)``, and the pass *through* a
-        palindromic row ``p``, entered only as ``p + n`` and left only
-        as ``p``.  That leaves disjoint paths and cycles, each disjoint
-        from its mate chain.
+        Both come from the (k-1)-mer junction table
+        (:func:`repro.assembly.packed.junctions`, DESIGN.md §14): a
+        junction that exactly one id ends with and exactly one id starts
+        with links the first to the second, and the two mates the other
+        way.  The two steps no walk can take are cut: the hairpin
+        ``link[o] == mate(o)``, which turns on a junction that is its own
+        reverse complement, and the pass *through* a palindromic row
+        ``p``, counted once, by its last bases, so that it is entered
+        only as ``p + n`` and left only as ``p``.  That leaves disjoint
+        paths and cycles, each disjoint from its mate chain.
         """
         n, k = len(self), self.k
-        last_at = np.uint64(64 * self.words - 2 * k)  # bit offset of base k-1
         rows = self._packed
-        rc = packedmod.revcomp(rows, k)
-        pal = packedmod.rows_equal(rows, rc)
-        mate = np.roll(np.arange(2 * n), n)
-        # Every distinct oriented k-mer once, in key order, with the id a
-        # step enters it by and the id a step leaves it by.  The rows are
-        # distinct, so each one's index among the distinct rows is its rank.
-        every = np.concatenate([rows[~pal], rc])
-        _, rank, _ = packedmod.unique_inverse_counts(every, k)
-        by_key = np.empty_like(rank)
-        by_key[rank] = np.arange(rank.shape[0])
-        every = every[by_key]
-        into = np.concatenate([np.flatnonzero(~pal), mate[:n]])[by_key]
-        out_of = np.where(np.concatenate([pal, pal])[into], mate[into], into)
-        # The successors of x are the rows with the stem (all but the last
-        # base) of extend_right(x, 0), which sorts first among them.
-        stem = every.copy()
-        stem[:, -1] &= ~(np.uint64(3) << last_at)
-        ext = packedmod.extend_right(every, k, 0)
-        at = packedmod.searchsorted_rows(every, ext).clip(max=every.shape[0] - 1)
-        more = np.append(packedmod.rows_equal(stem[1:], stem[:-1]), False)
-        single = packedmod.rows_equal(stem[at], ext) & ~more[at]
-        succ = into[at]
-        outdeg1 = np.zeros(2 * n, dtype=bool)
-        outdeg1[into] = outdeg1[out_of] = single
-        step = single & outdeg1[mate[succ]] & (succ != mate[out_of])
+        junction, is_rc, pal = packedmod.junctions(rows, k)
+        size = pal.shape[0]
+        # End e (row e % n's first k-1 bases if e < n, else its last)
+        # belongs to the row, or to its mate where is_rc.  Bin 2j counts
+        # the ids that end with junction j, bin 2j + 1 those that start
+        # with it: a first end read forward, or a last end read reversed.
+        key = 2 * junction + is_rc
+        key[:n] ^= 1
+        # A row whose two ends share a bin is a palindrome (one junction,
+        # read both ways): its first end goes to a spare bin.
+        key[:n][key[:n] == key[n:]] = 2 * size
+        ends, starts = np.bincount(key, minlength=2 * size + 1)[:-1].reshape(-1, 2).T
+        linked = np.flatnonzero((ends == 1) & (starts == 1) & ~pal)
+        entry = np.empty(2 * size + 1, dtype=np.int64)
+        entry[key] = np.arange(2 * n)
+        entry = entry[:-1].reshape(-1, 2)[linked]
+        left, into = (entry % n + n * is_rc[entry]).T
         link = np.full(2 * n, -1, dtype=np.int64)
-        link[out_of[step]] = succ[step]
-        last = np.concatenate([rows[:, -1], rc[:, -1]]) >> last_at
+        link[left] = into
+        link[(into + n) % (2 * n)] = (left + n) % (2 * n)
+        last_at = np.uint64(64 * self.words - 2 * k)  # bit offset of base k-1
+        last = np.concatenate([rows[:, -1] >> last_at, ~rows[:, 0] >> np.uint64(62)])
         return link, (last & np.uint64(3)).astype(np.uint8)
 
     def unitig_chains(self) -> "UnitigChains":

@@ -103,14 +103,16 @@ def fused_canonical_positions_packed(
     ascending order and ``canonical_rows`` is bit-identical — rows *and*
     order — to ``canonical_kmers_packed(codes, k)``.
 
-    The fusion: the forward strand is packed exactly once at ``kmax``
-    (:func:`repro.assembly.packed.pack_flat`), zero-padded so that every
-    one of the ``T`` starts has a row.  The layout is left-aligned, so
-    the k-window at ``pos`` is the top ``2k`` bits of forward row
-    ``pos``.  A one-word k reverse-complements the masked row; two-word
-    ks gather from the reverse strand, also packed once when the largest
-    k is two words, at row ``T - k - pos``.  Every k is then a word-wise
-    minimum; the packed strands die when this returns.
+    The fusion: each strand is packed exactly once, as the 32-base
+    window at every start (:func:`repro.assembly.packed.flat_windows`),
+    zero-padded so that every one of the ``T`` starts has a window.  The
+    k-mer at ``pos`` is word 0 = the window at ``pos``, masked to ``2k``
+    bits when k <= 32, and word 1 = the window at ``pos + k - 32``,
+    shifted up ``128 - 2k``: its low ``k - 32`` bases are the k-mer's
+    last.  A one-word k reverse-complements the masked word; two-word
+    ks read the reverse strand, packed too when the largest k is two
+    words, at ``T - k - pos``.  Every k is then a word-wise minimum; the
+    packed strands die when this returns.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     ks = sorted({int(k) for k in ks})
@@ -119,40 +121,37 @@ def fused_canonical_positions_packed(
     for k in ks:
         packedmod.check_k(k)
     T = codes.shape[0]
-    kmax = ks[-1]
     starts = _nfree_starts(codes, ks)
-    # pack_flat keeps two bits per code, so an N packs as some base: a
+    # flat_windows keeps two bits per code, so an N packs as some base: a
     # window that holds one is not among the starts, and the value never
     # surfaces.  ``code ^ 3`` is the complement of a base.
-    strand = np.zeros(T + kmax - 1, dtype=np.uint8)
+    strand = np.zeros(T + 32, dtype=np.uint8)  # T + 1 windows: one if empty
     strand[:T] = codes
-    fwd = packedmod.pack_flat(strand, kmax)
-    if packedmod.words_for(kmax) == 2:
+    fwd = packedmod.flat_windows(strand, 32)
+    if packedmod.words_for(ks[-1]) == 2:
         strand[:T] = codes[::-1] ^ np.uint8(3)
-        rev = packedmod.pack_flat(strand, kmax)
+        rev = packedmod.flat_windows(strand, 32)
 
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in ks:
         Wk = packedmod.words_for(k)
         pos = starts[k]
-        mask = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 * Wk - 2 * k)
-        # Column-contiguous, as pack_flat's rows are: every consumer
-        # sorts and compares word by word.
+        # Column-contiguous: every consumer sorts and compares word by word.
         rows = np.empty((pos.shape[0], Wk), dtype=np.uint64, order="F")
         # A gather with mode="clip" writes straight into its out buffer.
         if Wk == 1:
-            fw = np.take(fwd[:, 0], pos, out=rows[:, 0], mode="clip")
-            fw &= mask
+            fw = np.take(fwd, pos, out=rows[:, 0], mode="clip")
+            fw &= np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 - 2 * k)
             np.minimum(fw, packedmod.revcomp(fw, k)[:, 0], out=fw)
         else:
-            fw, mirror = fwd[:, 0][pos], (T - k) - pos
-            rc = rev[:, 0][mirror]
+            fw, mirror = fwd[pos], (T - k) - pos
+            rc = rev[mirror]
             np.minimum(fw, rc, out=rows[:, 0])
             less, same = fw < rc, fw == rc
-            np.take(fwd[:, 1], pos, out=fw, mode="clip")
-            np.take(rev[:, 1], mirror, out=rc, mode="clip")
-            fw &= mask
-            rc &= mask
+            np.take(fwd[k - 32 :], pos, out=fw, mode="clip")
+            np.take(rev[k - 32 :], mirror, out=rc, mode="clip")
+            fw <<= np.uint64(128 - 2 * k)
+            rc <<= np.uint64(128 - 2 * k)
             # Palindromes (equal strands) keep the forward one.
             np.copyto(rows[:, 1], rc)
             np.copyto(rows[:, 1], fw, where=less | (same & (fw <= rc)))

@@ -7,9 +7,9 @@ big-endian-ordered 64-bit words: base ``i`` occupies bits
 the unused low-order "slack" bits are zero.  The layout is chosen so that
 numeric comparison of the word tuple equals lexicographic comparison of
 the code string: canonicalization, counting (:func:`unique_inverse_counts`)
-and the graph join (:func:`searchsorted_rows`) all order k-mers
-lexicographically on the integer words.  The 16-byte :func:`keys` of
-two-word rows remain only for ``KmerTable.key_array``, detonate and
+and the graph's (k-1)-mer junction table (:func:`junctions`) all order
+k-mers lexicographically on the integer words.  The 16-byte :func:`keys`
+of two-word rows remain only for ``KmerTable.key_array``, detonate and
 tests.
 
 Everything here is vectorized over *rows* of shape ``(n, W)``; the only
@@ -275,29 +275,27 @@ def rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return eq
 
 
-def searchsorted_rows(sorted_rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Left insertion point of each ``query`` row in ascending
-    ``sorted_rows``: ``np.searchsorted`` of their :func:`keys`, on the
-    integer words.  Word 0 places a query in its run of equal word-0
-    rows; a run of one is settled by word 1, and longer runs are
-    bisected on word 1 together."""
-    s0, q0 = sorted_rows[:, 0], query[:, 0]
-    lo = np.searchsorted(s0, q0)
-    if sorted_rows.shape[1] == 1:
-        return lo
-    run = np.searchsorted(s0, q0, side="right") - lo
-    s1, q1 = sorted_rows[:, 1], query[:, 1]
-    one = np.flatnonzero(run == 1)
-    lo[one] += s1[lo[one]] < q1[one]
-    many = np.flatnonzero(run > 1)
-    a, b, q = lo[many], lo[many] + run[many], q1[many]
-    while (live := np.flatnonzero(a < b)).size:
-        mid = (a[live] + b[live]) >> 1
-        right = s1[mid] < q[live]
-        a[live[right]] = mid[right] + 1
-        b[live[~right]] = mid[~right]
-    lo[many] = a
-    return lo
+def junctions(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k-1)-mer junction table of ``(n, W)`` k-mer rows: ``(junction,
+    is_rc, pal)``.  Its ``2n`` entries are the first k-1 bases of every
+    row, then the last k-1 bases of every row; ``junction`` numbers each
+    entry's canonical (k-1)-mer densely in key order, and ``is_rc`` says
+    that the entry is that (k-1)-mer's reverse complement.  ``pal`` says,
+    per junction id, that the (k-1)-mer is its own reverse complement.
+
+    The ends are read off the packed words, with one sort for the whole
+    table: the last base cleared, or the first shifted out by
+    :func:`extend_right`; word 1 is dropped where k - 1 = 32.
+    """
+    w = words_for(k - 1)
+    first = rows[:, :w].copy()
+    if w == rows.shape[1]:  # else the last base is word 1, dropped
+        first[:, -1] &= ~_U(3 << 62 - 2 * ((k - 1) % 32))
+    ends = np.concatenate([first, extend_right(rows, k, 0)[:, :w]])
+    canon = canonicalize(ends, k - 1)
+    distinct, junction, _ = unique_inverse_counts(canon, k - 1)
+    is_rc = ~rows_equal(ends, canon)
+    return junction, is_rc, rows_equal(distinct, revcomp(distinct, k - 1))
 
 
 def require_ascending(rows: np.ndarray) -> None:

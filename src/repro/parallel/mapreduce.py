@@ -131,7 +131,9 @@ class MapReduceEngine:
         first = np.empty(groups.shape, dtype=bool)
         first[:1] = True
         np.not_equal(groups[1:], groups[:-1], out=first[1:])
-        group_key = groups[first] % n_keys
+        n_groups = int(np.count_nonzero(first))
+        if combined or np.ndim(key_nbytes):
+            group_key = groups[first] % n_keys
         if combined:  # what is shuffled is one value per group
             key = group_key
         # A scalar byte column scales a count; sums of small integers
@@ -140,7 +142,6 @@ class MapReduceEngine:
             values = np.bincount(key, value_nbytes, minlength=n_keys)
         else:
             values = np.bincount(key, minlength=n_keys) * value_nbytes
-        n_groups = group_key.shape[0]
         key_bytes = (
             key_nbytes[group_key].sum() if np.ndim(key_nbytes) else key_nbytes * n_groups
         )

@@ -310,65 +310,6 @@ class TestUniqueInverseCounts:
             assert np.array_equal(g, w)
 
 
-def _between_and_beyond(rows):
-    """Query rows around ``rows``: each one with its last word one lower
-    and one higher (between rows, or past a run's end), word 0 one lower
-    and one higher, and the rows below and above every row."""
-    out = []
-    for col in (-1, 0):
-        for delta in (np.uint64(1), np.uint64(_TOP)):  # +1 and -1, wrapping
-            near = rows.copy()
-            near[:, col] += delta
-            out.append(near)
-    w = rows.shape[1]
-    out.append(np.zeros((1, w), dtype=np.uint64))
-    out.append(np.full((1, w), _TOP, dtype=np.uint64))
-    return np.concatenate([rows, *out])
-
-
-#: Word-0 runs of one, two and nine rows, and a run at each extreme.
-_RUNS = (
-    [(1, 7 << 40)]
-    + [(5, w << 40) for w in (3, 9)]
-    + [(8, w << 40) for w in (1, 2, 4, 6, 8, 10, 12, 14, 16)]
-    + [(0, 0), (_TOP, _TOP)]
-)
-
-
-class TestSearchsortedRows:
-    """:func:`packed.searchsorted_rows` against ``np.searchsorted`` of the
-    rows' :func:`packed.keys` (``S16`` strings at two words)."""
-
-    @given(
-        k=st.sampled_from((25, 33, 40, 63)),
-        words=st.lists(
-            st.tuples(_WORD | st.integers(0, _TOP), _WORD | st.integers(0, _TOP)),
-            max_size=40,
-        ),
-        extra=st.lists(st.tuples(_WORD, _WORD), max_size=8),
-    )
-    @example(k=63, words=_RUNS, extra=[])
-    @example(k=33, words=_RUNS, extra=[])
-    @example(k=40, words=[], extra=[(5, 0)])
-    def test_matches_s16_searchsorted(self, k, words, extra):
-        if packed.words_for(k) == 1:
-            words = [(w0, 0) for w0, _ in words + extra]
-            rows = np.array(words, dtype=np.uint64).reshape(-1, 2)[:, :1]
-            sorted_rows, query = packed.unique_inverse_counts(rows, k)[0], rows
-        else:
-            sorted_rows = packed.unique_inverse_counts(_two_word_rows(words, k), k)[0]
-            query = np.array(extra, dtype=np.uint64).reshape(-1, 2)
-        query = np.concatenate([query, _between_and_beyond(sorted_rows)])
-        want = np.searchsorted(packed.keys(sorted_rows, k), packed.keys(query, k))
-        got = packed.searchsorted_rows(sorted_rows, query)
-        assert np.array_equal(got, want)
-
-    def test_runs_of_one_two_and_many_are_covered(self):
-        rows = _two_word_rows(_RUNS, 63)
-        runs = np.unique(rows[:, 0], return_counts=True)[1]
-        assert {1, 2, 9} <= set(runs.tolist())
-
-
 class TestPipelineParity:
     """The packed read->k-mer pipeline must agree with the oracle's bytes
     pipeline."""

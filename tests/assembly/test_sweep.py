@@ -163,6 +163,12 @@ FUSED_EDGE_CASES = {
         (4, 6, 34),
     ),
     "one_and_two_word_ks": (_codes(_SEQ[:120], _SEQ[130:400]), (21, 33, 63)),
+    # Word 1 of a two-word k is the 32-window at pos + k - 32: ks on both
+    # sides of 32/33, and a last N run within 32 bases of the end.
+    "last_n_run_in_the_last_window": (
+        _codes(_SEQ[:120], _SEQ[130:190], _SEQ[200:230], trailing_sep=False),
+        (21, 30, 32, 33, 34),
+    ),
     # One-word ks take their reverse complement from the forward row.
     "every_one_word_k": (_codes(_SEQ[:90], _SEQ[100:140]), tuple(range(3, 33))),
     "one_word_even_k_palindromes": (

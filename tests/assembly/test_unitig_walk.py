@@ -129,7 +129,7 @@ def hostile_reads(draw, k: int) -> list[str]:
 
 
 class TestHostileTopologies:
-    @pytest.mark.parametrize("k", (5, 8, 12, 33, 34))
+    @pytest.mark.parametrize("k", (5, 8, 12, 32, 33, 34, 50, 62))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_hairpins_cycles_palindromes(self, k, data):
@@ -199,6 +199,17 @@ class TestHostileTopologies:
         for r in range(len(keys)):
             assert_sharded_parity(counts, k, [keys[r:], keys[:r]])
             assert_sharded_parity(counts, k, [[km] for km in keys[r:] + keys[:r]])
+        # a + S + b with b != rc(a): x has two successors, S + b and its
+        # mate S + rc(a), so nothing crosses S, whichever strand x and
+        # S + b are stored on.
+        for a in "ACGT":
+            for b in "ACGT".replace(reverse_complement(a), ""):
+                read = decode(random_dna(k, rng)) + a + half + reverse_complement(half)
+                counts = kmer_counts(canonical_kmers_varlen([read + b], k))
+                link = packed_table(k, counts).unitig_links()[0]
+                assert link.tolist() == _reference_links(
+                    legacy_build_kmer_table(k, counts)
+                )
 
     @pytest.mark.parametrize("k", WORD_KS)
     def test_first_seed_on_the_reverse_strand(self, k):
@@ -247,7 +258,7 @@ def _reference_links(table: LegacyKmerTable) -> list[int]:
     return link
 
 
-@pytest.mark.parametrize("k", (5, 8, 31, 33, 63))
+@pytest.mark.parametrize("k", (5, 8, 31, 32, 33, 34, 50, 62, 63))
 def test_links_match_kmer_by_kmer_adjacency(k):
     rng = np.random.default_rng(100 + k)
     core = decode(random_dna(2 * k, rng))

@@ -10,11 +10,12 @@ each in its own copy; what they print and the survivors stay in row order.
 
     python tools/mutants.py                   # every row
     python tools/mutants.py -k merge          # rows whose name contains "merge"
-    python tools/mutants.py --group assembly  # rows on src/repro/assembly/
+    python tools/mutants.py --group contrail  # rows on src/repro/assembly/contrail.py
+    python tools/mutants.py --group assembly  # the other rows on src/repro/assembly/
     python tools/mutants.py --group core      # rows on src/repro/core/
     python tools/mutants.py --group other     # every other row
 
-CI runs the three groups as three steps, each inside its own time budget.
+CI runs the four groups as four steps, each inside its own time budget.
 
 First the union of the selected rows' tests runs once on an unmodified
 copy: a row counts as killed only by tests that pass without it.
@@ -57,7 +58,6 @@ _MERGE = "repro/core/merge.py"
 _QUANT = "repro/core/quantify.py"
 _DBG = "repro/assembly/dbg.py"
 _PACKED = "repro/assembly/packed.py"
-_SEARCH = "tests/assembly/test_packed.py::TestSearchsortedRows"
 _CONTAINMENT = "tests/core/test_merge_containment.py"
 _QUANT_ORACLE = "tests/core/test_quantify_parity.py::TestOracleParity"
 _PINS = "tests/core/test_quantify_parity.py::test_stage_outputs_pinned_on_ds_single"
@@ -181,16 +181,30 @@ ROWS: tuple[Row, ...] = (
     Row(
         "unitigs: hairpin cut dropped",
         _DBG,
-        "step = single & outdeg1[mate[succ]] & (succ != mate[out_of])",
-        "step = single & outdeg1[mate[succ]]",
+        "linked = np.flatnonzero((ends == 1) & (starts == 1) & ~pal)",
+        "linked = np.flatnonzero((ends == 1) & (starts == 1))",
         (f"{_WALK}::TestHostileTopologies::test_odd_k_hairpin",),
     ),
     Row(
         "unitigs: palindrome pass-through cut dropped",
         _DBG,
-        "out_of = np.where(np.concatenate([pal, pal])[into], mate[into], into)",
-        "out_of = into",
+        "        key[:n][key[:n] == key[n:]] = 2 * size\n",
+        "",
         (f"{_WALK}::TestHostileTopologies::test_every_kmer_palindromic",),
+    ),
+    Row(
+        "unitigs: a junction's orientation flag inverted",
+        _DBG,
+        "key = 2 * junction + is_rc",
+        "key = 2 * junction + ~is_rc",
+        (f"{_WALK}::test_links_match_kmer_by_kmer_adjacency",),
+    ),
+    Row(
+        "unitigs: a junction with two start k-mers allowed to link",
+        _DBG,
+        "(starts == 1)",
+        "(starts >= 1)",
+        (f"{_WALK}::test_links_match_kmer_by_kmer_adjacency",),
     ),
     Row(
         "unitigs: cycle rotation dropped",
@@ -207,20 +221,6 @@ ROWS: tuple[Row, ...] = (
         (f"{_WALK}::TestLinkCacheInvalidation::test_drop_below_rebuilds_links",),
     ),
     # per-k graph kernels on integer words (DESIGN §9, §14)
-    Row(
-        "packed: a single word-0 match settled with <= on word 1",
-        _PACKED,
-        "lo[one] += s1[lo[one]] < q1[one]",
-        "lo[one] += s1[lo[one]] <= q1[one]",
-        (_SEARCH,),
-    ),
-    Row(
-        "packed: the word-1 bisection steps right on <=",
-        _PACKED,
-        "right = s1[mid] < q[live]",
-        "right = s1[mid] <= q[live]",
-        (_SEARCH,),
-    ),
     Row(
         "kmers: the two byte tables swapped in the owner hash's pair table",
         "repro/assembly/kmers.py",
@@ -392,7 +392,7 @@ ROWS: tuple[Row, ...] = (
     ),
     Row(
         "contrail: a seed's left-end mask one base off",
-        _CONTRAIL,
+        _PACKED,
         "62 - 2 * ((k - 1) % 32)",
         "62 - 2 * ((k - 2) % 32)",
         ("tests/assembly/test_contrail.py::test_seed_ends_are_the_packed_words",),
@@ -400,10 +400,17 @@ ROWS: tuple[Row, ...] = (
     Row(
         "kmers: a one-word forward row left unmasked",
         _KMERS,
-        "            fw &= mask\n"
+        "            fw &= np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(64 - 2 * k)\n"
         "            np.minimum(fw, packedmod.revcomp(fw, k)[:, 0], out=fw)\n",
         "            np.minimum(fw, packedmod.revcomp(fw, k)[:, 0], out=fw)\n",
         (_ONE_WORD,),
+    ),
+    Row(
+        "kmers: word 1 of a two-word k read one base late",
+        _KMERS,
+        "np.take(fwd[k - 32 :], pos, out=fw, mode=\"clip\")",
+        "np.take(fwd[k - 31 :], pos, out=fw, mode=\"clip\")",
+        ("tests/assembly/test_sweep.py::TestFusedExtractionEdges",),
     ),
     Row(
         "kmers: an N run's last window start dropped",
@@ -754,10 +761,12 @@ ROWS: tuple[Row, ...] = (
 )
 
 
-GROUPS = ("assembly", "core", "other")
+GROUPS = ("contrail", "assembly", "core", "other")
 
 
 def _group(row: Row) -> str:
+    if row.file == _CONTRAIL:
+        return "contrail"
     package = row.file.split("/")[1]
     return package if package in GROUPS else "other"
 
@@ -819,8 +828,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--group",
         choices=GROUPS,
-        help="only the rows on src/repro/assembly/, on src/repro/core/, "
-        "or only the others",
+        help="only the rows on src/repro/assembly/contrail.py, on the rest of "
+        "src/repro/assembly/, on src/repro/core/, or only the others",
     )
     args = ap.parse_args(argv)
     rows = [r for r in ROWS if args.k in r.name and args.group in (None, _group(r))]
