@@ -181,8 +181,9 @@ class KmerTable:
         # A row whose two ends share a bin is a palindrome (one junction,
         # read both ways): its first end goes to a spare bin.
         key[:n][key[:n] == key[n:]] = 2 * size
-        ends, starts = np.bincount(key, minlength=2 * size + 1)[:-1].reshape(-1, 2).T
-        linked = np.flatnonzero((ends == 1) & (starts == 1) & ~pal)
+        seen = np.bincount(key, minlength=2 * size + 1)[:-1]
+        ending, starting = seen.reshape(-1, 2).T
+        linked = np.flatnonzero((ending == 1) & (starting == 1) & ~pal)
         entry = np.empty(2 * size + 1, dtype=np.int64)
         entry[key] = np.arange(2 * n)
         entry = entry[:-1].reshape(-1, 2)[linked]

@@ -284,7 +284,7 @@ def test_links_match_kmer_by_kmer_adjacency(k):
 def _tied_reads(k: int, rng) -> list[str]:
     """Branches off one core that part after its first 32 bases, some read
     backwards, plus an odd-k hairpin arm: many oriented k-mers (and
-    successor probes) share word 0 and differ only in word 1."""
+    their junctions) share word 0 and differ only in word 1."""
     core = decode(random_dna(k + 24, rng))
     reads = [core]
     for cut in rng.integers(32, k + 24, size=2).tolist():
@@ -296,7 +296,8 @@ def _tied_reads(k: int, rng) -> list[str]:
 
 
 class TestIntegerWordJoin:
-    """The integer-word join equals the ``S16`` string join it replaced."""
+    """Links on integer words equal the ``S16`` string join, on tables
+    whose oriented k-mers and junctions share word 0 in groups."""
 
     @pytest.mark.parametrize("k", (33, 40, 63))
     def test_links_equal_the_s16_join(self, k):

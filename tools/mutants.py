@@ -8,14 +8,15 @@ runs only the row's tests, with ``-x``, against the copy.  A row whose
 tests still pass is a *survivor*.  Rows run concurrently, one per CPU,
 each in its own copy; what they print and the survivors stay in row order.
 
-    python tools/mutants.py                   # every row
-    python tools/mutants.py -k merge          # rows whose name contains "merge"
-    python tools/mutants.py --group contrail  # rows on src/repro/assembly/contrail.py
-    python tools/mutants.py --group assembly  # the other rows on src/repro/assembly/
-    python tools/mutants.py --group core      # rows on src/repro/core/
-    python tools/mutants.py --group other     # every other row
+    python tools/mutants.py                        # every row
+    python tools/mutants.py -k merge               # rows whose name contains "merge"
+    python tools/mutants.py --group contrail       # contrail.py rows held to the reference
+    python tools/mutants.py --group contrail-jobs  # contrail.py rows held to the argsort jobs
+    python tools/mutants.py --group assembly       # other rows on src/repro/assembly/
+    python tools/mutants.py --group core           # rows on src/repro/core/
+    python tools/mutants.py --group other          # every other row
 
-CI runs the four groups as four steps, each inside its own time budget.
+CI runs the five groups as five steps, each inside its own time budget.
 
 First the union of the selected rows' tests runs once on an unmodified
 copy: a row counts as killed only by tests that pass without it.
@@ -181,8 +182,8 @@ ROWS: tuple[Row, ...] = (
     Row(
         "unitigs: hairpin cut dropped",
         _DBG,
-        "linked = np.flatnonzero((ends == 1) & (starts == 1) & ~pal)",
-        "linked = np.flatnonzero((ends == 1) & (starts == 1))",
+        "linked = np.flatnonzero((ending == 1) & (starting == 1) & ~pal)",
+        "linked = np.flatnonzero((ending == 1) & (starting == 1))",
         (f"{_WALK}::TestHostileTopologies::test_odd_k_hairpin",),
     ),
     Row(
@@ -202,8 +203,8 @@ ROWS: tuple[Row, ...] = (
     Row(
         "unitigs: a junction with two start k-mers allowed to link",
         _DBG,
-        "(starts == 1)",
-        "(starts >= 1)",
+        "(starting == 1)",
+        "(starting >= 1)",
         (f"{_WALK}::test_links_match_kmer_by_kmer_adjacency",),
     ),
     Row(
@@ -761,12 +762,12 @@ ROWS: tuple[Row, ...] = (
 )
 
 
-GROUPS = ("contrail", "assembly", "core", "other")
+GROUPS = ("contrail", "contrail-jobs", "assembly", "core", "other")
 
 
 def _group(row: Row) -> str:
     if row.file == _CONTRAIL:
-        return "contrail"
+        return "contrail-jobs" if _ARGSORT_JOBS in row.tests else "contrail"
     package = row.file.split("/")[1]
     return package if package in GROUPS else "other"
 
@@ -828,7 +829,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--group",
         choices=GROUPS,
-        help="only the rows on src/repro/assembly/contrail.py, on the rest of "
+        help="only the rows on src/repro/assembly/contrail.py (those held to "
+        "TestAgainstArgsortJobs are contrail-jobs), on the rest of "
         "src/repro/assembly/, on src/repro/core/, or only the others",
     )
     args = ap.parse_args(argv)
