@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import operator
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator
 
 from repro.assembly.contigs import AssemblyResult, Contig
 from repro.assembly.packed import check_k
@@ -44,6 +45,7 @@ from repro.core.quantify import QuantificationResult, quantify
 from repro.core.schemes import MatchingScheme
 from repro.core.workflow import STAGES, StageReport, WorkflowPattern
 from repro.obs import Tracer, get_tracer, use_tracer
+from repro.obs.tracer import MAIN_TRACK
 from repro.parallel.costmodel import CostModel
 from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
@@ -289,7 +291,6 @@ class _Run:
     #: Closed when the run ends, however it ends.
     cleanup: ExitStack
 
-    r_start: float = field(default_factory=time.perf_counter)
     clock: SimClock = field(default_factory=SimClock)
     stages: list[StageReport] = field(default_factory=list)
     #: The raw reads, encoded exactly once: QC is array work on this
@@ -341,48 +342,38 @@ class _Run:
         return self.dataset.spec
 
 
-def _close_stage(
-    run: _Run,
-    name: str,
-    pilot: Pilot | None,
-    started_at: float,
-    notes: str,
-    w0: float | None = None,
-) -> None:
-    """The one place a stage ends, at the clock's now: append its
-    :class:`StageReport` (sized as ``pilot`` was described; data staging
-    runs on none); mirror it as a ``category="stage"`` span whose virtual
-    interval equals the report's exactly (the report CLI cross-checks
-    ``v1 - v0`` against ``StageReport.ttc``); then die here if the fault
+@contextmanager
+def _stage(run: _Run, name: str, pilot: Pilot | None) -> Iterator[SimpleNamespace]:
+    """The one place a reported stage runs: the ``with`` body, under an
+    open ``stage:<name>`` span on ``pilot``'s track (data staging runs on
+    none).  The body leaves its ``notes`` on the yielded record.  On a
+    clean exit the :class:`StageReport` is appended with the span's exact
+    virtual interval (the report CLI cross-checks ``v1 - v0`` against
+    ``StageReport.ttc``) and the span closes ``done``; a raising body
+    closes it ``failed`` with the error.  Last, die here if the fault
     plan says so."""
-    report = StageReport(
-        name=name,
-        pilot="-" if pilot is None else pilot.pilot_id,
-        started_at=started_at,
-        finished_at=run.clock.now,
-        n_nodes=0 if pilot is None else pilot.description.n_nodes,
-        instance_type="-" if pilot is None else pilot.description.instance_type,
-        notes=notes,
-        real_seconds=0.0 if w0 is None else time.perf_counter() - w0,
-    )
-    run.stages.append(report)
-    tracer = get_tracer()
-    if tracer.enabled:
-        r1 = time.perf_counter()
-        tracer.add_span(
-            f"stage:{name}",
-            v_start=report.started_at,
-            v_end=report.finished_at,
-            category="stage",
-            process=None if pilot is None else report.pilot,
-            r_start=r1 - report.real_seconds,
-            r_end=r1,
-            stage=name,
-            pilot=report.pilot,
-            n_nodes=report.n_nodes,
-            instance_type=report.instance_type,
-            notes=notes,
-        )
+    placement = {"pilot": "-", "n_nodes": 0, "instance_type": "-"}
+    if pilot is not None:
+        desc = pilot.description
+        placement = {"pilot": pilot.pilot_id, "n_nodes": desc.n_nodes,
+                     "instance_type": desc.instance_type}
+    stage = SimpleNamespace(notes="")
+    t0, w0 = run.clock.now, time.perf_counter()
+    with get_tracer().span(
+        f"stage:{name}", "stage", process=pilot and pilot.pilot_id,
+        stage=name, **placement,
+    ) as span:
+        span.process = MAIN_TRACK  # what the stage records stays on the driver's track
+        try:
+            yield stage
+        except BaseException as exc:
+            span.set(notes=stage.notes, outcome="failed", error=str(exc))
+            raise
+        run.stages.append(StageReport(
+            name, started_at=t0, finished_at=run.clock.now, notes=stage.notes,
+            real_seconds=time.perf_counter() - w0, **placement,
+        ))
+        span.set(notes=stage.notes, outcome="done")
     if run.faults.abort_after_stage == name:
         raise PipelineKilled(
             f"simulated kill after stage {name!r} "
@@ -436,49 +427,46 @@ def _single_unit_stage(
         result = compute()
         return result, result.usage
 
-    t0 = run.clock.now
-    w0 = time.perf_counter()
-    desc = UnitDescription(
-        name=name,
-        work=work,
-        cores=8,
-        memory_bytes=memory_bytes,
-        scale=run.dataset.read_scale,
-        stage=stage,
-        checkpoint_key=key,
-        **io_bytes,
-    )
-    (unit,) = um.submit_units([desc])
     failed, hint = f"{stage} failed", ""
     if undersized:
         failed += f" on {pilot.description.instance_type}"
         hint = " (a dynamic workflow would have chosen a larger instance)"
-    try:
-        um.run([unit])
-    except UnitFailureError as exc:
-        detail = exc if undersized else unit.error
-        raise PipelineError(f"{failed}: {detail}{hint}") from exc
-    except SchedulingError as exc:
-        if not undersized:
-            raise
-        raise PipelineError(f"{failed}: {exc}{hint}") from exc
-    _close_stage(run, stage, pilot, t0, notes(unit.result), w0)
+    with _stage(run, stage, pilot) as closing:
+        desc = UnitDescription(
+            name=name,
+            work=work,
+            cores=8,
+            memory_bytes=memory_bytes,
+            scale=run.dataset.read_scale,
+            stage=stage,
+            checkpoint_key=key,
+            **io_bytes,
+        )
+        (unit,) = um.submit_units([desc])
+        try:
+            um.run([unit])
+        except UnitFailureError as exc:
+            detail = exc if undersized else unit.error
+            raise PipelineError(f"{failed}: {detail}{hint}") from exc
+        except SchedulingError as exc:
+            if not undersized:
+                raise
+            raise PipelineError(f"{failed}: {exc}{hint}") from exc
+        closing.notes = notes(unit.result)
     return unit.result
 
 
 # -- the stages ---------------------------------------------------------------
 # Each takes the run context, reads what earlier stages filled in and fills
-# in its own products; the five named in STAGE_NAMES end in _close_stage.
+# in its own products; the five named in STAGE_NAMES run inside _stage.
 
 
 def _stage_in(run: _Run) -> None:
     """Stage 0: the FASTQ goes up over the WAN."""
     spec = run.spec
-    t0 = run.clock.now
-    run.transfers.upload(spec.fastq_bytes, dst="head")
-    _close_stage(
-        run, "stage-in", None, t0, f"{spec.fastq_bytes / 1024**3:.1f} GB over WAN"
-    )
+    with _stage(run, "stage-in", None) as closing:
+        run.transfers.upload(spec.fastq_bytes, dst="head")
+        closing.notes = f"{spec.fastq_bytes / 1024**3:.1f} GB over WAN"
 
 
 def _preprocess_stage(run: _Run) -> None:
@@ -643,12 +631,12 @@ def _provision_stage(run: _Run) -> None:
     config, faults, region, events = run.config, run.faults, run.region, run.events
     n_nodes = run.plan.n_nodes
     pb = run.pb = run.pm.submit(PilotDescription("P_B", run.itype, n_nodes=n_nodes))
+    run.pm.finish(run.pa)  # its data is handed over; under S1 its VM dies
     if config.scheme.reuses_vms:
         if run.shared_cluster.n_nodes < n_nodes:
             run.shared_cluster.grow(region, n_nodes - run.shared_cluster.n_nodes)
         run.pm.launch_on(pb, run.shared_cluster)
     else:
-        run.pm.finish(run.pa)  # S1: P_A's VM dies once its data is handed over
         run.pm.launch(pb)
         run.transfers.copy(run.spec.preprocessed_bytes, src="P_A", dst="P_B")
 
@@ -718,9 +706,12 @@ def _assembly_stage(run: _Run) -> None:
     """The multi-k multi-assembler fan-out on P_B.  Fills
     ``fanout_keys`` and ``assemblies``; closes ``fanout``."""
     config, faults, plan = run.config, run.faults, run.plan
-    with run.fanout:
-        t0 = run.clock.now
-        w0 = time.perf_counter()  # the stage's host time includes graph derivation
+    with _stage(run, "transcript-assembly", run.pb) as closing, run.fanout:
+        # The stage's host time includes graph derivation.
+        closing.notes = (
+            f"{plan.n_jobs} jobs "
+            f"({'+'.join(config.assemblers)}, k={list(plan.kmer_list)})"
+        )
         descs = multikmer.assembly_unit_descriptions(
             plan,
             run.spec,
@@ -756,11 +747,6 @@ def _assembly_stage(run: _Run) -> None:
     # its content address is the ordered tuple of their keys.
     run.fanout_keys = tuple(d.checkpoint_key for d in descs)
     run.assemblies = multikmer.collect_assembly_results(units)
-    notes = (
-        f"{plan.n_jobs} jobs "
-        f"({'+'.join(config.assemblers)}, k={list(plan.kmer_list)})"
-    )
-    _close_stage(run, "transcript-assembly", run.pb, t0, notes, w0)
 
 
 def _postprocess_stage(run: _Run) -> None:
@@ -795,8 +781,8 @@ def _postprocess_stage(run: _Run) -> None:
 
 
 def _quantification_stage(run: _Run) -> None:
-    """The read-to-transcript join, still on P_C.  Fills
-    ``quantification``."""
+    """The read-to-transcript join, still on P_C, which then finishes.
+    Fills ``quantification``."""
     store = run.store
     run.quantification = _single_unit_stage(
         run,
@@ -809,38 +795,34 @@ def _quantification_stage(run: _Run) -> None:
         # Depends on the pre-processed reads as well as the fan-out.
         key=("stage:quantify", store.digest, run.fanout_keys),
     )
-
-
-def _teardown_stage(run: _Run) -> None:
-    """Finish P_C, release the fleet, stamp the ``pipeline`` root span."""
-    config, plan, prediction = run.config, run.plan, run.prediction
     run.pm.finish(run.pc)
-    run.region.terminate_all()
-    tracer = get_tracer()
-    if tracer.enabled:
-        alert_attrs = tracer.alert_summary()
-        tracer.add_span(
-            "pipeline",
-            v_start=0.0,
-            v_end=run.clock.now,
-            category="pipeline",
-            r_start=run.r_start,
-            r_end=time.perf_counter(),
-            dataset=run.spec.name,
-            assemblers="+".join(config.assemblers),
-            scheme=config.scheme.value,
-            workflow=config.workflow.value,
-            total_cost_usd=run.region.total_cost,
-            config_fingerprint=config.fingerprint(),
-            store_digest=run.store.digest,
-            kmer_list=list(plan.kmer_list),
-            n_nodes=plan.n_nodes,
-            instance_type=plan.instance_type,
-            planner_ttc_s=prediction.ttc_s,
-            planner_cost_usd=prediction.cost_usd,
-            planner_stages=prediction.as_dict()["stages"],
-            **alert_attrs,
-        )
+
+
+def _root_attrs(run: _Run, tracer: Tracer) -> dict:
+    """The ``pipeline`` span's attributes once the fleet is released:
+    what was run and its bill, then the plan and the prediction as far
+    as the run got, then the alert summary."""
+    config = run.config
+    attrs = dict(
+        dataset=run.spec.name,
+        assemblers="+".join(config.assemblers),
+        scheme=config.scheme.value,
+        workflow=config.workflow.value,
+        total_cost_usd=run.region.total_cost,
+        config_fingerprint=config.fingerprint(),
+    )
+    if hasattr(run, "store"):
+        attrs["store_digest"] = run.store.digest
+    if hasattr(run, "plan"):
+        plan = run.plan
+        attrs.update(kmer_list=list(plan.kmer_list), n_nodes=plan.n_nodes,
+                     instance_type=plan.instance_type)
+    if hasattr(run, "prediction"):
+        prediction = run.prediction
+        attrs.update(planner_ttc_s=prediction.ttc_s,
+                     planner_cost_usd=prediction.cost_usd,
+                     planner_stages=prediction.as_dict()["stages"])
+    return {**attrs, **tracer.alert_summary()}
 
 
 #: The run, in order.  :meth:`RnnotatorPipeline.run` is a loop over this.
@@ -855,7 +837,6 @@ _STAGES = (
     _assembly_stage,
     _postprocess_stage,
     _quantification_stage,
-    _teardown_stage,
 )
 
 
@@ -920,11 +901,28 @@ class RnnotatorPipeline:
 
     def _run(self, dataset: Dataset, config: PipelineConfig | None) -> PipelineResult:
         """Walk :data:`_STAGES` over a fresh run context, under the
-        ambient tracer's alert engine (when it has rules)."""
+        ambient tracer's alert engine (when it has rules) and inside the
+        ``pipeline`` root span.  However the walk ends, the fleet is
+        released (so a failed run is billed in full) and the root closes
+        with its ``outcome``: ``done``, ``failed`` or ``killed``."""
         config = config or PipelineConfig()
-        with get_tracer().alerting() as alerts, ExitStack() as cleanup:
+        tracer = get_tracer()
+        with tracer.alerting() as alerts, ExitStack() as cleanup:
             self.last_alerts = alerts
             run = _Run(dataset, config, self.faults, self.cost_model, cleanup)
-            for stage in _STAGES:
-                stage(run)
+            with tracer.span("pipeline", "pipeline") as root:
+                try:
+                    for stage in _STAGES:
+                        stage(run)
+                except BaseException as exc:
+                    killed = isinstance(exc, PipelineKilled)
+                    ended = {"outcome": "killed" if killed else "failed",
+                             "error": str(exc)}
+                    raise
+                else:
+                    ended = {"outcome": "done"}
+                finally:
+                    run.region.terminate_all()
+                    if tracer.enabled:
+                        root.set(**_root_attrs(run, tracer), **ended)
             return _result(run)

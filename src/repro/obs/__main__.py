@@ -5,7 +5,8 @@
 loader — :func:`~repro.obs.export.load_jsonl` — and print one view of
 its :class:`~repro.obs.spans.RunState` fold, as JSON under ``--json``
 and otherwise as text.  Exit codes mean the same in every subcommand:
-**0** ok; **1** a gate or threshold failed; **2** the input cannot be
+**0** ok; **1** a gate or threshold failed, or (``report``, ``monitor``)
+the traced run ended failed or killed; **2** the input cannot be
 gated or read (a missing file, a line that is not a trace record and
 not a torn last line, a trace without what the subcommand needs, a
 ``diff`` whose span structure changed, a usage error).
@@ -59,7 +60,7 @@ def _report(args) -> int:
     # swimlanes, the trace digest), so it is built from the fold.
     _show(args, report_data(state, top=args.top),
           build_report(state, top=args.top))
-    return 0
+    return int(state.outcome not in (None, "done"))
 
 
 def _diff(args) -> int:
@@ -148,8 +149,9 @@ def _ledger(args) -> int:
 def _monitor(args) -> int:
     if args.follow:
         return follow(Path(args.trace), poll=args.poll, timeout=args.timeout)
-    print(final_summary(_fold(args.trace)))
-    return 0
+    state = _fold(args.trace)
+    print(final_summary(state))
+    return int(state.outcome not in (None, "done"))
 
 
 def _parser():

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from repro.obs.export import decode_line, table
-from repro.obs.report import ALERT_COLUMNS, alerts_section
+from repro.obs.report import ALERT_COLUMNS, alerts_section, outcome_lines
 from repro.obs.spans import FINAL_STATES, RunState
 
 
@@ -53,10 +53,6 @@ def final_summary(state: RunState) -> str:
     """The deterministic end-state block: identical for a live-tailed
     stream and the same run's archival trace (it reads only records
     both carry)."""
-    run = "run: IN PROGRESS (no pipeline-close record)"
-    if state.pipeline is not None:
-        run = (f"run: {state.pipeline['name']} — COMPLETE  "
-               f"(TTC {state.ttc() or 0.0:.1f} virtual s)")
     done, failed, running = state.unit_counts()
     progress, seconds = state.stage_progress(), state.stage_seconds()
     stages = []
@@ -68,7 +64,7 @@ def final_summary(state: RunState) -> str:
                        "virtual s": virtual, "real s": real})
     lines = [
         "== final state ==",
-        run,
+        *outcome_lines(state),
         f"units: {done} done, {failed} failed"
         + (f", {running} running" if running else ""),
         table("", {"stage": "", "done": "d", "fail": "d", "virtual s": ".1f",
@@ -94,8 +90,9 @@ def follow(
     timeout: float | None = None,
     out=None,
 ) -> int:
-    """Tail ``path`` until the pipeline-root span closes; returns 0 on
-    completion, 1 on timeout.  Prints a progress line per change and the
+    """Tail ``path`` until the pipeline-root span closes; returns 0 when
+    the run ended ``done``, 1 when it failed, was killed or the timeout
+    passed first.  Prints a progress line per change and the
     final-state block at the end.  Only newline-terminated lines are
     parsed (the unterminated tail waits for the next poll); a complete
     line that is not a record is corruption and raises ``ValueError``
@@ -131,7 +128,7 @@ def follow(
                         last_line = line
                 if state.complete:
                     print(final_summary(state), file=out, flush=True)
-                    return 0
+                    return int(state.outcome != "done")
         if deadline is not None and time.monotonic() > deadline:
             print(
                 f"timeout: no pipeline completion after {timeout:g}s",

@@ -84,11 +84,12 @@ def process_timelines(
 
 
 def _categories(state: RunState) -> dict[str, dict]:
-    """category -> virtual and real seconds of its top-level spans
-    (nested spans would double count)."""
+    """category -> virtual and real seconds of its top-level spans, those
+    directly under the run or a stage (nested spans would double count)."""
+    run = {s["id"] for s in state.spans if s["cat"] in ("pipeline", "stage")}
     out: dict[str, dict] = {}
     for s in state.spans:
-        if s.get("parent") is None:
+        if s.get("parent") is None or s["parent"] in run:
             row = out.setdefault(
                 s["cat"] or "default", {"virtual_s": 0.0, "real_s": 0.0}
             )
@@ -169,6 +170,36 @@ def cache_scorecard(records: Iterable[dict] | RunState) -> list[dict]:
     return rows
 
 
+def outcome_lines(state: RunState) -> list[str]:
+    """How the run ended.  A run that did not end ``done`` adds its error
+    with the stage that failed, and each unit that failed for good with
+    its cause chain: unit <- SGE job <- reclaimed VM (an OOM is the
+    unit's own error)."""
+    root = state.pipeline
+    if root is None:
+        return ["run: IN PROGRESS (no pipeline-close record)"]
+    ended = "COMPLETE" if state.outcome == "done" else state.outcome.upper()
+    lines = [f"run: {root['name']} — {ended}  "
+             f"(TTC {state.ttc() or 0.0:.1f} virtual s)"]
+    if state.outcome == "done":
+        return lines
+    failed = "".join(f"stage {stage_name(s)} failed: " for s in state.stage_spans()
+                     if s["attrs"].get("outcome") == "failed")
+    lines.append(f"  {failed}{root['attrs'].get('error', '?')}")
+    events = state.events
+    for unit in (e for e in events if e["name"] == "unit.failed_permanently"):
+        name = unit["attrs"].get("unit")
+        lines.append(f"  unit {name} failed for good: {unit['attrs'].get('error')}")
+        jobs = [e for e in events if e["name"] == "sge.fail" and e["thread"] == name]
+        for job in jobs:
+            cause = job["attrs"].get("error", "")
+            lines.append(f"    <- sge job {job['attrs'].get('job_id')}: {cause}")
+            lines += [f"      <- vm.preempt {e['thread']} at v={e['v']:.1f} s"
+                      for e in events
+                      if e["name"] == "vm.preempt" and e["thread"] in cause.split()]
+    return lines
+
+
 ALERT_COLUMNS = {"severity": "", "rule": "", "message": ""}
 
 
@@ -184,6 +215,7 @@ def build_report(records: Iterable[dict] | RunState, top: int = 10) -> str:
     """The full plain-text run report."""
     state = fold(records)
     sections = [
+        state.pipeline and "\n".join(outcome_lines(state)),
         table("per-stage timings (virtual TTC vs real host seconds):", {
             "stage": "", "virtual s": ".1f", "real s": ".3f", "unit p50": ".1f",
             "p95": ".1f", "placement": ""}, stage_table(state)),
@@ -216,6 +248,7 @@ def report_data(records: Iterable[dict] | RunState, top: int = 10) -> dict:
     state = fold(records)
     root = state.pipeline
     return {
+        "outcome": state.outcome,
         "ttc_s": state.ttc(),
         "pipeline": dict(root["attrs"]) if root else {},
         "stages": {

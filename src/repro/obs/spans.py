@@ -210,6 +210,13 @@ class RunState:
         return self.pipeline is not None
 
     @property
+    def outcome(self) -> str | None:
+        """``done``, ``failed`` or ``killed`` from the closed root (an
+        older root without one closed on success), else None."""
+        root = self.pipeline
+        return None if root is None else root["attrs"].get("outcome", "done")
+
+    @property
     def metrics(self) -> dict:
         """The metrics snapshot (an empty one when none arrived)."""
         if self.snapshot is None:

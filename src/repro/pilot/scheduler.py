@@ -58,7 +58,7 @@ def unit_fits_pilot(unit: ComputeUnit, pilot: Pilot) -> bool:
     )
 
 
-def _no_fit_error(unit: ComputeUnit, banned) -> SchedulingError:
+def _no_fit_error(unit: ComputeUnit, banned, pilots: list[Pilot]) -> SchedulingError:
     if banned:
         _log.warning(
             "unit %s fits no untried pilot (already failed on %s)",
@@ -70,7 +70,15 @@ def _no_fit_error(unit: ComputeUnit, banned) -> SchedulingError:
             f"(already failed on {sorted(banned)})"
         )
     _log.warning("unit %s fits no pilot", unit.description.name)
-    return SchedulingError(f"unit {unit.description.name!r} fits no pilot")
+    needs = ", ".join(
+        f"{memory_per_node(unit, it, p.n_nodes) / 1024**3:.1f} GiB/node on "
+        f"{it.name} ({it.memory_gb:.0f} GiB)"
+        for p in pilots
+        for it in [get_instance_type(p.description.instance_type)]
+    )
+    return SchedulingError(
+        f"unit {unit.description.name!r} fits no pilot: needs {needs}"
+    )
 
 
 class MemoryAwareScheduler:
@@ -99,7 +107,7 @@ class MemoryAwareScheduler:
                 if p.pilot_id not in banned and unit_fits_pilot(unit, p)
             ]
             if not candidates:
-                raise _no_fit_error(unit, banned)
+                raise _no_fit_error(unit, banned, usable)
             best = min(
                 candidates,
                 key=lambda p: (

@@ -3,9 +3,9 @@ trace, its only record: on the serial and the process backend, every
 unit's ``unit.state`` events walk a legal path from NEW to DONE and every
 pilot's ``pilot.state`` events end in DONE.
 
-The run uses scheme S1, where each pilot is finished when its stage
-hands over.  Under S2 the pre-processing pilot lends its VMs to the
-assembly pilot and is never finished, so it ends ACTIVE.
+Each pilot is finished when its stage hands over: under scheme S1 its
+fleet goes with it, under S2 the fleet it borrowed stays for the next
+pilot.
 """
 
 import pytest
@@ -20,14 +20,19 @@ ASSEMBLERS = ("ray", "abyss", "velvet")
 KS = (25, 31)
 
 
-@pytest.fixture(scope="module", params=["serial", "process"])
+@pytest.fixture(
+    scope="module",
+    params=[("serial", "S1"), ("process", "S1"), ("serial", "S2")],
+    ids=["serial", "process", "serial-S2"],
+)
 def tracer(request, ds_single):
     tracer = Tracer()
+    executor, scheme = request.param
     config = PipelineConfig(
         assemblers=ASSEMBLERS,
         kmer_list=KS,
-        scheme=MatchingScheme.S1,
-        executor=request.param,
+        scheme=MatchingScheme.parse(scheme),
+        executor=executor,
         executor_workers=2,
     )
     with use_assembly_cache(None):

@@ -180,10 +180,11 @@ def golden_records() -> list[dict]:
                       "n_nodes": 4, "instance_type": "r3.2xlarge"},
         },
         {
-            # A merged worker-side span: real clock only, per-pid track.
+            # A merged worker-side span: real clock only, per-pid track,
+            # under the dispatch span that ran it (still open, so absent).
             "type": "span", "name": "workload", "cat": "worker",
             "process": "worker-4242", "thread": "u1", "v0": None,
-            "v1": None, "r0": 1.6, "r1": 2.6, "id": 3, "parent": 2,
+            "v1": None, "r0": 1.6, "r1": 2.6, "id": 3, "parent": 5,
             "attrs": {"rss_bytes": 64000000, "cpu_seconds": 1.5},
         },
         {

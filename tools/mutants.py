@@ -87,6 +87,8 @@ _PLANTED = (
 _READSTORE = "repro/seq/readstore.py"
 _CONTRACT = "tests/seq/test_readstore.py::TestFromReadsContract"
 _CONFIG = "repro/core/rnnotator.py"
+_FAILED_RUNS = "tests/core/test_failed_runs.py"
+_EXHAUSTED = f"{_FAILED_RUNS}::TestExhaustedPreemptionBudget"
 _FINGERPRINT = "tests/core/test_pipeline.py::TestConfigFingerprint"
 _STAGE_CACHE = "tests/core/test_stage_cache.py"
 _AGENT = "repro/pilot/agent.py"
@@ -604,6 +606,49 @@ ROWS: tuple[Row, ...] = (
         "if False:",
         (f"{_FINGERPRINT}::test_a_run_that_would_fail_after_qc_is_refused_when_built",),
     ),
+    # a run and its stages are spans, closed with their outcomes
+    Row(
+        "run: fleet not released on failure",
+        _CONFIG,
+        '                    ended = {"outcome": "done"}\n'
+        "                finally:\n"
+        "                    run.region.terminate_all()\n",
+        '                    ended = {"outcome": "done"}\n'
+        "                    run.region.terminate_all()\n"
+        "                finally:\n",
+        (f"{_EXHAUSTED}::test_fleet_released_and_billed",),
+    ),
+    Row(
+        "run: root closes without its outcome",
+        _CONFIG,
+        "root.set(**_root_attrs(run, tracer), **ended)",
+        "root.set(**_root_attrs(run, tracer))",
+        (f"{_EXHAUSTED}::test_root_closes_failed_with_the_error",),
+    ),
+    Row(
+        "stage: a raising stage closes done",
+        _CONFIG,
+        'outcome="failed", error=str(exc)',
+        'outcome="done"',
+        (
+            f"{_FAILED_RUNS}::TestStaticWorkflowOOM"
+            "::test_trace_names_stage_unit_and_cause",
+        ),
+    ),
+    Row(
+        "stage: what a stage records moves to its pilot's track",
+        _CONFIG,
+        "        span.process = MAIN_TRACK",
+        "        pass",
+        (f"{_FAILED_RUNS}::test_every_span_opened_in_a_stage_hangs_under_it",),
+    ),
+    Row(
+        "lifecycle: P_A finished only under S1",
+        _CONFIG,
+        "    run.pm.finish(run.pa)  # its data is handed over; under S1 its VM dies\n",
+        "    if not config.scheme.reuses_vms:\n        run.pm.finish(run.pa)\n",
+        ("tests/core/test_lifecycle_trace.py::test_every_pilot_ends_done",),
+    ),
     # the run cache answers the single-unit stages by their content keys
     Row(
         "stage cache: the QC key without the QC parameters",
@@ -751,6 +796,28 @@ ROWS: tuple[Row, ...] = (
         "        for r in rows\n",
         "        for r in rows[:-1]\n",
         (_OBS_PINS,),
+    ),
+    # a failed run reads as failed, and its top-level spans are the same
+    Row(
+        "obs: a failed root read as done",
+        "repro/obs/spans.py",
+        'root["attrs"].get("outcome", "done")',
+        '"done"',
+        (f"{_EXHAUSTED}::test_root_closes_failed_with_the_error",),
+    ),
+    Row(
+        "monitor: follow waits out a failed root",
+        "repro/obs/monitor.py",
+        "                if state.complete:\n",
+        '                if state.outcome == "done":\n',
+        (f"{_EXHAUSTED}::test_report_and_monitor_exit_1_and_follow_returns",),
+    ),
+    Row(
+        "report: spans under the run or a stage left out of the categories",
+        "repro/obs/report.py",
+        'if s.get("parent") is None or s["parent"] in run:',
+        'if s.get("parent") is None:',
+        ("tests/obs/test_cli.py::test_output_matches_golden",),
     ),
     Row(
         "obs decoder: a line that is not a record accepted",

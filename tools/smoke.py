@@ -29,6 +29,9 @@ CI chaos job):
 * ``--expect-checkpoint-hits N`` asserts the run replayed at least N
   unit outcomes (resume actually resumed).
 
+Every run writes ``--out``: a run that fails (a ``PipelineError``, exit
+1) leaves the trace of how it failed, root span and all.
+
 The live-telemetry knobs turn it into the monitor/alert drill:
 
 * ``--live-out PATH`` attaches a streaming
@@ -56,6 +59,7 @@ from repro.core.rnnotator import (
     STAGE_NAMES,
     FaultPlan,
     PipelineConfig,
+    PipelineError,
     PipelineKilled,
     RnnotatorPipeline,
 )
@@ -232,19 +236,23 @@ def main(argv: list[str] | None = None) -> int:
         straggle_seconds=args.straggle_seconds,
     )
     pipeline = RnnotatorPipeline(tracer=tracer, faults=faults)
+    error = None
     try:
         with use_assembly_cache(None):
             result = pipeline.run(tiny_dataset(seed=args.seed), config)
-    except PipelineKilled as exc:
+    except PipelineError as exc:
+        error = exc
+    finally:
+        # However the run ended, its trace is written and its stream closed.
         if live_sink is not None:
             live_sink.close()
         path = write_jsonl(tracer, args.out)
-        print(f"traced smoke killed as requested: {exc} -> {path}")
+    if isinstance(error, PipelineKilled):
+        print(f"traced smoke killed as requested: {error} -> {path}")
         return KILLED_EXIT_CODE
-
-    if live_sink is not None:
-        live_sink.close()
-    path = write_jsonl(tracer, args.out)
+    if error is not None:
+        print(f"ERROR: traced smoke failed: {error} -> {path}", file=sys.stderr)
+        return 1
     worker_spans = sum(
         1 for s in tracer.spans if s.process.startswith("worker-")
     )
