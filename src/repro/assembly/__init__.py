@@ -23,7 +23,6 @@ from repro.assembly.dbg import (
     extract_unitigs,
 )
 from repro.assembly.kmers import (
-    canonical_kmers_packed,
     canonical_kmers_varlen_packed,
     kmer_owner_packed,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "n50",
     "KmerTable",
     "extract_unitigs",
-    "canonical_kmers_packed",
     "canonical_kmers_varlen_packed",
     "kmer_owner_packed",
     "ASSEMBLERS",

@@ -141,38 +141,6 @@ def _clean(
     return [u for u, kept in zip(unitigs, keep.tolist()) if kept], stats
 
 
-def clip_tips(
-    unitigs: list[Unitig],
-    k: int,
-    max_tip_length: int | None = None,
-    coverage_ratio: float = 0.5,
-) -> tuple[list[Unitig], CleanupStats]:
-    """Remove short low-coverage dead-end unitigs.
-
-    A unitig is a tip when one of its junction nodes has degree 1 (in the
-    condensed graph), it is shorter than ``max_tip_length`` (default 2k)
-    and its coverage is below ``coverage_ratio`` times the median coverage
-    of its neighbours.
-    """
-    if max_tip_length is None:
-        max_tip_length = 2 * k
-    return _clean(unitigs, k, (max_tip_length, coverage_ratio), None)
-
-
-def pop_bubbles(
-    unitigs: list[Unitig],
-    k: int,
-    length_tolerance: float = 0.1,
-) -> tuple[list[Unitig], CleanupStats]:
-    """Collapse parallel unitigs joining the same pair of junctions.
-
-    When two unitigs connect the same junctions with similar lengths
-    (within ``length_tolerance``), the lower-coverage branch — the error
-    allele — is dropped.
-    """
-    return _clean(unitigs, k, None, length_tolerance)
-
-
 def clean_unitigs(
     unitigs: list[Unitig], k: int
 ) -> tuple[list[Unitig], CleanupStats]:

@@ -6,8 +6,7 @@ coverage counts, and an edge joins two k-mers that overlap by k-1 bases
 
 K-mers live in the 2-bit packed representation of
 :mod:`repro.assembly.packed`: the table stores sorted packed rows with an
-aligned count column, and coverage lookups are batched
-``np.searchsorted`` probes.  Unitig extraction is one array kernel with
+aligned count column.  Unitig extraction is one array kernel with
 no step per k-mer (DESIGN.md §14): :meth:`KmerTable.unitig_links` links
 every oriented k-mer to its successor through one sort of the (k-1)-mer
 junctions and one ``bincount``, :meth:`KmerTable.unitig_chains` ranks
@@ -47,8 +46,8 @@ class KmerTable:
     """Canonical k-mer -> coverage count, as sorted packed rows.
 
     Rows are kept sorted by packed key (== lexicographic k-mer order),
-    with counts in an aligned ``int64`` column.  All lookups are batched
-    binary searches.  A new table is empty; :meth:`from_packed` fills one.
+    with counts in an aligned ``int64`` column.  A new table is empty;
+    :meth:`from_packed` fills one.
     """
 
     def __init__(self, k: int) -> None:
@@ -61,41 +60,28 @@ class KmerTable:
         )
 
     def _set_rows(self, packed_rows: np.ndarray, counts: np.ndarray) -> None:
-        """Install sorted rows + aligned counts; the keys and unitig
-        chains derived from the previous rows are dropped with them."""
+        """Install sorted rows + aligned counts; the unitig chains derived
+        from the previous rows are dropped with them."""
         if self.frozen:
             raise ValueError("this KmerTable is frozen (shared read-only)")
         self._packed = np.ascontiguousarray(packed_rows)
         self._counts = counts
-        self._keys: np.ndarray | None = None
         self._chains: UnitigChains | None = None
 
     @classmethod
     def from_packed(
-        cls,
-        k: int,
-        packed_rows: np.ndarray,
-        counts: np.ndarray,
-        presorted: bool = False,
+        cls, k: int, packed_rows: np.ndarray, counts: np.ndarray
     ) -> "KmerTable":
-        """Build from *distinct* packed rows and their counts.
-
-        ``presorted=True`` skips the sort for rows already in ascending
-        key order — the cache-served path of the fused extraction layer
-        (:mod:`repro.assembly.sweep`), where the shared spectrum stores
-        its distinct rows sorted once.  The order is checked in one pass
-        (:func:`repro.assembly.packed.require_ascending`): rows out of
-        order or repeated raise ``ValueError``.
+        """Build from *distinct* packed rows in ascending key order and
+        their counts — the shared spectrum's rows
+        (:mod:`repro.assembly.sweep`), sorted once.  The order is checked
+        in one pass (:func:`repro.assembly.packed.require_ascending`):
+        rows out of order or repeated raise ``ValueError``.
         """
         t = cls(k)
         rows = np.asarray(packed_rows, dtype=np.uint64).reshape(-1, t.words)
-        counts = np.asarray(counts, dtype=np.int64)
-        if presorted:
-            packedmod.require_ascending(rows)
-            t._set_rows(rows, counts)
-            return t
-        order = np.argsort(packedmod.keys(rows, k), kind="stable")
-        t._set_rows(rows[order], counts[order])
+        packedmod.require_ascending(rows)
+        t._set_rows(rows, np.asarray(counts, dtype=np.int64))
         return t
 
     # -- views -------------------------------------------------------------
@@ -106,33 +92,12 @@ class KmerTable:
         return self._packed
 
     @property
-    def key_array(self) -> np.ndarray:
-        """Sorted 1-D key array aligned with :attr:`packed` (read-only),
-        built on first use: no kernel of a run reads it."""
-        if self._keys is None:
-            self._keys = packedmod.keys(self._packed, self.k)
-            self._keys.flags.writeable = False
-        return self._keys
-
-    @property
     def count_array(self) -> np.ndarray:
         """Coverage counts aligned with :attr:`packed`."""
         return self._counts
 
     def __len__(self) -> int:
         return int(self._counts.shape[0])
-
-    # -- batched lookups ----------------------------------------------------
-
-    def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-key membership + coverage for an array of packed keys."""
-        key_arr = self.key_array
-        n, m = key_arr.shape[0], query.shape[0]
-        if n == 0 or m == 0:
-            return np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(key_arr, query), n - 1)
-        found = key_arr[idx] == query
-        return found, np.where(found, self._counts[idx], 0)
 
     def drop_below(self, min_count: int) -> int:
         """Remove k-mers with coverage below ``min_count``; returns #removed."""

@@ -19,59 +19,20 @@ from repro.seq import alphabet
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _windows(codes: np.ndarray, k: int) -> np.ndarray:
-    """All length-k windows of each row: ``(n_windows, k)`` uint8."""
-    if codes.ndim == 1:
-        codes = codes[None, :]
-    n, L = codes.shape
-    if L < k:
-        return np.zeros((0, k), dtype=np.uint8)
-    win = np.lib.stride_tricks.sliding_window_view(codes, k, axis=1)
-    return win.reshape(-1, k)
+def canonical_kmers_varlen_packed(seqs: list[str], k: int) -> np.ndarray:
+    """Canonical packed k-mers of variable-length sequences, in order.
 
-
-def _drop_n(windows: np.ndarray) -> np.ndarray:
-    """Remove windows containing uncalled bases."""
-    if windows.size == 0:
-        return windows
-    return windows[(windows < alphabet.N).all(axis=1)]
-
-
-def canonical_kmers_packed(codes: np.ndarray, k: int) -> np.ndarray:
-    """Canonical k-mers of one or many sequences as packed ``(n, W)``
-    uint64 rows (see :mod:`repro.assembly.packed`).
-
-    ``codes`` is a 1-D sequence or a 2-D matrix of fixed-length reads;
+    The sequences are joined with single-N separators, the
+    :class:`~repro.seq.readstore.ReadStore` layout, so no window crosses
+    a boundary, and extracted by :func:`fused_canonical_positions_packed`:
     windows containing N are dropped and palindromes keep the forward
     strand.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    packedmod.check_k(k)
-    win = _drop_n(_windows(np.asarray(codes, dtype=np.uint8), k))
-    if win.shape[0] == 0:
-        return np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
-    return packedmod.canonicalize(packedmod.pack(win), k)
-
-
-def canonical_kmers_varlen_packed(seqs: list[str], k: int) -> np.ndarray:
-    """Canonical packed k-mers of variable-length sequences.
-
-    All sequences are joined with single-N separators and processed in
-    one windowing/packing pass: windows crossing a read boundary contain
-    the separator N and are dropped, so the result is exactly the
-    per-read extraction concatenated in read order.
-    """
-    packedmod.check_k(k)
-    parts: list[np.ndarray] = []
     sep = np.array([alphabet.N], dtype=np.uint8)
+    parts = [sep]
     for s in seqs:
-        if len(s) >= k:
-            parts.append(alphabet.encode(s))
-            parts.append(sep)
-    if not parts:
-        return np.zeros((0, packedmod.words_for(k)), dtype=np.uint64)
-    return canonical_kmers_packed(np.concatenate(parts[:-1]), k)
+        parts += [alphabet.encode(s), sep]
+    return fused_canonical_positions_packed(np.concatenate(parts), [k])[k][0]
 
 
 def _nfree_starts(codes: np.ndarray, ks) -> dict[int, np.ndarray]:
@@ -100,8 +61,8 @@ def fused_canonical_positions_packed(
     readstore.ReadStore` layout (reads joined by single-N separators, or
     any single sequence).  Returns ``{k: (canonical_rows, positions)}``
     where ``positions`` are the start offsets of the N-free windows in
-    ascending order and ``canonical_rows`` is bit-identical — rows *and*
-    order — to ``canonical_kmers_packed(codes, k)``.
+    ascending order and ``canonical_rows`` are the canonical k-mers at
+    those positions, in that order.
 
     The fusion: each strand is packed exactly once, as the 32-base
     window at every start (:func:`repro.assembly.packed.flat_windows`),

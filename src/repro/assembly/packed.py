@@ -8,9 +8,9 @@ the unused low-order "slack" bits are zero.  The layout is chosen so that
 numeric comparison of the word tuple equals lexicographic comparison of
 the code string: canonicalization, counting (:func:`unique_inverse_counts`)
 and the graph's (k-1)-mer junction table (:func:`junctions`) all order
-k-mers lexicographically on the integer words.  The 16-byte :func:`keys`
-of two-word rows remain only for ``KmerTable.key_array``, detonate and
-tests.
+k-mers lexicographically on the integer words.  The 1-D :func:`keys`
+(16-byte strings for two-word rows) remain only for quantify's join and
+:func:`unique_keys`, detonate's k-mer sets.
 
 Everything here is vectorized over *rows* of shape ``(n, W)``; the only
 Python-level loops run over the k positions of a window (k <= 63), never

@@ -94,12 +94,12 @@ class KmerSpectrum:
     """The complete k-mer content of one store at one k, counted once.
 
     * ``distinct`` — ``(n_distinct, W)`` canonical packed rows in
-      ascending key order (pre-sorted: tables built from them skip the
-      sort via the ``presorted`` fast path).
+      ascending key order: :meth:`KmerTable.from_packed` takes them
+      as they are.
     * ``counts`` — global multiplicity per distinct row.
     * ``inverse`` — per *occurrence* (N-free window, in store extraction
       order) the index of its distinct row: ``distinct[inverse]`` is
-      bit-identical to ``canonical_kmers_packed(store.codes, k)``.
+      the store's canonical k-mer stream.
     * ``read_offsets`` — occurrences of read ``i`` are the stream slice
       ``[read_offsets[i], read_offsets[i+1])``.
     * ``rel_positions`` — per occurrence, the window start offset within
@@ -289,7 +289,7 @@ class KmerSpectrum:
         def make() -> KmerTable:
             keep = self.counts >= min_count
             return KmerTable.from_packed(
-                self.k, self.distinct[keep], self.counts[keep], presorted=True
+                self.k, self.distinct[keep], self.counts[keep]
             ).freeze()
 
         return self._derive(("table", min_count), make)

@@ -107,7 +107,6 @@ class TrinityAssembler:
             TRINITY_K,
             spectrum.distinct[present],
             sel_counts[present].astype(np.int64),
-            presorted=True,
         )
         # Trinity's Inchworm prunes k-mers relative to the run's depth
         # (coverage-aware error pruning, unlike the pipeline's fixed

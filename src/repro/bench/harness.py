@@ -27,6 +27,9 @@ from repro.seq.readstore import ReadStore
 #: EXPERIMENTS.md.
 BENCH_PARAMS = {"B_glumae": (0.004, 1.0), "P_crispa": (0.0015, 0.1)}
 
+#: Central share of each transcript kept as :func:`annotation_reference`.
+CDS_FRACTION = 0.75
+
 
 def bench_dataset(name: str, fraction: float = 1.0) -> Dataset:
     """The benchmark-scale analog data set, optionally with only a
@@ -74,20 +77,20 @@ def run_assembly(
 
 
 @functools.lru_cache(maxsize=None)
-def annotation_reference(name: str, cds_fraction: float = 0.75):
+def annotation_reference(name: str):
     """CDS-like ground truth, mirroring the paper's Table V caveat.
 
     The paper scores against predicted *protein gene* sequences, "not the
     entire mRNA transcripts" — so true UTR sequence assembled by any tool
     counts against precision.  The analog keeps the central
-    ``cds_fraction`` of every expressed transcript as the reference.
+    ``CDS_FRACTION`` of every expressed transcript as the reference.
     """
     from repro.seq.transcriptome import Transcript, Transcriptome
 
     ds = bench_dataset(name)
     trimmed = []
     for t in ds.transcriptome.transcripts:
-        margin = int(len(t) * (1 - cds_fraction) / 2)
+        margin = int(len(t) * (1 - CDS_FRACTION) / 2)
         codes = t.codes[margin : len(t) - margin]
         if codes.shape[0] >= 60:
             trimmed.append(

@@ -18,7 +18,7 @@ from repro.cloud.vm import VM, VMState
 from repro.obs import get_tracer
 
 #: StarCluster configuration time (NFS export, SGE install, host keys).
-DEFAULT_SETUP_SECONDS = 120.0
+SETUP_SECONDS = 120.0
 
 
 class ClusterError(RuntimeError):
@@ -120,7 +120,6 @@ def build_cluster(
     itype: InstanceType | str,
     n_nodes: int,
     name: str = "starcluster",
-    setup_seconds: float = DEFAULT_SETUP_SECONDS,
 ) -> Cluster:
     """Launch VMs and configure them as an SGE cluster (StarCluster)."""
     if n_nodes < 1:
@@ -129,7 +128,7 @@ def build_cluster(
     vms = region.run_instances(itype, n_nodes)
     for vm in vms:
         vm.label = name
-    region.clock.advance(setup_seconds)
+    region.clock.advance(SETUP_SECONDS)
     tracer = get_tracer()
     if tracer.enabled:
         tracer.add_span(

@@ -116,13 +116,6 @@ class SGEScheduler:
         self._try_schedule()
         return job.job_id
 
-    def qstat(self) -> dict[str, int]:
-        """Counts by state, qstat-style."""
-        out = {s.value: 0 for s in JobState}
-        for j in self.jobs.values():
-            out[j.state.value] += 1
-        return out
-
     def run_to_completion(self) -> None:
         """Drain the event queue until all jobs finish."""
         self.events.run()

@@ -40,13 +40,3 @@ def task_memory_bytes(
     if task == "postprocess":
         return int(spec.preprocessed_bytes * POSTPROCESS_FACTOR)
     raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
-
-
-def fits_instance(
-    spec: DatasetSpec,
-    task: str,
-    instance_memory_bytes: int,
-    n_nodes: int = 1,
-) -> bool:
-    """Table IV's O/X decision for one (task, dataset, instance) cell."""
-    return task_memory_bytes(spec, task, n_nodes) <= instance_memory_bytes

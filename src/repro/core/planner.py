@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from repro.assembly.registry import ASSEMBLERS
-from repro.cloud.cluster import DEFAULT_SETUP_SECONDS
+from repro.cloud.cluster import SETUP_SECONDS
 from repro.cloud.ec2 import DEFAULT_PROVISION_SECONDS
 from repro.cloud.instances import InstanceType, get_instance_type
 from repro.cloud.storage import DEFAULT_LAN_BANDWIDTH, DEFAULT_WAN_BANDWIDTH
@@ -281,7 +281,6 @@ def predict_run(
     wan_bandwidth: float = DEFAULT_WAN_BANDWIDTH,
     lan_bandwidth: float = DEFAULT_LAN_BANDWIDTH,
     provision_seconds: float = DEFAULT_PROVISION_SECONDS,
-    setup_seconds: float = DEFAULT_SETUP_SECONDS,
 ) -> RunPrediction:
     """Predict a planned run's virtual TTC and on-demand dollar cost.
 
@@ -318,7 +317,7 @@ def predict_run(
     if reuses_vms:
         # S2: one shared cluster built before pre-processing, grown
         # (provision only, no re-setup) for the fan-out.
-        overhead_pre = provision_seconds + setup_seconds
+        overhead_pre = provision_seconds + SETUP_SECONDS
         overhead_asm = provision_seconds if plan.n_nodes > 1 else 0.0
         stages += [
             StagePrediction("cluster-setup", overhead_pre),
@@ -344,7 +343,7 @@ def predict_run(
         # S1: a fresh cluster per pilot, LAN hand-overs in between.
         copy_pre = spec.preprocessed_bytes / lan_bandwidth
         copy_contigs = contig_bytes / lan_bandwidth
-        cluster = provision_seconds + setup_seconds
+        cluster = provision_seconds + SETUP_SECONDS
         stages += [
             StagePrediction("cluster-setup", 3 * cluster),
             StagePrediction("data-handover", copy_pre + copy_contigs),

@@ -69,16 +69,6 @@ class PreprocessResult:
         one ``FastqRecord`` per read on first access, then cached."""
         return self.store.records()
 
-    @property
-    def survival_rate(self) -> float:
-        return self.output_reads / self.input_reads if self.input_reads else 0.0
-
-    @property
-    def reduction_factor(self) -> float:
-        """Output/input base volume — Table II's large post-preprocessing
-        shrink (3.8 GB -> 175 MB for B. glumae) comes mostly from dedup."""
-        return self.output_bases / self.input_bases if self.input_bases else 0.0
-
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k != "reads"}
         state["store"] = (self.store.fields(), self.store.digest)

@@ -34,6 +34,9 @@ PSEUDO_K = 25
 #: Reads are probed at every 4th window of each strand.
 READ_STRIDE = 4
 
+#: Threads the quantifier runs on: its critical path is work / THREADS.
+THREADS = 8
+
 
 @dataclass
 class QuantificationResult:
@@ -72,7 +75,6 @@ def quantify(
     reads: list[FastqRecord] | ReadStore,
     transcripts: list[Contig],
     k: int = PSEUDO_K,
-    n_threads: int = 8,
 ) -> QuantificationResult:
     """Pseudo-align ``reads`` against ``transcripts`` and count.
 
@@ -150,7 +152,7 @@ def quantify(
         PhaseUsage(
             name="quantify",
             kind="quantify",
-            critical_compute=work / max(n_threads, 1),
+            critical_compute=work / THREADS,
             total_compute=float(work),
         )
     )

@@ -57,6 +57,7 @@ from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.pilot import Pilot
 from repro.pilot.scheduler import SchedulingError
+from repro.pilot.states import PILOT_FINAL
 from repro.seq.datasets import Dataset, DatasetSpec
 from repro.seq.readstore import ReadStore
 
@@ -902,9 +903,10 @@ class RnnotatorPipeline:
     def _run(self, dataset: Dataset, config: PipelineConfig | None) -> PipelineResult:
         """Walk :data:`_STAGES` over a fresh run context, under the
         ambient tracer's alert engine (when it has rules) and inside the
-        ``pipeline`` root span.  However the walk ends, the fleet is
-        released (so a failed run is billed in full) and the root closes
-        with its ``outcome``: ``done``, ``failed`` or ``killed``."""
+        ``pipeline`` root span.  However the walk ends, every pilot not
+        yet final is canceled, the fleet is released (so a failed run is
+        billed in full) and the root closes with its ``outcome``:
+        ``done``, ``failed`` or ``killed``."""
         config = config or PipelineConfig()
         tracer = get_tracer()
         with tracer.alerting() as alerts, ExitStack() as cleanup:
@@ -922,6 +924,9 @@ class RnnotatorPipeline:
                 else:
                     ended = {"outcome": "done"}
                 finally:
+                    for pilot in run.pm.pilots:
+                        if pilot.state not in PILOT_FINAL:
+                            run.pm.cancel(pilot)
                     run.region.terminate_all()
                     if tracer.enabled:
                         root.set(**_root_attrs(run, tracer), **ended)

@@ -32,20 +32,12 @@ class MatchingScheme(enum.Enum):
     S3 = "S3"
 
     @property
-    def couples_vm_lifetime(self) -> bool:
-        return self is MatchingScheme.S1
-
-    @property
     def reuses_vms(self) -> bool:
         return self in (MatchingScheme.S2, MatchingScheme.S3)
 
     @property
     def elastic(self) -> bool:
         return self is MatchingScheme.S3
-
-    @property
-    def pays_interstage_transfer(self) -> bool:
-        return self is MatchingScheme.S1
 
     @classmethod
     def parse(cls, value: "MatchingScheme | str") -> "MatchingScheme":

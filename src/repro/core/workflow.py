@@ -25,10 +25,6 @@ class WorkflowPattern(enum.Enum):
     DISTRIBUTED_DYNAMIC = "dynamic"
 
     @property
-    def is_distributed(self) -> bool:
-        return self is not WorkflowPattern.CONVENTIONAL
-
-    @property
     def decides_at_runtime(self) -> bool:
         return self is WorkflowPattern.DISTRIBUTED_DYNAMIC
 

@@ -28,6 +28,9 @@ from repro.seq.readstore import expand_ranges
 
 SEED_K = 15
 
+#: Seed hits a diagonal needs before it is scored.
+MIN_VOTES = 2
+
 #: 3 bits per base (codes 0..4 including N) in one uint64.
 _MAX_SEED_K = 21
 
@@ -55,10 +58,6 @@ class Alignment:
     length: int
     matches: int
     strand: int
-
-    @property
-    def identity(self) -> float:
-        return self.matches / self.length if self.length else 0.0
 
 
 class AlignmentIndex:
@@ -143,7 +142,6 @@ def _score_diagonal(
 def align_contig(
     index: AlignmentIndex,
     contig_seq: str,
-    min_votes: int = 2,
 ) -> Alignment | None:
     """Best single-diagonal alignment of a contig (either strand)."""
     best: Alignment | None = None
@@ -154,7 +152,7 @@ def align_contig(
             continue
         # Score the few strongest diagonals only.
         for (tid, diag), n in votes.most_common(3):
-            if n < min_votes:
+            if n < MIN_VOTES:
                 continue
             aln = _score_diagonal(index, codes, tid, diag, strand)
             if best is None or aln.matches > best.matches:

@@ -62,8 +62,6 @@ def evaluate(
     contigs: list[Contig],
     reference: Transcriptome,
     total_read_kmers: int | None = None,
-    seed_k: int = 15,
-    kmer_k: int = KMER_METRIC_K,
 ) -> DetonateScores:
     """Score an assembly against a reference transcriptome.
 
@@ -76,7 +74,7 @@ def evaluate(
         raise ValueError("empty reference transcriptome")
 
     # -- nucleotide level ---------------------------------------------------
-    index = AlignmentIndex(refs, seed_k=seed_k)
+    index = AlignmentIndex(refs)
     covered = [np.zeros(len(r), dtype=bool) for r in refs]
     matched_bases = 0
     assembly_bp = sum(len(c) for c in contigs)
@@ -105,12 +103,12 @@ def evaluate(
     )
 
     # -- k-mer level ----------------------------------------------------------
-    assembly_kmers = _kmer_keys([c.seq for c in contigs], kmer_k)
+    assembly_kmers = _kmer_keys([c.seq for c in contigs], KMER_METRIC_K)
     weights = reference.read_sampling_weights()
     wkr_num = 0.0
     wkr_den = 0.0
     for t, w in zip(reference.transcripts, weights):
-        t_kmers = _kmer_keys([t.seq], kmer_k)
+        t_kmers = _kmer_keys([t.seq], KMER_METRIC_K)
         if t_kmers.size == 0:
             continue
         present = int(packedmod.keys_in(t_kmers, assembly_kmers).sum())
@@ -120,7 +118,7 @@ def evaluate(
 
     if total_read_kmers is None:
         total_read_kmers = 50 * sum(
-            max(len(r) - kmer_k + 1, 0) for r in refs
+            max(len(r) - KMER_METRIC_K + 1, 0) for r in refs
         )
     penalty = len(assembly_kmers) / (2.0 * max(total_read_kmers, 1))
     kc = wkr - penalty

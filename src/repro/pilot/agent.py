@@ -13,10 +13,9 @@ Execution is split into two phases so workloads can run concurrently:
 * :meth:`PilotAgent.submit` performs the static capacity check, answers
   the unit's content key from the checkpoint store or the run cache,
   and dispatches the workload to the executor backend;
-* :meth:`PilotAgent.collect` (or :meth:`PilotAgent.drain`) blocks on the
-  workload's outcome, prices it, and enqueues the SGE job whose
-  completion callback binds the result back into the unit on the
-  virtual clock.
+* :meth:`PilotAgent.collect` blocks on the workload's outcome, prices
+  it, and enqueues the SGE job whose completion callback binds the
+  result back into the unit on the virtual clock.
 
 All capacity math is capped at the *pilot's* declared slice
 (``pilot.n_nodes``), not the bound cluster's size: an S2 pilot launched
@@ -345,11 +344,6 @@ class PilotAgent:
             self.cache.put(key, outcome.result, **_extra_tags(unit))
         self._enqueue(unit, outcome.result, outcome.usage)
 
-    def drain(self) -> None:
-        """Collect every pending unit, in dispatch order."""
-        for unit, _, _, _, _ in list(self._pending.values()):
-            self.collect(unit)
-
     # -- pricing and the virtual-clock SGE job -----------------------------
 
     def _enqueue(self, unit: ComputeUnit, result, usage: ResourceUsage) -> None:
@@ -460,23 +454,3 @@ class PilotAgent:
                 **outcome,
                 **_extra_tags(unit),
             )
-
-
-def merged_usage(
-    units: list[ComputeUnit], include_failed: bool = False
-) -> ResourceUsage:
-    """Sequentially merge the scaled usage of finished units.
-
-    By default only DONE units contribute: a FAILED unit's usage (e.g.
-    the partial record of a measured OOM) describes work whose outputs
-    were discarded.  Pass ``include_failed=True`` to account for that
-    burnt work too — e.g. when totalling what a run actually consumed.
-    """
-    total = ResourceUsage()
-    for u in units:
-        if u.usage is None:
-            continue
-        if u.state is not UnitState.DONE and not include_failed:
-            continue
-        total = total.merge(u.usage)
-    return total

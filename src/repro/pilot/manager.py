@@ -64,6 +64,20 @@ class UnitFailureError(ManagerError):
 _log = logging.getLogger(__name__)
 
 
+def _fail_permanently(units: list[ComputeUnit]) -> None:
+    """Record units that will not run again: counted, logged and one
+    ``unit.failed_permanently`` event each."""
+    tracer = get_tracer()
+    tracer.count("units_failed_permanently", len(units))
+    for u in units:
+        _log.error("unit %s failed permanently after %d restart(s): %s",
+                   u.description.name, u.restarts, u.error)
+        if tracer.enabled:
+            tracer.event("unit.failed_permanently", category="scheduler",
+                         thread=u.unit_id, unit=u.description.name,
+                         restarts=u.restarts, error=u.error)
+
+
 @dataclass
 class PilotManager:
     """Creates, launches and cancels pilots on the region."""
@@ -230,11 +244,11 @@ class UnitManager:
                     pending, self.pilots, exclude=failed_on
                 )
             except SchedulingError as exc:
-                _log.warning("scheduling failed terminally: %s", exc)
                 for unit in pending:
                     if unit.state is UnitState.UNSCHEDULED:
                         unit.advance(UnitState.SCHEDULING)
                     unit.fail(str(exc))
+                _fail_permanently(pending)
                 raise
             # Phase 1: dispatch every workload (they run concurrently
             # under a parallel executor backend) ...
@@ -288,26 +302,10 @@ class UnitManager:
             exhausted = [
                 u for u in failed if u.restarts >= u.description.max_restarts
             ]
-            tracer = get_tracer()
             if exhausted:
-                tracer.count("units_failed_permanently", len(exhausted))
-                for u in exhausted:
-                    _log.error(
-                        "unit %s failed permanently after %d restart(s): %s",
-                        u.description.name,
-                        u.restarts,
-                        u.error,
-                    )
-                    if tracer.enabled:
-                        tracer.event(
-                            "unit.failed_permanently",
-                            category="scheduler",
-                            thread=u.unit_id,
-                            unit=u.description.name,
-                            restarts=u.restarts,
-                            error=u.error,
-                        )
+                _fail_permanently(exhausted)
                 raise UnitFailureError(exhausted)
+            tracer = get_tracer()
             for u in retryable:
                 _log.warning(
                     "restarting %s elsewhere (attempt %d, excluded pilots: %s)",

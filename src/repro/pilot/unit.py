@@ -76,7 +76,7 @@ class ComputeUnit:
         report the dead attempt's usage, result or timestamps — e.g. a
         retry that fails the static capacity check (and so never
         executes) would otherwise surface the failed attempt's usage
-        through ``merged_usage`` and a bogus ``ttc``.
+        and a bogus ``ttc``.
         """
         self.advance(UnitState.UNSCHEDULED)
         self.restarts += 1

@@ -84,14 +84,6 @@ def gc_content(seq: str | np.ndarray) -> float:
     return gc / n_called
 
 
-def fraction_n(seq: str | np.ndarray) -> float:
-    """Fraction of bases that are N.  Returns 0.0 for empty input."""
-    codes = encode(seq) if isinstance(seq, str) else np.asarray(seq, dtype=np.uint8)
-    if codes.size == 0:
-        return 0.0
-    return float((codes == N).mean())
-
-
 def random_dna(
     length: int,
     rng: np.random.Generator,
@@ -107,9 +99,3 @@ def random_dna(
         size=length,
         p=[p_at, p_gc, p_gc, p_at],
     ).astype(np.uint8)
-
-
-def is_valid_codes(codes: np.ndarray) -> bool:
-    """True if every element is a legal base code (0..4)."""
-    codes = np.asarray(codes)
-    return bool(codes.size == 0 or (codes >= 0).all() and (codes <= N).all())

@@ -7,7 +7,6 @@ have real bytes to move.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -15,7 +14,6 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 PHRED_OFFSET = 33
-MAX_PHRED = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,12 +40,6 @@ class FastqRecord:
             np.frombuffer(self.qual.encode("ascii"), dtype=np.uint8).astype(np.int16)
             - PHRED_OFFSET
         )
-
-
-def phred_to_ascii(scores: np.ndarray) -> str:
-    """Encode integer Phred scores as a Phred+33 string (clipped to 0..60)."""
-    clipped = np.clip(np.asarray(scores, dtype=np.int16), 0, MAX_PHRED)
-    return (clipped + PHRED_OFFSET).astype(np.uint8).tobytes().decode("ascii")
 
 
 def _open_maybe(path_or_handle, mode: str) -> tuple[TextIO, bool]:
@@ -103,11 +95,3 @@ def write_fastq(records: Iterable[FastqRecord], path_or_handle) -> int:
         if owned:
             handle.close()
     return n
-
-
-def fastq_string(records: Iterable[FastqRecord]) -> str:
-    """Render records to a FASTQ-formatted string."""
-    buf = io.StringIO()
-    write_fastq(records, buf)
-    return buf.getvalue()
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.seq import alphabet
-from repro.seq.alphabet import decode, random_dna
+from repro.seq.alphabet import random_dna
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class Gene:
         if self.exons and self.exons[-1].end > self.end - self.start:
             raise ValueError("exon extends past gene locus")
 
-    @property
-    def locus_length(self) -> int:
-        return self.end - self.start
-
-    @property
-    def mrna_length(self) -> int:
-        return sum(len(ex) for ex in self.exons)
-
 
 @dataclass
 class Genome:
@@ -97,9 +89,6 @@ class Genome:
         if gene.strand == -1:
             mrna = alphabet.reverse_complement(mrna)
         return mrna
-
-    def gene_sequence_str(self, gene: Gene) -> str:
-        return decode(self.gene_sequence(gene))
 
 
 @dataclass(frozen=True)

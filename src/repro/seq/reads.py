@@ -80,14 +80,6 @@ class SequencingRun:
     mates: list[FastqRecord] = field(default_factory=list)
     origins: list[ReadOrigin] = field(default_factory=list)
 
-    @property
-    def n_fragments(self) -> int:
-        return len(self.reads)
-
-    @property
-    def total_bases(self) -> int:
-        return sum(len(r) for r in self.reads) + sum(len(r) for r in self.mates)
-
     def all_reads(self) -> list[FastqRecord]:
         """Reads and mates interleaved (mates after their read)."""
         if not self.mates:

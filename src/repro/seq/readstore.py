@@ -6,13 +6,12 @@ flat numpy arrays.  QC filters that store into the pre-processed one
 shares — no per-job encoding, no records built or pickled per submit:
 
 * ``codes`` — every read's base codes followed by a single ``N``
-  separator (code 4).  This is exactly the joined form
-  :func:`repro.assembly.kmers.canonical_kmers_varlen_packed` builds per
-  call, so per-k extraction becomes one windowing pass over the shared
-  array with **no** per-call string encoding or concatenation, and the
-  resulting k-mer stream is bit-identical to the per-read path (windows
-  crossing a separator contain an N and are dropped; reads shorter than
-  k contribute no windows).
+  separator (code 4): the joined form the one k-mer extraction,
+  :func:`repro.assembly.kmers.fused_canonical_positions_packed`, reads.
+  It runs over the shared array with **no** per-call string encoding or
+  concatenation, and its k-mer stream is the per-read stream
+  concatenated (windows crossing a separator contain an N and are
+  dropped; reads shorter than k contribute no windows).
 * ``offsets`` — ``int64`` of length ``n_reads + 1``; read ``i`` occupies
   ``codes[offsets[i] : offsets[i+1] - 1]`` (the ``-1`` skips its
   separator).

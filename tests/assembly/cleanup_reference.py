@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import networkx as nx
 
+from repro.assembly import cleanup
 from repro.assembly.cleanup import CleanupStats
 from repro.assembly.dbg import Unitig
 from tests.assembly.kmer_reference import canonical
@@ -146,3 +147,29 @@ def clean_unitigs(
         total.bubbles_popped += s.bubbles_popped
         total.work += s.work
     return out, total
+
+
+# -- the kernel's single passes ------------------------------------------------
+#
+# ``repro.assembly.cleanup`` runs both rules in one call (``clean_unitigs``).
+# Each rule alone, on the same junction table, is held to the graph
+# reference's ``clip_tips`` / ``pop_bubbles`` by ``test_cleanup_kernel.py``.
+
+
+def kernel_clip_tips(
+    unitigs: list[Unitig],
+    k: int,
+    max_tip_length: int | None = None,
+    coverage_ratio: float = 0.5,
+) -> tuple[list[Unitig], CleanupStats]:
+    """The kernel's tip pass alone (``max_tip_length`` defaults to 2k)."""
+    if max_tip_length is None:
+        max_tip_length = 2 * k
+    return cleanup._clean(unitigs, k, (max_tip_length, coverage_ratio), None)
+
+
+def kernel_pop_bubbles(
+    unitigs: list[Unitig], k: int, length_tolerance: float = 0.1
+) -> tuple[list[Unitig], CleanupStats]:
+    """The kernel's bubble pass alone."""
+    return cleanup._clean(unitigs, k, None, length_tolerance)

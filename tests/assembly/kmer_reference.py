@@ -27,7 +27,7 @@ from repro.assembly import packed as packedmod
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
-from repro.assembly.dbg import KMER_RECORD_BYTES, Unitig
+from repro.assembly.dbg import KMER_RECORD_BYTES, KmerTable, Unitig
 from repro.parallel.usage import PhaseUsage, ResourceUsage
 from repro.seq import alphabet
 from repro.seq.fastq import FastqRecord
@@ -143,6 +143,32 @@ def packed_to_ints(packed: np.ndarray, k: int) -> list[int]:
     if W == 1:
         return packed[:, 0].tolist()
     return [(a << 64) | b for a, b in zip(*packed.T.tolist())]
+
+
+def packed_kmers(codes: np.ndarray, k: int) -> np.ndarray:
+    """:func:`canonical_kmers` as packed rows: what the live extraction
+    (``repro.assembly.kmers``) must return, rows and order."""
+    return packedmod.pack(canonical_kmers(codes, k))
+
+
+def sorted_table(k: int, rows: np.ndarray, counts=None) -> KmerTable:
+    """A ``KmerTable`` of packed rows in any order: the distinct rows in
+    key order (``packed.unique_inverse_counts``), each counted once per
+    occurrence or, given ``counts``, by the sum of its counts."""
+    distinct, inverse, n = packedmod.unique_inverse_counts(rows, k)
+    if counts is not None:
+        n = np.bincount(inverse, weights=counts, minlength=len(distinct))
+    return KmerTable.from_packed(k, distinct, n.astype(np.int64))
+
+
+def table_lookup(table: KmerTable, rows: np.ndarray):
+    """Membership and coverage of packed ``rows`` in a non-empty
+    ``table``: a binary search over its sorted keys."""
+    keys = packedmod.keys(table.packed, table.k)
+    query = packedmod.keys(rows, table.k)
+    idx = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    found = keys[idx] == query
+    return found, np.where(found, table.count_array[idx], 0)
 
 
 #: Complement of every byte value: ``3 - code`` with uint8 wrap-around.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.assembly import packed as packedmod
 from repro.assembly.dbg import KmerTable
 from repro.assembly.sweep import KmerSpectrum
 from tests.parallel.exec_reference import ExecWorld
@@ -43,10 +44,7 @@ def distribute_and_count(
             world.charge(r, float(matrix[:, r].sum()))
             mine = owners == r
             shard = KmerTable.from_packed(
-                k,
-                spectrum.distinct[mine],
-                spectrum.counts[mine],
-                presorted=True,
+                k, spectrum.distinct[mine], spectrum.counts[mine]
             )
             shards.append(shard)
             world.record_memory(r, shard.memory_bytes())
@@ -61,8 +59,8 @@ def merge_shards(
     rows = np.concatenate([s.packed for s in shards], axis=0)
     counts = np.concatenate([s.count_array for s in shards])
     owners = np.repeat(np.arange(len(shards)), [len(s) for s in shards])
-    order = np.argsort(np.concatenate([s.key_array for s in shards]), kind="stable")
-    table = KmerTable.from_packed(k, rows[order], counts[order], presorted=True)
+    order = np.argsort(packedmod.keys(rows, k), kind="stable")
+    table = KmerTable.from_packed(k, rows[order], counts[order])
     return table, owners[order]
 
 

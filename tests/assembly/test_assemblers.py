@@ -13,7 +13,7 @@ from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
 from repro.assembly.contrail import ContrailAssembler
 from repro.assembly.dbg import KmerTable
-from repro.assembly.kmers import canonical_kmers_packed
+from repro.assembly.kmers import canonical_kmers_varlen_packed
 from repro.assembly.packed import keys, unique_inverse_counts
 from repro.assembly.ray import RayAssembler
 from repro.assembly.sweep import resolve_spectrum
@@ -26,9 +26,10 @@ from repro.assembly.registry import (
 )
 from repro.assembly.trinity import TRINITY_K, TrinityAssembler
 from repro.assembly.velvet import VelvetAssembler
-from repro.seq.alphabet import encode, reverse_complement
+from repro.seq.alphabet import reverse_complement
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import ReadStore
+from tests.assembly.kmer_reference import packed_kmers, table_lookup
 
 PARAMS = AssemblyParams(k=31, min_contig_length=100)
 
@@ -80,7 +81,7 @@ def prepare_by_dict(asm, store):
             end -= 1
         if end < TRINITY_K:
             continue
-        rows = canonical_kmers_packed(store.read_codes(i)[:end], TRINITY_K)
+        rows = packed_kmers(store.read_codes(i)[:end], TRINITY_K)
         if rows.shape[0] == 0:
             continue
         kmers = keys(rows, TRINITY_K).tolist()
@@ -158,9 +159,9 @@ class TestContigProperties:
     def case(self, request, store_paired):
         k = request.param
         rows, _, counts = unique_inverse_counts(
-            canonical_kmers_packed(store_paired.codes, k), k
+            packed_kmers(store_paired.codes, k), k
         )
-        spectrum = KmerTable.from_packed(k, rows, counts, presorted=True)
+        spectrum = KmerTable.from_packed(k, rows, counts)
         return store_paired, AssemblyParams(k=k, min_contig_length=100), spectrum
 
     @pytest.mark.parametrize(
@@ -185,9 +186,9 @@ class TestContigProperties:
         contigs = assembler().assemble(store, params).contigs
         assert len(contigs) > 5
         for c in contigs:
-            rows = canonical_kmers_packed(encode(c.seq), params.k)
+            rows = canonical_kmers_varlen_packed([c.seq], params.k)
             assert rows.shape[0] == len(c.seq) - params.k + 1
-            found, cov = spectrum.lookup_keys(keys(rows, params.k))
+            found, cov = table_lookup(spectrum, rows)
             assert found.all() and cov.min() >= floor, c.contig_id
 
     @pytest.mark.parametrize("assembler", (RayAssembler, AbyssAssembler))

@@ -42,11 +42,12 @@ def assert_kernel_matches(unitigs, k, max_tip_length=None, ratio=0.5, tol=0.1):
         cleanup.clean_unitigs(unitigs, k), reference.clean_unitigs(unitigs, k)
     )
     assert_same(
-        cleanup.clip_tips(unitigs, k, max_tip_length, ratio),
+        reference.kernel_clip_tips(unitigs, k, max_tip_length, ratio),
         reference.clip_tips(unitigs, k, max_tip_length, ratio),
     )
     assert_same(
-        cleanup.pop_bubbles(unitigs, k, tol), reference.pop_bubbles(unitigs, k, tol)
+        reference.kernel_pop_bubbles(unitigs, k, tol),
+        reference.pop_bubbles(unitigs, k, tol),
     )
 
 
@@ -113,7 +114,7 @@ def test_three_tips_on_one_junction_follow_the_graph_order(k):
                 for i, u in enumerate(perm)
             ]
             assert_kernel_matches(us, k)
-            outcomes.add(cleanup.clip_tips(us, k)[1].tips_removed)
+            outcomes.add(reference.kernel_clip_tips(us, k)[1].tips_removed)
     assert len(outcomes) > 1, "scenario no longer depends on the visiting order"
 
 
@@ -139,7 +140,7 @@ def test_palindromic_junction_joins_both_strands():
         make(pal + [2, 2, 0], 2.0),           # short tip on the palindrome
     ]
     assert_kernel_matches(unitigs, k)
-    assert cleanup.clip_tips(unitigs, k)[1].tips_removed == 1
+    assert reference.kernel_clip_tips(unitigs, k)[1].tips_removed == 1
 
 
 @pytest.mark.parametrize("k", [4, 5, 51])
@@ -154,7 +155,7 @@ def test_bubble_members_tied_on_coverage(k):
         assert_kernel_matches(list(perm), k, tol=0.2)
     # All tie on coverage: the shortest arm wins, the 30-base arm is too
     # different in length to be the same bubble.
-    kept, stats = cleanup.pop_bubbles(unitigs, k, 0.2)
+    kept, stats = reference.kernel_pop_bubbles(unitigs, k, 0.2)
     assert stats.bubbles_popped == 2 and unitigs[2] in kept and unitigs[3] in kept
 
 
@@ -174,10 +175,11 @@ def test_flags_and_empty_input():
     """Empty input is returned as it came by every entry point, and each
     single pass runs its own rule only (``clean_unitigs`` has no flags:
     every assembler clips and pops)."""
-    for clean in (cleanup.clean_unitigs, cleanup.clip_tips, cleanup.pop_bubbles):
+    passes = (reference.kernel_clip_tips, reference.kernel_pop_bubbles)
+    for clean in (cleanup.clean_unitigs, *passes):
         assert clean([], 5) == ([], cleanup.CleanupStats())
     us = hub_with_tips(5, [1.0], np.random.default_rng(0))
-    kept, stats = cleanup.pop_bubbles(us, 5)
+    kept, stats = reference.kernel_pop_bubbles(us, 5)
     assert kept == us and (stats.tips_removed, stats.bubbles_popped) == (0, 0)
-    kept, stats = cleanup.clip_tips(us, 5)
+    kept, stats = reference.kernel_clip_tips(us, 5)
     assert kept == us[:1] and (stats.tips_removed, stats.bubbles_popped) == (1, 0)

@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.assembly.base import AssemblyParams, unitigs_to_contigs
-from repro.assembly.cleanup import clean_unitigs, clip_tips, pop_bubbles
+from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, Contig, assembly_stats, n50
 from repro.assembly.dbg import Unitig
 from repro.parallel.usage import ResourceUsage
 from repro.seq.alphabet import encode, reverse_complement
+from tests.assembly.cleanup_reference import kernel_clip_tips, kernel_pop_bubbles
 
 
 def unitig(seq: str, cov: float) -> Unitig:
@@ -108,8 +109,8 @@ class TestUnitigGraph:
         # ``work`` counts the condensed graph: the bubble pass one
         # operation per edge (= unitig), the tip pass edges + junctions.
         us = [unitig("ACGTACGTAC", 5.0), unitig("GGGGCCCCAA", 3.0)]
-        assert pop_bubbles(us, 5)[1].work == 2
-        assert clip_tips(us, 5)[1].work == 2 + 4
+        assert kernel_pop_bubbles(us, 5)[1].work == 2
+        assert kernel_clip_tips(us, 5)[1].work == 2 + 4
 
 
 class TestClipTips:
@@ -122,7 +123,7 @@ class TestClipTips:
 
     def test_tip_removed(self):
         us = self.make_tip_scenario()
-        kept, stats = clip_tips(us, k=5)
+        kept, stats = kernel_clip_tips(us, k=5)
         assert stats.tips_removed == 1
         assert len(kept) == 1
         assert kept[0].coverage == 50.0
@@ -130,7 +131,7 @@ class TestClipTips:
     def test_high_coverage_tip_kept(self):
         us = self.make_tip_scenario()
         us[1] = unitig(us[1].seq, 45.0)  # comparable coverage: not an error
-        kept, stats = clip_tips(us, k=5)
+        kept, stats = kernel_clip_tips(us, k=5)
         assert stats.tips_removed == 0
         assert len(kept) == 2
 
@@ -138,17 +139,17 @@ class TestClipTips:
         backbone = "ACGGTCACTGATTGCCGTAAGGCTAGCTAA"
         long_branch = backbone[:4] + "TTCTGAAGTCCATGCA"  # >= 2k
         us = [unitig(backbone, 50.0), unitig(long_branch, 2.0)]
-        kept, stats = clip_tips(us, k=5, max_tip_length=10)
+        kept, stats = kernel_clip_tips(us, k=5, max_tip_length=10)
         assert stats.tips_removed == 0
 
     def test_isolated_contig_kept(self):
         us = [unitig("ACGGTCACTGATTGCCGTAAGG", 1.0)]
-        kept, stats = clip_tips(us, k=5)
+        kept, stats = kernel_clip_tips(us, k=5)
         assert len(kept) == 1
         assert stats.tips_removed == 0
 
     def test_empty(self):
-        kept, stats = clip_tips([], k=5)
+        kept, stats = kernel_clip_tips([], k=5)
         assert kept == []
 
 
@@ -161,7 +162,7 @@ class TestPopBubbles:
 
     def test_bubble_popped(self):
         us = self.make_bubble()
-        kept, stats = pop_bubbles(us, k=5, length_tolerance=0.2)
+        kept, stats = kernel_pop_bubbles(us, k=5, length_tolerance=0.2)
         assert stats.bubbles_popped == 1
         assert len(kept) == 1
         assert kept[0].coverage == 40.0
@@ -170,11 +171,11 @@ class TestPopBubbles:
         a = "ACGGTCACTGATTGCCGTAA"
         b = a[:4] + "T" * 40 + a[-4:]
         us = [unitig(a, 40.0), unitig(b, 3.0)]
-        kept, stats = pop_bubbles(us, k=5, length_tolerance=0.1)
+        kept, stats = kernel_pop_bubbles(us, k=5, length_tolerance=0.1)
         assert stats.bubbles_popped == 0
 
     def test_empty(self):
-        kept, stats = pop_bubbles([], k=5)
+        kept, stats = kernel_pop_bubbles([], k=5)
         assert kept == []
 
 
@@ -189,5 +190,5 @@ class TestCleanCombined:
         """A single pass leaves the other rule's target alone: popping
         bubbles keeps the tip."""
         us = TestClipTips().make_tip_scenario()
-        kept, stats = pop_bubbles(us, k=5)
+        kept, stats = kernel_pop_bubbles(us, k=5)
         assert len(kept) == len(us) and stats.tips_removed == 0

@@ -11,20 +11,19 @@ from repro.assembly.dbg import (
     extract_unitigs,
     extract_unitigs_by_owner,
 )
-from repro.assembly.kmers import canonical_kmers_packed
+from repro.assembly.kmers import canonical_kmers_varlen_packed
 from repro.seq.alphabet import decode, encode, reverse_complement
+from tests.assembly.kmer_reference import packed_kmers, sorted_table, table_lookup
 
 
 def table_from(*seqs: str, k: int) -> KmerTable:
-    rows = np.concatenate([canonical_kmers_packed(encode(s), k) for s in seqs])
-    distinct, _, counts = packed.unique_inverse_counts(rows, k)
-    return KmerTable.from_packed(k, distinct, counts)
+    return sorted_table(k, canonical_kmers_varlen_packed(list(seqs), k))
 
 
 def coverage(t: KmerTable, kmer: str) -> int:
     """Count of an oriented k-mer, looked up by its canonical key."""
     row = packed.canonicalize(packed.pack(encode(kmer)[None, :]), t.k)
-    found, cov = t.lookup_keys(packed.keys(row, t.k))
+    found, cov = table_lookup(t, row)
     return int(cov[0]) if found[0] else 0
 
 
@@ -153,11 +152,11 @@ class TestUnitigExtraction:
         and all input k-mers are covered by some unitig."""
         k = 7
         t = table_from(seq, k=k)
-        input_kmers = set(t.key_array.tolist())
+        input_kmers = set(packed.keys(t.packed, k).tolist())
         unitigs, _ = extract_unitigs(t)
         out_kmers = set()
         for u in unitigs:
-            rows = canonical_kmers_packed(u.codes, k)
+            rows = packed_kmers(u.codes, k)
             out_kmers.update(packed.keys(rows, k).tolist())
         assert out_kmers == input_kmers
 

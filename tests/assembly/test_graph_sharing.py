@@ -297,7 +297,6 @@ class TestReadOnly:
         arrays = (
             table.packed,
             table.count_array,
-            table.key_array,
             *table.unitig_chains(),
             part.matrix,
             part.held,

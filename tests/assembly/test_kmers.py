@@ -6,11 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.assembly import packed
-from repro.assembly.kmers import (
-    canonical_kmers_packed,
-    canonical_kmers_varlen_packed,
-    kmer_owner_packed,
-)
+from repro.assembly.kmers import canonical_kmers_varlen_packed, kmer_owner_packed
 from repro.seq.alphabet import decode, encode, reverse_complement
 from tests.assembly.kmer_reference import canonical, revcomp_kmer
 
@@ -23,35 +19,30 @@ def as_strings(rows: np.ndarray, k: int) -> list[str]:
 
 class TestCanonicalKmers:
     def test_simple_extraction(self):
-        rows = canonical_kmers_packed(encode("ACGTA"), 3)
+        rows = canonical_kmers_varlen_packed(["ACGTA"], 3)
         assert rows.shape == (3, 1)
 
     def test_canonical_choice(self):
         # "TTT" canonicalizes to "AAA"
-        rows = canonical_kmers_packed(encode("TTT"), 3)
+        rows = canonical_kmers_varlen_packed(["TTT"], 3)
         assert as_strings(rows, 3) == ["AAA"]
 
     def test_palindrome_stable(self):
         # "ACGT" is its own reverse complement
-        rows = canonical_kmers_packed(encode("ACGT"), 4)
+        rows = canonical_kmers_varlen_packed(["ACGT"], 4)
         assert as_strings(rows, 4) == ["ACGT"]
 
     def test_n_windows_dropped(self):
-        rows = canonical_kmers_packed(encode("ACGNACG"), 3)
+        rows = canonical_kmers_varlen_packed(["ACGNACG"], 3)
         # windows covering the N (positions 1..3) are dropped
         assert rows.shape[0] == 2
 
     def test_too_short_sequence(self):
-        assert canonical_kmers_packed(encode("AC"), 3).shape == (0, 1)
+        assert canonical_kmers_varlen_packed(["AC"], 3).shape == (0, 1)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            canonical_kmers_packed(encode("ACGT"), 2)
-
-    def test_matrix_input(self):
-        m = encode("ACGTA" + "GGGGG").reshape(2, 5)
-        rows = canonical_kmers_packed(m, 3)
-        assert rows.shape == (6, 1)
+            canonical_kmers_varlen_packed(["ACGT"], 2)
 
     def test_varlen(self):
         rows = canonical_kmers_varlen_packed(["ACGTA", "GG", "TTTT"], 3)
@@ -67,8 +58,8 @@ class TestCanonicalKmers:
         k = min(7, len(s))
         if k < 3:
             return
-        fwd = canonical_kmers_packed(encode(s), k)
-        rev = canonical_kmers_packed(encode(reverse_complement(s)), k)
+        fwd = canonical_kmers_varlen_packed([s], k)
+        rev = canonical_kmers_varlen_packed([reverse_complement(s)], k)
         assert sorted(as_strings(fwd, k)) == sorted(as_strings(rev, k))
 
     @given(dna)
@@ -76,7 +67,7 @@ class TestCanonicalKmers:
         k = 5
         if len(s) < k:
             return
-        rows = canonical_kmers_packed(encode(s), k)
+        rows = canonical_kmers_varlen_packed([s], k)
         assert rows.shape[0] == len(s) - k + 1
 
 
@@ -116,7 +107,7 @@ class TestSingleKmerOps:
 
 class TestCounting:
     def test_counts(self):
-        rows = canonical_kmers_packed(encode("AAAA"), 3)  # AAA twice
+        rows = canonical_kmers_varlen_packed(["AAAA"], 3)  # AAA twice
         distinct, _, counts = packed.unique_inverse_counts(rows, 3)
         assert as_strings(distinct, 3) == ["AAA"]
         assert counts.tolist() == [2]
@@ -132,7 +123,7 @@ class TestCounting:
         k = 4
         if len(s) < k:
             return
-        rows = canonical_kmers_packed(encode(s), k)
+        rows = canonical_kmers_varlen_packed([s], k)
         distinct, inverse, counts = packed.unique_inverse_counts(rows, k)
         assert counts.sum() == rows.shape[0]
         assert np.array_equal(distinct[inverse], rows)
@@ -140,18 +131,18 @@ class TestCounting:
 
 class TestPartitioning:
     def test_owner_range(self):
-        rows = canonical_kmers_packed(encode("ACGTACGTACGTAAAGGGCCC"), 7)
+        rows = canonical_kmers_varlen_packed(["ACGTACGTACGTAAAGGGCCC"], 7)
         owners = kmer_owner_packed(rows, 7, 5)
         assert ((owners >= 0) & (owners < 5)).all()
 
     def test_owner_deterministic(self):
-        rows = canonical_kmers_packed(encode("ACGTACGTACGT"), 5)
+        rows = canonical_kmers_varlen_packed(["ACGTACGTACGT"], 5)
         a = kmer_owner_packed(rows, 5, 4)
         b = kmer_owner_packed(rows, 5, 4)
         assert (a == b).all()
 
     def test_single_rank(self):
-        rows = canonical_kmers_packed(encode("ACGTACGT"), 5)
+        rows = canonical_kmers_varlen_packed(["ACGTACGT"], 5)
         assert (kmer_owner_packed(rows, 5, 1) == 0).all()
 
     def test_invalid_ranks(self):

@@ -13,11 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.assembly import packed
-from repro.assembly.kmers import (
-    canonical_kmers_packed,
-    canonical_kmers_varlen_packed,
-    kmer_owner_packed,
-)
+from repro.assembly.kmers import canonical_kmers_varlen_packed, kmer_owner_packed
 from repro.seq.alphabet import encode
 from tests.assembly.kmer_reference import (
     _canonicalize,
@@ -25,6 +21,7 @@ from tests.assembly.kmer_reference import (
     canonical_kmers_varlen,
     kmer_counts,
     kmer_owner,
+    packed_kmers,
     packed_to_ints,
 )
 
@@ -286,7 +283,7 @@ class TestUniqueInverseCounts:
     @pytest.mark.parametrize("store_name", ("store_single", "store_paired"))
     def test_real_rows_of_the_conftest_stores(self, request, store_name, k):
         store = request.getfixturevalue(store_name)
-        rows = canonical_kmers_packed(store.codes, k)
+        rows = packed_kmers(store.codes, k)
         # 50 bp single-end reads hold no 63-mer: the empty input, for real.
         assert rows.shape[0] > 1000 or (store_name, k) == ("store_single", 63)
         _assert_unique_matches_oracle(rows, k)
@@ -316,7 +313,7 @@ class TestPipelineParity:
 
     @given(dna_with_n, st.sampled_from(BOUNDARY_KS))
     def test_canonical_extraction_parity(self, seq, k):
-        rows = canonical_kmers_packed(encode(seq), k)
+        rows = canonical_kmers_varlen_packed([seq], k)
         expect = canonical_kmers(encode(seq), k)
         assert rows.shape == (expect.shape[0], packed.words_for(k))
         assert _as_bytes(rows, k) == [
@@ -350,7 +347,7 @@ class TestPipelineParity:
             uniform = np.repeat(np.arange(4, dtype=np.uint8)[:, None], k, axis=1)
             brows = np.concatenate([canonical_kmers(encode(seq), k), uniform])
             prows = np.concatenate(
-                [canonical_kmers_packed(encode(seq), k), packed.pack(uniform)]
+                [canonical_kmers_varlen_packed([seq], k), packed.pack(uniform)]
             )
             for n_ranks in (1, 2, 3, 8):
                 owners = kmer_owner_packed(prows, k, n_ranks)
@@ -380,4 +377,4 @@ class TestPipelineParity:
             assert rows.shape[0] == 0 and counts.shape[0] == 0
 
     def test_all_n_read_yields_nothing(self):
-        assert canonical_kmers_packed(encode("N" * 80), 31).shape[0] == 0
+        assert canonical_kmers_varlen_packed(["N" * 80], 31).shape[0] == 0

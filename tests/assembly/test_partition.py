@@ -66,7 +66,6 @@ def _partition_like_reference(spectrum, p, min_count):
     for a, b in (
         (table.packed, ref.table.packed),
         (table.count_array, ref.table.count_array),
-        (table.key_array, ref.table.key_array),
         (owners, ref.owners),
     ):
         assert a.dtype == b.dtype and a.shape == b.shape

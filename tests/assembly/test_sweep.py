@@ -19,11 +19,7 @@ from hypothesis import strategies as st
 
 from repro.assembly import packed as packedmod
 from repro.assembly.dbg import KmerTable
-from repro.assembly.kmers import (
-    _nfree_starts,
-    canonical_kmers_packed,
-    fused_canonical_positions_packed,
-)
+from repro.assembly.kmers import _nfree_starts, fused_canonical_positions_packed
 from repro.assembly.sweep import (
     KmerSpectrum,
     KmerTableCache,
@@ -38,6 +34,7 @@ from repro.seq.datasets import tiny_dataset
 from repro.seq.fastq import FastqRecord
 from repro.seq.reads import ReadSimulator
 from repro.seq.readstore import ReadStore
+from tests.assembly.kmer_reference import packed_kmers
 
 
 def _random_reads(rng, n_reads, max_len=400, n_rate=0.02):
@@ -84,7 +81,7 @@ class TestFusedExtractionProperty:
         fused = fused_canonical_positions_packed(store.codes, list(ks))
         for k in ks:
             rows, positions = fused[k]
-            want = canonical_kmers_packed(store.codes, k)
+            want = packed_kmers(store.codes, k)
             np.testing.assert_array_equal(rows, want)
             # Positions must point at exactly the N-free windows, in order.
             assert positions.shape[0] == rows.shape[0]
@@ -104,7 +101,7 @@ class TestFusedExtractionProperty:
         fused = fused_canonical_positions_packed(store.codes, [k])
         rows, _ = fused[k]
         np.testing.assert_array_equal(
-            rows, canonical_kmers_packed(store.codes, k)
+            rows, packed_kmers(store.codes, k)
         )
         store.close()
 
@@ -117,7 +114,7 @@ class TestFusedExtractionProperty:
             fused = fused_canonical_positions_packed(store.codes, [5, 33])
             for k in (5, 33):
                 np.testing.assert_array_equal(
-                    fused[k][0], canonical_kmers_packed(store.codes, k)
+                    fused[k][0], packed_kmers(store.codes, k)
                 )
             store.close()
 
@@ -249,9 +246,8 @@ class TestOneWordExtraction:
 
 
 class TestFusedExtractionEdges:
-    """``fused[k] == (canonical_kmers_packed(codes, k), N-free starts)``
-    where the single-k path windows, packs and reverse-complements each
-    k on its own."""
+    """``fused[k] == (packed_kmers(codes, k), N-free starts)``: the
+    bytes oracle windows, canonicalises and packs each k on its own."""
 
     @pytest.mark.parametrize("name", sorted(FUSED_EDGE_CASES))
     def test_edge_case(self, name):
@@ -268,7 +264,7 @@ class TestFusedExtractionEdges:
                 if (codes[i : i + k] < alphabet.N).all()
             ]
             assert positions.tolist() == starts
-            want = canonical_kmers_packed(codes, k)
+            want = packed_kmers(codes, k)
             assert rows.dtype == want.dtype and rows.shape == want.shape
             np.testing.assert_array_equal(rows, want)
         np.testing.assert_array_equal(codes, before)
@@ -288,7 +284,7 @@ class TestKmerSpectrum:
 
     def test_spectrum_reconstructs_extraction(self, store):
         for sp in build_spectra(store, [21, 25, 33]):
-            stream = canonical_kmers_packed(store.codes, sp.k)
+            stream = packed_kmers(store.codes, sp.k)
             # Occurrence stream == the flat extraction, bit-for-bit.
             np.testing.assert_array_equal(sp.distinct[sp.inverse], stream)
             # Distinct/counts == unique_inverse_counts of the stream.
@@ -298,7 +294,7 @@ class TestKmerSpectrum:
             # Per-read slices == per-read extraction.
             for i in range(store.n_reads):
                 s, e = int(sp.read_offsets[i]), int(sp.read_offsets[i + 1])
-                per_read = canonical_kmers_packed(store.read_codes(i), sp.k)
+                per_read = packed_kmers(store.read_codes(i), sp.k)
                 np.testing.assert_array_equal(
                     sp.distinct[sp.inverse[s:e]], per_read
                 )
@@ -310,7 +306,7 @@ class TestKmerSpectrum:
 
     def test_table_and_owners_match_per_k_path(self, store):
         (sp,) = build_spectra(store, [25])
-        stream = canonical_kmers_packed(store.codes, 25)
+        stream = packed_kmers(store.codes, 25)
         rows, _, counts = packedmod.unique_inverse_counts(stream, 25)
         want = KmerTable.from_packed(25, rows, counts)
         got = sp.table(1)
@@ -363,36 +359,27 @@ class TestKmerSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# The presorted fast path and its always-on order check.
+# The presorted fast path: from_packed never sorts, and always checks that
+# its rows strictly ascend.
 # ---------------------------------------------------------------------------
 
 
 class TestPresortedFastPath:
     def _stream(self, k=25):
         store = _store(random.Random(5), n_reads=40)
-        stream = canonical_kmers_packed(store.codes, k)
+        stream = packed_kmers(store.codes, k)
         store.close()
         return stream
-
-    def test_from_packed_presorted_matches(self):
-        stream = self._stream()
-        rows, _, counts = packedmod.unique_inverse_counts(stream, 25)
-        base = KmerTable.from_packed(25, rows, counts)
-        fast = KmerTable.from_packed(25, rows, counts, presorted=True)
-        np.testing.assert_array_equal(base.packed, fast.packed)
-        np.testing.assert_array_equal(base.count_array, fast.count_array)
 
     def test_unsorted_or_repeated_rows_raise(self):
         for k in (25, 40):  # one word and two
             rows, _, counts = packedmod.unique_inverse_counts(self._stream(k), k)
             with pytest.raises(ValueError, match=r"row 1 does not"):
-                KmerTable.from_packed(k, rows[::-1], counts[::-1], presorted=True)
+                KmerTable.from_packed(k, rows[::-1], counts[::-1])
             dup = np.insert(rows, 7, rows[6], axis=0)
             with pytest.raises(ValueError, match=r"row 7 does not"):
-                KmerTable.from_packed(
-                    k, dup, np.insert(counts, 7, 1), presorted=True
-                )
-            KmerTable.from_packed(k, rows, counts, presorted=True)
+                KmerTable.from_packed(k, dup, np.insert(counts, 7, 1))
+            KmerTable.from_packed(k, rows, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from tests.assembly.kmer_reference import (
     legacy_extract_unitigs,
     revcomp_kmer,
     s16_unitig_links,
+    sorted_table,
 )
 
 #: One-word and two-word packed keys.
@@ -44,7 +45,7 @@ def packed_table(k: int, counts: dict[bytes, int]) -> KmerTable:
     """The live table holding the reference counts' k-mers, packed."""
     raw = np.frombuffer(b"".join(counts), dtype=np.uint8).reshape(-1, k)
     cov = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    return KmerTable.from_packed(k, packed.pack(raw), cov)
+    return sorted_table(k, packed.pack(raw), cov)
 
 
 def assert_sharded_parity(counts: dict[bytes, int], k: int, shards) -> None:
@@ -405,9 +406,7 @@ class TestLinkCacheInvalidation:
         counts = _branching_counts(k)
         t = packed_table(k, counts)
         shuffled = np.random.default_rng(0).permutation(len(t))
-        t2 = KmerTable.from_packed(
-            k, t.packed[shuffled], t.count_array[shuffled]
-        )
+        t2 = sorted_table(k, t.packed[shuffled], t.count_array[shuffled])
         assert extract_unitigs(t2) == extract_unitigs(t)
         assert extract_unitigs(t2) == legacy_extract_unitigs(
             legacy_build_kmer_table(k, counts)

@@ -1,5 +1,7 @@
 """Tests for the SGE scheduler, the StarCluster builder and storage."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cloud.clock import EventQueue, SimClock
@@ -7,6 +9,11 @@ from repro.cloud.cluster import Cluster, ClusterError, build_cluster
 from repro.cloud.ec2 import EC2Region
 from repro.cloud.sge import JobState, SGEError, SGEJob, SGEScheduler
 from repro.cloud.storage import TransferModel
+
+
+def qstat(sched: SGEScheduler) -> Counter:
+    """Job counts by state value, qstat-style."""
+    return Counter(job.state.value for job in sched.jobs.values())
 
 
 def make_sched(nodes=None):
@@ -101,10 +108,10 @@ class TestSGE:
         q, s = make_sched({"n0": 8})
         s.qsub(SGEJob("a", slots=8, duration=10.0))
         s.qsub(SGEJob("b", slots=8, duration=10.0))
-        stat = s.qstat()
+        stat = qstat(s)
         assert stat["r"] == 1 and stat["qw"] == 1
         s.run_to_completion()
-        assert s.qstat()["done"] == 2
+        assert qstat(s)["done"] == 2
 
     def test_slots_restored_after_completion(self):
         q, s = make_sched()

@@ -1,6 +1,7 @@
 """A run that does not finish still closes: its trace alone names the
 stage, the unit and the cause, its ``pipeline`` root carries the
-outcome, and its fleet is released, so the bill covers every VM.
+outcome, every pilot ends in a final state, and its fleet is released,
+so the bill covers every VM.
 
 Three drills: a spot reclaim with no restart budget left, the static
 workflow's undersized pre-processing pilot (Table IV's X) and the fault
@@ -29,7 +30,7 @@ from repro.obs import Tracer, TraceSink
 from repro.obs.__main__ import main as obs_main
 from repro.obs.monitor import follow
 from repro.obs.report import outcome_lines
-from repro.obs.spans import replay
+from repro.obs.spans import FINAL_STATES, replay
 
 
 class Regions(rnnotator.EC2Region):
@@ -66,6 +67,15 @@ def failed_stages(state) -> list[str]:
         for s in state.stage_spans()
         if s["attrs"].get("outcome") == "failed"
     ]
+
+
+def assert_every_pilot_final(state):
+    """Each pilot's last ``pilot.state`` move enters a final state."""
+    last = {
+        e["process"]: e["attrs"]["new"]
+        for e in state.events if e["name"] == "pilot.state"
+    }
+    assert last and set(last.values()) <= FINAL_STATES, last
 
 
 def assert_billed_in_full(state, region):
@@ -111,6 +121,9 @@ class TestExhaustedPreemptionBudget:
         state, region, _ = failed
         assert_billed_in_full(state, region)
 
+    def test_no_pilot_left_active(self, failed):
+        assert_every_pilot_final(failed[0])
+
     def test_report_and_monitor_exit_1_and_follow_returns(
         self, failed, tmp_path, capsys
     ):
@@ -151,9 +164,19 @@ class TestStaticWorkflowOOM:
         units = {v.name: v.state for v in state.units.values()}
         assert units == {"preprocess": "FAILED"}
 
+    def test_unit_recorded_as_failed_for_good(self, failed):
+        state, _, _ = failed
+        (unit,) = [e for e in state.events if e["name"] == "unit.failed_permanently"]
+        assert unit["attrs"]["unit"] == "preprocess"
+        text = "\n".join(outcome_lines(state))
+        assert "unit preprocess failed for good: unit 'preprocess' fits no pilot" in text
+
     def test_fleet_released_and_billed(self, failed):
         state, region, _ = failed
         assert_billed_in_full(state, region)
+
+    def test_no_pilot_left_active(self, failed):
+        assert_every_pilot_final(failed[0])
 
 
 class TestAbortAfterStage:
@@ -184,6 +207,9 @@ class TestAbortAfterStage:
     def test_fleet_released_and_billed(self, killed):
         state, region, _ = killed
         assert_billed_in_full(state, region)
+
+    def test_no_pilot_left_active(self, killed):
+        assert_every_pilot_final(killed[0])
 
 
 class Opened(TraceSink):

@@ -102,14 +102,12 @@ class TestPlanner:
 
 class TestSchemesWorkflow:
     def test_scheme_properties(self):
-        assert MatchingScheme.S1.couples_vm_lifetime
-        assert MatchingScheme.S1.pays_interstage_transfer
+        assert not MatchingScheme.S1.reuses_vms
         assert MatchingScheme.S2.reuses_vms
-        assert not MatchingScheme.S2.pays_interstage_transfer
         assert MatchingScheme.S3.reuses_vms
         assert MatchingScheme.S3.elastic
+        assert not MatchingScheme.S1.elastic
         assert not MatchingScheme.S2.elastic
-        assert not MatchingScheme.S3.couples_vm_lifetime
 
     def test_scheme_parse(self):
         assert MatchingScheme.parse("s1") is MatchingScheme.S1
@@ -119,8 +117,7 @@ class TestSchemesWorkflow:
             MatchingScheme.parse("s4")
 
     def test_pattern_properties(self):
-        assert not WorkflowPattern.CONVENTIONAL.is_distributed
-        assert WorkflowPattern.DISTRIBUTED_STATIC.is_distributed
+        assert not WorkflowPattern.CONVENTIONAL.decides_at_runtime
         assert WorkflowPattern.DISTRIBUTED_DYNAMIC.decides_at_runtime
         assert not WorkflowPattern.DISTRIBUTED_STATIC.decides_at_runtime
 

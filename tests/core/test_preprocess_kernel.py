@@ -22,11 +22,12 @@ from repro.core.assembly_cache import AssemblyCache, use_assembly_cache
 from repro.core.preprocess import PreprocessParams, preprocess
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.seq import fastq
-from repro.seq.fastq import FastqRecord, parse_fastq, phred_to_ascii
+from repro.seq.fastq import FastqRecord, parse_fastq
 from repro.seq.reads import ADAPTER
 from repro.seq.readstore import ReadStore
 from tests.core.preprocess_reference import COUNTERS, preprocess_reference
 from tests.core.test_store_lifetime import segments, time_limit
+from tests.seq.reads_reference import phred_to_ascii
 
 HIGH, LOW = "I", "#"  # Phred 40 and 2
 

@@ -41,7 +41,7 @@ class TestAligner:
         assert aln.transcript_index == 1
         assert aln.ref_start == 50
         assert aln.length == 200
-        assert aln.identity == 1.0
+        assert aln.matches == aln.length
         assert aln.strand == 1
 
     def test_reverse_strand_detected(self):
@@ -51,7 +51,7 @@ class TestAligner:
         assert aln is not None
         assert aln.transcript_index == 0
         assert aln.strand == -1
-        assert aln.identity == 1.0
+        assert aln.matches == aln.length
 
     def test_mismatches_counted(self):
         refs = make_refs()
@@ -70,7 +70,7 @@ class TestAligner:
         rng = np.random.default_rng(99)
         junk = decode(random_dna(150, rng))
         aln = align_contig(index, junk)
-        assert aln is None or aln.identity < 0.5
+        assert aln is None or aln.matches < 0.5 * aln.length
 
     def test_seed_k_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import math
 
 from repro.bench.calibration import TABLE3_TARGETS
 from repro.cloud.instances import get_instance_type
-from repro.core.memory import fits_instance
+from repro.core.memory import task_memory_bytes
 from repro.core.rnnotator import PipelineConfig, RnnotatorPipeline
 from repro.core.schemes import MatchingScheme
 from repro.core.workflow import WorkflowPattern
@@ -150,6 +150,11 @@ _TASK_KEY = {
     "Assembly (Contrail)": "assembly",
     "Post-Processing": "postprocess",
 }
+
+
+def fits_instance(spec, task: str, instance_memory_bytes: int) -> bool:
+    """Table IV's O/X decision for one (task, dataset, instance) cell."""
+    return task_memory_bytes(spec, task) <= instance_memory_bytes
 
 
 def reproduce_table4() -> dict[tuple[str, str], tuple[str, str]]:

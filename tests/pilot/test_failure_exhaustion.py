@@ -26,6 +26,7 @@ from repro.pilot.manager import (
 )
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
+from tests.cloud.test_sge_cluster import qstat
 from tests.pilot.lifecycle import placements
 
 
@@ -287,7 +288,7 @@ class TestElasticPool:
         assert pool.grown_total == 1
         assert pilot.cluster.n_nodes == 2
         assert pilot.n_nodes == 2  # pilot resized to track the pool
-        assert sched.qstat()["done"] == 2
+        assert qstat(sched)["done"] == 2
 
     def test_growth_capped_at_max_nodes(self):
         from repro.cloud.sge import SGEJob
@@ -321,8 +322,8 @@ class TestElasticPool:
         # queued job c eventually ran on the replacement.
         assert len(preemptor.preempted) == 1
         assert pool.grown_total >= 1
-        assert sched.jobs and sched.qstat()["qw"] == 0
-        assert sched.qstat()["done"] == 2  # a and c; b died with its node
+        assert sched.jobs and qstat(sched)["qw"] == 0
+        assert qstat(sched)["done"] == 2  # a and c; b died with its node
 
     def test_shrink_idle_keeps_busy_workers(self):
         from repro.cloud.sge import SGEJob

@@ -1,14 +1,13 @@
 """Regression tests for the restart/accounting bugfix sweep.
 
-Covers four bugs that corrupted results under retry and S2 VM reuse:
+Covers three bugs that corrupted results under retry and S2 VM reuse:
 
 * ``reset_for_restart`` leaving the failed attempt's execution record in
   place (stale ``usage``/``result``/timestamps, bogus ``ttc``);
 * the agent sizing units against the *cluster* instead of the pilot's
   declared slice (``launch_on`` onto a larger borrowed cluster);
 * the restart loop re-placing a deterministically failing unit on the
-  pilot it already failed on;
-* ``merged_usage`` silently including FAILED units' usage.
+  pilot it already failed on.
 """
 
 import pytest
@@ -19,7 +18,7 @@ from repro.cloud.ec2 import EC2Region
 from repro.cloud.instances import GiB
 from repro.obs import Tracer, use_tracer
 from repro.parallel.usage import PhaseUsage, ResourceUsage
-from repro.pilot.agent import PilotAgent, merged_usage
+from repro.pilot.agent import PilotAgent
 from repro.pilot.description import PilotDescription, UnitDescription
 from repro.pilot.manager import PilotManager, UnitFailureError, UnitManager
 from repro.pilot.scheduler import SchedulingError
@@ -93,7 +92,7 @@ class TestResetClearsExecutionRecord:
     def test_reset_unit_reports_no_usage(self):
         """The ISSUE scenario: a restarted unit that fails the *static*
         check (which returns before re-executing) must not report the
-        dead attempt's usage through merged_usage or a bogus ttc."""
+        dead attempt's usage or a bogus ttc."""
         clock, events, region = sim()
         pm = PilotManager(region, events)
         # Fits r3.2xlarge (61 GiB) statically but OOMs measured.
@@ -109,7 +108,7 @@ class TestResetClearsExecutionRecord:
         unit.assign(big.pilot_id)
         agent = PilotAgent(pilot=big)
         agent.submit(unit)
-        agent.drain()
+        agent.collect(unit)
         events.run()
         assert unit.state is UnitState.FAILED
         assert unit.usage is not None  # the dead attempt's record
@@ -125,7 +124,6 @@ class TestResetClearsExecutionRecord:
         # ... and the failed first attempt must not leak through.
         assert unit.usage is None
         assert unit.ttc == 0.0
-        assert merged_usage([unit], include_failed=True).phases == []
 
 
 class TestSliceCapping:
@@ -147,7 +145,8 @@ class TestSliceCapping:
         unit.advance(UnitState.SCHEDULING)
         unit.assign(agent.pilot.pilot_id)
         agent.submit(unit)
-        agent.drain()
+        if unit.state is UnitState.PENDING_EXECUTION:
+            agent.collect(unit)
         events.run()
         return unit
 
@@ -235,6 +234,8 @@ class TestRestartElsewhere:
         assert u.restarts == 3
         tried = placements(tracer, u)
         assert sorted(tried) == sorted(p.pilot_id for p in pilots)
+        # A unit no pilot fits any more fails for good, counted as such.
+        assert tracer.metrics.counters["units_failed_permanently"].value == 1
 
     def test_restart_still_succeeds_elsewhere(self):
         """The healthy path: OOM on the small pilot, restart lands on
@@ -257,38 +258,3 @@ class TestRestartElsewhere:
         assert u.state is UnitState.DONE
         assert u.pilot_id == big.pilot_id
         assert u.restarts == 1
-
-
-class TestMergedUsage:
-    def mixed_units(self):
-        clock, events, region = sim()
-        pm = PilotManager(region, events)
-        pilot = pm.launch(pm.submit(PilotDescription("P", "r3.2xlarge", 2)))
-        um = UnitManager(events)
-        um.add_pilot(pilot)
-        units = um.submit_units(
-            [
-                UnitDescription(
-                    name="ok", work=make_work(mem=10**7), cores=8, scale=0.01
-                ),
-                oom_desc(name="dead"),
-            ]
-        )
-        with pytest.raises(UnitFailureError):
-            um.run(units)
-        ok, dead = units
-        assert ok.state is UnitState.DONE
-        assert dead.state is UnitState.FAILED
-        assert dead.usage is not None
-        return units
-
-    def test_default_excludes_failed(self):
-        units = self.mixed_units()
-        total = merged_usage(units)
-        only_ok = merged_usage([units[0]])
-        assert total.total_compute == only_ok.total_compute
-
-    def test_include_failed_accounts_burnt_work(self):
-        units = self.mixed_units()
-        total = merged_usage(units, include_failed=True)
-        assert total.total_compute > merged_usage(units).total_compute

@@ -16,8 +16,14 @@ import numpy as np
 
 from repro.seq import alphabet
 from repro.seq.alphabet import decode
-from repro.seq.fastq import FastqRecord, phred_to_ascii
+from repro.seq.fastq import PHRED_OFFSET, FastqRecord
 from repro.seq.reads import ReadOrigin, ReadSimulator, SequencingRun
+
+
+def phred_to_ascii(scores: np.ndarray) -> str:
+    """Encode integer Phred scores as a Phred+33 string (clipped to 0..60)."""
+    clipped = np.clip(np.asarray(scores, dtype=np.int16), 0, 60)
+    return (clipped + PHRED_OFFSET).astype(np.uint8).tobytes().decode("ascii")
 
 
 class ReferenceReadSimulator(ReadSimulator):

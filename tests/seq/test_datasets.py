@@ -64,14 +64,14 @@ class TestGeneration:
         # Reads and transcriptome scale together, so coverage is stable.
         d1 = generate_dataset(B_GLUMAE, scale=0.001, seed=1)
         d2 = generate_dataset(B_GLUMAE, scale=0.002, seed=1)
-        cov1 = d1.run.total_bases / max(d1.transcriptome.total_bp, 1)
-        cov2 = d2.run.total_bases / max(d2.transcriptome.total_bp, 1)
+        cov1 = sum(map(len, d1.run.all_reads())) / max(d1.transcriptome.total_bp, 1)
+        cov2 = sum(map(len, d2.run.all_reads())) / max(d2.transcriptome.total_bp, 1)
         assert cov1 == pytest.approx(cov2, rel=0.5)
 
     def test_coverage_boost(self):
         d1 = generate_dataset(B_GLUMAE, scale=0.001, seed=1)
         d2 = generate_dataset(B_GLUMAE, scale=0.001, seed=1, coverage_boost=2.0)
-        assert d2.run.n_fragments == pytest.approx(2 * d1.run.n_fragments, rel=0.01)
+        assert len(d2.run.reads) == pytest.approx(2 * len(d1.run.reads), rel=0.01)
 
     def test_read_scale_counts_reads_and_mates_without_interleaving(
         self, ds_paired, monkeypatch
@@ -80,7 +80,7 @@ class TestGeneration:
             raise AssertionError("read_scale must not build the record list")
 
         monkeypatch.setattr(ds_paired.run, "all_reads", interleave)
-        records = 2 * ds_paired.run.n_fragments
+        records = 2 * len(ds_paired.run.reads)
         assert ds_paired.read_scale == records / ds_paired.spec.total_read_records
         assert ds_paired.spec.total_read_records == 2 * ds_paired.spec.n_reads
 

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.seq.alphabet import gc_content, is_valid_codes, reverse_complement, decode
-from repro.seq.genome import Exon, Gene, GenomeSpec, synthesize_genome
+from repro.seq.alphabet import N, decode, gc_content, reverse_complement
+from repro.seq.genome import Exon, Gene, Genome, GenomeSpec, synthesize_genome
+
+
+def is_valid_codes(codes: np.ndarray) -> bool:
+    """Every element a legal base code (0..4)."""
+    return bool((np.asarray(codes) <= N).all())
+
+
+def mrna_length(g: Gene) -> int:
+    return sum(len(ex) for ex in g.exons)
 
 
 def small_spec(**kw):
@@ -37,8 +46,8 @@ class TestExonGene:
 
     def test_gene_lengths(self):
         g = Gene("g", 100, 300, 1, (Exon(0, 50), Exon(100, 200)))
-        assert g.locus_length == 200
-        assert g.mrna_length == 150
+        genome = Genome("x", np.zeros(400, dtype=np.uint8), [g])
+        assert genome.gene_sequence(g).shape == (150,) and mrna_length(g) == 150
 
 
 class TestSynthesize:
@@ -85,15 +94,15 @@ class TestSynthesize:
         assert minus, "expected at least one single-exon minus-strand gene"
         g = minus[0]
         locus = decode(genome.sequence[g.start : g.end])
-        assert genome.gene_sequence_str(g) == reverse_complement(locus)
+        assert decode(genome.gene_sequence(g)) == reverse_complement(locus)
 
     def test_plus_strand_single_exon_mrna_matches_locus(self):
         genome = synthesize_genome(small_spec())
         plus = [g for g in genome.genes if g.strand == 1 and len(g.exons) == 1]
         assert plus
         g = plus[0]
-        assert genome.gene_sequence_str(g) == decode(
-            genome.sequence[g.start : g.end][: g.mrna_length]
+        assert decode(genome.gene_sequence(g)) == decode(
+            genome.sequence[g.start : g.end][: mrna_length(g)]
         )
 
     def test_introns_create_multi_exon_genes(self):
@@ -103,12 +112,12 @@ class TestSynthesize:
         multi = [g for g in genome.genes if len(g.exons) > 1]
         assert multi, "intron_rate=3.0 should produce multi-exon genes"
         for g in multi:
-            assert g.mrna_length < g.locus_length
+            assert mrna_length(g) < g.end - g.start
 
     def test_no_introns_when_rate_zero(self):
         genome = synthesize_genome(small_spec(intron_rate=0.0))
         assert all(len(g.exons) == 1 for g in genome.genes)
-        assert all(g.mrna_length == g.locus_length for g in genome.genes)
+        assert all(mrna_length(g) == g.end - g.start for g in genome.genes)
 
     def test_operons_group_adjacent_genes_same_strand(self):
         genome = synthesize_genome(
@@ -126,7 +135,7 @@ class TestSynthesize:
 
     def test_gene_min_length_respected(self):
         genome = synthesize_genome(small_spec(min_gene_length=300))
-        assert all(g.mrna_length >= 300 for g in genome.genes)
+        assert all(mrna_length(g) >= 300 for g in genome.genes)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -154,5 +163,5 @@ class TestSynthesize:
             assert prev <= g.start < g.end <= spec.size_bp
             prev = g.end
             mrna = genome.gene_sequence(g)
-            assert mrna.shape[0] == g.mrna_length
+            assert mrna.shape[0] == mrna_length(g)
             assert is_valid_codes(mrna)

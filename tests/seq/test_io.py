@@ -1,4 +1,4 @@
-"""Tests for FASTA/FASTQ parsing and writing."""
+"""Tests for FASTQ parsing and writing."""
 
 import io
 
@@ -7,81 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.seq.fasta import (
-    FastaRecord,
-    fasta_string,
-    read_fasta,
-    write_fasta,
-)
-from repro.seq.fastq import (
-    FastqRecord,
-    fastq_string,
-    phred_to_ascii,
-    read_fastq,
-    write_fastq,
-)
+from repro.seq.fastq import FastqRecord, read_fastq, write_fastq
+from tests.seq.reads_reference import phred_to_ascii
 
 
-class TestFasta:
-    def test_roundtrip_string(self):
-        recs = [
-            FastaRecord("a", "ACGT", "first record"),
-            FastaRecord("b", "GGGCCC" * 30),
-        ]
-        text = fasta_string(recs)
-        back = read_fasta(io.StringIO(text))
-        assert back == recs
-
-    def test_wrapping(self):
-        text = fasta_string([FastaRecord("x", "A" * 150)], width=70)
-        lines = text.strip().split("\n")
-        assert lines[0] == ">x"
-        assert [len(l) for l in lines[1:]] == [70, 70, 10]
-
-    def test_no_wrapping(self):
-        text = fasta_string([FastaRecord("x", "A" * 150)], width=0)
-        assert text == ">x\n" + "A" * 150 + "\n"
-
-    def test_multiline_sequence_joined(self):
-        back = read_fasta(io.StringIO(">s desc here\nACG\nTTT\n\nGG\n"))
-        assert back == [FastaRecord("s", "ACGTTTGG", "desc here")]
-
-    def test_lowercase_uppercased(self):
-        back = read_fasta(io.StringIO(">s\nacgt\n"))
-        assert back[0].seq == "ACGT"
-
-    def test_empty_file(self):
-        assert read_fasta(io.StringIO("")) == []
-
-    def test_data_before_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_fasta(io.StringIO("ACGT\n>s\nACGT\n"))
-
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "x.fa"
-        recs = [FastaRecord("r1", "ACGTACGT")]
-        assert write_fasta(recs, path) == 1
-        assert read_fasta(path) == recs
-
-    def test_header_property(self):
-        assert FastaRecord("id1", "A", "desc").header == "id1 desc"
-        assert FastaRecord("id1", "A").header == "id1"
-
-    def test_len(self):
-        assert len(FastaRecord("x", "ACGT")) == 4
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.text(alphabet="abc123", min_size=1, max_size=10),
-                st.text(alphabet="ACGTN", max_size=200),
-            ),
-            max_size=20,
-        )
-    )
-    def test_roundtrip_property(self, pairs):
-        recs = [FastaRecord(f"r{i}_{rid}", seq) for i, (rid, seq) in enumerate(pairs)]
-        assert read_fasta(io.StringIO(fasta_string(recs))) == recs
+def fastq_string(records) -> str:
+    """Records rendered by ``write_fastq`` into a string."""
+    buf = io.StringIO()
+    write_fastq(records, buf)
+    return buf.getvalue()
 
 
 class TestFastq:

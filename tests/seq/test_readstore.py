@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.base import AssemblyParams
+from repro.assembly.packed import pack
 from repro.assembly.kmers import (
-    canonical_kmers_packed,
     canonical_kmers_varlen_packed,
+    fused_canonical_positions_packed,
 )
 from repro.assembly.sweep import FIELDS as SPECTRUM_FIELDS
 from repro.assembly.sweep import KmerSpectrum, KmerSpectrumHandle, build_spectra
@@ -26,7 +27,13 @@ from repro.parallel.executor import ProcessExecutor
 from repro.seq import alphabet, sharedarrays
 from repro.seq.fastq import FastqRecord
 from repro.seq.readstore import FIELDS, ReadStore, ReadStoreHandle
+from tests.assembly.kmer_reference import canonical_kmers_varlen
 from tests.seq.readstore_reference import reference_from_reads
+
+
+def _store_kmers(store, k):
+    """A store's k-mer stream, by the one extraction."""
+    return fused_canonical_positions_packed(store.codes, [k])[k][0]
 
 
 def _mk(seqs, ids=None, quals=None):
@@ -83,7 +90,7 @@ class TestLayout:
         store = ReadStore.from_reads([])
         assert store.n_reads == 0 and store.n_bases == 0
         assert store.records() == []
-        assert canonical_kmers_packed(store.codes, 5).shape[0] == 0
+        assert _store_kmers(store, 5).shape[0] == 0
 
     def test_arrays_read_only(self):
         store = ReadStore.from_reads(READS)
@@ -205,16 +212,20 @@ class TestExtractionParity:
     def test_full_store_matches_varlen(self, reads_single, k):
         reads = reads_single[:300]
         store = ReadStore.from_reads(reads)
+        want = pack(canonical_kmers_varlen([r.seq for r in reads], k))
+        np.testing.assert_array_equal(_store_kmers(store, k), want)
         np.testing.assert_array_equal(
-            canonical_kmers_packed(store.codes, k),
-            canonical_kmers_varlen_packed([r.seq for r in reads], k),
+            canonical_kmers_varlen_packed([r.seq for r in reads], k), want
         )
 
     def test_short_and_n_reads_contribute_nothing(self):
         store = ReadStore.from_reads(READS)
-        got = canonical_kmers_packed(store.codes, 11)
+        got = _store_kmers(store, 11)
         want = canonical_kmers_varlen_packed([r.seq for r in READS], 11)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got, pack(canonical_kmers_varlen([r.seq for r in READS], 11))
+        )
 
 
 class TestDigest:

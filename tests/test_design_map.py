@@ -2,7 +2,7 @@
 
 The map is the first fenced block of §3.  A line indented two spaces
 opens a package (``seq/``); a line indented four spaces names one or more
-of its modules, comma-separated (``fasta,fastq``); deeper lines continue
+of its modules, comma-separated (``pilot,unit``); deeper lines continue
 a description.  Every ``src/repro/<package>/<module>.py`` but
 ``__init__`` must be named, and nothing else.
 """

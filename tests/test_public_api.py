@@ -125,7 +125,7 @@ def test_pipeline_import_loads_no_live_telemetry():
 
 
 #: Loaded only by the runs that use them: pool machinery, checkpoints,
-#: spot preemption, elasticity, Trinity, differential expression, FASTA.
+#: spot preemption, elasticity, Trinity, differential expression.
 _ON_DEMAND = (
     "multiprocessing",
     "multiprocessing.shared_memory",
@@ -135,7 +135,6 @@ _ON_DEMAND = (
     "repro.pilot.elastic",
     "repro.assembly.trinity",
     "repro.core.diffexpr",
-    "repro.seq.fasta",
 )
 
 _IMPORT_BUDGET_SCRIPT = """

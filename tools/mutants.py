@@ -610,13 +610,24 @@ ROWS: tuple[Row, ...] = (
     Row(
         "run: fleet not released on failure",
         _CONFIG,
-        '                    ended = {"outcome": "done"}\n'
-        "                finally:\n"
         "                    run.region.terminate_all()\n",
-        '                    ended = {"outcome": "done"}\n'
-        "                    run.region.terminate_all()\n"
-        "                finally:\n",
+        '                    if "error" not in ended:\n'
+        "                        run.region.terminate_all()\n",
         (f"{_EXHAUSTED}::test_fleet_released_and_billed",),
+    ),
+    Row(
+        "run: the finally cancels no pilot",
+        _CONFIG,
+        "                            run.pm.cancel(pilot)\n",
+        "                            pass\n",
+        (f"{_EXHAUSTED}::test_no_pilot_left_active",),
+    ),
+    Row(
+        "manager: the scheduling-failure branch skips the permanent-failure record",
+        "repro/pilot/manager.py",
+        "                _fail_permanently(pending)\n",
+        "",
+        (f"{_FAILED_RUNS}::TestStaticWorkflowOOM::test_unit_recorded_as_failed_for_good",),
     ),
     Row(
         "run: root closes without its outcome",
