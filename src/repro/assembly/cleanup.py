@@ -107,42 +107,25 @@ def _bubbles(
     return order[~head & similar & (lo != hi)[order]]
 
 
-def _clean(
-    unitigs: list[Unitig],
-    k: int,
-    tip_rule: tuple[int, float] | None,
-    bubble_rule: float | None,
+def clean_unitigs(
+    unitigs: list[Unitig], k: int
 ) -> tuple[list[Unitig], CleanupStats]:
-    """Tips (if a rule is given), then bubbles (if one is given) among
-    the survivors, on one junction table; ``work`` is charged as the
-    graph version did: edges + distinct junctions for the tip pass, edges
-    for the bubble pass."""
-    stats = CleanupStats()
+    """Standard cleanup, every assembler's: tips shorter than 2k whose
+    coverage is below half their neighbours' median, then bubbles within
+    10% of their keeper's length among the survivors, on one junction
+    table; ``work`` is charged as the graph version did: edges + distinct
+    junctions for the tip pass, edges for the bubble pass."""
     n = len(unitigs)
     if n == 0:
-        return list(unitigs), stats
+        return [], CleanupStats()
     lengths = np.fromiter((len(u) for u in unitigs), np.int64, n)
     ends, per_junction = _junction_ends(unitigs, lengths, k)
     coverage = np.fromiter((u.coverage for u in unitigs), np.float64, n)
     keep = np.ones(n, dtype=bool)
-    if tip_rule is not None:
-        tips = _tips(ends, per_junction, lengths, coverage, *tip_rule)
-        keep[tips] = False
-        stats.tips_removed = len(tips)
-        stats.work += n + per_junction.size
-    if bubble_rule is not None:
-        alive = np.flatnonzero(keep)
-        popped = alive[
-            _bubbles(ends[alive], lengths[alive], coverage[alive], bubble_rule)
-        ]
-        keep[popped] = False
-        stats.bubbles_popped = popped.size
-        stats.work += alive.size
+    tips = _tips(ends, per_junction, lengths, coverage, 2 * k, 0.5)
+    keep[tips] = False
+    alive = np.flatnonzero(keep)
+    popped = alive[_bubbles(ends[alive], lengths[alive], coverage[alive], 0.1)]
+    keep[popped] = False
+    stats = CleanupStats(len(tips), popped.size, n + per_junction.size + alive.size)
     return [u for u, kept in zip(unitigs, keep.tolist()) if kept], stats
-
-
-def clean_unitigs(
-    unitigs: list[Unitig], k: int
-) -> tuple[list[Unitig], CleanupStats]:
-    """Standard cleanup, every assembler's: tips first, then bubbles."""
-    return _clean(unitigs, k, (2 * k, 0.5), 0.1)

@@ -177,13 +177,14 @@ def canonicalize(packed: np.ndarray, k: int) -> np.ndarray:
     W = words_for(k)
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
     rc = revcomp(packed, k)
-    if W == 1:
-        take_fwd = packed[:, 0] <= rc[:, 0]
-    else:
-        take_fwd = (packed[:, 0] < rc[:, 0]) | (
-            (packed[:, 0] == rc[:, 0]) & (packed[:, 1] <= rc[:, 1])
-        )
-    return np.where(take_fwd[:, None], packed, rc)
+    return np.where(_not_above(packed, rc)[:, None], packed, rc)
+
+
+def _not_above(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a <= b`` of two ``(n, W)`` row arrays in key order."""
+    if a.shape[1] == 1:
+        return a[:, 0] <= b[:, 0]
+    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] <= b[:, 1]))
 
 
 def extend_right(packed: np.ndarray, k: int, base) -> np.ndarray:
@@ -223,43 +224,47 @@ def unique_inverse_counts(
     index map, and the multiplicities: ``distinct[inverse]`` is ``packed``.
 
     Rows are counted as integers, not as ``S16`` strings (a memcmp
-    comparison sort), with one full-length sort: an ``argsort`` of word
-    0, then for two-word rows a word-1 repair confined to the word-0 runs
-    that hold more than one word-1 value, then run boundaries give the
-    same three arrays, dtypes included, that ``np.unique`` of the keys
-    does, without its flattening copy.
+    comparison sort).  One-word rows take one ``argsort``.  Two-word rows
+    take a least-significant-digit radix sort of the 128-bit value
+    ``word 0 : word 1`` built from value sorts: with ``b`` bits for a
+    position (``n <= 2**b``), each pass sorts ``digit << b | position``
+    for the next ``64 - b`` bits, the low ``b`` bits of the sorted values
+    are the pass's permutation, and a later pass gathers its digit
+    through the permutation so far (three passes up to ``n = 2**21``).
+    The passes are stable, so equal rows keep their row order.  Run
+    boundaries then give the same three arrays, dtypes included, that
+    ``np.unique`` of the keys does, without its flattening copy.
     """
     W = words_for(k)
     packed = np.asarray(packed, dtype=_U).reshape(-1, W)
     n = packed.shape[0]
-    order = np.argsort(packed[:, 0])
-    words = [packed[order, 0]]
+    if W == 1:
+        order = np.argsort(packed[:, 0])
+    else:
+        w0, w1 = packed[:, 0], packed[:, 1]
+        b = max(1, (n - 1).bit_length())
+        position = np.arange(n, dtype=_U)
+        order = None
+        for s in range(0, 128, 64 - b):  # bits [s, s + 64 - b) of the row
+            if s >= 64:
+                digit = w0 >> _U(s - 64)
+            else:
+                digit = w1 >> _U(s)
+                if s:
+                    digit |= w0 << _U(64 - s)
+            if order is not None:
+                digit = digit[order]
+            digit <<= _U(b)
+            digit |= position
+            digit.sort()
+            digit &= _U((1 << b) - 1)
+            step = digit.view(np.intp)
+            order = step if order is None else order[step]
+    words = [packed[order, j] for j in range(W)]
     boundary = np.ones(n, dtype=bool)
     np.not_equal(words[0][1:], words[0][:-1], out=boundary[1:])
     if W == 2:
-        w1 = packed[order, 1]
-        words.append(w1)
-        step1 = w1[1:] != w1[:-1]
-        mixed = np.flatnonzero(step1 & ~boundary[1:])
-        if mixed.size:
-            # Equal rows may land in any order: all three results are
-            # functions of the groups, not of the order inside one.  The
-            # members of the mixed runs are put in (run, word 1) order by
-            # their rank under word 1, sorted as ``run << 32 | rank``: the
-            # low half of the sorted values is the permutation (n < 2**32,
-            # as any row count whose arrays fit in memory is).
-            run = np.cumsum(boundary) - 1
-            is_mixed = np.zeros(run[-1] + 1, dtype=bool)
-            is_mixed[run[mixed]] = True
-            sel = np.flatnonzero(is_mixed[run])
-            members = sel[np.argsort(w1[sel])]
-            ranked = run[members].astype(_U) << _U(32)
-            ranked |= np.arange(sel.size, dtype=_U)
-            ranked.sort()
-            members = members[(ranked & _U(0xFFFFFFFF)).astype(np.intp)]
-            order[sel], w1[sel] = order[members], w1[members]
-            step1 = w1[1:] != w1[:-1]
-        boundary[1:] |= step1
+        boundary[1:] |= words[1][1:] != words[1][:-1]
     first = np.flatnonzero(boundary)
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(boundary) - 1
@@ -285,17 +290,28 @@ def junctions(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     The ends are read off the packed words, with one sort for the whole
     table: the last base cleared, or the first shifted out by
-    :func:`extend_right`; word 1 is dropped where k - 1 = 32.
+    :func:`extend_right`; word 1 is dropped where k - 1 = 32.  Their
+    reverse complements are the ends of the rows' one :func:`revcomp`:
+    a row's first end reversed is its reverse complement's last end.
     """
     w = words_for(k - 1)
-    first = rows[:, :w].copy()
-    if w == rows.shape[1]:  # else the last base is word 1, dropped
-        first[:, -1] &= ~_U(3 << 62 - 2 * ((k - 1) % 32))
-    ends = np.concatenate([first, extend_right(rows, k, 0)[:, :w]])
-    canon = canonicalize(ends, k - 1)
+
+    def ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first = rows[:, :w].copy()
+        if w == rows.shape[1]:  # else the last base is word 1, dropped
+            first[:, -1] &= ~_U(3 << 62 - 2 * ((k - 1) % 32))
+        return first, extend_right(rows, k, 0)[:, :w]
+
+    first, last = ends(rows)
+    rc_first, rc_last = ends(revcomp(rows, k))
+    fwd = np.concatenate([first, last])
+    rc = np.concatenate([rc_last, rc_first])  # rc[e] is revcomp(fwd[e])
+    is_rc = ~_not_above(fwd, rc)
+    canon = np.where(is_rc[:, None], rc, fwd)
     distinct, junction, _ = unique_inverse_counts(canon, k - 1)
-    is_rc = ~rows_equal(ends, canon)
-    return junction, is_rc, rows_equal(distinct, revcomp(distinct, k - 1))
+    pal = np.zeros(distinct.shape[0], dtype=bool)
+    pal[junction[rows_equal(fwd, rc)]] = True
+    return junction, is_rc, pal
 
 
 def require_ascending(rows: np.ndarray) -> None:

@@ -225,7 +225,8 @@ class UnitManager:
         retried — except after *transient* failures (the unit's node was
         preempted), which are no fault of the unit's — and a unit whose
         restart fits no untried pilot fails with a
-        :class:`SchedulingError` instead of looping.
+        :class:`SchedulingError` instead of looping.  A unit that fits no
+        pilot fails alone; the other pending units end CANCELED.
 
         Units that exhaust ``description.max_restarts`` raise a
         :class:`UnitFailureError` listing them: a run with permanently
@@ -244,11 +245,17 @@ class UnitManager:
                     pending, self.pilots, exclude=failed_on
                 )
             except SchedulingError as exc:
+                # The unit that fits nowhere fails; the others, which
+                # might have fit, are canceled with it as the reason.
                 for unit in pending:
-                    if unit.state is UnitState.UNSCHEDULED:
-                        unit.advance(UnitState.SCHEDULING)
-                    unit.fail(str(exc))
-                _fail_permanently(pending)
+                    if exc.unit is None or unit is exc.unit:
+                        if unit.state is UnitState.UNSCHEDULED:
+                            unit.advance(UnitState.SCHEDULING)
+                        unit.fail(str(exc))
+                    else:
+                        unit.error = f"canceled: {exc}"
+                        unit.advance(UnitState.CANCELED)
+                _fail_permanently(pending if exc.unit is None else [exc.unit])
                 raise
             # Phase 1: dispatch every workload (they run concurrently
             # under a parallel executor backend) ...

@@ -30,7 +30,11 @@ _log = logging.getLogger(__name__)
 
 
 class SchedulingError(RuntimeError):
-    """No pilot can host the unit."""
+    """No pilot can host ``unit`` (``None``: no pilot is usable at all)."""
+
+    def __init__(self, message: str, unit: ComputeUnit | None = None):
+        super().__init__(message)
+        self.unit = unit
 
 
 #: States in which a pilot can take units.
@@ -67,7 +71,8 @@ def _no_fit_error(unit: ComputeUnit, banned, pilots: list[Pilot]) -> SchedulingE
         )
         return SchedulingError(
             f"unit {unit.description.name!r} fits no untried pilot "
-            f"(already failed on {sorted(banned)})"
+            f"(already failed on {sorted(banned)})",
+            unit,
         )
     _log.warning("unit %s fits no pilot", unit.description.name)
     needs = ", ".join(
@@ -77,7 +82,7 @@ def _no_fit_error(unit: ComputeUnit, banned, pilots: list[Pilot]) -> SchedulingE
         for it in [get_instance_type(p.description.instance_type)]
     )
     return SchedulingError(
-        f"unit {unit.description.name!r} fits no pilot: needs {needs}"
+        f"unit {unit.description.name!r} fits no pilot: needs {needs}", unit
     )
 
 

@@ -11,6 +11,7 @@ dependency only.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from repro.assembly import cleanup
 from repro.assembly.cleanup import CleanupStats
@@ -151,9 +152,22 @@ def clean_unitigs(
 
 # -- the kernel's single passes ------------------------------------------------
 #
-# ``repro.assembly.cleanup`` runs both rules in one call (``clean_unitigs``).
-# Each rule alone, on the same junction table, is held to the graph
-# reference's ``clip_tips`` / ``pop_bubbles`` by ``test_cleanup_kernel.py``.
+# ``repro.assembly.cleanup.clean_unitigs`` runs both rules in one call.  Each
+# rule alone, built here from the kernel's junction table and rule
+# functions, is held to the graph reference's ``clip_tips`` /
+# ``pop_bubbles`` by ``test_cleanup_kernel.py``.
+
+
+def _kernel_table(unitigs: list[Unitig], k: int):
+    lengths = np.fromiter((len(u) for u in unitigs), np.int64, len(unitigs))
+    coverage = np.fromiter((u.coverage for u in unitigs), np.float64, len(unitigs))
+    return (*cleanup._junction_ends(unitigs, lengths, k), lengths, coverage)
+
+
+def _without(unitigs: list[Unitig], doomed) -> list[Unitig]:
+    keep = np.ones(len(unitigs), dtype=bool)
+    keep[doomed] = False
+    return [u for u, kept in zip(unitigs, keep.tolist()) if kept]
 
 
 def kernel_clip_tips(
@@ -162,14 +176,27 @@ def kernel_clip_tips(
     max_tip_length: int | None = None,
     coverage_ratio: float = 0.5,
 ) -> tuple[list[Unitig], CleanupStats]:
-    """The kernel's tip pass alone (``max_tip_length`` defaults to 2k)."""
+    """The kernel's tip pass alone (``max_tip_length`` defaults to 2k);
+    ``work`` is edges + distinct junctions."""
+    if not unitigs:
+        return [], CleanupStats()
     if max_tip_length is None:
         max_tip_length = 2 * k
-    return cleanup._clean(unitigs, k, (max_tip_length, coverage_ratio), None)
+    ends, per_junction, lengths, coverage = _kernel_table(unitigs, k)
+    tips = cleanup._tips(
+        ends, per_junction, lengths, coverage, max_tip_length, coverage_ratio
+    )
+    stats = CleanupStats(tips_removed=len(tips), work=len(unitigs) + per_junction.size)
+    return _without(unitigs, tips), stats
 
 
 def kernel_pop_bubbles(
     unitigs: list[Unitig], k: int, length_tolerance: float = 0.1
 ) -> tuple[list[Unitig], CleanupStats]:
-    """The kernel's bubble pass alone."""
-    return cleanup._clean(unitigs, k, None, length_tolerance)
+    """The kernel's bubble pass alone; ``work`` is edges."""
+    if not unitigs:
+        return [], CleanupStats()
+    ends, _, lengths, coverage = _kernel_table(unitigs, k)
+    popped = cleanup._bubbles(ends, lengths, coverage, length_tolerance)
+    stats = CleanupStats(bubbles_popped=popped.size, work=len(unitigs))
+    return _without(unitigs, popped), stats

@@ -249,6 +249,35 @@ ADVERSARIAL_TIES = {
 }
 
 
+#: Row counts either side of powers of two: the index width ``b`` (and
+#: with it the digit width ``64 - b`` and every digit boundary) moves.
+RADIX_NS = (0, 1, 2, 3, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097)
+
+
+def _flip(rows, bit):
+    """Flip bit ``bit`` of every row's 128-bit value ``word 0 : word 1``."""
+    word = 1 if bit < 64 else 0
+    rows[:, word] ^= np.uint64(1 << bit % 64)
+
+
+def _near_twins(n, k, slack):
+    """``n`` two-word rows drawn from a few random k-mers, each as drawn
+    or with one bit of its 128-bit value flipped: the lowest significant
+    bit, or a bit just below or above a radix digit boundary for ``n``
+    rows.  With ``slack`` the drawn k-mers have random slack bits."""
+    rng = np.random.default_rng([n, k, slack])
+    base = packed.pack(_random_windows(rng, max(1, n // 4), k))
+    if slack:
+        base[:, 1] |= rng.integers(0, 1 << (128 - 2 * k), base.shape[0], dtype=np.uint64)
+    rows = base[rng.integers(0, base.shape[0], n)]
+    digit = 64 - max(1, (n - 1).bit_length())
+    bits = [128 - 2 * k, digit - 1, digit, 2 * digit - 1, 2 * digit]
+    pick = rng.integers(0, len(bits) + 1, n)  # the last choice flips nothing
+    for i, bit in enumerate(bits):
+        _flip(rows[pick == i], bit)
+    return rows
+
+
 class TestUniqueInverseCounts:
     @pytest.mark.parametrize("k", (33, 51, 63))
     @given(words=st.lists(st.tuples(_WORD, _WORD), min_size=0, max_size=40))
@@ -287,6 +316,27 @@ class TestUniqueInverseCounts:
         # 50 bp single-end reads hold no 63-mer: the empty input, for real.
         assert rows.shape[0] > 1000 or (store_name, k) == ("store_single", 63)
         _assert_unique_matches_oracle(rows, k)
+
+    @pytest.mark.parametrize("slack", (False, True))
+    @pytest.mark.parametrize("k", (33, 34, 47, 51, 63))
+    @pytest.mark.parametrize("n", RADIX_NS)
+    def test_near_twins_at_every_digit_split(self, n, k, slack):
+        rows = _near_twins(n, k, slack)
+        _assert_unique_matches_oracle(rows, k)
+        _assert_unique_matches_oracle(np.asfortranarray(rows), k)
+
+    def test_flipped_bits_make_distinct_rows(self):
+        rows = np.zeros((130, 2), dtype=np.uint64)
+        for bit in range(128):
+            _flip(rows[bit + 2 :], bit)  # row i has the low i - 1 bits set
+        counts = packed.unique_inverse_counts(rows, 63)[2]
+        assert counts.tolist() == [2] + [1] * 128
+        _assert_unique_matches_oracle(rows[::-1], 63)
+
+    def test_real_rows_above_two_to_the_seventeen(self, store_paired):
+        rows = packed_kmers(store_paired.codes, 51)
+        assert rows.shape[0] > 1 << 17
+        _assert_unique_matches_oracle(rows, 51)
 
     @pytest.mark.parametrize("k", (3, 25, 32))
     @given(words=st.lists(_WORD, min_size=0, max_size=40))

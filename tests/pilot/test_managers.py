@@ -282,6 +282,45 @@ class TestUnitExecution:
         assert u.state is UnitState.FAILED
         assert "untried" in u.error
 
+    def test_a_unit_that_fits_no_pilot_cancels_the_others(self):
+        """Only the unit that fits nowhere fails for good; the unit that
+        fits is canceled, naming the blocking unit, and is neither
+        recorded nor counted as a permanent failure."""
+        with use_tracer(Tracer()) as tracer:
+            clock, events, region = sim()
+            pm = PilotManager(region, events)
+            pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
+            um = UnitManager(events)
+            um.add_pilot(pilot)
+            small, huge = um.submit_units([
+                unit_desc(name="small"), unit_desc(name="huge", mem_paper=40 * GiB),
+            ])
+            with pytest.raises(SchedulingError) as exc_info:
+                um.run([small, huge])
+        assert exc_info.value.unit is huge
+        assert huge.state is UnitState.FAILED
+        assert "unit 'huge' fits no pilot" in huge.error
+        assert small.state is UnitState.CANCELED
+        assert "unit 'huge' fits no pilot" in small.error
+        assert unit_states(tracer, small) == ["NEW", "UNSCHEDULED", "CANCELED"]
+        (event,) = [e for e in tracer.events if e.name == "unit.failed_permanently"]
+        assert event.attrs["unit"] == "huge"
+        assert tracer.metrics.counters["units_failed_permanently"].value == 1
+
+    def test_no_usable_pilot_fails_every_pending_unit(self):
+        clock, events, region = sim()
+        pm = PilotManager(region, events)
+        pilot = pm.launch(pm.submit(PilotDescription("P", "c3.2xlarge", 1)))
+        um = UnitManager(events)
+        um.add_pilot(pilot)
+        units = um.submit_units([unit_desc(name="a"), unit_desc(name="b")])
+        pm.cancel(pilot)
+        with use_tracer(Tracer()) as tracer:
+            with pytest.raises(SchedulingError, match="no usable pilots"):
+                um.run(units)
+        assert [u.state for u in units] == [UnitState.FAILED] * 2
+        assert tracer.metrics.counters["units_failed_permanently"].value == 2
+
     def test_no_pilots_rejected(self):
         clock, events, region = sim()
         um = UnitManager(events)

@@ -59,6 +59,7 @@ _MERGE = "repro/core/merge.py"
 _QUANT = "repro/core/quantify.py"
 _DBG = "repro/assembly/dbg.py"
 _PACKED = "repro/assembly/packed.py"
+_COUNT = "tests/assembly/test_packed.py::TestUniqueInverseCounts"
 _CONTAINMENT = "tests/core/test_merge_containment.py"
 _QUANT_ORACLE = "tests/core/test_quantify_parity.py::TestOracleParity"
 _PINS = "tests/core/test_quantify_parity.py::test_stage_outputs_pinned_on_ds_single"
@@ -237,6 +238,34 @@ ROWS: tuple[Row, ...] = (
         "ahead = a[:, -1] < b[:, -1]",
         "ahead = a[:, -1] <= b[:, -1]",
         ("tests/assembly/test_sweep.py::TestPresortedFastPath",),
+    ),
+    Row(
+        "packed: the radix passes keep one index bit too few",
+        _PACKED,
+        "b = max(1, (n - 1).bit_length())",
+        "b = max(1, (n - 1).bit_length() - 1)",
+        (_COUNT,),
+    ),
+    Row(
+        "packed: a radix digit boundary one bit off",
+        _PACKED,
+        "digit |= w0 << _U(64 - s)",
+        "digit |= w0 << _U(65 - s)",
+        (_COUNT,),
+    ),
+    Row(
+        "packed: a radix digit one bit wider than its field",
+        _PACKED,
+        "for s in range(0, 128, 64 - b):",
+        "for s in range(0, 128, 65 - b):",
+        (_COUNT,),
+    ),
+    Row(
+        "packed: a later radix pass does not compose the permutation",
+        _PACKED,
+        "order = step if order is None else order[step]",
+        "order = step",
+        (_COUNT,),
     ),
     # Ray and ABySS book their exchanges in closed form (DESIGN §5)
     Row(
@@ -625,9 +654,19 @@ ROWS: tuple[Row, ...] = (
     Row(
         "manager: the scheduling-failure branch skips the permanent-failure record",
         "repro/pilot/manager.py",
-        "                _fail_permanently(pending)\n",
+        "                _fail_permanently(pending if exc.unit is None else [exc.unit])\n",
         "",
         (f"{_FAILED_RUNS}::TestStaticWorkflowOOM::test_unit_recorded_as_failed_for_good",),
+    ),
+    Row(
+        "manager: the other pending units fail instead of being canceled",
+        "repro/pilot/manager.py",
+        "if exc.unit is None or unit is exc.unit:",
+        "if True:",
+        (
+            "tests/pilot/test_managers.py::TestUnitExecution"
+            "::test_a_unit_that_fits_no_pilot_cancels_the_others",
+        ),
     ),
     Row(
         "run: root closes without its outcome",
