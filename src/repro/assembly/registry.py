@@ -23,7 +23,7 @@ class AssemblerInfo:
     analog_of_version: str
     scalable: bool  # runs on multi-node shared-nothing systems; takes n_ranks
     class_path: str  # imported by get_assembler on first use
-    fixed_k: int | None = None  # counts this k whatever the sweep's k
+    fixed_k: int | None = None  # planned once, at this k, whatever the sweep's ks
     shared_product: str | None = None  # "partition" | "table" off a shared spectrum
     rejects_n: bool = False  # fails on reads with N (paper, Fig. 3)
 

@@ -13,10 +13,10 @@ the same code array.  Two layers count each once:
   k's rows are consumed as its spectrum is built, so the build holds one
   k's sort at a time on top of the spectra it returns.  Each spectrum
   holds the *sorted* distinct canonical rows, their global counts, and
-  the occurrence stream (``inverse``/``read_offsets``/``rel_positions``)
-  that maps every N-free window back to its read and offset — enough to
-  reconstruct any assembler's per-k extraction, counting or partitioning
-  bit-for-bit without touching the codes again.
+  the occurrence stream (``inverse``/``read_offsets``) that maps every
+  N-free window back to its read — enough to reconstruct any
+  assembler's per-k extraction, counting or partitioning bit-for-bit
+  without touching the codes again.
 
 * :class:`KmerTableCache` — a content-addressed cache keyed by
   ``(store digest, k)`` that is asked *before* anything is built:
@@ -57,7 +57,6 @@ FIELDS = {
     "read_offsets": np.int64,
     "counts": np.int64,
     "inverse": np.int64,
-    "rel_positions": np.int64,
     "distinct": np.uint64,
 }
 
@@ -101,9 +100,7 @@ class KmerSpectrum:
       order) the index of its distinct row: ``distinct[inverse]`` is
       the store's canonical k-mer stream.
     * ``read_offsets`` — occurrences of read ``i`` are the stream slice
-      ``[read_offsets[i], read_offsets[i+1])``.
-    * ``rel_positions`` — per occurrence, the window start offset within
-      its read (trimming filters need it).
+      ``[read_offsets[i], read_offsets[i+1])``, in window start order.
     """
 
     def __init__(self, k: int, store_digest: str, arrays: SharedArrays) -> None:
@@ -115,9 +112,8 @@ class KmerSpectrum:
         self.n_distinct = int(arrays["counts"].shape[0])
         self.n_occurrences = int(arrays["inverse"].shape[0])
         # Lazily derived, per-process (never shipped): hash-partition
-        # owners per rank count, and the occurrence -> read map.
+        # owners per rank count.
         self._owners: dict[int, np.ndarray] = {}
-        self._occ_read: np.ndarray | None = None
         # The graph products derived inside keeping(), until close().
         self._graphs: dict[tuple, object] = {}
         self._keeping = False
@@ -131,13 +127,9 @@ class KmerSpectrum:
         """Build from one k's fused extraction output (canonical rows +
         global window start positions, both in extraction order)."""
         distinct, inverse, counts = packedmod.unique_inverse_counts(rows, k)
-        offsets = store.offsets
         # Positions ascend, so read i's windows are the stream slice
         # between where offsets[i] and offsets[i + 1] would insert.
-        read_offsets = np.searchsorted(positions, offsets)
-        rel_positions = positions - np.repeat(
-            offsets[:-1], np.diff(read_offsets)
-        )
+        read_offsets = np.searchsorted(positions, store.offsets)
         return cls(
             k,
             store.digest,
@@ -148,7 +140,6 @@ class KmerSpectrum:
                     read_offsets=read_offsets,
                     counts=counts,
                     inverse=inverse,
-                    rel_positions=rel_positions,
                     distinct=distinct,
                 ),
             ),
@@ -158,13 +149,13 @@ class KmerSpectrum:
     def attach(cls, handle: KmerSpectrumHandle) -> "KmerSpectrum":
         """Attach to an existing shared segment (zero-copy); the live
         spectrum when this process already holds the segment."""
-        n, n_occ = handle.n_distinct, handle.n_occurrences
+        n = handle.n_distinct
         rows = (n, packedmod.words_for(handle.k))
         return SharedArrays.attach(
             "KmerSpectrum",
             FIELDS,
             handle.shm_name,
-            (handle.n_reads + 1, n, n_occ, n_occ, rows),
+            (handle.n_reads + 1, n, handle.n_occurrences, rows),
             lambda arrays: cls(handle.k, handle.store_digest, arrays),
         )
 
@@ -206,7 +197,6 @@ class KmerSpectrum:
         self._graphs.clear()
         if self._arrays.close(unlink):
             self._owners.clear()
-            self._occ_read = None
 
     def __reduce__(self):
         return _attach, (self.share(),)
@@ -233,10 +223,6 @@ class KmerSpectrum:
         return self._arrays["read_offsets"]
 
     @property
-    def rel_positions(self) -> np.ndarray:
-        return self._arrays["rel_positions"]
-
-    @property
     def nbytes(self) -> int:
         """Resident size of the spectrum arrays."""
         return self._arrays.nbytes
@@ -244,13 +230,10 @@ class KmerSpectrum:
     # -- derived views -------------------------------------------------------
 
     def occ_read(self) -> np.ndarray:
-        """Read index of every occurrence (derived once per process)."""
-        if self._occ_read is None:
-            per_read = np.diff(self.read_offsets)
-            self._occ_read = np.repeat(
-                np.arange(self.n_reads, dtype=np.int64), per_read
-            )
-        return self._occ_read
+        """Read index of every occurrence."""
+        return np.repeat(
+            np.arange(self.n_reads, dtype=np.int64), np.diff(self.read_offsets)
+        )
 
     def owners(self, n_ranks: int) -> np.ndarray:
         """Hash-partition owner rank of every distinct row — identical to

@@ -60,8 +60,8 @@ class AssemblyWorkload:
     constant-size shared-memory handle regardless of read count.
 
     ``spectrum`` is the count-once k-mer content of ``store`` at the
-    job's k (:attr:`AssemblyJob.spectrum_k`), O(1) to pickle like the store.  One
-    fallback rule, applied by the assembler through
+    job's k, O(1) to pickle like the store.  One fallback rule, applied
+    by the assembler through
     :func:`~repro.assembly.sweep.resolve_spectrum`: a workload reads the
     spectrum it was handed and looks nowhere else; without a live
     matching one — none handed (the pipeline hands one only to jobs it
@@ -131,7 +131,8 @@ def make_assembly_workload(
 @dataclass(frozen=True)
 class AssemblyJob:
     """One planned (assembler, k) job with its parameters and content
-    key — everything known about a job before any spectrum exists."""
+    key — everything known about a job before any spectrum exists.  It
+    reads the spectrum at ``k``, a ``fixed_k`` assembler's own k too."""
 
     assembler: str
     k: int
@@ -139,13 +140,6 @@ class AssemblyJob:
     cores: int
     params: AssemblyParams
     key: tuple
-
-    @property
-    def spectrum_k(self) -> int:
-        """The k whose spectrum serves this job: its assembler's registry
-        ``fixed_k`` if it has one (Trinity counts 25-mers), else its k."""
-        fixed = ASSEMBLERS[self.assembler].fixed_k
-        return int(self.k) if fixed is None else fixed
 
 
 def planned_jobs(
@@ -184,7 +178,6 @@ def assembly_unit_descriptions(
     dataset,
     min_count: int = 2,
     min_contig_length: int = 100,
-    input_bytes: int | None = None,
     max_restarts: int = 0,
     spectra: tuple[KmerSpectrum, ...] = (),
     computing: frozenset[tuple] = frozenset(),
@@ -216,7 +209,7 @@ def assembly_unit_descriptions(
         if job.key in computing:
             get_assembler(job.assembler)
     for sp in spectra:
-        readers = [j for j in jobs if j.spectrum_k == sp.k and j.key in computing]
+        readers = [j for j in jobs if j.k == sp.k and j.key in computing]
         if len(readers) > 1:
             with sp.keeping():
                 for job in readers:
@@ -225,8 +218,6 @@ def assembly_unit_descriptions(
                         sp.partition(job.cores, job.params.min_count)
                     elif product == "table":
                         sp.table(job.params.min_count)
-    if input_bytes is None:
-        input_bytes = spec.preprocessed_bytes
     descs = []
     for job in jobs:
         descs.append(
@@ -238,13 +229,13 @@ def assembly_unit_descriptions(
                     job.params,
                     job.cores,
                     dataset=dataset,
-                    spectrum=by_k.get(job.spectrum_k),
+                    spectrum=by_k.get(job.k),
                 ),
                 cores=job.cores,
                 memory_bytes=task_memory_bytes(spec, "assembly", n_nodes=1),
                 scale=1.0,
                 stage="transcript-assembly",
-                input_bytes=input_bytes,
+                input_bytes=spec.preprocessed_bytes,
                 max_restarts=max_restarts,
                 checkpoint_key=job.key,
                 tags={

@@ -57,22 +57,27 @@ class AssemblyPlan:
 
     @property
     def n_jobs(self) -> int:
-        return len(self.kmer_list) * len(self.assemblers)
+        return len(self.jobs())
 
     def jobs(self) -> list[tuple[str, int, int]]:
-        """(assembler, k, nodes) for every assembly job."""
+        """(assembler, k, nodes) for every assembly job (:func:`_jobs`)."""
         mpi, mapreduce = self.mpi_nodes_per_job, self.contrail_nodes_per_job
         return [
-            (a, k, min(_nodes_per_job(a, mpi, mapreduce), self.n_nodes))
-            for a in self.assemblers
-            for k in self.kmer_list
+            (a, k, min(nodes, self.n_nodes))
+            for a, k, nodes in _jobs(self.assemblers, self.kmer_list, mpi, mapreduce)
         ]
 
 
-def _nodes_per_job(assembler: str, mpi_nodes: int, mapreduce_nodes: int) -> int:
-    """The node rule: MapReduce jobs take ``mapreduce_nodes``, others ``mpi_nodes``."""
-    mapreduce = ASSEMBLERS[assembler].distributed_impl == "Hadoop MapReduce"
-    return mapreduce_nodes if mapreduce else mpi_nodes
+def _jobs(assemblers, kmer_list, mpi_nodes: int, mapreduce_nodes: int):
+    """The job list: every assembler at every k of the sweep, but a
+    registry ``fixed_k`` assembler once, at its own k.  Each job takes
+    ``mapreduce_nodes`` when it is a MapReduce one, else ``mpi_nodes``."""
+    for a in assemblers:
+        info = ASSEMBLERS[a]
+        mapreduce = info.distributed_impl == "Hadoop MapReduce"
+        nodes = mapreduce_nodes if mapreduce else mpi_nodes
+        ks = kmer_list if info.fixed_k is None else (info.fixed_k,)
+        yield from ((a, k, nodes) for k in ks)
 
 
 def require_at_least_one(**fields: int) -> None:
@@ -115,9 +120,8 @@ def plan_assembly(
         need += 1
     mpi_nodes = need
 
-    wanted = len(kmer_list) * sum(
-        _nodes_per_job(a, mpi_nodes, contrail_nodes_per_job) for a in assemblers
-    )
+    jobs = _jobs(assemblers, kmer_list, mpi_nodes, contrail_nodes_per_job)
+    wanted = sum(nodes for _, _, nodes in jobs)
     n_nodes = max(mpi_nodes, min(wanted, max_nodes))
 
     return AssemblyPlan(

@@ -570,7 +570,7 @@ def _spectrum_demand_stage(run: _Run) -> None:
         and not (ckpt is not None and ckpt.has_unit(j.key))
     ]
     run.computing = frozenset(j.key for j in unsatisfied)
-    needed_ks = sorted({j.spectrum_k for j in unsatisfied})
+    needed_ks = sorted({j.k for j in unsatisfied})
     cached = (
         {k: table_cache.get(store.digest, k) for k in needed_ks}
         if table_cache is not None
@@ -584,7 +584,7 @@ def _spectrum_demand_stage(run: _Run) -> None:
         tracer.event(
             "spectrum.skip",
             category="spectrum",
-            ks=sorted({j.spectrum_k for j in jobs}),
+            ks=sorted({j.k for j in jobs}),
             jobs=len(jobs),
             jobs_satisfied=len(jobs) - len(unsatisfied),
             reason="spectra cached" if needed_ks else "jobs satisfied",

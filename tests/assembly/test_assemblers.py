@@ -284,7 +284,7 @@ class TestContrail:
 class TestTrinity:
     @pytest.fixture(scope="class")
     def trinity_result(self, store_single):
-        return TrinityAssembler().assemble(store_single)
+        return TrinityAssembler().assemble(store_single, AssemblyParams(k=TRINITY_K))
 
     def test_produces_contigs(self, trinity_result):
         assert len(trinity_result.contigs) > 5

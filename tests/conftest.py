@@ -1,9 +1,17 @@
 """Shared fixtures: small data sets reused across the test suite."""
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.seq.datasets import tiny_dataset
 from repro.seq.readstore import ReadStore
+
+#: ``tools/mutants.py`` runs a row's tests under this profile.  The first
+#: failing example kills the row, so the shrink phase, which only makes
+#: that example smaller, is skipped.
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
 
 
 @pytest.fixture(scope="session")

@@ -84,16 +84,32 @@ class TestFusedPipelineParity:
         tracer = Tracer()
         _run(dataset, tracer=tracer)
         counters = tracer.metrics.snapshot()["counters"]
-        # 4 assemblers x 2 k + trinity's fixed 25 need the spectra of
-        # k = 25 and 31: a cold run asks the table cache for both in
-        # vain, builds them in one pass and adds them; no job goes near
-        # the cache.
+        # 3 assemblers x 2 k + trinity once at its fixed 25 need the
+        # spectra of k = 25 and 31: a cold run asks the table cache for
+        # both in vain, builds them in one pass and adds them; no job goes
+        # near the cache.
         assert counters["kmer_table.miss"] == 2
         assert "kmer_table.hit" not in counters
         assert counters["kmer_table.bytes"] > 0
         assert counters["assembly_cache.put"] >= 1
         (build,) = [s for s in tracer.spans if s.name == "spectrum.build"]
         assert build.attrs["ks"] == [25, 31]
+
+
+def test_a_fixed_k_assembler_runs_once_at_its_own_k():
+    """Trinity fixes its own k: over a sweep without it, the run plans
+    one Trinity job, at that k, and counts it beside the sweep's ks."""
+    tracer = Tracer()
+    config = PipelineConfig(assemblers=("velvet", "trinity"), kmer_list=(31, 41))
+    with use_assembly_cache(AssemblyCache()), use_kmer_table_cache(
+        KmerTableCache()
+    ):
+        res = RnnotatorPipeline(tracer=tracer).run(tiny_dataset(seed=0), config)
+    assert sorted(res.assemblies) == [
+        ("trinity", TRINITY_K), ("velvet", 31), ("velvet", 41)
+    ]
+    (build,) = [s for s in tracer.spans if s.name == "spectrum.build"]
+    assert build.attrs["ks"] == [TRINITY_K, 31, 41]
 
 
 class TestWorkloadSpectrumWiring:
@@ -105,20 +121,19 @@ class TestWorkloadSpectrumWiring:
         plan = plan_assembly(
             spec, (25, 31), ("ray", "trinity"), "c3.2xlarge"
         )
-        spectra = build_spectra(store, [TRINITY_K, 25, 31])
+        spectra = build_spectra(store, [25, 31])
         try:
             descs = assembly_unit_descriptions(
                 plan, spec, store, ds, spectra=spectra
             )
+            assert [d.name for d in descs] == [
+                "ray_k25", "ray_k31", f"trinity_k{TRINITY_K}"
+            ]
             for d in descs:
                 work = d.work
                 assert isinstance(work, AssemblyWorkload)
-                want_k = (
-                    TRINITY_K
-                    if work.assembler_name == "trinity"
-                    else work.params.k
-                )
-                assert work.spectrum in spectra and work.spectrum.k == want_k
+                assert work.spectrum in spectra
+                assert work.spectrum.k == work.params.k
             # A job whose k was not counted is handed nothing.
             descs = assembly_unit_descriptions(
                 plan, spec, store, ds, spectra=spectra[:1]

@@ -4,10 +4,12 @@ import pytest
 
 from repro.cloud.instances import GiB
 from repro.core.memory import task_memory_bytes
+from repro.core.multikmer import planned_jobs
 from repro.core.planner import plan_assembly, select_kmer_list
 from repro.core.schemes import MatchingScheme
 from repro.core.workflow import STAGES, WorkflowPattern
-from repro.seq.datasets import B_GLUMAE, P_CRISPA
+from repro.seq.datasets import B_GLUMAE, P_CRISPA, tiny_dataset
+from repro.seq.readstore import ReadStore
 from tests.paper_tables import PAPER_TABLE4, reproduce_table4
 
 
@@ -92,6 +94,29 @@ class TestPlanner:
         assert len(jobs) == 4
         assert ("ray", 35, 1) in jobs
         assert ("contrail", 41, 16) in jobs
+
+    def test_a_fixed_k_assembler_is_one_job(self):
+        """Trinity fixes its own k (registry ``fixed_k``): it is planned
+        once, at that k, whatever the sweep, and P_B gets its node once."""
+        plan = plan_assembly(
+            B_GLUMAE, (31, 41, 47), ("ray", "trinity"), "c3.2xlarge"
+        )
+        jobs = plan.jobs()
+        assert jobs == [
+            ("ray", 31, 1), ("ray", 41, 1), ("ray", 47, 1), ("trinity", 25, 1)
+        ]
+        assert plan.n_jobs == len(jobs) == 4
+        assert plan.n_nodes == 4
+        store = ReadStore.from_reads(
+            tiny_dataset(seed=0).run.all_reads()[:50]
+        )
+        try:
+            planned = planned_jobs(plan, store, min_contig_length=20)
+        finally:
+            store.close()
+        assert [(j.assembler, j.k, j.params.min_contig_length) for j in planned] == [
+            ("ray", 31, 31), ("ray", 41, 41), ("ray", 47, 47), ("trinity", 25, 25)
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,9 @@ CI runs the five groups as five steps, each inside its own time budget.
 
 First the union of the selected rows' tests runs once on an unmodified
 copy: a row counts as killed only by tests that pass without it.
-Hypothesis runs with a fixed seed, so a kill is reproducible.  Exit
+Hypothesis runs with a fixed seed, so a kill is reproducible, and
+without its shrink phase (the ``mutants`` profile in
+``tests/conftest.py``): the first failing example kills the row.  Exit
 status 1 names every survivor, every row whose old text is missing or
 not unique, and every row whose tests did not run; 0 means every
 selected row was killed.
@@ -103,6 +105,11 @@ _USAGE = "repro/parallel/usage.py"
 _SCALED_REFERENCE = (
     "tests/parallel/test_usage.py::TestScaledAgainstReplace"
     "::test_fields_equal_the_replace_reference"
+)
+_PLANNER = "repro/core/planner.py"
+_FIXED_K = (
+    "tests/core/test_planner_schemes.py::TestPlanner"
+    "::test_a_fixed_k_assembler_is_one_job"
 )
 _OBS_PINS = "tests/obs/test_cli.py::test_output_matches_golden"
 #: The agent asks the checkpoint store about a unit's key, then the run cache.
@@ -552,20 +559,40 @@ ROWS: tuple[Row, ...] = (
     ),
     Row(
         "graphs: a fixed-k assembler handed the sweep k's spectrum",
-        "repro/core/multikmer.py",
-        "        return int(self.k) if fixed is None else fixed\n",
-        "        return int(self.k)\n",
+        _PLANNER,
+        "        ks = kmer_list if info.fixed_k is None else (info.fixed_k,)\n",
+        "        ks = kmer_list\n",
         (
+            _FIXED_K,
             "tests/core/test_fused_pipeline.py::TestWorkloadSpectrumWiring"
             "::test_unit_descriptions_select_matching_spectrum",
         ),
     ),
     Row(
         "planner: a MapReduce job sized like an MPI job",
-        "repro/core/planner.py",
-        "    return mapreduce_nodes if mapreduce else mpi_nodes\n",
-        "    return mpi_nodes\n",
+        _PLANNER,
+        "        nodes = mapreduce_nodes if mapreduce else mpi_nodes\n",
+        "        nodes = mpi_nodes\n",
         ("tests/core/test_planner_schemes.py::TestPlanner::test_sample_run_shape",),
+    ),
+    Row(
+        "planner: P_B sized with a fixed-k assembler at every k",
+        _PLANNER,
+        "    jobs = _jobs(assemblers, kmer_list, mpi_nodes, contrail_nodes_per_job)\n"
+        "    wanted = sum(",
+        "    jobs = _jobs(assemblers, kmer_list[:1], mpi_nodes, contrail_nodes_per_job)\n"
+        "    wanted = len(kmer_list) * sum(",
+        (_FIXED_K,),
+    ),
+    Row(
+        "trinity: the window cut keeps one window past the trimmed end",
+        "repro/assembly/trinity.py",
+        'store.offsets[i] + end - k, "right"',
+        'store.offsets[i] + end - k + 1, "right"',
+        (
+            "tests/assembly/test_assemblers.py::TestTrinity"
+            "::test_prepare_fused_matches_dict_normalisation",
+        ),
     ),
     Row(
         "graphs: every planned job counted as a reader",
@@ -905,7 +932,8 @@ def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
     working directory is the copy's, so Hypothesis keeps its example
     database there and the tree's stays as it was."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    cmd += ["--hypothesis-seed=0", *(str(ROOT / t) for t in tests)]
+    cmd += ["--hypothesis-seed=0", "--hypothesis-profile=mutants"]
+    cmd += [str(ROOT / t) for t in tests]
     return subprocess.run(
         cmd, cwd=src.parent, env=_env(src), capture_output=True, text=True
     )
