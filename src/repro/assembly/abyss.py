@@ -19,7 +19,6 @@ their code bytes) and a serial master-side cleanup/merge charged via
 from __future__ import annotations
 
 from repro.assembly.base import AssemblyParams, finish_assembly
-from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult
 from repro.assembly.ray import book_walks, partition_spectrum
 from repro.assembly.sweep import resolve_spectrum
@@ -51,7 +50,7 @@ class AbyssAssembler:
             # ABySS also probes remote k-mers while extending, but
             # aggregates them per round (~2 effective messages per step
             # vs Ray's 8 fine-grained probes).
-            unitigs = book_walks(world, part, probes_per_step=2)
+            book_walks(world, part, probes_per_step=2)
             # A handful of synchronization rounds, independent of data size.
             for _ in range(8):
                 world.collective()
@@ -67,11 +66,10 @@ class AbyssAssembler:
                     for shipped, _ in part.walks[1:]
                 )
             )
-            unitigs, cstats = clean_unitigs(unitigs, params.k)
-            serial_work = cstats.work + sum(len(u) for u in unitigs)
-            world.charge_serial(float(serial_work))
+            cleaned_bp = sum(len(seq) for seq, _ in part.contigs)
+            world.charge_serial(float(part.cleanup.work + cleaned_bp))
 
         return finish_assembly(
-            self.name, params, unitigs, cstats, world.usage,
+            self.name, params, part.contigs, part.cleanup, world.usage,
             n_ranks=world.size, distinct_kmers=len(part.table),
         )

@@ -4,6 +4,8 @@ the one finishing path every assembler ends on."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,49 +36,52 @@ class AssemblyParams:
             raise ValueError("min_contig_length must be >= k")
 
 
-def unitigs_to_contigs(
-    unitigs: list[Unitig],
-    params: AssemblyParams,
-    assembler: str,
-) -> list[Contig]:
-    """Filter unitigs by length and materialize Contig records.
+#: Cleaned unitigs as ``(sequence, coverage)``, in :func:`contig_order`.
+Ordered = tuple[tuple[str, float], ...]
 
-    Sequences are emitted in canonical strand orientation (lexicographic
-    minimum of the two strands) so output is independent of the seed
-    order the walk happened to use — serial and distributed assemblies of
-    the same spectrum produce byte-identical contigs.
-    """
-    # Unitig codes are N-free, so code bytes order exactly like letters.
-    oriented = [
-        (min(u.codes.tobytes(), reverse_complement(u.codes).tobytes()), u)
-        for u in unitigs
-        if len(u) >= params.min_contig_length
-    ]
-    oriented.sort(key=lambda pair: (-len(pair[0]), pair[0]))
+
+def contig_order(unitigs: list[Unitig], min_length: int = 0) -> Ordered:
+    """The unitigs at least ``min_length`` long, longest first, ties by
+    sequence, each on its canonical strand (the lesser of the two), so the
+    order ignores the walk's seed order and any longer minimum is a prefix."""
+    unitigs = [u for u in unitigs if len(u.codes) >= min_length]
+    if not unitigs:
+        return ()
+    # Unitig i is fwd[a:b] and its other strand rev[n - b:n - a]; codes
+    # are N-free, so letters order exactly like codes.
+    fwd = decode(np.concatenate([u.codes for u in unitigs]))
+    rev, n = reverse_complement(fwd), len(fwd)
+    ends = np.cumsum([len(u.codes) for u in unitigs]).tolist()
+    seqs = [min(fwd[a:b], rev[n - b : n - a]) for a, b in zip([0] + ends, ends)]
+    pairs = sorted(zip(seqs, [u.coverage for u in unitigs]), key=itemgetter(0))
+    pairs.sort(key=lambda pair: len(pair[0]), reverse=True)  # stable
+    return tuple(pairs)
+
+
+def unitigs_to_contigs(
+    ordered: Ordered, params: AssemblyParams, assembler: str
+) -> list[Contig]:
+    """The ``ordered`` prefix at least ``min_contig_length`` long as
+    ``assembler``'s Contig records, numbered in that order."""
+    kept = takewhile(lambda c: len(c[0]) >= params.min_contig_length, ordered)
     return [
-        Contig(
-            contig_id=f"{assembler}_k{params.k}_c{i:06d}",
-            seq=decode(np.frombuffer(codes, dtype=np.uint8)),
-            coverage=u.coverage,
-            k=params.k,
-            assembler=assembler,
-        )
-        for i, (codes, u) in enumerate(oriented)
+        Contig(f"{assembler}_k{params.k}_c{i:06d}", seq, cov, params.k, assembler)
+        for i, (seq, cov) in enumerate(kept)
     ]
 
 
 def finish_assembly(
     assembler: str,
     params: AssemblyParams,
-    unitigs: list[Unitig],
+    ordered: Ordered,
     cleanup: CleanupStats,
     usage: ResourceUsage,
     distinct_kmers: int,
     **extra,
 ) -> AssemblyResult:
-    """The cleaned ``unitigs`` as ``assembler``'s result: the contigs and
+    """The cleaned unitigs as ``assembler``'s result: the contigs and
     the stats every assembler reports, after its own ``extra`` ones."""
-    contigs = unitigs_to_contigs(unitigs, params, assembler)
+    contigs = unitigs_to_contigs(ordered, params, assembler)
     return AssemblyResult(
         assembler=assembler,
         k=params.k,
@@ -93,12 +98,13 @@ def finish_assembly(
 
 
 def assemble_on_one_node(
-    table: KmerTable, n_kmer_stream: int, walk_phase: str
-) -> tuple[list[Unitig], CleanupStats, ResourceUsage]:
+    table: KmerTable, n_kmer_stream: int, walk_phase: str, min_length: int
+) -> tuple[Ordered, CleanupStats, ResourceUsage]:
     """A single-node assembler's graph half, booked on one rank: the
     k-mer stream counted on ``N_THREADS`` threads, the graph built from
     ``table`` (the node's peak memory), then its unitigs walked and
-    cleaned in the phase named ``walk_phase``."""
+    cleaned in the phase named ``walk_phase``; the cleaned unitigs at
+    least ``min_length`` long come back in :func:`contig_order`."""
     usage = ResourceUsage(n_ranks=1)
     usage.add_phase(
         PhaseUsage(
@@ -127,4 +133,4 @@ def assemble_on_one_node(
             total_compute=float(steps + cstats.work),
         )
     )
-    return unitigs, cstats, usage
+    return contig_order(unitigs, min_length), cstats, usage

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.assembly import packed as packedmod
-from repro.assembly.base import AssemblyParams, finish_assembly
+from repro.assembly.base import AssemblyParams, contig_order, finish_assembly
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult
 from repro.assembly.dbg import Unitig
@@ -225,7 +225,8 @@ class ContrailAssembler:
         ]
         unitigs, cstats = clean_unitigs(unitigs, k)
         return finish_assembly(
-            self.name, params, unitigs, cstats, engine.usage,
+            self.name, params, contig_order(unitigs, params.min_contig_length),
+            cstats, engine.usage,
             n_ranks=n_ranks,
             mr_jobs=len(engine.job_stats),
             compression_rounds=rounds,

@@ -23,9 +23,8 @@ packed wire size, so virtual TTCs match the bytes-era pipeline bit-for-bit.
 from __future__ import annotations
 
 from repro.assembly.base import AssemblyParams, finish_assembly
-from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult
-from repro.assembly.dbg import KMER_RECORD_BYTES, Unitig
+from repro.assembly.dbg import KMER_RECORD_BYTES
 from repro.assembly.sweep import KmerSpectrum, SpectrumPartition, resolve_spectrum
 from repro.parallel.comm import SimWorld
 from repro.seq.readstore import ReadStore
@@ -74,20 +73,16 @@ def partition_spectrum(
     return part
 
 
-def book_walks(
-    world: SimWorld, part: SpectrumPartition, probes_per_step: int
-) -> list[Unitig]:
-    """Every rank's unitigs, in rank order, with each rank charged for
-    walking its own seeds and ``probes_per_step`` probe messages counted
-    per step, a candidate being remote w.p. (p-1)/p.  Runs inside the
-    caller's walk phase."""
+def book_walks(world: SimWorld, part: SpectrumPartition, probes_per_step: int) -> None:
+    """Each rank charged for walking its own seeds and
+    ``probes_per_step`` probe messages counted per step, a candidate
+    being remote w.p. (p-1)/p.  Runs inside the caller's walk phase."""
     p = world.size
     total_probes = 0
     for r, (_, steps) in enumerate(part.walks):
         world.charge(r, float(steps))
         total_probes += int(steps * probes_per_step * (p - 1) / p)
     world.count_messages(total_probes)
-    return [u for unitigs, _ in part.walks for u in unitigs]
 
 
 class RayAssembler:
@@ -111,15 +106,14 @@ class RayAssembler:
         with world.phase("extension_walk", kind="walk"):
             # Each extension step probes ~4 candidate successors and ~4
             # predecessors.
-            unitigs = book_walks(world, part, probes_per_step=8)
+            book_walks(world, part, probes_per_step=8)
 
         with world.phase("cleanup", kind="walk"):
-            unitigs, cstats = clean_unitigs(unitigs, params.k)
             # Cleanup runs on the condensed graph, replicated cheaply.
             for r in world.ranks():
-                world.charge(r, float(cstats.work) / p)
+                world.charge(r, float(part.cleanup.work) / p)
 
         return finish_assembly(
-            self.name, params, unitigs, cstats, world.usage,
+            self.name, params, part.contigs, part.cleanup, world.usage,
             n_ranks=p, distinct_kmers=len(part.table),
         )

@@ -46,6 +46,8 @@ import numpy as np
 
 from repro.assembly import kmers
 from repro.assembly import packed as packedmod
+from repro.assembly.base import contig_order
+from repro.assembly.cleanup import CleanupStats, clean_unitigs
 from repro.assembly.dbg import KmerTable, extract_unitigs_by_owner
 from repro.obs import get_tracer
 from repro.seq.readstore import ReadStore
@@ -87,6 +89,8 @@ class SpectrumPartition(NamedTuple):
     owners: np.ndarray  #: owner rank of every row of ``table``
     table: KmerTable  #: :meth:`KmerSpectrum.table` at ``min_count``
     walks: tuple  #: per rank ``(unitigs, walk steps)``, seeded by owner
+    cleanup: CleanupStats  #: of :func:`clean_unitigs` over all the walks
+    contigs: tuple  #: what it kept, in :func:`~repro.assembly.base.contig_order`
 
 
 class KmerSpectrum:
@@ -279,9 +283,10 @@ class KmerSpectrum:
 
     def partition(self, n_ranks: int, min_count: int) -> SpectrumPartition:
         """Reads striped over ``n_ranks`` ranks, rows hashed to their
-        :meth:`owners`, and the :meth:`table` at ``min_count`` walked
-        with each rank seeding from the rows it owns; read-only and
-        maybe kept, like :meth:`table`."""
+        :meth:`owners`, the :meth:`table` at ``min_count`` walked with
+        each rank seeding from the rows it owns, and those walks cleaned
+        (which depends on their seed order); read-only and maybe kept,
+        like :meth:`table`."""
 
         def make() -> SpectrumPartition:
             p = n_ranks
@@ -294,6 +299,7 @@ class KmerSpectrum:
             kept_owners = owners[self.counts >= min_count]
             table = self.table(min_count)
             walks = extract_unitigs_by_owner(table, kept_owners, p)
+            cleaned, stats = clean_unitigs([u for us, _ in walks for u in us], self.k)
             part = SpectrumPartition(
                 matrix,
                 np.bincount(owners, minlength=p),
@@ -301,6 +307,8 @@ class KmerSpectrum:
                 kept_owners,
                 table,
                 tuple((tuple(mine), steps) for mine, steps in walks),
+                stats,
+                contig_order(cleaned),
             )
             for arr in part[:4]:
                 arr.flags.writeable = False

@@ -116,11 +116,11 @@ class TrinityAssembler:
         p90 = recurrent[int(len(recurrent) * 0.9)] if recurrent else 1
         eff = replace(params, min_count=max(3, int(p90 // 4)))
         table.drop_below(eff.min_count)
-        unitigs, cstats, usage = assemble_on_one_node(
-            table, int(occ_sel.size), "greedy_extension"
+        ordered, cstats, usage = assemble_on_one_node(
+            table, int(occ_sel.size), "greedy_extension", eff.min_contig_length
         )
         result = finish_assembly(
-            self.name, eff, unitigs, cstats, usage, distinct_kmers=len(table)
+            self.name, eff, ordered, cstats, usage, distinct_kmers=len(table)
         )
         del result.stats["bubbles_popped"]  # Trinity's stats carry no bubble count
         return result

@@ -27,9 +27,9 @@ class VelvetAssembler:
         # k-mer table (shared with the fan-out's other jobs at this k).
         spectrum = resolve_spectrum(store, params.k, spectrum)
         table = spectrum.table(params.min_count)
-        unitigs, cstats, usage = assemble_on_one_node(
-            table, spectrum.n_occurrences, "unitig_walk"
+        ordered, cstats, usage = assemble_on_one_node(
+            table, spectrum.n_occurrences, "unitig_walk", params.min_contig_length
         )
         return finish_assembly(
-            self.name, params, unitigs, cstats, usage, distinct_kmers=len(table)
+            self.name, params, ordered, cstats, usage, distinct_kmers=len(table)
         )

@@ -64,19 +64,27 @@ def _remove_contained(
     kept: list[Contig] = []
     # seed -> bitmask of the kept contigs holding it (bit i is kept[i])
     seed_index: dict[str, int] = {}
-    work = 0
+    work, n_candidates, last = 0, 0, None
     for c in ordered:
-        rc = reverse_complement(c.seq)
-        if len(c) < SEED_K:  # its one seed is itself: every kept contig
-            candidates = (1 << len(kept)) - 1
+        if c.seq == last:
+            # Copies are adjacent and only the first is kept: a copy is
+            # contained, its candidates its predecessor's plus that one if
+            # kept (``contained`` still holds the predecessor's verdict).
+            n_candidates += not contained
+            contained = True
         else:
-            candidates = 0
-            for seed in _seed_positions(c.seq) + _seed_positions(rc):
-                candidates |= seed_index.get(seed, 0)
-        work += candidates.bit_count() + len(c)
-        contained = any(
-            c.seq in kept[i].seq or rc in kept[i].seq for i in _bits(candidates)
-        )
+            last, rc = c.seq, reverse_complement(c.seq)
+            if len(c) < SEED_K:  # its one seed is itself: every kept contig
+                candidates = (1 << len(kept)) - 1
+            else:
+                candidates = 0
+                for seed in _seed_positions(c.seq) + _seed_positions(rc):
+                    candidates |= seed_index.get(seed, 0)
+            n_candidates = candidates.bit_count()
+            contained = any(
+                c.seq in kept[i].seq or rc in kept[i].seq for i in _bits(candidates)
+            )
+        work += n_candidates + len(c)
         if contained:
             result.contained_removed += 1
             continue

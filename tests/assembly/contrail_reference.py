@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.assembly import packed as packedmod
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
+from repro.assembly.base import AssemblyParams, contig_order, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import Unitig
@@ -289,7 +289,7 @@ def reference_contrail_assemble(
         for s in segments.values()
     ]
     unitigs, cstats = clean_unitigs(unitigs, k)
-    contigs = unitigs_to_contigs(unitigs, params, "contrail")
+    contigs = unitigs_to_contigs(contig_order(unitigs), params, "contrail")
     return AssemblyResult(
         assembler="contrail",
         k=k,

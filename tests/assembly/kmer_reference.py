@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.assembly import packed as packedmod
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
+from repro.assembly.base import AssemblyParams, contig_order, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, assembly_stats
 from repro.assembly.dbg import KMER_RECORD_BYTES, KmerTable, Unitig
@@ -435,7 +435,7 @@ def reference_velvet_assemble(
         )
     )
 
-    contigs = unitigs_to_contigs(unitigs, params, "velvet")
+    contigs = unitigs_to_contigs(contig_order(unitigs), params, "velvet")
     return AssemblyResult(
         assembler="velvet",
         k=params.k,
@@ -493,7 +493,7 @@ def reference_ray_assemble(
         for r in world.ranks():
             world.charge(r, float(cstats.work) / p)
 
-    contigs = unitigs_to_contigs(all_unitigs, params, "ray")
+    contigs = unitigs_to_contigs(contig_order(all_unitigs), params, "ray")
     return AssemblyResult(
         assembler="ray",
         k=k,
@@ -560,7 +560,7 @@ def reference_abyss_assemble(
         serial_work = cstats.work + sum(len(u) for u in all_unitigs)
         world.charge_serial(float(serial_work))
 
-    contigs = unitigs_to_contigs(all_unitigs, params, "abyss")
+    contigs = unitigs_to_contigs(contig_order(all_unitigs), params, "abyss")
     return AssemblyResult(
         assembler="abyss",
         k=k,

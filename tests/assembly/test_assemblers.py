@@ -6,7 +6,7 @@ ground-truth transcripts the reads were simulated from.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.abyss import AbyssAssembler
@@ -301,8 +301,15 @@ class TestTrinity:
             velvet_result.contigs, tx
         )
 
+    # No shrink phase: shrinking a failing example of this strategy takes
+    # Hypothesis about two minutes of its own draws (the test body runs in
+    # under a millisecond), so the failure is reported as first found.
     @given(reads=trinity_reads())
-    @settings(max_examples=60, deadline=None)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+    )
     def test_prepare_fused_matches_dict_normalisation(self, reads):
         """Reading a trimmed read's k-mers off the whole-read spectrum
         (windows ending at or before the cut) keeps the same reads and

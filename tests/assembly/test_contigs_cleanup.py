@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.assembly.base import AssemblyParams, unitigs_to_contigs
+from repro.assembly.base import AssemblyParams, contig_order, unitigs_to_contigs
 from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.contigs import AssemblyResult, Contig, assembly_stats, n50
 from repro.assembly.dbg import Unitig
@@ -95,10 +95,14 @@ class TestUnitigsToContigs:
             if len(u) >= min_len
         ]
         kept.sort(key=lambda pair: (-len(pair[0]), pair[0]))
-        got = unitigs_to_contigs(unitigs, params, "x")
+        got = unitigs_to_contigs(contig_order(unitigs), params, "x")
         assert [(c.seq, c.coverage) for c in got] == [
             (seq, u.coverage) for seq, u in kept
         ]
+        # Cutting at min_len before ordering keeps the same prefix.
+        assert contig_order(unitigs, min_len) == tuple(
+            (seq, u.coverage) for seq, u in kept
+        )
         assert [c.contig_id for c in got] == [
             f"x_k3_c{i:06d}" for i in range(len(kept))
         ]

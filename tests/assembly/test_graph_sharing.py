@@ -1,7 +1,9 @@
 """Graph once per k: the jobs at one k share one spectrum's graph products.
 
 ``KmerSpectrum.table(min_count)`` and ``KmerSpectrum.partition(p,
-min_count)`` are what Velvet, Ray and ABySS derive from a spectrum.  A
+min_count)`` are what Velvet, Ray and ABySS derive from a spectrum; the
+partition holds its walks cleaned once, in contig order, which Ray and
+ABySS both finish from (Velvet walks in table order and cleans its own).  A
 product derived inside ``KmerSpectrum.keeping()`` is kept, read-only,
 until ``close``; any other call derives its own and keeps nothing.
 ``assembly_unit_descriptions`` derives, before the fan-out, every product
@@ -25,7 +27,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.assembly import sweep
+from repro.assembly import abyss, cleanup, ray, sweep
 from repro.assembly.abyss import AbyssAssembler
 from repro.assembly.base import AssemblyParams
 from repro.assembly.dbg import KmerTable
@@ -61,7 +63,7 @@ def _read_products(spectrum):
     """The identities of the products a reader gets, and where it ran."""
     part = spectrum.partition(N_RANKS, PARAMS.min_count)
     table = spectrum.table(PARAMS.min_count)
-    return (id(part), id(table), os.getpid()), None
+    return (id(part), id(part.contigs), id(table), os.getpid()), None
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,46 @@ def derivations(monkeypatch, tmp_path):
 
 
 @pytest.fixture
+def cleanups(monkeypatch, tmp_path):
+    """``count(pid=None)``: the ``clean_unitigs`` calls made so far, in
+    ``pid`` or anywhere (pool workers forked after this fixture log
+    theirs to the same file)."""
+    log = tmp_path / "cleanups.log"
+    log.touch()
+    clean = cleanup.clean_unitigs
+
+    def noted_clean(*args):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return clean(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and vars(module).get("clean_unitigs") is clean:
+            monkeypatch.setattr(module, "clean_unitigs", noted_clean)
+    return lambda pid=None: sum(
+        pid is None or int(p) == pid for p in log.read_text().split()
+    )
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """Per assembler, the ``(ordered, stats)`` objects Ray and ABySS
+    finished from."""
+    seen = {}
+
+    def noting(finish):
+        def noted_finish(name, params, ordered, stats, *args, **kwargs):
+            seen.setdefault(name, []).append((ordered, stats))
+            return finish(name, params, ordered, stats, *args, **kwargs)
+
+        return noted_finish
+
+    for module in (ray, abyss):
+        monkeypatch.setattr(module, "finish_assembly", noting(module.finish_assembly))
+    return seen
+
+
+@pytest.fixture
 def shared(store_single, derivations):
     """A spectrum whose products the three assemblers read were derived
     ahead, as the pipeline does for several computing readers."""
@@ -149,13 +191,18 @@ def run_mamp(assemblers=MAMP, kmer_list=(25, 31), **config):
 class TestSharedReaders:
     @pytest.mark.parametrize("order", ORDERS, ids="-".join)
     def test_every_order_reads_what_it_reads_alone(
-        self, store_single, alone, shared, derivations, order
+        self, store_single, alone, shared, derivations, cleanups, finishes, order
     ):
         for name in order:
             assert_results_identical(_assemble(name, store_single, shared), alone[name])
         assert derivations.made() == ONCE  # all of it ahead, none by a reader
+        assert cleanups() == 1  # Velvet's own; the partition's was ahead
         part = shared.partition(N_RANKS, PARAMS.min_count)
         assert part.table is shared.table(PARAMS.min_count)
+        # Ray and ABySS finish from the one cleaned product, in any order.
+        for name in ("ray", "abyss"):
+            ((ordered, stats),) = finishes[name]
+            assert ordered is part.contigs and stats is part.cleanup
 
     @pytest.mark.parametrize("order", ORDERS, ids="-".join)
     def test_concurrent_readers_on_two_threads(
@@ -216,10 +263,23 @@ class TestReaderRule:
         finally:
             executor.shutdown()
         assert outcome.error is None, outcome.error
-        (part_id, table_id, _), _ = _read_products(shared)
-        assert outcome.result[2] != os.getpid()
-        assert outcome.result[:2] == (part_id, table_id)
+        (*ids, _), _ = _read_products(shared)
+        assert outcome.result[-1] != os.getpid()
+        assert list(outcome.result[:-1]) == ids
         assert derivations.made(os.getpid()) == derivations.made() == ONCE
+
+    def test_a_kept_partition_is_keyed_by_min_count(self, store_single):
+        """Partitions kept at two ``min_count``s are two products, each
+        cleaned as a spectrum read alone is at that ``min_count``."""
+        (sp,) = build_spectra(store_single, (K,))
+        with sp.keeping():
+            parts = {m: sp.partition(N_RANKS, m) for m in (2, 3)}
+        (fresh,) = build_spectra(store_single, (K,))
+        for m, part in parts.items():
+            alone = fresh.partition(N_RANKS, m)
+            assert (part.contigs, part.cleanup) == (alone.contigs, alone.cleanup)
+        assert parts[2].contigs != parts[3].contigs
+        sp.close()
 
     def test_close_releases_the_products(self, store_single, shared):
         for name in ASSEMBLERS:
@@ -246,14 +306,25 @@ class TestReaderRule:
         gc.collect()
         assert [ref() for ref in derivations.tables] == [None, None]
 
-    def test_a_process_pipeline_derives_once_per_k(self, derivations):
+    def test_a_process_pipeline_derives_once_per_k(self, derivations, cleanups):
         """The same six jobs on two forked workers: the parent derives
-        each k's table and walk before the fan-out, the workers none."""
+        each k's table, walk and cleaned walks before the fan-out, the
+        workers none; only Velvet cleans its own, in a worker."""
         with use_assembly_cache(None), use_kmer_table_cache(KmerTableCache()):
             run_mamp(executor="process", executor_workers=2)
         assert derivations.made(os.getpid()) == derivations.made() == Counter(
             table=2, walk=2
         )
+        assert (cleanups(os.getpid()), cleanups()) == (2, 4)
+
+    def test_ray_and_abyss_clean_once_per_k(self, cleanups):
+        """Six serial jobs at two ks clean four times: once per k for Ray
+        and ABySS together (the partition), once per k for Velvet —
+        where one clean per job would be six."""
+        with use_assembly_cache(None), use_kmer_table_cache(KmerTableCache()):
+            result, _ = run_mamp()
+        assert len(result.assemblies) == 6
+        assert cleanups() == 4
 
 
 class TestComputingReaders:

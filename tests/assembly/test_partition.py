@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.assembly.abyss import AbyssAssembler
-from repro.assembly.base import AssemblyParams
+from repro.assembly.base import AssemblyParams, contig_order
+from repro.assembly.cleanup import clean_unitigs
 from repro.assembly.dbg import extract_unitigs_by_owner
 from repro.assembly.ray import RayAssembler, partition_spectrum
 from repro.assembly.sweep import build_spectra
@@ -48,11 +49,19 @@ def generated_store():
 
 
 def _reference_partition(world, spectrum, min_count):
-    """The oracle's table and owner column, walked by owner: what the
-    assemblers read off ``partition_spectrum``'s result."""
+    """The oracle's table and owner column, walked by owner, and those
+    walks cleaned and put in contig order: what the assemblers read off
+    ``partition_spectrum``'s result."""
     table, owners = reference_partition_spectrum(world, spectrum, min_count)
     walks = extract_unitigs_by_owner(table, owners, world.size)
-    return SimpleNamespace(table=table, owners=owners, walks=walks)
+    cleaned, stats = clean_unitigs([u for us, _ in walks for u in us], spectrum.k)
+    return SimpleNamespace(
+        table=table,
+        owners=owners,
+        walks=walks,
+        cleanup=stats,
+        contigs=contig_order(cleaned),
+    )
 
 
 def _partition_like_reference(spectrum, p, min_count):

@@ -9,11 +9,12 @@ charged containment work.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.contigs import Contig
-from repro.core.merge import SEED_K, MergeResult, _remove_contained
+from repro.core.merge import SEED_K, MergeResult, _remove_contained, merge_contigs
 from repro.parallel.usage import ResourceUsage
 
 from .merge_reference import _revcomp, remove_contained
@@ -128,3 +129,61 @@ class TestShortContigs:
         seqs = ["".join(rng.choices("ACGT", k=38 - i)) for i in range(3)]
         _, result = assert_parity(seqs + ["A" * 10])
         assert result.usage.phases[0].total_compute == float(38 + 37 + 36 + 3 + 10)
+
+
+class TestCopies:
+    """Equal contigs are adjacent in containment order and take no seed
+    query: a copy is contained, and books its predecessor's candidates
+    plus the predecessor itself when that one was kept."""
+
+    rng = random.Random(11)
+    L = "".join(rng.choices("ACGT", k=120))
+    X = "".join(rng.choices("ACGT", k=60))  # held by nothing before it
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_copies_of_a_kept_contig(self, n):
+        kept, result = assert_parity([self.L] + [self.X] * n)
+        assert [c.seq for c in kept] == [self.L, self.X]
+        assert result.contained_removed == n - 1
+        # X finds no candidate; each copy has X itself, the one kept.
+        assert result.usage.phases[0].total_compute == 120 + 60 + (1 + 60) * (n - 1)
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_copies_of_a_contained_contig(self, n):
+        piece = self.L[30:90]
+        kept, result = assert_parity([self.L] + [piece] * n)
+        assert [c.seq for c in kept] == [self.L]
+        assert result.contained_removed == n
+        # Every copy has L as its one candidate, as the first did.
+        assert result.usage.phases[0].total_compute == 120 + (1 + 60) * n
+
+    @pytest.mark.parametrize("held", (False, True), ids=("kept", "contained"))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_copies_shorter_than_the_seed(self, held, n):
+        short = self.L[50 : 50 + SEED_K - 4] if held else "T" * (SEED_K - 4)
+        kept, result = assert_parity([self.L] + [short] * n)
+        assert [c.seq for c in kept] == [self.L] + ([] if held else [short])
+        assert result.contained_removed == n - (not held)
+
+    def test_a_reverse_complement_is_queried(self):
+        """rc(X) sorts apart from X, so it takes the seed query."""
+        rc = _revcomp(self.X)
+        assert rc != self.X
+        kept, result = assert_parity([self.X, rc, self.X])
+        assert [c.seq for c in kept] == [min(self.X, rc)]
+        assert result.contained_removed == 2
+
+
+@given(contig_sets())
+@settings(max_examples=40, deadline=None)
+def test_merging_every_set_twice_merges_it_once(seqs):
+    """A second copy of every contig set changes no transcript: each
+    copy is contained, and only the copies are."""
+    rng = random.Random(len(seqs))
+    cs = contigs(seqs)
+    sets = [cs[i : i + 7] for i in range(0, len(cs), 7)]
+    rng.shuffle(sets)
+    once, twice = merge_contigs(sets), merge_contigs(sets + sets)
+    assert twice.transcripts == once.transcripts
+    assert twice.joins == once.joins
+    assert twice.contained_removed == once.contained_removed + len(cs)

@@ -155,8 +155,8 @@ ROWS: tuple[Row, ...] = (
     Row(
         "merge: candidate count taken as the number of kept contigs",
         _MERGE,
-        "work += candidates.bit_count() + len(c)",
-        "work += len(kept) + len(c)",
+        "n_candidates = candidates.bit_count()",
+        "n_candidates = len(kept)",
         (f"{_CONTAINMENT}::test_container_beyond_the_first_machine_word", _PINS),
     ),
     Row(
@@ -165,6 +165,13 @@ ROWS: tuple[Row, ...] = (
         "candidates = (1 << len(kept)) - 1",
         "candidates = 0",
         (f"{_CONTAINMENT}::TestShortContigs",),
+    ),
+    Row(
+        "merge: a copy of a kept contig books its predecessor's count without the kept one",
+        _MERGE,
+        "n_candidates += not contained",
+        "n_candidates += 0",
+        (f"{_CONTAINMENT}::TestCopies",),
     ),
     # quantify: the index searched into the sorted read windows (DESIGN §7)
     Row(
@@ -621,6 +628,20 @@ ROWS: tuple[Row, ...] = (
         "        self.frozen = True\n",
         "",
         (f"{_SHARING}::TestReadOnly::test_mutating_a_shared_product_raises",),
+    ),
+    Row(
+        "graphs: the kept partition ignores min_count",
+        _SWEEP,
+        'self._derive(("partition", n_ranks, min_count), make)',
+        'self._derive(("partition", n_ranks), make)',
+        (f"{_SHARING}::TestReaderRule::test_a_kept_partition_is_keyed_by_min_count",),
+    ),
+    Row(
+        "partition: the contig order serves the uncleaned walks",
+        _SWEEP,
+        "contig_order(cleaned)",
+        "contig_order([u for us, _ in walks for u in us])",
+        (f"{_PARITY}::test_ray", f"{_PARITY}::test_abyss"),
     ),
     Row(
         "graphs: close() keeps the products",
